@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench chaos fleet ops trace bench-obs bench-decide scenario bench-scenario warmstart bench-warmstart hotpath bench-hotpath bench-all race-hot lint lint-json fmt ci
+.PHONY: build test race vet bench chaos fleet ops trace bench-obs bench-decide scenario bench-scenario warmstart bench-warmstart hotpath bench-hotpath bench-all perf-check race-hot lint lint-json fmt ci
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,15 @@ vet:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# Check the wall-clock benchmark's plumbing on every PR: a smoke run of
+# all four workloads (ops_failed == 0, traced digest == untraced, span
+# shares close) and the bench package's own tests (step.self_share,
+# digest and seed-determinism assertions). Measures nothing; see
+# bench/README.md for the measuring run.
+perf-check:
+	$(GO) run ./bench -smoke
+	$(GO) test ./bench
 
 # Run the repository-invariant analyzer suite (see DESIGN.md §7).
 lint:

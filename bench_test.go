@@ -36,7 +36,7 @@ func BenchmarkFig1Characterization(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIISGDReconstruction times the three parallel SGD
+// BenchmarkTableIISGDReconstruction times the two parallel paired SGD
 // reconstructions of one decision quantum (paper: 4.8 ms on a 32-core
 // server; see EXPERIMENTS.md for host scaling).
 func BenchmarkTableIISGDReconstruction(b *testing.B) {
@@ -297,8 +297,9 @@ func BenchmarkFleetStepping(b *testing.B) {
 }
 
 // BenchmarkDecisionQuantum times one full CuttleSys decision — profile
-// extraction, three reconstructions, QoS scan, DDS search, budget
-// enforcement — the end-to-end cost a deployment would care about.
+// extraction, the paired reconstructions, QoS scan, DDS search, budget
+// enforcement — on the deterministic trainer every fleet path ships:
+// the end-to-end cost a deployment would care about.
 func BenchmarkDecisionQuantum(b *testing.B) {
 	lc, err := cuttlesys.AppByName("xapian")
 	if err != nil {
@@ -308,7 +309,7 @@ func BenchmarkDecisionQuantum(b *testing.B) {
 	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
 		Seed: 1, LC: lc, Batch: cuttlesys.Mix(1, pool, 16), Reconfigurable: true,
 	})
-	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 1})
+	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 1, SGD: cuttlesys.SGDParams{Deterministic: true}})
 	qps := 0.8 * lc.MaxQPS
 	budget := 0.7 * m.MaxPowerW()
 	var profile []cuttlesys.PhaseResult

@@ -163,8 +163,8 @@ func (rt *Runtime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW
 // the QoS scan and the search arbitrarily.
 func (rt *Runtime) predictionsValid(thr, pwr, lat, svc *sgd.Prediction) bool {
 	ok := func(p *sgd.Prediction, row int) bool {
-		for _, v := range p.Row(row) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+		for j := 0; j < p.Cols; j++ {
+			if v := p.At(row, j); math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
 			}
 		}

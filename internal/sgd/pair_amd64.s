@@ -4,82 +4,74 @@
 
 // func pairEpoch6(a *pairArgs)
 //
-// One full SGD sweep (one epoch) over a dense rows*cols block with
+// One full SGD sweep (one epoch) over the CSR-laid common prefix with
 // rank-6 factors, two independent surfaces packed per 128-bit lane.
-// Entry order: rows outer, columns inner — exactly trainSerial's.
-// Every arithmetic step reproduces the serial sweep's association
-// (the dot accumulates left-to-right from zero; factor updates read
-// the pre-update qk/pk on both right-hand sides), so each lane is
-// bit-identical to its own scalar run.
+// Entry order: rows outer, each row's entries in column order —
+// exactly trainSerial's. Every arithmetic step reproduces the serial
+// sweep's association (the dot accumulates left-to-right from zero;
+// factor updates read the pre-update qk/pk on both right-hand sides),
+// so each lane is bit-identical to its own scalar run.
 //
-// Register map: R8=q R9=pc R10=rb R11=cb R12=vals R13=rows R14=cols;
-// X12/X13/X14 = mu/eta/lam pairs; X0–X5 = the current row's six
-// factor pairs, resident across the column sweep.
+// Row and column blocks are 112 bytes: six factor pairs, then the bias
+// pair at +96. Register map: SI=row block R9=column blocks R12=vals
+// R11=offs R15=offs walker R10=rowPtr R13=rows left DX=row's end in
+// offs BX=entry's column block; X12/X13/X14 = mu/eta/lam pairs;
+// X0–X5 = the current row's six factor pairs and X6 its bias pair,
+// resident across the row's entries.
 TEXT ·pairEpoch6(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), DI
-	MOVQ 0(DI), R8          // q
-	MOVQ 8(DI), R9          // pc
-	MOVQ 16(DI), R10        // rb
-	MOVQ 24(DI), R11        // cb
-	MOVQ 32(DI), R12        // vals
-	MOVQ 40(DI), R13        // rows
-	MOVQ 48(DI), R14        // cols
-	VMOVUPD 56(DI), X12     // mu pair
-	VMOVUPD 72(DI), X13     // eta pair
-	VMOVUPD 88(DI), X14     // lam pair
+	MOVQ 0(DI), SI          // row
+	MOVQ 8(DI), R9          // col
+	MOVQ 16(DI), R12        // vals
+	MOVQ 24(DI), R11        // offs
+	MOVQ 32(DI), R10        // rowPtr
+	MOVQ 40(DI), R13        // nrows
+	VMOVUPD 48(DI), X12     // mu pair
+	VMOVUPD 64(DI), X13     // eta pair
+	VMOVUPD 80(DI), X14     // lam pair
+	MOVQ R11, R15
 
-	XORQ CX, CX             // row index
 rowloop:
-	CMPQ CX, R13
-	JGE done
-	// qi base = q + CX*96 (6 factors * 2 lanes * 8 bytes)
-	MOVQ CX, AX
-	IMULQ $96, AX
-	LEAQ (R8)(AX*1), SI
+	TESTQ R13, R13
+	JZ done
 	VMOVUPD 0(SI), X0
 	VMOVUPD 16(SI), X1
 	VMOVUPD 32(SI), X2
 	VMOVUPD 48(SI), X3
 	VMOVUPD 64(SI), X4
 	VMOVUPD 80(SI), X5
-	// rb pair
-	MOVQ CX, AX
-	SHLQ $4, AX
-	LEAQ (R10)(AX*1), BX
-	VMOVUPD 0(BX), X6
-	// vals row base = vals + CX*cols*16
-	MOVQ CX, AX
-	IMULQ R14, AX
-	SHLQ $4, AX
-	LEAQ (R12)(AX*1), DX
-	MOVQ R9, R15            // pj walker
-	MOVQ R11, DI            // cb walker
+	VMOVUPD 96(SI), X6
+	// row's end = offs + 4*rowPtr[r+1]; an empty row falls straight through
+	MOVLQSX 4(R10), DX
+	LEAQ (R11)(DX*4), DX
 
-	XORQ AX, AX             // col index
-colloop:
-	CMPQ AX, R14
+entryloop:
+	CMPQ R15, DX
 	JGE rowend
+	MOVLQZX 0(R15), BX
+	ADDQ R9, BX
 
 	// dot: s = 0; s += qk*pk, serial add order as dotf
 	VXORPD X7, X7, X7
-	VMULPD 0(R15), X0, X8
+	VMULPD 0(BX), X0, X8
 	VADDPD X8, X7, X7
-	VMULPD 16(R15), X1, X8
+	VMULPD 16(BX), X1, X8
 	VADDPD X8, X7, X7
-	VMULPD 32(R15), X2, X8
+	VMULPD 32(BX), X2, X8
 	VADDPD X8, X7, X7
-	VMULPD 48(R15), X3, X8
+	VMULPD 48(BX), X3, X8
 	VADDPD X8, X7, X7
-	VMULPD 64(R15), X4, X8
+	VMULPD 64(BX), X4, X8
 	VADDPD X8, X7, X7
-	VMULPD 80(R15), X5, X8
+	VMULPD 80(BX), X5, X8
 	VADDPD X8, X7, X7
 
 	// err = v - (((mu + rb) + cb) + dot)
+	VMOVUPD 96(BX), X10
 	VADDPD X6, X12, X8
-	VADDPD 0(DI), X8, X8
+	VADDPD X10, X8, X8
 	VADDPD X7, X8, X8
-	VMOVUPD 0(DX), X9
+	VMOVUPD 0(R12), X9
 	VSUBPD X8, X9, X9       // X9 = err
 
 	// rb += eta * (err - lam*rb)
@@ -89,18 +81,17 @@ colloop:
 	VADDPD X8, X6, X6
 
 	// cb += eta * (err - lam*cb)
-	VMOVUPD 0(DI), X10
 	VMULPD X10, X14, X8
 	VSUBPD X8, X9, X8
 	VMULPD X8, X13, X8
 	VADDPD X8, X10, X10
-	VMOVUPD X10, 0(DI)
+	VMOVUPD X10, 96(BX)
 
 	// factor updates, k = 0..5:
 	//   qk += eta*(err*pk - lam*qk); pk += eta*(err*qk - lam*pk)
 	// using old qk/pk on both right-hand sides.
 #define FUPD(QK, OFF) \
-	VMOVUPD OFF(R15), X10 \
+	VMOVUPD OFF(BX), X10  \
 	VMULPD X10, X9, X8    \
 	VMULPD QK, X14, X11   \
 	VSUBPD X11, X8, X8    \
@@ -111,7 +102,7 @@ colloop:
 	VMULPD X11, X13, X11  \
 	VADDPD X8, QK, QK     \
 	VADDPD X11, X10, X10  \
-	VMOVUPD X10, OFF(R15)
+	VMOVUPD X10, OFF(BX)
 
 	FUPD(X0, 0)
 	FUPD(X1, 16)
@@ -120,11 +111,9 @@ colloop:
 	FUPD(X4, 64)
 	FUPD(X5, 80)
 
-	ADDQ $96, R15
-	ADDQ $16, DI
-	ADDQ $16, DX
-	INCQ AX
-	JMP colloop
+	ADDQ $4, R15
+	ADDQ $16, R12
+	JMP entryloop
 
 rowend:
 	VMOVUPD X0, 0(SI)
@@ -133,8 +122,10 @@ rowend:
 	VMOVUPD X3, 48(SI)
 	VMOVUPD X4, 64(SI)
 	VMOVUPD X5, 80(SI)
-	VMOVUPD X6, 0(BX)
-	INCQ CX
+	VMOVUPD X6, 96(SI)
+	ADDQ $112, SI
+	ADDQ $4, R10
+	DECQ R13
 	JMP rowloop
 
 done:

@@ -26,6 +26,49 @@ func pairMatrix(seed uint64, rows, cols, denseRows, sparseObs int) *Matrix {
 	return m
 }
 
+// matchedPair builds two matrices of the runtime's paired shape: lane
+// B holds different values at exactly lane A's cells (the runtime
+// writes both surfaces of a pair at the same configurations), plus
+// extraB trailing rows of its own — the power matrix's service rows.
+func matchedPair(seed uint64, rows, cols, denseRows, sparseObs, extraB int) (a, b *Matrix) {
+	a = pairMatrix(seed, rows, cols, denseRows, sparseObs)
+	r := rng.New(seed ^ 0xb)
+	b = NewMatrix(rows+extraB, cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if a.Known(i, j) {
+				b.Observe(i, j, 1+5*r.Float64())
+			}
+		}
+	}
+	for i := rows; i < rows+extraB; i++ {
+		for n := 0; n < sparseObs; n++ {
+			b.Observe(i, r.Intn(cols), 1+5*r.Float64())
+		}
+	}
+	return a, b
+}
+
+// rowObs returns the observed columns of row i, in sweep order.
+func rowObs(m *Matrix, i int) []int {
+	var cols []int
+	for j := 0; j < m.Cols; j++ {
+		if m.Known(i, j) {
+			cols = append(cols, j)
+		}
+	}
+	return cols
+}
+
+// obsBefore counts the observations in rows [0, row).
+func obsBefore(m *Matrix, row int) int {
+	n := 0
+	for i := 0; i < row; i++ {
+		n += len(rowObs(m, i))
+	}
+	return n
+}
+
 func predBitsEqual(t *testing.T, name string, got, want *Prediction) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.Iters != want.Iters || got.Observed != want.Observed {
@@ -45,14 +88,81 @@ func predBitsEqual(t *testing.T, name string, got, want *Prediction) {
 
 // TestReconstructPairBitIdentical drives the paired trainer across the
 // shapes the runtime actually pairs — same-shape, different row
-// counts, sparse tails, bias-frozen rows, log-space — and demands
-// exact float64 equality with the independent per-surface path.
+// counts, sparse tails, bias-frozen rows, log-space — and every way
+// the common prefix can end, and demands exact float64 equality with
+// two independent serial reconstructions.
 func TestReconstructPairBitIdentical(t *testing.T) {
-	cases := []struct {
+	type pairCase struct {
 		name   string
 		a, b   *Matrix
 		pa, pb Params
-	}{
+		prefix int // expected pairPrefix where the kernel runs; 0 = not asserted
+	}
+	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true}
+	frozen := rt
+	frozen.FactorMinObs = 4
+	// Matched-pattern pairs: 12 training rows, 12 running rows of up to
+	// 9 cells. edit perturbs the pattern and returns the prefix length
+	// the kernel must then cover.
+	matched := func(name string, seed uint64, extraB int, pa, pb Params, edit func(a, b *Matrix) int) pairCase {
+		a, b := matchedPair(seed, 24, 108, 12, 9, extraB)
+		return pairCase{name: name, a: a, b: b, pa: pa, pb: pb, prefix: edit(a, b)}
+	}
+	whole := func(a, b *Matrix) int { return a.KnownCount() }
+
+	cases := []pairCase{
+		matched("matched sparse running rows", 51, 0, rt, rt, whole),
+		matched("lane B extra trailing rows", 52, 3, rt, rt, whole),
+		matched("pattern diverges mid-row", 53, 3, rt, rt, func(a, b *Matrix) int {
+			// Lane A lost its third sample of row 15: the prefix ends at
+			// that cell and the rest of both lanes trains scalar.
+			a.Clear(15, rowObs(a, 15)[2])
+			return obsBefore(a, 15) + 2
+		}),
+		matched("empty row between populated rows", 54, 0, rt, rt, func(a, b *Matrix) int {
+			for _, j := range rowObs(a, 14) {
+				a.Clear(14, j)
+				b.Clear(14, j)
+			}
+			return a.KnownCount()
+		}),
+		matched("bias-frozen row in the middle", 55, 2, frozen, frozen, func(a, b *Matrix) int {
+			// Row 16 drops below FactorMinObs in both lanes: the kernel
+			// stops there and rows 16.. train scalar, frozen or not.
+			for _, j := range rowObs(a, 16)[2:] {
+				a.Clear(16, j)
+				b.Clear(16, j)
+			}
+			return obsBefore(a, 16)
+		}),
+		matched("row frozen in one lane only", 56, 0, frozen, rt, func(a, b *Matrix) int {
+			for _, j := range rowObs(a, 20)[3:] {
+				a.Clear(20, j)
+				b.Clear(20, j)
+			}
+			return obsBefore(a, 20)
+		}),
+	}
+	{
+		// Warm-started lanes fine-tuning for WarmIters sweeps; frozen
+		// rows keep their warm factors.
+		a, b := matchedPair(57, 24, 108, 12, 9, 3)
+		_, facA, errA := ReconstructFactors(a, frozen)
+		_, facB, errB := ReconstructFactors(b, frozen)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		wa, wb := frozen, frozen
+		wa.Warm, wa.WarmIters = facA, 20
+		wb.Warm, wb.WarmIters = facB, 20
+		for _, j := range rowObs(a, 22)[1:] {
+			a.Clear(22, j)
+			b.Clear(22, j)
+		}
+		cases = append(cases, pairCase{name: "warm-started lanes", a: a, b: b, pa: wa, pb: wb, prefix: obsBefore(a, 22)})
+	}
+
+	cases = append(cases, []pairCase{
 		{
 			name: "same-shape dense+sparse",
 			a:    pairMatrix(1, 32, 108, 16, 6),
@@ -116,11 +226,19 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 			pa:   Params{Factors: 6, MaxIter: 30, Deterministic: true},
 			pb:   Params{Factors: 6, MaxIter: 30, Deterministic: true},
 		},
-	}
+	}...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wantA := ReconstructParallel(tc.a, tc.pa)
-			wantB := ReconstructParallel(tc.b, tc.pb)
+			if tc.prefix > 0 && pairKernelOK {
+				// The case must exercise the boundary it names.
+				sa := prepareTraining(tc.a, tc.pa.withDefaults())
+				sb := prepareTraining(tc.b, tc.pb.withDefaults())
+				if n := pairPrefix(sa, sb); n != tc.prefix {
+					t.Fatalf("pairPrefix = %d, want %d", n, tc.prefix)
+				}
+			}
+			wantA := Reconstruct(tc.a, tc.pa)
+			wantB := Reconstruct(tc.b, tc.pb)
 			gotA, gotB := ReconstructPair(tc.a, tc.b, tc.pa, tc.pb)
 			predBitsEqual(t, "lane A", gotA, wantA)
 			predBitsEqual(t, "lane B", gotB, wantB)

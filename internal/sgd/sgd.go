@@ -242,11 +242,11 @@ type trainState struct {
 }
 
 // prepareTraining gathers observations and initialises the model
-// state. When there is nothing to train, st.entries is empty and the
-// caller must return st.pred (all zeros, Iters 0) without training.
+// state. When there is nothing to train, st.entries is empty: train is
+// a no-op and finish returns st.pred (all zeros, Iters 0).
 func prepareTraining(m *Matrix, p Params) *trainState {
 	// Gather observations, transformed if requested.
-	var entries []obs
+	entries := make([]obs, 0, m.KnownCount())
 	sum := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
@@ -341,6 +341,9 @@ func prepareTraining(m *Matrix, p Params) *trainState {
 // finish renders the dense prediction from the trained state and
 // optionally captures the factor set.
 func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
+	if len(st.entries) == 0 {
+		return st.pred, nil
+	}
 	m, p, f := st.m, st.p, st.f
 	mu, q, pc, rowBias, colBias := st.mu, st.q, st.pc, st.rowBias, st.colBias
 	pred := st.pred
@@ -381,18 +384,23 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 
 func reconstructFull(m *Matrix, p Params, parallel, capture bool) (*Prediction, *Factors) {
 	st := prepareTraining(m, p)
+	st.train(parallel)
+	return st.finish(capture)
+}
+
+// train runs the per-surface trainer st.p selects.
+func (st *trainState) train(parallel bool) {
 	if len(st.entries) == 0 {
-		return st.pred, nil
+		return
 	}
 	switch {
 	case parallel && st.p.Deterministic:
 		trainWavefront(st.entries, st.p, st.mu, st.f, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
 	case parallel:
-		trainParallel(st.entries, st.p, st.mu, st.f, m.Rows, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
+		trainParallel(st.entries, st.p, st.mu, st.f, st.m.Rows, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
 	default:
 		trainSerial(st.entries, st.p, st.mu, st.f, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
 	}
-	return st.finish(capture)
 }
 
 func dotf(a, b []float64) float64 {
