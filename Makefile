@@ -110,9 +110,12 @@ bench-hotpath:
 	$(GO) run ./cmd/hotpath -o BENCH_hotpath.json
 
 # Race-detect the hot-path packages plus the pipelined driver — the
-# code the fast plane touches — without paying for the full -race run.
+# code the fast plane touches — without paying for the full -race run;
+# internal/sim covers the LCSurfaces fan-out, the second line the
+# single-flighted training-row cache above it.
 race-hot:
 	$(GO) test -race ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/harness/ ./internal/fleet/ ./cmd/hotpath/
+	$(GO) test -race ./internal/core/ -run TrainingRows
 
 # Re-check every seeded BENCH_*.json byte-regression gate in one go:
 # each reference report is regenerated in-process by its package's

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/dds"
@@ -374,7 +375,13 @@ type lcTrainRow struct {
 	lat, svc []float64
 }
 
-var lcTrainCache sync.Map // lcTrainKey -> []lcTrainRow
+// lcTrainCache maps an lcTrainKey to the sync.OnceValue that computes
+// its rows, so concurrent misses on one key characterise once and the
+// rest wait for that result.
+var lcTrainCache sync.Map
+
+// lcTrainComputes counts the characterisations actually run.
+var lcTrainComputes atomic.Int64
 
 // lcTrainingRows characterises the offline latency-critical variants —
 // tail latency and mean service time across all 108 configurations.
@@ -386,17 +393,20 @@ var lcTrainCache sync.Map // lcTrainKey -> []lcTrainRow
 // that build many runtimes share one cached copy.
 func lcTrainingRows(trainSeed uint64, nTrainLC, cores int) []lcTrainRow {
 	key := lcTrainKey{trainSeed, nTrainLC, cores}
-	if v, ok := lcTrainCache.Load(key); ok {
-		return v.([]lcTrainRow)
+	rows, ok := lcTrainCache.Load(key)
+	if !ok {
+		rows, _ = lcTrainCache.LoadOrStore(key, sync.OnceValue(func() []lcTrainRow {
+			lcTrainComputes.Add(1)
+			pm, wm := perf.New(true), power.New(true)
+			rows := make([]lcTrainRow, nTrainLC)
+			for i, variant := range workload.SyntheticLC(trainSeed+100, nTrainLC) {
+				lat, _ := sim.LCSurfaces(pm, wm, variant, cores, 0.8, trainSeed+uint64(i), 0.3, 1.35)
+				rows[i] = lcTrainRow{lat: lat, svc: sim.LCServiceTimes(pm, variant, 1.35)}
+			}
+			return rows
+		}))
 	}
-	pm, wm := perf.New(true), power.New(true)
-	rows := make([]lcTrainRow, nTrainLC)
-	for i, variant := range workload.SyntheticLC(trainSeed+100, nTrainLC) {
-		lat, _ := sim.LCSurfaces(pm, wm, variant, cores, 0.8, trainSeed+uint64(i), 0.3, 1.35)
-		rows[i] = lcTrainRow{lat: lat, svc: sim.LCServiceTimes(pm, variant, 1.35)}
-	}
-	actual, _ := lcTrainCache.LoadOrStore(key, rows)
-	return actual.([]lcTrainRow)
+	return rows.(func() []lcTrainRow)()
 }
 
 // Name implements harness.Scheduler.
@@ -699,7 +709,6 @@ func (rt *Runtime) updateDivergence(alloc *sim.Allocation, steady sim.PhaseResul
 // discipline.
 func (rt *Runtime) reconstructAll() (thr, pwr, lat, svc *sgd.Prediction) {
 	params := rt.p.SGD
-	params.Seed = rt.p.Seed + uint64(rt.slice)
 	capture := rt.p.ShareFactors
 	var facThr, facPwr, facLat, facSvc *sgd.Factors
 	runPair := func(ma, mb *sgd.Matrix, sfa, sfb string, pa, pb **sgd.Prediction, fa, fb **sgd.Factors) {

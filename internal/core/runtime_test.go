@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"cuttlesys/internal/config"
@@ -296,4 +297,39 @@ func mustApp(t testing.TB, name string) *workload.Profile {
 		t.Fatal(err)
 	}
 	return app
+}
+
+// TestTrainingRowsSingleFlight: goroutines that miss the
+// characterisation cache on the same key together compute it once and
+// all receive that one result.
+func TestTrainingRowsSingleFlight(t *testing.T) {
+	const callers = 8
+	const trainSeed = 0x51f1 // a key no other test uses
+	key := lcTrainKey{trainSeed, 2, 8}
+	lcTrainCache.Delete(key) // cold under -count > 1 too
+	before := lcTrainComputes.Load()
+	got := make([][]lcTrainRow, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = lcTrainingRows(trainSeed, 2, 8)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if n := lcTrainComputes.Load() - before; n != 1 {
+		t.Fatalf("%d concurrent misses ran %d characterisations, want 1", callers, n)
+	}
+	for g, rows := range got {
+		if len(rows) != 2 || &rows[0] != &got[0][0] {
+			t.Fatalf("caller %d got its own rows, want the shared slice", g)
+		}
+	}
+	if again := lcTrainingRows(trainSeed, 2, 8); &again[0] != &got[0][0] || lcTrainComputes.Load()-before != 1 {
+		t.Fatal("a later hit recomputed or returned different rows")
+	}
 }

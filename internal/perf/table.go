@@ -26,6 +26,10 @@ import (
 // original expressions, so the float64 operation sequence is
 // unchanged. The equivalence tests in table_test.go assert exact
 // equality over the full grid.
+//
+// A SurfaceTable is not safe for concurrent use: every read bumps the
+// lookups counter, so callers that fan work out stage the values they
+// need first (as sim.LCSurfaces does).
 type SurfaceTable struct {
 	m    *Model
 	apps []*workload.Profile

@@ -135,7 +135,8 @@ type Params struct {
 	// every correlated column toward the anchors, which is exactly the
 	// optimistic extrapolation a QoS scan cannot afford. 0 disables.
 	FactorMinObs int
-	// Seed drives the random initialisation.
+	// Seed drives the random initialisation; SVDInit and Warm starts
+	// draw nothing, so it does not affect them.
 	Seed uint64
 	// Warm seeds the model from previously trained factors (a fleet
 	// aggregate from the model-sharing plane) instead of random or SVD
@@ -292,7 +293,6 @@ func prepareTraining(m *Matrix, p Params) *trainState {
 	rowBias := make([]float64, m.Rows)
 	colBias := make([]float64, m.Cols)
 
-	r := rng.New(p.Seed)
 	switch {
 	case warm != nil:
 		copy(q, warm.Q)
@@ -302,6 +302,7 @@ func prepareTraining(m *Matrix, p Params) *trainState {
 	case p.SVDInit:
 		svdInit(m, p, mu, q, pc)
 	case f > 0: // f == 0 leaves the factor vectors empty; no init needed
+		r := rng.New(p.Seed)
 		scale := 0.1 / math.Sqrt(float64(f))
 		for i := range q {
 			q[i] = scale * r.Norm()

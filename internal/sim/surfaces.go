@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/perf"
@@ -32,6 +34,13 @@ func BatchSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile) (bips
 	return bips, pwr
 }
 
+// lcSurfaceWorkers is the fan-out width of LCSurfaces. It is a fixed
+// constant rather than a function of the host's core count: the result
+// does not depend on it, so nothing host-dependent needs to reach the
+// characterisation path, and a host with fewer cores time-slices the
+// same loop.
+const lcSurfaceWorkers = 8
+
 // LCSurfaces returns the ground-truth p99 tail latency (milliseconds)
 // and per-core power (W) of a latency-critical service across all 108
 // resource configurations, served by k load-balanced cores at loadFrac
@@ -42,9 +51,18 @@ func BatchSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile) (bips
 // the characterisation runs under: 1 for an idle machine, ~1.35 for a
 // server colocated with batch jobs — the paper's known applications
 // are characterised on the same multi-tenant setup they later inform.
+//
+// The 108 queue simulations are independent — configuration i draws
+// from its own stream (seed+i) and fills only latMs[i] and pwr[i] — so
+// they run concurrently and the surfaces are bit-identical at any
+// GOMAXPROCS (DESIGN.md §1). The table is read before the fan-out:
+// SurfaceTable is not safe for concurrent use.
 func LCSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile, k int, loadFrac float64, seed uint64, simSec, memInflation float64) (latMs, pwr []float64) {
 	if !app.IsLC() {
 		panic("sim: LCSurfaces on a batch application")
+	}
+	if k <= 0 { // checked here so the panic unwinds the caller, not a worker
+		panic("sim: LCSurfaces with non-positive core count")
 	}
 	latMs = make([]float64, config.NumResources)
 	pwr = make([]float64, config.NumResources)
@@ -52,19 +70,37 @@ func LCSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile, k int, l
 	pm.QueryInstr(app) // panics on MaxQPS ≤ 0, preserving the pre-table contract
 	tbl := perf.NewSurfaceTable(pm, []*workload.Profile{app})
 	tbl.Build(memInflation)
-	for i, r := range config.AllResources() {
-		ipc := tbl.IPC(0, i)
-		meanSvc := tbl.ServiceTimeSec(0, i)
-		svc := qsim.NewService(seed+uint64(i), k)
-		var sojourns []float64
-		steps := int(math.Ceil(simSec / 0.1))
-		for s := 0; s < steps; s++ {
-			sojourns = append(sojourns, svc.Step(0.1, qps, meanSvc, app.QuerySigma)...)
-		}
-		latMs[i] = stats.P99(sojourns) * 1e3
-		util := math.Min(1, qps*meanSvc/float64(k))
-		pwr[i] = wm.Core(app, r.Core, ipc*util)
+	var ipc, meanSvc [config.NumResources]float64
+	for i := range ipc {
+		ipc[i] = tbl.IPC(0, i)
+		meanSvc[i] = tbl.ServiceTimeSec(0, i)
 	}
+	steps := int(math.Ceil(simSec / 0.1))
+
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < lcSurfaceWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sojourns []float64 // reused across this worker's configurations
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= config.NumResources {
+					return
+				}
+				svc := qsim.NewService(seed+uint64(i), k)
+				sojourns = sojourns[:0]
+				for s := 0; s < steps; s++ {
+					sojourns = append(sojourns, svc.Step(0.1, qps, meanSvc[i], app.QuerySigma)...)
+				}
+				latMs[i] = stats.P99(sojourns) * 1e3
+				util := math.Min(1, qps*meanSvc[i]/float64(k))
+				pwr[i] = wm.Core(app, config.ResourceByIndex(i).Core, ipc[i]*util)
+			}
+		}()
+	}
+	wg.Wait()
 	return latMs, pwr
 }
 
