@@ -4,10 +4,12 @@
 //
 //  1. profiles every application for 1 ms on the widest- and 1 ms on
 //     the narrowest-issue configuration with one LLC way (§VIII-A1),
-//  2. reconstructs the full throughput, tail-latency and power surfaces
-//     across all 108 resource configurations with three parallel
-//     instances of PQ-reconstruction SGD seeded by offline-characterised
-//     "known" applications (§V),
+//  2. reconstructs the full throughput, power, tail-latency and
+//     service-rate surfaces across all 108 resource configurations with
+//     four instances of PQ-reconstruction SGD seeded by
+//     offline-characterised "known" applications (§V) — the paper runs
+//     its three instances on parallel threads; here the four train in
+//     the SIMD lanes of one deterministic sweep (sgd.ReconstructQuad),
 //  3. fixes the latency-critical service's configuration by scanning
 //     the reconstructed latency row for the cheapest QoS-meeting point
 //     (§VI-A), then explores the batch jobs' configuration space with
@@ -698,58 +700,34 @@ func (rt *Runtime) updateDivergence(alloc *sim.Allocation, steady sim.PhaseResul
 	}
 }
 
-// reconstructAll runs the reconstruction instances in parallel (§V),
-// pairing the surfaces two to a SIMD lane: throughput with power and
-// latency with service-rate, each pair training in lockstep through
-// sgd.ReconstructPair (bit-identical to four independent runs, about
-// twice as fast when the packed kernel qualifies). With ShareFactors
-// each instance also captures its trained factor state; the captures
-// land in pre-sized per-goroutine cells and are folded into
-// rt.factors serially after the join, preserving the determinism
-// discipline.
+// reconstructAll reconstructs the decision's surfaces (§V) through
+// sgd.ReconstructQuad: throughput, power, latency and service-rate
+// train one to a SIMD lane in a single sweep for as long as their
+// entry lists name the same cells, then pair by pair, then alone —
+// bit-identical to four independent runs at every step. A batch-only
+// machine has no latency or service-rate matrix and trains two lanes.
+// With ShareFactors each instance also yields its trained factor
+// state (nil for a cold model), folded into rt.factors here.
 func (rt *Runtime) reconstructAll() (thr, pwr, lat, svc *sgd.Prediction) {
-	params := rt.p.SGD
-	capture := rt.p.ShareFactors
-	var facThr, facPwr, facLat, facSvc *sgd.Factors
-	runPair := func(ma, mb *sgd.Matrix, sfa, sfb string, pa, pb **sgd.Prediction, fa, fb **sgd.Factors) {
-		ppa := rt.shareParams(params, sfa)
-		ppb := rt.shareParams(params, sfb)
-		if capture {
-			// Cold models yield nil factors, which the fold skips.
-			*pa, *pb, *fa, *fb = sgd.ReconstructPairFactors(ma, mb, ppa, ppb)
-			return
-		}
-		*pa, *pb = sgd.ReconstructPair(ma, mb, ppa, ppb)
+	surfaces := [4]string{"thr", "pwr", "lat", "svc"}
+	ms := [4]*sgd.Matrix{rt.thrM, rt.pwrM, rt.latM, rt.svcM}
+	var ps [4]sgd.Params
+	for l, surface := range surfaces {
+		ps[l] = rt.shareParams(rt.p.SGD, surface)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		runPair(rt.thrM, rt.pwrM, "thr", "pwr", &thr, &pwr, &facThr, &facPwr)
-	}()
-	if rt.latM != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runPair(rt.latM, rt.svcM, "lat", "svc", &lat, &svc, &facLat, &facSvc)
-		}()
-	}
-	wg.Wait()
-	if capture {
-		out := make(map[string]*sgd.Factors, 4)
-		for _, c := range []struct {
-			surface string
-			fac     *sgd.Factors
-		}{{"thr", facThr}, {"pwr", facPwr}, {"lat", facLat}, {"svc", facSvc}} {
-			if c.fac != nil {
-				out[c.surface] = c.fac
+	preds, facs := sgd.ReconstructQuad(ms, ps, rt.p.ShareFactors)
+	if rt.p.ShareFactors {
+		out := make(map[string]*sgd.Factors, len(surfaces))
+		for l, surface := range surfaces {
+			if facs[l] != nil {
+				out[surface] = facs[l]
 			}
 		}
 		if len(out) > 0 {
 			rt.factors = out
 		}
 	}
-	return thr, pwr, lat, svc
+	return preds[0], preds[1], preds[2], preds[3]
 }
 
 // String describes the runtime's state for debugging.

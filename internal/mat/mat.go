@@ -211,18 +211,24 @@ type SVDResult struct {
 // Jacobi rotations applied to the columns of a working copy. Suitable
 // for the small, well-conditioned matrices this repository manipulates.
 func SVD(a *Dense) SVDResult {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		// Decompose the transpose and swap the roles of U and V.
-		r := SVD(a.T())
-		return SVDResult{U: r.V, S: r.S, V: r.U}
+	if a.Rows < a.Cols {
+		// Decompose the transpose and swap the roles of U and V: a's
+		// row-major data is already the transpose's column-major form.
+		u, s, v := jacobiSVD(append([]float64(nil), a.Data...), a.Cols, a.Rows)
+		return SVDResult{U: v, S: s, V: u}
 	}
-	// w starts as a copy of a; Jacobi rotations orthogonalise its columns
-	// in place, accumulating the rotations into v.
-	w := a.Clone()
-	v := NewDense(n, n)
+	u, s, v := jacobiSVD(a.T().Data, a.Rows, a.Cols)
+	return SVDResult{U: u, S: s, V: v}
+}
+
+// jacobiSVD decomposes the m×n matrix (m ≥ n) held column-major in w,
+// which it overwrites: Jacobi rotations orthogonalise w's columns in
+// place, accumulating into the column-major v. Both live column-major
+// because every inner loop walks a pair of columns.
+func jacobiSVD(w []float64, m, n int) (u *Dense, sOut []float64, vOut *Dense) {
+	v := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+		v[i*n+i] = 1
 	}
 
 	const (
@@ -232,13 +238,15 @@ func SVD(a *Dense) SVDResult {
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0
 		for p := 0; p < n-1; p++ {
+			wp, vp := w[p*m:(p+1)*m], v[p*n:(p+1)*n]
 			for q := p + 1; q < n; q++ {
+				wq, vq := w[q*m:(q+1)*m], v[q*n:(q+1)*n]
 				alpha, beta, gamma := 0.0, 0.0, 0.0
-				for i := 0; i < m; i++ {
-					wp, wq := w.At(i, p), w.At(i, q)
-					alpha += wp * wp
-					beta += wq * wq
-					gamma += wp * wq
+				for i, x := range wp {
+					y := wq[i]
+					alpha += x * x
+					beta += y * y
+					gamma += x * y
 				}
 				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
 					continue
@@ -248,15 +256,15 @@ func SVD(a *Dense) SVDResult {
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					wp, wq := w.At(i, p), w.At(i, q)
-					w.Set(i, p, c*wp-s*wq)
-					w.Set(i, q, s*wp+c*wq)
+				for i, x := range wp {
+					y := wq[i]
+					wp[i] = c*x - s*y
+					wq[i] = s*x + c*y
 				}
-				for i := 0; i < n; i++ {
-					vp, vq := v.At(i, p), v.At(i, q)
-					v.Set(i, p, c*vp-s*vq)
-					v.Set(i, q, s*vp+c*vq)
+				for i, x := range vp {
+					y := vq[i]
+					vp[i] = c*x - s*y
+					vq[i] = s*x + c*y
 				}
 			}
 		}
@@ -273,8 +281,8 @@ func SVD(a *Dense) SVDResult {
 	svs := make([]sv, n)
 	for j := 0; j < n; j++ {
 		s := 0.0
-		for i := 0; i < m; i++ {
-			s += w.At(i, j) * w.At(i, j)
+		for _, x := range w[j*m : (j+1)*m] {
+			s += x * x
 		}
 		svs[j] = sv{math.Sqrt(s), j}
 	}
@@ -285,20 +293,20 @@ func SVD(a *Dense) SVDResult {
 		}
 	}
 
-	u := NewDense(m, n)
-	vOut := NewDense(n, n)
-	sOut := make([]float64, n)
+	u = NewDense(m, n)
+	vOut = NewDense(n, n)
+	sOut = make([]float64, n)
 	for rank, e := range svs {
 		sOut[rank] = e.val
 		if e.val > eps {
 			inv := 1 / e.val
-			for i := 0; i < m; i++ {
-				u.Set(i, rank, w.At(i, e.idx)*inv)
+			for i, x := range w[e.idx*m : (e.idx+1)*m] {
+				u.Set(i, rank, x*inv)
 			}
 		}
-		for i := 0; i < n; i++ {
-			vOut.Set(i, rank, v.At(i, e.idx))
+		for i, x := range v[e.idx*n : (e.idx+1)*n] {
+			vOut.Set(i, rank, x)
 		}
 	}
-	return SVDResult{U: u, S: sOut, V: vOut}
+	return u, sOut, vOut
 }

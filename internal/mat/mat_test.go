@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -266,4 +267,160 @@ func TestFrobeniusDiffMismatchPanics(t *testing.T) {
 		}
 	}()
 	FrobeniusDiff(NewDense(2, 2), NewDense(2, 3))
+}
+
+// svdRowMajor is the Jacobi SVD as it was before the working copy went
+// column-major: the same rotations in the same order through strided
+// At/Set on row-major matrices. It is kept as the oracle SVD must match
+// bit for bit.
+func svdRowMajor(a *Dense) SVDResult {
+	m, n := a.Rows, a.Cols
+	if m < n {
+		// Decompose the transpose and swap the roles of U and V.
+		r := svdRowMajor(a.T())
+		return SVDResult{U: r.V, S: r.S, V: r.U}
+	}
+	// w starts as a copy of a; Jacobi rotations orthogonalise its columns
+	// in place, accumulating the rotations into v.
+	w := a.Clone()
+	v := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		v.Set(i, i, 1)
+	}
+
+	const (
+		maxSweeps = 60
+		eps       = 1e-12
+	)
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		off := 0.0
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				alpha, beta, gamma := 0.0, 0.0, 0.0
+				for i := 0; i < m; i++ {
+					wp, wq := w.At(i, p), w.At(i, q)
+					alpha += wp * wp
+					beta += wq * wq
+					gamma += wp * wq
+				}
+				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
+					continue
+				}
+				off += math.Abs(gamma)
+				zeta := (beta - alpha) / (2 * gamma)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+				c := 1 / math.Sqrt(1+t*t)
+				s := c * t
+				for i := 0; i < m; i++ {
+					wp, wq := w.At(i, p), w.At(i, q)
+					w.Set(i, p, c*wp-s*wq)
+					w.Set(i, q, s*wp+c*wq)
+				}
+				for i := 0; i < n; i++ {
+					vp, vq := v.At(i, p), v.At(i, q)
+					v.Set(i, p, c*vp-s*vq)
+					v.Set(i, q, s*vp+c*vq)
+				}
+			}
+		}
+		if off == 0 {
+			break
+		}
+	}
+
+	// Column norms of w are the singular values; normalised columns form U.
+	type sv struct {
+		val float64
+		idx int
+	}
+	svs := make([]sv, n)
+	for j := 0; j < n; j++ {
+		s := 0.0
+		for i := 0; i < m; i++ {
+			s += w.At(i, j) * w.At(i, j)
+		}
+		svs[j] = sv{math.Sqrt(s), j}
+	}
+	// Sort non-increasing (insertion sort: n is tiny).
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && svs[j].val > svs[j-1].val; j-- {
+			svs[j], svs[j-1] = svs[j-1], svs[j]
+		}
+	}
+
+	u := NewDense(m, n)
+	vOut := NewDense(n, n)
+	sOut := make([]float64, n)
+	for rank, e := range svs {
+		sOut[rank] = e.val
+		if e.val > eps {
+			inv := 1 / e.val
+			for i := 0; i < m; i++ {
+				u.Set(i, rank, w.At(i, e.idx)*inv)
+			}
+		}
+		for i := 0; i < n; i++ {
+			vOut.Set(i, rank, v.At(i, e.idx))
+		}
+	}
+	return SVDResult{U: u, S: sOut, V: vOut}
+}
+
+// TestSVDMatchesRowMajorOracle pins the column-major SVD to the
+// row-major loop it replaced, bit for bit, on the shapes svdInit
+// decomposes (dense rows × 108 configurations, wide), a tall matrix
+// and a square one.
+func TestSVDMatchesRowMajorOracle(t *testing.T) {
+	bitsEqual := func(t *testing.T, name string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %v, oracle %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	r := rng.New(23)
+	for _, dims := range [][2]int{{12, 108}, {16, 108}, {32, 108}, {108, 20}, {5, 5}} {
+		a := NewDense(dims[0], dims[1])
+		for i := range a.Data {
+			a.Data[i] = r.Norm()
+		}
+		orig := a.Clone()
+		got, want := SVD(a), svdRowMajor(a)
+		t.Run(fmt.Sprintf("%dx%d", dims[0], dims[1]), func(t *testing.T) {
+			bitsEqual(t, "input", a.Data, orig.Data)
+			if got.U.Rows != want.U.Rows || got.U.Cols != want.U.Cols || got.V.Rows != want.V.Rows || got.V.Cols != want.V.Cols {
+				t.Fatalf("shapes U %dx%d V %dx%d, oracle U %dx%d V %dx%d",
+					got.U.Rows, got.U.Cols, got.V.Rows, got.V.Cols, want.U.Rows, want.U.Cols, want.V.Rows, want.V.Cols)
+			}
+			bitsEqual(t, "U", got.U.Data, want.U.Data)
+			bitsEqual(t, "S", got.S, want.S)
+			bitsEqual(t, "V", got.V.Data, want.V.Data)
+		})
+	}
+}
+
+// BenchmarkSVD times the decompositions svdInit runs once the running
+// rows turn dense.
+func BenchmarkSVD(b *testing.B) {
+	r := rng.New(29)
+	for _, rows := range []int{16, 32} {
+		a := NewDense(rows, 108)
+		for i := range a.Data {
+			a.Data[i] = r.Norm()
+		}
+		b.Run(fmt.Sprintf("%dx108", rows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				SVD(a)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx108-rowmajor", rows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				svdRowMajor(a)
+			}
+		})
+	}
 }

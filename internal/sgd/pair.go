@@ -1,66 +1,88 @@
-// Paired reconstruction: two independent SGD problems trained in
-// lockstep, one per SIMD lane.
+// Lane reconstruction: independent SGD problems trained in lockstep,
+// one per SIMD lane.
 //
 // The four reconstruction surfaces (throughput, power, latency,
 // service-rate) are trained every decision quantum with identical
 // hyperparameters over matrices of the same width (the 108 resource
 // configurations). Each SGD update chain is serially dependent —
 // entry t+1 reads the factors entry t wrote — so a single surface
-// cannot be vectorised without changing its result. Two *different*
-// surfaces, however, share no state at all: packing surface A into
-// lane 0 and surface B into lane 1 of 128-bit VEX ops runs both update
-// chains at once. Packed IEEE-754 arithmetic is element-wise exact, so
-// each lane computes bit-for-bit what its own serial sweep would have,
-// and the pair is byte-identical to two independent Reconstruct calls.
+// cannot be vectorised without changing its result. *Different*
+// surfaces, however, share no state at all: packing one surface per
+// lane of a VEX register runs all their update chains at once. Packed
+// IEEE-754 arithmetic is element-wise exact, so each lane computes
+// bit-for-bit what its own serial sweep would have, and the result is
+// byte-identical to independent Reconstruct calls.
 //
-// The lanes can share an instruction stream only while they visit the
-// same cell: the kernel sweeps the longest common prefix of the two
-// row-major entry sequences (pairPrefix) — the offline training rows
-// and, because the runtime writes both matrices of a pair at the same
-// cells, the running rows too. Whatever follows the prefix in either
-// lane trains in scalar Go after each kernel epoch, in the same
-// row-major order, against the same interleaved state.
+// Lanes can share an instruction stream only while they visit the same
+// cell. That one rule (lanePrefix) is applied at width four, then two,
+// then one: the 256-bit kernel sweeps the longest common prefix of all
+// four row-major entry sequences — the offline training rows every
+// surface has in full — then each pair (throughput/power,
+// latency/service-rate) continues through the 128-bit kernel on its own
+// longer common prefix, which, because the runtime writes both matrices
+// of a pair at the same cells, reaches through the running rows too.
+// Whatever follows in a lane trains in scalar Go after the kernels, in
+// the same row-major order, against the same interleaved state.
 package sgd
 
-// pairArgs is the argument block for the assembly kernel. Field
-// offsets are hard-coded in pair_amd64.s — do not reorder.
-type pairArgs struct {
-	row, col, vals *float64 // interleaved row blocks, column blocks, prefix values
-	offs           *uint32  // per prefix entry: byte offset of its column block
+import "sync"
+
+// laneArgs is the argument block for the assembly kernels. Field
+// offsets are hard-coded in pair_amd64.s — do not reorder. The 128-bit
+// kernel reads the first two elements of mu, eta and lam.
+type laneArgs struct {
+	row, col, vals *float64 // first row's block, column blocks, the run's values
+	offs           *uint32  // per entry: byte offset of its column block
 	rowPtr         *int32   // CSR row starts into offs/vals; nrows+1 of them
 	nrows          int64
-	mu, eta, lam   [2]float64
+	mu, eta, lam   [laneCount]float64
 }
 
-// pairFactors is the kernel's fixed latent rank: the assembly unrolls
+// laneCount is the number of lanes a block interleaves: the four
+// float64s of a 256-bit register.
+const laneCount = 4
+
+// pairFactors is the kernels' fixed latent rank: the assembly unrolls
 // exactly six factor updates per entry, matching the runtime's
 // Factors=6 default.
 const pairFactors = 6
 
-// pairBlock is the length in float64s of one interleaved row or column
-// block: six factor pairs then the bias pair, element e of lane L at
-// index 2e+L. Rows and columns keep factors and bias in one block so
-// the kernel reaches both through a single pointer.
-const pairBlock = 2 * (pairFactors + 1)
+// laneBlock is the length in float64s of one interleaved row or column
+// block: six factor quads then the bias quad, element e of lane L at
+// index 4e+L. Rows and columns keep factors and bias in one block so
+// the kernels reach both through a single pointer. Two-lane training
+// uses the same blocks with lanes 2 and 3 idle.
+const laneBlock = laneCount * (pairFactors + 1)
 
-// ReconstructPair reconstructs two independent observation matrices,
-// training both at once in SIMD lanes when the pair qualifies (see
-// pairPrefix). Results are bit-identical to calling ReconstructParallel
-// on each matrix separately, whether or not the paired kernel ran.
-func ReconstructPair(a, b *Matrix, pa, pb Params) (*Prediction, *Prediction) {
-	ra, rb, _, _ := reconstructPair(a, b, pa.withDefaults(), pb.withDefaults(), false)
-	return ra, rb
+// ReconstructQuad reconstructs the surfaces of one decision — up to
+// four independent observation matrices, nil for an absent one —
+// training them in SIMD lanes as far as they qualify (see lanePrefix).
+// Results are bit-identical to calling ReconstructParallel on each
+// matrix separately, whether or not a kernel ran. With capture the
+// trained factor sets come back too, the analogue of
+// ReconstructFactors: untrained (cold) models yield nil factors
+// instead of an error.
+func ReconstructQuad(ms [4]*Matrix, ps [4]Params, capture bool) (preds [4]*Prediction, facs [4]*Factors) {
+	p, f := reconstructLanes(ms[:], ps[:], capture)
+	copy(preds[:], p)
+	copy(facs[:], f)
+	return preds, facs
 }
 
-// ReconstructPairFactors is ReconstructPair with factor capture, the
-// paired analogue of ReconstructFactors: untrained (cold) models yield
-// nil factors instead of an error.
+// ReconstructPair is the two-lane case of ReconstructQuad.
+func ReconstructPair(a, b *Matrix, pa, pb Params) (*Prediction, *Prediction) {
+	p, _ := reconstructLanes([]*Matrix{a, b}, []Params{pa, pb}, false)
+	return p[0], p[1]
+}
+
+// ReconstructPairFactors is ReconstructPair with factor capture.
 func ReconstructPairFactors(a, b *Matrix, pa, pb Params) (*Prediction, *Prediction, *Factors, *Factors) {
-	return reconstructPair(a, b, pa.withDefaults(), pb.withDefaults(), true)
+	p, f := reconstructLanes([]*Matrix{a, b}, []Params{pa, pb}, true)
+	return p[0], p[1], f[0], f[1]
 }
 
 // serialOrder reports whether training under p follows the serial
-// sweep order exactly, making it a candidate for lane-pairing. The
+// sweep order exactly, making it a candidate for a lane. The
 // wavefront trainer (Deterministic) and the single-worker path are
 // both bit-identical to trainSerial; the HOGWILD! trainer is not and
 // must keep its racy schedule.
@@ -68,98 +90,204 @@ func serialOrder(p Params) bool {
 	return p.Deterministic || p.Workers <= 1
 }
 
-func reconstructPair(a, b *Matrix, pa, pb Params, capture bool) (*Prediction, *Prediction, *Factors, *Factors) {
-	sa := prepareTraining(a, pa)
-	sb := prepareTraining(b, pb)
-	if n := pairPrefix(sa, sb); n > 0 {
-		trainPair(sa, sb, n)
-	} else {
-		sa.train(true)
-		sb.train(true)
-	}
-	predA, facA := sa.finish(capture)
-	predB, facB := sb.finish(capture)
-	return predA, predB, facA, facB
-}
-
-// pairPrefix returns how many leading entries of the two prepared
-// reconstructions the SIMD kernel may sweep, 0 when the pair must train
-// per surface. The lanes must agree on everything the shared
-// instruction stream fixes: serial sweep order, column count (the
-// interleaved column blocks), the kernel's rank and the sweep count.
-// Within that, the prefix runs while both lanes' row-major entry lists
-// name the same cell, and stops at the first bias-frozen row: the
-// kernel applies factor updates unconditionally.
-func pairPrefix(sa, sb *trainState) int {
-	if !pairKernelOK || !serialOrder(sa.p) || !serialOrder(sb.p) {
-		return 0
-	}
-	// An empty lane was never initialised and has f == 0.
-	if sa.f != pairFactors || sb.f != pairFactors || sa.m.Cols != sb.m.Cols {
-		return 0
-	}
-	if sa.p.MaxIter != sb.p.MaxIter || sa.p.MaxIter <= 0 {
-		return 0
-	}
-	n := 0
-	for n < len(sa.entries) && n < len(sb.entries) {
-		ea, eb := sa.entries[n], sb.entries[n]
-		if ea.i != eb.i || ea.j != eb.j || sa.biasOnly[ea.i] || sb.biasOnly[ea.i] {
-			break
+// reconstructLanes runs the lanes' reconstructions around one shared
+// sweep. Initialisation (the SVD seeds) and the dense renders are
+// independent per lane and run concurrently, each goroutine writing
+// only its own lane's pre-sized cell.
+func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, []*Factors) {
+	st := make([]*trainState, len(ms))
+	var wg sync.WaitGroup
+	for l, m := range ms {
+		if m == nil {
+			continue
 		}
-		n++
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			st[l] = prepareTraining(ms[l], ps[l].withDefaults())
+		}(l)
 	}
-	return n
+	wg.Wait()
+	trainLanes(st)
+	preds := make([]*Prediction, len(ms))
+	facs := make([]*Factors, len(ms))
+	for l, s := range st {
+		if s == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			preds[l], facs[l] = st[l].finish(capture)
+		}(l)
+	}
+	wg.Wait()
+	return preds, facs
 }
 
-// trainPair runs the paired sweep: per epoch, the assembly kernel
-// covers the n-entry common prefix for both lanes, then each lane's
+// trainLanes trains four or two prepared lanes (nil for an absent
+// one). Lanes with a common prefix share blocks and an instruction
+// stream; four lanes without one are two independent pairs, which
+// train concurrently on blocks of their own; two lanes without one
+// train per surface.
+func trainLanes(st []*trainState) {
+	if n := lanePrefix(st); n > 0 {
+		trainShared(st, n)
+		return
+	}
+	if len(st) == laneCount {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trainLanes(st[:2])
+		}()
+		trainLanes(st[2:])
+		wg.Wait()
+		return
+	}
+	for _, s := range st {
+		if s != nil {
+			s.train(true)
+		}
+	}
+}
+
+// lanePrefix returns how many leading entries of the prepared
+// reconstructions a SIMD kernel may sweep in lockstep, 0 when they
+// cannot share a stream. The lanes must agree on everything the shared
+// instruction stream fixes: serial sweep order, column count (the
+// interleaved column blocks), the kernels' rank and the sweep count.
+// Within that, the prefix runs while every lane's row-major entry list
+// names the same cell, and stops at the first bias-frozen row: the
+// kernels apply factor updates unconditionally.
+func lanePrefix(st []*trainState) int {
+	if !laneKernelOK {
+		return 0
+	}
+	s0 := st[0]
+	for _, s := range st {
+		// An absent lane is nil; an empty one was never initialised
+		// and has f == 0.
+		if s == nil || !serialOrder(s.p) || s.f != pairFactors || s.m.Cols != s0.m.Cols {
+			return 0
+		}
+		if s.p.MaxIter != s0.p.MaxIter || s.p.MaxIter <= 0 {
+			return 0
+		}
+	}
+	for n := 0; ; n++ {
+		for _, s := range st {
+			if n == len(s.entries) {
+				return n
+			}
+			e, e0 := s.entries[n], s0.entries[n]
+			if e.i != e0.i || e.j != e0.j || s.biasOnly[e.i] {
+				return n
+			}
+		}
+	}
+}
+
+// trainShared runs the lockstep sweep over lanes whose first n entries
+// coincide: per epoch, the kernel of the lanes' full width covers the
+// n-entry common prefix; of four lanes, each pair then rides the
+// 128-bit kernel to the end of its own common prefix; then each lane's
 // remaining entries train scalar. All row and column state lives
 // interleaved for the whole run, so a prefix ending mid-row hands the
-// row to the scalar tail with nothing to copy. Each lane's per-epoch
-// update order is exactly trainSerial's — the prefix is the head of
-// its row-major entry list, the tail the rest — so every float64 it
+// row on with nothing to copy. Each lane's per-epoch update order is
+// exactly trainSerial's — the kernel runs are the head of its
+// row-major entry list, the tail the rest — so every float64 it
 // produces is bit-identical to the serial sweep.
-func trainPair(sa, sb *trainState, n int) {
-	rowP := make([]float64, max(sa.m.Rows, sb.m.Rows)*pairBlock)
-	colP := make([]float64, sa.m.Cols*pairBlock)
-	packLane(rowP, 0, sa.q, sa.rowBias)
-	packLane(rowP, 1, sb.q, sb.rowBias)
-	packLane(colP, 0, sa.pc, sa.colBias)
-	packLane(colP, 1, sb.pc, sb.colBias)
+func trainShared(st []*trainState, n int) {
+	rows := 0
+	for _, s := range st {
+		rows = max(rows, s.m.Rows)
+	}
+	rowP := make([]float64, rows*laneBlock)
+	colP := make([]float64, st[0].m.Cols*laneBlock)
+	for l, s := range st {
+		packLane(rowP, l, s.q, s.rowBias)
+		packLane(colP, l, s.pc, s.colBias)
+	}
 
-	// The prefix in CSR form: row starts, and per entry the column
-	// block's byte offset and the two lanes' values.
-	nrows := sa.entries[n-1].i + 1
+	runs := []laneRun{newLaneRun(st, 0, 0, n, rowP, colP)}
+	var tail [laneCount]int // per lane: where its scalar tail starts
+	for l := range st {
+		tail[l] = n
+	}
+	if len(st) == laneCount {
+		for l := 0; l < laneCount; l += 2 {
+			if np := lanePrefix(st[l : l+2]); np > n {
+				runs = append(runs, newLaneRun(st[l:l+2], l, n, np, rowP, colP))
+				tail[l], tail[l+1] = np, np
+			}
+		}
+	}
+
+	for iter := 0; iter < st[0].p.MaxIter; iter++ {
+		for i := range runs {
+			runs[i].epoch()
+		}
+		for l, s := range st {
+			laneTailEpoch(s.entries[tail[l]:], l, s, rowP, colP)
+		}
+	}
+
+	for l, s := range st {
+		unpackLane(rowP, l, s.q, s.rowBias)
+		unpackLane(colP, l, s.pc, s.colBias)
+	}
+}
+
+// laneRun is one kernel's share of an epoch: a run of consecutive
+// entries common to two or four adjacent lanes, in CSR form — row
+// starts, and per entry the column block's byte offset and the lanes'
+// values.
+type laneRun struct {
+	args  laneArgs
+	width int
+}
+
+// newLaneRun lays out entries [from, to) of the lanes st, which occupy
+// lanes lane0.. of the blocks. The run may start and end mid-row: its
+// first row block is that of entry from, and rowPtr counts only the
+// run's own entries.
+func newLaneRun(st []*trainState, lane0, from, to int, rowP, colP []float64) laneRun {
+	w := len(st)
+	ents := st[0].entries[from:to]
+	first := ents[0].i
+	nrows := ents[len(ents)-1].i - first + 1
 	rowPtr := make([]int32, nrows+1)
-	offs := make([]uint32, n)
-	vals := make([]float64, 2*n)
-	for t, e := range sa.entries[:n] {
-		rowPtr[e.i+1]++
-		offs[t] = uint32(e.j * pairBlock * 8)
-		vals[2*t], vals[2*t+1] = e.v, sb.entries[t].v
+	offs := make([]uint32, len(ents))
+	vals := make([]float64, w*len(ents))
+	for t, e := range ents {
+		rowPtr[e.i-first+1]++
+		offs[t] = uint32(e.j * laneBlock * 8)
+		for l, s := range st {
+			vals[w*t+l] = s.entries[from+t].v
+		}
 	}
 	for r := 0; r < nrows; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-
-	args := &pairArgs{
-		row: &rowP[0], col: &colP[0], vals: &vals[0], offs: &offs[0], rowPtr: &rowPtr[0],
+	run := laneRun{width: w, args: laneArgs{
+		row: &rowP[first*laneBlock+lane0], col: &colP[lane0],
+		vals: &vals[0], offs: &offs[0], rowPtr: &rowPtr[0],
 		nrows: int64(nrows),
-		mu:    [2]float64{sa.mu, sb.mu},
-		eta:   [2]float64{sa.p.LearningRate, sb.p.LearningRate},
-		lam:   [2]float64{sa.p.Reg, sb.p.Reg},
+	}}
+	for l, s := range st {
+		run.args.mu[l], run.args.eta[l], run.args.lam[l] = s.mu, s.p.LearningRate, s.p.Reg
 	}
-	for iter := 0; iter < sa.p.MaxIter; iter++ {
-		pairEpoch6(args)
-		pairTailEpoch(sa.entries[n:], 0, sa, rowP, colP)
-		pairTailEpoch(sb.entries[n:], 1, sb, rowP, colP)
-	}
+	return run
+}
 
-	unpackLane(rowP, 0, sa.q, sa.rowBias)
-	unpackLane(rowP, 1, sb.q, sb.rowBias)
-	unpackLane(colP, 0, sa.pc, sa.colBias)
-	unpackLane(colP, 1, sb.pc, sb.colBias)
+func (r *laneRun) epoch() {
+	if r.width == laneCount {
+		quadEpoch6(&r.args)
+	} else {
+		pairEpoch6(&r.args)
+	}
 }
 
 // packLane copies one lane's factor matrix and bias vector into the
@@ -167,52 +295,55 @@ func trainPair(sa, sb *trainState, n int) {
 func packLane(blocks []float64, lane int, fac, bias []float64) {
 	const f = pairFactors
 	for e, b := range bias {
-		blk := blocks[e*pairBlock+lane:]
+		blk := blocks[e*laneBlock+lane:]
 		for k := 0; k < f; k++ {
-			blk[2*k] = fac[e*f+k]
+			blk[laneCount*k] = fac[e*f+k]
 		}
-		blk[2*f] = b
+		blk[laneCount*f] = b
 	}
 }
 
 func unpackLane(blocks []float64, lane int, fac, bias []float64) {
 	const f = pairFactors
 	for e := range bias {
-		blk := blocks[e*pairBlock+lane:]
+		blk := blocks[e*laneBlock+lane:]
 		for k := 0; k < f; k++ {
-			fac[e*f+k] = blk[2*k]
+			fac[e*f+k] = blk[laneCount*k]
 		}
-		bias[e] = blk[2*f]
+		bias[e] = blk[laneCount*f]
 	}
 }
 
-// pairTailEpoch sweeps one lane's post-prefix entries once against the
+// laneTailEpoch sweeps one lane's post-kernel entries once against the
 // interleaved state. The arithmetic matches trainSerial statement for
 // statement — same association, same old-value capture — so the tail
 // is bit-identical to the serial sweep too.
-func pairTailEpoch(tail []obs, lane int, st *trainState, rowP, colP []float64) {
-	const f = pairFactors
+func laneTailEpoch(tail []obs, lane int, st *trainState, rowP, colP []float64) {
+	const (
+		f = pairFactors
+		w = laneCount
+	)
 	eta, lam := st.p.LearningRate, st.p.Reg
 	mu := st.mu
 	for _, e := range tail {
-		// Fixed-size views: lane's element k of the block at index 2k,
-		// the bias at 2f, bounds-checked once per entry.
-		ri := (*[pairBlock - 1]float64)(rowP[e.i*pairBlock+lane:])
-		cj := (*[pairBlock - 1]float64)(colP[e.j*pairBlock+lane:])
+		// Fixed-size views: lane's element k of the block at index wk,
+		// the bias at wf, bounds-checked once per entry.
+		ri := (*[w*f + 1]float64)(rowP[e.i*laneBlock+lane:])
+		cj := (*[w*f + 1]float64)(colP[e.j*laneBlock+lane:])
 		dot := 0.0
 		for k := 0; k < f; k++ {
-			dot += ri[2*k] * cj[2*k]
+			dot += ri[w*k] * cj[w*k]
 		}
-		err := e.v - (mu + ri[2*f] + cj[2*f] + dot)
-		ri[2*f] += eta * (err - lam*ri[2*f])
-		cj[2*f] += eta * (err - lam*cj[2*f])
+		err := e.v - (mu + ri[w*f] + cj[w*f] + dot)
+		ri[w*f] += eta * (err - lam*ri[w*f])
+		cj[w*f] += eta * (err - lam*cj[w*f])
 		if st.biasOnly[e.i] {
 			continue
 		}
 		for k := 0; k < f; k++ {
-			qk, pk := ri[2*k], cj[2*k]
-			ri[2*k] += eta * (err*pk - lam*qk)
-			cj[2*k] += eta * (err*qk - lam*pk)
+			qk, pk := ri[w*k], cj[w*k]
+			ri[w*k] += eta * (err*pk - lam*qk)
+			cj[w*k] += eta * (err*qk - lam*pk)
 		}
 	}
 }

@@ -2,18 +2,26 @@
 
 package sgd
 
-// pairEpoch6 runs one full SGD sweep over the dense rows×cols kernel
-// block with rank-6 factors, two independent surfaces packed per
-// 128-bit lane. Implemented in pair_amd64.s.
+// pairEpoch6 runs one full SGD sweep over a CSR-laid run of entries
+// with rank-6 factors, two independent surfaces per 128-bit register:
+// lanes 0–1 or 2–3 of the interleaved blocks, whichever a.row and
+// a.col point at. Implemented in pair_amd64.s.
 //
 //go:noescape
-func pairEpoch6(a *pairArgs)
+func pairEpoch6(a *laneArgs)
+
+// quadEpoch6 is the same sweep with four independent surfaces per
+// 256-bit register. Implemented in pair_amd64.s.
+//
+//go:noescape
+func quadEpoch6(a *laneArgs)
 
 // cpuHasAVX reports AVX instruction support with OS-enabled XMM/YMM
 // state (CPUID.1:ECX AVX+OSXSAVE, XCR0 SSE+AVX bits). Implemented in
 // pair_amd64.s.
 func cpuHasAVX() bool
 
-// pairKernelOK gates the paired trainer: the kernel uses VEX-encoded
-// instructions, legal only once the CPU and OS both advertise AVX.
-var pairKernelOK = cpuHasAVX()
+// laneKernelOK gates the lane trainer: both kernels use VEX-encoded
+// floating-point instructions, legal at either width once the CPU and
+// OS both advertise AVX.
+var laneKernelOK = cpuHasAVX()

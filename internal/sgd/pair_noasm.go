@@ -2,10 +2,14 @@
 
 package sgd
 
-// pairKernelOK is false without the amd64 assembly kernel; the paired
+// laneKernelOK is false without the amd64 assembly kernels; the lane
 // entry points fall back to the per-surface trainers.
-const pairKernelOK = false
+const laneKernelOK = false
 
-func pairEpoch6(a *pairArgs) {
-	panic("sgd: paired SGD kernel is amd64-only")
+func pairEpoch6(a *laneArgs) {
+	panic("sgd: lane SGD kernels are amd64-only")
+}
+
+func quadEpoch6(a *laneArgs) {
+	panic("sgd: lane SGD kernels are amd64-only")
 }

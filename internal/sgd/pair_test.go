@@ -96,7 +96,7 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		name   string
 		a, b   *Matrix
 		pa, pb Params
-		prefix int // expected pairPrefix where the kernel runs; 0 = not asserted
+		prefix int // expected lanePrefix where the kernel runs; 0 = not asserted
 	}
 	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true}
 	frozen := rt
@@ -229,12 +229,12 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 	}...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.prefix > 0 && pairKernelOK {
+			if tc.prefix > 0 && laneKernelOK {
 				// The case must exercise the boundary it names.
 				sa := prepareTraining(tc.a, tc.pa.withDefaults())
 				sb := prepareTraining(tc.b, tc.pb.withDefaults())
-				if n := pairPrefix(sa, sb); n != tc.prefix {
-					t.Fatalf("pairPrefix = %d, want %d", n, tc.prefix)
+				if n := lanePrefix([]*trainState{sa, sb}); n != tc.prefix {
+					t.Fatalf("lanePrefix = %d, want %d", n, tc.prefix)
 				}
 			}
 			wantA := Reconstruct(tc.a, tc.pa)

@@ -1,0 +1,242 @@
+package sgd
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+)
+
+// quadSurfaces builds four matrices of the runtime's shape: thr and
+// pwr share 16 training rows and 16 sparse running rows (pwr adds two
+// service rows of its own); lat and svc share 12 training rows and one
+// sparse service row, row 12.
+func quadSurfaces(seed uint64) [4]*Matrix {
+	thr, pwr := matchedPair(seed, 32, 108, 16, 6, 2)
+	lat, svc := matchedPair(seed+100, 13, 108, 12, 5, 0)
+	return [4]*Matrix{thr, pwr, lat, svc}
+}
+
+// setCell observes (or, with on false, clears) cell (i, j) in every
+// matrix of ms.
+func setCell(on bool, i, j int, ms ...*Matrix) {
+	for _, m := range ms {
+		if on {
+			m.Observe(i, j, 1.5)
+		} else {
+			m.Clear(i, j)
+		}
+	}
+}
+
+// keepCells clears row i of every matrix down to its first keep cells
+// of the first matrix's pattern.
+func keepCells(i, keep int, ms ...*Matrix) {
+	for _, j := range rowObs(ms[0], i)[keep:] {
+		setCell(false, i, j, ms...)
+	}
+}
+
+// TestReconstructQuadBitIdentical drives the four-lane trainer through
+// every way the four-lane prefix can end — and every way it can fail
+// to start — and demands exact float64 equality with four independent
+// serial reconstructions, with factor capture on and off, on one core
+// and on four.
+func TestReconstructQuadBitIdentical(t *testing.T) {
+	type quadCase struct {
+		name string
+		ms   [4]*Matrix
+		ps   [4]Params
+		// Expected lanePrefix of all four lanes, of thr/pwr and of
+		// lat/svc, asserted where the kernels run.
+		n4, nA, nB int
+		// hogwild marks lanes whose trainer is racy by design: their
+		// values are not reproducible, only their headers are checked.
+		hogwild [4]bool
+	}
+	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true}
+	frozen := rt
+	frozen.FactorMinObs = 4
+	all := func(p Params) [4]Params { return [4]Params{p, p, p, p} }
+	mk := func(name string, seed uint64, ps [4]Params, edit func(c *quadCase)) quadCase {
+		c := quadCase{name: name, ms: quadSurfaces(seed), ps: ps}
+		edit(&c)
+		return c
+	}
+	const train = 12 * 108 // the training rows all four lanes have in full
+
+	cases := []quadCase{
+		mk("prefix ends at a row boundary", 61, all(rt), func(c *quadCase) {
+			// The service row starts right of column 0, where thr's
+			// thirteenth training row starts.
+			setCell(false, 12, 0, c.ms[2], c.ms[3])
+			c.n4, c.nA, c.nB = train, c.ms[0].KnownCount(), c.ms[2].KnownCount()
+		}),
+		mk("prefix ends mid-row", 62, all(rt), func(c *quadCase) {
+			// The service row's first cells are columns 0 and 1, then
+			// a gap: two cells of row 12 still ride the wide kernel.
+			setCell(true, 12, 0, c.ms[2], c.ms[3])
+			setCell(true, 12, 1, c.ms[2], c.ms[3])
+			setCell(false, 12, 2, c.ms[2], c.ms[3])
+			c.n4, c.nA, c.nB = train+2, c.ms[0].KnownCount(), c.ms[2].KnownCount()
+		}),
+		mk("frozen row inside the prefix", 63, all(frozen), func(c *quadCase) {
+			// Row 5 keeps the same two cells in every lane and is
+			// bias-frozen in all of them: no kernel may enter it.
+			keepCells(5, 2, c.ms[:]...)
+			c.n4, c.nA, c.nB = 5*108, 5*108, 5*108
+		}),
+		mk("row frozen in lat/svc only", 64, [4]Params{rt, rt, frozen, frozen}, func(c *quadCase) {
+			// Same cells everywhere, but only the latency pair freezes
+			// the row: thr/pwr ride the narrow kernel past it.
+			keepCells(5, 2, c.ms[:]...)
+			c.n4, c.nA, c.nB = 5*108, c.ms[0].KnownCount(), 5*108
+		}),
+		mk("one pair diverges before the four-lane prefix ends", 65, all(rt), func(c *quadCase) {
+			// pwr lost a training cell: the wide kernel and the thr/pwr
+			// kernel both stop there, lat/svc carry on alone.
+			setCell(false, 3, 40, c.ms[1])
+			c.n4, c.nA, c.nB = 3*108+40, 3*108+40, c.ms[2].KnownCount()
+		}),
+		mk("rank 8 lane trains per surface", 66, [4]Params{rt, {Factors: 8, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true}, rt, rt}, func(c *quadCase) {
+			c.nB = c.ms[2].KnownCount()
+		}),
+		mk("hogwild lane trains per surface", 67, [4]Params{rt, rt, rt, {Factors: 6, Reg: 0.03, MaxIter: 50, Workers: 4, SVDInit: true, LogSpace: true}}, func(c *quadCase) {
+			c.hogwild[3] = true
+			c.nA = c.ms[0].KnownCount()
+		}),
+		mk("lat/svc absent", 68, all(rt), func(c *quadCase) {
+			c.ms[2], c.ms[3] = nil, nil
+			c.nA = c.ms[0].KnownCount()
+		}),
+		mk("empty lane", 69, all(rt), func(c *quadCase) {
+			c.ms[3] = NewMatrix(13, 108)
+			c.nA = c.ms[0].KnownCount()
+		}),
+	}
+	{
+		// Warm lat/svc lanes fine-tuning for WarmIters sweeps beside
+		// cold thr/pwr lanes: no common sweep count, pairs only.
+		c := quadCase{name: "warm pair beside a cold pair", ms: quadSurfaces(70), ps: all(rt)}
+		for l := 2; l < 4; l++ {
+			_, fac, err := ReconstructFactors(c.ms[l], rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.ps[l].Warm, c.ps[l].WarmIters = fac, 20
+		}
+		c.nA, c.nB = c.ms[0].KnownCount(), c.ms[2].KnownCount()
+		cases = append(cases, c)
+	}
+	{
+		// One warm lane: its pair cannot share a stream either.
+		c := quadCase{name: "single warm lane", ms: quadSurfaces(71), ps: all(rt)}
+		_, fac, err := ReconstructFactors(c.ms[0], rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ps[0].Warm, c.ps[0].WarmIters = fac, 20
+		c.nB = c.ms[2].KnownCount()
+		cases = append(cases, c)
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if laneKernelOK {
+				// The case must exercise the boundary it names.
+				var st [4]*trainState
+				for l, m := range tc.ms {
+					if m != nil {
+						st[l] = prepareTraining(m, tc.ps[l].withDefaults())
+					}
+				}
+				for _, c := range []struct {
+					name      string
+					got, want int
+				}{
+					{"four-lane", lanePrefix(st[:]), tc.n4},
+					{"thr/pwr", lanePrefix(st[:2]), tc.nA},
+					{"lat/svc", lanePrefix(st[2:]), tc.nB},
+				} {
+					if c.got != c.want {
+						t.Fatalf("%s lanePrefix = %d, want %d", c.name, c.got, c.want)
+					}
+				}
+			}
+			var want [4]*Prediction
+			var wantFac [4]*Factors
+			for l, m := range tc.ms {
+				if m != nil && !tc.hogwild[l] {
+					want[l] = Reconstruct(m, tc.ps[l])
+					// A cold model has no factors to capture either way.
+					var err error
+					if _, wantFac[l], err = ReconstructFactors(m, tc.ps[l]); err != nil && !errors.Is(err, ErrColdModel) {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, procs := range []int{1, 4} {
+				for _, capture := range []bool{false, true} {
+					prev := runtime.GOMAXPROCS(procs)
+					got, gotFac := ReconstructQuad(tc.ms, tc.ps, capture)
+					runtime.GOMAXPROCS(prev)
+					for l, m := range tc.ms {
+						name := fmt.Sprintf("lane %d (GOMAXPROCS %d, capture %v)", l, procs, capture)
+						switch {
+						case m == nil:
+							if got[l] != nil || gotFac[l] != nil {
+								t.Fatalf("%s: absent lane produced a result", name)
+							}
+							continue
+						case tc.hogwild[l]:
+							if got[l].Iters != tc.ps[l].MaxIter || got[l].Observed != m.KnownCount() {
+								t.Fatalf("%s: header iters=%d obs=%d", name, got[l].Iters, got[l].Observed)
+							}
+							continue
+						}
+						predBitsEqual(t, name, got[l], want[l])
+						switch {
+						case !capture || wantFac[l] == nil:
+							if gotFac[l] != nil {
+								t.Fatalf("%s: unexpected factors", name)
+							}
+						case gotFac[l] == nil:
+							t.Fatalf("%s: no factors captured", name)
+						case gotFac[l].Fingerprint() != wantFac[l].Fingerprint():
+							t.Fatalf("%s: factors diverge: %x vs %x", name, gotFac[l].Fingerprint(), wantFac[l].Fingerprint())
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLaneEpoch times one kernel epoch over the 12 × 108 training
+// cells all four surfaces share: the 256-bit sweep of four lanes beside
+// the 128-bit sweep of two.
+func BenchmarkLaneEpoch(b *testing.B) {
+	if !laneKernelOK {
+		b.Skip("no AVX")
+	}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300, Deterministic: true, SVDInit: true, LogSpace: true}.withDefaults()
+	ms := quadSurfaces(81)
+	var st [4]*trainState
+	for l, m := range ms {
+		st[l] = prepareTraining(m, p)
+	}
+	rowP := make([]float64, 34*laneBlock)
+	colP := make([]float64, 108*laneBlock)
+	for l, s := range st {
+		packLane(rowP, l, s.q, s.rowBias)
+		packLane(colP, l, s.pc, s.colBias)
+	}
+	for _, width := range []int{2, 4} {
+		run := newLaneRun(st[:width], 0, 0, 12*108, rowP, colP)
+		b.Run(fmt.Sprintf("lanes=%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				run.epoch()
+			}
+		})
+	}
+}

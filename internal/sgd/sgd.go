@@ -18,12 +18,20 @@
 // would overfit immediately, so this implementation uses the low-rank
 // form of the cited PQ-reconstruction work.
 //
-// ReconstructParallel is the paper's lock-free parallel variant (§V):
-// rows are sharded across workers, whose updates to the shared column
-// factors race benignly (HOGWILD! [95, 96]). Shared values go through
-// sync/atomic so the Go memory model is respected — lost updates
-// remain possible, which is exactly the bounded inaccuracy the paper
-// reports (~1%).
+// Three trainers run the same model. trainSerial is Alg. 1 as printed
+// and the reference for the other two. The wavefront trainer
+// (Params.Deterministic) shards rows across workers and orders every
+// column's updates as the serial sweep would, so it is bit-identical
+// to trainSerial at any worker count; the lane trainer (pair.go) goes
+// further and runs up to four such serial-order reconstructions in the
+// lanes of one SIMD instruction stream. Those two are what the runtime
+// and every fleet path ship. The paper's own parallel variant (§V) —
+// rows sharded across lock-free workers whose updates to the shared
+// column factors race benignly (HOGWILD! [95, 96]) — is what
+// ReconstructParallel runs when Deterministic is off: shared values go
+// through sync/atomic so the Go memory model is respected, lost updates
+// remain possible (the bounded ~1 % inaccuracy the paper reports), and
+// its results are not reproducible run to run.
 package sgd
 
 import (
@@ -108,8 +116,12 @@ type Params struct {
 	// MaxIter is the number of SGD sweeps over the observed entries
 	// (Alg. 1's maxIter). Default 250.
 	MaxIter int
-	// Workers is the number of lock-free parallel workers used by
-	// ReconstructParallel; 0 means GOMAXPROCS capped at 8.
+	// Workers is the number of row shards ReconstructParallel trains
+	// concurrently — wavefront workers with Deterministic, lock-free
+	// HOGWILD! workers without; 0 means GOMAXPROCS capped at 8. With
+	// Deterministic it is a pure performance knob; without it, any
+	// value above 1 selects the racy trainer, which the lane entry
+	// points (ReconstructQuad, ReconstructPair) never put in a lane.
 	Workers int
 	// Deterministic makes ReconstructParallel use the wavefront
 	// scheduler instead of the HOGWILD! trainer: observations are
@@ -205,9 +217,10 @@ func Reconstruct(m *Matrix, params Params) *Prediction {
 	return reconstruct(m, params.withDefaults(), false)
 }
 
-// ReconstructParallel runs the parallel variant (§V): the lock-free
-// HOGWILD! trainer by default, or — with Params.Deterministic — the
-// wavefront trainer whose result is bit-identical to Reconstruct.
+// ReconstructParallel runs a row-sharded trainer: with
+// Params.Deterministic the wavefront trainer, whose result is
+// bit-identical to Reconstruct; without it the paper's lock-free
+// HOGWILD! variant (§V), whose result is not reproducible.
 func ReconstructParallel(m *Matrix, params Params) *Prediction {
 	return reconstruct(m, params.withDefaults(), true)
 }
@@ -227,8 +240,8 @@ func reconstruct(m *Matrix, p Params, parallel bool) *Prediction {
 // model state, and the effective parameters after warm-iteration
 // override. prepareTraining builds it, a trainer mutates it in place,
 // and finish renders the dense prediction. The split exists so the
-// paired SIMD trainer (pair.go) can reuse the exact serial
-// initialisation and prediction code around its own sweep loop.
+// lane trainer (pair.go) can reuse the exact serial initialisation
+// and prediction code around its own sweep loop.
 type trainState struct {
 	m        *Matrix
 	p        Params // effective params: MaxIter already warm-overridden
