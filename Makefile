@@ -90,8 +90,8 @@ bench-warmstart:
 	$(GO) run ./cmd/warmstart -seed 7 -o BENCH_warmstart.json
 
 # Regenerate the seeded decision-loop fast-path audit (EXPERIMENTS.md):
-# per-cell search work counters plus bit-equivalence verdicts against
-# the reference search and serial SGD.
+# per-cell search work counters plus the bit-equivalence verdict
+# against the reference search.
 bench-decide:
 	$(GO) run ./cmd/decide -slices 10 -o BENCH_decide.json
 

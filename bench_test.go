@@ -250,7 +250,7 @@ func benchFleet(b *testing.B, n, workers int, pipeline bool) *cuttlesys.Fleet {
 		})
 		nodes[i] = cuttlesys.FleetNode{
 			Machine:   m,
-			Scheduler: cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seeds[i], SGD: cuttlesys.SGDParams{Deterministic: true}}),
+			Scheduler: cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seeds[i]}),
 		}
 	}
 	f, err := cuttlesys.NewFleet(cuttlesys.FleetConfig{
@@ -309,7 +309,7 @@ func BenchmarkDecisionQuantum(b *testing.B) {
 	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
 		Seed: 1, LC: lc, Batch: cuttlesys.Mix(1, pool, 16), Reconfigurable: true,
 	})
-	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 1, SGD: cuttlesys.SGDParams{Deterministic: true}})
+	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 1})
 	qps := 0.8 * lc.MaxQPS
 	budget := 0.7 * m.MaxPowerW()
 	var profile []cuttlesys.PhaseResult

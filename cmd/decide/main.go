@@ -1,15 +1,14 @@
 // Command decide is the decision-loop fast-path audit: for every
-// (service, seed) cell it runs the same experiment three ways — the
-// table-driven incremental search, the preserved pre-fast-path
-// reference search, and a serial-SGD control — and reports that the
-// fast path reproduced the reference decisions bit-for-bit alongside
-// the work it did: objective evaluations, dimension contributions
-// scored, and the contributions the incremental evaluator skipped.
+// (service, seed) cell it runs the same experiment two ways — the
+// table-driven incremental search and the preserved pre-fast-path
+// reference search — and reports that the fast path reproduced the
+// reference decisions bit-for-bit alongside the work it did: objective
+// evaluations, dimension contributions scored, and the contributions
+// the incremental evaluator skipped.
 //
 // Every run is deterministic: a fixed -seed list produces a
 // byte-identical report regardless of GOMAXPROCS, because the search
-// engines are schedule-invariant and SGD runs in deterministic
-// wavefront mode.
+// engines are schedule-invariant and SGD sweeps in serial order.
 //
 // Usage:
 //
@@ -30,8 +29,7 @@ import (
 )
 
 // Cell is one (service, seed) audit: the fast-path run's work
-// counters and its equivalence verdicts against the reference search
-// and the serial-SGD control.
+// counters and its equivalence verdict against the reference search.
 type Cell struct {
 	Service string `json:"service"`
 	Seed    uint64 `json:"seed"`
@@ -44,10 +42,8 @@ type Cell struct {
 	DimsScored  int `json:"dimsScored"`
 	DimsSaved   int `json:"dimsSaved"`
 	// MatchReference reports that the fast path's slice records equal
-	// the reference search's bit-for-bit; SGDParallelMatch reports that
-	// deterministic-parallel SGD equals single-worker SGD bit-for-bit.
-	MatchReference   bool `json:"matchReference"`
-	SGDParallelMatch bool `json:"sgdParallelMatch"`
+	// the reference search's bit-for-bit.
+	MatchReference bool `json:"matchReference"`
 }
 
 // Report is the full fast-path audit.
@@ -113,8 +109,8 @@ func sweep(services []string, seeds []uint64, slices int, load, capFrac float64)
 
 // runCell audits one (service, seed) experiment. The fast leg is
 // traced so the recorder's registry yields the search work counters;
-// the reference and serial-SGD legs rerun the identical experiment
-// with one knob flipped each.
+// the reference leg reruns the identical experiment with
+// ReferenceSearch on.
 func runCell(service string, seed uint64, slices int, load, capFrac float64) (Cell, error) {
 	run := func(p cuttlesys.RuntimeParams, rec *cuttlesys.TraceRecorder) (*cuttlesys.Result, error) {
 		lc, err := cuttlesys.AppByName(service)
@@ -138,31 +134,20 @@ func runCell(service string, seed uint64, slices int, load, capFrac float64) (Ce
 	}
 
 	rec := cuttlesys.NewTraceRecorder()
-	fast, err := run(cuttlesys.RuntimeParams{
-		Seed: seed, SGD: cuttlesys.SGDParams{Deterministic: true},
-	}, rec)
+	fast, err := run(cuttlesys.RuntimeParams{Seed: seed}, rec)
 	if err != nil {
 		return Cell{}, err
 	}
-	ref, err := run(cuttlesys.RuntimeParams{
-		Seed: seed, SGD: cuttlesys.SGDParams{Deterministic: true}, ReferenceSearch: true,
-	}, nil)
-	if err != nil {
-		return Cell{}, err
-	}
-	serialSGD, err := run(cuttlesys.RuntimeParams{
-		Seed: seed, SGD: cuttlesys.SGDParams{Workers: 1},
-	}, nil)
+	ref, err := run(cuttlesys.RuntimeParams{Seed: seed, ReferenceSearch: true}, nil)
 	if err != nil {
 		return Cell{}, err
 	}
 
 	cell := Cell{
-		Service:          service,
-		Seed:             seed,
-		Slices:           len(fast.Slices),
-		MatchReference:   reflect.DeepEqual(fast.Slices, ref.Slices),
-		SGDParallelMatch: reflect.DeepEqual(fast.Slices, serialSGD.Slices),
+		Service:        service,
+		Seed:           seed,
+		Slices:         len(fast.Slices),
+		MatchReference: reflect.DeepEqual(fast.Slices, ref.Slices),
 	}
 	for _, s := range rec.Registry().Snapshot() {
 		switch s.Name {

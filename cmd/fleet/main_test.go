@@ -12,8 +12,8 @@ import (
 // TestSweepDeterministic is the report's reproducibility contract: a
 // fixed seed produces a byte-identical JSON report, run to run and
 // across GOMAXPROCS settings — the fleet merges parallel machine
-// steps in index order and per-machine SGD runs the deterministic
-// wavefront trainer, bit-identical to serial at any processor count.
+// steps in index order and per-machine SGD sweeps in serial order at
+// any processor count.
 func TestSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")

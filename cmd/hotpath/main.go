@@ -227,7 +227,7 @@ func auditFleet(service string, seed uint64, n int, pipeline bool) (*cuttlesys.F
 		})
 		nodes[i] = cuttlesys.FleetNode{
 			Machine:   m,
-			Scheduler: cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seeds[i], SGD: cuttlesys.SGDParams{Deterministic: true}}),
+			Scheduler: cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seeds[i]}),
 		}
 	}
 	return cuttlesys.NewFleet(cuttlesys.FleetConfig{

@@ -26,8 +26,8 @@
 //
 // Every run is deterministic: control decisions run serially between
 // slices from last-slice telemetry, machine stepping merges in index
-// order, and SGD runs the deterministic wavefront trainer, so a fixed
-// -seed produces a byte-identical report at any GOMAXPROCS.
+// order, and SGD sweeps in serial order, so a fixed -seed produces a
+// byte-identical report at any GOMAXPROCS.
 //
 // Usage:
 //

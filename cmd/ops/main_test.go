@@ -14,7 +14,7 @@ import (
 // run and across GOMAXPROCS settings — every control-plane decision
 // (health transitions, drains, evictions, scale actions, provisioning
 // seeds) runs serially between slices, machine stepping merges in
-// index order, and SGD runs the deterministic wavefront trainer.
+// index order, and SGD sweeps in serial order.
 func TestSuiteDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full drill suite in -short mode")

@@ -16,9 +16,8 @@
 //
 // Every run is deterministic: the plane folds publications in
 // ascending machine-id order inside the fleet's serial section, SGD
-// runs the deterministic wavefront trainer, and machine steps merge in
-// index order — a fixed -seed produces a byte-identical report at any
-// GOMAXPROCS.
+// sweeps in serial order, and machine steps merge in index order — a
+// fixed -seed produces a byte-identical report at any GOMAXPROCS.
 //
 // Usage:
 //
@@ -39,7 +38,6 @@ import (
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/modelplane"
 	"cuttlesys/internal/obs"
-	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -198,7 +196,6 @@ func runCell(c cell, g geometry) (CellReport, error) {
 		rt := core.New(m, core.Params{
 			Seed:         seed,
 			ShareFactors: c.sync > 0,
-			SGD:          sgd.Params{Deterministic: true},
 		})
 		rts[id] = rt
 		return fleet.NodeSpec{Machine: m, Scheduler: rt}

@@ -93,8 +93,8 @@ func TestWarmBeatsCold(t *testing.T) {
 
 // TestSweepDeterministicAcrossGOMAXPROCS: the report must be
 // byte-identical at any worker count — the plane folds publications
-// serially in machine-id order, and warm-started SGD runs the
-// deterministic wavefront trainer.
+// serially in machine-id order, and warm-started SGD sweeps in serial
+// order.
 func TestSweepDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")

@@ -263,8 +263,8 @@ func SplitTrainTest(seed uint64, nTrain int) (train, test []*Profile) {
 func Mix(seed uint64, pool []*Profile, n int) []*Profile { return workload.Mix(seed, pool, n) }
 
 // SGDParams tunes the PQ-reconstruction inside RuntimeParams.SGD.
-// Set Workers to 1 for results that are independent of GOMAXPROCS
-// (the parallel variant is HOGWILD — lock-free and order-dependent).
+// Every reconstruction sweeps in serial order, so results are
+// independent of GOMAXPROCS.
 type SGDParams = sgd.Params
 
 // Single lifts a single-service Scheduler into the MultiScheduler

@@ -7,7 +7,6 @@ import (
 	"cuttlesys/internal/fault"
 	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/harness"
-	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -128,12 +127,9 @@ func FleetScaling(s FleetSetup) ([]FleetRow, error) {
 					Batch:          workload.Mix(seeds[i], pool, 16),
 					Reconfigurable: true,
 				})
-				// Deterministic SGD: HOGWILD inside a machine would make
-				// rows depend on GOMAXPROCS; the wavefront trainer is
-				// bit-identical to serial at any processor count.
 				specs[i] = fleet.NodeSpec{
 					Machine:   m,
-					Scheduler: core.New(m, core.Params{Seed: seeds[i], SGD: sgd.Params{Deterministic: true}}),
+					Scheduler: core.New(m, core.Params{Seed: seeds[i]}),
 				}
 				if !s.FaultFree && n > 1 && i == 1 {
 					span := float64(s.Slices) * harness.SliceDur

@@ -8,7 +8,6 @@ import (
 	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/obs"
-	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -83,12 +82,9 @@ func RunObsTrace(s ObsTraceSetup) (*obs.Recorder, *fleet.Result, error) {
 			Batch:          workload.Mix(seeds[i], pool, 16),
 			Reconfigurable: true,
 		})
-		// Deterministic SGD: traced runs promise byte-identical output
-		// across GOMAXPROCS, so intra-machine HOGWILD is replaced by the
-		// serial-equivalent wavefront trainer.
 		specs[i] = fleet.NodeSpec{
 			Machine:   m,
-			Scheduler: core.New(m, core.Params{Seed: seeds[i], SGD: sgd.Params{Deterministic: true}}),
+			Scheduler: core.New(m, core.Params{Seed: seeds[i]}),
 		}
 		if !s.FaultFree && s.Machines > 1 && i == 1 {
 			// The window closes at 2/3 of the run so the recover instant

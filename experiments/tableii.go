@@ -57,10 +57,9 @@ func TableIIOverheads(seed uint64) TableIIResult {
 	latM := build(running[:1])
 	svcM := build(running[:1])
 
-	params := sgd.Params{Seed: seed, Factors: 6, Reg: 0.03, MaxIter: 300, LogSpace: true, SVDInit: true, Deterministic: true}
+	params := sgd.Params{Seed: seed, Factors: 6, Reg: 0.03, MaxIter: 300, LogSpace: true, SVDInit: true}
 
-	// The reconstruction call core.reconstructAll makes, on the
-	// deterministic trainer every fleet path ships.
+	// The reconstruction call core.reconstructAll makes.
 	ms := [4]*sgd.Matrix{thrM, pwrM, latM, svcM}
 	ps := [4]sgd.Params{params, params, params, params}
 	//lint:allow determinism Table II measures real scheduling wall time; the timing is the result
@@ -70,7 +69,7 @@ func TableIIOverheads(seed uint64) TableIIResult {
 	sgdSec := time.Since(start).Seconds()
 
 	// One parallel DDS search with the Fig. 6 parameters.
-	pred := sgd.ReconstructParallel(thrM, params)
+	pred := sgd.Reconstruct(thrM, params)
 	rows := make([][]float64, 16)
 	for i := range rows {
 		rows[i] = pred.Row(len(train) + i)

@@ -37,8 +37,8 @@ func fastPathMachine(tb testing.TB, lcName string, seed uint64, nBatch int) *sim
 // the preserved pre-change implementation (closure objective +
 // dds.SearchReference) must produce identical slice records — same
 // allocations, same simulated metrics — for every service and seed.
-// SGD is pinned to one worker so both runtimes see bit-identical
-// reconstructions and any divergence is the search's fault.
+// Both runtimes see bit-identical reconstructions, so any divergence
+// is the search's fault.
 func TestFastPathMatchesReference(t *testing.T) {
 	services := []string{"xapian", "masstree", "imgdnn", "moses", "silo"}
 	seeds := []uint64{3, 7, 11, 19, 23}
@@ -56,7 +56,6 @@ func TestFastPathMatchesReference(t *testing.T) {
 				m := fastPathMachine(t, svc, seed, 16)
 				rt := New(m, Params{
 					Seed:            seed,
-					SGD:             sgd.Params{Workers: 1},
 					ReferenceSearch: reference,
 				})
 				res, err := harness.Run(m, rt, slices, harness.ConstantLoad(0.7), harness.ConstantBudget(0.8))
@@ -95,7 +94,7 @@ type searchBench struct {
 func newSearchBench(tb testing.TB, seed uint64, nBatch int) *searchBench {
 	tb.Helper()
 	m := fastPathMachine(tb, "xapian", seed, nBatch)
-	rt := New(m, Params{Seed: seed, SGD: sgd.Params{Workers: 1}})
+	rt := New(m, Params{Seed: seed})
 	if _, err := harness.Run(m, rt, 2, harness.ConstantLoad(0.7), harness.ConstantBudget(0.8)); err != nil {
 		tb.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cuttlesys/internal/fault"
@@ -82,8 +83,8 @@ func (a *allocRecorder) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 	}
 }
 
-// TestPairedRunMatchesSerial runs 60 seeded slices twice — on the
-// shipped deterministic configuration and on sgd.Params{Workers: 1} —
+// TestPairedRunMatchesSerial runs 60 seeded slices twice — plain, and
+// with the per-reconstruction oracle re-running every surface —
 // through a telemetry-garbage window that drops samples from one
 // surface of a pair but not the other, so the common prefix the
 // kernels sweep ends mid-pattern for the rest of the run. Both runs
@@ -112,11 +113,9 @@ func TestPairedRunMatchesSerial(t *testing.T) {
 		{"batch only", batchOnly, Params{Seed: 5}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(p sgd.Params, oracle bool) *allocRecorder {
+			run := func(oracle bool) *allocRecorder {
 				m := tc.machine(t)
-				params := tc.params
-				params.SGD = p
-				rec := &allocRecorder{Runtime: New(m, params), t: t, oracle: oracle}
+				rec := &allocRecorder{Runtime: New(m, tc.params), t: t, oracle: oracle}
 				inj := fault.MustSchedule(5, fault.Event{Kind: fault.TelemetryGarbage, Start: 0.3, End: 0.7, Prob: 0.3})
 				if _, err := harness.RunFaultedMulti(m, rec, slices,
 					[]harness.LoadPattern{harness.ConstantLoad(tc.load)}, harness.ConstantBudget(0.8), inj); err != nil {
@@ -124,19 +123,38 @@ func TestPairedRunMatchesSerial(t *testing.T) {
 				}
 				return rec
 			}
-			paired := run(sgd.Params{Deterministic: true}, false)
-			serial := run(sgd.Params{Workers: 1}, true)
+			paired := run(false)
+			serial := run(true)
 			if len(paired.allocs) != slices || len(serial.allocs) != slices {
 				t.Fatalf("recorded %d and %d allocations, want %d", len(paired.allocs), len(serial.allocs), slices)
 			}
 			for i := range paired.allocs {
 				if !reflect.DeepEqual(paired.allocs[i], serial.allocs[i]) {
-					t.Fatalf("slice %d allocations diverge:\ndeterministic %+v\nworkers=1     %+v", i, paired.allocs[i], serial.allocs[i])
+					t.Fatalf("slice %d allocations diverge:\nplain  %+v\noracle %+v", i, paired.allocs[i], serial.allocs[i])
 				}
 			}
 			if serial.diverged == 0 {
 				t.Fatal("the garbage window never made the thr/pwr patterns diverge; the test no longer covers the prefix boundary")
 			}
 		})
+	}
+}
+
+// TestDefaultRuntimeInvariantAcrossGOMAXPROCS is the contract every
+// paper figure, cmd/chaos and the examples lean on: a runtime built
+// with no SGD parameters at all produces the same slice records on one
+// processor and on four.
+func TestDefaultRuntimeInvariantAcrossGOMAXPROCS(t *testing.T) {
+	run := func(procs int) []harness.SliceRecord {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m := fastPathMachine(t, "xapian", 9, 16)
+		res, err := harness.Run(m, New(m, Params{Seed: 9}), 10, harness.ConstantLoad(0.7), harness.ConstantBudget(0.8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Slices
+	}
+	if one, four := run(1), run(4); !reflect.DeepEqual(one, four) {
+		t.Fatal("slice records differ between GOMAXPROCS 1 and 4")
 	}
 }

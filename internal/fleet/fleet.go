@@ -95,8 +95,7 @@ type Config struct {
 	// machine index); fleet-level routing, arbitration and aggregates
 	// are emitted at cluster scope. Nil disables observability at zero
 	// cost. Simulated-time output stays byte-deterministic only if the
-	// schedulers themselves are deterministic per slice — in particular
-	// SGD reconstruction must run with Workers=1 on traced runs.
+	// schedulers themselves are deterministic per slice.
 	Collector obs.Collector
 	// Share, when non-nil, is invoked after every slice's index-ordered
 	// fold (serially, at cluster scope) with the active membership —

@@ -8,14 +8,14 @@
 //
 // Determinism is the design constraint. Every fold the plane performs
 // runs in the fleet's serial section (the fleet.SharePlane hook fires
-// after the index-ordered fold) and follows the same discipline as the
-// wavefront trainer of PR 5: publications are merged in ascending
-// machine-id order, store keys are visited in ascending key order, and
-// the decay fold is a fixed-order element-wise expression — so the
-// aggregate bytes never depend on publish arrival order, goroutine
-// interleaving or GOMAXPROCS. Two fleets stepping the same schedule
-// produce bit-identical aggregates, which is what makes warm-started
-// runs BENCH-pinnable.
+// after the index-ordered fold) and follows a fixed order throughout:
+// publications are merged in ascending machine-id order, store keys
+// are visited in ascending key order, and the decay fold is a
+// fixed-order element-wise expression — so the aggregate bytes never
+// depend on publish arrival order, goroutine interleaving or
+// GOMAXPROCS. Two fleets stepping the same schedule produce
+// bit-identical aggregates, which is what makes warm-started runs
+// BENCH-pinnable.
 //
 // The accuracy-vs-staleness tradeoff is exposed through three knobs:
 // Params.SyncPeriod (how many slices between publish/aggregate rounds

@@ -1,6 +1,7 @@
 package modelplane
 
 import (
+	"runtime"
 	"testing"
 
 	"cuttlesys/internal/fleet"
@@ -10,9 +11,8 @@ import (
 	"cuttlesys/internal/sim"
 )
 
-// trainedFactors trains a small deterministic model and exports its
-// factors, at the given wavefront worker count.
-func trainedFactors(t *testing.T, seed uint64, workers int) *sgd.Factors {
+// trainedFactors trains a small model and exports its factors.
+func trainedFactors(t *testing.T, seed uint64) *sgd.Factors {
 	t.Helper()
 	r := rng.New(seed)
 	m := sgd.NewMatrix(6, 9)
@@ -22,7 +22,7 @@ func trainedFactors(t *testing.T, seed uint64, workers int) *sgd.Factors {
 		}
 	}
 	_, fac, err := sgd.ReconstructFactors(m, sgd.Params{
-		Factors: 3, MaxIter: 60, Deterministic: true, Workers: workers, Seed: seed,
+		Factors: 3, MaxIter: 60, Seed: seed,
 	})
 	if err != nil {
 		t.Fatalf("trainedFactors: %v", err)
@@ -30,17 +30,17 @@ func trainedFactors(t *testing.T, seed uint64, workers int) *sgd.Factors {
 	return fac
 }
 
-func factorSet(t *testing.T, seed uint64, workers int) map[string]*sgd.Factors {
+func factorSet(t *testing.T, seed uint64) map[string]*sgd.Factors {
 	return map[string]*sgd.Factors{
-		"thr": trainedFactors(t, seed, workers),
-		"lat": trainedFactors(t, seed+100, workers),
+		"thr": trainedFactors(t, seed),
+		"lat": trainedFactors(t, seed+100),
 	}
 }
 
 func TestAggregateIndependentOfPublishOrder(t *testing.T) {
 	const key = 0xfeed
 	sets := []map[string]*sgd.Factors{
-		factorSet(t, 1, 1), factorSet(t, 2, 1), factorSet(t, 3, 1), factorSet(t, 4, 1),
+		factorSet(t, 1), factorSet(t, 2), factorSet(t, 3), factorSet(t, 4),
 	}
 	orders := [][]int{
 		{0, 1, 2, 3},
@@ -71,16 +71,18 @@ func TestAggregateIndependentOfPublishOrder(t *testing.T) {
 }
 
 func TestAggregateInvariantAcrossWorkerCounts(t *testing.T) {
-	// The wavefront trainer is bit-identical at any worker count, so
+	// SGD sweeps in serial order at any processor count, so
 	// publications — and therefore the fold — must not change bytes
 	// when machines train with different parallelism.
 	const key = 0xbeef
 	var want uint64
-	for wi, workers := range []int{1, 2, 5, 8} {
+	for wi, procs := range []int{1, 2, 5, 8} {
+		prev := runtime.GOMAXPROCS(procs)
 		pl := New(Params{}, nil)
 		for machine := 0; machine < 3; machine++ {
-			pl.PublishFactors(key, machine, 7, factorSet(t, uint64(10+machine), workers))
+			pl.PublishFactors(key, machine, 7, factorSet(t, uint64(10+machine)))
 		}
+		runtime.GOMAXPROCS(prev)
 		pl.AggregatePending(7)
 		agg, _ := pl.Aggregate(key)
 		fp := SetFingerprint(agg)
@@ -89,7 +91,7 @@ func TestAggregateInvariantAcrossWorkerCounts(t *testing.T) {
 			continue
 		}
 		if fp != want {
-			t.Fatalf("workers=%d: aggregate fingerprint %x differs from workers=1's %x", workers, fp, want)
+			t.Fatalf("GOMAXPROCS %d: aggregate fingerprint %x differs from GOMAXPROCS 1's %x", procs, fp, want)
 		}
 	}
 }
@@ -122,7 +124,7 @@ func TestDecayFoldSemantics(t *testing.T) {
 }
 
 func TestAggregateMeanSkipsIncompatibleGeometry(t *testing.T) {
-	good := factorSet(t, 5, 1)
+	good := factorSet(t, 5)
 	bad := map[string]*sgd.Factors{"thr": {
 		Rows: 2, Cols: 2, Rank: 1, Q: []float64{9, 9}, P: []float64{9, 9},
 		RowBias: []float64{9, 9}, ColBias: []float64{9, 9}, Iters: 5, Observed: 4,
@@ -173,7 +175,7 @@ func (s *shareStub) WarmStart(fac map[string]*sgd.Factors, fineTuneIters, confid
 }
 
 func TestAfterSliceCadenceAndColdSkip(t *testing.T) {
-	warm := &shareStub{key: 42, fac: factorSet(t, 6, 1), exportOK: true}
+	warm := &shareStub{key: 42, fac: factorSet(t, 6), exportOK: true}
 	cold := &shareStub{key: 42, exportOK: false}
 	pl := New(Params{SyncPeriod: 4}, nil)
 	members := []fleet.ShareMember{{ID: 0, Scheduler: warm}, {ID: 1, Scheduler: cold}}
@@ -193,7 +195,7 @@ func TestAfterSliceCadenceAndColdSkip(t *testing.T) {
 }
 
 func TestWarmStartMachine(t *testing.T) {
-	donor := &shareStub{key: 9, fac: factorSet(t, 8, 1), exportOK: true}
+	donor := &shareStub{key: 9, fac: factorSet(t, 8), exportOK: true}
 	pl := New(Params{SyncPeriod: 1, FineTuneIters: 30, WarmConfidence: 3}, nil)
 	pl.AfterSlice(0, 0, []fleet.ShareMember{{ID: 0, Scheduler: donor}})
 

@@ -8,8 +8,8 @@
 //
 // The generator is PCG-XSH-RR with a 64-bit state and 64-bit stream
 // (O'Neill, 2014). It is splittable: Split derives an independent child
-// stream, which the parallel DDS and hogwild SGD use to give each worker
-// goroutine its own source without locking.
+// stream, which the parallel DDS uses to give each worker goroutine its
+// own source without locking.
 package rng
 
 import "math"

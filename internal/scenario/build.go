@@ -7,7 +7,6 @@ import (
 	"cuttlesys/internal/ctrlplane"
 	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/modelplane"
-	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -51,7 +50,6 @@ func (c *Compiled) node(seed uint64, lc *workload.Profile, pool []*workload.Prof
 	rt := core.New(m, core.Params{
 		Seed:         seed,
 		ShareFactors: c.Spec.Share != nil,
-		SGD:          sgd.Params{Deterministic: true},
 	})
 	return fleet.NodeSpec{Machine: m, Scheduler: rt}
 }

@@ -58,13 +58,26 @@ func (f *Factors) Clone() *Factors {
 }
 
 // Compatible reports whether the factors can warm-start a model of the
-// given geometry and value transform.
+// given geometry and value transform. A set holding a NaN or ±Inf is
+// never compatible: one non-finite column factor would reach every
+// prediction within a sweep.
 func (f *Factors) Compatible(rows, cols, rank int, logSpace bool) bool {
 	return f != nil &&
 		f.Rows == rows && f.Cols == cols && f.Rank == rank &&
 		f.LogSpace == logSpace &&
 		len(f.Q) == rows*rank && len(f.P) == cols*rank &&
-		len(f.RowBias) == rows && len(f.ColBias) == cols
+		len(f.RowBias) == rows && len(f.ColBias) == cols &&
+		finite(f.Mu) && finite(f.Q...) && finite(f.P...) &&
+		finite(f.RowBias...) && finite(f.ColBias...)
+}
+
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Fingerprint returns an FNV-1a hash over the exact bit patterns of
@@ -109,13 +122,13 @@ func (f *Factors) Fingerprint() uint64 {
 	return h
 }
 
-// ReconstructFactors runs the parallel reconstruction (identical to
-// ReconstructParallel) and additionally exports the trained factor
-// state for publication on the model-sharing plane. Export is refused
-// with ErrColdModel when the model completed zero iterations — an
-// empty observation matrix never trains, so its factors are noise.
+// ReconstructFactors is Reconstruct that additionally exports the
+// trained factor state for publication on the model-sharing plane.
+// Export is refused with ErrColdModel when the model completed zero
+// iterations — an empty observation matrix never trains, so its
+// factors are noise.
 func ReconstructFactors(m *Matrix, params Params) (*Prediction, *Factors, error) {
-	pred, fac := reconstructFull(m, params.withDefaults(), true, true)
+	pred, fac := reconstructFull(m, params.withDefaults(), true)
 	if pred.Iters == 0 || fac == nil {
 		return pred, nil, fmt.Errorf("%w (%d observed entries)", ErrColdModel, pred.Observed)
 	}

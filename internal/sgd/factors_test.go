@@ -2,6 +2,9 @@ package sgd
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -41,8 +44,8 @@ func TestColdFactorExportRefused(t *testing.T) {
 func TestFactorExportMatchesReconstruction(t *testing.T) {
 	vals := lowRankMatrix(11, 8, 12, 3)
 	m := observeDense(vals, 6, 4)
-	p := Params{Factors: 3, MaxIter: 120, Deterministic: true, Seed: 7}
-	want := ReconstructParallel(m, p)
+	p := Params{Factors: 3, MaxIter: 120, Seed: 7}
+	want := Reconstruct(m, p)
 	pred, fac, err := ReconstructFactors(m, p)
 	if err != nil {
 		t.Fatalf("export: %v", err)
@@ -71,7 +74,7 @@ func TestFactorExportMatchesReconstruction(t *testing.T) {
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	vals := lowRankMatrix(3, 10, 14, 3)
 	donor := observeDense(vals, -1, 0)
-	p := Params{Factors: 3, MaxIter: 100, Deterministic: true, Seed: 5}
+	p := Params{Factors: 3, MaxIter: 100, Seed: 5}
 	_, fac, err := ReconstructFactors(donor, p)
 	if err != nil {
 		t.Fatalf("donor export: %v", err)
@@ -82,27 +85,21 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	warm.Warm = fac
 	warm.WarmIters = 10
 	ref := Reconstruct(sparse, warm)
-	for _, workers := range []int{1, 2, 3, 7} {
-		wp := warm
-		wp.Workers = workers
-		got := ReconstructParallel(sparse, wp)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := Reconstruct(sparse, warm)
+		runtime.GOMAXPROCS(prev)
 		if got.Iters != 10 {
-			t.Fatalf("workers=%d: WarmIters should cap sweeps at 10, got %d", workers, got.Iters)
+			t.Fatalf("GOMAXPROCS %d: WarmIters should cap sweeps at 10, got %d", procs, got.Iters)
 		}
-		for i := 0; i < sparse.Rows; i++ {
-			for j := 0; j < sparse.Cols; j++ {
-				if got.At(i, j) != ref.At(i, j) {
-					t.Fatalf("workers=%d: warm wavefront diverges from serial at (%d,%d)", workers, i, j)
-				}
-			}
-		}
+		predBitsEqual(t, fmt.Sprintf("GOMAXPROCS %d", procs), got, ref)
 	}
 }
 
 func TestWarmStartBeatsColdOnSparseRow(t *testing.T) {
 	vals := lowRankMatrix(17, 9, 12, 3)
 	donor := observeDense(vals, -1, 0)
-	p := Params{Factors: 3, MaxIter: 150, Deterministic: true, Seed: 9}
+	p := Params{Factors: 3, MaxIter: 150, Seed: 9}
 	_, fac, err := ReconstructFactors(donor, p)
 	if err != nil {
 		t.Fatalf("donor export: %v", err)
@@ -137,19 +134,28 @@ func TestWarmStartIgnoresIncompatibleFactors(t *testing.T) {
 	m := observeDense(vals, 4, 2)
 	p := Params{Factors: 2, MaxIter: 50, Seed: 3}
 	cold := Reconstruct(m, p)
-	bad := p
-	bad.Warm = &Factors{Rows: 99, Cols: 8, Rank: 2} // wrong geometry
-	bad.WarmIters = 5
-	got := Reconstruct(m, bad)
-	if got.Iters != 50 {
-		t.Fatalf("incompatible warm factors must not cap sweeps: got %d", got.Iters)
+	_, good, err := ReconstructFactors(m, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if got.At(i, j) != cold.At(i, j) {
-				t.Fatal("incompatible warm factors must fall back to the cold init exactly")
-			}
+	// Trained factors with one value overwritten: a single non-finite
+	// column factor would reach every prediction within a sweep.
+	nan, inf := good.Clone(), good.Clone()
+	nan.P[3] = math.NaN()
+	inf.RowBias[1] = math.Inf(1)
+	for name, warm := range map[string]*Factors{
+		"wrong geometry": {Rows: 99, Cols: 8, Rank: 2},
+		"NaN factor":     nan,
+		"+Inf bias":      inf,
+	} {
+		bad := p
+		bad.Warm = warm
+		bad.WarmIters = 5
+		got := Reconstruct(m, bad)
+		if got.Iters != 50 {
+			t.Fatalf("%s: incompatible warm factors must not cap sweeps: got %d", name, got.Iters)
 		}
+		predBitsEqual(t, name+": cold-init fallback", got, cold)
 	}
 }
 

@@ -57,8 +57,8 @@ const laneBlock = laneCount * (pairFactors + 1)
 // ReconstructQuad reconstructs the surfaces of one decision — up to
 // four independent observation matrices, nil for an absent one —
 // training them in SIMD lanes as far as they qualify (see lanePrefix).
-// Results are bit-identical to calling ReconstructParallel on each
-// matrix separately, whether or not a kernel ran. With capture the
+// Results are bit-identical to calling Reconstruct on each matrix
+// separately, whether or not a kernel ran. With capture the
 // trained factor sets come back too, the analogue of
 // ReconstructFactors: untrained (cold) models yield nil factors
 // instead of an error.
@@ -79,15 +79,6 @@ func ReconstructPair(a, b *Matrix, pa, pb Params) (*Prediction, *Prediction) {
 func ReconstructPairFactors(a, b *Matrix, pa, pb Params) (*Prediction, *Prediction, *Factors, *Factors) {
 	p, f := reconstructLanes([]*Matrix{a, b}, []Params{pa, pb}, true)
 	return p[0], p[1], f[0], f[1]
-}
-
-// serialOrder reports whether training under p follows the serial
-// sweep order exactly, making it a candidate for a lane. The
-// wavefront trainer (Deterministic) and the single-worker path are
-// both bit-identical to trainSerial; the HOGWILD! trainer is not and
-// must keep its racy schedule.
-func serialOrder(p Params) bool {
-	return p.Deterministic || p.Workers <= 1
 }
 
 // reconstructLanes runs the lanes' reconstructions around one shared
@@ -148,7 +139,7 @@ func trainLanes(st []*trainState) {
 	}
 	for _, s := range st {
 		if s != nil {
-			s.train(true)
+			s.trainSerial()
 		}
 	}
 }
@@ -156,8 +147,8 @@ func trainLanes(st []*trainState) {
 // lanePrefix returns how many leading entries of the prepared
 // reconstructions a SIMD kernel may sweep in lockstep, 0 when they
 // cannot share a stream. The lanes must agree on everything the shared
-// instruction stream fixes: serial sweep order, column count (the
-// interleaved column blocks), the kernels' rank and the sweep count.
+// instruction stream fixes: column count (the interleaved column
+// blocks), the kernels' rank and the sweep count.
 // Within that, the prefix runs while every lane's row-major entry list
 // names the same cell, and stops at the first bias-frozen row: the
 // kernels apply factor updates unconditionally.
@@ -169,7 +160,7 @@ func lanePrefix(st []*trainState) int {
 	for _, s := range st {
 		// An absent lane is nil; an empty one was never initialised
 		// and has f == 0.
-		if s == nil || !serialOrder(s.p) || s.f != pairFactors || s.m.Cols != s0.m.Cols {
+		if s == nil || s.f != pairFactors || s.m.Cols != s0.m.Cols {
 			return 0
 		}
 		if s.p.MaxIter != s0.p.MaxIter || s.p.MaxIter <= 0 {

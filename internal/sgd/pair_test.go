@@ -98,7 +98,7 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		pa, pb Params
 		prefix int // expected lanePrefix where the kernel runs; 0 = not asserted
 	}
-	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true}
+	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
 	frozen := rt
 	frozen.FactorMinObs = 4
 	// Matched-pattern pairs: 12 training rows, 12 running rows of up to
@@ -162,71 +162,26 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		cases = append(cases, pairCase{name: "warm-started lanes", a: a, b: b, pa: wa, pb: wb, prefix: obsBefore(a, 22)})
 	}
 
-	cases = append(cases, []pairCase{
-		{
-			name: "same-shape dense+sparse",
-			a:    pairMatrix(1, 32, 108, 16, 6),
-			b:    pairMatrix(2, 32, 108, 16, 6),
-			pa:   Params{Factors: 6, Reg: 0.03, MaxIter: 60, Deterministic: true, SVDInit: true, LogSpace: true},
-			pb:   Params{Factors: 6, Reg: 0.03, MaxIter: 60, Deterministic: true, SVDInit: true, LogSpace: true},
-		},
-		{
-			name: "different row counts (thr vs pwr shape)",
-			a:    pairMatrix(3, 32, 108, 16, 4),
-			b:    pairMatrix(4, 35, 108, 16, 4),
-			pa:   Params{Factors: 6, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true},
-			pb:   Params{Factors: 6, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true},
-		},
-		{
-			name: "bias-frozen sparse rows",
-			a:    pairMatrix(5, 20, 108, 12, 2),
-			b:    pairMatrix(6, 20, 108, 12, 2),
-			pa:   Params{Factors: 6, Reg: 0.03, MaxIter: 40, Deterministic: true, SVDInit: true, LogSpace: true, FactorMinObs: 4},
-			pb:   Params{Factors: 6, Reg: 0.03, MaxIter: 40, Deterministic: true, SVDInit: true, LogSpace: true, FactorMinObs: 4},
-		},
-		{
-			name: "linear space, random init, single worker",
-			a:    pairMatrix(7, 16, 54, 8, 5),
-			b:    pairMatrix(8, 16, 54, 8, 5),
-			pa:   Params{Factors: 6, MaxIter: 40, Workers: 1, Seed: 11},
-			pb:   Params{Factors: 6, MaxIter: 40, Workers: 1, Seed: 12},
-		},
-		{
-			name: "unequal MaxIter falls back",
-			a:    pairMatrix(9, 16, 108, 8, 3),
-			b:    pairMatrix(10, 16, 108, 8, 3),
-			pa:   Params{Factors: 6, MaxIter: 30, Deterministic: true, SVDInit: true},
-			pb:   Params{Factors: 6, MaxIter: 45, Deterministic: true, SVDInit: true},
-		},
-		{
-			name: "non-kernel rank falls back",
-			a:    pairMatrix(11, 16, 108, 8, 3),
-			b:    pairMatrix(12, 16, 108, 8, 3),
-			pa:   Params{Factors: 8, MaxIter: 30, Deterministic: true, SVDInit: true},
-			pb:   Params{Factors: 8, MaxIter: 30, Deterministic: true, SVDInit: true},
-		},
-		{
-			name: "different column counts fall back",
-			a:    pairMatrix(13, 16, 108, 8, 3),
-			b:    pairMatrix(14, 16, 54, 8, 3),
-			pa:   Params{Factors: 6, MaxIter: 30, Deterministic: true, SVDInit: true},
-			pb:   Params{Factors: 6, MaxIter: 30, Deterministic: true, SVDInit: true},
-		},
-		{
-			name: "empty lane",
-			a:    pairMatrix(15, 16, 108, 8, 3),
-			b:    NewMatrix(16, 108),
-			pa:   Params{Factors: 6, MaxIter: 30, Deterministic: true, SVDInit: true},
-			pb:   Params{Factors: 6, MaxIter: 30, Deterministic: true, SVDInit: true},
-		},
-		{
-			name: "no dense prefix falls back",
-			a:    pairMatrix(17, 16, 108, 0, 5),
-			b:    pairMatrix(18, 16, 108, 8, 5),
-			pa:   Params{Factors: 6, MaxIter: 30, Deterministic: true},
-			pb:   Params{Factors: 6, MaxIter: 30, Deterministic: true},
-		},
-	}...)
+	// Independently seeded lanes; the prefix is whatever it is.
+	plain := func(name string, a, b *Matrix, pa, pb Params) pairCase {
+		return pairCase{name: name, a: a, b: b, pa: pa, pb: pb}
+	}
+	iters := func(p Params, n int) Params { p.MaxIter = n; return p }
+	svd := Params{Factors: 6, MaxIter: 30, SVDInit: true}
+	rank8 := Params{Factors: 8, MaxIter: 30, SVDInit: true}
+	random := Params{Factors: 6, MaxIter: 30}
+	cases = append(cases,
+		plain("same-shape dense+sparse", pairMatrix(1, 32, 108, 16, 6), pairMatrix(2, 32, 108, 16, 6), iters(rt, 60), iters(rt, 60)),
+		plain("different row counts (thr vs pwr shape)", pairMatrix(3, 32, 108, 16, 4), pairMatrix(4, 35, 108, 16, 4), rt, rt),
+		plain("bias-frozen sparse rows", pairMatrix(5, 20, 108, 12, 2), pairMatrix(6, 20, 108, 12, 2), iters(frozen, 40), iters(frozen, 40)),
+		plain("linear space, random init, single worker", pairMatrix(7, 16, 54, 8, 5), pairMatrix(8, 16, 54, 8, 5),
+			Params{Factors: 6, MaxIter: 40, Seed: 11}, Params{Factors: 6, MaxIter: 40, Seed: 12}),
+		plain("unequal MaxIter falls back", pairMatrix(9, 16, 108, 8, 3), pairMatrix(10, 16, 108, 8, 3), svd, iters(svd, 45)),
+		plain("non-kernel rank falls back", pairMatrix(11, 16, 108, 8, 3), pairMatrix(12, 16, 108, 8, 3), rank8, rank8),
+		plain("different column counts fall back", pairMatrix(13, 16, 108, 8, 3), pairMatrix(14, 16, 54, 8, 3), svd, svd),
+		plain("empty lane", pairMatrix(15, 16, 108, 8, 3), NewMatrix(16, 108), svd, svd),
+		plain("no dense prefix falls back", pairMatrix(17, 16, 108, 0, 5), pairMatrix(18, 16, 108, 8, 5), random, random),
+	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.prefix > 0 && laneKernelOK {
@@ -249,7 +204,7 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 // TestReconstructPairWarmStart pairs two warm-started lanes and a
 // mixed warm/cold pair (unequal effective sweep counts → fallback).
 func TestReconstructPairWarmStart(t *testing.T) {
-	base := Params{Factors: 6, Reg: 0.03, MaxIter: 60, Deterministic: true, SVDInit: true, LogSpace: true}
+	base := Params{Factors: 6, Reg: 0.03, MaxIter: 60, SVDInit: true, LogSpace: true}
 	a := pairMatrix(21, 24, 108, 12, 4)
 	b := pairMatrix(22, 24, 108, 12, 4)
 	_, facA, err := ReconstructFactors(a, base)
@@ -264,15 +219,15 @@ func TestReconstructPairWarmStart(t *testing.T) {
 	warmA, warmB := base, base
 	warmA.Warm, warmA.WarmIters = facA, 20
 	warmB.Warm, warmB.WarmIters = facB, 20
-	wantA := ReconstructParallel(a, warmA)
-	wantB := ReconstructParallel(b, warmB)
+	wantA := Reconstruct(a, warmA)
+	wantB := Reconstruct(b, warmB)
 	gotA, gotB := ReconstructPair(a, b, warmA, warmB)
 	predBitsEqual(t, "warm lane A", gotA, wantA)
 	predBitsEqual(t, "warm lane B", gotB, wantB)
 
 	// Warm lane beside a cold lane: effective MaxIter differs, so the
 	// pair must fall back — and still match exactly.
-	wantCold := ReconstructParallel(b, base)
+	wantCold := Reconstruct(b, base)
 	gotA, gotCold := ReconstructPair(a, b, warmA, base)
 	predBitsEqual(t, "mixed warm lane", gotA, wantA)
 	predBitsEqual(t, "mixed cold lane", gotCold, wantCold)
@@ -282,7 +237,7 @@ func TestReconstructPairWarmStart(t *testing.T) {
 // byte-identical to the per-surface capture path, and that cold
 // models yield nil factors.
 func TestReconstructPairFactors(t *testing.T) {
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
 	a := pairMatrix(31, 32, 108, 16, 5)
 	b := pairMatrix(32, 33, 108, 16, 5)
 	_, wantFA, err := ReconstructFactors(a, p)
@@ -310,19 +265,10 @@ func TestReconstructPairFactors(t *testing.T) {
 	}
 }
 
-// TestPairHogwildFallsBack ensures the racy HOGWILD! configuration is
-// never routed into the lockstep kernel.
-func TestPairHogwildFallsBack(t *testing.T) {
-	p := Params{Factors: 6, MaxIter: 10, Workers: 4}
-	if serialOrder(p.withDefaults()) {
-		t.Fatal("multi-worker non-deterministic params classified as serial-order")
-	}
-}
-
 // BenchmarkReconstructPair measures the paired trainer against two
 // independent reconstructions of the runtime's surface shape.
 func BenchmarkReconstructPair(b *testing.B) {
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300, Deterministic: true, SVDInit: true, LogSpace: true}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300, SVDInit: true, LogSpace: true}
 	ma := pairMatrix(41, 32, 108, 16, 6)
 	mb := pairMatrix(42, 33, 108, 16, 6)
 	b.Run("paired", func(b *testing.B) {
@@ -332,8 +278,8 @@ func BenchmarkReconstructPair(b *testing.B) {
 	})
 	b.Run("serial2x", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ReconstructParallel(ma, p)
-			ReconstructParallel(mb, p)
+			Reconstruct(ma, p)
+			Reconstruct(mb, p)
 		}
 	})
 }

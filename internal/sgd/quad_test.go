@@ -50,11 +50,8 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 		// Expected lanePrefix of all four lanes, of thr/pwr and of
 		// lat/svc, asserted where the kernels run.
 		n4, nA, nB int
-		// hogwild marks lanes whose trainer is racy by design: their
-		// values are not reproducible, only their headers are checked.
-		hogwild [4]bool
 	}
-	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true}
+	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
 	frozen := rt
 	frozen.FactorMinObs = 4
 	all := func(p Params) [4]Params { return [4]Params{p, p, p, p} }
@@ -98,12 +95,8 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			setCell(false, 3, 40, c.ms[1])
 			c.n4, c.nA, c.nB = 3*108+40, 3*108+40, c.ms[2].KnownCount()
 		}),
-		mk("rank 8 lane trains per surface", 66, [4]Params{rt, {Factors: 8, Reg: 0.03, MaxIter: 50, Deterministic: true, SVDInit: true, LogSpace: true}, rt, rt}, func(c *quadCase) {
+		mk("rank 8 lane trains per surface", 66, [4]Params{rt, {Factors: 8, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}, rt, rt}, func(c *quadCase) {
 			c.nB = c.ms[2].KnownCount()
-		}),
-		mk("hogwild lane trains per surface", 67, [4]Params{rt, rt, rt, {Factors: 6, Reg: 0.03, MaxIter: 50, Workers: 4, SVDInit: true, LogSpace: true}}, func(c *quadCase) {
-			c.hogwild[3] = true
-			c.nA = c.ms[0].KnownCount()
 		}),
 		mk("lat/svc absent", 68, all(rt), func(c *quadCase) {
 			c.ms[2], c.ms[3] = nil, nil
@@ -166,7 +159,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			var want [4]*Prediction
 			var wantFac [4]*Factors
 			for l, m := range tc.ms {
-				if m != nil && !tc.hogwild[l] {
+				if m != nil {
 					want[l] = Reconstruct(m, tc.ps[l])
 					// A cold model has no factors to capture either way.
 					var err error
@@ -182,15 +175,9 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 					runtime.GOMAXPROCS(prev)
 					for l, m := range tc.ms {
 						name := fmt.Sprintf("lane %d (GOMAXPROCS %d, capture %v)", l, procs, capture)
-						switch {
-						case m == nil:
+						if m == nil {
 							if got[l] != nil || gotFac[l] != nil {
 								t.Fatalf("%s: absent lane produced a result", name)
-							}
-							continue
-						case tc.hogwild[l]:
-							if got[l].Iters != tc.ps[l].MaxIter || got[l].Observed != m.KnownCount() {
-								t.Fatalf("%s: header iters=%d obs=%d", name, got[l].Iters, got[l].Observed)
 							}
 							continue
 						}
@@ -219,7 +206,7 @@ func BenchmarkLaneEpoch(b *testing.B) {
 	if !laneKernelOK {
 		b.Skip("no AVX")
 	}
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300, Deterministic: true, SVDInit: true, LogSpace: true}.withDefaults()
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300, SVDInit: true, LogSpace: true}.withDefaults()
 	ms := quadSurfaces(81)
 	var st [4]*trainState
 	for l, m := range ms {

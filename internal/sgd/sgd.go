@@ -18,28 +18,22 @@
 // would overfit immediately, so this implementation uses the low-rank
 // form of the cited PQ-reconstruction work.
 //
-// Three trainers run the same model. trainSerial is Alg. 1 as printed
-// and the reference for the other two. The wavefront trainer
-// (Params.Deterministic) shards rows across workers and orders every
-// column's updates as the serial sweep would, so it is bit-identical
-// to trainSerial at any worker count; the lane trainer (pair.go) goes
-// further and runs up to four such serial-order reconstructions in the
-// lanes of one SIMD instruction stream. Those two are what the runtime
-// and every fleet path ship. The paper's own parallel variant (§V) —
-// rows sharded across lock-free workers whose updates to the shared
-// column factors race benignly (HOGWILD! [95, 96]) — is what
-// ReconstructParallel runs when Deterministic is off: shared values go
-// through sync/atomic so the Go memory model is respected, lost updates
-// remain possible (the bounded ~1 % inaccuracy the paper reports), and
-// its results are not reproducible run to run.
+// There is one update order and two loops that run it. trainSerial is
+// Alg. 1 as printed: one sweep over the observed entries in row-major
+// order per epoch. The lane trainer (pair.go) runs up to four such
+// sweeps — one per reconstruction surface — in the lanes of one SIMD
+// instruction stream, each lane bit-identical to its own trainSerial,
+// and is what the runtime and every fleet path ship; trainSerial is
+// its reference and the path lanes that cannot share a stream (and
+// hosts without AVX) take. The paper's own lock-free parallel variant
+// (§V, HOGWILD! [95, 96]) is deliberately absent: it measured 2–4×
+// slower than the serial sweep it parallelises and made results depend
+// on the host's core count (EXPERIMENTS.md, "Deviations and why").
 package sgd
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cuttlesys/internal/mat"
 	"cuttlesys/internal/rng"
@@ -116,22 +110,8 @@ type Params struct {
 	// MaxIter is the number of SGD sweeps over the observed entries
 	// (Alg. 1's maxIter). Default 250.
 	MaxIter int
-	// Workers is the number of row shards ReconstructParallel trains
-	// concurrently — wavefront workers with Deterministic, lock-free
-	// HOGWILD! workers without; 0 means GOMAXPROCS capped at 8. With
-	// Deterministic it is a pure performance knob; without it, any
-	// value above 1 selects the racy trainer, which the lane entry
-	// points (ReconstructQuad, ReconstructPair) never put in a lane.
-	Workers int
-	// Deterministic makes ReconstructParallel use the wavefront
-	// scheduler instead of the HOGWILD! trainer: observations are
-	// sharded into contiguous row blocks and every update waits for the
-	// previous toucher of its column, so each SGD step reads exactly the
-	// state the serial sweep would have produced. The reconstruction is
-	// bit-identical to Reconstruct at any worker count and GOMAXPROCS —
-	// parallelism becomes a pure performance knob. Fleet-scale callers
-	// that previously pinned Workers to 1 for reproducibility should set
-	// this instead.
+	// Deprecated: Deterministic is ignored — every reconstruction follows
+	// the serial sweep order. It exists only because bench/ still names it.
 	Deterministic bool
 	// LogSpace trains on log(v): tail latency spans four orders of
 	// magnitude across configurations and loads, and the relative-error
@@ -180,13 +160,6 @@ func (p Params) withDefaults() Params {
 	if p.MaxIter == 0 {
 		p.MaxIter = 250
 	}
-	if p.Workers == 0 {
-		//lint:allow dettaint sets execution width only; the wavefront trainer is bit-identical at any worker count
-		p.Workers = runtime.GOMAXPROCS(0)
-		if p.Workers > 8 {
-			p.Workers = 8
-		}
-	}
 	return p
 }
 
@@ -212,27 +185,19 @@ func (p *Prediction) Row(i int) []float64 {
 
 const logFloor = 1e-9 // guards log-space transform against zeros
 
-// Reconstruct runs the serial Alg. 1 and returns the completed matrix.
+// Reconstruct runs Alg. 1 and returns the completed matrix.
 func Reconstruct(m *Matrix, params Params) *Prediction {
-	return reconstruct(m, params.withDefaults(), false)
+	pred, _ := reconstructFull(m, params.withDefaults(), false)
+	return pred
 }
 
-// ReconstructParallel runs a row-sharded trainer: with
-// Params.Deterministic the wavefront trainer, whose result is
-// bit-identical to Reconstruct; without it the paper's lock-free
-// HOGWILD! variant (§V), whose result is not reproducible.
-func ReconstructParallel(m *Matrix, params Params) *Prediction {
-	return reconstruct(m, params.withDefaults(), true)
-}
+// Deprecated: ReconstructParallel is Reconstruct. It exists only
+// because bench/ still calls it.
+func ReconstructParallel(m *Matrix, params Params) *Prediction { return Reconstruct(m, params) }
 
 type obs struct {
 	i, j int
 	v    float64
-}
-
-func reconstruct(m *Matrix, p Params, parallel bool) *Prediction {
-	pred, _ := reconstructFull(m, p, parallel, false)
-	return pred
 }
 
 // trainState is a reconstruction caught between initialisation and
@@ -256,8 +221,8 @@ type trainState struct {
 }
 
 // prepareTraining gathers observations and initialises the model
-// state. When there is nothing to train, st.entries is empty: train is
-// a no-op and finish returns st.pred (all zeros, Iters 0).
+// state. When there is nothing to train, st.entries is empty: training
+// is a no-op and finish returns st.pred (all zeros, Iters 0).
 func prepareTraining(m *Matrix, p Params) *trainState {
 	// Gather observations, transformed if requested.
 	entries := make([]obs, 0, m.KnownCount())
@@ -396,25 +361,10 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 	return pred, fac
 }
 
-func reconstructFull(m *Matrix, p Params, parallel, capture bool) (*Prediction, *Factors) {
+func reconstructFull(m *Matrix, p Params, capture bool) (*Prediction, *Factors) {
 	st := prepareTraining(m, p)
-	st.train(parallel)
+	st.trainSerial()
 	return st.finish(capture)
-}
-
-// train runs the per-surface trainer st.p selects.
-func (st *trainState) train(parallel bool) {
-	if len(st.entries) == 0 {
-		return
-	}
-	switch {
-	case parallel && st.p.Deterministic:
-		trainWavefront(st.entries, st.p, st.mu, st.f, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
-	case parallel:
-		trainParallel(st.entries, st.p, st.mu, st.f, st.m.Rows, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
-	default:
-		trainSerial(st.entries, st.p, st.mu, st.f, st.q, st.pc, st.rowBias, st.colBias, st.biasOnly)
-	}
 }
 
 func dotf(a, b []float64) float64 {
@@ -425,10 +375,13 @@ func dotf(a, b []float64) float64 {
 	return s
 }
 
-func trainSerial(entries []obs, p Params, mu float64, f int, q, pc, rowBias, colBias []float64, biasOnly []bool) {
-	eta, lam := p.LearningRate, p.Reg
-	for iter := 0; iter < p.MaxIter; iter++ {
-		for _, e := range entries {
+// trainSerial is Alg. 1's loop: MaxIter sweeps over the observed
+// entries in row-major order.
+func (st *trainState) trainSerial() {
+	f, mu, eta, lam := st.f, st.mu, st.p.LearningRate, st.p.Reg
+	q, pc, rowBias, colBias, biasOnly := st.q, st.pc, st.rowBias, st.colBias, st.biasOnly
+	for iter := 0; iter < st.p.MaxIter; iter++ {
+		for _, e := range st.entries {
 			qi := q[e.i*f : (e.i+1)*f]
 			pj := pc[e.j*f : (e.j+1)*f]
 			err := e.v - (mu + rowBias[e.i] + colBias[e.j] + dotf(qi, pj))
@@ -443,75 +396,6 @@ func trainSerial(entries []obs, p Params, mu float64, f int, q, pc, rowBias, col
 				pj[k] += eta * (err*qk - lam*pk)
 			}
 		}
-	}
-}
-
-// trainParallel shards observations by row across workers. Row factors
-// and row biases are worker-private (rows are disjoint); column
-// factors and biases are shared through atomic loads/stores without
-// locking — concurrent read-modify-write sequences may lose updates,
-// the HOGWILD! trade the paper adopts for its 3.5× speedup.
-func trainParallel(entries []obs, p Params, mu float64, f, rows int, q, pc, rowBias, colBias []float64, biasOnly []bool) {
-	workers := p.Workers
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		trainSerial(entries, p, mu, f, q, pc, rowBias, colBias, biasOnly)
-		return
-	}
-	// Shared state as atomic bit patterns.
-	pcAtomic := make([]uint64, len(pc))
-	for i, v := range pc {
-		pcAtomic[i] = math.Float64bits(v)
-	}
-	cbAtomic := make([]uint64, len(colBias))
-
-	shards := make([][]obs, workers)
-	for _, e := range entries {
-		w := e.i % workers
-		shards[w] = append(shards[w], e)
-	}
-
-	eta, lam := p.LearningRate, p.Reg
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		if len(shards[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard []obs) {
-			defer wg.Done()
-			pj := make([]float64, f)
-			for iter := 0; iter < p.MaxIter; iter++ {
-				for _, e := range shard {
-					qi := q[e.i*f : (e.i+1)*f]
-					base := e.j * f
-					for k := 0; k < f; k++ {
-						pj[k] = math.Float64frombits(atomic.LoadUint64(&pcAtomic[base+k]))
-					}
-					cb := math.Float64frombits(atomic.LoadUint64(&cbAtomic[e.j]))
-					err := e.v - (mu + rowBias[e.i] + cb + dotf(qi, pj))
-					rowBias[e.i] += eta * (err - lam*rowBias[e.i])
-					atomic.StoreUint64(&cbAtomic[e.j], math.Float64bits(cb+eta*(err-lam*cb)))
-					if biasOnly[e.i] {
-						continue
-					}
-					for k := 0; k < f; k++ {
-						qk, pk := qi[k], pj[k]
-						qi[k] += eta * (err*pk - lam*qk)
-						atomic.StoreUint64(&pcAtomic[base+k], math.Float64bits(pk+eta*(err*qk-lam*pk)))
-					}
-				}
-			}
-		}(shards[w])
-	}
-	wg.Wait()
-	for i := range pc {
-		pc[i] = math.Float64frombits(pcAtomic[i])
-	}
-	for i := range colBias {
-		colBias[i] = math.Float64frombits(cbAtomic[i])
 	}
 }
 
