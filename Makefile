@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench chaos fleet ops trace bench-obs bench-decide scenario bench-scenario warmstart bench-warmstart hotpath bench-hotpath bench-all perf-check race-hot lint lint-json fmt ci
+.PHONY: build test race vet bench chaos fleet ops trace bench-obs scenario bench-scenario warmstart bench-warmstart bench-all perf-check race-hot lint lint-json fmt ci
 
 build:
 	$(GO) build ./...
@@ -89,37 +89,22 @@ warmstart:
 bench-warmstart:
 	$(GO) run ./cmd/warmstart -seed 7 -o BENCH_warmstart.json
 
-# Regenerate the seeded decision-loop fast-path audit (EXPERIMENTS.md):
-# per-cell search work counters plus the bit-equivalence verdict
-# against the reference search.
-bench-decide:
-	$(GO) run ./cmd/decide -slices 10 -o BENCH_decide.json
-
 # Regenerate the seeded trace-summary regression artifact.
 bench-obs:
 	$(GO) run ./cmd/fleet -seed 1 -machines 3 -slices 10 -load 0.7 -cap 0.65 \
 		-trace /dev/null -o BENCH_obs.json
 
-# Run the per-quantum fast-plane audit to stdout, followed by the
-# wall-clock fleet throughput sweep (DESIGN.md §15, EXPERIMENTS.md).
-hotpath:
-	$(GO) run ./cmd/hotpath -sweep
-
-# Regenerate the seeded fast-plane audit reference report.
-bench-hotpath:
-	$(GO) run ./cmd/hotpath -o BENCH_hotpath.json
-
-# Race-detect the hot-path packages plus the pipelined driver — the
-# code the fast plane touches — without paying for the full -race run;
-# internal/sim covers the LCSurfaces fan-out, the second line the
-# single-flighted training-row cache above it.
+# Race-detect the hot-path packages — the code the fast plane touches
+# — without paying for the full -race run; internal/sim covers the
+# LCSurfaces fan-out, the second line the single-flighted training-row
+# cache above it.
 race-hot:
-	$(GO) test -race ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/harness/ ./internal/fleet/ ./cmd/hotpath/
+	$(GO) test -race ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/harness/ ./internal/fleet/
 	$(GO) test -race ./internal/core/ -run TrainingRows
 
 # Re-check every seeded BENCH_*.json byte-regression gate in one go:
 # each reference report is regenerated in-process by its package's
 # tests and byte-compared against the checked-in artifact.
 bench-all:
-	$(GO) test ./cmd/chaos/ ./cmd/decide/ ./cmd/fleet/ ./cmd/hotpath/ \
-		./cmd/ops/ ./cmd/scenario/ ./cmd/warmstart/ ./experiments/
+	$(GO) test ./cmd/chaos/ ./cmd/fleet/ ./cmd/ops/ ./cmd/scenario/ \
+		./cmd/warmstart/ ./experiments/

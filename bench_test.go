@@ -233,9 +233,8 @@ func BenchmarkTrainingSetSweep(b *testing.B) {
 }
 
 // benchFleet assembles an n-machine fleet of full CuttleSys runtimes
-// stepped by the given worker count (0 = one goroutine per machine),
-// optionally with decide/hold pipelining.
-func benchFleet(b *testing.B, n, workers int, pipeline bool) *cuttlesys.Fleet {
+// stepped by the given worker count (0 = one goroutine per machine).
+func benchFleet(b *testing.B, n, workers int) *cuttlesys.Fleet {
 	b.Helper()
 	lc, err := cuttlesys.AppByName("xapian")
 	if err != nil {
@@ -254,7 +253,7 @@ func benchFleet(b *testing.B, n, workers int, pipeline bool) *cuttlesys.Fleet {
 		}
 	}
 	f, err := cuttlesys.NewFleet(cuttlesys.FleetConfig{
-		Router: cuttlesys.LeastLoadedRouter{}, Arbiter: cuttlesys.HeadroomArbiter{}, Workers: workers, Pipeline: pipeline,
+		Router: cuttlesys.LeastLoadedRouter{}, Arbiter: cuttlesys.HeadroomArbiter{}, Workers: workers,
 	}, nodes...)
 	if err != nil {
 		b.Fatal(err)
@@ -264,23 +263,20 @@ func benchFleet(b *testing.B, n, workers int, pipeline bool) *cuttlesys.Fleet {
 
 // BenchmarkFleetStepping times one decision quantum of cluster-scale
 // stepping at 1, 4 and 16 machines, serial (one stepping goroutine)
-// vs parallel (one per machine) vs pipelined (parallel stepping plus
-// each machine's decide overlapping its hold phase). The wall-clock
-// serial/parallel ratio is host-dependent — it approaches the machine
-// count on wide hosts and 1 on a single-CPU host; the deterministic
-// modeled controller speedup is recorded in BENCH_fleet.json's scaling
-// section.
+// vs parallel (one per machine). The wall-clock serial/parallel ratio
+// is host-dependent — it approaches the machine count on wide hosts
+// and 1 on a single-CPU host; the deterministic modeled controller
+// speedup is recorded in BENCH_fleet.json's scaling section.
 func BenchmarkFleetStepping(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		for _, mode := range []struct {
-			name     string
-			workers  int
-			pipeline bool
-		}{{"serial", 1, false}, {"parallel", 0, false}, {"pipelined", 0, true}} {
+			name    string
+			workers int
+		}{{"serial", 1}, {"parallel", 0}} {
 			b.Run(fmt.Sprintf("machines=%d/%s", n, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					f := benchFleet(b, n, mode.workers, mode.pipeline)
+					f := benchFleet(b, n, mode.workers)
 					b.StartTimer()
 					res, err := f.Run(2, cuttlesys.ConstantLoad(0.7), cuttlesys.ConstantBudget(0.65))
 					if err != nil {

@@ -36,9 +36,8 @@ func TestSweepDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different reports")
 	}
-	prev := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	wide := marshal()
-	runtime.GOMAXPROCS(prev)
 	if !bytes.Equal(a, wide) {
 		t.Fatal("GOMAXPROCS changed the report")
 	}

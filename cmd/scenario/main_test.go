@@ -204,11 +204,10 @@ func TestBenchDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different benchmark reports")
 	}
-	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := marshal()
 	runtime.GOMAXPROCS(8)
 	wide := marshal()
-	runtime.GOMAXPROCS(prev)
 	if !bytes.Equal(a, serial) || !bytes.Equal(a, wide) {
 		t.Fatal("GOMAXPROCS changed the benchmark report")
 	}

@@ -125,8 +125,8 @@ func TestObsTraceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	ambient := defaultObsTrace(t)
 	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	pinned := captureObsTrace(t)
-	runtime.GOMAXPROCS(prev)
 
 	for _, c := range []struct {
 		name            string

@@ -108,9 +108,9 @@ func (rt *Runtime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW
 			params.Seed = searchSeed
 			params.Init = init
 			var r dds.Result
-			if rt.p.ReferenceSearch {
-				// Pre-fast-path engine + closure objective, preserved
-				// for equivalence tests and benchmark baselines.
+			if rt.referenceSearch {
+				// Closure objective under the reference engine: the
+				// oracle side of the equivalence tests.
 				r = dds.SearchReference(rt.objective(thr, pwr, lcRes, budgetW), params)
 			} else {
 				r = dds.SearchSeparable(rt.separableObjective(thr, pwr, lcRes, budgetW), params)

@@ -8,6 +8,7 @@ import (
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/dds"
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/obs"
 	"cuttlesys/internal/rng"
 	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
@@ -38,7 +39,9 @@ func fastPathMachine(tb testing.TB, lcName string, seed uint64, nBatch int) *sim
 // dds.SearchReference) must produce identical slice records — same
 // allocations, same simulated metrics — for every service and seed.
 // Both runtimes see bit-identical reconstructions, so any divergence
-// is the search's fault.
+// is the search's fault. The fast leg is traced; the last cell pins its
+// seeded work counters: evaluations, dimension contributions scored,
+// and contributions the incremental evaluator skipped.
 func TestFastPathMatchesReference(t *testing.T) {
 	services := []string{"xapian", "masstree", "imgdnn", "moses", "silo"}
 	seeds := []uint64{3, 7, 11, 19, 23}
@@ -50,31 +53,56 @@ func TestFastPathMatchesReference(t *testing.T) {
 		seeds = seeds[:2]
 		slices = 4
 	}
+	type cell struct {
+		svc    string
+		seed   uint64
+		slices int
+		// work, when non-nil, is {evals, dims scored, dims saved}
+		// summed over the fast leg.
+		work *[3]int
+	}
+	var cells []cell
 	for _, svc := range services {
 		for _, seed := range seeds {
-			run := func(reference bool) *harness.Result {
-				m := fastPathMachine(t, svc, seed, 16)
-				rt := New(m, Params{
-					Seed:            seed,
-					ReferenceSearch: reference,
-				})
-				res, err := harness.Run(m, rt, slices, harness.ConstantLoad(0.7), harness.ConstantBudget(0.8))
-				if err != nil {
-					t.Fatalf("%s seed %d: %v", svc, seed, err)
-				}
-				return res
+			cells = append(cells, cell{svc: svc, seed: seed, slices: slices})
+		}
+	}
+	cells = append(cells, cell{svc: "xapian", seed: 1, slices: 10, work: &[3]int{32500, 389201, 130799}})
+	for _, c := range cells {
+		run := func(reference bool, col obs.Collector) *harness.Result {
+			m := fastPathMachine(t, c.svc, c.seed, 16)
+			rt := New(m, Params{Seed: c.seed})
+			rt.referenceSearch = reference
+			res, err := harness.RunTraced(m, rt, c.slices,
+				[]harness.LoadPattern{harness.ConstantLoad(0.7)}, harness.ConstantBudget(0.8), nil, col)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.svc, c.seed, err)
 			}
-			ref := run(true)
-			fast := run(false)
-			if !reflect.DeepEqual(ref.Slices, fast.Slices) {
-				for i := range ref.Slices {
-					if !reflect.DeepEqual(ref.Slices[i], fast.Slices[i]) {
-						t.Fatalf("%s seed %d: slice %d diverges:\nref  %+v\nfast %+v",
-							svc, seed, i, ref.Slices[i], fast.Slices[i])
-					}
+			return res
+		}
+		ref := run(true, nil)
+		rec := obs.NewRecorder()
+		fast := run(false, rec)
+		if !reflect.DeepEqual(ref.Slices, fast.Slices) {
+			for i := range ref.Slices {
+				if !reflect.DeepEqual(ref.Slices[i], fast.Slices[i]) {
+					t.Fatalf("%s seed %d: slice %d diverges:\nref  %+v\nfast %+v",
+						c.svc, c.seed, i, ref.Slices[i], fast.Slices[i])
 				}
-				t.Fatalf("%s seed %d: results diverge", svc, seed)
 			}
+			t.Fatalf("%s seed %d: results diverge", c.svc, c.seed)
+		}
+		if c.work == nil {
+			continue
+		}
+		sums := map[string]int{}
+		for _, s := range rec.Registry().Snapshot() {
+			sums[s.Name] += int(s.Value)
+		}
+		got := [3]int{sums[obs.MetricSearchEvals], sums[obs.MetricSearchDims], sums[obs.MetricSearchDimsSaved]}
+		if got != *c.work {
+			t.Fatalf("%s seed %d: search work {evals, dims scored, dims saved} = %v, want %v",
+				c.svc, c.seed, got, *c.work)
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // DDS evaluation becomes pure table additions: no math.Log, no
 // config.ResourceByIndex, no allocation on the eval path. The closure
 // form (objective, decide.go) is retained as the reference
-// implementation; Params.ReferenceSearch routes the search through it,
-// and equivalence tests pin the two bit-identical.
+// implementation; the package's tests route the search through it and
+// pin the two bit-identical.
 const (
 	accLogThr = 0 // Σ log(max(thr, 1e-9)) over batch jobs
 	accPower  = 1 // fixed power + Σ per-job power

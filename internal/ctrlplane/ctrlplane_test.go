@@ -247,9 +247,8 @@ func TestManagedDeterminism(t *testing.T) {
 	if string(serial) != string(parallel) {
 		t.Fatal("managed drill depends on stepping parallelism")
 	}
-	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	narrow := drillJSON(t, 8)
-	runtime.GOMAXPROCS(prev)
 	if string(serial) != string(narrow) {
 		t.Fatal("managed drill depends on GOMAXPROCS")
 	}

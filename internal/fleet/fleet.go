@@ -106,14 +106,6 @@ type Config struct {
 	// at any GOMAXPROCS. Nil (the default) disables sharing at zero
 	// cost.
 	Share SharePlane
-	// Pipeline enables intra-machine phase pipelining on every attached
-	// driver (harness.Params.Pipeline): decision compute overlaps the
-	// hold phase for FixedOverhead schedulers, bit-identical to the
-	// serial schedule. It composes with Workers — machines run in
-	// parallel across the fleet AND each machine overlaps its own
-	// decide/hold phases. No effect on traced runs (the driver's
-	// observability gate keeps event order deterministic).
-	Pipeline bool
 }
 
 // ShareMember is one active machine as seen by the SharePlane hook:
@@ -153,16 +145,15 @@ type node struct {
 // active set. All membership operations are serial (never inside the
 // parallel stepping section), so runs remain byte-deterministic.
 type Fleet struct {
-	nodes    []*node
-	router   Router
-	arbiter  Arbiter
-	workers  int
-	pipeline bool
-	now      float64
-	tele     []Telemetry
-	slices   []SliceRecord
-	obs      obs.Collector
-	share    SharePlane
+	nodes   []*node
+	router  Router
+	arbiter Arbiter
+	workers int
+	now     float64
+	tele    []Telemetry
+	slices  []SliceRecord
+	obs     obs.Collector
+	share   SharePlane
 }
 
 // New assembles a fleet. Every machine must host exactly one
@@ -173,12 +164,11 @@ func New(cfg Config, specs ...NodeSpec) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: no machines")
 	}
 	f := &Fleet{
-		router:   cfg.Router,
-		arbiter:  cfg.Arbiter,
-		workers:  cfg.Workers,
-		pipeline: cfg.Pipeline,
-		obs:      obs.OrNop(cfg.Collector),
-		share:    cfg.Share,
+		router:  cfg.Router,
+		arbiter: cfg.Arbiter,
+		workers: cfg.Workers,
+		obs:     obs.OrNop(cfg.Collector),
+		share:   cfg.Share,
 	}
 	if f.router == nil {
 		f.router = Uniform{}
@@ -220,7 +210,6 @@ func (f *Fleet) Attach(spec NodeSpec) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("fleet: machine %d: %w", id, err)
 	}
-	d.SetParams(harness.Params{Pipeline: f.pipeline})
 	d.SetCollector(obs.ForMachine(f.obs, id))
 	spec.Machine.FastForward(f.now)
 	lc := spec.Machine.LC()
@@ -323,18 +312,6 @@ func (f *Fleet) Now() float64 { return f.now }
 // by stable machine id. Evicted machines keep their last snapshot;
 // routers and arbiters only ever see the active subset.
 func (f *Fleet) Telemetry() []Telemetry { return f.tele }
-
-// OverlapQuanta sums, over every machine (evicted included), the
-// slices whose decision compute ran concurrently with the hold phase
-// (Config.Pipeline). Zero when pipelining is off or no scheduler is
-// FixedOverhead.
-func (f *Fleet) OverlapQuanta() uint64 {
-	var total uint64
-	for _, nd := range f.nodes {
-		total += nd.d.OverlapQuanta()
-	}
-	return total
-}
 
 // SurfaceStats sums every machine's surface-table work counters:
 // staged-grid renders and fast-path lookups served.

@@ -81,68 +81,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if string(serial) != string(parallel) {
 		t.Fatal("parallel stepping changed the fleet result")
 	}
-	prev := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	wide := runJSON(t, 8, 6)
-	runtime.GOMAXPROCS(prev)
 	if string(serial) != string(wide) {
 		t.Fatal("GOMAXPROCS changed the fleet result")
-	}
-}
-
-// fixedStatic promises its overhead up front, enabling the driver's
-// decide/hold pipelining under Config.Pipeline.
-type fixedStatic struct{ staticScheduler }
-
-func (s *fixedStatic) DecisionOverheadSec() float64 { return s.overhead }
-
-// pipelinedJSON mirrors runJSON with FixedOverhead schedulers and the
-// Pipeline knob under test.
-func pipelinedJSON(t *testing.T, workers, slices int, pipeline bool) ([]byte, uint64) {
-	t.Helper()
-	specs := testSpecs(t, 4, nil)
-	for i := range specs {
-		s := &fixedStatic{staticScheduler{
-			alloc:    sim.Uniform(8, true, 16, config.Widest, config.OneWay),
-			overhead: 0.002 + 0.001*float64(i),
-		}}
-		specs[i].Scheduler = harness.Single(s)
-	}
-	f, err := fleet.New(fleet.Config{Router: fleet.LeastLoaded{}, Arbiter: fleet.Headroom{}, Workers: workers, Pipeline: pipeline}, specs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Run(slices, harness.DiurnalLoad(0.3, 0.9, 1.0), harness.ConstantBudget(0.7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf, f.OverlapQuanta()
-}
-
-// TestPipelineMatchesSerial extends the determinism contract to
-// Config.Pipeline: overlapping each machine's decide with its hold
-// phase must leave the merged fleet result byte-identical, composed
-// with parallel stepping or not, and the overlap must actually happen.
-func TestPipelineMatchesSerial(t *testing.T) {
-	const slices = 6
-	serial, overlap0 := pipelinedJSON(t, 1, slices, false)
-	if overlap0 != 0 {
-		t.Fatalf("pipeline off but %d quanta overlapped", overlap0)
-	}
-	piped, overlap := pipelinedJSON(t, 1, slices, true)
-	// Each machine's first slice has no previous allocation to hold.
-	if want := uint64(4 * (slices - 1)); overlap != want {
-		t.Fatalf("overlapped %d quanta, want %d", overlap, want)
-	}
-	if string(serial) != string(piped) {
-		t.Fatal("pipelining changed the fleet result")
-	}
-	both, _ := pipelinedJSON(t, 8, slices, true)
-	if string(serial) != string(both) {
-		t.Fatal("pipelining composed with parallel stepping changed the fleet result")
 	}
 }
 

@@ -83,21 +83,6 @@ type Params struct {
 	// plus a normal steady phase instead of profiling burning the
 	// whole slice (and overrunning the clock grid).
 	MaxProfileRetries int
-
-	// Pipeline overlaps the scheduler's decision compute with the hold
-	// phase: while a FixedOverhead scheduler computes slice t's
-	// allocation, the machine already runs the previous allocation for
-	// the (constant, known in advance) overhead window — which is
-	// exactly what the hold phase models physically. The scheduler and
-	// the machine share no state during the window, the hold result is
-	// folded in after the join, and the hold interval is identical to
-	// the serial schedule, so every SliceRecord is bit-identical to the
-	// serial driver at any GOMAXPROCS. The overlap engages only when
-	// the scheduler implements FixedOverhead, a previous allocation
-	// exists, the overhead window fits the slice, and no observability
-	// collector is attached (concurrent trace emission would make event
-	// order run-dependent); otherwise the slice runs serially.
-	Pipeline bool
 }
 
 // maxProfileRetries resolves the configured bound against defaults.
@@ -111,14 +96,11 @@ func (p Params) maxProfileRetries() int {
 	return MaxProfileRetries
 }
 
-// FixedOverhead is the optional scheduler extension phase pipelining
-// requires: a scheduler whose decision compute cost is a known
-// constant, independent of the profile contents. DecideMulti MUST
-// return exactly DecisionOverheadSec() as its overhead on every path —
-// the driver starts the hold phase for that duration before the
-// decision completes, and a scheduler that reported a different cost
-// afterwards would have been held for the wrong interval. The driver
-// verifies the promise and fails the slice on a mismatch.
+// FixedOverhead was the scheduler extension decide/hold pipelining
+// required; the driver no longer looks for it.
+//
+// Deprecated: declared only because bench/ (frozen by BENCHMARK.json)
+// asserts it on its runtime decorator; delete with that assertion.
 type FixedOverhead interface {
 	DecisionOverheadSec() float64
 }
@@ -465,12 +447,6 @@ func (a singleAdapter) Degraded() bool {
 	}
 	return false
 }
-func (a singleAdapter) DecisionOverheadSec() float64 {
-	if f, ok := a.s.(FixedOverhead); ok {
-		return f.DecisionOverheadSec()
-	}
-	return 0 // not fixed-overhead: pipelining stays off (the gate requires > 0)
-}
 func (a singleAdapter) SetCollector(c obs.Collector) {
 	if o, ok := a.s.(Observable); ok {
 		o.SetCollector(c)
@@ -552,19 +528,14 @@ type Driver struct {
 	inj       FaultInjector
 	validator ProfileValidator
 	reporter  DegradedReporter
-	fixed     FixedOverhead
 	nServices int
 	prevAlloc *sim.Allocation
 	params    Params
 
-	// overlapQuanta counts slices whose decision compute ran
-	// concurrently with the hold phase (Params.Pipeline).
-	overlapQuanta uint64
-
-	// lastBuilds/lastLookups/lastOverlap hold the previous slice's
-	// surface-table and pipeline counters so emitSliceTelemetry can
-	// emit per-slice deltas as monotone obs counters.
-	lastBuilds, lastLookups, lastOverlap uint64
+	// lastBuilds/lastLookups hold the previous slice's surface-table
+	// counters so emitSliceTelemetry can emit per-slice deltas as
+	// monotone obs counters.
+	lastBuilds, lastLookups uint64
 
 	// Observability: obs is the machine-level collector (Nop unless
 	// SetCollector attached one), scope the slice-positioned view the
@@ -597,13 +568,8 @@ func NewDriver(m *sim.Machine, s MultiScheduler, inj FaultInjector) (*Driver, er
 	d.scope = obs.NewScope(nil)
 	d.validator, _ = s.(ProfileValidator)
 	d.reporter, _ = s.(DegradedReporter)
-	d.fixed, _ = s.(FixedOverhead)
 	return d, nil
 }
-
-// OverlapQuanta reports how many slices ran their decision compute
-// concurrently with the hold phase.
-func (d *Driver) OverlapQuanta() uint64 { return d.overlapQuanta }
 
 // SetParams replaces the driver's policy knobs; the zero Params
 // restores the defaults. Call between slices, not mid-step.
@@ -736,55 +702,20 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 
 	// 2+3. Decision, and the scheduling-overhead hold: the machine
 	// keeps running under the previous allocation while the runtime
-	// computes. With Params.Pipeline and a FixedOverhead scheduler the
-	// two genuinely overlap — the hold duration is known before the
-	// decision starts, the machine and the scheduler share no state
-	// during the window, and the hold result is accumulated after the
-	// join, so the slice is bit-identical to the serial path.
-	var alloc sim.Allocation
-	var overhead float64
-	pipelined := false
-	if d.params.Pipeline && d.fixed != nil && d.prevAlloc != nil && !d.obs.Enabled() {
-		if oh := d.fixed.DecisionOverheadSec(); oh > 0 && elapsed+oh < SliceDur {
-			done := make(chan struct{})
-			// The spawned goroutine is the ONLY one touching the
-			// scheduler during the window: the main goroutine runs the
-			// hold on the machine, joins on done before reading alloc,
-			// and only then accumulates. Scheduler-receiver writes are
-			// therefore single-threaded, just on the other side of the
-			// fork — no shared mutation for lockregion to order.
-			//lint:allow lockregion decide goroutine exclusively owns the scheduler until the join; machine state stays on the spawning goroutine
-			go func() {
-				defer close(done)
-				alloc, overhead = s.DecideMulti(profResults, qps, budgetW)
-			}()
-			holdRes := run(*d.prevAlloc, oh, qps)
-			<-done
-			if overhead != oh {
-				return SliceRecord{}, fmt.Errorf("harness: %s: FixedOverhead promised %v but Decide charged %v",
-					s.Name(), oh, overhead)
-			}
-			d.chargeOverhead(&rec, t+elapsed, overhead)
-			accumulate(holdRes)
-			d.overlapQuanta++
-			pipelined = true
+	// computes.
+	decideWall := obs.BeginWall(d.obs)
+	alloc, overhead := s.DecideMulti(profResults, qps, budgetW)
+	decideWall.End(d.obs, "harness.decide")
+	d.chargeOverhead(&rec, t+elapsed, overhead)
+	if overhead > 0 && elapsed+overhead < SliceDur {
+		hold := alloc
+		if d.prevAlloc != nil {
+			hold = *d.prevAlloc
 		}
-	}
-	if !pipelined {
-		decideWall := obs.BeginWall(d.obs)
-		alloc, overhead = s.DecideMulti(profResults, qps, budgetW)
-		decideWall.End(d.obs, "harness.decide")
-		d.chargeOverhead(&rec, t+elapsed, overhead)
-		if overhead > 0 && elapsed+overhead < SliceDur {
-			hold := alloc
-			if d.prevAlloc != nil {
-				hold = *d.prevAlloc
-			}
-			holdT := t + elapsed
-			accumulate(run(hold, overhead, qps))
-			if traced {
-				d.scope.Emit(obs.Span(obs.SpanHold, holdT, overhead))
-			}
+		holdT := t + elapsed
+		accumulate(run(hold, overhead, qps))
+		if traced {
+			d.scope.Emit(obs.Span(obs.SpanHold, holdT, overhead))
 		}
 	}
 

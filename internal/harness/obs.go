@@ -87,14 +87,10 @@ func (d *Driver) emitSliceTelemetry(rec *SliceRecord) {
 	d.emitHotpathTelemetry(c)
 }
 
-// emitHotpathTelemetry folds the fast-plane counters — surface-table
-// builds and lookups from the machine, pipeline overlap quanta from
-// the driver — into per-slice metric deltas. Counts are deterministic
-// functions of the simulated work, so the series stay byte-stable
-// across GOMAXPROCS like every other metric. (Overlap cannot advance
-// while a collector is attached — pipelining is gated off under
-// tracing to keep event order run-independent — but the delta is
-// emitted symmetrically in case that gate ever loosens.)
+// emitHotpathTelemetry folds the machine's surface-table build and
+// lookup counters into per-slice metric deltas. Counts are
+// deterministic functions of the simulated work, so the series stay
+// byte-stable across GOMAXPROCS like every other metric.
 func (d *Driver) emitHotpathTelemetry(c *obs.Scope) {
 	builds, lookups := d.m.SurfaceStats()
 	if delta := builds - d.lastBuilds; delta > 0 {
@@ -103,8 +99,5 @@ func (d *Driver) emitHotpathTelemetry(c *obs.Scope) {
 	if delta := lookups - d.lastLookups; delta > 0 {
 		c.Add(obs.MetricHotpathLookups, obs.NoLabels, float64(delta))
 	}
-	if delta := d.overlapQuanta - d.lastOverlap; delta > 0 {
-		c.Add(obs.MetricHotpathOverlap, obs.NoLabels, float64(delta))
-	}
-	d.lastBuilds, d.lastLookups, d.lastOverlap = builds, lookups, d.overlapQuanta
+	d.lastBuilds, d.lastLookups = builds, lookups
 }

@@ -12,11 +12,11 @@ import (
 // benchDriver assembles a driver over the static scheduler: the
 // scheduler does no real work, so the measurement isolates the
 // harness hot path the observability layer instruments.
-func benchDriver(b *testing.B, c obs.Collector) (*Driver, []float64, float64) {
-	b.Helper()
+func benchDriver(tb testing.TB, c obs.Collector) (*Driver, []float64, float64) {
+	tb.Helper()
 	lc, err := workload.ByName("silo")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	_, test := workload.SplitTrainTest(1, 16)
 	m := sim.New(sim.Spec{Seed: 1, LC: lc, Batch: workload.Mix(1, test, 16), Reconfigurable: true})
@@ -26,7 +26,7 @@ func benchDriver(b *testing.B, c obs.Collector) (*Driver, []float64, float64) {
 	}
 	d, err := NewDriver(m, Single(s), nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if c != nil {
 		d.SetCollector(c)
@@ -69,5 +69,32 @@ func TestNopCollectorAddsNoSliceAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nop telemetry path allocated %.1f times per slice, want 0", allocs)
+	}
+}
+
+// TestHotpathTelemetryEmitted: a traced run reports the machine's
+// surface-table counters as monotone metric series.
+func TestHotpathTelemetryEmitted(t *testing.T) {
+	rec := obs.NewRecorder()
+	d, qps, budgetW := benchDriver(t, rec)
+	defer d.Detach()
+	for i := 0; i < 3; i++ {
+		if _, err := d.StepSlice(qps, 0.5, budgetW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lookups float64
+	found := false
+	for _, s := range rec.Registry().Snapshot() {
+		if s.Name == obs.MetricHotpathLookups {
+			lookups, found = s.Value, true
+		}
+	}
+	if !found || lookups <= 0 {
+		t.Fatalf("hotpath lookup metric missing or zero (found=%v, v=%v)", found, lookups)
+	}
+	_, machineLookups := d.Machine().SurfaceStats()
+	if lookups != float64(machineLookups) {
+		t.Fatalf("metric reports %v lookups, machine counted %d", lookups, machineLookups)
 	}
 }

@@ -76,13 +76,13 @@ func TestAggregateInvariantAcrossWorkerCounts(t *testing.T) {
 	// when machines train with different parallelism.
 	const key = 0xbeef
 	var want uint64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for wi, procs := range []int{1, 2, 5, 8} {
-		prev := runtime.GOMAXPROCS(procs)
+		runtime.GOMAXPROCS(procs)
 		pl := New(Params{}, nil)
 		for machine := 0; machine < 3; machine++ {
 			pl.PublishFactors(key, machine, 7, factorSet(t, uint64(10+machine)))
 		}
-		runtime.GOMAXPROCS(prev)
 		pl.AggregatePending(7)
 		agg, _ := pl.Aggregate(key)
 		fp := SetFingerprint(agg)

@@ -135,11 +135,8 @@ const (
 	MetricShareVersion    = "cuttlesys_share_version"
 	MetricShareStaleness  = "cuttlesys_share_staleness_slices"
 
-	// Hot-path fast-plane counters (per-machine scope). Table builds
-	// and lookups come from the machine's perf.SurfaceTable; overlap
-	// counts slices whose decision compute ran concurrently with the
-	// hold phase (harness.Params.Pipeline).
+	// Hot-path fast-plane counters (per-machine scope): table builds
+	// and lookups from the machine's perf.SurfaceTable.
 	MetricHotpathTableBuilds = "cuttlesys_hotpath_table_builds_total"
 	MetricHotpathLookups     = "cuttlesys_hotpath_lookups_total"
-	MetricHotpathOverlap     = "cuttlesys_hotpath_overlap_quanta_total"
 )

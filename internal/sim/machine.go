@@ -171,7 +171,7 @@ func (m *Machine) lcIPC(appIdx int, app *workload.Profile, c config.Core, ways, 
 
 // SurfaceStats reports the machine's surface-table work counters:
 // staging/Build passes and lookups served. Fuel for the
-// cuttlesys_hotpath_* metrics and the table-vs-point audit.
+// cuttlesys_hotpath_* metrics.
 func (m *Machine) SurfaceStats() (builds, lookups uint64) { return m.tbl.Stats() }
 
 // ExtraLCs returns the machine's additional latency-critical services.
