@@ -96,10 +96,11 @@ bench-obs:
 
 # Race-detect the hot-path packages — the code the fast plane touches
 # — without paying for the full -race run; internal/sim covers the
-# LCSurfaces fan-out, the second line the single-flighted training-row
-# cache above it.
+# LCSurfaces fan-out (whose workers each run the internal/stats
+# selection on their own buffer), the second line the single-flighted
+# training-row cache above it.
 race-hot:
-	$(GO) test -race ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/harness/ ./internal/fleet/
+	$(GO) test -race ./internal/stats/ ./internal/ucp/ ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/harness/ ./internal/fleet/
 	$(GO) test -race ./internal/core/ -run TrainingRows
 
 # Re-check every seeded BENCH_*.json byte-regression gate in one go:

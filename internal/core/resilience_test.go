@@ -83,7 +83,16 @@ func TestGarbageTelemetryRejected(t *testing.T) {
 	if err := rt.ValidateProfile([]sim.PhaseResult{garbage}); err == nil {
 		t.Fatal("ValidateProfile accepted NaN telemetry")
 	}
+	cleanP99 := rt.svcs[0].lastP99Ms
 	rt.EndSliceMulti(garbage, []float64{5000})
+	// One NaN among plausible sojourns makes the whole tail NaN, so the
+	// feedback guard fires; sorted to the front it used to drop out of
+	// the p99 and the rest was learned as a 4 ms tail.
+	garbage.Sojourns = []float64{0.003, math.NaN(), 0.004}
+	rt.EndSliceMulti(garbage, []float64{5000})
+	if got := rt.svcs[0].lastP99Ms; got != cleanP99 {
+		t.Fatalf("garbage sojourns moved the tail estimate %v -> %v", cleanP99, got)
+	}
 	alloc, _ := rt.DecideMulti([]sim.PhaseResult{garbage, garbage}, []float64{5000}, 200)
 	checkAllocFinite(t, m, alloc)
 

@@ -532,6 +532,13 @@ type Driver struct {
 	prevAlloc *sim.Allocation
 	params    Params
 
+	// sojourns/extraSoj accumulate the slice's sojourn times per
+	// service. They are reused across slices (a slice's worth is tens
+	// of KB per service) and nothing outlives the percentile read that
+	// ends StepSlice, which is free to permute them.
+	sojourns []float64
+	extraSoj [][]float64
+
 	// lastBuilds/lastLookups hold the previous slice's surface-table
 	// counters so emitSliceTelemetry can emit per-slice deltas as
 	// monotone obs counters.
@@ -563,7 +570,8 @@ func NewDriver(m *sim.Machine, s MultiScheduler, inj FaultInjector) (*Driver, er
 	if inj != nil {
 		m.SetInjector(inj)
 	}
-	d := &Driver{m: m, s: s, inj: inj, nServices: nServices}
+	d := &Driver{m: m, s: s, inj: inj, nServices: nServices,
+		extraSoj: make([][]float64, len(m.ExtraLCs()))}
 	d.obs = obs.Nop
 	d.scope = obs.NewScope(nil)
 	d.validator, _ = s.(ProfileValidator)
@@ -635,9 +643,11 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 		return inj.ObservePhase(t, pr, profiling)
 	}
 
+	d.sojourns = d.sojourns[:0]
+	for x := range d.extraSoj {
+		d.extraSoj[x] = d.extraSoj[x][:0]
+	}
 	var (
-		sojourns  []float64
-		extraSoj  = make([][]float64, len(extras))
 		energyJ   float64
 		elapsed   float64
 		instrB    []float64
@@ -648,9 +658,9 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	bipsAccum = make([]float64, nBatch)
 
 	accumulate := func(pr sim.PhaseResult) {
-		sojourns = append(sojourns, pr.Sojourns...)
+		d.sojourns = append(d.sojourns, pr.Sojourns...)
 		for x := range pr.ExtraSojourns {
-			extraSoj[x] = append(extraSoj[x], pr.ExtraSojourns[x]...)
+			d.extraSoj[x] = append(d.extraSoj[x], pr.ExtraSojourns[x]...)
 		}
 		energyJ += pr.PowerW * pr.Dur
 		elapsed += pr.Dur
@@ -740,13 +750,13 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	d.prevAlloc = &prev
 
 	// Record.
-	rec.P99Ms = stats.P99(sojourns) * 1e3
-	rec.Violated = qosMs > 0 && rec.P99Ms > qosMs
+	rec.P99Ms = stats.PercentileInPlace(d.sojourns, 0.99) * 1e3
+	rec.Violated = qosMs > 0 && qosMissed(rec.P99Ms, qosMs)
 	for x, app := range extras {
-		p99 := stats.P99(extraSoj[x]) * 1e3
+		p99 := stats.PercentileInPlace(d.extraSoj[x], 0.99) * 1e3
 		rec.ExtraP99Ms = append(rec.ExtraP99Ms, p99)
 		rec.ExtraQoSMs = append(rec.ExtraQoSMs, app.QoSTargetMs)
-		rec.ExtraViolated = append(rec.ExtraViolated, p99 > app.QoSTargetMs)
+		rec.ExtraViolated = append(rec.ExtraViolated, qosMissed(p99, app.QoSTargetMs))
 		rec.ExtraLCCores = append(rec.ExtraLCCores, alloc.ExtraLC[x].Cores)
 		rec.ExtraLCCfg = append(rec.ExtraLCCfg, alloc.ExtraLC[x].Core.String())
 	}
@@ -769,6 +779,11 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	d.sliceIdx++
 	return rec, nil
 }
+
+// qosMissed reports whether a slice's tail latency failed its target.
+// It is written as "not met" rather than "exceeded" so that a NaN tail
+// — stats.Percentile's answer to a NaN sojourn — counts as a miss.
+func qosMissed(p99Ms, qosMs float64) bool { return !(p99Ms <= qosMs) }
 
 // String summarises a result for quick inspection.
 func (r *Result) String() string {

@@ -272,3 +272,17 @@ func TestModulated(t *testing.T) {
 		}
 	}
 }
+
+func TestQoSMissedTreatsNaNAsMiss(t *testing.T) {
+	for _, c := range []struct {
+		p99, qos float64
+		want     bool
+	}{
+		{7.9, 8, false}, {8, 8, false}, {8.1, 8, true},
+		{math.Inf(1), 8, true}, {math.NaN(), 8, true}, {0, 8, false},
+	} {
+		if got := qosMissed(c.p99, c.qos); got != c.want {
+			t.Errorf("qosMissed(%v, %v) = %v, want %v", c.p99, c.qos, got, c.want)
+		}
+	}
+}

@@ -578,8 +578,9 @@ func (m *Machine) effectiveWays(alloc *Allocation) (batch []float64, lc float64,
 		weight float64
 		miss   func(float64) float64
 		ways   float64
+		missed float64 // miss(ways) at the current iterate
 	}
-	var sharers []sharer
+	sharers := make([]sharer, 0, len(alloc.Batch)+1+len(alloc.ExtraLC))
 	for i, b := range alloc.Batch {
 		if b.Gated {
 			continue
@@ -589,7 +590,6 @@ func (m *Machine) effectiveWays(alloc *Allocation) (batch []float64, lc float64,
 			weight: app.MemFrac * app.L1MissRate,
 			miss:   app.MissRatio,
 		})
-		_ = i
 	}
 	lcIdx := -1
 	if m.lc != nil && alloc.LCCores > 0 {
@@ -623,13 +623,14 @@ func (m *Machine) effectiveWays(alloc *Allocation) (batch []float64, lc float64,
 	for iter := 0; iter < 8; iter++ {
 		total := 0.0
 		for i := range sharers {
-			total += sharers[i].weight * sharers[i].miss(sharers[i].ways)
+			sharers[i].missed = sharers[i].miss(sharers[i].ways)
+			total += sharers[i].weight * sharers[i].missed
 		}
 		if total <= 0 {
 			break
 		}
 		for i := range sharers {
-			insertion := float64(config.LLCWays) * sharers[i].weight * sharers[i].miss(sharers[i].ways) / total
+			insertion := float64(config.LLCWays) * sharers[i].weight * sharers[i].missed / total
 			target := reuseFloor*equal + (1-reuseFloor)*insertion
 			sharers[i].ways = 0.5*sharers[i].ways + 0.5*target
 		}

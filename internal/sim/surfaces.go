@@ -94,7 +94,7 @@ func LCSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile, k int, l
 				for s := 0; s < steps; s++ {
 					sojourns = append(sojourns, svc.Step(0.1, qps, meanSvc[i], app.QuerySigma)...)
 				}
-				latMs[i] = stats.P99(sojourns) * 1e3
+				latMs[i] = stats.PercentileInPlace(sojourns, 0.99) * 1e3
 				util := math.Min(1, qps*meanSvc[i]/float64(k))
 				pwr[i] = wm.Core(app, config.ResourceByIndex(i).Core, ipc[i]*util)
 			}

@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -58,24 +59,163 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Percentile returns the p-quantile (p in [0,1]) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-// The input is not modified.
+// Percentile returns the p-quantile (p in [0,1], clamped) of xs using
+// linear interpolation between closest ranks. It returns 0 for an
+// empty slice and NaN when any sample is NaN: a NaN has no rank, and
+// the tail of garbage telemetry must read as garbage rather than as
+// the tail of whatever else arrived. It panics on a NaN p. The input
+// is not modified: Percentile is one copy (which also finds any NaN)
+// plus the selection PercentileInPlace runs, so it costs one allocation
+// and expected O(n) comparisons, O(n log n) at worst. The result is
+// bit-identical to sorting xs and interpolating.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
+	p = clampP(p)
+	buf := make([]float64, len(xs))
+	nan := false
+	for i, x := range xs {
+		buf[i] = x
+		nan = nan || x != x
 	}
-	if p > 1 {
-		p = 1
+	if nan {
+		return math.NaN()
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return percentileSelect(buf, p)
 }
 
+// PercentileInPlace is Percentile for a caller that owns xs and does
+// not need its order afterwards: it allocates nothing and leaves xs
+// permuted (the same multiset, partially ordered around the selected
+// rank). Empty input, NaN samples and NaN p are handled as in
+// Percentile. It keeps no state between calls, so concurrent calls on
+// distinct slices are safe.
+func PercentileInPlace(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	p = clampP(p)
+	for _, x := range xs {
+		if x != x {
+			return math.NaN()
+		}
+	}
+	return percentileSelect(xs, p)
+}
+
+func clampP(p float64) float64 {
+	if p != p {
+		panic("stats: Percentile with NaN p")
+	}
+	if p < 0 {
+		return 0
+	}
+	if p > 1 {
+		return 1
+	}
+	return p
+}
+
+// percentileSelect reads the two order statistics the interpolation
+// needs without ordering the rest: selection places the ⌈rank⌉-th
+// smallest at its index with nothing larger before it, so the
+// ⌊rank⌋-th, when distinct, is the maximum of what precedes it. The
+// interpolation expression is percentileSorted's, operand for operand.
+// xs is NaN-free and non-empty; it is permuted.
+func percentileSelect(xs []float64, p float64) float64 {
+	n := len(xs)
+	if n == 1 {
+		return xs[0]
+	}
+	rank := p * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := int(math.Ceil(rank))
+	selectKth(xs, hi, 2*bits.Len(uint(n)))
+	if lo == hi {
+		return xs[hi]
+	}
+	below := xs[0]
+	for _, x := range xs[1:hi] {
+		if x > below {
+			below = x
+		}
+	}
+	frac := rank - float64(lo)
+	return below*(1-frac) + xs[hi]*frac
+}
+
+// selectKth permutes xs so that xs[k] is its k-th smallest element
+// (0-based), nothing before index k is larger and nothing after it is
+// smaller. It is a deterministic quickselect — median-of-three pivot,
+// Hoare partition, no randomness — that narrows one side per round.
+// After depth rounds without finishing (an adversarial input; random
+// data needs about a third of the 2·log2(n) its caller grants) it sorts
+// the range still in play, which bounds the worst case at O(n log n),
+// and reports true. xs must be NaN-free.
+//
+//hot:path every tail-latency reading: StepSlice, controller feedback, LCSurfaces
+func selectKth(xs []float64, k, depth int) (sorted bool) {
+	l, r := 0, len(xs)-1
+	for r-l >= 12 {
+		if depth == 0 {
+			sort.Float64s(xs[l : r+1])
+			return true
+		}
+		depth--
+		pivot := median3(xs[l], xs[l+(r-l)/2], xs[r])
+		// The pivot is an element of xs[l..r], so both scans stop
+		// inside the range on the first pass, and on later passes at
+		// the pair the previous pass swapped.
+		i, j := l, r
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[l..j] ≤ pivot ≤ xs[i..r]; anything between j and i equals
+		// the pivot and is already in place.
+		switch {
+		case k <= j:
+			r = j
+		case k >= i:
+			l = i
+		default:
+			return false
+		}
+	}
+	// Insertion sort finishes a short range.
+	for i := l + 1; i <= r; i++ {
+		for j := i; j > l && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+	return false
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+		if a > b {
+			b = a
+		}
+	}
+	return b
+}
+
+// percentileSorted interpolates the p-quantile of an ascending slice —
+// Box's reader, and the expression percentileSelect reproduces.
 func percentileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 1 {

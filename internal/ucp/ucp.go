@@ -45,9 +45,22 @@ func Partition(curves []Curve, totalWays, minWays int) []int {
 	}
 	balance := totalWays - n*minWays
 
-	utility := func(i, from, to int) float64 {
-		return curves[i].Weight *
-			(curves[i].MissRatio(float64(from)) - curves[i].MissRatio(float64(to)))
+	// An allocation only ever takes the integer values minWays …
+	// minWays+balance, so each curve is evaluated once per value up
+	// front and the lookahead reads the table: miss[i*stride+d] is
+	// curve i's miss ratio at minWays+d ways. The paper's machine (16
+	// jobs, 32 ways) fits the stack buffer; only a larger problem
+	// allocates.
+	stride := balance + 1
+	var stack [512]float64
+	miss := stack[:]
+	if n*stride > len(stack) {
+		miss = make([]float64, n*stride)
+	}
+	for i := range curves {
+		for d := 0; d < stride; d++ {
+			miss[i*stride+d] = curves[i].MissRatio(float64(minWays + d))
+		}
 	}
 
 	for balance > 0 {
@@ -55,8 +68,9 @@ func Partition(curves []Curve, totalWays, minWays int) []int {
 		bestMU := 0.0
 		for i := range curves {
 			// Lookahead: the step size maximising utility per way.
+			at := miss[i*stride+alloc[i]-minWays:]
 			for k := 1; k <= balance; k++ {
-				mu := utility(i, alloc[i], alloc[i]+k) / float64(k)
+				mu := curves[i].Weight * (at[0] - at[k]) / float64(k)
 				if mu > bestMU {
 					bestMU, bestApp, bestSteps = mu, i, k
 				}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cuttlesys/internal/rng"
 	"cuttlesys/internal/workload"
 )
 
@@ -138,4 +139,135 @@ func mustApp(t testing.TB, name string) *workload.Profile {
 		t.Fatal(err)
 	}
 	return app
+}
+
+// partitionReference is Partition as it was before the miss-ratio
+// table: the lookahead evaluates the curve closures at every step.
+func partitionReference(curves []Curve, totalWays, minWays int) []int {
+	n := len(curves)
+	alloc := make([]int, n)
+	for i := range alloc {
+		alloc[i] = minWays
+	}
+	balance := totalWays - n*minWays
+	utility := func(i, from, to int) float64 {
+		return curves[i].Weight *
+			(curves[i].MissRatio(float64(from)) - curves[i].MissRatio(float64(to)))
+	}
+	for balance > 0 {
+		bestApp, bestSteps := -1, 0
+		bestMU := 0.0
+		for i := range curves {
+			for k := 1; k <= balance; k++ {
+				mu := utility(i, alloc[i], alloc[i]+k) / float64(k)
+				if mu > bestMU {
+					bestMU, bestApp, bestSteps = mu, i, k
+				}
+			}
+		}
+		if bestApp < 0 {
+			break
+		}
+		alloc[bestApp] += bestSteps
+		balance -= bestSteps
+	}
+	for i := 0; balance > 0; i = (i + 1) % n {
+		alloc[i]++
+		balance--
+	}
+	return alloc
+}
+
+// randomCurves mixes the synthetic application curves with cliffs at
+// random way counts, the shape the lookahead exists for.
+func randomCurves(r *rng.RNG, n int) []Curve {
+	curves := make([]Curve, n)
+	for i, a := range workload.Synthetic(r.Uint64(), n) {
+		curves[i] = curveFor(a)
+		if r.Intn(4) == 0 {
+			edge, w := float64(1+r.Intn(12)), r.Float64()
+			curves[i] = Curve{Weight: w, MissRatio: func(ways float64) float64 {
+				if ways >= edge {
+					return 0.05
+				}
+				return 0.9
+			}}
+		}
+	}
+	return curves
+}
+
+func TestPartitionMatchesClosureReference(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(16)
+		minWays := r.Intn(3)
+		budget := n*minWays + r.Intn(40)
+		if trial%50 == 0 {
+			n, minWays, budget = 20, 1, 60 // larger than the stack-resident table
+		}
+		curves := randomCurves(r, n)
+		got, want := Partition(curves, budget, minWays), partitionReference(curves, budget, minWays)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (n=%d budget=%d min=%d): table %v, closures %v",
+					trial, n, budget, minWays, got, want)
+			}
+		}
+	}
+}
+
+// countingCurves wraps each curve's MissRatio with a call counter.
+func countingCurves(curves []Curve) ([]Curve, []int) {
+	calls := make([]int, len(curves))
+	out := make([]Curve, len(curves))
+	for i, c := range curves {
+		out[i] = Curve{Weight: c.Weight, MissRatio: func(w float64) float64 {
+			calls[i]++
+			return c.MissRatio(w)
+		}}
+	}
+	return out, calls
+}
+
+func TestPartitionEvaluatesEachCurveOncePerWayCount(t *testing.T) {
+	const totalWays = 28
+	curves, calls := countingCurves(randomCurves(rng.New(3), 16))
+	Partition(curves, totalWays, 1)
+	for i, c := range calls {
+		if c > totalWays+1 {
+			t.Errorf("curve %d evaluated %d times, want at most %d", i, c, totalWays+1)
+		}
+	}
+}
+
+// BenchmarkPartition is the core-gating baseline's per-slice call: 16
+// batch jobs sharing the 28 ways the LC service leaves.
+func BenchmarkPartition(b *testing.B) {
+	apps := workload.SPEC()[:16]
+	plain := make([]Curve, len(apps))
+	for i, a := range apps {
+		plain[i] = curveFor(a)
+	}
+	curves, calls := countingCurves(plain)
+	for _, impl := range []struct {
+		name string
+		f    func([]Curve, int, int) []int
+	}{
+		{"table", Partition},
+		{"closures", partitionReference},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			clear(calls)
+			for i := 0; i < b.N; i++ {
+				impl.f(curves, 28, 1)
+			}
+			total := 0
+			for _, c := range calls {
+				total += c
+			}
+			b.ReportMetric(float64(total)/float64(b.N), "missratio-calls/op")
+		})
+	}
 }
