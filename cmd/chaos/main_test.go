@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 )
 
 // TestSweepDeterministic is the report's reproducibility contract: a
-// fixed seed produces a byte-identical JSON report, run to run.
+// fixed seed produces a byte-identical JSON report, run to run and at
+// any GOMAXPROCS.
 func TestSweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
@@ -24,9 +26,11 @@ func TestSweepDeterministic(t *testing.T) {
 		}
 		return buf
 	}
-	a, b := marshal(), marshal()
-	if !bytes.Equal(a, b) {
-		t.Fatal("same seed produced different reports")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	a := marshal()
+	runtime.GOMAXPROCS(1)
+	if b := marshal(); !bytes.Equal(a, b) {
+		t.Fatal("same seed produced different reports at GOMAXPROCS 8 and 1")
 	}
 
 	var rep Report

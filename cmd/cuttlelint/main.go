@@ -13,9 +13,9 @@
 //
 // Package patterns are module-relative directories; a trailing /...
 // matches the subtree. With no patterns (or ./...) the whole module is
-// analyzed. The interprocedural checks (hottrans, dettaint,
-// lockregion) build their call graph from the analyzed packages only,
-// so run them over the full module for meaningful chains.
+// analyzed. The interprocedural checks (hotpath, lockregion) build
+// their call graph from the analyzed packages only, so run them over
+// the full module for meaningful chains.
 //
 // -json emits every finding — waived ones included, marked allowed —
 // as a sorted, deterministic JSON array with structured call chains,

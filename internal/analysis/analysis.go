@@ -9,8 +9,8 @@
 // reason about one function at a time. Wide analyzers run once over
 // the whole module on a shared call graph (Program) and prove
 // transitive properties — a hot-path root whose third-level callee
-// allocates, a wall-clock read that flows into a report writer — and
-// attach the offending call chain to the diagnostic.
+// allocates, a goroutine that writes shared state through a helper —
+// and attach the offending call chain to the diagnostic.
 //
 // A finding can be waived in place with a directive on the flagged
 // line or the line directly above it:
@@ -47,19 +47,12 @@ type Analyzer struct {
 	// Wide marks a module-wide analyzer: Run is invoked once with
 	// Pass.Prog set (and Pass.Pkg nil) instead of once per package.
 	Wide bool
-
-	// AlsoAllow lists additional check names whose //lint:allow
-	// directives waive this analyzer's findings. Interprocedural
-	// checks honor the waivers of the narrow check they generalise,
-	// so an existing documented allow keeps covering the same code.
-	AlsoAllow []string
 }
 
 // Analyzers returns the full cuttlelint suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Determinism, Seedflow, Floatsafe, Errdrop, Obsclean, Hotpath,
-		HotTrans, DetTaint, LockRegion,
+		Determinism, Seedflow, Floatsafe, Errdrop, Obsclean, Hotpath, LockRegion,
 	}
 }
 
@@ -224,24 +217,13 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 
-	// accepts maps a produced check name to the directive names that
-	// waive it: its own name plus any AlsoAllow aliases.
-	accepts := map[string]map[string]bool{}
-	for _, a := range analyzers {
-		names := map[string]bool{a.Name: true}
-		for _, alias := range a.AlsoAllow {
-			names[alias] = true
-		}
-		accepts[a.Name] = names
-	}
-
 	allows, all := collectAllows(pkgs, known, &diags)
 	for i := range diags {
 		d := &diags[i]
 		if d.Check == "lint" {
 			continue // directive problems are never self-waivable
 		}
-		suppress(d, accepts[d.Check], allows)
+		suppress(d, allows)
 	}
 
 	// Stale-waiver audit: only a full-suite run can prove a directive
@@ -288,18 +270,15 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// suppress waives d if a directive naming an accepted check sits on
-// the finding's line, the line above it, or — for chain-carrying
+// suppress waives d if a directive naming its check sits on the
+// finding's line, the line above it, or — for chain-carrying
 // diagnostics — on (or above) any frame of the call chain.
-func suppress(d *Diagnostic, accepted map[string]bool, allows map[string][]*allowDirective) {
-	if len(accepted) == 0 {
-		accepted = map[string]bool{d.Check: true}
-	}
+func suppress(d *Diagnostic, allows map[string][]*allowDirective) {
 	at := func(file string, line int) bool {
 		hit := false
 		for _, l := range []int{line, line - 1} {
 			for _, al := range allows[lineKey(file, l)] {
-				if accepted[al.check] {
+				if al.check == d.Check {
 					al.used = true
 					d.Suppressed = true
 					d.Reason = al.reason

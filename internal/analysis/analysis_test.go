@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,21 +26,10 @@ func analyzerByName(t *testing.T, name string) *Analyzer {
 // single named analyzer over it, returning the formatted report.
 func runFixture(t *testing.T, name string) string {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatalf("NewLoader(%s): %v", root, err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll(%s): %v", root, err)
-	}
+	loader, pkgs := loadModule(t, filepath.Join("testdata", name))
 	diags := RunAnalyzers(pkgs, []*Analyzer{analyzerByName(t, name)})
 	var buf bytes.Buffer
-	Format(&buf, root, diags, true)
+	Format(&buf, loader.Root, diags, true)
 	return buf.String()
 }
 
@@ -77,21 +67,45 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// repoRun caches the full suite's run over this repository: loading
+// the module dominates the cost, and the tests below only read it.
+var repoRun struct {
+	root  string
+	diags []Diagnostic
+}
+
+func lintRepo(t *testing.T) (string, []Diagnostic) {
+	t.Helper()
+	if repoRun.root == "" {
+		loader, pkgs := loadModule(t, "../..")
+		repoRun.diags = RunAnalyzers(pkgs, Analyzers())
+		repoRun.root = loader.Root
+	}
+	return repoRun.root, repoRun.diags
+}
+
 // TestRepoIsLintClean runs the full suite over this repository: the
 // invariants cuttlelint enforces must hold on the tree that ships it.
 func TestRepoIsLintClean(t *testing.T) {
-	loader, err := NewLoader("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunAnalyzers(pkgs, Analyzers())
+	root, diags := lintRepo(t)
 	var buf bytes.Buffer
-	if n := Format(&buf, loader.Root, diags, false); n != 0 {
+	if n := Format(&buf, root, diags, false); n != 0 {
 		t.Errorf("repository has %d lint violation(s):\n%s", n, buf.String())
+	}
+}
+
+// TestRepoFindingsReportedOnce checks that each invariant has one
+// check: no two findings over this repository share a position, so
+// every finding has exactly one waiver name.
+func TestRepoFindingsReportedOnce(t *testing.T) {
+	root, diags := lintRepo(t)
+	seen := map[string]string{}
+	for _, d := range diags {
+		at := fmt.Sprintf("%s:%d:%d", relPath(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column)
+		if prev, ok := seen[at]; ok {
+			t.Errorf("%s reported by both %s and %s", at, prev, d.Check)
+		}
+		seen[at] = d.Check
 	}
 }
 
@@ -99,19 +113,7 @@ func TestRepoIsLintClean(t *testing.T) {
 // directives that suppress nothing, and that a subset run — which
 // cannot prove a waiver dead — stays silent about them.
 func TestStaleWaiverAudit(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "stale"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	_, pkgs := loadModule(t, filepath.Join("testdata", "stale"))
 	var stale []Diagnostic
 	for _, d := range RunAnalyzers(pkgs, Analyzers()) {
 		if d.Check == "lint" && strings.Contains(d.Message, "stale //lint:allow") {
@@ -141,22 +143,11 @@ func TestStaleWaiverAudit(t *testing.T) {
 // byte-identical across runs, with structured chains and allowed
 // markers.
 func TestWriteJSONDeterministic(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "dettaint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader, pkgs := loadModule(t, filepath.Join("testdata", "hotpath"))
 	render := func() string {
-		pkgs, err := loader.LoadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags := RunAnalyzers(pkgs, []*Analyzer{analyzerByName(t, "dettaint")})
+		diags := RunAnalyzers(pkgs, []*Analyzer{analyzerByName(t, "hotpath")})
 		var buf bytes.Buffer
-		if err := WriteJSON(&buf, root, diags); err != nil {
+		if err := WriteJSON(&buf, loader.Root, diags); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -195,69 +186,10 @@ func TestAllowDirectiveForOtherCheckIsNotUnknown(t *testing.T) {
 	// The determinism fixture's allowed package carries determinism
 	// directives; running only seedflow over it must yield no "lint"
 	// diagnostics about unknown checks.
-	root, err := filepath.Abs(filepath.Join("testdata", "determinism"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pkgs := loadModule(t, filepath.Join("testdata", "determinism"))
 	for _, d := range RunAnalyzers(pkgs, []*Analyzer{analyzerByName(t, "seedflow")}) {
 		if d.Check == "lint" && strings.Contains(d.Message, "unknown check") {
 			t.Errorf("directive for registered check misreported: %s", d.Message)
 		}
-	}
-}
-
-// TestScenarioGolden extends the determinism suite to the scenario
-// engine: the fixture under testdata/scenario models internal/scenario
-// with its exported Parse*/Compile*/Resample* functions as dettaint
-// sinks and a global-rand draw for seedflow. It is not named after a
-// single analyzer, so TestGolden cannot host it; the run combines both
-// analyzers the engine is covered by.
-func TestScenarioGolden(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "scenario"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunAnalyzers(pkgs, []*Analyzer{
-		analyzerByName(t, "dettaint"), analyzerByName(t, "seedflow"),
-	})
-	var buf bytes.Buffer
-	Format(&buf, root, diags, true)
-	got := buf.String()
-	wantBytes, err := os.ReadFile(filepath.Join("testdata", "scenario", "want.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := string(wantBytes); got != want {
-		t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	var violations, allowed int
-	for _, line := range strings.Split(strings.TrimRight(got, "\n"), "\n") {
-		if strings.Contains(line, "(allowed: ") {
-			allowed++
-		} else if line != "" {
-			violations++
-		}
-	}
-	if violations < 3 {
-		t.Errorf("scenario fixture caught %d violations, want the rand chain, the wall-clock chain and the seedflow import", violations)
-	}
-	if allowed == 0 {
-		t.Error("scenario fixture honored no //lint:allow directive")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file is the interprocedural engine behind the wide analyzers:
@@ -24,10 +23,9 @@ import (
 //     passed as a value) is recorded as a reference edge: whoever
 //     holds the value may call it, so transitive passes follow it.
 //
-// Calls into the standard library or other modules are not edges; the
-// narrow checks already police the leaf calls that matter (time.Now,
-// math/rand, math.Log), and the wide passes re-detect those leaves in
-// whatever module-local frame they appear.
+// Calls into the standard library or other modules are not edges: the
+// leaf calls that matter (math.Log, make, append) are detected in
+// whatever module-local frame makes them.
 
 // A Program is the module-local call graph over the non-test packages.
 type Program struct {
@@ -306,21 +304,4 @@ func typeBaseName(t types.Type) string {
 	default:
 		return t.String()
 	}
-}
-
-// pathName qualifies fi by import path relative to the module —
-// "cmd/trace.main" instead of the ambiguous "main.main" — for sink
-// labels that must distinguish commands.
-func (fi *FuncInfo) pathName() string {
-	rel := fi.Pkg.Path
-	if rel == fi.Pkg.ModPath {
-		rel = fi.Pkg.Types.Name()
-	} else {
-		rel = strings.TrimPrefix(rel, fi.Pkg.ModPath+"/")
-	}
-	name := fi.Fn.Name()
-	if sig, ok := fi.Fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		name = recvDisplay(sig.Recv().Type()) + "." + name
-	}
-	return rel + "." + name
 }

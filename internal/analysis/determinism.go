@@ -11,6 +11,8 @@ import (
 // output must be a pure function of the seed. It forbids wall-clock
 // reads (time.Now / time.Since / time.Until), use of math/rand's
 // global source (whose sequences changed across Go releases),
+// execution-width reads (runtime.GOMAXPROCS / runtime.NumCPU) outside
+// tests and main packages, which may pin or record the width,
 // iteration over a map when the loop body is order-sensitive —
 // appending to a slice without sorting it afterwards, emitting output,
 // or accumulating floats or strings, all of which leak Go's randomized
@@ -22,7 +24,7 @@ import (
 // of scheduling.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock time, global math/rand, order-sensitive map iteration and shared writes from goroutines",
+	Doc:  "forbid wall-clock time, global math/rand, execution-width reads, order-sensitive map iteration and shared writes from goroutines",
 	Run:  runDeterminism,
 }
 
@@ -37,6 +39,7 @@ var seedflowFuncs = map[string]bool{
 
 func runDeterminism(p *Pass) {
 	info := p.Pkg.Info
+	library := !p.Pkg.ForTest && p.Pkg.Types.Name() != "main"
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -50,6 +53,8 @@ func runDeterminism(p *Pass) {
 					p.Reportf(n.Pos(), "call to time.%s reads the wall clock; seeded reports must not depend on host time", fn.Name())
 				case (path == "math/rand" || path == "math/rand/v2") && !seedflowFuncs[fn.Name()]:
 					p.Reportf(n.Pos(), "%s.%s uses the global math/rand source; draw from internal/rng instead", pathBase(path), fn.Name())
+				case path == "runtime" && (fn.Name() == "GOMAXPROCS" || fn.Name() == "NumCPU") && library:
+					p.Reportf(n.Pos(), "call to runtime.%s reads the host's execution width; seeded reports must not depend on it", fn.Name())
 				}
 			case *ast.RangeStmt:
 				checkMapRange(p, n)

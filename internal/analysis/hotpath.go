@@ -20,12 +20,31 @@ import (
 //
 //	//hot:path <why this function is on the eval path>
 //
-// Unmarked functions are never flagged; the check enforces a promise a
-// function makes about itself, not a global style.
+// The promise covers everything the marked body can reach through
+// module-local calls — a helper three frames down that calls append
+// still costs an allocation per candidate. The pass checks each root's
+// own body (depth 0), then walks its call closure breadth-first, so the
+// reported chain is a shortest witness:
+//
+//	append in sub.grow allocates per call; hoist the buffer into
+//	per-worker state — reached from //hot:path root hot.Score
+//	(chain hot.Score → sub.Cell → sub.grow)
+//
+// A callee that carries its own marker is skipped by the walk: it is a
+// root itself, so its body and closure are checked from there. Function
+// values are followed conservatively: a function passed as a value from
+// a hot body may be called by whoever receives it. Each offense is
+// reported once, and a //lint:allow hotpath directive at any frame of
+// the chain waives it.
+//
+// Unmarked functions are only checked when a marked one reaches them;
+// the check enforces a promise a function makes about itself, not a
+// global style.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "no log calls, allocation or map iteration in //hot:path-marked functions",
+	Doc:  "no log calls, allocation or map iteration in //hot:path functions or anything they call",
 	Run:  runHotpath,
+	Wide: true,
 }
 
 // hotMarker is the directive prefix, matched after the // with no
@@ -33,16 +52,45 @@ var Hotpath = &Analyzer{
 const hotMarker = "hot:path"
 
 func runHotpath(p *Pass) {
-	if p.Pkg.ForTest {
-		return
-	}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hotMarked(fd) {
-				continue
+	prog := p.Prog
+	reported := map[token.Pos]bool{} // closure offenses already attributed to some root
+	for _, root := range prog.Funcs {
+		if !root.Hot {
+			continue
+		}
+		for _, off := range scanHotOffenses(root.Pkg.Info, root.Decl.Body) {
+			p.Reportf(off.pos, "%s in hot-path function %s%s", off.head, root.Decl.Name.Name, off.tail)
+		}
+		type item struct {
+			fi    *FuncInfo
+			chain []Frame
+		}
+		rootFrame := Frame{Func: root.Name, Pos: prog.Fset.Position(root.Decl.Name.Pos())}
+		queue := []item{{root, []Frame{rootFrame}}}
+		visited := map[*FuncInfo]bool{root: true}
+		for len(queue) > 0 {
+			cur := queue[0]
+			queue = queue[1:]
+			for _, s := range prog.succs(cur.fi, true) {
+				if visited[s.target] {
+					continue
+				}
+				visited[s.target] = true
+				if s.target.Hot {
+					continue // a root itself: checked from there
+				}
+				chain := append(append([]Frame{}, cur.chain...),
+					Frame{Func: s.target.Name, Pos: prog.Fset.Position(s.pos)})
+				for _, off := range scanHotOffenses(s.target.Pkg.Info, s.target.Decl.Body) {
+					if reported[off.pos] {
+						continue
+					}
+					reported[off.pos] = true
+					p.ReportChain(off.pos, chain, "%s in %s%s — reached from //hot:path root %s",
+						off.head, s.target.Name, off.tail, root.Name)
+				}
+				queue = append(queue, item{s.target, chain})
 			}
-			checkHotBody(p, fd)
 		}
 	}
 }
@@ -68,10 +116,9 @@ func hotMarked(fd *ast.FuncDecl) bool {
 var hotLogCalls = map[string]bool{"Log": true, "Log2": true, "Log10": true, "Log1p": true}
 
 // hotOffense is one purity break inside a function body. head names
-// the construct and tail carries the advice; the per-function check
-// (hotpath) and the transitive check (hottrans) compose them around
-// different subjects, so the wording stays identical either way the
-// violation is found.
+// the construct and tail carries the advice; a root's own body and a
+// callee in its closure compose them around different subjects, so the
+// wording stays identical at any depth.
 type hotOffense struct {
 	pos  token.Pos
 	head string // "make", "append", "map iteration", "math.Log", "composite literal"
@@ -109,11 +156,4 @@ func scanHotOffenses(info *types.Info, body *ast.BlockStmt) []hotOffense {
 		return true
 	})
 	return offs
-}
-
-func checkHotBody(p *Pass, fd *ast.FuncDecl) {
-	name := fd.Name.Name
-	for _, off := range scanHotOffenses(p.Pkg.Info, fd.Body) {
-		p.Reportf(off.pos, "%s in hot-path function %s%s", off.head, name, off.tail)
-	}
 }

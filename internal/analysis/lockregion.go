@@ -31,15 +31,13 @@ import (
 //     reported at the write site with the chain from the spawning
 //     function down to the write.
 //
-// //lint:allow determinism waivers keep covering the same code, and a
-// //lint:allow lockregion directive at any chain frame waives the
+// A //lint:allow lockregion directive at any chain frame waives the
 // finding.
 var LockRegion = &Analyzer{
-	Name:      "lockregion",
-	Doc:       "goroutine-spawning shapes must reach captured state only through index-ordered merges or mutexes, checked through calls",
-	Run:       runLockRegion,
-	Wide:      true,
-	AlsoAllow: []string{"determinism"},
+	Name: "lockregion",
+	Doc:  "goroutine-spawning shapes must reach captured state only through index-ordered merges or mutexes, checked through calls",
+	Run:  runLockRegion,
+	Wide: true,
 }
 
 // writeKind classifies how a function writes one of its parameters.

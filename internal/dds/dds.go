@@ -322,7 +322,7 @@ func runSearch(params Params, ev evaluator) Result {
 	// channel between iterations (blocked, not spinning) and the caller
 	// works alongside them.
 	nExec := workers
-	//lint:allow dettaint caps execution width only; search results merge in index order and are bit-identical at any worker count
+	//lint:allow determinism caps execution width only; search results merge in index order and are bit-identical at any worker count
 	if mp := runtime.GOMAXPROCS(0); nExec > mp {
 		nExec = mp
 	}

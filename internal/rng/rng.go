@@ -102,7 +102,7 @@ func (r *RNG) Norm() float64 {
 		v := 2*r.Float64() - 1
 		s := u*u + v*v
 		if s > 0 && s < 1 {
-			//lint:allow hottrans the polar transform needs one Log per accepted pair; its argument is a fresh variate and cannot be tabulated
+			//lint:allow hotpath the polar transform needs one Log per accepted pair; its argument is a fresh variate and cannot be tabulated
 			f := math.Sqrt(-2 * math.Log(s) / s)
 			r.spare = v * f
 			r.hasSpare = true
