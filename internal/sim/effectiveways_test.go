@@ -87,17 +87,45 @@ func TestEffectiveWaysMatchesTwoEvaluationLoop(t *testing.T) {
 			a.Batch[i].Gated = r.Intn(4) == 0
 		}
 		m := New(spec)
-		gotB, gotLC, gotX := m.effectiveWays(&a)
 		wantB, wantLC, wantX := effectiveWaysReference(m, &a)
-		got := append(append(gotB, gotLC), gotX...)
 		want := append(append(wantB, wantLC), wantX...)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d occupancies, reference has %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("trial %d sharer %d: %v, two-evaluation loop %v", trial, i, got[i], want[i])
+		// The first call solves, the second is served by the memo.
+		for call := 0; call < 2; call++ {
+			gotB, gotLC, gotX := m.effectiveWays(&a)
+			got := append(append(gotB, gotLC), gotX...)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d call %d: %d occupancies, reference has %d", trial, call, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d call %d sharer %d: %v, two-evaluation loop %v", trial, call, i, got[i], want[i])
+				}
 			}
 		}
 	}
+}
+
+// BenchmarkEffectiveWays prices the unpartitioned equilibrium as the
+// substrate's baselines see it (16 batch jobs, a quarter gated, one LC
+// service): solved, and served from the per-machine memo.
+func BenchmarkEffectiveWays(b *testing.B) {
+	_, test := workload.SplitTrainTest(1, 16)
+	m := New(Spec{Seed: 1, LC: mustApp(b, "silo"), Batch: workload.Mix(3, test, 16)})
+	a := Uniform(16, true, 16, config.Widest, config.OneWay)
+	a.NoPartition = true
+	for i := 0; i < 16; i += 4 {
+		a.Batch[i].Gated = true
+	}
+	batch, extra := make([]float64, 16), []float64{}
+	b.Run("solve", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			clear(batch)
+			m.lruWays(&a, batch, extra)
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.effectiveWays(&a)
+		}
+	})
 }

@@ -72,6 +72,9 @@ type Machine struct {
 	// inj, when non-nil, disrupts execution phases with hardware
 	// faults (fail-stop, fail-slow). See SetInjector.
 	inj Injector
+
+	// ways memoises the unpartitioned LLC equilibrium (effectiveWays).
+	ways waysMemo
 }
 
 // New constructs a Machine from spec. It panics on invalid profiles so
@@ -265,6 +268,47 @@ func (m *Machine) Run(alloc Allocation, durSec, qps float64) PhaseResult {
 // latency-critical service (primary first). On a single-service
 // machine it is equivalent to Run.
 func (m *Machine) RunMulti(alloc Allocation, durSec float64, qps []float64) PhaseResult {
+	ph := m.newPhase(&alloc, durSec, qps)
+	ph.effBatch, ph.effLC, ph.effExtra = m.effectiveWays(&alloc)
+
+	// Converge the bandwidth fixed point: IPCs determine DRAM traffic,
+	// which determines latency inflation, which feeds back into IPCs.
+	// Traffic is a pure function of the inflation it is evaluated at, so
+	// an iteration that returns the inflation it started from has
+	// reached the fixed point and every later one would recompute it
+	// bit for bit. An uncontended machine stops after one pass.
+	inflation := 1.0
+	for iter := 0; iter < 3; iter++ {
+		next := bandwidthInflation(m.dramTraffic(&ph, inflation) / m.peakBW)
+		if next == inflation {
+			break
+		}
+		inflation = next
+	}
+	return m.execute(&ph, durSec, inflation)
+}
+
+// phase is one RunMulti call's resolved inputs, shared by the
+// bandwidth fixed point and the execution that follows it.
+type phase struct {
+	alloc *Allocation
+	qps   []float64
+	qps0  float64 // the primary service's offered load; 0 without one
+
+	d         Disruption
+	lcServers int // live primary-service cores
+	deadLC    int
+	deadBatch int
+
+	// LLC occupancies from effectiveWays.
+	effBatch []float64
+	effLC    float64
+	effExtra []float64
+}
+
+// newPhase validates a RunMulti call and resolves the phase's hardware
+// faults; the caller fills in the LLC occupancies.
+func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) phase {
 	if durSec <= 0 {
 		panic("sim: Run with non-positive duration")
 	}
@@ -283,84 +327,90 @@ func (m *Machine) RunMulti(alloc Allocation, durSec float64, qps []float64) Phas
 	if len(qps) < want {
 		panic(fmt.Sprintf("sim: %d offered loads for %d services", len(qps), want))
 	}
-	var qps0 float64
+	ph := phase{alloc: alloc, qps: qps}
 	if len(qps) > 0 {
-		qps0 = qps[0]
+		ph.qps0 = qps[0]
 	}
 
 	// Hardware faults for this phase (zero Disruption when healthy).
-	var d Disruption
 	if m.inj != nil {
-		d = m.inj.Disrupt(m.now).normalized()
+		ph.d = m.inj.Disrupt(m.now).normalized()
 	} else {
-		d = Disruption{SlowLC: 1, SlowBatch: 1}
+		ph.d = Disruption{SlowLC: 1, SlowBatch: 1}
 	}
 	// The service keeps at least one live core; a machine losing every
 	// LC core is outside the model (the whole box is down).
-	lcServers := alloc.LCCores
-	if m.lc != nil && alloc.LCCores > 0 && d.FailedLC > 0 {
-		lcServers = alloc.LCCores - d.FailedLC
-		if lcServers < 1 {
-			lcServers = 1
+	ph.lcServers = alloc.LCCores
+	if m.lc != nil && alloc.LCCores > 0 && ph.d.FailedLC > 0 {
+		ph.lcServers = alloc.LCCores - ph.d.FailedLC
+		if ph.lcServers < 1 {
+			ph.lcServers = 1
 		}
 	}
-	deadLC := alloc.LCCores - lcServers
-	deadBatch := d.FailedBatch
-	if bc := alloc.BatchCores(m.nCores); deadBatch > bc {
-		deadBatch = bc
+	ph.deadLC = alloc.LCCores - ph.lcServers
+	ph.deadBatch = ph.d.FailedBatch
+	if bc := alloc.BatchCores(m.nCores); ph.deadBatch > bc {
+		ph.deadBatch = bc
 	}
-	if deadBatch < 0 {
-		deadBatch = 0
+	if ph.deadBatch < 0 {
+		ph.deadBatch = 0
 	}
+	return ph
+}
 
-	effBatch, effLC, effExtra := m.effectiveWays(&alloc)
-
-	// Converge the bandwidth fixed point: IPCs determine DRAM traffic,
-	// which determines latency inflation, which feeds back into IPCs.
-	inflation := 1.0
-	for iter := 0; iter < 3; iter++ {
-		traffic := 0.0
-		for i, b := range alloc.Batch {
-			if b.Gated {
-				continue
-			}
-			f := m.freqFor(b.FreqGHz) * d.SlowBatch
-			var ipc, missesPerInstr float64
-			if wi := perf.WayIndex(effBatch[i]); wi >= 0 {
-				ipc = m.tbl.IPCAt(i, b.Core.Index(), wi, inflation, f)
-				missesPerInstr = m.tbl.MissPerInstr(i, wi)
-			} else {
-				ipc = m.Perf.IPCAtFreq(m.batch[i], b.Core, effBatch[i], inflation, f)
-				missesPerInstr = m.batch[i].MemFrac * m.batch[i].L1MissRate * m.batch[i].MissRatio(effBatch[i])
-			}
-			traffic += ipc * f * missesPerInstr * 64
+// dramTraffic is one pass of the bandwidth fixed point: the machine's
+// DRAM traffic in GB/s when memory latency is inflated by inflation.
+func (m *Machine) dramTraffic(ph *phase, inflation float64) float64 {
+	alloc, d := ph.alloc, ph.d
+	traffic := 0.0
+	for i, b := range alloc.Batch {
+		if b.Gated {
+			continue
 		}
-		if m.lc != nil && alloc.LCCores > 0 {
-			var perCore float64
-			if wi := perf.WayIndex(effLC); wi >= 0 {
-				perCore = m.tbl.TrafficAt(m.lcAppIdx(), alloc.LCCore.Index(), wi, inflation)
-			} else {
-				perCore = m.Perf.DRAMTrafficGBs(m.lc, alloc.LCCore, effLC, inflation)
-			}
-			util := m.lcUtilisation(&alloc, qps0, effLC, inflation, lcServers, d.SlowLC)
-			traffic += perCore * float64(lcServers) * util
+		f := m.freqFor(b.FreqGHz) * d.SlowBatch
+		var ipc, missesPerInstr float64
+		if wi := perf.WayIndex(ph.effBatch[i]); wi >= 0 {
+			ipc = m.tbl.IPCAt(i, b.Core.Index(), wi, inflation, f)
+			missesPerInstr = m.tbl.MissPerInstr(i, wi)
+		} else {
+			ipc = m.Perf.IPCAtFreq(m.batch[i], b.Core, ph.effBatch[i], inflation, f)
+			missesPerInstr = m.batch[i].MemFrac * m.batch[i].L1MissRate * m.batch[i].MissRatio(ph.effBatch[i])
 		}
-		for x, e := range alloc.ExtraLC {
-			app := m.extraLCs[x]
-			var perCore, ipc float64
-			if wi := perf.WayIndex(effExtra[x]); wi >= 0 {
-				perCore = m.tbl.TrafficAt(m.extraAppIdx(x), e.Core.Index(), wi, inflation)
-				ipc = m.tbl.IPCAt(m.extraAppIdx(x), e.Core.Index(), wi, inflation, m.Perf.FreqGHz())
-			} else {
-				perCore = m.Perf.DRAMTrafficGBs(app, e.Core, effExtra[x], inflation)
-				ipc = m.Perf.IPC(app, e.Core, effExtra[x], inflation)
-			}
-			meanSvc := m.extraInstr[x] / (ipc * m.Perf.FreqGHz() * 1e9)
-			util := svcUtilisation(qps[x+1], meanSvc, float64(e.Cores))
-			traffic += perCore * float64(e.Cores) * util
-		}
-		inflation = bandwidthInflation(traffic / m.peakBW)
+		traffic += ipc * f * missesPerInstr * 64
 	}
+	if m.lc != nil && alloc.LCCores > 0 {
+		var perCore float64
+		if wi := perf.WayIndex(ph.effLC); wi >= 0 {
+			perCore = m.tbl.TrafficAt(m.lcAppIdx(), alloc.LCCore.Index(), wi, inflation)
+		} else {
+			perCore = m.Perf.DRAMTrafficGBs(m.lc, alloc.LCCore, ph.effLC, inflation)
+		}
+		util := m.lcUtilisation(alloc, ph.qps0, ph.effLC, inflation, ph.lcServers, d.SlowLC)
+		traffic += perCore * float64(ph.lcServers) * util
+	}
+	for x, e := range alloc.ExtraLC {
+		app := m.extraLCs[x]
+		var perCore, ipc float64
+		if wi := perf.WayIndex(ph.effExtra[x]); wi >= 0 {
+			perCore = m.tbl.TrafficAt(m.extraAppIdx(x), e.Core.Index(), wi, inflation)
+			ipc = m.tbl.IPCAt(m.extraAppIdx(x), e.Core.Index(), wi, inflation, m.Perf.FreqGHz())
+		} else {
+			perCore = m.Perf.DRAMTrafficGBs(app, e.Core, ph.effExtra[x], inflation)
+			ipc = m.Perf.IPC(app, e.Core, ph.effExtra[x], inflation)
+		}
+		meanSvc := m.extraInstr[x] / (ipc * m.Perf.FreqGHz() * 1e9)
+		util := svcUtilisation(ph.qps[x+1], meanSvc, float64(e.Cores))
+		traffic += perCore * float64(e.Cores) * util
+	}
+	return traffic
+}
+
+// execute runs the phase at the converged inflation: batch progress,
+// the latency-critical queues, and chip power.
+func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
+	alloc, qps, qps0, d := ph.alloc, ph.qps, ph.qps0, ph.d
+	lcServers, deadLC, deadBatch := ph.lcServers, ph.deadLC, ph.deadBatch
+	effBatch, effLC, effExtra := ph.effBatch, ph.effLC, ph.effExtra
 
 	res := PhaseResult{
 		Dur:         durSec,
@@ -550,7 +600,8 @@ func (m *Machine) freqFor(override float64) float64 {
 // partitioning each job sees its allocation. Without partitioning all
 // active applications contend for the 32 ways with occupancy
 // proportional to per-core capacity demand (working-set size), the
-// first-order behaviour of shared LRU.
+// first-order behaviour of shared LRU; that equilibrium is memoised per
+// machine (waysMemo). The returned slices are the caller's.
 func (m *Machine) effectiveWays(alloc *Allocation) (batch []float64, lc float64, extra []float64) {
 	batch = make([]float64, len(m.batch))
 	extra = make([]float64, len(alloc.ExtraLC))
@@ -568,6 +619,18 @@ func (m *Machine) effectiveWays(alloc *Allocation) (batch []float64, lc float64,
 		}
 		return batch, lc, extra
 	}
+	lc, ok := m.ways.get(alloc, batch, extra)
+	if !ok {
+		lc = m.lruWays(alloc, batch, extra)
+		m.ways.put(alloc, batch, lc, extra)
+	}
+	return batch, lc, extra
+}
+
+// lruWays solves the unpartitioned equilibrium of alloc, writing the
+// batch jobs' and extra services' occupancies into batch and extra
+// (zeroed by the caller) and returning the primary service's.
+func (m *Machine) lruWays(alloc *Allocation, batch, extra []float64) (lc float64) {
 	// Unpartitioned LRU equilibrium: an application's occupancy is
 	// proportional to its insertion (miss) rate, and its miss rate
 	// rises as its occupancy shrinks — a negative feedback this fixed
@@ -609,7 +672,7 @@ func (m *Machine) effectiveWays(alloc *Allocation) (batch []float64, lc float64,
 		})
 	}
 	if len(sharers) == 0 {
-		return batch, 0, extra
+		return 0
 	}
 	for i := range sharers {
 		sharers[i].ways = float64(config.LLCWays) / float64(len(sharers))
@@ -649,7 +712,95 @@ func (m *Machine) effectiveWays(alloc *Allocation) (batch []float64, lc float64,
 	for x, si := range extraIdx {
 		extra[x] = sharers[si].ways
 	}
-	return batch, lc, extra
+	return lc
+}
+
+// waysMemoSize is how many unpartitioned equilibria a machine keeps. A
+// baseline's slice alternates between two occupancy patterns — it
+// profiles with every core on, then runs the gating it decided — so two
+// entries serve both.
+const waysMemoSize = 2
+
+// waysMemo caches lruWays per machine. The equilibrium reads nothing of
+// an allocation but which batch jobs are gated, the primary service's
+// core count and the extra services' core counts (the machine's
+// applications are fixed at New), so an entry keyed on exactly those
+// returns the solved occupancies bit for bit. Entries keep their
+// buffers: a miss overwrites the least recently used one in place.
+type waysMemo struct {
+	entries [waysMemoSize]waysEntry
+	clock   uint64 // last-use stamp source
+}
+
+type waysEntry struct {
+	used uint64 // last-use stamp; 0 marks an empty entry
+
+	// Key.
+	gated      []bool
+	lcCores    int
+	extraCores []int
+
+	// Solved occupancies.
+	batch []float64
+	lc    float64
+	extra []float64
+}
+
+func (e *waysEntry) matches(alloc *Allocation) bool {
+	if e.used == 0 || e.lcCores != alloc.LCCores ||
+		len(e.gated) != len(alloc.Batch) || len(e.extraCores) != len(alloc.ExtraLC) {
+		return false
+	}
+	for i, b := range alloc.Batch {
+		if e.gated[i] != b.Gated {
+			return false
+		}
+	}
+	for x, a := range alloc.ExtraLC {
+		if e.extraCores[x] != a.Cores {
+			return false
+		}
+	}
+	return true
+}
+
+// get copies alloc's cached occupancies into batch and extra and
+// returns the primary service's; ok is false on a miss.
+func (w *waysMemo) get(alloc *Allocation, batch, extra []float64) (lc float64, ok bool) {
+	for i := range w.entries {
+		if e := &w.entries[i]; e.matches(alloc) {
+			w.clock++
+			e.used = w.clock
+			copy(batch, e.batch)
+			copy(extra, e.extra)
+			return e.lc, true
+		}
+	}
+	return 0, false
+}
+
+// put records alloc's solved occupancies.
+func (w *waysMemo) put(alloc *Allocation, batch []float64, lc float64, extra []float64) {
+	e := &w.entries[0]
+	for i := range w.entries {
+		if w.entries[i].used < e.used {
+			e = &w.entries[i]
+		}
+	}
+	w.clock++
+	e.used = w.clock
+	e.gated = e.gated[:0]
+	for _, b := range alloc.Batch {
+		e.gated = append(e.gated, b.Gated)
+	}
+	e.lcCores = alloc.LCCores
+	e.extraCores = e.extraCores[:0]
+	for _, a := range alloc.ExtraLC {
+		e.extraCores = append(e.extraCores, a.Cores)
+	}
+	e.batch = append(e.batch[:0], batch...)
+	e.lc = lc
+	e.extra = append(e.extra[:0], extra...)
 }
 
 // bandwidthInflation maps DRAM bandwidth utilisation to a memory
