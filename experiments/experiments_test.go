@@ -169,10 +169,33 @@ func TestFig9RBFWorseThanSGD(t *testing.T) {
 	}
 }
 
+// TestFig5cShape checks the power-cap sweep's shape on the mean over
+// seeds 1–6 — the paper's claim is about the mean over mixes, and one
+// 8-slice draw can land either way (seed 2's CuttleSys row at the 55 %
+// cap reads half of gating+wp's).
 func TestFig5cShape(t *testing.T) {
-	rows, err := Fig5cPowerCapSweep(smallSetup())
-	if err != nil {
-		t.Fatal(err)
+	const seeds = 6
+	var rows []CapSweepRow
+	for seed := uint64(1); seed <= seeds; seed++ {
+		s := smallSetup()
+		s.Seed = seed
+		got, err := Fig5cPowerCapSweep(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows == nil {
+			rows = make([]CapSweepRow, len(got))
+			for i, r := range got {
+				rows[i] = CapSweepRow{Cap: r.Cap, Policy: r.Policy}
+			}
+		}
+		for i, r := range got {
+			if r.Cap != rows[i].Cap || r.Policy != rows[i].Policy {
+				t.Fatalf("seed %d: row %d is %v/%s, seed 1 had %v/%s", seed, i, r.Cap, r.Policy, rows[i].Cap, rows[i].Policy)
+			}
+			rows[i].RelInstr += r.RelInstr / seeds
+			rows[i].QoSViolations += r.QoSViolations
+		}
 	}
 	get := func(cap float64, policy string) CapSweepRow {
 		for _, r := range rows {
@@ -193,19 +216,21 @@ func TestFig5cShape(t *testing.T) {
 	// (paper: up to 2.46×) and the asymmetric oracle (up to 1.55×).
 	tight := 0.55
 	cs := get(tight, PolicyCuttleSys).RelInstr
+	t.Logf("mean relative instructions at %.0f%% cap over seeds 1–%d: cuttlesys %.3f, gating+wp %.3f, asymm-oracle %.3f",
+		tight*100, seeds, cs, get(tight, PolicyCoreGatingWP).RelInstr, get(tight, PolicyAsymmOracle).RelInstr)
 	if cg := get(tight, PolicyCoreGatingWP).RelInstr; cs < 1.3*cg {
-		t.Errorf("at %.0f%% cap CuttleSys (%.2f) should clearly beat gating+wp (%.2f)", tight*100, cs, cg)
+		t.Errorf("at %.0f%% cap CuttleSys (%.3f) should clearly beat gating+wp (%.3f)", tight*100, cs, cg)
 	}
-	// Against the oracle the single-mix margin is thin (the paper's
+	// Against the oracle the margin at this scale is thin (the paper's
 	// 1.55x is the best case over 50 mixes); at minimum CuttleSys must
 	// be on par here, with the clear wins covered by the gating check.
 	if ao := get(tight, PolicyAsymmOracle).RelInstr; cs < 0.95*ao {
-		t.Errorf("at %.0f%% cap CuttleSys (%.2f) should at least match the asymmetric oracle (%.2f)", tight*100, cs, ao)
+		t.Errorf("at %.0f%% cap CuttleSys (%.3f) should at least match the asymmetric oracle (%.3f)", tight*100, cs, ao)
 	}
 	// At the relaxed cap the fixed designs are at least on par
 	// (reconfiguration overheads, §VIII-C).
 	if cs, cg := get(0.9, PolicyCuttleSys).RelInstr, get(0.9, PolicyCoreGating).RelInstr; cs > 1.25*cg {
-		t.Errorf("at 90%% cap CuttleSys (%.2f) should not dominate gating (%.2f)", cs, cg)
+		t.Errorf("at 90%% cap CuttleSys (%.3f) should not dominate gating (%.3f)", cs, cg)
 	}
 }
 

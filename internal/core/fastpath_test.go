@@ -67,7 +67,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 			cells = append(cells, cell{svc: svc, seed: seed, slices: slices})
 		}
 	}
-	cells = append(cells, cell{svc: "xapian", seed: 1, slices: 10, work: &[3]int{32500, 389201, 130799}})
+	cells = append(cells, cell{svc: "xapian", seed: 1, slices: 10, work: &[3]int{32500, 388865, 131135}})
 	for _, c := range cells {
 		run := func(reference bool, col obs.Collector) *harness.Result {
 			m := fastPathMachine(t, c.svc, c.seed, 16)

@@ -10,6 +10,10 @@
 // (O'Neill, 2014). It is splittable: Split derives an independent child
 // stream, which the parallel DDS uses to give each worker goroutine its
 // own source without locking.
+//
+// Exp and Norm use the ziggurat method on this stream (ziggurat.go):
+// every simulated query draws one of each, so they are the queueing
+// substrate's inner loop.
 package rng
 
 import "math"
@@ -24,10 +28,6 @@ const (
 type RNG struct {
 	state uint64
 	inc   uint64 // stream selector; always odd
-
-	// cached second normal variate from the Box-Muller transform
-	hasSpare bool
-	spare    float64
 }
 
 // New returns a generator seeded with seed on the default stream.
@@ -91,26 +91,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Norm returns a standard normal variate (Box-Muller, cached pair).
-func (r *RNG) Norm() float64 {
-	if r.hasSpare {
-		r.hasSpare = false
-		return r.spare
-	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			//lint:allow hotpath the polar transform needs one Log per accepted pair; its argument is a fresh variate and cannot be tabulated
-			f := math.Sqrt(-2 * math.Log(s) / s)
-			r.spare = v * f
-			r.hasSpare = true
-			return u * f
-		}
-	}
-}
-
 // NormMeanStd returns a normal variate with the given mean and standard
 // deviation.
 func (r *RNG) NormMeanStd(mean, std float64) float64 {
@@ -121,20 +101,6 @@ func (r *RNG) NormMeanStd(mean, std float64) float64 {
 // underlying normal has the given mu and sigma.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.Norm())
-}
-
-// Exp returns an exponentially distributed variate with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
 }
 
 // Perm returns a random permutation of [0, n).
