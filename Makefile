@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench chaos fleet ops trace bench-obs scenario bench-scenario warmstart bench-warmstart bench-all perf-check race-hot lint lint-json fmt ci
+.PHONY: build test race vet bench reports trace scenario bench-all perf-check race-hot lint lint-json fmt ci
 
 build:
 	$(GO) build ./...
@@ -44,55 +44,30 @@ fmt:
 # Everything CI runs, in order.
 ci: build vet fmt test race lint
 
-# Regenerate the seeded resilience report (see EXPERIMENTS.md).
-chaos:
-	$(GO) run ./cmd/chaos -seed 1 -slices 30 -o BENCH_resilience.json
-
-# Regenerate the seeded cluster fleet report (see EXPERIMENTS.md).
-fleet:
-	$(GO) run ./cmd/fleet -seed 1 -machines 4 -slices 12 -o BENCH_fleet.json
-
-# Regenerate the seeded control-plane drill report (DESIGN.md §12,
-# EXPERIMENTS.md): failover, brownout and capacity-surge drills with
-# the full membership and transition logs.
-ops:
-	$(GO) run ./cmd/ops -seed 7 -machines 4 -slices 30 -o BENCH_ops.json
+# Regenerate every seeded BENCH_*.json report from its reference
+# parameters (the report registry in cmd/cuttlesys; EXPERIMENTS.md).
+# On an unchanged tree this leaves `git status` clean.
+REPORTS = resilience fleet obs ops scenario warmstart
+reports:
+	for r in $(REPORTS); do \
+		$(GO) run ./cmd/cuttlesys report $$r -o BENCH_$$r.json || exit 1; \
+	done
 
 # Capture the reference traced chaos run (DESIGN.md §10): trace JSONL,
 # Chrome trace_event JSON (load trace/trace.chrome.json in
-# chrome://tracing), a Prometheus metric snapshot, and the summary,
-# then summarise the trace with cmd/trace.
+# chrome://tracing), a Prometheus metric snapshot, and the summary
+# (BENCH_obs.json's bytes), then summarise the trace.
 trace:
 	mkdir -p trace
-	$(GO) run ./cmd/fleet -seed 1 -machines 3 -slices 10 -load 0.7 -cap 0.65 \
-		-trace trace/trace.jsonl -chrome trace/trace.chrome.json \
-		-prom trace/metrics.prom -o trace/summary.json
-	$(GO) run ./cmd/trace trace/trace.jsonl
+	$(GO) run ./cmd/cuttlesys report obs -trace trace/trace.jsonl \
+		-chrome trace/trace.chrome.json -prom trace/metrics.prom -o trace/summary.json
+	$(GO) run ./cmd/cuttlesys trace trace/trace.jsonl
 
 # Validate the declarative scenario library (DESIGN.md §13): every
 # spec must parse, round-trip through the canonical form and compile
 # self-contained.
 scenario:
-	$(GO) run ./cmd/scenario -validate
-
-# Regenerate the seeded scenario benchmark report (EXPERIMENTS.md):
-# the library scenarios not already pinned by the fleet/ops reports.
-bench-scenario:
-	$(GO) run ./cmd/scenario -seed 1 -o BENCH_scenario.json
-
-# Run the model-sharing warm-start sweep to stdout (DESIGN.md §14):
-# cold vs warm successors across staleness settings and fleet sizes.
-warmstart:
-	$(GO) run ./cmd/warmstart -seed 7
-
-# Regenerate the seeded warm-start reference report (EXPERIMENTS.md).
-bench-warmstart:
-	$(GO) run ./cmd/warmstart -seed 7 -o BENCH_warmstart.json
-
-# Regenerate the seeded trace-summary regression artifact.
-bench-obs:
-	$(GO) run ./cmd/fleet -seed 1 -machines 3 -slices 10 -load 0.7 -cap 0.65 \
-		-trace /dev/null -o BENCH_obs.json
+	$(GO) run ./cmd/cuttlesys validate
 
 # Race-detect the hot-path packages — the code the fast plane touches
 # — without paying for the full -race run; internal/sim covers the
@@ -104,8 +79,7 @@ race-hot:
 	$(GO) test -race ./internal/core/ -run TrainingRows
 
 # Re-check every seeded BENCH_*.json byte-regression gate in one go:
-# each reference report is regenerated in-process by its package's
-# tests and byte-compared against the checked-in artifact.
+# each registry report is regenerated in-process at GOMAXPROCS 1 and 8
+# and byte-compared against the checked-in artifact.
 bench-all:
-	$(GO) test ./cmd/chaos/ ./cmd/fleet/ ./cmd/ops/ ./cmd/scenario/ \
-		./cmd/warmstart/ ./experiments/
+	$(GO) test ./cmd/cuttlesys/ -run 'ReferenceReportsUnchanged'

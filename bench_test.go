@@ -4,7 +4,8 @@ package cuttlesys_test
 // bench regenerates its experiment at smoke scale and reports the
 // headline quantity through testing.B metrics (b.ReportMetric), so
 // `go test -bench=. -benchmem` both times the harness and prints the
-// reproduced numbers. Paper-scale runs live in the cmd/ tools.
+// reproduced numbers. Paper-scale runs are `cuttlesys paper <row>`
+// with -mixes/-slices raised (cmd/cuttlesys).
 
 import (
 	"fmt"

@@ -23,9 +23,9 @@ func TestMatchPattern(t *testing.T) {
 		{"internal/core", "internal/cor", false},
 		{"internal/core/deep", "internal/core/...", true},
 		{".", ".", true},
-		{"cmd/chaos", ".", false},
-		{"cmd/chaos", "cmd/...", true},
-		{"cmd/chaos", "experiments/...", false},
+		{"cmd/cuttlesys", ".", false},
+		{"cmd/cuttlesys", "cmd/...", true},
+		{"cmd/cuttlesys", "experiments/...", false},
 	}
 	for _, c := range cases {
 		if got := matchPattern(c.rel, c.pat); got != c.want {

@@ -1,18 +1,3 @@
-// Command trace converts and summarises CuttleSys trace JSONL — the
-// interchange form every instrumented run exports (DESIGN.md §10).
-// By default it prints a human-readable summary: the per-phase
-// simulated-time breakdown, the top spans by duration, and the
-// QoS-violation timeline. -chrome converts the trace to Chrome
-// trace_event JSON loadable in chrome://tracing or ui.perfetto.dev;
-// -summary emits the summary as canonical report JSON instead.
-//
-// All outputs are keyed to simulated time and byte-deterministic for
-// a given input trace.
-//
-// Usage:
-//
-//	trace [-chrome | -summary] [-top 10] [-o out] trace.jsonl
-//	fleet -trace /dev/stdout -o /dev/null | trace -
 package main
 
 import (
@@ -26,54 +11,50 @@ import (
 	"cuttlesys/internal/obs"
 )
 
-func main() {
-	chrome := flag.Bool("chrome", false, "convert to Chrome trace_event JSON")
-	summary := flag.Bool("summary", false, "emit the summary as report JSON")
-	top := flag.Int("top", 10, "spans to keep in the top-span list")
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: trace [-chrome | -summary] [-top N] [-o out] trace.jsonl")
-		os.Exit(2)
+// runTrace is `cuttlesys trace [flags] trace.jsonl`: it converts and
+// summarises trace JSONL, the interchange form every instrumented run
+// exports (DESIGN.md §10). By default it prints a human-readable
+// summary: the per-phase simulated-time breakdown, the top spans by
+// duration, the QoS-violation timeline and the controller search cost.
+// -chrome converts the trace to Chrome trace_event JSON loadable in
+// chrome://tracing or ui.perfetto.dev; -summary emits the summary as
+// canonical report JSON instead. "-" reads the trace from stdin. All
+// outputs are keyed to simulated time and byte-deterministic for a
+// given input trace.
+func runTrace(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cuttlesys trace", flag.ContinueOnError)
+	chrome := fs.Bool("chrome", false, "convert to Chrome trace_event JSON")
+	summary := fs.Bool("summary", false, "emit the summary as report JSON")
+	top := fs.Int("top", 10, "spans to keep in the top-span list")
+	var p params
+	p.bind(fs, "o")
+	pos, err := parse(fs, args)
+	if err != nil {
+		return err
 	}
-	if err := run(flag.Arg(0), *out, *chrome, *summary, *top); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		os.Exit(1)
+	if len(pos) != 1 {
+		return usageError("trace takes exactly one trace file, got %d", len(pos))
 	}
+	events, err := readTrace(pos[0])
+	if err != nil {
+		return err
+	}
+	return writeTo(p.Out, stdout, func(w io.Writer) error {
+		return convert(w, events, *chrome, *summary, *top)
+	})
 }
 
-// run reads the trace at path ("-" means stdin) and writes the
-// requested form to outPath (stdout when empty).
-func run(path, outPath string, chrome, summary bool, top int) error {
-	in := io.Reader(os.Stdin)
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
+// readTrace reads the trace JSONL at path ("-" means stdin).
+func readTrace(path string) ([]obs.Event, error) {
+	if path == "-" {
+		return obs.ReadJSONL(os.Stdin)
 	}
-	events, err := obs.ReadJSONL(in)
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	if outPath == "" {
-		return convert(os.Stdout, events, chrome, summary, top)
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	if err := convert(f, events, chrome, summary, top); err != nil {
-		f.Close()
-		return err
-	}
-	// Close carries the write-back error: a failed flush here means the
-	// converted trace never reached disk.
-	return f.Close()
+	defer f.Close()
+	return obs.ReadJSONL(f)
 }
 
 // convert writes events in the selected form; the default is the

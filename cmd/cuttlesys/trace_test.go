@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,6 +63,9 @@ func TestConvertSummaryJSON(t *testing.T) {
 	}
 }
 
+// TestRunRoundTripsJSONL drives the trace subcommand end to end: JSONL
+// on disk in, the summary JSON written with -o must equal converting
+// the events directly.
 func TestRunRoundTripsJSONL(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "trace.jsonl")
@@ -77,7 +81,7 @@ func TestRunRoundTripsJSONL(t *testing.T) {
 	}
 
 	out := filepath.Join(dir, "summary.json")
-	if err := run(in, out, false, true, 5); err != nil {
+	if err := run([]string{"trace", "-summary", "-top", "5", "-o", out, in}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(out)

@@ -1,35 +1,8 @@
-// Command warmstart measures what the fleet model-sharing plane
-// (internal/modelplane, DESIGN.md §14) buys a replacement machine: the
-// sweep runs a machine-loss drill — one machine fail-stops most of its
-// cores, the health pipeline evicts it, and the control plane
-// provisions a successor — once cold (no sharing: the successor
-// random/SVD-initialises its SGD model and pays the full sampling
-// phase) and once per staleness setting warm (the successor imports
-// the fleet-aggregated factors and fine-tunes). Each cell reports the
-// successor's sampling-phase quanta — decision slices where some
-// service still lacked a measured tail latency or full scan
-// confidence — which is the cost warm-starting exists to cut.
-//
-// Cells sweep the cold/warm mode, the plane's sync period (the
-// staleness knob: aggregates lag local truth by up to one period) and
-// the fleet size (more publishers average into the aggregate).
-//
-// Every run is deterministic: the plane folds publications in
-// ascending machine-id order inside the fleet's serial section, SGD
-// sweeps in serial order, and machine steps merge in index order — a
-// fixed -seed produces a byte-identical report at any GOMAXPROCS.
-//
-// Usage:
-//
-//	warmstart [-service xapian] [-slices 22] [-load 0.4] [-cap 0.8]
-//	          [-seed 7] [-o report.json]
 package main
 
 import (
-	"flag"
 	"fmt"
 	"math"
-	"os"
 
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/ctrlplane"
@@ -37,41 +10,34 @@ import (
 	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/modelplane"
-	"cuttlesys/internal/obs"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
 
-// faultSalt decorrelates the drill's fault schedule from the victim's
-// own machine stream.
-const faultSalt = 0xfa175a17
+const (
+	// warmJobs is the batch-mix size on every drill machine.
+	warmJobs = 8
+	// warmFaultAt is when the victim fail-stops, in seconds.
+	warmFaultAt = 0.3
+	// faultSalt decorrelates the drill's fault schedule from the
+	// victim's own machine stream.
+	faultSalt = 0xfa175a17
+	// victim is the machine the drill fail-stops. Id 1 keeps machine 0
+	// as an always-healthy publisher at every fleet size.
+	victim = 1
+)
 
-// victim is the machine the drill fail-stops. Id 1 keeps machine 0 as
-// an always-healthy publisher at every fleet size.
-const victim = 1
-
-// geometry is the sweep's shared run shape.
-type geometry struct {
-	service string
-	jobs    int
-	slices  int
-	load    float64
-	cap     float64
-	seed    uint64
-	faultAt float64
-}
-
-// cell is one sweep point: a fleet size and a share-plane sync period
-// (0 = plane off, the cold baseline).
-type cell struct {
+// warmCell is one sweep point: a fleet size and a share-plane sync
+// period (0 = plane off, the cold baseline).
+type warmCell struct {
 	machines int
 	sync     int
 }
 
-// cells defines the sweep: cold vs warm at two staleness settings,
+// warmCells defines the sweep: cold vs warm at two staleness settings,
 // across two fleet sizes.
-func cells() []cell {
-	return []cell{
+func warmCells() []warmCell {
+	return []warmCell{
 		{machines: 2, sync: 0},
 		{machines: 2, sync: 2},
 		{machines: 2, sync: 6},
@@ -108,8 +74,16 @@ type CellReport struct {
 	ShareVersion         int     `json:"shareVersion,omitempty"`
 }
 
-// Report is the full sweep.
-type Report struct {
+// WarmstartReport is the model-sharing sweep (BENCH_warmstart.json,
+// DESIGN.md §14). Each cell runs a machine-loss drill — one machine
+// fail-stops most of its cores, the health pipeline evicts it, and the
+// control plane provisions a successor — once cold (the successor
+// initialises its SGD model from scratch and pays the full sampling
+// phase) and once per staleness setting warm (the successor imports the
+// fleet-aggregated factors and fine-tunes). The plane folds
+// publications in ascending machine-id order inside the fleet's serial
+// section, so the report does not depend on GOMAXPROCS.
+type WarmstartReport struct {
 	Service string  `json:"service"`
 	Jobs    int     `json:"jobs"`
 	Slices  int     `json:"slices"`
@@ -125,50 +99,19 @@ type Report struct {
 	Cells      []CellReport `json:"cells"`
 }
 
-func round4(x float64) float64 { return math.Round(x*1e4) / 1e4 }
-
-func main() {
-	service := flag.String("service", "xapian", "latency-critical service (TailBench name)")
-	slices := flag.Int("slices", 22, "timeslices per cell")
-	load := flag.Float64("load", 0.4, "offered load fraction of aggregate capacity")
-	capFrac := flag.Float64("cap", 0.8, "cluster power cap fraction of aggregate reference power")
-	seed := flag.Uint64("seed", 7, "fleet seed (machine and provisioning seeds are derived)")
-	out := flag.String("o", "", "output file (default stdout)")
-	flag.Parse()
-
-	rep, err := suite(geometry{
-		service: *service, jobs: 8, slices: *slices,
-		load: *load, cap: *capFrac, seed: *seed, faultAt: 0.3,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "warmstart: %v\n", err)
-		os.Exit(1)
-	}
-	if err := obs.WriteReport(*out, rep); err != nil {
-		fmt.Fprintf(os.Stderr, "warmstart: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func suite(g geometry) (*Report, error) {
-	if g.slices < 10 {
-		return nil, fmt.Errorf("the drill needs at least 10 slices to evict and replace, got -slices %d", g.slices)
-	}
-	if g.load <= 0 || g.load > 1 {
-		return nil, fmt.Errorf("-load %v out of (0, 1]", g.load)
-	}
-	if g.cap <= 0 || g.cap > 1 {
-		return nil, fmt.Errorf("-cap %v out of (0, 1]", g.cap)
+func warmstartReport(p params) (any, error) {
+	if p.Slices < 10 {
+		return nil, fmt.Errorf("the drill needs at least 10 slices to evict and replace, got -slices %d", p.Slices)
 	}
 	defaults := modelplane.Params{}.WithDefaults()
-	rep := &Report{
-		Service: g.service, Jobs: g.jobs, Slices: g.slices,
-		Load: g.load, Cap: g.cap, Seed: g.seed, FaultAt: g.faultAt,
+	rep := &WarmstartReport{
+		Service: p.Service, Jobs: warmJobs, Slices: p.Slices,
+		Load: p.Load, Cap: p.Cap, Seed: p.Seed, FaultAt: warmFaultAt,
 		FineTune: defaults.FineTuneIters, Confidence: defaults.WarmConfidence,
 		Decay: defaults.Decay,
 	}
-	for _, c := range cells() {
-		cr, err := runCell(c, g)
+	for _, c := range warmCells() {
+		cr, err := runWarmCell(c, p)
 		if err != nil {
 			return nil, fmt.Errorf("machines=%d sync=%d: %w", c.machines, c.sync, err)
 		}
@@ -177,10 +120,10 @@ func suite(g geometry) (*Report, error) {
 	return rep, nil
 }
 
-// runCell runs one machine-loss drill and reads the successor's
+// runWarmCell runs one machine-loss drill and reads the successor's
 // sampling cost off its runtime.
-func runCell(c cell, g geometry) (CellReport, error) {
-	lc, err := workload.ByName(g.service)
+func runWarmCell(c warmCell, p params) (CellReport, error) {
+	lc, err := workload.ByName(p.Service)
 	if err != nil {
 		return CellReport{}, err
 	}
@@ -190,7 +133,7 @@ func runCell(c cell, g geometry) (CellReport, error) {
 	node := func(id int, seed uint64) fleet.NodeSpec {
 		m := sim.New(sim.Spec{
 			Seed: seed, LC: lc,
-			Batch:          workload.Mix(seed, pool, g.jobs),
+			Batch:          workload.Mix(seed, pool, warmJobs),
 			Reconfigurable: true,
 		})
 		rt := core.New(m, core.Params{
@@ -200,13 +143,13 @@ func runCell(c cell, g geometry) (CellReport, error) {
 		rts[id] = rt
 		return fleet.NodeSpec{Machine: m, Scheduler: rt}
 	}
-	seeds := fleet.Seeds(g.seed, c.machines)
-	specs := make([]fleet.NodeSpec, c.machines)
+	seeds := fleet.Seeds(p.Seed, c.machines)
+	nodes := make([]fleet.NodeSpec, c.machines)
 	for i, s := range seeds {
-		specs[i] = node(i, s)
+		nodes[i] = node(i, s)
 	}
-	specs[victim].Injector = fault.MustSchedule(seeds[victim]^faultSalt, fault.Event{
-		Kind: fault.CoreFailStop, Start: g.faultAt, End: math.Inf(1),
+	nodes[victim].Injector = fault.MustSchedule(seeds[victim]^faultSalt, fault.Event{
+		Kind: fault.CoreFailStop, Start: warmFaultAt, End: math.Inf(1),
 		Cores: 6, BatchCores: 2,
 	})
 
@@ -220,7 +163,7 @@ func runCell(c cell, g geometry) (CellReport, error) {
 		},
 		Scale: ctrlplane.ScaleConfig{
 			ReplaceEvicted: true,
-			Seed:           g.seed ^ 0x0b5e55ed,
+			Seed:           p.Seed ^ 0x0b5e55ed,
 			Provision: func(id int, seed uint64) (fleet.NodeSpec, error) {
 				return node(id, seed), nil
 			},
@@ -233,12 +176,12 @@ func runCell(c cell, g geometry) (CellReport, error) {
 		cfg.WarmStart = plane
 	}
 
-	mgr, err := ctrlplane.New(cfg, specs...)
+	mgr, err := ctrlplane.New(cfg, nodes...)
 	if err != nil {
 		return CellReport{}, err
 	}
 	defer mgr.Close()
-	res, err := mgr.Run(g.slices, harness.ConstantLoad(g.load), harness.ConstantBudget(g.cap))
+	res, err := mgr.Run(p.Slices, harness.ConstantLoad(p.Load), harness.ConstantBudget(p.Cap))
 	if err != nil {
 		return CellReport{}, err
 	}
@@ -248,6 +191,7 @@ func runCell(c cell, g geometry) (CellReport, error) {
 	if !ok {
 		return CellReport{}, fmt.Errorf("no successor was provisioned (slot %d)", successor)
 	}
+	ctl := summarizeControl(res)
 	cr := CellReport{
 		Mode:                    "cold",
 		Machines:                c.machines,
@@ -256,6 +200,8 @@ func runCell(c cell, g geometry) (CellReport, error) {
 		WarmStarted:             rt.WarmStarted(),
 		SuccessorSamplingQuanta: rt.SamplingQuanta(),
 		QoSMetFrac:              round4(res.Fleet.QoSMetFraction()),
+		Joins:                   ctl.Joins,
+		Evictions:               ctl.Evictions,
 	}
 	if c.sync > 0 {
 		cr.Mode = "warm"
@@ -269,13 +215,6 @@ func runCell(c cell, g geometry) (CellReport, error) {
 		total += rts[id].SamplingQuanta()
 	}
 	cr.SurvivorMeanSampling = round4(float64(total) / float64(survivors))
-	for _, ev := range res.Membership {
-		if ev.Event == "join" {
-			cr.Joins++
-		} else {
-			cr.Evictions++
-		}
-	}
 	if plane != nil {
 		cr.SharePublishes, cr.ShareAggregates, cr.ShareWarmStarts = plane.Totals()
 		for _, ks := range plane.Stats() {

@@ -13,8 +13,9 @@
 // simulator that stands in for the paper's zsim+McPAT testbed, the
 // CuttleSys runtime, every baseline from the paper's evaluation, the
 // workload catalog, and the experiment harness. The reproduction of
-// each table and figure lives in the experiments package, with one
-// runnable command per figure under cmd/.
+// each table and figure lives in the experiments package; the
+// cuttlesys command (cmd/cuttlesys) runs one per `cuttlesys paper
+// <row>`.
 //
 // Quick start:
 //
@@ -429,7 +430,8 @@ func RunTraced(m *Machine, s MultiScheduler, slices int, loads []LoadPattern, bu
 
 // WriteReport writes v in the repo's canonical report encoding —
 // two-space-indented JSON plus a trailing newline — to path, or to
-// stdout when path is empty. Every cmd/ report funnels through it.
+// stdout when path is empty: the encoding of every report
+// `cuttlesys report` and `cuttlesys run` write.
 func WriteReport(path string, v any) error { return obs.WriteReport(path, v) }
 
 // Scenario is a parsed declarative scenario spec: one spec file plus

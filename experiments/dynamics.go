@@ -89,7 +89,10 @@ func Dynamics(scenario DynamicsScenario, seed uint64, slices int) ([]harness.Sli
 	}
 
 	m := machineFor("xapian", seed+7, s.TrainSeed, true)
-	rt := schedulerFor(PolicyCuttleSys, m, s.Seed+seed)
+	rt, err := schedulerFor(PolicyCuttleSys, m, s.Seed+seed)
+	if err != nil {
+		return nil, err
+	}
 	res, err := harness.Run(m, rt, s.Slices, load, budget)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§VIII). Each experiment is a plain function returning
-// structured rows, so the cmd/ tools, the root benchmark suite and
-// downstream users can all regenerate the paper's results and compare
-// shapes. See EXPERIMENTS.md for the paper-vs-measured record.
+// structured rows, so the cuttlesys command (`cuttlesys paper <row>`),
+// the root benchmark suite and downstream users can all regenerate the
+// paper's results and compare shapes. See EXPERIMENTS.md for the
+// paper-vs-measured record.
 package experiments
 
 import (
@@ -26,6 +27,10 @@ const (
 	PolicyFlickerA     = "flicker-a"
 	PolicyFlickerB     = "flicker-b"
 	PolicyCuttleSys    = "cuttlesys"
+	// PolicyCuttleSysUnhardened is CuttleSys with its resilience guards
+	// off (core.Params.DisableResilience): the trusting control of the
+	// resilience report.
+	PolicyCuttleSysUnhardened = "cuttlesys-unhardened"
 	// PolicyDVFS is the maxBIPS per-core DVFS extension (§II-A1) — not
 	// part of the paper's Fig. 5c comparison set, available for
 	// extended sweeps.
@@ -103,41 +108,63 @@ func machineFor(service string, mixSeed, trainSeed uint64, reconfigurable bool) 
 // cores (and therefore pays the AnyCore penalties).
 func reconfigurableFor(policy string) bool {
 	switch policy {
-	case PolicyCuttleSys, PolicyFlickerA, PolicyFlickerB:
+	case PolicyCuttleSys, PolicyCuttleSysUnhardened, PolicyFlickerA, PolicyFlickerB:
 		return true
 	}
 	return false
 }
 
 // schedulerFor instantiates a policy on a machine.
-func schedulerFor(policy string, m *sim.Machine, seed uint64) harness.Scheduler {
+func schedulerFor(policy string, m *sim.Machine, seed uint64) (harness.Scheduler, error) {
 	switch policy {
 	case PolicyNoGating:
-		return baseline.NewNoGating(m)
+		return baseline.NewNoGating(m), nil
 	case PolicyCoreGating:
-		return baseline.NewCoreGating(m, baseline.DescendingPower, false, seed)
+		return baseline.NewCoreGating(m, baseline.DescendingPower, false, seed), nil
 	case PolicyCoreGatingWP:
-		return baseline.NewCoreGating(m, baseline.DescendingPower, true, seed)
+		return baseline.NewCoreGating(m, baseline.DescendingPower, true, seed), nil
 	case PolicyAsymmOracle:
-		return baseline.NewAsymmetric(m, true)
+		return baseline.NewAsymmetric(m, true), nil
 	case PolicyAsymm5050:
-		return baseline.NewAsymmetric(m, false)
+		return baseline.NewAsymmetric(m, false), nil
 	case PolicyFlickerA:
-		return baseline.NewFlicker(m, false, seed)
+		return baseline.NewFlicker(m, false, seed), nil
 	case PolicyFlickerB:
-		return baseline.NewFlicker(m, true, seed)
+		return baseline.NewFlicker(m, true, seed), nil
 	case PolicyDVFS:
-		return baseline.NewDVFS(m, seed)
+		return baseline.NewDVFS(m, seed), nil
 	case PolicyCuttleSys:
-		return core.New(m, core.Params{Seed: seed, TrainSeed: 1})
+		return core.New(m, core.Params{Seed: seed, TrainSeed: 1}), nil
+	case PolicyCuttleSysUnhardened:
+		return core.New(m, core.Params{Seed: seed, TrainSeed: 1, DisableResilience: true}), nil
 	}
-	panic(fmt.Sprintf("experiments: unknown policy %q", policy))
+	return nil, fmt.Errorf("experiments: unknown policy %q", policy)
+}
+
+// NewPolicyMachine builds the machine for one (service, mix seed) pair,
+// drawing the mix from the default training split, and the named
+// policy's scheduler on it: the single-machine setup every comparison
+// experiment runs. Fixed-core policies get a machine without the
+// reconfiguration penalties.
+func NewPolicyMachine(policy, service string, mixSeed, seed uint64) (*sim.Machine, harness.Scheduler, error) {
+	if _, err := workload.ByName(service); err != nil {
+		return nil, nil, err
+	}
+	m := machineFor(service, mixSeed, 1, reconfigurableFor(policy))
+	sched, err := schedulerFor(policy, m, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, sched, nil
 }
 
 // runOne executes one policy on one (service, mix, cap) cell.
 func runOne(policy, service string, mixSeed uint64, s Setup, capFrac float64) (*harness.Result, error) {
 	m := machineFor(service, mixSeed, s.TrainSeed, reconfigurableFor(policy))
-	sched := schedulerFor(policy, m, s.Seed+mixSeed)
+	sched, err := schedulerFor(policy, m, s.Seed+mixSeed)
+	if err != nil {
+		return nil, err
+	}
 	return harness.Run(m, sched, s.Slices,
 		harness.ConstantLoad(s.LoadFrac), harness.ConstantBudget(capFrac))
 }

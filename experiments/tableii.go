@@ -23,7 +23,7 @@ import (
 type TableIIResult struct {
 	ProfilingSec float64 // fixed by design: 2 × 1 ms windows
 	SGDSec       float64 // wall time of one four-surface reconstruction
-	DDSSec       float64 // wall time of one parallel DDS search
+	DDSSec       float64 // wall time of one parallel DDS search (SearchSeparable)
 }
 
 // TableIIOverheads measures the reconstruction and search wall time on
@@ -68,22 +68,21 @@ func TableIIOverheads(seed uint64) TableIIResult {
 	//lint:allow determinism Table II measures real scheduling wall time; the timing is the result
 	sgdSec := time.Since(start).Seconds()
 
-	// One parallel DDS search with the Fig. 6 parameters.
+	// One parallel DDS search with the Fig. 6 parameters, on the engine
+	// core.DecideMulti runs: SearchSeparable over a table objective, here
+	// one accumulator summing each running row's predicted throughput.
 	pred := sgd.Reconstruct(thrM, params)
 	rows := make([][]float64, 16)
 	for i := range rows {
 		rows[i] = pred.Row(len(train) + i)
 	}
-	obj := func(x []int) float64 {
-		s := 0.0
-		for i, j := range x {
-			s += rows[i][j]
-		}
-		return s
+	obj := &dds.SeparableObjective{
+		K: 1, Base: []float64{0}, Terms: rows,
+		Finish: func(acc []float64) float64 { return acc[0] },
 	}
 	//lint:allow determinism Table II measures real scheduling wall time; the timing is the result
 	start = time.Now()
-	dds.Search(obj, dds.Params{
+	dds.SearchSeparable(obj, dds.Params{
 		Dims: 16, NumConfigs: config.NumResources,
 		Seed: r.Uint64(), Workers: 8,
 	})

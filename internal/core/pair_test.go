@@ -141,7 +141,7 @@ func TestPairedRunMatchesSerial(t *testing.T) {
 }
 
 // TestDefaultRuntimeInvariantAcrossGOMAXPROCS is the contract every
-// paper figure, cmd/chaos and the examples lean on: a runtime built
+// paper figure, the resilience report and the examples lean on: a runtime built
 // with no SGD parameters at all produces the same slice records on one
 // processor and on four.
 func TestDefaultRuntimeInvariantAcrossGOMAXPROCS(t *testing.T) {

@@ -131,7 +131,8 @@ type Params struct {
 	DisableResilience bool
 
 	// Ablation switches: each disables one of the runtime's guards so
-	// its contribution can be measured (cmd/ablation). All default off.
+	// its contribution can be measured (`cuttlesys paper ablation`). All
+	// default off.
 	//
 	// DisableUtilVeto removes the utilisation check from the QoS scan,
 	// trusting the reconstructed latency row alone.

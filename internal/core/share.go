@@ -85,7 +85,7 @@ func (rt *Runtime) WarmStarted() bool { return rt.warmStarted }
 // SamplingQuanta counts the decision quanta spent in the sampling
 // phase: slices where some service still lacked a measured tail
 // latency or full scan confidence. It is the cost warm-starting cuts,
-// and cmd/warmstart's headline metric.
+// and the warmstart report's headline metric.
 func (rt *Runtime) SamplingQuanta() int { return rt.samplingQuanta }
 
 // shareParams specialises the SGD parameters for one surface: the

@@ -12,10 +12,10 @@
 //
 // Every perturbation is a pure function of the slice time and the
 // schedule's seed, so a fixed seed reproduces an identical run —
-// byte-identical reports under cmd/chaos. An empty schedule is a
-// guaranteed no-op: it draws no random numbers and returns its inputs
-// unchanged, so harness.RunFaulted with an empty schedule matches
-// harness.Run bit for bit.
+// byte-identical resilience reports (`cuttlesys report resilience`).
+// An empty schedule is a guaranteed no-op: it draws no random numbers
+// and returns its inputs unchanged, so harness.RunFaulted with an empty
+// schedule matches harness.Run bit for bit.
 package fault
 
 import (

@@ -4,7 +4,7 @@ package obs
 // instrumented subsystems (DESIGN.md §10). Names are dot-separated
 // "<subsystem>.<phase|event>"; metric names follow the Prometheus
 // convention "cuttlesys_<subject>_<unit-or-total>". Keeping them in
-// one place is what lets cmd/trace summarise any run and the docs
+// one place is what lets `cuttlesys trace` summarise any run and the docs
 // promise a stable vocabulary.
 
 // Span names: the slice phase structure of §IV-B (Fig. 3) plus the

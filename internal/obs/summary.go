@@ -8,7 +8,7 @@ import (
 	"strconv"
 )
 
-// Summary is cmd/trace's digest of a trace: per-phase simulated-time
+// Summary is `cuttlesys trace`'s digest of a trace: per-phase simulated-time
 // breakdown, the longest spans, and the QoS-violation timeline. Built
 // purely from trace events, it inherits their determinism, so the
 // seeded BENCH_obs.json report is byte-regression-testable.

@@ -131,7 +131,7 @@ type lineEvent struct {
 }
 
 // WriteJSONL writes one JSON object per event — the interchange form
-// cmd/trace consumes. Pass events in Recorder.Events order for the
+// `cuttlesys trace` consumes. Pass events in Recorder.Events order for the
 // canonical byte-deterministic file.
 func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)

@@ -26,7 +26,7 @@
 // rational p/q — and scaled against their base (the run's load or cap
 // fraction, or the run span for times) in the exact operation order
 // the legacy hard-coded scenarios used, so the specs/ ports of
-// cmd/fleet's and cmd/ops's built-in scenarios reproduce their BENCH
+// the fleet and ops reports' built-in scenarios reproduce their BENCH
 // reports byte for byte.
 package scenario
 

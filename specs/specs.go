@@ -1,10 +1,10 @@
-// Package specs embeds the repo's scenario spec library: the declarative
-// ports of the cmd/fleet cluster scenarios and cmd/ops control-plane
-// drills, plus the extended scenarios behind BENCH_scenario.json and a
+// Package specs embeds the repo's scenario spec library: the cluster
+// scenarios of the fleet report and the control-plane drills of the ops
+// report, plus the extended scenarios behind BENCH_scenario.json and a
 // recorded traffic trace for replay. Specs are plain text in the
-// internal/scenario grammar (DESIGN.md §13); cmd/scenario validates,
-// describes and runs them, and CI validates every file here on each
-// push.
+// internal/scenario grammar (DESIGN.md §13); `cuttlesys validate`,
+// `describe` and `run` validate, describe and run them, and CI
+// validates every file here on each push.
 package specs
 
 import "embed"

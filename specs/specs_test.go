@@ -22,9 +22,9 @@ func TestNamesSortedAndComplete(t *testing.T) {
 		have[n] = true
 	}
 	for _, n := range []string{
-		"steady", "diurnal", "degraded-node", "budget-squeeze", // cmd/fleet
-		"failover", "brownout", "surge", // cmd/ops
-		"flash-crowd", "load-shift-storm", "correlated-brownout", "trace-replay", // cmd/scenario
+		"steady", "diurnal", "degraded-node", "budget-squeeze", // report fleet
+		"failover", "brownout", "surge", // report ops
+		"flash-crowd", "load-shift-storm", "correlated-brownout", "trace-replay", // report scenario
 	} {
 		if !have[n] {
 			t.Errorf("library missing spec %q", n)
