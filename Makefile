@@ -72,10 +72,11 @@ scenario:
 # Race-detect the hot-path packages — the code the fast plane touches
 # — without paying for the full -race run; internal/sim covers the
 # LCSurfaces fan-out (whose workers each run the internal/stats
-# selection on their own buffer), the second line the single-flighted
-# training-row cache above it.
+# selection on their own buffer), internal/dds the search engine's
+# executors, the second line the single-flighted training-row cache
+# above it.
 race-hot:
-	$(GO) test -race ./internal/stats/ ./internal/ucp/ ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/harness/ ./internal/fleet/
+	$(GO) test -race ./internal/stats/ ./internal/ucp/ ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/dds/ ./internal/harness/ ./internal/fleet/
 	$(GO) test -race ./internal/core/ -run TrainingRows
 
 # Re-check every seeded BENCH_*.json byte-regression gate in one go:

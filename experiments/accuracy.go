@@ -245,12 +245,12 @@ func Fig9RBFvsSGD(seed uint64) []AccuracyResult {
 	// Core-config surfaces at one LLC way (Flicker has no cache
 	// dimension).
 	surface := func(app *workload.Profile) (bips, pwr []float64) {
+		allB, allP := sim.BatchSurfaces(pm, wm, app)
 		bips = make([]float64, config.NumCoreConfigs)
 		pwr = make([]float64, config.NumCoreConfigs)
-		for i, c := range config.AllCores() {
-			ipc := pm.IPC(app, c, 1, 1)
-			bips[i] = ipc * pm.FreqGHz()
-			pwr[i] = wm.Core(app, c, ipc)
+		for ci := range bips {
+			j := config.Resource{Core: config.CoreByIndex(ci), Cache: config.OneWay}.Index()
+			bips[ci], pwr[ci] = allB[j], allP[j]
 		}
 		return bips, pwr
 	}

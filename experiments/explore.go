@@ -10,6 +10,7 @@ import (
 	"cuttlesys/internal/ga"
 	"cuttlesys/internal/perf"
 	"cuttlesys/internal/power"
+	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
 
@@ -38,37 +39,39 @@ func Fig10aExploration(seed uint64, capFrac float64) (points []ExplorePoint, bud
 	_, pool := workload.SplitTrainTest(1, 16)
 	batch := workload.Mix(seed+7, pool, 16)
 
-	// Per-job surfaces over the 108 configurations.
-	thr := make([][]float64, len(batch))
-	pwr := make([][]float64, len(batch))
+	// Two accumulators per job and configuration: log-throughput and
+	// power. The score is the geometric-mean throughput less twice the
+	// power overshoot.
+	n := float64(len(batch))
+	fixed := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(config.NumMachineCore)
+	obj := &dds.SeparableObjective{K: 2, Base: []float64{0, fixed}, Terms: make([][]float64, len(batch))}
 	maxPower := 0.0
 	for i, app := range batch {
-		thr[i], pwr[i] = make([]float64, config.NumResources), make([]float64, config.NumResources)
-		for j, r := range config.AllResources() {
-			ipc := pm.IPC(app, r.Core, r.Cache.Ways(), 1)
-			thr[i][j] = ipc * pm.FreqGHz()
-			pwr[i][j] = wm.Core(app, r.Core, ipc)
+		thr, pwr := sim.BatchSurfaces(pm, wm, app)
+		t := make([]float64, 2*config.NumResources)
+		for j := range thr {
+			t[2*j] = math.Log(math.Max(thr[j], 1e-9))
+			t[2*j+1] = pwr[j]
 		}
-		maxPower += pwr[i][config.Resource{Core: config.Widest, Cache: config.FourWays}.Index()]
+		obj.Terms[i] = t
+		maxPower += pwr[config.Resource{Core: config.Widest, Cache: config.FourWays}.Index()]
 	}
-	fixed := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(config.NumMachineCore)
 	budgetW = capFrac * (maxPower + fixed)
-
+	obj.Finish = func(acc []float64) float64 {
+		g := math.Exp(acc[0] / n)
+		if over := acc[1] - budgetW; over > 0 {
+			g -= 2 * over
+		}
+		return g
+	}
 	eval := func(x []int) (gmean, chipPower float64) {
 		logSum := 0.0
 		chipPower = fixed
 		for i, j := range x {
-			logSum += math.Log(math.Max(thr[i][j], 1e-9))
-			chipPower += pwr[i][j]
+			logSum += obj.Terms[i][2*j]
+			chipPower += obj.Terms[i][2*j+1]
 		}
-		return math.Exp(logSum / float64(len(batch))), chipPower
-	}
-	obj := func(x []int) float64 {
-		g, p := eval(x)
-		if over := p - budgetW; over > 0 {
-			g -= 2 * over
-		}
-		return g
+		return math.Exp(logSum / n), chipPower
 	}
 
 	collect := func(pts []dds.Point, fromDDS bool, bestVal float64) {
@@ -85,13 +88,13 @@ func Fig10aExploration(seed uint64, capFrac float64) (points []ExplorePoint, bud
 		}
 	}
 
-	dres := dds.Search(obj, dds.Params{
+	dres := dds.SearchSeparable(obj, dds.Params{
 		Dims: len(batch), NumConfigs: config.NumResources,
 		Seed: seed, Workers: 4, Record: true,
 	})
 	collect(dres.Points, true, dres.BestVal)
 
-	gres := ga.Search(obj, ga.Params{
+	gres := ga.Search(ga.Objective(obj.Func()), ga.Params{
 		Dims: len(batch), NumConfigs: config.NumResources,
 		Seed: seed, Record: true,
 	})

@@ -29,9 +29,26 @@ type Asymmetric struct {
 	batch   []*workload.Profile
 	nCores  int
 	lcCores int
-	pm      *perf.Model
 	wm      *power.Model
+
+	// Slice-invariant terms, staged once from the fixed-core surface
+	// table: jobs run at two ways and the service at four, both under
+	// inflation 1.2, so only the service's power (which scales with the
+	// offered load) is left to each Decide.
+	jobs            []jobEval // job-ordered big/little template
+	lcLittle, lcBig lcTerms
 }
+
+// jobEval is one batch job's big-versus-little trade-off.
+type jobEval struct {
+	density        float64
+	i              int
+	powerB, powerL float64
+	gain           float64
+}
+
+// lcTerms is the service's IPC and mean service time on one core type.
+type lcTerms struct{ ipc, meanSvc float64 }
 
 var big = config.Widest
 var little = config.Narrowest
@@ -43,11 +60,36 @@ func NewAsymmetric(m *sim.Machine, oracle bool) *Asymmetric {
 		lc:     m.LC(),
 		batch:  m.Batch(),
 		nCores: m.NCores(),
-		pm:     perf.New(false),
 		wm:     power.New(false),
+		jobs:   make([]jobEval, len(m.Batch())),
+	}
+	pm := perf.New(false)
+	freq := pm.FreqGHz()
+	apps := append([]*workload.Profile(nil), a.batch...)
+	if a.lc != nil {
+		apps = append(apps, a.lc)
+	}
+	tbl := perf.NewSurfaceTable(pm, apps)
+	for i, app := range a.batch {
+		ipcB := tbl.IPCAt(i, big, 2, 1.2, freq)
+		ipcL := tbl.IPCAt(i, little, 2, 1.2, freq)
+		e := jobEval{
+			i:      i,
+			powerB: a.wm.Core(app, big, ipcB),
+			powerL: a.wm.Core(app, little, ipcL),
+			gain:   math.Log(ipcB / ipcL),
+		}
+		e.density = e.gain / math.Max(e.powerB-e.powerL, 1e-9)
+		a.jobs[i] = e
 	}
 	if a.lc != nil {
 		a.lcCores = m.NCores() / 2
+		q := pm.QueryInstr(a.lc)
+		lcAt := func(c config.Core) lcTerms {
+			ipc := tbl.IPCAt(len(a.batch), c, 4, 1.2, freq)
+			return lcTerms{ipc: ipc, meanSvc: q / (ipc * freq * 1e9)}
+		}
+		a.lcLittle, a.lcBig = lcAt(little), lcAt(big)
 	}
 	return a
 }
@@ -72,9 +114,7 @@ func (a *Asymmetric) lcNeedsBig(qps float64) bool {
 	if qps <= 0 {
 		return false
 	}
-	q := a.pm.QueryInstr(a.lc)
-	ipc := a.pm.IPC(a.lc, little, 4, 1.2)
-	meanSvc := q / (ipc * a.pm.FreqGHz() * 1e9)
+	meanSvc := a.lcLittle.meanSvc
 	if qps*meanSvc/float64(a.lcCores) > 0.75 {
 		return true
 	}
@@ -114,37 +154,21 @@ func (a *Asymmetric) Decide(profile []sim.PhaseResult, qps, budgetW float64) (si
 	// Per-job big/little choice: start everyone little, then upgrade by
 	// log-throughput gain per watt (the geometric-mean objective is a
 	// sum of logs) while the budget and the big-core count allow.
-	type jobEval struct {
-		density        float64
-		i              int
-		powerB, powerL float64
-		gain           float64
-	}
-	evals := make([]jobEval, n)
-	powerL := make([]float64, n)
 	lcPower := 0.0
 	if a.lc != nil {
-		ipc := a.pm.IPC(a.lc, alloc.LCCore, 4, 1.2)
-		meanSvc := a.pm.QueryInstr(a.lc) / (ipc * a.pm.FreqGHz() * 1e9)
-		util := math.Min(1, qps*meanSvc/float64(alloc.LCCores))
-		lcPower = a.wm.Core(a.lc, alloc.LCCore, ipc*util) * float64(alloc.LCCores)
+		lt := a.lcLittle
+		if lcOnBig {
+			lt = a.lcBig
+		}
+		util := math.Min(1, qps*lt.meanSvc/float64(alloc.LCCores))
+		lcPower = a.wm.Core(a.lc, alloc.LCCore, lt.ipc*util) * float64(alloc.LCCores)
 	}
 	budgetLeft := budgetW - fixedChipPower(a.nCores) - lcPower
-	for i, app := range a.batch {
-		ipcB := a.pm.IPC(app, big, 2, 1.2)
-		ipcL := a.pm.IPC(app, little, 2, 1.2)
-		evals[i] = jobEval{
-			i:      i,
-			powerB: a.wm.Core(app, big, ipcB),
-			powerL: a.wm.Core(app, little, ipcL),
-			gain:   math.Log(ipcB / ipcL),
-		}
-		evals[i].density = evals[i].gain /
-			math.Max(evals[i].powerB-evals[i].powerL, 1e-9)
-		powerL[i] = evals[i].powerL
+	for i, e := range a.jobs {
 		alloc.Batch[i] = sim.BatchAssign{Core: little, Cache: config.OneWay}
-		budgetLeft -= evals[i].powerL
+		budgetLeft -= e.powerL
 	}
+	evals := append([]jobEval(nil), a.jobs...)
 	sort.Slice(evals, func(x, y int) bool { return evals[x].density > evals[y].density })
 	bigs := 0
 	for _, e := range evals {
@@ -167,8 +191,8 @@ func (a *Asymmetric) Decide(profile []sim.PhaseResult, qps, budgetW float64) (si
 			if alloc.Batch[i].Gated || alloc.Batch[i].Core != little {
 				continue
 			}
-			if powerL[i] > worst {
-				worst, wi = powerL[i], i
+			if p := a.jobs[i].powerL; p > worst {
+				worst, wi = p, i
 			}
 		}
 		if wi < 0 {

@@ -92,7 +92,7 @@ func (rt *Runtime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW
 		algo, evals := "dds", 0
 		dimsScored := 0
 		if rt.p.Searcher == SearchGA {
-			obj := rt.objective(thr, pwr, lcRes, budgetW)
+			obj := rt.separableObjective(thr, pwr, lcRes, budgetW).Func()
 			r := ga.Search(ga.Objective(obj), ga.Params{
 				Dims:       nBatch,
 				NumConfigs: config.NumResources,
@@ -108,10 +108,8 @@ func (rt *Runtime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW
 			params.Seed = searchSeed
 			params.Init = init
 			var r dds.Result
-			if rt.referenceSearch {
-				// Closure objective under the reference engine: the
-				// oracle side of the equivalence tests.
-				r = dds.SearchReference(rt.objective(thr, pwr, lcRes, budgetW), params)
+			if rt.referenceSearch != nil {
+				r = rt.referenceSearch(thr, pwr, lcRes, budgetW, params)
 			} else {
 				r = dds.SearchSeparable(rt.separableObjective(thr, pwr, lcRes, budgetW), params)
 			}
@@ -446,59 +444,6 @@ func (rt *Runtime) totalLCCores() int {
 		n += sv.cores
 	}
 	return n
-}
-
-// objective builds the DDS objective (§VI-A): geometric-mean predicted
-// batch throughput with soft penalties on power and cache violations.
-// (The paper's printed objective penalises slack rather than violation
-// — an obvious typo; the intended max(0, violation) form is used, see
-// DESIGN.md §1.)
-func (rt *Runtime) objective(thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64) dds.Objective {
-	nBatch := len(rt.batch)
-	fixedPower := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(rt.nCores)
-	lcWays := 0.0
-	lcHalf := 0
-	for k, sv := range rt.svcs {
-		fixedPower += float64(sv.cores) * sv.predPwr
-		//lint:allow floatsafe config.Cache is a discrete enum encoded as float64; equality is identity
-		if lcRes[k].Cache == config.HalfWay {
-			lcHalf++
-		} else {
-			lcWays += lcRes[k].Cache.Ways()
-		}
-	}
-	// Precompute per-row prediction slices for lock-free concurrent reads.
-	thrRows := make([][]float64, nBatch)
-	pwrRows := make([][]float64, nBatch)
-	for i := 0; i < nBatch; i++ {
-		thrRows[i] = thr.Row(rt.batchRow(i))
-		pwrRows[i] = pwr.Row(rt.batchRow(i))
-	}
-	return func(x []int) float64 {
-		logSum := 0.0
-		powerW := fixedPower
-		ways := lcWays
-		halves := lcHalf
-		for i, j := range x {
-			logSum += math.Log(math.Max(thrRows[i][j], 1e-9))
-			powerW += pwrRows[i][j]
-			switch c := config.ResourceByIndex(j).Cache; c {
-			case config.HalfWay:
-				halves++
-			default:
-				ways += c.Ways()
-			}
-		}
-		ways += float64((halves + 1) / 2)
-		obj := math.Exp(logSum / float64(nBatch))
-		if over := powerW - budgetW; over > 0 {
-			obj -= rt.p.PenaltyPower * over
-		}
-		if over := ways - config.LLCWays; over > 0 {
-			obj -= rt.p.PenaltyCache * over
-		}
-		return obj
-	}
 }
 
 // buildAllocation converts the DDS decision vector plus the services'

@@ -9,11 +9,72 @@ import (
 	"cuttlesys/internal/dds"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/obs"
+	"cuttlesys/internal/power"
 	"cuttlesys/internal/rng"
 	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
+
+// closureObjective is the batch objective (§VI-A) as the per-candidate
+// closure the runtime scored with before the score tables: geometric-
+// mean predicted batch throughput with soft penalties on power and
+// cache violations, recomputing a math.Log and a ResourceByIndex per
+// job per evaluation. It is the oracle separableObjective is pinned to.
+func closureObjective(rt *Runtime, thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64) dds.Objective {
+	nBatch := len(rt.batch)
+	fixedPower := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(rt.nCores)
+	lcWays := 0.0
+	lcHalf := 0
+	for k, sv := range rt.svcs {
+		fixedPower += float64(sv.cores) * sv.predPwr
+		if lcRes[k].Cache == config.HalfWay {
+			lcHalf++
+		} else {
+			lcWays += lcRes[k].Cache.Ways()
+		}
+	}
+	// Precompute per-row prediction slices for lock-free concurrent reads.
+	thrRows := make([][]float64, nBatch)
+	pwrRows := make([][]float64, nBatch)
+	for i := 0; i < nBatch; i++ {
+		thrRows[i] = thr.Row(rt.batchRow(i))
+		pwrRows[i] = pwr.Row(rt.batchRow(i))
+	}
+	return func(x []int) float64 {
+		logSum := 0.0
+		powerW := fixedPower
+		ways := lcWays
+		halves := lcHalf
+		for i, j := range x {
+			logSum += math.Log(math.Max(thrRows[i][j], 1e-9))
+			powerW += pwrRows[i][j]
+			switch c := config.ResourceByIndex(j).Cache; c {
+			case config.HalfWay:
+				halves++
+			default:
+				ways += c.Ways()
+			}
+		}
+		ways += float64((halves + 1) / 2)
+		obj := math.Exp(logSum / float64(nBatch))
+		if over := powerW - budgetW; over > 0 {
+			obj -= rt.p.PenaltyPower * over
+		}
+		if over := ways - config.LLCWays; over > 0 {
+			obj -= rt.p.PenaltyCache * over
+		}
+		return obj
+	}
+}
+
+// useReferenceSearch routes rt's batch search through the closure
+// objective under dds.SearchReference.
+func useReferenceSearch(rt *Runtime) {
+	rt.referenceSearch = func(thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64, params dds.Params) dds.Result {
+		return dds.SearchReference(closureObjective(rt, thr, pwr, lcRes, budgetW), params)
+	}
+}
 
 // fastPathMachine builds a machine with nBatch jobs around the named
 // LC service, mirroring testMachine but with a configurable batch
@@ -72,7 +133,9 @@ func TestFastPathMatchesReference(t *testing.T) {
 		run := func(reference bool, col obs.Collector) *harness.Result {
 			m := fastPathMachine(t, c.svc, c.seed, 16)
 			rt := New(m, Params{Seed: c.seed})
-			rt.referenceSearch = reference
+			if reference {
+				useReferenceSearch(rt)
+			}
 			res, err := harness.RunTraced(m, rt, c.slices,
 				[]harness.LoadPattern{harness.ConstantLoad(0.7)}, harness.ConstantBudget(0.8), nil, col)
 			if err != nil {
@@ -142,7 +205,7 @@ func newSearchBench(tb testing.TB, seed uint64, nBatch int) *searchBench {
 }
 
 func (s *searchBench) reference() dds.Result {
-	return dds.SearchReference(s.rt.objective(s.thr, s.pwr, s.lcRes, s.budgetW), s.params)
+	return dds.SearchReference(closureObjective(s.rt, s.thr, s.pwr, s.lcRes, s.budgetW), s.params)
 }
 
 func (s *searchBench) fast() dds.Result {
@@ -155,7 +218,7 @@ func (s *searchBench) fast() dds.Result {
 func TestSeparableObjectiveMatchesClosure(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 5} {
 		s := newSearchBench(t, seed, 26)
-		obj := s.rt.objective(s.thr, s.pwr, s.lcRes, s.budgetW)
+		obj := closureObjective(s.rt, s.thr, s.pwr, s.lcRes, s.budgetW)
 		sep := s.rt.separableObjective(s.thr, s.pwr, s.lcRes, s.budgetW)
 		r := rng.New(seed)
 		x := make([]int, 26)
@@ -258,7 +321,7 @@ func BenchmarkDecideLoop(b *testing.B) {
 	cands := scheduleCandidates(2, 26, parent)
 	var sink float64
 	b.Run("eval-reference", func(b *testing.B) {
-		obj := s.rt.objective(s.thr, s.pwr, s.lcRes, s.budgetW)
+		obj := closureObjective(s.rt, s.thr, s.pwr, s.lcRes, s.budgetW)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -9,16 +9,20 @@ import (
 	"cuttlesys/internal/sgd"
 )
 
-// The batch objective (§VI-A) is separable: it folds per-job
-// contributions into four running accumulators — log-throughput sum,
-// power draw, cache ways, half-way count — and applies the geometric
-// mean and soft penalties at the end. separableObjective precomputes
-// every contribution once per decision quantum as a score table, so a
-// DDS evaluation becomes pure table additions: no math.Log, no
-// config.ResourceByIndex, no allocation on the eval path. The closure
-// form (objective, decide.go) is retained as the reference
-// implementation; the package's tests route the search through it and
-// pin the two bit-identical.
+// The batch objective (§VI-A) — geometric-mean predicted batch
+// throughput with soft penalties on power and cache violations — is
+// separable: it folds per-job contributions into four running
+// accumulators — log-throughput sum, power draw, cache ways, half-way
+// count — and applies the geometric mean and soft penalties at the end.
+// (The paper's printed objective penalises slack rather than violation
+// — an obvious typo; the intended max(0, violation) form is used, see
+// DESIGN.md §1.) separableObjective precomputes every contribution once
+// per decision quantum as a score table, so a DDS evaluation becomes
+// pure table additions: no math.Log, no config.ResourceByIndex, no
+// allocation on the eval path; the GA reads the same table through
+// SeparableObjective.Func. It is the objective's only production form:
+// the per-candidate closure it replaced lives in fastpath_test.go as
+// the oracle, pinned bit-identical to the table.
 const (
 	accLogThr = 0 // Σ log(max(thr, 1e-9)) over batch jobs
 	accPower  = 1 // fixed power + Σ per-job power
@@ -31,8 +35,7 @@ const (
 // once, at package init: waysTab[j] is the full-way count (0 for a
 // half-way config), halfTab[j] is 1 for a half-way config. Adding the
 // 0.0 entries is bit-safe — no term is −0.0, so x + 0.0 == x exactly —
-// which keeps the table fold identical to the closure's conditional
-// accumulation.
+// which keeps the table fold identical to a conditional accumulation.
 var (
 	waysTab [config.NumResources]float64
 	halfTab [config.NumResources]float64
@@ -49,12 +52,10 @@ func init() {
 	}
 }
 
-// separableObjective builds the score-table form of objective for the
+// separableObjective builds the batch objective's score table for the
 // current slice. The tables are rebuilt every call (the predictions
 // change each quantum) into scratch retained on the Runtime, so
-// steady-state slices allocate only the Finish closure. It must return
-// bit-identical scores to objective(thr, pwr, lcRes, budgetW) for
-// every decision vector.
+// steady-state slices allocate only the Finish closure.
 func (rt *Runtime) separableObjective(thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64) *dds.SeparableObjective {
 	nBatch := len(rt.batch)
 	fixedPower := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(rt.nCores)
@@ -103,9 +104,9 @@ func (rt *Runtime) separableObjective(thr, pwr *sgd.Prediction, lcRes []config.R
 	return &rt.sepObj
 }
 
-// finishObjective folds the accumulator vector into the score with the
-// same operations, in the same order, as the closure in objective:
-// half-way rounding, geometric mean, power penalty, cache penalty.
+// finishObjective folds the accumulator vector into the score:
+// half-way rounding, geometric mean, power penalty, cache penalty — the
+// operations, in order, of the closure oracle in fastpath_test.go.
 //
 //hot:path objective fold — pure arithmetic, no logs, no allocation
 func finishObjective(acc []float64, nBatch, budgetW, penPower, penCache float64) float64 {

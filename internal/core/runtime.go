@@ -293,11 +293,11 @@ type Runtime struct {
 	sepBase  []float64
 	sepObj   dds.SeparableObjective
 
-	// referenceSearch routes the batch search through the closure
-	// objective under dds.SearchReference instead of the table-driven
-	// incremental path. Only this package's tests set it: it is the
-	// oracle side of TestFastPathMatchesReference.
-	referenceSearch bool
+	// referenceSearch, when set, replaces the batch DDS search. Only
+	// this package's tests set it — to the closure objective under
+	// dds.SearchReference, the oracle side of
+	// TestFastPathMatchesReference.
+	referenceSearch func(thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64, params dds.Params) dds.Result
 }
 
 var (

@@ -16,15 +16,12 @@
 // scales (§VI-B). Worker 0 aggregates the per-worker bests between
 // barriers.
 //
-// Two objective forms are supported. A plain Objective is an opaque
-// function evaluated from scratch per candidate. A SeparableObjective
-// (see separable.go) is a precomputed score table that SearchSeparable
-// evaluates incrementally: each worker keeps prefix accumulators for
-// its local best and re-scores only from the first dimension perturb
-// actually changed — bit-identical to the full evaluation, because the
-// accumulation order is preserved, but an order of magnitude cheaper
-// in late iterations. Both entry points share one search engine, so
-// they consume the identical RNG stream and return identical results.
+// The engine scores a SeparableObjective (separable.go): a precomputed
+// score table evaluated incrementally — each worker keeps prefix
+// accumulators for its local best and re-scores only from the first
+// dimension perturb actually changed, bit-identical to the full
+// evaluation because the accumulation order is preserved, but an order
+// of magnitude cheaper in late iterations.
 //
 // The engine is lock-free on the hot path: eval counters, candidate
 // scratch and Record buffers are all per-worker (merged at each
@@ -32,7 +29,9 @@
 // deterministic at any GOMAXPROCS), and logical workers are decoupled
 // from physical executors — at GOMAXPROCS=1 the whole search runs
 // inline with zero goroutines. SearchReference (reference.go) preserves
-// the pre-fast-path engine for equivalence tests and benchmarks.
+// the pre-fast-path engine over a plain closure Objective; it is the
+// oracle of the equivalence tests and the benchmarks' baseline, and no
+// production path runs it.
 package dds
 
 import (
@@ -44,8 +43,10 @@ import (
 )
 
 // Objective scores a candidate decision vector; higher is better. Each
-// element of x is a configuration index in [0, NumConfigs). Objectives
-// must be safe for concurrent calls when Workers > 1.
+// element of x is a configuration index in [0, NumConfigs). It is the
+// plain-closure form SearchReference and the GA take
+// (SeparableObjective.Func); objectives must be safe for concurrent
+// calls when Workers > 1.
 type Objective func(x []int) float64
 
 // Params configures a search. The defaults mirror Fig. 6 of the paper.
@@ -123,57 +124,8 @@ type Result struct {
 	Points []Point
 }
 
-// Search runs (parallel) DDS over a plain objective and returns the
-// best point found. It panics on invalid parameters.
-func Search(obj Objective, params Params) Result {
-	return runSearch(params, plainEval{obj: obj})
-}
-
-// evaluator abstracts how the engine scores candidates: plain
-// objectives evaluate from scratch, separable objectives evaluate
-// incrementally against a per-worker parent prefix. Both must return
-// bit-identical values for identical candidates — the engine's control
-// flow (and therefore its RNG stream) never depends on which is used.
-type evaluator interface {
-	// full scores x from scratch. Serial phase only.
-	full(x []int) float64
-	// worker returns a per-worker evaluation context.
-	worker(dims int) workerEval
-}
-
-// workerEval is one worker's evaluation context.
-type workerEval interface {
-	// rebase fixes the parent point later eval calls diff against.
-	rebase(parent []int)
-	// eval scores cand. dmin is the first index at which cand may
-	// differ from the parent set by rebase; implementations may skip
-	// re-scoring dimensions below it.
-	eval(cand []int, dmin int) float64
-	// scored returns the dimension contributions accumulated so far.
-	scored() int64
-}
-
-// plainEval adapts an opaque Objective: every eval is a full call.
-type plainEval struct{ obj Objective }
-
-func (e plainEval) full(x []int) float64  { return e.obj(x) }
-func (e plainEval) worker(int) workerEval { return &plainWorker{obj: e.obj} }
-
-type plainWorker struct {
-	obj  Objective
-	dims int64
-}
-
-func (w *plainWorker) rebase([]int) {}
-func (w *plainWorker) eval(cand []int, _ int) float64 {
-	w.dims += int64(len(cand))
-	return w.obj(cand)
-}
-func (w *plainWorker) scored() int64 { return w.dims }
-
-// runSearch is the engine shared by Search and SearchSeparable.
-func runSearch(params Params, ev evaluator) Result {
-	p := params.withDefaults()
+// runSearch is the engine behind SearchSeparable; p carries defaults.
+func runSearch(p Params, obj *SeparableObjective) Result {
 	if p.Dims <= 0 || p.NumConfigs <= 0 {
 		panic("dds: Dims and NumConfigs must be positive")
 	}
@@ -194,6 +146,7 @@ func runSearch(params Params, ev evaluator) Result {
 	// This phase is serial: evaluations append to rec directly.
 	best := make([]int, p.Dims)
 	bestVal := math.Inf(-1)
+	acc := make([]float64, obj.K) // serial-phase scratch
 	consider := func(x []int, v float64) {
 		if v > bestVal {
 			bestVal = v
@@ -201,7 +154,7 @@ func runSearch(params Params, ev evaluator) Result {
 		}
 	}
 	evalSerial := func(x []int) float64 {
-		v := ev.full(x)
+		v := obj.eval(acc, x)
 		evals++
 		scored += int64(p.Dims)
 		if p.Record {
@@ -234,7 +187,7 @@ func runSearch(params Params, ev evaluator) Result {
 		evals int64
 	}
 	locals := make([]localBest, workers)
-	workerEvals := make([]workerEval, workers)
+	workerEvals := make([]*sepWorker, workers)
 	cands := make([][]int, workers)
 	var recBufs [][]Point
 	if p.Record {
@@ -242,7 +195,7 @@ func runSearch(params Params, ev evaluator) Result {
 	}
 	for w := range locals {
 		locals[w] = localBest{x: make([]int, p.Dims)}
-		workerEvals[w] = ev.worker(p.Dims)
+		workerEvals[w] = newSepWorker(obj, p.Dims)
 		cands[w] = make([]int, p.Dims)
 	}
 

@@ -2,28 +2,39 @@ package dds
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"cuttlesys/internal/rng"
 )
 
-// sphere is a simple concave objective with a known optimum.
-func sphere(target []int) Objective {
-	return func(x []int) float64 {
-		s := 0.0
-		for d := range x {
-			diff := float64(x[d] - target[d])
-			s -= diff * diff
+// sphere is a simple concave objective with a known optimum, as a K = 1
+// separable table over the 108-configuration domain: dimension d
+// contributes −(j − target[d])² for configuration j.
+func sphere(target []int) *SeparableObjective {
+	return separable1(len(target), 108, func(d, j int) float64 {
+		diff := float64(j - target[d])
+		return -diff * diff
+	})
+}
+
+// separable1 tabulates a per-dimension score into a K = 1 objective
+// whose Finish is the identity.
+func separable1(dims, configs int, term func(d, j int) float64) *SeparableObjective {
+	terms := make([][]float64, dims)
+	for d := range terms {
+		terms[d] = make([]float64, configs)
+		for j := range terms[d] {
+			terms[d][j] = term(d, j)
 		}
-		return s
 	}
+	return &SeparableObjective{K: 1, Base: []float64{0}, Terms: terms, Finish: func(acc []float64) float64 { return acc[0] }}
 }
 
 func TestFindsOptimumSerial(t *testing.T) {
 	target := []int{10, 50, 90, 30, 70}
-	res := Search(sphere(target), Params{
+	res := SearchSeparable(sphere(target), Params{
 		Dims: 5, NumConfigs: 108, Seed: 1, MaxIter: 80, PointsPerIter: 20,
 	})
 	for d := range target {
@@ -37,8 +48,8 @@ func TestFindsOptimumSerial(t *testing.T) {
 func TestParallelBeatsOrMatchesSerial(t *testing.T) {
 	target := []int{10, 50, 90, 30, 70, 20, 60, 100, 5, 80, 40, 55, 75, 15, 95, 35}
 	obj := sphere(target)
-	serial := Search(obj, Params{Dims: 16, NumConfigs: 108, Seed: 2})
-	parallel := Search(obj, Params{Dims: 16, NumConfigs: 108, Seed: 2, Workers: 8})
+	serial := SearchSeparable(obj, Params{Dims: 16, NumConfigs: 108, Seed: 2})
+	parallel := SearchSeparable(obj, Params{Dims: 16, NumConfigs: 108, Seed: 2, Workers: 8})
 	if parallel.BestVal < serial.BestVal-50 {
 		t.Fatalf("parallel DDS (%v) much worse than serial (%v)", parallel.BestVal, serial.BestVal)
 	}
@@ -55,11 +66,11 @@ func TestImprovesOverRandomStart(t *testing.T) {
 		for d := range x {
 			x[d] = r.Intn(108)
 		}
-		if v := obj(x); v > randBest {
+		if v := obj.Eval(x); v > randBest {
 			randBest = v
 		}
 	}
-	res := Search(obj, Params{Dims: 8, NumConfigs: 108, Seed: 3, Workers: 4})
+	res := SearchSeparable(obj, Params{Dims: 8, NumConfigs: 108, Seed: 3, Workers: 4})
 	if res.BestVal <= randBest {
 		t.Fatalf("search (%v) did not improve on random sampling (%v)", res.BestVal, randBest)
 	}
@@ -67,8 +78,8 @@ func TestImprovesOverRandomStart(t *testing.T) {
 
 func TestDeterministicForSeed(t *testing.T) {
 	obj := sphere([]int{5, 95, 55})
-	a := Search(obj, Params{Dims: 3, NumConfigs: 108, Seed: 7, Workers: 4})
-	b := Search(obj, Params{Dims: 3, NumConfigs: 108, Seed: 7, Workers: 4})
+	a := SearchSeparable(obj, Params{Dims: 3, NumConfigs: 108, Seed: 7, Workers: 4})
+	b := SearchSeparable(obj, Params{Dims: 3, NumConfigs: 108, Seed: 7, Workers: 4})
 	if a.BestVal != b.BestVal {
 		t.Fatalf("same seed, different results: %v vs %v", a.BestVal, b.BestVal)
 	}
@@ -83,7 +94,7 @@ func TestInitSeedingUsed(t *testing.T) {
 	target := []int{33, 66, 99, 11}
 	obj := sphere(target)
 	// Seeding the exact optimum must pin the result there.
-	res := Search(obj, Params{
+	res := SearchSeparable(obj, Params{
 		Dims: 4, NumConfigs: 108, Seed: 4, Init: [][]int{append([]int(nil), target...)},
 	})
 	if res.BestVal != 0 {
@@ -94,7 +105,7 @@ func TestInitSeedingUsed(t *testing.T) {
 func TestRecordPoints(t *testing.T) {
 	obj := sphere([]int{50, 50})
 	p := Params{Dims: 2, NumConfigs: 108, Seed: 5, Record: true}
-	res := Search(obj, p)
+	res := SearchSeparable(obj, p)
 	if len(res.Points) != res.Evals {
 		t.Fatalf("recorded %d points, evals %d", len(res.Points), res.Evals)
 	}
@@ -133,23 +144,28 @@ func TestPerturbStaysInBounds(t *testing.T) {
 	}
 }
 
+// TestObjectiveConcurrencySafety runs many workers over an objective
+// whose Finish counts its calls and checks the accumulator it is
+// handed: Finish runs concurrently (run under -race in CI) and exactly
+// once per evaluation.
 func TestObjectiveConcurrencySafety(t *testing.T) {
-	// Run with many workers and an objective that checks it sees
-	// consistent-length inputs; run under -race in CI.
-	var mu sync.Mutex
-	calls := 0
-	obj := func(x []int) float64 {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		if len(x) != 6 {
-			t.Error("objective saw wrong dimensionality")
+	var calls atomic.Int64
+	obj := separable1(6, 108, func(d, j int) float64 {
+		if d == 0 {
+			return -float64(j)
 		}
-		return -float64(x[0])
+		return 0
+	})
+	obj.Finish = func(acc []float64) float64 {
+		calls.Add(1)
+		if len(acc) != 1 {
+			t.Error("Finish saw the wrong accumulator width")
+		}
+		return acc[0]
 	}
-	res := Search(obj, Params{Dims: 6, NumConfigs: 108, Seed: 8, Workers: 8})
-	if res.Evals != calls {
-		t.Fatalf("Evals %d != objective calls %d", res.Evals, calls)
+	res := SearchSeparable(obj, Params{Dims: 6, NumConfigs: 108, Seed: 8, Workers: 8})
+	if int64(res.Evals) != calls.Load() {
+		t.Fatalf("Evals %d != Finish calls %d", res.Evals, calls.Load())
 	}
 	if res.Best[0] > 10 {
 		t.Fatalf("trivial objective not optimised: %v", res.Best)
@@ -168,13 +184,13 @@ func TestPanicsOnBadParams(t *testing.T) {
 					t.Errorf("case %d: Search did not panic", i)
 				}
 			}()
-			Search(func([]int) float64 { return 0 }, p)
+			SearchSeparable(separable1(p.Dims, p.NumConfigs, func(int, int) float64 { return 0 }), p)
 		}()
 	}
 }
 
 func TestSingleConfigDomain(t *testing.T) {
-	res := Search(func(x []int) float64 { return 1 }, Params{Dims: 3, NumConfigs: 1, Seed: 9})
+	res := SearchSeparable(separable1(3, 1, func(int, int) float64 { return 1 }), Params{Dims: 3, NumConfigs: 1, Seed: 9})
 	for _, v := range res.Best {
 		if v != 0 {
 			t.Fatal("single-config domain must stay at 0")

@@ -12,7 +12,7 @@ import (
 // closure (the bookkeeping lock every worker contends on), goroutines
 // spawned per iteration, and full from-scratch objective evaluation
 // for every candidate. Cross-implementation equivalence tests pin
-// Search and SearchSeparable to it — Best, BestVal and Evals must be
+// SearchSeparable to it — Best, BestVal and Evals must be
 // bit-identical — and BenchmarkDecideLoop measures the fast path
 // against it, so the speedup numbers are against the real pre-change
 // code, not a strawman.

@@ -8,10 +8,10 @@ import (
 )
 
 // TestEngineMatchesReference is the cross-implementation contract: the
-// persistent-pool engine (Search and SearchSeparable alike) must return
-// the same Best, BestVal bits and Evals as the preserved pre-change
-// implementation for every seed and worker count — the fast path
-// changes wall-clock only, never decisions.
+// persistent-pool engine must return the same Best, BestVal bits and
+// Evals as the preserved pre-change implementation over the closure
+// form of the same objective, for every seed and worker count — the
+// fast path changes wall-clock only, never decisions.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -21,24 +21,30 @@ func TestEngineMatchesReference(t *testing.T) {
 				InitialPoints: 25, Workers: workers, Seed: seed,
 			}
 			ref := SearchReference(sep.Func(), p)
-			for name, got := range map[string]Result{
-				"Search":          Search(sep.Func(), p),
-				"SearchSeparable": SearchSeparable(sep, p),
-			} {
-				if !reflect.DeepEqual(ref.Best, got.Best) {
-					t.Fatalf("%s w=%d seed=%d: Best differs from reference:\nref %v\ngot %v",
-						name, workers, seed, ref.Best, got.Best)
-				}
-				if math.Float64bits(ref.BestVal) != math.Float64bits(got.BestVal) {
-					t.Fatalf("%s w=%d seed=%d: BestVal bits differ: %x vs %x",
-						name, workers, seed, math.Float64bits(ref.BestVal), math.Float64bits(got.BestVal))
-				}
-				if ref.Evals != got.Evals {
-					t.Fatalf("%s w=%d seed=%d: Evals %d vs %d", name, workers, seed, ref.Evals, got.Evals)
-				}
+			got := SearchSeparable(sep, p)
+			if !reflect.DeepEqual(ref.Best, got.Best) {
+				t.Fatalf("w=%d seed=%d: Best differs from reference:\nref %v\ngot %v",
+					workers, seed, ref.Best, got.Best)
+			}
+			if math.Float64bits(ref.BestVal) != math.Float64bits(got.BestVal) {
+				t.Fatalf("w=%d seed=%d: BestVal bits differ: %x vs %x",
+					workers, seed, math.Float64bits(ref.BestVal), math.Float64bits(got.BestVal))
+			}
+			if ref.Evals != got.Evals {
+				t.Fatalf("w=%d seed=%d: Evals %d vs %d", workers, seed, ref.Evals, got.Evals)
 			}
 		}
 	}
+}
+
+// pointCounts keys each recorded point by its vector and value bits,
+// so two Points slices can be compared as multisets.
+func pointCounts(pts []Point) map[string]int {
+	m := make(map[string]int, len(pts))
+	for _, pt := range pts {
+		m[fmt.Sprintf("%v|%x", pt.X, math.Float64bits(pt.Val))]++
+	}
+	return m
 }
 
 // TestReferencePointsSameSet documents the reference engine's Points
@@ -52,19 +58,11 @@ func TestReferencePointsSameSet(t *testing.T) {
 		InitialPoints: 10, Workers: 4, Seed: 9, Record: true,
 	}
 	ref := SearchReference(sep.Func(), p)
-	fixed := Search(sep.Func(), p)
+	fixed := SearchSeparable(sep, p)
 	if len(ref.Points) != len(fixed.Points) {
 		t.Fatalf("point counts differ: %d vs %d", len(ref.Points), len(fixed.Points))
 	}
-	count := func(pts []Point) map[string]int {
-		m := make(map[string]int, len(pts))
-		for _, pt := range pts {
-			key := fmt.Sprintf("%v|%x", pt.X, math.Float64bits(pt.Val))
-			m[key]++
-		}
-		return m
-	}
-	if !reflect.DeepEqual(count(ref.Points), count(fixed.Points)) {
+	if !reflect.DeepEqual(pointCounts(ref.Points), pointCounts(fixed.Points)) {
 		t.Fatal("reference and fixed engines evaluated different point multisets")
 	}
 }

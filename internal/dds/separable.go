@@ -68,9 +68,9 @@ func (s *SeparableObjective) Eval(x []int) float64 {
 }
 
 // Func adapts s to a plain Objective. The closure allocates a fresh
-// accumulator per call, so it is safe for the concurrent calls Search
-// performs — it is the reference full-evaluation path (GA, equivalence
-// tests), not the fast one.
+// accumulator per call, so it is safe for concurrent calls — it is the
+// full-evaluation path the GA and SearchReference take, not the fast
+// one.
 func (s *SeparableObjective) Func() Objective {
 	return func(x []int) float64 {
 		acc := make([]float64, s.K)
@@ -97,17 +97,19 @@ func (s *SeparableObjective) validate(p Params) {
 	}
 }
 
-// SearchSeparable runs the identical search as Search(obj.Func(),
-// params) — same RNG stream, same comparisons, bit-identical Result —
-// but scores candidates incrementally: each worker keeps the prefix
-// accumulators of its local best and re-accumulates only from the
-// first perturbed dimension. Late DDS iterations perturb ~1 of Dims
-// dimensions, so most evaluations touch a short suffix instead of the
-// whole vector. The eval path performs zero allocations.
+// SearchSeparable runs (parallel) DDS over obj and returns the best
+// point found. It makes the decisions SearchReference(obj.Func(),
+// params) makes — same Best, BestVal bits and Evals — but scores
+// candidates incrementally: each worker keeps the prefix accumulators
+// of its local best and re-accumulates only from the first perturbed
+// dimension. Late DDS iterations perturb ~1 of Dims dimensions, so most
+// evaluations touch a short suffix instead of the whole vector. The
+// eval path performs zero allocations. It panics on invalid parameters
+// or an objective whose table does not fit them.
 func SearchSeparable(obj *SeparableObjective, params Params) Result {
 	p := params.withDefaults()
 	obj.validate(p)
-	return runSearch(p, &sepEval{o: obj})
+	return runSearch(p, obj)
 }
 
 // IncrementalEvaluator is the exported form of the per-worker
@@ -124,12 +126,7 @@ type IncrementalEvaluator struct {
 // candidates. The objective must satisfy the same layout contract as
 // SearchSeparable (one Terms row per dimension).
 func (s *SeparableObjective) NewIncremental(dims int) *IncrementalEvaluator {
-	return &IncrementalEvaluator{w: sepWorker{
-		o:    s,
-		dims: dims,
-		pre:  make([]float64, (dims+1)*s.K),
-		acc:  make([]float64, s.K),
-	}}
+	return &IncrementalEvaluator{w: *newSepWorker(s, dims)}
 }
 
 // Rebase fixes the parent point subsequent Eval calls diff against.
@@ -142,28 +139,6 @@ func (e *IncrementalEvaluator) Eval(cand []int, dmin int) float64 { return e.w.e
 
 // DimsScored returns the cumulative dimension contributions scored.
 func (e *IncrementalEvaluator) DimsScored() int64 { return e.w.scored() }
-
-// sepEval wires a SeparableObjective into the search engine.
-type sepEval struct {
-	o   *SeparableObjective
-	acc []float64 // serial-phase scratch
-}
-
-func (e *sepEval) full(x []int) float64 {
-	if len(e.acc) != e.o.K {
-		e.acc = make([]float64, e.o.K)
-	}
-	return e.o.eval(e.acc, x)
-}
-
-func (e *sepEval) worker(dims int) workerEval {
-	return &sepWorker{
-		o:    e.o,
-		dims: dims,
-		pre:  make([]float64, (dims+1)*e.o.K),
-		acc:  make([]float64, e.o.K),
-	}
-}
 
 // sepWorker is one worker's incremental evaluation context. pre holds
 // the parent point's prefix accumulators: pre[d·K : (d+1)·K] is the
@@ -178,6 +153,15 @@ type sepWorker struct {
 	pre     []float64
 	acc     []float64
 	nScored int64
+}
+
+func newSepWorker(o *SeparableObjective, dims int) *sepWorker {
+	return &sepWorker{
+		o:    o,
+		dims: dims,
+		pre:  make([]float64, (dims+1)*o.K),
+		acc:  make([]float64, o.K),
+	}
 }
 
 //hot:path parent prefix rebuild — pure additions, no logs, no allocation

@@ -42,11 +42,14 @@ func testSeparable(seed uint64, dims, configs int) *SeparableObjective {
 }
 
 // TestSeparableMatchesPlainSearch is the engine-level equivalence
-// contract: SearchSeparable must return a bit-identical Result to
-// Search over the adapter closure — same Best, same BestVal bits, same
+// contract: SearchSeparable must return the Result a search over the
+// plain adapter closure returns — same Best, same BestVal bits, same
 // Evals, same Points — across seeds, dims and worker counts, because
-// both share one engine and the incremental evaluation reproduces the
-// full evaluation's float additions exactly.
+// the incremental evaluation reproduces the full evaluation's float
+// additions exactly. The plain-closure search is SearchReference; with
+// one worker it records points in a fixed order, so they must match in
+// order, and with more its append order follows goroutine
+// interleaving, so they must match as a multiset.
 func TestSeparableMatchesPlainSearch(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		for seed := uint64(1); seed <= 6; seed++ {
@@ -55,7 +58,7 @@ func TestSeparableMatchesPlainSearch(t *testing.T) {
 				Dims: 26, NumConfigs: 108, MaxIter: 12, PointsPerIter: 5,
 				InitialPoints: 20, Workers: workers, Seed: seed, Record: true,
 			}
-			ref := Search(sep.Func(), p)
+			ref := SearchReference(sep.Func(), p)
 			fast := SearchSeparable(sep, p)
 			if !reflect.DeepEqual(ref.Best, fast.Best) {
 				t.Fatalf("w=%d seed=%d: Best differs:\nref  %v\nfast %v", workers, seed, ref.Best, fast.Best)
@@ -70,11 +73,15 @@ func TestSeparableMatchesPlainSearch(t *testing.T) {
 			if len(ref.Points) != len(fast.Points) {
 				t.Fatalf("w=%d seed=%d: %d vs %d points", workers, seed, len(ref.Points), len(fast.Points))
 			}
-			for i := range ref.Points {
-				if !reflect.DeepEqual(ref.Points[i].X, fast.Points[i].X) ||
-					math.Float64bits(ref.Points[i].Val) != math.Float64bits(fast.Points[i].Val) {
-					t.Fatalf("w=%d seed=%d: point %d differs", workers, seed, i)
+			if workers == 1 {
+				for i := range ref.Points {
+					if !reflect.DeepEqual(ref.Points[i].X, fast.Points[i].X) ||
+						math.Float64bits(ref.Points[i].Val) != math.Float64bits(fast.Points[i].Val) {
+						t.Fatalf("w=%d seed=%d: point %d differs", workers, seed, i)
+					}
 				}
+			} else if !reflect.DeepEqual(pointCounts(ref.Points), pointCounts(fast.Points)) {
+				t.Fatalf("w=%d seed=%d: evaluated point multisets differ", workers, seed)
 			}
 			if fast.DimsScored > ref.DimsScored {
 				t.Fatalf("w=%d seed=%d: incremental path scored more dims (%d) than full (%d)",
@@ -125,18 +132,12 @@ func TestSeparableIncrementalSavesWork(t *testing.T) {
 // regression test: Result.Points must come back in (iteration, worker,
 // point) order however the goroutines interleave.
 func TestRecordOrderDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	obj := func(x []int) float64 {
-		s := 0.0
-		for _, v := range x {
-			s -= math.Abs(float64(v) - 7)
-		}
-		return s
-	}
+	obj := separable1(12, 20, func(_, j int) float64 { return -math.Abs(float64(j) - 7) })
 	p := Params{
 		Dims: 12, NumConfigs: 20, MaxIter: 10, PointsPerIter: 8,
 		InitialPoints: 15, Workers: 6, Seed: 11, Record: true,
 	}
-	run := func() Result { return Search(obj, p) }
+	run := func() Result { return SearchSeparable(obj, p) }
 
 	narrowProcs := runtime.GOMAXPROCS(1)
 	narrow := run()
@@ -211,8 +212,7 @@ func TestSeparableValidate(t *testing.T) {
 // rebasing allocate nothing.
 func TestSeparableEvalPathZeroAllocs(t *testing.T) {
 	sep := testSeparable(8, 26, 108)
-	se := &sepEval{o: sep}
-	w := se.worker(26).(*sepWorker)
+	w := newSepWorker(sep, 26)
 	parent := make([]int, 26)
 	cand := make([]int, 26)
 	for d := range parent {
@@ -235,9 +235,9 @@ func TestSeparableEvalPathZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
-// BenchmarkDDSIncremental contrasts the full-evaluation engine with
-// the incremental separable path at the paper's operating point
-// (Dims=26, 108 configs, 8 workers).
+// BenchmarkDDSIncremental contrasts the reference engine (full
+// closure evaluation) with the incremental separable path at the
+// paper's operating point (Dims=26, 108 configs, 8 workers).
 func BenchmarkDDSIncremental(b *testing.B) {
 	sep := testSeparable(1, 26, 108)
 	p := Params{Dims: 26, NumConfigs: 108, Workers: 8, Seed: 1}
@@ -245,12 +245,6 @@ func BenchmarkDDSIncremental(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			SearchReference(sep.Func(), p)
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Search(sep.Func(), p)
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {

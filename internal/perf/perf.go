@@ -24,6 +24,10 @@
 // depends on: IPC is monotone in every section width and in cache ways,
 // exhibits diminishing returns, and the binding bottleneck varies per
 // application (Fig. 1).
+//
+// SurfaceTable (table.go) is the evaluator the simulator, baselines and
+// experiments read, at any way count; Model.IPC is the pointwise form
+// of the same formula.
 package perf
 
 import (
@@ -63,32 +67,30 @@ const baseBranchPenalty = 14.0
 // IPC returns the instructions per cycle of app running alone on a core
 // configured as c with the given LLC ways, under the given memory
 // latency inflation factor (1 = uncontended DRAM; >1 models bandwidth
-// queueing). It panics on nil app; callers validate profiles upstream.
+// queueing), at the model's clock. It is the closed form SurfaceTable
+// stages: coreTerms and foldIPC are the only statement of the CPI
+// formula, and a table lookup is bit-identical to this call. It panics
+// on nil app; callers validate profiles upstream.
 func (m *Model) IPC(app *workload.Profile, c config.Core, ways float64, memInflation float64) float64 {
-	return m.IPCAtFreq(app, c, ways, memInflation, m.FreqGHz())
+	cpiCB, effMLP := coreTerms(app, c,
+		math.Pow(c.FE.Scale(), app.FESens), math.Pow(c.BE.Scale(), app.BESens), math.Pow(c.LS.Scale(), app.LSSens))
+	return foldIPC(cpiCB, effMLP, app.MemFrac*app.L1MissRate, app.MissRatio(ways), memInflation, m.FreqGHz())
 }
 
-// IPCAtFreq is IPC at an explicit clock frequency — the DVFS baseline
-// runs fixed cores at reduced frequency. Memory latency is a wall-clock
-// property, so the cycle counts of Table I (quoted at 4 GHz) scale with
-// the clock: a slower core wastes fewer cycles per miss, which is why
-// DVFS hurts memory-bound applications less than compute-bound ones.
-func (m *Model) IPCAtFreq(app *workload.Profile, c config.Core, ways float64, memInflation, freqGHz float64) float64 {
-	if memInflation < 1 {
-		memInflation = 1
-	}
-	cycleScale := freqGHz / config.BaseFreqGHz
-	sFE, sBE, sLS := c.FE.Scale(), c.BE.Scale(), c.LS.Scale()
-
+// coreTerms returns the core-configuration terms of app's CPI on c:
+// CPI_compute + CPI_branch, and the effective memory-level parallelism
+// the memory component divides by. Neither depends on cache ways,
+// inflation or clock, so SurfaceTable stages them once per (app, core).
+// aFE, aBE and aLS are the sections' width attenuations
+// Pow(width.Scale(), sensitivity); each depends on one section's width
+// only, so the table evaluates nine per app rather than three per core.
+func coreTerms(app *workload.Profile, c config.Core, aFE, aBE, aLS float64) (cpiCB, effMLP float64) {
 	// --- compute component ---
 	// Inherent ILP attenuated by narrowed sections, hard-capped by the
 	// physical widths: the front-end can rename at most FE per cycle,
 	// the back-end can issue at most BE, and memory operations must
 	// flow through the LS section.
-	ipcPeak := app.ILP *
-		math.Pow(sFE, app.FESens) *
-		math.Pow(sBE, app.BESens) *
-		math.Pow(sLS, app.LSSens)
+	ipcPeak := app.ILP * aFE * aBE * aLS
 	widthCap := math.Min(float64(c.FE), float64(c.BE))
 	if app.MemFrac > 0 {
 		widthCap = math.Min(widthCap, float64(c.LS)/app.MemFrac)
@@ -102,43 +104,43 @@ func (m *Model) IPCAtFreq(app *workload.Profile, c config.Core, ways float64, me
 	// A narrower front-end refills the pipeline more slowly after a
 	// flush; ROB drain also lengthens with occupancy, folded into the
 	// same width factor.
-	branchPenalty := baseBranchPenalty * (1 + 0.5*(1-sFE))
+	branchPenalty := baseBranchPenalty * (1 + 0.5*(1-c.FE.Scale()))
 	cpiBranch := app.BrMPKI / 1000 * branchPenalty
 
-	// --- memory component ---
-	missRatio := app.MissRatio(ways)
-	avgLat := (float64(config.L2Latency)*(1-missRatio) +
-		float64(config.DRAMLatency)*missRatio*memInflation) * cycleScale
 	// Effective MLP: the application's inherent parallelism, capped by
 	// the in-flight misses the LSQ can track and the window the ROB can
 	// keep open — both scale with their section widths (Table I).
 	lsqCap := 1 + float64(config.LSQSize(c.LS))/8.0
 	robCap := 1 + float64(config.ROBSize(c.FE))/16.0
-	effMLP := math.Min(app.MLP, math.Min(lsqCap, robCap))
+	effMLP = math.Min(app.MLP, math.Min(lsqCap, robCap))
 	if effMLP <= 0 { // malformed profile (MLP ≤ 0): avoid minting Inf/NaN
 		effMLP = 1e-9
 	}
-	cpiMem := app.MemFrac * app.L1MissRate * avgLat / effMLP
+	return cpiCompute + cpiBranch, effMLP
+}
 
-	cpi := cpiCompute + cpiBranch + cpiMem
+// foldIPC adds the memory component to the staged core terms and
+// inverts the CPI. memW is MemFrac·L1MissRate and missRatio the LLC
+// miss ratio at the allocated ways; inflation below 1 clamps to 1.
+// Memory latency is a wall-clock property, so the cycle counts of
+// Table I (quoted at 4 GHz) scale with the clock: a slower core wastes
+// fewer cycles per miss, which is why DVFS hurts memory-bound
+// applications less than compute-bound ones.
+//
+//hot:path shared fold of every IPC evaluation; pure arithmetic
+func foldIPC(cpiCB, effMLP, memW, missRatio, memInflation, freqGHz float64) float64 {
+	if memInflation < 1 {
+		memInflation = 1
+	}
+	cycleScale := freqGHz / config.BaseFreqGHz
+	avgLat := (float64(config.L2Latency)*(1-missRatio) +
+		float64(config.DRAMLatency)*missRatio*memInflation) * cycleScale
+	//lint:allow floatsafe coreTerms clamps effMLP to ≥1e-9
+	cpi := cpiCB + memW*avgLat/effMLP
 	if cpi <= 0 { // degenerate profile: report zero throughput, not Inf
 		return 0
 	}
 	return 1 / cpi
-}
-
-// BIPS returns billions of instructions per second for app on core c —
-// the batch-throughput metric of Eq. 1.
-func (m *Model) BIPS(app *workload.Profile, c config.Core, ways float64, memInflation float64) float64 {
-	return m.IPC(app, c, ways, memInflation) * m.FreqGHz()
-}
-
-// DRAMTrafficGBs returns the DRAM bandwidth demand in GB/s of app on
-// core c: one 64-byte line per LLC miss.
-func (m *Model) DRAMTrafficGBs(app *workload.Profile, c config.Core, ways float64, memInflation float64) float64 {
-	ipc := m.IPC(app, c, ways, memInflation)
-	missesPerInstr := app.MemFrac * app.L1MissRate * app.MissRatio(ways)
-	return ipc * m.FreqGHz() * missesPerInstr * 64 // GHz · B = GB/s
 }
 
 // QueryInstr returns the mean per-query instruction demand of a
@@ -162,16 +164,4 @@ func (m *Model) QueryInstr(app *workload.Profile) float64 {
 	}
 	ipc := m.IPC(app, config.Widest, config.FourWays.Ways(), 1)
 	return app.SatUtil * 16 * ipc * m.FreqGHz() * 1e9 / app.MaxQPS
-}
-
-// ServiceTime returns the mean per-query service time, in seconds, of a
-// latency-critical service on a core configured as c with the given
-// ways. The per-query distribution around this mean is log-normal with
-// the profile's QuerySigma (applied by the queueing simulator).
-func (m *Model) ServiceTime(app *workload.Profile, c config.Core, ways float64, memInflation float64) float64 {
-	ips := m.IPC(app, c, ways, memInflation) * m.FreqGHz() * 1e9
-	if ips <= 0 { // zero throughput: the service never completes a query
-		return math.Inf(1)
-	}
-	return m.QueryInstr(app) / ips
 }

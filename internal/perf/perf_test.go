@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,59 @@ import (
 )
 
 func model() *Model { return New(true) }
+
+// closedFormIPC is the pointwise model as one function — the verbatim
+// body Model.IPCAtFreq had before the CPI formula was split into
+// coreTerms and foldIPC. It is the oracle the table's equivalence tests
+// check every lookup against, so a change to the shared helpers cannot
+// also change the reference they are held to.
+func closedFormIPC(app *workload.Profile, c config.Core, ways float64, memInflation, freqGHz float64) float64 {
+	if memInflation < 1 {
+		memInflation = 1
+	}
+	cycleScale := freqGHz / config.BaseFreqGHz
+	sFE, sBE, sLS := c.FE.Scale(), c.BE.Scale(), c.LS.Scale()
+
+	// --- compute component ---
+	ipcPeak := app.ILP *
+		math.Pow(sFE, app.FESens) *
+		math.Pow(sBE, app.BESens) *
+		math.Pow(sLS, app.LSSens)
+	widthCap := math.Min(float64(c.FE), float64(c.BE))
+	if app.MemFrac > 0 {
+		widthCap = math.Min(widthCap, float64(c.LS)/app.MemFrac)
+	}
+	if ipcPeak > widthCap {
+		ipcPeak = widthCap
+	}
+	cpiCompute := 1 / ipcPeak
+
+	// --- branch component ---
+	branchPenalty := baseBranchPenalty * (1 + 0.5*(1-sFE))
+	cpiBranch := app.BrMPKI / 1000 * branchPenalty
+
+	// --- memory component ---
+	missRatio := app.MissRatio(ways)
+	avgLat := (float64(config.L2Latency)*(1-missRatio) +
+		float64(config.DRAMLatency)*missRatio*memInflation) * cycleScale
+	lsqCap := 1 + float64(config.LSQSize(c.LS))/8.0
+	robCap := 1 + float64(config.ROBSize(c.FE))/16.0
+	effMLP := math.Min(app.MLP, math.Min(lsqCap, robCap))
+	if effMLP <= 0 {
+		effMLP = 1e-9
+	}
+	cpiMem := app.MemFrac * app.L1MissRate * avgLat / effMLP
+
+	cpi := cpiCompute + cpiBranch + cpiMem
+	if cpi <= 0 {
+		return 0
+	}
+	return 1 / cpi
+}
+
+// table stages apps under m for the tests that read the production
+// evaluator.
+func table(m *Model, apps ...*workload.Profile) *SurfaceTable { return NewSurfaceTable(m, apps) }
 
 func TestFreqPenalty(t *testing.T) {
 	if New(true).FreqGHz() >= New(false).FreqGHz() {
@@ -150,23 +204,24 @@ func TestCacheSensitivityContrast(t *testing.T) {
 
 func TestBIPSConsistentWithIPC(t *testing.T) {
 	m := model()
-	app := workload.SPEC()[0]
-	ipc := m.IPC(app, config.Widest, 2, 1)
-	if got, want := m.BIPS(app, config.Widest, 2, 1), ipc*m.FreqGHz(); got != want {
-		t.Fatalf("BIPS = %v, want %v", got, want)
+	tbl := table(m, workload.SPEC()[0])
+	for j := 0; j < config.NumResources; j++ {
+		if got, want := tbl.BIPS(0, j), tbl.IPC(0, j)*m.FreqGHz(); got != want {
+			t.Fatalf("resource %d: BIPS = %v, want %v", j, got, want)
+		}
 	}
 }
 
 func TestDRAMTraffic(t *testing.T) {
 	m := model()
-	mcf := mustApp(t, "mcf")
-	gamess := mustApp(t, "gamess")
-	if tm, tg := m.DRAMTrafficGBs(mcf, config.Widest, 1, 1), m.DRAMTrafficGBs(gamess, config.Widest, 1, 1); tm <= tg {
+	tbl := table(m, mustApp(t, "mcf"), mustApp(t, "gamess"))
+	const mcf, gamess = 0, 1
+	if tm, tg := tbl.TrafficAt(mcf, config.Widest, 1, 1), tbl.TrafficAt(gamess, config.Widest, 1, 1); tm <= tg {
 		t.Fatalf("mcf traffic %v should exceed gamess traffic %v", tm, tg)
 	}
 	// More cache -> less traffic.
-	hi := m.DRAMTrafficGBs(mcf, config.Widest, 0.5, 1)
-	lo := m.DRAMTrafficGBs(mcf, config.Widest, 4, 1)
+	hi := tbl.TrafficAt(mcf, config.Widest, 0.5, 1)
+	lo := tbl.TrafficAt(mcf, config.Widest, 4, 1)
 	if lo >= hi {
 		t.Fatalf("traffic should fall with more ways: %v -> %v", hi, lo)
 	}
@@ -174,6 +229,7 @@ func TestDRAMTraffic(t *testing.T) {
 
 func TestQueryInstrCalibration(t *testing.T) {
 	m := model()
+	widest4 := config.Resource{Core: config.Widest, Cache: config.FourWays}.Index()
 	for _, app := range workload.TailBench() {
 		q := m.QueryInstr(app)
 		if q <= 0 {
@@ -181,7 +237,7 @@ func TestQueryInstrCalibration(t *testing.T) {
 		}
 		// At the widest config with 4 ways, 16 cores at the knee load
 		// must run at exactly SatUtil utilisation by construction.
-		st := m.ServiceTime(app, config.Widest, 4, 1)
+		st := table(m, app).ServiceTimeSec(0, widest4)
 		util := app.MaxQPS * st / 16
 		if diff := util - app.SatUtil; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("%s: knee utilisation %v, want %v", app.Name, util, app.SatUtil)
@@ -201,8 +257,9 @@ func TestQueryInstrPanicsOnBatch(t *testing.T) {
 func TestServiceTimeLongerOnNarrowCores(t *testing.T) {
 	m := model()
 	for _, app := range workload.TailBench() {
-		fast := m.ServiceTime(app, config.Widest, 4, 1)
-		slow := m.ServiceTime(app, config.Narrowest, 0.5, 1)
+		tbl := table(m, app)
+		fast := tbl.ServiceTimeSec(0, config.Resource{Core: config.Widest, Cache: config.FourWays}.Index())
+		slow := tbl.ServiceTimeSec(0, config.Resource{Core: config.Narrowest, Cache: config.HalfWay}.Index())
 		if slow <= fast {
 			t.Fatalf("%s: narrow-core service time %v not above wide-core %v", app.Name, slow, fast)
 		}
@@ -228,15 +285,13 @@ func TestIPCAtFreqMemoryBoundBenefit(t *testing.T) {
 	// Lowering the clock shrinks memory latency in cycles, so
 	// memory-bound applications lose less than frequency-proportional
 	// throughput while compute-bound ones lose almost exactly f.
-	m := model()
-	mcf := mustApp(t, "mcf")
-	gamess := mustApp(t, "gamess")
-	ratio := func(app *workload.Profile) float64 {
-		lo := m.IPCAtFreq(app, config.Widest, 2, 1, 2.4) * 2.4
-		hi := m.IPCAtFreq(app, config.Widest, 2, 1, 4.0) * 4.0
+	tbl := table(model(), mustApp(t, "mcf"), mustApp(t, "gamess"))
+	ratio := func(a int) float64 {
+		lo := tbl.IPCAt(a, config.Widest, 2, 1, 2.4) * 2.4
+		hi := tbl.IPCAt(a, config.Widest, 2, 1, 4.0) * 4.0
 		return lo / hi
 	}
-	rm, rg := ratio(mcf), ratio(gamess)
+	rm, rg := ratio(0), ratio(1)
 	if rm <= rg {
 		t.Fatalf("memory-bound BIPS retention %v should exceed compute-bound %v", rm, rg)
 	}
@@ -245,11 +300,22 @@ func TestIPCAtFreqMemoryBoundBenefit(t *testing.T) {
 	}
 }
 
-func TestIPCMatchesIPCAtFreqAtNominal(t *testing.T) {
-	m := model()
-	app := workload.SPEC()[0]
-	if m.IPC(app, config.Widest, 2, 1) != m.IPCAtFreq(app, config.Widest, 2, 1, m.FreqGHz()) {
-		t.Fatal("IPC must be IPCAtFreq at the design clock")
+// TestIPCMatchesClosedForm pins Model.IPC — coreTerms folded by
+// foldIPC — to the closed-form oracle at the design clock, for both
+// model variants, every core, and canonical and fractional ways.
+func TestIPCMatchesClosedForm(t *testing.T) {
+	for _, reconf := range []bool{true, false} {
+		m := New(reconf)
+		for _, app := range workload.All() {
+			for _, c := range config.AllCores() {
+				for _, ways := range testWays {
+					want := closedFormIPC(app, c, ways, 1.35, m.FreqGHz())
+					if got := m.IPC(app, c, ways, 1.35); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("reconf=%v %s %v/%vw: IPC %v != closed form %v", reconf, app.Name, c, ways, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -9,23 +9,26 @@ import (
 
 // SurfaceTable batches the performance model over a fixed application
 // set (DESIGN.md §15). Construction stages every configuration-
-// dependent subterm of IPCAtFreq that does not involve memory-latency
-// inflation or clock frequency — the compute+branch CPI and effective
-// MLP per (app, core config), the miss curve and misses-per-
-// instruction per (app, way allocation), and the per-query instruction
+// dependent subterm of the CPI formula that does not involve cache
+// ways, memory-latency inflation or clock frequency — the compute+branch
+// CPI and effective MLP per (app, core config), from the same coreTerms
+// Model.IPC evaluates — plus the miss curve and misses-per-instruction
+// at the four canonical way allocations and the per-query instruction
 // demand of latency-critical services. Those stages eliminate all
-// math.Pow evaluation from the per-quantum path: a point lookup
-// (IPCAt) folds the staged terms with the caller's inflation and
-// frequency in a handful of multiplies, and Build renders the full
-// (app, resource) grid of IPC/BIPS/service-time/DRAM-traffic surfaces
-// for one inflation value.
+// math.Pow evaluation from the per-quantum path at canonical ways: a
+// point lookup (IPCAt) folds the staged terms with the caller's ways,
+// inflation and frequency in a handful of multiplies, and Build renders
+// the full (app, resource) grid of IPC/BIPS/service-time/DRAM-traffic
+// surfaces for one inflation value. A non-canonical way count (the
+// fractional occupancies of unpartitioned LRU sharing) evaluates the
+// miss curve once and folds it the same way.
 //
-// Every value a lookup produces is bit-identical to the corresponding
-// Model call: the staged subterms are exactly the intermediates the
-// pointwise model computes, cut at association boundaries of the
-// original expressions, so the float64 operation sequence is
-// unchanged. The equivalence tests in table_test.go assert exact
-// equality over the full grid.
+// Every value a lookup produces is bit-identical to the closed form:
+// the staged subterms are exactly its intermediates, cut at association
+// boundaries, and foldIPC is the one fold both share, so the float64
+// operation sequence is unchanged. The equivalence tests in
+// table_test.go assert exact equality against a verbatim copy of the
+// closed form over the full grid and a spread of fractional ways.
 //
 // A SurfaceTable is not safe for concurrent use: every read bumps the
 // lookups counter, so callers that fan work out stage the values they
@@ -54,10 +57,11 @@ type SurfaceTable struct {
 	lookups uint64
 }
 
-// NewSurfaceTable stages the model over apps. The staging pass is the
-// only place the table evaluates math.Pow; it costs 27+4 Pow-bearing
-// terms per app versus 4 per pointwise IPC call, so the table breaks
-// even within a single 108-configuration sweep. Profiles must be
+// NewSurfaceTable stages the model over apps. Apart from the miss curve
+// of a fractional-way lookup, the staging pass is the only place the
+// table evaluates math.Pow; it costs 9+4 Pow-bearing terms per app
+// versus 4 per pointwise IPC call, so the table breaks even within four
+// pointwise evaluations. Profiles must be
 // validated upstream (as Machine and the characterisation sweeps do).
 func NewSurfaceTable(m *Model, apps []*workload.Profile) *SurfaceTable {
 	n := len(apps)
@@ -76,36 +80,21 @@ func NewSurfaceTable(m *Model, apps []*workload.Profile) *SurfaceTable {
 		svcSec:       make([]float64, n*config.NumResources),
 	}
 	for a, app := range apps {
-		// The staged expressions reproduce IPCAtFreq's intermediates
-		// verbatim — same terms, same association — so a lookup's
-		// float64 stream matches the pointwise model's exactly.
 		t.memW[a] = app.MemFrac * app.L1MissRate
-		for ci := 0; ci < config.NumCoreConfigs; ci++ {
-			c := config.CoreByIndex(ci)
-			sFE, sBE, sLS := c.FE.Scale(), c.BE.Scale(), c.LS.Scale()
-			ipcPeak := app.ILP *
-				math.Pow(sFE, app.FESens) *
-				math.Pow(sBE, app.BESens) *
-				math.Pow(sLS, app.LSSens)
-			widthCap := math.Min(float64(c.FE), float64(c.BE))
-			if app.MemFrac > 0 {
-				widthCap = math.Min(widthCap, float64(c.LS)/app.MemFrac)
+		var att [3][len(config.Widths)]float64 // FE, BE, LS attenuation per width
+		for k, w := range config.Widths {
+			att[0][k] = math.Pow(w.Scale(), app.FESens)
+			att[1][k] = math.Pow(w.Scale(), app.BESens)
+			att[2][k] = math.Pow(w.Scale(), app.LSSens)
+		}
+		for fi, fe := range config.Widths {
+			for bi, be := range config.Widths {
+				for li, ls := range config.Widths {
+					c := config.Core{FE: fe, BE: be, LS: ls}
+					i := a*config.NumCoreConfigs + c.Index()
+					t.cpiCB[i], t.effMLP[i] = coreTerms(app, c, att[0][fi], att[1][bi], att[2][li])
+				}
 			}
-			if ipcPeak > widthCap {
-				ipcPeak = widthCap
-			}
-			cpiCompute := 1 / ipcPeak
-			branchPenalty := baseBranchPenalty * (1 + 0.5*(1-sFE))
-			cpiBranch := app.BrMPKI / 1000 * branchPenalty
-			t.cpiCB[a*config.NumCoreConfigs+ci] = cpiCompute + cpiBranch
-
-			lsqCap := 1 + float64(config.LSQSize(c.LS))/8.0
-			robCap := 1 + float64(config.ROBSize(c.FE))/16.0
-			effMLP := math.Min(app.MLP, math.Min(lsqCap, robCap))
-			if effMLP <= 0 { // malformed profile (MLP ≤ 0): avoid minting Inf/NaN
-				effMLP = 1e-9
-			}
-			t.effMLP[a*config.NumCoreConfigs+ci] = effMLP
 		}
 		for wi, alloc := range config.CacheAllocs {
 			mr := app.MissRatio(alloc.Ways())
@@ -120,20 +109,16 @@ func NewSurfaceTable(m *Model, apps []*workload.Profile) *SurfaceTable {
 	return t
 }
 
-// Model returns the pointwise model the table was staged from — the
-// fallback for non-canonical (LRU-shared fractional) way counts.
-func (t *SurfaceTable) Model() *Model { return t.m }
-
 // Apps returns the application set the table is staged over; the slice
 // index is the appIdx every lookup takes.
 func (t *SurfaceTable) Apps() []*workload.Profile { return t.apps }
 
-// WayIndex maps a way count to its rank in config.CacheAllocs, or -1
+// wayIndex maps a way count to its rank in config.CacheAllocs, or -1
 // for a non-canonical allocation (the fractional ways of unpartitioned
-// LRU sharing), which callers route to the pointwise model.
+// LRU sharing), whose miss ratio the lookups evaluate on the spot.
 //
 //hot:path called per application per bandwidth fixed-point iteration
-func WayIndex(ways float64) int {
+func wayIndex(ways float64) int {
 	switch ways {
 	case float64(config.HalfWay):
 		return 0
@@ -165,7 +150,8 @@ func (t *SurfaceTable) Build(memInflation float64) {
 		for ci := 0; ci < config.NumCoreConfigs; ci++ {
 			for wi := 0; wi < config.NumCacheAllocs; wi++ {
 				idx := a*config.NumResources + ci*config.NumCacheAllocs + wi
-				ipc := t.ipcAt(a, ci, wi, memInflation, freq)
+				ipc := foldIPC(t.cpiCB[a*config.NumCoreConfigs+ci], t.effMLP[a*config.NumCoreConfigs+ci],
+					t.memW[a], t.missRatio[a*config.NumCacheAllocs+wi], memInflation, freq)
 				t.ipc[idx] = ipc
 				t.bips[idx] = ipc * freq
 				t.traffic[idx] = ipc * freq * t.missPerInstr[a*config.NumCacheAllocs+wi] * 64
@@ -190,60 +176,58 @@ func (t *SurfaceTable) Inflation() float64 { return t.inflation }
 // and lookups served.
 func (t *SurfaceTable) Stats() (builds, lookups uint64) { return t.builds, t.lookups }
 
-// ipcAt folds the staged terms with inflation and frequency — the
-// tail of IPCAtFreq after its Pow-bearing prefix, verbatim.
+// missAt returns app a's LLC miss ratio and misses per instruction at
+// ways: the staged values for a canonical allocation, otherwise the
+// miss curve evaluated once and folded with the staged MemFrac·
+// L1MissRate — the association the closed form uses.
 //
-//hot:path shared fold of every table lookup; pure arithmetic
-func (t *SurfaceTable) ipcAt(a, coreIdx, wayIdx int, memInflation, freqGHz float64) float64 {
-	cycleScale := freqGHz / config.BaseFreqGHz
-	mr := t.missRatio[a*config.NumCacheAllocs+wayIdx]
-	avgLat := (float64(config.L2Latency)*(1-mr) +
-		float64(config.DRAMLatency)*mr*memInflation) * cycleScale
-	//lint:allow floatsafe staging clamps effMLP to ≥1e-9 at construction (NewSurfaceTable)
-	cpi := t.cpiCB[a*config.NumCoreConfigs+coreIdx] + t.memW[a]*avgLat/t.effMLP[a*config.NumCoreConfigs+coreIdx]
-	if cpi <= 0 { // degenerate profile: report zero throughput, not Inf
-		return 0
+//hot:path shared miss lookup of every point read
+func (t *SurfaceTable) missAt(a int, ways float64) (missRatio, missPerInstr float64) {
+	if wi := wayIndex(ways); wi >= 0 {
+		i := a*config.NumCacheAllocs + wi
+		return t.missRatio[i], t.missPerInstr[i]
 	}
-	return 1 / cpi
+	mr := t.apps[a].MissRatio(ways)
+	return mr, t.memW[a] * mr
+}
+
+// ipcAt folds app a's staged core terms on c with a miss ratio.
+func (t *SurfaceTable) ipcAt(a int, c config.Core, missRatio, memInflation, freqGHz float64) float64 {
+	i := a*config.NumCoreConfigs + c.Index()
+	return foldIPC(t.cpiCB[i], t.effMLP[i], t.memW[a], missRatio, memInflation, freqGHz)
 }
 
 // IPCAt is the point lookup for the bandwidth fixed point and DVFS
-// paths: IPC of app a on core coreIdx with the wayIdx'th canonical
-// allocation, under the given inflation, at an explicit clock.
-// Bit-identical to Model.IPCAtFreq.
+// paths: IPC of app a on core c with the given LLC ways (canonical or
+// fractional), under the given inflation, at an explicit clock.
+// Bit-identical to the closed form.
 //
 //hot:path called per application per bandwidth fixed-point iteration
-func (t *SurfaceTable) IPCAt(a, coreIdx, wayIdx int, memInflation, freqGHz float64) float64 {
-	if memInflation < 1 {
-		memInflation = 1
-	}
+func (t *SurfaceTable) IPCAt(a int, c config.Core, ways, memInflation, freqGHz float64) float64 {
 	t.lookups++
-	return t.ipcAt(a, coreIdx, wayIdx, memInflation, freqGHz)
+	mr, _ := t.missAt(a, ways)
+	return t.ipcAt(a, c, mr, memInflation, freqGHz)
 }
 
 // TrafficAt is the point lookup for per-core DRAM bandwidth demand in
-// GB/s at the model's nominal frequency. Bit-identical to
-// Model.DRAMTrafficGBs.
+// GB/s at the model's nominal frequency: one 64-byte line per LLC miss.
 //
 //hot:path called per service per bandwidth fixed-point iteration
-func (t *SurfaceTable) TrafficAt(a, coreIdx, wayIdx int, memInflation float64) float64 {
-	if memInflation < 1 {
-		memInflation = 1
-	}
+func (t *SurfaceTable) TrafficAt(a int, c config.Core, ways, memInflation float64) float64 {
 	t.lookups++
+	mr, mpi := t.missAt(a, ways)
 	freq := t.m.FreqGHz()
-	ipc := t.ipcAt(a, coreIdx, wayIdx, memInflation, freq)
-	return ipc * freq * t.missPerInstr[a*config.NumCacheAllocs+wayIdx] * 64
+	return t.ipcAt(a, c, mr, memInflation, freq) * freq * mpi * 64
 }
 
-// MissPerInstr returns the staged LLC misses per instruction of app a
-// at the wayIdx'th canonical allocation — bit-identical to
-// MemFrac·L1MissRate·MissRatio(ways) evaluated pointwise.
+// MissPerInstr returns the LLC misses per instruction of app a at the
+// given ways — MemFrac·L1MissRate·MissRatio(ways).
 //
 //hot:path called per batch job per bandwidth fixed-point iteration
-func (t *SurfaceTable) MissPerInstr(a, wayIdx int) float64 {
+func (t *SurfaceTable) MissPerInstr(a int, ways float64) float64 {
 	t.lookups++
-	return t.missPerInstr[a*config.NumCacheAllocs+wayIdx]
+	_, mpi := t.missAt(a, ways)
+	return mpi
 }
 
 // IPC reads the dense IPC surface at the built inflation, nominal
@@ -256,7 +240,7 @@ func (t *SurfaceTable) IPC(a, resIdx int) float64 {
 }
 
 // BIPS reads the dense throughput surface (billions of instructions
-// per second). Bit-identical to Model.BIPS at the built inflation.
+// per second): IPC times the nominal clock.
 //
 //hot:path grid read on the characterisation and training-row path
 func (t *SurfaceTable) BIPS(a, resIdx int) float64 {
@@ -264,8 +248,8 @@ func (t *SurfaceTable) BIPS(a, resIdx int) float64 {
 	return t.bips[a*config.NumResources+resIdx]
 }
 
-// DRAMTrafficGBs reads the dense traffic surface. Bit-identical to
-// Model.DRAMTrafficGBs at the built inflation.
+// DRAMTrafficGBs reads the dense traffic surface, GB/s: the grid form
+// of TrafficAt at the built inflation.
 //
 //hot:path grid read on the characterisation and training-row path
 func (t *SurfaceTable) DRAMTrafficGBs(a, resIdx int) float64 {
@@ -274,8 +258,9 @@ func (t *SurfaceTable) DRAMTrafficGBs(a, resIdx int) float64 {
 }
 
 // ServiceTimeSec reads the dense mean-service-time surface, seconds
-// per query. Bit-identical to Model.ServiceTime at the built
-// inflation for latency-critical apps; zero for batch apps.
+// per query: QueryInstr over instructions per second at the built
+// inflation for latency-critical apps (+Inf at zero throughput); zero
+// for batch apps.
 //
 //hot:path grid read on the characterisation and training-row path
 func (t *SurfaceTable) ServiceTimeSec(a, resIdx int) float64 {

@@ -8,52 +8,64 @@ import (
 	"cuttlesys/internal/workload"
 )
 
-// inflations spans the operating range: uncontended, mid-contention
-// (the characterisation default 1.35), and the saturation cap.
-var inflations = []float64{1, 1.35, 6}
+// inflations spans the operating range: below 1 (clamped to 1),
+// uncontended, mid-contention (the characterisation default 1.35), and
+// the saturation cap.
+var inflations = []float64{0.5, 1, 1.35, 6}
+
+// testWays are the four canonical allocations plus fractional counts
+// from the unpartitioned LRU equilibrium's range, empty through the
+// whole LLC.
+var testWays = []float64{0.5, 1, 2, 4, 0, 0.3, 0.7, 1.5, 3, 7.25, 32}
 
 // TestSurfaceTableEquivalence asserts exact float64 equality between
-// every table lookup and the pointwise model over the full seeded
-// grid: all applications × 27 core configs × 4 way allocations × 3
-// inflation values, for both model variants.
+// every table read and the closed-form oracle over all applications ×
+// 27 core configs × canonical and fractional ways × the inflation
+// range, for both model variants. Point lookups are checked at every
+// way count, the dense grid at the canonical ones.
 func TestSurfaceTableEquivalence(t *testing.T) {
 	apps := workload.All()
 	for _, reconf := range []bool{true, false} {
 		m := New(reconf)
+		freq := m.FreqGHz()
 		tbl := NewSurfaceTable(m, apps)
 		for _, infl := range inflations {
 			tbl.Build(infl)
 			for a, app := range apps {
 				for ci := 0; ci < config.NumCoreConfigs; ci++ {
 					c := config.CoreByIndex(ci)
-					for wi, alloc := range config.CacheAllocs {
-						ways := alloc.Ways()
+					for _, ways := range testWays {
+						wantIPC := closedFormIPC(app, c, ways, infl, freq)
+						if got := tbl.IPCAt(a, c, ways, infl, freq); math.Float64bits(got) != math.Float64bits(wantIPC) {
+							t.Fatalf("reconf=%v %s %v/%vw infl=%v: point IPC %v != %v", reconf, app.Name, c, ways, infl, got, wantIPC)
+						}
+						wantMPI := app.MemFrac * app.L1MissRate * app.MissRatio(ways)
+						if got := tbl.MissPerInstr(a, ways); math.Float64bits(got) != math.Float64bits(wantMPI) {
+							t.Fatalf("%s %vw: missPerInstr %v != %v", app.Name, ways, got, wantMPI)
+						}
+						wantTr := wantIPC * freq * wantMPI * 64
+						if got := tbl.TrafficAt(a, c, ways, infl); math.Float64bits(got) != math.Float64bits(wantTr) {
+							t.Fatalf("%s %v/%vw: point traffic %v != %v", app.Name, c, ways, got, wantTr)
+						}
+						wi := config.CacheAlloc(ways).Index()
+						if wi < 0 {
+							continue
+						}
 						resIdx := ci*config.NumCacheAllocs + wi
-
-						wantIPC := m.IPC(app, c, ways, infl)
 						if got := tbl.IPC(a, resIdx); math.Float64bits(got) != math.Float64bits(wantIPC) {
 							t.Fatalf("reconf=%v %s %v/%vw infl=%v: grid IPC %v != %v", reconf, app.Name, c, ways, infl, got, wantIPC)
 						}
-						if got := tbl.IPCAt(a, ci, wi, infl, m.FreqGHz()); math.Float64bits(got) != math.Float64bits(wantIPC) {
-							t.Fatalf("reconf=%v %s %v/%vw infl=%v: point IPC %v != %v", reconf, app.Name, c, ways, infl, got, wantIPC)
+						if got := tbl.BIPS(a, resIdx); math.Float64bits(got) != math.Float64bits(wantIPC*freq) {
+							t.Fatalf("%s: BIPS %v != %v", app.Name, got, wantIPC*freq)
 						}
-						wantBIPS := m.BIPS(app, c, ways, infl)
-						if got := tbl.BIPS(a, resIdx); math.Float64bits(got) != math.Float64bits(wantBIPS) {
-							t.Fatalf("%s: BIPS %v != %v", app.Name, got, wantBIPS)
-						}
-						wantTr := m.DRAMTrafficGBs(app, c, ways, infl)
 						if got := tbl.DRAMTrafficGBs(a, resIdx); math.Float64bits(got) != math.Float64bits(wantTr) {
 							t.Fatalf("%s: traffic %v != %v", app.Name, got, wantTr)
 						}
-						if got := tbl.TrafficAt(a, ci, wi, infl); math.Float64bits(got) != math.Float64bits(wantTr) {
-							t.Fatalf("%s: point traffic %v != %v", app.Name, got, wantTr)
-						}
-						wantMPI := app.MemFrac * app.L1MissRate * app.MissRatio(ways)
-						if got := tbl.MissPerInstr(a, wi); math.Float64bits(got) != math.Float64bits(wantMPI) {
-							t.Fatalf("%s: missPerInstr %v != %v", app.Name, got, wantMPI)
-						}
 						if app.IsLC() && app.MaxQPS > 0 {
-							wantSvc := m.ServiceTime(app, c, ways, infl)
+							wantSvc := math.Inf(1)
+							if ips := wantIPC * freq * 1e9; ips > 0 {
+								wantSvc = m.QueryInstr(app) / ips
+							}
 							if got := tbl.ServiceTimeSec(a, resIdx); math.Float64bits(got) != math.Float64bits(wantSvc) {
 								t.Fatalf("%s: svc time %v != %v", app.Name, got, wantSvc)
 							}
@@ -66,19 +78,22 @@ func TestSurfaceTableEquivalence(t *testing.T) {
 }
 
 // TestSurfaceTableDVFSEquivalence covers IPCAt at non-nominal clocks
-// (the DVFS baseline and fail-slow de-rating paths).
+// (the DVFS baseline and fail-slow de-rating paths), canonical and
+// fractional ways, and the inflation clamp.
 func TestSurfaceTableDVFSEquivalence(t *testing.T) {
 	apps := workload.All()
 	m := New(true)
 	tbl := NewSurfaceTable(m, apps)
 	for _, freq := range []float64{1.2, 2.0, 3.6, m.FreqGHz()} {
-		for a, app := range apps {
-			for ci := 0; ci < config.NumCoreConfigs; ci += 5 {
-				c := config.CoreByIndex(ci)
-				for wi, alloc := range config.CacheAllocs {
-					want := m.IPCAtFreq(app, c, alloc.Ways(), 1.35, freq)
-					if got := tbl.IPCAt(a, ci, wi, 1.35, freq); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s %v/%vw @%vGHz: %v != %v", app.Name, c, alloc.Ways(), freq, got, want)
+		for _, infl := range []float64{0.5, 1.35} {
+			for a, app := range apps {
+				for ci := 0; ci < config.NumCoreConfigs; ci += 5 {
+					c := config.CoreByIndex(ci)
+					for _, ways := range testWays {
+						want := closedFormIPC(app, c, ways, infl, freq)
+						if got := tbl.IPCAt(a, c, ways, infl, freq); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s %v/%vw infl=%v @%vGHz: %v != %v", app.Name, c, ways, infl, freq, got, want)
+						}
 					}
 				}
 			}
@@ -150,6 +165,7 @@ func TestSurfaceTableLookupsZeroAlloc(t *testing.T) {
 	m := New(true)
 	tbl := NewSurfaceTable(m, apps)
 	tbl.Build(1.35)
+	c := config.CoreByIndex(13)
 	allocs := testing.AllocsPerRun(100, func() {
 		sink := 0.0
 		for a := range apps {
@@ -157,10 +173,10 @@ func TestSurfaceTableLookupsZeroAlloc(t *testing.T) {
 			sink += tbl.BIPS(a, 53)
 			sink += tbl.DRAMTrafficGBs(a, 53)
 			sink += tbl.ServiceTimeSec(a, 53)
-			sink += tbl.IPCAt(a, 13, 2, 1.2, 3.93)
-			sink += tbl.TrafficAt(a, 13, 2, 1.2)
+			sink += tbl.IPCAt(a, c, 2, 1.2, 3.93)
+			sink += tbl.IPCAt(a, c, 1.5, 1.2, 3.93)
+			sink += tbl.TrafficAt(a, c, 2, 1.2)
 			sink += tbl.MissPerInstr(a, 2)
-			sink += float64(WayIndex(2))
 		}
 		if sink == math.Inf(1) {
 			t.Error("unexpected Inf")
@@ -196,22 +212,22 @@ func TestSurfaceTableRebuild(t *testing.T) {
 	}
 	// Sub-unit inflation clamps to 1, as the model does.
 	tbl.Build(0.5)
-	if got, want := tbl.IPC(0, 0), m.IPC(apps[0], config.CoreByIndex(0), config.CacheAllocs[0].Ways(), 0.5); math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := tbl.IPC(0, 0), closedFormIPC(apps[0], config.CoreByIndex(0), config.CacheAllocs[0].Ways(), 0.5, m.FreqGHz()); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("clamped build: %v != %v", got, want)
 	}
 }
 
 // TestWayIndex pins the canonical allocation ranks and the fractional
-// fallback.
+// miss.
 func TestWayIndex(t *testing.T) {
 	for i, alloc := range config.CacheAllocs {
-		if got := WayIndex(alloc.Ways()); got != i {
-			t.Fatalf("WayIndex(%v) = %d, want %d", alloc.Ways(), got, i)
+		if got := wayIndex(alloc.Ways()); got != i {
+			t.Fatalf("wayIndex(%v) = %d, want %d", alloc.Ways(), got, i)
 		}
 	}
 	for _, w := range []float64{0, 0.7, 1.5, 3, 32, math.NaN()} {
-		if got := WayIndex(w); got != -1 {
-			t.Fatalf("WayIndex(%v) = %d, want -1", w, got)
+		if got := wayIndex(w); got != -1 {
+			t.Fatalf("wayIndex(%v) = %d, want -1", w, got)
 		}
 	}
 }
@@ -224,12 +240,17 @@ func BenchmarkSurfaceLookup(b *testing.B) {
 	c := config.CoreByIndex(13)
 	b.Run("point-model", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.IPCAtFreq(app, c, 2, 1.2, 3.9)
+			m.IPC(app, c, 2, 1.2)
 		}
 	})
 	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tbl.IPCAt(0, 13, 2, 1.2, 3.9)
+			tbl.IPCAt(0, c, 2, 1.2, 3.9)
+		}
+	})
+	b.Run("table-fractional", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tbl.IPCAt(0, c, 1.5, 1.2, 3.9)
 		}
 	})
 }

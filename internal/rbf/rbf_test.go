@@ -83,14 +83,14 @@ func TestFitRecoversLinearFunction(t *testing.T) {
 // Fig. 9 reports (outliers to ±600% with 3 samples for RBF vs ±20%
 // for SGD with 2).
 func TestNineSamplesBeatThreeSamples(t *testing.T) {
-	pm := perf.New(true)
 	apps := workload.SPEC()
+	tbl := perf.NewSurfaceTable(perf.New(true), apps)
 	mapeAt := func(samplePts []config.Core) float64 {
 		var errs []float64
-		for _, app := range apps {
+		for a := range apps {
 			truth := make(map[config.Core]float64, config.NumCoreConfigs)
 			for _, c := range config.AllCores() {
-				truth[c] = pm.BIPS(app, c, 1, 1)
+				truth[c] = tbl.BIPS(a, config.Resource{Core: c, Cache: config.OneWay}.Index())
 			}
 			vals := make([]float64, len(samplePts))
 			for i, c := range samplePts {

@@ -45,16 +45,15 @@ type Spec struct {
 // Machine simulates a CMP of reconfigurable (or fixed) cores sharing a
 // 32-way LLC, DRAM bandwidth and a power budget.
 type Machine struct {
-	Perf  *perf.Model
 	Power *power.Model
 
-	// tbl batches the performance model over this machine's fixed
-	// application set (batch jobs, then the LC service, then extras):
-	// the bandwidth fixed point and per-phase throughput math read
-	// staged surfaces instead of re-deriving the model per point.
-	// Lookups are bit-identical to the pointwise calls they replace;
-	// non-canonical fractional way counts (unpartitioned LRU sharing)
-	// fall back to the pointwise model.
+	// pm is the machine's core design point (clock, query calibration);
+	// tbl batches it over the fixed application set (batch jobs, then
+	// the LC service, then extras). Every IPC and traffic evaluation —
+	// the bandwidth fixed point and the per-phase throughput math, at
+	// partitioned and fractional LRU-shared way counts alike — is a
+	// table lookup.
+	pm  *perf.Model
 	tbl *perf.SurfaceTable
 
 	lc         *workload.Profile
@@ -92,7 +91,7 @@ func New(spec Spec) *Machine {
 		bw = DefaultPeakBWGBs
 	}
 	m := &Machine{
-		Perf:   perf.New(spec.Reconfigurable),
+		pm:     perf.New(spec.Reconfigurable),
 		Power:  power.New(spec.Reconfigurable),
 		lc:     spec.LC,
 		batch:  spec.Batch,
@@ -119,7 +118,7 @@ func New(spec Spec) *Machine {
 			k = n / 2 / (1 + len(spec.ExtraLCs))
 		}
 		m.svc = qsim.NewService(spec.Seed, k)
-		m.queryInstr = m.Perf.QueryInstr(spec.LC)
+		m.queryInstr = m.pm.QueryInstr(spec.LC)
 	}
 	for i, x := range spec.ExtraLCs {
 		if spec.LC == nil {
@@ -137,7 +136,7 @@ func New(spec Spec) *Machine {
 		}
 		m.extraLCs = append(m.extraLCs, x)
 		m.extraSvcs = append(m.extraSvcs, qsim.NewService(spec.Seed+uint64(i)+1, k))
-		m.extraInstr = append(m.extraInstr, m.Perf.QueryInstr(x))
+		m.extraInstr = append(m.extraInstr, m.pm.QueryInstr(x))
 	}
 	apps := make([]*workload.Profile, 0, len(m.batch)+1+len(m.extraLCs))
 	apps = append(apps, m.batch...)
@@ -145,7 +144,7 @@ func New(spec Spec) *Machine {
 		apps = append(apps, m.lc)
 	}
 	apps = append(apps, m.extraLCs...)
-	m.tbl = perf.NewSurfaceTable(m.Perf, apps)
+	m.tbl = perf.NewSurfaceTable(m.pm, apps)
 	return m
 }
 
@@ -153,24 +152,6 @@ func New(spec Spec) *Machine {
 // service follows the batch block, extras follow the LC service.
 func (m *Machine) lcAppIdx() int         { return len(m.batch) }
 func (m *Machine) extraAppIdx(x int) int { return len(m.batch) + 1 + x }
-
-// batchIPC evaluates a batch job's IPC through the surface table,
-// falling back to the pointwise model for fractional way counts.
-func (m *Machine) batchIPC(i int, c config.Core, ways, inflation, freq float64) float64 {
-	if wi := perf.WayIndex(ways); wi >= 0 {
-		return m.tbl.IPCAt(i, c.Index(), wi, inflation, freq)
-	}
-	return m.Perf.IPCAtFreq(m.batch[i], c, ways, inflation, freq)
-}
-
-// lcIPC is batchIPC for a latency-critical service row (appIdx from
-// lcAppIdx/extraAppIdx, profile for the fallback).
-func (m *Machine) lcIPC(appIdx int, app *workload.Profile, c config.Core, ways, inflation, freq float64) float64 {
-	if wi := perf.WayIndex(ways); wi >= 0 {
-		return m.tbl.IPCAt(appIdx, c.Index(), wi, inflation, freq)
-	}
-	return m.Perf.IPCAtFreq(app, c, ways, inflation, freq)
-}
 
 // SurfaceStats reports the machine's surface-table work counters:
 // staging/Build passes and lookups served. Fuel for the
@@ -368,37 +349,19 @@ func (m *Machine) dramTraffic(ph *phase, inflation float64) float64 {
 			continue
 		}
 		f := m.freqFor(b.FreqGHz) * d.SlowBatch
-		var ipc, missesPerInstr float64
-		if wi := perf.WayIndex(ph.effBatch[i]); wi >= 0 {
-			ipc = m.tbl.IPCAt(i, b.Core.Index(), wi, inflation, f)
-			missesPerInstr = m.tbl.MissPerInstr(i, wi)
-		} else {
-			ipc = m.Perf.IPCAtFreq(m.batch[i], b.Core, ph.effBatch[i], inflation, f)
-			missesPerInstr = m.batch[i].MemFrac * m.batch[i].L1MissRate * m.batch[i].MissRatio(ph.effBatch[i])
-		}
-		traffic += ipc * f * missesPerInstr * 64
+		ipc := m.tbl.IPCAt(i, b.Core, ph.effBatch[i], inflation, f)
+		traffic += ipc * f * m.tbl.MissPerInstr(i, ph.effBatch[i]) * 64
 	}
 	if m.lc != nil && alloc.LCCores > 0 {
-		var perCore float64
-		if wi := perf.WayIndex(ph.effLC); wi >= 0 {
-			perCore = m.tbl.TrafficAt(m.lcAppIdx(), alloc.LCCore.Index(), wi, inflation)
-		} else {
-			perCore = m.Perf.DRAMTrafficGBs(m.lc, alloc.LCCore, ph.effLC, inflation)
-		}
+		perCore := m.tbl.TrafficAt(m.lcAppIdx(), alloc.LCCore, ph.effLC, inflation)
 		util := m.lcUtilisation(alloc, ph.qps0, ph.effLC, inflation, ph.lcServers, d.SlowLC)
 		traffic += perCore * float64(ph.lcServers) * util
 	}
+	nominal := m.pm.FreqGHz()
 	for x, e := range alloc.ExtraLC {
-		app := m.extraLCs[x]
-		var perCore, ipc float64
-		if wi := perf.WayIndex(ph.effExtra[x]); wi >= 0 {
-			perCore = m.tbl.TrafficAt(m.extraAppIdx(x), e.Core.Index(), wi, inflation)
-			ipc = m.tbl.IPCAt(m.extraAppIdx(x), e.Core.Index(), wi, inflation, m.Perf.FreqGHz())
-		} else {
-			perCore = m.Perf.DRAMTrafficGBs(app, e.Core, ph.effExtra[x], inflation)
-			ipc = m.Perf.IPC(app, e.Core, ph.effExtra[x], inflation)
-		}
-		meanSvc := m.extraInstr[x] / (ipc * m.Perf.FreqGHz() * 1e9)
+		perCore := m.tbl.TrafficAt(m.extraAppIdx(x), e.Core, ph.effExtra[x], inflation)
+		ipc := m.tbl.IPCAt(m.extraAppIdx(x), e.Core, ph.effExtra[x], inflation, nominal)
+		meanSvc := m.extraInstr[x] / (ipc * nominal * 1e9)
 		util := svcUtilisation(ph.qps[x+1], meanSvc, float64(e.Cores))
 		traffic += perCore * float64(e.Cores) * util
 	}
@@ -443,7 +406,7 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 			continue
 		}
 		f := m.freqFor(b.FreqGHz) * d.SlowBatch
-		ipc := m.batchIPC(i, b.Core, effBatch[i], inflation, f)
+		ipc := m.tbl.IPCAt(i, b.Core, effBatch[i], inflation, f)
 		bips := ipc * f * mux
 		res.BatchBIPS[i] = bips
 		res.BatchInstrB[i] = bips * durSec
@@ -462,14 +425,14 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 	if m.lc != nil && alloc.LCCores > 0 {
 		m.svc.SetServers(lcServers)
 		lcFreq := m.freqFor(alloc.LCFreqGHz) * d.SlowLC
-		ipc := m.lcIPC(m.lcAppIdx(), m.lc, alloc.LCCore, effLC, inflation, lcFreq)
+		ipc := m.tbl.IPCAt(m.lcAppIdx(), alloc.LCCore, effLC, inflation, lcFreq)
 		rateIPC := ipc
 		if alloc.LCHalfBlend {
 			other := config.Narrowest
 			if alloc.LCCore == config.Narrowest {
 				other = config.Widest
 			}
-			rateIPC = (ipc + m.lcIPC(m.lcAppIdx(), m.lc, other, effLC, inflation, lcFreq)) / 2
+			rateIPC = (ipc + m.tbl.IPCAt(m.lcAppIdx(), other, effLC, inflation, lcFreq)) / 2
 		}
 		meanSvc := m.queryInstr / (rateIPC * lcFreq * 1e9)
 		res.LCMeanSvc = meanSvc
@@ -498,7 +461,7 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 			if alloc.LCCore == config.Narrowest {
 				other = config.Widest
 			}
-			otherIPC := m.lcIPC(m.lcAppIdx(), m.lc, other, effLC, inflation, lcFreq)
+			otherIPC := m.tbl.IPCAt(m.lcAppIdx(), other, effLC, inflation, lcFreq)
 			otherPower := m.Power.CoreAtDVFS(m.lc, other, otherIPC*util, lcFreq)
 			totalPower += float64(lcServers) * (res.LCCorePowerW + otherPower) / 2
 		} else {
@@ -511,15 +474,15 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 		app := m.extraLCs[x]
 		svc := m.extraSvcs[x]
 		svc.SetServers(e.Cores)
-		nominal := m.Perf.FreqGHz()
-		ipc := m.lcIPC(m.extraAppIdx(x), app, e.Core, effExtra[x], inflation, nominal)
+		nominal := m.pm.FreqGHz()
+		ipc := m.tbl.IPCAt(m.extraAppIdx(x), e.Core, effExtra[x], inflation, nominal)
 		rateIPC := ipc
 		if e.HalfBlend {
 			other := config.Narrowest
 			if e.Core == config.Narrowest {
 				other = config.Widest
 			}
-			rateIPC = (ipc + m.lcIPC(m.extraAppIdx(x), app, other, effExtra[x], inflation, nominal)) / 2
+			rateIPC = (ipc + m.tbl.IPCAt(m.extraAppIdx(x), other, effExtra[x], inflation, nominal)) / 2
 		}
 		meanSvc := m.extraInstr[x] / (rateIPC * nominal * 1e9)
 		res.ExtraMeanSvc = append(res.ExtraMeanSvc, meanSvc)
@@ -545,7 +508,7 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 			if e.Core == config.Narrowest {
 				other = config.Widest
 			}
-			otherIPC := m.Perf.IPC(app, other, effExtra[x], inflation)
+			otherIPC := m.tbl.IPCAt(m.extraAppIdx(x), other, effExtra[x], inflation, nominal)
 			otherPower := m.Power.Core(app, other, otherIPC*util)
 			totalPower += float64(e.Cores) * (p + otherPower) / 2
 		} else {
@@ -566,7 +529,7 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 // slow the fail-slow frequency de-rating (1 when healthy).
 func (m *Machine) lcUtilisation(alloc *Allocation, qps, effLC, inflation float64, servers int, slow float64) float64 {
 	f := m.freqFor(alloc.LCFreqGHz) * slow
-	ipc := m.lcIPC(m.lcAppIdx(), m.lc, alloc.LCCore, effLC, inflation, f)
+	ipc := m.tbl.IPCAt(m.lcAppIdx(), alloc.LCCore, effLC, inflation, f)
 	meanSvc := m.queryInstr / (ipc * f * 1e9)
 	return svcUtilisation(qps, meanSvc, float64(servers))
 }
@@ -593,7 +556,7 @@ func (m *Machine) freqFor(override float64) float64 {
 	if override > 0 {
 		return override
 	}
-	return m.Perf.FreqGHz()
+	return m.pm.FreqGHz()
 }
 
 // effectiveWays computes the LLC ways each application observes. Under
