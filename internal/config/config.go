@@ -144,9 +144,6 @@ const (
 // ROBSize returns the powered ROB entries for a front-end width.
 func ROBSize(fe Width) int { return int(float64(ROBEntries) * fe.Scale()) }
 
-// IQSize returns the powered issue-queue entries for a back-end width.
-func IQSize(be Width) int { return int(float64(IQEntries) * be.Scale()) }
-
 // LSQSize returns the powered load-queue (and, equally, store-queue)
 // entries for a load/store width.
 func LSQSize(ls Width) int { return int(float64(LoadQEntries) * ls.Scale()) }

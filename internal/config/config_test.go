@@ -67,12 +67,9 @@ func TestWidthScale(t *testing.T) {
 }
 
 func TestStructureScaling(t *testing.T) {
-	// Table I: 144-entry ROB, 48-entry IQ/LQ/SQ at full width.
+	// Table I: 144-entry ROB, 48-entry LQ/SQ at full width.
 	if ROBSize(W6) != 144 || ROBSize(W2) != 48 || ROBSize(W4) != 96 {
 		t.Errorf("ROB sizes: %d %d %d", ROBSize(W6), ROBSize(W4), ROBSize(W2))
-	}
-	if IQSize(W6) != 48 || IQSize(W2) != 16 {
-		t.Errorf("IQ sizes: %d %d", IQSize(W6), IQSize(W2))
 	}
 	if LSQSize(W6) != 48 || LSQSize(W4) != 32 {
 		t.Errorf("LSQ sizes: %d %d", LSQSize(W6), LSQSize(W4))

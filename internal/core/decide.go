@@ -49,7 +49,7 @@ func (rt *Runtime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW
 			c.Emit(obs.Mark(obs.EventFallback))
 			c.Add(obs.MetricFallbacks, obs.NoLabels, 1)
 		}
-		return rt.decideFallback(thr, pwr, lat), rt.p.OverheadSec
+		return rt.decideFallback(thr, pwr, lat), overheadSec
 	}
 
 	// --- latency-critical services: QoS scan per service (§VI-A) ---
@@ -153,7 +153,7 @@ func (rt *Runtime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW
 
 	cp := alloc
 	rt.lastAlloc = &cp
-	return alloc, rt.p.OverheadSec
+	return alloc, overheadSec
 }
 
 // predictionsValid rejects reconstructions carrying non-finite values
@@ -303,24 +303,24 @@ func (rt *Runtime) observeProfiles(profile []sim.PhaseResult) {
 		}
 		row := rt.batchRow(i)
 		if v := wide.BatchBIPS[i]; rt.validSample(v) {
-			rt.thrM.Observe(row, rt.widestIdx, sim.Measure(rt.r, v, rt.p.ProfileNoise))
+			rt.thrM.Observe(row, rt.widestIdx, sim.Measure(rt.r, v, profileNoise))
 		}
 		if v := wide.BatchPowerW[i]; rt.validSample(v) {
-			rt.pwrM.Observe(row, rt.widestIdx, sim.Measure(rt.r, v, rt.p.ProfileNoise))
+			rt.pwrM.Observe(row, rt.widestIdx, sim.Measure(rt.r, v, profileNoise))
 		}
 		if v := narrow.BatchBIPS[i]; rt.validSample(v) {
-			rt.thrM.Observe(row, rt.narrowestIdx, sim.Measure(rt.r, v, rt.p.ProfileNoise))
+			rt.thrM.Observe(row, rt.narrowestIdx, sim.Measure(rt.r, v, profileNoise))
 		}
 		if v := narrow.BatchPowerW[i]; rt.validSample(v) {
-			rt.pwrM.Observe(row, rt.narrowestIdx, sim.Measure(rt.r, v, rt.p.ProfileNoise))
+			rt.pwrM.Observe(row, rt.narrowestIdx, sim.Measure(rt.r, v, profileNoise))
 		}
 	}
 	for k := range rt.svcs {
 		if v := servicePower(a, k); rt.validSample(v) {
-			rt.pwrM.Observe(rt.lcPowerRow(k), rt.lcWidestIdx, sim.Measure(rt.r, v, rt.p.ProfileNoise))
+			rt.pwrM.Observe(rt.lcPowerRow(k), rt.lcWidestIdx, sim.Measure(rt.r, v, profileNoise))
 		}
 		if v := servicePower(b, k); rt.validSample(v) {
-			rt.pwrM.Observe(rt.lcPowerRow(k), rt.lcNarrowIdx, sim.Measure(rt.r, v, rt.p.ProfileNoise))
+			rt.pwrM.Observe(rt.lcPowerRow(k), rt.lcNarrowIdx, sim.Measure(rt.r, v, profileNoise))
 		}
 	}
 }
@@ -362,7 +362,7 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 	if confidence > 1 {
 		confidence = 1
 	}
-	target := rt.p.QoSSafety * sv.app.QoSTargetMs * confidence
+	target := qosSafety * sv.app.QoSTargetMs * confidence
 	lcRow := lat.Row(rt.latRow(k))
 	svcRow := svc.Row(rt.latRow(k))
 	bestIdx := -1
@@ -371,7 +371,7 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 			continue
 		}
 		// Utilisation veto: a configuration whose predicted mean
-		// service time would put the offered load above MaxUtil of the
+		// service time would put the offered load above maxUtil of the
 		// service's capacity is one queueing knee away from a backlog
 		// spiral — reject it no matter what the latency row claims.
 		// Predictions for configurations the service has never been
@@ -380,9 +380,9 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 		if !rt.p.DisableUtilVeto && sv.cores > 0 {
 			predUtil := qps * svcRow[j] * 1e-3 / float64(sv.cores)
 			if !rt.svcM.Known(rt.latRow(k), j) {
-				predUtil *= rt.p.ProbeMargin
+				predUtil *= probeMargin
 			}
-			if predUtil > rt.p.MaxUtil {
+			if predUtil > maxUtil {
 				continue
 			}
 		}
@@ -423,7 +423,7 @@ func (rt *Runtime) relocate(sv *svcState, k int, svcPred *sgd.Prediction, qps fl
 		}
 		return
 	}
-	slackOK := sv.haveP99 && sv.lastP99Ms <= (1-rt.p.SlackYield)*sv.app.QoSTargetMs
+	slackOK := sv.haveP99 && sv.lastP99Ms <= (1-slackYield)*sv.app.QoSTargetMs
 	if !slackOK || sv.cores <= sv.initCores {
 		return
 	}
@@ -431,7 +431,7 @@ func (rt *Runtime) relocate(sv *svcState, k int, svcPred *sgd.Prediction, qps fl
 	// headroom below the veto threshold.
 	svcMs := svcPred.At(rt.latRow(k), sv.lastRes.Index())
 	postCores := float64(sv.cores - 1)
-	if postCores <= 0 || qps*svcMs*1e-3/postCores > 0.9*rt.p.MaxUtil {
+	if postCores <= 0 || qps*svcMs*1e-3/postCores > 0.9*maxUtil {
 		return
 	}
 	sv.cores--

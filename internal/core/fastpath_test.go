@@ -59,10 +59,10 @@ func closureObjective(rt *Runtime, thr, pwr *sgd.Prediction, lcRes []config.Reso
 		ways += float64((halves + 1) / 2)
 		obj := math.Exp(logSum / float64(nBatch))
 		if over := powerW - budgetW; over > 0 {
-			obj -= rt.p.PenaltyPower * over
+			obj -= penaltyPower * over
 		}
 		if over := ways - config.LLCWays; over > 0 {
-			obj -= rt.p.PenaltyCache * over
+			obj -= penaltyCache * over
 		}
 		return obj
 	}

@@ -92,13 +92,12 @@ func (rt *Runtime) separableObjective(thr, pwr *sgd.Prediction, lcRes []config.R
 
 	rt.sepBase = append(rt.sepBase[:0], 0, fixedPower, lcWays, float64(lcHalf))
 	nBatchF := float64(nBatch)
-	penPower, penCache := rt.p.PenaltyPower, rt.p.PenaltyCache
 	rt.sepObj = dds.SeparableObjective{
 		K:     numAccums,
 		Base:  rt.sepBase,
 		Terms: rt.sepTerms,
 		Finish: func(acc []float64) float64 {
-			return finishObjective(acc, nBatchF, budgetW, penPower, penCache)
+			return finishObjective(acc, nBatchF, budgetW)
 		},
 	}
 	return &rt.sepObj
@@ -109,15 +108,15 @@ func (rt *Runtime) separableObjective(thr, pwr *sgd.Prediction, lcRes []config.R
 // operations, in order, of the closure oracle in fastpath_test.go.
 //
 //hot:path objective fold — pure arithmetic, no logs, no allocation
-func finishObjective(acc []float64, nBatch, budgetW, penPower, penCache float64) float64 {
+func finishObjective(acc []float64, nBatch, budgetW float64) float64 {
 	ways := acc[accWays] + float64((int(acc[accHalves])+1)/2)
 	//lint:allow floatsafe nBatch is the batch job count, ≥ 1 whenever a search runs
 	obj := math.Exp(acc[accLogThr] / nBatch)
 	if over := acc[accPower] - budgetW; over > 0 {
-		obj -= penPower * over
+		obj -= penaltyPower * over
 	}
 	if over := ways - config.LLCWays; over > 0 {
-		obj -= penCache * over
+		obj -= penaltyCache * over
 	}
 	return obj
 }

@@ -170,7 +170,7 @@ func TestDivergenceTripsAndClears(t *testing.T) {
 		diverged.BatchBIPS[i] = 1e-6 // wildly below any prediction
 		diverged.BatchPowerW[i] = 3
 	}
-	for i := 0; i < rt.p.DivergenceSlices; i++ {
+	for i := 0; i < divergenceSlices; i++ {
 		if rt.Degraded() {
 			t.Fatalf("degraded after only %d divergent slices", i)
 		}
@@ -179,7 +179,7 @@ func TestDivergenceTripsAndClears(t *testing.T) {
 		checkAllocFinite(t, m, alloc)
 	}
 	if !rt.Degraded() {
-		t.Fatalf("not degraded after %d divergent slices", rt.p.DivergenceSlices)
+		t.Fatalf("not degraded after %d divergent slices", divergenceSlices)
 	}
 	// The fallback allocation: batch all-narrowest, LC at the strongest
 	// point.

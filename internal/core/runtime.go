@@ -55,44 +55,64 @@ const (
 	SearchGA
 )
 
+// The runtime's design points. The paper fixes these rather than
+// tuning them, and no caller varies them.
+const (
+	// nTrainBatch is the number of offline-characterised SPEC
+	// applications seeding the throughput/power matrices (§VIII-A2).
+	// They are drawn with workload.SplitTrainTest(TrainSeed,
+	// nTrainBatch); runs must build their mixes from the complement.
+	nTrainBatch = 16
+	// nTrainLC is the number of offline-characterised latency-critical
+	// variants seeding the tail-latency matrix.
+	nTrainLC = 12
+	// overheadSec is the scheduling compute charged per decision
+	// (reconstruction + search): 6.1 ms, the Table II total.
+	overheadSec = 0.0061
+	// profileNoise and steadyNoise are the relative sigmas of 1 ms
+	// profiling samples and full-slice measurements.
+	profileNoise, steadyNoise = 0.05, 0.02
+	// qosSafety derates the QoS target during the latency scan so
+	// prediction error does not park the service on the QoS boundary.
+	qosSafety = 0.8
+	// slackYield is the latency slack at which a relocated core is
+	// returned to the batch jobs (§VIII-D3).
+	slackYield = 0.2
+	// penaltyPower and penaltyCache weight the soft constraint
+	// penalties in the DDS objective (Fig. 6).
+	penaltyPower, penaltyCache = 2, 2
+	// maxUtil is the highest predicted utilisation (offered load over
+	// service capacity) the QoS scan accepts for a candidate LC
+	// configuration — the saturation-knee guard.
+	maxUtil = 0.85
+	// probeMargin inflates the predicted utilisation of configurations
+	// the running service has never been measured on: their predicted
+	// service time comes purely from the training variants, and an
+	// optimistic error there must still leave the service below the
+	// knee.
+	probeMargin = 1.2
+	// divergenceTol is the mean relative error between the predictions
+	// behind the applied allocation and the measured steady-state
+	// metrics above which a slice counts as divergent.
+	divergenceTol = 0.6
+	// divergenceSlices is the number of consecutive divergent slices
+	// that trips degraded mode: the runtime abandons the reconstructed
+	// surfaces and applies the safe-fallback allocation until a slice
+	// agrees with its predictions again.
+	divergenceSlices = 3
+)
+
 // Params tunes the runtime. Zero values select the paper's settings.
 type Params struct {
 	// Seed drives profiling noise and the per-slice search seeds.
 	Seed uint64
-	// NTrainBatch is the number of offline-characterised SPEC
-	// applications seeding the throughput/power matrices. Default 16
-	// (§VIII-A2). They are drawn with workload.SplitTrainTest(TrainSeed,
-	// NTrainBatch); runs must build their mixes from the complement.
-	NTrainBatch int
 	// TrainSeed selects the training split. Default 1.
 	TrainSeed uint64
-	// NTrainLC is the number of offline-characterised latency-critical
-	// variants seeding the tail-latency matrix. Default 12.
-	NTrainLC int
 	// SGD overrides the reconstruction hyper-parameters.
 	SGD sgd.Params
-	// DDS overrides the search parameters (defaults follow Fig. 6).
+	// DDS overrides the search parameters (defaults follow Fig. 6,
+	// with 8 workers). The serial-DDS ablation sets Workers to 1.
 	DDS dds.Params
-	// OverheadSec is the scheduling compute charged per decision
-	// (reconstruction + search). Default 6.1 ms, the Table II total.
-	OverheadSec float64
-	// ProfileNoise and SteadyNoise are the relative sigmas of 1 ms
-	// profiling samples and full-slice measurements.
-	ProfileNoise, SteadyNoise float64
-	// QoSSafety derates the QoS target during the latency scan so
-	// prediction error does not park the service on the QoS boundary.
-	// Default 0.8.
-	QoSSafety float64
-	// SlackYield is the latency slack at which a relocated core is
-	// returned to the batch jobs. Default 0.2 (§VIII-D3).
-	SlackYield float64
-	// PenaltyPower and PenaltyCache weight the soft constraint
-	// penalties in the DDS objective. Default 2 (Fig. 6).
-	PenaltyPower, PenaltyCache float64
-	// MaxUtil is the highest predicted utilisation (offered load over
-	// service capacity) the QoS scan accepts for a candidate LC
-	// configuration. Default 0.85 — the saturation-knee guard.
-	MaxUtil float64
 	// TrackAccuracy records, for every applied configuration, the
 	// relative error between the reconstruction's prediction and the
 	// measured steady-state value — the Fig. 5b runtime-accuracy study.
@@ -101,12 +121,6 @@ type Params struct {
 	// parallel DDS (the paper's choice) or the genetic algorithm used
 	// for the Fig. 10 comparison.
 	Searcher SearchAlgo
-	// ProbeMargin inflates the predicted utilisation of configurations
-	// the running service has never been measured on: their predicted
-	// service time comes purely from the training variants, and an
-	// optimistic error there must still leave the service below the
-	// knee. Default 1.2.
-	ProbeMargin float64
 	// ShareFactors captures the trained factor state of every
 	// reconstruction for export to the fleet model-sharing plane
 	// (internal/modelplane). Capture never changes predictions — the
@@ -114,17 +128,6 @@ type Params struct {
 	// runtimes outside a share-enabled fleet skip the copy entirely.
 	ShareFactors bool
 
-	// Resilience guards (graceful degradation under faults).
-	//
-	// DivergenceTol is the mean relative error between the predictions
-	// behind the applied allocation and the measured steady-state
-	// metrics above which a slice counts as divergent. Default 0.6.
-	DivergenceTol float64
-	// DivergenceSlices is the number of consecutive divergent slices
-	// that trips degraded mode: the runtime abandons the reconstructed
-	// surfaces and applies the safe-fallback allocation until a slice
-	// agrees with its predictions again. Default 3.
-	DivergenceSlices int
 	// DisableResilience turns off telemetry validation, the divergence
 	// detector, failed-core quarantine and the safe fallback — the
 	// trusting runtime used as the chaos-sweep control.
@@ -150,14 +153,8 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.NTrainBatch == 0 {
-		p.NTrainBatch = 16
-	}
 	if p.TrainSeed == 0 {
 		p.TrainSeed = 1
-	}
-	if p.NTrainLC == 0 {
-		p.NTrainLC = 12
 	}
 	if p.SGD.Factors == 0 {
 		p.SGD.Factors = 6
@@ -170,41 +167,8 @@ func (p Params) withDefaults() Params {
 	}
 	p.SGD.SVDInit = true
 	p.SGD.LogSpace = true
-	if p.OverheadSec == 0 {
-		p.OverheadSec = 0.0061
-	}
-	if p.ProfileNoise == 0 {
-		p.ProfileNoise = 0.05
-	}
-	if p.SteadyNoise == 0 {
-		p.SteadyNoise = 0.02
-	}
-	if p.QoSSafety == 0 {
-		p.QoSSafety = 0.8
-	}
-	if p.SlackYield == 0 {
-		p.SlackYield = 0.2
-	}
-	if p.PenaltyPower == 0 {
-		p.PenaltyPower = 2
-	}
-	if p.PenaltyCache == 0 {
-		p.PenaltyCache = 2
-	}
-	if p.MaxUtil == 0 {
-		p.MaxUtil = 0.85
-	}
-	if p.ProbeMargin == 0 {
-		p.ProbeMargin = 1.2
-	}
 	if p.DDS.Workers == 0 {
 		p.DDS.Workers = 8
-	}
-	if p.DivergenceTol == 0 {
-		p.DivergenceTol = 0.6
-	}
-	if p.DivergenceSlices == 0 {
-		p.DivergenceSlices = 3
 	}
 	return p
 }
@@ -236,10 +200,10 @@ type Runtime struct {
 	batch  []*workload.Profile
 	nCores int
 
-	// Reconstruction matrices (§V). Throughput rows: NTrainBatch known
+	// Reconstruction matrices (§V). Throughput rows: nTrainBatch known
 	// apps then the running batch jobs. Power rows: the same plus one
 	// final row for the LC service. Latency and service-time rows:
-	// NTrainLC known LC variants then the running LC service. The
+	// nTrainLC known LC variants then the running LC service. The
 	// service-time matrix backs the QoS scan's utilisation veto: mean
 	// service time is IPC-shaped (no queueing knee), so its
 	// reconstruction is accurate enough to predict which
@@ -348,9 +312,9 @@ func New(m *sim.Machine, params Params) *Runtime {
 	// training rows are fully observed. The models are the stand-in
 	// for the paper's offline zsim characterisation runs.
 	pm, wm := perf.New(true), power.New(true)
-	train, _ := workload.SplitTrainTest(p.TrainSeed, p.NTrainBatch)
-	rt.thrM = sgd.NewMatrix(p.NTrainBatch+nBatch, config.NumResources)
-	pwrRows := p.NTrainBatch + nBatch + len(rt.svcs)
+	train, _ := workload.SplitTrainTest(p.TrainSeed, nTrainBatch)
+	rt.thrM = sgd.NewMatrix(nTrainBatch+nBatch, config.NumResources)
+	pwrRows := nTrainBatch + nBatch + len(rt.svcs)
 	rt.pwrM = sgd.NewMatrix(pwrRows, config.NumResources)
 	for i, app := range train {
 		bips, pwr := sim.BatchSurfaces(pm, wm, app)
@@ -358,9 +322,9 @@ func New(m *sim.Machine, params Params) *Runtime {
 		rt.pwrM.ObserveRow(i, pwr)
 	}
 	if len(rt.svcs) > 0 {
-		rt.latM = sgd.NewMatrix(p.NTrainLC+len(rt.svcs), config.NumResources)
-		rt.svcM = sgd.NewMatrix(p.NTrainLC+len(rt.svcs), config.NumResources)
-		for i, row := range lcTrainingRows(p.TrainSeed, p.NTrainLC, rt.svcs[0].initCores) {
+		rt.latM = sgd.NewMatrix(nTrainLC+len(rt.svcs), config.NumResources)
+		rt.svcM = sgd.NewMatrix(nTrainLC+len(rt.svcs), config.NumResources)
+		for i, row := range lcTrainingRows(p.TrainSeed, nTrainLC, rt.svcs[0].initCores) {
 			rt.latM.ObserveRow(i, row.lat)
 			rt.svcM.ObserveRow(i, row.svc)
 		}
@@ -421,16 +385,16 @@ func (rt *Runtime) Name() string { return "cuttlesys" }
 // Deprecated: nothing in the driver reads it any more; it is declared
 // only because bench/ (frozen by BENCHMARK.json) calls it, and goes
 // with those calls.
-func (rt *Runtime) DecisionOverheadSec() float64 { return rt.p.OverheadSec }
+func (rt *Runtime) DecisionOverheadSec() float64 { return overheadSec }
 
 // batchRow maps batch job i to its matrix row.
-func (rt *Runtime) batchRow(i int) int { return rt.p.NTrainBatch + i }
+func (rt *Runtime) batchRow(i int) int { return nTrainBatch + i }
 
 // lcPowerRow is service k's row in the power matrix.
-func (rt *Runtime) lcPowerRow(k int) int { return rt.p.NTrainBatch + len(rt.batch) + k }
+func (rt *Runtime) lcPowerRow(k int) int { return nTrainBatch + len(rt.batch) + k }
 
 // latRow is service k's row in the latency and service-time matrices.
-func (rt *Runtime) latRow(k int) int { return rt.p.NTrainLC + k }
+func (rt *Runtime) latRow(k int) int { return nTrainLC + k }
 
 // ProfilePhases implements the single-service harness.Scheduler entry.
 func (rt *Runtime) ProfilePhases(qps, budgetW float64) []harness.Phase {
@@ -514,10 +478,10 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 				stats.RelErrPct(rt.predPwr[i], steady.BatchPowerW[i]))
 		}
 		if !faulted && rt.validSample(steady.BatchBIPS[i]) {
-			rt.thrM.Observe(rt.batchRow(i), col, sim.Measure(rt.r, steady.BatchBIPS[i]/mux, rt.p.SteadyNoise))
+			rt.thrM.Observe(rt.batchRow(i), col, sim.Measure(rt.r, steady.BatchBIPS[i]/mux, steadyNoise))
 		}
 		if !faulted && rt.validSample(steady.BatchPowerW[i]) {
-			rt.pwrM.Observe(rt.batchRow(i), col, sim.Measure(rt.r, steady.BatchPowerW[i], rt.p.SteadyNoise))
+			rt.pwrM.Observe(rt.batchRow(i), col, sim.Measure(rt.r, steady.BatchPowerW[i], steadyNoise))
 		}
 	}
 	for k, sv := range rt.svcs {
@@ -550,7 +514,7 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 		}
 		col := res.Index()
 		if !faulted && rt.validSample(corePower) {
-			rt.pwrM.Observe(rt.lcPowerRow(k), col, sim.Measure(rt.r, corePower, rt.p.SteadyNoise))
+			rt.pwrM.Observe(rt.lcPowerRow(k), col, sim.Measure(rt.r, corePower, steadyNoise))
 		}
 		if rt.p.TrackAccuracy && rt.predThr != nil {
 			rt.accErrs["power"] = append(rt.accErrs["power"],
@@ -594,7 +558,7 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 		// Mean service time is measurable regardless of backlog.
 		if !faulted && rt.validSample(meanSvcMs) {
 			rt.svcM.Observe(rt.latRow(k), col,
-				sim.Measure(rt.r, meanSvcMs, rt.p.SteadyNoise))
+				sim.Measure(rt.r, meanSvcMs, steadyNoise))
 		}
 	}
 	rt.updateDivergence(alloc, steady, mux)
@@ -656,7 +620,7 @@ func (rt *Runtime) Degraded() bool { return rt.degraded }
 // updateDivergence runs the divergence detector: a slice whose mean
 // relative error between the predictions behind the applied
 // allocation and the measured steady-state metrics exceeds
-// DivergenceTol counts toward a streak, and DivergenceSlices
+// divergenceTol counts toward a streak, and divergenceSlices
 // consecutive divergent slices trip degraded mode. A single slice
 // that agrees with its predictions again clears it.
 func (rt *Runtime) updateDivergence(alloc *sim.Allocation, steady sim.PhaseResult, mux float64) {
@@ -685,13 +649,13 @@ func (rt *Runtime) updateDivergence(alloc *sim.Allocation, steady sim.PhaseResul
 	if n == 0 {
 		return
 	}
-	if sum/float64(n) > rt.p.DivergenceTol {
+	if sum/float64(n) > divergenceTol {
 		rt.divergeStreak++
 	} else {
 		rt.divergeStreak = 0
 	}
 	was := rt.degraded
-	rt.degraded = rt.divergeStreak >= rt.p.DivergenceSlices
+	rt.degraded = rt.divergeStreak >= divergenceSlices
 	if rt.degraded != was && rt.obs.Enabled() {
 		state := "exit"
 		if rt.degraded {

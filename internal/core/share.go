@@ -38,7 +38,7 @@ func (rt *Runtime) ShareKey() uint64 {
 	}
 	mix("cuttlesys-mix-v1")
 	mix(fmt.Sprintf("train=%d/%d lc=%d jobs=%d rank=%d",
-		rt.p.NTrainBatch, rt.p.TrainSeed, rt.p.NTrainLC, len(rt.batch), rt.p.SGD.Factors))
+		nTrainBatch, rt.p.TrainSeed, nTrainLC, len(rt.batch), rt.p.SGD.Factors))
 	for _, sv := range rt.svcs {
 		mix(sv.app.Name)
 	}

@@ -332,8 +332,8 @@ func (m *Manager) Fleet() *fleet.Fleet { return m.f }
 // Close releases the managed fleet's worker pool.
 func (m *Manager) Close() { m.f.Close() }
 
-// StateOf reports machine id's control-plane state.
-func (m *Manager) StateOf(id int) State {
+// stateOf reports machine id's control-plane state.
+func (m *Manager) stateOf(id int) State {
 	if id < 0 || id >= len(m.trk) {
 		return Evicted
 	}

@@ -23,7 +23,7 @@ func (r *maskRouter) Route(offered float64, tele []fleet.Telemetry) []float64 {
 	out := make([]float64, len(tele))
 	serving := make([]int, 0, len(tele))
 	for i, t := range tele {
-		if r.m.StateOf(t.Machine).serving() {
+		if r.m.stateOf(t.Machine).serving() {
 			serving = append(serving, i)
 		}
 	}
@@ -50,7 +50,7 @@ func (r *maskRouter) Route(offered float64, tele []fleet.Telemetry) []float64 {
 		if w < 0 {
 			w = 0
 		}
-		if r.m.StateOf(tele[i].Machine) == Probation {
+		if r.m.stateOf(tele[i].Machine) == Probation {
 			w *= r.m.health.ProbationWeight
 		}
 		out[i] = w

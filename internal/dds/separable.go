@@ -137,9 +137,6 @@ func (e *IncrementalEvaluator) Rebase(parent []int) { e.w.rebase(parent) }
 // evaluation.
 func (e *IncrementalEvaluator) Eval(cand []int, dmin int) float64 { return e.w.eval(cand, dmin) }
 
-// DimsScored returns the cumulative dimension contributions scored.
-func (e *IncrementalEvaluator) DimsScored() int64 { return e.w.scored() }
-
 // sepWorker is one worker's incremental evaluation context. pre holds
 // the parent point's prefix accumulators: pre[d·K : (d+1)·K] is the
 // accumulator vector after folding dimensions [0, d) — pre[0] is Base,

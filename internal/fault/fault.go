@@ -167,9 +167,6 @@ func MustSchedule(seed uint64, events ...Event) *Schedule {
 	return s
 }
 
-// Empty reports whether the schedule contains no events.
-func (s *Schedule) Empty() bool { return s == nil || len(s.events) == 0 }
-
 // Disrupt implements sim.Injector: the hardware fault state at time t.
 func (s *Schedule) Disrupt(t float64) sim.Disruption {
 	var d sim.Disruption

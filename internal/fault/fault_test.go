@@ -30,9 +30,6 @@ func TestEmptySchedule(t *testing.T) {
 	var nilSched *Schedule
 	empty := MustSchedule(7)
 	for _, s := range []*Schedule{nilSched, empty} {
-		if !s.Empty() {
-			t.Fatal("Empty() false for empty schedule")
-		}
 		if d := s.Disrupt(0.5); d != (sim.Disruption{}) {
 			t.Fatalf("empty schedule disrupts: %+v", d)
 		}

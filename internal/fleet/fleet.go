@@ -256,11 +256,6 @@ func (f *Fleet) Active() []int {
 	return ids
 }
 
-// IsActive reports whether machine id is in the stepping set.
-func (f *Fleet) IsActive(id int) bool {
-	return id >= 0 && id < len(f.nodes) && !f.nodes[id].left
-}
-
 // Seeds derives n machine seeds from one fleet seed so sibling
 // machines never share an RNG stream (the seed discipline of
 // DESIGN.md §2 extended across a cluster).

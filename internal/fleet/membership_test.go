@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"cuttlesys/internal/fleet"
@@ -100,8 +101,8 @@ func TestMembershipChurn(t *testing.T) {
 	if err := f.Evict(1); err != nil {
 		t.Fatal(err)
 	}
-	if f.IsActive(1) || f.Size() != 3 || f.Slots() != 4 {
-		t.Fatalf("evict bookkeeping: active %v size %d slots %d", f.IsActive(1), f.Size(), f.Slots())
+	if slices.Contains(f.Active(), 1) || f.Size() != 3 || f.Slots() != 4 {
+		t.Fatalf("evict bookkeeping: active %v size %d slots %d", f.Active(), f.Size(), f.Slots())
 	}
 	post := run(2)
 	if got := post[0].Members; len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {

@@ -147,67 +147,41 @@ func TestProfileRetryBounded(t *testing.T) {
 	}
 }
 
-// TestProfileRetryParams covers the configurable bound: an explicit
-// Params.MaxProfileRetries is honoured, a negative bound disables
-// retries, and a huge bound with a permanently failing validator
-// degrades gracefully — re-profiling stops at half the quantum, the
-// decision and steady phase still run, and the slice stays exactly one
-// SliceDur on the clock grid.
+// TestProfileRetryParams covers the slice-time guard on re-profiling:
+// with a permanently failing validator and profile phases of 20 ms in
+// total, a second retry would push profiling to 60 ms, past half the
+// quantum, so the guard stops after one retry — before the
+// MaxProfileRetries bound. The decision and steady phase still run and
+// the slice stays exactly one SliceDur on the clock grid.
 func TestProfileRetryParams(t *testing.T) {
 	prof := sim.Uniform(16, true, 16, config.Narrowest, config.OneWay)
-	mk := func(rejections int) *validatingScheduler {
-		return &validatingScheduler{
-			staticScheduler: staticScheduler{
-				alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
-				profiles: []Phase{{Dur: 0.001, Alloc: prof}, {Dur: 0.001, Alloc: prof}},
-			},
-			rejections: rejections,
-		}
+	s := &validatingScheduler{
+		staticScheduler: staticScheduler{
+			alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
+			profiles: []Phase{{Dur: 0.01, Alloc: prof}, {Dur: 0.01, Alloc: prof}},
+		},
+		rejections: 1 << 30,
 	}
-	step := func(s *validatingScheduler, p Params) SliceRecord {
-		t.Helper()
-		m := testMachine(t)
-		d, err := NewDriver(m, Single(s), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SetParams(p)
-		rec, err := d.StepSlice([]float64{0.5 * m.LC().MaxQPS}, 0.5, 0.8*m.MaxPowerW())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Now() - rec.T; got > SliceDur+1e-9 {
-			t.Fatalf("slice overran the quantum: %v elapsed", got)
-		}
-		if s.decides != 1 {
-			t.Fatalf("decision phases: %d, want 1", s.decides)
-		}
-		if len(s.steadies) != 1 || s.steadies[0].Dur <= 0 {
-			t.Fatal("steady phase did not run")
-		}
-		return rec
+	m := testMachine(t)
+	d, err := NewDriver(m, Single(s), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Explicit bound honoured.
-	if rec := step(mk(1000), Params{MaxProfileRetries: 5}); rec.ProfileRetries != 5 {
-		t.Fatalf("ProfileRetries = %d, want 5", rec.ProfileRetries)
+	rec, err := d.StepSlice([]float64{0.5 * m.LC().MaxQPS}, 0.5, 0.8*m.MaxPowerW())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Negative bound disables retries.
-	if rec := step(mk(1000), Params{MaxProfileRetries: -1}); rec.ProfileRetries != 0 {
-		t.Fatalf("ProfileRetries = %d with retries disabled", rec.ProfileRetries)
+	if rec.ProfileRetries != 1 || rec.ProfileRetries >= MaxProfileRetries {
+		t.Fatalf("ProfileRetries = %d, want 1 (guard before the bound of %d)", rec.ProfileRetries, MaxProfileRetries)
 	}
-	// Zero selects the package default.
-	if rec := step(mk(1000), Params{}); rec.ProfileRetries != MaxProfileRetries {
-		t.Fatalf("ProfileRetries = %d, want default %d", rec.ProfileRetries, MaxProfileRetries)
+	if got := m.Now() - rec.T; got > SliceDur+1e-9 {
+		t.Fatalf("slice overran the quantum: %v elapsed", got)
 	}
-	// Huge bound, persistent corruption: the half-quantum guard stops
-	// re-profiling long before the bound, leaving the slice intact.
-	rec := step(mk(1<<30), Params{MaxProfileRetries: 1 << 30})
-	if rec.ProfileRetries >= 1<<30 {
-		t.Fatal("retry bound was not cut short by the slice-time guard")
+	if s.decides != 1 {
+		t.Fatalf("decision phases: %d, want 1", s.decides)
 	}
-	if rec.ProfileRetries < MaxProfileRetries {
-		t.Fatalf("guard fired too early: %d retries", rec.ProfileRetries)
+	if len(s.steadies) != 1 || s.steadies[0].Dur <= 0 {
+		t.Fatal("steady phase did not run")
 	}
 }
 

@@ -62,39 +62,15 @@ type ProfileValidator interface {
 	ValidateProfile(profile []sim.PhaseResult) error
 }
 
-// MaxProfileRetries is the default bound on in-slice profiling
-// re-sampling when a ProfileValidator rejects the samples. Each retry
-// burns another profiling window of the slice, so the bound keeps a
-// persistently corrupt sensor from consuming the whole quantum.
-// Override per driver with Params.MaxProfileRetries.
+// MaxProfileRetries bounds in-slice profiling re-sampling when a
+// ProfileValidator rejects the samples. Each retry burns another
+// profiling window of the slice, so the bound keeps a persistently
+// corrupt sensor from consuming the whole quantum. Retries also stop
+// once another re-profile would push the slice past half its quantum:
+// a scheduler whose profile phases are long degrades to a truncated
+// profile plus a normal steady phase instead of profiling burning the
+// whole slice (and overrunning the clock grid).
 const MaxProfileRetries = 2
-
-// Params tunes a Driver's policy knobs. The zero value selects every
-// documented default, so existing callers see identical behaviour.
-type Params struct {
-	// MaxProfileRetries bounds how many times a rejected profile is
-	// re-taken within one slice. Zero selects the package default
-	// (MaxProfileRetries = 2); a negative value disables retries
-	// entirely — the first sample set stands however corrupt.
-	//
-	// Whatever the bound, retries additionally stop once re-profiling
-	// would push the slice past half its quantum: a huge bound with a
-	// persistently failing validator degrades to a truncated profile
-	// plus a normal steady phase instead of profiling burning the
-	// whole slice (and overrunning the clock grid).
-	MaxProfileRetries int
-}
-
-// maxProfileRetries resolves the configured bound against defaults.
-func (p Params) maxProfileRetries() int {
-	switch {
-	case p.MaxProfileRetries > 0:
-		return p.MaxProfileRetries
-	case p.MaxProfileRetries < 0:
-		return 0
-	}
-	return MaxProfileRetries
-}
 
 // FixedOverhead was the scheduler extension decide/hold pipelining
 // required; the driver no longer looks for it.
@@ -530,7 +506,6 @@ type Driver struct {
 	reporter  DegradedReporter
 	nServices int
 	prevAlloc *sim.Allocation
-	params    Params
 
 	// sojourns/extraSoj accumulate the slice's sojourn times per
 	// service. They are reused across slices (a slice's worth is tens
@@ -579,19 +554,11 @@ func NewDriver(m *sim.Machine, s MultiScheduler, inj FaultInjector) (*Driver, er
 	return d, nil
 }
 
-// SetParams replaces the driver's policy knobs; the zero Params
-// restores the defaults. Call between slices, not mid-step.
-func (d *Driver) SetParams(p Params) { d.params = p }
-
 // Machine returns the driven machine.
 func (d *Driver) Machine() *sim.Machine { return d.m }
 
 // Scheduler returns the driven scheduler.
 func (d *Driver) Scheduler() MultiScheduler { return d.s }
-
-// NumServices is the number of latency-critical services on the
-// machine — the length StepSlice expects of its qps slice.
-func (d *Driver) NumServices() int { return d.nServices }
 
 // Detach removes the driver's fault injector from the machine.
 func (d *Driver) Detach() {
@@ -673,7 +640,6 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	// 1. Profiling phases. A ProfileValidator scheduler gets corrupt
 	// samples re-taken (bounded, and each retry consumes slice time).
 	profPhases := s.ProfilePhasesMulti(qps, budgetW)
-	maxRetries := d.params.maxProfileRetries()
 	profDur := 0.0
 	for _, ph := range profPhases {
 		profDur += ph.Dur
@@ -696,14 +662,14 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 			}
 		}
 		if len(profPhases) == 0 || d.validator == nil ||
-			attempt >= maxRetries || d.validator.ValidateProfile(profResults) == nil {
+			attempt >= MaxProfileRetries || d.validator.ValidateProfile(profResults) == nil {
 			rec.ProfileRetries = attempt
 			break
 		}
-		// Graceful exhaustion: however large the configured bound,
-		// another full re-profile must not push the slice past half its
-		// quantum — the decision and steady phase still have to run on
-		// the normal clock grid. The last (corrupt) sample set stands.
+		// Graceful exhaustion: another full re-profile must not push the
+		// slice past half its quantum — the decision and steady phase
+		// still have to run on the normal clock grid. The last (corrupt)
+		// sample set stands.
 		if elapsed+profDur > SliceDur/2 {
 			rec.ProfileRetries = attempt
 			break

@@ -1,5 +1,5 @@
 // Package mat implements the small dense linear algebra kernel the
-// repository needs: matrices, products, a partial-pivoting linear solver
+// repository needs: matrices, a partial-pivoting linear solver
 // (used to fit Flicker's RBF surrogates), and a one-sided Jacobi SVD
 // (used to initialise the P/Q factors of the collaborative-filtering
 // reconstruction, as described in §V of the paper).
@@ -29,40 +29,24 @@ func NewDense(r, c int) *Dense {
 	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices, which must be non-empty and
-// of equal length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: FromRows with empty input")
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, row := range rows {
-		if len(row) != m.Cols {
-			panic("mat: FromRows with ragged input")
-		}
-		copy(m.Data[i*m.Cols:], row)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Row returns a view (not a copy) of row i.
-func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+// row returns a view (not a copy) of row i.
+func (m *Dense) row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
+// clone returns a deep copy.
+func (m *Dense) clone() *Dense {
 	c := NewDense(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
+// transpose returns the transpose as a new matrix.
+func (m *Dense) transpose() *Dense {
 	t := NewDense(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
@@ -70,73 +54,6 @@ func (m *Dense) T() *Dense {
 		}
 	}
 	return t
-}
-
-// Mul returns a·b. It panics on a dimension mismatch.
-func Mul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewDense(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns a·x as a new vector. It panics on a dimension mismatch.
-func MulVec(a *Dense, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic("mat: MulVec dimension mismatch")
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// FrobeniusDiff returns ‖a−b‖_F. It panics on a dimension mismatch.
-func FrobeniusDiff(a, b *Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: FrobeniusDiff dimension mismatch")
-	}
-	s := 0.0
-	for i := range a.Data {
-		d := a.Data[i] - b.Data[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 // Solve solves A·x = b by Gaussian elimination with partial pivoting,
@@ -151,7 +68,7 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("mat: Solve rhs length %d != %d", len(b), n)
 	}
 	// Working copies.
-	m := a.Clone()
+	m := a.clone()
 	x := append([]float64(nil), b...)
 
 	for col := 0; col < n; col++ {
@@ -167,7 +84,7 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 			return nil, fmt.Errorf("mat: singular system at column %d", col)
 		}
 		if pivot != col {
-			pr, cr := m.Row(pivot), m.Row(col)
+			pr, cr := m.row(pivot), m.row(col)
 			for j := range pr {
 				pr[j], cr[j] = cr[j], pr[j]
 			}
@@ -179,7 +96,7 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 			if f == 0 {
 				continue
 			}
-			rrow, crow := m.Row(r), m.Row(col)
+			rrow, crow := m.row(r), m.row(col)
 			for j := col; j < n; j++ {
 				rrow[j] -= f * crow[j]
 			}
@@ -188,7 +105,7 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
-		row := m.Row(i)
+		row := m.row(i)
 		s := x[i]
 		for j := i + 1; j < n; j++ {
 			s -= row[j] * x[j]
@@ -217,7 +134,7 @@ func SVD(a *Dense) SVDResult {
 		u, s, v := jacobiSVD(append([]float64(nil), a.Data...), a.Cols, a.Rows)
 		return SVDResult{U: v, S: s, V: u}
 	}
-	u, s, v := jacobiSVD(a.T().Data, a.Rows, a.Cols)
+	u, s, v := jacobiSVD(a.transpose().Data, a.Rows, a.Cols)
 	return SVDResult{U: u, S: s, V: v}
 }
 

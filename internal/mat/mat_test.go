@@ -24,29 +24,29 @@ func TestAtSetRow(t *testing.T) {
 	if m.At(1, 2) != 7 {
 		t.Fatal("Set/At roundtrip failed")
 	}
-	row := m.Row(1)
+	row := m.row(1)
 	row[0] = 9
 	if m.At(1, 0) != 9 {
-		t.Fatal("Row must be a view, not a copy")
+		t.Fatal("row must be a view, not a copy")
 	}
 }
 
 func TestFromRows(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	if m.At(0, 1) != 2 || m.At(1, 0) != 3 {
-		t.Fatal("FromRows layout wrong")
+		t.Fatal("fromRows layout wrong")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ragged FromRows did not panic")
+			t.Fatal("ragged fromRows did not panic")
 		}
 	}()
-	FromRows([][]float64{{1}, {1, 2}})
+	fromRows([][]float64{{1}, {1, 2}})
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	tr := m.transpose()
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("transpose dims %dx%d", tr.Rows, tr.Cols)
 	}
@@ -60,12 +60,12 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := Mul(a, b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	if FrobeniusDiff(c, want) > 1e-12 {
-		t.Fatalf("Mul = %+v, want %+v", c, want)
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := mul(a, b)
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
+	if frobeniusDiff(c, want) > 1e-12 {
+		t.Fatalf("mul = %+v, want %+v", c, want)
 	}
 }
 
@@ -79,33 +79,24 @@ func TestMulIdentity(t *testing.T) {
 			a.Set(i, j, r.Norm())
 		}
 	}
-	if FrobeniusDiff(Mul(a, id), a) > 1e-12 {
+	if frobeniusDiff(mul(a, id), a) > 1e-12 {
 		t.Fatal("A·I != A")
 	}
-	if FrobeniusDiff(Mul(id, a), a) > 1e-12 {
+	if frobeniusDiff(mul(id, a), a) > 1e-12 {
 		t.Fatal("I·A != A")
 	}
 }
 
 func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := MulVec(a, []float64{1, 1})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	got := mulVec(a, []float64{1, 1})
 	if got[0] != 3 || got[1] != 7 {
-		t.Fatalf("MulVec = %v", got)
-	}
-}
-
-func TestDotNorm(t *testing.T) {
-	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
-		t.Fatal("Dot wrong")
-	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
-		t.Fatal("Norm2 wrong")
+		t.Fatalf("mulVec = %v", got)
 	}
 }
 
 func TestSolveKnown(t *testing.T) {
-	a := FromRows([][]float64{
+	a := fromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
@@ -124,20 +115,20 @@ func TestSolveKnown(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); err == nil {
 		t.Fatal("singular system did not error")
 	}
 }
 
 func TestSolveDoesNotMutate(t *testing.T) {
-	a := FromRows([][]float64{{4, 1}, {1, 3}})
+	a := fromRows([][]float64{{4, 1}, {1, 3}})
 	b := []float64{1, 2}
-	aCopy := a.Clone()
+	aCopy := a.clone()
 	if _, err := Solve(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if FrobeniusDiff(a, aCopy) != 0 {
+	if frobeniusDiff(a, aCopy) != 0 {
 		t.Fatal("Solve mutated A")
 	}
 	if b[0] != 1 || b[1] != 2 {
@@ -165,7 +156,7 @@ func TestSolveRandomResidual(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res := MulVec(a, x)
+		res := mulVec(a, x)
 		for i := range res {
 			if math.Abs(res[i]-b[i]) > 1e-8 {
 				return false
@@ -180,13 +171,13 @@ func TestSolveRandomResidual(t *testing.T) {
 
 func svdReconstruct(r SVDResult) *Dense {
 	k := len(r.S)
-	us := r.U.Clone()
+	us := r.U.clone()
 	for i := 0; i < us.Rows; i++ {
 		for j := 0; j < k; j++ {
 			us.Set(i, j, us.At(i, j)*r.S[j])
 		}
 	}
-	return Mul(us, r.V.T())
+	return mul(us, r.V.transpose())
 }
 
 func TestSVDReconstruction(t *testing.T) {
@@ -198,7 +189,7 @@ func TestSVDReconstruction(t *testing.T) {
 			a.Data[i] = r.Norm()
 		}
 		res := SVD(a)
-		if diff := FrobeniusDiff(svdReconstruct(res), a); diff > 1e-8 {
+		if diff := frobeniusDiff(svdReconstruct(res), a); diff > 1e-8 {
 			t.Fatalf("SVD %dx%d reconstruction error %v", m, n, diff)
 		}
 		// Singular values non-increasing and non-negative.
@@ -220,7 +211,7 @@ func TestSVDOrthonormalU(t *testing.T) {
 		a.Data[i] = r.Norm()
 	}
 	res := SVD(a)
-	utu := Mul(res.U.T(), res.U)
+	utu := mul(res.U.transpose(), res.U)
 	for i := 0; i < utu.Rows; i++ {
 		for j := 0; j < utu.Cols; j++ {
 			want := 0.0
@@ -248,7 +239,7 @@ func TestSVDLowRank(t *testing.T) {
 	for i := range v.Data {
 		v.Data[i] = r.Norm()
 	}
-	a := Mul(u, v)
+	a := mul(u, v)
 	res := SVD(a)
 	if res.S[0] <= 0 || res.S[1] <= 0 {
 		t.Fatal("leading singular values should be positive")
@@ -263,10 +254,10 @@ func TestSVDLowRank(t *testing.T) {
 func TestFrobeniusDiffMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FrobeniusDiff mismatch did not panic")
+			t.Fatal("frobeniusDiff mismatch did not panic")
 		}
 	}()
-	FrobeniusDiff(NewDense(2, 2), NewDense(2, 3))
+	frobeniusDiff(NewDense(2, 2), NewDense(2, 3))
 }
 
 // svdRowMajor is the Jacobi SVD as it was before the working copy went
@@ -277,12 +268,12 @@ func svdRowMajor(a *Dense) SVDResult {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		// Decompose the transpose and swap the roles of U and V.
-		r := svdRowMajor(a.T())
+		r := svdRowMajor(a.transpose())
 		return SVDResult{U: r.V, S: r.S, V: r.U}
 	}
 	// w starts as a copy of a; Jacobi rotations orthogonalise its columns
 	// in place, accumulating the rotations into v.
-	w := a.Clone()
+	w := a.clone()
 	v := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		v.Set(i, i, 1)
@@ -388,7 +379,7 @@ func TestSVDMatchesRowMajorOracle(t *testing.T) {
 		for i := range a.Data {
 			a.Data[i] = r.Norm()
 		}
-		orig := a.Clone()
+		orig := a.clone()
 		got, want := SVD(a), svdRowMajor(a)
 		t.Run(fmt.Sprintf("%dx%d", dims[0], dims[1]), func(t *testing.T) {
 			bitsEqual(t, "input", a.Data, orig.Data)
@@ -423,4 +414,69 @@ func BenchmarkSVD(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fromRows builds a matrix from row slices, which must be non-empty and
+// of equal length.
+func fromRows(rows [][]float64) *Dense {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		panic("mat: fromRows with empty input")
+	}
+	m := NewDense(len(rows), len(rows[0]))
+	for i, row := range rows {
+		if len(row) != m.Cols {
+			panic("mat: fromRows with ragged input")
+		}
+		copy(m.Data[i*m.Cols:], row)
+	}
+	return m
+}
+
+// mul returns a·b. It panics on a dimension mismatch.
+func mul(a, b *Dense) *Dense {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("mat: mul dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := NewDense(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		orow := out.row(i)
+		for k, av := range a.row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.row(k) {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// mulVec returns a·x as a new vector. It panics on a dimension mismatch.
+func mulVec(a *Dense, x []float64) []float64 {
+	if a.Cols != len(x) {
+		panic("mat: mulVec dimension mismatch")
+	}
+	out := make([]float64, a.Rows)
+	for i := range out {
+		s := 0.0
+		for j, v := range a.row(i) {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// frobeniusDiff returns ‖a−b‖_F. It panics on a dimension mismatch.
+func frobeniusDiff(a, b *Dense) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("mat: frobeniusDiff dimension mismatch")
+	}
+	s := 0.0
+	for i := range a.Data {
+		d := a.Data[i] - b.Data[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
 }

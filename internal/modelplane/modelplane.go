@@ -262,16 +262,6 @@ func (pl *Plane) WarmStartMachine(machine int, sched harness.MultiScheduler) boo
 	return true
 }
 
-// Aggregate returns the current fleet aggregate for key (deep copy)
-// and its version, or nil and 0 when the key has never folded.
-func (pl *Plane) Aggregate(key uint64) (map[string]*sgd.Factors, int) {
-	e := pl.keys[key]
-	if e == nil || e.agg == nil {
-		return nil, 0
-	}
-	return cloneSet(e.agg), e.version
-}
-
 // Totals reports lifetime publish / aggregate-fold / warm-start
 // counts.
 func (pl *Plane) Totals() (publishes, aggregates, warmStarts int) {
@@ -307,18 +297,18 @@ func (pl *Plane) Stats() []KeyStats {
 		}
 		if e.agg != nil {
 			st.Staleness = pl.slice - e.lastAgg
-			st.Fingerprint = keyLabel(SetFingerprint(e.agg))
+			st.Fingerprint = keyLabel(setFingerprint(e.agg))
 		}
 		out = append(out, st)
 	}
 	return out
 }
 
-// SetFingerprint hashes a factor set to a single order-independent-of-
+// setFingerprint hashes a factor set to a single order-independent-of-
 // nothing identity: matrix names are visited in sorted order and each
 // factor set's exact bit pattern is mixed in. Equal fingerprints mean
 // byte-identical aggregates — the property the determinism tests pin.
-func SetFingerprint(set map[string]*sgd.Factors) uint64 {
+func setFingerprint(set map[string]*sgd.Factors) uint64 {
 	names := make([]string, 0, len(set))
 	for n := range set {
 		names = append(names, n)

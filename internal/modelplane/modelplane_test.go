@@ -30,6 +30,16 @@ func trainedFactors(t *testing.T, seed uint64) *sgd.Factors {
 	return fac
 }
 
+// aggregate returns the current fleet aggregate for key (deep copy)
+// and its version, or nil and 0 when the key has never folded.
+func aggregate(pl *Plane, key uint64) (map[string]*sgd.Factors, int) {
+	e := pl.keys[key]
+	if e == nil || e.agg == nil {
+		return nil, 0
+	}
+	return cloneSet(e.agg), e.version
+}
+
 func factorSet(t *testing.T, seed uint64) map[string]*sgd.Factors {
 	return map[string]*sgd.Factors{
 		"thr": trainedFactors(t, seed),
@@ -55,11 +65,11 @@ func TestAggregateIndependentOfPublishOrder(t *testing.T) {
 			pl.PublishFactors(key, machine, 3, sets[machine])
 		}
 		pl.AggregatePending(3)
-		agg, version := pl.Aggregate(key)
+		agg, version := aggregate(pl, key)
 		if version != 1 {
 			t.Fatalf("order %d: version %d, want 1", oi, version)
 		}
-		fp := SetFingerprint(agg)
+		fp := setFingerprint(agg)
 		if oi == 0 {
 			want = fp
 			continue
@@ -84,8 +94,8 @@ func TestAggregateInvariantAcrossWorkerCounts(t *testing.T) {
 			pl.PublishFactors(key, machine, 7, factorSet(t, uint64(10+machine)))
 		}
 		pl.AggregatePending(7)
-		agg, _ := pl.Aggregate(key)
-		fp := SetFingerprint(agg)
+		agg, _ := aggregate(pl, key)
+		fp := setFingerprint(agg)
 		if wi == 0 {
 			want = fp
 			continue
@@ -110,7 +120,7 @@ func TestDecayFoldSemantics(t *testing.T) {
 	pl.PublishFactors(1, 0, 4, mk(8))
 	pl.PublishFactors(1, 1, 4, mk(16))
 	pl.AggregatePending(4)
-	agg, version := pl.Aggregate(1)
+	agg, version := aggregate(pl, 1)
 	if version != 2 {
 		t.Fatalf("version %d, want 2", version)
 	}
@@ -133,7 +143,7 @@ func TestAggregateMeanSkipsIncompatibleGeometry(t *testing.T) {
 	pl.PublishFactors(7, 0, 0, good)
 	pl.PublishFactors(7, 1, 0, bad)
 	pl.AggregatePending(0)
-	agg, _ := pl.Aggregate(7)
+	agg, _ := aggregate(pl, 7)
 	if agg["thr"].Rows != good["thr"].Rows {
 		t.Fatal("first publication's geometry should define the surface")
 	}
@@ -189,7 +199,7 @@ func TestAfterSliceCadenceAndColdSkip(t *testing.T) {
 	if aggs != 2 {
 		t.Fatalf("aggregate folds = %d, want 2", aggs)
 	}
-	if _, version := pl.Aggregate(42); version != 2 {
+	if _, version := aggregate(pl, 42); version != 2 {
 		t.Fatalf("version = %d, want 2", version)
 	}
 }
@@ -206,13 +216,13 @@ func TestWarmStartMachine(t *testing.T) {
 	if joiner.warmed == nil || joiner.fineTune != 30 || joiner.confidence != 3 {
 		t.Fatalf("warm start payload wrong: %+v", joiner)
 	}
-	if SetFingerprint(joiner.warmed) != SetFingerprint(donor.fac) {
+	if setFingerprint(joiner.warmed) != setFingerprint(donor.fac) {
 		t.Fatal("single-donor aggregate should equal the donor's factors bit-for-bit")
 	}
 	// Mutating the import must not touch the store.
 	joiner.warmed["thr"].Q[0] += 1
-	agg, _ := pl.Aggregate(9)
-	if SetFingerprint(agg) != SetFingerprint(donor.fac) {
+	agg, _ := aggregate(pl, 9)
+	if setFingerprint(agg) != setFingerprint(donor.fac) {
 		t.Fatal("warm start must hand out a deep copy")
 	}
 

@@ -80,11 +80,11 @@ func TestGoldenExports(t *testing.T) {
 	}
 	checkGolden(t, "metrics.prom", prom.Bytes())
 
-	var mjson bytes.Buffer
-	if err := r.Registry().WriteJSON(&mjson); err != nil {
+	mjson, err := EncodeReport(r.Registry().Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "metrics.json", mjson.Bytes())
+	checkGolden(t, "metrics.json", mjson)
 
 	sum, err := EncodeReport(Summarize(r.Events(), 5))
 	if err != nil {

@@ -34,10 +34,10 @@ func (k MetricKind) String() string {
 	return "counter"
 }
 
-// DefaultBuckets are the histogram upper bounds used unless
-// DefineBuckets overrides a metric: a 1-2-5 ladder wide enough for
-// both millisecond latencies and small counts.
-var DefaultBuckets = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+// bucketBounds are the upper bounds of every histogram's buckets: a
+// 1-2-5 ladder wide enough for both millisecond latencies and small
+// counts.
+var bucketBounds = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 
 // series is one (name, label set) accumulator.
 type series struct {
@@ -45,11 +45,10 @@ type series struct {
 	labels Attrs // key-sorted
 	kind   MetricKind
 
-	value   float64   // counter / gauge
-	count   uint64    // histogram
-	sum     float64   // histogram
-	buckets []uint64  // histogram; len(bounds)+1, last is +Inf
-	bounds  []float64 // histogram upper bounds
+	value   float64  // counter / gauge
+	count   uint64   // histogram
+	sum     float64  // histogram
+	buckets []uint64 // histogram; len(bucketBounds)+1, last is +Inf
 }
 
 // Registry is the metrics store: counters, gauges and histograms with
@@ -60,26 +59,11 @@ type series struct {
 type Registry struct {
 	mu     sync.Mutex
 	series map[string]*series
-	bounds map[string][]float64
 }
 
-// NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		series: map[string]*series{},
-		bounds: map[string][]float64{},
-	}
-}
-
-// DefineBuckets sets the histogram upper bounds for a metric name.
-// It must be called before the first Observe of that name; later
-// calls are ignored for series that already exist.
-func (r *Registry) DefineBuckets(name string, bounds []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	r.bounds[name] = b
+// newRegistry builds an empty registry.
+func newRegistry() *Registry {
+	return &Registry{series: map[string]*series{}}
 }
 
 // seriesKey renders the canonical identity of (name, labels).
@@ -111,12 +95,7 @@ func (r *Registry) get(name string, labels Attrs, kind MetricKind) *series {
 	if !ok {
 		s = &series{name: name, labels: labels, kind: kind}
 		if kind == Histogram {
-			bounds, ok := r.bounds[name]
-			if !ok {
-				bounds = DefaultBuckets
-			}
-			s.bounds = bounds
-			s.buckets = make([]uint64, len(bounds)+1)
+			s.buckets = make([]uint64, len(bucketBounds)+1)
 		}
 		r.series[key] = s
 	}
@@ -126,8 +105,8 @@ func (r *Registry) get(name string, labels Attrs, kind MetricKind) *series {
 	return s
 }
 
-// Add increments a counter.
-func (r *Registry) Add(name string, labels Attrs, v float64) {
+// add increments a counter.
+func (r *Registry) add(name string, labels Attrs, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s := r.get(name, labels, Counter); s != nil {
@@ -135,8 +114,8 @@ func (r *Registry) Add(name string, labels Attrs, v float64) {
 	}
 }
 
-// Set sets a gauge.
-func (r *Registry) Set(name string, labels Attrs, v float64) {
+// set sets a gauge.
+func (r *Registry) set(name string, labels Attrs, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s := r.get(name, labels, Gauge); s != nil {
@@ -144,8 +123,8 @@ func (r *Registry) Set(name string, labels Attrs, v float64) {
 	}
 }
 
-// Observe records a histogram sample.
-func (r *Registry) Observe(name string, labels Attrs, v float64) {
+// observe records a histogram sample.
+func (r *Registry) observe(name string, labels Attrs, v float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.get(name, labels, Histogram)
@@ -154,7 +133,7 @@ func (r *Registry) Observe(name string, labels Attrs, v float64) {
 	}
 	s.count++
 	s.sum += v
-	i := sort.SearchFloat64s(s.bounds, v) // first bound >= v
+	i := sort.SearchFloat64s(bucketBounds, v) // first bound >= v
 	s.buckets[i]++
 }
 
@@ -209,8 +188,8 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 			for i, n := range s.buckets {
 				cum += n
 				le := "+Inf"
-				if i < len(s.bounds) {
-					le = formatFloat(s.bounds[i])
+				if i < len(bucketBounds) {
+					le = formatFloat(bucketBounds[i])
 				}
 				snap.Buckets = append(snap.Buckets, BucketCount{LE: le, Count: cum})
 			}
@@ -220,16 +199,6 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 		out = append(out, snap)
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as canonical report JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	buf, err := EncodeReport(r.Snapshot())
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }
 
 // promLabels renders a label set for exposition, with an optional
@@ -257,10 +226,10 @@ func promLabels(labels Attrs, le string) string {
 	return b.String()
 }
 
-// WritePrometheus writes the registry in the Prometheus text
+// writePrometheus writes the registry in the Prometheus text
 // exposition format, series sorted by name then label set, one
 // # TYPE line per metric family.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	keys := make([]string, 0, len(r.series))
 	for k := range r.series {
@@ -286,8 +255,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			for i, n := range s.buckets {
 				cum += n
 				le := "+Inf"
-				if i < len(s.bounds) {
-					le = formatFloat(s.bounds[i])
+				if i < len(bucketBounds) {
+					le = formatFloat(bucketBounds[i])
 				}
 				fmt.Fprintf(&b, "%s_bucket%s %d\n", s.name, promLabels(s.labels, le), cum)
 			}

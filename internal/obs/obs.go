@@ -51,10 +51,10 @@ type Attrs struct {
 var NoLabels Attrs
 
 // Label builds a single-entry label set.
-func Label(k, v string) Attrs { return Attrs{}.With(k, v) }
+func Label(k, v string) Attrs { return Attrs{}.with(k, v) }
 
 // With returns a copy of a with (k, v) appended.
-func (a Attrs) With(k, v string) Attrs {
+func (a Attrs) with(k, v string) Attrs {
 	if a.n < maxAttrs {
 		a.kv[a.n] = Attr{Key: k, Val: v}
 		a.n++
@@ -139,7 +139,7 @@ func Mark(name string) Event { return Instant(name, -1) }
 
 // With returns a copy of e with the attribute appended.
 func (e Event) With(k, v string) Event {
-	e.Attrs = e.Attrs.With(k, v)
+	e.Attrs = e.Attrs.with(k, v)
 	return e
 }
 
@@ -156,7 +156,7 @@ func (e Event) WithSlice(s int) Event {
 }
 
 // End returns the span's simulated end time.
-func (e Event) End() float64 { return e.T + e.Dur }
+func (e Event) end() float64 { return e.T + e.Dur }
 
 // Float renders a float attribute value in Go's shortest round-trip
 // form — the same encoding encoding/json uses, so values survive a
@@ -240,13 +240,13 @@ func (m *machineCollector) Emit(e Event) {
 	m.sink.Emit(e)
 }
 func (m *machineCollector) Add(name string, labels Attrs, v float64) {
-	m.sink.Add(name, labels.With(MachineLabel, m.label), v)
+	m.sink.Add(name, labels.with(MachineLabel, m.label), v)
 }
 func (m *machineCollector) Set(name string, labels Attrs, v float64) {
-	m.sink.Set(name, labels.With(MachineLabel, m.label), v)
+	m.sink.Set(name, labels.with(MachineLabel, m.label), v)
 }
 func (m *machineCollector) Observe(name string, labels Attrs, v float64) {
-	m.sink.Observe(name, labels.With(MachineLabel, m.label), v)
+	m.sink.Observe(name, labels.with(MachineLabel, m.label), v)
 }
 func (m *machineCollector) Wall(phase string, wallNs int64, allocBytes uint64) {
 	m.sink.Wall(phase, wallNs, allocBytes)

@@ -9,7 +9,7 @@ import (
 func TestAttrsCapacityAndSort(t *testing.T) {
 	a := NoLabels
 	for i, k := range []string{"d", "b", "a", "c", "overflow"} {
-		a = a.With(k, Itoa(i))
+		a = a.with(k, Itoa(i))
 	}
 	if a.Len() != maxAttrs {
 		t.Fatalf("Len = %d, want %d (overflow dropped)", a.Len(), maxAttrs)
@@ -88,9 +88,9 @@ func TestRecorderOrdersByTimeMachineSeq(t *testing.T) {
 }
 
 func TestRegistryKindMismatchDropped(t *testing.T) {
-	r := NewRegistry()
-	r.Add("m", NoLabels, 2)
-	r.Set("m", NoLabels, 99) // wrong kind: dropped
+	r := newRegistry()
+	r.add("m", NoLabels, 2)
+	r.set("m", NoLabels, 99) // wrong kind: dropped
 	snap := r.Snapshot()
 	if len(snap) != 1 || snap[0].Value != 2 || snap[0].Kind != "counter" {
 		t.Fatalf("mismatched update not dropped: %+v", snap)
@@ -98,28 +98,32 @@ func TestRegistryKindMismatchDropped(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	r.DefineBuckets("h", []float64{1, 10})
-	r.Observe("h", NoLabels, 0.5)
-	r.Observe("h", NoLabels, 1) // le="1" is inclusive
-	r.Observe("h", NoLabels, 5)
-	r.Observe("h", NoLabels, 100)
+	r := newRegistry()
+	r.observe("h", NoLabels, 0.5) // le="0.5" is inclusive
+	r.observe("h", NoLabels, 1)
+	r.observe("h", NoLabels, 5)
+	r.observe("h", NoLabels, 100)
+	r.observe("h", NoLabels, 5000)
 	snap := r.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("got %d series", len(snap))
 	}
 	s := snap[0]
-	if s.Count != 4 || s.Sum != 106.5 {
+	if s.Count != 5 || s.Sum != 5106.5 {
 		t.Fatalf("count=%d sum=%v", s.Count, s.Sum)
 	}
-	wantCum := []uint64{2, 3, 4}
+	// bucketBounds: 0.5 1 2 5 10 20 50 100 200 500 1000 +Inf.
+	wantCum := []uint64{1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5}
+	if len(s.Buckets) != len(wantCum) {
+		t.Fatalf("got %d buckets, want %d", len(s.Buckets), len(wantCum))
+	}
 	for i, b := range s.Buckets {
 		if b.Count != wantCum[i] {
 			t.Fatalf("bucket[%d] (le=%s) = %d, want %d", i, b.LE, b.Count, wantCum[i])
 		}
 	}
-	if s.Buckets[2].LE != "+Inf" {
-		t.Fatalf("last bucket LE = %q", s.Buckets[2].LE)
+	if s.Buckets[len(wantCum)-1].LE != "+Inf" {
+		t.Fatalf("last bucket LE = %q", s.Buckets[len(wantCum)-1].LE)
 	}
 }
 

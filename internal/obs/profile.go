@@ -25,13 +25,13 @@ type PhaseCost struct {
 	AllocBytes uint64 `json:"alloc_bytes"`
 }
 
-// NewProfile builds an empty profile.
-func NewProfile() *Profile {
+// newProfile builds an empty profile.
+func newProfile() *Profile {
 	return &Profile{phases: map[string]*PhaseCost{}}
 }
 
 // Record folds one phase sample into the profile.
-func (p *Profile) Record(phase string, wallNs int64, allocBytes uint64) {
+func (p *Profile) record(phase string, wallNs int64, allocBytes uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	c, ok := p.phases[phase]

@@ -95,7 +95,7 @@ func Summarize(events []Event, top int) *Summary {
 		if e.T < first {
 			first = e.T
 		}
-		if end := e.End(); end > last {
+		if end := e.end(); end > last {
 			last = end
 		}
 		if e.Kind == InstantEvent {

@@ -35,8 +35,8 @@ type taggedEvent struct {
 func NewRecorder() *Recorder {
 	return &Recorder{
 		seq:  map[int]uint64{},
-		reg:  NewRegistry(),
-		prof: NewProfile(),
+		reg:  newRegistry(),
+		prof: newProfile(),
 	}
 }
 
@@ -57,17 +57,17 @@ func (r *Recorder) Emit(e Event) {
 }
 
 // Add implements Collector.
-func (r *Recorder) Add(name string, labels Attrs, v float64) { r.reg.Add(name, labels, v) }
+func (r *Recorder) Add(name string, labels Attrs, v float64) { r.reg.add(name, labels, v) }
 
 // Set implements Collector.
-func (r *Recorder) Set(name string, labels Attrs, v float64) { r.reg.Set(name, labels, v) }
+func (r *Recorder) Set(name string, labels Attrs, v float64) { r.reg.set(name, labels, v) }
 
 // Observe implements Collector.
-func (r *Recorder) Observe(name string, labels Attrs, v float64) { r.reg.Observe(name, labels, v) }
+func (r *Recorder) Observe(name string, labels Attrs, v float64) { r.reg.observe(name, labels, v) }
 
 // Wall implements Collector.
 func (r *Recorder) Wall(phase string, wallNs int64, allocBytes uint64) {
-	r.prof.Record(phase, wallNs, allocBytes)
+	r.prof.record(phase, wallNs, allocBytes)
 }
 
 // Registry returns the recorder's metric registry.
@@ -116,7 +116,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error { return WriteJSONL(w, r.Events
 func (r *Recorder) WriteChromeTrace(w io.Writer) error { return WriteChromeTrace(w, r.Events()) }
 
 // WritePrometheus writes the recorder's metrics snapshot.
-func (r *Recorder) WritePrometheus(w io.Writer) error { return r.reg.WritePrometheus(w) }
+func (r *Recorder) WritePrometheus(w io.Writer) error { return r.reg.writePrometheus(w) }
 
 // lineEvent is the JSONL wire form; field order is the line's byte
 // order, attrs marshal key-sorted (encoding/json sorts map keys).
@@ -187,7 +187,7 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				e.Attrs = e.Attrs.With(k, le.Attrs[k])
+				e.Attrs = e.Attrs.with(k, le.Attrs[k])
 			}
 		}
 		out = append(out, e)

@@ -18,8 +18,8 @@ import (
 // math.Pow evaluation from the per-quantum path at canonical ways: a
 // point lookup (IPCAt) folds the staged terms with the caller's ways,
 // inflation and frequency in a handful of multiplies, and Build renders
-// the full (app, resource) grid of IPC/BIPS/service-time/DRAM-traffic
-// surfaces for one inflation value. A non-canonical way count (the
+// the full (app, resource) grid of IPC/BIPS/service-time surfaces for
+// one inflation value. A non-canonical way count (the
 // fractional occupancies of unpartitioned LRU sharing) evaluates the
 // miss curve once and folds it the same way.
 //
@@ -47,11 +47,9 @@ type SurfaceTable struct {
 
 	// Dense surfaces rendered by Build for one inflation value, at the
 	// model's nominal frequency, indexed (app, resource).
-	inflation float64
-	ipc       []float64
-	bips      []float64
-	traffic   []float64
-	svcSec    []float64
+	ipc    []float64
+	bips   []float64
+	svcSec []float64
 
 	builds  uint64
 	lookups uint64
@@ -76,7 +74,6 @@ func NewSurfaceTable(m *Model, apps []*workload.Profile) *SurfaceTable {
 		queryInstr:   make([]float64, n),
 		ipc:          make([]float64, n*config.NumResources),
 		bips:         make([]float64, n*config.NumResources),
-		traffic:      make([]float64, n*config.NumResources),
 		svcSec:       make([]float64, n*config.NumResources),
 	}
 	for a, app := range apps {
@@ -109,10 +106,6 @@ func NewSurfaceTable(m *Model, apps []*workload.Profile) *SurfaceTable {
 	return t
 }
 
-// Apps returns the application set the table is staged over; the slice
-// index is the appIdx every lookup takes.
-func (t *SurfaceTable) Apps() []*workload.Profile { return t.apps }
-
 // wayIndex maps a way count to its rank in config.CacheAllocs, or -1
 // for a non-canonical allocation (the fractional ways of unpartitioned
 // LRU sharing), whose miss ratio the lookups evaluate on the spot.
@@ -133,16 +126,15 @@ func wayIndex(ways float64) int {
 }
 
 // Build renders the dense (app, resource) surfaces for one memory-
-// latency inflation value at the model's nominal frequency: IPC, BIPS,
-// DRAM traffic (GB/s) and — for latency-critical apps — mean per-query
-// service time in seconds. Grid consumers (characterisation sweeps,
-// training-row construction, throughput audits) call Build once per
-// inflation step and then read with the zero-alloc grid lookups.
+// latency inflation value at the model's nominal frequency: IPC, BIPS
+// and — for latency-critical apps — mean per-query service time in
+// seconds. Grid consumers (characterisation sweeps, training-row
+// construction, throughput audits) call Build once per inflation step
+// and then read with the zero-alloc grid lookups.
 func (t *SurfaceTable) Build(memInflation float64) {
 	if memInflation < 1 {
 		memInflation = 1
 	}
-	t.inflation = memInflation
 	t.builds++
 	freq := t.m.FreqGHz()
 	for a := range t.apps {
@@ -154,7 +146,6 @@ func (t *SurfaceTable) Build(memInflation float64) {
 					t.memW[a], t.missRatio[a*config.NumCacheAllocs+wi], memInflation, freq)
 				t.ipc[idx] = ipc
 				t.bips[idx] = ipc * freq
-				t.traffic[idx] = ipc * freq * t.missPerInstr[a*config.NumCacheAllocs+wi] * 64
 				if qi > 0 {
 					ips := ipc * freq * 1e9
 					if ips <= 0 { // zero throughput: the service never completes a query
@@ -167,10 +158,6 @@ func (t *SurfaceTable) Build(memInflation float64) {
 		}
 	}
 }
-
-// Inflation returns the memory-latency inflation the dense surfaces
-// were last built for.
-func (t *SurfaceTable) Inflation() float64 { return t.inflation }
 
 // Stats returns the table's work counters: staging/Build passes run
 // and lookups served.
@@ -246,15 +233,6 @@ func (t *SurfaceTable) IPC(a, resIdx int) float64 {
 func (t *SurfaceTable) BIPS(a, resIdx int) float64 {
 	t.lookups++
 	return t.bips[a*config.NumResources+resIdx]
-}
-
-// DRAMTrafficGBs reads the dense traffic surface, GB/s: the grid form
-// of TrafficAt at the built inflation.
-//
-//hot:path grid read on the characterisation and training-row path
-func (t *SurfaceTable) DRAMTrafficGBs(a, resIdx int) float64 {
-	t.lookups++
-	return t.traffic[a*config.NumResources+resIdx]
 }
 
 // ServiceTimeSec reads the dense mean-service-time surface, seconds

@@ -46,15 +46,6 @@ const (
 	LLCWayW = 0.06
 )
 
-// Per-section core areas in mm² (22 nm), used for the §VII area
-// accounting: CuttleSys's gains cost 19 % extra core area.
-const (
-	feAreaMM2 = 2.2
-	beAreaMM2 = 2.8
-	lsAreaMM2 = 1.2
-	l1AreaMM2 = 1.5
-)
-
 // Model evaluates core and chip power. Reconfigurable selects whether
 // the AnyCore energy penalty applies.
 type Model struct {
@@ -159,13 +150,3 @@ func (m *Model) LLC(ways float64) float64 {
 
 // Uncore returns the non-core chip power for a machine with n cores.
 func (m *Model) Uncore(n int) float64 { return UncorePerCoreW * float64(n) }
-
-// CoreArea returns the area of one core in mm², including the AnyCore
-// 19 % reconfiguration overhead when applicable (§VII).
-func (m *Model) CoreArea() float64 {
-	a := feAreaMM2 + beAreaMM2 + lsAreaMM2 + l1AreaMM2
-	if m.Reconfigurable {
-		a *= 1 + config.ReconfigAreaPenalty
-	}
-	return a
-}

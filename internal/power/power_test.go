@@ -120,15 +120,6 @@ func TestFig1PowerBand(t *testing.T) {
 	}
 }
 
-func TestCoreArea(t *testing.T) {
-	fixed := New(false).CoreArea()
-	reconf := New(true).CoreArea()
-	want := fixed * 1.19
-	if diff := reconf - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("reconfigurable area %v, want fixed*1.19 = %v", reconf, want)
-	}
-}
-
 func TestGatedResidualBelowAnyActive(t *testing.T) {
 	m := New(true)
 	if err := quick.Check(func(seed uint64, ci uint8) bool {

@@ -110,16 +110,16 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 func TestAdvance(t *testing.T) {
 	s := NewService(5, 4)
 	s.Step(0.1, 500, 1e-3, 0.3)
-	before := s.Now()
-	backlog := s.Backlog()
+	before := s.now
+	work := backlog(s)
 	s.Advance(0.25)
-	if got := s.Now(); got != before+0.25 {
-		t.Fatalf("Now() = %v after Advance, want %v", got, before+0.25)
+	if got := s.now; got != before+0.25 {
+		t.Fatalf("clock = %v after Advance, want %v", got, before+0.25)
 	}
 	// Advancing offers no arrivals, so the busy horizons are unchanged
 	// and backlog can only shrink relative to the new clock.
-	if got := s.Backlog(); got > backlog {
-		t.Fatalf("backlog grew across Advance: %v → %v", backlog, got)
+	if got := backlog(s); got > work {
+		t.Fatalf("backlog grew across Advance: %v → %v", work, got)
 	}
 	// The stream continues deterministically afterwards.
 	sj := s.Step(0.1, 500, 1e-3, 0.3)

@@ -46,7 +46,7 @@ func TestStepPresizedMatchesGrown(t *testing.T) {
 			}
 			overflowed = overflowed || len(got) > sojournCap(w.qps*w.dur)
 		}
-		if a.Now() != b.Now() || a.Backlog() != b.Backlog() || a.r.Uint64() != b.r.Uint64() {
+		if a.now != b.now || backlog(a) != backlog(b) || a.r.Uint64() != b.r.Uint64() {
 			t.Fatalf("seed %d: queue state or stream position diverged", seed)
 		}
 	}

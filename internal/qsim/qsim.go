@@ -47,12 +47,6 @@ func NewService(seed uint64, k int) *Service {
 	return s
 }
 
-// Now returns the simulation clock in seconds.
-func (s *Service) Now() float64 { return s.now }
-
-// Servers returns the current number of servers.
-func (s *Service) Servers() int { return len(s.freeAt) }
-
 // SetServers changes the number of servers (cores allocated to the
 // service) effective immediately: shrinking removes the servers that
 // would become free last (their in-flight work migrates to the
@@ -139,27 +133,6 @@ func sojournCap(mean float64) int {
 		return maxSojournCap
 	}
 	return int(c)
-}
-
-// Backlog returns the amount of queued work, in seconds beyond the
-// current clock, on the busiest server — a cheap congestion signal.
-func (s *Service) Backlog() float64 {
-	worst := 0.0
-	for _, f := range s.freeAt {
-		if b := f - s.now; b > worst {
-			worst = b
-		}
-	}
-	return worst
-}
-
-// Reset clears all server state, keeping the server count and the
-// random stream position.
-func (s *Service) Reset() {
-	for i := range s.freeAt {
-		s.freeAt[i] = s.now
-	}
-	s.freeAt.init()
 }
 
 // freeHeap is a direct float64 min-heap of server next-free times. It

@@ -114,8 +114,8 @@ func Fit(points []config.Core, values []float64) (*Surrogate, error) {
 	}, nil
 }
 
-// Predict evaluates the surrogate at core configuration c.
-func (s *Surrogate) Predict(c config.Core) float64 {
+// predict evaluates the surrogate at core configuration c.
+func (s *Surrogate) predict(c config.Core) float64 {
 	x := coord(c)
 	v := s.poly[0]
 	if s.linear {
@@ -135,7 +135,7 @@ func (s *Surrogate) Predict(c config.Core) float64 {
 func (s *Surrogate) PredictAll() []float64 {
 	out := make([]float64, config.NumCoreConfigs)
 	for i, c := range config.AllCores() {
-		out[i] = s.Predict(c)
+		out[i] = s.predict(c)
 	}
 	return out
 }

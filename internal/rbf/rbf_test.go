@@ -52,7 +52,7 @@ func TestFitInterpolatesSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range pts {
-		if got := s.Predict(c); math.Abs(got-vals[i]) > 1e-6 {
+		if got := s.predict(c); math.Abs(got-vals[i]) > 1e-6 {
 			t.Fatalf("surrogate does not interpolate sample %v: %v vs %v", c, got, vals[i])
 		}
 	}
@@ -72,7 +72,7 @@ func TestFitRecoversLinearFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range config.AllCores() {
-		if got := s.Predict(c); math.Abs(got-f(c)) > 1e-6 {
+		if got := s.predict(c); math.Abs(got-f(c)) > 1e-6 {
 			t.Fatalf("linear recovery failed at %v: %v vs %v", c, got, f(c))
 		}
 	}
@@ -101,7 +101,7 @@ func TestNineSamplesBeatThreeSamples(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, c := range config.AllCores() {
-				errs = append(errs, math.Abs(stats.RelErrPct(s.Predict(c), truth[c])))
+				errs = append(errs, math.Abs(stats.RelErrPct(s.predict(c), truth[c])))
 			}
 		}
 		return stats.Mean(errs)
@@ -149,7 +149,7 @@ func TestPredictAllOrder(t *testing.T) {
 		t.Fatalf("PredictAll returned %d values", len(all))
 	}
 	for i, c := range config.AllCores() {
-		if math.Abs(all[i]-s.Predict(c)) > 1e-12 {
+		if math.Abs(all[i]-s.predict(c)) > 1e-12 {
 			t.Fatal("PredictAll order mismatch")
 		}
 	}

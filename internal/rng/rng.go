@@ -103,19 +103,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.Norm())
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle randomly permutes the first n elements using swap, matching the
 // contract of math/rand.Shuffle.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {

@@ -152,23 +152,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(31)
-	for n := 0; n < 20; n++ {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShuffleKeepsMultiset(t *testing.T) {
 	r := New(37)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}

@@ -73,7 +73,7 @@ type Compiled struct {
 
 // Compile lowers a validated spec against its run options.
 func Compile(s *Spec, opt Options) (*Compiled, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	c := &Compiled{Spec: s, Hash: Hash(s), Seed: opt.Seed, Managed: s.Control != nil}
@@ -163,7 +163,7 @@ func (c *Compiled) compileClient(idx int, opt Options) (CompiledClient, error) {
 	if a.Absolute {
 		base = 1
 	}
-	scaled := cl.Fraction.Scale(base)
+	scaled := cl.Fraction.scale(base)
 	env, err := compileEnvelope(a.envelope(), &a.Env, scaled, c.Span, false)
 	if err != nil {
 		return CompiledClient{}, fmt.Errorf("scenario %s: client %s: %w", c.Spec.Name, cl.Name, err)
@@ -211,7 +211,7 @@ func (c *Compiled) traceFactors(a *ArrivalSpec, fsys fs.FS) ([]float64, error) {
 	if len(rows) < 2 {
 		return nil, fmt.Errorf("trace %q has %d data row(s); replay needs at least 2", a.Trace.File, len(rows))
 	}
-	means, err := ResampleTrace(rows, a.Trace.Client, c.Slices, harness.SliceDur)
+	means, err := resampleTrace(rows, a.Trace.Client, c.Slices, harness.SliceDur)
 	if err != nil {
 		return nil, err
 	}
@@ -237,14 +237,14 @@ func (c *Compiled) traceFactors(a *ArrivalSpec, fsys fs.FS) ([]float64, error) {
 func compileEnvelope(kind string, e *Envelope, base, span float64, budget bool) (func(t float64) float64, error) {
 	switch kind {
 	case ProcConstant:
-		v := e.Rate.Scale(base)
+		v := e.Rate.scale(base)
 		if err := checkLevel("rate", v, budget); err != nil {
 			return nil, err
 		}
 		return harness.ConstantLoad(v), nil
 	case ProcStep:
-		rest, stepped := e.Lo.Scale(base), e.Hi.Scale(base)
-		from, to := e.From.Scale(span), e.To.Scale(span)
+		rest, stepped := e.Lo.scale(base), e.Hi.scale(base)
+		from, to := e.From.scale(span), e.To.scale(span)
 		if err := checkLevel("lo", rest, budget); err != nil {
 			return nil, err
 		}
@@ -259,8 +259,8 @@ func compileEnvelope(kind string, e *Envelope, base, span float64, budget bool) 
 		}
 		return harness.StepLoad(rest, stepped, from, to), nil
 	case ProcDiurnal:
-		lo, hi := e.Lo.Scale(base), e.Hi.Scale(base)
-		if !e.Max.IsZero() {
+		lo, hi := e.Lo.scale(base), e.Hi.scale(base)
+		if !e.Max.isZero() {
 			hi = math.Min(hi, e.Max.Value())
 		}
 		if err := checkLevel("lo", lo, budget); err != nil {
@@ -269,11 +269,11 @@ func compileEnvelope(kind string, e *Envelope, base, span float64, budget bool) 
 		if err := checkLevel("hi", hi, budget); err != nil {
 			return nil, err
 		}
-		period := e.Period.Scale(span)
+		period := e.Period.scale(span)
 		if period <= 0 {
 			return nil, fmt.Errorf("diurnal period %v must be positive", period)
 		}
-		if e.Phase.IsZero() {
+		if e.Phase.isZero() {
 			return harness.DiurnalLoad(lo, hi, period), nil
 		}
 		// A phase-shifted swing: the harness constructor pins the trough

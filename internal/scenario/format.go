@@ -32,10 +32,10 @@ func Format(s *Spec) []byte {
 	if s.Slices > 0 {
 		line("slices", strconv.Itoa(s.Slices))
 	}
-	if !s.Load.IsZero() {
+	if !s.Load.isZero() {
 		line("load", s.Load.String())
 	}
-	if !s.Cap.IsZero() {
+	if !s.Cap.isZero() {
 		line("cap", s.Cap.String())
 	}
 	line("mix",
@@ -116,11 +116,11 @@ func envParams(kind string, e *Envelope, absolute bool) []string {
 			"from="+e.From.String(), "to="+e.To.String())
 	case ProcDiurnal:
 		out = append(out, "lo="+e.Lo.String(), "hi="+e.Hi.String())
-		if !e.Max.IsZero() {
+		if !e.Max.isZero() {
 			out = append(out, "max="+e.Max.String())
 		}
 		out = append(out, "period="+e.Period.String())
-		if !e.Phase.IsZero() {
+		if !e.Phase.isZero() {
 			out = append(out, "phase="+e.Phase.String())
 		}
 	}
@@ -155,7 +155,7 @@ func arrivalParams(a *ArrivalSpec) []string {
 	}
 	if a.Process == ProcTrace {
 		out = append(out, "file="+a.Trace.File, "client="+a.Trace.Client)
-		if !a.Trace.Norm.IsZero() {
+		if !a.Trace.Norm.isZero() {
 			out = append(out, "norm="+a.Trace.Norm.String())
 		}
 	}
@@ -203,7 +203,7 @@ func healthParams(h *HealthSpec) []string {
 	addInt("recoverafter", h.RecoverAfter)
 	addInt("releaseafter", h.ReleaseAfter)
 	addInt("probationafter", h.ProbationAfter)
-	if !h.ProbationWeight.IsZero() {
+	if !h.ProbationWeight.isZero() {
 		out = append(out, "probationweight="+h.ProbationWeight.String())
 	}
 	addInt("drainafter", h.DrainAfter)
@@ -218,10 +218,10 @@ func scaleParams(s *ScaleSpec) []string {
 			out = append(out, k+"="+strconv.Itoa(v))
 		}
 	}
-	if !s.UpUtil.IsZero() {
+	if !s.UpUtil.isZero() {
 		out = append(out, "uputil="+s.UpUtil.String())
 	}
-	if !s.DownUtil.IsZero() {
+	if !s.DownUtil.isZero() {
 		out = append(out, "downutil="+s.DownUtil.String())
 	}
 	addInt("upafter", s.UpAfter)
@@ -229,7 +229,7 @@ func scaleParams(s *ScaleSpec) []string {
 	addInt("cooldown", s.Cooldown)
 	addInt("minadd", s.MinAdd)
 	addInt("maxadd", s.MaxAdd)
-	if !s.MinBudgetFrac.IsZero() {
+	if !s.MinBudgetFrac.isZero() {
 		out = append(out, "minbudgetfrac="+s.MinBudgetFrac.String())
 	}
 	return out

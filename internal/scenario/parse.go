@@ -35,7 +35,7 @@ func Parse(src []byte) (*Spec, error) {
 		return nil, fmt.Errorf("scenario: line %d: unclosed %s block", p.line, p.block)
 	}
 	p.finish()
-	if err := p.spec.Validate(); err != nil {
+	if err := p.spec.validate(); err != nil {
 		return nil, err
 	}
 	return p.spec, nil
@@ -274,24 +274,24 @@ func (p *parser) setEnvParam(e *Envelope, k, v string) error {
 func (p *parser) finishEnvelope(kind string, e *Envelope, what string) error {
 	switch kind {
 	case ProcConstant:
-		if e.Rate.IsZero() {
+		if e.Rate.isZero() {
 			e.Rate = num(1)
 		}
 	case ProcStep:
-		if e.Lo.IsZero() || e.Hi.IsZero() {
+		if e.Lo.isZero() || e.Hi.isZero() {
 			return p.errf("%s step needs lo= and hi=", what)
 		}
-		if e.From.IsZero() {
+		if e.From.isZero() {
 			e.From = Num{N: 1, D: 3}
 		}
-		if e.To.IsZero() {
+		if e.To.isZero() {
 			e.To = Num{N: 2, D: 3}
 		}
 	case ProcDiurnal:
-		if e.Lo.IsZero() || e.Hi.IsZero() {
+		if e.Lo.isZero() || e.Hi.isZero() {
 			return p.errf("%s diurnal needs lo= and hi=", what)
 		}
-		if e.Period.IsZero() {
+		if e.Period.isZero() {
 			e.Period = num(1)
 		}
 	}
@@ -333,7 +333,7 @@ func (p *parser) shareDirective(rest []string) error {
 	if sh.SyncPeriod == 0 {
 		sh.SyncPeriod = 4
 	}
-	if sh.Decay.IsZero() {
+	if sh.Decay.isZero() {
 		sh.Decay = num(0.5)
 	}
 	if sh.FineTune == 0 {
@@ -446,21 +446,21 @@ func (p *parser) arrivalDirective(rest []string) error {
 		if err := p.finishEnvelope(a.Process, &a.Env, "arrival"); err != nil {
 			return err
 		}
-	} else if a.Env.Rate.IsZero() {
+	} else if a.Env.Rate.isZero() {
 		// Stochastic and trace processes modulate a constant envelope.
 		a.Env.Rate = num(1)
 	}
 	switch a.stochastic() {
 	case ProcPoisson:
-		if a.Events.IsZero() {
+		if a.Events.isZero() {
 			a.Events = num(64)
 		}
 	case ProcBursty:
-		if a.CV.IsZero() {
+		if a.CV.isZero() {
 			a.CV = num(2)
 		}
 	case ProcWeibull:
-		if a.Shape.IsZero() {
+		if a.Shape.isZero() {
 			a.Shape = num(0.7)
 		}
 	}
@@ -610,7 +610,7 @@ func (p *parser) setScaleParam(s *ScaleSpec, k, v string) error {
 // finishClient applies per-client defaults.
 func (p *parser) finishClient() {
 	c := p.client
-	if c.Fraction.IsZero() {
+	if c.Fraction.isZero() {
 		c.Fraction = num(1)
 	}
 	if c.SLO == "" {

@@ -187,8 +187,8 @@ func TestNumPreservesRationalForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := 1.2
-	if got, want := n.Scale(base), base*1/3.0; got != want {
-		t.Errorf("Scale(%v) = %v, want the legacy base*1/3 order %v", base, got, want)
+	if got, want := n.scale(base), base*1/3.0; got != want {
+		t.Errorf("scale(%v) = %v, want the legacy base*1/3 order %v", base, got, want)
 	}
 	if n.String() != "1/3" {
 		t.Errorf("String() = %q, want 1/3", n.String())
@@ -197,8 +197,8 @@ func TestNumPreservesRationalForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Scale(2) != 2*0.7 || plain.String() != "0.7" {
-		t.Errorf("plain num mishandled: %v %q", plain.Scale(2), plain.String())
+	if plain.scale(2) != 2*0.7 || plain.String() != "0.7" {
+		t.Errorf("plain num mishandled: %v %q", plain.scale(2), plain.String())
 	}
 	// The unset zero value must resolve to exactly 0, never 0/0 = NaN:
 	// compiled configs call Value() on optional fields and a NaN would
@@ -207,7 +207,7 @@ func TestNumPreservesRationalForm(t *testing.T) {
 	if v := unset.Value(); v != 0 {
 		t.Errorf("zero Num Value() = %v, want 0", v)
 	}
-	if v := unset.Scale(3); v != 0 {
-		t.Errorf("zero Num Scale(3) = %v, want 0", v)
+	if v := unset.scale(3); v != 0 {
+		t.Errorf("zero Num scale(3) = %v, want 0", v)
 	}
 }

@@ -53,8 +53,8 @@ type Num struct {
 // num builds a plain (non-rational) Num.
 func num(v float64) Num { return Num{N: v, D: 1} }
 
-// IsZero reports whether the number was never set.
-func (n Num) IsZero() bool { return n.N == 0 && n.D == 0 }
+// isZero reports whether the number was never set.
+func (n Num) isZero() bool { return n.N == 0 && n.D == 0 }
 
 // Value resolves the number against base 1; the unset zero value
 // resolves to 0 (never 0/0).
@@ -65,11 +65,11 @@ func (n Num) Value() float64 {
 	return n.N / n.D
 }
 
-// Scale resolves the number against a base: base*N for a plain
+// scale resolves the number against a base: base*N for a plain
 // decimal, base*N/D for a rational — both left-to-right, matching the
 // legacy scenario expressions operation for operation. The unset zero
 // value scales to 0.
-func (n Num) Scale(base float64) float64 {
+func (n Num) scale(base float64) float64 {
 	if n.D == 0 || n.D == 1 {
 		return base * n.N
 	}
@@ -280,10 +280,10 @@ func isStochasticProc(p string) bool {
 	return p == ProcPoisson || p == ProcBursty || p == ProcWeibull
 }
 
-// Validate checks the spec's internal consistency: known names, legal
+// validate checks the spec's internal consistency: known names, legal
 // ranges, resolvable service and fault kinds. Geometry left for
 // Compile options (zero machines/slices/load/cap) passes validation.
-func (s *Spec) Validate() error {
+func (s *Spec) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec without a name")
 	}
@@ -438,7 +438,7 @@ func (a *ArrivalSpec) envelope() string {
 }
 
 func validFrac(spec, what string, n Num) error {
-	if n.IsZero() {
+	if n.isZero() {
 		return nil
 	}
 	if v := n.Value(); v <= 0 || v > 1 {

@@ -60,14 +60,14 @@ func ParseTrace(src []byte) ([]TraceRow, error) {
 	return rows, nil
 }
 
-// ResampleTrace deterministically resamples one client's rows onto
+// resampleTrace deterministically resamples one client's rows onto
 // the decision-quantum grid: the trace is read as a last-value-hold
 // step function (held at the first row's rate before its timestamp,
 // and at the final rate forever after), and quantum k receives the
 // time-weighted mean rate over [k·quantum, (k+1)·quantum). The
 // resampling rule involves no randomness and no clock reads — replay
 // of a fixed trace is byte-identical everywhere.
-func ResampleTrace(rows []TraceRow, client string, slices int, quantum float64) ([]float64, error) {
+func resampleTrace(rows []TraceRow, client string, slices int, quantum float64) ([]float64, error) {
 	if slices <= 0 || quantum <= 0 {
 		return nil, fmt.Errorf("scenario: trace resample needs positive slices and quantum")
 	}
@@ -86,6 +86,11 @@ func ResampleTrace(rows []TraceRow, client string, slices int, quantum float64) 
 	for k := range out {
 		t0 := float64(k) * quantum
 		out[k] = integrateStep(ts, qs, t0, t0+quantum) / quantum
+		if math.IsInf(out[k], 1) {
+			// Rates within rounding of the float64 range overflow the
+			// time-weighted mean; its true value is at most the peak.
+			out[k] = tracePeak(rows, client)
+		}
 	}
 	return out, nil
 }

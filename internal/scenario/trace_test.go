@@ -41,7 +41,7 @@ func TestResampleTraceExactValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ResampleTrace(rows, "web", 3, 1.0)
+	got, err := resampleTrace(rows, "web", 3, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestResampleTraceExactValues(t *testing.T) {
 	}
 	// The first rate holds backwards: a grid starting before the first
 	// timestamp sees it.
-	apiRows, err := ResampleTrace(rows, "api", 2, 1.0)
+	apiRows, err := resampleTrace(rows, "api", 2, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestResampleTraceUnknownClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ResampleTrace(rows, "mobile", 2, 1.0)
+	_, err = resampleTrace(rows, "mobile", 2, 1.0)
 	if err == nil {
 		t.Fatal("unknown client accepted")
 	}

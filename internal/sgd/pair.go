@@ -268,7 +268,7 @@ func newLaneRun(st []*trainState, lane0, from, to int, rowP, colP []float64) lan
 		nrows: int64(nrows),
 	}}
 	for l, s := range st {
-		run.args.mu[l], run.args.eta[l], run.args.lam[l] = s.mu, s.p.LearningRate, s.p.Reg
+		run.args.mu[l], run.args.eta[l], run.args.lam[l] = s.mu, learningRate, s.p.Reg
 	}
 	return run
 }
@@ -314,7 +314,7 @@ func laneTailEpoch(tail []obs, lane int, st *trainState, rowP, colP []float64) {
 		f = pairFactors
 		w = laneCount
 	)
-	eta, lam := st.p.LearningRate, st.p.Reg
+	eta, lam := learningRate, st.p.Reg
 	mu := st.mu
 	for _, e := range tail {
 		// Fixed-size views: lane's element k of the block at index wk,

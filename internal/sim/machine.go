@@ -26,12 +26,11 @@ type Spec struct {
 	// Reconfigurable selects reconfigurable cores (frequency and energy
 	// penalties apply) versus fixed cores for the baselines.
 	Reconfigurable bool
-	// NCores defaults to config.NumMachineCore (32).
-	NCores int
 	// PeakBWGBs defaults to DefaultPeakBWGBs.
 	PeakBWGBs float64
 	// InitLCCores is the LC service's starting core allocation;
-	// defaults to NCores/2 (§VII-A: 50/50 split at t=0) shared evenly
+	// defaults to half of config.NumMachineCore (§VII-A: 50/50 split at
+	// t=0) shared evenly
 	// with any extra services.
 	InitLCCores int
 	// ExtraLCs are additional latency-critical services beyond LC —
@@ -79,13 +78,6 @@ type Machine struct {
 // New constructs a Machine from spec. It panics on invalid profiles so
 // that configuration errors surface at construction, not mid-run.
 func New(spec Spec) *Machine {
-	n := spec.NCores
-	if n == 0 {
-		n = config.NumMachineCore
-	}
-	if n <= 0 {
-		panic("sim: non-positive core count")
-	}
 	bw := spec.PeakBWGBs
 	if bw == 0 {
 		bw = DefaultPeakBWGBs
@@ -95,7 +87,7 @@ func New(spec Spec) *Machine {
 		Power:  power.New(spec.Reconfigurable),
 		lc:     spec.LC,
 		batch:  spec.Batch,
-		nCores: n,
+		nCores: config.NumMachineCore,
 		peakBW: bw,
 	}
 	for _, app := range spec.Batch {
@@ -115,7 +107,7 @@ func New(spec Spec) *Machine {
 		}
 		k := spec.InitLCCores
 		if k == 0 {
-			k = n / 2 / (1 + len(spec.ExtraLCs))
+			k = config.NumMachineCore / 2 / (1 + len(spec.ExtraLCs))
 		}
 		m.svc = qsim.NewService(spec.Seed, k)
 		m.queryInstr = m.pm.QueryInstr(spec.LC)
@@ -132,7 +124,7 @@ func New(spec Spec) *Machine {
 		}
 		k := spec.InitLCCores
 		if k == 0 {
-			k = n / 2 / (1 + len(spec.ExtraLCs))
+			k = config.NumMachineCore / 2 / (1 + len(spec.ExtraLCs))
 		}
 		m.extraLCs = append(m.extraLCs, x)
 		m.extraSvcs = append(m.extraSvcs, qsim.NewService(spec.Seed+uint64(i)+1, k))
@@ -330,7 +322,7 @@ func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) pha
 	}
 	ph.deadLC = alloc.LCCores - ph.lcServers
 	ph.deadBatch = ph.d.FailedBatch
-	if bc := alloc.BatchCores(m.nCores); ph.deadBatch > bc {
+	if bc := alloc.batchCores(m.nCores); ph.deadBatch > bc {
 		ph.deadBatch = bc
 	}
 	if ph.deadBatch < 0 {
@@ -388,8 +380,8 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 	mux := alloc.MultiplexFactor(m.nCores)
 	if deadBatch > 0 {
 		// Surviving batch jobs time-multiplex onto the live cores.
-		live := alloc.BatchCores(m.nCores) - deadBatch
-		if active := alloc.ActiveBatch(); active > 0 && live < active {
+		live := alloc.batchCores(m.nCores) - deadBatch
+		if active := alloc.activeBatch(); active > 0 && live < active {
 			mux = 0
 			if live > 0 {
 				mux = float64(live) / float64(active)
@@ -417,7 +409,7 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 	}
 	// Batch cores left idle (more cores than active jobs) sit gated;
 	// fail-stopped cores draw nothing at all.
-	if spare := alloc.BatchCores(m.nCores) - deadBatch - activeCoresUsed; spare > 0 {
+	if spare := alloc.batchCores(m.nCores) - deadBatch - activeCoresUsed; spare > 0 {
 		totalPower += float64(spare) * power.GatedCoreW
 	}
 

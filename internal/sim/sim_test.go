@@ -49,7 +49,6 @@ func TestNewPanicsOnBadSpec(t *testing.T) {
 		{Batch: []*workload.Profile{lc}},                     // LC listed as batch
 		{LC: batch[0]},                                       // batch listed as LC
 		{LC: lc, Batch: []*workload.Profile{{Name: "junk"}}}, // invalid profile
-		{NCores: -1},                                         // bad core count
 	}
 	for i, spec := range cases {
 		func() {
@@ -413,7 +412,7 @@ func TestMultiServiceMachine(t *testing.T) {
 		t.Fatal("primary service executed no queries")
 	}
 	// Both services plus 16 batch cores fill the machine exactly.
-	if got := a.BatchCores(32); got != 16 {
+	if got := a.batchCores(32); got != 16 {
 		t.Fatalf("batch cores = %d, want 16", got)
 	}
 }

@@ -24,21 +24,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs, or 0 when
-// fewer than two samples are present.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // GeoMean returns the geometric mean of xs. Non-positive inputs would
 // make the geometric mean undefined; they are clamped to a tiny positive
 // value so that a single zero-throughput application drives the
@@ -282,22 +267,6 @@ func RelErrPct(pred, actual float64) float64 {
 	return 100 * (pred - actual) / denom
 }
 
-// MAPE returns the mean absolute percentage error between paired
-// prediction and actual slices. It panics if the lengths differ.
-func MAPE(pred, actual []float64) float64 {
-	if len(pred) != len(actual) {
-		panic("stats: MAPE length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range pred {
-		sum += math.Abs(RelErrPct(pred[i], actual[i]))
-	}
-	return sum / float64(len(pred))
-}
-
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -316,34 +285,4 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// MaxIdx returns the index of the maximum element of xs, or -1 when xs
-// is empty. Ties resolve to the earliest index.
-func MaxIdx(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// MinIdx returns the index of the minimum element of xs, or -1 when xs
-// is empty. Ties resolve to the earliest index.
-func MinIdx(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -27,19 +27,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 2, 2, 2}); got != 0 {
-		t.Errorf("StdDev of constants = %v, want 0", got)
-	}
-	// population stddev of {1,2,3,4} = sqrt(1.25)
-	if got := StdDev([]float64{1, 2, 3, 4}); !almostEq(got, math.Sqrt(1.25), 1e-12) {
-		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(1.25))
-	}
-	if got := StdDev([]float64{7}); got != 0 {
-		t.Errorf("StdDev of single sample = %v, want 0", got)
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{1, 4}); !almostEq(got, 2, 1e-12) {
 		t.Errorf("GeoMean(1,4) = %v, want 2", got)
@@ -186,36 +173,9 @@ func TestRelErrPct(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	pred := []float64{110, 90}
-	actual := []float64{100, 100}
-	if got := MAPE(pred, actual); !almostEq(got, 10, 1e-9) {
-		t.Errorf("MAPE = %v, want 10", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MAPE length mismatch did not panic")
-		}
-	}()
-	MAPE([]float64{1}, []float64{1, 2})
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Fatal("Clamp misbehaves")
-	}
-}
-
-func TestMinMaxIdx(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if got := MaxIdx(xs); got != 4 {
-		t.Errorf("MaxIdx = %d, want 4", got)
-	}
-	if got := MinIdx(xs); got != 1 {
-		t.Errorf("MinIdx = %d, want 1 (earliest tie)", got)
-	}
-	if MaxIdx(nil) != -1 || MinIdx(nil) != -1 {
-		t.Error("empty MaxIdx/MinIdx should be -1")
 	}
 }
 
