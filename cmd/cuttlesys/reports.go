@@ -6,7 +6,7 @@ import (
 	"io"
 
 	"cuttlesys"
-	"cuttlesys/experiments"
+	"cuttlesys/specs"
 )
 
 // report is one row of the report registry: a seeded JSON report, the
@@ -81,18 +81,25 @@ func (r report) run(args []string, stdout io.Writer) error {
 	return writeReport(p.Out, stdout, rep)
 }
 
-// obsReport runs the canonical traced fleet chaos run (QoS-aware
-// router, headroom arbiter, a mid-run fail-stop on machine 1) and
-// returns its trace summary. The trace JSONL, Chrome trace_event JSON
-// and Prometheus snapshot go to -trace, -chrome and -prom when given;
-// all of them are keyed to simulated time and byte-deterministic
-// (DESIGN.md §10).
+// obsReport runs the obs-chaos library spec (QoS-aware router,
+// headroom arbiter, a mid-run fail-stop on machine 1) with a trace
+// recorder attached and returns its trace summary. The trace JSONL,
+// Chrome trace_event JSON and Prometheus snapshot go to -trace, -chrome
+// and -prom when given; all of them are keyed to simulated time and
+// byte-deterministic (DESIGN.md §10).
 func obsReport(p params) (any, error) {
-	rec, _, err := experiments.RunObsTrace(experiments.ObsTraceSetup{
-		Seed: p.Seed, Service: p.Service, Machines: p.Machines, Slices: p.Slices,
-		LoadFrac: p.Load, CapFrac: p.Cap,
-	})
+	sp, err := librarySpec("obs-chaos")
 	if err != nil {
+		return nil, err
+	}
+	rec := cuttlesys.NewTraceRecorder()
+	opt := options(p, specs.FS)
+	opt.Collector = rec
+	comp, err := cuttlesys.CompileScenario(sp, opt)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := comp.Run(); err != nil {
 		return nil, err
 	}
 	for _, a := range []struct {

@@ -26,10 +26,15 @@ import (
 // geometry flags default to zero, and checkGeometry rejects an explicit
 // zero, so a flag overrides the spec exactly when it is given.
 func compile(sp *cuttlesys.Scenario, fsys fs.FS, p params) (*cuttlesys.CompiledScenario, error) {
-	return cuttlesys.CompileScenario(sp, cuttlesys.ScenarioOptions{
+	return cuttlesys.CompileScenario(sp, options(p, fsys))
+}
+
+// options carries p's geometry and seed into scenario options.
+func options(p params, fsys fs.FS) cuttlesys.ScenarioOptions {
+	return cuttlesys.ScenarioOptions{
 		Machines: p.Machines, Slices: p.Slices, Service: p.Service,
 		Load: p.Load, Cap: p.Cap, Seed: p.Seed, FS: fsys,
-	})
+	}
 }
 
 // librarySpec parses one embedded library spec.

@@ -20,8 +20,8 @@ func TestValidateLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "validated 12 spec(s)") {
-		t.Errorf("library validation output %q, want 12 specs", out)
+	if !strings.Contains(out, "validated 14 spec(s)") {
+		t.Errorf("library validation output %q, want 14 specs", out)
 	}
 	for _, name := range suiteScenarios() {
 		if !strings.Contains(out, "ok "+name) {
@@ -50,8 +50,8 @@ func TestListSpecs(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("roster not in lexical order: %v", names)
 	}
-	if len(names) != 12 {
-		t.Errorf("roster has %d specs, want 12", len(names))
+	if len(names) != 14 {
+		t.Errorf("roster has %d specs, want 14", len(names))
 	}
 	byName := make(map[string]string, len(lines))
 	for i, line := range lines {

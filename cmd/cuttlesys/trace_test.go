@@ -96,3 +96,22 @@ func TestRunRoundTripsJSONL(t *testing.T) {
 		t.Errorf("file round-trip diverged from direct conversion:\n%s\nvs\n%s", got, direct.Bytes())
 	}
 }
+
+// TestRunRejectsUnexportableTrace: a trace whose times the exporters
+// cannot carry fails at ingestion with the offending line named, in
+// every output mode, instead of printing "+Infs simulated" or a bare
+// JSON encoder error.
+func TestRunRejectsUnexportableTrace(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "trace.jsonl")
+	bad := `{"kind":"span","name":"slice","t":0,"dur":0.1,"machine":0,"slice":0}` + "\n" +
+		`{"kind":"span","name":"slice","t":1e308,"dur":0.1,"machine":0,"slice":1}` + "\n"
+	if err := os.WriteFile(in, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{nil, {"-chrome"}, {"-summary"}} {
+		err := run(append(append([]string{"trace"}, mode...), in), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("trace %v: error %v, want one naming line 2", mode, err)
+		}
+	}
+}

@@ -2,29 +2,9 @@ package main
 
 import (
 	"fmt"
-	"math"
 
-	"cuttlesys/internal/core"
-	"cuttlesys/internal/ctrlplane"
-	"cuttlesys/internal/fault"
-	"cuttlesys/internal/fleet"
-	"cuttlesys/internal/harness"
-	"cuttlesys/internal/modelplane"
-	"cuttlesys/internal/sim"
-	"cuttlesys/internal/workload"
-)
-
-const (
-	// warmJobs is the batch-mix size on every drill machine.
-	warmJobs = 8
-	// warmFaultAt is when the victim fail-stops, in seconds.
-	warmFaultAt = 0.3
-	// faultSalt decorrelates the drill's fault schedule from the
-	// victim's own machine stream.
-	faultSalt = 0xfa175a17
-	// victim is the machine the drill fail-stops. Id 1 keeps machine 0
-	// as an always-healthy publisher at every fleet size.
-	victim = 1
+	"cuttlesys"
+	"cuttlesys/specs"
 )
 
 // warmCell is one sweep point: a fleet size and a share-plane sync
@@ -75,7 +55,7 @@ type CellReport struct {
 }
 
 // WarmstartReport is the model-sharing sweep (BENCH_warmstart.json,
-// DESIGN.md §14). Each cell runs a machine-loss drill — one machine
+// DESIGN.md §14). Each cell runs the warm-drill library spec — one machine
 // fail-stops most of its cores, the health pipeline evicts it, and the
 // control plane provisions a successor — once cold (the successor
 // initialises its SGD model from scratch and pays the full sampling
@@ -92,7 +72,7 @@ type WarmstartReport struct {
 	Seed    uint64  `json:"seed"`
 	FaultAt float64 `json:"faultAt"`
 	// FineTune / Confidence / Decay are the plane knobs shared by every
-	// warm cell (modelplane defaults).
+	// warm cell (the spec's share clause).
 	FineTune   int          `json:"fineTune"`
 	Confidence int          `json:"confidence"`
 	Decay      float64      `json:"decay"`
@@ -103,15 +83,21 @@ func warmstartReport(p params) (any, error) {
 	if p.Slices < 10 {
 		return nil, fmt.Errorf("the drill needs at least 10 slices to evict and replace, got -slices %d", p.Slices)
 	}
-	defaults := modelplane.Params{}.WithDefaults()
+	sp, err := librarySpec("warm-drill")
+	if err != nil {
+		return nil, err
+	}
+	if len(sp.Faults) != 1 || sp.Share == nil {
+		return nil, fmt.Errorf("%s: the drill needs one fault clause and a share clause", sp.Name)
+	}
 	rep := &WarmstartReport{
-		Service: p.Service, Jobs: warmJobs, Slices: p.Slices,
-		Load: p.Load, Cap: p.Cap, Seed: p.Seed, FaultAt: warmFaultAt,
-		FineTune: defaults.FineTuneIters, Confidence: defaults.WarmConfidence,
-		Decay: defaults.Decay,
+		Service: p.Service, Jobs: sp.Mix.Jobs, Slices: p.Slices,
+		Load: p.Load, Cap: p.Cap, Seed: p.Seed, FaultAt: sp.Faults[0].Events[0].Start,
+		FineTune: sp.Share.FineTune, Confidence: sp.Share.Confidence,
+		Decay: sp.Share.Decay.Value(),
 	}
 	for _, c := range warmCells() {
-		cr, err := runWarmCell(c, p)
+		cr, err := runWarmCell(sp, c, p)
 		if err != nil {
 			return nil, fmt.Errorf("machines=%d sync=%d: %w", c.machines, c.sync, err)
 		}
@@ -120,77 +106,41 @@ func warmstartReport(p params) (any, error) {
 	return rep, nil
 }
 
-// runWarmCell runs one machine-loss drill and reads the successor's
-// sampling cost off its runtime.
-func runWarmCell(c warmCell, p params) (CellReport, error) {
-	lc, err := workload.ByName(p.Service)
+// runWarmCell runs the drill spec at one sweep point and reads the
+// successor's sampling cost off its runtime. The spec's fault clause
+// names the victim; machine 0 stays an always-healthy publisher at
+// every fleet size.
+func runWarmCell(sp *cuttlesys.Scenario, c warmCell, p params) (CellReport, error) {
+	cell := *sp
+	cell.Share = nil
+	if c.sync > 0 {
+		share := *sp.Share
+		share.SyncPeriod = c.sync
+		cell.Share = &share
+	}
+	q := p
+	q.Machines = c.machines
+	comp, err := compile(&cell, specs.FS, q)
 	if err != nil {
 		return CellReport{}, err
 	}
-	_, pool := workload.SplitTrainTest(1, 16)
-
-	rts := make(map[int]*core.Runtime)
-	node := func(id int, seed uint64) fleet.NodeSpec {
-		m := sim.New(sim.Spec{
-			Seed: seed, LC: lc,
-			Batch:          workload.Mix(seed, pool, warmJobs),
-			Reconfigurable: true,
-		})
-		rt := core.New(m, core.Params{
-			Seed:         seed,
-			ShareFactors: c.sync > 0,
-		})
-		rts[id] = rt
-		return fleet.NodeSpec{Machine: m, Scheduler: rt}
-	}
-	seeds := fleet.Seeds(p.Seed, c.machines)
-	nodes := make([]fleet.NodeSpec, c.machines)
-	for i, s := range seeds {
-		nodes[i] = node(i, s)
-	}
-	nodes[victim].Injector = fault.MustSchedule(seeds[victim]^faultSalt, fault.Event{
-		Kind: fault.CoreFailStop, Start: warmFaultAt, End: math.Inf(1),
-		Cores: 6, BatchCores: 2,
-	})
-
-	cfg := ctrlplane.Config{
-		Fleet: fleet.Config{Router: fleet.Uniform{}, Arbiter: fleet.Proportional{}},
-		// An aggressive health pipeline keeps the drill short: the
-		// victim is evicted within a few slices of the fault, leaving
-		// the successor most of the run to measure.
-		Health: ctrlplane.HealthConfig{
-			SuspectAfter: 1, QuarantineAfter: 1, DrainAfter: 2, DrainSlices: 1,
-		},
-		Scale: ctrlplane.ScaleConfig{
-			ReplaceEvicted: true,
-			Seed:           p.Seed ^ 0x0b5e55ed,
-			Provision: func(id int, seed uint64) (fleet.NodeSpec, error) {
-				return node(id, seed), nil
-			},
-		},
-	}
-	var plane *modelplane.Plane
-	if c.sync > 0 {
-		plane = modelplane.New(modelplane.Params{SyncPeriod: c.sync}, nil)
-		cfg.Fleet.Share = plane
-		cfg.WarmStart = plane
-	}
-
-	mgr, err := ctrlplane.New(cfg, nodes...)
+	mgr, err := comp.BuildControlPlane(nil, nil)
 	if err != nil {
 		return CellReport{}, err
 	}
 	defer mgr.Close()
-	res, err := mgr.Run(p.Slices, harness.ConstantLoad(p.Load), harness.ConstantBudget(p.Cap))
+	res, err := mgr.Run(comp.Slices, comp.LoadPat, comp.BudgetPat)
 	if err != nil {
 		return CellReport{}, err
 	}
 
+	f := mgr.Fleet()
+	rtOf := func(id int) *cuttlesys.Runtime { return f.Scheduler(id).(*cuttlesys.Runtime) }
 	successor := c.machines // first provisioned slot
-	rt, ok := rts[successor]
-	if !ok {
+	if f.Slots() <= successor {
 		return CellReport{}, fmt.Errorf("no successor was provisioned (slot %d)", successor)
 	}
+	rt := rtOf(successor)
 	ctl := summarizeControl(res)
 	cr := CellReport{
 		Mode:                    "cold",
@@ -206,16 +156,17 @@ func runWarmCell(c warmCell, p params) (CellReport, error) {
 	if c.sync > 0 {
 		cr.Mode = "warm"
 	}
+	victim := sp.Faults[0].Machine % c.machines
 	survivors, total := 0, 0
 	for id := 0; id < c.machines; id++ {
 		if id == victim {
 			continue
 		}
 		survivors++
-		total += rts[id].SamplingQuanta()
+		total += rtOf(id).SamplingQuanta()
 	}
 	cr.SurvivorMeanSampling = round4(float64(total) / float64(survivors))
-	if plane != nil {
+	if plane, ok := mgr.WarmStart().(*cuttlesys.ModelPlane); ok {
 		cr.SharePublishes, cr.ShareAggregates, cr.ShareWarmStarts = plane.Totals()
 		for _, ks := range plane.Stats() {
 			if ks.Version > cr.ShareVersion {

@@ -34,7 +34,6 @@ package cuttlesys
 
 import (
 	"cuttlesys/internal/baseline"
-	"cuttlesys/internal/config"
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/ctrlplane"
 	"cuttlesys/internal/fault"
@@ -43,7 +42,6 @@ import (
 	"cuttlesys/internal/modelplane"
 	"cuttlesys/internal/obs"
 	"cuttlesys/internal/scenario"
-	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -57,9 +55,6 @@ type MachineSpec = sim.Spec
 
 // Allocation is a per-timeslice machine assignment.
 type Allocation = sim.Allocation
-
-// BatchAssign is one batch job's assignment within an Allocation.
-type BatchAssign = sim.BatchAssign
 
 // PhaseResult reports one phase of machine execution.
 type PhaseResult = sim.PhaseResult
@@ -76,27 +71,12 @@ const (
 	LatencyCritical = workload.LatencyCritical
 )
 
-// CoreConfig is a reconfigurable core's {FE,BE,LS} width setting.
-type CoreConfig = config.Core
-
-// CacheAlloc is a per-application LLC way allocation.
-type CacheAlloc = config.CacheAlloc
-
-// Resource pairs a core configuration with a cache allocation.
-type Resource = config.Resource
-
 // Scheduler is the per-timeslice resource-manager interface every
 // policy implements.
 type Scheduler = harness.Scheduler
 
-// Phase pairs an allocation with a duration inside one timeslice.
-type Phase = harness.Phase
-
 // Result aggregates an experiment run.
 type Result = harness.Result
-
-// SliceRecord captures one timeslice of an experiment.
-type SliceRecord = harness.SliceRecord
 
 // LoadPattern yields the LC service's offered load over time.
 type LoadPattern = harness.LoadPattern
@@ -148,11 +128,6 @@ func NewAsymmetric(m *Machine, oracle bool) Scheduler { return baseline.NewAsymm
 func NewFlicker(m *Machine, modeB bool, seed uint64) Scheduler {
 	return baseline.NewFlicker(m, modeB, seed)
 }
-
-// NewDVFS constructs the per-core DVFS baseline (maxBIPS, §II-A1) —
-// an extension beyond the paper's comparison set, positioning
-// reconfiguration against the incumbent power-management technique.
-func NewDVFS(m *Machine, seed uint64) Scheduler { return baseline.NewDVFS(m, seed) }
 
 // Run executes an experiment: slices timeslices of scheduler s on
 // machine m under the given load and power-budget patterns. It returns
@@ -214,18 +189,10 @@ func RunFaulted(m *Machine, s Scheduler, slices int, load LoadPattern, budget Bu
 // The CuttleSys Runtime implements it.
 type MultiScheduler = harness.MultiScheduler
 
-// LCAssign is one extra service's per-slice assignment.
-type LCAssign = sim.LCAssign
-
 // RunMulti executes a multi-service experiment with one load pattern
 // per service, primary first.
 func RunMulti(m *Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern) (*Result, error) {
 	return harness.RunMulti(m, s, slices, loads, budget)
-}
-
-// RunFaultedMulti is RunMulti under a fault injector.
-func RunFaultedMulti(m *Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector) (*Result, error) {
-	return harness.RunFaultedMulti(m, s, slices, loads, budget, inj)
 }
 
 // ConstantLoad offers a fixed fraction of the service's max QPS.
@@ -263,15 +230,6 @@ func SplitTrainTest(seed uint64, nTrain int) (train, test []*Profile) {
 // Mix builds a multiprogrammed batch mix of n jobs drawn from pool.
 func Mix(seed uint64, pool []*Profile, n int) []*Profile { return workload.Mix(seed, pool, n) }
 
-// SGDParams tunes the PQ-reconstruction inside RuntimeParams.SGD.
-// Every reconstruction sweeps in serial order, so results are
-// independent of GOMAXPROCS.
-type SGDParams = sgd.Params
-
-// Single lifts a single-service Scheduler into the MultiScheduler
-// interface, forwarding the resilience extensions when implemented.
-func Single(s Scheduler) MultiScheduler { return harness.Single(s) }
-
 // Fleet is a cluster of CuttleSys machines behind a traffic router
 // under one shared power budget (DESIGN.md §8).
 type Fleet = fleet.Fleet
@@ -282,14 +240,8 @@ type FleetConfig = fleet.Config
 // FleetNode describes one machine joining a Fleet.
 type FleetNode = fleet.NodeSpec
 
-// FleetTelemetry is the per-machine state routers and arbiters see.
-type FleetTelemetry = fleet.Telemetry
-
 // FleetResult aggregates a fleet run.
 type FleetResult = fleet.Result
-
-// FleetSliceRecord captures one fleet decision quantum.
-type FleetSliceRecord = fleet.SliceRecord
 
 // Router splits the fleet's offered QPS across machines each slice.
 type Router = fleet.Router
@@ -309,8 +261,6 @@ type (
 
 // Budget arbiters.
 type (
-	// EqualShareArbiter gives every machine the same wattage.
-	EqualShareArbiter = fleet.EqualShare
 	// ProportionalArbiter splits by reference maximum power.
 	ProportionalArbiter = fleet.Proportional
 	// HeadroomArbiter re-partitions the cap from last-slice demand.
@@ -334,39 +284,9 @@ type ControlPlane = ctrlplane.Manager
 // plus health-check debounce and autoscaler policy.
 type ControlPlaneConfig = ctrlplane.Config
 
-// HealthConfig tunes the per-machine health state machine.
-type HealthConfig = ctrlplane.HealthConfig
-
-// ScaleConfig tunes the autoscaler (utilisation bands, hysteresis,
-// cooldown, power headroom gate and the machine provisioner).
-type ScaleConfig = ctrlplane.ScaleConfig
-
-// MachineState is a machine's position in the health state machine.
-type MachineState = ctrlplane.State
-
-// Health state machine states.
-const (
-	MachineHealthy     = ctrlplane.Healthy
-	MachineSuspect     = ctrlplane.Suspect
-	MachineQuarantined = ctrlplane.Quarantined
-	MachineDraining    = ctrlplane.Draining
-	MachineProbation   = ctrlplane.Probation
-	MachineEvicted     = ctrlplane.Evicted
-)
-
-// MembershipEvent is one entry in the control plane's membership log.
-type MembershipEvent = ctrlplane.MembershipEvent
-
-// HealthTransition is one health state machine edge taken by a machine.
-type HealthTransition = ctrlplane.Transition
-
 // ControlPlaneResult aggregates a managed run: the inner fleet result
 // plus per-slice states, the membership log and every transition.
 type ControlPlaneResult = ctrlplane.Result
-
-// ControlPlaneSliceRecord is a fleet slice record annotated with the
-// per-member health states and the shed (unrouted) load.
-type ControlPlaneSliceRecord = ctrlplane.SliceRecord
 
 // NewControlPlane assembles a managed fleet; see ctrlplane.New.
 func NewControlPlane(cfg ControlPlaneConfig, nodes ...FleetNode) (*ControlPlane, error) {
@@ -385,21 +305,15 @@ type ModelPlane = modelplane.Plane
 // sync period, aggregate decay, fine-tune sweeps, confidence credit.
 type ModelPlaneParams = modelplane.Params
 
-// ModelPlaneKeyStats summarises one service-mix key's share state.
-type ModelPlaneKeyStats = modelplane.KeyStats
-
 // NewModelPlane builds an empty model-sharing plane; see
 // modelplane.New. A nil collector disables instrumentation.
 func NewModelPlane(p ModelPlaneParams, c Collector) *ModelPlane { return modelplane.New(p, c) }
 
 // Collector receives trace events, metric updates and profiling
 // samples from an instrumented run (DESIGN.md §10). Attach one via
-// FleetConfig.Collector or RunTraced; NopCollector drops everything
-// at zero allocation cost.
+// FleetConfig.Collector, ScenarioOptions.Collector or RunTraced; a nil
+// Collector disables instrumentation at zero cost.
 type Collector = obs.Collector
-
-// NopCollector is the disabled Collector.
-var NopCollector = obs.Nop
 
 // TraceRecorder is the enabled Collector: it buffers trace events,
 // aggregates metrics and wall/allocation profiles, and exports them
@@ -420,19 +334,13 @@ type TraceSummary = obs.Summary
 // (non-positive selects the default).
 func SummarizeTrace(events []TraceEvent, top int) *TraceSummary { return obs.Summarize(events, top) }
 
-// RunTraced is RunFaultedMulti with a Collector attached: the run's
-// profile→decide→hold structure, metrics and fault transitions land in
-// c. A nil injector skips fault perturbation; a nil collector
-// reproduces RunMulti exactly.
+// RunTraced is RunMulti under a fault injector with a Collector
+// attached: the run's profile→decide→hold structure, metrics and fault
+// transitions land in c. A nil injector skips fault perturbation; a nil
+// collector reproduces RunMulti exactly.
 func RunTraced(m *Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c Collector) (*Result, error) {
 	return harness.RunTraced(m, s, slices, loads, budget, inj, c)
 }
-
-// WriteReport writes v in the repo's canonical report encoding —
-// two-space-indented JSON plus a trailing newline — to path, or to
-// stdout when path is empty: the encoding of every report
-// `cuttlesys report` and `cuttlesys run` write.
-func WriteReport(path string, v any) error { return obs.WriteReport(path, v) }
 
 // Scenario is a parsed declarative scenario spec: one spec file plus
 // one seed fully determines a fleet run (internal/scenario,
@@ -446,10 +354,6 @@ type ScenarioOptions = scenario.Options
 // CompiledScenario is a spec resolved against its options: lowered
 // load/budget patterns plus fleet and control-plane builders.
 type CompiledScenario = scenario.Compiled
-
-// ScenarioResult is one scenario run: the fleet result plus the
-// control-plane record when the scenario is managed.
-type ScenarioResult = scenario.Result
 
 // ParseScenario reads one spec from its textual form, applying every
 // documented default and validating the result.
@@ -467,9 +371,3 @@ func ScenarioHash(s *Scenario) uint64 { return scenario.Hash(s) }
 func CompileScenario(s *Scenario, opt ScenarioOptions) (*CompiledScenario, error) {
 	return scenario.Compile(s, opt)
 }
-
-// RouterByName builds a fresh fleet router from its policy name.
-func RouterByName(name string) (Router, error) { return fleet.RouterByName(name) }
-
-// ArbiterByName builds a budget arbiter from its policy name.
-func ArbiterByName(name string) (Arbiter, error) { return fleet.ArbiterByName(name) }

@@ -329,6 +329,10 @@ func New(cfg Config, specs ...fleet.NodeSpec) (*Manager, error) {
 // the manager).
 func (m *Manager) Fleet() *fleet.Fleet { return m.f }
 
+// WarmStart returns the model-sharing plane provisioned machines
+// warm-start from (Config.WarmStart), nil when sharing is off.
+func (m *Manager) WarmStart() WarmStarter { return m.warm }
+
 // Close releases the managed fleet's worker pool.
 func (m *Manager) Close() { m.f.Close() }
 

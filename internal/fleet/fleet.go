@@ -276,6 +276,11 @@ func (f *Fleet) Size() int { return len(f.Active()) }
 // evicted ones — the exclusive upper bound on machine ids.
 func (f *Fleet) Slots() int { return len(f.nodes) }
 
+// Scheduler returns the scheduler stepping machine id. Evicted slots
+// keep theirs, so a run's per-machine controller state stays readable
+// after it ends.
+func (f *Fleet) Scheduler(id int) harness.MultiScheduler { return f.nodes[id].d.Scheduler() }
+
 // CapacityQPS is the fleet's aggregate service capacity — the sum of
 // every active machine's max QPS, the reference for load fractions.
 func (f *Fleet) CapacityQPS() float64 {

@@ -75,11 +75,7 @@ type Params struct {
 	WarmConfidence int
 }
 
-// WithDefaults returns the params with every zero field replaced by
-// its documented default — the concrete knob values a zero Params
-// selects, for reports that record them.
-func (p Params) WithDefaults() Params { return p.withDefaults() }
-
+// withDefaults replaces every zero field with its documented default.
 func (p Params) withDefaults() Params {
 	if p.SyncPeriod <= 0 {
 		p.SyncPeriod = 4

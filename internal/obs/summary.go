@@ -57,15 +57,22 @@ type QoSViolation struct {
 }
 
 // round9 quantises to nanosecond resolution so accumulated float
-// error cannot wobble the report encoding.
-func round9(v float64) float64 { return math.Round(v*1e9) / 1e9 }
+// error cannot wobble the report encoding. A magnitude whose nanosecond
+// count overflows has no sub-nanosecond digits left and stays as is.
+func round9(v float64) float64 {
+	if ns := math.Round(v * 1e9); !math.IsInf(ns, 0) {
+		return ns / 1e9
+	}
+	return v
+}
 
-// attrFloat decodes a float attribute, 0 when absent or malformed.
+// attrFloat decodes a float attribute, 0 when absent, malformed or
+// non-finite.
 func attrFloat(a Attrs, key string) float64 {
 	for i := 0; i < a.Len(); i++ {
 		if kv := a.At(i); kv.Key == key {
 			v, err := strconv.ParseFloat(kv.Val, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return 0
 			}
 			return v

@@ -157,7 +157,10 @@ func WriteJSONL(w io.Writer, events []Event) error {
 
 // ReadJSONL parses a trace JSONL stream back into events. Attribute
 // insertion order is normalised to key order, matching what a
-// re-export would produce anyway.
+// re-export would produce anyway. A line the exporters could not carry
+// is refused with its line number: a t or dur that is negative,
+// non-finite or too large for the Chrome export's microsecond
+// conversion, or a machine below ClusterMachine.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
@@ -172,6 +175,15 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		var le lineEvent
 		if err := json.Unmarshal(line, &le); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
+		}
+		if err := checkSimSec("t", le.T); err != nil {
+			return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
+		}
+		if err := checkSimSec("dur", le.Dur); err != nil {
+			return nil, fmt.Errorf("obs: trace line %d: %w", lineNo, err)
+		}
+		if le.Machine < ClusterMachine {
+			return nil, fmt.Errorf("obs: trace line %d: machine %d is below the cluster scope (%d)", lineNo, le.Machine, ClusterMachine)
 		}
 		e := Event{
 			Name: le.Name, T: le.T, Dur: le.Dur,
@@ -196,6 +208,15 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("obs: reading trace: %w", err)
 	}
 	return out, nil
+}
+
+// checkSimSec rejects a simulated-time value the exporters cannot
+// carry: negative, non-finite, or so large that usec overflows.
+func checkSimSec(field string, v float64) error {
+	if !(v >= 0) || math.IsInf(v*1e9, 0) {
+		return fmt.Errorf("%s %v is negative, non-finite or beyond the microsecond range", field, v)
+	}
+	return nil
 }
 
 // chromeEvent is one trace_event record; ts and dur are microseconds

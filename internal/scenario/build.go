@@ -39,7 +39,7 @@ func (c *Compiled) catalog() (*workload.Profile, []*workload.Profile, error) {
 
 // node builds one machine + scheduler pair from its seed: the batch
 // mix, the simulated multicore and the decision runtime all derive
-// from that one seed, matching the hard-coded drivers bit for bit.
+// from that one seed.
 func (c *Compiled) node(seed uint64, lc *workload.Profile, pool []*workload.Profile) fleet.NodeSpec {
 	m := sim.New(sim.Spec{
 		Seed:           seed,
@@ -101,7 +101,7 @@ func (c *Compiled) BuildFleet(router fleet.Router, arbiter fleet.Arbiter) (*flee
 	if err != nil {
 		return nil, err
 	}
-	cfg := fleet.Config{Router: router, Arbiter: arbiter}
+	cfg := fleet.Config{Router: router, Arbiter: arbiter, Collector: c.collector}
 	if pl := c.sharePlane(); pl != nil {
 		cfg.Share = pl
 	}
@@ -126,7 +126,7 @@ func (c *Compiled) BuildControlPlane(router fleet.Router, arbiter fleet.Arbiter)
 		return c.node(seed, lc, pool), nil
 	}
 	cfg := ctrlplane.Config{
-		Fleet:  fleet.Config{Router: router, Arbiter: arbiter},
+		Fleet:  fleet.Config{Router: router, Arbiter: arbiter, Collector: c.collector},
 		Health: c.healthConfig(),
 		Scale:  scale,
 	}

@@ -9,6 +9,7 @@ import (
 	"cuttlesys/internal/ctrlplane"
 	"cuttlesys/internal/fault"
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/obs"
 	"cuttlesys/internal/rng"
 )
 
@@ -22,15 +23,17 @@ const ProvisionSalt = 0x0b5e55ed
 // the spec (the CLI-over-spec-over-default precedence of DESIGN.md
 // §13). Seed is the run seed; FS resolves trace files for replay
 // clauses (specs.FS for the embedded library, os.DirFS for specs on
-// disk).
+// disk); Collector, when set, receives the built fleet's trace events
+// and metrics (fleet.Config.Collector).
 type Options struct {
-	Machines int
-	Slices   int
-	Service  string
-	Load     float64
-	Cap      float64
-	Seed     uint64
-	FS       fs.FS
+	Machines  int
+	Slices    int
+	Service   string
+	Load      float64
+	Cap       float64
+	Seed      uint64
+	FS        fs.FS
+	Collector obs.Collector
 }
 
 // CompiledClient is one traffic clause lowered to a load pattern.
@@ -69,6 +72,8 @@ type Compiled struct {
 	// Managed selects the control-plane driver (the spec has a control
 	// clause) over the bare fleet.
 	Managed bool
+
+	collector obs.Collector
 }
 
 // Compile lowers a validated spec against its run options.
@@ -76,7 +81,7 @@ func Compile(s *Spec, opt Options) (*Compiled, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	c := &Compiled{Spec: s, Hash: Hash(s), Seed: opt.Seed, Managed: s.Control != nil}
+	c := &Compiled{Spec: s, Hash: Hash(s), Seed: opt.Seed, Managed: s.Control != nil, collector: opt.Collector}
 	c.Machines = s.Machines
 	if opt.Machines != 0 {
 		c.Machines = opt.Machines

@@ -7,6 +7,7 @@ import (
 	"testing/fstest"
 
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/obs"
 )
 
 // fleetGrid reproduces the fleet driver's time grid: the slice clock
@@ -275,6 +276,32 @@ fault machine=9 {
 		}
 		if id != 1 && inj != nil {
 			t.Errorf("machine %d unexpectedly has an injector", id)
+		}
+	}
+}
+
+// TestCollectorReachesBothDrivers: Options.Collector becomes the
+// fleet's collector on the bare and the managed driver alike, so a
+// traced run is a spec plus a recorder.
+func TestCollectorReachesBothDrivers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet runs in -short mode")
+	}
+	const bare = "scenario traced\nservice xapian\nmachines 1\nslices 1\nload 0.5\ncap 0.8\nmix jobs=4\n"
+	for _, src := range []string{bare, bare + "control {\n}\n"} {
+		rec := obs.NewRecorder()
+		c := mustCompile(t, src, Options{Seed: 1, Collector: rec})
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		fleetSlices := 0
+		for _, e := range rec.Events() {
+			if e.Name == obs.SpanFleetSlice {
+				fleetSlices++
+			}
+		}
+		if fleetSlices != 1 {
+			t.Errorf("managed=%v: recorder saw %d fleet.slice spans, want 1", c.Managed, fleetSlices)
 		}
 	}
 }

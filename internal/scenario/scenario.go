@@ -26,8 +26,8 @@
 // rational p/q — and scaled against their base (the run's load or cap
 // fraction, or the run span for times) in the exact operation order
 // the legacy hard-coded scenarios used, so the specs/ ports of
-// the fleet and ops reports' built-in scenarios reproduce their BENCH
-// reports byte for byte.
+// the fleet, ops, obs and warmstart reports' built-in scenarios
+// reproduce their BENCH reports byte for byte.
 package scenario
 
 import (

@@ -1,7 +1,9 @@
 // Package specs embeds the repo's scenario spec library: the cluster
-// scenarios of the fleet report and the control-plane drills of the ops
-// report, plus the extended scenarios behind BENCH_scenario.json and a
-// recorded traffic trace for replay. Specs are plain text in the
+// scenarios of the fleet report, the control-plane drills of the ops
+// report, the traced chaos run of the obs report (obs-chaos), the
+// machine-loss drill the warmstart report sweeps (warm-drill), plus the
+// extended scenarios behind BENCH_scenario.json and a recorded traffic
+// trace for replay. Specs are plain text in the
 // internal/scenario grammar (DESIGN.md §13); `cuttlesys validate`,
 // `describe` and `run` validate, describe and run them, and CI
 // validates every file here on each push.

@@ -25,6 +25,8 @@ func TestNamesSortedAndComplete(t *testing.T) {
 		"steady", "diurnal", "degraded-node", "budget-squeeze", // report fleet
 		"failover", "brownout", "surge", // report ops
 		"flash-crowd", "load-shift-storm", "correlated-brownout", "trace-replay", // report scenario
+		"obs-chaos",  // report obs, make trace
+		"warm-drill", // report warmstart
 	} {
 		if !have[n] {
 			t.Errorf("library missing spec %q", n)
