@@ -28,13 +28,13 @@ perf-check:
 
 # Run the repository-invariant analyzer suite (see DESIGN.md §7).
 lint:
-	$(GO) run ./cmd/cuttlelint ./...
+	$(GO) run ./cmd/cuttlesys lint ./...
 
 # Emit every finding — waived ones included, marked allowed — as a
-# sorted deterministic JSON array (cuttlelint.json). CI uploads this
-# as an artifact when the lint step fails.
+# sorted deterministic JSON array (lint.json). CI uploads this as an
+# artifact when the lint step fails.
 lint-json:
-	$(GO) run ./cmd/cuttlelint -json ./... > cuttlelint.json
+	$(GO) run ./cmd/cuttlesys lint -json ./... > lint.json
 
 # Fail if any file is not gofmt-formatted.
 fmt:

@@ -19,6 +19,7 @@
 //	cuttlesys run <spec> [-o report.json] [flags]
 //	cuttlesys sim [-policy cuttlesys] [-service xapian] [-slices 20] ...
 //	cuttlesys trace [-chrome | -summary] [-top 10] [-o out] trace.jsonl
+//	cuttlesys lint [-C dir] [-checks determinism,...] [-show-allowed] [-json] [packages]
 //
 // Every report and every spec run is deterministic: a fixed -seed
 // produces byte-identical output at any GOMAXPROCS.
@@ -50,6 +51,7 @@ var commands = []command{
 	{"run", "run one spec and emit its JSON report", runSpec},
 	{"sim", "run any policy on one machine and print the per-slice trace", runSim},
 	{"trace", "summarise or convert trace JSONL", runTrace},
+	{"lint", "run the repository-invariant static analyzers", runLint},
 }
 
 // errUsage marks a malformed command line; main exits 2 on it.

@@ -1,16 +1,16 @@
-// Package analysis is cuttlelint: a stdlib-only static-analyzer suite
-// that machine-checks the repository invariants the reproduction's
-// guarantees rest on — byte-stable seeded reports, single-origin RNG
-// streams, NaN/Inf-free numeric hot paths and no silently dropped
-// errors. See DESIGN.md §7 for the mapping from each check to a paper
-// guarantee.
+// Package analysis is a stdlib-only static-analyzer suite, run by
+// `cuttlesys lint`, that machine-checks the repository invariants the
+// reproduction's guarantees rest on — byte-stable seeded reports,
+// single-origin RNG streams, NaN/Inf-free numeric hot paths and no
+// silently dropped errors. Goroutine writes are not among them: the
+// race detector (`make race`) checks those. See DESIGN.md §7 for the
+// mapping from each check to a paper guarantee.
 //
 // Checks come in two widths. Narrow analyzers run per package and
 // reason about one function at a time. Wide analyzers run once over
 // the whole module on a shared call graph (Program) and prove
 // transitive properties — a hot-path root whose third-level callee
-// allocates, a goroutine that writes shared state through a helper —
-// and attach the offending call chain to the diagnostic.
+// allocates — and attach the offending call chain to the diagnostic.
 //
 // A finding can be waived in place with a directive on the flagged
 // line or the line directly above it:
@@ -49,10 +49,10 @@ type Analyzer struct {
 	Wide bool
 }
 
-// Analyzers returns the full cuttlelint suite in reporting order.
+// Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Determinism, Seedflow, Floatsafe, Errdrop, Obsclean, Hotpath, LockRegion,
+		Determinism, Seedflow, Floatsafe, Errdrop, Obsclean, Hotpath,
 	}
 }
 

@@ -67,21 +67,33 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// repoRun caches the full suite's run over this repository: loading
-// the module dominates the cost, and the tests below only read it.
+// repoRun caches this repository's packages and the full suite's run
+// over them: loading the module dominates the cost, and the tests
+// below only read it.
 var repoRun struct {
-	root  string
-	diags []Diagnostic
+	root   string
+	pkgs   []*Package
+	linted bool
+	diags  []Diagnostic
+}
+
+// repoPackages loads this repository once per test binary.
+func repoPackages(t *testing.T) (string, []*Package) {
+	t.Helper()
+	if repoRun.pkgs == nil {
+		loader, pkgs := loadModule(t, "../..")
+		repoRun.root, repoRun.pkgs = loader.Root, pkgs
+	}
+	return repoRun.root, repoRun.pkgs
 }
 
 func lintRepo(t *testing.T) (string, []Diagnostic) {
 	t.Helper()
-	if repoRun.root == "" {
-		loader, pkgs := loadModule(t, "../..")
-		repoRun.diags = RunAnalyzers(pkgs, Analyzers())
-		repoRun.root = loader.Root
+	root, pkgs := repoPackages(t)
+	if !repoRun.linted {
+		repoRun.diags, repoRun.linted = RunAnalyzers(pkgs, Analyzers()), true
 	}
-	return repoRun.root, repoRun.diags
+	return root, repoRun.diags
 }
 
 // TestRepoIsLintClean runs the full suite over this repository: the

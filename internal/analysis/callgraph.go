@@ -54,8 +54,6 @@ type FuncInfo struct {
 
 	Calls []*CallSite
 	Refs  []FuncRef // functions mentioned outside call position
-
-	summary *writeSummary // lazily computed by the lockregion pass
 }
 
 // A CallSite is one call expression and the module-local functions it

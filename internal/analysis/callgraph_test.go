@@ -1,21 +1,6 @@
 package analysis
 
-import (
-	"path/filepath"
-	"testing"
-)
-
-// buildFixtureProgram loads a fixture module and builds its call
-// graph.
-func buildFixtureProgram(t *testing.T, name string) *Program {
-	t.Helper()
-	root, err := filepath.Abs(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pkgs := loadModule(t, root)
-	return BuildProgram(pkgs)
-}
+import "testing"
 
 func fnByName(t *testing.T, prog *Program, name string) *FuncInfo {
 	t.Helper()
@@ -102,35 +87,5 @@ func Chain(x int) int { return apply(double, x) }
 	}
 	if !hasSucc(prog, chain, "a.apply", false) {
 		t.Error("direct call edge a.Chain → a.apply missing")
-	}
-}
-
-// TestWriteSummaries checks the lockregion summaries over its fixture:
-// direct writes, the index-ordered shape, propagation through a call,
-// and the mutex escape.
-func TestWriteSummaries(t *testing.T) {
-	prog := buildFixtureProgram(t, "lockregion")
-	buildWriteSummaries(prog)
-
-	check := func(name string, param int, want writeKind) {
-		t.Helper()
-		fi := fnByName(t, prog, name)
-		if got := fi.summary.params[param].kind; got != want {
-			t.Errorf("%s param %d: kind = %d, want %d", name, param, got, want)
-		}
-	}
-	check("worker.Fill", 0, wkDirect)   // loop-local index: not parameter-derived
-	check("worker.Put", 0, wkIndexed)   // out[k] with k a parameter
-	check("worker.Deep", 0, wkDirect)   // inherits Fill's write through the call
-	check("worker.Locked", 1, wkNone)   // mutex escape clears the summary
-	check("clean.Chunked", 0, wkDirect) // transitively writes vals via Fill
-
-	put := fnByName(t, prog, "worker.Put")
-	if !put.summary.params[0].idxParams[1] {
-		t.Error("worker.Put: index parameter k (combined index 1) not recorded")
-	}
-	deep := fnByName(t, prog, "worker.Deep")
-	if len(deep.summary.params[0].hops) != 1 || deep.summary.params[0].hops[0].callee.Name != "worker.Fill" {
-		t.Error("worker.Deep: inherited write should carry one hop through worker.Fill")
 	}
 }

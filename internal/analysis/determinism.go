@@ -16,15 +16,11 @@ import (
 // iteration over a map when the loop body is order-sensitive —
 // appending to a slice without sorting it afterwards, emitting output,
 // or accumulating floats or strings, all of which leak Go's randomized
-// map order into results — and unsynchronised writes to captured
-// slices or maps from inside a `go` statement. The one sanctioned
-// goroutine write is the index-ordered merge (internal/fleet's
-// pattern): each goroutine writes only cells of a pre-sized slice
-// addressed by goroutine-local indices, so the result is independent
-// of scheduling.
+// map order into results. Writes from goroutines are the race
+// detector's to check (`make race`), not this analyzer's.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock time, global math/rand, execution-width reads, order-sensitive map iteration and shared writes from goroutines",
+	Doc:  "forbid wall-clock time, global math/rand, execution-width reads and order-sensitive map iteration",
 	Run:  runDeterminism,
 }
 
@@ -58,190 +54,10 @@ func runDeterminism(p *Pass) {
 				}
 			case *ast.RangeStmt:
 				checkMapRange(p, n)
-			case *ast.GoStmt:
-				checkGoroutineWrites(p, n)
 			}
 			return true
 		})
 	}
-}
-
-// checkGoroutineWrites flags writes to captured slices and maps from
-// inside a `go func` literal: the scheduling order of goroutines is
-// not a function of the seed, so any shared mutation they race on
-// leaks nondeterminism into results. Three shapes are exempt:
-//
-//   - the index-ordered merge — a write to a captured slice whose
-//     index is built only from goroutine-local variables (each
-//     goroutine owns distinct pre-sized cells, as in fleet's stepAll);
-//   - bodies that take a mutex (Lock/RLock) — serialised, so the race
-//     detector's business rather than this check's;
-//   - //lint:allow determinism <reason>, as everywhere else.
-func checkGoroutineWrites(p *Pass, g *ast.GoStmt) {
-	lit, ok := unparen(g.Call.Fun).(*ast.FuncLit)
-	if !ok {
-		return
-	}
-	if takesMutex(p.Pkg.Info, lit.Body) {
-		return
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			return false // nested go statements get their own visit
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				checkGoroutineTarget(p, lit, lhs, n.Rhs)
-			}
-		case *ast.IncDecStmt:
-			checkGoroutineTarget(p, lit, n.X, nil)
-		}
-		return true
-	})
-}
-
-// checkGoroutineTarget reports one write target inside a go-func
-// literal if it mutates a captured slice or map.
-func checkGoroutineTarget(p *Pass, lit *ast.FuncLit, target ast.Expr, rhs []ast.Expr) {
-	info := p.Pkg.Info
-	// Strip field selectors and derefs: `pop[i].fit = v` writes into
-	// the slice pop, `(*s)[k] = v` writes through s.
-	e := unparen(target)
-	for {
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			e = unparen(sel.X)
-			continue
-		}
-		if star, ok := e.(*ast.StarExpr); ok {
-			e = unparen(star.X)
-			continue
-		}
-		break
-	}
-	switch e := e.(type) {
-	case *ast.IndexExpr:
-		root := rootIdent(e.X)
-		if root == nil || goroutineLocal(info, lit, root) {
-			return
-		}
-		switch info.TypeOf(e.X).Underlying().(type) {
-		case *types.Map:
-			p.Reportf(target.Pos(), "write to captured map %s inside a go statement; merge per-goroutine results in index order instead", root.Name)
-		case *types.Slice, *types.Array:
-			if !indexIsGoroutineLocal(info, lit, e.Index) {
-				p.Reportf(target.Pos(), "write to captured slice %s with a shared index inside a go statement; give each goroutine its own pre-sized cells (index-ordered merge)", root.Name)
-			}
-		}
-	case *ast.Ident:
-		if e.Name == "_" || goroutineLocal(info, lit, e) {
-			return
-		}
-		switch info.TypeOf(e).Underlying().(type) {
-		case *types.Map:
-			p.Reportf(target.Pos(), "assignment to captured map %s inside a go statement; merge per-goroutine results in index order instead", e.Name)
-		case *types.Slice:
-			if len(rhs) == 1 {
-				if call, ok := unparen(rhs[0]).(*ast.CallExpr); ok && isBuiltinAppend(info, call) {
-					p.Reportf(target.Pos(), "append to captured slice %s inside a go statement; collect per goroutine and merge in index order instead", e.Name)
-					return
-				}
-			}
-			p.Reportf(target.Pos(), "assignment to captured slice %s inside a go statement; merge per-goroutine results in index order instead", e.Name)
-		}
-	}
-}
-
-// rootIdent walks selector/index/deref chains to the base identifier:
-// s, m.recs and (*p).cells[i] all root at their leftmost name.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch t := unparen(e).(type) {
-		case *ast.Ident:
-			return t
-		case *ast.SelectorExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.StarExpr:
-			e = t.X
-		default:
-			return nil
-		}
-	}
-}
-
-// goroutineLocal reports whether id resolves to a variable declared
-// inside the func literal (including its parameters) — a value no
-// other goroutine can touch.
-func goroutineLocal(info *types.Info, lit *ast.FuncLit, id *ast.Ident) bool {
-	obj := info.Uses[id]
-	if obj == nil {
-		obj = info.Defs[id]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	return v.Pos() >= lit.Pos() && v.Pos() <= lit.End()
-}
-
-// indexIsGoroutineLocal reports whether every variable mentioned in a
-// slice-index expression is goroutine-local, so concurrent writers
-// cannot collide on a cell. Field selectors contribute only their
-// base (`e.i` is local when e is); literals contribute nothing.
-func indexIsGoroutineLocal(info *types.Info, lit *ast.FuncLit, idx ast.Expr) bool {
-	ok := true
-	var walk func(ast.Expr)
-	walk = func(e ast.Expr) {
-		if !ok {
-			return
-		}
-		switch e := unparen(e).(type) {
-		case *ast.Ident:
-			if v, isVar := info.Uses[e].(*types.Var); isVar {
-				if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
-					ok = false
-				}
-			}
-		case *ast.SelectorExpr:
-			walk(e.X) // skip the field name: e.i is as local as e
-		case *ast.BinaryExpr:
-			walk(e.X)
-			walk(e.Y)
-		case *ast.UnaryExpr:
-			walk(e.X)
-		case *ast.IndexExpr:
-			walk(e.X)
-			walk(e.Index)
-		case *ast.CallExpr:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *ast.BasicLit:
-		default:
-			ok = false // unknown shape: assume shared
-		}
-	}
-	walk(idx)
-	return ok
-}
-
-// takesMutex reports whether the body calls a Lock or RLock method —
-// the writes are serialised, which is the race detector's domain, not
-// the determinism check's.
-func takesMutex(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return !found
-		}
-		if fn := calleeFunc(info, call); fn != nil && hasReceiver(fn) && (fn.Name() == "Lock" || fn.Name() == "RLock") {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 func pathBase(path string) string {

@@ -12,21 +12,3 @@ func Bench(f func()) float64 {
 	//lint:allow determinism wall-clock benchmark timing is the measured result
 	return time.Since(start).Seconds()
 }
-
-// Shuffle deliberately publishes arrival order — the scheduling jitter
-// IS the quantity under study — so the shared append is waived.
-func Shuffle(xs []float64) []float64 {
-	var out []float64
-	done := make(chan struct{})
-	for _, x := range xs {
-		go func() {
-			//lint:allow determinism arrival-order fixture: the scheduling jitter is the measured result
-			out = append(out, x)
-			done <- struct{}{}
-		}()
-	}
-	for range xs {
-		<-done
-	}
-	return out
-}

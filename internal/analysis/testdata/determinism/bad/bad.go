@@ -45,91 +45,3 @@ func Dump(m map[string]int) {
 //
 //lint:allow determinism
 func Malformed() {}
-
-// Gather appends to a captured slice from goroutines: element order is
-// the scheduler's interleaving, not a function of the seed.
-func Gather(xs []float64) []float64 {
-	out := make([]float64, 0, len(xs))
-	done := make(chan struct{})
-	for _, x := range xs {
-		go func() {
-			out = append(out, x*2)
-			done <- struct{}{}
-		}()
-	}
-	for range xs {
-		<-done
-	}
-	return out
-}
-
-// Tally increments cells of a captured map from goroutines.
-func Tally(keys []string) map[string]int {
-	counts := map[string]int{}
-	done := make(chan struct{})
-	for _, k := range keys {
-		go func() {
-			counts[k]++
-			done <- struct{}{}
-		}()
-	}
-	for range keys {
-		<-done
-	}
-	return counts
-}
-
-// Fill hands every goroutine the same captured cursor, so they race on
-// the cell it names.
-func Fill(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	next := 0
-	done := make(chan struct{})
-	for range xs {
-		go func() {
-			out[next] = float64(next)
-			done <- struct{}{}
-		}()
-	}
-	for range xs {
-		<-done
-	}
-	return out
-}
-
-// Reconcile fans per-machine health checks out to goroutines and
-// appends transitions as they land: the log order is the scheduler's
-// interleaving, not a function of the telemetry.
-func Reconcile(bad []bool) []string {
-	var log []string
-	done := make(chan struct{})
-	for i, b := range bad {
-		go func() {
-			if b {
-				log = append(log, fmt.Sprint("suspect ", i))
-			}
-			done <- struct{}{}
-		}()
-	}
-	for range bad {
-		<-done
-	}
-	return log
-}
-
-// Promote advances a shared membership cursor from goroutines, so the
-// per-machine state cells race on it.
-func Promote(states []int) {
-	next := 0
-	done := make(chan struct{})
-	for range states {
-		go func() {
-			states[next]++
-			next++
-			done <- struct{}{}
-		}()
-	}
-	for range states {
-		<-done
-	}
-}

@@ -5,8 +5,6 @@ package clean
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Render prints m in sorted-key order — the sorted-keys preamble the
@@ -41,105 +39,4 @@ func PerKey(m map[string]float64) map[string]float64 {
 		out[k] += v
 	}
 	return out
-}
-
-// FanOut is the sanctioned index-ordered merge: goroutines claim work
-// through an atomic cursor and write only cells named by their own
-// goroutine-local index, so the merged slice is byte-identical no
-// matter how the scheduler interleaves them.
-func FanOut(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(xs) {
-					return
-				}
-				out[i] = xs[i] * 2
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// PerCell passes the cell index as an argument: parameters are
-// goroutine-local, so each write lands in its own cell.
-func PerCell(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var wg sync.WaitGroup
-	for i := range xs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = xs[i] * xs[i]
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
-// Guarded serialises its shared append with a mutex; ordering under a
-// lock is the race detector's concern, and the sort afterwards removes
-// the arrival-order dependence.
-func Guarded(xs []float64) []float64 {
-	var mu sync.Mutex
-	var out []float64
-	var wg sync.WaitGroup
-	for _, x := range xs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mu.Lock()
-			out = append(out, x)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	sort.Float64s(out)
-	return out
-}
-
-// ReconcileSerial advances every machine's health state in id order
-// between slices — the control plane's reconcile-loop pattern: all
-// state transitions and log appends happen on one goroutine.
-func ReconcileSerial(bad []bool, states []int) []string {
-	var log []string
-	for id := range states {
-		if bad[id] {
-			states[id]++
-			log = append(log, "suspect")
-		}
-	}
-	return log
-}
-
-// ProbeThenMerge is the legal parallel shape for a reconcile loop:
-// goroutines probe into their own pre-sized cells through a parameter
-// index, and the single caller goroutine folds the cells into the log
-// in id order afterwards.
-func ProbeThenMerge(states []int) []string {
-	verdicts := make([]bool, len(states))
-	var wg sync.WaitGroup
-	for i := range states {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			verdicts[i] = states[i] > 0
-		}(i)
-	}
-	wg.Wait()
-	var log []string
-	for id, v := range verdicts {
-		if v {
-			states[id]++
-			log = append(log, "suspect")
-		}
-	}
-	return log
 }

@@ -7,6 +7,8 @@ import (
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/fault"
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/obs"
+	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 )
 
@@ -238,5 +240,49 @@ func TestHardenedRecoversFasterUnderFailStop(t *testing.T) {
 	}
 	if hr >= sr {
 		t.Fatalf("hardened recovery %d slices, not better than unhardened %d", hr, sr)
+	}
+}
+
+// TestPoisonedWarmStartRecovers imports a finite but overflowing factor
+// set for every surface: each Q and P entry is 1e200, so the first dot
+// product is +Inf. The import stands for the whole run, so unless sgd
+// redoes such a fit cold, every slice's predictions are non-finite and
+// every slice falls back.
+func TestPoisonedWarmStartRecovers(t *testing.T) {
+	load, budget := harness.ConstantLoad(0.4), harness.ConstantBudget(0.8)
+	donorM := testMachine(t, "xapian", 5)
+	donor := New(donorM, Params{Seed: 5, ShareFactors: true})
+	mustRun(t, donorM, donor, 1, load, budget)
+	fac, err := donor.ExportFactors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned := map[string]*sgd.Factors{}
+	for surface, f := range fac {
+		p := f.Clone()
+		for i := range p.Q {
+			p.Q[i] = 1e200
+		}
+		for i := range p.P {
+			p.P[i] = 1e200
+		}
+		poisoned[surface] = p
+	}
+
+	m := testMachine(t, "xapian", 5)
+	rt := New(m, Params{Seed: 5})
+	rt.WarmStart(poisoned, 40, 2)
+	rec := obs.NewRecorder()
+	rt.SetCollector(rec)
+	const slices = 20
+	mustRun(t, m, rt, slices, load, budget)
+	fallbacks := 0
+	for _, e := range rec.Events() {
+		if e.Name == obs.EventFallback {
+			fallbacks++
+		}
+	}
+	if fallbacks > 1 {
+		t.Fatalf("%d of %d slices fell back after a poisoned warm start, want at most 1", fallbacks, slices)
 	}
 }

@@ -1,6 +1,7 @@
 package sgd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -188,4 +189,129 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// overflowingFactors is a finite factor set of m's geometry whose first
+// dot product overflows: Q = P = 1e200, so q·p = 6e400 = +Inf. It
+// passes Compatible, which screens only for NaN and ±Inf entries.
+func overflowingFactors(m *Matrix, p Params) *Factors {
+	fill := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = 1e200
+		}
+		return out
+	}
+	return &Factors{
+		Rows: m.Rows, Cols: m.Cols, Rank: p.Factors, LogSpace: p.LogSpace,
+		Q: fill(m.Rows * p.Factors), P: fill(m.Cols * p.Factors),
+		RowBias: make([]float64, m.Rows), ColBias: make([]float64, m.Cols),
+		Iters: 1, Observed: 1,
+	}
+}
+
+// TestWarmStartOverflowRedoneCold imports the overflowing set on every
+// lane: the serial and the lane path must both return exactly the cold
+// reconstruction and its factors instead of non-finite predictions.
+func TestWarmStartOverflowRedoneCold(t *testing.T) {
+	ms := quadSurfaces(7)
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
+	var ps [4]Params
+	var want [4]*Prediction
+	var wantFac [4]*Factors
+	for l, m := range ms {
+		ps[l] = p
+		ps[l].Warm = overflowingFactors(m, p)
+		ps[l].WarmIters = 5
+		if !ps[l].Warm.Compatible(m.Rows, m.Cols, p.Factors, p.LogSpace) {
+			t.Fatalf("lane %d: the overflowing set must pass Compatible to exercise the redo", l)
+		}
+		var err error
+		if want[l], wantFac[l], err = ReconstructFactors(m, p); err != nil {
+			t.Fatal(err)
+		}
+		got, gotFac, err := ReconstructFactors(m, ps[l])
+		if err != nil {
+			t.Fatal(err)
+		}
+		predBitsEqual(t, fmt.Sprintf("serial lane %d", l), got, want[l])
+		if gotFac.Fingerprint() != wantFac[l].Fingerprint() {
+			t.Fatalf("serial lane %d: factors are not the cold fit's", l)
+		}
+	}
+	got, gotFac := ReconstructQuad(ms, ps, true)
+	for l := range ms {
+		predBitsEqual(t, fmt.Sprintf("quad lane %d", l), got[l], want[l])
+		if gotFac[l].Fingerprint() != wantFac[l].Fingerprint() {
+			t.Fatalf("quad lane %d: factors are not the cold fit's", l)
+		}
+	}
+}
+
+// FuzzWarmStart imports a factor set built from hostile bytes: each
+// eight-byte word is one float64, cycled over μ, Q, P and both bias
+// vectors, so the set always has the matrix's geometry and may hold any
+// value at all — NaN, ±Inf, subnormals, 1e200. Neither the serial nor
+// the lane path may panic, and every prediction must be finite.
+func FuzzWarmStart(f *testing.F) {
+	words := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(words(1e200), true)
+	f.Add(words(1e200), false)
+	f.Add(words(0.1, -0.2, 0.3), true)
+
+	thr, pwr := matchedPair(3, 6, 12, 3, 4, 1)
+	lat, svc := matchedPair(4, 5, 12, 3, 3, 0)
+	ms := [4]*Matrix{thr, pwr, lat, svc}
+	f.Fuzz(func(t *testing.T, data []byte, logSpace bool) {
+		word := 0
+		next := func() float64 {
+			if len(data) < 8 {
+				return 0
+			}
+			off := word % (len(data) / 8) * 8
+			word++
+			return math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+		}
+		vec := func(n int) []float64 {
+			out := make([]float64, n)
+			for i := range out {
+				out[i] = next()
+			}
+			return out
+		}
+		finite := func(name string, p *Prediction) {
+			for i := 0; i < p.Rows; i++ {
+				for j := 0; j < p.Cols; j++ {
+					if v := p.At(i, j); math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("%s: (%d,%d) = %v", name, i, j, v)
+					}
+				}
+			}
+		}
+		var ps [4]Params
+		for l, m := range ms {
+			p := Params{Factors: pairFactors, MaxIter: 20, SVDInit: true, LogSpace: logSpace, WarmIters: 5}
+			p.Warm = &Factors{
+				Rows: m.Rows, Cols: m.Cols, Rank: p.Factors, LogSpace: logSpace,
+				Mu: next(), Q: vec(m.Rows * p.Factors), P: vec(m.Cols * p.Factors),
+				RowBias: vec(m.Rows), ColBias: vec(m.Cols),
+			}
+			ps[l] = p
+			pred, _, err := ReconstructFactors(m, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			finite(fmt.Sprintf("serial lane %d", l), pred)
+		}
+		preds, _ := ReconstructQuad(ms, ps, true)
+		for l, pred := range preds {
+			finite(fmt.Sprintf("quad lane %d", l), pred)
+		}
+	})
 }

@@ -134,7 +134,8 @@ type Params struct {
 	// warm state, so the model's first prediction is the fleet's and
 	// local SGD sweeps only fine-tune it. Factors whose geometry or
 	// value transform does not match the matrix are ignored and the
-	// cold init runs as usual. Rows frozen by FactorMinObs keep their
+	// cold init runs as usual, and a warm fit that comes out non-finite
+	// is redone cold. Rows frozen by FactorMinObs keep their
 	// warm factor vectors rather than being zeroed — carrying the
 	// fleet's knowledge for locally under-observed rows is the point
 	// of warm-starting.
@@ -213,6 +214,7 @@ type trainState struct {
 	colBias  []float64
 	biasOnly []bool
 	pred     *Prediction
+	cold     *Params // a warm start's own params minus Warm: finish's redo; nil for a cold fit
 }
 
 // prepareTraining gathers observations and initialises the model
@@ -246,8 +248,13 @@ func prepareTraining(m *Matrix, p Params) *trainState {
 	if warm != nil && !warm.Compatible(m.Rows, m.Cols, f, p.LogSpace) {
 		warm = nil
 	}
-	if warm != nil && p.WarmIters > 0 {
-		p.MaxIter = p.WarmIters
+	if warm != nil {
+		cold := p
+		cold.Warm = nil
+		st.cold = &cold
+		if p.WarmIters > 0 {
+			p.MaxIter = p.WarmIters
+		}
 	}
 	pred.Iters = p.MaxIter
 
@@ -313,7 +320,11 @@ func prepareTraining(m *Matrix, p Params) *trainState {
 }
 
 // finish renders the dense prediction from the trained state and
-// optionally captures the factor set.
+// optionally captures the factor set. A warm-started fit whose state or
+// prediction is non-finite is redone cold: finite warm factors can
+// still overflow (two 1e200 entries multiply past MaxFloat64 in the
+// first dot product), and a poisoned import must cost one cold fit,
+// not every reconstruction that inherits it.
 func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 	if len(st.entries) == 0 {
 		return st.pred, nil
@@ -338,6 +349,10 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 			}
 			pred.vals[i*m.Cols+j] = v
 		}
+	}
+	if st.cold != nil && !(finite(pred.vals...) && finite(mu) && finite(q...) && finite(pc...) &&
+		finite(rowBias...) && finite(colBias...)) {
+		return reconstructFull(m, *st.cold, capture)
 	}
 	var fac *Factors
 	if capture {
