@@ -176,39 +176,60 @@ func appendTarget(call *ast.CallExpr) string {
 
 // sortedAfter reports whether target is handed to a sort/slices
 // function in a statement after the range loop inside the enclosing
-// function — the sorted-keys preamble.
+// function — the sorted-keys preamble. The enclosing function is the
+// outermost FuncDecl or FuncLit around the loop, so a sort after a
+// closure that collects the keys counts, and a sort of a same-named
+// slice in another function does not.
 func sortedAfter(pkg *Package, rng *ast.RangeStmt, target string) bool {
 	if target == "" {
 		return false
 	}
 	info := pkg.Info
 	sorted := false
+	ast.Inspect(enclosingFunc(pkg, rng), func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() < rng.End() || sorted {
+			return !sorted
+		}
+		fn := calleeFunc(info, call)
+		if fn == nil {
+			return true
+		}
+		if path := pkgPath(fn); path != "sort" && path != "slices" {
+			return true
+		}
+		for _, arg := range call.Args {
+			if mentionsIdent(arg, target) {
+				sorted = true
+				return false
+			}
+		}
+		return true
+	})
+	return sorted
+}
+
+// enclosingFunc returns the outermost function declaration or literal
+// containing n; every statement has one.
+func enclosingFunc(pkg *Package, n ast.Node) ast.Node {
+	var fn ast.Node
 	for _, f := range pkg.Files {
-		if f.Pos() > rng.Pos() || f.End() < rng.End() {
+		if f.Pos() > n.Pos() || f.End() < n.End() {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || call.Pos() < rng.End() || sorted {
-				return !sorted
+		ast.Inspect(f, func(c ast.Node) bool {
+			if fn != nil || c == nil || c.Pos() > n.Pos() || c.End() < n.End() {
+				return false
 			}
-			fn := calleeFunc(info, call)
-			if fn == nil {
-				return true
-			}
-			if path := pkgPath(fn); path != "sort" && path != "slices" {
-				return true
-			}
-			for _, arg := range call.Args {
-				if mentionsIdent(arg, target) {
-					sorted = true
-					return false
-				}
+			switch c.(type) {
+			case *ast.FuncDecl, *ast.FuncLit:
+				fn = c
+				return false
 			}
 			return true
 		})
 	}
-	return sorted
+	return fn
 }
 
 func mentionsIdent(e ast.Expr, name string) bool {

@@ -35,8 +35,9 @@ func fixedChipPower(n int) float64 {
 // ucpPartition assigns the latency-critical service its QoS-sized
 // allocation (four ways, the same cap CuttleSys uses, §VIII-A2) and
 // partitions the remaining ways among the active batch jobs with the
-// UCP lookahead. Gated jobs keep no ways.
-func ucpPartition(alloc *sim.Allocation, lc *workload.Profile, batch []*workload.Profile) {
+// UCP lookahead. Gated jobs keep no ways. jobCurves holds one curve
+// per batch job, from missCurves.
+func ucpPartition(alloc *sim.Allocation, lc *workload.Profile, jobCurves []ucp.Curve) {
 	budget := config.LLCWays
 	if lc != nil && alloc.LCCores > 0 {
 		alloc.LCCache = config.FourWays
@@ -50,11 +51,7 @@ func ucpPartition(alloc *sim.Allocation, lc *workload.Profile, batch []*workload
 		if b.Gated {
 			continue
 		}
-		app := batch[i]
-		curves = append(curves, ucp.Curve{
-			MissRatio: app.MissRatio,
-			Weight:    app.MemFrac * app.L1MissRate,
-		})
+		curves = append(curves, jobCurves[i])
 		slots = append(slots, i)
 	}
 	if len(curves) == 0 {
@@ -67,6 +64,27 @@ func ucpPartition(alloc *sim.Allocation, lc *workload.Profile, batch []*workload
 	for k, i := range slots {
 		alloc.Batch[i].Cache = config.CacheAlloc(ways[k])
 	}
+}
+
+// missCurves returns each batch job's UCP curve with its miss ratio
+// tabulated once at every integer way count up to config.LLCWays.
+// ucp.Partition evaluates a curve only at integer ways no greater than
+// ucpPartition's budget — at most config.LLCWays, or one way per job
+// when there are more jobs than ways — so the table returns exactly
+// the values MissRatio would, without its math.Pow on every decision.
+func missCurves(batch []*workload.Profile) []ucp.Curve {
+	curves := make([]ucp.Curve, len(batch))
+	for i, app := range batch {
+		tab := make([]float64, config.LLCWays+1)
+		for w := range tab {
+			tab[w] = app.MissRatio(float64(w))
+		}
+		curves[i] = ucp.Curve{
+			MissRatio: func(ways float64) float64 { return tab[int(ways)] },
+			Weight:    app.MemFrac * app.L1MissRate,
+		}
+	}
+	return curves
 }
 
 // NoGating is the reference policy: every core at the widest

@@ -1,11 +1,14 @@
 package baseline
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/sim"
+	"cuttlesys/internal/ucp"
 	"cuttlesys/internal/workload"
 )
 
@@ -201,7 +204,7 @@ func TestUCPPartitionRespectsBudget(t *testing.T) {
 	m := machine(t, 11, false)
 	a := sim.Uniform(len(m.Batch()), true, 16, config.Widest, config.OneWay)
 	a.Batch[3].Gated = true
-	ucpPartition(&a, m.LC(), m.Batch())
+	ucpPartition(&a, m.LC(), missCurves(m.Batch()))
 	total := a.LCCache.Ways()
 	for i, b := range a.Batch {
 		if b.Gated {
@@ -214,6 +217,38 @@ func TestUCPPartitionRespectsBudget(t *testing.T) {
 	}
 	if total > config.LLCWays {
 		t.Fatalf("UCP allocated %.1f ways, budget 32", total)
+	}
+}
+
+// TestMissCurvesMatchMissRatio pins the tabulated UCP curves to the
+// profiles' own miss ratio, bit for bit at every integer way count,
+// and the partition they produce to the one untabulated curves give.
+func TestMissCurvesMatchMissRatio(t *testing.T) {
+	m := machine(t, 11, false)
+	batch := m.Batch()
+	tab := missCurves(batch)
+	direct := make([]ucp.Curve, len(batch))
+	for i, app := range batch {
+		direct[i] = ucp.Curve{MissRatio: app.MissRatio, Weight: app.MemFrac * app.L1MissRate}
+		if tab[i].Weight != direct[i].Weight {
+			t.Fatalf("job %d: weight %v, want %v", i, tab[i].Weight, direct[i].Weight)
+		}
+		for w := 0; w <= config.LLCWays; w++ {
+			if got, want := tab[i].MissRatio(float64(w)), app.MissRatio(float64(w)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("job %d at %d ways: %v, want %v", i, w, got, want)
+			}
+		}
+	}
+	for n := 1; n <= len(batch); n++ {
+		for _, budget := range []int{n, 20, 28, config.LLCWays} {
+			if budget < n {
+				continue
+			}
+			got, want := ucp.Partition(tab[:n], budget, 1), ucp.Partition(direct[:n], budget, 1)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d jobs, %d ways: %v, want %v", n, budget, got, want)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"cuttlesys/internal/power"
 	"cuttlesys/internal/rng"
 	"cuttlesys/internal/sim"
+	"cuttlesys/internal/ucp"
 	"cuttlesys/internal/workload"
 )
 
@@ -53,6 +54,7 @@ type CoreGating struct {
 
 	lc           *workload.Profile
 	batch        []*workload.Profile
+	curves       []ucp.Curve // UCP curve per batch job, tabulated once
 	nCores       int
 	lcCores      int
 	profileNoise float64
@@ -67,6 +69,7 @@ func NewCoreGating(m *sim.Machine, policy GatingPolicy, wayPartition bool, seed 
 		WayPartition: wayPartition,
 		lc:           m.LC(),
 		batch:        m.Batch(),
+		curves:       missCurves(m.Batch()),
 		nCores:       m.NCores(),
 		profileNoise: 0.05,
 		r:            rng.New(seed ^ 0x5bf03635),
@@ -104,7 +107,7 @@ func (g *CoreGating) baseAlloc(gated []bool) sim.Allocation {
 	if !g.WayPartition {
 		a.NoPartition = true
 	} else {
-		ucpPartition(&a, g.lc, g.batch)
+		ucpPartition(&a, g.lc, g.curves)
 	}
 	return a
 }

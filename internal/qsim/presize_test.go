@@ -1,13 +1,41 @@
 package qsim
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"testing"
+
+	"cuttlesys/internal/rng"
 )
 
-// stepGrown is Step as it was before the result was presized: the
-// sojourn slice starts nil and grows by doubling.
-func (s *Service) stepGrown(dur, qps, meanSvc, sigma float64) []float64 {
+// refService is the simulator as it was before Step was chunked: one
+// query at a time, rng.LogNormal's scalar math.Exp for the demand, and
+// the container/heap server set. It is the oracle Step must match.
+type refService struct {
+	r    *rng.RNG
+	now  float64
+	free boxedHeap
+}
+
+func newRefService(seed uint64, k int) *refService {
+	return &refService{r: rng.New(seed), free: make(boxedHeap, k)}
+}
+
+func (s *refService) setServers(k int) {
+	for len(s.free) > k {
+		s.free.removeLatest()
+	}
+	for len(s.free) < k {
+		heap.Push(&s.free, s.now)
+	}
+}
+
+func (s *refService) advance(dur float64) { s.now += dur }
+
+// stepGrown is that loop with the sojourn slice starting nil and
+// growing by doubling, as it did before the result was presized.
+func (s *refService) stepGrown(dur, qps, meanSvc, sigma float64) []float64 {
 	end := s.now + dur
 	var sojourns []float64
 	if qps > 0 {
@@ -15,9 +43,10 @@ func (s *Service) stepGrown(dur, qps, meanSvc, sigma float64) []float64 {
 		t := s.now + s.r.Exp(qps)
 		for t < end {
 			demand := meanSvc * s.r.LogNormal(mu, sigma)
-			start := math.Max(t, s.freeAt[0])
+			start := math.Max(t, s.free[0])
 			finish := start + demand
-			s.freeAt.replaceMin(finish)
+			s.free[0] = finish
+			heap.Fix(&s.free, 0)
 			sojourns = append(sojourns, finish-t)
 			t += s.r.Exp(qps)
 		}
@@ -26,29 +55,46 @@ func (s *Service) stepGrown(dur, qps, meanSvc, sigma float64) []float64 {
 	return sojourns
 }
 
+// sameState fails unless s and ref agree on the clock, the stream
+// position and the multiset of server free times, bit for bit.
+func sameState(t *testing.T, what string, s *Service, ref *refService) {
+	t.Helper()
+	if math.Float64bits(s.now) != math.Float64bits(ref.now) {
+		t.Fatalf("%s: clock %v, oracle %v", what, s.now, ref.now)
+	}
+	if *s.r != *ref.r {
+		t.Fatalf("%s: stream position diverged", what)
+	}
+	sameMultiset(t, what, &s.freeAt, ref.free)
+}
+
+// sameSojourns fails unless got and want are bit-identical.
+func sameSojourns(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d sojourns, oracle has %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: sojourn %d = %v, oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
 func TestStepPresizedMatchesGrown(t *testing.T) {
 	overflowed := false
 	for seed := uint64(1); seed <= 200; seed++ {
-		a, b := NewService(seed, 8), NewService(seed, 8)
+		a, b := NewService(seed, 8), newRefService(seed, 8)
 		// A profiling window, a steady window, an overloaded one, an
 		// idle one, and one so sparse its presized capacity is zero.
 		for _, w := range []struct{ dur, qps float64 }{
 			{0.001, 17000}, {0.098, 17000}, {0.1, 40000}, {0.1, 0}, {0.001, 50},
 		} {
 			got, want := a.Step(w.dur, w.qps, 0.4e-3, 0.45), b.stepGrown(w.dur, w.qps, 0.4e-3, 0.45)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d window %+v: %d sojourns, grown slice has %d", seed, w, len(got), len(want))
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("seed %d window %+v: sojourn %d differs", seed, w, i)
-				}
-			}
+			sameSojourns(t, fmt.Sprintf("seed %d window %+v", seed, w), got, want)
 			overflowed = overflowed || len(got) > sojournCap(w.qps*w.dur)
 		}
-		if a.now != b.now || backlog(a) != backlog(b) || a.r.Uint64() != b.r.Uint64() {
-			t.Fatalf("seed %d: queue state or stream position diverged", seed)
-		}
+		sameState(t, fmt.Sprintf("seed %d", seed), a, b)
 	}
 	if !overflowed {
 		t.Fatal("no window outran its presized capacity; the growth path went untested")

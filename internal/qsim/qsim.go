@@ -31,8 +31,8 @@ import (
 // Service is the queueing state of one latency-critical service.
 type Service struct {
 	r      *rng.RNG
-	now    float64  // simulation clock, seconds
-	freeAt freeHeap // per-server next-free times
+	now    float64   // simulation clock, seconds
+	freeAt freeTimes // per-server next-free times
 }
 
 // NewService returns a service with k servers (cores), all idle at
@@ -41,10 +41,7 @@ func NewService(seed uint64, k int) *Service {
 	if k <= 0 {
 		panic("qsim: NewService with non-positive server count")
 	}
-	s := &Service{r: rng.New(seed)}
-	s.freeAt = make(freeHeap, k)
-	s.freeAt.init()
-	return s
+	return &Service{r: rng.New(seed), freeAt: newFreeTimes(k)}
 }
 
 // SetServers changes the number of servers (cores allocated to the
@@ -57,10 +54,10 @@ func (s *Service) SetServers(k int) {
 	if k <= 0 {
 		panic("qsim: SetServers with non-positive server count")
 	}
-	for len(s.freeAt) > k {
+	for s.freeAt.k > k {
 		s.freeAt.removeLatest()
 	}
-	for len(s.freeAt) < k {
+	for s.freeAt.k < k {
 		s.freeAt.push(s.now)
 	}
 }
@@ -68,15 +65,23 @@ func (s *Service) SetServers(k int) {
 // Advance moves the simulation clock forward dur seconds without
 // offering arrivals — the zero-throughput escape hatch. A configuration
 // whose service time is infinite completes nothing; simulating arrivals
-// against it would park +Inf in the server heap and poison every later
-// window, so the machine advances the clock instead and scores the
-// window as violated. dur must be positive.
+// against it would park +Inf among the server free times and poison
+// every later window, so the machine advances the clock instead and
+// scores the window as violated. dur must be positive and finite.
 func (s *Service) Advance(dur float64) {
-	if dur <= 0 {
-		panic("qsim: Advance with non-positive duration")
+	if !positiveFinite(dur) {
+		panic("qsim: Advance with non-positive or non-finite duration")
 	}
 	s.now += dur
 }
+
+// positiveFinite reports 0 < x < +Inf; NaN fails it.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// chunk is the number of queries Step draws before simulating them.
+// The chunk's arrival times and demand exponents live in stack arrays,
+// so batching costs no allocation.
+const chunk = 64
 
 // Step simulates the window [now, now+dur) with Poisson arrivals at
 // qps queries per second, mean service time meanSvc seconds and
@@ -85,13 +90,28 @@ func (s *Service) Advance(dur float64) {
 // window; queries may complete after the window ends — their full
 // sojourn is still charged to this window, matching how the paper
 // measures tail latency over whole timeslices. dur and meanSvc must be
-// positive; qps may be zero (an idle window).
+// positive and finite, qps and sigma finite; a qps of zero or less is
+// an idle window.
+//
+// Queries are simulated in chunks of up to 64. Each chunk first draws
+// its inter-arrival times and normal deviates in the stream order of
+// one query at a time (deviate, then the next gap), turns the deviates
+// into log-normal multipliers with one expBatch call — bit-identical to
+// rng.LogNormal's math.Exp — and then runs the FCFS queue over the
+// chunk. The queue consumes no randomness, so the stream position and
+// every sojourn equal the one-query-at-a-time loop's.
 func (s *Service) Step(dur, qps, meanSvc, sigma float64) []float64 {
-	if dur <= 0 {
-		panic("qsim: Step with non-positive duration")
+	if !positiveFinite(dur) {
+		panic("qsim: Step with non-positive or non-finite duration")
 	}
-	if meanSvc <= 0 {
-		panic("qsim: Step with non-positive service time")
+	if !positiveFinite(meanSvc) {
+		panic("qsim: Step with non-positive or non-finite service time")
+	}
+	if math.IsNaN(qps) || math.IsInf(qps, 0) {
+		panic("qsim: Step with non-finite arrival rate")
+	}
+	if math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+		panic("qsim: Step with non-finite dispersion")
 	}
 	end := s.now + dur
 	var sojourns []float64
@@ -99,17 +119,18 @@ func (s *Service) Step(dur, qps, meanSvc, sigma float64) []float64 {
 		sojourns = make([]float64, 0, sojournCap(qps*dur))
 		// mu chosen so the log-normal multiplier has mean 1.
 		mu := -sigma * sigma / 2
+		var ts, ms [chunk]float64
 		t := s.now + s.r.Exp(qps)
 		for t < end {
-			demand := meanSvc * s.r.LogNormal(mu, sigma)
-			// FCFS central queue: the next query runs on the server
-			// that frees earliest.
-			free := s.freeAt[0]
-			start := math.Max(t, free)
-			finish := start + demand
-			s.freeAt.replaceMin(finish)
-			sojourns = append(sojourns, finish-t)
-			t += s.r.Exp(qps)
+			n := 0
+			for ; n < chunk && t < end; n++ {
+				ts[n] = t
+				ms[n] = mu + sigma*s.r.Norm()
+				t += s.r.Exp(qps)
+			}
+			expBatch(ms[:n], ms[:n])
+			s.freeAt.serve(ts[:n], ms[:n], meanSvc)
+			sojourns = append(sojourns, ms[:n]...)
 		}
 	}
 	s.now = end
@@ -133,90 +154,6 @@ func sojournCap(mean float64) int {
 		return maxSojournCap
 	}
 	return int(c)
-}
-
-// freeHeap is a direct float64 min-heap of server next-free times. It
-// used to be a container/heap implementation; the interface{} boxing on
-// Push/Pop allocated on every server-count change and the dynamic
-// dispatch sat on the per-query replaceMin path. The sift procedures
-// below reproduce container/heap's up/down element-for-element (same
-// comparisons, same swap order), so every heap reaches exactly the
-// states the boxed version reached and Step's output is bit-identical.
-type freeHeap []float64
-
-// down sifts h[i0] toward the leaves within h[:n]; it reports whether
-// the element moved. The loop mirrors container/heap's down.
-func (h freeHeap) down(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2] < h[j1] {
-			j = j2 // right child
-		}
-		if !(h[j] < h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	return i > i0
-}
-
-// up sifts h[j] toward the root, mirroring container/heap's up.
-func (h freeHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !(h[j] < h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-// init establishes heap order over the whole slice.
-func (h freeHeap) init() {
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i, n)
-	}
-}
-
-// push adds a server next-free time.
-func (h *freeHeap) push(v float64) {
-	*h = append(*h, v)
-	h.up(len(*h) - 1)
-}
-
-// replaceMin replaces the minimum element and restores heap order.
-//
-//hot:path once per simulated query
-func (h freeHeap) replaceMin(v float64) {
-	h[0] = v
-	h.down(0, len(h))
-}
-
-// removeLatest removes the server that frees last, mirroring
-// container/heap's Remove on the max element's index.
-func (h *freeHeap) removeLatest() {
-	idx := 0
-	for i, v := range *h {
-		if v > (*h)[idx] {
-			idx = i
-		}
-	}
-	n := len(*h) - 1
-	if n != idx {
-		(*h)[idx], (*h)[n] = (*h)[n], (*h)[idx]
-		if !h.down(idx, n) {
-			h.up(idx)
-		}
-	}
-	*h = (*h)[:n]
 }
 
 // P99Analytic approximates the steady-state p99 sojourn time of an

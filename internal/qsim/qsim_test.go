@@ -1,6 +1,7 @@
 package qsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestLatencyExplodesNearSaturation(t *testing.T) {
 // current clock, on the busiest server.
 func backlog(s *Service) float64 {
 	worst := 0.0
-	for _, f := range s.freeAt {
+	for _, f := range s.freeAt.times() {
 		if b := f - s.now; b > worst {
 			worst = b
 		}
@@ -112,15 +113,15 @@ func TestFasterServersCutLatency(t *testing.T) {
 
 func TestSetServers(t *testing.T) {
 	s := NewService(6, 8)
-	if len(s.freeAt) != 8 {
+	if s.freeAt.k != 8 {
 		t.Fatal("initial server count wrong")
 	}
 	s.SetServers(4)
-	if len(s.freeAt) != 4 {
+	if s.freeAt.k != 4 {
 		t.Fatal("shrink failed")
 	}
 	s.SetServers(10)
-	if len(s.freeAt) != 10 {
+	if s.freeAt.k != 10 {
 		t.Fatal("grow failed")
 	}
 	// More servers must reduce tail latency at fixed load.
@@ -250,5 +251,21 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("replay values differ")
 		}
+	}
+}
+
+// BenchmarkStep times a 100 ms window at 80 % load, per query.
+func BenchmarkStep(b *testing.B) {
+	const meanSvc = 0.5e-3
+	for _, k := range []int{4, 16, 32} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			s := NewService(1, k)
+			qps := 0.8 * float64(k) / meanSvc
+			queries := 0
+			for i := 0; i < b.N; i++ {
+				queries += len(s.Step(0.1, qps, meanSvc, 0.5))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
+		})
 	}
 }

@@ -433,11 +433,12 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 		} else {
 			// Zero-throughput configuration (rateIPC or lcFreq is 0):
 			// the service completes nothing. Advance the queue clock
-			// without simulating arrivals — drawing arrival times
-			// against an infinite service time would park +Inf in the
-			// server heap and poison every later phase — and report one
-			// unbounded sojourn so the slice scores as an SLO violation
-			// rather than feeding NaN arithmetic downstream.
+			// without simulating arrivals — qsim.Step rejects an
+			// infinite service time, which would park +Inf among the
+			// server free times and poison every later phase — and
+			// report one unbounded sojourn so the slice scores as an
+			// SLO violation rather than feeding NaN arithmetic
+			// downstream.
 			m.svc.Advance(durSec)
 			if qps0 > 0 {
 				res.Sojourns = []float64{math.Inf(1)}

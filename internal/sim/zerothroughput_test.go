@@ -65,7 +65,7 @@ func TestZeroThroughputViolatesNotNaN(t *testing.T) {
 
 	// Recovery: the stuck window ends, and the next phase must behave
 	// exactly like a healthy service — finite sojourns, no +Inf parked
-	// in the server heap from the violated phase.
+	// among the server free times from the violated phase.
 	rec := m.Run(alloc, 0.1, qps)
 	if len(rec.Sojourns) == 0 {
 		t.Fatal("no queries after recovery")
