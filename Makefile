@@ -71,10 +71,11 @@ scenario:
 
 # Race-detect the hot-path packages — the code the fast plane touches
 # — without paying for the full -race run; internal/sim covers the
-# LCSurfaces fan-out (whose workers each run the internal/stats
-# selection on their own buffer), internal/dds the search engine's
-# executors, the second line the single-flighted training-row cache
-# above it.
+# LCSurfaces fan-out (each worker appends its queue's sojourns into its
+# own buffer and reads their tail there with the internal/stats heap),
+# internal/harness the driver's reused sojourn buffers, internal/dds
+# the search engine's executors, the second line the single-flighted
+# training-row cache above it.
 race-hot:
 	$(GO) test -race ./internal/stats/ ./internal/ucp/ ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/dds/ ./internal/harness/ ./internal/fleet/
 	$(GO) test -race ./internal/core/ -run TrainingRows

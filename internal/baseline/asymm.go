@@ -71,8 +71,9 @@ func NewAsymmetric(m *sim.Machine, oracle bool) *Asymmetric {
 	}
 	tbl := perf.NewSurfaceTable(pm, apps)
 	for i, app := range a.batch {
-		ipcB := tbl.IPCAt(i, big, 2, 1.2, freq)
-		ipcL := tbl.IPCAt(i, little, 2, 1.2, freq)
+		mr := tbl.MissRatioAt(i, 2)
+		ipcB := tbl.IPCAt(i, big, mr, 1.2, freq)
+		ipcL := tbl.IPCAt(i, little, mr, 1.2, freq)
 		e := jobEval{
 			i:      i,
 			powerB: a.wm.Core(app, big, ipcB),
@@ -86,7 +87,7 @@ func NewAsymmetric(m *sim.Machine, oracle bool) *Asymmetric {
 		a.lcCores = m.NCores() / 2
 		q := pm.QueryInstr(a.lc)
 		lcAt := func(c config.Core) lcTerms {
-			ipc := tbl.IPCAt(len(a.batch), c, 4, 1.2, freq)
+			ipc := tbl.IPCAt(len(a.batch), c, tbl.MissRatioAt(len(a.batch), 4), 1.2, freq)
 			return lcTerms{ipc: ipc, meanSvc: q / (ipc * freq * 1e9)}
 		}
 		a.lcLittle, a.lcBig = lcAt(little), lcAt(big)

@@ -1,0 +1,15 @@
+// Package cpuid probes, once, the x86 vector extensions the assembly
+// kernels of internal/sgd and internal/qsim need. Built with the noasm
+// tag, or off amd64, it reports none and both packages run their Go
+// paths, so `go test -tags noasm` exercises every Go path on any host.
+// The kernels are bit-identical to those paths, so the tag changes
+// speed, never results.
+package cpuid
+
+// AVX reports VEX-encoded instruction support with OS-enabled XMM/YMM
+// state: CPUID.1:ECX AVX (bit 28) and OSXSAVE (bit 27), and XCR0's SSE
+// and AVX state bits (1 and 2). The lane SGD kernels need it.
+//
+// AVX2FMA additionally reports FMA (CPUID.1:ECX bit 12) and AVX2
+// (CPUID.(7,0):EBX bit 5). The queue-simulator kernels need it.
+var AVX, AVX2FMA = probe()

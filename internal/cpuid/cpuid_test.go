@@ -1,0 +1,13 @@
+package cpuid
+
+import "testing"
+
+// The queue kernels' requirement includes the lane kernels': a host
+// with AVX2 and FMA but no usable AVX state would run the qsim kernels
+// where the sgd ones are refused.
+func TestAVX2FMAImpliesAVX(t *testing.T) {
+	if AVX2FMA && !AVX {
+		t.Fatal("AVX2FMA reported without AVX")
+	}
+	t.Logf("AVX=%v AVX2FMA=%v", AVX, AVX2FMA)
+}

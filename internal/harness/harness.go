@@ -508,9 +508,12 @@ type Driver struct {
 	prevAlloc *sim.Allocation
 
 	// sojourns/extraSoj accumulate the slice's sojourn times per
-	// service. They are reused across slices (a slice's worth is tens
-	// of KB per service) and nothing outlives the percentile read that
-	// ends StepSlice, which is free to permute them.
+	// service: the machine appends each phase's straight into them
+	// (sim.Machine.RunMultiAppend), and each phase result's Sojourns is
+	// a window of them. They are reused across slices (a slice's worth
+	// is tens of KB per service), so nothing may keep a window past the
+	// percentile read that ends StepSlice, which is free to permute
+	// them.
 	sojourns []float64
 	extraSoj [][]float64
 
@@ -596,10 +599,7 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	}
 
 	run := func(alloc sim.Allocation, dur float64, qps []float64) sim.PhaseResult {
-		if len(extras) == 0 {
-			return m.Run(alloc, dur, first(qps))
-		}
-		return m.RunMulti(alloc, dur, qps)
+		return m.RunMultiAppend(alloc, dur, qps, &d.sojourns, d.extraSoj)
 	}
 	// observe yields the scheduler's view of a phase result — the
 	// physical truth unless a telemetry fault is active.
@@ -625,10 +625,6 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	bipsAccum = make([]float64, nBatch)
 
 	accumulate := func(pr sim.PhaseResult) {
-		d.sojourns = append(d.sojourns, pr.Sojourns...)
-		for x := range pr.ExtraSojourns {
-			d.extraSoj[x] = append(d.extraSoj[x], pr.ExtraSojourns[x]...)
-		}
 		energyJ += pr.PowerW * pr.Dur
 		elapsed += pr.Dur
 		for i := range instrB {

@@ -216,12 +216,12 @@ func TestDRAMTraffic(t *testing.T) {
 	m := model()
 	tbl := table(m, mustApp(t, "mcf"), mustApp(t, "gamess"))
 	const mcf, gamess = 0, 1
-	if tm, tg := tbl.TrafficAt(mcf, config.Widest, 1, 1), tbl.TrafficAt(gamess, config.Widest, 1, 1); tm <= tg {
+	if tm, tg := tbl.TrafficAt(mcf, config.Widest, tbl.MissRatioAt(mcf, 1), 1), tbl.TrafficAt(gamess, config.Widest, tbl.MissRatioAt(gamess, 1), 1); tm <= tg {
 		t.Fatalf("mcf traffic %v should exceed gamess traffic %v", tm, tg)
 	}
 	// More cache -> less traffic.
-	hi := tbl.TrafficAt(mcf, config.Widest, 0.5, 1)
-	lo := tbl.TrafficAt(mcf, config.Widest, 4, 1)
+	hi := tbl.TrafficAt(mcf, config.Widest, tbl.MissRatioAt(mcf, 0.5), 1)
+	lo := tbl.TrafficAt(mcf, config.Widest, tbl.MissRatioAt(mcf, 4), 1)
 	if lo >= hi {
 		t.Fatalf("traffic should fall with more ways: %v -> %v", hi, lo)
 	}
@@ -287,8 +287,8 @@ func TestIPCAtFreqMemoryBoundBenefit(t *testing.T) {
 	// throughput while compute-bound ones lose almost exactly f.
 	tbl := table(model(), mustApp(t, "mcf"), mustApp(t, "gamess"))
 	ratio := func(a int) float64 {
-		lo := tbl.IPCAt(a, config.Widest, 2, 1, 2.4) * 2.4
-		hi := tbl.IPCAt(a, config.Widest, 2, 1, 4.0) * 4.0
+		lo := tbl.IPCAt(a, config.Widest, tbl.MissRatioAt(a, 2), 1, 2.4) * 2.4
+		hi := tbl.IPCAt(a, config.Widest, tbl.MissRatioAt(a, 2), 1, 4.0) * 4.0
 		return lo / hi
 	}
 	rm, rg := ratio(0), ratio(1)

@@ -12,16 +12,17 @@ import (
 // dependent subterm of the CPI formula that does not involve cache
 // ways, memory-latency inflation or clock frequency — the compute+branch
 // CPI and effective MLP per (app, core config), from the same coreTerms
-// Model.IPC evaluates — plus the miss curve and misses-per-instruction
-// at the four canonical way allocations and the per-query instruction
-// demand of latency-critical services. Those stages eliminate all
-// math.Pow evaluation from the per-quantum path at canonical ways: a
-// point lookup (IPCAt) folds the staged terms with the caller's ways,
-// inflation and frequency in a handful of multiplies, and Build renders
-// the full (app, resource) grid of IPC/BIPS/service-time surfaces for
-// one inflation value. A non-canonical way count (the
-// fractional occupancies of unpartitioned LRU sharing) evaluates the
-// miss curve once and folds it the same way.
+// Model.IPC evaluates — plus the miss curve at the four canonical way
+// allocations and the per-query instruction demand of latency-critical
+// services. Those stages eliminate all math.Pow evaluation from the
+// per-quantum path at canonical ways: a point lookup (IPCAt) folds the
+// staged terms with the caller's miss ratio, inflation and frequency in
+// a handful of multiplies, and Build renders the full (app, resource)
+// grid of IPC/BIPS/service-time surfaces for one inflation value. The
+// point lookups take a miss ratio from MissRatioAt, which at a
+// non-canonical way count (the fractional occupancies of unpartitioned
+// LRU sharing) evaluates the miss curve; a caller evaluates it once per
+// occupancy and hands the ratio to every lookup at that occupancy.
 //
 // Every value a lookup produces is bit-identical to the closed form:
 // the staged subterms are exactly its intermediates, cut at association
@@ -38,12 +39,11 @@ type SurfaceTable struct {
 	apps []*workload.Profile
 
 	// Staged per-app terms (built once at construction).
-	cpiCB        []float64 // (app, core): CPI_compute + CPI_branch
-	effMLP       []float64 // (app, core): guarded effective MLP
-	missRatio    []float64 // (app, wayIdx): LLC miss ratio
-	missPerInstr []float64 // (app, wayIdx): MemFrac·L1MissRate·missRatio
-	memW         []float64 // app: MemFrac·L1MissRate
-	queryInstr   []float64 // app: per-query instructions (LC only, else 0)
+	cpiCB      []float64 // (app, core): CPI_compute + CPI_branch
+	effMLP     []float64 // (app, core): guarded effective MLP
+	missRatio  []float64 // (app, wayIdx): LLC miss ratio
+	memW       []float64 // app: MemFrac·L1MissRate
+	queryInstr []float64 // app: per-query instructions (LC only, else 0)
 
 	// Dense surfaces rendered by Build for one inflation value, at the
 	// model's nominal frequency, indexed (app, resource).
@@ -56,25 +56,24 @@ type SurfaceTable struct {
 }
 
 // NewSurfaceTable stages the model over apps. Apart from the miss curve
-// of a fractional-way lookup, the staging pass is the only place the
-// table evaluates math.Pow; it costs 9+4 Pow-bearing terms per app
-// versus 4 per pointwise IPC call, so the table breaks even within four
-// pointwise evaluations. Profiles must be
-// validated upstream (as Machine and the characterisation sweeps do).
+// at a fractional way count (MissRatioAt), the staging pass is the only
+// place the table evaluates math.Pow; it costs 9+4 Pow-bearing terms
+// per app versus 4 per pointwise IPC call, so the table breaks even
+// within four pointwise evaluations. Profiles must be validated
+// upstream (as Machine and the characterisation sweeps do).
 func NewSurfaceTable(m *Model, apps []*workload.Profile) *SurfaceTable {
 	n := len(apps)
 	t := &SurfaceTable{
-		m:            m,
-		apps:         apps,
-		cpiCB:        make([]float64, n*config.NumCoreConfigs),
-		effMLP:       make([]float64, n*config.NumCoreConfigs),
-		missRatio:    make([]float64, n*config.NumCacheAllocs),
-		missPerInstr: make([]float64, n*config.NumCacheAllocs),
-		memW:         make([]float64, n),
-		queryInstr:   make([]float64, n),
-		ipc:          make([]float64, n*config.NumResources),
-		bips:         make([]float64, n*config.NumResources),
-		svcSec:       make([]float64, n*config.NumResources),
+		m:          m,
+		apps:       apps,
+		cpiCB:      make([]float64, n*config.NumCoreConfigs),
+		effMLP:     make([]float64, n*config.NumCoreConfigs),
+		missRatio:  make([]float64, n*config.NumCacheAllocs),
+		memW:       make([]float64, n),
+		queryInstr: make([]float64, n),
+		ipc:        make([]float64, n*config.NumResources),
+		bips:       make([]float64, n*config.NumResources),
+		svcSec:     make([]float64, n*config.NumResources),
 	}
 	for a, app := range apps {
 		t.memW[a] = app.MemFrac * app.L1MissRate
@@ -94,9 +93,7 @@ func NewSurfaceTable(m *Model, apps []*workload.Profile) *SurfaceTable {
 			}
 		}
 		for wi, alloc := range config.CacheAllocs {
-			mr := app.MissRatio(alloc.Ways())
-			t.missRatio[a*config.NumCacheAllocs+wi] = mr
-			t.missPerInstr[a*config.NumCacheAllocs+wi] = t.memW[a] * mr
+			t.missRatio[a*config.NumCacheAllocs+wi] = app.MissRatio(alloc.Ways())
 		}
 		if app.IsLC() && app.MaxQPS > 0 {
 			t.queryInstr[a] = m.QueryInstr(app)
@@ -108,9 +105,7 @@ func NewSurfaceTable(m *Model, apps []*workload.Profile) *SurfaceTable {
 
 // wayIndex maps a way count to its rank in config.CacheAllocs, or -1
 // for a non-canonical allocation (the fractional ways of unpartitioned
-// LRU sharing), whose miss ratio the lookups evaluate on the spot.
-//
-//hot:path called per application per bandwidth fixed-point iteration
+// LRU sharing), whose miss ratio MissRatioAt evaluates on the spot.
 func wayIndex(ways float64) int {
 	switch ways {
 	case float64(config.HalfWay):
@@ -163,19 +158,21 @@ func (t *SurfaceTable) Build(memInflation float64) {
 // and lookups served.
 func (t *SurfaceTable) Stats() (builds, lookups uint64) { return t.builds, t.lookups }
 
-// missAt returns app a's LLC miss ratio and misses per instruction at
-// ways: the staged values for a canonical allocation, otherwise the
-// miss curve evaluated once and folded with the staged MemFrac·
-// L1MissRate — the association the closed form uses.
+// MissRatioAt returns app a's LLC miss ratio at ways: the staged value
+// for a canonical allocation, otherwise the miss curve evaluated on the
+// spot — the table's only math.Pow after construction. The point
+// lookups below take its result rather than a way count, so a caller
+// whose occupancies hold for a while (sim's execution phase) evaluates
+// each curve once and passes the ratio to every lookup that needs it.
+// Like Build it is staging, not a lookup: the counter counts the reads
+// that consume it.
 //
-//hot:path shared miss lookup of every point read
-func (t *SurfaceTable) missAt(a int, ways float64) (missRatio, missPerInstr float64) {
+//hot:path once per application per execution phase
+func (t *SurfaceTable) MissRatioAt(a int, ways float64) float64 {
 	if wi := wayIndex(ways); wi >= 0 {
-		i := a*config.NumCacheAllocs + wi
-		return t.missRatio[i], t.missPerInstr[i]
+		return t.missRatio[a*config.NumCacheAllocs+wi]
 	}
-	mr := t.apps[a].MissRatio(ways)
-	return mr, t.memW[a] * mr
+	return t.apps[a].MissRatio(ways)
 }
 
 // ipcAt folds app a's staged core terms on c with a miss ratio.
@@ -185,36 +182,34 @@ func (t *SurfaceTable) ipcAt(a int, c config.Core, missRatio, memInflation, freq
 }
 
 // IPCAt is the point lookup for the bandwidth fixed point and DVFS
-// paths: IPC of app a on core c with the given LLC ways (canonical or
-// fractional), under the given inflation, at an explicit clock.
-// Bit-identical to the closed form.
+// paths: IPC of app a on core c at LLC miss ratio missRatio (from
+// MissRatioAt, at canonical or fractional ways), under the given
+// inflation, at an explicit clock. Bit-identical to the closed form.
 //
 //hot:path called per application per bandwidth fixed-point iteration
-func (t *SurfaceTable) IPCAt(a int, c config.Core, ways, memInflation, freqGHz float64) float64 {
+func (t *SurfaceTable) IPCAt(a int, c config.Core, missRatio, memInflation, freqGHz float64) float64 {
 	t.lookups++
-	mr, _ := t.missAt(a, ways)
-	return t.ipcAt(a, c, mr, memInflation, freqGHz)
+	return t.ipcAt(a, c, missRatio, memInflation, freqGHz)
 }
 
 // TrafficAt is the point lookup for per-core DRAM bandwidth demand in
 // GB/s at the model's nominal frequency: one 64-byte line per LLC miss.
 //
 //hot:path called per service per bandwidth fixed-point iteration
-func (t *SurfaceTable) TrafficAt(a int, c config.Core, ways, memInflation float64) float64 {
+func (t *SurfaceTable) TrafficAt(a int, c config.Core, missRatio, memInflation float64) float64 {
 	t.lookups++
-	mr, mpi := t.missAt(a, ways)
 	freq := t.m.FreqGHz()
-	return t.ipcAt(a, c, mr, memInflation, freq) * freq * mpi * 64
+	return t.ipcAt(a, c, missRatio, memInflation, freq) * freq * (t.memW[a] * missRatio) * 64
 }
 
-// MissPerInstr returns the LLC misses per instruction of app a at the
-// given ways — MemFrac·L1MissRate·MissRatio(ways).
+// MissPerInstr returns the LLC misses per instruction of app a at miss
+// ratio missRatio — MemFrac·L1MissRate·missRatio, the association the
+// closed form uses.
 //
 //hot:path called per batch job per bandwidth fixed-point iteration
-func (t *SurfaceTable) MissPerInstr(a int, ways float64) float64 {
+func (t *SurfaceTable) MissPerInstr(a int, missRatio float64) float64 {
 	t.lookups++
-	_, mpi := t.missAt(a, ways)
-	return mpi
+	return t.memW[a] * missRatio
 }
 
 // IPC reads the dense IPC surface at the built inflation, nominal

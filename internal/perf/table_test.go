@@ -35,16 +35,17 @@ func TestSurfaceTableEquivalence(t *testing.T) {
 				for ci := 0; ci < config.NumCoreConfigs; ci++ {
 					c := config.CoreByIndex(ci)
 					for _, ways := range testWays {
+						mr := tbl.MissRatioAt(a, ways)
 						wantIPC := closedFormIPC(app, c, ways, infl, freq)
-						if got := tbl.IPCAt(a, c, ways, infl, freq); math.Float64bits(got) != math.Float64bits(wantIPC) {
+						if got := tbl.IPCAt(a, c, mr, infl, freq); math.Float64bits(got) != math.Float64bits(wantIPC) {
 							t.Fatalf("reconf=%v %s %v/%vw infl=%v: point IPC %v != %v", reconf, app.Name, c, ways, infl, got, wantIPC)
 						}
 						wantMPI := app.MemFrac * app.L1MissRate * app.MissRatio(ways)
-						if got := tbl.MissPerInstr(a, ways); math.Float64bits(got) != math.Float64bits(wantMPI) {
+						if got := tbl.MissPerInstr(a, mr); math.Float64bits(got) != math.Float64bits(wantMPI) {
 							t.Fatalf("%s %vw: missPerInstr %v != %v", app.Name, ways, got, wantMPI)
 						}
 						wantTr := wantIPC * freq * wantMPI * 64
-						if got := tbl.TrafficAt(a, c, ways, infl); math.Float64bits(got) != math.Float64bits(wantTr) {
+						if got := tbl.TrafficAt(a, c, mr, infl); math.Float64bits(got) != math.Float64bits(wantTr) {
 							t.Fatalf("%s %v/%vw: point traffic %v != %v", app.Name, c, ways, got, wantTr)
 						}
 						wi := config.CacheAlloc(ways).Index()
@@ -88,7 +89,7 @@ func TestSurfaceTableDVFSEquivalence(t *testing.T) {
 					c := config.CoreByIndex(ci)
 					for _, ways := range testWays {
 						want := closedFormIPC(app, c, ways, infl, freq)
-						if got := tbl.IPCAt(a, c, ways, infl, freq); math.Float64bits(got) != math.Float64bits(want) {
+						if got := tbl.IPCAt(a, c, tbl.MissRatioAt(a, ways), infl, freq); math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s %v/%vw infl=%v @%vGHz: %v != %v", app.Name, c, ways, infl, freq, got, want)
 						}
 					}
@@ -169,10 +170,10 @@ func TestSurfaceTableLookupsZeroAlloc(t *testing.T) {
 			sink += tbl.IPC(a, 53)
 			sink += tbl.BIPS(a, 53)
 			sink += tbl.ServiceTimeSec(a, 53)
-			sink += tbl.IPCAt(a, c, 2, 1.2, 3.93)
-			sink += tbl.IPCAt(a, c, 1.5, 1.2, 3.93)
-			sink += tbl.TrafficAt(a, c, 2, 1.2)
-			sink += tbl.MissPerInstr(a, 2)
+			sink += tbl.IPCAt(a, c, tbl.MissRatioAt(a, 2), 1.2, 3.93)
+			sink += tbl.IPCAt(a, c, tbl.MissRatioAt(a, 1.5), 1.2, 3.93)
+			sink += tbl.TrafficAt(a, c, tbl.MissRatioAt(a, 2), 1.2)
+			sink += tbl.MissPerInstr(a, tbl.MissRatioAt(a, 2))
 		}
 		if sink == math.Inf(1) {
 			t.Error("unexpected Inf")
@@ -241,12 +242,12 @@ func BenchmarkSurfaceLookup(b *testing.B) {
 	})
 	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tbl.IPCAt(0, c, 2, 1.2, 3.9)
+			tbl.IPCAt(0, c, tbl.MissRatioAt(0, 2), 1.2, 3.9)
 		}
 	})
 	b.Run("table-fractional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tbl.IPCAt(0, c, 1.5, 1.2, 3.9)
+			tbl.IPCAt(0, c, tbl.MissRatioAt(0, 1.5), 1.2, 3.9)
 		}
 	})
 }

@@ -1,14 +1,12 @@
-//go:build amd64
+//go:build amd64 && !noasm
 
 package qsim
 
+import "cuttlesys/internal/cpuid"
+
 // useAVX selects the assembly kernels in kernels_amd64.s. It is a
 // variable only so the equivalence tests can force the Go paths.
-var useAVX = cpuHasAVX2FMA()
-
-// cpuHasAVX2FMA reports AVX, AVX2 and FMA support with OS-enabled
-// XMM/YMM state. Implemented in kernels_amd64.s.
-func cpuHasAVX2FMA() bool
+var useAVX = cpuid.AVX2FMA
 
 // expAVX sets dst[i] = math.Exp(src[i]) for the n inputs (n a multiple
 // of 4, at most 64) that lie in [expLo, expHi], and copies every other

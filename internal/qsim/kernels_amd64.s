@@ -1,3 +1,5 @@
+//go:build amd64 && !noasm
+
 #include "textflag.h"
 
 // Constants of math/exp_amd64.s, each repeated across a 256-bit lane
@@ -99,39 +101,6 @@ exploop:
 expdone:
 	VZEROUPPER
 	MOVQ R8, ret+24(FP)
-	RET
-
-// func cpuHasAVX2FMA() bool
-//
-// CPUID.1:ECX must advertise FMA (bit 12), OSXSAVE (27) and AVX (28),
-// CPUID.(7,0):EBX AVX2 (bit 5), and XCR0 must have the SSE and AVX
-// state bits (1 and 2) enabled by the OS.
-TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  nofeat
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $(1<<28 | 1<<27 | 1<<12), CX
-	CMPL CX, $(1<<28 | 1<<27 | 1<<12)
-	JNE  nofeat
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  nofeat
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $(1<<5), BX
-	JZ   nofeat
-	MOVB $1, ret+0(FP)
-	RET
-
-nofeat:
-	MOVB $0, ret+0(FP)
 	RET
 
 // func serveAVX(v *float64, groups int, ts, ms *float64, n int, svc float64)

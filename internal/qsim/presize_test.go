@@ -115,3 +115,24 @@ func TestSojournCapIsBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendStepAppends: AppendStep leaves what dst already holds
+// alone, appends exactly the window Step would return, and into a
+// slice with room allocates nothing.
+func TestAppendStepAppends(t *testing.T) {
+	a, b := NewService(9, 16), NewService(9, 16)
+	buf := make([]float64, 0, 1<<14)
+	buf = append(buf, 1, 2, 3)
+	for _, qps := range []float64{15000, 0, 30000} {
+		got := a.AppendStep(buf, 0.1, qps, 1e-3, 0.5)
+		want := b.Step(0.1, qps, 1e-3, 0.5)
+		if got[0] != 1 || got[1] != 2 || got[2] != 3 {
+			t.Fatalf("qps %v: prefix overwritten: %v", qps, got[:3])
+		}
+		sameSojourns(t, fmt.Sprintf("qps %v", qps), got[3:], want)
+	}
+	s := NewService(3, 16)
+	if got := testing.AllocsPerRun(50, func() { buf = s.AppendStep(buf[:0], 0.1, 10000, 1e-3, 0.5) }); got != 0 {
+		t.Errorf("AppendStep into a slice with room: %v allocs/op, want 0", got)
+	}
+}

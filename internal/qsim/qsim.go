@@ -24,6 +24,7 @@ package qsim
 
 import (
 	"math"
+	"slices"
 
 	"cuttlesys/internal/rng"
 )
@@ -85,13 +86,23 @@ const chunk = 64
 
 // Step simulates the window [now, now+dur) with Poisson arrivals at
 // qps queries per second, mean service time meanSvc seconds and
-// log-normal demand dispersion sigma. It returns the sojourn times
+// log-normal demand dispersion sigma, and returns the window's
+// sojourn times in a new slice; it is AppendStep(nil, ...).
+func (s *Service) Step(dur, qps, meanSvc, sigma float64) []float64 {
+	return s.AppendStep(nil, dur, qps, meanSvc, sigma)
+}
+
+// AppendStep simulates the window [now, now+dur) with Poisson arrivals
+// at qps queries per second, mean service time meanSvc seconds and
+// log-normal demand dispersion sigma. It appends the sojourn times
 // (queueing + service, in seconds) of every query arriving in the
-// window; queries may complete after the window ends — their full
-// sojourn is still charged to this window, matching how the paper
-// measures tail latency over whole timeslices. dur and meanSvc must be
-// positive and finite, qps and sigma finite; a qps of zero or less is
-// an idle window.
+// window to dst and returns the extended slice, growing it first by
+// sojournCap so a window rarely reallocates; a nil dst allocates, and
+// a dst with room allocates nothing. Queries may complete after the
+// window ends — their full sojourn is still charged to this window,
+// matching how the paper measures tail latency over whole timeslices.
+// dur and meanSvc must be positive and finite, qps and sigma finite; a
+// qps of zero or less is an idle window.
 //
 // Queries are simulated in chunks of up to 64. Each chunk first draws
 // its inter-arrival times and normal deviates in the stream order of
@@ -100,7 +111,7 @@ const chunk = 64
 // rng.LogNormal's math.Exp — and then runs the FCFS queue over the
 // chunk. The queue consumes no randomness, so the stream position and
 // every sojourn equal the one-query-at-a-time loop's.
-func (s *Service) Step(dur, qps, meanSvc, sigma float64) []float64 {
+func (s *Service) AppendStep(dst []float64, dur, qps, meanSvc, sigma float64) []float64 {
 	if !positiveFinite(dur) {
 		panic("qsim: Step with non-positive or non-finite duration")
 	}
@@ -114,9 +125,8 @@ func (s *Service) Step(dur, qps, meanSvc, sigma float64) []float64 {
 		panic("qsim: Step with non-finite dispersion")
 	}
 	end := s.now + dur
-	var sojourns []float64
 	if qps > 0 {
-		sojourns = make([]float64, 0, sojournCap(qps*dur))
+		dst = slices.Grow(dst, sojournCap(qps*dur))
 		// mu chosen so the log-normal multiplier has mean 1.
 		mu := -sigma * sigma / 2
 		var ts, ms [chunk]float64
@@ -130,24 +140,24 @@ func (s *Service) Step(dur, qps, meanSvc, sigma float64) []float64 {
 			}
 			expBatch(ms[:n], ms[:n])
 			s.freeAt.serve(ts[:n], ms[:n], meanSvc)
-			sojourns = append(sojourns, ms[:n]...)
+			dst = append(dst, ms[:n]...)
 		}
 	}
 	s.now = end
-	return sojourns
+	return dst
 }
 
-// maxSojournCap bounds the capacity Step asks for up front. 64 Ki
+// maxSojournCap bounds the room AppendStep asks for up front. 64 Ki
 // sojourns (512 KiB) is far above a 100 ms window of any service
 // modelled (2 400 arrivals at most), and a window that does exceed it
 // simply grows.
 const maxSojournCap = 1 << 16
 
-// sojournCap sizes Step's result for a window expecting mean Poisson
-// arrivals: the mean plus four standard deviations, which a window
-// overflows about once in 30 000, so the slice is allocated once
-// instead of grown by doubling. The arrival count itself still comes
-// from the stream; the capacity never changes the output.
+// sojournCap is the room AppendStep makes for a window expecting mean
+// Poisson arrivals: the mean plus four standard deviations, which a
+// window overflows about once in 30 000, so a fresh slice is allocated
+// once instead of grown by doubling. The arrival count itself still
+// comes from the stream; the capacity never changes the output.
 func sojournCap(mean float64) int {
 	c := mean + 4*math.Sqrt(mean)
 	if !(c < maxSojournCap) { // also catches +Inf and NaN rates

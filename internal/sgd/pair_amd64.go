@@ -1,6 +1,8 @@
-//go:build amd64
+//go:build amd64 && !noasm
 
 package sgd
+
+import "cuttlesys/internal/cpuid"
 
 // pairEpoch6 runs one full SGD sweep over a CSR-laid run of entries
 // with rank-6 factors, two independent surfaces per 128-bit register:
@@ -16,12 +18,7 @@ func pairEpoch6(a *laneArgs)
 //go:noescape
 func quadEpoch6(a *laneArgs)
 
-// cpuHasAVX reports AVX instruction support with OS-enabled XMM/YMM
-// state (CPUID.1:ECX AVX+OSXSAVE, XCR0 SSE+AVX bits). Implemented in
-// pair_amd64.s.
-func cpuHasAVX() bool
-
 // laneKernelOK gates the lane trainer: both kernels use VEX-encoded
 // floating-point instructions, legal at either width once the CPU and
 // OS both advertise AVX.
-var laneKernelOK = cpuHasAVX()
+var laneKernelOK = cpuid.AVX

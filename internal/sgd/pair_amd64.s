@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !noasm
 
 #include "textflag.h"
 
@@ -206,28 +206,4 @@ TEXT ·quadEpoch6(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), DI
 	EPOCH6(32)
 	VZEROUPPER
-	RET
-
-// func cpuHasAVX() bool
-//
-// CPUID.1:ECX must advertise AVX (bit 28) and OSXSAVE (bit 27), and
-// XCR0 must have the SSE and AVX state bits (1 and 2) enabled by the
-// OS, before VEX-encoded instructions — 128- or 256-bit — are legal.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, BX
-	ANDL $(1<<28 | 1<<27), BX
-	CMPL BX, $(1<<28 | 1<<27)
-	JNE notavx
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE notavx
-	MOVB $1, ret+0(FP)
-	RET
-notavx:
-	MOVB $0, ret+0(FP)
 	RET

@@ -1,15 +1,16 @@
-//go:build !amd64
+//go:build !amd64 || noasm
 
 package sgd
 
-// laneKernelOK is false without the amd64 assembly kernels; the lane
-// entry points fall back to the per-surface trainers.
+// laneKernelOK is false without the amd64 assembly kernels (off amd64,
+// or built with the noasm tag); the lane entry points fall back to the
+// per-surface trainers.
 const laneKernelOK = false
 
 func pairEpoch6(a *laneArgs) {
-	panic("sgd: lane SGD kernels are amd64-only")
+	panic("sgd: lane SGD kernels are not built")
 }
 
 func quadEpoch6(a *laneArgs) {
-	panic("sgd: lane SGD kernels are amd64-only")
+	panic("sgd: lane SGD kernels are not built")
 }

@@ -10,17 +10,30 @@ import (
 	"cuttlesys/internal/workload"
 )
 
-// runMultiReference is RunMulti without its two short-circuits: the
-// bandwidth fixed point runs all three iterations unconditionally and
-// the occupancies come from the uncached equilibrium.
+// runMultiReference is RunMulti without its three short-circuits: the
+// bandwidth fixed point runs all three iterations unconditionally, the
+// occupancies come from the uncached equilibrium, and the miss ratios
+// straight from each profile's miss curve rather than the table's
+// staged canonical values.
 func runMultiReference(m *Machine, alloc Allocation, durSec float64, qps []float64) PhaseResult {
 	ph := m.newPhase(&alloc, durSec, qps)
 	ph.effBatch, ph.effLC, ph.effExtra = effectiveWaysUncached(m, &alloc)
+	ph.missBatch = make([]float64, len(m.batch))
+	for i, w := range ph.effBatch {
+		ph.missBatch[i] = m.batch[i].MissRatio(w)
+	}
+	if m.lc != nil {
+		ph.missLC = m.lc.MissRatio(ph.effLC)
+	}
+	for x, w := range ph.effExtra {
+		ph.missExtra = append(ph.missExtra, m.extraLCs[x].MissRatio(w))
+	}
 	inflation := 1.0
 	for iter := 0; iter < 3; iter++ {
 		inflation = bandwidthInflation(m.dramTraffic(&ph, inflation) / m.peakBW)
 	}
-	return m.execute(&ph, durSec, inflation)
+	var soj []float64
+	return m.execute(&ph, durSec, inflation, &soj, make([][]float64, len(m.extraLCs)))
 }
 
 // effectiveWaysUncached is effectiveWays without the memo.

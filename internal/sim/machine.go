@@ -73,6 +73,9 @@ type Machine struct {
 
 	// ways memoises the unpartitioned LLC equilibrium (effectiveWays).
 	ways waysMemo
+
+	// missBatch and missExtra back each phase's staged miss ratios.
+	missBatch, missExtra []float64
 }
 
 // New constructs a Machine from spec. It panics on invalid profiles so
@@ -137,6 +140,8 @@ func New(spec Spec) *Machine {
 	}
 	apps = append(apps, m.extraLCs...)
 	m.tbl = perf.NewSurfaceTable(m.pm, apps)
+	m.missBatch = make([]float64, len(m.batch))
+	m.missExtra = make([]float64, len(m.extraLCs))
 	return m
 }
 
@@ -189,7 +194,9 @@ type PhaseResult struct {
 	BatchInstrB []float64
 
 	// Sojourns are the LC queries' total latencies (seconds) for
-	// queries arriving in this phase; empty without an LC service.
+	// queries arriving in this phase; empty without an LC service. From
+	// RunMultiAppend it is a capped window of the caller's buffer and
+	// lives as long as the caller leaves that buffer alone.
 	Sojourns []float64
 	// LCMeanSvc is the mean per-query service time under this
 	// allocation, seconds.
@@ -239,10 +246,25 @@ func (m *Machine) Run(alloc Allocation, durSec, qps float64) PhaseResult {
 
 // RunMulti executes one phase with one offered load per
 // latency-critical service (primary first). On a single-service
-// machine it is equivalent to Run.
+// machine it is equivalent to Run. The sojourns land in fresh slices;
+// RunMultiAppend is the same phase appending to the caller's buffers.
 func (m *Machine) RunMulti(alloc Allocation, durSec float64, qps []float64) PhaseResult {
+	var soj []float64
+	return m.RunMultiAppend(alloc, durSec, qps, &soj, make([][]float64, len(m.extraLCs)))
+}
+
+// RunMultiAppend is RunMulti with caller-owned sojourn buffers: the
+// primary service's sojourns are appended to *soj and extra service
+// x's to extraSoj[x] (extraSoj must have one buffer, possibly nil, per
+// extra service), and the result's Sojourns and ExtraSojourns are
+// capped windows of those buffers (buf[a:b:b]), so appending to a
+// window never writes into the next phase's samples. A caller that
+// reuses its buffers across phases allocates nothing for sojourns
+// once they have grown to a phase's worth.
+func (m *Machine) RunMultiAppend(alloc Allocation, durSec float64, qps []float64, soj *[]float64, extraSoj [][]float64) PhaseResult {
 	ph := m.newPhase(&alloc, durSec, qps)
 	ph.effBatch, ph.effLC, ph.effExtra = m.effectiveWays(&alloc)
+	m.stageMisses(&ph)
 
 	// Converge the bandwidth fixed point: IPCs determine DRAM traffic,
 	// which determines latency inflation, which feeds back into IPCs.
@@ -258,7 +280,7 @@ func (m *Machine) RunMulti(alloc Allocation, durSec float64, qps []float64) Phas
 		}
 		inflation = next
 	}
-	return m.execute(&ph, durSec, inflation)
+	return m.execute(&ph, durSec, inflation, soj, extraSoj)
 }
 
 // phase is one RunMulti call's resolved inputs, shared by the
@@ -277,6 +299,13 @@ type phase struct {
 	effBatch []float64
 	effLC    float64
 	effExtra []float64
+
+	// LLC miss ratios at those occupancies (stageMisses): the phase's
+	// only miss-curve evaluations, read by every table lookup of the
+	// fixed point and the execution.
+	missBatch []float64
+	missLC    float64
+	missExtra []float64
 }
 
 // newPhase validates a RunMulti call and resolves the phase's hardware
@@ -331,6 +360,28 @@ func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) pha
 	return ph
 }
 
+// stageMisses evaluates each running application's miss curve once at
+// its phase occupancy. A fractional way count costs a math.Pow, and
+// the bandwidth fixed point and the execution read the same occupancy
+// two to four times per pass; the ratios are staged per phase rather
+// than memoised in the table, whose reads then stay free of writes
+// other than the lookup counter.
+func (m *Machine) stageMisses(ph *phase) {
+	alloc := ph.alloc
+	ph.missBatch, ph.missExtra = m.missBatch, m.missExtra
+	for i, b := range alloc.Batch {
+		if !b.Gated {
+			ph.missBatch[i] = m.tbl.MissRatioAt(i, ph.effBatch[i])
+		}
+	}
+	if m.lc != nil && alloc.LCCores > 0 {
+		ph.missLC = m.tbl.MissRatioAt(m.lcAppIdx(), ph.effLC)
+	}
+	for x := range alloc.ExtraLC {
+		ph.missExtra[x] = m.tbl.MissRatioAt(m.extraAppIdx(x), ph.effExtra[x])
+	}
+}
+
 // dramTraffic is one pass of the bandwidth fixed point: the machine's
 // DRAM traffic in GB/s when memory latency is inflated by inflation.
 func (m *Machine) dramTraffic(ph *phase, inflation float64) float64 {
@@ -341,18 +392,18 @@ func (m *Machine) dramTraffic(ph *phase, inflation float64) float64 {
 			continue
 		}
 		f := m.freqFor(b.FreqGHz) * d.SlowBatch
-		ipc := m.tbl.IPCAt(i, b.Core, ph.effBatch[i], inflation, f)
-		traffic += ipc * f * m.tbl.MissPerInstr(i, ph.effBatch[i]) * 64
+		ipc := m.tbl.IPCAt(i, b.Core, ph.missBatch[i], inflation, f)
+		traffic += ipc * f * m.tbl.MissPerInstr(i, ph.missBatch[i]) * 64
 	}
 	if m.lc != nil && alloc.LCCores > 0 {
-		perCore := m.tbl.TrafficAt(m.lcAppIdx(), alloc.LCCore, ph.effLC, inflation)
-		util := m.lcUtilisation(alloc, ph.qps0, ph.effLC, inflation, ph.lcServers, d.SlowLC)
+		perCore := m.tbl.TrafficAt(m.lcAppIdx(), alloc.LCCore, ph.missLC, inflation)
+		util := m.lcUtilisation(alloc, ph.qps0, ph.missLC, inflation, ph.lcServers, d.SlowLC)
 		traffic += perCore * float64(ph.lcServers) * util
 	}
 	nominal := m.pm.FreqGHz()
 	for x, e := range alloc.ExtraLC {
-		perCore := m.tbl.TrafficAt(m.extraAppIdx(x), e.Core, ph.effExtra[x], inflation)
-		ipc := m.tbl.IPCAt(m.extraAppIdx(x), e.Core, ph.effExtra[x], inflation, nominal)
+		perCore := m.tbl.TrafficAt(m.extraAppIdx(x), e.Core, ph.missExtra[x], inflation)
+		ipc := m.tbl.IPCAt(m.extraAppIdx(x), e.Core, ph.missExtra[x], inflation, nominal)
 		meanSvc := m.extraInstr[x] / (ipc * nominal * 1e9)
 		util := svcUtilisation(ph.qps[x+1], meanSvc, float64(e.Cores))
 		traffic += perCore * float64(e.Cores) * util
@@ -361,8 +412,9 @@ func (m *Machine) dramTraffic(ph *phase, inflation float64) float64 {
 }
 
 // execute runs the phase at the converged inflation: batch progress,
-// the latency-critical queues, and chip power.
-func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
+// the latency-critical queues (appending to soj and extraSoj, as
+// RunMultiAppend documents), and chip power.
+func (m *Machine) execute(ph *phase, durSec, inflation float64, soj *[]float64, extraSoj [][]float64) PhaseResult {
 	alloc, qps, qps0, d := ph.alloc, ph.qps, ph.qps0, ph.d
 	lcServers, deadLC, deadBatch := ph.lcServers, ph.deadLC, ph.deadBatch
 	effBatch, effLC, effExtra := ph.effBatch, ph.effLC, ph.effExtra
@@ -398,7 +450,7 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 			continue
 		}
 		f := m.freqFor(b.FreqGHz) * d.SlowBatch
-		ipc := m.tbl.IPCAt(i, b.Core, effBatch[i], inflation, f)
+		ipc := m.tbl.IPCAt(i, b.Core, ph.missBatch[i], inflation, f)
 		bips := ipc * f * mux
 		res.BatchBIPS[i] = bips
 		res.BatchInstrB[i] = bips * durSec
@@ -417,19 +469,20 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 	if m.lc != nil && alloc.LCCores > 0 {
 		m.svc.SetServers(lcServers)
 		lcFreq := m.freqFor(alloc.LCFreqGHz) * d.SlowLC
-		ipc := m.tbl.IPCAt(m.lcAppIdx(), alloc.LCCore, effLC, inflation, lcFreq)
+		ipc := m.tbl.IPCAt(m.lcAppIdx(), alloc.LCCore, ph.missLC, inflation, lcFreq)
 		rateIPC := ipc
 		if alloc.LCHalfBlend {
 			other := config.Narrowest
 			if alloc.LCCore == config.Narrowest {
 				other = config.Widest
 			}
-			rateIPC = (ipc + m.tbl.IPCAt(m.lcAppIdx(), other, effLC, inflation, lcFreq)) / 2
+			rateIPC = (ipc + m.tbl.IPCAt(m.lcAppIdx(), other, ph.missLC, inflation, lcFreq)) / 2
 		}
 		meanSvc := m.queryInstr / (rateIPC * lcFreq * 1e9)
 		res.LCMeanSvc = meanSvc
+		start := len(*soj)
 		if meanSvc > 0 && !math.IsInf(meanSvc, 1) {
-			res.Sojourns = m.svc.Step(durSec, qps0, meanSvc, m.lc.QuerySigma)
+			*soj = m.svc.AppendStep(*soj, durSec, qps0, meanSvc, m.lc.QuerySigma)
 		} else {
 			// Zero-throughput configuration (rateIPC or lcFreq is 0):
 			// the service completes nothing. Advance the queue clock
@@ -441,9 +494,10 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 			// downstream.
 			m.svc.Advance(durSec)
 			if qps0 > 0 {
-				res.Sojourns = []float64{math.Inf(1)}
+				*soj = append(*soj, math.Inf(1))
 			}
 		}
+		res.Sojourns = (*soj)[start:len(*soj):len(*soj)]
 		util := svcUtilisation(qps0, meanSvc, float64(lcServers))
 		// Dynamic power scales with how busy the LC cores actually are.
 		// The reported per-core sample is for LCCore itself — what a
@@ -454,7 +508,7 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 			if alloc.LCCore == config.Narrowest {
 				other = config.Widest
 			}
-			otherIPC := m.tbl.IPCAt(m.lcAppIdx(), other, effLC, inflation, lcFreq)
+			otherIPC := m.tbl.IPCAt(m.lcAppIdx(), other, ph.missLC, inflation, lcFreq)
 			otherPower := m.Power.CoreAtDVFS(m.lc, other, otherIPC*util, lcFreq)
 			totalPower += float64(lcServers) * (res.LCCorePowerW + otherPower) / 2
 		} else {
@@ -463,35 +517,39 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 	}
 
 	// Additional latency-critical services.
+	if len(alloc.ExtraLC) > 0 {
+		res.ExtraSojourns = make([][]float64, len(alloc.ExtraLC))
+	}
 	for x, e := range alloc.ExtraLC {
 		app := m.extraLCs[x]
 		svc := m.extraSvcs[x]
 		svc.SetServers(e.Cores)
 		nominal := m.pm.FreqGHz()
-		ipc := m.tbl.IPCAt(m.extraAppIdx(x), e.Core, effExtra[x], inflation, nominal)
+		ipc := m.tbl.IPCAt(m.extraAppIdx(x), e.Core, ph.missExtra[x], inflation, nominal)
 		rateIPC := ipc
 		if e.HalfBlend {
 			other := config.Narrowest
 			if e.Core == config.Narrowest {
 				other = config.Widest
 			}
-			rateIPC = (ipc + m.tbl.IPCAt(m.extraAppIdx(x), other, effExtra[x], inflation, nominal)) / 2
+			rateIPC = (ipc + m.tbl.IPCAt(m.extraAppIdx(x), other, ph.missExtra[x], inflation, nominal)) / 2
 		}
 		meanSvc := m.extraInstr[x] / (rateIPC * nominal * 1e9)
 		res.ExtraMeanSvc = append(res.ExtraMeanSvc, meanSvc)
+		sj := extraSoj[x]
+		start := len(sj)
 		if meanSvc > 0 && !math.IsInf(meanSvc, 1) {
-			res.ExtraSojourns = append(res.ExtraSojourns,
-				svc.Step(durSec, qps[x+1], meanSvc, app.QuerySigma))
+			sj = svc.AppendStep(sj, durSec, qps[x+1], meanSvc, app.QuerySigma)
 		} else {
 			// Zero-throughput configuration: same treatment as the
 			// primary service above.
 			svc.Advance(durSec)
-			var sj []float64
 			if qps[x+1] > 0 {
-				sj = []float64{math.Inf(1)}
+				sj = append(sj, math.Inf(1))
 			}
-			res.ExtraSojourns = append(res.ExtraSojourns, sj)
 		}
+		extraSoj[x] = sj
+		res.ExtraSojourns[x] = sj[start:len(sj):len(sj)]
 		util := svcUtilisation(qps[x+1], meanSvc, float64(e.Cores))
 		p := m.Power.Core(app, e.Core, ipc*util)
 		res.ExtraLCPowerW = append(res.ExtraLCPowerW, p)
@@ -501,7 +559,7 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 			if e.Core == config.Narrowest {
 				other = config.Widest
 			}
-			otherIPC := m.tbl.IPCAt(m.extraAppIdx(x), other, effExtra[x], inflation, nominal)
+			otherIPC := m.tbl.IPCAt(m.extraAppIdx(x), other, ph.missExtra[x], inflation, nominal)
 			otherPower := m.Power.Core(app, other, otherIPC*util)
 			totalPower += float64(e.Cores) * (p + otherPower) / 2
 		} else {
@@ -518,11 +576,12 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64) PhaseResult {
 }
 
 // lcUtilisation estimates the LC cores' busy fraction for the
-// bandwidth fixed point. servers is the count of live LC cores and
-// slow the fail-slow frequency de-rating (1 when healthy).
-func (m *Machine) lcUtilisation(alloc *Allocation, qps, effLC, inflation float64, servers int, slow float64) float64 {
+// bandwidth fixed point at the LC service's staged miss ratio. servers
+// is the count of live LC cores and slow the fail-slow frequency
+// de-rating (1 when healthy).
+func (m *Machine) lcUtilisation(alloc *Allocation, qps, missLC, inflation float64, servers int, slow float64) float64 {
 	f := m.freqFor(alloc.LCFreqGHz) * slow
-	ipc := m.tbl.IPCAt(m.lcAppIdx(), alloc.LCCore, effLC, inflation, f)
+	ipc := m.tbl.IPCAt(m.lcAppIdx(), alloc.LCCore, missLC, inflation, f)
 	meanSvc := m.queryInstr / (ipc * f * 1e9)
 	return svcUtilisation(qps, meanSvc, float64(servers))
 }

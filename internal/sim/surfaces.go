@@ -92,7 +92,7 @@ func LCSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile, k int, l
 				svc := qsim.NewService(seed+uint64(i), k)
 				sojourns = sojourns[:0]
 				for s := 0; s < steps; s++ {
-					sojourns = append(sojourns, svc.Step(0.1, qps, meanSvc[i], app.QuerySigma)...)
+					sojourns = svc.AppendStep(sojourns, 0.1, qps, meanSvc[i], app.QuerySigma)
 				}
 				latMs[i] = stats.PercentileInPlace(sojourns, 0.99) * 1e3
 				util := math.Min(1, qps*meanSvc[i]/float64(k))

@@ -1,27 +1,75 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
+	"cuttlesys/internal/qsim"
 	"cuttlesys/internal/rng"
 )
 
 // percentileBySort is the oracle: the full sort Percentile used to do,
-// read by the interpolation it still shares with Box.
+// read by the interpolation it shares with Box.
 func percentileBySort(xs []float64, p float64) float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	if sorted[0] != sorted[0] {
+		return math.NaN()
+	}
 	return percentileSorted(sorted, clampP(p))
 }
 
+// median3Killer builds the input that made every round of the
+// median-of-three quickselect Percentile used to run peel off two
+// elements: the round's two smallest values sit at the left end and
+// the middle, so the pivot was the second smallest of the range. It
+// replays that selection's moves (the pivot swapped with the element
+// right of the left end, then the range dropped both) to know where
+// the next round would look. The heap has no pivot to defeat; the
+// input stays as an adversarial order it must still read exactly.
+func median3Killer(xs []float64) {
+	n := len(xs)
+	at := make([]int, n) // at[pos]: original index of the element now at pos
+	for i := range at {
+		at[i] = i
+	}
+	v := 1.0
+	l, r := 0, n-1
+	for ; r-l >= 12; l += 2 {
+		mid := l + (r-l)/2
+		xs[at[l]], xs[at[mid]] = v, v+1
+		v += 2
+		at[l+1], at[mid] = at[mid], at[l+1]
+	}
+	for ; l <= r; l++ {
+		xs[at[l]] = v
+		v++
+	}
+}
+
+// saturatedQueue fills xs with the sojourns of a 16-server queue
+// offered 1.1 times its capacity: a backlog that grows through every
+// window, so the samples rise with noise — the slice a violated QoS
+// hands the tail read.
+func saturatedQueue(r *rng.RNG, xs []float64) {
+	const k, meanSvc = 16, 2e-3
+	svc := qsim.NewService(r.Uint64(), k)
+	var sj []float64
+	for len(sj) < len(xs) {
+		sj = svc.AppendStep(sj, 0.1, 1.1*k/meanSvc, meanSvc, 0.55)
+	}
+	copy(xs, sj)
+}
+
 // percentileInputs are the shapes the selection has to get right:
-// the simulator's own distributions, heavy ties, presorted runs, the
-// fault plane's dropped-to-zero samples and a zero-throughput +Inf.
+// the simulator's own distributions, heavy ties, presorted runs and
+// ramps, bursty and saturated backlogs, the fault plane's
+// dropped-to-zero samples, signed zeros and a zero-throughput +Inf.
 var percentileInputs = []struct {
 	name string
 	fill func(r *rng.RNG, xs []float64)
@@ -58,10 +106,48 @@ var percentileInputs = []struct {
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
 	}},
+	{"ascending", func(_ *rng.RNG, xs []float64) {
+		for i := range xs {
+			xs[i] = 1e-4 * float64(i)
+		}
+	}},
+	{"descending", func(_ *rng.RNG, xs []float64) {
+		for i := range xs {
+			xs[i] = 1e-4 * float64(len(xs)-i)
+		}
+	}},
+	{"sawtooth-burst", func(r *rng.RNG, xs []float64) {
+		// Backlog builds over a burst of arrivals, then drains.
+		level := 0.0
+		for i := range xs {
+			if i%97 < 60 {
+				level += r.Exp(1e4)
+			} else {
+				level = math.Max(0, level-r.Exp(5e3))
+			}
+			xs[i] = 1e-3 + level
+		}
+	}},
+	{"saturated-queue", saturatedQueue},
+	{"median3-killer", func(_ *rng.RNG, xs []float64) { median3Killer(xs) }},
 	{"30pct-zeros", func(r *rng.RNG, xs []float64) {
 		for i := range xs {
 			if xs[i] = r.Exp(100); r.Float64() < 0.3 {
 				xs[i] = 0
+			}
+		}
+	}},
+	{"signed-zeros", func(r *rng.RNG, xs []float64) {
+		for i := range xs {
+			switch r.Intn(4) {
+			case 0:
+				xs[i] = math.Copysign(0, -1)
+			case 1:
+				xs[i] = 0
+			case 2:
+				xs[i] = -r.Exp(1)
+			default:
+				xs[i] = r.Exp(1)
 			}
 		}
 	}},
@@ -73,15 +159,25 @@ var percentileInputs = []struct {
 	}},
 }
 
+// sortedBits is xs's multiset as sorted bit patterns, which tells −0
+// from +0 and one NaN payload from another.
+func sortedBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestPercentileMatchesSort(t *testing.T) {
 	r := rng.New(23)
 	for _, in := range percentileInputs {
-		for _, n := range []int{1, 2, 3, 17, 400, 6000} {
+		for _, n := range []int{1, 2, 3, 17, 400, 6000, 6401} {
 			xs := make([]float64, n)
 			in.fill(r, xs)
 			orig := append([]float64(nil), xs...)
-			sorted := append([]float64(nil), xs...)
-			sort.Float64s(sorted)
+			multiset := sortedBits(xs)
 			for _, p := range []float64{0, 0.05, 0.5, 0.95, 0.99, 1, r.Float64()} {
 				want := math.Float64bits(percentileBySort(xs, p))
 				if got := math.Float64bits(Percentile(xs, p)); got != want {
@@ -96,69 +192,11 @@ func TestPercentileMatchesSort(t *testing.T) {
 				if got := math.Float64bits(PercentileInPlace(own, p)); got != want {
 					t.Errorf("%s n=%d p=%v: PercentileInPlace = %x, sort = %x", in.name, n, p, got, want)
 				}
-				sort.Float64s(own)
-				for i := range own {
-					if math.Float64bits(own[i]) != math.Float64bits(sorted[i]) {
-						t.Fatalf("%s n=%d p=%v: PercentileInPlace changed the multiset", in.name, n, p)
-					}
+				if !slices.Equal(sortedBits(own), multiset) {
+					t.Fatalf("%s n=%d p=%v: PercentileInPlace changed the multiset", in.name, n, p)
 				}
 			}
 		}
-	}
-}
-
-// median3Killer builds the input that makes every median-of-three
-// round peel off two elements: the round's two smallest values sit at
-// the left end and the middle, so the pivot is the second smallest of
-// the range. It replays selectKth's own moves (the pivot swaps with
-// the element right of the left end, then the range drops both) to
-// know where the next round will look.
-func median3Killer(n int) []float64 {
-	xs := make([]float64, n)
-	at := make([]int, n) // at[pos]: original index of the element now at pos
-	for i := range at {
-		at[i] = i
-	}
-	v := 1.0
-	l, r := 0, n-1
-	for ; r-l >= 12; l += 2 {
-		mid := l + (r-l)/2
-		xs[at[l]], xs[at[mid]] = v, v+1
-		v += 2
-		at[l+1], at[mid] = at[mid], at[l+1]
-	}
-	for ; l <= r; l++ {
-		xs[at[l]] = v
-		v++
-	}
-	return xs
-}
-
-func TestSelectDepthBoundFallsBackToSort(t *testing.T) {
-	const n = 6000
-	xs := median3Killer(n)
-	k := n - 1 - n/100
-	depth := 2 * bits.Len(uint(n))
-	if !selectKth(append([]float64(nil), xs...), k, depth) {
-		t.Fatal("median-of-three killer did not trip the depth bound")
-	}
-	// Without the bound the same input takes a round per two elements.
-	if selectKth(append([]float64(nil), xs...), k, n) {
-		t.Fatal("killer finished by sorting although it was given n rounds")
-	}
-	for _, p := range []float64{0.5, 0.99, 1} {
-		want := math.Float64bits(percentileBySort(xs, p))
-		if got := math.Float64bits(Percentile(xs, p)); got != want {
-			t.Errorf("killer p=%v: Percentile = %x, sort = %x", p, got, want)
-		}
-	}
-	// A random input stays far inside the bound.
-	r := rng.New(5)
-	for i := range xs {
-		xs[i] = r.Exp(100)
-	}
-	if selectKth(xs, k, depth) {
-		t.Fatal("random input tripped the depth bound")
 	}
 }
 
@@ -193,6 +231,82 @@ func TestPercentileNonFinite(t *testing.T) {
 	}
 }
 
+// TestPercentileAllocs pins the allocation promise: the in-place read
+// allocates nothing, and the copying read keeps its heap on the stack
+// while at most 64 samples lie at or above the lower rank.
+func TestPercentileAllocs(t *testing.T) {
+	r := rng.New(3)
+	xs := make([]float64, 6400)
+	for i := range xs {
+		xs[i] = 1e-3 * r.LogNormal(-0.5, 1)
+	}
+	for _, p := range []float64{0, 0.01, 0.99, 1} { // tails of 64, 65, 65 and 1
+		if got := testing.AllocsPerRun(20, func() { benchSink = PercentileInPlace(xs, p) }); got != 0 {
+			t.Errorf("PercentileInPlace p=%v: %v allocs/op, want 0", p, got)
+		}
+	}
+	for _, n := range []int{1, 64, 2000, 6300} {
+		if got := testing.AllocsPerRun(20, func() { benchSink = Percentile(xs[:n], 0.99) }); got != 0 {
+			t.Errorf("Percentile n=%d p99: %v allocs/op, want 0", n, got)
+		}
+	}
+}
+
+// FuzzPercentile feeds both entry points arbitrary float64 bit
+// patterns — NaN payloads, ±Inf, ±0, subnormals, ties — and any p. Each
+// must equal the sort oracle bit for bit (NaN matching NaN), Percentile
+// must leave its input untouched and PercentileInPlace must keep its
+// multiset.
+func FuzzPercentile(f *testing.F) {
+	enc := func(xs ...float64) []byte {
+		b := make([]byte, 8*len(xs))
+		for i, x := range xs {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add(enc(1, 2, 3, 4, 5), 0.99)
+	f.Add(enc(0, negZero, 0, negZero, 1, -1), 0.5)
+	f.Add(enc(negZero, 0), 0.25)
+	f.Add(enc(math.Inf(1), math.Inf(-1), 2, 2, 2), 0.9)
+	f.Add(enc(5e-324, -5e-324, 1e-310, 0, negZero), 0.3)
+	f.Add(enc(1, math.NaN(), 3), 0.5)
+	f.Add(enc(7, 7, 7, 7), 2.0)
+	f.Add(enc(3, 1, 2), math.Inf(-1))
+	f.Fuzz(func(t *testing.T, raw []byte, p float64) {
+		if p != p {
+			return // a NaN p panics by contract (TestPercentileNonFinite)
+		}
+		xs := make([]float64, len(raw)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		want := uint64(0)
+		if len(xs) > 0 {
+			want = math.Float64bits(percentileBySort(xs, p))
+		}
+		same := func(got float64) bool {
+			return math.Float64bits(got) == want || got != got && math.IsNaN(math.Float64frombits(want))
+		}
+		orig := append([]float64(nil), xs...)
+		if got := Percentile(xs, p); !same(got) {
+			t.Fatalf("Percentile(%v, %v) = %v (%x), sort = %x", xs, p, got, math.Float64bits(got), want)
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("Percentile mutated its input at %d", i)
+			}
+		}
+		if got := PercentileInPlace(xs, p); !same(got) {
+			t.Fatalf("PercentileInPlace(%v, %v) = %v (%x), sort = %x", orig, p, got, math.Float64bits(got), want)
+		}
+		if !slices.Equal(sortedBits(xs), sortedBits(orig)) {
+			t.Fatalf("PercentileInPlace changed the multiset of %v: now %v", orig, xs)
+		}
+	})
+}
+
 // TestPercentileConcurrent is the shape of the LCSurfaces fan-out and
 // the fleet's machine workers: several goroutines read one shared input
 // through Percentile while each runs PercentileInPlace on a buffer of
@@ -225,24 +339,34 @@ func TestPercentileConcurrent(t *testing.T) {
 
 var benchSink float64
 
+// BenchmarkP99 reads the p99 of the simulator's shapes — i.i.d.
+// log-normal sojourns at two window sizes, a bursty backlog and a
+// saturated queue — through Percentile and through the sort it
+// replaced.
 func BenchmarkP99(b *testing.B) {
-	r := rng.New(1)
-	xs := make([]float64, 6000)
-	for i := range xs {
-		xs[i] = 1e-3 * r.LogNormal(-0.5, 1)
-	}
-	for _, impl := range []struct {
-		name string
-		f    func([]float64, float64) float64
-	}{
-		{"select", Percentile},
-		{"sort", percentileBySort},
-	} {
-		b.Run(fmt.Sprintf("%s/n=%d", impl.name, len(xs)), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchSink = impl.f(xs, 0.99)
+	for _, in := range []struct {
+		shape string
+		n     int
+	}{{"lognormal", 6000}, {"lognormal", 2000}, {"sawtooth-burst", 2000}, {"saturated-queue", 2000}} {
+		xs := make([]float64, in.n)
+		for _, pi := range percentileInputs {
+			if pi.name == in.shape {
+				pi.fill(rng.New(1), xs)
 			}
-		})
+		}
+		for _, impl := range []struct {
+			name string
+			f    func([]float64, float64) float64
+		}{
+			{"heap", Percentile},
+			{"sort", percentileBySort},
+		} {
+			b.Run(fmt.Sprintf("%s/%s/n=%d", impl.name, in.shape, in.n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink = impl.f(xs, 0.99)
+				}
+			})
+		}
 	}
 }

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -17,11 +16,7 @@ func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
+	return Sum(xs) / float64(len(xs))
 }
 
 // GeoMean returns the geometric mean of xs. Non-positive inputs would
@@ -49,171 +44,171 @@ func GeoMean(xs []float64) float64 {
 // empty slice and NaN when any sample is NaN: a NaN has no rank, and
 // the tail of garbage telemetry must read as garbage rather than as
 // the tail of whatever else arrived. It panics on a NaN p. The input
-// is not modified: Percentile is one copy (which also finds any NaN)
-// plus the selection PercentileInPlace runs, so it costs one allocation
-// and expected O(n) comparisons, O(n log n) at worst. The result is
-// bit-identical to sorting xs and interpolating.
+// is not modified: one pass with a bounded heap of r = min(n−⌊rank⌋,
+// ⌈rank⌉+1) samples (sweep) costs O(n + r log r) comparisons on input
+// in no particular order, O(n log r) at worst, and the heap is on the
+// stack up to r = 64 (a p99 of 6 300 samples). The result is
+// bit-identical to sorting xs and interpolating, reading −0 as +0.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	p = clampP(p)
-	buf := make([]float64, len(xs))
-	nan := false
-	for i, x := range xs {
-		buf[i] = x
-		nan = nan || x != x
-	}
-	if nan {
-		return math.NaN()
-	}
-	return percentileSelect(buf, p)
+	o := plan(len(xs), clampP(p))
+	var stack [64]float64
+	h := append(stack[:0], xs[len(xs)-o.m:]...)
+	return o.read(h, xs[:len(xs)-o.m], false)
 }
 
 // PercentileInPlace is Percentile for a caller that owns xs and does
-// not need its order afterwards: it allocates nothing and leaves xs
-// permuted (the same multiset, partially ordered around the selected
-// rank). Empty input, NaN samples and NaN p are handled as in
-// Percentile. It keeps no state between calls, so concurrent calls on
-// distinct slices are safe.
+// not need its order afterwards: the heap lives in xs's own tail, so it
+// allocates nothing, and xs is left permuted (the same multiset). Empty
+// input, NaN samples and NaN p are handled as in Percentile. It keeps
+// no state between calls, so concurrent calls on distinct slices are
+// safe.
+//
+//hot:path every tail-latency reading: StepSlice, LCSurfaces
 func PercentileInPlace(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	p = clampP(p)
-	for _, x := range xs {
-		if x != x {
-			return math.NaN()
-		}
-	}
-	return percentileSelect(xs, p)
+	o := plan(len(xs), clampP(p))
+	return o.read(xs[len(xs)-o.m:], xs[:len(xs)-o.m], true)
 }
 
 func clampP(p float64) float64 {
 	if p != p {
 		panic("stats: Percentile with NaN p")
 	}
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
+	return math.Max(0, math.Min(1, p))
 }
 
-// percentileSelect reads the two order statistics the interpolation
-// needs without ordering the rest: selection places the ⌈rank⌉-th
-// smallest at its index with nothing larger before it, so the
-// ⌊rank⌋-th, when distinct, is the maximum of what precedes it. The
-// interpolation expression is percentileSorted's, operand for operand.
-// xs is NaN-free and non-empty; it is permuted.
-func percentileSelect(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 1 {
-		return xs[0]
+// order plans one percentile read of n samples, which needs the lo-th
+// and hi-th smallest (0-based, hi ≤ lo+1). The m = n−lo largest hold
+// both, as do the hi+1 smallest; the plan keeps the smaller set, the
+// smallest (neg) as the largest negated samples — negation is exact.
+type order struct {
+	rank      float64
+	lo, hi, m int
+	neg       bool
+}
+
+func plan(n int, p float64) (o order) {
+	o.rank = p * float64(n-1)
+	o.lo, o.hi = int(math.Floor(o.rank)), int(math.Ceil(o.rank))
+	o.m = n - o.lo
+	if o.hi+1 < o.m {
+		o.m, o.neg = o.hi+1, true
 	}
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	selectKth(xs, hi, 2*bits.Len(uint(n)))
-	if lo == hi {
-		return xs[hi]
-	}
-	below := xs[0]
-	for _, x := range xs[1:hi] {
-		if x > below {
-			below = x
+	return o
+}
+
+// read sweeps h past rest and interpolates the root and the smaller
+// of its children, negating them (and h) back on the low side.
+func (o order) read(h, rest []float64, writeBack bool) float64 {
+	nan := sweep(h, rest, o.neg, writeBack)
+	lo, hi := h[0], h[0]
+	if o.hi != o.lo {
+		hi = h[1]
+		if len(h) > 2 && h[2] < hi {
+			hi = h[2]
 		}
 	}
-	frac := rank - float64(lo)
-	return below*(1-frac) + xs[hi]*frac
+	if o.neg {
+		lo, hi = -hi, -lo
+		for i, x := range h {
+			h[i] = -x
+		}
+	}
+	if nan {
+		return math.NaN()
+	}
+	return o.interpolate(lo, hi)
 }
 
-// selectKth permutes xs so that xs[k] is its k-th smallest element
-// (0-based), nothing before index k is larger and nothing after it is
-// smaller. It is a deterministic quickselect — median-of-three pivot,
-// Hoare partition, no randomness — that narrows one side per round.
-// After depth rounds without finishing (an adversarial input; random
-// data needs about a third of the 2·log2(n) its caller grants) it sorts
-// the range still in play, which bounds the worst case at O(n log n),
-// and reports true. xs must be NaN-free.
-//
-//hot:path every tail-latency reading: StepSlice, controller feedback, LCSurfaces
-func selectKth(xs []float64, k, depth int) (sorted bool) {
-	l, r := 0, len(xs)-1
-	for r-l >= 12 {
-		if depth == 0 {
-			sort.Float64s(xs[l : r+1])
+// sweep heapifies h, the m samples from the input's tail (negated when
+// neg), and passes each sample of rest by the root with one compare: a
+// larger one takes the root's place, and with writeBack the displaced
+// root takes its slot, keeping the input's multiset. A growing backlog
+// seeds its largest samples and replaces nothing. A NaN fails the
+// compare; the rarely taken branch reports it.
+func sweep(h, rest []float64, neg, writeBack bool) (nan bool) {
+	for i, x := range h {
+		nan = nan || x != x
+		if neg {
+			h[i] = -x
+		}
+	}
+	if nan {
+		return true
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
+	}
+	if !neg {
+		root := h[0]
+		for i, x := range rest {
+			if x <= root {
+				continue
+			}
+			if x != x {
+				return true
+			}
+			if writeBack {
+				rest[i] = root
+			}
+			siftDown(h, 0, x)
+			root = h[0]
+		}
+		return false
+	}
+	bound := -h[0]
+	for i, x := range rest {
+		if x >= bound {
+			continue
+		}
+		if x != x {
 			return true
 		}
-		depth--
-		pivot := median3(xs[l], xs[l+(r-l)/2], xs[r])
-		// The pivot is an element of xs[l..r], so both scans stop
-		// inside the range on the first pass, and on later passes at
-		// the pair the previous pass swapped.
-		i, j := l, r
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
+		if writeBack {
+			rest[i] = bound
 		}
-		// xs[l..j] ≤ pivot ≤ xs[i..r]; anything between j and i equals
-		// the pivot and is already in place.
-		switch {
-		case k <= j:
-			r = j
-		case k >= i:
-			l = i
-		default:
-			return false
-		}
-	}
-	// Insertion sort finishes a short range.
-	for i := l + 1; i <= r; i++ {
-		for j := i; j > l && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
+		siftDown(h, 0, -x)
+		bound = -h[0]
 	}
 	return false
 }
 
-func median3(a, b, c float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b = c
-		if a > b {
-			b = a
+// siftDown places x at slot i of the min-heap h and restores order
+// below it.
+func siftDown(h []float64, i int, x float64) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
 		}
+		if !(h[c] < x) {
+			break
+		}
+		h[i] = h[c]
 	}
-	return b
+	h[i] = x
 }
 
-// percentileSorted interpolates the p-quantile of an ascending slice —
-// Box's reader, and the expression percentileSelect reproduces.
+// interpolate blends the lo-th and hi-th order statistics. The heap
+// cannot tell −0 from +0, so adding +0 reads either as +0.
+func (o order) interpolate(lo, hi float64) float64 {
+	lo, hi = lo+0, hi+0
+	if o.lo == o.hi {
+		return lo
+	}
+	frac := o.rank - float64(o.lo)
+	return lo*(1-frac) + hi*frac
+}
+
+// percentileSorted interpolates the p-quantile of an ascending slice:
+// Box's reader.
 func percentileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	rank := p * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	o := plan(len(sorted), p)
+	return o.interpolate(sorted[o.lo], sorted[o.hi])
 }
 
 // P99 returns the 99th percentile of xs — the paper's tail-latency
@@ -229,13 +224,17 @@ type BoxStats struct {
 	N                         int
 }
 
-// Box computes a BoxStats over xs.
+// Box computes a BoxStats over xs. Any NaN sample makes every order
+// statistic NaN (N still counts the samples), as in Percentile.
 func Box(xs []float64) BoxStats {
 	if len(xs) == 0 {
 		return BoxStats{}
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	if sorted[0] != sorted[0] { // sort.Float64s orders NaN first
+		sorted = sorted[:1]
+	}
 	return BoxStats{
 		P5:     percentileSorted(sorted, 0.05),
 		P25:    percentileSorted(sorted, 0.25),
@@ -244,7 +243,7 @@ func Box(xs []float64) BoxStats {
 		P95:    percentileSorted(sorted, 0.95),
 		Min:    sorted[0],
 		Max:    sorted[len(sorted)-1],
-		N:      len(sorted),
+		N:      len(xs),
 	}
 }
 

@@ -144,6 +144,28 @@ func TestBox(t *testing.T) {
 	}
 }
 
+// TestBoxNaN: sort.Float64s orders NaN first, so one NaN error used to
+// shift every percentile down a rank and report a NaN Min beside a
+// finite Max. Box now answers NaN for every order statistic, as
+// Percentile does, and still counts the samples.
+func TestBoxNaN(t *testing.T) {
+	xs := []float64{3, 1, math.NaN(), 4, 1, 5, 9, 2, 6}
+	b := Box(xs)
+	if b.N != len(xs) {
+		t.Errorf("Box with a NaN: N = %d, want %d", b.N, len(xs))
+	}
+	for name, v := range map[string]float64{
+		"P5": b.P5, "P25": b.P25, "Median": b.Median, "P75": b.P75, "P95": b.P95, "Min": b.Min, "Max": b.Max,
+	} {
+		if !math.IsNaN(v) {
+			t.Errorf("Box with a NaN: %s = %v, want NaN", name, v)
+		}
+	}
+	if got := Box([]float64{math.NaN()}); !math.IsNaN(got.Median) || got.N != 1 {
+		t.Errorf("Box{NaN} = %+v, want NaN statistics over 1 sample", got)
+	}
+}
+
 func TestBoxOrdering(t *testing.T) {
 	r := rng.New(3)
 	if err := quick.Check(func(seed uint64) bool {
