@@ -70,14 +70,15 @@ scenario:
 	$(GO) run ./cmd/cuttlesys validate
 
 # Race-detect the hot-path packages — the code the fast plane touches
-# — without paying for the full -race run; internal/sim covers the
-# LCSurfaces fan-out (each worker appends its queue's sojourns into its
-# own buffer and reads their tail there with the internal/stats heap),
-# internal/harness the driver's reused sojourn buffers, internal/dds
-# the search engine's executors, the second line the single-flighted
-# training-row cache above it.
+# — without paying for the full -race run; internal/par covers the one
+# fan-out primitive, and internal/sim, internal/sgd and internal/fleet
+# its hot callers (the LCSurfaces configurations with a sojourn buffer
+# per worker, the SGD lanes' prepare/finish and two-pair split, machine
+# stepping), internal/harness the driver's reused sojourn buffers,
+# internal/dds the search engine's executors, the second line the
+# single-flighted training-row cache above it.
 race-hot:
-	$(GO) test -race ./internal/stats/ ./internal/ucp/ ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/dds/ ./internal/harness/ ./internal/fleet/
+	$(GO) test -race ./internal/par/ ./internal/stats/ ./internal/ucp/ ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/sgd/ ./internal/dds/ ./internal/harness/ ./internal/fleet/
 	$(GO) test -race ./internal/core/ -run TrainingRows
 
 # Re-check every seeded BENCH_*.json byte-regression gate in one go:

@@ -19,15 +19,10 @@ import (
 // such a test, and so does an entry whose statement is gone.
 var goSites = map[string][]string{
 	// The executors spawn only when GOMAXPROCS > 1; the test widens it to 8.
-	"dds.runSearch":          {"TestRecordOrderDeterministicAcrossGOMAXPROCS"},
-	"dds.SearchReference":    {"TestEngineMatchesReference"},
-	"fleet.(*Fleet).stepAll": {"TestParallelMatchesSerial"},
-	"ga.Search":              {"TestParallelEvaluation"},
-	// Prepare and finish spawn one goroutine per present lane.
-	"sgd.reconstructLanes": {"TestReconstructQuadBitIdentical", "TestReconstructQuadBitIdentical"},
-	// Four lanes without a common prefix train as two concurrent pairs.
-	"sgd.trainLanes": {"TestReconstructQuadBitIdentical"},
-	"sim.LCSurfaces": {"TestLCSurfacesMatchesSerial"},
+	"dds.runSearch": {"TestRecordOrderDeterministicAcrossGOMAXPROCS"},
+	// Every other parallel loop runs through par.For; its callers'
+	// equality tests drive it with two or more workers too.
+	"par.For": {"TestFor"},
 }
 
 // TestGoSitesHaveRaceTests holds goSites to the tree: every go

@@ -4,13 +4,14 @@ import (
 	"math"
 	"sync"
 
+	"cuttlesys/internal/par"
 	"cuttlesys/internal/rng"
 )
 
-// SearchReference is the pre-fast-path search engine, preserved
-// verbatim as the reference implementation: a mutex-serialised eval
-// closure (the bookkeeping lock every worker contends on), goroutines
-// spawned per iteration, and full from-scratch objective evaluation
+// SearchReference is the pre-fast-path search engine, preserved as the
+// reference implementation: a mutex-serialised eval closure (the
+// bookkeeping lock every worker contends on), goroutines spawned per
+// iteration (by par.For), and full from-scratch objective evaluation
 // for every candidate. Cross-implementation equivalence tests pin
 // SearchSeparable to it — Best, BestVal and Evals must be
 // bit-identical — and BenchmarkDecideLoop measures the fast path
@@ -94,40 +95,34 @@ func SearchReference(obj Objective, params Params) Result {
 			prob = 1
 		}
 
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				r := workerRNGs[w]
-				// Worker groups use different perturbation scales.
-				rw := p.R[w*len(p.R)/workers]
-				lb := &locals[w]
-				copy(lb.x, best)
-				lb.val = bestVal
-				cand := make([]int, p.Dims)
-				for pt := 0; pt < p.PointsPerIter; pt++ {
-					copy(cand, lb.x)
-					perturbed := false
-					for d := 0; d < p.Dims; d++ {
-						if r.Float64() < prob {
-							cand[d] = perturb(r, lb.x[d], rw, p.NumConfigs)
-							perturbed = true
-						}
-					}
-					if !perturbed {
-						// Alg. 2 perturbs at least one dimension.
-						d := r.Intn(p.Dims)
+		par.For(workers, 0, func(_, w int) {
+			r := workerRNGs[w]
+			// Worker groups use different perturbation scales.
+			rw := p.R[w*len(p.R)/workers]
+			lb := &locals[w]
+			copy(lb.x, best)
+			lb.val = bestVal
+			cand := make([]int, p.Dims)
+			for pt := 0; pt < p.PointsPerIter; pt++ {
+				copy(cand, lb.x)
+				perturbed := false
+				for d := 0; d < p.Dims; d++ {
+					if r.Float64() < prob {
 						cand[d] = perturb(r, lb.x[d], rw, p.NumConfigs)
-					}
-					if v := eval(cand); v > lb.val {
-						lb.val = v
-						copy(lb.x, cand)
+						perturbed = true
 					}
 				}
-			}(w)
-		}
-		wg.Wait() // barrier (Alg. 2 line 18)
+				if !perturbed {
+					// Alg. 2 perturbs at least one dimension.
+					d := r.Intn(p.Dims)
+					cand[d] = perturb(r, lb.x[d], rw, p.NumConfigs)
+				}
+				if v := eval(cand); v > lb.val {
+					lb.val = v
+					copy(lb.x, cand)
+				}
+			}
+		}) // barrier (Alg. 2 line 18)
 
 		// Worker 0's role: aggregate per-worker bests (Alg. 2 lines 19-20).
 		for w := 0; w < workers; w++ {

@@ -2,53 +2,23 @@ package fleet
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/par"
 )
 
-// stepAll advances every machine one timeslice, fanning the work
-// across at most f.workers goroutines. This is the repo's sanctioned
-// merge pattern for parallel determinism (DESIGN.md §8): workers claim
-// machine indices off an atomic counter and write results only into
-// that machine's pre-sized cell, so no two goroutines touch the same
-// element and the merged output is byte-identical for every
-// interleaving. Each machine's step is self-contained — its inputs
-// were computed serially from last slice's telemetry before the fan-
-// out, and all cross-machine reductions happen after the join.
+// stepAll advances every machine one timeslice on f.workers workers
+// (one per machine when ≤ 0) through par.For, whose doc comment
+// carries the determinism argument: each machine's inputs were computed serially
+// from last slice's telemetry before the fan-out, a machine writes only
+// its own cells of recs and errs, and the error check and every
+// cross-machine reduction run after the join, in index order.
 func (f *Fleet) stepAll(ids []int, qps, loadFrac, budgets []float64) ([]harness.SliceRecord, error) {
-	n := len(ids)
-	recs := make([]harness.SliceRecord, n)
-	errs := make([]error, n)
-
-	workers := f.workers
-	if workers <= 0 || workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for k, id := range ids {
-			recs[k], errs[k] = f.nodes[id].d.StepSlice([]float64{qps[k]}, loadFrac[k], budgets[k])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= n {
-						return
-					}
-					recs[k], errs[k] = f.nodes[ids[k]].d.StepSlice([]float64{qps[k]}, loadFrac[k], budgets[k])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
+	recs := make([]harness.SliceRecord, len(ids))
+	errs := make([]error, len(ids))
+	par.For(len(ids), f.workers, func(_, k int) {
+		recs[k], errs[k] = f.nodes[ids[k]].d.StepSlice([]float64{qps[k]}, loadFrac[k], budgets[k])
+	})
 	for k, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: machine %d: %w", ids[k], err)

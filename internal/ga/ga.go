@@ -8,13 +8,11 @@ package ga
 
 import (
 	"math"
-	"sync"
 
 	"cuttlesys/internal/rng"
 )
 
-// Objective scores a candidate; higher is better. It must be safe for
-// concurrent use when Workers > 1.
+// Objective scores a candidate; higher is better.
 type Objective func(x []int) float64
 
 // Params configures a run. Defaults give an evaluation budget
@@ -40,8 +38,6 @@ type Params struct {
 	// Elite is the number of best individuals copied unchanged into the
 	// next generation. Default 2.
 	Elite int
-	// Workers parallelises fitness evaluation. Default 1.
-	Workers int
 	// Seed drives all randomness.
 	Seed uint64
 	// Record retains every evaluated point — for Fig. 10a.
@@ -68,9 +64,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Elite == 0 {
 		p.Elite = 2
-	}
-	if p.Workers == 0 {
-		p.Workers = 1
 	}
 	return p
 }
@@ -112,46 +105,19 @@ func Search(obj Objective, params Params) Result {
 
 	r := rng.New(p.Seed)
 	var (
-		mu    sync.Mutex
 		rec   []Point
 		evals int
 	)
-	record := func(x []int, v float64) {
-		mu.Lock()
-		evals++
-		if p.Record {
-			cp := make([]int, len(x))
-			copy(cp, x)
-			rec = append(rec, Point{X: cp, Val: v})
-		}
-		mu.Unlock()
-	}
-
 	evaluate := func(pop []individual) {
-		if p.Workers <= 1 {
-			for i := range pop {
-				pop[i].fit = obj(pop[i].genes)
-				record(pop[i].genes, pop[i].fit)
-			}
-			return
-		}
-		var wg sync.WaitGroup
-		ch := make(chan int)
-		for w := 0; w < p.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ch {
-					pop[i].fit = obj(pop[i].genes)
-					record(pop[i].genes, pop[i].fit)
-				}
-			}()
-		}
 		for i := range pop {
-			ch <- i
+			pop[i].fit = obj(pop[i].genes)
+			evals++
+			if p.Record {
+				cp := make([]int, p.Dims)
+				copy(cp, pop[i].genes)
+				rec = append(rec, Point{X: cp, Val: pop[i].fit})
+			}
 		}
-		close(ch)
-		wg.Wait()
 	}
 
 	// Initial population: seeded individuals then random fill.

@@ -85,16 +85,6 @@ func TestInitSeeding(t *testing.T) {
 	}
 }
 
-func TestParallelEvaluation(t *testing.T) {
-	obj := sphere([]int{25, 75, 50, 100, 0, 60})
-	serial := Search(obj, Params{Dims: 6, NumConfigs: 108, Seed: 6})
-	parallel := Search(obj, Params{Dims: 6, NumConfigs: 108, Seed: 6, Workers: 4})
-	// Same seed drives the same evolution; only evaluation order differs.
-	if parallel.BestVal != serial.BestVal {
-		t.Fatalf("parallel evaluation changed the result: %v vs %v", parallel.BestVal, serial.BestVal)
-	}
-}
-
 func TestEvalsAccounting(t *testing.T) {
 	p := Params{Dims: 2, NumConfigs: 10, Seed: 7, Population: 20, Generations: 5, Elite: 2}
 	res := Search(sphere([]int{3, 4}), p)

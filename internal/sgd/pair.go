@@ -25,7 +25,7 @@
 // the same row-major order, against the same interleaved state.
 package sgd
 
-import "sync"
+import "cuttlesys/internal/par"
 
 // laneArgs is the argument block for the assembly kernels. Field
 // offsets are hard-coded in pair_amd64.s — do not reorder. The 128-bit
@@ -83,36 +83,23 @@ func ReconstructPairFactors(a, b *Matrix, pa, pb Params) (*Prediction, *Predicti
 
 // reconstructLanes runs the lanes' reconstructions around one shared
 // sweep. Initialisation (the SVD seeds) and the dense renders are
-// independent per lane and run concurrently, each goroutine writing
-// only its own lane's pre-sized cell.
+// independent per lane and run concurrently through par.For, each lane
+// writing only its own pre-sized cell; absent lanes are skipped.
 func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, []*Factors) {
 	st := make([]*trainState, len(ms))
-	var wg sync.WaitGroup
-	for l, m := range ms {
-		if m == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
+	par.For(len(ms), 0, func(_, l int) {
+		if ms[l] != nil {
 			st[l] = prepareTraining(ms[l], ps[l].withDefaults())
-		}(l)
-	}
-	wg.Wait()
+		}
+	})
 	trainLanes(st)
 	preds := make([]*Prediction, len(ms))
 	facs := make([]*Factors, len(ms))
-	for l, s := range st {
-		if s == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
+	par.For(len(st), 0, func(_, l int) {
+		if st[l] != nil {
 			preds[l], facs[l] = st[l].finish(capture)
-		}(l)
-	}
-	wg.Wait()
+		}
+	})
 	return preds, facs
 }
 
@@ -127,14 +114,7 @@ func trainLanes(st []*trainState) {
 		return
 	}
 	if len(st) == laneCount {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			trainLanes(st[:2])
-		}()
-		trainLanes(st[2:])
-		wg.Wait()
+		par.For(2, 0, func(_, h int) { trainLanes(st[2*h : 2*h+2]) })
 		return
 	}
 	for _, s := range st {

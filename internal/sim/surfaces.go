@@ -2,10 +2,9 @@ package sim
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"cuttlesys/internal/config"
+	"cuttlesys/internal/par"
 	"cuttlesys/internal/perf"
 	"cuttlesys/internal/power"
 	"cuttlesys/internal/qsim"
@@ -54,9 +53,9 @@ const lcSurfaceWorkers = 8
 //
 // The 108 queue simulations are independent — configuration i draws
 // from its own stream (seed+i) and fills only latMs[i] and pwr[i] — so
-// they run concurrently and the surfaces are bit-identical at any
-// GOMAXPROCS (DESIGN.md §1). The table is read before the fan-out:
-// SurfaceTable is not safe for concurrent use.
+// they run concurrently through par.For and the surfaces are
+// bit-identical at any GOMAXPROCS. The table is read before the
+// fan-out: SurfaceTable is not safe for concurrent use.
 func LCSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile, k int, loadFrac float64, seed uint64, simSec, memInflation float64) (latMs, pwr []float64) {
 	if !app.IsLC() {
 		panic("sim: LCSurfaces on a batch application")
@@ -77,30 +76,18 @@ func LCSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile, k int, l
 	}
 	steps := int(math.Ceil(simSec / 0.1))
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < lcSurfaceWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sojourns []float64 // reused across this worker's configurations
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= config.NumResources {
-					return
-				}
-				svc := qsim.NewService(seed+uint64(i), k)
-				sojourns = sojourns[:0]
-				for s := 0; s < steps; s++ {
-					sojourns = svc.AppendStep(sojourns, 0.1, qps, meanSvc[i], app.QuerySigma)
-				}
-				latMs[i] = stats.PercentileInPlace(sojourns, 0.99) * 1e3
-				util := math.Min(1, qps*meanSvc[i]/float64(k))
-				pwr[i] = wm.Core(app, config.ResourceByIndex(i).Core, ipc[i]*util)
-			}
-		}()
-	}
-	wg.Wait()
+	bufs := make([][]float64, lcSurfaceWorkers) // sojourns, reused across a worker's configurations
+	par.For(config.NumResources, lcSurfaceWorkers, func(w, i int) {
+		svc := qsim.NewService(seed+uint64(i), k)
+		sojourns := bufs[w][:0]
+		for s := 0; s < steps; s++ {
+			sojourns = svc.AppendStep(sojourns, 0.1, qps, meanSvc[i], app.QuerySigma)
+		}
+		bufs[w] = sojourns
+		latMs[i] = stats.PercentileInPlace(sojourns, 0.99) * 1e3
+		util := math.Min(1, qps*meanSvc[i]/float64(k))
+		pwr[i] = wm.Core(app, config.ResourceByIndex(i).Core, ipc[i]*util)
+	})
 	return latMs, pwr
 }
 
