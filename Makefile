@@ -71,12 +71,12 @@ scenario:
 
 # Race-detect the hot-path packages — the code the fast plane touches
 # — without paying for the full -race run; internal/par covers the one
-# fan-out primitive, and internal/sim, internal/sgd and internal/fleet
-# its hot callers (the LCSurfaces configurations with a sojourn buffer
-# per worker, the SGD lanes' prepare/finish and two-pair split, machine
-# stepping), internal/harness the driver's reused sojourn buffers,
-# internal/dds the search engine's executors, the second line the
-# single-flighted training-row cache above it.
+# fan-out primitive, and internal/sim, internal/sgd, internal/fleet and
+# internal/dds its hot callers (the LCSurfaces configurations with a
+# sojourn buffer per worker, the SGD lanes' prepare/finish and two-pair
+# split, machine stepping, the search engine's worker batches),
+# internal/harness the driver's reused sojourn buffers, the second line
+# the single-flighted training-row cache above it.
 race-hot:
 	$(GO) test -race ./internal/par/ ./internal/stats/ ./internal/ucp/ ./internal/perf/ ./internal/qsim/ ./internal/sim/ ./internal/sgd/ ./internal/dds/ ./internal/harness/ ./internal/fleet/
 	$(GO) test -race ./internal/core/ -run TrainingRows

@@ -18,10 +18,8 @@ import (
 // go statement fails TestGoSitesHaveRaceTests until its entry names
 // such a test, and so does an entry whose statement is gone.
 var goSites = map[string][]string{
-	// The executors spawn only when GOMAXPROCS > 1; the test widens it to 8.
-	"dds.runSearch": {"TestRecordOrderDeterministicAcrossGOMAXPROCS"},
-	// Every other parallel loop runs through par.For; its callers'
-	// equality tests drive it with two or more workers too.
+	// Every parallel loop runs through par.For; its callers' equality
+	// tests drive it with two or more workers too.
 	"par.For": {"TestFor"},
 }
 

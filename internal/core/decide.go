@@ -390,12 +390,13 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 			bestIdx = j
 			continue
 		}
-		cur, inc := config.ResourceByIndex(j), config.ResourceByIndex(bestIdx)
+		// j mod NumCacheAllocs is j's cache index (Resource.Index),
+		// and the indices rank the allocations in increasing order.
+		cur, inc := j%config.NumCacheAllocs, bestIdx%config.NumCacheAllocs
 		switch {
-		case cur.Cache < inc.Cache:
+		case cur < inc:
 			bestIdx = j
-		//lint:allow floatsafe config.Cache is a discrete enum encoded as float64; equality is identity
-		case cur.Cache == inc.Cache &&
+		case cur == inc &&
 			pwr.At(rt.lcPowerRow(k), j) < pwr.At(rt.lcPowerRow(k), bestIdx):
 			bestIdx = j
 		}

@@ -43,8 +43,7 @@ var (
 
 func init() {
 	for j := 0; j < config.NumResources; j++ {
-		//lint:allow floatsafe config.Cache is a discrete enum encoded as float64; equality is identity
-		if c := config.ResourceByIndex(j).Cache; c == config.HalfWay {
+		if c := config.ResourceByIndex(j).Cache; c.Index() == config.HalfWay.Index() {
 			halfTab[j] = 1
 		} else {
 			waysTab[j] = c.Ways()
@@ -63,8 +62,7 @@ func (rt *Runtime) separableObjective(thr, pwr *sgd.Prediction, lcRes []config.R
 	lcHalf := 0
 	for k, sv := range rt.svcs {
 		fixedPower += float64(sv.cores) * sv.predPwr
-		//lint:allow floatsafe config.Cache is a discrete enum encoded as float64; equality is identity
-		if lcRes[k].Cache == config.HalfWay {
+		if lcRes[k].Cache.Index() == config.HalfWay.Index() {
 			lcHalf++
 		} else {
 			lcWays += lcRes[k].Cache.Ways()

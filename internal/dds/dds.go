@@ -24,23 +24,31 @@
 // of magnitude cheaper in late iterations.
 //
 // The engine is lock-free on the hot path: eval counters, candidate
-// scratch and Record buffers are all per-worker (merged at each
-// iteration barrier in worker-index order, so Result.Points is
-// deterministic at any GOMAXPROCS), and logical workers are decoupled
-// from physical executors — at GOMAXPROCS=1 the whole search runs
-// inline with zero goroutines. SearchReference (reference.go) preserves
-// the pre-fast-path engine over a plain closure Objective; it is the
-// oracle of the equivalence tests and the benchmarks' baseline, and no
-// production path runs it.
+// scratch and Record buffers are all per-worker, and each iteration's
+// worker batches are one par.For call, so the search keeps par's three
+// rules with workers in place of indices — its result, Result.Points
+// included, is the same at any GOMAXPROCS, and at GOMAXPROCS=1 the
+// whole search runs inline with zero goroutines. SearchReference
+// (reference.go) preserves the pre-fast-path engine over a plain
+// closure Objective; it is the oracle of the equivalence tests and the
+// benchmarks' baseline, and no production path runs it.
 package dds
 
 import (
 	"math"
 	"runtime"
-	"sync/atomic"
 
+	"cuttlesys/internal/par"
 	"cuttlesys/internal/rng"
 )
+
+// Fig. 6's search shape, fixed: each worker draws pointsPerIter
+// candidates per iteration, and worker w perturbs at radius
+// radii[w·len(radii)/workers], so each quarter of the workers explores
+// at one scale (§VI-B).
+const pointsPerIter = 10
+
+var radii = [...]float64{0.2, 0.3, 0.4, 0.5}
 
 // Objective scores a candidate decision vector; higher is better. Each
 // element of x is a configuration index in [0, NumConfigs). It is the
@@ -59,16 +67,9 @@ type Params struct {
 	// MaxIter is the number of barrier-synchronised iterations.
 	// Default 40 (Fig. 6).
 	MaxIter int
-	// PointsPerIter is the candidates each worker generates per
-	// iteration. Default 10 (Fig. 6).
-	PointsPerIter int
 	// InitialPoints is the size of the random starting set. Default 50
 	// (Fig. 6).
 	InitialPoints int
-	// R holds the perturbation parameters; worker w uses
-	// R[w·len(R)/workers] so each quarter of the workers explores at
-	// one scale (§VI-B). Default [0.2, 0.3, 0.4, 0.5] (Fig. 6).
-	R []float64
 	// Workers is the parallel width; 1 runs the original serial DDS.
 	// Default 1.
 	Workers int
@@ -87,19 +88,29 @@ func (p Params) withDefaults() Params {
 	if p.MaxIter == 0 {
 		p.MaxIter = 40
 	}
-	if p.PointsPerIter == 0 {
-		p.PointsPerIter = 10
-	}
 	if p.InitialPoints == 0 {
 		p.InitialPoints = 50
-	}
-	if len(p.R) == 0 {
-		p.R = []float64{0.2, 0.3, 0.4, 0.5}
 	}
 	if p.Workers == 0 {
 		p.Workers = 1
 	}
 	return p
+}
+
+// validate panics on parameters neither engine can run. Both call it
+// after withDefaults, so Workers 0 has already become 1.
+func (p Params) validate() {
+	switch {
+	case p.Dims <= 0 || p.NumConfigs <= 0:
+		panic("dds: Dims and NumConfigs must be positive")
+	case p.Workers < 0:
+		panic("dds: Workers must not be negative")
+	}
+	for _, x := range p.Init {
+		if len(x) != p.Dims {
+			panic("dds: Init point with wrong dimensionality")
+		}
+	}
 }
 
 // Point is one evaluated candidate.
@@ -124,17 +135,9 @@ type Result struct {
 	Points []Point
 }
 
-// runSearch is the engine behind SearchSeparable; p carries defaults.
+// runSearch is the engine behind SearchSeparable; p carries defaults
+// and has been validated.
 func runSearch(p Params, obj *SeparableObjective) Result {
-	if p.Dims <= 0 || p.NumConfigs <= 0 {
-		panic("dds: Dims and NumConfigs must be positive")
-	}
-	for _, x := range p.Init {
-		if len(x) != p.Dims {
-			panic("dds: Init point with wrong dimensionality")
-		}
-	}
-
 	root := rng.New(p.Seed)
 	var (
 		evals  int64
@@ -199,15 +202,15 @@ func runSearch(p Params, obj *SeparableObjective) Result {
 		cands[w] = make([]int, p.Dims)
 	}
 
-	// runWorkerIter runs logical worker w's candidate batch for one
-	// iteration. It is self-contained — it reads the shared best (fixed
-	// for the whole iteration), consumes only worker w's RNG stream, and
-	// writes only worker w's state — so its output does not depend on
-	// which executor runs it, or when.
+	// runWorkerIter runs worker w's candidate batch for one iteration.
+	// It keeps par's first two rules: it reads only the shared best
+	// (fixed for the whole iteration) and worker w's RNG stream, and it
+	// writes only worker w's slots of locals, workerEvals, cands and
+	// recBufs.
 	runWorkerIter := func(w, iter int) {
 		r := workerRNGs[w]
 		// Worker groups use different perturbation scales.
-		rw := p.R[w*len(p.R)/workers]
+		rw := radii[w*len(radii)/workers]
 		lb := &locals[w]
 		we := workerEvals[w]
 		cand := cands[w]
@@ -225,7 +228,7 @@ func runSearch(p Params, obj *SeparableObjective) Result {
 		copy(lb.x, best)
 		lb.val = bestVal
 		we.rebase(lb.x)
-		for pt := 0; pt < p.PointsPerIter; pt++ {
+		for pt := 0; pt < pointsPerIter; pt++ {
 			copy(cand, lb.x)
 			// dmin tracks the first dimension that actually changed, so
 			// incremental evaluators reuse the parent prefix below it.
@@ -263,70 +266,23 @@ func runSearch(p Params, obj *SeparableObjective) Result {
 		}
 	}
 
-	// Logical workers are decoupled from physical executors. Worker
-	// batches within an iteration are independent, so nExec executors
-	// pull worker indices from an atomic counter; any assignment of
-	// workers to executors yields bit-identical results, which keeps the
-	// search GOMAXPROCS-invariant. With a single executor (GOMAXPROCS=1,
-	// or Workers=1) the whole search runs inline on the calling
-	// goroutine — no spawns, no barrier traffic, no spinning — which is
-	// exactly the configuration the per-slice decision loop hits on a
-	// loaded machine. With more, nExec−1 persistent executors park on a
-	// channel between iterations (blocked, not spinning) and the caller
-	// works alongside them.
-	nExec := workers
+	// The width cap bounds how many goroutines par.For starts, never
+	// what they compute. At width one (GOMAXPROCS=1, or Workers=1) the
+	// whole search runs inline on the caller, the configuration the
+	// per-slice decision loop hits on a loaded machine.
+	width := workers
 	//lint:allow determinism caps execution width only; search results merge in index order and are bit-identical at any worker count
-	if mp := runtime.GOMAXPROCS(0); nExec > mp {
-		nExec = mp
-	}
-	var (
-		nextWorker atomic.Int64
-		curIter    int
-		iterCh     chan struct{}
-		doneCh     chan struct{}
-	)
-	runBatch := func() {
-		for {
-			w := int(nextWorker.Add(1) - 1)
-			if w >= workers {
-				return
-			}
-			runWorkerIter(w, curIter)
-		}
-	}
-	if nExec > 1 {
-		iterCh = make(chan struct{}, nExec-1)
-		doneCh = make(chan struct{}, nExec-1)
-		for e := 0; e < nExec-1; e++ {
-			go func() {
-				for range iterCh {
-					runBatch()
-					doneCh <- struct{}{}
-				}
-			}()
-		}
-		defer close(iterCh)
+	if mp := runtime.GOMAXPROCS(0); width > mp {
+		width = mp
 	}
 
 	for iter := 1; iter <= p.MaxIter; iter++ {
-		curIter = iter
-		nextWorker.Store(0)
-		if nExec > 1 {
-			for e := 0; e < nExec-1; e++ {
-				iterCh <- struct{}{}
-			}
-		}
-		runBatch()
-		if nExec > 1 {
-			for e := 0; e < nExec-1; e++ {
-				<-doneCh
-			}
-		}
+		par.For(workers, width, func(_, w int) { runWorkerIter(w, iter) })
 		// barrier reached (Alg. 2 line 18)
 
-		// Merge the per-worker Record buffers in worker-index order:
-		// Points ordering is (iteration, worker, point), independent of
-		// goroutine interleaving.
+		// par's third rule: the reductions below run on the caller, in
+		// worker order. Merging the Record buffers this way orders
+		// Points by (iteration, worker, point).
 		if p.Record {
 			for w := range recBufs {
 				rec = append(rec, recBufs[w]...)

@@ -2,6 +2,7 @@ package dds
 
 import (
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -35,7 +36,7 @@ func separable1(dims, configs int, term func(d, j int) float64) *SeparableObject
 func TestFindsOptimumSerial(t *testing.T) {
 	target := []int{10, 50, 90, 30, 70}
 	res := SearchSeparable(sphere(target), Params{
-		Dims: 5, NumConfigs: 108, Seed: 1, MaxIter: 80, PointsPerIter: 20,
+		Dims: 5, NumConfigs: 108, Seed: 1, MaxIter: 160,
 	})
 	for d := range target {
 		if math.Abs(float64(res.Best[d]-target[d])) > 6 {
@@ -172,20 +173,33 @@ func TestObjectiveConcurrencySafety(t *testing.T) {
 	}
 }
 
+// TestPanicsOnBadParams runs both engines on each bad input: each must
+// reject it with a dds: message, not fail later on a runtime error.
 func TestPanicsOnBadParams(t *testing.T) {
 	for i, p := range []Params{
 		{Dims: 0, NumConfigs: 10},
 		{Dims: 3, NumConfigs: 0},
 		{Dims: 3, NumConfigs: 10, Init: [][]int{{1, 2}}},
+		{Dims: 3, NumConfigs: 10, Workers: -1},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: Search did not panic", i)
-				}
+		obj := separable1(p.Dims, p.NumConfigs, func(int, int) float64 { return 0 })
+		for _, e := range []struct {
+			name   string
+			search func()
+		}{
+			{"SearchSeparable", func() { SearchSeparable(obj, p) }},
+			{"SearchReference", func() { SearchReference(obj.Func(), p) }},
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "dds: ") {
+						t.Errorf("case %d: %s recovered %v, want a dds: panic", i, e.name, r)
+					}
+				}()
+				e.search()
 			}()
-			SearchSeparable(separable1(p.Dims, p.NumConfigs, func(int, int) float64 { return 0 }), p)
-		}()
+		}
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 
 // SearchReference is the pre-fast-path search engine, preserved as the
 // reference implementation: a mutex-serialised eval closure (the
-// bookkeeping lock every worker contends on), goroutines spawned per
-// iteration (by par.For), and full from-scratch objective evaluation
-// for every candidate. Cross-implementation equivalence tests pin
-// SearchSeparable to it — Best, BestVal and Evals must be
-// bit-identical — and BenchmarkDecideLoop measures the fast path
-// against it, so the speedup numbers are against the real pre-change
-// code, not a strawman.
+// bookkeeping lock every worker contends on), one goroutine per worker
+// each iteration (par.For without the width cap), and full
+// from-scratch objective evaluation for every candidate.
+// Cross-implementation equivalence tests pin SearchSeparable to it —
+// Best, BestVal and Evals must be bit-identical — and
+// BenchmarkDecideLoop measures the fast path against it, so the
+// speedup numbers are against the real pre-change code, not a
+// strawman.
 //
 // Known wart, kept deliberately: with Record && Workers > 1 the
 // mutex-append order of Result.Points depends on goroutine
@@ -25,14 +26,7 @@ import (
 // Best/BestVal/Evals, not Points, when Record is set.
 func SearchReference(obj Objective, params Params) Result {
 	p := params.withDefaults()
-	if p.Dims <= 0 || p.NumConfigs <= 0 {
-		panic("dds: Dims and NumConfigs must be positive")
-	}
-	for _, x := range p.Init {
-		if len(x) != p.Dims {
-			panic("dds: Init point with wrong dimensionality")
-		}
-	}
+	p.validate()
 
 	root := rng.New(p.Seed)
 	var (
@@ -98,12 +92,12 @@ func SearchReference(obj Objective, params Params) Result {
 		par.For(workers, 0, func(_, w int) {
 			r := workerRNGs[w]
 			// Worker groups use different perturbation scales.
-			rw := p.R[w*len(p.R)/workers]
+			rw := radii[w*len(radii)/workers]
 			lb := &locals[w]
 			copy(lb.x, best)
 			lb.val = bestVal
 			cand := make([]int, p.Dims)
-			for pt := 0; pt < p.PointsPerIter; pt++ {
+			for pt := 0; pt < pointsPerIter; pt++ {
 				copy(cand, lb.x)
 				perturbed := false
 				for d := 0; d < p.Dims; d++ {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestEngineMatchesReference is the cross-implementation contract: the
-// persistent-pool engine must return the same Best, BestVal bits and
+// incremental engine must return the same Best, BestVal bits and
 // Evals as the preserved pre-change implementation over the closure
 // form of the same objective, for every seed and worker count — the
 // fast path changes wall-clock only, never decisions.
@@ -17,7 +17,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		for seed := uint64(1); seed <= 5; seed++ {
 			sep := testSeparable(seed*131, 26, 108)
 			p := Params{
-				Dims: 26, NumConfigs: 108, MaxIter: 15, PointsPerIter: 6,
+				Dims: 26, NumConfigs: 108, MaxIter: 15,
 				InitialPoints: 25, Workers: workers, Seed: seed,
 			}
 			ref := SearchReference(sep.Func(), p)
@@ -54,7 +54,7 @@ func pointCounts(pts []Point) map[string]int {
 func TestReferencePointsSameSet(t *testing.T) {
 	sep := testSeparable(17, 12, 30)
 	p := Params{
-		Dims: 12, NumConfigs: 30, MaxIter: 8, PointsPerIter: 5,
+		Dims: 12, NumConfigs: 30, MaxIter: 8,
 		InitialPoints: 10, Workers: 4, Seed: 9, Record: true,
 	}
 	ref := SearchReference(sep.Func(), p)

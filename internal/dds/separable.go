@@ -108,6 +108,7 @@ func (s *SeparableObjective) validate(p Params) {
 // or an objective whose table does not fit them.
 func SearchSeparable(obj *SeparableObjective, params Params) Result {
 	p := params.withDefaults()
+	p.validate()
 	obj.validate(p)
 	return runSearch(p, obj)
 }

@@ -55,7 +55,7 @@ func TestSeparableMatchesPlainSearch(t *testing.T) {
 		for seed := uint64(1); seed <= 6; seed++ {
 			sep := testSeparable(seed*977, 26, 108)
 			p := Params{
-				Dims: 26, NumConfigs: 108, MaxIter: 12, PointsPerIter: 5,
+				Dims: 26, NumConfigs: 108, MaxIter: 12,
 				InitialPoints: 20, Workers: workers, Seed: seed, Record: true,
 			}
 			ref := SearchReference(sep.Func(), p)
@@ -134,7 +134,7 @@ func TestSeparableIncrementalSavesWork(t *testing.T) {
 func TestRecordOrderDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	obj := separable1(12, 20, func(_, j int) float64 { return -math.Abs(float64(j) - 7) })
 	p := Params{
-		Dims: 12, NumConfigs: 20, MaxIter: 10, PointsPerIter: 8,
+		Dims: 12, NumConfigs: 20, MaxIter: 10,
 		InitialPoints: 15, Workers: 6, Seed: 11, Record: true,
 	}
 	run := func() Result { return SearchSeparable(obj, p) }

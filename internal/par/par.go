@@ -1,7 +1,7 @@
 // Package par is the module's one fan-out primitive. Every parallel
-// loop outside the DDS engine's persistent executors runs through For,
-// and its output is bit-identical at any worker count and any
-// GOMAXPROCS because each caller keeps three rules:
+// loop in the module runs through For, and its output is bit-identical
+// at any worker count and any GOMAXPROCS because each caller keeps
+// three rules:
 //
 //   - Independent inputs: iteration i reads only state fixed before
 //     For is called (its own seed, staged tables, read-only models), so
