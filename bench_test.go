@@ -307,14 +307,14 @@ func BenchmarkDecisionQuantum(b *testing.B) {
 		Seed: 1, LC: lc, Batch: cuttlesys.Mix(1, pool, 16), Reconfigurable: true,
 	})
 	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 1})
-	qps := 0.8 * lc.MaxQPS
+	qps := []float64{0.8 * lc.MaxQPS}
 	budget := 0.7 * m.MaxPowerW()
 	var profile []cuttlesys.PhaseResult
-	for _, ph := range rt.ProfilePhases(qps, budget) {
-		profile = append(profile, m.Run(ph.Alloc, ph.Dur, qps))
+	for _, ph := range rt.ProfilePhasesMulti(qps, budget) {
+		profile = append(profile, m.RunMulti(ph.Alloc, ph.Dur, qps))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt.Decide(profile, qps, budget)
+		rt.DecideMulti(profile, qps, budget)
 	}
 }

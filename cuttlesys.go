@@ -184,14 +184,11 @@ func RunFaulted(m *Machine, s Scheduler, slices int, load LoadPattern, budget Bu
 	return harness.RunFaulted(m, s, slices, load, budget, inj)
 }
 
-// MultiScheduler manages machines hosting several latency-critical
-// services (MachineSpec.ExtraLCs) — the paper's §VII-A generalisation.
-// The CuttleSys Runtime implements it.
-type MultiScheduler = harness.MultiScheduler
-
-// RunMulti executes a multi-service experiment with one load pattern
-// per service, primary first.
-func RunMulti(m *Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern) (*Result, error) {
+// RunMulti executes a multi-service experiment (MachineSpec.ExtraLCs,
+// the paper's §VII-A generalisation) with one load pattern per
+// service, primary first. A scheduler whose allocations do not cover
+// every service gets an error, not a panic.
+func RunMulti(m *Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern) (*Result, error) {
 	return harness.RunMulti(m, s, slices, loads, budget)
 }
 
@@ -338,7 +335,7 @@ func SummarizeTrace(events []TraceEvent, top int) *TraceSummary { return obs.Sum
 // attached: the run's profile→decide→hold structure, metrics and fault
 // transitions land in c. A nil injector skips fault perturbation; a nil
 // collector reproduces RunMulti exactly.
-func RunTraced(m *Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c Collector) (*Result, error) {
+func RunTraced(m *Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c Collector) (*Result, error) {
 	return harness.RunTraced(m, s, slices, loads, budget, inj, c)
 }
 

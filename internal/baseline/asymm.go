@@ -34,7 +34,7 @@ type Asymmetric struct {
 	// Slice-invariant terms, staged once from the fixed-core surface
 	// table: jobs run at two ways and the service at four, both under
 	// inflation 1.2, so only the service's power (which scales with the
-	// offered load) is left to each Decide.
+	// offered load) is left to each DecideMulti.
 	jobs            []jobEval // job-ordered big/little template
 	lcLittle, lcBig lcTerms
 }
@@ -103,10 +103,10 @@ func (a *Asymmetric) Name() string {
 	return "asymm-50-50"
 }
 
-// ProfilePhases implements harness.Scheduler; the oracle needs no
+// ProfilePhasesMulti implements harness.Scheduler; the oracle needs no
 // measurements (it has the true models) and the 50-50 design follows
 // the same decision procedure.
-func (*Asymmetric) ProfilePhases(qps, budgetW float64) []harness.Phase { return nil }
+func (*Asymmetric) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Phase { return nil }
 
 // lcNeedsBig reports whether the LC service requires big cores to meet
 // QoS at the offered load, using the analytic M/G/k tail approximation
@@ -123,8 +123,8 @@ func (a *Asymmetric) lcNeedsBig(qps float64) bool {
 	return p99*1e3 > 0.8*a.lc.QoSTargetMs
 }
 
-// Decide implements harness.Scheduler.
-func (a *Asymmetric) Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allocation, float64) {
+// DecideMulti implements harness.Scheduler.
+func (a *Asymmetric) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	n := len(a.batch)
 	alloc := sim.Allocation{Batch: make([]sim.BatchAssign, n)}
 
@@ -133,7 +133,7 @@ func (a *Asymmetric) Decide(profile []sim.PhaseResult, qps, budgetW float64) (si
 	if a.lc != nil {
 		alloc.LCCores = a.lcCores
 		alloc.LCCache = config.FourWays
-		lcOnBig = a.lcNeedsBig(qps)
+		lcOnBig = a.lcNeedsBig(qps[0])
 		if lcOnBig {
 			alloc.LCCore = big
 		} else {
@@ -161,7 +161,7 @@ func (a *Asymmetric) Decide(profile []sim.PhaseResult, qps, budgetW float64) (si
 		if lcOnBig {
 			lt = a.lcBig
 		}
-		util := math.Min(1, qps*lt.meanSvc/float64(alloc.LCCores))
+		util := math.Min(1, qps[0]*lt.meanSvc/float64(alloc.LCCores))
 		lcPower = a.wm.Core(a.lc, alloc.LCCore, lt.ipc*util) * float64(alloc.LCCores)
 	}
 	budgetLeft := budgetW - fixedChipPower(a.nCores) - lcPower
@@ -210,7 +210,7 @@ func (a *Asymmetric) Decide(profile []sim.PhaseResult, qps, budgetW float64) (si
 	return alloc, 0
 }
 
-// EndSlice implements harness.Scheduler.
-func (*Asymmetric) EndSlice(steady sim.PhaseResult, qps float64) {}
+// EndSliceMulti implements harness.Scheduler.
+func (*Asymmetric) EndSliceMulti(steady sim.PhaseResult, qps []float64) {}
 
 var _ harness.Scheduler = (*Asymmetric)(nil)

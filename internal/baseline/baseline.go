@@ -107,18 +107,18 @@ func NewNoGating(m *sim.Machine) *NoGating {
 // Name implements harness.Scheduler.
 func (*NoGating) Name() string { return "no-gating" }
 
-// ProfilePhases implements harness.Scheduler; the reference never
+// ProfilePhasesMulti implements harness.Scheduler; the reference never
 // profiles.
-func (*NoGating) ProfilePhases(qps, budgetW float64) []harness.Phase { return nil }
+func (*NoGating) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Phase { return nil }
 
-// Decide implements harness.Scheduler.
-func (ng *NoGating) Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allocation, float64) {
+// DecideMulti implements harness.Scheduler.
+func (ng *NoGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	a := sim.Uniform(ng.nBatch, ng.lc != nil, ng.lcCores, config.Widest, config.OneWay)
 	a.NoPartition = true
 	return a, 0
 }
 
-// EndSlice implements harness.Scheduler.
-func (*NoGating) EndSlice(steady sim.PhaseResult, qps float64) {}
+// EndSliceMulti implements harness.Scheduler.
+func (*NoGating) EndSliceMulti(steady sim.PhaseResult, qps []float64) {}
 
 var _ harness.Scheduler = (*NoGating)(nil)

@@ -52,17 +52,18 @@ func NewDVFS(m *sim.Machine, seed uint64) *DVFS {
 // Name implements harness.Scheduler.
 func (*DVFS) Name() string { return "dvfs-maxbips" }
 
-// ProfilePhases takes one 1 ms sample at the nominal frequency.
-func (d *DVFS) ProfilePhases(qps, budgetW float64) []harness.Phase {
+// ProfilePhasesMulti takes one 1 ms sample at the nominal frequency.
+func (d *DVFS) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Phase {
 	a := sim.Uniform(len(d.batch), d.lc != nil, d.lcCores, config.Widest, config.OneWay)
 	a.NoPartition = true
 	return []harness.Phase{{Dur: 0.001, Alloc: a}}
 }
 
-// Decide implements maxBIPS: scale each profiled sample across the
-// DVFS levels with the analytical f·V² law, then greedily downclock
-// the cores with the least BIPS-per-watt-saved until the budget holds.
-func (d *DVFS) Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allocation, float64) {
+// DecideMulti implements maxBIPS: scale each profiled sample across
+// the DVFS levels with the analytical f·V² law, then greedily
+// downclock the cores with the least BIPS-per-watt-saved until the
+// budget holds.
+func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	n := len(d.batch)
 	alloc := sim.Uniform(n, d.lc != nil, d.lcCores, config.Widest, config.OneWay)
 	alloc.NoPartition = true
@@ -154,7 +155,7 @@ func (d *DVFS) Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allo
 	return alloc, 0
 }
 
-// EndSlice implements harness.Scheduler.
-func (*DVFS) EndSlice(steady sim.PhaseResult, qps float64) {}
+// EndSliceMulti implements harness.Scheduler.
+func (*DVFS) EndSliceMulti(steady sim.PhaseResult, qps []float64) {}
 
 var _ harness.Scheduler = (*DVFS)(nil)

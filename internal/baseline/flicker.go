@@ -87,8 +87,8 @@ func (f *Flicker) sampleDur() float64 {
 	return 0.010
 }
 
-// ProfilePhases visits all nine 3MM3 configurations.
-func (f *Flicker) ProfilePhases(qps, budgetW float64) []harness.Phase {
+// ProfilePhasesMulti visits all nine 3MM3 configurations.
+func (f *Flicker) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Phase {
 	phases := make([]harness.Phase, 0, len(f.design))
 	for _, d := range f.design {
 		a := sim.Uniform(len(f.batch), f.lc != nil, f.lcCores, d, config.OneWay)
@@ -101,9 +101,10 @@ func (f *Flicker) ProfilePhases(qps, budgetW float64) []harness.Phase {
 	return phases
 }
 
-// Decide fits the RBF surrogates from the nine samples and runs the
-// GA over the 27-configuration domain (≈2 ms of scheduling overhead).
-func (f *Flicker) Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allocation, float64) {
+// DecideMulti fits the RBF surrogates from the nine samples and runs
+// the GA over the 27-configuration domain (≈2 ms of scheduling
+// overhead).
+func (f *Flicker) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	f.slice++
 	n := len(f.batch)
 	const overhead = 0.002 // GA search time (§VIII-E)
@@ -224,7 +225,7 @@ func (f *Flicker) predict(samples []float64) []float64 {
 	return s.PredictAll()
 }
 
-// EndSlice implements harness.Scheduler.
-func (*Flicker) EndSlice(steady sim.PhaseResult, qps float64) {}
+// EndSliceMulti implements harness.Scheduler.
+func (*Flicker) EndSliceMulti(steady sim.PhaseResult, qps []float64) {}
 
 var _ harness.Scheduler = (*Flicker)(nil)

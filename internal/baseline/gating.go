@@ -88,10 +88,10 @@ func (g *CoreGating) Name() string {
 	return "core-gating"
 }
 
-// ProfilePhases takes the baseline's single 1 ms sample (§VIII-A1 note:
-// "even core-level gating incurs an overhead of 1 ms for one profiling
-// period"). Fixed cores have only the widest configuration.
-func (g *CoreGating) ProfilePhases(qps, budgetW float64) []harness.Phase {
+// ProfilePhasesMulti takes the baseline's single 1 ms sample (§VIII-A1
+// note: "even core-level gating incurs an overhead of 1 ms for one
+// profiling period"). Fixed cores have only the widest configuration.
+func (g *CoreGating) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Phase {
 	a := g.baseAlloc(nil)
 	return []harness.Phase{{Dur: 0.001, Alloc: a}}
 }
@@ -112,10 +112,10 @@ func (g *CoreGating) baseAlloc(gated []bool) sim.Allocation {
 	return a
 }
 
-// Decide implements harness.Scheduler: estimate per-core power from
-// the profiling sample and gate batch cores by policy until the chip
-// fits the budget.
-func (g *CoreGating) Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allocation, float64) {
+// DecideMulti implements harness.Scheduler: estimate per-core power
+// from the profiling sample and gate batch cores by policy until the
+// chip fits the budget.
+func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	n := len(g.batch)
 	pw := make([]float64, n)
 	bips := make([]float64, n)
@@ -197,7 +197,7 @@ func (g *CoreGating) pick(gated []bool, pw, bips []float64) int {
 	return best
 }
 
-// EndSlice implements harness.Scheduler.
-func (*CoreGating) EndSlice(steady sim.PhaseResult, qps float64) {}
+// EndSliceMulti implements harness.Scheduler.
+func (*CoreGating) EndSliceMulti(steady sim.PhaseResult, qps []float64) {}
 
 var _ harness.Scheduler = (*CoreGating)(nil)

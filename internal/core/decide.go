@@ -12,11 +12,6 @@ import (
 	"cuttlesys/internal/sim"
 )
 
-// Decide implements the single-service harness.Scheduler entry point.
-func (rt *Runtime) Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allocation, float64) {
-	return rt.DecideMulti(profile, []float64{qps}, budgetW)
-}
-
 // DecideMulti implements the Resource Controller (§IV-B, Fig. 2): it
 // folds the profiling samples into the matrices, reconstructs the
 // surfaces, fixes each latency-critical service's configuration via

@@ -117,8 +117,8 @@ func TestPairedRunMatchesSerial(t *testing.T) {
 				m := tc.machine(t)
 				rec := &allocRecorder{Runtime: New(m, tc.params), t: t, oracle: oracle}
 				inj := fault.MustSchedule(5, fault.Event{Kind: fault.TelemetryGarbage, Start: 0.3, End: 0.7, Prob: 0.3})
-				if _, err := harness.RunFaultedMulti(m, rec, slices,
-					[]harness.LoadPattern{harness.ConstantLoad(tc.load)}, harness.ConstantBudget(0.8), inj); err != nil {
+				if _, err := harness.RunTraced(m, rec, slices,
+					[]harness.LoadPattern{harness.ConstantLoad(tc.load)}, harness.ConstantBudget(0.8), inj, nil); err != nil {
 					t.Fatal(err)
 				}
 				return rec

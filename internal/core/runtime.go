@@ -266,7 +266,6 @@ type Runtime struct {
 
 var (
 	_ harness.Scheduler        = (*Runtime)(nil)
-	_ harness.MultiScheduler   = (*Runtime)(nil)
 	_ harness.ProfileValidator = (*Runtime)(nil)
 	_ harness.DegradedReporter = (*Runtime)(nil)
 )
@@ -380,7 +379,7 @@ func lcTrainingRows(trainSeed uint64, nTrainLC, cores int) []lcTrainRow {
 func (rt *Runtime) Name() string { return "cuttlesys" }
 
 // DecisionOverheadSec reports the modeled compute constant every
-// Decide path charges.
+// DecideMulti path charges.
 //
 // Deprecated: nothing in the driver reads it any more; it is declared
 // only because bench/ (frozen by BENCHMARK.json) calls it, and goes
@@ -395,11 +394,6 @@ func (rt *Runtime) lcPowerRow(k int) int { return nTrainBatch + len(rt.batch) + 
 
 // latRow is service k's row in the latency and service-time matrices.
 func (rt *Runtime) latRow(k int) int { return nTrainLC + k }
-
-// ProfilePhases implements the single-service harness.Scheduler entry.
-func (rt *Runtime) ProfilePhases(qps, budgetW float64) []harness.Phase {
-	return rt.ProfilePhasesMulti([]float64{qps}, budgetW)
-}
 
 // ProfilePhasesMulti implements §VIII-A1: two 1 ms windows; half the
 // batch cores run the widest and half the narrowest configuration
@@ -438,11 +432,6 @@ func (rt *Runtime) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.
 // percent, keyed by metric ("throughput", "power", "latency"). Only
 // populated with Params.TrackAccuracy.
 func (rt *Runtime) AccuracyErrors() map[string][]float64 { return rt.accErrs }
-
-// EndSlice implements the single-service harness.Scheduler entry.
-func (rt *Runtime) EndSlice(steady sim.PhaseResult, qps float64) {
-	rt.EndSliceMulti(steady, []float64{qps})
-}
 
 // EndSliceMulti writes the measured steady-state metrics back into the
 // matrices at the applied configurations (§IV-B step 5) and records

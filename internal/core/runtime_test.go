@@ -19,7 +19,7 @@ func mustRun(t *testing.T, m *sim.Machine, rt harness.Scheduler, slices int, loa
 	return res
 }
 
-func mustRunMulti(t *testing.T, m *sim.Machine, rt harness.MultiScheduler, slices int, loads []harness.LoadPattern, budget harness.BudgetPattern) *harness.Result {
+func mustRunMulti(t *testing.T, m *sim.Machine, rt harness.Scheduler, slices int, loads []harness.LoadPattern, budget harness.BudgetPattern) *harness.Result {
 	t.Helper()
 	res, err := harness.RunMulti(m, rt, slices, loads, budget)
 	if err != nil {
@@ -46,7 +46,7 @@ func testMachine(t *testing.T, lcName string, seed uint64) *sim.Machine {
 func TestProfilePhasesShape(t *testing.T) {
 	m := testMachine(t, "xapian", 1)
 	rt := New(m, Params{Seed: 1})
-	phases := rt.ProfilePhases(0.8*m.LC().MaxQPS, 100)
+	phases := rt.ProfilePhasesMulti([]float64{0.8 * m.LC().MaxQPS}, 100)
 	if len(phases) != 2 {
 		t.Fatalf("got %d profile phases, want 2", len(phases))
 	}
@@ -85,15 +85,15 @@ func TestProfilePhasesShape(t *testing.T) {
 func TestDecideProducesValidAllocation(t *testing.T) {
 	m := testMachine(t, "xapian", 2)
 	rt := New(m, Params{Seed: 2})
-	qps := 0.8 * m.LC().MaxQPS
+	qps := []float64{0.8 * m.LC().MaxQPS}
 	budget := 0.7 * m.MaxPowerW()
 	var results []sim.PhaseResult
-	for _, ph := range rt.ProfilePhases(qps, budget) {
-		results = append(results, m.Run(ph.Alloc, ph.Dur, qps))
+	for _, ph := range rt.ProfilePhasesMulti(qps, budget) {
+		results = append(results, m.RunMulti(ph.Alloc, ph.Dur, qps))
 	}
-	alloc, overhead := rt.Decide(results, qps, budget)
+	alloc, overhead := rt.DecideMulti(results, qps, budget)
 	if err := alloc.Validate(16, true, 32); err != nil {
-		t.Fatalf("Decide produced invalid allocation: %v", err)
+		t.Fatalf("DecideMulti produced invalid allocation: %v", err)
 	}
 	if overhead <= 0 || overhead > 0.02 {
 		t.Fatalf("overhead %v s implausible", overhead)

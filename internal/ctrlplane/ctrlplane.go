@@ -191,7 +191,7 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 type WarmStarter interface {
 	// WarmStartMachine hands machine id's scheduler the fleet aggregate
 	// for its service mix; reports whether a warm start happened.
-	WarmStartMachine(id int, sched harness.MultiScheduler) bool
+	WarmStartMachine(id int, sched harness.Scheduler) bool
 }
 
 // Config assembles a Manager: the fleet it runs (whose Router is

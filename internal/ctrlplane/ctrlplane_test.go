@@ -23,12 +23,12 @@ type staticScheduler struct {
 	overhead float64
 }
 
-func (s *staticScheduler) Name() string                               { return "static" }
-func (s *staticScheduler) ProfilePhases(_, _ float64) []harness.Phase { return nil }
-func (s *staticScheduler) Decide(_ []sim.PhaseResult, _, _ float64) (sim.Allocation, float64) {
+func (s *staticScheduler) Name() string                                          { return "static" }
+func (s *staticScheduler) ProfilePhasesMulti([]float64, float64) []harness.Phase { return nil }
+func (s *staticScheduler) DecideMulti([]sim.PhaseResult, []float64, float64) (sim.Allocation, float64) {
 	return s.alloc, s.overhead
 }
-func (s *staticScheduler) EndSlice(sim.PhaseResult, float64) {}
+func (s *staticScheduler) EndSliceMulti(sim.PhaseResult, []float64) {}
 
 // buildSpec assembles one machine for the managed fleet.
 func buildSpec(t *testing.T, seed uint64, inj harness.FaultInjector) fleet.NodeSpec {
@@ -47,7 +47,7 @@ func buildSpec(t *testing.T, seed uint64, inj harness.FaultInjector) fleet.NodeS
 		alloc:    sim.Uniform(8, true, 16, config.Widest, config.OneWay),
 		overhead: 0.002,
 	}
-	return fleet.NodeSpec{Machine: m, Scheduler: harness.Single(s), Injector: inj}
+	return fleet.NodeSpec{Machine: m, Scheduler: s, Injector: inj}
 }
 
 // buildSpecs assembles n machines with seeds from one stream.

@@ -11,16 +11,16 @@ import (
 	"cuttlesys/internal/workload"
 )
 
-// fixedScheduler is the cheapest possible MultiScheduler for
+// fixedScheduler is the cheapest possible Scheduler for
 // membership-churn tests that never step a slice.
 type fixedScheduler struct{ alloc sim.Allocation }
 
-func (s *fixedScheduler) Name() string                               { return "fixed" }
-func (s *fixedScheduler) ProfilePhases(_, _ float64) []harness.Phase { return nil }
-func (s *fixedScheduler) Decide(_ []sim.PhaseResult, _, _ float64) (sim.Allocation, float64) {
+func (s *fixedScheduler) Name() string                                          { return "fixed" }
+func (s *fixedScheduler) ProfilePhasesMulti([]float64, float64) []harness.Phase { return nil }
+func (s *fixedScheduler) DecideMulti([]sim.PhaseResult, []float64, float64) (sim.Allocation, float64) {
 	return s.alloc, 0
 }
-func (s *fixedScheduler) EndSlice(sim.PhaseResult, float64) {}
+func (s *fixedScheduler) EndSliceMulti(sim.PhaseResult, []float64) {}
 
 func churnSpec(t *testing.T, seed uint64) fleet.NodeSpec {
 	t.Helper()
@@ -35,7 +35,7 @@ func churnSpec(t *testing.T, seed uint64) fleet.NodeSpec {
 		Reconfigurable: true,
 	})
 	s := &fixedScheduler{alloc: sim.Uniform(2, true, 16, config.Widest, config.OneWay)}
-	return fleet.NodeSpec{Machine: m, Scheduler: harness.Single(s)}
+	return fleet.NodeSpec{Machine: m, Scheduler: s}
 }
 
 // TestReplaceEvictedSeedStreamsDisjoint is the regression net under
@@ -104,7 +104,7 @@ func TestReplaceEvictedSeedStreamsDisjoint(t *testing.T) {
 // start.
 type warmRecorder struct{ ids []int }
 
-func (w *warmRecorder) WarmStartMachine(id int, sched harness.MultiScheduler) bool {
+func (w *warmRecorder) WarmStartMachine(id int, sched harness.Scheduler) bool {
 	w.ids = append(w.ids, id)
 	return true
 }

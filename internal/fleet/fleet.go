@@ -75,7 +75,7 @@ type Telemetry struct {
 // routing policies can be exercised against a degraded node.
 type NodeSpec struct {
 	Machine   *sim.Machine
-	Scheduler harness.MultiScheduler
+	Scheduler harness.Scheduler
 	Injector  harness.FaultInjector
 }
 
@@ -113,7 +113,7 @@ type Config struct {
 // type-asserts for factor export/import capability.
 type ShareMember struct {
 	ID        int
-	Scheduler harness.MultiScheduler
+	Scheduler harness.Scheduler
 }
 
 // SharePlane receives the post-fold hook each slice. slice is the
@@ -279,7 +279,7 @@ func (f *Fleet) Slots() int { return len(f.nodes) }
 // Scheduler returns the scheduler stepping machine id. Evicted slots
 // keep theirs, so a run's per-machine controller state stays readable
 // after it ends.
-func (f *Fleet) Scheduler(id int) harness.MultiScheduler { return f.nodes[id].d.Scheduler() }
+func (f *Fleet) Scheduler(id int) harness.Scheduler { return f.nodes[id].d.Scheduler() }
 
 // CapacityQPS is the fleet's aggregate service capacity — the sum of
 // every active machine's max QPS, the reference for load fractions.

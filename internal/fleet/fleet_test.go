@@ -21,12 +21,12 @@ type staticScheduler struct {
 	overhead float64
 }
 
-func (s *staticScheduler) Name() string                               { return "static" }
-func (s *staticScheduler) ProfilePhases(_, _ float64) []harness.Phase { return nil }
-func (s *staticScheduler) Decide(_ []sim.PhaseResult, _, _ float64) (sim.Allocation, float64) {
+func (s *staticScheduler) Name() string                                          { return "static" }
+func (s *staticScheduler) ProfilePhasesMulti([]float64, float64) []harness.Phase { return nil }
+func (s *staticScheduler) DecideMulti([]sim.PhaseResult, []float64, float64) (sim.Allocation, float64) {
 	return s.alloc, s.overhead
 }
-func (s *staticScheduler) EndSlice(sim.PhaseResult, float64) {}
+func (s *staticScheduler) EndSliceMulti(sim.PhaseResult, []float64) {}
 
 // testSpecs builds n identical machines with index-varied seeds and
 // overheads (so serial and critical-path controller costs differ).
@@ -49,7 +49,7 @@ func testSpecs(t *testing.T, n int, inj map[int]harness.FaultInjector) []fleet.N
 			alloc:    sim.Uniform(8, true, 16, config.Widest, config.OneWay),
 			overhead: 0.002 + 0.001*float64(i),
 		}
-		specs[i] = fleet.NodeSpec{Machine: m, Scheduler: harness.Single(s), Injector: inj[i]}
+		specs[i] = fleet.NodeSpec{Machine: m, Scheduler: s, Injector: inj[i]}
 	}
 	return specs
 }
@@ -153,7 +153,7 @@ func TestNewValidation(t *testing.T) {
 	mk := func(seed uint64, lcp *workload.Profile, extras []*workload.Profile) *sim.Machine {
 		return sim.New(sim.Spec{Seed: seed, LC: lcp, ExtraLCs: extras, Batch: workload.Mix(seed, pool, 8), Reconfigurable: true})
 	}
-	sched := harness.Single(&staticScheduler{alloc: sim.Uniform(8, true, 16, config.Widest, config.OneWay)})
+	sched := &staticScheduler{alloc: sim.Uniform(8, true, 16, config.Widest, config.OneWay)}
 
 	if _, err := fleet.New(fleet.Config{}); err == nil {
 		t.Error("empty fleet accepted")

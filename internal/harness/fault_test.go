@@ -163,7 +163,7 @@ func TestProfileRetryParams(t *testing.T) {
 		rejections: 1 << 30,
 	}
 	m := testMachine(t)
-	d, err := NewDriver(m, Single(s), nil)
+	d, err := NewDriver(m, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,40 +24,40 @@ type Phase struct {
 }
 
 // Scheduler is a per-timeslice resource manager. The driver calls
-// ProfilePhases, executes them, hands the results to Decide, holds the
-// previous allocation for the returned overhead, runs the decided
-// allocation for the remainder of the slice and reports it back via
-// EndSlice.
+// ProfilePhasesMulti, executes the phases, hands the results to
+// DecideMulti, holds the previous allocation for the returned
+// overhead, runs the decided allocation for the remainder of the slice
+// and reports it back via EndSliceMulti. qps carries one offered load
+// per latency-critical service, primary first (the paper's §VII-A
+// generalisation); it is empty on a batch-only machine.
 type Scheduler interface {
 	// Name identifies the policy in experiment output.
 	Name() string
-	// ProfilePhases returns the measurement phases to execute at the
-	// head of the slice; may be empty for policies that do not profile.
-	ProfilePhases(qps, budgetW float64) []Phase
-	// Decide consumes the profiling results and returns the steady
-	// allocation plus the scheduling compute overhead (seconds) to
-	// charge before it takes effect.
-	Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allocation, float64)
-	// EndSlice receives the steady-state result for feedback (matrix
-	// updates, QoS tracking, relocation decisions).
-	EndSlice(steady sim.PhaseResult, qps float64)
-}
-
-// MultiScheduler manages a machine with several latency-critical
-// services (the paper's §VII-A generalisation); the qps slice carries
-// one offered load per service, primary first.
-type MultiScheduler interface {
-	Name() string
+	// ProfilePhasesMulti returns the measurement phases to execute at
+	// the head of the slice; may be empty for policies that do not
+	// profile.
 	ProfilePhasesMulti(qps []float64, budgetW float64) []Phase
+	// DecideMulti consumes the profiling results and returns the steady
+	// allocation plus the scheduling compute overhead (seconds, finite
+	// and non-negative) to charge before it takes effect.
 	DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64)
+	// EndSliceMulti receives the steady-state result for feedback
+	// (matrix updates, QoS tracking, relocation decisions).
 	EndSliceMulti(steady sim.PhaseResult, qps []float64)
 }
+
+// MultiScheduler is the name Scheduler had while a single-service
+// contract existed beside it.
+//
+// Deprecated: declared only because bench/ (frozen by BENCHMARK.json)
+// names it; use Scheduler.
+type MultiScheduler = Scheduler
 
 // ProfileValidator is an optional scheduler extension: a scheduler
 // that can tell corrupt profiling telemetry from clean gets its
 // profile phases re-executed (consuming real slice time) up to
 // MaxProfileRetries times before the last sample set is handed to
-// Decide regardless.
+// DecideMulti regardless.
 type ProfileValidator interface {
 	ValidateProfile(profile []sim.PhaseResult) error
 }
@@ -364,14 +364,15 @@ func (r *Result) DegradedOccupancy() float64 {
 // is expressed as a fraction of the machine's reference MaxPowerW. It
 // returns an error (not a partial result) for invalid experiment
 // setups: a non-positive slice count, fewer load patterns than
-// services, or a scheduler emitting a non-positive profile duration.
+// services, or a scheduler emitting a bad profile phase, allocation or
+// overhead.
 func Run(m *sim.Machine, s Scheduler, slices int, load LoadPattern, budget BudgetPattern) (*Result, error) {
-	return runImpl(m, singleAdapter{s}, slices, []LoadPattern{load}, budget, nil, nil)
+	return runImpl(m, s, slices, []LoadPattern{load}, budget, nil, nil)
 }
 
 // RunMulti executes a multi-service experiment: one load pattern per
 // latency-critical service, primary first.
-func RunMulti(m *sim.Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern) (*Result, error) {
+func RunMulti(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern) (*Result, error) {
 	return runImpl(m, s, slices, loads, budget, nil, nil)
 }
 
@@ -381,62 +382,17 @@ func RunMulti(m *sim.Machine, s MultiScheduler, slices int, loads []LoadPattern,
 // phase while the records keep the physical truth. A nil injector (or
 // one with an empty schedule) reproduces Run exactly, bit for bit.
 func RunFaulted(m *sim.Machine, s Scheduler, slices int, load LoadPattern, budget BudgetPattern, inj FaultInjector) (*Result, error) {
-	return runImpl(m, singleAdapter{s}, slices, []LoadPattern{load}, budget, inj, nil)
+	return runImpl(m, s, slices, []LoadPattern{load}, budget, inj, nil)
 }
 
-// RunFaultedMulti is RunMulti under a fault injector.
-func RunFaultedMulti(m *sim.Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector) (*Result, error) {
-	return runImpl(m, s, slices, loads, budget, inj, nil)
-}
+// Single returns s unchanged.
+//
+// Deprecated: it lifted the single-service contract into the
+// multi-service one; declared only because bench/ (frozen by
+// BENCHMARK.json) still calls it.
+func Single(s Scheduler) Scheduler { return s }
 
-// Single lifts a single-service Scheduler into the MultiScheduler
-// interface, forwarding the optional resilience extensions
-// (ProfileValidator, DegradedReporter) when the scheduler implements
-// them. Multi-machine drivers such as internal/fleet use it to reuse
-// single-service policies unchanged.
-func Single(s Scheduler) MultiScheduler { return singleAdapter{s} }
-
-// singleAdapter lifts a single-service Scheduler into the multi
-// interface for the shared driver, forwarding the optional
-// resilience extensions with safe defaults.
-type singleAdapter struct{ s Scheduler }
-
-func (a singleAdapter) Name() string { return a.s.Name() }
-func (a singleAdapter) ProfilePhasesMulti(qps []float64, budgetW float64) []Phase {
-	return a.s.ProfilePhases(first(qps), budgetW)
-}
-func (a singleAdapter) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
-	return a.s.Decide(profile, first(qps), budgetW)
-}
-func (a singleAdapter) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
-	a.s.EndSlice(steady, first(qps))
-}
-func (a singleAdapter) ValidateProfile(profile []sim.PhaseResult) error {
-	if v, ok := a.s.(ProfileValidator); ok {
-		return v.ValidateProfile(profile)
-	}
-	return nil
-}
-func (a singleAdapter) Degraded() bool {
-	if d, ok := a.s.(DegradedReporter); ok {
-		return d.Degraded()
-	}
-	return false
-}
-func (a singleAdapter) SetCollector(c obs.Collector) {
-	if o, ok := a.s.(Observable); ok {
-		o.SetCollector(c)
-	}
-}
-
-func first(qps []float64) float64 {
-	if len(qps) == 0 {
-		return 0
-	}
-	return qps[0]
-}
-
-func runImpl(m *sim.Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c obs.Collector) (*Result, error) {
+func runImpl(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c obs.Collector) (*Result, error) {
 	if slices <= 0 {
 		return nil, fmt.Errorf("harness: non-positive slice count %d", slices)
 	}
@@ -500,7 +456,7 @@ func runImpl(m *sim.Machine, s MultiScheduler, slices int, loads []LoadPattern, 
 // machine for its lifetime.
 type Driver struct {
 	m         *sim.Machine
-	s         MultiScheduler
+	s         Scheduler
 	inj       FaultInjector
 	validator ProfileValidator
 	reporter  DegradedReporter
@@ -534,7 +490,7 @@ type Driver struct {
 // NewDriver validates the pair and attaches inj (which may be nil) to
 // the machine. Callers that keep the machine beyond the driver's life
 // should call Detach when done so the injector does not outlive them.
-func NewDriver(m *sim.Machine, s MultiScheduler, inj FaultInjector) (*Driver, error) {
+func NewDriver(m *sim.Machine, s Scheduler, inj FaultInjector) (*Driver, error) {
 	if m == nil {
 		return nil, fmt.Errorf("harness: nil machine")
 	}
@@ -561,7 +517,7 @@ func NewDriver(m *sim.Machine, s MultiScheduler, inj FaultInjector) (*Driver, er
 func (d *Driver) Machine() *sim.Machine { return d.m }
 
 // Scheduler returns the driven scheduler.
-func (d *Driver) Scheduler() MultiScheduler { return d.s }
+func (d *Driver) Scheduler() Scheduler { return d.s }
 
 // Detach removes the driver's fault injector from the machine.
 func (d *Driver) Detach() {
@@ -591,8 +547,9 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 		qosMs = m.LC().QoSTargetMs
 	}
 
-	rec := SliceRecord{
-		T: t, LoadFrac: loadFrac, QPS: first(qps), QoSMs: qosMs, BudgetW: budgetW,
+	rec := SliceRecord{T: t, LoadFrac: loadFrac, QoSMs: qosMs, BudgetW: budgetW}
+	if len(qps) > 0 {
+		rec.QPS = qps[0]
 	}
 	if inj != nil {
 		rec.FaultKinds = inj.ActiveKinds(t)
@@ -633,21 +590,25 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 		}
 	}
 
-	// 1. Profiling phases. A ProfileValidator scheduler gets corrupt
-	// samples re-taken (bounded, and each retry consumes slice time).
+	// 1. Profiling phases, checked before any runs. A ProfileValidator
+	// scheduler gets corrupt samples re-taken (bounded, and each retry
+	// consumes slice time).
 	profPhases := s.ProfilePhasesMulti(qps, budgetW)
 	profDur := 0.0
 	for _, ph := range profPhases {
+		if !(ph.Dur > 0) || math.IsInf(ph.Dur, 1) {
+			return SliceRecord{}, fmt.Errorf("harness: %s: profile phase with non-positive duration %v",
+				s.Name(), ph.Dur)
+		}
+		if err := m.ValidateAllocation(&ph.Alloc); err != nil {
+			return SliceRecord{}, fmt.Errorf("harness: %s: profile phase: %w", s.Name(), err)
+		}
 		profDur += ph.Dur
 	}
 	var profResults []sim.PhaseResult
 	for attempt := 0; ; attempt++ {
 		profResults = make([]sim.PhaseResult, 0, len(profPhases))
 		for wi, ph := range profPhases {
-			if ph.Dur <= 0 {
-				return SliceRecord{}, fmt.Errorf("harness: %s: profile phase with non-positive duration %v",
-					s.Name(), ph.Dur)
-			}
 			winT := t + elapsed
 			pr := run(ph.Alloc, ph.Dur, qps)
 			profResults = append(profResults, observe(t, pr, true))
@@ -678,6 +639,13 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	decideWall := obs.BeginWall(d.obs)
 	alloc, overhead := s.DecideMulti(profResults, qps, budgetW)
 	decideWall.End(d.obs, "harness.decide")
+	if err := m.ValidateAllocation(&alloc); err != nil {
+		return SliceRecord{}, fmt.Errorf("harness: %s: decided allocation: %w", s.Name(), err)
+	}
+	if !(overhead >= 0) || math.IsInf(overhead, 1) {
+		return SliceRecord{}, fmt.Errorf("harness: %s: decision overhead %v is not finite and non-negative",
+			s.Name(), overhead)
+	}
 	d.chargeOverhead(&rec, t+elapsed, overhead)
 	if overhead > 0 && elapsed+overhead < SliceDur {
 		hold := alloc

@@ -23,15 +23,15 @@ type staticScheduler struct {
 }
 
 func (s *staticScheduler) Name() string { return "static" }
-func (s *staticScheduler) ProfilePhases(qps, budgetW float64) []Phase {
+func (s *staticScheduler) ProfilePhasesMulti(qps []float64, budgetW float64) []Phase {
 	return s.profiles
 }
-func (s *staticScheduler) Decide(profile []sim.PhaseResult, qps, budgetW float64) (sim.Allocation, float64) {
+func (s *staticScheduler) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	s.decides++
 	s.profResults = append(s.profResults, profile)
 	return s.alloc, s.overhead
 }
-func (s *staticScheduler) EndSlice(steady sim.PhaseResult, qps float64) {
+func (s *staticScheduler) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 	s.ends++
 	s.steadies = append(s.steadies, steady)
 }
@@ -173,7 +173,7 @@ func TestRunErrorsOnBadSetup(t *testing.T) {
 		t.Fatal("Run(-3 slices) did not error")
 	}
 	// Fewer load patterns than services.
-	if _, err := RunMulti(m, singleAdapter{sched}, 2, nil, ConstantBudget(0.8)); err == nil {
+	if _, err := RunMulti(m, sched, 2, nil, ConstantBudget(0.8)); err == nil {
 		t.Fatal("RunMulti without load patterns did not error")
 	}
 	// A scheduler emitting a broken profile phase.
@@ -199,13 +199,13 @@ func TestRunMultiErrorPaths(t *testing.T) {
 	sched := &staticScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)}
 	loads := []LoadPattern{ConstantLoad(0.5)}
 
-	if _, err := RunMulti(m, Single(sched), 2, loads, nil); err == nil || !strings.Contains(err.Error(), "nil budget pattern") {
+	if _, err := RunMulti(m, sched, 2, loads, nil); err == nil || !strings.Contains(err.Error(), "nil budget pattern") {
 		t.Fatalf("nil budget pattern not rejected: %v", err)
 	}
-	if _, err := RunMulti(m, Single(sched), 2, []LoadPattern{nil}, ConstantBudget(0.8)); err == nil || !strings.Contains(err.Error(), "load pattern 0 is nil") {
+	if _, err := RunMulti(m, sched, 2, []LoadPattern{nil}, ConstantBudget(0.8)); err == nil || !strings.Contains(err.Error(), "load pattern 0 is nil") {
 		t.Fatalf("nil load pattern not rejected: %v", err)
 	}
-	if _, err := RunMulti(nil, Single(sched), 2, loads, ConstantBudget(0.8)); err == nil || !strings.Contains(err.Error(), "nil machine") {
+	if _, err := RunMulti(nil, sched, 2, loads, ConstantBudget(0.8)); err == nil || !strings.Contains(err.Error(), "nil machine") {
 		t.Fatalf("nil machine not rejected: %v", err)
 	}
 	if _, err := RunMulti(m, nil, 2, loads, ConstantBudget(0.8)); err == nil || !strings.Contains(err.Error(), "nil scheduler") {
@@ -214,7 +214,7 @@ func TestRunMultiErrorPaths(t *testing.T) {
 
 	// Driver.StepSlice rejects a qps slice shorter than the machine's
 	// service count without advancing the clock.
-	d, err := NewDriver(m, Single(sched), nil)
+	d, err := NewDriver(m, sched, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

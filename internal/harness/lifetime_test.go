@@ -20,7 +20,7 @@ import (
 // the driver that could hold on to one. poison overwrites them with
 // NaN once the slice is over.
 type poisoner struct {
-	harness.MultiScheduler
+	harness.Scheduler
 	windows [][]float64
 }
 
@@ -32,7 +32,7 @@ func (p *poisoner) keep(prs ...sim.PhaseResult) {
 
 func (p *poisoner) ValidateProfile(profile []sim.PhaseResult) error {
 	p.keep(profile...)
-	if v, ok := p.MultiScheduler.(harness.ProfileValidator); ok {
+	if v, ok := p.Scheduler.(harness.ProfileValidator); ok {
 		return v.ValidateProfile(profile)
 	}
 	return nil
@@ -40,16 +40,16 @@ func (p *poisoner) ValidateProfile(profile []sim.PhaseResult) error {
 
 func (p *poisoner) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	p.keep(profile...)
-	return p.MultiScheduler.DecideMulti(profile, qps, budgetW)
+	return p.Scheduler.DecideMulti(profile, qps, budgetW)
 }
 
 func (p *poisoner) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 	p.keep(steady)
-	p.MultiScheduler.EndSliceMulti(steady, qps)
+	p.Scheduler.EndSliceMulti(steady, qps)
 }
 
 func (p *poisoner) Degraded() bool {
-	d, ok := p.MultiScheduler.(harness.DegradedReporter)
+	d, ok := p.Scheduler.(harness.DegradedReporter)
 	return ok && d.Degraded()
 }
 
@@ -96,7 +96,7 @@ func TestSojournWindowsEndWithTheSlice(t *testing.T) {
 	batch := workload.Mix(3, pool, 16)
 	type rig struct {
 		m   *sim.Machine
-		s   harness.MultiScheduler
+		s   harness.Scheduler
 		inj harness.FaultInjector
 	}
 	cases := []struct {
@@ -109,7 +109,7 @@ func TestSojournWindowsEndWithTheSlice(t *testing.T) {
 		}},
 		{"flicker", func() rig {
 			m := sim.New(sim.Spec{Seed: 6, LC: xapian, Batch: batch, Reconfigurable: true})
-			return rig{m: m, s: harness.Single(baseline.NewFlicker(m, false, 6))}
+			return rig{m: m, s: baseline.NewFlicker(m, false, 6)}
 		}},
 		{"cuttlesys-telemetry-faults", func() rig {
 			m := sim.New(sim.Spec{Seed: 7, LC: silo, Batch: batch, Reconfigurable: true})
@@ -127,7 +127,7 @@ func TestSojournWindowsEndWithTheSlice(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			run := func(poison bool) []string {
 				r := c.build()
-				p := &poisoner{MultiScheduler: r.s}
+				p := &poisoner{Scheduler: r.s}
 				var inj harness.FaultInjector
 				if r.inj != nil {
 					inj = observed{r.inj, p}

@@ -9,15 +9,15 @@ import (
 // Observable is the optional extension a scheduler or fault injector
 // implements to receive an observability collector. The driver wires
 // it through SetCollector, so policies opt in without the Scheduler
-// interfaces changing.
+// interface changing.
 type Observable interface {
 	SetCollector(c obs.Collector)
 }
 
 // SetCollector attaches an observability collector to the driver. The
 // scheduler (if Observable) receives the driver's slice-scoped view,
-// so events it marks during Decide inherit the slice's start time and
-// index; the fault injector (if Observable) receives the machine-level
+// so events it marks during DecideMulti inherit the slice's start time
+// and index; the fault injector (if Observable) receives the machine-level
 // collector, since its events carry their own fault-schedule times.
 // Passing nil detaches (reverts to the zero-cost no-op collector).
 func (d *Driver) SetCollector(c obs.Collector) {
@@ -31,11 +31,11 @@ func (d *Driver) SetCollector(c obs.Collector) {
 	}
 }
 
-// RunTraced is RunFaultedMulti with an observability collector
-// attached to the driver — and, through it, to the scheduler and
-// injector when they implement Observable. A nil injector or nil
+// RunTraced is RunMulti under a fault injector, with an observability
+// collector attached to the driver — and, through it, to the scheduler
+// and injector when they implement Observable. A nil injector or nil
 // collector degrade to the untraced, fault-free behaviour exactly.
-func RunTraced(m *sim.Machine, s MultiScheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c obs.Collector) (*Result, error) {
+func RunTraced(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c obs.Collector) (*Result, error) {
 	return runImpl(m, s, slices, loads, budget, inj, c)
 }
 

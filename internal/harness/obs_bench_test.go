@@ -24,7 +24,7 @@ func benchDriver(tb testing.TB, c obs.Collector) (*Driver, []float64, float64) {
 		alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
 		overhead: 0.0005,
 	}
-	d, err := NewDriver(m, Single(s), nil)
+	d, err := NewDriver(m, s, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func (pl *Plane) AggregatePending(slice int) {
 // when the scheduler cannot share, the key has no aggregate yet, or
 // the plane is nil. Safe to call from the control plane's provisioning
 // path (between slices).
-func (pl *Plane) WarmStartMachine(machine int, sched harness.MultiScheduler) bool {
+func (pl *Plane) WarmStartMachine(machine int, sched harness.Scheduler) bool {
 	if pl == nil {
 		return false
 	}

@@ -152,7 +152,7 @@ func TestAggregateMeanSkipsIncompatibleGeometry(t *testing.T) {
 	}
 }
 
-// shareStub is a minimal MultiScheduler + Sharer for hook tests.
+// shareStub is a minimal Scheduler + Sharer for hook tests.
 type shareStub struct {
 	key      uint64
 	fac      map[string]*sgd.Factors

@@ -87,7 +87,7 @@ type Allocation struct {
 // cores, nBatch batch jobs and an LC service when hasLC is true.
 // Way-budget compliance is checked only under partitioning; without
 // partitioning the hardware shares freely. Extra-service counts are
-// checked by the machine (ValidateExtras).
+// checked by the machine (Machine.ValidateAllocation).
 func (a *Allocation) Validate(nBatch int, hasLC bool, nCores int) error {
 	if len(a.Batch) != nBatch {
 		return fmt.Errorf("sim: allocation has %d batch assignments, want %d", len(a.Batch), nBatch)

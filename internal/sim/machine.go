@@ -308,18 +308,28 @@ type phase struct {
 	missExtra []float64
 }
 
+// ValidateAllocation reports whether alloc is runnable on this
+// machine: its structural invariants (Allocation.Validate) plus one
+// assignment per extra service. RunMulti panics on the same error.
+func (m *Machine) ValidateAllocation(alloc *Allocation) error {
+	if err := alloc.Validate(len(m.batch), m.lc != nil, m.nCores); err != nil {
+		return err
+	}
+	if len(alloc.ExtraLC) != len(m.extraLCs) {
+		return fmt.Errorf("sim: allocation has %d extra-service assignments, machine has %d extra services",
+			len(alloc.ExtraLC), len(m.extraLCs))
+	}
+	return nil
+}
+
 // newPhase validates a RunMulti call and resolves the phase's hardware
 // faults; the caller fills in the LLC occupancies.
 func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) phase {
-	if durSec <= 0 {
+	if !(durSec > 0) {
 		panic("sim: Run with non-positive duration")
 	}
-	if err := alloc.Validate(len(m.batch), m.lc != nil, m.nCores); err != nil {
+	if err := m.ValidateAllocation(alloc); err != nil {
 		panic(err)
-	}
-	if len(alloc.ExtraLC) != len(m.extraLCs) {
-		panic(fmt.Sprintf("sim: allocation has %d extra-service assignments, machine has %d services",
-			len(alloc.ExtraLC), len(m.extraLCs)))
 	}
 	want := 1
 	if m.lc == nil {
