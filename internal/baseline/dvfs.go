@@ -93,7 +93,10 @@ func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW flo
 		}
 		jobs[i] = jl
 	}
-	lcPower := pr.LCCorePowerW
+	lcPower := 0.0
+	if d.lc != nil {
+		lcPower = pr.LC[0].CorePowerW
+	}
 
 	est := func() float64 {
 		total := fixedChipPower(d.nCores) + float64(d.lcCores)*lcPower

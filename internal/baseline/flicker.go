@@ -134,14 +134,14 @@ func (f *Flicker) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW 
 	if f.lc != nil {
 		if f.ModeB {
 			alloc.LCCore = config.Widest
-			lcPower = profile[0].LCCorePowerW
+			lcPower = profile[0].LC[0].CorePowerW
 		} else {
 			latSamples := make([]float64, len(f.design))
 			powSamples := make([]float64, len(f.design))
 			for d := range f.design {
-				p99 := stats.P99(profile[d].Sojourns) * 1e3
+				p99 := stats.P99(profile[d].LC[0].Sojourns) * 1e3
 				latSamples[d] = math.Log(math.Max(p99, 1e-3))
-				powSamples[d] = profile[d].LCCorePowerW
+				powSamples[d] = profile[d].LC[0].CorePowerW
 			}
 			latPred := f.predict(latSamples)
 			powPred := f.predict(powSamples)

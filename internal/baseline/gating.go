@@ -126,7 +126,9 @@ func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 			pw[i] = sim.Measure(g.r, pr.BatchPowerW[i], g.profileNoise)
 			bips[i] = sim.Measure(g.r, pr.BatchBIPS[i], g.profileNoise)
 		}
-		lcPower = pr.LCCorePowerW
+		if g.lc != nil {
+			lcPower = pr.LC[0].CorePowerW
+		}
 	}
 
 	gated := make([]bool, n)

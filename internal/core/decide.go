@@ -187,15 +187,7 @@ func (rt *Runtime) predictionsValid(thr, pwr, lat, svc *sgd.Prediction) bool {
 func (rt *Runtime) decideFallback(thr, pwr, lat *sgd.Prediction) sim.Allocation {
 	alloc := sim.Allocation{Batch: make([]sim.BatchAssign, len(rt.batch))}
 	for k, sv := range rt.svcs {
-		if k == 0 {
-			alloc.LCCores = sv.cores
-			alloc.LCCore = config.Widest
-			alloc.LCCache = config.FourWays
-			continue
-		}
-		alloc.ExtraLC = append(alloc.ExtraLC, sim.LCAssign{
-			Cores: sv.cores, Core: config.Widest, Cache: config.FourWays,
-		})
+		alloc.SetService(k, sim.LCAssign{Cores: sv.cores, Core: config.Widest, Cache: config.FourWays})
 	}
 	for i := range alloc.Batch {
 		alloc.Batch[i] = sim.BatchAssign{Core: config.Narrowest, Cache: config.OneWay}
@@ -216,15 +208,8 @@ func (rt *Runtime) decideFallback(thr, pwr, lat *sgd.Prediction) sim.Allocation 
 		rt.predPwr[i] = pwr.At(rt.batchRow(i), col)
 	}
 	for k, sv := range rt.svcs {
-		var res config.Resource
-		switch {
-		case k == 0:
-			res = config.Resource{Core: alloc.LCCore, Cache: alloc.LCCache}
-		case k-1 < len(alloc.ExtraLC):
-			res = config.Resource{Core: alloc.ExtraLC[k-1].Core, Cache: alloc.ExtraLC[k-1].Cache}
-		default:
-			continue
-		}
+		a := alloc.Service(k)
+		res := config.Resource{Core: a.Core, Cache: a.Cache}
 		sv.predPwr = pwr.At(rt.lcPowerRow(k), res.Index())
 		if lat != nil {
 			sv.predLat = lat.At(rt.latRow(k), res.Index())
@@ -311,24 +296,16 @@ func (rt *Runtime) observeProfiles(profile []sim.PhaseResult) {
 		}
 	}
 	for k := range rt.svcs {
-		if v := servicePower(a, k); rt.validSample(v) {
+		if k >= len(a.LC) || k >= len(b.LC) {
+			break
+		}
+		if v := a.LC[k].CorePowerW; rt.validSample(v) {
 			rt.pwrM.Observe(rt.lcPowerRow(k), rt.lcWidestIdx, sim.Measure(rt.r, v, profileNoise))
 		}
-		if v := servicePower(b, k); rt.validSample(v) {
+		if v := b.LC[k].CorePowerW; rt.validSample(v) {
 			rt.pwrM.Observe(rt.lcPowerRow(k), rt.lcNarrowIdx, sim.Measure(rt.r, v, profileNoise))
 		}
 	}
-}
-
-// servicePower extracts service k's per-core power from a phase result.
-func servicePower(pr sim.PhaseResult, k int) float64 {
-	if k == 0 {
-		return pr.LCCorePowerW
-	}
-	if k-1 < len(pr.ExtraLCPowerW) {
-		return pr.ExtraLCPowerW[k-1]
-	}
-	return 0
 }
 
 // scanQoS picks the cheapest configuration whose predicted tail
@@ -447,17 +424,7 @@ func (rt *Runtime) totalLCCores() int {
 func (rt *Runtime) buildAllocation(best []int, lcRes []config.Resource) sim.Allocation {
 	alloc := sim.Allocation{Batch: make([]sim.BatchAssign, len(rt.batch))}
 	for k, sv := range rt.svcs {
-		if k == 0 {
-			alloc.LCCores = sv.cores
-			alloc.LCCore = lcRes[k].Core
-			alloc.LCCache = lcRes[k].Cache
-			continue
-		}
-		alloc.ExtraLC = append(alloc.ExtraLC, sim.LCAssign{
-			Cores: sv.cores,
-			Core:  lcRes[k].Core,
-			Cache: lcRes[k].Cache,
-		})
+		alloc.SetService(k, sim.LCAssign{Cores: sv.cores, Core: lcRes[k].Core, Cache: lcRes[k].Cache})
 	}
 	for i := range alloc.Batch {
 		res := config.ResourceByIndex(best[i])

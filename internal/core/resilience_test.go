@@ -72,11 +72,10 @@ func TestGarbageTelemetryRejected(t *testing.T) {
 	_ = res
 
 	garbage := sim.PhaseResult{
-		Dur:          0.097,
-		BatchBIPS:    make([]float64, 16),
-		BatchPowerW:  make([]float64, 16),
-		LCCorePowerW: math.NaN(),
-		Sojourns:     []float64{math.NaN(), -0.5, 0.004},
+		Dur:         0.097,
+		BatchBIPS:   make([]float64, 16),
+		BatchPowerW: make([]float64, 16),
+		LC:          []sim.LCResult{{CorePowerW: math.NaN(), Sojourns: []float64{math.NaN(), -0.5, 0.004}}},
 	}
 	for i := range garbage.BatchBIPS {
 		garbage.BatchBIPS[i] = math.NaN()
@@ -90,7 +89,7 @@ func TestGarbageTelemetryRejected(t *testing.T) {
 	// One NaN among plausible sojourns makes the whole tail NaN, so the
 	// feedback guard fires; sorted to the front it used to drop out of
 	// the p99 and the rest was learned as a 4 ms tail.
-	garbage.Sojourns = []float64{0.003, math.NaN(), 0.004}
+	garbage.LC[0].Sojourns = []float64{0.003, math.NaN(), 0.004}
 	rt.EndSliceMulti(garbage, []float64{5000})
 	if got := rt.svcs[0].lastP99Ms; got != cleanP99 {
 		t.Fatalf("garbage sojourns moved the tail estimate %v -> %v", cleanP99, got)

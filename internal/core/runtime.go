@@ -292,11 +292,7 @@ func New(m *sim.Machine, params Params) *Runtime {
 		lcWidestIdx:  config.Resource{Core: config.Widest, Cache: config.FourWays}.Index(),
 		lcNarrowIdx:  config.Resource{Core: config.Narrowest, Cache: config.FourWays}.Index(),
 	}
-	services := []*workload.Profile{}
-	if lc != nil {
-		services = append(services, lc)
-		services = append(services, m.ExtraLCs()...)
-	}
+	services := m.Services()
 	for _, app := range services {
 		init := m.NCores() / 2 / len(services)
 		rt.svcs = append(rt.svcs, &svcState{
@@ -405,16 +401,7 @@ func (rt *Runtime) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.
 	mk := func(lcCfg config.Core, flip bool) harness.Phase {
 		a := sim.Allocation{Batch: make([]sim.BatchAssign, len(rt.batch))}
 		for k, sv := range rt.svcs {
-			if k == 0 {
-				a.LCCores = sv.cores
-				a.LCCore = lcCfg
-				a.LCCache = config.FourWays
-				a.LCHalfBlend = true
-				continue
-			}
-			a.ExtraLC = append(a.ExtraLC, sim.LCAssign{
-				Cores: sv.cores, Core: lcCfg, Cache: config.FourWays, HalfBlend: true,
-			})
+			a.SetService(k, sim.LCAssign{Cores: sv.cores, Core: lcCfg, Cache: config.FourWays, HalfBlend: true})
 		}
 		for i := range a.Batch {
 			cfg := config.Widest
@@ -474,33 +461,18 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 		}
 	}
 	for k, sv := range rt.svcs {
-		var res config.Resource
-		var sojourns []float64
-		var corePower, meanSvcMs float64
-		if k == 0 {
-			if alloc.LCCores <= 0 {
-				continue
-			}
-			res = config.Resource{Core: alloc.LCCore, Cache: alloc.LCCache}
-			sojourns = steady.Sojourns
-			corePower = steady.LCCorePowerW
-			meanSvcMs = steady.LCMeanSvc * 1e3
-		} else {
-			x := k - 1
-			if x >= len(alloc.ExtraLC) {
-				continue
-			}
-			res = config.Resource{Core: alloc.ExtraLC[x].Core, Cache: alloc.ExtraLC[x].Cache}
-			if x < len(steady.ExtraSojourns) {
-				sojourns = steady.ExtraSojourns[x]
-			}
-			if x < len(steady.ExtraLCPowerW) {
-				corePower = steady.ExtraLCPowerW[x]
-			}
-			if x < len(steady.ExtraMeanSvc) {
-				meanSvcMs = steady.ExtraMeanSvc[x] * 1e3
-			}
+		a := alloc.Service(k)
+		if a.Cores <= 0 {
+			continue
 		}
+		// A phase that ran no steady state (profiling consumed the
+		// slice) reports no services: read zeros, as the sensors would.
+		var r sim.LCResult
+		if k < len(steady.LC) {
+			r = steady.LC[k]
+		}
+		sojourns, corePower, meanSvcMs := r.Sojourns, r.CorePowerW, r.MeanSvc*1e3
+		res := config.Resource{Core: a.Core, Cache: a.Cache}
 		col := res.Index()
 		if !faulted && rt.validSample(corePower) {
 			rt.pwrM.Observe(rt.lcPowerRow(k), col, sim.Measure(rt.r, corePower, steadyNoise))
@@ -590,12 +562,9 @@ func (rt *Runtime) ValidateProfile(profile []sim.PhaseResult) error {
 				return fmt.Errorf("profile window %d: batch job %d power %v", pi, i, v)
 			}
 		}
-		if bad(pr.LCCorePowerW) {
-			return fmt.Errorf("profile window %d: LC core power %v", pi, pr.LCCorePowerW)
-		}
-		for i, v := range pr.ExtraLCPowerW {
-			if bad(v) {
-				return fmt.Errorf("profile window %d: service %d core power %v", pi, i+1, v)
+		for k, r := range pr.LC {
+			if bad(r.CorePowerW) {
+				return fmt.Errorf("profile window %d: service %d core power %v", pi, k, r.CorePowerW)
 			}
 		}
 	}

@@ -291,13 +291,21 @@ func (s *Schedule) ObservePhase(t float64, res sim.PhaseResult, profiling bool) 
 	for i := range out.BatchPowerW {
 		out.BatchPowerW[i] = s.corrupt(out.BatchPowerW[i], p, mag, garbage)
 	}
-	out.LCCorePowerW = s.corrupt(out.LCCorePowerW, p, mag, garbage)
+	// Only service 0's telemetry is corrupted. Its core-power sample
+	// takes its draw even on a batch-only machine, where it corrupts a
+	// zero nobody reads, so the random stream does not depend on the
+	// machine's shape.
+	lc0 := &sim.LCResult{}
+	if len(out.LC) > 0 {
+		lc0 = &out.LC[0]
+	}
+	lc0.CorePowerW = s.corrupt(lc0.CorePowerW, p, mag, garbage)
 	out.PowerW = s.corrupt(out.PowerW, p, mag, garbage)
-	for i := range out.Sojourns {
+	for i := range lc0.Sojourns {
 		// Sojourn dropout models lost latency samples: the query
 		// completed (truth record keeps it) but its timing was lost.
 		if s.r.Float64() < p/4 {
-			out.Sojourns[i] = 0
+			lc0.Sojourns[i] = 0
 		}
 	}
 	return out
@@ -331,16 +339,10 @@ func clonePhase(r sim.PhaseResult) sim.PhaseResult {
 	out.BatchBIPS = append([]float64(nil), r.BatchBIPS...)
 	out.BatchInstrB = append([]float64(nil), r.BatchInstrB...)
 	out.BatchPowerW = append([]float64(nil), r.BatchPowerW...)
-	out.Sojourns = append([]float64(nil), r.Sojourns...)
 	out.EffWays = append([]float64(nil), r.EffWays...)
-	out.ExtraMeanSvc = append([]float64(nil), r.ExtraMeanSvc...)
-	out.ExtraLCPowerW = append([]float64(nil), r.ExtraLCPowerW...)
-	out.ExtraEffWaysLC = append([]float64(nil), r.ExtraEffWaysLC...)
-	if r.ExtraSojourns != nil {
-		out.ExtraSojourns = make([][]float64, len(r.ExtraSojourns))
-		for i, s := range r.ExtraSojourns {
-			out.ExtraSojourns[i] = append([]float64(nil), s...)
-		}
+	out.LC = append([]sim.LCResult(nil), r.LC...)
+	for k := range out.LC {
+		out.LC[k].Sojourns = append([]float64(nil), r.LC[k].Sojourns...)
 	}
 	return out
 }

@@ -101,16 +101,15 @@ func TestDeterministicCorruption(t *testing.T) {
 	mk := func(seed uint64) []float64 {
 		s := MustSchedule(seed, Event{Kind: TelemetryGarbage, Start: 0, End: 10, Prob: 0.8})
 		pr := sim.PhaseResult{
-			BatchBIPS:    []float64{1, 2, 3, 4},
-			BatchPowerW:  []float64{5, 6, 7, 8},
-			LCCorePowerW: 9,
-			PowerW:       200,
-			Sojourns:     []float64{0.01, 0.02, 0.03},
+			BatchBIPS:   []float64{1, 2, 3, 4},
+			BatchPowerW: []float64{5, 6, 7, 8},
+			PowerW:      200,
+			LC:          []sim.LCResult{{Sojourns: []float64{0.01, 0.02, 0.03}, CorePowerW: 9}},
 		}
 		out := s.ObservePhase(1, pr, false)
 		vals := append([]float64{}, out.BatchBIPS...)
 		vals = append(vals, out.BatchPowerW...)
-		return append(vals, out.LCCorePowerW, out.PowerW)
+		return append(vals, out.LC[0].CorePowerW, out.PowerW)
 	}
 	a, b := mk(11), mk(11)
 	for i := range a {
@@ -134,26 +133,28 @@ func TestDeterministicCorruption(t *testing.T) {
 func TestObservePhaseDoesNotMutateTruth(t *testing.T) {
 	s := MustSchedule(5, Event{Kind: TelemetryGarbage, Start: 0, End: 10, Prob: 1})
 	pr := sim.PhaseResult{
-		BatchBIPS:     []float64{1, 2, 3},
-		BatchPowerW:   []float64{4, 5, 6},
-		LCCorePowerW:  7,
-		PowerW:        100,
-		Sojourns:      []float64{0.01, 0.02},
-		ExtraSojourns: [][]float64{{0.03}},
+		BatchBIPS:   []float64{1, 2, 3},
+		BatchPowerW: []float64{4, 5, 6},
+		PowerW:      100,
+		LC: []sim.LCResult{
+			{Sojourns: []float64{0.01, 0.02}, CorePowerW: 7},
+			{Sojourns: []float64{0.03}},
+		},
 	}
 	want := sim.PhaseResult{
-		BatchBIPS:     []float64{1, 2, 3},
-		BatchPowerW:   []float64{4, 5, 6},
-		LCCorePowerW:  7,
-		PowerW:        100,
-		Sojourns:      []float64{0.01, 0.02},
-		ExtraSojourns: [][]float64{{0.03}},
+		BatchBIPS:   []float64{1, 2, 3},
+		BatchPowerW: []float64{4, 5, 6},
+		PowerW:      100,
+		LC: []sim.LCResult{
+			{Sojourns: []float64{0.01, 0.02}, CorePowerW: 7},
+			{Sojourns: []float64{0.03}},
+		},
 	}
 	out := s.ObservePhase(1, pr, false)
 	if !reflect.DeepEqual(pr, want) {
 		t.Fatalf("ObservePhase mutated the truth: %+v", pr)
 	}
-	changed := out.LCCorePowerW != 7 || out.PowerW != 100
+	changed := out.LC[0].CorePowerW != 7 || out.PowerW != 100
 	for i, v := range out.BatchBIPS {
 		if v != pr.BatchBIPS[i] {
 			changed = true

@@ -203,7 +203,7 @@ func (f *Fleet) Attach(spec NodeSpec) (int, error) {
 	if spec.Machine.LC() == nil {
 		return 0, fmt.Errorf("fleet: machine %d hosts no latency-critical service", id)
 	}
-	if extra := len(spec.Machine.ExtraLCs()); extra > 0 {
+	if extra := len(spec.Machine.Services()) - 1; extra > 0 {
 		return 0, fmt.Errorf("fleet: machine %d hosts %d extra services; the router shards a single service", id, extra)
 	}
 	d, err := harness.NewDriver(spec.Machine, spec.Scheduler, spec.Injector)

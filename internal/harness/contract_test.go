@@ -163,3 +163,57 @@ func TestDriverRejectsBadSchedulerValues(t *testing.T) {
 		})
 	}
 }
+
+// TestDriverRejectsNonFiniteEnvironment pins StepSlice's check on the
+// environment it is handed: an offered load, load fraction or power
+// budget that is NaN or infinite is an error before any phase runs,
+// never a record (a NaN load used to score as a met QoS target, a NaN
+// budget as within budget).
+func TestDriverRejectsNonFiniteEnvironment(t *testing.T) {
+	machines := contractMachines(t)
+	alloc := sim.Uniform(16, true, 8, config.Widest, config.OneWay)
+	alloc.ExtraLC = []sim.LCAssign{{Cores: 8, Core: config.Widest, Cache: config.OneWay}}
+	type envCase struct {
+		name, want string
+		qps        []float64
+		loadFrac   float64
+		budgetW    float64
+	}
+	var cases []envCase
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases = append(cases,
+			envCase{fmt.Sprintf("qps0=%v", v), "offered load", []float64{v, 1000}, 0.5, 150},
+			envCase{fmt.Sprintf("qps1=%v", v), "offered load", []float64{1000, v}, 0.5, 150},
+			envCase{fmt.Sprintf("loadFrac=%v", v), "load fraction", []float64{1000, 1000}, v, 150},
+			envCase{fmt.Sprintf("budget=%v", v), "power budget", []float64{1000, 1000}, 0.5, v})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := machines["two-services"]()
+			d, err := harness.NewDriver(m, &badScheduler{alloc: alloc}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("StepSlice panicked: %v", r)
+				}
+			}()
+			rec, err := d.StepSlice(c.qps, c.loadFrac, c.budgetW)
+			if err == nil || !strings.HasPrefix(err.Error(), "harness: ") || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("want an error naming the %s, got %v (record %+v)", c.want, err, rec)
+			}
+			if m.Now() != 0 {
+				t.Fatalf("a rejected slice ran %v s of phases", m.Now())
+			}
+		})
+	}
+
+	// The same check reached through Run: a load pattern that returns
+	// NaN is an error, not a slice recorded as meeting its QoS target.
+	nan := func(float64) float64 { return math.NaN() }
+	if res, err := harness.Run(machines["one-service"](), &badScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)},
+		2, nan, harness.ConstantBudget(0.8)); err == nil {
+		t.Fatalf("Run with a NaN load pattern returned %v, want an error", res)
+	}
+}

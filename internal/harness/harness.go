@@ -12,6 +12,7 @@ import (
 	"cuttlesys/internal/obs"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/stats"
+	"cuttlesys/internal/workload"
 )
 
 // SliceDur is the paper's decision quantum: 100 ms (§IV-B).
@@ -407,11 +408,11 @@ func runImpl(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budge
 	if c != nil {
 		d.SetCollector(c)
 	}
-	extras := m.ExtraLCs()
-	if len(loads) < d.nServices {
-		return nil, fmt.Errorf("harness: %d load patterns for %d services", len(loads), d.nServices)
+	nServices := len(d.services)
+	if len(loads) < nServices {
+		return nil, fmt.Errorf("harness: %d load patterns for %d services", len(loads), nServices)
 	}
-	for i, load := range loads[:d.nServices] {
+	for i, load := range loads[:nServices] {
 		if load == nil {
 			return nil, fmt.Errorf("harness: load pattern %d is nil", i)
 		}
@@ -422,18 +423,18 @@ func runImpl(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budge
 	for sl := 0; sl < slices; sl++ {
 		t := m.Now()
 		loadFrac := 0.0
-		qps := make([]float64, d.nServices)
+		qps := make([]float64, nServices)
 		loadFactor, budgetFactor := 1.0, 1.0
 		if inj != nil {
 			loadFactor = inj.LoadFactor(t)
 			budgetFactor = inj.BudgetFactor(t)
 		}
-		if m.LC() != nil {
-			loadFrac = loads[0](t) * loadFactor
-			qps[0] = loadFrac * m.LC().MaxQPS
-		}
-		for x, app := range extras {
-			qps[x+1] = loads[x+1](t) * loadFactor * app.MaxQPS
+		for k, app := range d.services {
+			frac := loads[k](t) * loadFactor
+			if k == 0 {
+				loadFrac = frac
+			}
+			qps[k] = frac * app.MaxQPS
 		}
 		budgetW := budget(t) * maxPower * budgetFactor
 
@@ -460,18 +461,17 @@ type Driver struct {
 	inj       FaultInjector
 	validator ProfileValidator
 	reporter  DegradedReporter
-	nServices int
+	services  []*workload.Profile // the machine's, primary first
 	prevAlloc *sim.Allocation
 
-	// sojourns/extraSoj accumulate the slice's sojourn times per
-	// service: the machine appends each phase's straight into them
-	// (sim.Machine.RunMultiAppend), and each phase result's Sojourns is
-	// a window of them. They are reused across slices (a slice's worth
-	// is tens of KB per service), so nothing may keep a window past the
-	// percentile read that ends StepSlice, which is free to permute
-	// them.
-	sojourns []float64
-	extraSoj [][]float64
+	// soj accumulates the slice's sojourn times, one buffer per service:
+	// the machine appends each phase's straight into them
+	// (sim.Machine.RunMultiAppend), and each phase result's
+	// LC[k].Sojourns is a window of soj[k]. They are reused across slices
+	// (a slice's worth is tens of KB per service), so nothing may keep a
+	// window past the percentile read that ends StepSlice, which is free
+	// to permute them.
+	soj [][]float64
 
 	// lastBuilds/lastLookups hold the previous slice's surface-table
 	// counters so emitSliceTelemetry can emit per-slice deltas as
@@ -497,15 +497,12 @@ func NewDriver(m *sim.Machine, s Scheduler, inj FaultInjector) (*Driver, error) 
 	if s == nil {
 		return nil, fmt.Errorf("harness: nil scheduler")
 	}
-	nServices := len(m.ExtraLCs())
-	if m.LC() != nil {
-		nServices++
-	}
 	if inj != nil {
 		m.SetInjector(inj)
 	}
-	d := &Driver{m: m, s: s, inj: inj, nServices: nServices,
-		extraSoj: make([][]float64, len(m.ExtraLCs()))}
+	services := m.Services()
+	d := &Driver{m: m, s: s, inj: inj, services: services,
+		soj: make([][]float64, len(services))}
 	d.obs = obs.Nop
 	d.scope = obs.NewScope(nil)
 	d.validator, _ = s.(ProfileValidator)
@@ -532,12 +529,24 @@ func (d *Driver) Detach() {
 // offered fraction of its max QPS (recorded, not recomputed, so
 // callers control the exact value); budgetW is the slice's power
 // budget in watts. The machine's clock supplies the slice start time.
+// A NaN or infinite qps entry, loadFrac or budgetW is an error before
+// any phase runs.
 func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecord, error) {
 	m, s, inj := d.m, d.s, d.inj
-	if len(qps) < d.nServices {
-		return SliceRecord{}, fmt.Errorf("harness: %d offered loads for %d services", len(qps), d.nServices)
+	if len(qps) < len(d.services) {
+		return SliceRecord{}, fmt.Errorf("harness: %d offered loads for %d services", len(qps), len(d.services))
 	}
-	extras := m.ExtraLCs()
+	for k, v := range qps {
+		if !isFinite(v) {
+			return SliceRecord{}, fmt.Errorf("harness: offered load %d is %v queries/s", k, v)
+		}
+	}
+	if !isFinite(loadFrac) {
+		return SliceRecord{}, fmt.Errorf("harness: load fraction is %v", loadFrac)
+	}
+	if !isFinite(budgetW) {
+		return SliceRecord{}, fmt.Errorf("harness: power budget is %v W", budgetW)
+	}
 	t := m.Now()
 	traced := d.obs.Enabled()
 	d.scope.SetContext(t, d.sliceIdx)
@@ -556,7 +565,7 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	}
 
 	run := func(alloc sim.Allocation, dur float64, qps []float64) sim.PhaseResult {
-		return m.RunMultiAppend(alloc, dur, qps, &d.sojourns, d.extraSoj)
+		return m.RunMultiAppend(alloc, dur, qps, d.soj)
 	}
 	// observe yields the scheduler's view of a phase result — the
 	// physical truth unless a telemetry fault is active.
@@ -567,9 +576,8 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 		return inj.ObservePhase(t, pr, profiling)
 	}
 
-	d.sojourns = d.sojourns[:0]
-	for x := range d.extraSoj {
-		d.extraSoj[x] = d.extraSoj[x][:0]
+	for k := range d.soj {
+		d.soj[k] = d.soj[k][:0]
 	}
 	var (
 		energyJ   float64
@@ -680,15 +688,18 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	d.prevAlloc = &prev
 
 	// Record.
-	rec.P99Ms = stats.PercentileInPlace(d.sojourns, 0.99) * 1e3
-	rec.Violated = qosMs > 0 && qosMissed(rec.P99Ms, qosMs)
-	for x, app := range extras {
-		p99 := stats.PercentileInPlace(d.extraSoj[x], 0.99) * 1e3
+	for k, app := range d.services {
+		p99 := stats.PercentileInPlace(d.soj[k], 0.99) * 1e3
+		if k == 0 {
+			rec.P99Ms = p99
+			rec.Violated = qosMs > 0 && qosMissed(p99, qosMs)
+			continue
+		}
 		rec.ExtraP99Ms = append(rec.ExtraP99Ms, p99)
 		rec.ExtraQoSMs = append(rec.ExtraQoSMs, app.QoSTargetMs)
 		rec.ExtraViolated = append(rec.ExtraViolated, qosMissed(p99, app.QoSTargetMs))
-		rec.ExtraLCCores = append(rec.ExtraLCCores, alloc.ExtraLC[x].Cores)
-		rec.ExtraLCCfg = append(rec.ExtraLCCfg, alloc.ExtraLC[x].Core.String())
+		rec.ExtraLCCores = append(rec.ExtraLCCores, alloc.Service(k).Cores)
+		rec.ExtraLCCfg = append(rec.ExtraLCCfg, alloc.Service(k).Core.String())
 	}
 	rec.BatchInstrB = instrB
 	rec.TotalInstrB = stats.Sum(instrB)
@@ -709,6 +720,9 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	d.sliceIdx++
 	return rec, nil
 }
+
+// isFinite reports whether v is neither NaN nor infinite.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // qosMissed reports whether a slice's tail latency failed its target.
 // It is written as "not met" rather than "exceeded" so that a NaN tail

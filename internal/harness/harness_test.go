@@ -219,8 +219,8 @@ func TestRunMultiErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Detach()
-	if d.nServices != 1 {
-		t.Fatalf("nServices = %d, want 1", d.nServices)
+	if len(d.services) != 1 {
+		t.Fatalf("%d services, want 1", len(d.services))
 	}
 	if _, err := d.StepSlice(nil, 0.5, 100); err == nil || !strings.Contains(err.Error(), "0 offered loads for 1 services") {
 		t.Fatalf("short qps slice not rejected: %v", err)

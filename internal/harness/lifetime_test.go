@@ -26,7 +26,9 @@ type poisoner struct {
 
 func (p *poisoner) keep(prs ...sim.PhaseResult) {
 	for _, pr := range prs {
-		p.windows = append(append(p.windows, pr.Sojourns), pr.ExtraSojourns...)
+		for _, lc := range pr.LC {
+			p.windows = append(p.windows, lc.Sojourns)
+		}
 	}
 }
 
@@ -139,7 +141,7 @@ func TestSojournWindowsEndWithTheSlice(t *testing.T) {
 				defer d.Detach()
 				budgetW := 0.7 * r.m.MaxPowerW()
 				qps := []float64{0.5 * r.m.LC().MaxQPS}
-				for _, x := range r.m.ExtraLCs() {
+				for _, x := range r.m.Services()[1:] {
 					qps = append(qps, 0.4*x.MaxQPS)
 				}
 				var recs []string

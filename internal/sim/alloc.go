@@ -28,10 +28,11 @@ type BatchAssign struct {
 	FreqGHz float64
 }
 
-// LCAssign is one latency-critical service's per-slice assignment —
-// used for the additional services of a multi-service machine (the
-// paper's §VII-A generalisation claim). The primary service keeps the
-// flat LCCores/LCCore/LCCache fields.
+// LCAssign is one latency-critical service's per-slice assignment (the
+// paper's §VII-A generalisation claim). Service 0, the primary, is
+// stored in Allocation's flat LCCores/LCCore/LCCache/LCHalfBlend
+// fields and service k > 0 in ExtraLC[k-1]; Allocation.Service and
+// SetService read and write either as an LCAssign.
 type LCAssign struct {
 	Cores int
 	Core  config.Core
@@ -81,6 +82,32 @@ type Allocation struct {
 	// occupancy proportional to their per-core capacity demand. Used by
 	// the plain core-gating baseline (§VII-B).
 	NoPartition bool
+}
+
+// Service returns service k's assignment, primary (k = 0) first; the
+// zero LCAssign when the allocation has no service k.
+func (a *Allocation) Service(k int) LCAssign {
+	switch {
+	case k == 0:
+		return LCAssign{Cores: a.LCCores, Core: a.LCCore, Cache: a.LCCache, HalfBlend: a.LCHalfBlend}
+	case k > 0 && k <= len(a.ExtraLC):
+		return a.ExtraLC[k-1]
+	}
+	return LCAssign{}
+}
+
+// SetService sets service k's assignment, growing ExtraLC when k is
+// past its end. LCFreqGHz, service 0's clock, is not part of an
+// LCAssign and is left alone.
+func (a *Allocation) SetService(k int, s LCAssign) {
+	if k == 0 {
+		a.LCCores, a.LCCore, a.LCCache, a.LCHalfBlend = s.Cores, s.Core, s.Cache, s.HalfBlend
+		return
+	}
+	for len(a.ExtraLC) < k {
+		a.ExtraLC = append(a.ExtraLC, LCAssign{})
+	}
+	a.ExtraLC[k-1] = s
 }
 
 // Validate checks structural invariants against a machine with nCores

@@ -12,7 +12,7 @@ import (
 // effectiveWaysReference is the unpartitioned fixed point as it was
 // written before the miss ratio was kept between the two loops: every
 // iteration evaluates each sharer's curve twice at the same occupancy.
-func effectiveWaysReference(m *Machine, alloc *Allocation) (batch []float64, lc float64, extra []float64) {
+func effectiveWaysReference(m *Machine, alloc *Allocation) (batch, lc []float64) {
 	type sharer struct {
 		weight float64
 		miss   func(float64) float64
@@ -24,12 +24,8 @@ func effectiveWaysReference(m *Machine, alloc *Allocation) (batch []float64, lc 
 			sharers = append(sharers, sharer{weight: m.batch[i].MemFrac * m.batch[i].L1MissRate, miss: m.batch[i].MissRatio})
 		}
 	}
-	if m.lc != nil && alloc.LCCores > 0 {
-		sharers = append(sharers, sharer{weight: m.lc.MemFrac * m.lc.L1MissRate * float64(alloc.LCCores), miss: m.lc.MissRatio})
-	}
-	for x, e := range alloc.ExtraLC {
-		app := m.extraLCs[x]
-		sharers = append(sharers, sharer{weight: app.MemFrac * app.L1MissRate * float64(e.Cores), miss: app.MissRatio})
+	for k, app := range m.Services() {
+		sharers = append(sharers, sharer{weight: app.MemFrac * app.L1MissRate * float64(alloc.Service(k).Cores), miss: app.MissRatio})
 	}
 	equal := float64(config.LLCWays) / float64(len(sharers))
 	for i := range sharers {
@@ -56,15 +52,11 @@ func effectiveWaysReference(m *Machine, alloc *Allocation) (batch []float64, lc 
 			si++
 		}
 	}
-	if m.lc != nil && alloc.LCCores > 0 {
-		lc = sharers[si].ways
+	for range m.Services() {
+		lc = append(lc, sharers[si].ways)
 		si++
 	}
-	for range alloc.ExtraLC {
-		extra = append(extra, sharers[si].ways)
-		si++
-	}
-	return batch, lc, extra
+	return batch, lc
 }
 
 func TestEffectiveWaysMatchesTwoEvaluationLoop(t *testing.T) {
@@ -76,7 +68,7 @@ func TestEffectiveWaysMatchesTwoEvaluationLoop(t *testing.T) {
 		a := Uniform(16, false, 0, config.Widest, config.OneWay)
 		if trial%3 > 0 {
 			spec.LC = xapian
-			a.LCCores = 4 + r.Intn(8)
+			a.SetService(0, LCAssign{Cores: 4 + r.Intn(8), Core: config.Widest, Cache: config.OneWay})
 		}
 		if trial%3 > 1 {
 			spec.ExtraLCs = []*workload.Profile{silo}
@@ -87,12 +79,16 @@ func TestEffectiveWaysMatchesTwoEvaluationLoop(t *testing.T) {
 			a.Batch[i].Gated = r.Intn(4) == 0
 		}
 		m := New(spec)
-		wantB, wantLC, wantX := effectiveWaysReference(m, &a)
-		want := append(append(wantB, wantLC), wantX...)
+		wantB, wantLC := effectiveWaysReference(m, &a)
+		want := append(wantB, wantLC...)
 		// The first call solves, the second is served by the memo.
 		for call := 0; call < 2; call++ {
-			gotB, gotLC, gotX := m.effectiveWays(&a)
-			got := append(append(gotB, gotLC), gotX...)
+			ph := m.newPhase(&a, 0.001, make([]float64, len(m.Services())))
+			m.effectiveWays(&ph)
+			got := ph.effBatch
+			for _, s := range ph.svc {
+				got = append(got, s.eff)
+			}
 			if len(got) != len(want) {
 				t.Fatalf("trial %d call %d: %d occupancies, reference has %d", trial, call, len(got), len(want))
 			}
@@ -116,16 +112,17 @@ func BenchmarkEffectiveWays(b *testing.B) {
 	for i := 0; i < 16; i += 4 {
 		a.Batch[i].Gated = true
 	}
-	batch, extra := make([]float64, 16), []float64{}
+	ph := m.newPhase(&a, 0.001, []float64{0})
+	ph.effBatch = make([]float64, 16)
 	b.Run("solve", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			clear(batch)
-			m.lruWays(&a, batch, extra)
+			clear(ph.effBatch)
+			m.lruWays(&a, ph.effBatch, ph.svc)
 		}
 	})
 	b.Run("memo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.effectiveWays(&a)
+			m.effectiveWays(&ph)
 		}
 	})
 }

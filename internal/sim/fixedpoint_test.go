@@ -17,27 +17,26 @@ import (
 // staged canonical values.
 func runMultiReference(m *Machine, alloc Allocation, durSec float64, qps []float64) PhaseResult {
 	ph := m.newPhase(&alloc, durSec, qps)
-	ph.effBatch, ph.effLC, ph.effExtra = effectiveWaysUncached(m, &alloc)
+	var lc []float64
+	ph.effBatch, lc = effectiveWaysUncached(m, &alloc)
 	ph.missBatch = make([]float64, len(m.batch))
 	for i, w := range ph.effBatch {
 		ph.missBatch[i] = m.batch[i].MissRatio(w)
 	}
-	if m.lc != nil {
-		ph.missLC = m.lc.MissRatio(ph.effLC)
-	}
-	for x, w := range ph.effExtra {
-		ph.missExtra = append(ph.missExtra, m.extraLCs[x].MissRatio(w))
+	for k, app := range m.Services() {
+		ph.svc[k].eff = lc[k]
+		ph.svc[k].miss = app.MissRatio(lc[k])
 	}
 	inflation := 1.0
 	for iter := 0; iter < 3; iter++ {
 		inflation = bandwidthInflation(m.dramTraffic(&ph, inflation) / m.peakBW)
 	}
-	var soj []float64
-	return m.execute(&ph, durSec, inflation, &soj, make([][]float64, len(m.extraLCs)))
+	return m.execute(&ph, durSec, inflation, make([][]float64, len(m.lcs)))
 }
 
-// effectiveWaysUncached is effectiveWays without the memo.
-func effectiveWaysUncached(m *Machine, alloc *Allocation) (batch []float64, lc float64, extra []float64) {
+// effectiveWaysUncached is effectiveWays without the memo: the batch
+// jobs' occupancies and one per service, primary first.
+func effectiveWaysUncached(m *Machine, alloc *Allocation) (batch, lc []float64) {
 	if alloc.NoPartition {
 		return effectiveWaysReference(m, alloc)
 	}
@@ -47,13 +46,10 @@ func effectiveWaysUncached(m *Machine, alloc *Allocation) (batch []float64, lc f
 			batch[i] = b.Cache.Ways()
 		}
 	}
-	if m.lc != nil && alloc.LCCores > 0 {
-		lc = alloc.LCCache.Ways()
+	for k := range m.lcs {
+		lc = append(lc, alloc.Service(k).Cache.Ways())
 	}
-	for _, e := range alloc.ExtraLC {
-		extra = append(extra, e.Cache.Ways())
-	}
-	return batch, lc, extra
+	return batch, lc
 }
 
 // sameBits reports whether two PhaseResult fields hold the same bits:
@@ -65,6 +61,13 @@ func sameBits(a, b reflect.Value) bool {
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
 	case reflect.Int:
 		return a.Int() == b.Int()
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
 	case reflect.Slice:
 		if a.Len() != b.Len() {
 			return false
@@ -103,19 +106,15 @@ func randomAlloc(r *rng.RNG, m *Machine, noPartition bool) Allocation {
 	caches := []config.CacheAlloc{config.HalfWay, config.OneWay, config.TwoWays, 3}
 	pick := func() config.CacheAlloc { return caches[r.Intn(len(caches))] }
 	a := Allocation{Batch: make([]BatchAssign, len(m.batch)), NoPartition: noPartition}
-	lcCores := 0
-	if m.lc != nil {
-		lcCores = 2 + r.Intn(10)
-		a.LCCores = lcCores
-		a.LCCore = cores[r.Intn(len(cores))]
-		a.LCCache = pick()
-		a.LCHalfBlend = r.Intn(4) == 0
-		if r.Intn(3) == 0 {
-			a.LCFreqGHz = 2.4 + r.Float64()*(config.BaseFreqGHz-2.4)
+	for k := range m.lcs {
+		if k == 0 {
+			a.SetService(0, LCAssign{Cores: 2 + r.Intn(10), Core: cores[r.Intn(len(cores))], Cache: pick(), HalfBlend: r.Intn(4) == 0})
+			if r.Intn(3) == 0 {
+				a.LCFreqGHz = 2.4 + r.Float64()*(config.BaseFreqGHz-2.4)
+			}
+			continue
 		}
-	}
-	for range m.extraLCs {
-		a.ExtraLC = append(a.ExtraLC, LCAssign{
+		a.SetService(k, LCAssign{
 			Cores: 1 + r.Intn(6), Core: cores[r.Intn(len(cores))], Cache: pick(), HalfBlend: r.Intn(4) == 0,
 		})
 	}
@@ -125,7 +124,7 @@ func randomAlloc(r *rng.RNG, m *Machine, noPartition bool) Allocation {
 			a.Batch[i].FreqGHz = 2.4 + r.Float64()*(config.BaseFreqGHz-2.4)
 		}
 	}
-	if !noPartition && a.TotalWays(m.lc != nil) > config.LLCWays {
+	if !noPartition && a.TotalWays(m.LC() != nil) > config.LLCWays {
 		for i := range a.Batch {
 			a.Batch[i].Cache = config.HalfWay
 		}

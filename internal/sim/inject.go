@@ -3,18 +3,19 @@ package sim
 // Disruption is the hardware fault state applied to one execution
 // phase: fail-stopped cores and frequency de-rating from fail-slow
 // cores. The zero value means a healthy machine. Fail-stop targets are
-// split between the primary latency-critical service's cores and the
-// batch pool because that is the granularity the allocation itself
-// uses; dead cores draw no power and execute nothing.
+// split between latency-critical service 0's cores and the batch pool
+// because that is the granularity the allocation itself uses; dead
+// cores draw no power and execute nothing. The other services are
+// never disrupted.
 type Disruption struct {
-	// FailedLC is the number of the primary LC service's cores that
-	// are fail-stopped. The service keeps at least one live core (a
+	// FailedLC is the number of service 0's cores that are
+	// fail-stopped. The service keeps at least one live core (a
 	// total-loss event would leave the queueing system undefined).
 	FailedLC int
 	// FailedBatch is the number of fail-stopped cores in the batch
 	// pool; surviving jobs time-multiplex onto the remaining cores.
 	FailedBatch int
-	// SlowLC de-rates the LC cores' clock (fail-slow): effective
+	// SlowLC de-rates service 0's clock (fail-slow): effective
 	// frequency is nominal × SlowLC. Zero or one means healthy.
 	SlowLC float64
 	// SlowBatch de-rates the batch cores' clock the same way.

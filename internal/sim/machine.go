@@ -28,10 +28,9 @@ type Spec struct {
 	Reconfigurable bool
 	// PeakBWGBs defaults to DefaultPeakBWGBs.
 	PeakBWGBs float64
-	// InitLCCores is the LC service's starting core allocation;
+	// InitLCCores is each LC service's starting core allocation;
 	// defaults to half of config.NumMachineCore (§VII-A: 50/50 split at
-	// t=0) shared evenly
-	// with any extra services.
+	// t=0) shared evenly among the services.
 	InitLCCores int
 	// ExtraLCs are additional latency-critical services beyond LC —
 	// the paper's §VII-A generalisation ("CuttleSys is generalizable
@@ -48,24 +47,20 @@ type Machine struct {
 
 	// pm is the machine's core design point (clock, query calibration);
 	// tbl batches it over the fixed application set (batch jobs, then
-	// the LC service, then extras). Every IPC and traffic evaluation —
+	// the latency-critical services). Every IPC and traffic evaluation —
 	// the bandwidth fixed point and the per-phase throughput math, at
 	// partitioned and fractional LRU-shared way counts alike — is a
 	// table lookup.
 	pm  *perf.Model
 	tbl *perf.SurfaceTable
 
-	lc         *workload.Profile
-	batch      []*workload.Profile
-	nCores     int
-	peakBW     float64
-	svc        *qsim.Service
-	queryInstr float64
-	now        float64
+	batch  []*workload.Profile
+	nCores int
+	peakBW float64
+	now    float64
 
-	extraLCs   []*workload.Profile
-	extraSvcs  []*qsim.Service
-	extraInstr []float64
+	// lcs are the latency-critical services, primary (service 0) first.
+	lcs []lcService
 
 	// inj, when non-nil, disrupts execution phases with hardware
 	// faults (fail-stop, fail-slow). See SetInjector.
@@ -74,8 +69,17 @@ type Machine struct {
 	// ways memoises the unpartitioned LLC equilibrium (effectiveWays).
 	ways waysMemo
 
-	// missBatch and missExtra back each phase's staged miss ratios.
-	missBatch, missExtra []float64
+	// missBatch and svcPhase back each phase's staged per-application
+	// state (phase.missBatch, phase.svc).
+	missBatch []float64
+	svcPhase  []servicePhase
+}
+
+// lcService is one latency-critical service of a machine.
+type lcService struct {
+	app   *workload.Profile
+	queue *qsim.Service // seeded Spec.Seed + k for service k
+	instr float64       // instructions per query
 }
 
 // New constructs a Machine from spec. It panics on invalid profiles so
@@ -85,10 +89,15 @@ func New(spec Spec) *Machine {
 	if bw == 0 {
 		bw = DefaultPeakBWGBs
 	}
+	if !(bw > 0) || math.IsInf(bw, 1) {
+		panic(fmt.Sprintf("sim: peak DRAM bandwidth %v GB/s is not finite and positive", bw))
+	}
+	if spec.InitLCCores < 0 {
+		panic(fmt.Sprintf("sim: negative initial LC core count %d", spec.InitLCCores))
+	}
 	m := &Machine{
 		pm:     perf.New(spec.Reconfigurable),
 		Power:  power.New(spec.Reconfigurable),
-		lc:     spec.LC,
 		batch:  spec.Batch,
 		nCores: config.NumMachineCore,
 		peakBW: bw,
@@ -101,68 +110,66 @@ func New(spec Spec) *Machine {
 			panic(fmt.Sprintf("sim: %s is latency-critical but listed as batch", app.Name))
 		}
 	}
+	if spec.LC == nil && len(spec.ExtraLCs) > 0 {
+		panic("sim: ExtraLCs requires a primary LC service")
+	}
+	apps := append([]*workload.Profile(nil), m.batch...)
 	if spec.LC != nil {
-		if err := spec.LC.Validate(); err != nil {
-			panic(fmt.Sprintf("sim: %v", err))
+		services := append([]*workload.Profile{spec.LC}, spec.ExtraLCs...)
+		cores := spec.InitLCCores
+		if cores == 0 {
+			cores = config.NumMachineCore / 2 / len(services)
 		}
-		if !spec.LC.IsLC() {
-			panic(fmt.Sprintf("sim: %s is not latency-critical", spec.LC.Name))
+		for k, app := range services {
+			if err := app.Validate(); err != nil {
+				panic(fmt.Sprintf("sim: %v", err))
+			}
+			if !app.IsLC() {
+				panic(fmt.Sprintf("sim: %s is not latency-critical", app.Name))
+			}
+			m.lcs = append(m.lcs, lcService{
+				app:   app,
+				queue: qsim.NewService(spec.Seed+uint64(k), cores),
+				instr: m.pm.QueryInstr(app),
+			})
+			apps = append(apps, app)
 		}
-		k := spec.InitLCCores
-		if k == 0 {
-			k = config.NumMachineCore / 2 / (1 + len(spec.ExtraLCs))
-		}
-		m.svc = qsim.NewService(spec.Seed, k)
-		m.queryInstr = m.pm.QueryInstr(spec.LC)
 	}
-	for i, x := range spec.ExtraLCs {
-		if spec.LC == nil {
-			panic("sim: ExtraLCs requires a primary LC service")
-		}
-		if err := x.Validate(); err != nil {
-			panic(fmt.Sprintf("sim: %v", err))
-		}
-		if !x.IsLC() {
-			panic(fmt.Sprintf("sim: %s is not latency-critical", x.Name))
-		}
-		k := spec.InitLCCores
-		if k == 0 {
-			k = config.NumMachineCore / 2 / (1 + len(spec.ExtraLCs))
-		}
-		m.extraLCs = append(m.extraLCs, x)
-		m.extraSvcs = append(m.extraSvcs, qsim.NewService(spec.Seed+uint64(i)+1, k))
-		m.extraInstr = append(m.extraInstr, m.pm.QueryInstr(x))
-	}
-	apps := make([]*workload.Profile, 0, len(m.batch)+1+len(m.extraLCs))
-	apps = append(apps, m.batch...)
-	if m.lc != nil {
-		apps = append(apps, m.lc)
-	}
-	apps = append(apps, m.extraLCs...)
 	m.tbl = perf.NewSurfaceTable(m.pm, apps)
 	m.missBatch = make([]float64, len(m.batch))
-	m.missExtra = make([]float64, len(m.extraLCs))
+	m.svcPhase = make([]servicePhase, len(m.lcs))
 	return m
 }
 
-// Surface-table application indices: batch job i is app i, the LC
-// service follows the batch block, extras follow the LC service.
-func (m *Machine) lcAppIdx() int         { return len(m.batch) }
-func (m *Machine) extraAppIdx(x int) int { return len(m.batch) + 1 + x }
+// svcApp is service k's surface-table application index: the services
+// follow the batch block.
+func (m *Machine) svcApp(k int) int { return len(m.batch) + k }
 
 // SurfaceStats reports the machine's surface-table work counters:
 // staging/Build passes and lookups served. Fuel for the
 // cuttlesys_hotpath_* metrics.
 func (m *Machine) SurfaceStats() (builds, lookups uint64) { return m.tbl.Stats() }
 
-// ExtraLCs returns the machine's additional latency-critical services.
-func (m *Machine) ExtraLCs() []*workload.Profile { return m.extraLCs }
+// Services returns the machine's latency-critical services, primary
+// first, in a fresh slice; it is empty on a batch-only machine.
+func (m *Machine) Services() []*workload.Profile {
+	out := make([]*workload.Profile, len(m.lcs))
+	for k := range m.lcs {
+		out[k] = m.lcs[k].app
+	}
+	return out
+}
 
 // NCores returns the machine's core count.
 func (m *Machine) NCores() int { return m.nCores }
 
-// LC returns the latency-critical service profile, or nil.
-func (m *Machine) LC() *workload.Profile { return m.lc }
+// LC returns the primary latency-critical service's profile, or nil.
+func (m *Machine) LC() *workload.Profile {
+	if len(m.lcs) == 0 {
+		return nil
+	}
+	return m.lcs[0].app
+}
 
 // Batch returns the batch job profiles.
 func (m *Machine) Batch() []*workload.Profile { return m.batch }
@@ -193,21 +200,10 @@ type PhaseResult struct {
 	// BatchInstrB is the billions of instructions each job executed.
 	BatchInstrB []float64
 
-	// Sojourns are the LC queries' total latencies (seconds) for
-	// queries arriving in this phase; empty without an LC service. From
-	// RunMultiAppend it is a capped window of the caller's buffer and
-	// lives as long as the caller leaves that buffer alone.
-	Sojourns []float64
-	// LCMeanSvc is the mean per-query service time under this
-	// allocation, seconds.
-	LCMeanSvc float64
-
 	// BatchPowerW is each job's per-core power draw in watts at its
 	// configuration (unscaled by multiplexing; zero for gated jobs) —
 	// what a per-core power sensor would report during profiling.
 	BatchPowerW []float64
-	// LCCorePowerW is one LC core's power draw in watts.
-	LCCorePowerW float64
 
 	// PowerW is the average chip power over the phase.
 	PowerW float64
@@ -216,21 +212,33 @@ type PhaseResult struct {
 	Inflation float64
 	// EffWays are the effective LLC ways each batch job observed.
 	EffWays []float64
-	// EffWaysLC is the LC service's effective LLC ways.
-	EffWaysLC float64
 
-	// Per-extra-service results (multi-service machines), in
-	// Spec.ExtraLCs order.
-	ExtraSojourns  [][]float64
-	ExtraMeanSvc   []float64
-	ExtraLCPowerW  []float64
-	ExtraEffWaysLC []float64
+	// LC holds one result per latency-critical service, primary first;
+	// empty on a batch-only machine.
+	LC []LCResult
 
-	// FailedLC and FailedBatch report fail-stopped cores during the
-	// phase — the machine-check telemetry a runtime can act on. Both
-	// are zero on healthy hardware.
+	// FailedLC (service 0's cores) and FailedBatch report fail-stopped
+	// cores during the phase — the machine-check telemetry a runtime
+	// can act on. Both are zero on healthy hardware.
 	FailedLC    int
 	FailedBatch int
+}
+
+// LCResult is one latency-critical service's share of a phase.
+type LCResult struct {
+	// Sojourns are the service's query latencies (seconds) for queries
+	// arriving in this phase. From RunMultiAppend it is a capped window
+	// of the caller's buffer and lives as long as the caller leaves that
+	// buffer alone.
+	Sojourns []float64
+	// MeanSvc is the mean per-query service time under this
+	// allocation, seconds.
+	MeanSvc float64
+	// CorePowerW is one of the service's cores' power draw in watts, at
+	// the assignment's Core.
+	CorePowerW float64
+	// EffWays is the service's effective LLC ways.
+	EffWays float64
 }
 
 // Run executes one phase of durSec seconds under alloc with the LC
@@ -238,7 +246,7 @@ type PhaseResult struct {
 // errors indicate scheduler bugs and panic. Machines with extra
 // services must use RunMulti.
 func (m *Machine) Run(alloc Allocation, durSec, qps float64) PhaseResult {
-	if len(m.extraLCs) > 0 {
+	if len(m.lcs) > 1 {
 		panic("sim: Run on a multi-service machine; use RunMulti")
 	}
 	return m.RunMulti(alloc, durSec, []float64{qps})
@@ -249,21 +257,22 @@ func (m *Machine) Run(alloc Allocation, durSec, qps float64) PhaseResult {
 // machine it is equivalent to Run. The sojourns land in fresh slices;
 // RunMultiAppend is the same phase appending to the caller's buffers.
 func (m *Machine) RunMulti(alloc Allocation, durSec float64, qps []float64) PhaseResult {
-	var soj []float64
-	return m.RunMultiAppend(alloc, durSec, qps, &soj, make([][]float64, len(m.extraLCs)))
+	return m.RunMultiAppend(alloc, durSec, qps, make([][]float64, len(m.lcs)))
 }
 
-// RunMultiAppend is RunMulti with caller-owned sojourn buffers: the
-// primary service's sojourns are appended to *soj and extra service
-// x's to extraSoj[x] (extraSoj must have one buffer, possibly nil, per
-// extra service), and the result's Sojourns and ExtraSojourns are
-// capped windows of those buffers (buf[a:b:b]), so appending to a
-// window never writes into the next phase's samples. A caller that
-// reuses its buffers across phases allocates nothing for sojourns
-// once they have grown to a phase's worth.
-func (m *Machine) RunMultiAppend(alloc Allocation, durSec float64, qps []float64, soj *[]float64, extraSoj [][]float64) PhaseResult {
+// RunMultiAppend is RunMulti with caller-owned sojourn buffers, one per
+// service (possibly nil), primary first: service k's sojourns are
+// appended to soj[k], which is updated to the grown buffer, and the
+// result's LC[k].Sojourns is a capped window of it (buf[a:b:b]), so
+// appending to a window never writes into the next phase's samples. A
+// caller that reuses its buffers across phases allocates nothing for
+// sojourns once they have grown to a phase's worth.
+func (m *Machine) RunMultiAppend(alloc Allocation, durSec float64, qps []float64, soj [][]float64) PhaseResult {
+	if len(soj) < len(m.lcs) {
+		panic(fmt.Sprintf("sim: %d sojourn buffers for %d services", len(soj), len(m.lcs)))
+	}
 	ph := m.newPhase(&alloc, durSec, qps)
-	ph.effBatch, ph.effLC, ph.effExtra = m.effectiveWays(&alloc)
+	m.effectiveWays(&ph)
 	m.stageMisses(&ph)
 
 	// Converge the bandwidth fixed point: IPCs determine DRAM traffic,
@@ -280,7 +289,7 @@ func (m *Machine) RunMultiAppend(alloc Allocation, durSec float64, qps []float64
 		}
 		inflation = next
 	}
-	return m.execute(&ph, durSec, inflation, soj, extraSoj)
+	return m.execute(&ph, durSec, inflation, soj)
 }
 
 // phase is one RunMulti call's resolved inputs, shared by the
@@ -288,42 +297,53 @@ func (m *Machine) RunMultiAppend(alloc Allocation, durSec float64, qps []float64
 type phase struct {
 	alloc *Allocation
 	qps   []float64
-	qps0  float64 // the primary service's offered load; 0 without one
 
 	d         Disruption
-	lcServers int // live primary-service cores
 	deadLC    int
 	deadBatch int
 
-	// LLC occupancies from effectiveWays.
-	effBatch []float64
-	effLC    float64
-	effExtra []float64
-
-	// LLC miss ratios at those occupancies (stageMisses): the phase's
-	// only miss-curve evaluations, read by every table lookup of the
-	// fixed point and the execution.
+	// The batch jobs' LLC occupancies (effectiveWays) and the miss
+	// ratios at them (stageMisses): the phase's only miss-curve
+	// evaluations, read by every table lookup of the fixed point and
+	// the execution.
+	effBatch  []float64
 	missBatch []float64
-	missLC    float64
-	missExtra []float64
+
+	// svc holds one entry per latency-critical service, primary first.
+	svc []servicePhase
+}
+
+// servicePhase is one latency-critical service's resolved inputs for a
+// phase.
+type servicePhase struct {
+	LCAssign          // Allocation.Service(k)
+	servers   int     // live cores
+	freq      float64 // clock for IPC and service time, GHz
+	powerFreq float64 // clock the power model draws at, GHz
+	eff       float64 // LLC occupancy (effectiveWays)
+	miss      float64 // LLC miss ratio at eff (stageMisses)
 }
 
 // ValidateAllocation reports whether alloc is runnable on this
 // machine: its structural invariants (Allocation.Validate) plus one
 // assignment per extra service. RunMulti panics on the same error.
 func (m *Machine) ValidateAllocation(alloc *Allocation) error {
-	if err := alloc.Validate(len(m.batch), m.lc != nil, m.nCores); err != nil {
+	if err := alloc.Validate(len(m.batch), len(m.lcs) > 0, m.nCores); err != nil {
 		return err
 	}
-	if len(alloc.ExtraLC) != len(m.extraLCs) {
+	if extras := max(len(m.lcs)-1, 0); len(alloc.ExtraLC) != extras {
 		return fmt.Errorf("sim: allocation has %d extra-service assignments, machine has %d extra services",
-			len(alloc.ExtraLC), len(m.extraLCs))
+			len(alloc.ExtraLC), extras)
 	}
 	return nil
 }
 
 // newPhase validates a RunMulti call and resolves the phase's hardware
-// faults; the caller fills in the LLC occupancies.
+// faults and each service's inputs; the caller fills in the LLC
+// occupancies and miss ratios. Service 0 differs from the others in
+// three ways, all stated here: it alone takes the LCFreqGHz override,
+// it alone loses cores to fail-stop and is slowed by fail-slow, and it
+// draws power at its running clock.
 func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) phase {
 	if !(durSec > 0) {
 		panic("sim: Run with non-positive duration")
@@ -331,18 +351,10 @@ func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) pha
 	if err := m.ValidateAllocation(alloc); err != nil {
 		panic(err)
 	}
-	want := 1
-	if m.lc == nil {
-		want = 0
+	if len(qps) < len(m.lcs) {
+		panic(fmt.Sprintf("sim: %d offered loads for %d services", len(qps), len(m.lcs)))
 	}
-	want += len(m.extraLCs)
-	if len(qps) < want {
-		panic(fmt.Sprintf("sim: %d offered loads for %d services", len(qps), want))
-	}
-	ph := phase{alloc: alloc, qps: qps}
-	if len(qps) > 0 {
-		ph.qps0 = qps[0]
-	}
+	ph := phase{alloc: alloc, qps: qps, svc: m.svcPhase}
 
 	// Hardware faults for this phase (zero Disruption when healthy).
 	if m.inj != nil {
@@ -350,16 +362,24 @@ func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) pha
 	} else {
 		ph.d = Disruption{SlowLC: 1, SlowBatch: 1}
 	}
-	// The service keeps at least one live core; a machine losing every
-	// LC core is outside the model (the whole box is down).
-	ph.lcServers = alloc.LCCores
-	if m.lc != nil && alloc.LCCores > 0 && ph.d.FailedLC > 0 {
-		ph.lcServers = alloc.LCCores - ph.d.FailedLC
-		if ph.lcServers < 1 {
-			ph.lcServers = 1
+	for k := range ph.svc {
+		a := alloc.Service(k)
+		s := servicePhase{LCAssign: a, servers: a.Cores, freq: m.pm.FreqGHz()}
+		// EXPERIMENTS.md Deviation 8(a), kept until a report regeneration:
+		// services past 0 draw power at 4.0 GHz, not at their IPC clock.
+		s.powerFreq = config.BaseFreqGHz
+		if k == 0 {
+			s.freq = m.freqFor(alloc.LCFreqGHz) * ph.d.SlowLC
+			s.powerFreq = s.freq
+			// The service keeps at least one live core; a machine losing
+			// every LC core is outside the model (the whole box is down).
+			if ph.d.FailedLC > 0 {
+				s.servers = max(a.Cores-ph.d.FailedLC, 1)
+			}
+			ph.deadLC = a.Cores - s.servers
 		}
+		ph.svc[k] = s
 	}
-	ph.deadLC = alloc.LCCores - ph.lcServers
 	ph.deadBatch = ph.d.FailedBatch
 	if bc := alloc.batchCores(m.nCores); ph.deadBatch > bc {
 		ph.deadBatch = bc
@@ -377,18 +397,15 @@ func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) pha
 // than memoised in the table, whose reads then stay free of writes
 // other than the lookup counter.
 func (m *Machine) stageMisses(ph *phase) {
-	alloc := ph.alloc
-	ph.missBatch, ph.missExtra = m.missBatch, m.missExtra
-	for i, b := range alloc.Batch {
+	ph.missBatch = m.missBatch
+	for i, b := range ph.alloc.Batch {
 		if !b.Gated {
 			ph.missBatch[i] = m.tbl.MissRatioAt(i, ph.effBatch[i])
 		}
 	}
-	if m.lc != nil && alloc.LCCores > 0 {
-		ph.missLC = m.tbl.MissRatioAt(m.lcAppIdx(), ph.effLC)
-	}
-	for x := range alloc.ExtraLC {
-		ph.missExtra[x] = m.tbl.MissRatioAt(m.extraAppIdx(x), ph.effExtra[x])
+	for k := range ph.svc {
+		s := &ph.svc[k]
+		s.miss = m.tbl.MissRatioAt(m.svcApp(k), s.eff)
 	}
 }
 
@@ -405,38 +422,31 @@ func (m *Machine) dramTraffic(ph *phase, inflation float64) float64 {
 		ipc := m.tbl.IPCAt(i, b.Core, ph.missBatch[i], inflation, f)
 		traffic += ipc * f * m.tbl.MissPerInstr(i, ph.missBatch[i]) * 64
 	}
-	if m.lc != nil && alloc.LCCores > 0 {
-		perCore := m.tbl.TrafficAt(m.lcAppIdx(), alloc.LCCore, ph.missLC, inflation)
-		util := m.lcUtilisation(alloc, ph.qps0, ph.missLC, inflation, ph.lcServers, d.SlowLC)
-		traffic += perCore * float64(ph.lcServers) * util
-	}
-	nominal := m.pm.FreqGHz()
-	for x, e := range alloc.ExtraLC {
-		perCore := m.tbl.TrafficAt(m.extraAppIdx(x), e.Core, ph.missExtra[x], inflation)
-		ipc := m.tbl.IPCAt(m.extraAppIdx(x), e.Core, ph.missExtra[x], inflation, nominal)
-		meanSvc := m.extraInstr[x] / (ipc * nominal * 1e9)
-		util := svcUtilisation(ph.qps[x+1], meanSvc, float64(e.Cores))
-		traffic += perCore * float64(e.Cores) * util
+	for k := range ph.svc {
+		s, app := &ph.svc[k], m.svcApp(k)
+		perCore := m.tbl.TrafficAt(app, s.Core, s.miss, inflation)
+		ipc := m.tbl.IPCAt(app, s.Core, s.miss, inflation, s.freq)
+		meanSvc := m.lcs[k].instr / (ipc * s.freq * 1e9)
+		util := svcUtilisation(ph.qps[k], meanSvc, float64(s.servers))
+		traffic += perCore * float64(s.servers) * util
 	}
 	return traffic
 }
 
 // execute runs the phase at the converged inflation: batch progress,
-// the latency-critical queues (appending to soj and extraSoj, as
-// RunMultiAppend documents), and chip power.
-func (m *Machine) execute(ph *phase, durSec, inflation float64, soj *[]float64, extraSoj [][]float64) PhaseResult {
-	alloc, qps, qps0, d := ph.alloc, ph.qps, ph.qps0, ph.d
-	lcServers, deadLC, deadBatch := ph.lcServers, ph.deadLC, ph.deadBatch
-	effBatch, effLC, effExtra := ph.effBatch, ph.effLC, ph.effExtra
+// the latency-critical queues (appending to soj, as RunMultiAppend
+// documents), and chip power.
+func (m *Machine) execute(ph *phase, durSec, inflation float64, soj [][]float64) PhaseResult {
+	alloc, d, deadBatch := ph.alloc, ph.d, ph.deadBatch
 
 	res := PhaseResult{
 		Dur:         durSec,
 		BatchBIPS:   make([]float64, len(m.batch)),
 		BatchInstrB: make([]float64, len(m.batch)),
 		BatchPowerW: make([]float64, len(m.batch)),
-		EffWays:     effBatch,
-		EffWaysLC:   effLC,
+		EffWays:     ph.effBatch,
 		Inflation:   inflation,
+		LC:          make([]LCResult, len(ph.svc)),
 	}
 
 	mux := alloc.MultiplexFactor(m.nCores)
@@ -475,26 +485,23 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64, soj *[]float64, 
 		totalPower += float64(spare) * power.GatedCoreW
 	}
 
-	// Latency-critical service.
-	if m.lc != nil && alloc.LCCores > 0 {
-		m.svc.SetServers(lcServers)
-		lcFreq := m.freqFor(alloc.LCFreqGHz) * d.SlowLC
-		ipc := m.tbl.IPCAt(m.lcAppIdx(), alloc.LCCore, ph.missLC, inflation, lcFreq)
+	// Latency-critical services, primary first.
+	for k := range ph.svc {
+		s, lc, app, r := &ph.svc[k], &m.lcs[k], m.svcApp(k), &res.LC[k]
+		lc.queue.SetServers(s.servers)
+		ipc := m.tbl.IPCAt(app, s.Core, s.miss, inflation, s.freq)
 		rateIPC := ipc
-		if alloc.LCHalfBlend {
-			other := config.Narrowest
-			if alloc.LCCore == config.Narrowest {
-				other = config.Widest
-			}
-			rateIPC = (ipc + m.tbl.IPCAt(m.lcAppIdx(), other, ph.missLC, inflation, lcFreq)) / 2
+		if s.HalfBlend {
+			rateIPC = (ipc + m.tbl.IPCAt(app, opposite(s.Core), s.miss, inflation, s.freq)) / 2
 		}
-		meanSvc := m.queryInstr / (rateIPC * lcFreq * 1e9)
-		res.LCMeanSvc = meanSvc
-		start := len(*soj)
-		if meanSvc > 0 && !math.IsInf(meanSvc, 1) {
-			*soj = m.svc.AppendStep(*soj, durSec, qps0, meanSvc, m.lc.QuerySigma)
+		r.MeanSvc = lc.instr / (rateIPC * s.freq * 1e9)
+		r.EffWays = s.eff
+		sj := soj[k]
+		start := len(sj)
+		if r.MeanSvc > 0 && !math.IsInf(r.MeanSvc, 1) {
+			sj = lc.queue.AppendStep(sj, durSec, ph.qps[k], r.MeanSvc, lc.app.QuerySigma)
 		} else {
-			// Zero-throughput configuration (rateIPC or lcFreq is 0):
+			// Zero-throughput configuration (rateIPC or the clock is 0):
 			// the service completes nothing. Advance the queue clock
 			// without simulating arrivals — qsim.Step rejects an
 			// infinite service time, which would park +Inf among the
@@ -502,98 +509,34 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64, soj *[]float64, 
 			// report one unbounded sojourn so the slice scores as an
 			// SLO violation rather than feeding NaN arithmetic
 			// downstream.
-			m.svc.Advance(durSec)
-			if qps0 > 0 {
-				*soj = append(*soj, math.Inf(1))
-			}
-		}
-		res.Sojourns = (*soj)[start:len(*soj):len(*soj)]
-		util := svcUtilisation(qps0, meanSvc, float64(lcServers))
-		// Dynamic power scales with how busy the LC cores actually are.
-		// The reported per-core sample is for LCCore itself — what a
-		// sensor on one of the LCCore-configured cores would read.
-		res.LCCorePowerW = m.Power.CoreAtDVFS(m.lc, alloc.LCCore, ipc*util, lcFreq)
-		if alloc.LCHalfBlend {
-			other := config.Narrowest
-			if alloc.LCCore == config.Narrowest {
-				other = config.Widest
-			}
-			otherIPC := m.tbl.IPCAt(m.lcAppIdx(), other, ph.missLC, inflation, lcFreq)
-			otherPower := m.Power.CoreAtDVFS(m.lc, other, otherIPC*util, lcFreq)
-			totalPower += float64(lcServers) * (res.LCCorePowerW + otherPower) / 2
-		} else {
-			totalPower += float64(lcServers) * res.LCCorePowerW
-		}
-	}
-
-	// Additional latency-critical services.
-	if len(alloc.ExtraLC) > 0 {
-		res.ExtraSojourns = make([][]float64, len(alloc.ExtraLC))
-	}
-	for x, e := range alloc.ExtraLC {
-		app := m.extraLCs[x]
-		svc := m.extraSvcs[x]
-		svc.SetServers(e.Cores)
-		nominal := m.pm.FreqGHz()
-		ipc := m.tbl.IPCAt(m.extraAppIdx(x), e.Core, ph.missExtra[x], inflation, nominal)
-		rateIPC := ipc
-		if e.HalfBlend {
-			other := config.Narrowest
-			if e.Core == config.Narrowest {
-				other = config.Widest
-			}
-			rateIPC = (ipc + m.tbl.IPCAt(m.extraAppIdx(x), other, ph.missExtra[x], inflation, nominal)) / 2
-		}
-		meanSvc := m.extraInstr[x] / (rateIPC * nominal * 1e9)
-		res.ExtraMeanSvc = append(res.ExtraMeanSvc, meanSvc)
-		sj := extraSoj[x]
-		start := len(sj)
-		if meanSvc > 0 && !math.IsInf(meanSvc, 1) {
-			sj = svc.AppendStep(sj, durSec, qps[x+1], meanSvc, app.QuerySigma)
-		} else {
-			// Zero-throughput configuration: same treatment as the
-			// primary service above.
-			svc.Advance(durSec)
-			if qps[x+1] > 0 {
+			lc.queue.Advance(durSec)
+			if ph.qps[k] > 0 {
 				sj = append(sj, math.Inf(1))
 			}
 		}
-		extraSoj[x] = sj
-		res.ExtraSojourns[x] = sj[start:len(sj):len(sj)]
-		util := svcUtilisation(qps[x+1], meanSvc, float64(e.Cores))
-		p := m.Power.Core(app, e.Core, ipc*util)
-		res.ExtraLCPowerW = append(res.ExtraLCPowerW, p)
-		res.ExtraEffWaysLC = append(res.ExtraEffWaysLC, effExtra[x])
-		if e.HalfBlend {
-			other := config.Narrowest
-			if e.Core == config.Narrowest {
-				other = config.Widest
-			}
-			otherIPC := m.tbl.IPCAt(m.extraAppIdx(x), other, ph.missExtra[x], inflation, nominal)
-			otherPower := m.Power.Core(app, other, otherIPC*util)
-			totalPower += float64(e.Cores) * (p + otherPower) / 2
+		soj[k] = sj
+		r.Sojourns = sj[start:len(sj):len(sj)]
+		util := svcUtilisation(ph.qps[k], r.MeanSvc, float64(s.servers))
+		// Dynamic power scales with how busy the service's cores actually
+		// are. The reported per-core sample is for Core itself — what a
+		// sensor on one of the Core-configured cores would read.
+		r.CorePowerW = m.Power.CoreAtDVFS(lc.app, s.Core, ipc*util, s.powerFreq)
+		if s.HalfBlend {
+			other := opposite(s.Core)
+			otherIPC := m.tbl.IPCAt(app, other, s.miss, inflation, s.freq)
+			otherPower := m.Power.CoreAtDVFS(lc.app, other, otherIPC*util, s.powerFreq)
+			totalPower += float64(s.servers) * (r.CorePowerW + otherPower) / 2
 		} else {
-			totalPower += float64(e.Cores) * p
+			totalPower += float64(s.servers) * r.CorePowerW
 		}
 	}
 
 	totalPower += m.Power.LLC(config.LLCWays) + m.Power.Uncore(m.nCores)
 	res.PowerW = totalPower
-	res.FailedLC = deadLC
+	res.FailedLC = ph.deadLC
 	res.FailedBatch = deadBatch
 	m.now += durSec
 	return res
-}
-
-// lcUtilisation estimates the LC cores' busy fraction for the
-// bandwidth fixed point at the LC service's staged miss ratio. servers
-// is the count of live LC cores and slow the fail-slow frequency
-// de-rating (1 when healthy).
-func (m *Machine) lcUtilisation(alloc *Allocation, qps, missLC, inflation float64, servers int, slow float64) float64 {
-	f := m.freqFor(alloc.LCFreqGHz) * slow
-	ipc := m.tbl.IPCAt(m.lcAppIdx(), alloc.LCCore, missLC, inflation, f)
-	meanSvc := m.queryInstr / (ipc * f * 1e9)
-	return svcUtilisation(qps, meanSvc, float64(servers))
 }
 
 // svcUtilisation estimates a service's busy fraction from offered load
@@ -612,6 +555,16 @@ func svcUtilisation(qps, meanSvc, cores float64) float64 {
 	return math.Min(1, qps*meanSvc/cores)
 }
 
+// opposite is the profiling blend's other extreme (§VIII-A1): the
+// narrowest configuration for any core but the narrowest, which pairs
+// with the widest.
+func opposite(c config.Core) config.Core {
+	if c == config.Narrowest {
+		return config.Widest
+	}
+	return config.Narrowest
+}
+
 // freqFor resolves a per-assignment frequency override against the
 // design's nominal clock.
 func (m *Machine) freqFor(override float64) float64 {
@@ -621,54 +574,51 @@ func (m *Machine) freqFor(override float64) float64 {
 	return m.pm.FreqGHz()
 }
 
-// effectiveWays computes the LLC ways each application observes. Under
-// partitioning each job sees its allocation. Without partitioning all
-// active applications contend for the 32 ways with occupancy
-// proportional to per-core capacity demand (working-set size), the
-// first-order behaviour of shared LRU; that equilibrium is memoised per
-// machine (waysMemo). The returned slices are the caller's.
-func (m *Machine) effectiveWays(alloc *Allocation) (batch []float64, lc float64, extra []float64) {
-	batch = make([]float64, len(m.batch))
-	extra = make([]float64, len(alloc.ExtraLC))
+// effectiveWays computes the LLC ways each application observes,
+// writing the batch jobs' into a fresh ph.effBatch and each service's
+// into ph.svc[k].eff. Under partitioning each application sees its
+// allocation. Without partitioning all active applications contend for
+// the 32 ways with occupancy proportional to per-core capacity demand
+// (working-set size), the first-order behaviour of shared LRU; that
+// equilibrium is memoised per machine (waysMemo).
+func (m *Machine) effectiveWays(ph *phase) {
+	alloc := ph.alloc
+	ph.effBatch = make([]float64, len(m.batch))
 	if !alloc.NoPartition {
 		for i, b := range alloc.Batch {
 			if !b.Gated {
-				batch[i] = b.Cache.Ways()
+				ph.effBatch[i] = b.Cache.Ways()
 			}
 		}
-		if m.lc != nil && alloc.LCCores > 0 {
-			lc = alloc.LCCache.Ways()
+		for k := range ph.svc {
+			ph.svc[k].eff = ph.svc[k].Cache.Ways()
 		}
-		for x, e := range alloc.ExtraLC {
-			extra[x] = e.Cache.Ways()
-		}
-		return batch, lc, extra
+		return
 	}
-	lc, ok := m.ways.get(alloc, batch, extra)
-	if !ok {
-		lc = m.lruWays(alloc, batch, extra)
-		m.ways.put(alloc, batch, lc, extra)
+	if !m.ways.get(alloc, ph.effBatch, ph.svc) {
+		m.lruWays(alloc, ph.effBatch, ph.svc)
+		m.ways.put(alloc, ph.effBatch, ph.svc)
 	}
-	return batch, lc, extra
 }
 
 // lruWays solves the unpartitioned equilibrium of alloc, writing the
-// batch jobs' and extra services' occupancies into batch and extra
-// (zeroed by the caller) and returning the primary service's.
-func (m *Machine) lruWays(alloc *Allocation, batch, extra []float64) (lc float64) {
+// batch jobs' occupancies into batch (zeroed by the caller) and each
+// service's into svc[k].eff.
+func (m *Machine) lruWays(alloc *Allocation, batch []float64, svc []servicePhase) {
 	// Unpartitioned LRU equilibrium: an application's occupancy is
 	// proportional to its insertion (miss) rate, and its miss rate
 	// rises as its occupancy shrinks — a negative feedback this fixed
-	// point captures. Access weights are per-core miss traffic; the LC
-	// service inserts from all of its cores into one shared working
-	// set.
+	// point captures. Access weights are per-core miss traffic; a
+	// latency-critical service inserts from all of its cores into one
+	// shared working set. Sharers are the active batch jobs, then the
+	// services in order.
 	type sharer struct {
 		weight float64
 		miss   func(float64) float64
 		ways   float64
 		missed float64 // miss(ways) at the current iterate
 	}
-	sharers := make([]sharer, 0, len(alloc.Batch)+1+len(alloc.ExtraLC))
+	sharers := make([]sharer, 0, len(alloc.Batch)+len(svc))
 	for i, b := range alloc.Batch {
 		if b.Gated {
 			continue
@@ -679,25 +629,15 @@ func (m *Machine) lruWays(alloc *Allocation, batch, extra []float64) (lc float64
 			miss:   app.MissRatio,
 		})
 	}
-	lcIdx := -1
-	if m.lc != nil && alloc.LCCores > 0 {
-		lcIdx = len(sharers)
+	for k := range svc {
+		app := m.lcs[k].app
 		sharers = append(sharers, sharer{
-			weight: m.lc.MemFrac * m.lc.L1MissRate * float64(alloc.LCCores),
-			miss:   m.lc.MissRatio,
-		})
-	}
-	extraIdx := make([]int, len(alloc.ExtraLC))
-	for x, e := range alloc.ExtraLC {
-		app := m.extraLCs[x]
-		extraIdx[x] = len(sharers)
-		sharers = append(sharers, sharer{
-			weight: app.MemFrac * app.L1MissRate * float64(e.Cores),
+			weight: app.MemFrac * app.L1MissRate * float64(svc[k].Cores),
 			miss:   app.MissRatio,
 		})
 	}
 	if len(sharers) == 0 {
-		return 0
+		return
 	}
 	for i := range sharers {
 		sharers[i].ways = float64(config.LLCWays) / float64(len(sharers))
@@ -731,13 +671,9 @@ func (m *Machine) lruWays(alloc *Allocation, batch, extra []float64) (lc float64
 		batch[i] = sharers[si].ways
 		si++
 	}
-	if lcIdx >= 0 {
-		lc = sharers[lcIdx].ways
+	for k := range svc {
+		svc[k].eff = sharers[si+k].ways
 	}
-	for x, si := range extraIdx {
-		extra[x] = sharers[si].ways
-	}
-	return lc
 }
 
 // waysMemoSize is how many unpartitioned equilibria a machine keeps. A
@@ -747,11 +683,11 @@ func (m *Machine) lruWays(alloc *Allocation, batch, extra []float64) (lc float64
 const waysMemoSize = 2
 
 // waysMemo caches lruWays per machine. The equilibrium reads nothing of
-// an allocation but which batch jobs are gated, the primary service's
-// core count and the extra services' core counts (the machine's
-// applications are fixed at New), so an entry keyed on exactly those
-// returns the solved occupancies bit for bit. Entries keep their
-// buffers: a miss overwrites the least recently used one in place.
+// an allocation but which batch jobs are gated and each service's core
+// count (the machine's applications are fixed at New), so an entry
+// keyed on exactly those returns the solved occupancies bit for bit.
+// Entries keep their buffers: a miss overwrites the least recently used
+// one in place.
 type waysMemo struct {
 	entries [waysMemoSize]waysEntry
 	clock   uint64 // last-use stamp source
@@ -761,19 +697,16 @@ type waysEntry struct {
 	used uint64 // last-use stamp; 0 marks an empty entry
 
 	// Key.
-	gated      []bool
-	lcCores    int
-	extraCores []int
+	gated []bool
+	cores []int // per service, primary first
 
 	// Solved occupancies.
 	batch []float64
-	lc    float64
-	extra []float64
+	lc    []float64 // per service
 }
 
-func (e *waysEntry) matches(alloc *Allocation) bool {
-	if e.used == 0 || e.lcCores != alloc.LCCores ||
-		len(e.gated) != len(alloc.Batch) || len(e.extraCores) != len(alloc.ExtraLC) {
+func (e *waysEntry) matches(alloc *Allocation, svc []servicePhase) bool {
+	if e.used == 0 || len(e.gated) != len(alloc.Batch) || len(e.cores) != len(svc) {
 		return false
 	}
 	for i, b := range alloc.Batch {
@@ -781,31 +714,33 @@ func (e *waysEntry) matches(alloc *Allocation) bool {
 			return false
 		}
 	}
-	for x, a := range alloc.ExtraLC {
-		if e.extraCores[x] != a.Cores {
+	for k := range svc {
+		if e.cores[k] != svc[k].Cores {
 			return false
 		}
 	}
 	return true
 }
 
-// get copies alloc's cached occupancies into batch and extra and
-// returns the primary service's; ok is false on a miss.
-func (w *waysMemo) get(alloc *Allocation, batch, extra []float64) (lc float64, ok bool) {
+// get copies alloc's cached occupancies into batch and svc[k].eff; it
+// reports false on a miss.
+func (w *waysMemo) get(alloc *Allocation, batch []float64, svc []servicePhase) bool {
 	for i := range w.entries {
-		if e := &w.entries[i]; e.matches(alloc) {
+		if e := &w.entries[i]; e.matches(alloc, svc) {
 			w.clock++
 			e.used = w.clock
 			copy(batch, e.batch)
-			copy(extra, e.extra)
-			return e.lc, true
+			for k := range svc {
+				svc[k].eff = e.lc[k]
+			}
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
 // put records alloc's solved occupancies.
-func (w *waysMemo) put(alloc *Allocation, batch []float64, lc float64, extra []float64) {
+func (w *waysMemo) put(alloc *Allocation, batch []float64, svc []servicePhase) {
 	e := &w.entries[0]
 	for i := range w.entries {
 		if w.entries[i].used < e.used {
@@ -818,14 +753,12 @@ func (w *waysMemo) put(alloc *Allocation, batch []float64, lc float64, extra []f
 	for _, b := range alloc.Batch {
 		e.gated = append(e.gated, b.Gated)
 	}
-	e.lcCores = alloc.LCCores
-	e.extraCores = e.extraCores[:0]
-	for _, a := range alloc.ExtraLC {
-		e.extraCores = append(e.extraCores, a.Cores)
+	e.cores, e.lc = e.cores[:0], e.lc[:0]
+	for k := range svc {
+		e.cores = append(e.cores, svc[k].Cores)
+		e.lc = append(e.lc, svc[k].eff)
 	}
 	e.batch = append(e.batch[:0], batch...)
-	e.lc = lc
-	e.extra = append(e.extra[:0], extra...)
 }
 
 // bandwidthInflation maps DRAM bandwidth utilisation to a memory
@@ -856,9 +789,9 @@ func (m *Machine) MaxPowerW() float64 {
 		sum += refPower.Core(app, config.Widest, ipc)
 		n++
 	}
-	if m.lc != nil {
-		ipc := refPerf.IPC(m.lc, config.Widest, config.FourWays.Ways(), 1)
-		p := refPower.Core(m.lc, config.Widest, ipc)
+	if lc := m.LC(); lc != nil {
+		ipc := refPerf.IPC(lc, config.Widest, config.FourWays.Ways(), 1)
+		p := refPower.Core(lc, config.Widest, ipc)
 		// The LC service holds half the machine at t=0 (§VII-A), so it
 		// contributes that many per-core samples to the average.
 		k := m.nCores / 2

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -49,12 +50,17 @@ func TestNewPanicsOnBadSpec(t *testing.T) {
 		{Batch: []*workload.Profile{lc}},                     // LC listed as batch
 		{LC: batch[0]},                                       // batch listed as LC
 		{LC: lc, Batch: []*workload.Profile{{Name: "junk"}}}, // invalid profile
+		{LC: lc, PeakBWGBs: math.NaN()},                      // undefined bandwidth
+		{LC: lc, PeakBWGBs: -10},                             // negative bandwidth
+		{LC: lc, PeakBWGBs: math.Inf(1)},                     // unlimited bandwidth
+		{LC: lc, InitLCCores: -1},                            // negative core count
 	}
 	for i, spec := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: New did not panic", i)
+				// A bad spec panics in sim's own words, not deeper down.
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "sim: ") {
+					t.Errorf("case %d: New panicked with %q, want a sim: message", i, msg)
 				}
 			}()
 			New(spec)
@@ -69,7 +75,7 @@ func TestRunBasics(t *testing.T) {
 	if res.PowerW <= 0 {
 		t.Fatal("non-positive chip power")
 	}
-	if len(res.Sojourns) == 0 {
+	if len(res.LC[0].Sojourns) == 0 {
 		t.Fatal("no LC queries at 80% load")
 	}
 	for i, b := range res.BatchBIPS {
@@ -138,7 +144,7 @@ func TestLCTailLatencyRespondsToConfig(t *testing.T) {
 		alloc.LCCache = ways
 		var all []float64
 		for i := 0; i < 10; i++ {
-			all = append(all, m.Run(alloc, 0.1, 0.8*m.LC().MaxQPS).Sojourns...)
+			all = append(all, m.Run(alloc, 0.1, 0.8*m.LC().MaxQPS).LC[0].Sojourns...)
 		}
 		return stats.P99(all)
 	}
@@ -159,7 +165,7 @@ func TestTailLatencyLoadDependence(t *testing.T) {
 		alloc.LCCache = config.FourWays
 		var all []float64
 		for i := 0; i < 10; i++ {
-			all = append(all, m.Run(alloc, 0.1, load*m.LC().MaxQPS).Sojourns...)
+			all = append(all, m.Run(alloc, 0.1, load*m.LC().MaxQPS).LC[0].Sojourns...)
 		}
 		return stats.P99(all)
 	}
@@ -202,10 +208,10 @@ func TestNoPartitionInterference(t *testing.T) {
 	shared.NoPartition = true
 	rp := m.Run(part, 0.1, 0.5*m.LC().MaxQPS)
 	rs := m.Run(shared, 0.1, 0.5*m.LC().MaxQPS)
-	if rs.EffWaysLC == rp.EffWaysLC {
+	if rs.LC[0].EffWays == rp.LC[0].EffWays {
 		t.Fatal("partitioned and shared LLC should differ for the LC service")
 	}
-	total := rs.EffWaysLC
+	total := rs.LC[0].EffWays
 	for _, w := range rs.EffWays {
 		total += w
 	}
@@ -353,7 +359,7 @@ func TestRunDeterministic(t *testing.T) {
 		return m.Run(widestAlloc(m), 0.1, 0.8*m.LC().MaxQPS)
 	}
 	a, b := run(), run()
-	if a.PowerW != b.PowerW || len(a.Sojourns) != len(b.Sojourns) {
+	if a.PowerW != b.PowerW || len(a.LC[0].Sojourns) != len(b.LC[0].Sojourns) {
 		t.Fatal("machine runs are not deterministic")
 	}
 }
@@ -395,20 +401,20 @@ func TestMultiServiceMachine(t *testing.T) {
 		Seed: 20, LC: xapian, ExtraLCs: []*workload.Profile{silo},
 		Batch: workload.Mix(20, test, 16), Reconfigurable: true,
 	})
-	if len(m.ExtraLCs()) != 1 {
+	if len(m.Services()) != 2 {
 		t.Fatal("extra service not registered")
 	}
 	a := Uniform(16, true, 8, config.Widest, config.OneWay)
 	a.ExtraLC = []LCAssign{{Cores: 8, Core: config.Widest, Cache: config.FourWays}}
 	a.LCCache = config.FourWays
 	pr := m.RunMulti(a, 0.1, []float64{0.4 * xapian.MaxQPS, 0.3 * silo.MaxQPS})
-	if len(pr.ExtraSojourns) != 1 || len(pr.ExtraSojourns[0]) == 0 {
+	if len(pr.LC) != 2 || len(pr.LC[1].Sojourns) == 0 {
 		t.Fatal("extra service executed no queries")
 	}
-	if pr.ExtraLCPowerW[0] <= 0 || pr.ExtraMeanSvc[0] <= 0 {
+	if pr.LC[1].CorePowerW <= 0 || pr.LC[1].MeanSvc <= 0 {
 		t.Fatal("extra service accounting missing")
 	}
-	if len(pr.Sojourns) == 0 {
+	if len(pr.LC[0].Sojourns) == 0 {
 		t.Fatal("primary service executed no queries")
 	}
 	// Both services plus 16 batch cores fill the machine exactly.

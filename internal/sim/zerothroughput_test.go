@@ -34,11 +34,11 @@ func TestZeroThroughputViolatesNotNaN(t *testing.T) {
 	qps := 0.5 * m.LC().MaxQPS
 
 	res := m.Run(alloc, 0.1, qps)
-	if !math.IsInf(res.LCMeanSvc, 1) {
-		t.Fatalf("LCMeanSvc = %v, want +Inf under a stuck clock", res.LCMeanSvc)
+	if !math.IsInf(res.LC[0].MeanSvc, 1) {
+		t.Fatalf("MeanSvc = %v, want +Inf under a stuck clock", res.LC[0].MeanSvc)
 	}
-	if len(res.Sojourns) == 0 || !math.IsInf(stats.P99(res.Sojourns), 1) {
-		t.Fatalf("sojourns %v: zero throughput under load must report a violated SLO", res.Sojourns)
+	if len(res.LC[0].Sojourns) == 0 || !math.IsInf(stats.P99(res.LC[0].Sojourns), 1) {
+		t.Fatalf("sojourns %v: zero throughput under load must report a violated SLO", res.LC[0].Sojourns)
 	}
 	if math.IsNaN(res.PowerW) || math.IsInf(res.PowerW, 0) || res.PowerW <= 0 {
 		t.Fatalf("PowerW = %v, want finite positive", res.PowerW)
@@ -56,8 +56,8 @@ func TestZeroThroughputViolatesNotNaN(t *testing.T) {
 	m2 := testMachine(t, 12)
 	m2.SetInjector(stuckInjector{from: 0, to: 0.1})
 	idle := m2.Run(widestAlloc(m2), 0.1, 0)
-	if len(idle.Sojourns) != 0 {
-		t.Fatalf("idle zero-throughput phase reported sojourns %v", idle.Sojourns)
+	if len(idle.LC[0].Sojourns) != 0 {
+		t.Fatalf("idle zero-throughput phase reported sojourns %v", idle.LC[0].Sojourns)
 	}
 	if math.IsNaN(idle.PowerW) || idle.PowerW <= 0 {
 		t.Fatalf("idle PowerW = %v", idle.PowerW)
@@ -67,15 +67,15 @@ func TestZeroThroughputViolatesNotNaN(t *testing.T) {
 	// exactly like a healthy service — finite sojourns, no +Inf parked
 	// among the server free times from the violated phase.
 	rec := m.Run(alloc, 0.1, qps)
-	if len(rec.Sojourns) == 0 {
+	if len(rec.LC[0].Sojourns) == 0 {
 		t.Fatal("no queries after recovery")
 	}
-	for _, s := range rec.Sojourns {
+	for _, s := range rec.LC[0].Sojourns {
 		if math.IsInf(s, 0) || math.IsNaN(s) {
 			t.Fatalf("post-recovery sojourn %v: queue state was poisoned", s)
 		}
 	}
-	if p99 := stats.P99(rec.Sojourns); p99*1e3 > 100*m.LC().QoSTargetMs {
+	if p99 := stats.P99(rec.LC[0].Sojourns); p99*1e3 > 100*m.LC().QoSTargetMs {
 		t.Fatalf("post-recovery p99 %vms is unbounded-ish; heap not recovered", p99*1e3)
 	}
 }
@@ -102,13 +102,13 @@ func TestZeroThroughputExtraService(t *testing.T) {
 	alloc := Uniform(len(m.Batch()), true, m.NCores()/4, config.Widest, config.OneWay)
 	alloc.ExtraLC = []LCAssign{{Cores: m.NCores() / 4, Core: config.Widest, Cache: config.FourWays}}
 	res := m.RunMulti(alloc, 0.1, []float64{0.5 * lc.MaxQPS, 0.5 * extra[0].MaxQPS})
-	if !math.IsInf(res.LCMeanSvc, 1) {
-		t.Fatalf("primary LCMeanSvc = %v, want +Inf", res.LCMeanSvc)
+	if !math.IsInf(res.LC[0].MeanSvc, 1) {
+		t.Fatalf("primary MeanSvc = %v, want +Inf", res.LC[0].MeanSvc)
 	}
-	if len(res.ExtraSojourns) != 1 || len(res.ExtraSojourns[0]) == 0 {
+	if len(res.LC) != 2 || len(res.LC[1].Sojourns) == 0 {
 		t.Fatal("extra service should keep serving")
 	}
-	for _, s := range res.ExtraSojourns[0] {
+	for _, s := range res.LC[1].Sojourns {
 		if math.IsInf(s, 0) || math.IsNaN(s) {
 			t.Fatalf("extra sojourn %v", s)
 		}
