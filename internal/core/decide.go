@@ -335,11 +335,10 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 		confidence = 1
 	}
 	target := qosSafety * sv.app.QoSTargetMs * confidence
-	lcRow := lat.Row(rt.latRow(k))
-	svcRow := svc.Row(rt.latRow(k))
+	row := rt.latRow(k)
 	bestIdx := -1
 	for j := 0; j < config.NumResources; j++ {
-		if lcRow[j] > target {
+		if lat.At(row, j) > target {
 			continue
 		}
 		// Utilisation veto: a configuration whose predicted mean
@@ -350,8 +349,8 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 		// measured on carry extra error, so they are derated by a
 		// probe margin before the check.
 		if !rt.p.DisableUtilVeto && sv.cores > 0 {
-			predUtil := qps * svcRow[j] * 1e-3 / float64(sv.cores)
-			if !rt.svcM.Known(rt.latRow(k), j) {
+			predUtil := qps * svc.At(row, j) * 1e-3 / float64(sv.cores)
+			if !rt.svcM.Known(row, j) {
 				predUtil *= probeMargin
 			}
 			if predUtil > maxUtil {

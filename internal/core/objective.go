@@ -77,12 +77,11 @@ func (rt *Runtime) separableObjective(thr, pwr *sgd.Prediction, lcRes []config.R
 		if rt.sepTerms[i] == nil {
 			rt.sepTerms[i] = make([]float64, config.NumResources*numAccums)
 		}
-		thrRow := thr.Row(rt.batchRow(i))
-		pwrRow := pwr.Row(rt.batchRow(i))
+		row := rt.batchRow(i)
 		t := rt.sepTerms[i]
 		for j := 0; j < config.NumResources; j++ {
-			t[j*numAccums+accLogThr] = math.Log(math.Max(thrRow[j], 1e-9))
-			t[j*numAccums+accPower] = pwrRow[j]
+			t[j*numAccums+accLogThr] = math.Log(math.Max(thr.At(row, j), 1e-9))
+			t[j*numAccums+accPower] = pwr.At(row, j)
 			t[j*numAccums+accWays] = waysTab[j]
 			t[j*numAccums+accHalves] = halfTab[j]
 		}

@@ -1,8 +1,11 @@
 // Package mat implements the small dense linear algebra kernel the
 // repository needs: matrices, a partial-pivoting linear solver
-// (used to fit Flicker's RBF surrogates), and a one-sided Jacobi SVD
-// (used to initialise the P/Q factors of the collaborative-filtering
-// reconstruction, as described in §V of the paper).
+// (used to fit Flicker's RBF surrogates), and a one-sided Jacobi SVD.
+// The SVD has two outputs over one rotation loop: SVD returns the full
+// thin decomposition of a copy, and SVDTop yields only the leading k
+// singular triplets of a matrix it decomposes in place — the form that
+// seeds the P/Q factors of the collaborative-filtering reconstruction
+// (§V of the paper), which reads the top six triplets and nothing else.
 //
 // The matrices here are tiny — at most a few hundred rows (applications)
 // by ~108 columns (resource configurations) — so the implementations
@@ -131,27 +134,71 @@ func SVD(a *Dense) SVDResult {
 	if a.Rows < a.Cols {
 		// Decompose the transpose and swap the roles of U and V: a's
 		// row-major data is already the transpose's column-major form.
-		u, s, v := jacobiSVD(append([]float64(nil), a.Data...), a.Cols, a.Rows)
+		u, s, v := rotate(append([]float64(nil), a.Data...), a.Cols, a.Rows).thin()
 		return SVDResult{U: v, S: s, V: u}
 	}
-	u, s, v := jacobiSVD(a.transpose().Data, a.Rows, a.Cols)
+	u, s, v := rotate(a.transpose().Data, a.Rows, a.Cols).thin()
 	return SVDResult{U: u, S: s, V: v}
 }
 
-// jacobiSVD decomposes the m×n matrix (m ≥ n) held column-major in w,
-// which it overwrites: Jacobi rotations orthogonalise w's columns in
-// place, accumulating into the column-major v. Both live column-major
-// because every inner loop walks a pair of columns.
-func jacobiSVD(w []float64, m, n int) (u *Dense, sOut []float64, vOut *Dense) {
+// SVDTop computes the leading k singular triplets of a — bit for bit
+// the first k columns of SVD(a)'s U, S and V — without SVD's copies:
+// a wide a is decomposed in place, so its data is overwritten, and
+// only a tall one is transposed into a working copy. It calls
+// yield(r, s, u, v) for r = 0 … min(k, a.Rows, a.Cols)−1 in order,
+// with s the r-th singular value and u (length a.Rows) and v (length
+// a.Cols) its left and right singular vectors, views into the working
+// arrays.
+func SVDTop(a *Dense, k int, yield func(r int, s float64, u, v []float64)) {
+	wide := a.Rows < a.Cols
+	var j jacobi
+	if wide {
+		j = rotate(a.Data, a.Cols, a.Rows)
+	} else {
+		j = rotate(a.transpose().Data, a.Rows, a.Cols)
+	}
+	for r, e := range j.order[:min(k, j.n)] {
+		w, v := j.w[e.idx*j.m:(e.idx+1)*j.m], j.v[e.idx*j.n:(e.idx+1)*j.n]
+		normalise(w, e.val)
+		if wide {
+			yield(r, e.val, v, w)
+		} else {
+			yield(r, e.val, w, v)
+		}
+	}
+}
+
+// svdEps is the rotation threshold relative to the column norms, and
+// the singular value at or below which normalise leaves w's column
+// zero.
+const svdEps = 1e-12
+
+// jacobi is a one-sided Jacobi decomposition of an m×n matrix (m ≥ n):
+// w holds the matrix column-major with its columns orthogonalised, v
+// the accumulated rotations (n×n, column-major), and order w's columns
+// by non-increasing norm — the singular values. Both arrays are
+// column-major because every inner loop walks a pair of columns.
+type jacobi struct {
+	w, v  []float64
+	m, n  int
+	order []singular
+}
+
+// singular is one singular value and the column of w and v it lives in.
+type singular struct {
+	val float64
+	idx int
+}
+
+// rotate orthogonalises the columns of the m×n matrix held column-major
+// in w, which it overwrites, and ranks them.
+func rotate(w []float64, m, n int) jacobi {
 	v := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		v[i*n+i] = 1
 	}
 
-	const (
-		maxSweeps = 60
-		eps       = 1e-12
-	)
+	const maxSweeps = 60
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0
 		for p := 0; p < n-1; p++ {
@@ -165,7 +212,7 @@ func jacobiSVD(w []float64, m, n int) (u *Dense, sOut []float64, vOut *Dense) {
 					beta += y * y
 					gamma += x * y
 				}
-				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
+				if math.Abs(gamma) <= svdEps*math.Sqrt(alpha*beta) || gamma == 0 {
 					continue
 				}
 				off += math.Abs(gamma)
@@ -190,40 +237,51 @@ func jacobiSVD(w []float64, m, n int) (u *Dense, sOut []float64, vOut *Dense) {
 		}
 	}
 
-	// Column norms of w are the singular values; normalised columns form U.
-	type sv struct {
-		val float64
-		idx int
-	}
-	svs := make([]sv, n)
+	// Column norms of w are the singular values.
+	order := make([]singular, n)
 	for j := 0; j < n; j++ {
 		s := 0.0
 		for _, x := range w[j*m : (j+1)*m] {
 			s += x * x
 		}
-		svs[j] = sv{math.Sqrt(s), j}
+		order[j] = singular{math.Sqrt(s), j}
 	}
 	// Sort non-increasing (insertion sort: n is tiny).
 	for i := 1; i < n; i++ {
-		for j := i; j > 0 && svs[j].val > svs[j-1].val; j-- {
-			svs[j], svs[j-1] = svs[j-1], svs[j]
+		for j := i; j > 0 && order[j].val > order[j-1].val; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
+	return jacobi{w: w, v: v, m: m, n: n, order: order}
+}
 
-	u = NewDense(m, n)
-	vOut = NewDense(n, n)
-	sOut = make([]float64, n)
-	for rank, e := range svs {
-		sOut[rank] = e.val
-		if e.val > eps {
-			inv := 1 / e.val
-			for i, x := range w[e.idx*m : (e.idx+1)*m] {
-				u.Set(i, rank, x*inv)
-			}
+// normalise scales a column of w, whose norm is s, to unit length in
+// place — the left singular vector — or zeroes it unless s > svdEps.
+func normalise(w []float64, s float64) {
+	if !(s > svdEps) {
+		clear(w)
+		return
+	}
+	inv := 1 / s
+	for i, x := range w {
+		w[i] = x * inv
+	}
+}
+
+// thin copies the ranked decomposition out as SVD's m×n U, singular
+// values and n×n V.
+func (j jacobi) thin() (u *Dense, s []float64, v *Dense) {
+	u, v, s = NewDense(j.m, j.n), NewDense(j.n, j.n), make([]float64, j.n)
+	for r, e := range j.order {
+		s[r] = e.val
+		w := j.w[e.idx*j.m : (e.idx+1)*j.m]
+		normalise(w, e.val)
+		for i, x := range w {
+			u.Set(i, r, x)
 		}
-		for i, x := range v[e.idx*n : (e.idx+1)*n] {
-			vOut.Set(i, rank, x)
+		for i, x := range j.v[e.idx*j.n : (e.idx+1)*j.n] {
+			v.Set(i, r, x)
 		}
 	}
-	return u, sOut, vOut
+	return u, s, v
 }

@@ -394,8 +394,57 @@ func TestSVDMatchesRowMajorOracle(t *testing.T) {
 	}
 }
 
+// TestSVDTopMatchesSVD pins SVDTop's triplets to the leading columns of
+// SVD's U, S and V, bit for bit, on the wide shapes it decomposes in
+// place, the transposed tall and square ones, and a rank-deficient
+// input whose trailing left singular vectors are zero; k above the
+// rank yields only min(rows, cols) triplets.
+func TestSVDTopMatchesSVD(t *testing.T) {
+	r := rng.New(31)
+	for _, tc := range []struct{ rows, cols, k int }{
+		{12, 108, 6}, {32, 108, 6}, {30, 27, 6}, {108, 20, 3}, {5, 5, 8}, {4, 9, 6},
+	} {
+		a := NewDense(tc.rows, tc.cols)
+		for i := range a.Data {
+			a.Data[i] = r.Norm()
+		}
+		if tc.rows == 4 {
+			copy(a.row(2), a.row(0)) // rank deficient: duplicated rows
+			copy(a.row(3), a.row(1))
+		}
+		want := SVD(a)
+		t.Run(fmt.Sprintf("%dx%d top %d", tc.rows, tc.cols, tc.k), func(t *testing.T) {
+			n := 0
+			SVDTop(a.clone(), tc.k, func(rank int, s float64, u, v []float64) {
+				if rank != n || len(u) != tc.rows || len(v) != tc.cols {
+					t.Fatalf("triplet %d: rank %d, |u| %d, |v| %d", n, rank, len(u), len(v))
+				}
+				n++
+				if math.Float64bits(s) != math.Float64bits(want.S[rank]) {
+					t.Fatalf("S[%d] = %v, SVD %v", rank, s, want.S[rank])
+				}
+				for i, x := range u {
+					if math.Float64bits(x) != math.Float64bits(want.U.At(i, rank)) {
+						t.Fatalf("U(%d,%d) = %v, SVD %v", i, rank, x, want.U.At(i, rank))
+					}
+				}
+				for j, x := range v {
+					if math.Float64bits(x) != math.Float64bits(want.V.At(j, rank)) {
+						t.Fatalf("V(%d,%d) = %v, SVD %v", j, rank, x, want.V.At(j, rank))
+					}
+				}
+			})
+			if wantN := min(tc.k, tc.rows, tc.cols); n != wantN {
+				t.Fatalf("%d triplets, want %d", n, wantN)
+			}
+		})
+	}
+}
+
 // BenchmarkSVD times the decompositions svdInit runs once the running
-// rows turn dense.
+// rows turn dense: the full SVD, the row-major oracle, and the top-six
+// in-place SVDTop the seed calls (its input refilled each iteration,
+// since SVDTop overwrites it).
 func BenchmarkSVD(b *testing.B) {
 	r := rng.New(29)
 	for _, rows := range []int{16, 32} {
@@ -404,11 +453,21 @@ func BenchmarkSVD(b *testing.B) {
 			a.Data[i] = r.Norm()
 		}
 		b.Run(fmt.Sprintf("%dx108", rows), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				SVD(a)
 			}
 		})
+		b.Run(fmt.Sprintf("%dx108-top6", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			w := a.clone()
+			for i := 0; i < b.N; i++ {
+				copy(w.Data, a.Data)
+				SVDTop(w, 6, func(int, float64, []float64, []float64) {})
+			}
+		})
 		b.Run(fmt.Sprintf("%dx108-rowmajor", rows), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				svdRowMajor(a)
 			}

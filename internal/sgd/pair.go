@@ -227,14 +227,14 @@ type laneRun struct {
 func newLaneRun(st []*trainState, lane0, from, to int, rowP, colP []float64) laneRun {
 	w := len(st)
 	ents := st[0].entries[from:to]
-	first := ents[0].i
-	nrows := ents[len(ents)-1].i - first + 1
+	first := int(ents[0].i)
+	nrows := int(ents[len(ents)-1].i) - first + 1
 	rowPtr := make([]int32, nrows+1)
 	offs := make([]uint32, len(ents))
 	vals := make([]float64, w*len(ents))
 	for t, e := range ents {
-		rowPtr[e.i-first+1]++
-		offs[t] = uint32(e.j * laneBlock * 8)
+		rowPtr[int(e.i)-first+1]++
+		offs[t] = uint32(int(e.j) * laneBlock * 8)
 		for l, s := range st {
 			vals[w*t+l] = s.entries[from+t].v
 		}
@@ -299,8 +299,9 @@ func laneTailEpoch(tail []obs, lane int, st *trainState, rowP, colP []float64) {
 	for _, e := range tail {
 		// Fixed-size views: lane's element k of the block at index wk,
 		// the bias at wf, bounds-checked once per entry.
-		ri := (*[w*f + 1]float64)(rowP[e.i*laneBlock+lane:])
-		cj := (*[w*f + 1]float64)(colP[e.j*laneBlock+lane:])
+		i, j := int(e.i), int(e.j)
+		ri := (*[w*f + 1]float64)(rowP[i*laneBlock+lane:])
+		cj := (*[w*f + 1]float64)(colP[j*laneBlock+lane:])
 		dot := 0.0
 		for k := 0; k < f; k++ {
 			dot += ri[w*k] * cj[w*k]
@@ -308,7 +309,7 @@ func laneTailEpoch(tail []obs, lane int, st *trainState, rowP, colP []float64) {
 		err := e.v - (mu + ri[w*f] + cj[w*f] + dot)
 		ri[w*f] += eta * (err - lam*ri[w*f])
 		cj[w*f] += eta * (err - lam*cj[w*f])
-		if st.biasOnly[e.i] {
+		if st.biasOnly[i] {
 			continue
 		}
 		for k := 0; k < f; k++ {

@@ -272,11 +272,13 @@ func BenchmarkReconstructPair(b *testing.B) {
 	ma := pairMatrix(41, 32, 108, 16, 6)
 	mb := pairMatrix(42, 33, 108, 16, 6)
 	b.Run("paired", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ReconstructPair(ma, mb, p, p)
 		}
 	})
 	b.Run("serial2x", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Reconstruct(ma, p)
 			Reconstruct(mb, p)

@@ -227,3 +227,41 @@ func BenchmarkLaneEpoch(b *testing.B) {
 		})
 	}
 }
+
+// reconstructAllocCeiling bounds the bytes one ReconstructQuad call
+// allocates at the runtime's single-machine shape, late in a run. A
+// call measures ≈ 370 KB: the four predictions (≈ 80 KB, which also
+// hold the SVD seeds' mean-filled blocks), the entry lists at 16 bytes
+// an entry (≈ 120 KB), the lane runs and blocks (≈ 110 KB), the model
+// state and the Jacobi rotations. Seeding from a separate mean-filled
+// matrix, the SVD's own copy of it and its full U and V, with 24-byte
+// entries, took ≈ 690 KB.
+const reconstructAllocCeiling = 420 << 10
+
+// TestReconstructAllocCeiling measures ReconstructQuad's allocation
+// per call with runtime.ReadMemStats over repeated calls, on the
+// runtime's single-machine surfaces: throughput with 16 training rows
+// and 16 dense running rows, power with the same 32 and two service
+// rows, latency and service rate with 12 training rows and two sparse
+// service rows. The sweep count does not change what a call
+// allocates, so a short one keeps the test quick.
+func TestReconstructAllocCeiling(t *testing.T) {
+	thr, pwr := matchedPair(91, 32, 108, 16, 40, 2)
+	lat, svc := matchedPair(92, 14, 108, 12, 4, 0)
+	ms := [4]*Matrix{thr, pwr, lat, svc}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 5, SVDInit: true, LogSpace: true}
+	ps := [4]Params{p, p, p, p}
+	ReconstructQuad(ms, ps, false) // warm the runtime's goroutine free lists
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ReconstructQuad(ms, ps, false)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d bytes per ReconstructQuad call", perCall)
+	if perCall > reconstructAllocCeiling {
+		t.Fatalf("ReconstructQuad allocates %d bytes per call, ceiling %d", perCall, reconstructAllocCeiling)
+	}
+}

@@ -191,8 +191,13 @@ func Reconstruct(m *Matrix, params Params) *Prediction {
 // because bench/ still calls it.
 func ReconstructParallel(m *Matrix, params Params) *Prediction { return Reconstruct(m, params) }
 
+// obs is one observed cell: its row and column, and its value in the
+// trained space — log-transformed under LogSpace once, when
+// prepareTraining gathers it, then read by the seed, every sweep and
+// the render. int32 indices keep an entry at 16 bytes; a matrix is a
+// few dozen rows by 108 columns.
 type obs struct {
-	i, j int
+	i, j int32
 	v    float64
 }
 
@@ -233,7 +238,7 @@ func prepareTraining(m *Matrix, p Params) *trainState {
 			if p.LogSpace {
 				v = math.Log(math.Max(v, logFloor))
 			}
-			entries = append(entries, obs{i, j, v})
+			entries = append(entries, obs{int32(i), int32(j), v})
 			sum += v
 		}
 	}
@@ -280,7 +285,7 @@ func prepareTraining(m *Matrix, p Params) *trainState {
 		copy(rowBias, warm.RowBias)
 		copy(colBias, warm.ColBias)
 	case p.SVDInit:
-		svdInit(m, p, mu, q, pc)
+		svdInit(entries, m.Cols, f, mu, q, pc, pred.vals)
 	case f > 0: // f == 0 leaves the factor vectors empty; no init needed
 		r := rng.New(p.Seed)
 		scale := 0.1 / math.Sqrt(float64(f))
@@ -332,15 +337,14 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 	m, p, f := st.m, st.p, st.f
 	mu, q, pc, rowBias, colBias := st.mu, st.q, st.pc, st.rowBias, st.colBias
 	pred := st.pred
-	// Dense prediction; observed entries keep their measured values.
+	// Dense prediction; observed entries keep their measured values,
+	// which the row-major entry list holds in render order.
+	known := st.entries
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			var v float64
-			if m.Known(i, j) {
-				v = m.At(i, j)
-				if p.LogSpace {
-					v = math.Log(math.Max(v, logFloor))
-				}
+			if len(known) > 0 && int(known[0].i) == i && int(known[0].j) == j {
+				v, known = known[0].v, known[1:]
 			} else {
 				v = mu + rowBias[i] + colBias[j] + dotf(q[i*f:(i+1)*f], pc[j*f:(j+1)*f])
 			}
@@ -392,12 +396,13 @@ func (st *trainState) trainSerial() {
 	q, pc, rowBias, colBias, biasOnly := st.q, st.pc, st.rowBias, st.colBias, st.biasOnly
 	for iter := 0; iter < st.p.MaxIter; iter++ {
 		for _, e := range st.entries {
-			qi := q[e.i*f : (e.i+1)*f]
-			pj := pc[e.j*f : (e.j+1)*f]
-			err := e.v - (mu + rowBias[e.i] + colBias[e.j] + dotf(qi, pj))
-			rowBias[e.i] += eta * (err - lam*rowBias[e.i])
-			colBias[e.j] += eta * (err - lam*colBias[e.j])
-			if biasOnly[e.i] {
+			i, j := int(e.i), int(e.j)
+			qi := q[i*f : (i+1)*f]
+			pj := pc[j*f : (j+1)*f]
+			err := e.v - (mu + rowBias[i] + colBias[j] + dotf(qi, pj))
+			rowBias[i] += eta * (err - lam*rowBias[i])
+			colBias[j] += eta * (err - lam*colBias[j])
+			if biasOnly[i] {
 				continue
 			}
 			for k := 0; k < f; k++ {
@@ -418,65 +423,53 @@ func (st *trainState) trainSerial() {
 // exactly the optimistic extrapolation a scheduler cannot afford near
 // a saturation knee. Sparse rows start at zero factors and learn from
 // their observations alone, falling back to the bias model elsewhere.
-func svdInit(m *Matrix, p Params, mu float64, q, pc []float64) {
-	f := p.Factors
-	dense := make([]int, 0, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		n := 0
-		for j := 0; j < m.Cols; j++ {
-			if m.Known(i, j) {
-				n++
-			}
+//
+// The filled matrix is built from the row-major entry list, where each
+// row's observations are one contiguous run already in the trained
+// value space, and mat.SVDTop decomposes it in place. It lives in work,
+// the rows×cols prediction buffer, which nothing reads before finish
+// overwrites every cell of it.
+func svdInit(entries []obs, cols, f int, mu float64, q, pc, work []float64) {
+	type run struct{ row, from, to int } // a dense row's entries[from:to]
+	dense := make([]run, 0, len(work)/cols)
+	for from := 0; from < len(entries); {
+		to := from + 1
+		for to < len(entries) && entries[to].i == entries[from].i {
+			to++
 		}
-		if n*4 >= m.Cols {
-			dense = append(dense, i)
+		if (to-from)*4 >= cols {
+			dense = append(dense, run{int(entries[from].i), from, to})
 		}
+		from = to
 	}
 	if len(dense) == 0 {
 		return // nothing trustworthy to decompose; keep zero init
 	}
-	filled := mat.NewDense(len(dense), m.Cols)
-	for di, i := range dense {
-		rowSum, rowN := 0.0, 0
-		for j := 0; j < m.Cols; j++ {
-			if m.Known(i, j) {
-				v := m.At(i, j)
-				if p.LogSpace {
-					v = math.Log(math.Max(v, logFloor))
-				}
-				rowSum += v
-				rowN++
-			}
+	filled := &mat.Dense{Rows: len(dense), Cols: cols, Data: work[:len(dense)*cols]}
+	for di, r := range dense {
+		rowSum, rowN := 0.0, r.to-r.from
+		for _, e := range entries[r.from:r.to] {
+			rowSum += e.v
 		}
 		if rowN == 0 {
-			continue // cannot happen: dense rows have ≥ Cols/4 known entries
+			continue // cannot happen: dense rows have ≥ cols/4 known entries
 		}
 		rowMean := rowSum / float64(rowN)
-		for j := 0; j < m.Cols; j++ {
-			if m.Known(i, j) {
-				v := m.At(i, j)
-				if p.LogSpace {
-					v = math.Log(math.Max(v, logFloor))
-				}
-				filled.Set(di, j, v-mu)
-			} else {
-				filled.Set(di, j, rowMean-mu)
-			}
+		row := filled.Data[di*cols : (di+1)*cols]
+		for j := range row {
+			row[j] = rowMean - mu
+		}
+		for _, e := range entries[r.from:r.to] {
+			row[e.j] = e.v - mu
 		}
 	}
-	res := mat.SVD(filled)
-	k := f
-	if k > len(res.S) {
-		k = len(res.S)
-	}
-	for di, i := range dense {
-		for kk := 0; kk < k; kk++ {
-			q[i*f+kk] = res.U.At(di, kk) * math.Sqrt(res.S[kk])
+	mat.SVDTop(filled, f, func(kk int, s float64, u, v []float64) {
+		scale := math.Sqrt(s)
+		for di, r := range dense {
+			q[r.row*f+kk] = u[di] * scale
 		}
-	}
-	for j := 0; j < m.Cols; j++ {
-		for kk := 0; kk < k; kk++ {
-			pc[j*f+kk] = res.V.At(j, kk) * math.Sqrt(res.S[kk])
+		for j, x := range v {
+			pc[j*f+kk] = x * scale
 		}
-	}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cuttlesys/internal/config"
+	"cuttlesys/internal/mat"
 	"cuttlesys/internal/perf"
 	"cuttlesys/internal/power"
 	"cuttlesys/internal/rng"
@@ -231,5 +232,167 @@ func TestSurfaceReconstructionAccuracy(t *testing.T) {
 		if box.P5 < -25 || box.P95 > 27 {
 			t.Errorf("%s 5/95th percentiles outside the Fig. 5a band: %v", name, box)
 		}
+	}
+}
+
+// svdInitOracle is the SVD seed as it was before it read the entry
+// list: a mean-filled mat.Dense built by re-reading the matrix (and
+// re-taking each known cell's log), then the full mat.SVD. It is kept
+// as the oracle svdInit must match bit for bit.
+func svdInitOracle(m *Matrix, p Params, mu float64, q, pc []float64) {
+	f := p.Factors
+	dense := make([]int, 0, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		n := 0
+		for j := 0; j < m.Cols; j++ {
+			if m.Known(i, j) {
+				n++
+			}
+		}
+		if n*4 >= m.Cols {
+			dense = append(dense, i)
+		}
+	}
+	if len(dense) == 0 {
+		return
+	}
+	filled := mat.NewDense(len(dense), m.Cols)
+	for di, i := range dense {
+		rowSum, rowN := 0.0, 0
+		for j := 0; j < m.Cols; j++ {
+			if m.Known(i, j) {
+				v := m.At(i, j)
+				if p.LogSpace {
+					v = math.Log(math.Max(v, logFloor))
+				}
+				rowSum += v
+				rowN++
+			}
+		}
+		rowMean := rowSum / float64(rowN)
+		for j := 0; j < m.Cols; j++ {
+			if m.Known(i, j) {
+				v := m.At(i, j)
+				if p.LogSpace {
+					v = math.Log(math.Max(v, logFloor))
+				}
+				filled.Set(di, j, v-mu)
+			} else {
+				filled.Set(di, j, rowMean-mu)
+			}
+		}
+	}
+	res := mat.SVD(filled)
+	k := f
+	if k > len(res.S) {
+		k = len(res.S)
+	}
+	for di, i := range dense {
+		for kk := 0; kk < k; kk++ {
+			q[i*f+kk] = res.U.At(di, kk) * math.Sqrt(res.S[kk])
+		}
+	}
+	for j := 0; j < m.Cols; j++ {
+		for kk := 0; kk < k; kk++ {
+			pc[j*f+kk] = res.V.At(j, kk) * math.Sqrt(res.S[kk])
+		}
+	}
+}
+
+// seedMatrix builds a rows×cols matrix whose first dense rows hold
+// between minObs and cols known cells each, followed by sparse rows of
+// two cells that the seed must skip.
+func seedMatrix(seed uint64, rows, cols, dense, minObs int) *Matrix {
+	r := rng.New(seed)
+	m := NewMatrix(rows, cols)
+	for i := 0; i < rows; i++ {
+		n := 2
+		if i < dense {
+			n = minObs + r.Intn(cols-minObs+1)
+		}
+		perm := make([]int, cols)
+		for j := range perm {
+			perm[j] = j
+		}
+		r.Shuffle(cols, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		for _, j := range perm[:n] {
+			m.Observe(i, j, 0.5+4*r.Float64())
+		}
+	}
+	return m
+}
+
+// TestSVDSeedMatchesOracle pins the in-place top-k seed, read from the
+// entry list, to svdInitOracle bit for bit: the wide shapes the
+// runtime decomposes, the transpose branch (more dense rows than
+// columns), rank-deficient input whose trailing singular values fall
+// at or below the zero-column threshold, partially observed dense rows
+// (the mean fill), and linear space.
+func TestSVDSeedMatchesOracle(t *testing.T) {
+	p := Params{Factors: 6, SVDInit: true, LogSpace: true}
+	linear := p
+	linear.LogSpace = false
+	cases := []struct {
+		name string
+		m    *Matrix
+		p    Params
+		// zeroCols is how many P columns the seed must leave all
+		// zero at least — ranks past the decomposition's, and ranks
+		// whose singular value is at most 1e-12 — and exactly when 0.
+		zeroCols int
+	}{
+		{name: "12 full rows x 108", m: pairMatrix(1, 14, 108, 12, 2), p: p},
+		{name: "16 full rows x 108", m: pairMatrix(2, 20, 108, 16, 3), p: p},
+		{name: "32 full rows x 108", m: pairMatrix(3, 34, 108, 32, 2), p: p},
+		{name: "30 rows x 27, transposed", m: pairMatrix(4, 30, 27, 30, 0), p: p},
+		{name: "dense rows of 27-107 cells", m: seedMatrix(5, 20, 108, 16, 27), p: p},
+		{name: "transposed, partially observed", m: seedMatrix(6, 32, 27, 30, 7), p: p},
+		{name: "linear space", m: seedMatrix(7, 20, 108, 16, 27), p: linear},
+		{name: "rank 8 in 6 rows", m: pairMatrix(8, 8, 108, 6, 2), p: Params{Factors: 8, SVDInit: true, LogSpace: true}, zeroCols: 2},
+		{name: "duplicated rows", m: func() *Matrix {
+			// Twelve dense rows, copies of two: rank two after
+			// centring, so ranks 2–5 have zero singular values.
+			src := pairMatrix(9, 2, 108, 2, 0)
+			m := NewMatrix(14, 108)
+			for i := 0; i < 12; i++ {
+				for j := 0; j < 108; j++ {
+					m.Observe(i, j, src.At(i%2, j))
+				}
+			}
+			m.Observe(12, 5, 1)
+			m.Observe(13, 50, 2)
+			return m
+		}(), p: p, zeroCols: 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := prepareTraining(tc.m, tc.p.withDefaults())
+			f := st.f
+			q, pc := make([]float64, tc.m.Rows*f), make([]float64, tc.m.Cols*f)
+			svdInitOracle(tc.m, st.p, st.mu, q, pc)
+			for _, c := range []struct {
+				name      string
+				got, want []float64
+			}{{"Q", st.q, q}, {"P", st.pc, pc}} {
+				for i := range c.want {
+					if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+						t.Fatalf("%s[%d] = %v, oracle %v", c.name, i, c.got[i], c.want[i])
+					}
+				}
+			}
+			zero := 0
+			for kk := 0; kk < f; kk++ {
+				all := true
+				for j := 0; j < tc.m.Cols; j++ {
+					all = all && pc[j*f+kk] == 0
+				}
+				if all {
+					zero++
+				}
+			}
+			if zero < tc.zeroCols || (tc.zeroCols == 0 && zero > 0) {
+				t.Fatalf("%d all-zero P columns, want %d", zero, tc.zeroCols)
+			}
+		})
 	}
 }
