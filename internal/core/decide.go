@@ -12,12 +12,50 @@ import (
 	"cuttlesys/internal/sim"
 )
 
-// DecideMulti implements the Resource Controller (§IV-B, Fig. 2): it
-// folds the profiling samples into the matrices, reconstructs the
-// surfaces, fixes each latency-critical service's configuration via
-// its QoS scan, explores the batch configuration space with parallel
-// DDS, and enforces the power budget by gating cores when necessary.
-// qps carries one offered load per service, primary first.
+// strongest is a latency-critical service's QoS-safest point: the
+// widest cores with four ways.
+var strongest = config.Resource{Core: config.Widest, Cache: config.FourWays}
+
+// decision is choose's input: the quantum's four reconstructed
+// surfaces and a by-value snapshot of everything else the controller
+// reads. choose reads only Searcher, DDS, DisableUtilVeto,
+// DisableWarmStart and DisableResilience of p.
+type decision struct {
+	thr, pwr, lat, svc    *sgd.Prediction
+	svcM                  *sgd.Matrix // read only for its known mask
+	ctl                   []control   // per service, primary first
+	lastAlloc             *sim.Allocation
+	failedLC, failedBatch int
+	qps                   []float64 // offered load, one per service
+	budgetW               float64
+	seed                  uint64
+	nCores, nBatch        int
+	p                     Params
+	fallback              bool // the safe-fallback allocation; see choose
+	obs                   obs.Collector
+}
+
+// choice is choose's output: the allocation, each service's next core
+// count, scanned configuration and predictions, the predictions behind
+// each batch job's assignment, and the batch search's result.
+type choice struct {
+	alloc            sim.Allocation
+	svcs             []svcChoice
+	predThr, predPwr []float64
+	search           dds.Result
+}
+
+type svcChoice struct {
+	res              config.Resource
+	cores            int
+	predPwr, predLat float64
+}
+
+// DecideMulti implements the Resource Controller (§IV-B, Fig. 2) in two
+// stages: estimate folds the profiling samples into the matrices and
+// reconstructs the surfaces, choose turns them into an allocation, and
+// apply installs the choice as the runtime's state. qps carries one
+// offered load per service, primary first.
 func (rt *Runtime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	rt.slice++
 	rt.noteSampling()
@@ -27,134 +65,56 @@ func (rt *Runtime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW
 		// through the gating arithmetic.
 		budgetW = 0
 	}
+	in := rt.estimate(profile, qps, budgetW)
+	out := choose(in, &rt.scratch)
+	rt.apply(out)
+	return out.alloc, overheadSec
+}
+
+// estimate runs the decision's first stage (§V): observe, reconstruct,
+// and check that the surfaces can be trusted.
+func (rt *Runtime) estimate(profile []sim.PhaseResult, qps []float64, budgetW float64) decision {
 	c := rt.obs
-	traced := c.Enabled()
 	ow := obs.BeginWall(c)
 	rt.observeProfiles(profile)
 	ow.End(c, "core.observe")
 	rw := obs.BeginWall(c)
 	thr, pwr, lat, svc := rt.reconstructAll()
 	rw.End(c, "core.reconstruct")
-	if traced {
+	if c.Enabled() {
 		rt.emitReconstruction(thr, pwr, lat, svc)
 	}
-
-	if !rt.p.DisableResilience && (rt.degraded || !rt.predictionsValid(thr, pwr, lat, svc)) {
-		if traced {
-			c.Emit(obs.Mark(obs.EventFallback))
-			c.Add(obs.MetricFallbacks, obs.NoLabels, 1)
-		}
-		return rt.decideFallback(thr, pwr, lat), overheadSec
+	in := decision{
+		thr: thr, pwr: pwr, lat: lat, svc: svc, svcM: rt.svcM,
+		ctl:       make([]control, len(rt.svcs)),
+		lastAlloc: rt.lastAlloc, failedLC: rt.failedLC, failedBatch: rt.failedBatch,
+		qps: make([]float64, len(rt.svcs)), budgetW: budgetW, seed: rt.p.Seed + uint64(rt.slice)*7919,
+		nCores: rt.nCores, nBatch: len(rt.batch), p: rt.p, obs: c,
 	}
-
-	// --- latency-critical services: QoS scan per service (§VI-A) ---
-	scanWall := obs.BeginWall(c)
-	lcRes := make([]config.Resource, len(rt.svcs))
+	copy(in.qps, qps) // a service with no load entry offers none
 	for k, sv := range rt.svcs {
-		res, _ := rt.scanQoS(sv, k, lat, pwr, svc, loadAt(qps, k))
-		lcRes[k] = res
-		sv.predPwr = pwr.At(rt.lcPowerRow(k), res.Index())
-		sv.predLat = lat.At(rt.latRow(k), res.Index())
-		rt.relocate(sv, k, svc, loadAt(qps, k))
-		if traced {
-			c.Emit(obs.Mark(obs.EventScan).With("service", obs.Itoa(k)).
-				With("cfg", res.Core.String()).With("ways", obs.Float(res.Cache.Ways())))
-			svcLabel := obs.Label("service", obs.Itoa(k))
-			c.Set(obs.MetricLCCores, svcLabel, float64(sv.cores))
-			c.Set(obs.MetricLCWays, svcLabel, res.Cache.Ways())
-		}
+		in.ctl[k] = sv.control
 	}
-	scanWall.End(c, "core.scan")
+	in.fallback = !rt.p.DisableResilience && (rt.degraded || !predictionsValid(&in))
+	return in
+}
 
-	// --- batch jobs: design-space exploration over the 108-way
-	// per-job domain (§VI); parallel DDS by default, GA for Fig. 10 ---
-	nBatch := len(rt.batch)
-	var best []int
-	if nBatch > 0 {
-		searchWall := obs.BeginWall(c)
-		searchSeed := rt.p.Seed + uint64(rt.slice)*7919
-		var init [][]int
-		if rt.lastAlloc != nil && !rt.p.DisableWarmStart {
-			// Seed the previous allocation into the initial set: the
-			// search still explores globally, but ties resolve toward
-			// the incumbent, avoiding config churn between quanta.
-			prev := make([]int, nBatch)
-			for i, b := range rt.lastAlloc.Batch {
-				prev[i] = config.Resource{Core: b.Core, Cache: b.Cache}.Index()
-			}
-			init = [][]int{prev}
-		}
-		algo, evals := "dds", 0
-		dimsScored := 0
-		if rt.p.Searcher == SearchGA {
-			obj := rt.separableObjective(thr, pwr, lcRes, budgetW).Func()
-			r := ga.Search(ga.Objective(obj), ga.Params{
-				Dims:       nBatch,
-				NumConfigs: config.NumResources,
-				Seed:       searchSeed,
-				Init:       init,
-			})
-			best, evals, algo = r.Best, r.Evals, "ga"
-			dimsScored = r.Evals * nBatch
-		} else {
-			params := rt.p.DDS
-			params.Dims = nBatch
-			params.NumConfigs = config.NumResources
-			params.Seed = searchSeed
-			params.Init = init
-			var r dds.Result
-			if rt.referenceSearch != nil {
-				r = rt.referenceSearch(thr, pwr, lcRes, budgetW, params)
-			} else {
-				r = dds.SearchSeparable(rt.separableObjective(thr, pwr, lcRes, budgetW), params)
-			}
-			best, evals = r.Best, r.Evals
-			dimsScored = r.DimsScored
-		}
-		searchWall.End(c, "core.search")
-		if traced {
-			c.Emit(obs.Mark(obs.EventSearch).With("algo", algo).With("evals", obs.Itoa(evals)).
-				With("dims", obs.Itoa(dimsScored)))
-			c.Add(obs.MetricSearchEvals, obs.Label("algo", algo), float64(evals))
-			c.Add(obs.MetricSearchDims, obs.Label("algo", algo), float64(dimsScored))
-			c.Add(obs.MetricSearchDimsSaved, obs.Label("algo", algo), float64(evals*nBatch-dimsScored))
-		}
+// apply installs a choice as the runtime's state. The predictions are
+// what the divergence detector (and TrackAccuracy, for Fig. 5b)
+// compares against the slice's measured metrics.
+func (rt *Runtime) apply(out choice) {
+	for k, sv := range rt.svcs {
+		sv.cores, sv.predPwr, sv.predLat = out.svcs[k].cores, out.svcs[k].predPwr, out.svcs[k].predLat
 	}
-
-	budgetWall := obs.BeginWall(c)
-	alloc := rt.buildAllocation(best, lcRes)
-	rt.applyQuarantine(&alloc)
-	rt.repairCache(&alloc)
-	rt.enforceBudget(&alloc, pwr, budgetW)
-	budgetWall.End(c, "core.budget")
-	if traced {
-		rt.emitAllocation(&alloc)
-	}
-
-	// Record the predictions behind the applied allocation: the
-	// divergence detector compares them against the slice's measured
-	// metrics (and TrackAccuracy logs the errors for Fig. 5b).
-	rt.predThr = make([]float64, nBatch)
-	rt.predPwr = make([]float64, nBatch)
-	for i, b := range alloc.Batch {
-		if b.Gated {
-			rt.predThr[i], rt.predPwr[i] = 0, 0
-			continue
-		}
-		col := config.Resource{Core: b.Core, Cache: b.Cache}.Index()
-		rt.predThr[i] = thr.At(rt.batchRow(i), col)
-		rt.predPwr[i] = pwr.At(rt.batchRow(i), col)
-	}
-
-	cp := alloc
-	rt.lastAlloc = &cp
-	return alloc, overheadSec
+	rt.predThr, rt.predPwr = out.predThr, out.predPwr
+	alloc := out.alloc
+	rt.lastAlloc = &alloc
 }
 
 // predictionsValid rejects reconstructions carrying non-finite values
 // in any row the decision reads — one NaN cell would otherwise steer
 // the QoS scan and the search arbitrarily.
-func (rt *Runtime) predictionsValid(thr, pwr, lat, svc *sgd.Prediction) bool {
+func predictionsValid(in *decision) bool {
 	ok := func(p *sgd.Prediction, row int) bool {
 		for j := 0; j < p.Cols; j++ {
 			if v := p.At(row, j); math.IsNaN(v) || math.IsInf(v, 0) {
@@ -163,62 +123,157 @@ func (rt *Runtime) predictionsValid(thr, pwr, lat, svc *sgd.Prediction) bool {
 		}
 		return true
 	}
-	for i := range rt.batch {
-		if !ok(thr, rt.batchRow(i)) || !ok(pwr, rt.batchRow(i)) {
+	for i := 0; i < in.nBatch; i++ {
+		if !ok(in.thr, batchRow(i)) || !ok(in.pwr, batchRow(i)) {
 			return false
 		}
 	}
-	for k := range rt.svcs {
-		if !ok(pwr, rt.lcPowerRow(k)) || !ok(lat, rt.latRow(k)) || !ok(svc, rt.latRow(k)) {
+	for k := range in.ctl {
+		if !ok(in.pwr, lcPowerRow(in.nBatch, k)) || !ok(in.lat, latRow(k)) || !ok(in.svc, latRow(k)) {
 			return false
 		}
 	}
 	return true
 }
 
-// decideFallback applies the safe-fallback allocation: every service
-// at its strongest point (widest cores, four ways) and every batch
-// job at the narrowest configuration with one way — the QoS-safest,
-// lowest-power corner of the space, chosen without consulting the
-// distrusted reconstructions. The power budget is not enforced here:
-// the all-narrowest batch floor is the same floor enforceBudget
-// converges to, and gating on predictions that just failed validation
-// would be arbitrary.
-func (rt *Runtime) decideFallback(thr, pwr, lat *sgd.Prediction) sim.Allocation {
-	alloc := sim.Allocation{Batch: make([]sim.BatchAssign, len(rt.batch))}
-	for k, sv := range rt.svcs {
-		alloc.SetService(k, sim.LCAssign{Cores: sv.cores, Core: config.Widest, Cache: config.FourWays})
+// choose makes one decision from its input alone: it fixes each
+// latency-critical service's configuration via its QoS scan (§VI-A)
+// and relocates its cores, explores the batch configuration space with
+// parallel DDS (or the GA, for Fig. 10), compensates failed cores,
+// repairs the way budget and enforces the power budget by gating cores
+// (§VI-B). sc is the score-table scratch, retained across quanta.
+//
+// In fallback mode the reconstructions are distrusted, so the scan,
+// relocation, search and budget steps are skipped: every service runs
+// at its strongest point and every batch job at the narrowest
+// configuration with one way — the QoS-safest, lowest-power corner and
+// the floor enforceBudget converges to anyway; gating on distrusted
+// predictions would be arbitrary. Predictions are still
+// recorded so the divergence detector can observe the model
+// re-converging and lift degraded mode.
+func choose(in decision, sc *dds.SeparableObjective) choice {
+	c := in.obs
+	traced := c.Enabled()
+	out := choice{svcs: make([]svcChoice, len(in.ctl))}
+	for k := range out.svcs {
+		out.svcs[k] = svcChoice{res: strongest, cores: in.ctl[k].cores}
+	}
+	var budgetWall obs.WallSample
+	if in.fallback {
+		if traced {
+			c.Emit(obs.Mark(obs.EventFallback))
+			c.Add(obs.MetricFallbacks, obs.NoLabels, 1)
+		}
+	} else {
+		// Each service is scanned at its pre-relocation core count, and
+		// relocation sees the services before it at their new counts.
+		scanWall := obs.BeginWall(c)
+		for k := range out.svcs {
+			s := &out.svcs[k]
+			s.res = scanQoS(&in, k)
+			s.predPwr = in.pwr.At(lcPowerRow(in.nBatch, k), s.res.Index())
+			s.predLat = in.lat.At(latRow(k), s.res.Index())
+			s.cores = relocate(&in, k, out.svcs)
+			if traced {
+				c.Emit(obs.Mark(obs.EventScan).With("service", obs.Itoa(k)).
+					With("cfg", s.res.Core.String()).With("ways", obs.Float(s.res.Cache.Ways())))
+				svcLabel := obs.Label("service", obs.Itoa(k))
+				c.Set(obs.MetricLCCores, svcLabel, float64(s.cores))
+				c.Set(obs.MetricLCWays, svcLabel, s.res.Cache.Ways())
+			}
+		}
+		scanWall.End(c, "core.scan")
+
+		// Batch jobs: design-space exploration over the 108-way per-job
+		// domain (§VI).
+		if in.nBatch > 0 {
+			searchWall := obs.BeginWall(c)
+			params := searchParams(&in)
+			separableObjective(sc, &in, out.svcs)
+			algo := "dds"
+			if in.p.Searcher == SearchGA {
+				r := ga.Search(ga.Objective(sc.Func()), ga.Params{
+					Dims: params.Dims, NumConfigs: params.NumConfigs, Seed: params.Seed, Init: params.Init,
+				})
+				out.search = dds.Result{Best: r.Best, BestVal: r.BestVal, Evals: r.Evals, DimsScored: r.Evals * in.nBatch}
+				algo = "ga"
+			} else {
+				out.search = dds.SearchSeparable(sc, params)
+			}
+			searchWall.End(c, "core.search")
+			if traced {
+				evals, dims := out.search.Evals, out.search.DimsScored
+				c.Emit(obs.Mark(obs.EventSearch).With("algo", algo).With("evals", obs.Itoa(evals)).
+					With("dims", obs.Itoa(dims)))
+				c.Add(obs.MetricSearchEvals, obs.Label("algo", algo), float64(evals))
+				c.Add(obs.MetricSearchDims, obs.Label("algo", algo), float64(dims))
+				c.Add(obs.MetricSearchDimsSaved, obs.Label("algo", algo), float64(evals*in.nBatch-dims))
+			}
+		}
+		budgetWall = obs.BeginWall(c)
+	}
+
+	alloc := sim.Allocation{Batch: make([]sim.BatchAssign, in.nBatch)}
+	for k, s := range out.svcs {
+		alloc.SetService(k, sim.LCAssign{Cores: s.cores, Core: s.res.Core, Cache: s.res.Cache})
 	}
 	for i := range alloc.Batch {
-		alloc.Batch[i] = sim.BatchAssign{Core: config.Narrowest, Cache: config.OneWay}
+		res := config.Resource{Core: config.Narrowest, Cache: config.OneWay}
+		if !in.fallback {
+			res = config.ResourceByIndex(out.search.Best[i])
+		}
+		alloc.Batch[i] = sim.BatchAssign{Core: res.Core, Cache: res.Cache}
 	}
-	rt.applyQuarantine(&alloc)
-	rt.repairCache(&alloc)
+	if !in.p.DisableResilience {
+		applyQuarantine(&alloc, in.failedLC, in.failedBatch, in.nCores)
+	}
+	repairCache(&alloc, len(in.ctl))
+	if in.fallback {
+		// The fallback predicts at the applied configurations, after
+		// quarantine and repair.
+		for k := range out.svcs {
+			a := alloc.Service(k)
+			col := config.Resource{Core: a.Core, Cache: a.Cache}.Index()
+			out.svcs[k].predPwr = in.pwr.At(lcPowerRow(in.nBatch, k), col)
+			out.svcs[k].predLat = in.lat.At(latRow(k), col)
+		}
+	} else {
+		enforceBudget(&alloc, &in, out.svcs)
+		budgetWall.End(c, "core.budget")
+		if traced {
+			emitAllocation(c, &alloc)
+		}
+	}
 
-	// Keep predicting so the divergence detector can observe the model
-	// re-converging and lift degraded mode.
-	rt.predThr = make([]float64, len(rt.batch))
-	rt.predPwr = make([]float64, len(rt.batch))
+	out.predThr, out.predPwr = make([]float64, in.nBatch), make([]float64, in.nBatch)
 	for i, b := range alloc.Batch {
 		if b.Gated {
 			continue
 		}
 		col := config.Resource{Core: b.Core, Cache: b.Cache}.Index()
-		rt.predThr[i] = thr.At(rt.batchRow(i), col)
-		rt.predPwr[i] = pwr.At(rt.batchRow(i), col)
+		out.predThr[i] = in.thr.At(batchRow(i), col)
+		out.predPwr[i] = in.pwr.At(batchRow(i), col)
 	}
-	for k, sv := range rt.svcs {
-		a := alloc.Service(k)
-		res := config.Resource{Core: a.Core, Cache: a.Cache}
-		sv.predPwr = pwr.At(rt.lcPowerRow(k), res.Index())
-		if lat != nil {
-			sv.predLat = lat.At(rt.latRow(k), res.Index())
-		}
-	}
+	out.alloc = alloc
+	return out
+}
 
-	cp := alloc
-	rt.lastAlloc = &cp
-	return alloc
+// searchParams configures the quantum's batch search: one dimension
+// per batch job over the 108-way domain, seeded per slice. Unless
+// DisableWarmStart, the previous allocation joins the initial set: the
+// search still explores globally, but ties resolve toward the
+// incumbent, avoiding config churn between quanta.
+func searchParams(in *decision) dds.Params {
+	params := in.p.DDS
+	params.Dims, params.NumConfigs, params.Seed = in.nBatch, config.NumResources, in.seed
+	if in.lastAlloc != nil && !in.p.DisableWarmStart {
+		prev := make([]int, in.nBatch)
+		for i, b := range in.lastAlloc.Batch {
+			prev[i] = config.Resource{Core: b.Core, Cache: b.Cache}.Index()
+		}
+		params.Init = [][]int{prev}
+	}
+	return params
 }
 
 // applyQuarantine compensates for cores the machine reported failed:
@@ -228,40 +283,20 @@ func (rt *Runtime) decideFallback(thr, pwr, lat *sgd.Prediction) sim.Allocation 
 // back one core per slice), and one batch job is gated per failed
 // batch core so the multiplexing factor and the power accounting
 // reflect the live core count instead of the nominal one.
-func (rt *Runtime) applyQuarantine(alloc *sim.Allocation) {
-	if rt.p.DisableResilience {
-		return
-	}
-	if rt.failedLC > 0 && alloc.LCCores > 0 {
-		total := alloc.LCCores
+func applyQuarantine(alloc *sim.Allocation, failedLC, failedBatch, nCores int) {
+	if failedLC > 0 && alloc.LCCores > 0 {
+		room := nCores - 1 - alloc.LCCores
 		for _, x := range alloc.ExtraLC {
-			total += x.Cores
+			room -= x.Cores
 		}
-		add := rt.failedLC
-		if room := rt.nCores - 1 - total; add > room {
-			add = room
-		}
-		if add > 0 {
-			alloc.LCCores += add
+		alloc.LCCores += max(0, min(failedLC, room))
+	}
+	for i := len(alloc.Batch) - 1; i >= 0 && failedBatch > 0; i-- {
+		if !alloc.Batch[i].Gated {
+			alloc.Batch[i].Gated = true
+			failedBatch--
 		}
 	}
-	if rt.failedBatch > 0 {
-		q := rt.failedBatch
-		for i := len(alloc.Batch) - 1; i >= 0 && q > 0; i-- {
-			if !alloc.Batch[i].Gated {
-				alloc.Batch[i].Gated = true
-				q--
-			}
-		}
-	}
-}
-
-// loadAt returns the offered load for service k, zero when absent.
-func loadAt(qps []float64, k int) float64 {
-	if k >= len(qps) {
-		return 0
-	}
-	return qps[k]
 }
 
 // observeProfiles extracts the widest/narrowest samples from the two
@@ -272,6 +307,11 @@ func (rt *Runtime) observeProfiles(profile []sim.PhaseResult) {
 		return
 	}
 	a, b := profile[0], profile[1]
+	sample := func(m *sgd.Matrix, row, col int, v float64) {
+		if rt.validSample(v) {
+			m.Observe(row, col, sim.Measure(rt.r, v, profileNoise))
+		}
+	}
 	for i := range rt.batch {
 		if i >= len(a.BatchBIPS) || i >= len(b.BatchBIPS) ||
 			i >= len(a.BatchPowerW) || i >= len(b.BatchPowerW) {
@@ -281,50 +321,39 @@ func (rt *Runtime) observeProfiles(profile []sim.PhaseResult) {
 		if i%2 != 0 { // odd jobs ran narrowest in window A
 			wide, narrow = b, a
 		}
-		row := rt.batchRow(i)
-		if v := wide.BatchBIPS[i]; rt.validSample(v) {
-			rt.thrM.Observe(row, rt.widestIdx, sim.Measure(rt.r, v, profileNoise))
-		}
-		if v := wide.BatchPowerW[i]; rt.validSample(v) {
-			rt.pwrM.Observe(row, rt.widestIdx, sim.Measure(rt.r, v, profileNoise))
-		}
-		if v := narrow.BatchBIPS[i]; rt.validSample(v) {
-			rt.thrM.Observe(row, rt.narrowestIdx, sim.Measure(rt.r, v, profileNoise))
-		}
-		if v := narrow.BatchPowerW[i]; rt.validSample(v) {
-			rt.pwrM.Observe(row, rt.narrowestIdx, sim.Measure(rt.r, v, profileNoise))
-		}
+		row := batchRow(i)
+		sample(rt.thrM, row, rt.widestIdx, wide.BatchBIPS[i])
+		sample(rt.pwrM, row, rt.widestIdx, wide.BatchPowerW[i])
+		sample(rt.thrM, row, rt.narrowestIdx, narrow.BatchBIPS[i])
+		sample(rt.pwrM, row, rt.narrowestIdx, narrow.BatchPowerW[i])
 	}
 	for k := range rt.svcs {
 		if k >= len(a.LC) || k >= len(b.LC) {
 			break
 		}
-		if v := a.LC[k].CorePowerW; rt.validSample(v) {
-			rt.pwrM.Observe(rt.lcPowerRow(k), rt.lcWidestIdx, sim.Measure(rt.r, v, profileNoise))
-		}
-		if v := b.LC[k].CorePowerW; rt.validSample(v) {
-			rt.pwrM.Observe(rt.lcPowerRow(k), rt.lcNarrowIdx, sim.Measure(rt.r, v, profileNoise))
-		}
+		sample(rt.pwrM, lcPowerRow(len(rt.batch), k), rt.lcWidestIdx, a.LC[k].CorePowerW)
+		sample(rt.pwrM, lcPowerRow(len(rt.batch), k), rt.lcNarrowIdx, b.LC[k].CorePowerW)
 	}
 }
 
 // scanQoS picks the cheapest configuration whose predicted tail
 // latency meets the (derated) QoS target for service k: the scan
 // prefers the lowest cache allocation, then the least predicted power
-// (§VI-A). The bool reports whether any configuration was feasible.
-func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, qps float64) (config.Resource, bool) {
+// (§VI-A).
+func scanQoS(in *decision, k int) config.Resource {
+	sv := in.ctl[k]
 	if !sv.haveP99 {
 		// Cold start: no measured tail latency anchors the service's
 		// row yet, so predictions are pure extrapolation from the
 		// training variants. Run the first quantum at the strongest
 		// point; one slice of measurement calibrates the row.
-		return config.Resource{Core: config.Widest, Cache: config.FourWays}, true
+		return strongest
 	}
-	if sv.lastP99Ms > sv.app.QoSTargetMs {
+	if sv.lastP99Ms > sv.qosMs {
 		// Measured violation: jump to the widest configuration in the
 		// next timeslice (§VIII-D3, Fig. 8c) and let the backlog drain
 		// before resuming optimisation.
-		return config.Resource{Core: config.Widest, Cache: config.FourWays}, true
+		return strongest
 	}
 	// Derate the QoS target while the running service's latency row is
 	// young: with few clean measurements the reconstruction leans on
@@ -334,11 +363,11 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 	if confidence > 1 {
 		confidence = 1
 	}
-	target := qosSafety * sv.app.QoSTargetMs * confidence
-	row := rt.latRow(k)
+	target := qosSafety * sv.qosMs * confidence
+	row, pwrRow, qps := latRow(k), lcPowerRow(in.nBatch, k), in.qps[k]
 	bestIdx := -1
 	for j := 0; j < config.NumResources; j++ {
-		if lat.At(row, j) > target {
+		if in.lat.At(row, j) > target {
 			continue
 		}
 		// Utilisation veto: a configuration whose predicted mean
@@ -348,9 +377,9 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 		// Predictions for configurations the service has never been
 		// measured on carry extra error, so they are derated by a
 		// probe margin before the check.
-		if !rt.p.DisableUtilVeto && sv.cores > 0 {
-			predUtil := qps * svc.At(row, j) * 1e-3 / float64(sv.cores)
-			if !rt.svcM.Known(row, j) {
+		if !in.p.DisableUtilVeto && sv.cores > 0 {
+			predUtil := qps * in.svc.At(row, j) * 1e-3 / float64(sv.cores)
+			if !in.svcM.Known(row, j) {
 				predUtil *= probeMargin
 			}
 			if predUtil > maxUtil {
@@ -367,118 +396,103 @@ func (rt *Runtime) scanQoS(sv *svcState, k int, lat, pwr, svc *sgd.Prediction, q
 		switch {
 		case cur < inc:
 			bestIdx = j
-		case cur == inc &&
-			pwr.At(rt.lcPowerRow(k), j) < pwr.At(rt.lcPowerRow(k), bestIdx):
+		case cur == inc && in.pwr.At(pwrRow, j) < in.pwr.At(pwrRow, bestIdx):
 			bestIdx = j
 		}
 	}
 	if bestIdx < 0 {
 		// Nothing predicted feasible: fall back to the strongest point.
-		return config.Resource{Core: config.Widest, Cache: config.FourWays}, false
+		return strongest
 	}
-	return config.ResourceByIndex(bestIdx), true
+	return config.ResourceByIndex(bestIdx)
 }
 
-// relocate adjusts one service's core count: reclaim one batch core
+// relocate returns service k's next core count: reclaim one batch core
 // per timeslice while the measured latency violates QoS even on the
 // widest configuration (Fig. 8c), and yield one back when the measured
 // latency has sufficient slack (§VI-A, §VIII-D3). Yields are gated on
 // the predicted post-yield utilisation staying clear of the knee —
 // otherwise a service whose true requirement exceeds its initial
-// allocation would oscillate between yielding and violating.
-func (rt *Runtime) relocate(sv *svcState, k int, svcPred *sgd.Prediction, qps float64) {
-	violatingAtWidest := sv.haveP99 && sv.lastP99Ms > sv.app.QoSTargetMs &&
-		sv.lastRes.Core == config.Widest
-	if violatingAtWidest {
-		if rt.totalLCCores() < rt.nCores-1 {
-			sv.cores++
+// allocation would oscillate between yielding and violating. svcs
+// holds every service's current count.
+func relocate(in *decision, k int, svcs []svcChoice) int {
+	sv := in.ctl[k]
+	if sv.haveP99 && sv.lastP99Ms > sv.qosMs && sv.lastRes.Core == config.Widest {
+		total := 0
+		for _, s := range svcs {
+			total += s.cores
 		}
-		return
+		if total < in.nCores-1 {
+			return sv.cores + 1
+		}
+		return sv.cores
 	}
-	slackOK := sv.haveP99 && sv.lastP99Ms <= (1-slackYield)*sv.app.QoSTargetMs
+	slackOK := sv.haveP99 && sv.lastP99Ms <= (1-slackYield)*sv.qosMs
 	if !slackOK || sv.cores <= sv.initCores {
-		return
+		return sv.cores
 	}
 	// Post-yield utilisation at the current configuration must keep
 	// headroom below the veto threshold.
-	svcMs := svcPred.At(rt.latRow(k), sv.lastRes.Index())
+	svcMs := in.svc.At(latRow(k), sv.lastRes.Index())
 	postCores := float64(sv.cores - 1)
-	if postCores <= 0 || qps*svcMs*1e-3/postCores > 0.9*maxUtil {
-		return
+	if postCores <= 0 || in.qps[k]*svcMs*1e-3/postCores > 0.9*maxUtil {
+		return sv.cores
 	}
-	sv.cores--
-}
-
-// totalLCCores sums the cores currently held by every service.
-func (rt *Runtime) totalLCCores() int {
-	n := 0
-	for _, sv := range rt.svcs {
-		n += sv.cores
-	}
-	return n
-}
-
-// buildAllocation converts the DDS decision vector plus the services'
-// choices into a machine allocation.
-func (rt *Runtime) buildAllocation(best []int, lcRes []config.Resource) sim.Allocation {
-	alloc := sim.Allocation{Batch: make([]sim.BatchAssign, len(rt.batch))}
-	for k, sv := range rt.svcs {
-		alloc.SetService(k, sim.LCAssign{Cores: sv.cores, Core: lcRes[k].Core, Cache: lcRes[k].Cache})
-	}
-	for i := range alloc.Batch {
-		res := config.ResourceByIndex(best[i])
-		alloc.Batch[i] = sim.BatchAssign{Core: res.Core, Cache: res.Cache}
-	}
-	return alloc
+	return sv.cores - 1
 }
 
 // repairCache deterministically shrinks the largest batch cache
 // allocations until the way budget holds — the hard backstop behind
-// the soft penalty.
-func (rt *Runtime) repairCache(alloc *sim.Allocation) {
-	hasLC := len(rt.svcs) > 0
-	for alloc.TotalWays(hasLC) > config.LLCWays {
+// the soft penalty. Once no batch job can shrink, each pass shrinks
+// service 0 and the first shrinkable extra service.
+func repairCache(alloc *sim.Allocation, nSvcs int) {
+	for alloc.TotalWays(nSvcs > 0) > config.LLCWays {
 		biggest, bi := config.HalfWay, -1
 		for i, b := range alloc.Batch {
-			if b.Gated {
-				continue
-			}
-			if b.Cache > biggest {
+			if !b.Gated && b.Cache > biggest {
 				biggest, bi = b.Cache, i
 			}
 		}
-		if bi < 0 {
-			shrunk := false
-			if hasLC && alloc.LCCache > config.HalfWay {
-				alloc.LCCache = config.CacheAllocs[alloc.LCCache.Index()-1]
-				shrunk = true
-			}
-			for x := range alloc.ExtraLC {
-				if alloc.ExtraLC[x].Cache > config.HalfWay {
-					alloc.ExtraLC[x].Cache = config.CacheAllocs[alloc.ExtraLC[x].Cache.Index()-1]
-					shrunk = true
-					break
-				}
-			}
-			if !shrunk {
-				return // nothing left to shrink
-			}
+		if bi >= 0 {
+			alloc.Batch[bi].Cache = config.CacheAllocs[biggest.Index()-1]
 			continue
 		}
-		alloc.Batch[bi].Cache = config.CacheAllocs[alloc.Batch[bi].Cache.Index()-1]
+		shrunk := false
+		for k := 0; k < nSvcs; k++ {
+			s := alloc.Service(k)
+			if s.Cache <= config.HalfWay {
+				continue
+			}
+			s.Cache = config.CacheAllocs[s.Cache.Index()-1]
+			alloc.SetService(k, s)
+			shrunk = true
+			if k > 0 {
+				break
+			}
+		}
+		if !shrunk {
+			return // nothing left to shrink
+		}
 	}
+}
+
+// fixedPower is the chip power no batch assignment changes: the LLC,
+// the uncore, and each service's cores at its predicted per-core power.
+func fixedPower(nCores int, svcs []svcChoice) float64 {
+	p := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(nCores)
+	for _, s := range svcs {
+		p += float64(s.cores) * s.predPwr
+	}
+	return p
 }
 
 // enforceBudget gates batch cores in descending order of predicted
 // power until the predicted chip power fits the budget (§VI-B). A
 // small tolerance avoids gating on prediction jitter; genuine
 // violations shrink within a timeslice as measurements flow back.
-func (rt *Runtime) enforceBudget(alloc *sim.Allocation, pwr *sgd.Prediction, budgetW float64) {
+func enforceBudget(alloc *sim.Allocation, in *decision, svcs []svcChoice) {
 	const tol = 1.02
-	fixed := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(rt.nCores)
-	for _, sv := range rt.svcs {
-		fixed += float64(sv.cores) * sv.predPwr
-	}
+	fixed := fixedPower(in.nCores, svcs)
 	predicted := func() float64 {
 		total := fixed
 		for i, b := range alloc.Batch {
@@ -487,11 +501,11 @@ func (rt *Runtime) enforceBudget(alloc *sim.Allocation, pwr *sgd.Prediction, bud
 				continue
 			}
 			col := config.Resource{Core: b.Core, Cache: b.Cache}.Index()
-			total += pwr.At(rt.batchRow(i), col)
+			total += in.pwr.At(batchRow(i), col)
 		}
 		return total
 	}
-	for predicted() > budgetW*tol {
+	for predicted() > in.budgetW*tol {
 		// Gate the hungriest active job.
 		worst, wi := 0.0, -1
 		for i, b := range alloc.Batch {
@@ -499,7 +513,7 @@ func (rt *Runtime) enforceBudget(alloc *sim.Allocation, pwr *sgd.Prediction, bud
 				continue
 			}
 			col := config.Resource{Core: b.Core, Cache: b.Cache}.Index()
-			if p := pwr.At(rt.batchRow(i), col); p > worst {
+			if p := in.pwr.At(batchRow(i), col); p > worst {
 				worst, wi = p, i
 			}
 		}

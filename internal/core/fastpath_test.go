@@ -11,7 +11,6 @@ import (
 	"cuttlesys/internal/obs"
 	"cuttlesys/internal/power"
 	"cuttlesys/internal/rng"
-	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -21,25 +20,25 @@ import (
 // mean predicted batch throughput with soft penalties on power and
 // cache violations, recomputing a math.Log and a ResourceByIndex per
 // job per evaluation. It is the oracle separableObjective is pinned to.
-func closureObjective(rt *Runtime, thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64) dds.Objective {
-	nBatch := len(rt.batch)
-	fixedPower := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(rt.nCores)
+func closureObjective(in *decision, svcs []svcChoice) dds.Objective {
+	nBatch, budgetW := in.nBatch, in.budgetW
+	fixedPower := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(in.nCores)
 	lcWays := 0.0
 	lcHalf := 0
-	for k, sv := range rt.svcs {
-		fixedPower += float64(sv.cores) * sv.predPwr
-		if lcRes[k].Cache == config.HalfWay {
+	for _, s := range svcs {
+		fixedPower += float64(s.cores) * s.predPwr
+		if s.res.Cache == config.HalfWay {
 			lcHalf++
 		} else {
-			lcWays += lcRes[k].Cache.Ways()
+			lcWays += s.res.Cache.Ways()
 		}
 	}
 	// Precompute per-row prediction slices for lock-free concurrent reads.
 	thrRows := make([][]float64, nBatch)
 	pwrRows := make([][]float64, nBatch)
 	for i := 0; i < nBatch; i++ {
-		thrRows[i] = thr.Row(rt.batchRow(i))
-		pwrRows[i] = pwr.Row(rt.batchRow(i))
+		thrRows[i] = in.thr.Row(batchRow(i))
+		pwrRows[i] = in.pwr.Row(batchRow(i))
 	}
 	return func(x []int) float64 {
 		logSum := 0.0
@@ -68,12 +67,34 @@ func closureObjective(rt *Runtime, thr, pwr *sgd.Prediction, lcRes []config.Reso
 	}
 }
 
-// useReferenceSearch routes rt's batch search through the closure
-// objective under dds.SearchReference.
-func useReferenceSearch(rt *Runtime) {
-	rt.referenceSearch = func(thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64, params dds.Params) dds.Result {
-		return dds.SearchReference(closureObjective(rt, thr, pwr, lcRes, budgetW), params)
+// oracleRuntime is a Runtime whose every decision also runs the
+// preserved pre-change batch search — the closure objective under
+// dds.SearchReference — on the decision's own input, and requires it
+// to find what the production engine found, bit for bit.
+type oracleRuntime struct {
+	*Runtime
+	t        *testing.T
+	searches int
+}
+
+func (o *oracleRuntime) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
+	rt := o.Runtime
+	rt.slice++
+	rt.noteSampling()
+	in := rt.estimate(profile, qps, budgetW)
+	out := choose(in, &rt.scratch)
+	if !in.fallback && in.nBatch > 0 {
+		ref := dds.SearchReference(closureObjective(&in, out.svcs), searchParams(&in))
+		got := out.search
+		if !reflect.DeepEqual(ref.Best, got.Best) || math.Float64bits(ref.BestVal) != math.Float64bits(got.BestVal) ||
+			ref.Evals != got.Evals {
+			o.t.Fatalf("slice %d: search diverges from the reference:\nref  %v %v %d\nfast %v %v %d",
+				rt.slice, ref.Best, ref.BestVal, ref.Evals, got.Best, got.BestVal, got.Evals)
+		}
+		o.searches++
 	}
+	rt.apply(out)
+	return out.alloc, overheadSec
 }
 
 // fastPathMachine builds a machine with nBatch jobs around the named
@@ -95,14 +116,15 @@ func fastPathMachine(tb testing.TB, lcName string, seed uint64, nBatch int) *sim
 }
 
 // TestFastPathMatchesReference is the seed-swept equivalence contract:
-// a runtime on the table-driven incremental search and a runtime on
-// the preserved pre-change implementation (closure objective +
-// dds.SearchReference) must produce identical slice records — same
-// allocations, same simulated metrics — for every service and seed.
-// Both runtimes see bit-identical reconstructions, so any divergence
-// is the search's fault. The fast leg is traced; the last cell pins its
-// seeded work counters: evaluations, dimension contributions scored,
-// and contributions the incremental evaluator skipped.
+// on every decision of every service and seed, the table-driven
+// incremental search and the preserved pre-change implementation
+// (closure objective + dds.SearchReference) run on the same input must
+// return the same Best, BestVal bits and Evals (oracleRuntime), and
+// the oracle-checked run's slice records — allocations and simulated
+// metrics — must equal a plain run's. The plain leg is traced; the
+// last cell pins its seeded work counters: evaluations, dimension
+// contributions scored, and contributions the incremental evaluator
+// skipped.
 func TestFastPathMatchesReference(t *testing.T) {
 	services := []string{"xapian", "masstree", "imgdnn", "moses", "silo"}
 	seeds := []uint64{3, 7, 11, 19, 23}
@@ -130,13 +152,15 @@ func TestFastPathMatchesReference(t *testing.T) {
 	}
 	cells = append(cells, cell{svc: "xapian", seed: 1, slices: 10, work: &[3]int{32500, 388865, 131135}})
 	for _, c := range cells {
+		var oracle *oracleRuntime
 		run := func(reference bool, col obs.Collector) *harness.Result {
 			m := fastPathMachine(t, c.svc, c.seed, 16)
-			rt := New(m, Params{Seed: c.seed})
+			var sched harness.Scheduler = New(m, Params{Seed: c.seed})
 			if reference {
-				useReferenceSearch(rt)
+				oracle = &oracleRuntime{Runtime: sched.(*Runtime), t: t}
+				sched = oracle
 			}
-			res, err := harness.RunTraced(m, rt, c.slices,
+			res, err := harness.RunTraced(m, sched, c.slices,
 				[]harness.LoadPattern{harness.ConstantLoad(0.7)}, harness.ConstantBudget(0.8), nil, col)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.svc, c.seed, err)
@@ -144,6 +168,9 @@ func TestFastPathMatchesReference(t *testing.T) {
 			return res
 		}
 		ref := run(true, nil)
+		if oracle.searches == 0 {
+			t.Fatalf("%s seed %d: no decision ran the batch search", c.svc, c.seed)
+		}
 		rec := obs.NewRecorder()
 		fast := run(false, rec)
 		if !reflect.DeepEqual(ref.Slices, fast.Slices) {
@@ -174,12 +201,10 @@ func TestFastPathMatchesReference(t *testing.T) {
 // benchmark and the objective-equivalence test run the search phase in
 // isolation, outside the simulator loop.
 type searchBench struct {
-	rt      *Runtime
-	thr     *sgd.Prediction
-	pwr     *sgd.Prediction
-	lcRes   []config.Resource
-	budgetW float64
-	params  dds.Params
+	in     decision
+	svcs   []svcChoice
+	params dds.Params
+	sc     dds.SeparableObjective
 }
 
 func newSearchBench(tb testing.TB, seed uint64, nBatch int) *searchBench {
@@ -189,28 +214,31 @@ func newSearchBench(tb testing.TB, seed uint64, nBatch int) *searchBench {
 	if _, err := harness.Run(m, rt, 2, harness.ConstantLoad(0.7), harness.ConstantBudget(0.8)); err != nil {
 		tb.Fatal(err)
 	}
-	thr, pwr, _, _ := rt.reconstructAll()
-	lcRes := make([]config.Resource, len(rt.svcs))
-	for k := range lcRes {
-		lcRes[k] = config.Resource{Core: config.Widest, Cache: config.TwoWays}
+	in := rt.estimate(nil, nil, 0.8*m.MaxPowerW())
+	svcs := make([]svcChoice, len(rt.svcs))
+	for k, sv := range rt.svcs {
+		svcs[k] = svcChoice{
+			res:   config.Resource{Core: config.Widest, Cache: config.TwoWays},
+			cores: sv.cores, predPwr: sv.predPwr,
+		}
 	}
 	params := rt.p.DDS
 	params.Dims = nBatch
 	params.NumConfigs = config.NumResources
 	params.Seed = seed * 7919
-	return &searchBench{
-		rt: rt, thr: thr, pwr: pwr, lcRes: lcRes,
-		budgetW: 0.8 * m.MaxPowerW(), params: params,
-	}
+	return &searchBench{in: in, svcs: svcs, params: params}
 }
 
-func (s *searchBench) reference() dds.Result {
-	return dds.SearchReference(closureObjective(s.rt, s.thr, s.pwr, s.lcRes, s.budgetW), s.params)
+func (s *searchBench) closure() dds.Objective { return closureObjective(&s.in, s.svcs) }
+
+func (s *searchBench) separable() *dds.SeparableObjective {
+	separableObjective(&s.sc, &s.in, s.svcs)
+	return &s.sc
 }
 
-func (s *searchBench) fast() dds.Result {
-	return dds.SearchSeparable(s.rt.separableObjective(s.thr, s.pwr, s.lcRes, s.budgetW), s.params)
-}
+func (s *searchBench) reference() dds.Result { return dds.SearchReference(s.closure(), s.params) }
+
+func (s *searchBench) fast() dds.Result { return dds.SearchSeparable(s.separable(), s.params) }
 
 // TestSeparableObjectiveMatchesClosure pins the score-table objective
 // to the closure form bit-for-bit on random decision vectors — the
@@ -218,8 +246,7 @@ func (s *searchBench) fast() dds.Result {
 func TestSeparableObjectiveMatchesClosure(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 5} {
 		s := newSearchBench(t, seed, 26)
-		obj := closureObjective(s.rt, s.thr, s.pwr, s.lcRes, s.budgetW)
-		sep := s.rt.separableObjective(s.thr, s.pwr, s.lcRes, s.budgetW)
+		obj, sep := s.closure(), s.separable()
 		r := rng.New(seed)
 		x := make([]int, 26)
 		for trial := 0; trial < 500; trial++ {
@@ -321,7 +348,7 @@ func BenchmarkDecideLoop(b *testing.B) {
 	cands := scheduleCandidates(2, 26, parent)
 	var sink float64
 	b.Run("eval-reference", func(b *testing.B) {
-		obj := closureObjective(s.rt, s.thr, s.pwr, s.lcRes, s.budgetW)
+		obj := s.closure()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -329,7 +356,7 @@ func BenchmarkDecideLoop(b *testing.B) {
 		}
 	})
 	b.Run("eval-fast", func(b *testing.B) {
-		sep := s.rt.separableObjective(s.thr, s.pwr, s.lcRes, s.budgetW)
+		sep := s.separable()
 		inc := sep.NewIncremental(26)
 		inc.Rebase(parent)
 		b.ReportAllocs()
@@ -347,7 +374,7 @@ func BenchmarkDecideLoop(b *testing.B) {
 // evaluation allocates nothing.
 func TestDecideEvalPathZeroAllocs(t *testing.T) {
 	s := newSearchBench(t, 6, 26)
-	sep := s.rt.separableObjective(s.thr, s.pwr, s.lcRes, s.budgetW)
+	sep := s.separable()
 	inc := sep.NewIncremental(26)
 	parent := make([]int, 26)
 	for d := range parent {

@@ -5,8 +5,6 @@ import (
 
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/dds"
-	"cuttlesys/internal/power"
-	"cuttlesys/internal/sgd"
 )
 
 // The batch objective (§VI-A) — geometric-mean predicted batch
@@ -51,53 +49,47 @@ func init() {
 	}
 }
 
-// separableObjective builds the batch objective's score table for the
-// current slice. The tables are rebuilt every call (the predictions
-// change each quantum) into scratch retained on the Runtime, so
-// steady-state slices allocate only the Finish closure.
-func (rt *Runtime) separableObjective(thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64) *dds.SeparableObjective {
-	nBatch := len(rt.batch)
-	fixedPower := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(rt.nCores)
+// separableObjective builds the batch objective's score table for one
+// decision, given the services' chosen configurations and core counts,
+// into obj. The tables are rebuilt every call (the predictions change
+// each quantum) into obj's storage, which the caller retains across
+// quanta, so steady-state slices allocate only the Finish closure.
+func separableObjective(obj *dds.SeparableObjective, in *decision, svcs []svcChoice) {
+	nBatch := in.nBatch
 	lcWays := 0.0
 	lcHalf := 0
-	for k, sv := range rt.svcs {
-		fixedPower += float64(sv.cores) * sv.predPwr
-		if lcRes[k].Cache.Index() == config.HalfWay.Index() {
+	for _, s := range svcs {
+		if s.res.Cache.Index() == config.HalfWay.Index() {
 			lcHalf++
 		} else {
-			lcWays += lcRes[k].Cache.Ways()
+			lcWays += s.res.Cache.Ways()
 		}
 	}
 
-	if cap(rt.sepTerms) < nBatch {
-		rt.sepTerms = make([][]float64, nBatch)
+	if cap(obj.Terms) < nBatch {
+		obj.Terms = make([][]float64, nBatch)
 	}
-	rt.sepTerms = rt.sepTerms[:nBatch]
+	obj.Terms = obj.Terms[:nBatch]
 	for i := 0; i < nBatch; i++ {
-		if rt.sepTerms[i] == nil {
-			rt.sepTerms[i] = make([]float64, config.NumResources*numAccums)
+		if obj.Terms[i] == nil {
+			obj.Terms[i] = make([]float64, config.NumResources*numAccums)
 		}
-		row := rt.batchRow(i)
-		t := rt.sepTerms[i]
+		row := batchRow(i)
+		t := obj.Terms[i]
 		for j := 0; j < config.NumResources; j++ {
-			t[j*numAccums+accLogThr] = math.Log(math.Max(thr.At(row, j), 1e-9))
-			t[j*numAccums+accPower] = pwr.At(row, j)
+			t[j*numAccums+accLogThr] = math.Log(math.Max(in.thr.At(row, j), 1e-9))
+			t[j*numAccums+accPower] = in.pwr.At(row, j)
 			t[j*numAccums+accWays] = waysTab[j]
 			t[j*numAccums+accHalves] = halfTab[j]
 		}
 	}
 
-	rt.sepBase = append(rt.sepBase[:0], 0, fixedPower, lcWays, float64(lcHalf))
-	nBatchF := float64(nBatch)
-	rt.sepObj = dds.SeparableObjective{
-		K:     numAccums,
-		Base:  rt.sepBase,
-		Terms: rt.sepTerms,
-		Finish: func(acc []float64) float64 {
-			return finishObjective(acc, nBatchF, budgetW)
-		},
+	obj.K = numAccums
+	obj.Base = append(obj.Base[:0], 0, fixedPower(in.nCores, svcs), lcWays, float64(lcHalf))
+	nBatchF, budgetW := float64(nBatch), in.budgetW
+	obj.Finish = func(acc []float64) float64 {
+		return finishObjective(acc, nBatchF, budgetW)
 	}
-	return &rt.sepObj
 }
 
 // finishObjective folds the accumulator vector into the score:

@@ -38,8 +38,7 @@ func (rt *Runtime) emitReconstruction(thr, pwr, lat, svc *sgd.Prediction) {
 // emitAllocation records the decision's batch-side shape: the cache
 // ways handed to each running job and how many jobs the budget
 // enforcement gated. Only called when the collector is enabled.
-func (rt *Runtime) emitAllocation(alloc *sim.Allocation) {
-	c := rt.obs
+func emitAllocation(c obs.Collector, alloc *sim.Allocation) {
 	gated := 0
 	for _, b := range alloc.Batch {
 		if b.Gated {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cuttlesys/internal/config"
@@ -53,9 +54,14 @@ func TestDegenerateInputsDoNotPanic(t *testing.T) {
 			checkAllocFinite(t, m, alloc)
 		})
 	}
-	// loadAt itself on short slices.
-	if loadAt(nil, 0) != 0 || loadAt([]float64{7}, 3) != 0 || loadAt([]float64{7}, 0) != 7 {
-		t.Fatal("loadAt wrong on short qps slices")
+	// The decision sees one load per service: zero when qps is short,
+	// and no entry past the last service.
+	for _, qps := range [][]float64{nil, {7, 9}} {
+		want := []float64{0}
+		copy(want, qps)
+		if got := rt.estimate(nil, qps, 200).qps; !reflect.DeepEqual(got, want) {
+			t.Fatalf("qps %v: decision loads %v, want %v", qps, got, want)
+		}
 	}
 }
 

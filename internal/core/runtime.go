@@ -173,16 +173,23 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// control is the part of a service's scheduling state the decision
+// reads (choose takes it by value).
+type control struct {
+	cores       int
+	initCores   int
+	lastRes     config.Resource
+	lastP99Ms   float64
+	haveP99     bool
+	cleanSlices int // slices whose latency measurement was usable
+	qosMs       float64
+}
+
 // svcState tracks one latency-critical service's scheduling state.
 type svcState struct {
-	app          *workload.Profile
-	cores        int
-	initCores    int
-	lastRes      config.Resource
-	lastP99Ms    float64
-	haveP99      bool
+	app *workload.Profile
+	control
 	prevViolated bool // previous slice missed QoS (drain in progress)
-	cleanSlices  int  // slices whose latency measurement was usable
 	predPwr      float64
 	predLat      float64
 }
@@ -196,7 +203,6 @@ type svcState struct {
 // core-relocation state.
 type Runtime struct {
 	p      Params
-	lc     *workload.Profile
 	batch  []*workload.Profile
 	nCores int
 
@@ -251,17 +257,8 @@ type Runtime struct {
 	warmStarted    bool
 	samplingQuanta int
 
-	// Fast-path scratch: separableObjective rebuilds the score tables
-	// into these each quantum so steady-state slices do not allocate.
-	sepTerms [][]float64
-	sepBase  []float64
-	sepObj   dds.SeparableObjective
-
-	// referenceSearch, when set, replaces the batch DDS search. Only
-	// this package's tests set it — to the closure objective under
-	// dds.SearchReference, the oracle side of
-	// TestFastPathMatchesReference.
-	referenceSearch func(thr, pwr *sgd.Prediction, lcRes []config.Resource, budgetW float64, params dds.Params) dds.Result
+	// scratch holds the batch objective's score tables across quanta.
+	scratch dds.SeparableObjective
 }
 
 var (
@@ -276,13 +273,11 @@ var (
 // across deployments.
 func New(m *sim.Machine, params Params) *Runtime {
 	p := params.withDefaults()
-	lc := m.LC()
 	batch := m.Batch()
 	nBatch := len(batch)
 
 	rt := &Runtime{
 		p:            p,
-		lc:           lc,
 		batch:        batch,
 		obs:          obs.Nop,
 		nCores:       m.NCores(),
@@ -295,12 +290,9 @@ func New(m *sim.Machine, params Params) *Runtime {
 	services := m.Services()
 	for _, app := range services {
 		init := m.NCores() / 2 / len(services)
-		rt.svcs = append(rt.svcs, &svcState{
-			app:       app,
-			cores:     init,
-			initCores: init,
-			lastRes:   config.Resource{Core: config.Widest, Cache: config.FourWays},
-		})
+		rt.svcs = append(rt.svcs, &svcState{app: app, control: control{
+			cores: init, initCores: init, lastRes: strongest, qosMs: app.QoSTargetMs,
+		}})
 	}
 
 	// Offline characterisation of the known applications (§V): the
@@ -383,13 +375,14 @@ func (rt *Runtime) Name() string { return "cuttlesys" }
 func (rt *Runtime) DecisionOverheadSec() float64 { return overheadSec }
 
 // batchRow maps batch job i to its matrix row.
-func (rt *Runtime) batchRow(i int) int { return nTrainBatch + i }
+func batchRow(i int) int { return nTrainBatch + i }
 
-// lcPowerRow is service k's row in the power matrix.
-func (rt *Runtime) lcPowerRow(k int) int { return nTrainBatch + len(rt.batch) + k }
+// lcPowerRow is service k's row in the power matrix of a machine with
+// nBatch batch jobs.
+func lcPowerRow(nBatch, k int) int { return nTrainBatch + nBatch + k }
 
 // latRow is service k's row in the latency and service-time matrices.
-func (rt *Runtime) latRow(k int) int { return nTrainLC + k }
+func latRow(k int) int { return nTrainLC + k }
 
 // ProfilePhasesMulti implements §VIII-A1: two 1 ms windows; half the
 // batch cores run the widest and half the narrowest configuration
@@ -454,10 +447,10 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 				stats.RelErrPct(rt.predPwr[i], steady.BatchPowerW[i]))
 		}
 		if !faulted && rt.validSample(steady.BatchBIPS[i]) {
-			rt.thrM.Observe(rt.batchRow(i), col, sim.Measure(rt.r, steady.BatchBIPS[i]/mux, steadyNoise))
+			rt.thrM.Observe(batchRow(i), col, sim.Measure(rt.r, steady.BatchBIPS[i]/mux, steadyNoise))
 		}
 		if !faulted && rt.validSample(steady.BatchPowerW[i]) {
-			rt.pwrM.Observe(rt.batchRow(i), col, sim.Measure(rt.r, steady.BatchPowerW[i], steadyNoise))
+			rt.pwrM.Observe(batchRow(i), col, sim.Measure(rt.r, steady.BatchPowerW[i], steadyNoise))
 		}
 	}
 	for k, sv := range rt.svcs {
@@ -475,7 +468,7 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 		res := config.Resource{Core: a.Core, Cache: a.Cache}
 		col := res.Index()
 		if !faulted && rt.validSample(corePower) {
-			rt.pwrM.Observe(rt.lcPowerRow(k), col, sim.Measure(rt.r, corePower, steadyNoise))
+			rt.pwrM.Observe(lcPowerRow(len(rt.batch), k), col, sim.Measure(rt.r, corePower, steadyNoise))
 		}
 		if rt.p.TrackAccuracy && rt.predThr != nil {
 			rt.accErrs["power"] = append(rt.accErrs["power"],
@@ -493,7 +486,7 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 		wasDraining := sv.prevViolated
 		sv.lastP99Ms = p99
 		sv.haveP99 = true
-		sv.prevViolated = p99 > sv.app.QoSTargetMs
+		sv.prevViolated = p99 > sv.qosMs
 		sv.lastRes = res
 		// Tail latency is only meaningful over a full slice (§IV-B), so
 		// the latency matrix is updated here rather than from the 1 ms
@@ -510,15 +503,15 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 			// is noisy slice to slice, and a single lucky sample must
 			// not certify a marginal configuration.
 			v := p99
-			if !rt.p.DisableLatencyEWMA && rt.latM.Known(rt.latRow(k), col) {
-				v = 0.5*rt.latM.At(rt.latRow(k), col) + 0.5*p99
+			if !rt.p.DisableLatencyEWMA && rt.latM.Known(latRow(k), col) {
+				v = 0.5*rt.latM.At(latRow(k), col) + 0.5*p99
 			}
-			rt.latM.Observe(rt.latRow(k), col, v)
+			rt.latM.Observe(latRow(k), col, v)
 			sv.cleanSlices++
 		}
 		// Mean service time is measurable regardless of backlog.
 		if !faulted && rt.validSample(meanSvcMs) {
-			rt.svcM.Observe(rt.latRow(k), col,
+			rt.svcM.Observe(latRow(k), col,
 				sim.Measure(rt.r, meanSvcMs, steadyNoise))
 		}
 	}
