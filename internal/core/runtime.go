@@ -270,9 +270,13 @@ var (
 // New builds a runtime for the machine's job set. The offline training
 // characterisation (known-application rows) is computed here, so
 // construction performs the one-time work a datacenter would amortise
-// across deployments.
+// across deployments. Reconstruction parameters no decision could use
+// (sgd.Params.Validate) panic here, not at the first decision.
 func New(m *sim.Machine, params Params) *Runtime {
 	p := params.withDefaults()
+	if err := p.SGD.Validate(); err != nil {
+		panic(err)
+	}
 	batch := m.Batch()
 	nBatch := len(batch)
 

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/sgd"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -331,5 +335,33 @@ func TestTrainingRowsSingleFlight(t *testing.T) {
 	}
 	if again := lcTrainingRows(trainSeed, 2, 8); &again[0] != &got[0][0] || lcTrainComputes.Load()-before != 1 {
 		t.Fatal("a later hit recomputed or returned different rows")
+	}
+}
+
+// TestNewRejectsInvalidSGDParams checks that reconstruction parameters
+// no decision could use fail at construction, with sgd's own message,
+// instead of travelling to the first decision.
+func TestNewRejectsInvalidSGDParams(t *testing.T) {
+	m := testMachine(t, "xapian", 1)
+	for _, tc := range []struct {
+		name  string
+		sgd   sgd.Params
+		field string
+	}{
+		{"Reg NaN", sgd.Params{Reg: math.NaN()}, "Reg"},
+		{"Reg -5", sgd.Params{Reg: -5}, "Reg"},
+		{"Reg +Inf", sgd.Params{Reg: math.Inf(1)}, "Reg"},
+		{"MaxIter -3", sgd.Params{MaxIter: -3}, "MaxIter"},
+		{"WarmIters -1", sgd.Params{WarmIters: -1}, "WarmIters"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "sgd: "+tc.field+" ") {
+					t.Fatalf("New panicked with %q, want an \"sgd: %s ...\" panic", msg, tc.field)
+				}
+			}()
+			New(m, Params{Seed: 1, SGD: tc.sgd})
+		})
 	}
 }

@@ -7,10 +7,10 @@ package sgd
 // per-surface trainers.
 const laneKernelOK = false
 
-func pairEpoch6(a *laneArgs) {
+func quadEpoch6(a *laneArgs) {
 	panic("sgd: lane SGD kernels are not built")
 }
 
-func quadEpoch6(a *laneArgs) {
+func dualEpoch6(a *laneArgs) {
 	panic("sgd: lane SGD kernels are not built")
 }

@@ -285,3 +285,31 @@ func BenchmarkReconstructPair(b *testing.B) {
 		}
 	})
 }
+
+// TestLanePrefixBlockIndexBound checks the dual kernel's addressing
+// limit: lanes of 65 535 rows still share a stream, lanes of 65 536
+// (whose spare row block would need index 65 536) train per surface —
+// bit-identical either way.
+func TestLanePrefixBlockIndexBound(t *testing.T) {
+	p := Params{Factors: 6, MaxIter: 2, SVDInit: true}
+	for _, rows := range []int{1<<16 - 1, 1 << 16} {
+		a, b := NewMatrix(rows, 1), NewMatrix(rows, 1)
+		for _, i := range []int{0, 1, rows - 1} {
+			a.Observe(i, 0, 1+float64(i%7))
+			b.Observe(i, 0, 2+float64(i%5))
+		}
+		if laneKernelOK {
+			st := []*trainState{prepareTraining(a, p.withDefaults()), prepareTraining(b, p.withDefaults())}
+			want := 3
+			if rows > math.MaxUint16 {
+				want = 0
+			}
+			if n := lanePrefix(st); n != want {
+				t.Fatalf("%d rows: lanePrefix = %d, want %d", rows, n, want)
+			}
+		}
+		gotA, gotB := ReconstructPair(a, b, p, p)
+		predBitsEqual(t, "lane A", gotA, Reconstruct(a, p))
+		predBitsEqual(t, "lane B", gotB, Reconstruct(b, p))
+	}
+}

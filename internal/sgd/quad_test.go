@@ -98,6 +98,25 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 		mk("rank 8 lane trains per surface", 66, [4]Params{rt, {Factors: 8, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}, rt, rt}, func(c *quadCase) {
 			c.nB = c.ms[2].knownCount()
 		}),
+		mk("hundreds of dual thr/pwr cells beside two lat/svc cells", 72, all(rt), func(c *quadCase) {
+			// The service row keeps two cells right of column 0: the
+			// four-lane prefix is the training rows, then thr/pwr's
+			// dual region runs four dense rows and the running rows
+			// while lat/svc's holds two cells.
+			setCell(false, 12, 0, c.ms[2], c.ms[3])
+			keepCells(12, 2, c.ms[2], c.ms[3])
+			c.n4, c.nA, c.nB = train, c.ms[0].knownCount(), train+2
+			if c.nA-c.n4 < 400 {
+				t.Fatalf("thr/pwr dual region %d entries, want hundreds", c.nA-c.n4)
+			}
+		}),
+		mk("no four-lane prefix: each pair trains its prefix dual", 73, all(rt), func(c *quadCase) {
+			// lat/svc start at column 1: the four lanes share no entry,
+			// so each pair sweeps its whole common prefix in the dual
+			// kernel, the two-lane path ReconstructPair takes.
+			setCell(false, 0, 0, c.ms[2], c.ms[3])
+			c.nA, c.nB = c.ms[0].knownCount(), c.ms[2].knownCount()
+		}),
 		mk("lat/svc absent", 68, all(rt), func(c *quadCase) {
 			c.ms[2], c.ms[3] = nil, nil
 			c.nA = c.ms[0].knownCount()
@@ -199,41 +218,109 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkLaneEpoch times one kernel epoch over the 12 × 108 training
-// cells all four surfaces share: the 256-bit sweep of four lanes beside
-// the 128-bit sweep of two.
+// TestDualScheduleOccupancy pins how full dualSchedule packs the dual
+// regions of quadSurfaces — thr/pwr's four dense rows and sixteen
+// running rows, lat/svc's sparse service row — by exact entry and slot
+// counts: the dual kernel pays for itself only while most slots carry
+// two cells.
+func TestDualScheduleOccupancy(t *testing.T) {
+	ms := quadSurfaces(1)
+	const n4 = 12 * 108 // the service row does not start at column 0
+	if ms[2].Known(12, 0) {
+		t.Fatal("quadSurfaces(1)'s service row starts at column 0")
+	}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}.withDefaults()
+	var st [4]*trainState
+	for l, m := range ms {
+		st[l] = prepareTraining(m, p)
+	}
+	if laneKernelOK && lanePrefix(st[:]) != n4 {
+		t.Fatalf("four-lane prefix %d, want %d", lanePrefix(st[:]), n4)
+	}
+	entries, slots := 0, 0
+	for _, c := range []struct {
+		name              string
+		st                *trainState
+		wantEnts, wantSlt int
+	}{
+		{"thr/pwr", st[0], 525, 264},
+		{"lat/svc", st[2], 4, 4},
+	} {
+		region := c.st.entries[n4:]
+		slot := make([]int32, len(region))
+		n := dualSchedule(region, 108, slot)
+		if len(region) != c.wantEnts || n != c.wantSlt {
+			t.Errorf("%s: %d entries in %d slots, want %d in %d", c.name, len(region), n, c.wantEnts, c.wantSlt)
+		}
+		entries += len(region)
+		slots += n
+	}
+	if fill := float64(entries) / float64(2*slots); fill < 0.9 {
+		t.Fatalf("schedule fills %.3f of its slots' halves, want at least 0.9", fill)
+	}
+}
+
+// BenchmarkLaneEpoch times one kernel epoch per leg and reports its
+// cost per entry: lanes=4 is the quad kernel over the 12 × 108
+// training cells all four surfaces share; lanes=2 and dual sweep one
+// pair's region of the runtime's shape — 16 training rows and 16
+// running rows of up to 20 cells — lanes=2 one cell per stream in
+// row-major order (the quad kernel with the pair's lanes doubled, the
+// cost of a kernel whose upper lanes idle) and dual two cells per
+// stream on the dualSchedule slots.
 func BenchmarkLaneEpoch(b *testing.B) {
 	if !laneKernelOK {
 		b.Skip("no AVX")
 	}
 	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300, SVDInit: true, LogSpace: true}.withDefaults()
 	ms := quadSurfaces(81)
+	thr, pwr := matchedPair(82, 32, 108, 16, 20, 2)
 	var st [4]*trainState
 	for l, m := range ms {
 		st[l] = prepareTraining(m, p)
 	}
-	rowP := make([]float64, 34*laneBlock)
-	colP := make([]float64, 108*laneBlock)
-	for l, s := range st {
-		packLane(rowP, l, s.q, s.rowBias)
-		packLane(colP, l, s.pc, s.colBias)
+	sa, sb := prepareTraining(thr, p), prepareTraining(pwr, p)
+	pair := []*trainState{sa, sb, sa, sb}
+	np := lanePrefix(pair[:2])
+	legs := []struct {
+		name    string
+		lanes   []*trainState
+		entries int // the leading entries the leg sweeps
+		quad    bool
+	}{
+		{"lanes=4", st[:], 12 * 108, true},
+		{"lanes=2", pair, np, true},
+		{"dual", pair[:2], np, false},
 	}
-	for _, width := range []int{2, 4} {
-		run := newLaneRun(st[:width], 0, 0, 12*108, rowP, colP)
-		b.Run(fmt.Sprintf("lanes=%d", width), func(b *testing.B) {
+	for _, leg := range legs {
+		rowP := make([]float64, 35*laneBlock)
+		colP := make([]float64, 109*laneBlock)
+		for l, s := range leg.lanes {
+			packLane(rowP, l, s.q, s.rowBias)
+			packLane(colP, l, s.pc, s.colBias)
+		}
+		var run laneRun
+		if leg.quad {
+			run = newQuadRun(leg.lanes, leg.entries, rowP, colP)
+		} else {
+			run = newDualRun(leg.lanes, 0, 0, leg.entries, rowP, colP)
+		}
+		b.Run(leg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run.epoch()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*leg.entries), "ns/entry")
 		})
 	}
 }
 
 // reconstructAllocCeiling bounds the bytes one ReconstructQuad call
 // allocates at the runtime's single-machine shape, late in a run. A
-// call measures ≈ 370 KB: the four predictions (≈ 80 KB, which also
+// call measures ≈ 384 KB: the four predictions (≈ 80 KB, which also
 // hold the SVD seeds' mean-filled blocks), the entry lists at 16 bytes
-// an entry (≈ 120 KB), the lane runs and blocks (≈ 110 KB), the model
-// state and the Jacobi rotations. Seeding from a separate mean-filled
+// an entry (≈ 120 KB), the lane runs — the dual run's slot schedule
+// and its scratch included — and blocks (≈ 111 KB), the model state
+// and the Jacobi rotations. Seeding from a separate mean-filled
 // matrix, the SVD's own copy of it and its full U and V, with 24-byte
 // entries, took ≈ 690 KB.
 const reconstructAllocCeiling = 420 << 10

@@ -1,0 +1,280 @@
+package sgd
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"cuttlesys/internal/rng"
+)
+
+// slotSchedule runs dualSchedule over a run of entries and returns its
+// slots as indices into the run, A then B, -1 for an unpaired slot's
+// idle half.
+func slotSchedule(ents []obs, cols int) [][2]int {
+	slot := make([]int32, len(ents))
+	slots := make([][2]int, dualSchedule(ents, cols, slot))
+	for s := range slots {
+		slots[s] = [2]int{-1, -1}
+	}
+	for t := range ents {
+		h := &slots[slot[t]]
+		if h[0] < 0 {
+			h[0] = t
+		} else {
+			h[1] = t
+		}
+	}
+	return slots
+}
+
+// checkSchedule validates slots against the run they schedule: every
+// entry sits in exactly one slot, no slot names one row or one column
+// twice, and each row's and each column's entries come in run order.
+func checkSchedule(ents []obs, slots [][2]int) error {
+	seen := make([]bool, len(ents))
+	lastRow := map[int32]int{}
+	lastCol := map[int32]int{}
+	for s, sl := range slots {
+		a, b := sl[0], sl[1]
+		if a < 0 {
+			return fmt.Errorf("slot %d: no entry in its A half", s)
+		}
+		if b >= 0 && (ents[a].i == ents[b].i || ents[a].j == ents[b].j) {
+			return fmt.Errorf("slot %d pairs cells (%d,%d) and (%d,%d)", s, ents[a].i, ents[a].j, ents[b].i, ents[b].j)
+		}
+		for _, t := range sl {
+			if t < 0 {
+				continue
+			}
+			if seen[t] {
+				return fmt.Errorf("slot %d: entry %d placed twice", s, t)
+			}
+			seen[t] = true
+			e := ents[t]
+			if p, ok := lastRow[e.i]; ok && p > t {
+				return fmt.Errorf("slot %d: row %d trains entry %d after entry %d", s, e.i, t, p)
+			}
+			if p, ok := lastCol[e.j]; ok && p > t {
+				return fmt.Errorf("slot %d: column %d trains entry %d after entry %d", s, e.j, t, p)
+			}
+			lastRow[e.i], lastCol[e.j] = t, t
+		}
+	}
+	for t, ok := range seen {
+		if !ok {
+			return fmt.Errorf("entry %d in no slot", t)
+		}
+	}
+	return nil
+}
+
+// serialStep is one entry of trainSerial's sweep, statement for
+// statement.
+func serialStep(st *trainState, e obs) {
+	f, eta, lam := st.f, learningRate, st.p.Reg
+	i, j := int(e.i), int(e.j)
+	qi := st.q[i*f : (i+1)*f]
+	pj := st.pc[j*f : (j+1)*f]
+	err := e.v - (st.mu + st.rowBias[i] + st.colBias[j] + dotf(qi, pj))
+	st.rowBias[i] += eta * (err - lam*st.rowBias[i])
+	st.colBias[j] += eta * (err - lam*st.colBias[j])
+	if st.biasOnly[i] {
+		return
+	}
+	for k := 0; k < f; k++ {
+		qk, pk := qi[k], pj[k]
+		qi[k] += eta * (err*pk - lam*qk)
+		pj[k] += eta * (err*qk - lam*pk)
+	}
+}
+
+// trainSlots is the scalar slot executor: per epoch, entries before
+// the region train in order, the region's slots one after another —
+// B before A, so a slot whose halves were not independent changes the
+// result — and then the entries after it.
+func trainSlots(st *trainState, from, to int, slots [][2]int) {
+	region := st.entries[from:to]
+	for iter := 0; iter < st.p.MaxIter; iter++ {
+		for _, e := range st.entries[:from] {
+			serialStep(st, e)
+		}
+		for _, sl := range slots {
+			if sl[1] >= 0 {
+				serialStep(st, region[sl[1]])
+			}
+			serialStep(st, region[sl[0]])
+		}
+		for _, e := range st.entries[to:] {
+			serialStep(st, e)
+		}
+	}
+}
+
+// stateBits returns the bits of every trained float64: Q, P and both
+// bias vectors.
+func stateBits(st *trainState) []uint64 {
+	var out []uint64
+	for _, v := range [][]float64{st.q, st.pc, st.rowBias, st.colBias} {
+		for _, x := range v {
+			out = append(out, math.Float64bits(x))
+		}
+	}
+	return out
+}
+
+func sameBits(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// scheduleMatrix builds a random matrix: dense fully observed leading
+// rows, then sparse rows with counts[r] scattered cells each (fewer
+// than FactorMinObs freezes a row).
+func scheduleMatrix(r *rng.RNG, cols, dense int, counts []int) *Matrix {
+	m := NewMatrix(dense+len(counts), cols)
+	for i := 0; i < dense; i++ {
+		for j := 0; j < cols; j++ {
+			m.Observe(i, j, 0.5+2*r.Float64())
+		}
+	}
+	for k, n := range counts {
+		for c := 0; c < n; c++ {
+			m.Observe(dense+k, r.Intn(cols), 0.5+2*r.Float64())
+		}
+	}
+	return m
+}
+
+var scheduleParams = Params{Factors: 6, Reg: 0.03, MaxIter: 6, SVDInit: true, LogSpace: true, FactorMinObs: 4}
+
+// frozenFrom returns the end of the kernel-eligible stretch starting
+// at from: the first entry at or after it in a bias-frozen row.
+func frozenFrom(st *trainState, from int) int {
+	for t := from; t < len(st.entries); t++ {
+		if st.biasOnly[st.entries[t].i] {
+			return t
+		}
+	}
+	return len(st.entries)
+}
+
+// TestSlotScheduleMatchesSerial is the schedule's oracle: over random
+// matrices and regions — and four named shapes, a region starting
+// mid-row, one spanning an odd number of running rows, a one-entry
+// region and one ending at a bias-frozen row — dualSchedule's slots
+// must pass checkSchedule, and the scalar slot executor must leave Q,
+// P and both biases bit-identical to trainSerial.
+func TestSlotScheduleMatchesSerial(t *testing.T) {
+	type scheduleCase struct {
+		name     string
+		m        *Matrix
+		from, to int
+		check    func(t *testing.T, st *trainState, slots [][2]int)
+	}
+	r := rng.New(5)
+	cols := 40
+	cases := []scheduleCase{
+		{name: "starts mid-row", m: scheduleMatrix(r, cols, 4, []int{9, 7, 12}), from: 2*cols + 13, to: -1},
+		{name: "odd number of running rows", m: scheduleMatrix(r, cols, 3, []int{8, 5, 11, 6, 9}), from: 2 * cols, to: -1,
+			check: func(t *testing.T, st *trainState, _ [][2]int) {
+				if first := st.entries[3*cols].i; first != 3 || st.entries[len(st.entries)-1].i != 7 {
+					t.Fatalf("region rows %d..%d, want the five running rows 3..7 after the dense tail", first, st.entries[len(st.entries)-1].i)
+				}
+			}},
+		{name: "one entry", m: scheduleMatrix(r, cols, 3, []int{6}), from: 2*cols + 17, to: 2*cols + 18,
+			check: func(t *testing.T, _ *trainState, slots [][2]int) {
+				if len(slots) != 1 || slots[0] != [2]int{0, -1} {
+					t.Fatalf("slots %v, want one unpaired slot", slots)
+				}
+			}},
+		{name: "ends at a bias-frozen row", m: scheduleMatrix(r, cols, 3, []int{7, 9, 2, 8}), from: cols + 3, to: -1,
+			check: func(t *testing.T, st *trainState, _ [][2]int) {
+				end := frozenFrom(st, cols+3)
+				if end == len(st.entries) || st.entries[end].i != 5 {
+					t.Fatalf("region ends at entry %d, want the frozen row 5's first", end)
+				}
+			}},
+	}
+	for trial := 0; trial < 40; trial++ {
+		counts := make([]int, r.Intn(8))
+		for k := range counts {
+			counts[k] = r.Intn(14)
+		}
+		m := scheduleMatrix(r, 8+r.Intn(100), 1+r.Intn(5), counts)
+		from := r.Intn(m.knownCount())
+		cases = append(cases, scheduleCase{name: fmt.Sprintf("random %d", trial), m: m, from: from, to: -1})
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := prepareTraining(tc.m, scheduleParams.withDefaults())
+			got := prepareTraining(tc.m, scheduleParams.withDefaults())
+			from, to := tc.from, tc.to
+			if to < 0 {
+				to = frozenFrom(got, from)
+			}
+			if from >= to {
+				t.Skipf("no kernel-eligible entries at %d", from)
+			}
+			slots := slotSchedule(got.entries[from:to], tc.m.Cols)
+			if err := checkSchedule(got.entries[from:to], slots); err != nil {
+				t.Fatal(err)
+			}
+			if tc.check != nil {
+				tc.check(t, got, slots)
+			}
+			want.trainSerial()
+			trainSlots(got, from, to, slots)
+			if !sameBits(stateBits(got), stateBits(want)) {
+				t.Fatalf("slot executor diverges from trainSerial over region [%d, %d)", from, to)
+			}
+		})
+	}
+}
+
+// TestScheduleOracleCatchesSwap checks the oracle has teeth: a
+// schedule with two entries of one column swapped between their slots
+// must fail checkSchedule and change the trained bits.
+func TestScheduleOracleCatchesSwap(t *testing.T) {
+	m := scheduleMatrix(rng.New(9), 30, 4, []int{8, 9, 7})
+	want := prepareTraining(m, scheduleParams.withDefaults())
+	got := prepareTraining(m, scheduleParams.withDefaults())
+	from, to := 30, frozenFrom(got, 30)
+	ents := got.entries[from:to]
+	slots := slotSchedule(ents, m.Cols)
+	// Entry 0 (row 1, column 0) and its column successor, row 2's
+	// column 0, sit in different slots; trade their places.
+	succ := -1
+	for u := 1; u < len(ents); u++ {
+		if ents[u].j == ents[0].j {
+			succ = u
+			break
+		}
+	}
+	for s := range slots {
+		for h, x := range slots[s] {
+			switch x {
+			case 0:
+				slots[s][h] = succ
+			case succ:
+				slots[s][h] = 0
+			}
+		}
+	}
+	if err := checkSchedule(ents, slots); err == nil {
+		t.Fatal("checkSchedule accepted a schedule with a column's entries swapped")
+	}
+	want.trainSerial()
+	trainSlots(got, from, to, slots)
+	if sameBits(stateBits(got), stateBits(want)) {
+		t.Fatal("swapping a column's entries left the trained bits unchanged")
+	}
+}

@@ -146,7 +146,29 @@ type Params struct {
 	WarmIters int
 }
 
+// Validate reports the first parameter no reconstruction can use: a
+// regularisation factor that is negative or not finite (every
+// unobserved prediction would come out NaN), or a negative sweep
+// count. Zero values are valid — they select the defaults.
+func (p Params) Validate() error {
+	switch {
+	case math.IsNaN(p.Reg) || math.IsInf(p.Reg, 0) || p.Reg < 0:
+		return fmt.Errorf("sgd: Reg must be finite and non-negative, got %v", p.Reg)
+	case p.MaxIter < 0:
+		return fmt.Errorf("sgd: MaxIter must be non-negative, got %d", p.MaxIter)
+	case p.WarmIters < 0:
+		return fmt.Errorf("sgd: WarmIters must be non-negative, got %d", p.WarmIters)
+	}
+	return nil
+}
+
+// withDefaults fills the zero-valued parameters in. Every entry point
+// passes its parameters through it, so an invalid set panics with
+// Validate's error before any work starts.
 func (p Params) withDefaults() Params {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	if p.Factors <= 0 {
 		p.Factors = 8
 	}

@@ -1,7 +1,9 @@
 package sgd
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cuttlesys/internal/config"
@@ -166,6 +168,76 @@ func TestEmptyMatrix(t *testing.T) {
 			if pred.At(i, j) != 0 {
 				t.Fatal("empty matrix should reconstruct to zeros")
 			}
+		}
+	}
+}
+
+// panicMessage runs f and returns what it panicked with, "" if it
+// returned normally.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestInvalidParamsPanic hands every entry point each parameter set no
+// reconstruction can use — a regularisation factor that is NaN,
+// infinite or negative, a negative sweep count — and demands an
+// "sgd: " panic naming the field; the zero and an explicit valid set
+// must run. For the lane entry points the bad set rides in one lane
+// beside valid ones.
+func TestInvalidParamsPanic(t *testing.T) {
+	ok := Params{Factors: 6, Reg: 0.03, MaxIter: 5, SVDInit: true, LogSpace: true}
+	with := func(edit func(p *Params)) Params {
+		p := ok
+		edit(&p)
+		return p
+	}
+	cases := []struct {
+		name  string
+		p     Params
+		field string // "" for a valid set
+	}{
+		{"zero (defaults)", Params{}, ""},
+		{"valid", ok, ""},
+		{"Reg NaN", with(func(p *Params) { p.Reg = math.NaN() }), "Reg"},
+		{"Reg -5", with(func(p *Params) { p.Reg = -5 }), "Reg"},
+		{"Reg +Inf", with(func(p *Params) { p.Reg = math.Inf(1) }), "Reg"},
+		{"Reg -Inf", with(func(p *Params) { p.Reg = math.Inf(-1) }), "Reg"},
+		{"MaxIter -3", with(func(p *Params) { p.MaxIter = -3 }), "MaxIter"},
+		{"WarmIters -1", with(func(p *Params) { p.WarmIters = -1 }), "WarmIters"},
+	}
+	a, b := matchedPair(7, 16, 108, 8, 3, 0)
+	entries := []struct {
+		name string
+		call func(p Params) error
+	}{
+		{"Reconstruct", func(p Params) error { Reconstruct(a, p); return nil }},
+		{"ReconstructParallel", func(p Params) error { ReconstructParallel(a, p); return nil }},
+		{"ReconstructFactors", func(p Params) error { _, _, err := ReconstructFactors(a, p); return err }},
+		{"ReconstructPair", func(p Params) error { ReconstructPair(a, b, ok, p); return nil }},
+		{"ReconstructPairFactors", func(p Params) error { ReconstructPairFactors(a, b, p, ok); return nil }},
+		{"ReconstructQuad", func(p Params) error {
+			ReconstructQuad([4]*Matrix{a, b, a, b}, [4]Params{ok, ok, p, ok}, false)
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		for _, ep := range entries {
+			t.Run(tc.name+"/"+ep.name, func(t *testing.T) {
+				var err error
+				msg := panicMessage(func() { err = ep.call(tc.p) })
+				switch {
+				case tc.field == "" && (msg != "" || err != nil):
+					t.Fatalf("valid parameters failed: panic %q, error %v", msg, err)
+				case tc.field != "" && !strings.HasPrefix(msg, "sgd: "+tc.field+" "):
+					t.Fatalf("panic %q, want an \"sgd: %s ...\" panic", msg, tc.field)
+				}
+			})
 		}
 	}
 }
