@@ -353,6 +353,8 @@ func TestNewRejectsInvalidSGDParams(t *testing.T) {
 		{"Reg +Inf", sgd.Params{Reg: math.Inf(1)}, "Reg"},
 		{"MaxIter -3", sgd.Params{MaxIter: -3}, "MaxIter"},
 		{"WarmIters -1", sgd.Params{WarmIters: -1}, "WarmIters"},
+		{"Factors -6", sgd.Params{Factors: -6}, "Factors"},
+		{"FactorMinObs -1", sgd.Params{FactorMinObs: -1}, "FactorMinObs"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

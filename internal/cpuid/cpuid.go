@@ -12,4 +12,8 @@ package cpuid
 //
 // AVX2FMA additionally reports FMA (CPUID.1:ECX bit 12) and AVX2
 // (CPUID.(7,0):EBX bit 5). The queue-simulator kernels need it.
-var AVX, AVX2FMA = probe()
+//
+// AVX512 additionally reports AVX-512F (CPUID.(7,0):EBX bit 16) with
+// OS-enabled opmask and ZMM state: XCR0 bits 5, 6 and 7 beside 1 and 2.
+// The wide SGD kernel needs it.
+var AVX, AVX2FMA, AVX512 = probe()

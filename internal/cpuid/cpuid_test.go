@@ -11,3 +11,12 @@ func TestAVX2FMAImpliesAVX(t *testing.T) {
 	}
 	t.Logf("AVX=%v AVX2FMA=%v", AVX, AVX2FMA)
 }
+
+// The wide sgd kernel's requirement includes the queue kernels' (and so
+// the lane kernels'): AVX512 ⇒ AVX2FMA ⇒ AVX.
+func TestAVX512ImpliesAVX2FMA(t *testing.T) {
+	if AVX512 && !(AVX2FMA && AVX) {
+		t.Fatalf("AVX512 reported without AVX2FMA (%v) or AVX (%v)", AVX2FMA, AVX)
+	}
+	t.Logf("AVX512=%v", AVX512)
+}

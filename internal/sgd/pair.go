@@ -14,26 +14,34 @@
 // byte-identical to independent Reconstruct calls.
 //
 // Lanes can share an instruction stream only while they visit the same
-// cell. That one rule (lanePrefix) is applied at width four, then two,
-// then one: the 256-bit quad kernel sweeps the longest common prefix of
-// all four row-major entry sequences — the offline training rows every
-// surface has in full — then each pair (throughput/power,
-// latency/service-rate) continues on its own longer common prefix,
-// which, because the runtime writes both matrices of a pair at the
-// same cells, reaches through the running rows too. A pair fills only
-// half a 256-bit register, so the dual kernel puts two *different*
-// cells of the pair side by side: an entry (i, j) reads and writes
-// only row i's and column j's state, so any order that keeps each
-// row's entries and each column's entries in their serial order
-// produces the serial sweep's bits, and dualSchedule packs the pair's
-// region two independent cells to a slot in such an order. Whatever
-// follows in a lane trains in scalar Go after the kernels, in the same
-// row-major order, against the same interleaved state.
+// cell. That one rule (lanePrefix) decides which kernel sweeps what. A
+// pair (throughput/power, latency/service-rate) fills only half a
+// 256-bit register, so the slot kernels put *different* cells of the
+// pair side by side: an entry (i, j) reads and writes only row i's and
+// column j's state, so any order that keeps each row's entries and
+// each column's entries in their serial order produces the serial
+// sweep's bits, and schedule packs a pair's region k independent cells
+// to a slot in such an order. There are two paths, chosen by the CPU
+// alone:
+//
+//   - AVX: the 256-bit quad kernel sweeps the longest common prefix of
+//     all four row-major entry sequences — the offline training rows
+//     every surface has in full — then each pair continues on its own
+//     longer common prefix, which, because the runtime writes both
+//     matrices of a pair at the same cells, reaches through the running
+//     rows too, in the dual kernel (two cells per slot).
+//   - AVX-512: the two pairs are independent problems, so they train
+//     concurrently on blocks of their own, each sweeping its whole
+//     common prefix in the 512-bit wide kernel (four cells per slot).
+//
+// Whatever follows in a lane trains in scalar Go after the kernels, in
+// the same row-major order, against the same interleaved state.
 package sgd
 
 import (
 	"math"
 
+	"cuttlesys/internal/cpuid"
 	"cuttlesys/internal/par"
 )
 
@@ -41,32 +49,44 @@ import (
 // offsets are hard-coded in pair_amd64.s — do not reorder.
 type laneArgs struct {
 	row, col, vals *float64 // row and column block bases, the run's values
-	// quad: per entry, the byte offset of its column block; dual: per
-	// slot, the uint16 block indices of A's and B's rows (low word, then
-	// high) and then of their columns.
-	offs   *uint32
-	rowPtr *int32 // quad: CSR row starts into offs/vals; n+1 of them
-	n      int64  // quad: rows; dual: slots
-	// Per-lane constants; dual: the pair's two, then the same two again
-	// for the register's high half.
+	offs           *uint32  // quad: per entry, the byte offset of its column block
+	rowPtr         *int32   // quad: CSR row starts into offs/vals; n+1 of them
+	n              int64    // quad: rows; dual and wide: slots
+	// Per-lane constants; dual and wide: the pair's two, then the same
+	// two again for the register's high half (wide broadcasts the first
+	// two to all four parts).
 	mu, eta, lam [laneCount]float64
+	// dual and wide: per slot, the uint16 block indices of its k cells'
+	// rows, then of their columns.
+	slots *uint16
 }
 
 // laneCount is the number of lanes a block interleaves: the four
 // float64s of a 256-bit register.
 const laneCount = 4
 
+// wideCells is the wide kernel's cells per slot: four two-lane cells
+// fill a 512-bit register.
+const wideCells = 4
+
+// laneWide selects the AVX-512 path: the pairs train concurrently, each
+// in the wide kernel. It follows the CPU probe alone; tests flip it to
+// run the AVX path on AVX-512 hosts too.
+var laneWide = cpuid.AVX512
+
 // pairFactors is the kernels' fixed latent rank: the assembly unrolls
 // exactly six factor updates per entry, matching the runtime's
 // Factors=6 default.
 const pairFactors = 6
 
-// laneBlock is the length in float64s of one interleaved row or column
-// block: six factor quads then the bias quad, element e of lane L at
-// index 4e+L. Rows and columns keep factors and bias in one block so
-// the kernels reach both through a single pointer. Two-lane training
-// uses the same blocks with lanes 2 and 3 idle in memory.
-const laneBlock = laneCount * (pairFactors + 1)
+// blockLen is the length in float64s of one interleaved row or column
+// block w lanes wide: six factor elements then the bias element, lane
+// L's float64 of element e at index we+L. Rows and columns keep factors
+// and bias in one block so the kernels reach both through a single
+// pointer. The quad and dual kernels use four-lane blocks (a dual pair
+// leaves the other two lanes idle in memory), the wide kernel a pair's
+// own two-lane blocks.
+func blockLen(w int) int { return w * (pairFactors + 1) }
 
 // ReconstructQuad reconstructs the surfaces of one decision — up to
 // four independent observation matrices, nil for an absent one —
@@ -126,22 +146,27 @@ func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, [
 }
 
 // trainLanes trains four or two prepared lanes (nil for an absent
-// one). Lanes with a common prefix share blocks and an instruction
-// stream; four lanes without one are two independent pairs, which
-// train concurrently on blocks of their own; two lanes without one
-// train per surface.
+// one). On the AVX-512 path four lanes are always two independent
+// pairs, which train concurrently on blocks of their own. Otherwise
+// lanes with a common prefix share blocks and an instruction stream,
+// and four lanes without one are two concurrent pairs too. A pair with
+// a common prefix shares blocks; one without trains per surface.
 func trainLanes(st []*trainState) {
-	if n := lanePrefix(st); n > 0 {
+	four := len(st) == laneCount
+	n := 0
+	if !four || !laneWide {
+		n = lanePrefix(st)
+	}
+	switch {
+	case n > 0:
 		trainShared(st, n)
-		return
-	}
-	if len(st) == laneCount {
+	case four:
 		par.For(2, 0, func(_, h int) { trainLanes(st[2*h : 2*h+2]) })
-		return
-	}
-	for _, s := range st {
-		if s != nil {
-			s.trainSerial()
+	default:
+		for _, s := range st {
+			if s != nil {
+				s.trainSerial()
+			}
 		}
 	}
 }
@@ -151,7 +176,7 @@ func trainLanes(st []*trainState) {
 // cannot share a stream. The lanes must agree on everything the shared
 // instruction stream fixes: column count (the interleaved column
 // blocks), the kernels' rank and the sweep count.
-// The dual kernel addresses blocks by uint16 index, the spare row and
+// The slot kernels address blocks by uint16 index, the spare row and
 // column blocks included, which bounds both dimensions.
 // Within that, the prefix runs while every lane's row-major entry list
 // names the same cell, and stops at the first bias-frozen row: the
@@ -190,26 +215,30 @@ func lanePrefix(st []*trainState) int {
 // trainShared runs the lockstep sweep over lanes whose first n entries
 // coincide: per epoch, of four lanes the quad kernel covers the n-entry
 // common prefix and each pair then rides the dual kernel to the end of
-// its own common prefix; of two lanes the dual kernel covers the
-// prefix; then each lane's remaining entries train scalar. All row and
-// column state lives interleaved for the whole run, so a region ending
-// mid-row hands the row on with nothing to copy. Region boundaries are
-// barriers, so each lane's per-epoch update order is trainSerial's up
-// to the reordering of independent cells inside a dual region (see
-// dualSchedule), and every float64 it produces is bit-identical to the
-// serial sweep.
+// its own common prefix; of two lanes a slot kernel — wide on the
+// AVX-512 path, dual otherwise — covers the prefix; then each lane's
+// remaining entries train scalar. All row and column state lives
+// interleaved for the whole run, so a region ending mid-row hands the
+// row on with nothing to copy. Region boundaries are barriers, so each
+// lane's per-epoch update order is trainSerial's up to the reordering
+// of independent cells inside a slot region (see schedule), and every
+// float64 it produces is bit-identical to the serial sweep.
 func trainShared(st []*trainState, n int) {
+	k, w := 2, laneCount // a pair's cells per slot, lanes per block
+	if laneWide {
+		k, w = wideCells, 2
+	}
 	rows := 0
 	for _, s := range st {
 		rows = max(rows, s.m.Rows)
 	}
 	// One more block each side: the zeroed row and column block an
-	// unpaired slot's idle half trains against (see newDualRun).
-	rowP := make([]float64, (rows+1)*laneBlock)
-	colP := make([]float64, (st[0].m.Cols+1)*laneBlock)
+	// unfilled cell of a slot trains against (see newSlotRun).
+	rowP := make([]float64, (rows+1)*blockLen(w))
+	colP := make([]float64, (st[0].m.Cols+1)*blockLen(w))
 	for l, s := range st {
-		packLane(rowP, l, s.q, s.rowBias)
-		packLane(colP, l, s.pc, s.colBias)
+		packLane(rowP, w, l, s.q, s.rowBias)
+		packLane(colP, w, l, s.pc, s.colBias)
 	}
 
 	var runs []laneRun
@@ -219,12 +248,12 @@ func trainShared(st []*trainState, n int) {
 		for l := 0; l < laneCount; l += 2 {
 			tail[l], tail[l+1] = n, n
 			if np := lanePrefix(st[l : l+2]); np > n {
-				runs = append(runs, newDualRun(st[l:l+2], l, n, np, rowP, colP))
+				runs = append(runs, newSlotRun(st[l:l+2], l, n, np, k, rowP, colP))
 				tail[l], tail[l+1] = np, np
 			}
 		}
 	} else {
-		runs = append(runs, newDualRun(st, 0, 0, n, rowP, colP))
+		runs = append(runs, newSlotRun(st, 0, 0, n, k, rowP, colP))
 		tail[0], tail[1] = n, n
 	}
 
@@ -233,31 +262,25 @@ func trainShared(st []*trainState, n int) {
 			runs[i].epoch()
 		}
 		for l, s := range st {
-			laneTailEpoch(s.entries[tail[l]:], l, s, rowP, colP)
+			laneTailEpoch(s.entries[tail[l]:], w, l, s, rowP, colP)
 		}
 	}
 
 	for l, s := range st {
-		unpackLane(rowP, l, s.q, s.rowBias)
-		unpackLane(colP, l, s.pc, s.colBias)
+		unpackLane(rowP, w, l, s.q, s.rowBias)
+		unpackLane(colP, w, l, s.pc, s.colBias)
 	}
 }
 
 // laneRun is one kernel's share of an epoch: the quad kernel's run of
 // consecutive entries common to all four lanes, or one pair's
-// scheduled region for the dual kernel.
+// scheduled region for a slot kernel.
 type laneRun struct {
-	args laneArgs
-	quad bool
+	args   laneArgs
+	kernel func(*laneArgs)
 }
 
-func (r *laneRun) epoch() {
-	if r.quad {
-		quadEpoch6(&r.args)
-	} else {
-		dualEpoch6(&r.args)
-	}
-}
+func (r *laneRun) epoch() { r.kernel(&r.args) }
 
 // newQuadRun lays out the first n entries of four lanes in CSR form:
 // row starts, and per entry the column block's byte offset and the
@@ -272,7 +295,7 @@ func newQuadRun(st []*trainState, n int, rowP, colP []float64) laneRun {
 	vals := make([]float64, laneCount*n)
 	for t, e := range ents {
 		rowPtr[int(e.i)-first+1]++
-		offs[t] = uint32(int(e.j) * laneBlock * 8)
+		offs[t] = uint32(int(e.j) * blockLen(laneCount) * 8)
 		for l, s := range st {
 			vals[laneCount*t+l] = s.entries[t].v
 		}
@@ -280,8 +303,8 @@ func newQuadRun(st []*trainState, n int, rowP, colP []float64) laneRun {
 	for r := 0; r < nrows; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-	run := laneRun{quad: true, args: laneArgs{
-		row: &rowP[first*laneBlock], col: &colP[0],
+	run := laneRun{kernel: quadEpoch6, args: laneArgs{
+		row: &rowP[first*blockLen(laneCount)], col: &colP[0],
 		vals: &vals[0], offs: &offs[0], rowPtr: &rowPtr[0],
 		n: int64(nrows),
 	}}
@@ -291,41 +314,44 @@ func newQuadRun(st []*trainState, n int, rowP, colP []float64) laneRun {
 	return run
 }
 
-// newDualRun schedules entries [from, to) of the pair st, which
-// occupies lanes lane0 and lane0+1 of the blocks, for the dual kernel:
-// per slot, entry A in the register's low half and entry B in its high
-// half. An unpaired slot aims its B half at the spare last row and
-// column blocks, with the values μ: that cell's error is exactly zero,
-// so the spare blocks stay zero and nothing reads them.
-func newDualRun(st []*trainState, lane0, from, to int, rowP, colP []float64) laneRun {
-	rows, cols := len(rowP)/laneBlock-1, len(colP)/laneBlock-1 // the spares
+// newSlotRun schedules entries [from, to) of the pair st for a slot
+// kernel, k cells to a slot: the dual kernel (k = 2) on four-lane
+// blocks, where the pair occupies lanes lane0 and lane0+1, or the wide
+// kernel (k = wideCells) on the pair's own two-lane blocks. Cell c of a
+// slot fills the register's c-th 16-byte part. A cell no entry fills
+// aims at the spare last row and column blocks, with the values μ:
+// that cell's error is exactly zero, so the spare blocks stay zero and
+// nothing reads them.
+func newSlotRun(st []*trainState, lane0, from, to, k int, rowP, colP []float64) laneRun {
+	w, kernel := laneCount, dualEpoch6
+	if k == wideCells {
+		w, kernel = 2, wideEpoch6
+	}
+	rows, cols := len(rowP)/blockLen(w)-1, len(colP)/blockLen(w)-1 // the spares
 	ents := st[0].entries[from:to]
-	slot := make([]int32, len(ents))
-	nslots := dualSchedule(ents, cols, slot)
-	idx := make([]uint32, 2*nslots)
-	vals := make([]float64, 4*nslots)
-	for s := 0; s < nslots; s++ {
-		idx[2*s], idx[2*s+1] = uint32(rows)<<16|uint32(rows), uint32(cols)<<16|uint32(cols)
-		vals[4*s+2], vals[4*s+3] = st[0].mu, st[1].mu
+	nslots := schedule(ents, cols, k, nil)
+	// Cells are counted across slots, slot s holding cells k·s…k·s+k−1.
+	// A slot's indices are its cells' rows, then their columns: cell c's
+	// row index sits at idx[at(c)], its column index k further on, and
+	// its two lanes' values at vals[2c] and vals[2c+1].
+	at := func(c int) int { return c + c/k*k }
+	idx := make([]uint16, 2*k*nslots)
+	vals := make([]float64, 2*k*nslots)
+	for c := range k * nslots {
+		idx[at(c)], idx[at(c)+k] = uint16(rows), uint16(cols)
+		vals[2*c], vals[2*c+1] = st[0].mu, st[1].mu
 	}
-	for t, e := range ents {
-		s := int(slot[t])
-		// A slot's entries arrive in row-major order: A while its row
-		// is still the spare, then B.
-		half := 0
-		if idx[2*s]&0xffff != uint32(rows) {
-			half = 16
-		}
-		keep := ^uint32(0xffff << half)
-		idx[2*s] = idx[2*s]&keep | uint32(e.i)<<half
-		idx[2*s+1] = idx[2*s+1]&keep | uint32(e.j)<<half
-		for l, ls := range st {
-			vals[4*s+half/8+l] = ls.entries[from+t].v
-		}
-	}
-	run := laneRun{args: laneArgs{
+	c := 0 // the next cell to fill
+	schedule(ents, cols, k, func(s, t int) {
+		c = max(c, k*s) // a slot's first entry takes its first cell
+		e := ents[t]
+		idx[at(c)], idx[at(c)+k] = uint16(e.i), uint16(e.j)
+		vals[2*c], vals[2*c+1] = e.v, st[1].entries[from+t].v
+		c++
+	})
+	run := laneRun{kernel: kernel, args: laneArgs{
 		row: &rowP[lane0], col: &colP[lane0],
-		vals: &vals[0], offs: &idx[0],
+		vals: &vals[0], slots: &idx[0],
 		n: int64(nslots),
 	}}
 	for l, s := range st {
@@ -336,38 +362,44 @@ func newDualRun(st []*trainState, lane0, from, to int, rowP, colP []float64) lan
 	return run
 }
 
-// dualSchedule packs a row-major run of entries into slots of at most
-// two for the dual kernel and returns the slot count; on return
-// slot[t] is entry t's slot (slot is len(ents) of scratch on entry).
-// Slot s takes the two earliest entries, in row-major order, whose
-// predecessors inside the run — the previous entry of its row and the
-// previous entry of its column — sit in earlier slots. Two such
-// entries never share a row or a column (the later one's predecessor
-// would be the earlier), and every row's and column's entries keep
-// their order, which is all the serial sweep's bits depend on.
-func dualSchedule(ents []obs, cols int, slot []int32) int {
-	// Until it is placed, slot[t] holds t's column predecessor, -1 for
-	// none.
-	last := make([]int32, cols)
-	for j := range last {
-		last[j] = -1
-	}
-	for t, e := range ents {
-		slot[t], last[e.j] = last[e.j], int32(t)
-	}
-	// next[r] is row first+r's next unplaced entry, end[r] its end: an
-	// entry is placed once its row's next has moved past it.
+// schedule packs a row-major run of entries into slots of at most k
+// for a slot kernel and returns the slot count. With fill non-nil it
+// calls fill(s, t) for each entry t of slot s, slot after slot and
+// each slot's entries in row-major order. Slot s takes the k earliest
+// entries, in row-major order, whose predecessors inside the run — the
+// previous entry of its row and the previous entry of its column — sit
+// in earlier slots. No two such entries share a row or a column (the
+// later one's predecessor would be the earlier), and every row's and
+// column's entries keep their order, which is all the serial sweep's
+// bits depend on. Its scratch is a bit per cell of the run's rows and
+// an int32 per row and column, not a word per entry, so a caller can
+// run it twice — once to size its slots, once to fill them.
+func schedule(ents []obs, cols, k int, fill func(s, t int)) int {
 	first := int(ents[0].i)
 	nrows := int(ents[len(ents)-1].i) - first + 1
-	next := make([]int32, 2*nrows)
-	end := next[nrows:]
+	// in marks the run's cells column-major: bit j·nrows+r is cell
+	// (first+r, j).
+	in := make([]uint64, (cols*nrows+63)/64)
+	// next[r] is row first+r's next unplaced entry and end[r] its end:
+	// an entry is placed once its row's next has moved past it.
+	// colNext[j] is the row of column j's earliest unplaced entry,
+	// nrows for none: an entry's column predecessors are all placed
+	// exactly when that row is its own.
+	next := make([]int32, 2*nrows+cols)
+	end := next[nrows : 2*nrows]
+	colNext := next[2*nrows:]
 	next = next[:nrows]
+	for j := range colNext {
+		colNext[j] = int32(nrows)
+	}
 	for t := len(ents) - 1; t >= 0; t-- {
-		r := int(ents[t].i) - first
-		next[r] = int32(t)
+		r, j := int(ents[t].i)-first, int(ents[t].j)
+		next[r], colNext[j] = int32(t), int32(r)
 		if end[r] == 0 {
 			end[r] = int32(t) + 1
 		}
+		b := j*nrows + r
+		in[b/64] |= 1 << (b % 64)
 	}
 	nslots := 0
 	lo := 0 // rows before lo are placed
@@ -375,69 +407,70 @@ func dualSchedule(ents []obs, cols int, slot []int32) int {
 		for next[lo] == end[lo] {
 			lo++
 		}
-		var pick [2]int
-		k := 0
-		for r := lo; r < nrows && k < 2; r++ {
+		var pick [wideCells]int
+		n := 0
+		for r := lo; r < nrows && n < k; r++ {
+			if t := next[r]; t != end[r] && colNext[ents[t].j] == int32(r) {
+				pick[n] = r
+				n++
+			}
+		}
+		for _, r := range pick[:n] {
 			t := next[r]
-			if t == end[r] {
-				continue
+			if fill != nil {
+				fill(nslots, int(t))
 			}
-			if p := slot[t]; p >= 0 && next[int(ents[p].i)-first] <= p {
-				continue
-			}
-			pick[k] = r
-			k++
-		}
-		for _, r := range pick[:k] {
-			slot[next[r]] = int32(nslots)
 			next[r]++
+			j := int(ents[t].j)
+			c := r + 1
+			for b := j*nrows + c; c < nrows && in[b/64]&(1<<(b%64)) == 0; b++ {
+				c++
+			}
+			colNext[j] = int32(c)
 		}
-		placed += k
+		placed += n
 	}
 	return nslots
 }
 
 // packLane copies one lane's factor matrix and bias vector into the
-// interleaved blocks; unpackLane copies them back out.
-func packLane(blocks []float64, lane int, fac, bias []float64) {
+// interleaved blocks, w lanes wide; unpackLane copies them back out.
+func packLane(blocks []float64, w, lane int, fac, bias []float64) {
 	const f = pairFactors
 	for e, b := range bias {
-		blk := blocks[e*laneBlock+lane:]
+		blk := blocks[e*blockLen(w)+lane:]
 		for k := 0; k < f; k++ {
-			blk[laneCount*k] = fac[e*f+k]
+			blk[w*k] = fac[e*f+k]
 		}
-		blk[laneCount*f] = b
+		blk[w*f] = b
 	}
 }
 
-func unpackLane(blocks []float64, lane int, fac, bias []float64) {
+func unpackLane(blocks []float64, w, lane int, fac, bias []float64) {
 	const f = pairFactors
 	for e := range bias {
-		blk := blocks[e*laneBlock+lane:]
+		blk := blocks[e*blockLen(w)+lane:]
 		for k := 0; k < f; k++ {
-			fac[e*f+k] = blk[laneCount*k]
+			fac[e*f+k] = blk[w*k]
 		}
-		bias[e] = blk[laneCount*f]
+		bias[e] = blk[w*f]
 	}
 }
 
 // laneTailEpoch sweeps one lane's post-kernel entries once against the
-// interleaved state. The arithmetic matches trainSerial statement for
-// statement — same association, same old-value capture — so the tail
-// is bit-identical to the serial sweep too.
-func laneTailEpoch(tail []obs, lane int, st *trainState, rowP, colP []float64) {
-	const (
-		f = pairFactors
-		w = laneCount
-	)
+// interleaved state, w lanes wide. The arithmetic matches trainSerial
+// statement for statement — same association, same old-value capture —
+// so the tail is bit-identical to the serial sweep too.
+func laneTailEpoch(tail []obs, w, lane int, st *trainState, rowP, colP []float64) {
+	const f = pairFactors
 	eta, lam := learningRate, st.p.Reg
 	mu := st.mu
+	blk := blockLen(w)
 	for _, e := range tail {
-		// Fixed-size views: lane's element k of the block at index wk,
-		// the bias at wf, bounds-checked once per entry.
+		// Lane's element k of the block at index wk, the bias at wf.
 		i, j := int(e.i), int(e.j)
-		ri := (*[w*f + 1]float64)(rowP[i*laneBlock+lane:])
-		cj := (*[w*f + 1]float64)(colP[j*laneBlock+lane:])
+		ri := rowP[i*blk+lane : (i+1)*blk]
+		cj := colP[j*blk+lane : (j+1)*blk]
 		dot := 0.0
 		for k := 0; k < f; k++ {
 			dot += ri[w*k] * cj[w*k]

@@ -3,37 +3,44 @@
 #include "textflag.h"
 
 // The lane kernels: one full SGD sweep (one epoch) over a run of
-// entries with rank-6 factors, two or four independent surfaces in the
-// lanes of one 256-bit stream. Every arithmetic step reproduces the
-// serial sweep's association (the dot accumulates left-to-right from
-// zero; factor updates read the pre-update qk/pk on both right-hand
-// sides), so each lane is bit-identical to its own scalar run.
+// entries with rank-6 factors, independent surfaces in the lanes of one
+// 256- or 512-bit stream. Every arithmetic step reproduces the serial
+// sweep's association (the dot accumulates left-to-right from zero;
+// factor updates read the pre-update qk/pk on both right-hand sides),
+// so each lane is bit-identical to its own scalar run.
 //
-// Row and column blocks are 224 bytes — seven 32-byte elements, six
-// factors then the bias at +192, lane L's float64 at +8L of its
-// element. Both kernels share the per-entry arithmetic (DOT6, ERRBIAS,
-// FUPD); they differ in where a register's halves come from.
+// A row or column block is seven elements, six factors then the bias,
+// lane L's float64 at +8L of its element. quadEpoch6 and dualEpoch6 use
+// four-lane blocks (32-byte elements, 224-byte blocks), wideEpoch6
+// two-lane blocks (16-byte elements, 112-byte blocks). All three share
+// the per-entry arithmetic (DOT6, ERRBIAS, FUPD, bound into ENTRY6 over
+// element indices); they differ in where a register's parts come from.
 //
 // quadEpoch6 sweeps a CSR-laid run in trainSerial's order — rows
 // outer, each row's entries in column order — with all four lanes of
 // one cell per register and the row's factors resident across its
-// entries. dualEpoch6 sweeps a schedule of slots, each holding two
-// different cells of one pair: the low half of every register is entry
-// A's two lanes, the high half entry B's, each half loaded from (and
-// stored back to) 16 bytes of its own row and column block, lanes 0–1
-// or 2–3 as the caller aims the row and col bases. The two cells of a
-// slot share no row and no column, and the schedule keeps each row's
-// and each column's entries in their serial order, so every block sees
-// exactly the update sequence of its own serial sweep.
+// entries. dualEpoch6 and wideEpoch6 sweep a schedule of slots, each
+// holding two (dual) or four (wide) different cells of one pair: every
+// 16-byte part of a register is one cell's two lanes, loaded from (and
+// stored back to) 16 bytes of its own row and column block — for dual
+// lanes 0–1 or 2–3 of the four-lane blocks as the caller aims the row
+// and col bases. The cells of a slot share no row and no column, and
+// the schedule keeps each row's and each column's entries in their
+// serial order, so every block sees exactly the update sequence of its
+// own serial sweep. Both keep a slot's rows in registers while
+// consecutive slots name the same rows.
 //
 // Scalar registers: DI=args R12=vals R13=rows or slots left; quad:
 // SI=row block R9=column blocks R11=offs R15=offs walker R10=rowPtr
 // DX=row's end in offs BX=entry's column block; dual: R9/R10=row and
 // column bases R11=slot indices SI/R8=row blocks of entries A/B
-// BX/CX=their column blocks. Vector names: vQ0–vQ5 the row factors and
-// vQB the row bias; vMU/vETA/vLAM the per-lane constants; vDOT, vERR,
-// vPK and vT0–vT2 per-entry scratch. CMUL, CLOAD and CSTORE reach the
-// column elements; each kernel binds them to its own addressing.
+// BX/CX=their column blocks; wide: R9/R10/R11 as dual, SI/R8/R14/R15
+// the four cells' row blocks, BX/CX/DX/DI their column blocks (DI once
+// the arguments are read). Vector
+// names: vQ0–vQ5 the row factors and vQB the row bias; vMU/vETA/vLAM
+// the per-lane constants; vDOT, vERR, vPK and vT0–vT2 per-entry
+// scratch. CMUL, CLOAD and CSTORE reach the column elements; each
+// kernel binds them to its own addressing.
 
 #define vQ0 Y0
 #define vQ1 Y1
@@ -52,26 +59,27 @@
 #define vLAM Y14
 #define vT2 Y15
 
-// dot: s = 0; s += qk*pk, serial add order as dotf
+// dot: s = 0; s += qk*pk, serial add order as dotf. The VEX.128 XOR
+// zeroes the whole register, YMM or ZMM, without AVX-512DQ.
 #define DOT6 \
-	VXORPD vDOT, vDOT, vDOT \
+	VXORPD X7, X7, X7       \
 	CMUL(0, vQ0)            \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(32, vQ1)           \
+	CMUL(1, vQ1)            \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(64, vQ2)           \
+	CMUL(2, vQ2)            \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(96, vQ3)           \
+	CMUL(3, vQ3)            \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(128, vQ4)          \
+	CMUL(4, vQ4)            \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(160, vQ5)          \
+	CMUL(5, vQ5)            \
 	VADDPD vT0, vDOT, vDOT
 
 // err = v - (((mu + rb) + cb) + dot), then
 // rb += eta * (err - lam*rb) and cb += eta * (err - lam*cb)
 #define ERRBIAS \
-	CLOAD(192)              \
+	CLOAD(6)                \
 	VADDPD vQB, vMU, vT0    \
 	VADDPD vPK, vT0, vT0    \
 	VADDPD vDOT, vT0, vT0   \
@@ -85,13 +93,13 @@
 	VSUBPD vT0, vERR, vT0   \
 	VMULPD vT0, vETA, vT0   \
 	VADDPD vT0, vPK, vPK    \
-	CSTORE(192)
+	CSTORE(6)
 
-// factor update k:
+// factor update k, column element E:
 //   qk += eta*(err*pk - lam*qk); pk += eta*(err*qk - lam*pk)
 // using old qk/pk on both right-hand sides.
-#define FUPD(QK, OFF) \
-	CLOAD(OFF)              \
+#define FUPD(QK, E) \
+	CLOAD(E)                \
 	VMULPD vPK, vERR, vT0   \
 	VMULPD QK, vLAM, vT1    \
 	VSUBPD vT1, vT0, vT0    \
@@ -102,24 +110,24 @@
 	VMULPD vT1, vETA, vT1   \
 	VADDPD vT0, QK, QK      \
 	VADDPD vT1, vPK, vPK    \
-	CSTORE(OFF)
+	CSTORE(E)
 
 // ENTRY6 is one entry's update, its column block(s) addressed by the
-// C* macros, its values at 0(R12).
+// C* macros (element E: factor E, the bias at 6), its values at 0(R12).
 #define ENTRY6 \
 	DOT6                    \
 	ERRBIAS                 \
 	FUPD(vQ0, 0)            \
-	FUPD(vQ1, 32)           \
-	FUPD(vQ2, 64)           \
-	FUPD(vQ3, 96)           \
-	FUPD(vQ4, 128)          \
-	FUPD(vQ5, 160)
+	FUPD(vQ1, 1)            \
+	FUPD(vQ2, 2)            \
+	FUPD(vQ3, 3)            \
+	FUPD(vQ4, 4)            \
+	FUPD(vQ5, 5)
 
 // Quad addressing: the whole 32-byte element at BX.
-#define CMUL(OFF, QK) VMULPD OFF(BX), QK, vT0
-#define CLOAD(OFF) VMOVUPD OFF(BX), vPK
-#define CSTORE(OFF) VMOVUPD vPK, OFF(BX)
+#define CMUL(E, QK) VMULPD (E*32)(BX), QK, vT0
+#define CLOAD(E) VMOVUPD (E*32)(BX), vPK
+#define CSTORE(E) VMOVUPD vPK, (E*32)(BX)
 
 // func quadEpoch6(a *laneArgs)
 //
@@ -189,25 +197,25 @@ rowsdone:
 // Dual addressing: entry A's 16 bytes at BX fill the low half, entry
 // B's at CX the high half. A VEX.128 load zeroes the upper half it
 // leaves, so VINSERTF128 never merges with stale bits.
-#define CMUL(OFF, QK) \
-	VMOVUPD OFF(BX), X8        \
-	VINSERTF128 $1, OFF(CX), vT0, vT0 \
+#define CMUL(E, QK) \
+	VMOVUPD (E*32)(BX), X8     \
+	VINSERTF128 $1, (E*32)(CX), vT0, vT0 \
 	VMULPD vT0, QK, vT0
-#define CLOAD(OFF) \
-	VMOVUPD OFF(BX), X10       \
-	VINSERTF128 $1, OFF(CX), vPK, vPK
-#define CSTORE(OFF) \
-	VMOVUPD X10, OFF(BX)       \
-	VEXTRACTF128 $1, vPK, OFF(CX)
+#define CLOAD(E) \
+	VMOVUPD (E*32)(BX), X10    \
+	VINSERTF128 $1, (E*32)(CX), vPK, vPK
+#define CSTORE(E) \
+	VMOVUPD X10, (E*32)(BX)    \
+	VEXTRACTF128 $1, vPK, (E*32)(CX)
 
-// RLOAD and RSTORE move row element OFF of entries A (SI) and B (R8)
+// RLOAD and RSTORE move row element E of entries A (SI) and B (R8)
 // between memory and the halves of Y, whose low half is X.
-#define RLOAD(X, Y, OFF) \
-	VMOVUPD OFF(SI), X         \
-	VINSERTF128 $1, OFF(R8), Y, Y
-#define RSTORE(X, Y, OFF) \
-	VMOVUPD X, OFF(SI)         \
-	VEXTRACTF128 $1, Y, OFF(R8)
+#define RLOAD(X, Y, E) \
+	VMOVUPD (E*32)(SI), X      \
+	VINSERTF128 $1, (E*32)(R8), Y, Y
+#define RSTORE(X, Y, E) \
+	VMOVUPD X, (E*32)(SI)      \
+	VEXTRACTF128 $1, Y, (E*32)(R8)
 
 // ROWS points SI and R8 at the row blocks of the packed row indices in
 // DX: A's in the low word, B's in the high.
@@ -220,23 +228,25 @@ rowsdone:
 	IMUL3Q $224, R8, R8     \
 	ADDQ R9, R8
 
+// RLOAD7 and RSTORE7 move a slot's seven row elements, whichever
+// kernel's RLOAD and RSTORE are bound.
 #define RLOAD7 \
 	RLOAD(X0, vQ0, 0)       \
-	RLOAD(X1, vQ1, 32)      \
-	RLOAD(X2, vQ2, 64)      \
-	RLOAD(X3, vQ3, 96)      \
-	RLOAD(X4, vQ4, 128)     \
-	RLOAD(X5, vQ5, 160)     \
-	RLOAD(X6, vQB, 192)
+	RLOAD(X1, vQ1, 1)       \
+	RLOAD(X2, vQ2, 2)       \
+	RLOAD(X3, vQ3, 3)       \
+	RLOAD(X4, vQ4, 4)       \
+	RLOAD(X5, vQ5, 5)       \
+	RLOAD(X6, vQB, 6)
 
 #define RSTORE7 \
 	RSTORE(X0, vQ0, 0)      \
-	RSTORE(X1, vQ1, 32)     \
-	RSTORE(X2, vQ2, 64)     \
-	RSTORE(X3, vQ3, 96)     \
-	RSTORE(X4, vQ4, 128)    \
-	RSTORE(X5, vQ5, 160)    \
-	RSTORE(X6, vQB, 192)
+	RSTORE(X1, vQ1, 1)      \
+	RSTORE(X2, vQ2, 2)      \
+	RSTORE(X3, vQ3, 3)      \
+	RSTORE(X4, vQ4, 4)      \
+	RSTORE(X5, vQ5, 5)      \
+	RSTORE(X6, vQB, 6)
 
 // func dualEpoch6(a *laneArgs)
 //
@@ -251,7 +261,7 @@ TEXT ·dualEpoch6(SB), NOSPLIT, $0-8
 	MOVQ 0(DI), R9
 	MOVQ 8(DI), R10
 	MOVQ 16(DI), R12
-	MOVQ 24(DI), R11
+	MOVQ 144(DI), R11
 	MOVQ 40(DI), R13
 	VMOVUPD 48(DI), vMU
 	VMOVUPD 80(DI), vETA
@@ -287,5 +297,138 @@ slotsend:
 	RSTORE7
 
 slotsdone:
+	VZEROUPPER
+	RET
+
+#undef CMUL
+#undef CLOAD
+#undef CSTORE
+#undef RLOAD
+#undef RSTORE
+#undef ROWS
+
+// The wide kernel's register set: the same sixteen registers at 512
+// bits, so ENTRY6 expands to the EVEX forms (AVX-512F only).
+#undef vQ0
+#undef vQ1
+#undef vQ2
+#undef vQ3
+#undef vQ4
+#undef vQ5
+#undef vQB
+#undef vDOT
+#undef vT0
+#undef vERR
+#undef vPK
+#undef vT1
+#undef vMU
+#undef vETA
+#undef vLAM
+#undef vT2
+#define vQ0 Z0
+#define vQ1 Z1
+#define vQ2 Z2
+#define vQ3 Z3
+#define vQ4 Z4
+#define vQ5 Z5
+#define vQB Z6
+#define vDOT Z7
+#define vT0 Z8
+#define vERR Z9
+#define vPK Z10
+#define vT1 Z11
+#define vMU Z12
+#define vETA Z13
+#define vLAM Z14
+#define vT2 Z15
+
+// Wide addressing: the four 16-byte parts of a register are cells 0–3
+// of the slot, element E of their two-lane column blocks at BX, CX, DX
+// and DI. A VEX.128 load zeroes the register above its low part, so
+// the inserts never merge with stale bits.
+#define CPARTS(E, X, Z) \
+	VMOVUPD (E*16)(BX), X      \
+	VINSERTF32X4 $1, (E*16)(CX), Z, Z \
+	VINSERTF32X4 $2, (E*16)(DX), Z, Z \
+	VINSERTF32X4 $3, (E*16)(DI), Z, Z
+#define CMUL(E, QK) \
+	CPARTS(E, X8, vT0)         \
+	VMULPD vT0, QK, vT0
+#define CLOAD(E) CPARTS(E, X10, vPK)
+#define CSTORE(E) \
+	VMOVUPD X10, (E*16)(BX)    \
+	VEXTRACTF32X4 $1, vPK, (E*16)(CX) \
+	VEXTRACTF32X4 $2, vPK, (E*16)(DX) \
+	VEXTRACTF32X4 $3, vPK, (E*16)(DI)
+
+// RLOAD and RSTORE move row element E of the four cells (SI, R8, R14,
+// R15) between memory and the parts of Z, whose low part is X.
+#define RLOAD(X, Z, E) \
+	VMOVUPD (E*16)(SI), X      \
+	VINSERTF32X4 $1, (E*16)(R8), Z, Z \
+	VINSERTF32X4 $2, (E*16)(R14), Z, Z \
+	VINSERTF32X4 $3, (E*16)(R15), Z, Z
+#define RSTORE(X, Z, E) \
+	VMOVUPD X, (E*16)(SI)      \
+	VEXTRACTF32X4 $1, Z, (E*16)(R8) \
+	VEXTRACTF32X4 $2, Z, (E*16)(R14) \
+	VEXTRACTF32X4 $3, Z, (E*16)(R15)
+
+// BLOCK points R at the 112-byte block of the uint16 index at OFF(R11)
+// from base BASE.
+#define BLOCK(OFF, BASE, R) \
+	MOVWQZX OFF(R11), R     \
+	IMUL3Q $112, R, R       \
+	ADDQ BASE, R
+
+// func wideEpoch6(a *laneArgs)
+//
+// Four cells of one pair per register, a slot at a time. Per slot the
+// indices are eight uint16s — the four cells' rows, then their
+// columns — scaled to 112-byte blocks; the values are cell 0's two
+// lanes, then cell 1's, 2's and 3's. The per-lane constants are the
+// pair's two, broadcast to every part. The four rows stay in registers
+// while consecutive slots name the same rows, and are stored back when
+// they change and at the end.
+TEXT ·wideEpoch6(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DI
+	MOVQ 0(DI), R9
+	MOVQ 8(DI), R10
+	MOVQ 16(DI), R12
+	MOVQ 144(DI), R11
+	MOVQ 40(DI), R13
+	VBROADCASTF32X4 48(DI), vMU
+	VBROADCASTF32X4 80(DI), vETA
+	VBROADCASTF32X4 112(DI), vLAM
+	TESTQ R13, R13
+	JZ widedone
+
+widerows:
+	BLOCK(0, R9, SI)
+	BLOCK(2, R9, R8)
+	BLOCK(4, R9, R14)
+	BLOCK(6, R9, R15)
+	RLOAD7
+
+wideloop:
+	BLOCK(8, R10, BX)
+	BLOCK(10, R10, CX)
+	BLOCK(12, R10, DX)
+	BLOCK(14, R10, DI)
+	ENTRY6
+	ADDQ $16, R11
+	ADDQ $64, R12
+	DECQ R13
+	JZ wideend
+	MOVQ 0(R11), AX
+	CMPQ AX, -16(R11)
+	JEQ wideloop
+	RSTORE7
+	JMP widerows
+
+wideend:
+	RSTORE7
+
+widedone:
 	VZEROUPPER
 	RET

@@ -14,3 +14,7 @@ func quadEpoch6(a *laneArgs) {
 func dualEpoch6(a *laneArgs) {
 	panic("sgd: lane SGD kernels are not built")
 }
+
+func wideEpoch6(a *laneArgs) {
+	panic("sgd: lane SGD kernels are not built")
+}

@@ -1,11 +1,48 @@
 package sgd
 
 import (
+	"flag"
 	"math"
+	"os"
 	"testing"
 
 	"cuttlesys/internal/rng"
 )
+
+var noWide = flag.Bool("nowide", false, "run every test with the AVX-512 wide path off: the AVX path where the host has both")
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if *noWide {
+		laneWide = false
+	}
+	os.Exit(m.Run())
+}
+
+// lanePaths runs f as one subtest per lane path the host can take:
+// "wide" (the AVX-512 path, unless -nowide), then "avx" with the wide
+// path forced off, or "go" where no kernel is built.
+func lanePaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	type path struct {
+		name string
+		wide bool
+	}
+	paths := []path{{"avx", false}}
+	if !laneKernelOK {
+		paths[0].name = "go"
+	}
+	if laneWide {
+		paths = append([]path{{"wide", true}}, paths...)
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			defer func(prev bool) { laneWide = prev }(laneWide)
+			laneWide = p.wide
+			f(t)
+		})
+	}
+}
 
 // pairMatrix builds a seeded observation matrix shaped like the
 // runtime's surfaces: denseRows fully-observed leading rows, then
@@ -194,9 +231,11 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 			}
 			wantA := Reconstruct(tc.a, tc.pa)
 			wantB := Reconstruct(tc.b, tc.pb)
-			gotA, gotB := ReconstructPair(tc.a, tc.b, tc.pa, tc.pb)
-			predBitsEqual(t, "lane A", gotA, wantA)
-			predBitsEqual(t, "lane B", gotB, wantB)
+			lanePaths(t, func(t *testing.T) {
+				gotA, gotB := ReconstructPair(tc.a, tc.b, tc.pa, tc.pb)
+				predBitsEqual(t, "lane A", gotA, wantA)
+				predBitsEqual(t, "lane B", gotB, wantB)
+			})
 		})
 	}
 }
@@ -221,16 +260,18 @@ func TestReconstructPairWarmStart(t *testing.T) {
 	warmB.Warm, warmB.WarmIters = facB, 20
 	wantA := Reconstruct(a, warmA)
 	wantB := Reconstruct(b, warmB)
-	gotA, gotB := ReconstructPair(a, b, warmA, warmB)
-	predBitsEqual(t, "warm lane A", gotA, wantA)
-	predBitsEqual(t, "warm lane B", gotB, wantB)
-
-	// Warm lane beside a cold lane: effective MaxIter differs, so the
-	// pair must fall back — and still match exactly.
 	wantCold := Reconstruct(b, base)
-	gotA, gotCold := ReconstructPair(a, b, warmA, base)
-	predBitsEqual(t, "mixed warm lane", gotA, wantA)
-	predBitsEqual(t, "mixed cold lane", gotCold, wantCold)
+	lanePaths(t, func(t *testing.T) {
+		gotA, gotB := ReconstructPair(a, b, warmA, warmB)
+		predBitsEqual(t, "warm lane A", gotA, wantA)
+		predBitsEqual(t, "warm lane B", gotB, wantB)
+
+		// Warm lane beside a cold lane: effective MaxIter differs, so
+		// the pair must fall back — and still match exactly.
+		gotA, gotCold := ReconstructPair(a, b, warmA, base)
+		predBitsEqual(t, "mixed warm lane", gotA, wantA)
+		predBitsEqual(t, "mixed cold lane", gotCold, wantCold)
+	})
 }
 
 // TestReconstructPairFactors checks the captured factor state is
@@ -248,21 +289,23 @@ func TestReconstructPairFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotA, gotB, gotFA, gotFB := ReconstructPairFactors(a, b, p, p)
-	predBitsEqual(t, "lane A", gotA, Reconstruct(a, p))
-	predBitsEqual(t, "lane B", gotB, Reconstruct(b, p))
-	if gotFA.Fingerprint() != wantFA.Fingerprint() {
-		t.Fatalf("lane A factors diverge: %x vs %x", gotFA.Fingerprint(), wantFA.Fingerprint())
-	}
-	if gotFB.Fingerprint() != wantFB.Fingerprint() {
-		t.Fatalf("lane B factors diverge: %x vs %x", gotFB.Fingerprint(), wantFB.Fingerprint())
-	}
+	lanePaths(t, func(t *testing.T) {
+		gotA, gotB, gotFA, gotFB := ReconstructPairFactors(a, b, p, p)
+		predBitsEqual(t, "lane A", gotA, Reconstruct(a, p))
+		predBitsEqual(t, "lane B", gotB, Reconstruct(b, p))
+		if gotFA.Fingerprint() != wantFA.Fingerprint() {
+			t.Fatalf("lane A factors diverge: %x vs %x", gotFA.Fingerprint(), wantFA.Fingerprint())
+		}
+		if gotFB.Fingerprint() != wantFB.Fingerprint() {
+			t.Fatalf("lane B factors diverge: %x vs %x", gotFB.Fingerprint(), wantFB.Fingerprint())
+		}
 
-	// Cold lane exports nil factors, mirroring ReconstructFactors.
-	_, _, _, coldF := ReconstructPairFactors(a, NewMatrix(16, 108), p, p)
-	if coldF != nil {
-		t.Fatalf("cold lane exported factors: %+v", coldF)
-	}
+		// Cold lane exports nil factors, mirroring ReconstructFactors.
+		_, _, _, coldF := ReconstructPairFactors(a, NewMatrix(16, 108), p, p)
+		if coldF != nil {
+			t.Fatalf("cold lane exported factors: %+v", coldF)
+		}
+	})
 }
 
 // BenchmarkReconstructPair measures the paired trainer against two
@@ -286,7 +329,7 @@ func BenchmarkReconstructPair(b *testing.B) {
 	})
 }
 
-// TestLanePrefixBlockIndexBound checks the dual kernel's addressing
+// TestLanePrefixBlockIndexBound checks the slot kernels' addressing
 // limit: lanes of 65 535 rows still share a stream, lanes of 65 536
 // (whose spare row block would need index 65 536) train per surface —
 // bit-identical either way.
@@ -308,8 +351,11 @@ func TestLanePrefixBlockIndexBound(t *testing.T) {
 				t.Fatalf("%d rows: lanePrefix = %d, want %d", rows, n, want)
 			}
 		}
-		gotA, gotB := ReconstructPair(a, b, p, p)
-		predBitsEqual(t, "lane A", gotA, Reconstruct(a, p))
-		predBitsEqual(t, "lane B", gotB, Reconstruct(b, p))
+		wantA, wantB := Reconstruct(a, p), Reconstruct(b, p)
+		lanePaths(t, func(t *testing.T) {
+			gotA, gotB := ReconstructPair(a, b, p, p)
+			predBitsEqual(t, "lane A", gotA, wantA)
+			predBitsEqual(t, "lane B", gotB, wantB)
+		})
 	}
 }

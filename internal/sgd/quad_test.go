@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"cuttlesys/internal/cpuid"
 )
 
 // quadSurfaces builds four matrices of the runtime's shape: thr and
@@ -41,7 +43,7 @@ func keepCells(i, keep int, ms ...*Matrix) {
 // every way the four-lane prefix can end — and every way it can fail
 // to start — and demands exact float64 equality with four independent
 // serial reconstructions, with factor capture on and off, on one core
-// and on four.
+// and on four, on every lane path the host can take (lanePaths).
 func TestReconstructQuadBitIdentical(t *testing.T) {
 	type quadCase struct {
 		name string
@@ -187,42 +189,46 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			for _, procs := range []int{1, 4} {
-				for _, capture := range []bool{false, true} {
-					prev := runtime.GOMAXPROCS(procs)
-					got, gotFac := ReconstructQuad(tc.ms, tc.ps, capture)
-					runtime.GOMAXPROCS(prev)
-					for l, m := range tc.ms {
-						name := fmt.Sprintf("lane %d (GOMAXPROCS %d, capture %v)", l, procs, capture)
-						if m == nil {
-							if got[l] != nil || gotFac[l] != nil {
-								t.Fatalf("%s: absent lane produced a result", name)
+			lanePaths(t, func(t *testing.T) {
+				for _, procs := range []int{1, 4} {
+					for _, capture := range []bool{false, true} {
+						prev := runtime.GOMAXPROCS(procs)
+						got, gotFac := ReconstructQuad(tc.ms, tc.ps, capture)
+						runtime.GOMAXPROCS(prev)
+						for l, m := range tc.ms {
+							name := fmt.Sprintf("lane %d (GOMAXPROCS %d, capture %v)", l, procs, capture)
+							if m == nil {
+								if got[l] != nil || gotFac[l] != nil {
+									t.Fatalf("%s: absent lane produced a result", name)
+								}
+								continue
 							}
-							continue
-						}
-						predBitsEqual(t, name, got[l], want[l])
-						switch {
-						case !capture || wantFac[l] == nil:
-							if gotFac[l] != nil {
-								t.Fatalf("%s: unexpected factors", name)
+							predBitsEqual(t, name, got[l], want[l])
+							switch {
+							case !capture || wantFac[l] == nil:
+								if gotFac[l] != nil {
+									t.Fatalf("%s: unexpected factors", name)
+								}
+							case gotFac[l] == nil:
+								t.Fatalf("%s: no factors captured", name)
+							case gotFac[l].Fingerprint() != wantFac[l].Fingerprint():
+								t.Fatalf("%s: factors diverge: %x vs %x", name, gotFac[l].Fingerprint(), wantFac[l].Fingerprint())
 							}
-						case gotFac[l] == nil:
-							t.Fatalf("%s: no factors captured", name)
-						case gotFac[l].Fingerprint() != wantFac[l].Fingerprint():
-							t.Fatalf("%s: factors diverge: %x vs %x", name, gotFac[l].Fingerprint(), wantFac[l].Fingerprint())
 						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
 
-// TestDualScheduleOccupancy pins how full dualSchedule packs the dual
-// regions of quadSurfaces — thr/pwr's four dense rows and sixteen
-// running rows, lat/svc's sparse service row — by exact entry and slot
-// counts: the dual kernel pays for itself only while most slots carry
-// two cells.
+// TestDualScheduleOccupancy pins how full schedule packs the slot
+// regions of quadSurfaces by exact entry and slot counts: two cells to
+// a slot over the dual regions of the AVX path — thr/pwr's four dense
+// rows and sixteen running rows, lat/svc's sparse service row — and
+// four over the wide regions of the AVX-512 path, each pair's whole
+// common prefix. A slot kernel pays for itself only while most slots
+// are full.
 func TestDualScheduleOccupancy(t *testing.T) {
 	ms := quadSurfaces(1)
 	const n4 = 12 * 108 // the service row does not start at column 0
@@ -237,37 +243,43 @@ func TestDualScheduleOccupancy(t *testing.T) {
 	if laneKernelOK && lanePrefix(st[:]) != n4 {
 		t.Fatalf("four-lane prefix %d, want %d", lanePrefix(st[:]), n4)
 	}
-	entries, slots := 0, 0
+	var entries, slots [wideCells + 1]int // per cells-per-slot k
 	for _, c := range []struct {
-		name              string
-		st                *trainState
-		wantEnts, wantSlt int
+		name                string
+		st                  *trainState
+		from, k             int
+		wantEnts, wantSlots int
 	}{
-		{"thr/pwr", st[0], 525, 264},
-		{"lat/svc", st[2], 4, 4},
+		{"thr/pwr dual", st[0], n4, 2, 525, 264},
+		{"lat/svc dual", st[2], n4, 2, 4, 4},
+		{"thr/pwr wide", st[0], 0, wideCells, 1821, 458},
+		{"lat/svc wide", st[2], 0, wideCells, 1300, 328},
 	} {
-		region := c.st.entries[n4:]
-		slot := make([]int32, len(region))
-		n := dualSchedule(region, 108, slot)
-		if len(region) != c.wantEnts || n != c.wantSlt {
-			t.Errorf("%s: %d entries in %d slots, want %d in %d", c.name, len(region), n, c.wantEnts, c.wantSlt)
+		region := c.st.entries[c.from:]
+		n := schedule(region, 108, c.k, nil)
+		if len(region) != c.wantEnts || n != c.wantSlots {
+			t.Errorf("%s: %d entries in %d slots, want %d in %d", c.name, len(region), n, c.wantEnts, c.wantSlots)
 		}
-		entries += len(region)
-		slots += n
+		entries[c.k] += len(region)
+		slots[c.k] += n
 	}
-	if fill := float64(entries) / float64(2*slots); fill < 0.9 {
-		t.Fatalf("schedule fills %.3f of its slots' halves, want at least 0.9", fill)
+	for _, k := range []int{2, wideCells} {
+		if fill := float64(entries[k]) / float64(k*slots[k]); fill < 0.9 {
+			t.Fatalf("k=%d: schedule fills %.3f of its slots' cells, want at least 0.9", k, fill)
+		}
 	}
 }
 
 // BenchmarkLaneEpoch times one kernel epoch per leg and reports its
 // cost per entry: lanes=4 is the quad kernel over the 12 × 108
-// training cells all four surfaces share; lanes=2 and dual sweep one
-// pair's region of the runtime's shape — 16 training rows and 16
-// running rows of up to 20 cells — lanes=2 one cell per stream in
-// row-major order (the quad kernel with the pair's lanes doubled, the
-// cost of a kernel whose upper lanes idle) and dual two cells per
-// stream on the dualSchedule slots.
+// training cells all four surfaces share, wide/train the wide kernel
+// over one pair's share of them (the AVX-512 path sweeps them once per
+// pair); lanes=2, dual and wide sweep one pair's region of the
+// runtime's shape — 16 training rows and 16 running rows of up to 20
+// cells — lanes=2 one cell per stream in row-major order (the quad
+// kernel with the pair's lanes doubled, the cost of a kernel whose
+// upper lanes idle), dual two cells per 256-bit stream and wide four
+// per 512-bit stream on the schedule's slots.
 func BenchmarkLaneEpoch(b *testing.B) {
 	if !laneKernelOK {
 		b.Skip("no AVX")
@@ -286,24 +298,33 @@ func BenchmarkLaneEpoch(b *testing.B) {
 		name    string
 		lanes   []*trainState
 		entries int // the leading entries the leg sweeps
-		quad    bool
+		k       int // cells per slot; 0 for the quad kernel
 	}{
-		{"lanes=4", st[:], 12 * 108, true},
-		{"lanes=2", pair, np, true},
-		{"dual", pair[:2], np, false},
+		{"lanes=4", st[:], 12 * 108, 0},
+		{"wide/train", st[:2], 12 * 108, wideCells},
+		{"lanes=2", pair, np, 0},
+		{"dual", pair[:2], np, 2},
+		{"wide", pair[:2], np, wideCells},
 	}
 	for _, leg := range legs {
-		rowP := make([]float64, 35*laneBlock)
-		colP := make([]float64, 109*laneBlock)
+		if leg.k == wideCells && !cpuid.AVX512 {
+			continue
+		}
+		w := laneCount
+		if leg.k == wideCells {
+			w = 2
+		}
+		rowP := make([]float64, 35*blockLen(w))
+		colP := make([]float64, 109*blockLen(w))
 		for l, s := range leg.lanes {
-			packLane(rowP, l, s.q, s.rowBias)
-			packLane(colP, l, s.pc, s.colBias)
+			packLane(rowP, w, l, s.q, s.rowBias)
+			packLane(colP, w, l, s.pc, s.colBias)
 		}
 		var run laneRun
-		if leg.quad {
+		if leg.k == 0 {
 			run = newQuadRun(leg.lanes, leg.entries, rowP, colP)
 		} else {
-			run = newDualRun(leg.lanes, 0, 0, leg.entries, rowP, colP)
+			run = newSlotRun(leg.lanes, 0, 0, leg.entries, leg.k, rowP, colP)
 		}
 		b.Run(leg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -315,14 +336,15 @@ func BenchmarkLaneEpoch(b *testing.B) {
 }
 
 // reconstructAllocCeiling bounds the bytes one ReconstructQuad call
-// allocates at the runtime's single-machine shape, late in a run. A
-// call measures ≈ 384 KB: the four predictions (≈ 80 KB, which also
-// hold the SVD seeds' mean-filled blocks), the entry lists at 16 bytes
-// an entry (≈ 120 KB), the lane runs — the dual run's slot schedule
-// and its scratch included — and blocks (≈ 111 KB), the model state
-// and the Jacobi rotations. Seeding from a separate mean-filled
-// matrix, the SVD's own copy of it and its full U and V, with 24-byte
-// entries, took ≈ 690 KB.
+// allocates at the runtime's single-machine shape, late in a run, on
+// either lane path. A call measures ≈ 381 KB: the four predictions
+// (≈ 80 KB, which also hold the SVD seeds' mean-filled blocks), the
+// entry lists at 16 bytes an entry (≈ 120 KB), the lane runs and
+// blocks (≈ 110 KB: the AVX path's quad and dual runs on one
+// four-lane block set, or the AVX-512 path's two wide runs on two
+// two-lane sets), the model state and the Jacobi rotations. Seeding
+// from a separate mean-filled matrix, the SVD's own copy of it and its
+// full U and V, with 24-byte entries, took ≈ 690 KB.
 const reconstructAllocCeiling = 420 << 10
 
 // TestReconstructAllocCeiling measures ReconstructQuad's allocation
@@ -338,17 +360,19 @@ func TestReconstructAllocCeiling(t *testing.T) {
 	ms := [4]*Matrix{thr, pwr, lat, svc}
 	p := Params{Factors: 6, Reg: 0.03, MaxIter: 5, SVDInit: true, LogSpace: true}
 	ps := [4]Params{p, p, p, p}
-	ReconstructQuad(ms, ps, false) // warm the runtime's goroutine free lists
-	const calls = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		ReconstructQuad(ms, ps, false)
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-	t.Logf("%d bytes per ReconstructQuad call", perCall)
-	if perCall > reconstructAllocCeiling {
-		t.Fatalf("ReconstructQuad allocates %d bytes per call, ceiling %d", perCall, reconstructAllocCeiling)
-	}
+	lanePaths(t, func(t *testing.T) {
+		ReconstructQuad(ms, ps, false) // warm the runtime's goroutine free lists
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			ReconstructQuad(ms, ps, false)
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+		t.Logf("%d bytes per ReconstructQuad call", perCall)
+		if perCall > reconstructAllocCeiling {
+			t.Fatalf("ReconstructQuad allocates %d bytes per call, ceiling %d", perCall, reconstructAllocCeiling)
+		}
+	})
 }

@@ -8,45 +8,38 @@ import (
 	"cuttlesys/internal/rng"
 )
 
-// slotSchedule runs dualSchedule over a run of entries and returns its
-// slots as indices into the run, A then B, -1 for an unpaired slot's
-// idle half.
-func slotSchedule(ents []obs, cols int) [][2]int {
-	slot := make([]int32, len(ents))
-	slots := make([][2]int, dualSchedule(ents, cols, slot))
-	for s := range slots {
-		slots[s] = [2]int{-1, -1}
-	}
-	for t := range ents {
-		h := &slots[slot[t]]
-		if h[0] < 0 {
-			h[0] = t
-		} else {
-			h[1] = t
-		}
+// slotSchedule runs schedule over a run of entries, k cells to a
+// slot, and returns its slots as indices into the run, in the order
+// the schedule filled their cells.
+func slotSchedule(ents []obs, cols, k int) [][]int {
+	slots := make([][]int, schedule(ents, cols, k, nil))
+	n := schedule(ents, cols, k, func(s, t int) { slots[s] = append(slots[s], t) })
+	if n != len(slots) {
+		panic(fmt.Sprintf("schedule counted %d slots, then filled %d", len(slots), n))
 	}
 	return slots
 }
 
-// checkSchedule validates slots against the run they schedule: every
-// entry sits in exactly one slot, no slot names one row or one column
-// twice, and each row's and each column's entries come in run order.
-func checkSchedule(ents []obs, slots [][2]int) error {
+// checkSchedule validates slots of at most k cells against the run
+// they schedule: every entry sits in exactly one slot, no slot is
+// empty or names one row or one column twice, and each row's and each
+// column's entries come in run order.
+func checkSchedule(ents []obs, k int, slots [][]int) error {
 	seen := make([]bool, len(ents))
 	lastRow := map[int32]int{}
 	lastCol := map[int32]int{}
 	for s, sl := range slots {
-		a, b := sl[0], sl[1]
-		if a < 0 {
-			return fmt.Errorf("slot %d: no entry in its A half", s)
+		if len(sl) == 0 || len(sl) > k {
+			return fmt.Errorf("slot %d holds %d cells, want 1..%d", s, len(sl), k)
 		}
-		if b >= 0 && (ents[a].i == ents[b].i || ents[a].j == ents[b].j) {
-			return fmt.Errorf("slot %d pairs cells (%d,%d) and (%d,%d)", s, ents[a].i, ents[a].j, ents[b].i, ents[b].j)
+		for x, a := range sl {
+			for _, b := range sl[x+1:] {
+				if ents[a].i == ents[b].i || ents[a].j == ents[b].j {
+					return fmt.Errorf("slot %d pairs cells (%d,%d) and (%d,%d)", s, ents[a].i, ents[a].j, ents[b].i, ents[b].j)
+				}
+			}
 		}
 		for _, t := range sl {
-			if t < 0 {
-				continue
-			}
 			if seen[t] {
 				return fmt.Errorf("slot %d: entry %d placed twice", s, t)
 			}
@@ -91,19 +84,18 @@ func serialStep(st *trainState, e obs) {
 
 // trainSlots is the scalar slot executor: per epoch, entries before
 // the region train in order, the region's slots one after another —
-// B before A, so a slot whose halves were not independent changes the
-// result — and then the entries after it.
-func trainSlots(st *trainState, from, to int, slots [][2]int) {
+// each slot's cells last to first, so a slot whose cells were not
+// independent changes the result — and then the entries after it.
+func trainSlots(st *trainState, from, to int, slots [][]int) {
 	region := st.entries[from:to]
 	for iter := 0; iter < st.p.MaxIter; iter++ {
 		for _, e := range st.entries[:from] {
 			serialStep(st, e)
 		}
 		for _, sl := range slots {
-			if sl[1] >= 0 {
-				serialStep(st, region[sl[1]])
+			for x := len(sl) - 1; x >= 0; x-- {
+				serialStep(st, region[sl[x]])
 			}
-			serialStep(st, region[sl[0]])
 		}
 		for _, e := range st.entries[to:] {
 			serialStep(st, e)
@@ -169,7 +161,8 @@ func frozenFrom(st *trainState, from int) int {
 // TestSlotScheduleMatchesSerial is the schedule's oracle: over random
 // matrices and regions — and four named shapes, a region starting
 // mid-row, one spanning an odd number of running rows, a one-entry
-// region and one ending at a bias-frozen row — dualSchedule's slots
+// region and one ending at a bias-frozen row — schedule's slots, two
+// cells to a slot (the dual kernel's) and four (the wide kernel's),
 // must pass checkSchedule, and the scalar slot executor must leave Q,
 // P and both biases bit-identical to trainSerial.
 func TestSlotScheduleMatchesSerial(t *testing.T) {
@@ -177,26 +170,26 @@ func TestSlotScheduleMatchesSerial(t *testing.T) {
 		name     string
 		m        *Matrix
 		from, to int
-		check    func(t *testing.T, st *trainState, slots [][2]int)
+		check    func(t *testing.T, st *trainState, slots [][]int)
 	}
 	r := rng.New(5)
 	cols := 40
 	cases := []scheduleCase{
 		{name: "starts mid-row", m: scheduleMatrix(r, cols, 4, []int{9, 7, 12}), from: 2*cols + 13, to: -1},
 		{name: "odd number of running rows", m: scheduleMatrix(r, cols, 3, []int{8, 5, 11, 6, 9}), from: 2 * cols, to: -1,
-			check: func(t *testing.T, st *trainState, _ [][2]int) {
+			check: func(t *testing.T, st *trainState, _ [][]int) {
 				if first := st.entries[3*cols].i; first != 3 || st.entries[len(st.entries)-1].i != 7 {
 					t.Fatalf("region rows %d..%d, want the five running rows 3..7 after the dense tail", first, st.entries[len(st.entries)-1].i)
 				}
 			}},
 		{name: "one entry", m: scheduleMatrix(r, cols, 3, []int{6}), from: 2*cols + 17, to: 2*cols + 18,
-			check: func(t *testing.T, _ *trainState, slots [][2]int) {
-				if len(slots) != 1 || slots[0] != [2]int{0, -1} {
-					t.Fatalf("slots %v, want one unpaired slot", slots)
+			check: func(t *testing.T, _ *trainState, slots [][]int) {
+				if len(slots) != 1 || len(slots[0]) != 1 || slots[0][0] != 0 {
+					t.Fatalf("slots %v, want one slot of one cell", slots)
 				}
 			}},
 		{name: "ends at a bias-frozen row", m: scheduleMatrix(r, cols, 3, []int{7, 9, 2, 8}), from: cols + 3, to: -1,
-			check: func(t *testing.T, st *trainState, _ [][2]int) {
+			check: func(t *testing.T, st *trainState, _ [][]int) {
 				end := frozenFrom(st, cols+3)
 				if end == len(st.entries) || st.entries[end].i != 5 {
 					t.Fatalf("region ends at entry %d, want the frozen row 5's first", end)
@@ -215,26 +208,30 @@ func TestSlotScheduleMatchesSerial(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := prepareTraining(tc.m, scheduleParams.withDefaults())
-			got := prepareTraining(tc.m, scheduleParams.withDefaults())
-			from, to := tc.from, tc.to
-			if to < 0 {
-				to = frozenFrom(got, from)
-			}
-			if from >= to {
-				t.Skipf("no kernel-eligible entries at %d", from)
-			}
-			slots := slotSchedule(got.entries[from:to], tc.m.Cols)
-			if err := checkSchedule(got.entries[from:to], slots); err != nil {
-				t.Fatal(err)
-			}
-			if tc.check != nil {
-				tc.check(t, got, slots)
-			}
-			want.trainSerial()
-			trainSlots(got, from, to, slots)
-			if !sameBits(stateBits(got), stateBits(want)) {
-				t.Fatalf("slot executor diverges from trainSerial over region [%d, %d)", from, to)
+			for _, k := range []int{2, wideCells} {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					want := prepareTraining(tc.m, scheduleParams.withDefaults())
+					got := prepareTraining(tc.m, scheduleParams.withDefaults())
+					from, to := tc.from, tc.to
+					if to < 0 {
+						to = frozenFrom(got, from)
+					}
+					if from >= to {
+						t.Skipf("no kernel-eligible entries at %d", from)
+					}
+					slots := slotSchedule(got.entries[from:to], tc.m.Cols, k)
+					if err := checkSchedule(got.entries[from:to], k, slots); err != nil {
+						t.Fatal(err)
+					}
+					if tc.check != nil {
+						tc.check(t, got, slots)
+					}
+					want.trainSerial()
+					trainSlots(got, from, to, slots)
+					if !sameBits(stateBits(got), stateBits(want)) {
+						t.Fatalf("slot executor diverges from trainSerial over region [%d, %d)", from, to)
+					}
+				})
 			}
 		})
 	}
@@ -249,7 +246,7 @@ func TestScheduleOracleCatchesSwap(t *testing.T) {
 	got := prepareTraining(m, scheduleParams.withDefaults())
 	from, to := 30, frozenFrom(got, 30)
 	ents := got.entries[from:to]
-	slots := slotSchedule(ents, m.Cols)
+	slots := slotSchedule(ents, m.Cols, 2)
 	// Entry 0 (row 1, column 0) and its column successor, row 2's
 	// column 0, sit in different slots; trade their places.
 	succ := -1
@@ -259,17 +256,17 @@ func TestScheduleOracleCatchesSwap(t *testing.T) {
 			break
 		}
 	}
-	for s := range slots {
-		for h, x := range slots[s] {
+	for _, sl := range slots {
+		for h, x := range sl {
 			switch x {
 			case 0:
-				slots[s][h] = succ
+				sl[h] = succ
 			case succ:
-				slots[s][h] = 0
+				sl[h] = 0
 			}
 		}
 	}
-	if err := checkSchedule(ents, slots); err == nil {
+	if err := checkSchedule(ents, 2, slots); err == nil {
 		t.Fatal("checkSchedule accepted a schedule with a column's entries swapped")
 	}
 	want.trainSerial()

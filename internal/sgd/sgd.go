@@ -101,7 +101,7 @@ const learningRate = 0.02
 
 // Params controls a reconstruction.
 type Params struct {
-	// Factors is the latent rank F. Default 8.
+	// Factors is the latent rank F. Default 8; negative is invalid.
 	Factors int
 	// Reg is Alg. 1's regularisation factor λ. Default 0.05.
 	Reg float64
@@ -123,7 +123,8 @@ type Params struct {
 	// predictions reduce to μ + b[i] + c[j]. One or two observations
 	// cannot constrain a factor vector — letting SGD fit them drags
 	// every correlated column toward the anchors, which is exactly the
-	// optimistic extrapolation a QoS scan cannot afford. 0 disables.
+	// optimistic extrapolation a QoS scan cannot afford. 0 disables;
+	// negative is invalid.
 	FactorMinObs int
 	// Seed drives the random initialisation; SVDInit and Warm starts
 	// draw nothing, so it does not affect them.
@@ -147,17 +148,24 @@ type Params struct {
 }
 
 // Validate reports the first parameter no reconstruction can use: a
-// regularisation factor that is negative or not finite (every
-// unobserved prediction would come out NaN), or a negative sweep
-// count. Zero values are valid — they select the defaults.
+// negative rank (it would silently become the default, and move a
+// runtime off the rank-6 lane kernels), a regularisation factor that
+// is negative or not finite (every unobserved prediction would come
+// out NaN), a negative sweep count, or a negative FactorMinObs (it
+// would silently mean "disabled"). Zero values are valid — they
+// select the defaults.
 func (p Params) Validate() error {
 	switch {
+	case p.Factors < 0:
+		return fmt.Errorf("sgd: Factors must be non-negative, got %d", p.Factors)
 	case math.IsNaN(p.Reg) || math.IsInf(p.Reg, 0) || p.Reg < 0:
 		return fmt.Errorf("sgd: Reg must be finite and non-negative, got %v", p.Reg)
 	case p.MaxIter < 0:
 		return fmt.Errorf("sgd: MaxIter must be non-negative, got %d", p.MaxIter)
 	case p.WarmIters < 0:
 		return fmt.Errorf("sgd: WarmIters must be non-negative, got %d", p.WarmIters)
+	case p.FactorMinObs < 0:
+		return fmt.Errorf("sgd: FactorMinObs must be non-negative, got %d", p.FactorMinObs)
 	}
 	return nil
 }

@@ -186,10 +186,10 @@ func panicMessage(f func()) (msg string) {
 
 // TestInvalidParamsPanic hands every entry point each parameter set no
 // reconstruction can use — a regularisation factor that is NaN,
-// infinite or negative, a negative sweep count — and demands an
-// "sgd: " panic naming the field; the zero and an explicit valid set
-// must run. For the lane entry points the bad set rides in one lane
-// beside valid ones.
+// infinite or negative, a negative sweep count, a negative rank or
+// FactorMinObs — and demands an "sgd: " panic naming the field; the
+// zero and an explicit valid set must run. For the lane entry points
+// the bad set rides in one lane beside valid ones.
 func TestInvalidParamsPanic(t *testing.T) {
 	ok := Params{Factors: 6, Reg: 0.03, MaxIter: 5, SVDInit: true, LogSpace: true}
 	with := func(edit func(p *Params)) Params {
@@ -210,6 +210,8 @@ func TestInvalidParamsPanic(t *testing.T) {
 		{"Reg -Inf", with(func(p *Params) { p.Reg = math.Inf(-1) }), "Reg"},
 		{"MaxIter -3", with(func(p *Params) { p.MaxIter = -3 }), "MaxIter"},
 		{"WarmIters -1", with(func(p *Params) { p.WarmIters = -1 }), "WarmIters"},
+		{"Factors -6", with(func(p *Params) { p.Factors = -6 }), "Factors"},
+		{"FactorMinObs -1", with(func(p *Params) { p.FactorMinObs = -1 }), "FactorMinObs"},
 	}
 	a, b := matchedPair(7, 16, 108, 8, 3, 0)
 	entries := []struct {
