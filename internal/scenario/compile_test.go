@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/fstest"
 
+	"cuttlesys/internal/fault"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/obs"
 )
@@ -230,6 +231,43 @@ func TestCompileGeometryErrors(t *testing.T) {
 			tc.mutate(&opt)
 			_, err := Compile(s, opt)
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Errorf("error = %v, want mention of %q", err, tc.wantSub)
+			}
+		})
+	}
+}
+
+// A spec built in Go, as the warmstart report mutates its drill, is
+// held to the grammar's ranges: Compile refuses what Parse refuses.
+func TestCompileChecksGoBuiltSpec(t *testing.T) {
+	build := func() *Spec {
+		return &Spec{
+			Name:    "go-built",
+			Mix:     MixSpec{Jobs: 4, Train: 16, TrainSeed: 1},
+			Policy:  PolicySpec{Router: "uniform", Arbiter: "proportional"},
+			Budget:  BudgetSpec{Kind: ProcConstant, Env: Envelope{Rate: num(1)}},
+			Clients: []ClientSpec{{Name: "a", Fraction: num(1), SLO: SLOStandard, Arrival: ArrivalSpec{Process: ProcConstant, Env: Envelope{Rate: num(1)}}}},
+			Faults:  []FaultSpec{{Events: []fault.Event{{Kind: fault.CoreFailStop, Start: 0.1, End: 0.2, Cores: 3}}}},
+			Control: &ControlSpec{HasHealth: true, Health: HealthSpec{SuspectAfter: 2}},
+		}
+	}
+	if _, err := Compile(build(), stdOpts); err != nil {
+		t.Fatalf("valid Go-built spec: %v", err)
+	}
+	cases := []struct {
+		name    string
+		mutate  func(*Spec)
+		wantSub string
+	}{
+		{"negative cores", func(s *Spec) { s.Faults[0].Events[0].Cores = -3 }, "cores=-3"},
+		{"probation weight above one", func(s *Spec) { s.Control.Health.ProbationWeight = num(3) }, "probationweight=3"},
+		{"zero share decay", func(s *Spec) { s.Share = &ShareSpec{SyncPeriod: 2, FineTune: 40, Confidence: 2} }, "decay"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := build()
+			tc.mutate(s)
+			if _, err := Compile(s, stdOpts); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("error = %v, want mention of %q", err, tc.wantSub)
 			}
 		})

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzParse feeds hostile spec text to the parser, seeded with the
-// embedded library. Parse must never panic; whatever it accepts must
+// embedded library, the benchmark's specs and goldenInput. Parse must never panic; whatever it accepts must
 // round-trip through Format to a fixed point; and a compiled spec must
 // be a pure function of the spec bytes and the seed — two compiles of
 // the same bytes at seed 1 agree on hash, geometry and every client's
@@ -20,11 +20,8 @@ import (
 //
 //	go test ./internal/scenario -run '^$' -fuzz FuzzParse -fuzztime 60s
 func FuzzParse(f *testing.F) {
-	for _, name := range specs.Names() {
-		src, err := specs.Source(name)
-		if err != nil {
-			f.Fatal(err)
-		}
+	_, srcs := canonicalSources(f)
+	for _, src := range srcs {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,7 +17,7 @@ import (
 // documented default, so the returned Spec is fully explicit and
 // Format renders its canonical form. The result is validated.
 func Parse(src []byte) (*Spec, error) {
-	p := &parser{spec: &Spec{}}
+	p := &parser{spec: &Spec{}, seen: map[scoped]int{}}
 	for _, raw := range strings.Split(string(src), "\n") {
 		p.line++
 		line := raw
@@ -46,11 +47,24 @@ type parser struct {
 	line int
 
 	// block is the open block directive ("client", "fault", "control"),
-	// empty at top level.
+	// empty at top level; opened is the line that opened it.
 	block   string
+	opened  int
 	client  *ClientSpec
 	faultCl *FaultSpec
+	// seen maps each singular directive of a scope (top level, or the
+	// block opened on a line) to the line that first gave it.
+	seen map[scoped]int
 }
+
+type scoped struct {
+	opened    int
+	directive string
+}
+
+// repeatable directives may appear more than once in their scope;
+// any other repeated directive is an error.
+var repeatable = map[string]bool{"client": true, "fault": true, "workloads": true, "event": true}
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("scenario: line %d: "+format, append([]any{p.line}, args...)...)
@@ -61,6 +75,12 @@ func (p *parser) directive(line string) error {
 		return p.closeBlock()
 	}
 	fields := strings.Fields(line)
+	if at := (scoped{p.opened, fields[0]}); !repeatable[fields[0]] {
+		if first, ok := p.seen[at]; ok {
+			return p.errf("repeated %s directive (first on line %d)", fields[0], first)
+		}
+		p.seen[at] = p.line
+	}
 	switch p.block {
 	case "client":
 		return p.clientDirective(fields)
@@ -69,308 +89,128 @@ func (p *parser) directive(line string) error {
 	case "control":
 		return p.controlDirective(fields)
 	}
-	return p.topDirective(line, fields)
+	return p.topDirective(fields)
+}
+
+func (p *parser) open(block string) {
+	p.block, p.opened = block, p.line
 }
 
 func (p *parser) closeBlock() error {
 	switch p.block {
 	case "client":
-		p.finishClient()
+		if p.client.Arrival.Process == "" {
+			p.client.Arrival.Process = ProcConstant
+		}
 		p.spec.Clients = append(p.spec.Clients, *p.client)
 		p.client = nil
 	case "fault":
-		if len(p.faultCl.Events) == 0 {
-			return p.errf("fault block has no events")
-		}
 		p.spec.Faults = append(p.spec.Faults, *p.faultCl)
 		p.faultCl = nil
 	case "control":
 	default:
 		return p.errf("unmatched '}'")
 	}
-	p.block = ""
+	p.block, p.opened = "", 0
 	return nil
 }
 
-func (p *parser) topDirective(line string, fields []string) error {
+func (p *parser) topDirective(fields []string) error {
+	s := p.spec
 	key, rest := fields[0], fields[1:]
 	switch key {
-	case "scenario":
-		if len(rest) != 1 {
-			return p.errf("scenario directive wants exactly one name")
-		}
-		p.spec.Name = rest[0]
-	case "describe":
-		p.spec.Describe = strings.Join(rest, " ")
-	case "service":
-		if len(rest) != 1 {
-			return p.errf("service directive wants exactly one name")
-		}
-		p.spec.Service = rest[0]
-	case "machines":
-		return p.intDirective(rest, &p.spec.Machines)
-	case "slices":
-		return p.intDirective(rest, &p.spec.Slices)
-	case "load":
-		return p.numDirective(rest, &p.spec.Load)
-	case "cap":
-		return p.numDirective(rest, &p.spec.Cap)
 	case "mix":
-		return p.mixDirective(rest)
+		return p.params(key, &s.Mix, rest)
 	case "policy":
-		return p.policyDirective(rest)
+		return p.params(key, &s.Policy, rest)
 	case "budget":
-		return p.budgetDirective(rest)
+		if len(rest) == 0 {
+			return p.errf("budget directive wants a kind")
+		}
+		if s.Budget.Kind = rest[0]; !isEnvelopeProc(s.Budget.Kind) {
+			return p.errf("budget kind %q is not constant, step or diurnal", s.Budget.Kind)
+		}
+		return p.params("envelope", &s.Budget, rest[1:])
 	case "share":
-		return p.shareDirective(rest)
+		s.Share = &ShareSpec{}
+		return p.params(key, s.Share, rest)
 	case "client":
 		if len(rest) != 2 || rest[1] != "{" {
 			return p.errf("client directive wants: client <name> {")
 		}
-		p.block = "client"
+		p.open(key)
 		p.client = &ClientSpec{Name: rest[0]}
 	case "fault":
-		return p.faultOpen(rest)
+		if len(rest) < 2 || rest[len(rest)-1] != "{" {
+			return p.errf("fault directive wants: fault machine=N [salt=0x...] {")
+		}
+		p.open(key)
+		p.faultCl = &FaultSpec{}
+		return p.params(key, p.faultCl, rest[:len(rest)-1])
 	case "control":
 		if len(rest) != 1 || rest[0] != "{" {
 			return p.errf("control directive wants: control {")
 		}
-		p.block = "control"
-		p.spec.Control = &ControlSpec{}
+		p.open(key)
+		s.Control = &ControlSpec{}
 	default:
+		return p.value(s, fields)
+	}
+	return nil
+}
+
+// value parses a one-value directive (machines 4, fraction 3/4)
+// through its scope's table.
+func (p *parser) value(c clause, fields []string) error {
+	key, v := fields[0], strings.Join(fields[1:], " ")
+	ps := c.params()
+	i := slices.IndexFunc(ps, func(pr param) bool { return pr.key == key })
+	switch {
+	case i < 0:
 		return p.errf("unknown directive %q", key)
+	case ps[i].text && v == "":
+		return nil // a bare describe leaves the spec undescribed
+	case !ps[i].text && len(fields) != 2:
+		return p.errf("%s directive wants exactly one value", key)
+	}
+	if err := ps[i].set(v, false); err != nil {
+		return p.errf("%s: %v", key, err)
 	}
 	return nil
 }
 
-func (p *parser) intDirective(rest []string, dst *int) error {
-	if len(rest) != 1 {
-		return p.errf("directive wants exactly one integer")
-	}
-	v, err := strconv.Atoi(rest[0])
-	if err != nil {
-		return p.errf("bad integer %q", rest[0])
-	}
-	*dst = v
-	return nil
-}
-
-func (p *parser) numDirective(rest []string, dst *Num) error {
-	if len(rest) != 1 {
-		return p.errf("directive wants exactly one number")
-	}
-	n, err := parseNum(rest[0])
-	if err != nil {
-		return p.errf("%v", err)
-	}
-	*dst = n
-	return nil
-}
-
-func (p *parser) mixDirective(rest []string) error {
-	for _, tok := range rest {
-		k, v, err := p.keyVal(tok)
-		if err != nil {
-			return err
+// params assigns a clause's tokens through its table: each key at
+// most once, and only keys the table holds. The table is read again
+// while tokens remain and the last pass placed some, since a value can
+// add keys (an envelope arrival's over= adds its stochastic one).
+func (p *parser) params(what string, c clause, toks []string) error {
+	given := make(map[string]bool, len(toks))
+	for _, tok := range toks {
+		k, _, _ := strings.Cut(tok, "=")
+		if given[k] {
+			return p.errf("repeated %s parameter %s", what, k)
 		}
-		switch k {
-		case "jobs":
-			if err := setInt(&p.spec.Mix.Jobs, v); err != nil {
-				return p.errf("mix %s: %v", k, err)
+		given[k] = true
+	}
+	for len(toks) > 0 {
+		var rest []string
+		ps := c.params()
+		for _, tok := range toks {
+			k, v, kv := strings.Cut(tok, "=")
+			i := slices.IndexFunc(ps, func(pr param) bool { return pr.key == k })
+			if i < 0 {
+				rest = append(rest, tok)
+				continue
 			}
-		case "train":
-			if err := setInt(&p.spec.Mix.Train, v); err != nil {
-				return p.errf("mix %s: %v", k, err)
+			if err := ps[i].set(v, !kv); err != nil {
+				return p.errf("%s %s: %v", what, k, err)
 			}
-		case "trainseed":
-			if err := setUint(&p.spec.Mix.TrainSeed, v); err != nil {
-				return p.errf("mix %s: %v", k, err)
-			}
-		default:
-			return p.errf("unknown mix parameter %q", k)
 		}
+		if len(rest) == len(toks) {
+			return p.errf("unknown %s parameter %q", what, rest[0])
+		}
+		toks = rest
 	}
-	return nil
-}
-
-func (p *parser) policyDirective(rest []string) error {
-	for _, tok := range rest {
-		k, v, err := p.keyVal(tok)
-		if err != nil {
-			return err
-		}
-		switch k {
-		case "router":
-			p.spec.Policy.Router = v
-		case "arbiter":
-			p.spec.Policy.Arbiter = v
-		default:
-			return p.errf("unknown policy parameter %q", k)
-		}
-	}
-	return nil
-}
-
-func (p *parser) budgetDirective(rest []string) error {
-	if len(rest) == 0 {
-		return p.errf("budget directive wants a kind")
-	}
-	b := &p.spec.Budget
-	b.Kind = rest[0]
-	if !isEnvelopeProc(b.Kind) {
-		return p.errf("budget kind %q is not constant, step or diurnal", b.Kind)
-	}
-	for _, tok := range rest[1:] {
-		if tok == "absolute" {
-			b.Absolute = true
-			continue
-		}
-		k, v, err := p.keyVal(tok)
-		if err != nil {
-			return err
-		}
-		if err := p.setEnvParam(&b.Env, k, v); err != nil {
-			return err
-		}
-	}
-	return p.finishEnvelope(b.Kind, &b.Env, "budget")
-}
-
-// setEnvParam assigns one envelope key.
-func (p *parser) setEnvParam(e *Envelope, k, v string) error {
-	var dst *Num
-	switch k {
-	case "rate":
-		dst = &e.Rate
-	case "lo":
-		dst = &e.Lo
-	case "hi":
-		dst = &e.Hi
-	case "max":
-		dst = &e.Max
-	case "from":
-		dst = &e.From
-	case "to":
-		dst = &e.To
-	case "period":
-		dst = &e.Period
-	case "phase":
-		dst = &e.Phase
-	default:
-		return p.errf("unknown envelope parameter %q", k)
-	}
-	n, err := parseNum(v)
-	if err != nil {
-		return p.errf("%s: %v", k, err)
-	}
-	*dst = n
-	return nil
-}
-
-// finishEnvelope applies envelope defaults and checks required
-// parameters: constant defaults rate=1; step requires lo and hi and
-// defaults its window to the run's middle third; diurnal requires lo
-// and hi and defaults period=1 phase=0.
-func (p *parser) finishEnvelope(kind string, e *Envelope, what string) error {
-	switch kind {
-	case ProcConstant:
-		if e.Rate.isZero() {
-			e.Rate = num(1)
-		}
-	case ProcStep:
-		if e.Lo.isZero() || e.Hi.isZero() {
-			return p.errf("%s step needs lo= and hi=", what)
-		}
-		if e.From.isZero() {
-			e.From = Num{N: 1, D: 3}
-		}
-		if e.To.isZero() {
-			e.To = Num{N: 2, D: 3}
-		}
-	case ProcDiurnal:
-		if e.Lo.isZero() || e.Hi.isZero() {
-			return p.errf("%s diurnal needs lo= and hi=", what)
-		}
-		if e.Period.isZero() {
-			e.Period = num(1)
-		}
-	}
-	return nil
-}
-
-// shareDirective parses the model-sharing clause and applies the
-// documented defaults (internal/modelplane's), so the parsed clause is
-// fully explicit: share syncperiod=4 decay=0.5 finetune=40
-// confidence=2.
-func (p *parser) shareDirective(rest []string) error {
-	sh := &ShareSpec{}
-	for _, tok := range rest {
-		k, v, err := p.keyVal(tok)
-		if err != nil {
-			return err
-		}
-		switch k {
-		case "syncperiod":
-			if err := setInt(&sh.SyncPeriod, v); err != nil {
-				return p.errf("share %s: %v", k, err)
-			}
-		case "decay":
-			if err := p.setNum(&sh.Decay, k, v); err != nil {
-				return err
-			}
-		case "finetune":
-			if err := setInt(&sh.FineTune, v); err != nil {
-				return p.errf("share %s: %v", k, err)
-			}
-		case "confidence":
-			if err := setInt(&sh.Confidence, v); err != nil {
-				return p.errf("share %s: %v", k, err)
-			}
-		default:
-			return p.errf("unknown share parameter %q", k)
-		}
-	}
-	if sh.SyncPeriod == 0 {
-		sh.SyncPeriod = 4
-	}
-	if sh.Decay.isZero() {
-		sh.Decay = num(0.5)
-	}
-	if sh.FineTune == 0 {
-		sh.FineTune = 40
-	}
-	if sh.Confidence == 0 {
-		sh.Confidence = 2
-	}
-	p.spec.Share = sh
-	return nil
-}
-
-func (p *parser) faultOpen(rest []string) error {
-	if len(rest) < 2 || rest[len(rest)-1] != "{" {
-		return p.errf("fault directive wants: fault machine=N [salt=0x...] {")
-	}
-	cl := &FaultSpec{}
-	for _, tok := range rest[:len(rest)-1] {
-		k, v, err := p.keyVal(tok)
-		if err != nil {
-			return err
-		}
-		switch k {
-		case "machine":
-			if err := setInt(&cl.Machine, v); err != nil {
-				return p.errf("fault machine: %v", err)
-			}
-		case "salt":
-			if err := setUint(&cl.Salt, v); err != nil {
-				return p.errf("fault salt: %v", err)
-			}
-		default:
-			return p.errf("unknown fault parameter %q", k)
-		}
-	}
-	p.block = "fault"
-	p.faultCl = cl
 	return nil
 }
 
@@ -378,101 +218,25 @@ func (p *parser) clientDirective(fields []string) error {
 	key, rest := fields[0], fields[1:]
 	c := p.client
 	switch key {
-	case "fraction":
-		return p.numDirective(rest, &c.Fraction)
-	case "slo":
-		if len(rest) != 1 {
-			return p.errf("slo directive wants exactly one class")
-		}
-		c.SLO = rest[0]
 	case "workloads":
 		if len(rest) == 0 {
 			return p.errf("workloads directive wants at least one name")
 		}
 		c.Workloads = append(c.Workloads, rest...)
 	case "arrival":
-		return p.arrivalDirective(rest)
+		if len(rest) == 0 {
+			return p.errf("arrival directive wants a process")
+		}
+		a := &c.Arrival
+		a.Process = rest[0]
+		what := "envelope"
+		if !isEnvelopeProc(a.Process) {
+			what = a.Process
+		}
+		return p.params(what, a, rest[1:])
 	default:
-		return p.errf("unknown client directive %q", key)
+		return p.value(c, fields)
 	}
-	return nil
-}
-
-func (p *parser) arrivalDirective(rest []string) error {
-	if len(rest) == 0 {
-		return p.errf("arrival directive wants a process")
-	}
-	a := &p.client.Arrival
-	a.Process = rest[0]
-	for _, tok := range rest[1:] {
-		if tok == "absolute" {
-			a.Absolute = true
-			continue
-		}
-		k, v, err := p.keyVal(tok)
-		if err != nil {
-			return err
-		}
-		switch k {
-		case "over":
-			a.Over = v
-		case "events":
-			if err := p.setNum(&a.Events, k, v); err != nil {
-				return err
-			}
-		case "cv":
-			if err := p.setNum(&a.CV, k, v); err != nil {
-				return err
-			}
-		case "shape":
-			if err := p.setNum(&a.Shape, k, v); err != nil {
-				return err
-			}
-		case "file":
-			a.Trace.File = v
-		case "client":
-			a.Trace.Client = v
-		case "norm":
-			if err := p.setNum(&a.Trace.Norm, k, v); err != nil {
-				return err
-			}
-		default:
-			if err := p.setEnvParam(&a.Env, k, v); err != nil {
-				return err
-			}
-		}
-	}
-	if isEnvelopeProc(a.Process) {
-		if err := p.finishEnvelope(a.Process, &a.Env, "arrival"); err != nil {
-			return err
-		}
-	} else if a.Env.Rate.isZero() {
-		// Stochastic and trace processes modulate a constant envelope.
-		a.Env.Rate = num(1)
-	}
-	switch a.stochastic() {
-	case ProcPoisson:
-		if a.Events.isZero() {
-			a.Events = num(64)
-		}
-	case ProcBursty:
-		if a.CV.isZero() {
-			a.CV = num(2)
-		}
-	case ProcWeibull:
-		if a.Shape.isZero() {
-			a.Shape = num(0.7)
-		}
-	}
-	return nil
-}
-
-func (p *parser) setNum(dst *Num, k, v string) error {
-	n, err := parseNum(v)
-	if err != nil {
-		return p.errf("%s: %v", k, err)
-	}
-	*dst = n
 	return nil
 }
 
@@ -484,37 +248,11 @@ func (p *parser) faultDirective(fields []string) error {
 	if err != nil {
 		return p.errf("%v", err)
 	}
-	e := fault.Event{Kind: kind}
-	for _, tok := range fields[2:] {
-		k, v, err := p.keyVal(tok)
-		if err != nil {
-			return err
-		}
-		switch k {
-		case "start":
-			err = setFloat(&e.Start, v)
-		case "end":
-			err = setFloat(&e.End, v)
-		case "cores":
-			err = setInt(&e.Cores, v)
-		case "batchcores":
-			err = setInt(&e.BatchCores, v)
-		case "factor":
-			err = setFloat(&e.Factor, v)
-		case "batchfactor":
-			err = setFloat(&e.BatchFactor, v)
-		case "prob":
-			err = setFloat(&e.Prob, v)
-		case "magnitude":
-			err = setFloat(&e.Magnitude, v)
-		default:
-			return p.errf("unknown event parameter %q", k)
-		}
-		if err != nil {
-			return p.errf("event %s: %v", k, err)
-		}
+	e := event{Kind: kind}
+	if err := p.params("event", &e, fields[2:]); err != nil {
+		return err
 	}
-	p.faultCl.Events = append(p.faultCl.Events, e)
+	p.faultCl.Events = append(p.faultCl.Events, fault.Event(e))
 	return nil
 }
 
@@ -525,142 +263,42 @@ func (p *parser) controlDirective(fields []string) error {
 		ctl.ReplaceEvicted = true
 	case "health":
 		ctl.HasHealth = true
-		for _, tok := range fields[1:] {
-			k, v, err := p.keyVal(tok)
-			if err != nil {
-				return err
-			}
-			if err := p.setHealthParam(&ctl.Health, k, v); err != nil {
-				return err
-			}
-		}
+		return p.params("health", &ctl.Health, fields[1:])
 	case "scale":
 		ctl.HasScale = true
-		for _, tok := range fields[1:] {
-			k, v, err := p.keyVal(tok)
-			if err != nil {
-				return err
-			}
-			if err := p.setScaleParam(&ctl.Scale, k, v); err != nil {
-				return err
-			}
-		}
+		return p.params("scale", &ctl.Scale, fields[1:])
 	default:
 		return p.errf("unknown control directive %q", fields[0])
 	}
 	return nil
 }
 
-func (p *parser) setHealthParam(h *HealthSpec, k, v string) error {
-	var dst *int
-	switch k {
-	case "suspectafter":
-		dst = &h.SuspectAfter
-	case "quarantineafter":
-		dst = &h.QuarantineAfter
-	case "recoverafter":
-		dst = &h.RecoverAfter
-	case "releaseafter":
-		dst = &h.ReleaseAfter
-	case "probationafter":
-		dst = &h.ProbationAfter
-	case "drainafter":
-		dst = &h.DrainAfter
-	case "drainslices":
-		dst = &h.DrainSlices
-	case "probationweight":
-		return p.setNum(&h.ProbationWeight, k, v)
-	default:
-		return p.errf("unknown health parameter %q", k)
-	}
-	if err := setInt(dst, v); err != nil {
-		return p.errf("health %s: %v", k, err)
-	}
-	return nil
-}
-
-func (p *parser) setScaleParam(s *ScaleSpec, k, v string) error {
-	var dst *int
-	switch k {
-	case "upafter":
-		dst = &s.UpAfter
-	case "downafter":
-		dst = &s.DownAfter
-	case "cooldown":
-		dst = &s.Cooldown
-	case "minadd":
-		dst = &s.MinAdd
-	case "maxadd":
-		dst = &s.MaxAdd
-	case "uputil":
-		return p.setNum(&s.UpUtil, k, v)
-	case "downutil":
-		return p.setNum(&s.DownUtil, k, v)
-	case "minbudgetfrac":
-		return p.setNum(&s.MinBudgetFrac, k, v)
-	default:
-		return p.errf("unknown scale parameter %q", k)
-	}
-	if err := setInt(dst, v); err != nil {
-		return p.errf("scale %s: %v", k, err)
-	}
-	return nil
-}
-
-// finishClient applies per-client defaults.
-func (p *parser) finishClient() {
-	c := p.client
-	if c.Fraction.isZero() {
-		c.Fraction = num(1)
-	}
-	if c.SLO == "" {
-		c.SLO = SLOStandard
-	}
-	if c.Arrival.Process == "" {
-		c.Arrival = ArrivalSpec{Process: ProcConstant, Env: Envelope{Rate: num(1)}}
-	}
-}
-
-// finish applies spec-level defaults: the batch-mix split, the
-// baseline policy pair, a constant relative budget, and — when no
+// finish applies spec-level defaults: a constant budget, and — when no
 // client clause appears — a single full-fraction standard client with
-// a constant arrival, so the minimal spec is just a name.
+// a constant arrival, so the minimal spec is just a name; then every
+// clause's table defaults.
 func (p *parser) finish() {
 	s := p.spec
-	if s.Mix.Jobs == 0 {
-		s.Mix.Jobs = 16
-	}
-	if s.Mix.Train == 0 {
-		s.Mix.Train = 16
-	}
-	if s.Mix.TrainSeed == 0 {
-		s.Mix.TrainSeed = 1
-	}
-	if s.Policy.Router == "" {
-		s.Policy.Router = "uniform"
-	}
-	if s.Policy.Arbiter == "" {
-		s.Policy.Arbiter = "proportional"
-	}
 	if s.Budget.Kind == "" {
-		s.Budget = BudgetSpec{Kind: ProcConstant, Env: Envelope{Rate: num(1)}}
+		s.Budget.Kind = ProcConstant
 	}
 	if len(s.Clients) == 0 {
-		s.Clients = []ClientSpec{{
-			Name:     "primary",
-			Fraction: num(1),
-			SLO:      SLOStandard,
-			Arrival:  ArrivalSpec{Process: ProcConstant, Env: Envelope{Rate: num(1)}},
-		}}
+		s.Clients = []ClientSpec{{Name: "primary", Arrival: ArrivalSpec{Process: ProcConstant}}}
+	}
+	for _, c := range s.clauses() {
+		fill(c.c)
 	}
 }
 
-func (p *parser) keyVal(tok string) (string, string, error) {
-	k, v, ok := strings.Cut(tok, "=")
-	if !ok || k == "" || v == "" {
-		return "", "", p.errf("expected key=value, got %q", tok)
+// fill applies the default of every key left at zero.
+func fill(c clause) {
+	for _, pr := range c.params() {
+		if pr.def != "" && pr.zero() {
+			if err := pr.set(pr.def, false); err != nil {
+				panic(fmt.Sprintf("scenario: default %s=%s: %v", pr.key, pr.def, err))
+			}
+		}
 	}
-	return k, v, nil
 }
 
 func parseNum(s string) (Num, error) {
@@ -694,31 +332,4 @@ func parseFloat(s string) (float64, error) {
 		return 0, fmt.Errorf("bad number %q", s)
 	}
 	return v, nil
-}
-
-func setInt(dst *int, v string) error {
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return fmt.Errorf("bad integer %q", v)
-	}
-	*dst = n
-	return nil
-}
-
-func setUint(dst *uint64, v string) error {
-	n, err := strconv.ParseUint(v, 0, 64)
-	if err != nil {
-		return fmt.Errorf("bad unsigned integer %q", v)
-	}
-	*dst = n
-	return nil
-}
-
-func setFloat(dst *float64, v string) error {
-	f, err := parseFloat(v)
-	if err != nil {
-		return err
-	}
-	*dst = f
-	return nil
 }

@@ -2,8 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"cuttlesys/specs"
 )
 
 // goldenInput is a kitchen-sink spec written with comments, loose
@@ -153,6 +157,33 @@ func TestParseErrors(t *testing.T) {
 		{"trace missing file", "scenario x\nservice xapian\nclient a {\narrival trace client=web\n}\n", "file"},
 		{"dup client", "scenario x\nservice xapian\nclient a {\n}\nclient a {\n}\n", "duplicate"},
 		{"bad slo", "scenario x\nservice xapian\nclient a {\nslo gold\n}\n", "slo"},
+
+		// Values a consumer would silently replace are out of range.
+		{"negative health count", "scenario x\ncontrol {\nhealth suspectafter=-2\n}\n", "suspectafter=-2"},
+		{"probation weight above one", "scenario x\ncontrol {\nhealth probationweight=3\n}\n", "probationweight=3"},
+		{"negative cooldown", "scenario x\ncontrol {\nscale cooldown=-1\n}\n", "cooldown=-1"},
+		{"negative up util", "scenario x\ncontrol {\nscale uputil=-0.5\n}\n", "uputil=-0.5"},
+		{"budget fraction above one", "scenario x\ncontrol {\nscale minbudgetfrac=1.5\n}\n", "minbudgetfrac=1.5"},
+		{"negative cores", "scenario x\nfault machine=0 {\nevent core-failstop start=0 end=1 cores=-3\n}\n", "cores=-3"},
+		{"negative prob", "scenario x\nfault machine=0 {\nevent profile-corrupt start=0 end=1 prob=-1\n}\n", "prob=-1"},
+		{"prob above one", "scenario x\nfault machine=0 {\nevent telemetry-garbage start=0 end=1 prob=2\n}\n", "prob=2"},
+		{"negative factor", "scenario x\nfault machine=0 {\nevent core-failslow start=0 end=1 factor=-2\n}\n", "factor=-2"},
+		{"negative magnitude", "scenario x\nfault machine=0 {\nevent profile-corrupt start=0 end=1 magnitude=-1\n}\n", "magnitude=-1"},
+
+		// A repeated singular directive or key would drop or mix content.
+		{"repeated control", "scenario x\ncontrol {\nhealth suspectafter=2\n}\ncontrol {\nreplace-evicted\n}\n", "repeated control directive (first on line 2)"},
+		{"repeated share", "scenario x\nshare syncperiod=2\nshare decay=0.25\n", "repeated share"},
+		{"repeated budget", "scenario x\nbudget step lo=1 hi=0.5\nbudget constant\n", "repeated budget"},
+		{"repeated arrival", "scenario x\nclient a {\narrival step lo=1 hi=2\narrival poisson\n}\n", "repeated arrival"},
+		{"repeated health", "scenario x\ncontrol {\nhealth suspectafter=1\nhealth drainafter=2\n}\n", "repeated health"},
+		{"repeated scale", "scenario x\ncontrol {\nscale upafter=1\nscale maxadd=2\n}\n", "repeated scale"},
+		{"repeated machines", "scenario x\nmachines 2\nmachines 3\n", "repeated machines"},
+		{"repeated key", "scenario x\nmix jobs=4 jobs=8\n", "repeated mix parameter jobs"},
+
+		// A key the clause's kind does not use would vanish from the hash.
+		{"level on constant budget", "scenario x\nbudget constant lo=0.5\n", "lo=0.5"},
+		{"cv on poisson", "scenario x\nclient a {\narrival poisson cv=3\n}\n", "cv=3"},
+		{"events without over", "scenario x\nclient a {\narrival constant events=9\n}\n", "events=9"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,6 +195,70 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// canonicalSources is every spec whose canonical form is pinned: the
+// embedded library, the benchmark's specs and goldenInput.
+func canonicalSources(tb testing.TB) (names []string, srcs [][]byte) {
+	tb.Helper()
+	for _, n := range specs.Names() {
+		src, err := specs.Source(n)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		names, srcs = append(names, n+".spec"), append(srcs, src)
+	}
+	bench, err := filepath.Glob("../../bench/specs/*.spec")
+	if err != nil || len(bench) == 0 {
+		tb.Fatalf("bench specs: %v (%d found)", err, len(bench))
+	}
+	for _, f := range bench {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		names, srcs = append(names, filepath.Base(f)), append(srcs, src)
+	}
+	return append(names, "goldenInput"), append(srcs, []byte(goldenInput))
+}
+
+// TestCanonicalHashPinned pins each spec's Hash, the FNV-1a of its
+// canonical form. Arrival streams are keyed by it, so a moved hash
+// reseeds every client and moves the reports built on the spec.
+func TestCanonicalHashPinned(t *testing.T) {
+	want := map[string]uint64{
+		"brownout.spec":            0xb16ad8eb8bb8112e,
+		"budget-squeeze.spec":      0xf262689fede4f5ec,
+		"correlated-brownout.spec": 0x846f177aae4b4317,
+		"degraded-node.spec":       0x2df216f19b7547f3,
+		"diurnal.spec":             0x1f774d0afeb32e93,
+		"failover.spec":            0xf4342d62aa077978,
+		"flash-crowd.spec":         0x870e7ee31c316800,
+		"load-shift-storm.spec":    0xc2741a2d23f75b48,
+		"obs-chaos.spec":           0x8171cdfbe4cbbc65,
+		"steady.spec":              0x38f0df41db3e99d2,
+		"surge.spec":               0x70ddb262d61a9ffe,
+		"trace-replay.spec":        0x8b97c922a9a69a40,
+		"warm-drill.spec":          0x155da531de728521,
+		"warm-failover.spec":       0x6d7cb9782628f82c,
+		"fleet-steady.spec":        0xcf3ce9724ba75103,
+		"ops-churn.spec":           0x4cd5c7f5618b1dbd,
+		"goldenInput":              0x024f210eb18208d0,
+	}
+	names, srcs := canonicalSources(t)
+	if len(names) != len(want) {
+		t.Errorf("%d pinned sources, want %d: %v", len(names), len(want), names)
+	}
+	for i, name := range names {
+		s, err := Parse(srcs[i])
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if got, ok := want[name]; !ok || Hash(s) != got {
+			t.Errorf("%s: Hash = %#016x, want %#016x", name, Hash(s), got)
+		}
 	}
 }
 

@@ -10,9 +10,11 @@
 //
 // The format is a small line-oriented text grammar parsed by this
 // package with no dependencies beyond the standard library (see
-// DESIGN.md §13 for the full grammar). Parse applies every documented
-// default, so a parsed Spec is fully explicit; Format renders the
-// canonical form, and Parse∘Format is the identity on it.
+// DESIGN.md §13 for the full grammar). Each clause's keys, canonical
+// order, defaults and ranges are declared once, in grammar.go. Parse
+// applies every documented default, so a parsed Spec is fully
+// explicit; Format renders the canonical form, and Parse∘Format is the
+// identity on it.
 //
 // Determinism: every stochastic arrival draws from an internal/rng
 // stream keyed by (run seed XOR spec hash, client index), where the
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"cuttlesys/internal/fault"
 	"cuttlesys/internal/workload"
@@ -280,56 +283,21 @@ func isStochasticProc(p string) bool {
 	return p == ProcPoisson || p == ProcBursty || p == ProcWeibull
 }
 
-// validate checks the spec's internal consistency: known names, legal
-// ranges, resolvable service and fault kinds. Geometry left for
+// validate checks the spec's internal consistency: known names,
+// resolvable service and fault kinds, and every clause's keys against
+// its table (required keys set, values in range). Geometry left for
 // Compile options (zero machines/slices/load/cap) passes validation.
 func (s *Spec) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec without a name")
-	}
-	if s.Machines < 0 {
-		return fmt.Errorf("scenario %s: negative machine count %d", s.Name, s.Machines)
-	}
-	if s.Slices < 0 {
-		return fmt.Errorf("scenario %s: negative slice count %d", s.Name, s.Slices)
-	}
-	if err := validFrac(s.Name, "load", s.Load); err != nil {
-		return err
-	}
-	if err := validFrac(s.Name, "cap", s.Cap); err != nil {
-		return err
 	}
 	if s.Service != "" {
 		if _, err := workload.ByName(s.Service); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
-	if s.Mix.Jobs <= 0 {
-		return fmt.Errorf("scenario %s: mix jobs must be positive, got %d", s.Name, s.Mix.Jobs)
-	}
-	if s.Mix.Train < 0 {
-		return fmt.Errorf("scenario %s: mix train must be non-negative, got %d", s.Name, s.Mix.Train)
-	}
-	if s.Policy.Router == "" || s.Policy.Arbiter == "" {
-		return fmt.Errorf("scenario %s: policy must name a router and an arbiter", s.Name)
-	}
 	if !isEnvelopeProc(s.Budget.Kind) {
 		return fmt.Errorf("scenario %s: budget kind %q is not constant, step or diurnal", s.Name, s.Budget.Kind)
-	}
-	if s.Share != nil {
-		sh := s.Share
-		if sh.SyncPeriod <= 0 {
-			return fmt.Errorf("scenario %s: share syncperiod must be positive, got %d", s.Name, sh.SyncPeriod)
-		}
-		if d := sh.Decay.Value(); d <= 0 || d >= 1 {
-			return fmt.Errorf("scenario %s: share decay %s out of (0, 1)", s.Name, sh.Decay)
-		}
-		if sh.FineTune <= 0 {
-			return fmt.Errorf("scenario %s: share finetune must be positive, got %d", s.Name, sh.FineTune)
-		}
-		if sh.Confidence <= 0 {
-			return fmt.Errorf("scenario %s: share confidence must be positive, got %d", s.Name, sh.Confidence)
-		}
 	}
 	if len(s.Clients) == 0 {
 		return fmt.Errorf("scenario %s: no traffic clients", s.Name)
@@ -341,9 +309,6 @@ func (s *Spec) validate() error {
 	}
 	for i := range s.Faults {
 		f := &s.Faults[i]
-		if f.Machine < 0 {
-			return fmt.Errorf("scenario %s: fault clause %d targets negative machine %d", s.Name, i, f.Machine)
-		}
 		if len(f.Events) == 0 {
 			return fmt.Errorf("scenario %s: fault clause %d has no events", s.Name, i)
 		}
@@ -357,6 +322,33 @@ func (s *Spec) validate() error {
 			}
 		}
 	}
+	for _, c := range s.clauses() {
+		if err := check(c.what, c.c); err != nil {
+			return fmt.Errorf("scenario %s: %w", s.Name, err)
+		}
+	}
+	return nil
+}
+
+// check reports a required key left unset or a key out of its range.
+func check(what string, c clause) error {
+	var req []string
+	missing := false
+	for _, pr := range c.params() {
+		if pr.req {
+			req = append(req, pr.key+"=")
+			missing = missing || pr.zero()
+		}
+		if pr.omitted() {
+			continue
+		}
+		if v, ok := pr.num(); ok && !pr.rng.holds(v) {
+			return fmt.Errorf("%s %s=%s out of %s", what, pr.key, pr.String(), pr.rng)
+		}
+	}
+	if missing {
+		return fmt.Errorf("%s needs %s", what, strings.Join(req, " and "))
+	}
 	return nil
 }
 
@@ -369,9 +361,6 @@ func (c *ClientSpec) validate(spec string, prior []ClientSpec) error {
 			return fmt.Errorf("scenario %s: duplicate client %q", spec, c.Name)
 		}
 	}
-	if c.Fraction.Value() <= 0 {
-		return fmt.Errorf("scenario %s: client %s: fraction %s must be positive", spec, c.Name, c.Fraction)
-	}
 	switch c.SLO {
 	case SLOCritical, SLOStandard, SLOBatch:
 	default:
@@ -379,39 +368,12 @@ func (c *ClientSpec) validate(spec string, prior []ClientSpec) error {
 	}
 	a := &c.Arrival
 	switch {
-	case a.Process == ProcTrace:
-		if a.Trace.File == "" || a.Trace.Client == "" {
-			return fmt.Errorf("scenario %s: client %s: trace arrival needs file= and client=", spec, c.Name)
-		}
-		if a.Trace.Norm.Value() < 0 {
-			return fmt.Errorf("scenario %s: client %s: trace norm must be non-negative", spec, c.Name)
-		}
-	case isEnvelopeProc(a.Process):
-		if a.Over != "" && !isStochasticProc(a.Over) {
-			return fmt.Errorf("scenario %s: client %s: over=%q is not poisson, bursty or weibull", spec, c.Name, a.Over)
-		}
-	case isStochasticProc(a.Process):
-		if a.Over != "" {
-			return fmt.Errorf("scenario %s: client %s: over= is only valid on envelope processes", spec, c.Name)
-		}
-	default:
+	case a.Over != "" && !isEnvelopeProc(a.Process):
+		return fmt.Errorf("scenario %s: client %s: over= is only valid on envelope processes", spec, c.Name)
+	case a.Over != "" && !isStochasticProc(a.Over):
+		return fmt.Errorf("scenario %s: client %s: over=%q is not poisson, bursty or weibull", spec, c.Name, a.Over)
+	case !isEnvelopeProc(a.Process) && !isStochasticProc(a.Process) && a.Process != ProcTrace:
 		return fmt.Errorf("scenario %s: client %s: unknown arrival process %q", spec, c.Name, a.Process)
-	}
-	if stoch := a.stochastic(); stoch != "" {
-		switch stoch {
-		case ProcPoisson:
-			if a.Events.Value() <= 0 {
-				return fmt.Errorf("scenario %s: client %s: poisson events must be positive", spec, c.Name)
-			}
-		case ProcBursty:
-			if a.CV.Value() <= 0 {
-				return fmt.Errorf("scenario %s: client %s: bursty cv must be positive", spec, c.Name)
-			}
-		case ProcWeibull:
-			if a.Shape.Value() <= 0 {
-				return fmt.Errorf("scenario %s: client %s: weibull shape must be positive", spec, c.Name)
-			}
-		}
 	}
 	return nil
 }
@@ -435,14 +397,4 @@ func (a *ArrivalSpec) envelope() string {
 		return a.Process
 	}
 	return ProcConstant
-}
-
-func validFrac(spec, what string, n Num) error {
-	if n.isZero() {
-		return nil
-	}
-	if v := n.Value(); v <= 0 || v > 1 {
-		return fmt.Errorf("scenario %s: %s %s out of (0, 1]", spec, what, n)
-	}
-	return nil
 }
