@@ -203,15 +203,16 @@ func rotate(w []float64, m, n int) jacobi {
 		off := 0.0
 		for p := 0; p < n-1; p++ {
 			wp, vp := w[p*m:(p+1)*m], v[p*n:(p+1)*n]
+			// alpha, beta and gamma are the sums of pair (p, q); next
+			// reports that the previous rotation already summed them.
+			var alpha, beta, gamma float64
+			next := false
 			for q := p + 1; q < n; q++ {
 				wq, vq := w[q*m:(q+1)*m], v[q*n:(q+1)*n]
-				alpha, beta, gamma := 0.0, 0.0, 0.0
-				for i, x := range wp {
-					y := wq[i]
-					alpha += x * x
-					beta += y * y
-					gamma += x * y
+				if !next {
+					alpha, beta, gamma = sums(wp, wq)
 				}
+				next = false
 				if math.Abs(gamma) <= svdEps*math.Sqrt(alpha*beta) || gamma == 0 {
 					continue
 				}
@@ -220,10 +221,30 @@ func rotate(w []float64, m, n int) jacobi {
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i, x := range wp {
-					y := wq[i]
-					wp[i] = c*x - s*y
-					wq[i] = s*x + c*y
+				if q+1 < n {
+					// Rotate, and sum pair (p, q+1) over the rotated wp
+					// in the same pass: the operands and order sums
+					// would use.
+					wr := w[(q+1)*m : (q+2)*m]
+					wq, wr = wq[:len(wp)], wr[:len(wp)]
+					alpha, beta, gamma = 0, 0, 0
+					for i, x := range wp {
+						y := wq[i]
+						x2 := c*x - s*y
+						wp[i] = x2
+						wq[i] = s*x + c*y
+						z := wr[i]
+						alpha += x2 * x2
+						beta += z * z
+						gamma += x2 * z
+					}
+					next = true
+				} else {
+					for i, x := range wp {
+						y := wq[i]
+						wp[i] = c*x - s*y
+						wq[i] = s*x + c*y
+					}
 				}
 				for i, x := range vp {
 					y := vq[i]
@@ -253,6 +274,19 @@ func rotate(w []float64, m, n int) jacobi {
 		}
 	}
 	return jacobi{w: w, v: v, m: m, n: n, order: order}
+}
+
+// sums returns the squared norms of columns x and y and their dot
+// product, each accumulated in index order.
+func sums(x, y []float64) (alpha, beta, gamma float64) {
+	y = y[:len(x)]
+	for i, a := range x {
+		b := y[i]
+		alpha += a * a
+		beta += b * b
+		gamma += a * b
+	}
+	return alpha, beta, gamma
 }
 
 // normalise scales a column of w, whose norm is s, to unit length in

@@ -441,6 +441,125 @@ func TestSVDTopMatchesSVD(t *testing.T) {
 	}
 }
 
+// rotateUnfused is rotate as it was before each rotation summed the
+// next pair: every pair's alpha, beta and gamma from a pass of their
+// own. It is the oracle rotate must match bit for bit.
+func rotateUnfused(w []float64, m, n int) jacobi {
+	v := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		v[i*n+i] = 1
+	}
+	for sweep := 0; sweep < 60; sweep++ {
+		off := 0.0
+		for p := 0; p < n-1; p++ {
+			wp, vp := w[p*m:(p+1)*m], v[p*n:(p+1)*n]
+			for q := p + 1; q < n; q++ {
+				wq, vq := w[q*m:(q+1)*m], v[q*n:(q+1)*n]
+				alpha, beta, gamma := 0.0, 0.0, 0.0
+				for i, x := range wp {
+					y := wq[i]
+					alpha += x * x
+					beta += y * y
+					gamma += x * y
+				}
+				if math.Abs(gamma) <= svdEps*math.Sqrt(alpha*beta) || gamma == 0 {
+					continue
+				}
+				off += math.Abs(gamma)
+				zeta := (beta - alpha) / (2 * gamma)
+				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+				c := 1 / math.Sqrt(1+t*t)
+				s := c * t
+				for i, x := range wp {
+					y := wq[i]
+					wp[i] = c*x - s*y
+					wq[i] = s*x + c*y
+				}
+				for i, x := range vp {
+					y := vq[i]
+					vp[i] = c*x - s*y
+					vq[i] = s*x + c*y
+				}
+			}
+		}
+		if off == 0 {
+			break
+		}
+	}
+	order := make([]singular, n)
+	for j := 0; j < n; j++ {
+		s := 0.0
+		for _, x := range w[j*m : (j+1)*m] {
+			s += x * x
+		}
+		order[j] = singular{math.Sqrt(s), j}
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && order[j].val > order[j-1].val; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return jacobi{w: w, v: v, m: m, n: n, order: order}
+}
+
+// TestRotateMatchesUnfused pins rotate's fused rotate-and-sum pass to
+// rotateUnfused on 400 random column-major matrices, tall, square and
+// the seed's shapes, some with duplicated, zero or nearly parallel
+// (near rank one) columns: w, v and the ranking must be bit-identical.
+func TestRotateMatchesUnfused(t *testing.T) {
+	r := rng.New(41)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + r.Intn(16)
+		m := n + r.Intn(24)
+		if trial%10 == 0 {
+			m, n = 108, 12+r.Intn(21) // the seed's shape, transposed
+		}
+		w := make([]float64, m*n)
+		for i := range w {
+			w[i] = r.Norm()
+		}
+		col := func(j int) []float64 { return w[j*m : (j+1)*m] }
+		switch trial % 4 {
+		case 1: // a duplicated column and a zero one
+			if n > 2 {
+				copy(col(n-1), col(0))
+				clear(col(1))
+			}
+		case 2: // near rank one: every column a scaled copy of the first plus noise
+			for j := 1; j < n; j++ {
+				s := r.Norm()
+				for i, x := range col(0) {
+					col(j)[i] = s*x + 1e-9*r.Norm()
+				}
+			}
+		case 3: // all zero but one column
+			clear(w)
+			for i := range col(n / 2) {
+				col(n / 2)[i] = r.Norm()
+			}
+		}
+		want := rotateUnfused(append([]float64(nil), w...), m, n)
+		got := rotate(w, m, n)
+		same := func(a, b []float64) bool {
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					return false
+				}
+			}
+			return len(a) == len(b)
+		}
+		if !same(got.w, want.w) || !same(got.v, want.v) {
+			t.Fatalf("trial %d (%dx%d, case %d): rotated w or v differs from the unfused loop", trial, m, n, trial%4)
+		}
+		for k := range want.order {
+			if got.order[k].idx != want.order[k].idx || math.Float64bits(got.order[k].val) != math.Float64bits(want.order[k].val) {
+				t.Fatalf("trial %d: rank %d is column %d (%v), unfused %d (%v)", trial, k,
+					got.order[k].idx, got.order[k].val, want.order[k].idx, want.order[k].val)
+			}
+		}
+	}
+}
+
 // BenchmarkSVD times the decompositions svdInit runs once the running
 // rows turn dense: the full SVD, the row-major oracle, and the top-six
 // in-place SVDTop the seed calls (its input refilled each iteration,

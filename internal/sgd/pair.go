@@ -48,21 +48,24 @@ import (
 // laneArgs is the argument block for the assembly kernels. Field
 // offsets are hard-coded in pair_amd64.s — do not reorder.
 type laneArgs struct {
-	row, col, vals *float64 // row and column block bases, the run's values
-	offs           *uint32  // quad: per entry, the byte offset of its column block
-	rowPtr         *int32   // quad: CSR row starts into offs/vals; n+1 of them
-	n              int64    // quad: rows; dual and wide: slots
+	// row and column block bases, and a pair's interleaved values,
+	// entry t's two at byte 16t: quad lanes 0–1's, dual's and wide's.
+	row, col, vals *float64
+	offs           *uint32 // quad: per entry, the byte offset of its column block
+	rowPtr         *int32  // quad: CSR row starts into offs; n+1 of them
+	n              int64   // quad: rows; dual and wide: slots
 	// Per-lane constants; dual and wide: the pair's two, then the same
 	// two again for the register's high half (wide broadcasts the first
 	// two to all four parts).
 	mu, eta, lam [laneCount]float64
 	// dual and wide: per slot, the uint16 block indices of its k cells'
-	// rows, then of their columns.
+	// rows, then of their columns, then the indices of their entries.
 	slots *uint16
+	vals2 *float64 // quad: lanes 2–3's interleaved values
 }
 
-// laneCount is the number of lanes a block interleaves: the four
-// float64s of a 256-bit register.
+// laneCount is the number of lanes a block interleaves at most: the
+// four float64s of a 256-bit register.
 const laneCount = 4
 
 // wideCells is the wide kernel's cells per slot: four two-lane cells
@@ -80,13 +83,15 @@ var laneWide = cpuid.AVX512
 const pairFactors = 6
 
 // blockLen is the length in float64s of one interleaved row or column
-// block w lanes wide: six factor elements then the bias element, lane
-// L's float64 of element e at index we+L. Rows and columns keep factors
-// and bias in one block so the kernels reach both through a single
-// pointer. The quad and dual kernels use four-lane blocks (a dual pair
-// leaves the other two lanes idle in memory), the wide kernel a pair's
-// own two-lane blocks.
-func blockLen(w int) int { return w * (pairFactors + 1) }
+// block w lanes wide with rank f: f factor elements then the bias
+// element, lane L's float64 of element e at index we+L. Rows and
+// columns keep factors and bias in one block so the kernels reach both
+// through a single pointer. Every lane's model state lives in such
+// blocks from init to render: the quad and dual kernels use four-lane
+// blocks (a dual pair leaves the other two lanes idle in memory), the
+// wide kernel a pair's own two-lane blocks, and a lane that trains
+// alone one-lane blocks.
+func blockLen(w, f int) int { return w * (f + 1) }
 
 // ReconstructQuad reconstructs the surfaces of one decision — up to
 // four independent observation matrices, nil for an absent one —
@@ -117,9 +122,10 @@ func ReconstructPairFactors(a, b *Matrix, pa, pb Params) (*Prediction, *Predicti
 
 // reconstructLanes runs the lanes' reconstructions around one shared
 // sweep; every lane's parameters must pass Validate, absent lanes'
-// too. Initialisation (the SVD seeds) and the dense renders are
+// too. The gathers, the seeds (the SVDs) and the dense renders are
 // independent per lane and run concurrently through par.For, each lane
-// writing only its own pre-sized cell; absent lanes are skipped.
+// writing only its own elements; so do the groups' trainings. Absent
+// lanes are skipped.
 func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, []*Factors) {
 	// A bad parameter set panics here, on the caller's goroutine, not
 	// inside the fan-out.
@@ -128,13 +134,14 @@ func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, [
 			panic(err)
 		}
 	}
-	st := make([]*trainState, len(ms))
-	par.For(len(ms), 0, func(_, l int) {
-		if ms[l] != nil {
-			st[l] = prepareTraining(ms[l], ps[l].withDefaults())
+	st := gatherLanes(ms, ps)
+	groups := laneGroups(st)
+	par.For(len(st), 0, func(_, l int) {
+		if st[l] != nil {
+			st[l].init()
 		}
 	})
-	trainLanes(st)
+	par.For(len(groups), 0, func(_, g int) { groups[g].train() })
 	preds := make([]*Prediction, len(ms))
 	facs := make([]*Factors, len(ms))
 	par.For(len(st), 0, func(_, l int) {
@@ -145,13 +152,47 @@ func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, [
 	return preds, facs
 }
 
-// trainLanes trains four or two prepared lanes (nil for an absent
-// one). On the AVX-512 path four lanes are always two independent
-// pairs, which train concurrently on blocks of their own. Otherwise
-// lanes with a common prefix share blocks and an instruction stream,
-// and four lanes without one are two concurrent pairs too. A pair with
-// a common prefix shares blocks; one without trains per surface.
-func trainLanes(st []*trainState) {
+// gatherLanes gathers each present lane's observations. The two lanes
+// of a pair (0–1, 2–3) share one value array, interleaved: a slot
+// kernel loads a cell's two lane values as one 16-byte pair. Each
+// lane's stretch ends in its μ, both at the same index past the longer
+// lane's entries (see pad).
+func gatherLanes(ms []*Matrix, ps []Params) []*trainState {
+	vals := make([][]float64, len(ms))
+	for l := 0; l+1 < len(ms); l += 2 {
+		if a, b := ms[l], ms[l+1]; a != nil && b != nil {
+			n := max(a.knownCount(), b.knownCount())
+			buf := make([]float64, 2*n+2)
+			vals[l], vals[l+1] = buf[:2*n+1], buf[1:]
+		}
+	}
+	st := make([]*trainState, len(ms))
+	par.For(len(ms), 0, func(_, l int) {
+		if ms[l] != nil {
+			st[l] = prepareTraining(ms[l], ps[l].withDefaults(), vals[l], 2)
+		}
+	})
+	return st
+}
+
+// laneGroup is lanes that train on one set of blocks: two or four
+// lanes sharing an instruction stream over their first n entries, w
+// lanes to a block, or one lane alone (n = 0, w = 1).
+type laneGroup struct {
+	st         []*trainState
+	n, w       int
+	rows       int // row blocks before the spare one
+	rowP, colP []float64
+}
+
+// laneGroups decides which lanes share blocks and places every lane
+// with entries in its group's. On the AVX-512 path four lanes are
+// always two independent pairs, which train concurrently on blocks of
+// their own. Otherwise lanes with a common prefix share blocks and an
+// instruction stream, and four lanes without one are two pairs too. A
+// pair with a common prefix shares blocks; one without trains per
+// surface.
+func laneGroups(st []*trainState) []laneGroup {
 	four := len(st) == laneCount
 	n := 0
 	if !four || !laneWide {
@@ -159,25 +200,60 @@ func trainLanes(st []*trainState) {
 	}
 	switch {
 	case n > 0:
-		trainShared(st, n)
+		w := laneCount
+		if laneWide {
+			w = 2
+		}
+		return []laneGroup{newGroup(st, n, w)}
 	case four:
-		par.For(2, 0, func(_, h int) { trainLanes(st[2*h : 2*h+2]) })
-	default:
-		for _, s := range st {
-			if s != nil {
-				s.trainSerial()
-			}
+		return append(laneGroups(st[:2]), laneGroups(st[2:])...)
+	}
+	var gs []laneGroup
+	for _, s := range st {
+		if s != nil && len(s.cells) > 0 {
+			s.alone()
+			gs = append(gs, laneGroup{st: []*trainState{s}, w: 1})
 		}
 	}
+	return gs
+}
+
+// newGroup places lanes st, whose first n entries coincide, in one
+// set of rank-6 blocks w lanes wide, lane l at offset l. Each side has
+// one block more: the zeroed row and column block a padding cell of a
+// slot trains against (see newSlotRun).
+func newGroup(st []*trainState, n, w int) laneGroup {
+	g := laneGroup{st: st, n: n, w: w}
+	for _, s := range st {
+		g.rows = max(g.rows, s.m.Rows)
+	}
+	blk := blockLen(w, pairFactors)
+	g.rowP = make([]float64, (g.rows+1)*blk)
+	g.colP = make([]float64, (st[0].m.Cols+1)*blk)
+	for l, s := range st {
+		s.place(g.rowP[l:], g.colP[l:], w)
+	}
+	return g
+}
+
+// train runs the group's MaxIter sweeps.
+func (g *laneGroup) train() {
+	if g.n == 0 {
+		g.st[0].trainSerial()
+		return
+	}
+	g.trainShared()
 }
 
 // lanePrefix returns how many leading entries of the prepared
 // reconstructions a SIMD kernel may sweep in lockstep, 0 when they
 // cannot share a stream. The lanes must agree on everything the shared
 // instruction stream fixes: column count (the interleaved column
-// blocks), the kernels' rank and the sweep count.
-// The slot kernels address blocks by uint16 index, the spare row and
-// column blocks included, which bounds both dimensions.
+// blocks), the kernels' rank and the sweep count; and each pair's
+// values must interleave (gatherLanes).
+// The slot kernels address blocks and entries by uint16 index, the
+// spare row and column blocks and the μ entry included, which bounds
+// both dimensions and the entry count.
 // Within that, the prefix runs while every lane's row-major entry list
 // names the same cell, and stops at the first bias-frozen row: the
 // kernels apply factor updates unconditionally.
@@ -186,74 +262,56 @@ func lanePrefix(st []*trainState) int {
 		return 0
 	}
 	s0 := st[0]
+	n := math.MaxInt
 	for _, s := range st {
-		// An absent lane is nil; an empty one was never initialised
-		// and has f == 0.
-		if s == nil || s.f != pairFactors || s.m.Cols != s0.m.Cols {
+		// An absent lane is nil; an empty one has f == 0.
+		if s == nil || s.f != pairFactors || s.m.Cols != s0.m.Cols || s.vs != 2 {
 			return 0
 		}
-		if s.m.Rows > math.MaxUint16 || s.m.Cols > math.MaxUint16 {
+		if s.m.Rows > math.MaxUint16 || s.m.Cols > math.MaxUint16 || s.pad() > math.MaxUint16 {
 			return 0
 		}
 		if s.p.MaxIter != s0.p.MaxIter || s.p.MaxIter <= 0 {
 			return 0
 		}
+		n = min(n, s.live)
 	}
-	for n := 0; ; n++ {
-		for _, s := range st {
-			if n == len(s.entries) {
-				return n
-			}
-			e, e0 := s.entries[n], s0.entries[n]
-			if e.i != e0.i || e.j != e0.j || s.biasOnly[e.i] {
-				return n
+	for t := 0; t < n; t++ {
+		for _, s := range st[1:] {
+			if s.cells[t] != s0.cells[t] {
+				return t
 			}
 		}
 	}
+	return n
 }
 
 // trainShared runs the lockstep sweep over lanes whose first n entries
 // coincide: per epoch, of four lanes the quad kernel covers the n-entry
 // common prefix and each pair then rides the dual kernel to the end of
-// its own common prefix; of two lanes a slot kernel — wide on the
-// AVX-512 path, dual otherwise — covers the prefix; then each lane's
+// its own common prefix; of two lanes a slot kernel — wide on two-lane
+// blocks, dual on four-lane ones — covers the prefix; then each lane's
 // remaining entries train scalar. All row and column state lives
 // interleaved for the whole run, so a region ending mid-row hands the
 // row on with nothing to copy. Region boundaries are barriers, so each
 // lane's per-epoch update order is trainSerial's up to the reordering
 // of independent cells inside a slot region (see schedule), and every
 // float64 it produces is bit-identical to the serial sweep.
-func trainShared(st []*trainState, n int) {
-	k, w := 2, laneCount // a pair's cells per slot, lanes per block
-	if laneWide {
-		k, w = wideCells, 2
-	}
-	rows := 0
-	for _, s := range st {
-		rows = max(rows, s.m.Rows)
-	}
-	// One more block each side: the zeroed row and column block an
-	// unfilled cell of a slot trains against (see newSlotRun).
-	rowP := make([]float64, (rows+1)*blockLen(w))
-	colP := make([]float64, (st[0].m.Cols+1)*blockLen(w))
-	for l, s := range st {
-		packLane(rowP, w, l, s.q, s.rowBias)
-		packLane(colP, w, l, s.pc, s.colBias)
-	}
-
+func (g *laneGroup) trainShared() {
+	st, n := g.st, g.n
 	var runs []laneRun
 	var tail [laneCount]int // per lane: where its scalar tail starts
 	if len(st) == laneCount {
-		runs = append(runs, newQuadRun(st, n, rowP, colP))
+		runs = append(runs, g.newQuadRun())
 		for l := 0; l < laneCount; l += 2 {
 			tail[l], tail[l+1] = n, n
 			if np := lanePrefix(st[l : l+2]); np > n {
-				runs = append(runs, newSlotRun(st[l:l+2], l, n, np, k, rowP, colP))
+				runs = append(runs, g.newSlotRun(l, n, np))
 				tail[l], tail[l+1] = np, np
 			}
 		}
 	} else {
-		runs = append(runs, newSlotRun(st, 0, 0, n, k, rowP, colP))
+		runs = append(runs, g.newSlotRun(0, 0, n))
 		tail[0], tail[1] = n, n
 	}
 
@@ -262,13 +320,8 @@ func trainShared(st []*trainState, n int) {
 			runs[i].epoch()
 		}
 		for l, s := range st {
-			laneTailEpoch(s.entries[tail[l]:], w, l, s, rowP, colP)
+			s.sweep(tail[l], len(s.cells))
 		}
-	}
-
-	for l, s := range st {
-		unpackLane(rowP, w, l, s.q, s.rowBias)
-		unpackLane(colP, w, l, s.pc, s.colBias)
 	}
 }
 
@@ -282,30 +335,30 @@ type laneRun struct {
 
 func (r *laneRun) epoch() { r.kernel(&r.args) }
 
-// newQuadRun lays out the first n entries of four lanes in CSR form:
-// row starts, and per entry the column block's byte offset and the
-// lanes' values. The run may end mid-row; rowPtr counts only its own
-// entries.
-func newQuadRun(st []*trainState, n int, rowP, colP []float64) laneRun {
-	ents := st[0].entries[:n]
-	first := int(ents[0].i)
-	nrows := int(ents[n-1].i) - first + 1
+// newQuadRun lays out the group's first n entries, common to its four
+// lanes, in CSR form: row starts, and per entry the column block's
+// byte offset. The kernel reads the lanes' values from the two pairs'
+// interleaved arrays, which list the same cells in the same order.
+// The run may end mid-row; rowPtr counts only its own entries.
+func (g *laneGroup) newQuadRun() laneRun {
+	st, n := g.st, g.n
+	cells, cols := st[0].cells[:n], st[0].m.Cols
+	blk := blockLen(laneCount, pairFactors)
+	first := int(cells[0]) / cols
+	nrows := int(cells[n-1])/cols - first + 1
 	rowPtr := make([]int32, nrows+1)
 	offs := make([]uint32, n)
-	vals := make([]float64, laneCount*n)
-	for t, e := range ents {
-		rowPtr[int(e.i)-first+1]++
-		offs[t] = uint32(int(e.j) * blockLen(laneCount) * 8)
-		for l, s := range st {
-			vals[laneCount*t+l] = s.entries[t].v
-		}
+	for t, c := range cells {
+		rowPtr[int(c)/cols-first+1]++
+		offs[t] = uint32(int(c) % cols * blk * 8)
 	}
 	for r := 0; r < nrows; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
 	run := laneRun{kernel: quadEpoch6, args: laneArgs{
-		row: &rowP[first*blockLen(laneCount)], col: &colP[0],
-		vals: &vals[0], offs: &offs[0], rowPtr: &rowPtr[0],
+		row: &g.rowP[first*blk], col: &g.colP[0],
+		vals: &st[0].vals[0], vals2: &st[2].vals[0],
+		offs: &offs[0], rowPtr: &rowPtr[0],
 		n: int64(nrows),
 	}}
 	for l, s := range st {
@@ -314,47 +367,45 @@ func newQuadRun(st []*trainState, n int, rowP, colP []float64) laneRun {
 	return run
 }
 
-// newSlotRun schedules entries [from, to) of the pair st for a slot
-// kernel, k cells to a slot: the dual kernel (k = 2) on four-lane
-// blocks, where the pair occupies lanes lane0 and lane0+1, or the wide
-// kernel (k = wideCells) on the pair's own two-lane blocks. Cell c of a
-// slot fills the register's c-th 16-byte part. A cell no entry fills
-// aims at the spare last row and column blocks, with the values μ:
-// that cell's error is exactly zero, so the spare blocks stay zero and
-// nothing reads them.
-func newSlotRun(st []*trainState, lane0, from, to, k int, rowP, colP []float64) laneRun {
-	w, kernel := laneCount, dualEpoch6
-	if k == wideCells {
-		w, kernel = 2, wideEpoch6
+// newSlotRun schedules entries [from, to) of the pair at lanes lane0
+// and lane0+1 for a slot kernel: the wide kernel, four cells to a
+// slot, on two-lane blocks, or the dual kernel, two to a slot, on
+// four-lane ones. Cell c of a slot fills the register's c-th 16-byte
+// part; the kernel reads its two values through its entry index from
+// the pair's interleaved array. A cell no entry fills aims at the
+// spare last row and column blocks and at the μ entry: that cell's
+// error is exactly zero, so the spare blocks stay zero and nothing
+// reads them.
+func (g *laneGroup) newSlotRun(lane0, from, to int) laneRun {
+	k, kernel := 2, dualEpoch6
+	if g.w == 2 {
+		k, kernel = wideCells, wideEpoch6
 	}
-	rows, cols := len(rowP)/blockLen(w)-1, len(colP)/blockLen(w)-1 // the spares
-	ents := st[0].entries[from:to]
-	nslots := schedule(ents, cols, k, nil)
+	a, b := g.st[lane0], g.st[lane0+1]
+	cols := a.m.Cols
+	cells := a.cells[from:to]
+	nslots := schedule(cells, cols, k, nil)
 	// Cells are counted across slots, slot s holding cells k·s…k·s+k−1.
-	// A slot's indices are its cells' rows, then their columns: cell c's
-	// row index sits at idx[at(c)], its column index k further on, and
-	// its two lanes' values at vals[2c] and vals[2c+1].
-	at := func(c int) int { return c + c/k*k }
-	idx := make([]uint16, 2*k*nslots)
-	vals := make([]float64, 2*k*nslots)
+	// A slot's indices are its cells' rows, then their columns, then
+	// their entries: cell c's row index sits at idx[at(c)], its column
+	// index k further on and its entry index 2k further on.
+	at := func(c int) int { return c + c/k*2*k }
+	idx := make([]uint16, 3*k*nslots)
 	for c := range k * nslots {
-		idx[at(c)], idx[at(c)+k] = uint16(rows), uint16(cols)
-		vals[2*c], vals[2*c+1] = st[0].mu, st[1].mu
+		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(g.rows), uint16(cols), uint16(a.pad())
 	}
 	c := 0 // the next cell to fill
-	schedule(ents, cols, k, func(s, t int) {
+	schedule(cells, cols, k, func(s, t, i, j int) {
 		c = max(c, k*s) // a slot's first entry takes its first cell
-		e := ents[t]
-		idx[at(c)], idx[at(c)+k] = uint16(e.i), uint16(e.j)
-		vals[2*c], vals[2*c+1] = e.v, st[1].entries[from+t].v
+		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(i), uint16(j), uint16(from+t)
 		c++
 	})
 	run := laneRun{kernel: kernel, args: laneArgs{
-		row: &rowP[lane0], col: &colP[lane0],
-		vals: &vals[0], slots: &idx[0],
+		row: &g.rowP[lane0], col: &g.colP[lane0],
+		vals: &a.vals[0], slots: &idx[0],
 		n: int64(nslots),
 	}}
-	for l, s := range st {
+	for l, s := range []*trainState{a, b} {
 		for h := 0; h < laneCount; h += 2 {
 			run.args.mu[h+l], run.args.eta[h+l], run.args.lam[h+l] = s.mu, learningRate, s.p.Reg
 		}
@@ -362,21 +413,23 @@ func newSlotRun(st []*trainState, lane0, from, to, k int, rowP, colP []float64) 
 	return run
 }
 
-// schedule packs a row-major run of entries into slots of at most k
-// for a slot kernel and returns the slot count. With fill non-nil it
-// calls fill(s, t) for each entry t of slot s, slot after slot and
-// each slot's entries in row-major order. Slot s takes the k earliest
-// entries, in row-major order, whose predecessors inside the run — the
-// previous entry of its row and the previous entry of its column — sit
-// in earlier slots. No two such entries share a row or a column (the
-// later one's predecessor would be the earlier), and every row's and
-// column's entries keep their order, which is all the serial sweep's
-// bits depend on. Its scratch is a bit per cell of the run's rows and
-// an int32 per row and column, not a word per entry, so a caller can
-// run it twice — once to size its slots, once to fill them.
-func schedule(ents []obs, cols, k int, fill func(s, t int)) int {
-	first := int(ents[0].i)
-	nrows := int(ents[len(ents)-1].i) - first + 1
+// schedule packs a row-major run of cells into slots of at most k for
+// a slot kernel and returns the slot count. With fill non-nil it calls
+// fill(s, t, i, j) for each entry t, cell (i, j), of slot s, slot after
+// slot and each slot's entries in row-major order. Slot s takes the k
+// earliest entries, in row-major order, whose predecessors inside the
+// run — the previous entry of its row and the previous entry of its
+// column — sit in earlier slots. No two such entries share a row or a
+// column (the later one's predecessor would be the earlier), and every
+// row's and column's entries keep their order, which is all the serial
+// sweep's bits depend on. Its scratch is a bit per cell of the run's
+// rows and an int32 per row and column, not a word per entry, so a
+// caller can run it twice — once to size its slots, once to fill them.
+func schedule(cells []uint32, cols, k int, fill func(s, t, i, j int)) int {
+	first := int(cells[0]) / cols
+	nrows := int(cells[len(cells)-1])/cols - first + 1
+	// col is entry t's column, t being row first+r's.
+	col := func(t int32, r int) int { return int(cells[t]) - (first+r)*cols }
 	// in marks the run's cells column-major: bit j·nrows+r is cell
 	// (first+r, j).
 	in := make([]uint64, (cols*nrows+63)/64)
@@ -392,36 +445,40 @@ func schedule(ents []obs, cols, k int, fill func(s, t int)) int {
 	for j := range colNext {
 		colNext[j] = int32(nrows)
 	}
-	for t := len(ents) - 1; t >= 0; t-- {
-		r, j := int(ents[t].i)-first, int(ents[t].j)
-		next[r], colNext[j] = int32(t), int32(r)
+	r := nrows - 1
+	for t := int32(len(cells) - 1); t >= 0; t-- {
+		for col(t, r) < 0 {
+			r--
+		}
+		j := col(t, r)
+		next[r], colNext[j] = t, int32(r)
 		if end[r] == 0 {
-			end[r] = int32(t) + 1
+			end[r] = t + 1
 		}
 		b := j*nrows + r
 		in[b/64] |= 1 << (b % 64)
 	}
 	nslots := 0
 	lo := 0 // rows before lo are placed
-	for placed := 0; placed < len(ents); nslots++ {
+	for placed := 0; placed < len(cells); nslots++ {
 		for next[lo] == end[lo] {
 			lo++
 		}
 		var pick [wideCells]int
 		n := 0
 		for r := lo; r < nrows && n < k; r++ {
-			if t := next[r]; t != end[r] && colNext[ents[t].j] == int32(r) {
+			if t := next[r]; t != end[r] && colNext[col(t, r)] == int32(r) {
 				pick[n] = r
 				n++
 			}
 		}
 		for _, r := range pick[:n] {
 			t := next[r]
+			j := col(t, r)
 			if fill != nil {
-				fill(nslots, int(t))
+				fill(nslots, int(t), first+r, j)
 			}
 			next[r]++
-			j := int(ents[t].j)
 			c := r + 1
 			for b := j*nrows + c; c < nrows && in[b/64]&(1<<(b%64)) == 0; b++ {
 				c++
@@ -431,60 +488,4 @@ func schedule(ents []obs, cols, k int, fill func(s, t int)) int {
 		placed += n
 	}
 	return nslots
-}
-
-// packLane copies one lane's factor matrix and bias vector into the
-// interleaved blocks, w lanes wide; unpackLane copies them back out.
-func packLane(blocks []float64, w, lane int, fac, bias []float64) {
-	const f = pairFactors
-	for e, b := range bias {
-		blk := blocks[e*blockLen(w)+lane:]
-		for k := 0; k < f; k++ {
-			blk[w*k] = fac[e*f+k]
-		}
-		blk[w*f] = b
-	}
-}
-
-func unpackLane(blocks []float64, w, lane int, fac, bias []float64) {
-	const f = pairFactors
-	for e := range bias {
-		blk := blocks[e*blockLen(w)+lane:]
-		for k := 0; k < f; k++ {
-			fac[e*f+k] = blk[w*k]
-		}
-		bias[e] = blk[w*f]
-	}
-}
-
-// laneTailEpoch sweeps one lane's post-kernel entries once against the
-// interleaved state, w lanes wide. The arithmetic matches trainSerial
-// statement for statement — same association, same old-value capture —
-// so the tail is bit-identical to the serial sweep too.
-func laneTailEpoch(tail []obs, w, lane int, st *trainState, rowP, colP []float64) {
-	const f = pairFactors
-	eta, lam := learningRate, st.p.Reg
-	mu := st.mu
-	blk := blockLen(w)
-	for _, e := range tail {
-		// Lane's element k of the block at index wk, the bias at wf.
-		i, j := int(e.i), int(e.j)
-		ri := rowP[i*blk+lane : (i+1)*blk]
-		cj := colP[j*blk+lane : (j+1)*blk]
-		dot := 0.0
-		for k := 0; k < f; k++ {
-			dot += ri[w*k] * cj[w*k]
-		}
-		err := e.v - (mu + ri[w*f] + cj[w*f] + dot)
-		ri[w*f] += eta * (err - lam*ri[w*f])
-		cj[w*f] += eta * (err - lam*cj[w*f])
-		if st.biasOnly[i] {
-			continue
-		}
-		for k := 0; k < f; k++ {
-			qk, pk := ri[w*k], cj[w*k]
-			ri[w*k] += eta * (err*pk - lam*qk)
-			cj[w*k] += eta * (err*qk - lam*pk)
-		}
-	}
 }

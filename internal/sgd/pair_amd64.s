@@ -13,8 +13,9 @@
 // lane L's float64 at +8L of its element. quadEpoch6 and dualEpoch6 use
 // four-lane blocks (32-byte elements, 224-byte blocks), wideEpoch6
 // two-lane blocks (16-byte elements, 112-byte blocks). All three share
-// the per-entry arithmetic (DOT6, ERRBIAS, FUPD, bound into ENTRY6 over
-// element indices); they differ in where a register's parts come from.
+// the per-entry arithmetic (VLOAD, DOT6, ERRBIAS, FUPD, bound into
+// ENTRY6 over element indices); they differ in where a register's parts
+// come from.
 //
 // quadEpoch6 sweeps a CSR-laid run in trainSerial's order — rows
 // outer, each row's entries in column order — with all four lanes of
@@ -28,19 +29,23 @@
 // the schedule keeps each row's and each column's entries in their
 // serial order, so every block sees exactly the update sequence of its
 // own serial sweep. Both keep a slot's rows in registers while
-// consecutive slots name the same rows.
+// consecutive slots name the same rows. A slot names its cells' values
+// by entry index into the pair's interleaved value array, each cell's
+// two lanes one 16-byte pair.
 //
-// Scalar registers: DI=args R12=vals R13=rows or slots left; quad:
-// SI=row block R9=column blocks R11=offs R15=offs walker R10=rowPtr
-// DX=row's end in offs BX=entry's column block; dual: R9/R10=row and
-// column bases R11=slot indices SI/R8=row blocks of entries A/B
-// BX/CX=their column blocks; wide: R9/R10/R11 as dual, SI/R8/R14/R15
+// Scalar registers: DI=args R12=vals (quad: lanes 0–1's, walking; dual
+// and wide: the base) R13=rows or slots left; quad: SI=row block
+// R9=column blocks R11=offs R15=offs walker R10=rowPtr DX=row's end in
+// offs BX=entry's column block R14=lanes 2–3's values, walking; dual: R9/R10=row and column bases
+// R11=slot indices SI/R8=row blocks of entries A/B BX/CX=their column
+// blocks AX=value offset; wide: R9/R10/R11/AX as dual, SI/R8/R14/R15
 // the four cells' row blocks, BX/CX/DX/DI their column blocks (DI once
-// the arguments are read). Vector
-// names: vQ0–vQ5 the row factors and vQB the row bias; vMU/vETA/vLAM
-// the per-lane constants; vDOT, vERR, vPK and vT0–vT2 per-entry
-// scratch. CMUL, CLOAD and CSTORE reach the column elements; each
-// kernel binds them to its own addressing.
+// the arguments are read). Vector names: vQ0–vQ5 the row factors and
+// vQB the row bias; vMU/vETA/vLAM the per-lane constants; vDOT, vERR,
+// vPK and vT0–vT2 per-entry scratch; vC0–vC5 the column factors (vPK
+// but in the wide kernel). VLOAD loads the entry's values into vERR;
+// CMUL, CLOAD, CFETCH and CSTORE reach the column elements. Each kernel
+// binds them to its own addressing.
 
 #define vQ0 Y0
 #define vQ1 Y1
@@ -59,31 +64,31 @@
 #define vLAM Y14
 #define vT2 Y15
 
-// dot: s = 0; s += qk*pk, serial add order as dotf. The VEX.128 XOR
-// zeroes the whole register, YMM or ZMM, without AVX-512DQ.
+// dot: s = 0; s += qk*pk, serial add order as the Go sweep. The
+// VEX.128 XOR zeroes the whole register, YMM or ZMM, without
+// AVX-512DQ.
 #define DOT6 \
 	VXORPD X7, X7, X7       \
-	CMUL(0, vQ0)            \
+	CMUL(0, vQ0, vC0)       \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(1, vQ1)            \
+	CMUL(1, vQ1, vC1)       \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(2, vQ2)            \
+	CMUL(2, vQ2, vC2)       \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(3, vQ3)            \
+	CMUL(3, vQ3, vC3)       \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(4, vQ4)            \
+	CMUL(4, vQ4, vC4)       \
 	VADDPD vT0, vDOT, vDOT  \
-	CMUL(5, vQ5)            \
+	CMUL(5, vQ5, vC5)       \
 	VADDPD vT0, vDOT, vDOT
 
-// err = v - (((mu + rb) + cb) + dot), then
+// err = v - (((mu + rb) + cb) + dot), v already in vERR, then
 // rb += eta * (err - lam*rb) and cb += eta * (err - lam*cb)
 #define ERRBIAS \
-	CLOAD(6)                \
+	CLOAD(6, vPK)           \
 	VADDPD vQB, vMU, vT0    \
 	VADDPD vPK, vT0, vT0    \
 	VADDPD vDOT, vT0, vT0   \
-	VMOVUPD 0(R12), vERR    \
 	VSUBPD vT0, vERR, vERR  \
 	VMULPD vQB, vLAM, vT0   \
 	VSUBPD vT0, vERR, vT0   \
@@ -93,41 +98,58 @@
 	VSUBPD vT0, vERR, vT0   \
 	VMULPD vT0, vETA, vT0   \
 	VADDPD vT0, vPK, vPK    \
-	CSTORE(6)
+	CSTORE(6, vPK)
 
-// factor update k, column element E:
+// factor update k, column element E held in PK:
 //   qk += eta*(err*pk - lam*qk); pk += eta*(err*qk - lam*pk)
 // using old qk/pk on both right-hand sides.
-#define FUPD(QK, E) \
-	CLOAD(E)                \
-	VMULPD vPK, vERR, vT0   \
+#define FUPD(QK, E, PK) \
+	CFETCH(E, PK)           \
+	VMULPD PK, vERR, vT0    \
 	VMULPD QK, vLAM, vT1    \
 	VSUBPD vT1, vT0, vT0    \
 	VMULPD vT0, vETA, vT0   \
 	VMULPD QK, vERR, vT1    \
-	VMULPD vPK, vLAM, vT2   \
+	VMULPD PK, vLAM, vT2    \
 	VSUBPD vT2, vT1, vT1    \
 	VMULPD vT1, vETA, vT1   \
 	VADDPD vT0, QK, QK      \
-	VADDPD vT1, vPK, vPK    \
-	CSTORE(E)
+	VADDPD vT1, PK, PK      \
+	CSTORE(E, PK)
 
-// ENTRY6 is one entry's update, its column block(s) addressed by the
-// C* macros (element E: factor E, the bias at 6), its values at 0(R12).
+// ENTRY6 is one entry's update, its values loaded by VLOAD and its
+// column block(s) addressed by the C* macros (element E: factor E, the
+// bias at 6).
 #define ENTRY6 \
+	VLOAD                   \
 	DOT6                    \
 	ERRBIAS                 \
-	FUPD(vQ0, 0)            \
-	FUPD(vQ1, 1)            \
-	FUPD(vQ2, 2)            \
-	FUPD(vQ3, 3)            \
-	FUPD(vQ4, 4)            \
-	FUPD(vQ5, 5)
+	FUPD(vQ0, 0, vC0)       \
+	FUPD(vQ1, 1, vC1)       \
+	FUPD(vQ2, 2, vC2)       \
+	FUPD(vQ3, 3, vC3)       \
+	FUPD(vQ4, 4, vC4)       \
+	FUPD(vQ5, 5, vC5)
 
-// Quad addressing: the whole 32-byte element at BX.
-#define CMUL(E, QK) VMULPD (E*32)(BX), QK, vT0
-#define CLOAD(E) VMOVUPD (E*32)(BX), vPK
-#define CSTORE(E) VMOVUPD vPK, (E*32)(BX)
+// The 256-bit kernels fetch each column factor into vPK when they
+// update it.
+#define vC0 vPK
+#define vC1 vPK
+#define vC2 vPK
+#define vC3 vPK
+#define vC4 vPK
+#define vC5 vPK
+#define CFETCH(E, PK) CLOAD(E, PK)
+
+// Quad addressing: the whole 32-byte element at BX; the values of
+// lanes 0–1 at 0(R12) and of lanes 2–3 at 0(R14), the two pairs'
+// interleaved arrays walked in step.
+#define VLOAD \
+	VMOVUPD 0(R12), X9         \
+	VINSERTF128 $1, 0(R14), vERR, vERR
+#define CMUL(E, QK, PK) VMULPD (E*32)(BX), QK, vT0
+#define CLOAD(E, PK) VMOVUPD (E*32)(BX), PK
+#define CSTORE(E, PK) VMOVUPD PK, (E*32)(BX)
 
 // func quadEpoch6(a *laneArgs)
 //
@@ -148,6 +170,7 @@ TEXT ·quadEpoch6(SB), NOSPLIT, $0-8
 	VMOVUPD 48(DI), vMU
 	VMOVUPD 80(DI), vETA
 	VMOVUPD 112(DI), vLAM
+	MOVQ 152(DI), R14
 	MOVQ R11, R15
 
 rowloop:
@@ -170,7 +193,8 @@ entryloop:
 	ADDQ R9, BX
 	ENTRY6
 	ADDQ $4, R15
-	ADDQ $32, R12
+	ADDQ $16, R12
+	ADDQ $16, R14
 	JMP entryloop
 
 rowend:
@@ -190,21 +214,30 @@ rowsdone:
 	VZEROUPPER
 	RET
 
+#undef VLOAD
 #undef CMUL
 #undef CLOAD
 #undef CSTORE
 
 // Dual addressing: entry A's 16 bytes at BX fill the low half, entry
-// B's at CX the high half. A VEX.128 load zeroes the upper half it
-// leaves, so VINSERTF128 never merges with stale bits.
-#define CMUL(E, QK) \
+// B's at CX the high half, and their values come from byte 16 times
+// their entry indices off R12. A VEX.128 load zeroes the upper half it
+// leaves, so VINSERTF128 never merges with stale bits. PK is vPK.
+#define VLOAD \
+	MOVWQZX 8(R11), AX         \
+	SHLQ $4, AX                \
+	VMOVUPD (R12)(AX*1), X9    \
+	MOVWQZX 10(R11), AX        \
+	SHLQ $4, AX                \
+	VINSERTF128 $1, (R12)(AX*1), vERR, vERR
+#define CMUL(E, QK, PK) \
 	VMOVUPD (E*32)(BX), X8     \
 	VINSERTF128 $1, (E*32)(CX), vT0, vT0 \
 	VMULPD vT0, QK, vT0
-#define CLOAD(E) \
+#define CLOAD(E, PK) \
 	VMOVUPD (E*32)(BX), X10    \
 	VINSERTF128 $1, (E*32)(CX), vPK, vPK
-#define CSTORE(E) \
+#define CSTORE(E, PK) \
 	VMOVUPD X10, (E*32)(BX)    \
 	VEXTRACTF128 $1, vPK, (E*32)(CX)
 
@@ -251,8 +284,8 @@ rowsdone:
 // func dualEpoch6(a *laneArgs)
 //
 // Two cells of one pair per register, a slot at a time. Per slot the
-// indices are four uint16s — rows of A and B, then columns of A and B —
-// scaled to 224-byte blocks; the values are A's two lanes then B's.
+// indices are six uint16s — rows of A and B, columns of A and B, then
+// their entries — the first four scaled to 224-byte blocks.
 // The two rows stay in registers while consecutive slots name the same
 // pair of rows, and are stored back when the pair changes and at the
 // end.
@@ -280,8 +313,7 @@ slotloop:
 	IMUL3Q $224, CX, CX
 	ADDQ R10, CX
 	ENTRY6
-	ADDQ $8, R11
-	ADDQ $32, R12
+	ADDQ $12, R11
 	DECQ R13
 	JZ slotsend
 	MOVL 0(R11), AX
@@ -300,12 +332,20 @@ slotsdone:
 	VZEROUPPER
 	RET
 
+#undef VLOAD
 #undef CMUL
 #undef CLOAD
 #undef CSTORE
+#undef CFETCH
 #undef RLOAD
 #undef RSTORE
 #undef ROWS
+#undef vC0
+#undef vC1
+#undef vC2
+#undef vC3
+#undef vC4
+#undef vC5
 
 // The wide kernel's register set: the same sixteen registers at 512
 // bits, so ENTRY6 expands to the EVEX forms (AVX-512F only).
@@ -342,24 +382,48 @@ slotsdone:
 #define vLAM Z14
 #define vT2 Z15
 
+// The wide kernel gathers each column factor once, in DOT6, into a
+// register of its own above the sixteen VEX can name, and updates and
+// stores it from there.
+#define vC0 Z16
+#define vC1 Z17
+#define vC2 Z18
+#define vC3 Z19
+#define vC4 Z20
+#define vC5 Z21
+
 // Wide addressing: the four 16-byte parts of a register are cells 0–3
 // of the slot, element E of their two-lane column blocks at BX, CX, DX
-// and DI. A VEX.128 load zeroes the register above its low part, so
-// the inserts never merge with stale bits.
-#define CPARTS(E, X, Z) \
-	VMOVUPD (E*16)(BX), X      \
+// and DI, their values at byte 16 times their entry indices off R12.
+// The broadcast fills every part, and the inserts overwrite parts 1–3.
+// Only AVX-512F forms touch Z16–Z21: the broadcast and the part
+// extracts, not VEX or 128-bit EVEX moves.
+#define VPART(OFF, N) \
+	MOVWQZX OFF(R11), AX       \
+	SHLQ $4, AX                \
+	VINSERTF32X4 $N, (R12)(AX*1), vERR, vERR
+#define VLOAD \
+	MOVWQZX 16(R11), AX        \
+	SHLQ $4, AX                \
+	VBROADCASTF32X4 (R12)(AX*1), vERR \
+	VPART(18, 1)               \
+	VPART(20, 2)               \
+	VPART(22, 3)
+#define CPARTS(E, Z) \
+	VBROADCASTF32X4 (E*16)(BX), Z \
 	VINSERTF32X4 $1, (E*16)(CX), Z, Z \
 	VINSERTF32X4 $2, (E*16)(DX), Z, Z \
 	VINSERTF32X4 $3, (E*16)(DI), Z, Z
-#define CMUL(E, QK) \
-	CPARTS(E, X8, vT0)         \
-	VMULPD vT0, QK, vT0
-#define CLOAD(E) CPARTS(E, X10, vPK)
-#define CSTORE(E) \
-	VMOVUPD X10, (E*16)(BX)    \
-	VEXTRACTF32X4 $1, vPK, (E*16)(CX) \
-	VEXTRACTF32X4 $2, vPK, (E*16)(DX) \
-	VEXTRACTF32X4 $3, vPK, (E*16)(DI)
+#define CMUL(E, QK, PK) \
+	CPARTS(E, PK)              \
+	VMULPD PK, QK, vT0
+#define CLOAD(E, PK) CPARTS(E, PK)
+#define CFETCH(E, PK)
+#define CSTORE(E, PK) \
+	VEXTRACTF32X4 $0, PK, (E*16)(BX) \
+	VEXTRACTF32X4 $1, PK, (E*16)(CX) \
+	VEXTRACTF32X4 $2, PK, (E*16)(DX) \
+	VEXTRACTF32X4 $3, PK, (E*16)(DI)
 
 // RLOAD and RSTORE move row element E of the four cells (SI, R8, R14,
 // R15) between memory and the parts of Z, whose low part is X.
@@ -384,12 +448,11 @@ slotsdone:
 // func wideEpoch6(a *laneArgs)
 //
 // Four cells of one pair per register, a slot at a time. Per slot the
-// indices are eight uint16s — the four cells' rows, then their
-// columns — scaled to 112-byte blocks; the values are cell 0's two
-// lanes, then cell 1's, 2's and 3's. The per-lane constants are the
-// pair's two, broadcast to every part. The four rows stay in registers
-// while consecutive slots name the same rows, and are stored back when
-// they change and at the end.
+// indices are twelve uint16s — the four cells' rows, their columns,
+// then their entries — the first eight scaled to 112-byte blocks. The
+// per-lane constants are the pair's two, broadcast to every part. The
+// four rows stay in registers while consecutive slots name the same
+// rows, and are stored back when they change and at the end.
 TEXT ·wideEpoch6(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), DI
 	MOVQ 0(DI), R9
@@ -416,12 +479,11 @@ wideloop:
 	BLOCK(12, R10, DX)
 	BLOCK(14, R10, DI)
 	ENTRY6
-	ADDQ $16, R11
-	ADDQ $64, R12
+	ADDQ $24, R11
 	DECQ R13
 	JZ wideend
 	MOVQ 0(R11), AX
-	CMPQ AX, -16(R11)
+	CMPQ AX, -24(R11)
 	JEQ wideloop
 	RSTORE7
 	JMP widerows

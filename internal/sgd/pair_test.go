@@ -2,6 +2,7 @@ package sgd
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -223,9 +224,8 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.prefix > 0 && laneKernelOK {
 				// The case must exercise the boundary it names.
-				sa := prepareTraining(tc.a, tc.pa.withDefaults())
-				sb := prepareTraining(tc.b, tc.pb.withDefaults())
-				if n := lanePrefix([]*trainState{sa, sb}); n != tc.prefix {
+				st := gatherLanes([]*Matrix{tc.a, tc.b}, []Params{tc.pa, tc.pb})
+				if n := lanePrefix(st); n != tc.prefix {
 					t.Fatalf("lanePrefix = %d, want %d", n, tc.prefix)
 				}
 			}
@@ -330,32 +330,60 @@ func BenchmarkReconstructPair(b *testing.B) {
 }
 
 // TestLanePrefixBlockIndexBound checks the slot kernels' addressing
-// limit: lanes of 65 535 rows still share a stream, lanes of 65 536
-// (whose spare row block would need index 65 536) train per surface —
-// bit-identical either way.
+// limits: lanes of 65 535 rows still share a stream, lanes of 65 536
+// (whose spare row block would need index 65 536) train per surface;
+// and likewise for entries, lanes of 65 535 entries share a stream
+// while a pair with 65 536 in one lane (whose μ entry would need index
+// 65 536) trains per surface — bit-identical either way.
 func TestLanePrefixBlockIndexBound(t *testing.T) {
 	p := Params{Factors: 6, MaxIter: 2, SVDInit: true}
+	type boundCase struct {
+		name   string
+		a, b   *Matrix
+		p      Params
+		prefix int // lanePrefix below the bound
+		over   bool
+	}
+	var cases []boundCase
 	for _, rows := range []int{1<<16 - 1, 1 << 16} {
 		a, b := NewMatrix(rows, 1), NewMatrix(rows, 1)
 		for _, i := range []int{0, 1, rows - 1} {
 			a.Observe(i, 0, 1+float64(i%7))
 			b.Observe(i, 0, 2+float64(i%5))
 		}
+		cases = append(cases, boundCase{fmt.Sprintf("%d rows", rows), a, b, p, 3, rows > math.MaxUint16})
+	}
+	// 256 × 256 cells: every one observed in lane B, all but the last
+	// in lane A. Random init keeps the seed cheap.
+	for _, entries := range []int{1<<16 - 1, 1 << 16} {
+		a, b := NewMatrix(256, 256), NewMatrix(256, 256)
+		for c := 0; c < 1<<16; c++ {
+			if c < entries {
+				a.Observe(c/256, c%256, 1+float64(c%7))
+			}
+			b.Observe(c/256, c%256, 2+float64(c%5))
+		}
+		if entries < 1<<16 {
+			b.clear(255, 255) // both lanes 65 535 entries
+		}
+		cases = append(cases, boundCase{fmt.Sprintf("%d entries", entries), a, b, Params{Factors: 6, MaxIter: 2, Seed: 3},
+			1<<16 - 1, entries > math.MaxUint16})
+	}
+	for _, tc := range cases {
 		if laneKernelOK {
-			st := []*trainState{prepareTraining(a, p.withDefaults()), prepareTraining(b, p.withDefaults())}
-			want := 3
-			if rows > math.MaxUint16 {
+			want := tc.prefix
+			if tc.over {
 				want = 0
 			}
-			if n := lanePrefix(st); n != want {
-				t.Fatalf("%d rows: lanePrefix = %d, want %d", rows, n, want)
+			if n := lanePrefix(gatherLanes([]*Matrix{tc.a, tc.b}, []Params{tc.p, tc.p})); n != want {
+				t.Fatalf("%s: lanePrefix = %d, want %d", tc.name, n, want)
 			}
 		}
-		wantA, wantB := Reconstruct(a, p), Reconstruct(b, p)
+		wantA, wantB := Reconstruct(tc.a, tc.p), Reconstruct(tc.b, tc.p)
 		lanePaths(t, func(t *testing.T) {
-			gotA, gotB := ReconstructPair(a, b, p, p)
-			predBitsEqual(t, "lane A", gotA, wantA)
-			predBitsEqual(t, "lane B", gotB, wantB)
+			gotA, gotB := ReconstructPair(tc.a, tc.b, tc.p, tc.p)
+			predBitsEqual(t, tc.name+": lane A", gotA, wantA)
+			predBitsEqual(t, tc.name+": lane B", gotB, wantB)
 		})
 	}
 }

@@ -8,12 +8,18 @@ import (
 	"cuttlesys/internal/rng"
 )
 
-// slotSchedule runs schedule over a run of entries, k cells to a
-// slot, and returns its slots as indices into the run, in the order
-// the schedule filled their cells.
-func slotSchedule(ents []obs, cols, k int) [][]int {
-	slots := make([][]int, schedule(ents, cols, k, nil))
-	n := schedule(ents, cols, k, func(s, t int) { slots[s] = append(slots[s], t) })
+// slotSchedule runs schedule over a run of cells, k to a slot, and
+// returns its slots as indices into the run, in the order the schedule
+// filled them. It panics if schedule names a cell other than the
+// entry's.
+func slotSchedule(cells []uint32, cols, k int) [][]int {
+	slots := make([][]int, schedule(cells, cols, k, nil))
+	n := schedule(cells, cols, k, func(s, t, i, j int) {
+		if int(cells[t]) != i*cols+j {
+			panic(fmt.Sprintf("schedule names entry %d cell (%d,%d), want %d", t, i, j, cells[t]))
+		}
+		slots[s] = append(slots[s], t)
+	})
 	if n != len(slots) {
 		panic(fmt.Sprintf("schedule counted %d slots, then filled %d", len(slots), n))
 	}
@@ -24,18 +30,21 @@ func slotSchedule(ents []obs, cols, k int) [][]int {
 // they schedule: every entry sits in exactly one slot, no slot is
 // empty or names one row or one column twice, and each row's and each
 // column's entries come in run order.
-func checkSchedule(ents []obs, k int, slots [][]int) error {
-	seen := make([]bool, len(ents))
-	lastRow := map[int32]int{}
-	lastCol := map[int32]int{}
+func checkSchedule(cells []uint32, cols, k int, slots [][]int) error {
+	seen := make([]bool, len(cells))
+	lastRow := map[int]int{}
+	lastCol := map[int]int{}
+	cell := func(t int) (i, j int) { return int(cells[t]) / cols, int(cells[t]) % cols }
 	for s, sl := range slots {
 		if len(sl) == 0 || len(sl) > k {
 			return fmt.Errorf("slot %d holds %d cells, want 1..%d", s, len(sl), k)
 		}
 		for x, a := range sl {
 			for _, b := range sl[x+1:] {
-				if ents[a].i == ents[b].i || ents[a].j == ents[b].j {
-					return fmt.Errorf("slot %d pairs cells (%d,%d) and (%d,%d)", s, ents[a].i, ents[a].j, ents[b].i, ents[b].j)
+				ai, aj := cell(a)
+				bi, bj := cell(b)
+				if ai == bi || aj == bj {
+					return fmt.Errorf("slot %d pairs cells (%d,%d) and (%d,%d)", s, ai, aj, bi, bj)
 				}
 			}
 		}
@@ -44,14 +53,14 @@ func checkSchedule(ents []obs, k int, slots [][]int) error {
 				return fmt.Errorf("slot %d: entry %d placed twice", s, t)
 			}
 			seen[t] = true
-			e := ents[t]
-			if p, ok := lastRow[e.i]; ok && p > t {
-				return fmt.Errorf("slot %d: row %d trains entry %d after entry %d", s, e.i, t, p)
+			i, j := cell(t)
+			if p, ok := lastRow[i]; ok && p > t {
+				return fmt.Errorf("slot %d: row %d trains entry %d after entry %d", s, i, t, p)
 			}
-			if p, ok := lastCol[e.j]; ok && p > t {
-				return fmt.Errorf("slot %d: column %d trains entry %d after entry %d", s, e.j, t, p)
+			if p, ok := lastCol[j]; ok && p > t {
+				return fmt.Errorf("slot %d: column %d trains entry %d after entry %d", s, j, t, p)
 			}
-			lastRow[e.i], lastCol[e.j] = t, t
+			lastRow[i], lastCol[j] = t, t
 		}
 	}
 	for t, ok := range seen {
@@ -62,53 +71,37 @@ func checkSchedule(ents []obs, k int, slots [][]int) error {
 	return nil
 }
 
-// serialStep is one entry of trainSerial's sweep, statement for
-// statement.
-func serialStep(st *trainState, e obs) {
-	f, eta, lam := st.f, learningRate, st.p.Reg
-	i, j := int(e.i), int(e.j)
-	qi := st.q[i*f : (i+1)*f]
-	pj := st.pc[j*f : (j+1)*f]
-	err := e.v - (st.mu + st.rowBias[i] + st.colBias[j] + dotf(qi, pj))
-	st.rowBias[i] += eta * (err - lam*st.rowBias[i])
-	st.colBias[j] += eta * (err - lam*st.colBias[j])
-	if st.biasOnly[i] {
-		return
-	}
-	for k := 0; k < f; k++ {
-		qk, pk := qi[k], pj[k]
-		qi[k] += eta * (err*pk - lam*qk)
-		pj[k] += eta * (err*qk - lam*pk)
-	}
-}
-
 // trainSlots is the scalar slot executor: per epoch, entries before
 // the region train in order, the region's slots one after another —
 // each slot's cells last to first, so a slot whose cells were not
 // independent changes the result — and then the entries after it.
 func trainSlots(st *trainState, from, to int, slots [][]int) {
-	region := st.entries[from:to]
 	for iter := 0; iter < st.p.MaxIter; iter++ {
-		for _, e := range st.entries[:from] {
-			serialStep(st, e)
-		}
+		st.sweep(0, from)
 		for _, sl := range slots {
 			for x := len(sl) - 1; x >= 0; x-- {
-				serialStep(st, region[sl[x]])
+				st.sweep(from+sl[x], from+sl[x]+1)
 			}
 		}
-		for _, e := range st.entries[to:] {
-			serialStep(st, e)
-		}
+		st.sweep(to, len(st.cells))
 	}
 }
 
-// stateBits returns the bits of every trained float64: Q, P and both
-// bias vectors.
+// seeded gathers m and seeds its model state in one-lane blocks of its
+// own, untrained.
+func seeded(m *Matrix, p Params) *trainState {
+	st := prepareTraining(m, p.withDefaults(), nil, 0)
+	st.alone()
+	st.init()
+	return st
+}
+
+// stateBits returns the bits of every trained float64 of a lane that
+// trains alone: each row's and each column's factors and bias.
 func stateBits(st *trainState) []uint64 {
 	var out []uint64
-	for _, v := range [][]float64{st.q, st.pc, st.rowBias, st.colBias} {
-		for _, x := range v {
+	for _, blocks := range [][]float64{st.rowP[:st.m.Rows*st.blk], st.colP[:st.m.Cols*st.blk]} {
+		for _, x := range blocks {
 			out = append(out, math.Float64bits(x))
 		}
 	}
@@ -150,12 +143,12 @@ var scheduleParams = Params{Factors: 6, Reg: 0.03, MaxIter: 6, SVDInit: true, Lo
 // frozenFrom returns the end of the kernel-eligible stretch starting
 // at from: the first entry at or after it in a bias-frozen row.
 func frozenFrom(st *trainState, from int) int {
-	for t := from; t < len(st.entries); t++ {
-		if st.biasOnly[st.entries[t].i] {
+	for t := from; t < len(st.cells); t++ {
+		if st.biasOnly[int(st.cells[t])/st.m.Cols] {
 			return t
 		}
 	}
-	return len(st.entries)
+	return len(st.cells)
 }
 
 // TestSlotScheduleMatchesSerial is the schedule's oracle: over random
@@ -178,8 +171,9 @@ func TestSlotScheduleMatchesSerial(t *testing.T) {
 		{name: "starts mid-row", m: scheduleMatrix(r, cols, 4, []int{9, 7, 12}), from: 2*cols + 13, to: -1},
 		{name: "odd number of running rows", m: scheduleMatrix(r, cols, 3, []int{8, 5, 11, 6, 9}), from: 2 * cols, to: -1,
 			check: func(t *testing.T, st *trainState, _ [][]int) {
-				if first := st.entries[3*cols].i; first != 3 || st.entries[len(st.entries)-1].i != 7 {
-					t.Fatalf("region rows %d..%d, want the five running rows 3..7 after the dense tail", first, st.entries[len(st.entries)-1].i)
+				first, last := int(st.cells[3*cols])/cols, int(st.cells[len(st.cells)-1])/cols
+				if first != 3 || last != 7 {
+					t.Fatalf("region rows %d..%d, want the five running rows 3..7 after the dense tail", first, last)
 				}
 			}},
 		{name: "one entry", m: scheduleMatrix(r, cols, 3, []int{6}), from: 2*cols + 17, to: 2*cols + 18,
@@ -191,7 +185,7 @@ func TestSlotScheduleMatchesSerial(t *testing.T) {
 		{name: "ends at a bias-frozen row", m: scheduleMatrix(r, cols, 3, []int{7, 9, 2, 8}), from: cols + 3, to: -1,
 			check: func(t *testing.T, st *trainState, _ [][]int) {
 				end := frozenFrom(st, cols+3)
-				if end == len(st.entries) || st.entries[end].i != 5 {
+				if end == len(st.cells) || int(st.cells[end])/cols != 5 {
 					t.Fatalf("region ends at entry %d, want the frozen row 5's first", end)
 				}
 			}},
@@ -210,8 +204,8 @@ func TestSlotScheduleMatchesSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, k := range []int{2, wideCells} {
 				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-					want := prepareTraining(tc.m, scheduleParams.withDefaults())
-					got := prepareTraining(tc.m, scheduleParams.withDefaults())
+					want := seeded(tc.m, scheduleParams)
+					got := seeded(tc.m, scheduleParams)
 					from, to := tc.from, tc.to
 					if to < 0 {
 						to = frozenFrom(got, from)
@@ -219,8 +213,8 @@ func TestSlotScheduleMatchesSerial(t *testing.T) {
 					if from >= to {
 						t.Skipf("no kernel-eligible entries at %d", from)
 					}
-					slots := slotSchedule(got.entries[from:to], tc.m.Cols, k)
-					if err := checkSchedule(got.entries[from:to], k, slots); err != nil {
+					slots := slotSchedule(got.cells[from:to], tc.m.Cols, k)
+					if err := checkSchedule(got.cells[from:to], tc.m.Cols, k, slots); err != nil {
 						t.Fatal(err)
 					}
 					if tc.check != nil {
@@ -242,16 +236,16 @@ func TestSlotScheduleMatchesSerial(t *testing.T) {
 // must fail checkSchedule and change the trained bits.
 func TestScheduleOracleCatchesSwap(t *testing.T) {
 	m := scheduleMatrix(rng.New(9), 30, 4, []int{8, 9, 7})
-	want := prepareTraining(m, scheduleParams.withDefaults())
-	got := prepareTraining(m, scheduleParams.withDefaults())
+	want := seeded(m, scheduleParams)
+	got := seeded(m, scheduleParams)
 	from, to := 30, frozenFrom(got, 30)
-	ents := got.entries[from:to]
-	slots := slotSchedule(ents, m.Cols, 2)
+	cells := got.cells[from:to]
+	slots := slotSchedule(cells, m.Cols, 2)
 	// Entry 0 (row 1, column 0) and its column successor, row 2's
 	// column 0, sit in different slots; trade their places.
 	succ := -1
-	for u := 1; u < len(ents); u++ {
-		if ents[u].j == ents[0].j {
+	for u := 1; u < len(cells); u++ {
+		if int(cells[u])%m.Cols == int(cells[0])%m.Cols {
 			succ = u
 			break
 		}
@@ -266,7 +260,7 @@ func TestScheduleOracleCatchesSwap(t *testing.T) {
 			}
 		}
 	}
-	if err := checkSchedule(ents, 2, slots); err == nil {
+	if err := checkSchedule(cells, m.Cols, 2, slots); err == nil {
 		t.Fatal("checkSchedule accepted a schedule with a column's entries swapped")
 	}
 	want.trainSerial()

@@ -47,9 +47,11 @@ type Matrix struct {
 	known      []bool
 }
 
-// NewMatrix returns an empty rows×cols observation matrix.
+// NewMatrix returns an empty rows×cols observation matrix. The
+// dimensions must be positive and the cells at most 2³²: a
+// reconstruction names an observed cell by its uint32 row-major index.
 func NewMatrix(rows, cols int) *Matrix {
-	if rows <= 0 || cols <= 0 {
+	if rows <= 0 || cols <= 0 || rows > math.MaxUint32/cols {
 		panic(fmt.Sprintf("sgd: invalid matrix dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{
@@ -221,137 +223,170 @@ func Reconstruct(m *Matrix, params Params) *Prediction {
 // because bench/ still calls it.
 func ReconstructParallel(m *Matrix, params Params) *Prediction { return Reconstruct(m, params) }
 
-// obs is one observed cell: its row and column, and its value in the
-// trained space — log-transformed under LogSpace once, when
-// prepareTraining gathers it, then read by the seed, every sweep and
-// the render. int32 indices keep an entry at 16 bytes; a matrix is a
-// few dozen rows by 108 columns.
-type obs struct {
-	i, j int32
-	v    float64
-}
-
-// trainState is a reconstruction caught between initialisation and
-// training: the gathered observations, the (possibly warm-started)
-// model state, and the effective parameters after warm-iteration
-// override. prepareTraining builds it, a trainer mutates it in place,
-// and finish renders the dense prediction. The split exists so the
-// lane trainer (pair.go) can reuse the exact serial initialisation
-// and prediction code around its own sweep loop.
+// trainState is one lane's reconstruction from gather to render: its
+// observations, its model state and the effective parameters after
+// the warm-iteration override. prepareTraining gathers the entries,
+// place hands the model state its blocks and init seeds it there, a
+// trainer sweeps it in place, and finish renders the dense prediction
+// from it. The lane trainer (pair.go) places several lanes in one set
+// of interleaved blocks and runs the same gather, seed and render
+// around its own sweep loop.
 type trainState struct {
-	m        *Matrix
-	p        Params // effective params: MaxIter already warm-overridden
-	entries  []obs  // row-major observation order — the serial sweep order
-	mu       float64
-	f        int
-	q, pc    []float64
-	rowBias  []float64
-	colBias  []float64
-	biasOnly []bool
-	pred     *Prediction
-	cold     *Params // a warm start's own params minus Warm: finish's redo; nil for a cold fit
+	m *Matrix
+	p Params // effective params: MaxIter already warm-overridden
+	// cells names each observed cell by its row-major index i·Cols+j,
+	// in row-major order — the serial sweep order — and entry t's value
+	// in the trained space, log-transformed under LogSpace once, when
+	// prepareTraining gathers it, is vals[vs·t]: 12 bytes an entry. vs
+	// is 2 where a pair's two lanes interleave their values
+	// (gatherLanes), 1 otherwise. vals ends in one entry more, μ, the
+	// value a slot kernel's padding cells read (see pad).
+	cells []uint32
+	vals  []float64
+	vs    int
+	live  int // entries before the first one in a bias-frozen row
+	mu    float64
+	f     int
+	// The model state: row i's factor k at rowP[i·blk + w·k] and its
+	// bias at rowP[i·blk + w·f], columns alike in colP. The slices
+	// start at the lane's own offset into blocks w lanes wide (see
+	// blockLen); a lane that trains alone has w = 1.
+	rowP, colP []float64
+	w, blk     int
+	biasOnly   []bool
+	pred       *Prediction
+	cold       *Params // a warm start's own params minus Warm: finish's redo; nil for a cold fit
 }
 
-// prepareTraining gathers observations and initialises the model
-// state. When there is nothing to train, st.entries is empty: training
-// is a no-op and finish returns st.pred (all zeros, Iters 0).
-func prepareTraining(m *Matrix, p Params) *trainState {
-	// Gather observations, transformed if requested.
-	entries := make([]obs, 0, m.knownCount())
+// prepareTraining gathers the observations into vals, with stride vs
+// — a buffer of its own when vals is nil — and settles the effective
+// parameters and μ. When there is nothing to train, st.cells is empty:
+// training is a no-op and finish returns st.pred (all zeros, Iters 0).
+func prepareTraining(m *Matrix, p Params, vals []float64, vs int) *trainState {
+	n := m.knownCount()
+	if vals == nil {
+		vals, vs = make([]float64, n+1), 1
+	}
+	cells := make([]uint32, 0, n)
+	biasOnly := make([]bool, m.Rows)
+	live := -1
 	sum := 0.0
 	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if !m.Known(i, j) {
+		before := len(cells)
+		for c := i * m.Cols; c < (i+1)*m.Cols; c++ {
+			if !m.known[c] {
 				continue
 			}
-			v := m.At(i, j)
+			v := m.vals[c]
 			if p.LogSpace {
 				v = math.Log(math.Max(v, logFloor))
 			}
-			entries = append(entries, obs{int32(i), int32(j), v})
+			vals[vs*len(cells)] = v
+			cells = append(cells, uint32(c))
 			sum += v
 		}
+		// Rows with fewer observations than FactorMinObs train biases
+		// only; the lane kernels stop at the first entry of one.
+		if k := len(cells) - before; k < p.FactorMinObs {
+			biasOnly[i] = true
+			if live < 0 && k > 0 {
+				live = before
+			}
+		}
 	}
-	pred := &Prediction{Rows: m.Rows, Cols: m.Cols, Observed: len(entries), vals: make([]float64, m.Rows*m.Cols)}
-	st := &trainState{m: m, p: p, entries: entries, pred: pred}
-	if len(entries) == 0 {
+	if live < 0 {
+		live = len(cells)
+	}
+	pred := &Prediction{Rows: m.Rows, Cols: m.Cols, Observed: len(cells), vals: make([]float64, m.Rows*m.Cols)}
+	st := &trainState{m: m, p: p, cells: cells, vals: vals, vs: vs, live: live, biasOnly: biasOnly, pred: pred}
+	if len(cells) == 0 {
 		return st
 	}
 
-	f := p.Factors
-	warm := p.Warm
-	if warm != nil && !warm.Compatible(m.Rows, m.Cols, f, p.LogSpace) {
-		warm = nil
-	}
-	if warm != nil {
+	if p.Warm != nil && p.Warm.Compatible(m.Rows, m.Cols, p.Factors, p.LogSpace) {
 		cold := p
 		cold.Warm = nil
 		st.cold = &cold
 		if p.WarmIters > 0 {
 			p.MaxIter = p.WarmIters
 		}
-	}
-	pred.Iters = p.MaxIter
-
-	var mu float64
-	if warm != nil {
 		// Keep the fleet model's reference level: biases and factors
 		// are offsets around the μ they were trained with, and local
 		// sweeps re-centre through the biases if local reality drifts.
-		mu = warm.Mu
+		st.mu = p.Warm.Mu
 	} else {
-		mu = sum / float64(len(entries))
+		st.mu = sum / float64(len(cells))
 	}
+	pred.Iters = p.MaxIter
+	st.p, st.f = p, p.Factors
+	vals[len(vals)-1] = st.mu
+	return st
+}
 
-	q := make([]float64, m.Rows*f) // row factors
-	pc := make([]float64, m.Cols*f)
-	rowBias := make([]float64, m.Rows)
-	colBias := make([]float64, m.Cols)
+// pad is the index of the trailing μ entry.
+func (st *trainState) pad() int { return (len(st.vals) - 1) / st.vs }
 
+// place gives the lane its model state: zeroed blocks, w lanes wide,
+// rowP and colP already offset to the lane.
+func (st *trainState) place(rowP, colP []float64, w int) {
+	st.rowP, st.colP, st.w, st.blk = rowP, colP, w, blockLen(w, st.f)
+}
+
+// alone places the lane in one-lane blocks of its own.
+func (st *trainState) alone() {
+	blk := blockLen(1, st.f)
+	st.place(make([]float64, st.m.Rows*blk), make([]float64, st.m.Cols*blk), 1)
+}
+
+// init seeds the placed model state: from the warm start, from the
+// SVD of the mean-filled matrix, or at random; then zeroes the factors
+// of a cold fit's bias-frozen rows. Biases start at zero unless warm.
+func (st *trainState) init() {
+	if len(st.cells) == 0 {
+		return
+	}
+	m, f, w, blk := st.m, st.f, st.w, st.blk
 	switch {
-	case warm != nil:
-		copy(q, warm.Q)
-		copy(pc, warm.P)
-		copy(rowBias, warm.RowBias)
-		copy(colBias, warm.ColBias)
-	case p.SVDInit:
-		svdInit(entries, m.Cols, f, mu, q, pc, pred.vals)
-	case f > 0: // f == 0 leaves the factor vectors empty; no init needed
-		r := rng.New(p.Seed)
+	case st.cold != nil:
+		warm := st.p.Warm
+		for i := 0; i < m.Rows; i++ {
+			ri := st.rowP[i*blk:]
+			for k := 0; k < f; k++ {
+				ri[w*k] = warm.Q[i*f+k]
+			}
+			ri[w*f] = warm.RowBias[i]
+		}
+		for j := 0; j < m.Cols; j++ {
+			cj := st.colP[j*blk:]
+			for k := 0; k < f; k++ {
+				cj[w*k] = warm.P[j*f+k]
+			}
+			cj[w*f] = warm.ColBias[j]
+		}
+		return // frozen rows keep their warm factors
+	case st.p.SVDInit:
+		st.svdInit()
+	default:
+		r := rng.New(st.p.Seed)
 		scale := 0.1 / math.Sqrt(float64(f))
-		for i := range q {
-			q[i] = scale * r.Norm()
+		for i := 0; i < m.Rows; i++ {
+			for k := 0; k < f; k++ {
+				st.rowP[i*blk+w*k] = scale * r.Norm()
+			}
 		}
-		for i := range pc {
-			pc[i] = scale * r.Norm()
-		}
-	}
-
-	biasOnly := make([]bool, m.Rows)
-	if p.FactorMinObs > 0 {
-		counts := make([]int, m.Rows)
-		for _, e := range entries {
-			counts[e.i]++
-		}
-		for i, n := range counts {
-			if n < p.FactorMinObs {
-				biasOnly[i] = true
-				if warm == nil {
-					for k := 0; k < f; k++ {
-						q[i*f+k] = 0
-					}
-				}
+		for j := 0; j < m.Cols; j++ {
+			for k := 0; k < f; k++ {
+				st.colP[j*blk+w*k] = scale * r.Norm()
 			}
 		}
 	}
-
-	st.p = p
-	st.mu = mu
-	st.f = f
-	st.q, st.pc = q, pc
-	st.rowBias, st.colBias = rowBias, colBias
-	st.biasOnly = biasOnly
-	return st
+	for i, frozen := range st.biasOnly {
+		if frozen {
+			for k := 0; k < f; k++ {
+				st.rowP[i*blk+w*k] = 0
+			}
+		}
+	}
 }
 
 // finish renders the dense prediction from the trained state and
@@ -361,85 +396,144 @@ func prepareTraining(m *Matrix, p Params) *trainState {
 // first dot product), and a poisoned import must cost one cold fit,
 // not every reconstruction that inherits it.
 func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
-	if len(st.entries) == 0 {
+	if len(st.cells) == 0 {
 		return st.pred, nil
 	}
-	m, p, f := st.m, st.p, st.f
-	mu, q, pc, rowBias, colBias := st.mu, st.q, st.pc, st.rowBias, st.colBias
+	m, p, f, w, blk := st.m, st.p, st.f, st.w, st.blk
 	pred := st.pred
 	// Dense prediction; observed entries keep their measured values,
 	// which the row-major entry list holds in render order.
-	known := st.entries
+	t := 0
 	for i := 0; i < m.Rows; i++ {
+		ri := st.rowP[i*blk:]
 		for j := 0; j < m.Cols; j++ {
+			c := i*m.Cols + j
 			var v float64
-			if len(known) > 0 && int(known[0].i) == i && int(known[0].j) == j {
-				v, known = known[0].v, known[1:]
+			if t < len(st.cells) && int(st.cells[t]) == c {
+				v = st.vals[st.vs*t]
+				t++
 			} else {
-				v = mu + rowBias[i] + colBias[j] + dotf(q[i*f:(i+1)*f], pc[j*f:(j+1)*f])
+				cj := st.colP[j*blk:]
+				dot := 0.0
+				for k := 0; k < f; k++ {
+					dot += ri[w*k] * cj[w*k]
+				}
+				v = st.mu + ri[w*f] + cj[w*f] + dot
 			}
 			if p.LogSpace {
 				v = math.Exp(v)
 			}
-			pred.vals[i*m.Cols+j] = v
+			pred.vals[c] = v
 		}
 	}
-	if st.cold != nil && !(finite(pred.vals...) && finite(mu) && finite(q...) && finite(pc...) &&
-		finite(rowBias...) && finite(colBias...)) {
+	if st.cold != nil && !(finite(pred.vals...) && finite(st.mu) && st.finiteState()) {
 		return reconstructFull(m, *st.cold, capture)
 	}
-	var fac *Factors
-	if capture {
-		fac = &Factors{
-			Rows: m.Rows, Cols: m.Cols, Rank: f,
-			Mu:       mu,
-			Q:        q,
-			P:        pc,
-			RowBias:  rowBias,
-			ColBias:  colBias,
-			Iters:    pred.Iters,
-			Observed: pred.Observed,
-			LogSpace: p.LogSpace,
+	if !capture {
+		return pred, nil
+	}
+	fac := &Factors{
+		Rows: m.Rows, Cols: m.Cols, Rank: f,
+		Mu:       st.mu,
+		Q:        make([]float64, m.Rows*f),
+		P:        make([]float64, m.Cols*f),
+		RowBias:  make([]float64, m.Rows),
+		ColBias:  make([]float64, m.Cols),
+		Iters:    pred.Iters,
+		Observed: pred.Observed,
+		LogSpace: p.LogSpace,
+	}
+	for i := range fac.RowBias {
+		ri := st.rowP[i*blk:]
+		for k := 0; k < f; k++ {
+			fac.Q[i*f+k] = ri[w*k]
 		}
+		fac.RowBias[i] = ri[w*f]
+	}
+	for j := range fac.ColBias {
+		cj := st.colP[j*blk:]
+		for k := 0; k < f; k++ {
+			fac.P[j*f+k] = cj[w*k]
+		}
+		fac.ColBias[j] = cj[w*f]
 	}
 	return pred, fac
 }
 
-func reconstructFull(m *Matrix, p Params, capture bool) (*Prediction, *Factors) {
-	st := prepareTraining(m, p)
-	st.trainSerial()
-	return st.finish(capture)
+// finiteState reports whether every factor and bias of the lane is
+// finite.
+func (st *trainState) finiteState() bool {
+	for _, b := range []struct {
+		p []float64
+		n int
+	}{{st.rowP, st.m.Rows}, {st.colP, st.m.Cols}} {
+		for e := 0; e < b.n; e++ {
+			for k := 0; k <= st.f; k++ {
+				if !finite(b.p[e*st.blk+st.w*k]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
-func dotf(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+func reconstructFull(m *Matrix, p Params, capture bool) (*Prediction, *Factors) {
+	st := prepareTraining(m, p, nil, 0)
+	if len(st.cells) > 0 {
+		st.alone()
+		st.init()
+		st.trainSerial()
 	}
-	return s
+	return st.finish(capture)
 }
 
 // trainSerial is Alg. 1's loop: MaxIter sweeps over the observed
 // entries in row-major order.
 func (st *trainState) trainSerial() {
-	f, mu, eta, lam := st.f, st.mu, learningRate, st.p.Reg
-	q, pc, rowBias, colBias, biasOnly := st.q, st.pc, st.rowBias, st.colBias, st.biasOnly
 	for iter := 0; iter < st.p.MaxIter; iter++ {
-		for _, e := range st.entries {
-			i, j := int(e.i), int(e.j)
-			qi := q[i*f : (i+1)*f]
-			pj := pc[j*f : (j+1)*f]
-			err := e.v - (mu + rowBias[i] + colBias[j] + dotf(qi, pj))
-			rowBias[i] += eta * (err - lam*rowBias[i])
-			colBias[j] += eta * (err - lam*colBias[j])
-			if biasOnly[i] {
-				continue
-			}
-			for k := 0; k < f; k++ {
-				qk, pk := qi[k], pj[k]
-				qi[k] += eta * (err*pk - lam*qk)
-				pj[k] += eta * (err*qk - lam*pk)
-			}
+		st.sweep(0, len(st.cells))
+	}
+}
+
+// sweep trains entries [from, to) once, in order: Alg. 1's update on
+// the lane's blocks. The lane trainer sweeps each lane's entries past
+// its kernels' regions this way, so the kernels' oracle and their
+// tails share one loop.
+func (st *trainState) sweep(from, to int) {
+	if from >= to {
+		return
+	}
+	f, w, blk := st.f, st.w, st.blk
+	n := w * f // a block's factor elements; the bias follows
+	mu, eta, lam := st.mu, learningRate, st.p.Reg
+	cols := st.m.Cols
+	i := int(st.cells[from]) / cols
+	rowStart := i * cols
+	for t := from; t < to; t++ {
+		c := int(st.cells[t])
+		for c >= rowStart+cols {
+			i++
+			rowStart += cols
+		}
+		j := c - rowStart
+		ri := st.rowP[i*blk : i*blk+n+1]
+		cj := st.colP[j*blk : j*blk+n+1]
+		qi, pj := ri[:n], cj[:n]
+		dot := 0.0
+		for k := 0; k < n; k += w {
+			dot += qi[k] * pj[k]
+		}
+		err := st.vals[st.vs*t] - (mu + ri[n] + cj[n] + dot)
+		ri[n] += eta * (err - lam*ri[n])
+		cj[n] += eta * (err - lam*cj[n])
+		if st.biasOnly[i] {
+			continue
+		}
+		for k := 0; k < n; k += w {
+			qk, pk := qi[k], pj[k]
+			qi[k] += eta * (err*pk - lam*qk)
+			pj[k] += eta * (err*qk - lam*pk)
 		}
 	}
 }
@@ -456,19 +550,22 @@ func (st *trainState) trainSerial() {
 //
 // The filled matrix is built from the row-major entry list, where each
 // row's observations are one contiguous run already in the trained
-// value space, and mat.SVDTop decomposes it in place. It lives in work,
-// the rows×cols prediction buffer, which nothing reads before finish
+// value space, and mat.SVDTop decomposes it in place. It lives in the
+// rows×cols prediction buffer, which nothing reads before finish
 // overwrites every cell of it.
-func svdInit(entries []obs, cols, f int, mu float64, q, pc, work []float64) {
-	type run struct{ row, from, to int } // a dense row's entries[from:to]
-	dense := make([]run, 0, len(work)/cols)
-	for from := 0; from < len(entries); {
+func (st *trainState) svdInit() {
+	cells, cols, mu := st.cells, st.m.Cols, st.mu
+	work := st.pred.vals
+	type run struct{ row, from, to int } // a dense row's entries [from, to)
+	dense := make([]run, 0, st.m.Rows)
+	for from := 0; from < len(cells); {
+		row := int(cells[from]) / cols
 		to := from + 1
-		for to < len(entries) && entries[to].i == entries[from].i {
+		for to < len(cells) && int(cells[to]) < (row+1)*cols {
 			to++
 		}
 		if (to-from)*4 >= cols {
-			dense = append(dense, run{int(entries[from].i), from, to})
+			dense = append(dense, run{row, from, to})
 		}
 		from = to
 	}
@@ -477,29 +574,28 @@ func svdInit(entries []obs, cols, f int, mu float64, q, pc, work []float64) {
 	}
 	filled := &mat.Dense{Rows: len(dense), Cols: cols, Data: work[:len(dense)*cols]}
 	for di, r := range dense {
-		rowSum, rowN := 0.0, r.to-r.from
-		for _, e := range entries[r.from:r.to] {
-			rowSum += e.v
+		rowSum := 0.0
+		for t := r.from; t < r.to; t++ {
+			rowSum += st.vals[st.vs*t]
 		}
-		if rowN == 0 {
-			continue // cannot happen: dense rows have ≥ cols/4 known entries
-		}
-		rowMean := rowSum / float64(rowN)
+		//lint:allow floatsafe a run holds at least the entry that starts it
+		rowMean := rowSum / float64(r.to-r.from)
 		row := filled.Data[di*cols : (di+1)*cols]
 		for j := range row {
 			row[j] = rowMean - mu
 		}
-		for _, e := range entries[r.from:r.to] {
-			row[e.j] = e.v - mu
+		for t := r.from; t < r.to; t++ {
+			row[int(cells[t])-r.row*cols] = st.vals[st.vs*t] - mu
 		}
 	}
+	f, w, blk := st.f, st.w, st.blk
 	mat.SVDTop(filled, f, func(kk int, s float64, u, v []float64) {
 		scale := math.Sqrt(s)
 		for di, r := range dense {
-			q[r.row*f+kk] = u[di] * scale
+			st.rowP[r.row*blk+w*kk] = u[di] * scale
 		}
 		for j, x := range v {
-			pc[j*f+kk] = x * scale
+			st.colP[j*blk+w*kk] = x * scale
 		}
 	})
 }

@@ -219,7 +219,6 @@ func TestInvalidParamsPanic(t *testing.T) {
 		call func(p Params) error
 	}{
 		{"Reconstruct", func(p Params) error { Reconstruct(a, p); return nil }},
-		{"ReconstructParallel", func(p Params) error { ReconstructParallel(a, p); return nil }},
 		{"ReconstructFactors", func(p Params) error { _, _, err := ReconstructFactors(a, p); return err }},
 		{"ReconstructPair", func(p Params) error { ReconstructPair(a, b, ok, p); return nil }},
 		{"ReconstructPairFactors", func(p Params) error { ReconstructPairFactors(a, b, p, ok); return nil }},
@@ -440,14 +439,15 @@ func TestSVDSeedMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st := prepareTraining(tc.m, tc.p.withDefaults())
+			st := seeded(tc.m, tc.p)
+			_, seed := st.finish(true)
 			f := st.f
 			q, pc := make([]float64, tc.m.Rows*f), make([]float64, tc.m.Cols*f)
 			svdInitOracle(tc.m, st.p, st.mu, q, pc)
 			for _, c := range []struct {
 				name      string
 				got, want []float64
-			}{{"Q", st.q, q}, {"P", st.pc, pc}} {
+			}{{"Q", seed.Q, q}, {"P", seed.P, pc}} {
 				for i := range c.want {
 					if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
 						t.Fatalf("%s[%d] = %v, oracle %v", c.name, i, c.got[i], c.want[i])
