@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench reports trace scenario bench-all perf-check race-hot lint lint-json fmt ci
+.PHONY: build test race vet bench reports trace scenario bench-all perf-check race-hot lint lint-json fmt reach ci
 
 build:
 	$(GO) build ./...
@@ -41,8 +41,15 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# List the production functions no entry point enters and check the
+# list against tools/reach.allow (DESIGN.md §7): a new unreached
+# function fails, and so does an entry that is reached or gone
+# (~100 s on 2 cores).
+reach:
+	sh tools/reach.sh
+
 # Everything CI runs, in order.
-ci: build vet fmt test race lint
+ci: build vet fmt test race lint reach
 
 # Regenerate every seeded BENCH_*.json report from its reference
 # parameters (the report registry in cmd/cuttlesys; EXPERIMENTS.md).

@@ -32,7 +32,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 
+	"cuttlesys/experiments"
 	"cuttlesys/internal/obs"
 )
 
@@ -160,8 +162,7 @@ func (p *params) bind(fs *flag.FlagSet, flags ...string) {
 		case "points":
 			fs.BoolVar(&p.Points, name, p.Points, "dump every explored point as CSV")
 		case "policy":
-			fs.StringVar(&p.Policy, name, p.Policy,
-				"cuttlesys | no-gating | core-gating | core-gating+wp | asymm-oracle | asymm-50-50 | flicker-a | flicker-b | dvfs-maxbips")
+			fs.StringVar(&p.Policy, name, p.Policy, strings.Join(experiments.Policies, " | "))
 		case "o":
 			fs.StringVar(&p.Out, name, p.Out, "output file (default stdout)")
 		case "trace":

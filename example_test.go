@@ -406,3 +406,214 @@ func ExampleRunMulti() {
 	//
 	// slices with any QoS violation: 0 of 24
 }
+
+// ExampleComposeFaults layers two fault injectors into one: the
+// machine's standing chaos schedule — a window of garbage telemetry —
+// and a drill's incident — four of the service's cores failing stop.
+// CuttleSys runs under both; the record shows which faults were active
+// each slice, the cores the service lost, and the runtime granting it
+// more cores while they are gone.
+func ExampleComposeFaults() {
+	lc, err := cuttlesys.AppByName("xapian")
+	if err != nil {
+		panic(err)
+	}
+	_, pool := cuttlesys.SplitTrainTest(1, 16)
+	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
+		Seed: 3, LC: lc, Batch: cuttlesys.Mix(3, pool, 16), Reconfigurable: true,
+	})
+	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 3})
+
+	chaos, err := cuttlesys.NewFaultSchedule(3, cuttlesys.FaultEvent{
+		Kind: cuttlesys.TelemetryGarbage, Start: 0.2, End: 0.5,
+	})
+	if err != nil {
+		panic(err)
+	}
+	drill, err := cuttlesys.NewFaultSchedule(4, cuttlesys.FaultEvent{
+		Kind: cuttlesys.CoreFailStop, Start: 0.4, End: 0.8, Cores: 4,
+	})
+	if err != nil {
+		panic(err)
+	}
+	res, err := cuttlesys.RunFaulted(m, rt, 10, cuttlesys.ConstantLoad(0.7),
+		cuttlesys.ConstantBudget(0.8), cuttlesys.ComposeFaults(chaos, drill))
+	if err != nil {
+		panic(err)
+	}
+
+	fmt.Println("time  faults                           failed  p99(ms)  LC cores")
+	for _, s := range res.Slices {
+		fmt.Printf("%3.1fs  %-31s  %6d  %7.2f  %8d\n",
+			s.T, strings.Join(s.FaultKinds, "+"), s.FailedCores, s.P99Ms, s.LCCores)
+	}
+	fmt.Printf("\nQoS violations: %d of %d slices\n", res.QoSViolations(), len(res.Slices))
+
+	// Output:
+	// time  faults                           failed  p99(ms)  LC cores
+	// 0.0s                                        0     1.72        16
+	// 0.1s                                        0     2.18        16
+	// 0.2s  telemetry-garbage                     0     2.42        16
+	// 0.3s  telemetry-garbage                     0     2.26        16
+	// 0.4s  telemetry-garbage+core-failstop       4     2.71        16
+	// 0.5s  core-failstop                         4     2.33        20
+	// 0.6s  core-failstop                         4     2.33        20
+	// 0.7s  core-failstop                         4     2.45        20
+	// 0.8s  core-failstop                         0     2.24        20
+	// 0.9s                                        0     2.22        16
+	//
+	// QoS violations: 0 of 10 slices
+}
+
+// ExampleRunTraced attaches a trace recorder to a run: every slice's
+// profile, decide and hold phases land in it as spans, and
+// SummarizeTrace condenses them into the simulated time each phase
+// took and the scheduler compute the decisions were charged.
+func ExampleRunTraced() {
+	lc, err := cuttlesys.AppByName("silo")
+	if err != nil {
+		panic(err)
+	}
+	_, pool := cuttlesys.SplitTrainTest(1, 16)
+	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
+		Seed: 5, LC: lc, Batch: cuttlesys.Mix(5, pool, 16), Reconfigurable: true,
+	})
+	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 5})
+	rec := cuttlesys.NewTraceRecorder()
+	loads := []cuttlesys.LoadPattern{cuttlesys.ConstantLoad(0.8)}
+	if _, err := cuttlesys.RunTraced(m, rt, 6, loads, cuttlesys.ConstantBudget(0.7), nil, rec); err != nil {
+		panic(err)
+	}
+
+	sum := cuttlesys.SummarizeTrace(rec.Events(), 0)
+	fmt.Printf("%d events (%d spans, %d instants) over %.1f simulated seconds\n",
+		sum.Events, sum.Spans, sum.Instants, sum.SimSpanSec)
+	for _, p := range sum.Phases {
+		fmt.Printf("%-13s %2d spans  %6.4f s\n", p.Name, p.Count, p.SimSec)
+	}
+	fmt.Printf("modeled decision overhead: %.1f ms\n", 1e3*sum.ModeledOverheadSec)
+
+	// Output:
+	// 48 events (36 spans, 12 instants) over 0.6 simulated seconds
+	// slice          6 spans  0.6000 s
+	// slice.steady   6 spans  0.5514 s
+	// slice.decide   6 spans  0.0366 s
+	// slice.hold     6 spans  0.0366 s
+	// slice.profile 12 spans  0.0120 s
+	// modeled decision overhead: 36.6 ms
+}
+
+// ExampleNewControlPlane puts a two-machine fleet under the control
+// plane. Machine 1 loses most of its service cores for good; the
+// health state machine walks it from healthy through suspect and
+// quarantine to a drain, evicts it, and provisions a successor, which
+// serves a reduced share on probation first. Meanwhile the autoscaler
+// adds a machine, because the broken one's lost capacity runs the
+// rest of the fleet hot.
+func ExampleNewControlPlane() {
+	lc, err := cuttlesys.AppByName("xapian")
+	if err != nil {
+		panic(err)
+	}
+	_, pool := cuttlesys.SplitTrainTest(1, 16)
+	node := func(seed uint64) cuttlesys.FleetNode {
+		m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
+			Seed: seed, LC: lc, Batch: cuttlesys.Mix(seed, pool, 8), Reconfigurable: true,
+		})
+		return cuttlesys.FleetNode{Machine: m, Scheduler: cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seed})}
+	}
+	seeds := cuttlesys.FleetSeeds(21, 2)
+	nodes := []cuttlesys.FleetNode{node(seeds[0]), node(seeds[1])}
+	broken, err := cuttlesys.NewFaultSchedule(seeds[1], cuttlesys.FaultEvent{
+		Kind: cuttlesys.CoreFailStop, Start: 0.1, End: 10, Cores: 12,
+	})
+	if err != nil {
+		panic(err)
+	}
+	nodes[1].Injector = broken
+
+	cfg := cuttlesys.ControlPlaneConfig{Fleet: cuttlesys.FleetConfig{
+		Router:  &cuttlesys.QoSAwareRouter{},
+		Arbiter: cuttlesys.ProportionalArbiter{},
+	}}
+	cfg.Health.SuspectAfter, cfg.Health.QuarantineAfter = 1, 1
+	cfg.Health.DrainAfter, cfg.Health.DrainSlices = 2, 1
+	cfg.Scale.ReplaceEvicted = true
+	cfg.Scale.Provision = func(id int, seed uint64) (cuttlesys.FleetNode, error) { return node(seed), nil }
+	cp, err := cuttlesys.NewControlPlane(cfg, nodes...)
+	if err != nil {
+		panic(err)
+	}
+	defer cp.Close()
+	res, err := cp.Run(10, cuttlesys.ConstantLoad(0.6), cuttlesys.ConstantBudget(0.8))
+	if err != nil {
+		panic(err)
+	}
+
+	for _, tr := range res.Transitions {
+		fmt.Printf("slice %d: machine %d %s -> %s (%s)\n", tr.Slice, tr.Machine, tr.From, tr.To, tr.Reason)
+	}
+	for _, ev := range res.Membership {
+		fmt.Printf("slice %d: machine %d %s (%s)\n", ev.Slice, ev.Machine, ev.Event, ev.Reason)
+	}
+	fmt.Println("final:", res.Final)
+
+	// Output:
+	// slice 2: machine 1 healthy -> suspect (bad-slices)
+	// slice 3: machine 1 suspect -> quarantined (bad-slices)
+	// slice 5: machine 1 quarantined -> draining (unrecovered)
+	// slice 6: machine 1 draining -> evicted (unrecovered)
+	// slice 9: machine 2 probation -> healthy (probation-passed)
+	// slice 0: machine 0 join (bootstrap)
+	// slice 0: machine 1 join (bootstrap)
+	// slice 5: machine 2 join (scale-up)
+	// slice 6: machine 1 evict (unrecovered)
+	// slice 6: machine 3 join (replace:1)
+	// final: [healthy evicted healthy probation]
+}
+
+// ExampleNewModelPlane shares trained models across a fleet. Both
+// machines run the same service beside the same batch mix, so they
+// publish their SGD factors under one key; every second slice the
+// plane folds the publications into a new aggregate version, the
+// state a replacement machine would warm-start from.
+func ExampleNewModelPlane() {
+	lc, err := cuttlesys.AppByName("masstree")
+	if err != nil {
+		panic(err)
+	}
+	_, pool := cuttlesys.SplitTrainTest(1, 16)
+	batch := cuttlesys.Mix(8, pool, 8)
+	var nodes []cuttlesys.FleetNode
+	for _, seed := range cuttlesys.FleetSeeds(8, 2) {
+		m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
+			Seed: seed, LC: lc, Batch: batch, Reconfigurable: true,
+		})
+		rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seed, ShareFactors: true})
+		nodes = append(nodes, cuttlesys.FleetNode{Machine: m, Scheduler: rt})
+	}
+	plane := cuttlesys.NewModelPlane(cuttlesys.ModelPlaneParams{SyncPeriod: 2}, nil)
+	f, err := cuttlesys.NewFleet(cuttlesys.FleetConfig{
+		Router:  cuttlesys.UniformRouter{},
+		Arbiter: cuttlesys.ProportionalArbiter{},
+		Share:   plane,
+	}, nodes...)
+	if err != nil {
+		panic(err)
+	}
+	defer f.Close()
+	if _, err := f.Run(6, cuttlesys.ConstantLoad(0.7), cuttlesys.ConstantBudget(0.8)); err != nil {
+		panic(err)
+	}
+
+	publishes, aggregates, _ := plane.Totals()
+	fmt.Printf("publishes %d, aggregate versions %d\n", publishes, aggregates)
+	for _, k := range plane.Stats() {
+		fmt.Printf("key %s: version %d from %d publications, %d slices stale\n",
+			k.Key, k.Version, k.Publishes, k.Staleness)
+	}
+
+	// Output:
+	// publishes 6, aggregate versions 3
+	// key 4ce86636a750c8b1: version 3 from 6 publications, 0 slices stale
+}

@@ -37,6 +37,14 @@ const (
 	PolicyDVFS = "dvfs-maxbips"
 )
 
+// Policies lists every policy NewPolicyMachine builds: the names the
+// sim command's help and the unknown-policy error give.
+var Policies = []string{
+	PolicyCuttleSys, PolicyCuttleSysUnhardened, PolicyNoGating, PolicyCoreGating,
+	PolicyCoreGatingWP, PolicyAsymmOracle, PolicyAsymm5050, PolicyFlickerA,
+	PolicyFlickerB, PolicyDVFS,
+}
+
 // ComparisonPolicies are the Fig. 5c bars, in presentation order.
 var ComparisonPolicies = []string{
 	PolicyCoreGating, PolicyCoreGatingWP, PolicyAsymmOracle, PolicyCuttleSys,
@@ -138,7 +146,7 @@ func schedulerFor(policy string, m *sim.Machine, seed uint64) (harness.Scheduler
 	case PolicyCuttleSysUnhardened:
 		return core.New(m, core.Params{Seed: seed, TrainSeed: 1, DisableResilience: true}), nil
 	}
-	return nil, fmt.Errorf("experiments: unknown policy %q", policy)
+	return nil, fmt.Errorf("experiments: unknown policy %q: one of %v", policy, Policies)
 }
 
 // NewPolicyMachine builds the machine for one (service, mix seed) pair,

@@ -64,9 +64,10 @@ func (a *allocRecorder) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 			}
 		}
 		if rt.p.ShareFactors {
-			_, wantFac, err := sgd.ReconstructFactors(c.m, params)
-			if err != nil {
-				a.t.Fatalf("slice %d: %s: %v", rt.slice, c.name, err)
+			_, facs := sgd.ReconstructQuad([4]*sgd.Matrix{c.m}, [4]sgd.Params{params}, true)
+			wantFac := facs[0]
+			if wantFac == nil {
+				a.t.Fatalf("slice %d: %s: cold model exports no factors", rt.slice, c.name)
 			}
 			if got := rt.factors[c.name]; got == nil || got.Fingerprint() != wantFac.Fingerprint() {
 				a.t.Fatalf("slice %d: %s captured factors diverge from the per-surface capture", rt.slice, c.name)

@@ -36,8 +36,6 @@ type SeparableObjective struct {
 	Terms [][]float64
 	// Finish folds the accumulator vector into the score.
 	Finish func(acc []float64) float64
-
-	scratch []float64 // Eval's accumulator; see Eval
 }
 
 // eval scores x from scratch into acc: accumulators start at Base and
@@ -55,16 +53,6 @@ func (s *SeparableObjective) eval(acc []float64, x []int) float64 {
 		}
 	}
 	return s.Finish(acc)
-}
-
-// Eval scores x. It reuses an internal accumulator, so it is not safe
-// for concurrent use; workers inside SearchSeparable carry their own
-// state and never touch it.
-func (s *SeparableObjective) Eval(x []int) float64 {
-	if len(s.scratch) != s.K {
-		s.scratch = make([]float64, s.K)
-	}
-	return s.eval(s.scratch, x)
 }
 
 // Func adapts s to a plain Objective. The closure allocates a fresh
@@ -112,31 +100,6 @@ func SearchSeparable(obj *SeparableObjective, params Params) Result {
 	obj.validate(p)
 	return runSearch(p, obj)
 }
-
-// IncrementalEvaluator is the exported form of the per-worker
-// incremental evaluation context the engine uses: Rebase fixes the
-// parent point, Eval scores a candidate that shares the parent's first
-// dmin dimensions. Once constructed, neither call allocates. It exists
-// so callers outside the engine — the decide-loop benchmarks, notably
-// — can measure and reuse the exact eval path the search runs.
-type IncrementalEvaluator struct {
-	w sepWorker
-}
-
-// NewIncremental returns an incremental evaluator for dims-dimensional
-// candidates. The objective must satisfy the same layout contract as
-// SearchSeparable (one Terms row per dimension).
-func (s *SeparableObjective) NewIncremental(dims int) *IncrementalEvaluator {
-	return &IncrementalEvaluator{w: *newSepWorker(s, dims)}
-}
-
-// Rebase fixes the parent point subsequent Eval calls diff against.
-func (e *IncrementalEvaluator) Rebase(parent []int) { e.w.rebase(parent) }
-
-// Eval scores cand, which must agree with the rebased parent on every
-// dimension below dmin. The score is bit-identical to a from-scratch
-// evaluation.
-func (e *IncrementalEvaluator) Eval(cand []int, dmin int) float64 { return e.w.eval(cand, dmin) }
 
 // sepWorker is one worker's incremental evaluation context. pre holds
 // the parent point's prefix accumulators: pre[d·K : (d+1)·K] is the

@@ -6,8 +6,22 @@ import (
 	"runtime"
 	"testing"
 
+	"cuttlesys/internal/config"
 	"cuttlesys/internal/rng"
 )
+
+// Eval scores x from scratch, written out apart from the engine's
+// eval in the same addition order: the oracle Func and, through it,
+// every incremental path are pinned against.
+func (s *SeparableObjective) Eval(x []int) float64 {
+	acc := append([]float64(nil), s.Base...)
+	for d, j := range x {
+		for i, t := range s.Terms[d][j*s.K : (j+1)*s.K] {
+			acc[i] += t
+		}
+	}
+	return s.Finish(acc)
+}
 
 // testSeparable builds a small synthetic score table resembling the
 // CuttleSys batch objective: K=4 accumulators with a nonlinear Finish.
@@ -94,8 +108,8 @@ func TestSeparableMatchesPlainSearch(t *testing.T) {
 	}
 }
 
-// TestSeparableEvalMatchesFunc pins the two full-evaluation forms to
-// each other on random vectors.
+// TestSeparableEvalMatchesFunc pins Func, the engine's full
+// evaluation, to the written-out oracle Eval on random vectors.
 func TestSeparableEvalMatchesFunc(t *testing.T) {
 	sep := testSeparable(42, 10, 17)
 	f := sep.Func()
@@ -227,17 +241,72 @@ func TestSeparableEvalPathZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("incremental eval path allocates %.1f per op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		sink += sep.Eval(cand)
+	_ = sink
+}
+
+// schedCand is one candidate of the decision's perturbation schedule
+// and the first dimension at which it differs from the parent.
+type schedCand struct {
+	x    []int
+	dmin int
+}
+
+// scheduleCandidates draws a candidate set from the real Fig. 6
+// perturbation schedule against a fixed parent: for each iteration the
+// inclusion probability shrinks as 1 − log(i)/log(40), exactly the
+// stream shape the engine evaluates, with each candidate's dmin
+// computed the way the engine computes it.
+func scheduleCandidates(seed uint64, configs int, parent []int) []schedCand {
+	r := rng.New(seed)
+	var out []schedCand
+	for iter := 1; iter <= 40; iter++ {
+		prob := 1 - math.Log(float64(iter))/math.Log(40)
+		for pt := 0; pt < 10; pt++ {
+			c := schedCand{x: append([]int(nil), parent...), dmin: len(parent)}
+			for d := range parent {
+				if r.Float64() < prob {
+					c.x[d] = r.Intn(configs)
+					if c.x[d] != parent[d] && d < c.dmin {
+						c.dmin = d
+					}
+				}
+			}
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestDecideEvalPathZeroAllocs asserts the decision's acceptance
+// criterion on its shape — 26 dimensions over every resource
+// configuration — and its perturbation schedule: once a worker context
+// exists, candidate evaluation allocates nothing.
+func TestDecideEvalPathZeroAllocs(t *testing.T) {
+	sep := testSeparable(6, 26, config.NumResources)
+	w := newSepWorker(sep, 26)
+	parent := make([]int, 26)
+	for d := range parent {
+		parent[d] = (d * 29) % config.NumResources
+	}
+	cands := scheduleCandidates(3, config.NumResources, parent)
+	w.rebase(parent)
+	var sink float64
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		c := cands[i%len(cands)]
+		sink += w.eval(c.x, c.dmin)
+		i++
 	}); n != 0 {
-		t.Fatalf("Eval allocates %.1f per op, want 0", n)
+		t.Fatalf("eval path allocates %.1f per op, want 0", n)
 	}
 	_ = sink
 }
 
 // BenchmarkDDSIncremental contrasts the reference engine (full
 // closure evaluation) with the incremental separable path at the
-// paper's operating point (Dims=26, 108 configs, 8 workers).
+// paper's operating point (Dims=26, 108 configs, 8 workers). The eval
+// legs time one candidate's evaluation alone, both ways, over the real
+// perturbation schedule; the incremental leg must be 0 allocs/op.
 func BenchmarkDDSIncremental(b *testing.B) {
 	sep := testSeparable(1, 26, 108)
 	p := Params{Dims: 26, NumConfigs: 108, Workers: 8, Seed: 1}
@@ -253,4 +322,29 @@ func BenchmarkDDSIncremental(b *testing.B) {
 			SearchSeparable(sep, p)
 		}
 	})
+
+	parent := make([]int, 26)
+	for d := range parent {
+		parent[d] = (d * 17) % 108
+	}
+	cands := scheduleCandidates(2, 108, parent)
+	var sink float64
+	b.Run("eval-full", func(b *testing.B) {
+		f := sep.Func()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += f(cands[i%len(cands)].x)
+		}
+	})
+	b.Run("eval-incremental", func(b *testing.B) {
+		w := newSepWorker(sep, 26)
+		w.rebase(parent)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := cands[i%len(cands)]
+			sink += w.eval(c.x, c.dmin)
+		}
+	})
+	_ = sink
 }

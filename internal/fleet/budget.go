@@ -13,22 +13,6 @@ type Arbiter interface {
 	Split(budgetW float64, tele []Telemetry) []float64
 }
 
-// EqualShare gives every machine the same wattage regardless of size —
-// the naive static policy, wasteful for heterogeneous fleets.
-type EqualShare struct{}
-
-// Name implements Arbiter.
-func (EqualShare) Name() string { return "equal" }
-
-// Split implements Arbiter.
-func (EqualShare) Split(budgetW float64, tele []Telemetry) []float64 {
-	w := make([]float64, len(tele))
-	for i := range w {
-		w[i] = 1
-	}
-	return divide(budgetW, w)
-}
-
 // Proportional splits the budget by reference maximum power — every
 // machine runs at the same fraction of its own capacity, reproducing
 // the paper's per-machine ConstantBudget when machines are identical.

@@ -287,10 +287,6 @@ func TestArbiters(t *testing.T) {
 	ts := tele(2)
 	ts[1].RefMaxPowerW = 300
 
-	eq := fleet.EqualShare{}.Split(200, ts)
-	if math.Abs(eq[0]-100) > 1e-9 || math.Abs(eq[1]-100) > 1e-9 {
-		t.Fatalf("equal split %v", eq)
-	}
 	pr := fleet.Proportional{}.Split(200, ts)
 	if math.Abs(pr[0]-50) > 1e-9 || math.Abs(pr[1]-150) > 1e-9 {
 		t.Fatalf("proportional split %v", pr)

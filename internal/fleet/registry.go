@@ -23,8 +23,6 @@ func RouterByName(name string) (Router, error) {
 // RouterByName.
 func ArbiterByName(name string) (Arbiter, error) {
 	switch name {
-	case "equal":
-		return EqualShare{}, nil
 	case "proportional":
 		return Proportional{}, nil
 	case "headroom":

@@ -37,7 +37,7 @@ func TestRouterByName(t *testing.T) {
 
 // TestArbiterByName mirrors the router check for the budget arbiters.
 func TestArbiterByName(t *testing.T) {
-	for _, name := range []string{"equal", "proportional", "headroom"} {
+	for _, name := range []string{"proportional", "headroom"} {
 		a, err := ArbiterByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -46,7 +46,9 @@ func TestArbiterByName(t *testing.T) {
 			t.Errorf("ArbiterByName(%q).Name() = %q", name, got)
 		}
 	}
-	if _, err := ArbiterByName("auction"); err == nil || !strings.Contains(err.Error(), "auction") {
-		t.Errorf("unknown arbiter error %v does not name the input", err)
+	for _, name := range []string{"auction", "equal"} {
+		if _, err := ArbiterByName(name); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown arbiter %q: error %v does not name the input", name, err)
+		}
 	}
 }

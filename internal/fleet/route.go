@@ -119,15 +119,6 @@ const recoveryStep = 1.0 / 256
 // Name implements Router.
 func (q *QoSAware) Name() string { return "qos-aware" }
 
-// Weight reports machine id's current routing weight in [floor, 1]; a
-// machine the router has not seen yet is at full weight.
-func (q *QoSAware) Weight(id int) float64 {
-	if w, ok := q.w[id]; ok {
-		return w
-	}
-	return 1
-}
-
 // Route implements Router.
 func (q *QoSAware) Route(offered float64, tele []Telemetry) []float64 {
 	floor := q.Floor

@@ -1,11 +1,11 @@
 // Package mat implements the small dense linear algebra kernel the
 // repository needs: matrices, a partial-pivoting linear solver
-// (used to fit Flicker's RBF surrogates), and a one-sided Jacobi SVD.
-// The SVD has two outputs over one rotation loop: SVD returns the full
-// thin decomposition of a copy, and SVDTop yields only the leading k
-// singular triplets of a matrix it decomposes in place — the form that
-// seeds the P/Q factors of the collaborative-filtering reconstruction
-// (§V of the paper), which reads the top six triplets and nothing else.
+// (used to fit Flicker's RBF surrogates), and a one-sided Jacobi SVD,
+// SVDTop, which yields only the leading k singular triplets of a matrix
+// it decomposes in place — the form that seeds the P/Q factors of the
+// collaborative-filtering reconstruction (§V of the paper), which reads
+// the top six triplets and nothing else. The full thin decomposition
+// SVDTop is pinned against lives in the tests.
 //
 // The matrices here are tiny — at most a few hundred rows (applications)
 // by ~108 columns (resource configurations) — so the implementations
@@ -118,37 +118,14 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// SVDResult holds the thin singular value decomposition A = U·Σ·Vᵀ with
-// singular values in non-increasing order. U is m×k, V is n×k, and S has
-// length k = min(m, n).
-type SVDResult struct {
-	U *Dense
-	S []float64
-	V *Dense
-}
-
-// SVD computes the thin singular value decomposition of a by one-sided
-// Jacobi rotations applied to the columns of a working copy. Suitable
-// for the small, well-conditioned matrices this repository manipulates.
-func SVD(a *Dense) SVDResult {
-	if a.Rows < a.Cols {
-		// Decompose the transpose and swap the roles of U and V: a's
-		// row-major data is already the transpose's column-major form.
-		u, s, v := rotate(append([]float64(nil), a.Data...), a.Cols, a.Rows).thin()
-		return SVDResult{U: v, S: s, V: u}
-	}
-	u, s, v := rotate(a.transpose().Data, a.Rows, a.Cols).thin()
-	return SVDResult{U: u, S: s, V: v}
-}
-
 // SVDTop computes the leading k singular triplets of a — bit for bit
-// the first k columns of SVD(a)'s U, S and V — without SVD's copies:
-// a wide a is decomposed in place, so its data is overwritten, and
-// only a tall one is transposed into a working copy. It calls
-// yield(r, s, u, v) for r = 0 … min(k, a.Rows, a.Cols)−1 in order,
-// with s the r-th singular value and u (length a.Rows) and v (length
-// a.Cols) its left and right singular vectors, views into the working
-// arrays.
+// the first k columns of the thin decomposition's U, S and V — without
+// copying it out: a wide a is decomposed in place, so its data is
+// overwritten, and only a tall one is transposed into a working copy.
+// It calls yield(r, s, u, v) for r = 0 … min(k, a.Rows, a.Cols)−1 in
+// order, with s the r-th singular value and u (length a.Rows) and v
+// (length a.Cols) its left and right singular vectors, views into the
+// working arrays.
 func SVDTop(a *Dense, k int, yield func(r int, s float64, u, v []float64)) {
 	wide := a.Rows < a.Cols
 	var j jacobi
@@ -300,22 +277,4 @@ func normalise(w []float64, s float64) {
 	for i, x := range w {
 		w[i] = x * inv
 	}
-}
-
-// thin copies the ranked decomposition out as SVD's m×n U, singular
-// values and n×n V.
-func (j jacobi) thin() (u *Dense, s []float64, v *Dense) {
-	u, v, s = NewDense(j.m, j.n), NewDense(j.n, j.n), make([]float64, j.n)
-	for r, e := range j.order {
-		s[r] = e.val
-		w := j.w[e.idx*j.m : (e.idx+1)*j.m]
-		normalise(w, e.val)
-		for i, x := range w {
-			u.Set(i, r, x)
-		}
-		for i, x := range j.v[e.idx*j.n : (e.idx+1)*j.n] {
-			v.Set(i, r, x)
-		}
-	}
-	return u, s, v
 }

@@ -169,6 +169,47 @@ func TestSolveRandomResidual(t *testing.T) {
 	_ = r
 }
 
+// SVDResult holds the thin singular value decomposition A = U·Σ·Vᵀ with
+// singular values in non-increasing order. U is m×k, V is n×k, and S has
+// length k = min(m, n).
+type SVDResult struct {
+	U *Dense
+	S []float64
+	V *Dense
+}
+
+// SVD computes the thin singular value decomposition of a by one-sided
+// Jacobi rotations applied to the columns of a working copy. It is the
+// full decomposition SVDTop is pinned against, bit for bit.
+func SVD(a *Dense) SVDResult {
+	if a.Rows < a.Cols {
+		// Decompose the transpose and swap the roles of U and V: a's
+		// row-major data is already the transpose's column-major form.
+		u, s, v := rotate(append([]float64(nil), a.Data...), a.Cols, a.Rows).thin()
+		return SVDResult{U: v, S: s, V: u}
+	}
+	u, s, v := rotate(a.transpose().Data, a.Rows, a.Cols).thin()
+	return SVDResult{U: u, S: s, V: v}
+}
+
+// thin copies the ranked decomposition out as SVD's m×n U, singular
+// values and n×n V.
+func (j jacobi) thin() (u *Dense, s []float64, v *Dense) {
+	u, v, s = NewDense(j.m, j.n), NewDense(j.n, j.n), make([]float64, j.n)
+	for r, e := range j.order {
+		s[r] = e.val
+		w := j.w[e.idx*j.m : (e.idx+1)*j.m]
+		normalise(w, e.val)
+		for i, x := range w {
+			u.Set(i, r, x)
+		}
+		for i, x := range j.v[e.idx*j.n : (e.idx+1)*j.n] {
+			v.Set(i, r, x)
+		}
+	}
+	return u, s, v
+}
+
 func svdReconstruct(r SVDResult) *Dense {
 	k := len(r.S)
 	us := r.U.clone()

@@ -134,9 +134,6 @@ func New(p Params, collector obs.Collector) *Plane {
 	}
 }
 
-// Params returns the plane's effective (defaulted) parameters.
-func (pl *Plane) Params() Params { return pl.p }
-
 // AfterSlice implements fleet.SharePlane: on every SyncPeriod-th slice
 // it collects factor publications from sharing-capable members (in the
 // ascending id order the fleet hands them over) and folds a new

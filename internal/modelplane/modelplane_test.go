@@ -21,13 +21,13 @@ func trainedFactors(t *testing.T, seed uint64) *sgd.Factors {
 			m.Observe(i, j, 1+r.Float64())
 		}
 	}
-	_, fac, err := sgd.ReconstructFactors(m, sgd.Params{
+	_, facs := sgd.ReconstructQuad([4]*sgd.Matrix{m}, [4]sgd.Params{{
 		Factors: 3, MaxIter: 60, Seed: seed,
-	})
-	if err != nil {
-		t.Fatalf("trainedFactors: %v", err)
+	}}, true)
+	if facs[0] == nil {
+		t.Fatal("trainedFactors: cold model exports no factors")
 	}
-	return fac
+	return facs[0]
 }
 
 // aggregate returns the current fleet aggregate for key (deep copy)

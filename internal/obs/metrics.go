@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -280,19 +279,4 @@ func EncodeReport(v any) ([]byte, error) {
 		return nil, err
 	}
 	return append(buf, '\n'), nil
-}
-
-// WriteReport writes the canonical JSON encoding of v to path, or to
-// stdout when path is empty — the shared report-emission path the
-// command-line tools use.
-func WriteReport(path string, v any) error {
-	buf, err := EncodeReport(v)
-	if err != nil {
-		return err
-	}
-	if path == "" {
-		_, err = os.Stdout.Write(buf)
-		return err
-	}
-	return os.WriteFile(path, buf, 0o644)
 }

@@ -164,7 +164,7 @@ func TestExpBatchMatchesMathExp(t *testing.T) {
 					case 1:
 						xs[i] = (r.Float64() - 0.5) * 1600
 					default:
-						xs[i] = r.NormMeanStd(-0.1, 0.5)
+						xs[i] = -0.1 + 0.5*r.Norm()
 					}
 				}
 				checkExpBatch(t, xs)

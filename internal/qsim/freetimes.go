@@ -33,9 +33,6 @@ func newFreeTimes(k int) freeTimes {
 	return f
 }
 
-// times returns the k next-free times in ascending order.
-func (f *freeTimes) times() []float64 { return f.v[:f.k] }
-
 // serve runs the FCFS central queue over a non-empty chunk of
 // queries: query i arrives at ts[i] with demand svc·ms[i], starts on
 // the server that frees earliest — no earlier than that server frees,

@@ -9,6 +9,9 @@ import (
 	"cuttlesys/internal/rng"
 )
 
+// times returns the k next-free times in ascending order.
+func (f *freeTimes) times() []float64 { return f.v[:f.k] }
+
 // boxedHeap is the container/heap server set the simulator used to
 // keep, kept here as the reference the sorted free-time vector must
 // match multiset-for-multiset.

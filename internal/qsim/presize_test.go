@@ -10,7 +10,7 @@ import (
 )
 
 // refService is the simulator as it was before Step was chunked: one
-// query at a time, rng.LogNormal's scalar math.Exp for the demand, and
+// query at a time, a scalar math.Exp for the log-normal demand, and
 // the container/heap server set. It is the oracle Step must match.
 type refService struct {
 	r    *rng.RNG
@@ -42,7 +42,7 @@ func (s *refService) stepGrown(dur, qps, meanSvc, sigma float64) []float64 {
 		mu := -sigma * sigma / 2
 		t := s.now + s.r.Exp(qps)
 		for t < end {
-			demand := meanSvc * s.r.LogNormal(mu, sigma)
+			demand := meanSvc * math.Exp(mu+sigma*s.r.Norm())
 			start := math.Max(t, s.free[0])
 			finish := start + demand
 			s.free[0] = finish

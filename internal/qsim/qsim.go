@@ -108,9 +108,10 @@ func (s *Service) Step(dur, qps, meanSvc, sigma float64) []float64 {
 // its inter-arrival times and normal deviates in the stream order of
 // one query at a time (deviate, then the next gap), turns the deviates
 // into log-normal multipliers with one expBatch call — bit-identical to
-// rng.LogNormal's math.Exp — and then runs the FCFS queue over the
-// chunk. The queue consumes no randomness, so the stream position and
-// every sojourn equal the one-query-at-a-time loop's.
+// math.Exp(mu + sigma·Norm()) drawn one at a time — and then runs the
+// FCFS queue over the chunk. The queue consumes no randomness, so the
+// stream position and every sojourn equal the one-query-at-a-time
+// loop's.
 func (s *Service) AppendStep(dst []float64, dur, qps, meanSvc, sigma float64) []float64 {
 	if !positiveFinite(dur) {
 		panic("qsim: Step with non-positive or non-finite duration")

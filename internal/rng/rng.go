@@ -91,18 +91,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormMeanStd returns a normal variate with the given mean and standard
-// deviation.
-func (r *RNG) NormMeanStd(mean, std float64) float64 {
-	return mean + std*r.Norm()
-}
-
-// LogNormal returns a log-normally distributed variate where the
-// underlying normal has the given mu and sigma.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
-}
-
 // Shuffle randomly permutes the first n elements using swap, matching the
 // contract of math/rand.Shuffle.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {

@@ -143,6 +143,13 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
+// LogNormal returns a log-normally distributed variate where the
+// underlying normal has the given mu and sigma: the per-query demand
+// multiplier qsim draws, as the distribution tests sample it.
+func (r *RNG) LogNormal(mu, sigma float64) float64 {
+	return math.Exp(mu + sigma*r.Norm())
+}
+
 func TestLogNormalPositive(t *testing.T) {
 	r := New(29)
 	for i := 0; i < 1000; i++ {

@@ -58,16 +58,21 @@ func (c *Compiled) node(seed uint64, lc *workload.Profile, pool []*workload.Prof
 // has no share clause. Each Build* call gets its own plane: the store
 // is per-run state, like the fleet itself.
 func (c *Compiled) sharePlane() *modelplane.Plane {
-	sh := c.Spec.Share
-	if sh == nil {
+	if c.Spec.Share == nil {
 		return nil
 	}
-	return modelplane.New(modelplane.Params{
+	return modelplane.New(planeParams(c.Spec.Share), nil)
+}
+
+// planeParams is the model-sharing plane's configuration the share
+// clause sets.
+func planeParams(sh *ShareSpec) modelplane.Params {
+	return modelplane.Params{
 		SyncPeriod:     sh.SyncPeriod,
 		Decay:          sh.Decay.Value(),
 		FineTuneIters:  sh.FineTune,
 		WarmConfidence: sh.Confidence,
-	}, nil)
+	}
 }
 
 // nodes builds the initial fleet: per-machine seeds from the run

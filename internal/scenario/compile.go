@@ -82,6 +82,9 @@ func Compile(s *Spec, opt Options) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Spec: s, Hash: Hash(s), Seed: opt.Seed, Managed: s.Control != nil, collector: opt.Collector}
+	if _, _, err := c.Policy(); err != nil {
+		return nil, err
+	}
 	c.Machines = s.Machines
 	if opt.Machines != 0 {
 		c.Machines = opt.Machines

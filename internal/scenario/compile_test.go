@@ -238,7 +238,9 @@ func TestCompileGeometryErrors(t *testing.T) {
 }
 
 // A spec built in Go, as the warmstart report mutates its drill, is
-// held to the grammar's ranges: Compile refuses what Parse refuses.
+// held to the grammar's ranges: Compile refuses what Parse refuses. It
+// also resolves the policy clause through the fleet registry, so a
+// name only run used to refuse fails validate and describe too.
 func TestCompileChecksGoBuiltSpec(t *testing.T) {
 	build := func() *Spec {
 		return &Spec{
@@ -262,6 +264,9 @@ func TestCompileChecksGoBuiltSpec(t *testing.T) {
 		{"negative cores", func(s *Spec) { s.Faults[0].Events[0].Cores = -3 }, "cores=-3"},
 		{"probation weight above one", func(s *Spec) { s.Control.Health.ProbationWeight = num(3) }, "probationweight=3"},
 		{"zero share decay", func(s *Spec) { s.Share = &ShareSpec{SyncPeriod: 2, FineTune: 40, Confidence: 2} }, "decay"},
+		{"unknown router", func(s *Spec) { s.Policy.Router = "bogus" }, `unknown router "bogus"`},
+		{"unknown arbiter", func(s *Spec) { s.Policy.Arbiter = "nope" }, `unknown arbiter "nope"`},
+		{"equal arbiter", func(s *Spec) { s.Policy.Arbiter = "equal" }, `unknown arbiter "equal"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -97,7 +97,7 @@ share syncperiod=2
 	if pl == nil {
 		t.Fatal("sharePlane returned nil for a share-enabled spec")
 	}
-	if got := pl.Params().SyncPeriod; got != 2 {
+	if got := planeParams(c.Spec.Share).SyncPeriod; got != 2 {
 		t.Fatalf("plane sync period = %d, want the clause's 2", got)
 	}
 	specs, _, _, err := c.nodes()

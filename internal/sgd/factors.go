@@ -2,7 +2,6 @@ package sgd
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -120,17 +119,4 @@ func (f *Factors) Fingerprint() uint64 {
 		mix(math.Float64bits(v))
 	}
 	return h
-}
-
-// ReconstructFactors is Reconstruct that additionally exports the
-// trained factor state for publication on the model-sharing plane.
-// Export is refused with ErrColdModel when the model completed zero
-// iterations — an empty observation matrix never trains, so its
-// factors are noise.
-func ReconstructFactors(m *Matrix, params Params) (*Prediction, *Factors, error) {
-	pred, fac := reconstructFull(m, params.withDefaults(), true)
-	if pred.Iters == 0 || fac == nil {
-		return pred, nil, fmt.Errorf("%w (%d observed entries)", ErrColdModel, pred.Observed)
-	}
-	return pred, fac, nil
 }

@@ -25,9 +25,22 @@ func observeDense(vals [][]float64, hideRow, keep int) *Matrix {
 	return m
 }
 
+// reconstructFactors is Reconstruct that also exports the trained
+// factor state, through the reference trainer reconstructFull: the
+// oracle ReconstructQuad's captured factors must match. Export is
+// refused with ErrColdModel when the model completed zero iterations —
+// an empty observation matrix never trains, so its factors are noise.
+func reconstructFactors(m *Matrix, params Params) (*Prediction, *Factors, error) {
+	pred, fac := reconstructFull(m, params.withDefaults(), true)
+	if pred.Iters == 0 || fac == nil {
+		return pred, nil, fmt.Errorf("%w (%d observed entries)", ErrColdModel, pred.Observed)
+	}
+	return pred, fac, nil
+}
+
 func TestColdFactorExportRefused(t *testing.T) {
 	m := NewMatrix(4, 6)
-	pred, fac, err := ReconstructFactors(m, Params{Seed: 1})
+	pred, fac, err := reconstructFactors(m, Params{Seed: 1})
 	if err == nil {
 		t.Fatal("factor export on an empty matrix should error")
 	}
@@ -47,7 +60,7 @@ func TestFactorExportMatchesReconstruction(t *testing.T) {
 	m := observeDense(vals, 6, 4)
 	p := Params{Factors: 3, MaxIter: 120, Seed: 7}
 	want := Reconstruct(m, p)
-	pred, fac, err := ReconstructFactors(m, p)
+	pred, fac, err := reconstructFactors(m, p)
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
@@ -76,7 +89,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	vals := lowRankMatrix(3, 10, 14, 3)
 	donor := observeDense(vals, -1, 0)
 	p := Params{Factors: 3, MaxIter: 100, Seed: 5}
-	_, fac, err := ReconstructFactors(donor, p)
+	_, fac, err := reconstructFactors(donor, p)
 	if err != nil {
 		t.Fatalf("donor export: %v", err)
 	}
@@ -101,7 +114,7 @@ func TestWarmStartBeatsColdOnSparseRow(t *testing.T) {
 	vals := lowRankMatrix(17, 9, 12, 3)
 	donor := observeDense(vals, -1, 0)
 	p := Params{Factors: 3, MaxIter: 150, Seed: 9}
-	_, fac, err := ReconstructFactors(donor, p)
+	_, fac, err := reconstructFactors(donor, p)
 	if err != nil {
 		t.Fatalf("donor export: %v", err)
 	}
@@ -135,7 +148,7 @@ func TestWarmStartIgnoresIncompatibleFactors(t *testing.T) {
 	m := observeDense(vals, 4, 2)
 	p := Params{Factors: 2, MaxIter: 50, Seed: 3}
 	cold := Reconstruct(m, p)
-	_, good, err := ReconstructFactors(m, p)
+	_, good, err := reconstructFactors(m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +176,7 @@ func TestWarmStartIgnoresIncompatibleFactors(t *testing.T) {
 func TestFactorsCloneAndFingerprint(t *testing.T) {
 	vals := lowRankMatrix(29, 7, 9, 2)
 	m := observeDense(vals, -1, 0)
-	_, fac, err := ReconstructFactors(m, Params{Factors: 2, MaxIter: 40, Seed: 2})
+	_, fac, err := reconstructFactors(m, Params{Factors: 2, MaxIter: 40, Seed: 2})
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
@@ -227,10 +240,10 @@ func TestWarmStartOverflowRedoneCold(t *testing.T) {
 			t.Fatalf("lane %d: the overflowing set must pass Compatible to exercise the redo", l)
 		}
 		var err error
-		if want[l], wantFac[l], err = ReconstructFactors(m, p); err != nil {
+		if want[l], wantFac[l], err = reconstructFactors(m, p); err != nil {
 			t.Fatal(err)
 		}
-		got, gotFac, err := ReconstructFactors(m, ps[l])
+		got, gotFac, err := reconstructFactors(m, ps[l])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +316,7 @@ func FuzzWarmStart(f *testing.F) {
 				RowBias: vec(m.Rows), ColBias: vec(m.Cols),
 			}
 			ps[l] = p
-			pred, _, err := ReconstructFactors(m, p)
+			pred, _, err := reconstructFactors(m, p)
 			if err != nil {
 				t.Fatal(err)
 			}

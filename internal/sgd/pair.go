@@ -98,9 +98,8 @@ func blockLen(w, f int) int { return w * (f + 1) }
 // training them in SIMD lanes as far as they qualify (see lanePrefix).
 // Results are bit-identical to calling Reconstruct on each matrix
 // separately, whether or not a kernel ran. With capture the
-// trained factor sets come back too, the analogue of
-// ReconstructFactors: untrained (cold) models yield nil factors
-// instead of an error.
+// trained factor sets come back too; untrained (cold) models yield nil
+// factors.
 func ReconstructQuad(ms [4]*Matrix, ps [4]Params, capture bool) (preds [4]*Prediction, facs [4]*Factors) {
 	p, f := reconstructLanes(ms[:], ps[:], capture)
 	copy(preds[:], p)

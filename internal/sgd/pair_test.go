@@ -185,8 +185,8 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		// Warm-started lanes fine-tuning for WarmIters sweeps; frozen
 		// rows keep their warm factors.
 		a, b := matchedPair(57, 24, 108, 12, 9, 3)
-		_, facA, errA := ReconstructFactors(a, frozen)
-		_, facB, errB := ReconstructFactors(b, frozen)
+		_, facA, errA := reconstructFactors(a, frozen)
+		_, facB, errB := reconstructFactors(b, frozen)
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
@@ -246,11 +246,11 @@ func TestReconstructPairWarmStart(t *testing.T) {
 	base := Params{Factors: 6, Reg: 0.03, MaxIter: 60, SVDInit: true, LogSpace: true}
 	a := pairMatrix(21, 24, 108, 12, 4)
 	b := pairMatrix(22, 24, 108, 12, 4)
-	_, facA, err := ReconstructFactors(a, base)
+	_, facA, err := reconstructFactors(a, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, facB, err := ReconstructFactors(b, base)
+	_, facB, err := reconstructFactors(b, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +281,11 @@ func TestReconstructPairFactors(t *testing.T) {
 	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
 	a := pairMatrix(31, 32, 108, 16, 5)
 	b := pairMatrix(32, 33, 108, 16, 5)
-	_, wantFA, err := ReconstructFactors(a, p)
+	_, wantFA, err := reconstructFactors(a, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wantFB, err := ReconstructFactors(b, p)
+	_, wantFB, err := reconstructFactors(b, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestReconstructPairFactors(t *testing.T) {
 			t.Fatalf("lane B factors diverge: %x vs %x", gotFB.Fingerprint(), wantFB.Fingerprint())
 		}
 
-		// Cold lane exports nil factors, mirroring ReconstructFactors.
+		// Cold lane exports nil factors, mirroring reconstructFactors.
 		_, _, _, coldF := ReconstructPairFactors(a, NewMatrix(16, 108), p, p)
 		if coldF != nil {
 			t.Fatalf("cold lane exported factors: %+v", coldF)

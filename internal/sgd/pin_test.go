@@ -78,7 +78,7 @@ func reconstructionScript(t *testing.T, h hash.Hash64) {
 	all := func(p Params) [4]Params { return [4]Params{p, p, p, p} }
 	serial := func(m *Matrix, p Params) {
 		hashPred(h, Reconstruct(m, p))
-		pred, fac, err := ReconstructFactors(m, p)
+		pred, fac, err := reconstructFactors(m, p)
 		if err != nil {
 			t.Fatal(err)
 		}

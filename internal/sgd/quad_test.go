@@ -133,7 +133,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 		// cold thr/pwr lanes: no common sweep count, pairs only.
 		c := quadCase{name: "warm pair beside a cold pair", ms: quadSurfaces(70), ps: all(rt)}
 		for l := 2; l < 4; l++ {
-			_, fac, err := ReconstructFactors(c.ms[l], rt)
+			_, fac, err := reconstructFactors(c.ms[l], rt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 	{
 		// One warm lane: its pair cannot share a stream either.
 		c := quadCase{name: "single warm lane", ms: quadSurfaces(71), ps: all(rt)}
-		_, fac, err := ReconstructFactors(c.ms[0], rt)
+		_, fac, err := reconstructFactors(c.ms[0], rt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 					want[l] = Reconstruct(m, tc.ps[l])
 					// A cold model has no factors to capture either way.
 					var err error
-					if _, wantFac[l], err = ReconstructFactors(m, tc.ps[l]); err != nil && !errors.Is(err, ErrColdModel) {
+					if _, wantFac[l], err = reconstructFactors(m, tc.ps[l]); err != nil && !errors.Is(err, ErrColdModel) {
 						t.Fatal(err)
 					}
 				}

