@@ -13,7 +13,9 @@ import (
 // runLint runs the repository-invariant analyzer suite
 // (internal/analysis, DESIGN.md §7) over the module that contains -C
 // and prints every unwaived finding as file:line:col: [check] message.
-// Package patterns are module-relative directories; a trailing /...
+// The packages are the ones `go test` builds there, in the build
+// configuration of the environment (GOOS, GOARCH, GOFLAGS), as with
+// go vet. Package patterns are module-relative directories; a trailing /...
 // matches the subtree, and no pattern means the whole module. The
 // hotpath check builds its call graph from the analyzed packages only,
 // so run it over the full module for meaningful chains. -json prints

@@ -1,16 +1,18 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -30,246 +32,207 @@ type Package struct {
 	ForTest bool // Files are _test.go files
 }
 
-// Loader type-checks every package of a module using only the standard
-// library: module-local imports are resolved by parsing the package
-// directory, everything else falls back to the GOROOT source importer.
-// It deliberately avoids golang.org/x/tools so the linter has zero
-// dependencies beyond the toolchain.
+// Loader type-checks a module's packages exactly as `go test` builds
+// them. The go command resolves the package graph — files, build
+// constraints (tags and file names alike), test variants — and the
+// build configuration comes from its environment (GOOS, GOARCH,
+// GOFLAGS), as with go vet. Module-local units are type-checked from
+// source; everything else is imported from the go command's export
+// data. The loader needs only the standard library and the go command
+// on PATH, no golang.org/x/tools.
 type Loader struct {
 	Root    string // module root (directory containing go.mod)
 	ModPath string
 	Fset    *token.FileSet
-
-	std  types.ImporterFrom
-	pure map[string]*unit // per-path compile cache, non-test files only
-	busy map[string]bool  // import-cycle detection
-}
-
-// unit is one compiled set of non-test files. Caching the whole unit —
-// not just the types.Package — guarantees every import path has
-// exactly one type identity no matter whether it is reached first as a
-// dependency or by the directory walk.
-type unit struct {
-	pkg   *types.Package
-	info  *types.Info
-	files []*ast.File
 }
 
 // NewLoader prepares a loader rooted at the module containing dir.
 func NewLoader(dir string) (*Loader, error) {
-	root, err := FindModuleRoot(dir)
+	out, err := goList(dir, "-m", "-json")
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := moduleName(filepath.Join(root, "go.mod"))
+	var mod struct{ Path, Dir, GoMod string }
+	if err := json.Unmarshal(out, &mod); err != nil {
+		return nil, fmt.Errorf("analysis: go list -m: %w", err)
+	}
+	if mod.GoMod == "" {
+		return nil, fmt.Errorf("analysis: no go.mod above %s", dir)
+	}
+	return &Loader{Root: mod.Dir, ModPath: mod.Path, Fset: token.NewFileSet()}, nil
+}
+
+// goList runs `go list args...` in dir with workspaces off, so the
+// package graph is exactly the one module, and returns its stdout.
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	cmd.Env = append(cmd.Environ(), "GOWORK=off")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list %s: %w\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return out, nil
+}
+
+// listed is the part of one `go list -json` record the loader reads.
+type listed struct {
+	ImportPath  string // "p", or a variant such as "q [p.test]"
+	Dir         string
+	Export      string // compiled export data, with -export
+	GoFiles     []string
+	TestGoFiles []string
+	ForTest     string // the package under test, for test variants
+	ImportMap   map[string]string
+	Module      *struct{ Main bool }
+	Error       *struct{ Err string }
+}
+
+// listPackages runs `go list -json args...` in dir and returns its
+// records in the order printed.
+func listPackages(dir string, args ...string) ([]listed, error) {
+	out, err := goList(dir, append([]string{"-json"}, args...)...)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("analysis: source importer unavailable")
+	var pkgs []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listed
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("analysis: go list: %w", err)
+		}
+		pkgs = append(pkgs, lp)
 	}
-	return &Loader{
-		Root:    root,
-		ModPath: modPath,
-		Fset:    fset,
-		std:     std,
-		pure:    map[string]*unit{},
-		busy:    map[string]bool{},
-	}, nil
+	return pkgs, nil
 }
 
-// FindModuleRoot walks upward from dir to the nearest go.mod.
-func FindModuleRoot(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for d := abs; ; d = filepath.Dir(d) {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
-		}
-		if filepath.Dir(d) == d {
-			return "", fmt.Errorf("analysis: no go.mod above %s", dir)
-		}
-	}
-}
-
-func moduleName(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
-		}
-	}
-	return "", fmt.Errorf("analysis: no module directive in %s", gomod)
-}
-
-// LoadAll type-checks every package under the module root, in path
-// order, returning one Package per compiled unit (ordinary files,
-// in-package tests, external test package).
+// LoadAll type-checks every package of the module and its tests, and
+// returns the analysed units in directory order, each directory's
+// ordinary files, in-package tests and external test package in that
+// order. The test variants of dependencies (q [p.test], q recompiled
+// against p's test files) are checked so p's tests resolve, but they
+// are not analysed.
 func (l *Loader) LoadAll() ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
+	graph, err := listPackages(l.Root, "-e", "-deps", "-test", "./...")
+	if err != nil {
+		return nil, err
+	}
+	// Module-local units are checked from source, so only what they
+	// import from outside the module needs export data. Asking for that
+	// alone spares the go command compiling the module and every test
+	// variant of it, which no one would read.
+	var deps []string
+	for _, lp := range graph {
+		if lp.Error != nil {
+			return nil, fmt.Errorf("analysis: %s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
+		}
+		if lp.Module == nil || !lp.Module.Main {
+			deps = append(deps, lp.ImportPath)
+		}
+	}
+	exports := map[string]string{}
+	if len(deps) > 0 {
+		built, err := listPackages(l.Root, append([]string{"-e", "-export"}, deps...)...)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if !d.IsDir() {
-			return nil
+		for _, lp := range built {
+			exports[lp.ImportPath] = lp.Export
 		}
-		name := d.Name()
-		if path != l.Root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
+	}
+	std := importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f := exports[path]; f != "" {
+			return os.Open(f)
 		}
-		// A nested go.mod starts a different module.
-		if path != l.Root {
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-		}
-		dirs = append(dirs, path)
-		return nil
+		return nil, fmt.Errorf("analysis: no export data for %s", path)
 	})
-	if err != nil {
-		return nil, err
+	checked := map[string]*types.Package{} // by go list ImportPath, variants included
+	parsed := map[string]*ast.File{}       // by file name: variants share their ASTs
+	parse := func(dir string, names []string) ([]*ast.File, error) {
+		files := make([]*ast.File, len(names))
+		for i, name := range names {
+			name = filepath.Join(dir, name)
+			f, ok := parsed[name]
+			if !ok {
+				var err error
+				if f, err = parser.ParseFile(l.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution); err != nil {
+					return nil, err
+				}
+				parsed[name] = f
+			}
+			files[i] = f
+		}
+		return files, nil
 	}
-	sort.Strings(dirs)
-
 	var pkgs []*Package
-	for _, dir := range dirs {
-		units, err := l.loadDir(dir)
+	rank := map[*Package]int{}
+
+	// go list -deps prints every package after its dependencies.
+	for _, lp := range graph {
+		if lp.Module == nil || !lp.Module.Main {
+			continue
+		}
+		if lp.ForTest == "" && strings.HasSuffix(lp.ImportPath, ".test") {
+			continue // the generated test main
+		}
+		if len(lp.GoFiles) == 0 {
+			continue // a directory of _test.go files only: no ordinary unit
+		}
+		files, err := parse(lp.Dir, lp.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, units...)
-	}
-	return pkgs, nil
-}
-
-// importPathFor maps a directory under the module root to its path.
-func (l *Loader) importPathFor(dir string) (string, error) {
-	rel, err := filepath.Rel(l.Root, dir)
-	if err != nil {
-		return "", err
-	}
-	if rel == "." {
-		return l.ModPath, nil
-	}
-	return l.ModPath + "/" + filepath.ToSlash(rel), nil
-}
-
-// parseDir parses the directory's buildable files into three sets:
-// ordinary files, in-package test files, and external (_test package)
-// test files.
-func (l *Loader) parseDir(dir string) (base, intest, xtest []*ast.File, err error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		path, _, _ := strings.Cut(lp.ImportPath, " ")
+		imp := importerFunc(func(p string) (*types.Package, error) {
+			if m, ok := lp.ImportMap[p]; ok {
+				p = m
+			}
+			if tp, ok := checked[p]; ok {
+				return tp, nil
+			}
+			return std.Import(p)
+		})
+		tpkg, info, err := l.check(path, files, imp)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		if !buildIncluded(f) {
-			continue
-		}
+		checked[lp.ImportPath] = tpkg
+
+		unit := &Package{Path: path, ModPath: l.ModPath, Dir: lp.Dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 		switch {
-		case strings.HasSuffix(f.Name.Name, "_test"):
-			xtest = append(xtest, f)
-		case strings.HasSuffix(name, "_test.go"):
-			intest = append(intest, f)
+		case lp.ForTest == "":
+			rank[unit] = 0
+		case path == lp.ForTest && len(lp.TestGoFiles) > 0:
+			unit.ForTest = true
+			if unit.Files, err = parse(lp.Dir, lp.TestGoFiles); err != nil {
+				return nil, err
+			}
+			rank[unit] = 1
+		case path == lp.ForTest+"_test":
+			unit.ForTest = true
+			rank[unit] = 2
 		default:
-			base = append(base, f)
+			continue // a dependency's test variant
 		}
+		pkgs = append(pkgs, unit)
 	}
-	return base, intest, xtest, nil
-}
-
-// buildIncluded evaluates a file's //go:build constraint for the host
-// platform with no extra tags set (so e.g. `//go:build race` files are
-// excluded and `//go:build !race` files included, matching the default
-// build the linter certifies).
-func buildIncluded(f *ast.File) bool {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
+	sort.Slice(pkgs, func(i, j int) bool {
+		if pkgs[i].Dir != pkgs[j].Dir {
+			return pkgs[i].Dir < pkgs[j].Dir
 		}
-		for _, c := range cg.List {
-			if !constraint.IsGoBuild(c.Text) {
-				continue
-			}
-			expr, err := constraint.Parse(c.Text)
-			if err != nil {
-				return true
-			}
-			return expr.Eval(func(tag string) bool {
-				return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc"
-			})
-		}
-	}
-	return true
-}
-
-// loadDir compiles and packages every unit in one directory.
-func (l *Loader) loadDir(dir string) ([]*Package, error) {
-	base, intest, xtest, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(base) == 0 && len(intest) == 0 && len(xtest) == 0 {
-		return nil, nil
-	}
-	path, err := l.importPathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-
-	if len(base) > 0 {
-		u, err := l.loadBase(path)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, &Package{
-			Path: path, ModPath: l.ModPath, Dir: dir, Fset: l.Fset,
-			Files: u.files, Types: u.pkg, Info: u.info,
-		})
-	}
-	if len(intest) > 0 {
-		tpkg, info, err := l.check(path, append(append([]*ast.File{}, base...), intest...))
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, &Package{
-			Path: path, ModPath: l.ModPath, Dir: dir, Fset: l.Fset,
-			Files: intest, Types: tpkg, Info: info, ForTest: true,
-		})
-	}
-	if len(xtest) > 0 {
-		tpkg, info, err := l.check(path+"_test", xtest)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, &Package{
-			Path: path + "_test", ModPath: l.ModPath, Dir: dir, Fset: l.Fset,
-			Files: xtest, Types: tpkg, Info: info, ForTest: true,
-		})
-	}
+		return rank[pkgs[i]] < rank[pkgs[j]]
+	})
 	return pkgs, nil
 }
 
-func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func (l *Loader) check(path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -277,59 +240,10 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
 	return tpkg, info, nil
-}
-
-// Import implements types.Importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, l.Root, 0)
-}
-
-// ImportFrom implements types.ImporterFrom: module-local packages are
-// compiled (non-test files only) on demand; everything else goes to
-// the GOROOT source importer.
-func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
-		u, err := l.loadBase(path)
-		if err != nil {
-			return nil, err
-		}
-		return u.pkg, nil
-	}
-	return l.std.ImportFrom(path, srcDir, mode)
-}
-
-// loadBase compiles (once) the non-test files of a module-local
-// import path.
-func (l *Loader) loadBase(path string) (*unit, error) {
-	if u, ok := l.pure[path]; ok {
-		return u, nil
-	}
-	if l.busy[path] {
-		return nil, fmt.Errorf("analysis: import cycle through %s", path)
-	}
-	l.busy[path] = true
-	defer delete(l.busy, path)
-
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
-	dir := filepath.Join(l.Root, filepath.FromSlash(rel))
-	base, _, _, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(base) == 0 {
-		return nil, fmt.Errorf("analysis: no buildable files in %s", dir)
-	}
-	tpkg, info, err := l.check(path, base)
-	if err != nil {
-		return nil, err
-	}
-	u := &unit{pkg: tpkg, info: info, files: base}
-	l.pure[path] = u
-	return u, nil
 }

@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"fmt"
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -130,6 +133,77 @@ func TestLoaderSharedTypeIdentity(t *testing.T) {
 	}
 	if len(seen) != 2 {
 		t.Fatalf("expected 2 importers of shared/common, saw %d", len(seen))
+	}
+}
+
+// TestLoaderTestBuildDependents verifies that an external test sees
+// what `go test` builds: p's export_test.go method is visible to
+// p_test, and q, which imports p, is recompiled against that test
+// build (q [p.test]), so a p value passed through q keeps its method.
+// The variant q is checked but never analysed.
+func TestLoaderTestBuildDependents(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":           "module tb\n\ngo 1.22\n",
+		"p/p.go":           "package p\n\ntype T struct{ n int }\n\nfunc New(n int) T { return T{n} }\n",
+		"p/export_test.go": "package p\n\nfunc (t T) N() int { return t.n }\n",
+		"q/q.go":           "package q\n\nimport \"tb/p\"\n\nfunc Pass(t p.T) p.T { return t }\n",
+		"p/p_test.go": "package p_test\n\nimport (\n\t\"testing\"\n\n\t\"tb/p\"\n\t\"tb/q\"\n)\n\n" +
+			"func TestN(t *testing.T) { if q.Pass(p.New(3)).N() != 3 { t.Fail() } }\n",
+		"t/t_test.go": "package t\n\nimport \"testing\"\n\nfunc TestT(t *testing.T) {}\n",
+	})
+	_, pkgs := loadModule(t, root)
+	var units []string
+	var xtest *Package
+	for _, p := range pkgs {
+		units = append(units, fmt.Sprintf("%s test=%v files=%d", p.Path, p.ForTest, len(p.Files)))
+		if p.Path == "tb/p_test" {
+			xtest = p
+		}
+	}
+	want := []string{
+		"tb/p test=false files=1", "tb/p test=true files=1", "tb/p_test test=true files=1",
+		"tb/q test=false files=1",
+		"tb/t test=true files=1", // a test-only directory has no ordinary unit
+	}
+	if !reflect.DeepEqual(units, want) {
+		t.Fatalf("analysed units:\n got %q\nwant %q", units, want)
+	}
+	imports := map[string]*types.Package{}
+	for _, imp := range xtest.Types.Imports() {
+		imports[imp.Path()] = imp
+	}
+	if qp := imports["tb/q"].Imports()[0]; qp != imports["tb/p"] {
+		t.Error("p_test's q sees a different tb/p from p_test itself")
+	}
+}
+
+// TestLoaderFileNameConstraints verifies that a file named for another
+// GOOS or GOARCH is excluded, as the go command excludes it, with no
+// //go:build line to say so.
+func TestLoaderFileNameConstraints(t *testing.T) {
+	goos, goarch := "plan9", "s390x"
+	if runtime.GOOS == goos {
+		goos = "windows"
+	}
+	if runtime.GOARCH == goarch {
+		goarch = "riscv64"
+	}
+	root := writeModule(t, map[string]string{
+		"go.mod":                    "module fnmod\n\ngo 1.22\n",
+		"a.go":                      "package a\n\nconst V = 1\n",
+		"a_" + goos + ".go":         "package a\n\nconst V = 2 // duplicate: would fail the type-check if included\n",
+		"a_" + goarch + ".go":       "package a\n\nconst V = 3\n",
+		"b_" + runtime.GOOS + ".go": "package a\n\nconst W = V + 1\n",
+	})
+	_, pkgs := loadModule(t, root)
+	if len(pkgs) != 1 {
+		t.Fatalf("got %d packages, want 1", len(pkgs))
+	}
+	if n := len(pkgs[0].Files); n != 2 {
+		t.Errorf("got %d files, want 2 (a.go and the host's b_%s.go)", n, runtime.GOOS)
+	}
+	if pkgs[0].Types.Scope().Lookup("W") == nil {
+		t.Errorf("b_%s.go, named for the host, was not loaded", runtime.GOOS)
 	}
 }
 

@@ -365,8 +365,12 @@ type SliceRecord struct {
 }
 
 // Step runs one managed decision quantum: reconcile health, autoscale,
-// then step the fleet.
+// then step the fleet. Input that fleet.CheckStep rejects is rejected
+// before the health machine or the autoscaler moves.
 func (m *Manager) Step(offered, budgetW float64) (SliceRecord, error) {
+	if err := fleet.CheckStep(offered, budgetW); err != nil {
+		return SliceRecord{}, err
+	}
 	if err := m.reconcile(); err != nil {
 		return SliceRecord{}, err
 	}

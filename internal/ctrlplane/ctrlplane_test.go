@@ -3,6 +3,7 @@ package ctrlplane_test
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -216,6 +217,45 @@ func TestFailoverDrill(t *testing.T) {
 		if got := res.Final[id]; got != "healthy" {
 			t.Fatalf("survivor %d final state %q", id, got)
 		}
+	}
+}
+
+// TestRejectedStepChangesNothing interleaves rejected calls — NaN,
+// infinite and negative offered load, zero, negative and infinite
+// budget — into the failover drill: each must fail before the health
+// machine or the autoscaler moves, so the transition and membership
+// logs and every valid slice record equal a clean run's.
+func TestRejectedStepChangesNothing(t *testing.T) {
+	bad := [][2]float64{
+		{math.NaN(), 1}, {math.Inf(1), 1}, {math.Inf(-1), 1}, {-1, 1},
+		{1, 0}, {1, -1}, {1, math.NaN()}, {1, math.Inf(1)},
+	}
+	clean, dirty := failoverManager(t, 0), failoverManager(t, 0)
+	offered := 0.4 * clean.Fleet().CapacityQPS()
+	budget := 0.8 * clean.Fleet().RefPowerW()
+	for i := 0; i < 20; i++ {
+		want, err := clean.Step(offered, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range bad {
+			if _, err := dirty.Step(in[0]*offered, in[1]*budget); err == nil {
+				t.Fatalf("slice %d: Step(%v, %v) accepted", i, in[0]*offered, in[1]*budget)
+			}
+		}
+		got, err := dirty.Step(offered, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("slice %d: record after rejected calls differs from the clean run's", i)
+		}
+	}
+	if !reflect.DeepEqual(dirty.Transitions(), clean.Transitions()) {
+		t.Errorf("transitions:\n got %+v\nwant %+v", dirty.Transitions(), clean.Transitions())
+	}
+	if !reflect.DeepEqual(dirty.Membership(), clean.Membership()) {
+		t.Errorf("membership:\n got %+v\nwant %+v", dirty.Membership(), clean.Membership())
 	}
 }
 

@@ -368,14 +368,25 @@ type SliceRecord struct {
 	OverheadCritSec   float64
 }
 
+// CheckStep is the input rule of one decision quantum: offered load
+// finite and ≥ 0 queries/s, budget finite and > 0 W. Fleet.Step and
+// the control plane's Step check it before any state changes, so a
+// rejected call leaves the fleet and its controllers as they were.
+func CheckStep(offered, budgetW float64) error {
+	if !(offered >= 0) || math.IsInf(offered, 1) {
+		return fmt.Errorf("fleet: invalid offered load %v", offered)
+	}
+	if !(budgetW > 0) || math.IsInf(budgetW, 1) {
+		return fmt.Errorf("fleet: invalid budget %v W", budgetW)
+	}
+	return nil
+}
+
 // Step runs one decision quantum: route offered QPS, split budgetW,
 // step every machine in parallel, and fold the results.
 func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
-	if offered < 0 || math.IsNaN(offered) {
-		return SliceRecord{}, fmt.Errorf("fleet: invalid offered load %v", offered)
-	}
-	if budgetW <= 0 || math.IsNaN(budgetW) {
-		return SliceRecord{}, fmt.Errorf("fleet: non-positive budget %v W", budgetW)
+	if err := CheckStep(offered, budgetW); err != nil {
+		return SliceRecord{}, err
 	}
 	act := f.Active()
 	n := len(act)

@@ -193,11 +193,14 @@ func TestStepAndRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Step(-1, 100); err == nil {
-		t.Error("negative offered load accepted")
-	}
-	if _, err := f.Step(100, 0); err == nil {
-		t.Error("zero budget accepted")
+	for _, in := range [][2]float64{
+		{-1, 100}, {math.NaN(), 100}, {math.Inf(1), 100}, {math.Inf(-1), 100},
+		{100, 0}, {100, -1}, {100, math.NaN()}, {100, math.Inf(1)},
+	} {
+		want := fleet.CheckStep(in[0], in[1])
+		if _, err := f.Step(in[0], in[1]); want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("Step(%v, %v): err %v, want the input rule's %v", in[0], in[1], err, want)
+		}
 	}
 	if _, err := f.Run(0, harness.ConstantLoad(0.5), harness.ConstantBudget(0.7)); err == nil {
 		t.Error("zero slices accepted")
