@@ -100,16 +100,11 @@ func resilienceReport(p params) (any, error) {
 }
 
 func resilienceCell(policy string, sc faultScenario, p params) (ResiliencePolicy, error) {
-	m, sched, err := experiments.NewPolicyMachine(policy, p.Service, p.Mix, p.Seed)
-	if err != nil {
-		return ResiliencePolicy{}, err
-	}
 	inj, err := cuttlesys.NewFaultSchedule(p.Seed, sc.events...)
 	if err != nil {
 		return ResiliencePolicy{}, err
 	}
-	res, err := cuttlesys.RunFaulted(m, sched, p.Slices,
-		cuttlesys.ConstantLoad(p.Load), cuttlesys.ConstantBudget(p.Cap), inj)
+	res, err := experiments.RunPolicy(policy, p.Service, p.Mix, p.Seed, p.Slices, p.Load, p.Cap, inj)
 	if err != nil {
 		return ResiliencePolicy{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"cuttlesys"
 	"cuttlesys/experiments"
 )
 
@@ -22,12 +21,7 @@ func runSim(args []string, stdout io.Writer) error {
 	if err := parseNoArgs(fs, args); err != nil {
 		return err
 	}
-	m, sched, err := experiments.NewPolicyMachine(p.Policy, p.Service, p.Mix, p.Seed)
-	if err != nil {
-		return err
-	}
-	res, err := cuttlesys.Run(m, sched, p.Slices,
-		cuttlesys.ConstantLoad(p.Load), cuttlesys.ConstantBudget(p.Cap))
+	res, err := experiments.RunPolicy(p.Policy, p.Service, p.Mix, p.Seed, p.Slices, p.Load, p.Cap, nil)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"cuttlesys/internal/baseline"
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/sim"
@@ -22,23 +21,18 @@ type AblationRow struct {
 }
 
 // ablationVariants enumerates the guards DESIGN.md calls out, each
-// disabled in turn.
-func ablationVariants() []struct {
+// disabled in turn, after the full runtime.
+var ablationVariants = []struct {
 	name string
 	mod  func(*core.Params)
-} {
-	return []struct {
-		name string
-		mod  func(*core.Params)
-	}{
-		{"full", func(*core.Params) {}},
-		{"no-util-veto", func(p *core.Params) { p.DisableUtilVeto = true }},
-		{"no-latency-ewma", func(p *core.Params) { p.DisableLatencyEWMA = true }},
-		{"no-drain-guard", func(p *core.Params) { p.DisableDrainGuard = true }},
-		{"no-warm-start", func(p *core.Params) { p.DisableWarmStart = true }},
-		{"factor-freeze", func(p *core.Params) { p.SGD.FactorMinObs = 8 }},
-		{"serial-dds", func(p *core.Params) { p.DDS.Workers = 1 }},
-	}
+}{
+	{"full", nil},
+	{"no-util-veto", func(p *core.Params) { p.DisableUtilVeto = true }},
+	{"no-latency-ewma", func(p *core.Params) { p.DisableLatencyEWMA = true }},
+	{"no-drain-guard", func(p *core.Params) { p.DisableDrainGuard = true }},
+	{"no-warm-start", func(p *core.Params) { p.DisableWarmStart = true }},
+	{"factor-freeze", func(p *core.Params) { p.SGD.FactorMinObs = 8 }},
+	{"serial-dds", func(p *core.Params) { p.DDS.Workers = 1 }},
 }
 
 // Ablation runs CuttleSys with each guard disabled in turn on a
@@ -48,32 +42,18 @@ func ablationVariants() []struct {
 func Ablation(s Setup) ([]AblationRow, error) {
 	s = s.withDefaults()
 	var rows []AblationRow
-	for _, v := range ablationVariants() {
-		row := AblationRow{Variant: v.name}
-		gmean, n := 0.0, 0
-		for _, svc := range s.Services {
-			for mix := 0; mix < s.MixesPerService; mix++ {
-				seed := s.Seed + uint64(mix)*31 + 7
-				m := machineFor(svc, seed, s.TrainSeed, true)
-				params := core.Params{Seed: s.Seed + seed, TrainSeed: s.TrainSeed}
-				v.mod(&params)
-				rt := core.New(m, params)
-				res, err := harness.Run(m, rt, s.Slices,
-					harness.ConstantLoad(s.LoadFrac), harness.ConstantBudget(0.7))
-				if err != nil {
-					return nil, err
-				}
-				row.QoSViolations += res.QoSViolations()
-				if r := res.WorstP99Ratio(); r > row.WorstP99Ratio {
-					row.WorstP99Ratio = r
-				}
-				row.TotalInstrB += res.TotalInstrB()
-				gmean += res.MeanGmeanBIPS()
-				n++
-			}
+	for _, v := range ablationVariants {
+		t, err := s.sweep(PolicyCuttleSys, 0.7, v.mod)
+		if err != nil {
+			return nil, err
 		}
-		row.MeanGmeanBIPS = gmean / float64(n)
-		rows = append(rows, row)
+		rows = append(rows, AblationRow{
+			Variant:       v.name,
+			QoSViolations: t.violations,
+			WorstP99Ratio: t.worstRatio,
+			TotalInstrB:   t.instrB,
+			MeanGmeanBIPS: t.gmeanBIPS,
+		})
 	}
 	return rows, nil
 }
@@ -106,32 +86,28 @@ func EnergyProportionality(service string, seed uint64, loads []float64) ([]Prop
 	if len(loads) == 0 {
 		loads = []float64{0.1, 0.25, 0.5, 0.75, 1.0}
 	}
+	designs := []struct {
+		name, policy string
+		slices       int
+	}{
+		{"fixed", PolicyNoGating, 6},       // all cores at the widest configuration
+		{"cuttlesys", PolicyCuttleSys, 10}, // reconfigurable cores under CuttleSys
+	}
 	var rows []ProportionalityRow
 	for _, load := range loads {
-		// Fixed design: all cores at the widest configuration.
-		mFixed := lcOnlyMachine(service, seed, false)
-		fixedRes, err := harness.Run(mFixed, baseline.NewNoGating(mFixed), 6,
-			harness.ConstantLoad(load), harness.ConstantBudget(10))
-		if err != nil {
-			return nil, err
+		for _, d := range designs {
+			pol, err := lookupPolicy(d.policy)
+			if err != nil {
+				return nil, err
+			}
+			m := lcOnlyMachine(service, seed, pol.reconfigurable)
+			res, err := harness.Run(m, pol.scheduler(m, core.Params{Seed: seed}), d.slices,
+				harness.ConstantLoad(load), harness.ConstantBudget(10))
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, ProportionalityRow{Design: d.name, LoadFrac: load, PowerW: meanPower(res)})
 		}
-		rows = append(rows, ProportionalityRow{
-			Design: "fixed", LoadFrac: load,
-			PowerW: meanPower(fixedRes),
-		})
-
-		// Reconfigurable design under CuttleSys.
-		mRec := lcOnlyMachine(service, seed, true)
-		rt := core.New(mRec, core.Params{Seed: seed, TrainSeed: 1})
-		recRes, err := harness.Run(mRec, rt, 10,
-			harness.ConstantLoad(load), harness.ConstantBudget(10))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ProportionalityRow{
-			Design: "cuttlesys", LoadFrac: load,
-			PowerW: meanPower(recRes),
-		})
 	}
 	return rows, nil
 }

@@ -76,7 +76,7 @@ func TestDVFSBaselineInHarness(t *testing.T) {
 	// The maxBIPS DVFS extension must slot into the same comparison
 	// machinery as the paper's policies.
 	s := Setup{Seed: 2, Services: []string{"silo"}, MixesPerService: 1, Slices: 6}.withDefaults()
-	res, err := runOne(PolicyDVFS, "silo", 40, s, 0.75)
+	res, _, err := s.cell(PolicyDVFS, "silo", 40, 0.75).run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/core"
-	"cuttlesys/internal/harness"
 	"cuttlesys/internal/perf"
 	"cuttlesys/internal/power"
 	"cuttlesys/internal/rbf"
@@ -41,13 +40,74 @@ func accResult(metric, method string, errs []float64) AccuracyResult {
 	return AccuracyResult{Metric: metric, Method: method, Box: stats.Box(errs), MeanAbs: mean}
 }
 
-// sgdParams are the reconstruction hyper-parameters used by the
-// accuracy studies — the runtime's settings at full iteration count.
+// accuracySGDParams are the reconstruction hyper-parameters of the
+// accuracy studies: the runtime's rank, regularisation, log space and
+// SVD start (core.Params' defaults), at 800 epochs where the runtime
+// runs 300.
 func accuracySGDParams(seed uint64) sgd.Params {
 	return sgd.Params{
 		Seed: seed, Factors: 6, Reg: 0.03, MaxIter: 800,
 		LogSpace: true, SVDInit: true,
 	}
+}
+
+// sampleLo and sampleHi are the two configurations the offline studies
+// profile a test application at: the narrowest and the widest core,
+// each with one LLC way.
+var (
+	sampleLo = config.Resource{Core: config.Narrowest, Cache: config.OneWay}.Index()
+	sampleHi = config.Resource{Core: config.Widest, Cache: config.OneWay}.Index()
+)
+
+// sampled is the input and the truth of an offline reconstruction
+// study: one row per training application, fully observed, then one
+// per test application observed only at columns lo and hi.
+type sampled struct {
+	thr, pwr       *sgd.Matrix
+	truthT, truthP [][]float64 // every row's true surfaces
+	nTrain, lo, hi int
+}
+
+// sample builds the throughput and power matrices of train and test
+// over the surfaces surf returns, passing each test sample through
+// measure (nil: exact). Samples are drawn per test application in the
+// order throughput lo, throughput hi, power lo, power hi.
+func sample(surf func(*workload.Profile) (thr, pwr []float64), train, test []*workload.Profile, lo, hi int, measure func(float64) float64) *sampled {
+	if measure == nil {
+		measure = func(v float64) float64 { return v }
+	}
+	s := &sampled{nTrain: len(train), lo: lo, hi: hi}
+	for _, app := range append(train[:len(train):len(train)], test...) {
+		b, p := surf(app)
+		s.truthT, s.truthP = append(s.truthT, b), append(s.truthP, p)
+	}
+	s.thr = sgd.NewMatrix(len(s.truthT), len(s.truthT[0]))
+	s.pwr = sgd.NewMatrix(len(s.truthT), len(s.truthP[0]))
+	for i := range train {
+		s.thr.ObserveRow(i, s.truthT[i])
+		s.pwr.ObserveRow(i, s.truthP[i])
+	}
+	for i := len(train); i < len(s.truthT); i++ {
+		s.thr.Observe(i, lo, measure(s.truthT[i][lo]))
+		s.thr.Observe(i, hi, measure(s.truthT[i][hi]))
+		s.pwr.Observe(i, lo, measure(s.truthP[i][lo]))
+		s.pwr.Observe(i, hi, measure(s.truthP[i][hi]))
+	}
+	return s
+}
+
+// errs returns the signed relative error, in percent, of pred against
+// truth at every unsampled column of every test row, row by row.
+func (s *sampled) errs(pred *sgd.Prediction, truth [][]float64) []float64 {
+	var out []float64
+	for i := s.nTrain; i < len(truth); i++ {
+		for j := range truth[i] {
+			if j != s.lo && j != s.hi {
+				out = append(out, stats.RelErrPct(pred.At(i, j), truth[i][j]))
+			}
+		}
+	}
+	return out
 }
 
 // Fig5aIsolation reproduces the isolated-application accuracy study
@@ -60,50 +120,17 @@ func accuracySGDParams(seed uint64) sgd.Params {
 func Fig5aIsolation(seed uint64) []AccuracyResult {
 	pm, wm := perf.New(true), power.New(true)
 	train, test := workload.SplitTrainTest(1, 16)
-	loIdx := config.Resource{Core: config.Narrowest, Cache: config.OneWay}.Index()
-	hiIdx := config.Resource{Core: config.Widest, Cache: config.OneWay}.Index()
-
-	// Throughput and power over batch applications.
-	rows := len(train) + len(test)
-	thrM := sgd.NewMatrix(rows, config.NumResources)
-	pwrM := sgd.NewMatrix(rows, config.NumResources)
-	truthT := make([][]float64, rows)
-	truthP := make([][]float64, rows)
-	for i, app := range train {
-		b, p := sim.BatchSurfaces(pm, wm, app)
-		truthT[i], truthP[i] = b, p
-		thrM.ObserveRow(i, b)
-		pwrM.ObserveRow(i, p)
-	}
-	for k, app := range test {
-		i := len(train) + k
-		b, p := sim.BatchSurfaces(pm, wm, app)
-		truthT[i], truthP[i] = b, p
-		thrM.Observe(i, loIdx, b[loIdx])
-		thrM.Observe(i, hiIdx, b[hiIdx])
-		pwrM.Observe(i, loIdx, p[loIdx])
-		pwrM.Observe(i, hiIdx, p[hiIdx])
-	}
+	batch := sample(func(app *workload.Profile) ([]float64, []float64) {
+		return sim.BatchSurfaces(pm, wm, app)
+	}, train, test, sampleLo, sampleHi, nil)
 	params := accuracySGDParams(seed)
-	thrPred := sgd.Reconstruct(thrM, params)
-	pwrPred := sgd.Reconstruct(pwrM, params)
-	var thrErrs, pwrErrs []float64
-	for k := range test {
-		i := len(train) + k
-		for j := 0; j < config.NumResources; j++ {
-			if j == loIdx || j == hiIdx {
-				continue
-			}
-			thrErrs = append(thrErrs, stats.RelErrPct(thrPred.At(i, j), truthT[i][j]))
-			pwrErrs = append(pwrErrs, stats.RelErrPct(pwrPred.At(i, j), truthP[i][j]))
-		}
-	}
+	thrErrs := batch.errs(sgd.Reconstruct(batch.thr, params), batch.truthT)
+	pwrErrs := batch.errs(sgd.Reconstruct(batch.pwr, params), batch.truthP)
 
 	// Tail latency over the five services, one at a time (§VIII-B), at
 	// 80 % load, with the runtime's reconstruction settings (the
 	// utilisation veto, not prediction conservatism, guards the QoS
 	// scan against the under-predictions visible here).
-	latParams := params
 	var latErrs []float64
 	variants := lcVariantRows(16)
 	for si, app := range workload.TailBench() {
@@ -112,11 +139,11 @@ func Fig5aIsolation(seed uint64) []AccuracyResult {
 		for i, row := range variants {
 			latM.ObserveRow(i, row)
 		}
-		latM.Observe(len(variants), loIdx, truth[loIdx])
-		latM.Observe(len(variants), hiIdx, truth[hiIdx])
-		pred := sgd.Reconstruct(latM, latParams)
+		latM.Observe(len(variants), sampleLo, truth[sampleLo])
+		latM.Observe(len(variants), sampleHi, truth[sampleHi])
+		pred := sgd.Reconstruct(latM, params)
 		for j := 0; j < config.NumResources; j++ {
-			if j == loIdx || j == hiIdx {
+			if j == sampleLo || j == sampleHi {
 				continue
 			}
 			latErrs = append(latErrs, stats.RelErrPct(pred.At(len(variants), j), truth[j]))
@@ -130,8 +157,11 @@ func Fig5aIsolation(seed uint64) []AccuracyResult {
 	}
 }
 
-// lcVariantRows returns the offline latency surfaces of the training
-// variants (cached across calls through the perf models' determinism).
+// lcVariantRows returns the offline latency surfaces of the twelve
+// synthetic training services at k cores, recomputed on every call.
+// They are exactly the latency rows core.lcTrainingRows(1, 12, k)
+// trains the runtime on: the variants of workload.SyntheticLC(101, 12),
+// variant i simulated with seed 1+i.
 func lcVariantRows(k int) [][]float64 {
 	pm, wm := perf.New(true), power.New(true)
 	variants := workload.SyntheticLC(101, 12)
@@ -151,18 +181,20 @@ func lcVariantRows(k int) [][]float64 {
 func Fig5bColocation(s Setup) ([]AccuracyResult, error) {
 	s = s.withDefaults()
 	errs := map[string][]float64{}
-	for _, svc := range s.Services {
-		for mix := 0; mix < s.MixesPerService; mix++ {
-			seed := s.Seed + uint64(mix)*31 + 7
-			m := machineFor(svc, seed, s.TrainSeed, true)
-			rt := core.New(m, core.Params{Seed: seed, TrainSeed: s.TrainSeed, TrackAccuracy: true})
-			if _, err := harness.Run(m, rt, s.Slices, harness.ConstantLoad(s.LoadFrac), harness.ConstantBudget(0.7)); err != nil {
-				return nil, err
-			}
-			for metric, es := range rt.AccuracyErrors() {
-				errs[metric] = append(errs[metric], es...)
-			}
+	err := s.eachMix(func(svc string, mix uint64) error {
+		c := s.cell(PolicyCuttleSys, svc, mix, 0.7)
+		c.seed, c.tweak = mix, func(p *core.Params) { p.TrackAccuracy = true }
+		_, rt, err := c.run()
+		if err != nil {
+			return err
 		}
+		for metric, es := range rt.(*core.Runtime).AccuracyErrors() {
+			errs[metric] = append(errs[metric], es...)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	var out []AccuracyResult
 	for _, metric := range sortedKeys(errs) {
@@ -186,36 +218,14 @@ func TrainingSetSweep(seed uint64, sizes []int) []TrainSweepRow {
 		sizes = []int{8, 16, 24}
 	}
 	pm, wm := perf.New(true), power.New(true)
-	loIdx := config.Resource{Core: config.Narrowest, Cache: config.OneWay}.Index()
-	hiIdx := config.Resource{Core: config.Widest, Cache: config.OneWay}.Index()
+	surf := func(app *workload.Profile) ([]float64, []float64) { return sim.BatchSurfaces(pm, wm, app) }
 	var out []TrainSweepRow
 	for _, n := range sizes {
 		train, test := workload.SplitTrainTest(1, n)
-		rows := len(train) + len(test)
-		m := sgd.NewMatrix(rows, config.NumResources)
-		truth := make([][]float64, rows)
-		for i, app := range train {
-			b, _ := sim.BatchSurfaces(pm, wm, app)
-			truth[i] = b
-			m.ObserveRow(i, b)
-		}
-		for k, app := range test {
-			i := len(train) + k
-			b, _ := sim.BatchSurfaces(pm, wm, app)
-			truth[i] = b
-			m.Observe(i, loIdx, b[loIdx])
-			m.Observe(i, hiIdx, b[hiIdx])
-		}
-		pred := sgd.Reconstruct(m, accuracySGDParams(seed))
-		var errs []float64
-		for k := range test {
-			i := len(train) + k
-			for j := 0; j < config.NumResources; j++ {
-				if j == loIdx || j == hiIdx {
-					continue
-				}
-				errs = append(errs, math.Abs(stats.RelErrPct(pred.At(i, j), truth[i][j])))
-			}
+		batch := sample(surf, train, test, sampleLo, sampleHi, nil)
+		errs := batch.errs(sgd.Reconstruct(batch.thr, accuracySGDParams(seed)), batch.truthT)
+		for i, e := range errs {
+			errs[i] = math.Abs(e)
 		}
 		out = append(out, TrainSweepRow{NTrain: n, MeanAbs: stats.Mean(errs)})
 	}
@@ -255,58 +265,24 @@ func Fig9RBFvsSGD(seed uint64) []AccuracyResult {
 		return bips, pwr
 	}
 
-	errs := map[string][]float64{} // "method/metric"
-	record := func(method, metric string, pred, truth []float64, skip map[int]bool) {
-		for j := range truth {
-			if skip[j] {
-				continue
-			}
-			key := method + "/" + metric
-			errs[key] = append(errs[key], stats.RelErrPct(pred[j], truth[j]))
-		}
-	}
-
-	// SGD matrices over the 27-config domain.
-	rows := len(train) + len(test)
-	thrM := sgd.NewMatrix(rows, config.NumCoreConfigs)
-	pwrM := sgd.NewMatrix(rows, config.NumCoreConfigs)
-	loIdx, hiIdx := config.Narrowest.Index(), config.Widest.Index()
-	truthT := make([][]float64, rows)
-	truthP := make([][]float64, rows)
-	for i, app := range train {
-		b, p := surface(app)
-		truthT[i], truthP[i] = b, p
-		thrM.ObserveRow(i, b)
-		pwrM.ObserveRow(i, p)
-	}
-	for k, app := range test {
-		i := len(train) + k
-		b, p := surface(app)
-		truthT[i], truthP[i] = b, p
-		thrM.Observe(i, loIdx, sim.Measure(noise, b[loIdx], sampleNoise))
-		thrM.Observe(i, hiIdx, sim.Measure(noise, b[hiIdx], sampleNoise))
-		pwrM.Observe(i, loIdx, sim.Measure(noise, p[loIdx], sampleNoise))
-		pwrM.Observe(i, hiIdx, sim.Measure(noise, p[hiIdx], sampleNoise))
-	}
+	batch := sample(surface, train, test, config.Narrowest.Index(), config.Widest.Index(),
+		func(v float64) float64 { return sim.Measure(noise, v, sampleNoise) })
 	params := accuracySGDParams(seed)
-	thrPred := sgd.Reconstruct(thrM, params)
-	pwrPred := sgd.Reconstruct(pwrM, params)
-	skipSGD := map[int]bool{loIdx: true, hiIdx: true}
+	errs := map[string][]float64{ // "method/metric"
+		"sgd/throughput": batch.errs(sgd.Reconstruct(batch.thr, params), batch.truthT),
+		"sgd/power":      batch.errs(sgd.Reconstruct(batch.pwr, params), batch.truthP),
+	}
 
+	// RBF with three samples (§VIII-E: unable to converge with two).
 	skipRBF := map[int]bool{}
 	for _, c := range rbfSamples {
 		skipRBF[c.Index()] = true
 	}
-	for k := range test {
-		i := len(train) + k
-		record("sgd", "throughput", thrPred.Row(i), truthT[i], skipSGD)
-		record("sgd", "power", pwrPred.Row(i), truthP[i], skipSGD)
-
-		// RBF with three samples (§VIII-E: unable to converge with two).
+	for i := batch.nTrain; i < len(batch.truthT); i++ {
 		for _, metric := range []string{"throughput", "power"} {
-			truth := truthT[i]
+			truth := batch.truthT[i]
 			if metric == "power" {
-				truth = truthP[i]
+				truth = batch.truthP[i]
 			}
 			vals := make([]float64, len(rbfSamples))
 			for s, c := range rbfSamples {
@@ -316,7 +292,12 @@ func Fig9RBFvsSGD(seed uint64) []AccuracyResult {
 			if err != nil {
 				continue
 			}
-			record("rbf", metric, surrogate.PredictAll(), truth, skipRBF)
+			pred := surrogate.PredictAll()
+			for j := range truth {
+				if !skipRBF[j] {
+					errs["rbf/"+metric] = append(errs["rbf/"+metric], stats.RelErrPct(pred[j], truth[j]))
+				}
+			}
 		}
 	}
 

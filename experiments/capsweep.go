@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"cuttlesys/internal/core"
-	"cuttlesys/internal/harness"
 )
 
 // CapSweepRow is one cell of the Fig. 5c comparison: one policy at one
@@ -31,46 +30,22 @@ type CapSweepRow struct {
 // relaxed caps due to the reconfiguration overheads.
 func Fig5cPowerCapSweep(s Setup) ([]CapSweepRow, error) {
 	s = s.withDefaults()
-
-	// The reference: no gating, every core at the widest configuration,
-	// no way partitioning, budget ignored.
-	refInstr := 0.0
-	for _, svc := range s.Services {
-		for mix := 0; mix < s.MixesPerService; mix++ {
-			seed := s.Seed + uint64(mix)*31 + 7
-			res, err := runOne(PolicyNoGating, svc, seed, s, 10) // effectively uncapped
-			if err != nil {
-				return nil, err
-			}
-			refInstr += res.TotalInstrB()
-		}
+	ref, err := s.noGatingInstr()
+	if err != nil {
+		return nil, err
 	}
-
 	var rows []CapSweepRow
 	for _, capFrac := range s.Caps {
 		for _, policy := range ComparisonPolicies {
-			total := 0.0
-			viol := 0
-			worst := 0.0
-			for _, svc := range s.Services {
-				for mix := 0; mix < s.MixesPerService; mix++ {
-					seed := s.Seed + uint64(mix)*31 + 7
-					res, err := runOne(policy, svc, seed, s, capFrac)
-					if err != nil {
-						return nil, err
-					}
-					total += res.TotalInstrB()
-					viol += res.QoSViolations()
-					if r := res.WorstP99Ratio(); r > worst {
-						worst = r
-					}
-				}
+			t, err := s.sweep(policy, capFrac, nil)
+			if err != nil {
+				return nil, err
 			}
 			rows = append(rows, CapSweepRow{
 				Cap: capFrac, Policy: policy,
-				RelInstr:      total / refInstr,
-				QoSViolations: viol,
-				WorstP99Ratio: worst,
+				RelInstr:      t.instrB / ref,
+				QoSViolations: t.violations,
+				WorstP99Ratio: t.worstRatio,
 			})
 		}
 	}
@@ -117,29 +92,21 @@ type SearcherRow struct {
 // intermediate caps and smallest at 50 %.
 func Fig10bDDSvsGA(s Setup) ([]SearcherRow, error) {
 	s = s.withDefaults()
+	searchers := []struct {
+		name  string
+		tweak func(*core.Params)
+	}{
+		{"dds", nil},
+		{"ga", func(p *core.Params) { p.Searcher = core.SearchGA }},
+	}
 	var rows []SearcherRow
 	for _, capFrac := range s.Caps {
-		for _, searcher := range []string{"dds", "ga"} {
-			sum, n := 0.0, 0
-			for _, svc := range s.Services {
-				for mix := 0; mix < s.MixesPerService; mix++ {
-					seed := s.Seed + uint64(mix)*31 + 7
-					m := machineFor(svc, seed, s.TrainSeed, true)
-					params := core.Params{Seed: s.Seed + seed, TrainSeed: s.TrainSeed}
-					if searcher == "ga" {
-						params.Searcher = core.SearchGA
-					}
-					rt := core.New(m, params)
-					res, err := harness.Run(m, rt, s.Slices,
-						harness.ConstantLoad(s.LoadFrac), harness.ConstantBudget(capFrac))
-					if err != nil {
-						return nil, err
-					}
-					sum += res.MeanGmeanBIPS()
-					n++
-				}
+		for _, sr := range searchers {
+			t, err := s.sweep(PolicyCuttleSys, capFrac, sr.tweak)
+			if err != nil {
+				return nil, err
 			}
-			rows = append(rows, SearcherRow{Cap: capFrac, Searcher: searcher, GmeanBIPS: sum / float64(n)})
+			rows = append(rows, SearcherRow{Cap: capFrac, Searcher: sr.name, GmeanBIPS: t.gmeanBIPS})
 		}
 	}
 	return rows, nil

@@ -24,7 +24,7 @@ func Fig7InstrPerSlice(seed uint64) ([]Fig7Row, error) {
 	s := Setup{Seed: seed}.withDefaults()
 	var rows []Fig7Row
 	for _, policy := range []string{PolicyCoreGating, PolicyAsymmOracle, PolicyCuttleSys} {
-		res, err := runOne(policy, "xapian", seed+7, s, 0.7)
+		res, _, err := s.cell(policy, "xapian", seed+7, 0.7).run()
 		if err != nil {
 			return nil, err
 		}
@@ -68,9 +68,6 @@ func Dynamics(scenario DynamicsScenario, seed uint64, slices int) ([]harness.Sli
 	if slices == 0 {
 		slices = 20
 	}
-	s := Setup{Seed: seed}.withDefaults()
-	s.Slices = slices
-
 	var load harness.LoadPattern
 	var budget harness.BudgetPattern
 	horizon := float64(slices) * harness.SliceDur
@@ -88,12 +85,10 @@ func Dynamics(scenario DynamicsScenario, seed uint64, slices int) ([]harness.Sli
 		return nil, fmt.Errorf("experiments: unknown scenario %q", scenario)
 	}
 
-	m := machineFor("xapian", seed+7, s.TrainSeed, true)
-	rt, err := schedulerFor(PolicyCuttleSys, m, s.Seed+seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := harness.Run(m, rt, s.Slices, load, budget)
+	res, _, err := cell{
+		policy: PolicyCuttleSys, service: "xapian", mix: seed + 7, seed: 2 * seed,
+		slices: slices, load: load, budget: budget,
+	}.run()
 	if err != nil {
 		return nil, err
 	}

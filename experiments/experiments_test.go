@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -440,51 +436,22 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// TestPoliciesListed requires Policies to name every Policy* constant
-// this package declares, each once, and NewPolicyMachine to build every
-// listed name: the sim command's help and the unknown-policy error read
-// the list, so a policy missing from it is one no user is told of.
+// TestPoliciesListed requires every name in the policy table to be
+// distinct and to run, and the unknown-policy error to list them: the
+// sim command's help and that error read Policies, so a policy missing
+// from it is one no user is told of.
 func TestPoliciesListed(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "experiments.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	declared := map[string]bool{}
-	for _, d := range f.Decls {
-		if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.CONST {
-			for _, spec := range g.Specs {
-				vs := spec.(*ast.ValueSpec)
-				for i, name := range vs.Names {
-					if strings.HasPrefix(name.Name, "Policy") {
-						v, err := strconv.Unquote(vs.Values[i].(*ast.BasicLit).Value)
-						if err != nil {
-							t.Fatal(err)
-						}
-						declared[v] = true
-					}
-				}
-			}
-		}
-	}
-	listed := map[string]bool{}
+	seen := map[string]bool{}
 	for _, p := range Policies {
-		if listed[p] {
+		if seen[p] {
 			t.Errorf("policy %q listed twice", p)
 		}
-		listed[p] = true
-		if !declared[p] {
-			t.Errorf("listed policy %q is not a Policy* constant", p)
-		}
-		if _, _, err := NewPolicyMachine(p, "xapian", 1, 1); err != nil {
-			t.Errorf("NewPolicyMachine(%q): %v", p, err)
+		seen[p] = true
+		if _, err := RunPolicy(p, "xapian", 1, 1, 1, 0.8, 0.7, nil); err != nil {
+			t.Errorf("RunPolicy(%q): %v", p, err)
 		}
 	}
-	for p := range declared {
-		if !listed[p] {
-			t.Errorf("policy %q is declared but not listed", p)
-		}
-	}
-	_, _, err = NewPolicyMachine("xx", "xapian", 1, 1)
+	_, err := RunPolicy("xx", "xapian", 1, 1, 1, 0.8, 0.7, nil)
 	if err == nil || !strings.Contains(err.Error(), strings.Join(Policies, " ")) {
 		t.Errorf("unknown-policy error %v does not list the policies", err)
 	}

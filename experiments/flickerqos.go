@@ -26,45 +26,23 @@ type FlickerQoSRow struct {
 // the ordering (see EXPERIMENTS.md).
 func FlickerQoSComparison(s Setup) ([]FlickerQoSRow, error) {
 	s = s.withDefaults()
-	policies := []string{PolicyFlickerA, PolicyFlickerB, PolicyCuttleSys}
-
-	refInstr := 0.0
-	for _, svc := range s.Services {
-		for mix := 0; mix < s.MixesPerService; mix++ {
-			seed := s.Seed + uint64(mix)*31 + 7
-			ref, err := runOne(PolicyNoGating, svc, seed, s, 10)
-			if err != nil {
-				return nil, err
-			}
-			refInstr += ref.TotalInstrB()
-		}
+	ref, err := s.noGatingInstr()
+	if err != nil {
+		return nil, err
 	}
-
 	var rows []FlickerQoSRow
-	for _, policy := range policies {
-		row := FlickerQoSRow{Policy: policy}
-		total := 0.0
-		for _, svc := range s.Services {
-			for mix := 0; mix < s.MixesPerService; mix++ {
-				seed := s.Seed + uint64(mix)*31 + 7
-				res, err := runOne(policy, svc, seed, s, 0.7)
-				if err != nil {
-					return nil, err
-				}
-				total += res.TotalInstrB()
-				row.QoSViolations += res.QoSViolations()
-				if r := res.WorstP99Ratio(); r > row.WorstP99Ratio {
-					row.WorstP99Ratio = r
-				}
-				for _, rec := range res.Slices {
-					if rec.P99Ms > row.WorstP99Ms {
-						row.WorstP99Ms = rec.P99Ms
-					}
-				}
-			}
+	for _, policy := range []string{PolicyFlickerA, PolicyFlickerB, PolicyCuttleSys} {
+		t, err := s.sweep(policy, 0.7, nil)
+		if err != nil {
+			return nil, err
 		}
-		row.RelInstr = total / refInstr
-		rows = append(rows, row)
+		rows = append(rows, FlickerQoSRow{
+			Policy:        policy,
+			WorstP99Ms:    t.worstP99Ms,
+			WorstP99Ratio: t.worstRatio,
+			QoSViolations: t.violations,
+			RelInstr:      t.instrB / ref,
+		})
 	}
 	return rows, nil
 }

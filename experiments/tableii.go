@@ -37,32 +37,17 @@ func TableIIOverheads(seed uint64) TableIIResult {
 	train, test := workload.SplitTrainTest(1, 16)
 	r := rng.New(seed)
 
-	build := func(samplesOnly []*workload.Profile) *sgd.Matrix {
-		m := sgd.NewMatrix(len(train)+len(samplesOnly), config.NumResources)
-		for i, app := range train {
-			b, _ := sim.BatchSurfaces(pm, wm, app)
-			m.ObserveRow(i, b)
-		}
-		lo := config.Resource{Core: config.Narrowest, Cache: config.OneWay}.Index()
-		hi := config.Resource{Core: config.Widest, Cache: config.OneWay}.Index()
-		for k, app := range samplesOnly {
-			b, _ := sim.BatchSurfaces(pm, wm, app)
-			i := len(train) + k
-			m.Observe(i, lo, b[lo])
-			m.Observe(i, hi, b[hi])
-		}
-		return m
-	}
+	// The running jobs' throughput and power rows, and one row standing
+	// in for each latency-critical lane.
+	surf := func(app *workload.Profile) ([]float64, []float64) { return sim.BatchSurfaces(pm, wm, app) }
 	running := workload.Mix(seed, test, 16)
-	thrM := build(running)
-	pwrM := build(running)
-	latM := build(running[:1])
-	svcM := build(running[:1])
+	batch := sample(surf, train, running, sampleLo, sampleHi, nil)
+	lc := sample(surf, train, running[:1], sampleLo, sampleHi, nil)
 
 	params := sgd.Params{Seed: seed, Factors: 6, Reg: 0.03, MaxIter: 300, LogSpace: true, SVDInit: true}
 
 	// The reconstruction call core.reconstructAll makes.
-	ms := [4]*sgd.Matrix{thrM, pwrM, latM, svcM}
+	ms := [4]*sgd.Matrix{batch.thr, batch.pwr, lc.thr, lc.pwr}
 	ps := [4]sgd.Params{params, params, params, params}
 	wall := obs.BeginWall(rec)
 	sgd.ReconstructQuad(ms, ps, false)
@@ -71,7 +56,7 @@ func TableIIOverheads(seed uint64) TableIIResult {
 	// One parallel DDS search with the Fig. 6 parameters, on the engine
 	// core.DecideMulti runs: SearchSeparable over a table objective, here
 	// one accumulator summing each running row's predicted throughput.
-	pred := sgd.Reconstruct(thrM, params)
+	pred := sgd.Reconstruct(batch.thr, params)
 	rows := make([][]float64, 16)
 	for i := range rows {
 		rows[i] = pred.Row(len(train) + i)

@@ -236,12 +236,8 @@ func (r *Result) TotalInstrB() float64 {
 // target.
 func (r *Result) QoSViolations() int {
 	n := 0
-	for _, s := range r.Slices {
-		violated := s.Violated
-		for _, v := range s.ExtraViolated {
-			violated = violated || v
-		}
-		if violated {
+	for i := range r.Slices {
+		if r.Slices[i].anyViolated() {
 			n++
 		}
 	}
