@@ -423,8 +423,9 @@ func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
 	}
 
 	// Per-machine inputs, perturbed by that machine's faults exactly as
-	// the single-machine harness would (flash crowds scale load, budget
-	// drops scale the allotment).
+	// the single-machine harness would: flash crowds scale the routed
+	// share and budget drops the allotment, both read at the machine's
+	// own clock, which its hardware faults and slice records use too.
 	qps := make([]float64, n)
 	loadFrac := make([]float64, n)
 	for k, id := range act {
@@ -439,8 +440,9 @@ func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
 		}
 		qps[k] = qpsShares[k]
 		if nd.inj != nil {
-			qps[k] *= nd.inj.LoadFactor(t)
-			budgets[k] *= nd.inj.BudgetFactor(t)
+			now := nd.d.Machine().Now()
+			qps[k] *= nd.inj.LoadFactor(now)
+			budgets[k] *= nd.inj.BudgetFactor(now)
 		}
 		if nd.maxQPS > 0 {
 			loadFrac[k] = qps[k] / nd.maxQPS

@@ -286,6 +286,24 @@ func TestRouters(t *testing.T) {
 	}
 }
 
+// TestDivideOneShareIsWhole: a lone machine gets the whole offered
+// load and the whole budget, not amount·w/w, which for 0.1 at weight 3
+// is 0.10000000000000002. Every router and arbiter divides through the
+// same rule, so each is checked.
+func TestDivideOneShareIsWhole(t *testing.T) {
+	one := []fleet.Telemetry{{MaxQPS: 3, RefMaxPowerW: 3}}
+	for _, r := range []fleet.Router{fleet.Uniform{}, fleet.LeastLoaded{}, &fleet.QoSAware{}} {
+		if got := r.Route(0.1, one); len(got) != 1 || got[0] != 0.1 {
+			t.Errorf("%s: one share of 0.1 at weight 3 = %v, want exactly [0.1]", r.Name(), got)
+		}
+	}
+	for _, a := range []fleet.Arbiter{fleet.Proportional{}, fleet.Headroom{}} {
+		if got := a.Split(0.1, one); len(got) != 1 || got[0] != 0.1 {
+			t.Errorf("%s: one share of 0.1 at weight 3 = %v, want exactly [0.1]", a.Name(), got)
+		}
+	}
+}
+
 func TestArbiters(t *testing.T) {
 	ts := tele(2)
 	ts[1].RefMaxPowerW = 300

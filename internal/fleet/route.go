@@ -16,8 +16,12 @@ type Router interface {
 // divide turns routing weights into absolute QPS shares. The sum runs
 // in index order (determinism), non-finite or negative weights are
 // dropped, and a degenerate weight vector falls back to an equal
-// split so traffic is always conserved.
+// split so traffic is always conserved. One share is the whole amount:
+// offered·w/w need not be offered.
 func divide(offered float64, w []float64) []float64 {
+	if len(w) == 1 {
+		return []float64{offered}
+	}
 	out := make([]float64, len(w))
 	sum := 0.0
 	for _, v := range w {

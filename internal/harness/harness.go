@@ -425,12 +425,14 @@ func runImpl(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budge
 			loadFactor = inj.LoadFactor(t)
 			budgetFactor = inj.BudgetFactor(t)
 		}
+		// The factor multiplies after the capacity, as a fleet applies a
+		// node's flash crowd to its routed share.
 		for k, app := range d.services {
-			frac := loads[k](t) * loadFactor
+			frac := loads[k](t)
 			if k == 0 {
-				loadFrac = frac
+				loadFrac = frac * loadFactor
 			}
-			qps[k] = frac * app.MaxQPS
+			qps[k] = frac * app.MaxQPS * loadFactor
 		}
 		budgetW := budget(t) * maxPower * budgetFactor
 
