@@ -34,8 +34,8 @@ import (
 	"os"
 	"strings"
 
-	"cuttlesys/experiments"
 	"cuttlesys/internal/obs"
+	"cuttlesys/internal/scenario"
 )
 
 // command is one subcommand: run receives the arguments after its name.
@@ -162,7 +162,11 @@ func (p *params) bind(fs *flag.FlagSet, flags ...string) {
 		case "points":
 			fs.BoolVar(&p.Points, name, p.Points, "dump every explored point as CSV")
 		case "policy":
-			fs.StringVar(&p.Policy, name, p.Policy, strings.Join(experiments.Policies, " | "))
+			var names []string
+			for _, d := range scenario.Schedulers {
+				names = append(names, d.Name)
+			}
+			fs.StringVar(&p.Policy, name, p.Policy, strings.Join(names, " | "))
 		case "o":
 			fs.StringVar(&p.Out, name, p.Out, "output file (default stdout)")
 		case "trace":
@@ -220,6 +224,10 @@ func checkGeometry(fs *flag.FlagSet) error {
 		case "machines", "slices", "mixes":
 			if n := v.(int); n < 1 && err == nil {
 				err = fmt.Errorf("-%s %d must be at least 1", f.Name, n)
+			}
+		case "mix":
+			if v.(uint64) == 0 && err == nil {
+				err = fmt.Errorf("-mix 0 must be at least 1")
 			}
 		case "load", "cap":
 			if x := v.(float64); !(x > 0 && x <= 1) && err == nil {

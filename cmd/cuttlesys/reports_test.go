@@ -109,19 +109,19 @@ func TestRowsBindTheirFlags(t *testing.T) {
 func TestDeclarationOrder(t *testing.T) {
 	var res ResilienceReport
 	decodeReport(t, "BENCH_resilience.json", &res)
-	if len(res.Results) != len(faultScenarios()) {
-		t.Fatalf("resilience: %d scenarios, want %d", len(res.Results), len(faultScenarios()))
+	if len(res.Results) != len(resilienceBatteries) {
+		t.Fatalf("resilience: %d scenarios, want %d", len(res.Results), len(resilienceBatteries))
 	}
-	for i, sc := range faultScenarios() {
-		if res.Results[i].Scenario != sc.name {
-			t.Errorf("resilience result %d is %q, want %q", i, res.Results[i].Scenario, sc.name)
+	for i, battery := range resilienceBatteries {
+		if res.Results[i].Scenario != battery {
+			t.Errorf("resilience result %d is %q, want %q", i, res.Results[i].Scenario, battery)
 		}
 		if len(res.Results[i].Policies) != len(resiliencePolicies) {
-			t.Fatalf("resilience %s: %d policies, want %d", sc.name, len(res.Results[i].Policies), len(resiliencePolicies))
+			t.Fatalf("resilience %s: %d policies, want %d", battery, len(res.Results[i].Policies), len(resiliencePolicies))
 		}
 		for j, policy := range resiliencePolicies {
 			if got := res.Results[i].Policies[j].Policy; got != policy {
-				t.Errorf("resilience %s policy %d is %q, want %q", sc.name, j, got, policy)
+				t.Errorf("resilience %s policy %d is %q, want %q", battery, j, got, policy)
 			}
 		}
 	}

@@ -7,37 +7,14 @@ import (
 	"cuttlesys/experiments"
 )
 
-// faultScenario is one named fault battery of the resilience report.
-// Windows are in seconds; the reference 30-slice run spans 3 s, with
-// faults active over [0.5, 1.5) so every run sees a clean lead-in and
-// a recovery tail.
-type faultScenario struct {
-	name   string
-	events []cuttlesys.FaultEvent
-}
-
-func faultScenarios() []faultScenario {
-	return []faultScenario{
-		{name: "fault-free"},
-		{name: "core-failstop", events: []cuttlesys.FaultEvent{
-			{Kind: cuttlesys.CoreFailStop, Start: 0.5, End: 1.5, Cores: 8, BatchCores: 2},
-		}},
-		{name: "core-failslow", events: []cuttlesys.FaultEvent{
-			{Kind: cuttlesys.CoreFailSlow, Start: 0.5, End: 1.5, Factor: 0.6},
-		}},
-		{name: "profile-corrupt", events: []cuttlesys.FaultEvent{
-			{Kind: cuttlesys.ProfileCorrupt, Start: 0.5, End: 1.5, Prob: 0.8},
-		}},
-		{name: "garbage-telemetry", events: []cuttlesys.FaultEvent{
-			{Kind: cuttlesys.TelemetryGarbage, Start: 0.5, End: 1.5, Prob: 0.6},
-		}},
-		{name: "flash-crowd", events: []cuttlesys.FaultEvent{
-			{Kind: cuttlesys.FlashCrowd, Start: 0.5, End: 1.5, Factor: 1.6},
-		}},
-		{name: "budget-drop", events: []cuttlesys.FaultEvent{
-			{Kind: cuttlesys.BudgetDrop, Start: 0.5, End: 1.5, Factor: 0.55},
-		}},
-	}
+// resilienceBatteries name the report's fault batteries in report
+// order; battery b is the library spec resilience-b. Each is a
+// one-machine spec whose faults, if any, are active over [0.5, 1.5) of
+// the reference 3 s run, so every run sees a clean lead-in and a
+// recovery tail.
+var resilienceBatteries = []string{
+	"fault-free", "core-failstop", "core-failslow", "profile-corrupt",
+	"garbage-telemetry", "flash-crowd", "budget-drop",
 }
 
 // resiliencePolicies are the hardened runtime, its trusting
@@ -85,12 +62,12 @@ func resilienceReport(p params) (any, error) {
 		Service: p.Service, MixSeed: p.Mix, Slices: p.Slices,
 		Load: p.Load, Cap: p.Cap, Seed: p.Seed,
 	}
-	for _, sc := range faultScenarios() {
-		sr := ResilienceScenario{Scenario: sc.name}
+	for _, battery := range resilienceBatteries {
+		sr := ResilienceScenario{Scenario: battery}
 		for _, policy := range resiliencePolicies {
-			pr, err := resilienceCell(policy, sc, p)
+			pr, err := resilienceCell(battery, policy, p)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", sc.name, policy, err)
+				return nil, fmt.Errorf("%s/%s: %w", battery, policy, err)
 			}
 			sr.Policies = append(sr.Policies, pr)
 		}
@@ -99,12 +76,14 @@ func resilienceReport(p params) (any, error) {
 	return rep, nil
 }
 
-func resilienceCell(policy string, sc faultScenario, p params) (ResiliencePolicy, error) {
-	inj, err := cuttlesys.NewFaultSchedule(p.Seed, sc.events...)
-	if err != nil {
-		return ResiliencePolicy{}, err
-	}
-	res, err := experiments.RunPolicy(policy, p.Service, p.Mix, p.Seed, p.Slices, p.Load, p.Cap, inj)
+// resilienceRun is one cell's run: the battery's spec under policy.
+func resilienceRun(battery, policy string, p params) (*cuttlesys.Result, error) {
+	p.Policy = policy
+	return oneMachine("resilience-"+battery, p)
+}
+
+func resilienceCell(battery, policy string, p params) (ResiliencePolicy, error) {
+	res, err := resilienceRun(battery, policy, p)
 	if err != nil {
 		return ResiliencePolicy{}, err
 	}

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"cuttlesys"
-	"cuttlesys/experiments"
 	"cuttlesys/internal/harness"
 )
 
@@ -20,8 +18,9 @@ import (
 // no scheduler reads, which the single-machine harness writes as
 // load·factor and a fleet as share ÷ capacity.
 func TestResilienceRecordsPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("28 machine runs in -short mode")
+	if testing.Short() || raceEnabled {
+		// Under -race the byte gate already reruns these 28 runs.
+		t.Skip("28 machine runs in -short or -race mode")
 	}
 	r, err := pick("report", reports, func(r report) string { return r.name }, []string{"resilience"})
 	if err != nil {
@@ -29,13 +28,9 @@ func TestResilienceRecordsPinned(t *testing.T) {
 	}
 	p := r.defaults
 	h := fnv.New64a()
-	for _, sc := range faultScenarios() {
+	for _, battery := range resilienceBatteries {
 		for _, policy := range resiliencePolicies {
-			inj, err := cuttlesys.NewFaultSchedule(p.Seed, sc.events...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := experiments.RunPolicy(policy, p.Service, p.Mix, p.Seed, p.Slices, p.Load, p.Cap, inj)
+			res, err := resilienceRun(battery, policy, p)
 			if err != nil {
 				t.Fatal(err)
 			}

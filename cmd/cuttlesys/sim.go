@@ -1,27 +1,30 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 
-	"cuttlesys/experiments"
+	"cuttlesys"
+	"cuttlesys/specs"
 )
 
 // simFlags are the knobs of `cuttlesys sim [flags]`, the free-form
 // driver: any policy on any service/mix/load/budget combination,
 // printing the per-slice trace — the tool to poke at the system outside
-// the canned figure reproductions.
+// the canned figure reproductions. It runs the sim library spec, and a
+// flag overrides the spec only when it is given.
 var simFlags = []string{"policy", "service", "mix", "slices", "load", "cap", "seed"}
 
 func runSim(args []string, stdout io.Writer) error {
-	p := params{Policy: "cuttlesys", Service: "xapian", Mix: 3, Slices: 20, Load: 0.8, Cap: 0.7, Seed: 1}
+	p := params{Seed: 1}
 	fs := flag.NewFlagSet("cuttlesys sim", flag.ContinueOnError)
 	p.bind(fs, simFlags...)
 	if err := parseNoArgs(fs, args); err != nil {
 		return err
 	}
-	res, err := experiments.RunPolicy(p.Policy, p.Service, p.Mix, p.Seed, p.Slices, p.Load, p.Cap, nil)
+	res, err := oneMachine("sim", p)
 	if err != nil {
 		return err
 	}
@@ -38,4 +41,24 @@ func runSim(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, res)
 	return nil
+}
+
+// oneMachine runs a one-machine library spec with p's geometry, -policy
+// as its scheduler and -mix as its mix seed, each when set, and returns
+// the machine's record.
+func oneMachine(name string, p params) (*cuttlesys.Result, error) {
+	sp, err := librarySpec(name)
+	if err != nil {
+		return nil, err
+	}
+	sp.Policy.Scheduler, sp.Mix.Seed = cmp.Or(p.Policy, sp.Policy.Scheduler), cmp.Or(p.Mix, sp.Mix.Seed)
+	comp, err := compile(sp, specs.FS, p)
+	if err != nil {
+		return nil, err
+	}
+	res, err := comp.Run()
+	if err != nil {
+		return nil, err
+	}
+	return res.Fleet.Nodes[0], nil
 }

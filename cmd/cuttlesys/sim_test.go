@@ -5,7 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"cuttlesys/experiments"
+	"cuttlesys/internal/scenario"
 )
 
 // TestSimStdoutPinned pins an FNV-1a digest of `cuttlesys sim`'s
@@ -31,8 +31,8 @@ func TestSimStdoutPinned(t *testing.T) {
 		t.Errorf("default sim stdout digest %#016x, pinned %#016x", got, want)
 	}
 	var outs [][]byte
-	for _, p := range experiments.Policies {
-		outs = append(outs, sim("-policy", p, "-slices", "4"))
+	for _, def := range scenario.Schedulers {
+		outs = append(outs, sim("-policy", def.Name, "-slices", "4"))
 	}
 	if got, want := digest(outs...), uint64(0xc567469dc08ce01e); got != want {
 		t.Errorf("every-policy sim stdout digest %#016x, pinned %#016x", got, want)

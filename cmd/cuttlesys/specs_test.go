@@ -20,10 +20,14 @@ func TestValidateLibrary(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "validated 14 spec(s)") {
-		t.Errorf("library validation output %q, want 14 specs", out)
+	if !strings.Contains(out, "validated 22 spec(s)") {
+		t.Errorf("library validation output %q, want 22 specs", out)
 	}
-	for _, name := range suiteScenarios() {
+	names := append([]string{"sim"}, suiteScenarios()...)
+	for _, battery := range resilienceBatteries {
+		names = append(names, "resilience-"+battery)
+	}
+	for _, name := range names {
 		if !strings.Contains(out, "ok "+name) {
 			t.Errorf("library validation missing %q", name)
 		}
@@ -50,8 +54,8 @@ func TestListSpecs(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("roster not in lexical order: %v", names)
 	}
-	if len(names) != 14 {
-		t.Errorf("roster has %d specs, want 14", len(names))
+	if len(names) != 22 {
+		t.Errorf("roster has %d specs, want 22", len(names))
 	}
 	byName := make(map[string]string, len(lines))
 	for i, line := range lines {

@@ -7,6 +7,7 @@ import (
 
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/scenario"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
 )
@@ -96,12 +97,12 @@ func EnergyProportionality(service string, seed uint64, loads []float64) ([]Prop
 	var rows []ProportionalityRow
 	for _, load := range loads {
 		for _, d := range designs {
-			pol, err := lookupPolicy(d.policy)
+			pol, err := scenario.SchedulerByName(d.policy)
 			if err != nil {
 				return nil, err
 			}
-			m := lcOnlyMachine(service, seed, pol.reconfigurable)
-			res, err := harness.Run(m, pol.scheduler(m, core.Params{Seed: seed}), d.slices,
+			m := lcOnlyMachine(service, seed, pol.Reconfigurable)
+			res, err := harness.Run(m, pol.New(m, core.Params{Seed: seed}), d.slices,
 				harness.ConstantLoad(load), harness.ConstantBudget(10))
 			if err != nil {
 				return nil, err

@@ -7,86 +7,29 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
-	"cuttlesys/internal/baseline"
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/harness"
-	"cuttlesys/internal/sim"
+	"cuttlesys/internal/scenario"
 	"cuttlesys/internal/workload"
+	"cuttlesys/specs"
 )
 
-// Policy names used across the comparison experiments.
+// Policy names used across the comparison experiments: rows of the
+// scheduler registry (scenario.Schedulers).
 const (
-	PolicyNoGating     = "no-gating"
-	PolicyCoreGating   = "core-gating"
-	PolicyCoreGatingWP = "core-gating+wp"
-	PolicyAsymmOracle  = "asymm-oracle"
-	PolicyAsymm5050    = "asymm-50-50"
-	PolicyFlickerA     = "flicker-a"
-	PolicyFlickerB     = "flicker-b"
-	PolicyCuttleSys    = "cuttlesys"
-	// PolicyCuttleSysUnhardened is CuttleSys with its resilience guards
-	// off (core.Params.DisableResilience): the trusting control of the
-	// resilience report.
+	PolicyNoGating            = "no-gating"
+	PolicyCoreGating          = "core-gating"
+	PolicyCoreGatingWP        = "core-gating+wp"
+	PolicyAsymmOracle         = "asymm-oracle"
+	PolicyAsymm5050           = "asymm-50-50"
+	PolicyFlickerA            = "flicker-a"
+	PolicyFlickerB            = "flicker-b"
+	PolicyCuttleSys           = "cuttlesys"
 	PolicyCuttleSysUnhardened = "cuttlesys-unhardened"
-	// PolicyDVFS is the maxBIPS per-core DVFS extension (§II-A1) — not
-	// part of the paper's Fig. 5c comparison set, available for
-	// extended sweeps.
-	PolicyDVFS = "dvfs-maxbips"
+	PolicyDVFS                = "dvfs-maxbips"
 )
-
-// policyDef is one row of the policy table: a policy's name, whether
-// it runs on reconfigurable cores (and so pays the AnyCore penalties),
-// and how it schedules a machine. The scheduler seed arrives as p.Seed;
-// only CuttleSys reads the rest of p.
-type policyDef struct {
-	name           string
-	reconfigurable bool
-	scheduler      func(m *sim.Machine, p core.Params) harness.Scheduler
-}
-
-// policies is the one policy table, in the order Policies lists it.
-var policies = []policyDef{
-	{PolicyCuttleSys, true, func(m *sim.Machine, p core.Params) harness.Scheduler { return core.New(m, p) }},
-	{PolicyCuttleSysUnhardened, true, func(m *sim.Machine, p core.Params) harness.Scheduler {
-		p.DisableResilience = true
-		return core.New(m, p)
-	}},
-	{PolicyNoGating, false, func(m *sim.Machine, _ core.Params) harness.Scheduler { return baseline.NewNoGating(m) }},
-	{PolicyCoreGating, false, func(m *sim.Machine, p core.Params) harness.Scheduler {
-		return baseline.NewCoreGating(m, baseline.DescendingPower, false, p.Seed)
-	}},
-	{PolicyCoreGatingWP, false, func(m *sim.Machine, p core.Params) harness.Scheduler {
-		return baseline.NewCoreGating(m, baseline.DescendingPower, true, p.Seed)
-	}},
-	{PolicyAsymmOracle, false, func(m *sim.Machine, _ core.Params) harness.Scheduler { return baseline.NewAsymmetric(m, true) }},
-	{PolicyAsymm5050, false, func(m *sim.Machine, _ core.Params) harness.Scheduler { return baseline.NewAsymmetric(m, false) }},
-	{PolicyFlickerA, true, func(m *sim.Machine, p core.Params) harness.Scheduler { return baseline.NewFlicker(m, false, p.Seed) }},
-	{PolicyFlickerB, true, func(m *sim.Machine, p core.Params) harness.Scheduler { return baseline.NewFlicker(m, true, p.Seed) }},
-	{PolicyDVFS, false, func(m *sim.Machine, p core.Params) harness.Scheduler { return baseline.NewDVFS(m, p.Seed) }},
-}
-
-// Policies lists every policy name RunPolicy runs: the names the sim
-// command's help and the unknown-policy error give.
-var Policies = func() []string {
-	names := make([]string, len(policies))
-	for i, p := range policies {
-		names[i] = p.name
-	}
-	return names
-}()
-
-// lookupPolicy returns the row of the policy table named name.
-func lookupPolicy(name string) (policyDef, error) {
-	for _, p := range policies {
-		if p.name == name {
-			return p, nil
-		}
-	}
-	return policyDef{}, fmt.Errorf("experiments: unknown policy %q: one of %v", name, Policies)
-}
 
 // ComparisonPolicies are the Fig. 5c bars, in presentation order.
 var ComparisonPolicies = []string{
@@ -134,20 +77,18 @@ func (s Setup) withDefaults() Setup {
 	return s
 }
 
-// cell is one single-machine run. The machine hosts service beside a
-// 16-job batch mix drawn with seed mix from the jobs outside the
-// runtime's training split, and is itself seeded with mix; the policy's
-// scheduler is seeded with seed. The run lasts slices timeslices under
-// the load and budget patterns and, when faults is set, that injector.
-// tweak, when set, adjusts the CuttleSys parameters: the searcher,
-// accuracy tracking, the ablation switches.
+// cell is one single-machine run: the sim library spec's machine with
+// service beside the batch mix seeded mix, policy's scheduler seeded
+// seed, for slices timeslices under the cell's load and budget patterns
+// in place of the spec's constant ones. tweak, when set, adjusts the
+// CuttleSys parameters: the searcher, accuracy tracking, the ablation
+// switches.
 type cell struct {
 	policy, service string
 	mix, seed       uint64
 	slices          int
 	load            harness.LoadPattern
 	budget          harness.BudgetPattern
-	faults          harness.FaultInjector
 	tweak           func(*core.Params)
 }
 
@@ -155,42 +96,22 @@ type cell struct {
 // returns the scheduler too, for callers that read its state after the
 // run.
 func (c cell) run() (*harness.Result, harness.Scheduler, error) {
-	lc, err := workload.ByName(c.service)
+	src, err := specs.Source("sim")
 	if err != nil {
 		return nil, nil, err
 	}
-	pol, err := lookupPolicy(c.policy)
+	sp, err := scenario.Parse(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, pool := workload.SplitTrainTest(1, 16)
-	m := sim.New(sim.Spec{
-		Seed:           c.mix,
-		LC:             lc,
-		Batch:          workload.Mix(c.mix, pool, 16),
-		Reconfigurable: pol.reconfigurable,
-	})
-	p := core.Params{Seed: c.seed}
-	if c.tweak != nil {
-		c.tweak(&p)
+	sp.Policy.Scheduler, sp.Mix.Seed = c.policy, c.mix
+	comp, err := scenario.Compile(sp, scenario.Options{Service: c.service, Slices: c.slices, Seed: c.seed})
+	if err != nil {
+		return nil, nil, err
 	}
-	sched := pol.scheduler(m, p)
-	res, err := harness.RunFaulted(m, sched, c.slices, c.load, c.budget, c.faults)
-	return res, sched, err
-}
-
-// RunPolicy runs the named policy on one machine: service beside the
-// batch mix drawn with mixSeed, the scheduler seeded with seed, for
-// slices timeslices at constant load and power cap capFrac, under
-// faults when it is not nil. It is the run behind `cuttlesys sim` and
-// every cell of `cuttlesys report resilience`. An unknown service or
-// policy is an error; the latter lists Policies.
-func RunPolicy(policy, service string, mixSeed, seed uint64, slices int, load, capFrac float64, faults harness.FaultInjector) (*harness.Result, error) {
-	res, _, err := cell{
-		policy: policy, service: service, mix: mixSeed, seed: seed, slices: slices,
-		load: harness.ConstantLoad(load), budget: harness.ConstantBudget(capFrac), faults: faults,
-	}.run()
-	return res, err
+	nd := comp.Machine(c.tweak)
+	res, err := harness.Run(nd.Machine, nd.Scheduler, c.slices, c.load, c.budget)
+	return res, nd.Scheduler, err
 }
 
 // eachMix calls f on every (service, mix seed) pair of s, services in

@@ -435,24 +435,3 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// TestPoliciesListed requires every name in the policy table to be
-// distinct and to run, and the unknown-policy error to list them: the
-// sim command's help and that error read Policies, so a policy missing
-// from it is one no user is told of.
-func TestPoliciesListed(t *testing.T) {
-	seen := map[string]bool{}
-	for _, p := range Policies {
-		if seen[p] {
-			t.Errorf("policy %q listed twice", p)
-		}
-		seen[p] = true
-		if _, err := RunPolicy(p, "xapian", 1, 1, 1, 0.8, 0.7, nil); err != nil {
-			t.Errorf("RunPolicy(%q): %v", p, err)
-		}
-	}
-	_, err := RunPolicy("xx", "xapian", 1, 1, 1, 0.8, 0.7, nil)
-	if err == nil || !strings.Contains(err.Error(), strings.Join(Policies, " ")) {
-		t.Errorf("unknown-policy error %v does not list the policies", err)
-	}
-}

@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 
+	"cuttlesys/internal/baseline"
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/ctrlplane"
 	"cuttlesys/internal/fleet"
+	"cuttlesys/internal/harness"
 	"cuttlesys/internal/modelplane"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/workload"
@@ -26,32 +29,90 @@ func (c *Compiled) Policy() (fleet.Router, fleet.Arbiter, error) {
 	return r, a, nil
 }
 
-// catalog resolves the service profile and the batch candidate pool
-// the mix clause draws from.
-func (c *Compiled) catalog() (*workload.Profile, []*workload.Profile, error) {
-	lc, err := workload.ByName(c.Service)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s: %w", c.Spec.Name, err)
-	}
-	_, pool := workload.SplitTrainTest(c.Spec.Mix.TrainSeed, c.Spec.Mix.Train)
-	return lc, pool, nil
+// SchedulerDef is one row of the scheduler registry: a policy's name,
+// whether it runs on reconfigurable cores (and so pays the AnyCore
+// penalties), and how it schedules a machine. The scheduler seed
+// arrives as p.Seed; only CuttleSys reads the rest of p.
+type SchedulerDef struct {
+	Name           string
+	Reconfigurable bool
+	New            func(m *sim.Machine, p core.Params) harness.Scheduler
 }
 
-// node builds one machine + scheduler pair from its seed: the batch
-// mix, the simulated multicore and the decision runtime all derive
-// from that one seed.
-func (c *Compiled) node(seed uint64, lc *workload.Profile, pool []*workload.Profile) fleet.NodeSpec {
+// Schedulers is the one scheduler registry: the names the policy
+// clause's scheduler key takes, CuttleSys, its default, first.
+var Schedulers = []SchedulerDef{
+	{"cuttlesys", true, func(m *sim.Machine, p core.Params) harness.Scheduler { return core.New(m, p) }},
+	// CuttleSys with its resilience guards off: the trusting control of
+	// the resilience report.
+	{"cuttlesys-unhardened", true, func(m *sim.Machine, p core.Params) harness.Scheduler {
+		p.DisableResilience = true
+		return core.New(m, p)
+	}},
+	{"no-gating", false, func(m *sim.Machine, _ core.Params) harness.Scheduler { return baseline.NewNoGating(m) }},
+	{"core-gating", false, func(m *sim.Machine, p core.Params) harness.Scheduler {
+		return baseline.NewCoreGating(m, baseline.DescendingPower, false, p.Seed)
+	}},
+	{"core-gating+wp", false, func(m *sim.Machine, p core.Params) harness.Scheduler {
+		return baseline.NewCoreGating(m, baseline.DescendingPower, true, p.Seed)
+	}},
+	{"asymm-oracle", false, func(m *sim.Machine, _ core.Params) harness.Scheduler { return baseline.NewAsymmetric(m, true) }},
+	{"asymm-50-50", false, func(m *sim.Machine, _ core.Params) harness.Scheduler { return baseline.NewAsymmetric(m, false) }},
+	{"flicker-a", true, func(m *sim.Machine, p core.Params) harness.Scheduler { return baseline.NewFlicker(m, false, p.Seed) }},
+	{"flicker-b", true, func(m *sim.Machine, p core.Params) harness.Scheduler { return baseline.NewFlicker(m, true, p.Seed) }},
+	// The maxBIPS per-core DVFS extension (§II-A1), outside the paper's
+	// Fig. 5c comparison set.
+	{"dvfs-maxbips", false, func(m *sim.Machine, p core.Params) harness.Scheduler { return baseline.NewDVFS(m, p.Seed) }},
+}
+
+// SchedulerByName returns the registry row named name; the error lists
+// every name.
+func SchedulerByName(name string) (SchedulerDef, error) {
+	names := make([]string, len(Schedulers))
+	for i, d := range Schedulers {
+		if d.Name == name {
+			return d, nil
+		}
+		names[i] = d.Name
+	}
+	return SchedulerDef{}, fmt.Errorf("unknown scheduler %q: one of %v", name, names)
+}
+
+// node builds one machine and its scheduler, the one builder of a
+// run's machines: the batch mix and the simulated multicore derive from
+// mix, the spec's scheduler from seed. tweak, when set, adjusts the
+// CuttleSys parameters.
+func (c *Compiled) node(mix, seed uint64, tweak func(*core.Params)) fleet.NodeSpec {
 	m := sim.New(sim.Spec{
-		Seed:           seed,
-		LC:             lc,
-		Batch:          workload.Mix(seed, pool, c.Spec.Mix.Jobs),
-		Reconfigurable: true,
+		Seed:           mix,
+		LC:             c.lc,
+		Batch:          workload.Mix(mix, c.pool, c.Spec.Mix.Jobs),
+		Reconfigurable: c.sched.Reconfigurable,
 	})
-	rt := core.New(m, core.Params{
-		Seed:         seed,
-		ShareFactors: c.Spec.Share != nil,
-	})
-	return fleet.NodeSpec{Machine: m, Scheduler: rt}
+	p := core.Params{Seed: seed, ShareFactors: c.Spec.Share != nil}
+	if tweak != nil {
+		tweak(&p)
+	}
+	return fleet.NodeSpec{Machine: m, Scheduler: c.sched.New(m, p)}
+}
+
+// seeds returns machine i's mix and scheduler seeds: its fleet.Seeds
+// draw for both, unless the mix clause pins the one machine's mix, when
+// the run seed seeds the scheduler.
+func (c *Compiled) seeds(i int) (mix, seed uint64) {
+	if c.Spec.Mix.Seed != 0 {
+		return c.Spec.Mix.Seed, c.Seed
+	}
+	s := fleet.Seeds(c.Seed, i+1)[i]
+	return s, s
+}
+
+// Machine builds machine 0 and its scheduler, unattached to any fault
+// clause, for callers that step it through the harness under patterns
+// a spec cannot state yet (Fig. 8's). tweak is node's.
+func (c *Compiled) Machine(tweak func(*core.Params)) fleet.NodeSpec {
+	mix, seed := c.seeds(0)
+	return c.node(mix, seed, tweak)
 }
 
 // sharePlane builds the spec's model-sharing plane, nil when the spec
@@ -75,24 +136,20 @@ func planeParams(sh *ShareSpec) modelplane.Params {
 	}
 }
 
-// nodes builds the initial fleet: per-machine seeds from the run
-// seed, fault injectors attached per the spec's fault clauses.
-func (c *Compiled) nodes() ([]fleet.NodeSpec, *workload.Profile, []*workload.Profile, error) {
-	lc, pool, err := c.catalog()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	seeds := fleet.Seeds(c.Seed, c.Machines)
+// nodes builds the initial fleet, fault injectors attached per the
+// spec's fault clauses and seeded from each machine's scheduler seed.
+func (c *Compiled) nodes() ([]fleet.NodeSpec, error) {
 	specs := make([]fleet.NodeSpec, c.Machines)
 	for i := range specs {
-		specs[i] = c.node(seeds[i], lc, pool)
-		inj, err := c.Injector(i, seeds[i])
+		mix, seed := c.seeds(i)
+		specs[i] = c.node(mix, seed, nil)
+		inj, err := c.Injector(i, seed)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		specs[i].Injector = inj
 	}
-	return specs, lc, pool, nil
+	return specs, nil
 }
 
 // BuildFleet assembles the unmanaged fleet the spec describes. A nil
@@ -102,7 +159,7 @@ func (c *Compiled) BuildFleet(router fleet.Router, arbiter fleet.Arbiter) (*flee
 	if err := c.fillPolicy(&router, &arbiter); err != nil {
 		return nil, err
 	}
-	specs, _, _, err := c.nodes()
+	specs, err := c.nodes()
 	if err != nil {
 		return nil, err
 	}
@@ -121,14 +178,14 @@ func (c *Compiled) BuildControlPlane(router fleet.Router, arbiter fleet.Arbiter)
 	if err := c.fillPolicy(&router, &arbiter); err != nil {
 		return nil, err
 	}
-	specs, lc, pool, err := c.nodes()
+	specs, err := c.nodes()
 	if err != nil {
 		return nil, err
 	}
 	scale := c.scaleConfig()
 	scale.Seed = c.Seed ^ ProvisionSalt
 	scale.Provision = func(id int, seed uint64) (fleet.NodeSpec, error) {
-		return c.node(seed, lc, pool), nil
+		return c.node(seed, seed, nil), nil
 	}
 	cfg := ctrlplane.Config{
 		Fleet:  fleet.Config{Router: router, Arbiter: arbiter, Collector: c.collector},
@@ -146,20 +203,9 @@ func (c *Compiled) BuildControlPlane(router fleet.Router, arbiter fleet.Arbiter)
 }
 
 func (c *Compiled) fillPolicy(router *fleet.Router, arbiter *fleet.Arbiter) error {
-	if *router != nil && *arbiter != nil {
-		return nil
-	}
 	r, a, err := c.Policy()
-	if err != nil {
-		return err
-	}
-	if *router == nil {
-		*router = r
-	}
-	if *arbiter == nil {
-		*arbiter = a
-	}
-	return nil
+	*router, *arbiter = cmp.Or(*router, r), cmp.Or(*arbiter, a)
+	return err
 }
 
 // Result is one scenario run: the fleet result plus the control-plane

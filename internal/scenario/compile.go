@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io/fs"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/obs"
 	"cuttlesys/internal/rng"
+	"cuttlesys/internal/workload"
 )
 
 // ProvisionSalt derives the control plane's provisioning seed stream
@@ -74,6 +76,10 @@ type Compiled struct {
 	Managed bool
 
 	collector obs.Collector
+	// The service, the mix clause's batch pool and the scheduler.
+	lc    *workload.Profile
+	pool  []*workload.Profile
+	sched SchedulerDef
 }
 
 // Compile lowers a validated spec against its run options.
@@ -85,26 +91,9 @@ func Compile(s *Spec, opt Options) (*Compiled, error) {
 	if _, _, err := c.Policy(); err != nil {
 		return nil, err
 	}
-	c.Machines = s.Machines
-	if opt.Machines != 0 {
-		c.Machines = opt.Machines
-	}
-	c.Slices = s.Slices
-	if opt.Slices != 0 {
-		c.Slices = opt.Slices
-	}
-	c.Service = s.Service
-	if opt.Service != "" {
-		c.Service = opt.Service
-	}
-	c.Load = s.Load.Value()
-	if opt.Load != 0 {
-		c.Load = opt.Load
-	}
-	c.Cap = s.Cap.Value()
-	if opt.Cap != 0 {
-		c.Cap = opt.Cap
-	}
+	c.Machines, c.Slices = cmp.Or(opt.Machines, s.Machines), cmp.Or(opt.Slices, s.Slices)
+	c.Service = cmp.Or(opt.Service, s.Service)
+	c.Load, c.Cap = cmp.Or(opt.Load, s.Load.Value()), cmp.Or(opt.Cap, s.Cap.Value())
 	switch {
 	case c.Machines < 1:
 		return nil, fmt.Errorf("scenario %s: needs a positive machine count (spec or options), got %d", s.Name, c.Machines)
@@ -116,6 +105,18 @@ func Compile(s *Spec, opt Options) (*Compiled, error) {
 		return nil, fmt.Errorf("scenario %s: load fraction %v out of (0, 1]", s.Name, c.Load)
 	case c.Cap <= 0 || c.Cap > 1:
 		return nil, fmt.Errorf("scenario %s: cap fraction %v out of (0, 1]", s.Name, c.Cap)
+	case s.Mix.Train >= len(workload.SPEC()):
+		return nil, fmt.Errorf("scenario %s: mix train=%d leaves no batch jobs to draw", s.Name, s.Mix.Train)
+	case s.Mix.Seed != 0 && c.Machines != 1:
+		return nil, fmt.Errorf("scenario %s: mix seed= pins one machine, the run has %d", s.Name, c.Machines)
+	}
+	var err error
+	if c.lc, err = workload.ByName(c.Service); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	_, c.pool = workload.SplitTrainTest(s.Mix.TrainSeed, s.Mix.Train)
+	if c.sched, err = SchedulerByName(cmp.Or(s.Policy.Scheduler, Schedulers[0].Name)); err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	c.Span = float64(c.Slices) * harness.SliceDur
 

@@ -267,6 +267,8 @@ func TestCompileChecksGoBuiltSpec(t *testing.T) {
 		{"unknown router", func(s *Spec) { s.Policy.Router = "bogus" }, `unknown router "bogus"`},
 		{"unknown arbiter", func(s *Spec) { s.Policy.Arbiter = "nope" }, `unknown arbiter "nope"`},
 		{"equal arbiter", func(s *Spec) { s.Policy.Arbiter = "equal" }, `unknown arbiter "equal"`},
+		{"unknown scheduler", func(s *Spec) { s.Policy.Scheduler = "bogus" }, `unknown scheduler "bogus"`},
+		{"mix seed on four machines", func(s *Spec) { s.Mix.Seed = 3 }, "mix seed= pins one machine, the run has 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

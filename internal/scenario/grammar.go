@@ -21,7 +21,7 @@ type param struct {
 	// or *bool for a bare flag token such as absolute.
 	val  any
 	def  string // applied when the field is zero after parsing
-	omit bool   // Format leaves the key out at zero (see omitted)
+	omit bool   // Format leaves the key out at zero or def (see omitted)
 	req  bool   // must be non-zero
 	hex  bool   // a *uint64 rendered as 0x…
 	text bool   // a one-value directive whose value runs to the end of its line
@@ -129,9 +129,9 @@ func (pr *param) num() (v float64, ok bool) {
 	return 0, false
 }
 
-// omitted reports a key Format leaves out: omit-at-zero and zero,
-// which means unset, so validate skips its range too.
-func (pr *param) omitted() bool { return pr.omit && pr.zero() }
+// omitted reports a key Format leaves out: an omit key at zero, which
+// means unset, so validate skips its range too, or at its default.
+func (pr *param) omitted() bool { return pr.omit && (pr.zero() || pr.String() == pr.def) }
 
 func (pr *param) zero() bool {
 	switch f := pr.val.(type) {
@@ -179,6 +179,7 @@ func (m *MixSpec) params() []param {
 		{key: "jobs", val: &m.Jobs, def: "16", rng: positive},
 		{key: "train", val: &m.Train, def: "16", rng: nonNeg},
 		{key: "trainseed", val: &m.TrainSeed, def: "1"},
+		{key: "seed", val: &m.Seed, omit: true},
 	}
 }
 
@@ -186,6 +187,7 @@ func (p *PolicySpec) params() []param {
 	return []param{
 		{key: "router", val: &p.Router, def: "uniform", req: true},
 		{key: "arbiter", val: &p.Arbiter, def: "proportional", req: true},
+		{key: "scheduler", val: &p.Scheduler, def: "cuttlesys", omit: true},
 	}
 }
 

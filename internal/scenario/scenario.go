@@ -148,17 +148,23 @@ type ShareSpec struct {
 
 // MixSpec declares each machine's batch mix: Jobs drawn per machine
 // from the pool left after holding out Train profiles under TrainSeed
-// (the offline-characterised split of core.Params).
+// (the offline-characterised split of core.Params). Seed, allowed on
+// one-machine runs only, pins the machine and its mix to that seed;
+// the run seed then seeds the scheduler and, XOR each clause's salt,
+// the fault schedules. Zero leaves every seed to fleet.Seeds.
 type MixSpec struct {
 	Jobs      int
 	Train     int
 	TrainSeed uint64
+	Seed      uint64
 }
 
-// PolicySpec names the fleet router and budget arbiter.
+// PolicySpec names the fleet router and budget arbiter, and the
+// scheduler every machine runs (a Schedulers name; empty is the first).
 type PolicySpec struct {
-	Router  string
-	Arbiter string
+	Router    string
+	Arbiter   string
+	Scheduler string
 }
 
 // Envelope is the deterministic shape shared by budget schedules and

@@ -27,6 +27,11 @@ func TestNamesSortedAndComplete(t *testing.T) {
 		"flash-crowd", "load-shift-storm", "correlated-brownout", "trace-replay", // report scenario
 		"obs-chaos",  // report obs, make trace
 		"warm-drill", // report warmstart
+		"sim",        // cuttlesys sim
+		// report resilience
+		"resilience-fault-free", "resilience-core-failstop", "resilience-core-failslow",
+		"resilience-profile-corrupt", "resilience-garbage-telemetry",
+		"resilience-flash-crowd", "resilience-budget-drop",
 	} {
 		if !have[n] {
 			t.Errorf("library missing spec %q", n)

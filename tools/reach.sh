@@ -6,7 +6,8 @@
 # every entry point at smoke scale, then reads `go tool covdata func`.
 # The entry points are the six reports, the sixteen paper rows, sim
 # under every policy its help lists, list, validate, and describe and
-# run on every library spec. It also runs a traced obs report with
+# run on every library spec (a spec that pins its mix seed on its one
+# machine, the others on two). It also runs a traced obs report with
 # every artifact, the three trace modes, lint in both output modes, the
 # bench smoke with its spans, compare and contract modes, and the root
 # package's Example functions.
@@ -45,7 +46,12 @@ cs list
 cs validate
 for s in $("$work/cuttlesys" list | awk '{print $1}'); do
 	cs describe $s
-	cs run $s -machines 2 -slices 6
+	# A spec whose mix clause pins a seed runs on one machine only.
+	if grep -q '^mix .*seed=' "specs/$s.spec"; then
+		cs run $s -slices 6
+	else
+		cs run $s -machines 2 -slices 6
+	fi
 done
 cs report obs -machines 2 -slices 4 -trace "$work/t.jsonl" \
 	-chrome /dev/null -prom /dev/null -o /dev/null
