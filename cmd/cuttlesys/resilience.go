@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 
-	"cuttlesys"
 	"cuttlesys/experiments"
 )
 
@@ -76,14 +75,10 @@ func resilienceReport(p params) (any, error) {
 	return rep, nil
 }
 
-// resilienceRun is one cell's run: the battery's spec under policy.
-func resilienceRun(battery, policy string, p params) (*cuttlesys.Result, error) {
-	p.Policy = policy
-	return oneMachine("resilience-"+battery, p)
-}
-
+// resilienceCell runs the battery's spec under policy.
 func resilienceCell(battery, policy string, p params) (ResiliencePolicy, error) {
-	res, err := resilienceRun(battery, policy, p)
+	p.Policy = policy
+	res, err := oneMachine("resilience-"+battery, p)
 	if err != nil {
 		return ResiliencePolicy{}, err
 	}

@@ -30,7 +30,8 @@ func TestResilienceRecordsPinned(t *testing.T) {
 	h := fnv.New64a()
 	for _, battery := range resilienceBatteries {
 		for _, policy := range resiliencePolicies {
-			res, err := resilienceRun(battery, policy, p)
+			p.Policy = policy
+			res, err := oneMachine("resilience-"+battery, p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -118,7 +118,7 @@ func runList(args []string, stdout io.Writer) error {
 			}
 			control = strings.Join(parts, "+")
 		}
-		line := fmt.Sprintf("%-22s clients=%s faults=%d control=%s",
+		line := fmt.Sprintf("%-28s clients=%s faults=%d control=%s",
 			name, strings.Join(clients, ","), len(sp.Faults), control)
 		if sp.Share != nil {
 			line += fmt.Sprintf(" share=syncperiod:%d", sp.Share.SyncPeriod)

@@ -1,5 +1,7 @@
-// Package specs embeds the repo's scenario spec library: the cluster
-// scenarios of the fleet report, the control-plane drills of the ops
+// Package specs embeds the repo's scenario spec library: the
+// one-machine run of `cuttlesys sim` (sim) and the resilience report's
+// seven fault batteries (resilience-*), the cluster scenarios of the
+// fleet report, the control-plane drills of the ops
 // report, the traced chaos run of the obs report (obs-chaos), the
 // machine-loss drill the warmstart report sweeps (warm-drill), plus the
 // extended scenarios behind BENCH_scenario.json and a recorded traffic
