@@ -20,7 +20,7 @@ type param struct {
 	// val points at the field: *int, *uint64, *float64, *Num, *string,
 	// or *bool for a bare flag token such as absolute.
 	val  any
-	def  string // applied when the field is zero after parsing
+	def  string // applied when the clause does not give the key
 	omit bool   // Format leaves the key out at zero or def (see omitted)
 	req  bool   // must be non-zero
 	hex  bool   // a *uint64 rendered as 0x…
@@ -176,7 +176,7 @@ func (c *ClientSpec) params() []param {
 
 func (m *MixSpec) params() []param {
 	return []param{
-		{key: "jobs", val: &m.Jobs, def: "16", rng: positive},
+		{key: "jobs", val: &m.Jobs, def: "16", rng: nonNeg},
 		{key: "train", val: &m.Train, def: "16", rng: nonNeg},
 		{key: "trainseed", val: &m.TrainSeed, def: "1"},
 		{key: "seed", val: &m.Seed, omit: true},

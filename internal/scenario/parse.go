@@ -18,6 +18,8 @@ import (
 // Format renders its canonical form. The result is validated.
 func Parse(src []byte) (*Spec, error) {
 	p := &parser{spec: &Spec{}, seen: map[scoped]int{}}
+	fill(&p.spec.Mix, nil)
+	fill(&p.spec.Policy, nil)
 	for _, raw := range strings.Split(string(src), "\n") {
 		p.line++
 		line := raw
@@ -99,8 +101,9 @@ func (p *parser) open(block string) {
 func (p *parser) closeBlock() error {
 	switch p.block {
 	case "client":
-		if p.client.Arrival.Process == "" {
-			p.client.Arrival.Process = ProcConstant
+		if a := &p.client.Arrival; a.Process == "" {
+			a.Process = ProcConstant
+			fill(a, nil)
 		}
 		p.spec.Clients = append(p.spec.Clients, *p.client)
 		p.client = nil
@@ -140,6 +143,7 @@ func (p *parser) topDirective(fields []string) error {
 		}
 		p.open(key)
 		p.client = &ClientSpec{Name: rest[0]}
+		fill(p.client, nil)
 	case "fault":
 		if len(rest) < 2 || rest[len(rest)-1] != "{" {
 			return p.errf("fault directive wants: fault machine=N [salt=0x...] {")
@@ -211,6 +215,7 @@ func (p *parser) params(what string, c clause, toks []string) error {
 		}
 		toks = rest
 	}
+	fill(c, given)
 	return nil
 }
 
@@ -273,27 +278,29 @@ func (p *parser) controlDirective(fields []string) error {
 	return nil
 }
 
-// finish applies spec-level defaults: a constant budget, and — when no
-// client clause appears — a single full-fraction standard client with
-// a constant arrival, so the minimal spec is just a name; then every
-// clause's table defaults.
+// finish adds a constant budget and, when no client clause appears, a
+// single full-fraction standard client with a constant arrival, so the
+// minimal spec is just a name. Every clause takes its defaults where
+// it begins: the mix and policy with the parser, the rest here or at
+// their directive.
 func (p *parser) finish() {
 	s := p.spec
 	if s.Budget.Kind == "" {
 		s.Budget.Kind = ProcConstant
+		fill(&s.Budget, nil)
 	}
 	if len(s.Clients) == 0 {
 		s.Clients = []ClientSpec{{Name: "primary", Arrival: ArrivalSpec{Process: ProcConstant}}}
-	}
-	for _, c := range s.clauses() {
-		fill(c.c)
+		fill(&s.Clients[0], nil)
+		fill(&s.Clients[0].Arrival, nil)
 	}
 }
 
-// fill applies the default of every key left at zero.
-func fill(c clause) {
+// fill applies the default of every key of c not in given, the keys
+// its directive spelled: an explicit value, zero included, stays.
+func fill(c clause, given map[string]bool) {
 	for _, pr := range c.params() {
-		if pr.def != "" && pr.zero() {
+		if pr.def != "" && !given[pr.key] {
 			if err := pr.set(pr.def, false); err != nil {
 				panic(fmt.Sprintf("scenario: default %s=%s: %v", pr.key, pr.def, err))
 			}

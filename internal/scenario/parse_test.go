@@ -138,6 +138,30 @@ func TestParseDefaults(t *testing.T) {
 	}
 }
 
+// An integer key spelled as zero keeps its zero: only a key the clause
+// does not give takes its default.
+func TestParseKeepsExplicitZero(t *testing.T) {
+	cases := []struct {
+		clause string
+		got    func(*Spec) uint64
+	}{
+		{"mix jobs=0", func(s *Spec) uint64 { return uint64(s.Mix.Jobs) }},
+		{"mix train=0", func(s *Spec) uint64 { return uint64(s.Mix.Train) }},
+		{"mix trainseed=0", func(s *Spec) uint64 { return s.Mix.TrainSeed }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.clause, func(t *testing.T) {
+			s, err := Parse([]byte("scenario x\n" + tc.clause + "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := tc.got(s); v != 0 {
+				t.Errorf("%s parsed as %d", tc.clause, v)
+			}
+		})
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, src, wantSub string
@@ -169,6 +193,11 @@ func TestParseErrors(t *testing.T) {
 		{"prob above one", "scenario x\nfault machine=0 {\nevent telemetry-garbage start=0 end=1 prob=2\n}\n", "prob=2"},
 		{"negative factor", "scenario x\nfault machine=0 {\nevent core-failslow start=0 end=1 factor=-2\n}\n", "factor=-2"},
 		{"negative magnitude", "scenario x\nfault machine=0 {\nevent profile-corrupt start=0 end=1 magnitude=-1\n}\n", "magnitude=-1"},
+		// An explicit zero is kept, never replaced by the default, so the
+		// range refuses it.
+		{"zero sync period", "scenario x\nshare syncperiod=0\n", "syncperiod=0"},
+		{"zero fine-tune", "scenario x\nshare finetune=0\n", "finetune=0"},
+		{"zero confidence", "scenario x\nshare confidence=0\n", "confidence=0"},
 
 		// A repeated singular directive or key would drop or mix content.
 		{"repeated control", "scenario x\ncontrol {\nhealth suspectafter=2\n}\ncontrol {\nreplace-evicted\n}\n", "repeated control directive (first on line 2)"},
