@@ -20,6 +20,9 @@ import (
 // stream with the initial fleet (whose seeds come from fleet.Seeds).
 const ProvisionSalt = 0x0b5e55ed
 
+// runtimeTrain and runtimeTrainSeed are core.New's training split.
+const runtimeTrain, runtimeTrainSeed = 16, 1
+
 // Options completes a spec into a concrete run. Zero-valued fields
 // defer to the spec's own declarations; a field set here overrides
 // the spec (the CLI-over-spec-over-default precedence of DESIGN.md
@@ -105,8 +108,9 @@ func Compile(s *Spec, opt Options) (*Compiled, error) {
 		return nil, fmt.Errorf("scenario %s: load fraction %v out of (0, 1]", s.Name, c.Load)
 	case c.Cap <= 0 || c.Cap > 1:
 		return nil, fmt.Errorf("scenario %s: cap fraction %v out of (0, 1]", s.Name, c.Cap)
-	case s.Mix.Train >= len(workload.SPEC()):
-		return nil, fmt.Errorf("scenario %s: mix train=%d leaves no batch jobs to draw", s.Name, s.Mix.Train)
+	case s.Mix.Train != runtimeTrain || s.Mix.TrainSeed != runtimeTrainSeed:
+		return nil, fmt.Errorf("scenario %s: mix train=%d trainseed=%d: the runtime trains offline on train=%d trainseed=%d, so any other split puts its training applications in the mix pool",
+			s.Name, s.Mix.Train, s.Mix.TrainSeed, runtimeTrain, runtimeTrainSeed)
 	case s.Mix.Seed != 0 && c.Machines != 1:
 		return nil, fmt.Errorf("scenario %s: mix seed= pins one machine, the run has %d", s.Name, c.Machines)
 	}
@@ -114,7 +118,7 @@ func Compile(s *Spec, opt Options) (*Compiled, error) {
 	if c.lc, err = workload.ByName(c.Service); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	_, c.pool = workload.SplitTrainTest(s.Mix.TrainSeed, s.Mix.Train)
+	_, c.pool = workload.SplitTrainTest(runtimeTrainSeed, runtimeTrain)
 	if c.sched, err = SchedulerByName(cmp.Or(s.Policy.Scheduler, Schedulers[0].Name)); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

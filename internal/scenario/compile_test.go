@@ -269,6 +269,9 @@ func TestCompileChecksGoBuiltSpec(t *testing.T) {
 		{"equal arbiter", func(s *Spec) { s.Policy.Arbiter = "equal" }, `unknown arbiter "equal"`},
 		{"unknown scheduler", func(s *Spec) { s.Policy.Scheduler = "bogus" }, `unknown scheduler "bogus"`},
 		{"mix seed on four machines", func(s *Spec) { s.Mix.Seed = 3 }, "mix seed= pins one machine, the run has 4"},
+		{"foreign training size", func(s *Spec) { s.Mix.Train = 8 }, "mix train=8 trainseed=1: the runtime trains offline on train=16 trainseed=1"},
+		{"foreign training seed", func(s *Spec) { s.Mix.TrainSeed = 2 }, "mix train=16 trainseed=2"},
+		{"no training split", func(s *Spec) { s.Mix.Train = 0 }, "mix train=0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -147,8 +147,10 @@ type ShareSpec struct {
 }
 
 // MixSpec declares each machine's batch mix: Jobs drawn per machine
-// from the pool left after holding out Train profiles under TrainSeed
-// (the offline-characterised split of core.Params). Seed, allowed on
+// (zero: the service runs alone) from the pool left after holding out
+// Train profiles under TrainSeed. Compile accepts only the runtime's
+// own offline split, train=16 trainseed=1; both keys stay in the
+// canonical form, which every spec's hash covers. Seed, allowed on
 // one-machine runs only, pins the machine and its mix to that seed;
 // the run seed then seeds the scheduler and, XOR each clause's salt,
 // the fault schedules. Zero leaves every seed to fleet.Seeds.
