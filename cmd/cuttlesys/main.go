@@ -213,9 +213,11 @@ func parseNoArgs(fs *flag.FlagSet, args []string) error {
 }
 
 // checkGeometry rejects out-of-range geometry among the flags given on
-// the command line, naming the flag: counts must be at least one and
-// fractions must lie in (0, 1]. Unset flags keep their row's reference
-// defaults, or, on the spec commands, defer to the spec.
+// the command line, naming the flag: counts must be at least one,
+// fractions must lie in (0, 1] (fig1 holds each -loads element to the
+// same rule as it parses it) and -sim seconds must be finite and
+// positive. Unset flags keep their row's reference defaults, or, on
+// the spec commands, defer to the spec.
 func checkGeometry(fs *flag.FlagSet) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
@@ -232,6 +234,10 @@ func checkGeometry(fs *flag.FlagSet) error {
 		case "load", "cap":
 			if x := v.(float64); !(x > 0 && x <= 1) && err == nil {
 				err = fmt.Errorf("-%s %v out of (0, 1]", f.Name, x)
+			}
+		case "sim":
+			if x := v.(float64); !(x > 0 && !math.IsInf(x, 1)) && err == nil {
+				err = fmt.Errorf("-sim %v must be finite and positive", x)
 			}
 		}
 	})

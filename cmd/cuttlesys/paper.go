@@ -159,8 +159,8 @@ func fig1(w io.Writer, p params) error {
 	var loads []float64
 	for _, s := range strings.Split(p.Loads, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return fmt.Errorf("bad load %q: %v", s, err)
+		if err != nil || !(v > 0 && v <= 1) {
+			return fmt.Errorf("-loads %s: each load must be a fraction in (0, 1]", s)
 		}
 		loads = append(loads, v)
 	}

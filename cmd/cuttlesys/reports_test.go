@@ -330,8 +330,9 @@ func TestScenarioManagedSection(t *testing.T) {
 
 // TestRejectsBadGeometry runs every subcommand that takes a geometry
 // flag with each out-of-range value: it must fail before running
-// anything, with an error naming the flag — counts below one and
-// fractions outside (0, 1] never fall back to a default or reach the
+// anything, with an error naming the flag — counts below one,
+// fractions outside (0, 1] (each -loads element too) and a -sim that
+// is not finite and positive never fall back to a default or reach the
 // engine. One subtest per subcommand, one nested subtest per bad value.
 func TestRejectsBadGeometry(t *testing.T) {
 	bad := map[string][]string{
@@ -340,6 +341,8 @@ func TestRejectsBadGeometry(t *testing.T) {
 		"mixes":    {"0"},
 		"load":     {"0", "-1", "1.5", "NaN"},
 		"cap":      {"0", "-0.1", "1.01"},
+		"loads":    {"NaN", "-1", "0", "0.2,1.5"},
+		"sim":      {"-1", "NaN", "0", "Inf"},
 	}
 	// The drills' own floors sit above the flag floor.
 	floors := map[string][2]string{
