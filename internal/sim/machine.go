@@ -28,10 +28,6 @@ type Spec struct {
 	Reconfigurable bool
 	// PeakBWGBs defaults to DefaultPeakBWGBs.
 	PeakBWGBs float64
-	// InitLCCores is each LC service's starting core allocation;
-	// defaults to half of config.NumMachineCore (§VII-A: 50/50 split at
-	// t=0) shared evenly among the services.
-	InitLCCores int
 	// ExtraLCs are additional latency-critical services beyond LC —
 	// the paper's §VII-A generalisation ("CuttleSys is generalizable
 	// to any number of LC and batch services"). Allocations for a
@@ -92,9 +88,6 @@ func New(spec Spec) *Machine {
 	if !(bw > 0) || math.IsInf(bw, 1) {
 		panic(fmt.Sprintf("sim: peak DRAM bandwidth %v GB/s is not finite and positive", bw))
 	}
-	if spec.InitLCCores < 0 {
-		panic(fmt.Sprintf("sim: negative initial LC core count %d", spec.InitLCCores))
-	}
 	m := &Machine{
 		pm:     perf.New(spec.Reconfigurable),
 		Power:  power.New(spec.Reconfigurable),
@@ -116,10 +109,9 @@ func New(spec Spec) *Machine {
 	apps := append([]*workload.Profile(nil), m.batch...)
 	if spec.LC != nil {
 		services := append([]*workload.Profile{spec.LC}, spec.ExtraLCs...)
-		cores := spec.InitLCCores
-		if cores == 0 {
-			cores = config.NumMachineCore / 2 / len(services)
-		}
+		// Half the chip starts with the services (§VII-A: a 50/50 split
+		// at t=0), shared evenly among them.
+		cores := config.NumMachineCore / 2 / len(services)
 		for k, app := range services {
 			if err := app.Validate(); err != nil {
 				panic(fmt.Sprintf("sim: %v", err))

@@ -53,7 +53,6 @@ func TestNewPanicsOnBadSpec(t *testing.T) {
 		{LC: lc, PeakBWGBs: math.NaN()},                      // undefined bandwidth
 		{LC: lc, PeakBWGBs: -10},                             // negative bandwidth
 		{LC: lc, PeakBWGBs: math.Inf(1)},                     // unlimited bandwidth
-		{LC: lc, InitLCCores: -1},                            // negative core count
 	}
 	for i, spec := range cases {
 		func() {
@@ -471,11 +470,11 @@ func TestExtraServiceSharesPowerAndCache(t *testing.T) {
 	// Adding a second service must raise chip power and consume ways.
 	xapian := mustApp(t, "xapian")
 	silo := mustApp(t, "silo")
-	m1 := New(Spec{Seed: 5, LC: xapian, Reconfigurable: true, InitLCCores: 8})
+	m1 := New(Spec{Seed: 5, LC: xapian, Reconfigurable: true})
 	a1 := Uniform(0, true, 8, config.Widest, config.FourWays)
 	p1 := m1.Run(a1, 0.1, 0.4*xapian.MaxQPS)
 
-	m2 := New(Spec{Seed: 5, LC: xapian, ExtraLCs: []*workload.Profile{silo}, Reconfigurable: true, InitLCCores: 8})
+	m2 := New(Spec{Seed: 5, LC: xapian, ExtraLCs: []*workload.Profile{silo}, Reconfigurable: true})
 	a2 := Uniform(0, true, 8, config.Widest, config.FourWays)
 	a2.ExtraLC = []LCAssign{{Cores: 8, Core: config.Widest, Cache: config.FourWays}}
 	p2 := m2.RunMulti(a2, 0.1, []float64{0.4 * xapian.MaxQPS, 0.3 * silo.MaxQPS})
