@@ -56,9 +56,6 @@ func oneMachine(name string, p params) (*cuttlesys.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := comp.Run()
-	if err != nil {
-		return nil, err
-	}
-	return res.Fleet.Nodes[0], nil
+	res, _, err := comp.RunMachine(nil)
+	return res, err
 }

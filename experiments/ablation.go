@@ -7,9 +7,6 @@ import (
 
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/harness"
-	"cuttlesys/internal/scenario"
-	"cuttlesys/internal/sim"
-	"cuttlesys/internal/workload"
 )
 
 // AblationRow measures one runtime variant on the standard scenario.
@@ -44,7 +41,7 @@ func Ablation(s Setup) ([]AblationRow, error) {
 	s = s.withDefaults()
 	var rows []AblationRow
 	for _, v := range ablationVariants {
-		t, err := s.sweep(PolicyCuttleSys, 0.7, v.mod)
+		t, err := s.sweep(cell{policy: PolicyCuttleSys, cap: 0.7, tweak: v.mod})
 		if err != nil {
 			return nil, err
 		}
@@ -97,13 +94,10 @@ func EnergyProportionality(service string, seed uint64, loads []float64) ([]Prop
 	var rows []ProportionalityRow
 	for _, load := range loads {
 		for _, d := range designs {
-			pol, err := scenario.SchedulerByName(d.policy)
-			if err != nil {
-				return nil, err
-			}
-			m := lcOnlyMachine(service, seed, pol.Reconfigurable)
-			res, err := harness.Run(m, pol.New(m, core.Params{Seed: seed}), d.slices,
-				harness.ConstantLoad(load), harness.ConstantBudget(10))
+			res, _, err := cell{
+				policy: d.policy, service: service, mix: seed, seed: seed, slices: d.slices,
+				load: load, clauses: uncapped, alone: true,
+			}.run()
 			if err != nil {
 				return nil, err
 			}
@@ -111,20 +105,6 @@ func EnergyProportionality(service string, seed uint64, loads []float64) ([]Prop
 		}
 	}
 	return rows, nil
-}
-
-// lcOnlyMachine builds a 32-core machine whose only tenant is the LC
-// service (the other half of the chip sits gated).
-func lcOnlyMachine(service string, seed uint64, reconfigurable bool) *sim.Machine {
-	lc, err := workload.ByName(service)
-	if err != nil {
-		panic(err)
-	}
-	return sim.New(sim.Spec{
-		Seed:           seed,
-		LC:             lc,
-		Reconfigurable: reconfigurable,
-	})
 }
 
 func meanPower(res *harness.Result) float64 {

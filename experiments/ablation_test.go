@@ -76,7 +76,7 @@ func TestDVFSBaselineInHarness(t *testing.T) {
 	// The maxBIPS DVFS extension must slot into the same comparison
 	// machinery as the paper's policies.
 	s := Setup{Seed: 2, Services: []string{"silo"}, MixesPerService: 1, Slices: 6}.withDefaults()
-	res, _, err := s.cell(PolicyDVFS, "silo", 40, 0.75).run()
+	res, _, err := s.cell(cell{policy: PolicyDVFS, cap: 0.75}, "silo", 40).run()
 	if err != nil {
 		t.Fatal(err)
 	}

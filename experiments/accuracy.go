@@ -182,8 +182,8 @@ func Fig5bColocation(s Setup) ([]AccuracyResult, error) {
 	s = s.withDefaults()
 	errs := map[string][]float64{}
 	err := s.eachMix(func(svc string, mix uint64) error {
-		c := s.cell(PolicyCuttleSys, svc, mix, 0.7)
-		c.seed, c.tweak = mix, func(p *core.Params) { p.TrackAccuracy = true }
+		c := s.cell(cell{policy: PolicyCuttleSys, cap: 0.7, tweak: func(p *core.Params) { p.TrackAccuracy = true }}, svc, mix)
+		c.seed = mix
 		_, rt, err := c.run()
 		if err != nil {
 			return err

@@ -37,7 +37,7 @@ func Fig5cPowerCapSweep(s Setup) ([]CapSweepRow, error) {
 	var rows []CapSweepRow
 	for _, capFrac := range s.Caps {
 		for _, policy := range ComparisonPolicies {
-			t, err := s.sweep(policy, capFrac, nil)
+			t, err := s.sweep(cell{policy: policy, cap: capFrac})
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +102,7 @@ func Fig10bDDSvsGA(s Setup) ([]SearcherRow, error) {
 	var rows []SearcherRow
 	for _, capFrac := range s.Caps {
 		for _, sr := range searchers {
-			t, err := s.sweep(PolicyCuttleSys, capFrac, sr.tweak)
+			t, err := s.sweep(cell{policy: PolicyCuttleSys, cap: capFrac, tweak: sr.tweak})
 			if err != nil {
 				return nil, err
 			}

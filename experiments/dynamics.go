@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -24,7 +25,7 @@ func Fig7InstrPerSlice(seed uint64) ([]Fig7Row, error) {
 	s := Setup{Seed: seed}.withDefaults()
 	var rows []Fig7Row
 	for _, policy := range []string{PolicyCoreGating, PolicyAsymmOracle, PolicyCuttleSys} {
-		res, _, err := s.cell(policy, "xapian", seed+7, 0.7).run()
+		res, _, err := s.cell(cell{policy: policy, cap: 0.7}, "xapian", seed+7).run()
 		if err != nil {
 			return nil, err
 		}
@@ -60,35 +61,25 @@ const (
 	ScenarioRelocation    DynamicsScenario = "relocation" // Fig. 8c: load spike forcing core reclamation
 )
 
+// dynamics are the §VIII-D scenarios: the clauses each appends to the
+// sim spec and the load or cap it runs at.
+var dynamics = map[DynamicsScenario]cell{
+	ScenarioVaryingLoad:   {clauses: "client primary {\narrival diurnal lo=0.2 hi=1 absolute\n}", cap: 0.7},
+	ScenarioVaryingBudget: {clauses: "budget step lo=0.9 hi=0.6 from=0.3 to=0.7 absolute", load: 0.8},
+	ScenarioRelocation:    {clauses: "client primary {\narrival step lo=0.2 hi=1.45 from=0.25 to=0.65 absolute\n}", cap: 0.9},
+}
+
 // Dynamics runs one §VIII-D scenario: CuttleSys managing Xapian plus a
 // 16-job SPEC mix for `slices` timeslices, returning the per-slice
 // records (load, tail latency vs QoS, batch throughput, power vs
 // budget, LC configuration and core count).
 func Dynamics(scenario DynamicsScenario, seed uint64, slices int) ([]harness.SliceRecord, error) {
-	if slices == 0 {
-		slices = 20
-	}
-	var load harness.LoadPattern
-	var budget harness.BudgetPattern
-	horizon := float64(slices) * harness.SliceDur
-	switch scenario {
-	case ScenarioVaryingLoad:
-		load = harness.DiurnalLoad(0.2, 1.0, horizon)
-		budget = harness.ConstantBudget(0.7)
-	case ScenarioVaryingBudget:
-		load = harness.ConstantLoad(0.8)
-		budget = harness.StepBudget(0.9, 0.6, 0.3*horizon, 0.7*horizon)
-	case ScenarioRelocation:
-		load = harness.StepLoad(0.2, 1.45, 0.25*horizon, 0.65*horizon)
-		budget = harness.ConstantBudget(0.9)
-	default:
+	c, ok := dynamics[scenario]
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown scenario %q", scenario)
 	}
-
-	res, _, err := cell{
-		policy: PolicyCuttleSys, service: "xapian", mix: seed + 7, seed: 2 * seed,
-		slices: slices, load: load, budget: budget,
-	}.run()
+	c.policy, c.service, c.mix, c.seed, c.slices = PolicyCuttleSys, "xapian", seed+7, 2*seed, cmp.Or(slices, 20)
+	res, _, err := c.run()
 	if err != nil {
 		return nil, err
 	}

@@ -77,41 +77,48 @@ func (s Setup) withDefaults() Setup {
 	return s
 }
 
-// cell is one single-machine run: the sim library spec's machine with
-// service beside the batch mix seeded mix, policy's scheduler seeded
-// seed, for slices timeslices under the cell's load and budget patterns
-// in place of the spec's constant ones. tweak, when set, adjusts the
-// CuttleSys parameters: the searcher, accuracy tracking, the ablation
-// switches.
+// cell is one single-machine run: the sim library spec with clauses
+// appended, policy as its scheduler, the batch mix seeded mix (none
+// when alone, the spec's mix jobs=0), run seed seed, for slices
+// timeslices at load and cap (zero keeps the spec's). tweak, when set,
+// adjusts the CuttleSys parameters: the searcher, accuracy tracking,
+// the ablation switches.
 type cell struct {
 	policy, service string
 	mix, seed       uint64
 	slices          int
-	load            harness.LoadPattern
-	budget          harness.BudgetPattern
+	load, cap       float64
+	clauses         string
+	alone           bool
 	tweak           func(*core.Params)
 }
 
-// run builds the cell's machine and scheduler and runs them. It
-// returns the scheduler too, for callers that read its state after the
-// run.
+// uncapped is the budget clause of a reference run whose budget binds
+// no policy: ten times the machine's reference power.
+const uncapped = "budget constant rate=10 absolute"
+
+// run compiles the cell's spec and runs its machine. It returns the
+// scheduler too, for callers that read its state after the run.
 func (c cell) run() (*harness.Result, harness.Scheduler, error) {
 	src, err := specs.Source("sim")
 	if err != nil {
 		return nil, nil, err
 	}
-	sp, err := scenario.Parse(src)
+	sp, err := scenario.Parse([]byte(string(src) + "\n" + c.clauses))
 	if err != nil {
 		return nil, nil, err
 	}
 	sp.Policy.Scheduler, sp.Mix.Seed = c.policy, c.mix
-	comp, err := scenario.Compile(sp, scenario.Options{Service: c.service, Slices: c.slices, Seed: c.seed})
+	if c.alone {
+		sp.Mix.Jobs = 0
+	}
+	comp, err := scenario.Compile(sp, scenario.Options{
+		Service: c.service, Slices: c.slices, Load: c.load, Cap: c.cap, Seed: c.seed,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	nd := comp.Machine(c.tweak)
-	res, err := harness.Run(nd.Machine, nd.Scheduler, c.slices, c.load, c.budget)
-	return res, nd.Scheduler, err
+	return comp.RunMachine(c.tweak)
 }
 
 // eachMix calls f on every (service, mix seed) pair of s, services in
@@ -128,14 +135,12 @@ func (s Setup) eachMix(f func(service string, mix uint64) error) error {
 	return nil
 }
 
-// cell is policy's run on one mix of s at power cap capFrac: the
-// scheduler seeded s.Seed + mix, s.Slices timeslices at constant load
+// cell is base's run on one mix of s: service beside the batch mix
+// seeded mix, the run seeded s.Seed + mix, s.Slices timeslices at load
 // s.LoadFrac.
-func (s Setup) cell(policy, service string, mix uint64, capFrac float64) cell {
-	return cell{
-		policy: policy, service: service, mix: mix, seed: s.Seed + mix, slices: s.Slices,
-		load: harness.ConstantLoad(s.LoadFrac), budget: harness.ConstantBudget(capFrac),
-	}
+func (s Setup) cell(base cell, service string, mix uint64) cell {
+	base.service, base.mix, base.seed, base.slices, base.load = service, mix, s.Seed+mix, s.Slices, s.LoadFrac
+	return base
 }
 
 // tally aggregates one policy's runs over the mixes of a setup.
@@ -147,16 +152,12 @@ type tally struct {
 	gmeanBIPS  float64 // per-run mean gmean BIPS, averaged over runs
 }
 
-// sweep runs policy at power cap capFrac on every mix of s, adjusting
-// the CuttleSys parameters with tweak when it is set, and tallies the
-// runs.
-func (s Setup) sweep(policy string, capFrac float64, tweak func(*core.Params)) (tally, error) {
+// sweep runs base on every mix of s and tallies the runs.
+func (s Setup) sweep(base cell) (tally, error) {
 	var t tally
 	gmean, n := 0.0, 0
 	err := s.eachMix(func(svc string, mix uint64) error {
-		c := s.cell(policy, svc, mix, capFrac)
-		c.tweak = tweak
-		res, _, err := c.run()
+		res, _, err := s.cell(base, svc, mix).run()
 		if err != nil {
 			return err
 		}
@@ -183,7 +184,7 @@ func (s Setup) sweep(policy string, capFrac float64, tweak func(*core.Params)) (
 // and the budget ignored: the denominator of the relative instructions
 // Fig. 5c and §VIII-E report.
 func (s Setup) noGatingInstr() (float64, error) {
-	t, err := s.sweep(PolicyNoGating, 10, nil) // a cap of 10× is no cap
+	t, err := s.sweep(cell{policy: PolicyNoGating, clauses: uncapped})
 	return t.instrB, err
 }
 

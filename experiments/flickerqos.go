@@ -32,7 +32,7 @@ func FlickerQoSComparison(s Setup) ([]FlickerQoSRow, error) {
 	}
 	var rows []FlickerQoSRow
 	for _, policy := range []string{PolicyFlickerA, PolicyFlickerB, PolicyCuttleSys} {
-		t, err := s.sweep(policy, 0.7, nil)
+		t, err := s.sweep(cell{policy: policy, cap: 0.7})
 		if err != nil {
 			return nil, err
 		}

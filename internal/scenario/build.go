@@ -96,23 +96,22 @@ func (c *Compiled) node(mix, seed uint64, tweak func(*core.Params)) fleet.NodeSp
 	return fleet.NodeSpec{Machine: m, Scheduler: c.sched.New(m, p)}
 }
 
-// seeds returns machine i's mix and scheduler seeds: its fleet.Seeds
-// draw for both, unless the mix clause pins the one machine's mix, when
-// the run seed seeds the scheduler.
-func (c *Compiled) seeds(i int) (mix, seed uint64) {
-	if c.Spec.Mix.Seed != 0 {
-		return c.Spec.Mix.Seed, c.Seed
+// RunMachine runs a one-machine spec: the machine nodes builds, its
+// fault clauses attached, stepped by harness.RunFaulted over the
+// compiled patterns on the machine's own clock. It returns the
+// scheduler too, for callers that read its state. tweak is node's. It
+// refuses a spec with more than one machine, a control clause or a
+// share clause: Run drives those as a fleet.
+func (c *Compiled) RunMachine(tweak func(*core.Params)) (*harness.Result, harness.Scheduler, error) {
+	if c.Machines != 1 || c.Managed || c.Spec.Share != nil {
+		return nil, nil, fmt.Errorf("scenario %s: RunMachine runs one machine with no control or share clause", c.Spec.Name)
 	}
-	s := fleet.Seeds(c.Seed, i+1)[i]
-	return s, s
-}
-
-// Machine builds machine 0 and its scheduler, unattached to any fault
-// clause, for callers that step it through the harness under patterns
-// a spec cannot state yet (Fig. 8's). tweak is node's.
-func (c *Compiled) Machine(tweak func(*core.Params)) fleet.NodeSpec {
-	mix, seed := c.seeds(0)
-	return c.node(mix, seed, tweak)
+	nds, err := c.nodes(tweak)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := harness.RunFaulted(nds[0].Machine, nds[0].Scheduler, c.Slices, c.LoadPat, c.BudgetPat, nds[0].Injector)
+	return res, nds[0].Scheduler, err
 }
 
 // sharePlane builds the spec's model-sharing plane, nil when the spec
@@ -138,11 +137,18 @@ func planeParams(sh *ShareSpec) modelplane.Params {
 
 // nodes builds the initial fleet, fault injectors attached per the
 // spec's fault clauses and seeded from each machine's scheduler seed.
-func (c *Compiled) nodes() ([]fleet.NodeSpec, error) {
+// Machine i takes its fleet.Seeds draw for its mix and scheduler,
+// unless the mix clause pins the one machine's mix, when the run seed
+// seeds the scheduler. tweak is node's.
+func (c *Compiled) nodes(tweak func(*core.Params)) ([]fleet.NodeSpec, error) {
+	seeds := fleet.Seeds(c.Seed, c.Machines)
 	specs := make([]fleet.NodeSpec, c.Machines)
 	for i := range specs {
-		mix, seed := c.seeds(i)
-		specs[i] = c.node(mix, seed, nil)
+		mix, seed := seeds[i], seeds[i]
+		if c.Spec.Mix.Seed != 0 {
+			mix, seed = c.Spec.Mix.Seed, c.Seed
+		}
+		specs[i] = c.node(mix, seed, tweak)
 		inj, err := c.Injector(i, seed)
 		if err != nil {
 			return nil, err
@@ -159,7 +165,7 @@ func (c *Compiled) BuildFleet(router fleet.Router, arbiter fleet.Arbiter) (*flee
 	if err := c.fillPolicy(&router, &arbiter); err != nil {
 		return nil, err
 	}
-	specs, err := c.nodes()
+	specs, err := c.nodes(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +184,7 @@ func (c *Compiled) BuildControlPlane(router fleet.Router, arbiter fleet.Arbiter)
 	if err := c.fillPolicy(&router, &arbiter); err != nil {
 		return nil, err
 	}
-	specs, err := c.nodes()
+	specs, err := c.nodes(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -40,8 +40,8 @@ func battery(t *testing.T, b, scheduler string, slices int) *Compiled {
 }
 
 // TestOneMachineFleetIsTheHarnessRun holds a one-machine spec's fleet
-// run to the single-machine harness run of the same machine, bit for
-// bit: every registry scheduler under each resilience battery, behind
+// run to its RunMachine run, the single-machine harness run of the
+// same machine, bit for bit: every registry scheduler under each resilience battery, behind
 // three router/arbiter pairs. Every SliceRecord field is compared by
 // its bits except LoadFrac, a recorded label: the harness records
 // load·factor, the fleet share ÷ capacity, and no scheduler reads it.
@@ -57,13 +57,7 @@ func TestOneMachineFleetIsTheHarnessRun(t *testing.T) {
 	for _, def := range schedulers {
 		for _, b := range batteries {
 			c := battery(t, b, def.Name, 20)
-			nd := c.Machine(nil)
-			_, seed := c.seeds(0)
-			inj, err := c.Injector(0, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := harness.RunFaulted(nd.Machine, nd.Scheduler, c.Slices, c.LoadPat, c.BudgetPat, inj)
+			want, _, err := c.RunMachine(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,6 +83,30 @@ func TestOneMachineFleetIsTheHarnessRun(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRunMachineRefusesFleets: a spec that needs a fleet, by its
+// machine count, a control clause or a share clause, is refused with
+// the reason, never run as one machine.
+func TestRunMachineRefusesFleets(t *testing.T) {
+	const head = "scenario fleet\nservice xapian\nload 0.8\ncap 0.7\n"
+	cases := []struct{ name, src, wantSub string }{
+		{"two machines", head + "machines 2\n", "runs one machine"},
+		{"managed", head + "machines 1\ncontrol {\nreplace-evicted\n}\n", "no control or share clause"},
+		{"share", head + "machines 1\nshare syncperiod=2\n", "no control or share clause"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustCompile(t, tc.src, Options{Slices: 2, Seed: 1})
+			res, sched, err := c.RunMachine(nil)
+			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error = %v, want mention of %q", err, tc.wantSub)
+			}
+			if res != nil || sched != nil {
+				t.Errorf("refused run returned %v, %v", res, sched)
+			}
+		})
 	}
 }
 

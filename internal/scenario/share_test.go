@@ -100,7 +100,7 @@ share syncperiod=2
 	if got := planeParams(c.Spec.Share).SyncPeriod; got != 2 {
 		t.Fatalf("plane sync period = %d, want the clause's 2", got)
 	}
-	specs, err := c.nodes()
+	specs, err := c.nodes(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
