@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"cuttlesys/internal/core"
 	"cuttlesys/internal/fleet"
+	"cuttlesys/specs"
 )
 
 func TestParseShareDefaults(t *testing.T) {
@@ -125,5 +127,31 @@ share syncperiod=2
 	stats := pl.Stats()
 	if len(stats) != 1 {
 		t.Fatalf("%d share keys, want 1 (both machines run the same mix)", len(stats))
+	}
+}
+
+// shareKeySim is the model-sharing key of the sim spec's machine: its
+// service, training split, batch-mix size and reconstruction rank.
+const shareKeySim = 0x73614846ff577819
+
+// TestShareKeyPinned holds the sim spec's share key to its recorded
+// value: a change to what the key hashes — the rank a reconstruction
+// actually trains at included — would split every fleet's aggregation.
+func TestShareKeyPinned(t *testing.T) {
+	src, err := specs.Source("sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mustCompile(t, string(src), Options{Seed: 1})
+	nds, err := c.nodes(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, ok := nds[0].Scheduler.(*core.Runtime)
+	if !ok {
+		t.Fatalf("sim spec's scheduler is %T, want *core.Runtime", nds[0].Scheduler)
+	}
+	if got := rt.ShareKey(); got != shareKeySim {
+		t.Fatalf("ShareKey = %#x, want %#x", got, uint64(shareKeySim))
 	}
 }
