@@ -41,15 +41,9 @@ func accResult(metric, method string, errs []float64) AccuracyResult {
 }
 
 // accuracySGDParams are the reconstruction hyper-parameters of the
-// accuracy studies: the runtime's rank, regularisation, log space and
-// SVD start (core.Params' defaults), at 800 epochs where the runtime
+// accuracy studies: sgd's one recipe at 800 epochs where the runtime
 // runs 300.
-func accuracySGDParams(seed uint64) sgd.Params {
-	return sgd.Params{
-		Seed: seed, Factors: 6, Reg: 0.03, MaxIter: 800,
-		LogSpace: true, SVDInit: true,
-	}
-}
+var accuracySGDParams = sgd.Params{MaxIter: 800}
 
 // sampleLo and sampleHi are the two configurations the offline studies
 // profile a test application at: the narrowest and the widest core,
@@ -123,7 +117,7 @@ func Fig5aIsolation(seed uint64) []AccuracyResult {
 	batch := sample(func(app *workload.Profile) ([]float64, []float64) {
 		return sim.BatchSurfaces(pm, wm, app)
 	}, train, test, sampleLo, sampleHi, nil)
-	params := accuracySGDParams(seed)
+	params := accuracySGDParams
 	thrErrs := batch.errs(sgd.Reconstruct(batch.thr, params), batch.truthT)
 	pwrErrs := batch.errs(sgd.Reconstruct(batch.pwr, params), batch.truthP)
 
@@ -223,7 +217,7 @@ func TrainingSetSweep(seed uint64, sizes []int) []TrainSweepRow {
 	for _, n := range sizes {
 		train, test := workload.SplitTrainTest(1, n)
 		batch := sample(surf, train, test, sampleLo, sampleHi, nil)
-		errs := batch.errs(sgd.Reconstruct(batch.thr, accuracySGDParams(seed)), batch.truthT)
+		errs := batch.errs(sgd.Reconstruct(batch.thr, accuracySGDParams), batch.truthT)
 		for i, e := range errs {
 			errs[i] = math.Abs(e)
 		}
@@ -267,7 +261,7 @@ func Fig9RBFvsSGD(seed uint64) []AccuracyResult {
 
 	batch := sample(surface, train, test, config.Narrowest.Index(), config.Widest.Index(),
 		func(v float64) float64 { return sim.Measure(noise, v, sampleNoise) })
-	params := accuracySGDParams(seed)
+	params := accuracySGDParams
 	errs := map[string][]float64{ // "method/metric"
 		"sgd/throughput": batch.errs(sgd.Reconstruct(batch.thr, params), batch.truthT),
 		"sgd/power":      batch.errs(sgd.Reconstruct(batch.pwr, params), batch.truthP),

@@ -44,19 +44,17 @@ func TableIIOverheads(seed uint64) TableIIResult {
 	batch := sample(surf, train, running, sampleLo, sampleHi, nil)
 	lc := sample(surf, train, running[:1], sampleLo, sampleHi, nil)
 
-	params := sgd.Params{Seed: seed, Factors: 6, Reg: 0.03, MaxIter: 300, LogSpace: true, SVDInit: true}
-
-	// The reconstruction call core.reconstructAll makes.
+	// The reconstruction call core.reconstructAll makes, at the
+	// runtime's recipe.
 	ms := [4]*sgd.Matrix{batch.thr, batch.pwr, lc.thr, lc.pwr}
-	ps := [4]sgd.Params{params, params, params, params}
 	wall := obs.BeginWall(rec)
-	sgd.ReconstructQuad(ms, ps, false)
+	sgd.ReconstructQuad(ms, [4]sgd.Params{}, false)
 	wall.End(rec, "sgd")
 
 	// One parallel DDS search with the Fig. 6 parameters, on the engine
 	// core.DecideMulti runs: SearchSeparable over a table objective, here
 	// one accumulator summing each running row's predicted throughput.
-	pred := sgd.Reconstruct(batch.thr, params)
+	pred := sgd.Reconstruct(batch.thr, sgd.Params{})
 	rows := make([][]float64, 16)
 	for i := range rows {
 		rows[i] = pred.Row(len(train) + i)

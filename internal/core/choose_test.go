@@ -146,8 +146,8 @@ var chooseCases = []chooseCase{
 
 // trueSurfaces returns the case's machine and a constructor for its
 // decision, built with no Runtime. The predictions are the machine's
-// true surfaces: a fully observed matrix reconstructed with LogSpace
-// off returns every cell verbatim. Even
+// true surfaces: a fully observed matrix reconstructs every cell as
+// exp(log v), v itself or within two ulps of it. Even
 // services have latency slack and a core to yield; odd ones violate
 // QoS at the widest configuration. Each call builds fresh matrices,
 // predictions and slices, so two calls give equal, unshared inputs.

@@ -108,7 +108,8 @@ type Params struct {
 	Seed uint64
 	// TrainSeed selects the training split. Default 1.
 	TrainSeed uint64
-	// SGD overrides the reconstruction hyper-parameters.
+	// SGD overrides the reconstruction hyper-parameters; its zero
+	// value is sgd's one recipe (rank 6, λ 0.03, 300 sweeps).
 	SGD sgd.Params
 	// DDS overrides the search parameters (defaults follow Fig. 6,
 	// with 8 workers). The serial-DDS ablation sets Workers to 1.
@@ -156,17 +157,6 @@ func (p Params) withDefaults() Params {
 	if p.TrainSeed == 0 {
 		p.TrainSeed = 1
 	}
-	if p.SGD.Factors == 0 {
-		p.SGD.Factors = 6
-	}
-	if p.SGD.Reg == 0 {
-		p.SGD.Reg = 0.03
-	}
-	if p.SGD.MaxIter == 0 {
-		p.SGD.MaxIter = 300
-	}
-	p.SGD.SVDInit = true
-	p.SGD.LogSpace = true
 	if p.DDS.Workers == 0 {
 		p.DDS.Workers = 8
 	}

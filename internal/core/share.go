@@ -11,7 +11,7 @@ import (
 // runtime's side of the fleet model-sharing plane: after every
 // reconstruction it can capture the trained factor state per surface
 // ("thr", "pwr", "lat", "svc"), and a warm start replaces the next
-// reconstructions' cold init (random/SVD) with fleet-aggregated
+// reconstructions' cold SVD start with fleet-aggregated
 // factors plus a shortened fine-tune sweep count. All of it is gated
 // on Params.ShareFactors / an explicit WarmStart call, so a runtime
 // outside a share-enabled fleet behaves byte-identically to one built
@@ -36,9 +36,13 @@ func (rt *Runtime) ShareKey() uint64 {
 		h.Write([]byte(s))
 		h.Write([]byte{0})
 	}
+	rank := rt.p.SGD.Factors
+	if rank == 0 {
+		rank = 6 // the rank a zero sgd.Params.Factors trains at
+	}
 	mix("cuttlesys-mix-v1")
 	mix(fmt.Sprintf("train=%d/%d lc=%d jobs=%d rank=%d",
-		nTrainBatch, rt.p.TrainSeed, nTrainLC, len(rt.batch), rt.p.SGD.Factors))
+		nTrainBatch, rt.p.TrainSeed, nTrainLC, len(rt.batch), rank))
 	for _, sv := range rt.svcs {
 		mix(sv.app.Name)
 	}

@@ -383,7 +383,7 @@ func meanSet(pubs []publication) map[string]*sgd.Factors {
 				count = 1
 				continue
 			}
-			if !f.Compatible(acc.Rows, acc.Cols, acc.Rank, acc.LogSpace) {
+			if !f.Compatible(acc.Rows, acc.Cols, acc.Rank) {
 				continue
 			}
 			addInto(acc, f)
@@ -465,7 +465,7 @@ func decayFold(old, fresh map[string]*sgd.Factors, decay float64) map[string]*sg
 			out[n] = f
 		case f == nil:
 			out[n] = o
-		case !f.Compatible(o.Rows, o.Cols, o.Rank, o.LogSpace):
+		case !f.Compatible(o.Rows, o.Cols, o.Rank):
 			out[n] = f // geometry changed: the fresh model wins outright
 		default:
 			c := o.Clone()

@@ -21,9 +21,7 @@ func trainedFactors(t *testing.T, seed uint64) *sgd.Factors {
 			m.Observe(i, j, 1+r.Float64())
 		}
 	}
-	_, facs := sgd.ReconstructQuad([4]*sgd.Matrix{m}, [4]sgd.Params{{
-		Factors: 3, MaxIter: 60, Seed: seed,
-	}}, true)
+	_, facs := sgd.ReconstructQuad([4]*sgd.Matrix{m}, [4]sgd.Params{{Factors: 3, MaxIter: 60}}, true)
 	if facs[0] == nil {
 		t.Fatal("trainedFactors: cold model exports no factors")
 	}

@@ -12,8 +12,9 @@ import (
 // factors after a reconstruction, the plane aggregates factors from
 // machines running the same service mix, and a new or recovered
 // machine imports the aggregate through Params.Warm so its first
-// reconstruction starts from the fleet's learned model instead of a
-// cold random (or SVD) initialisation.
+// reconstruction starts from the fleet's learned model instead of the
+// cold SVD start. Every set models log-transformed values, the one
+// value space a fit trains in.
 type Factors struct {
 	// Rows, Cols and Rank pin the geometry the factors were trained
 	// for. Warm-start silently falls back to cold init when the
@@ -31,15 +32,11 @@ type Factors struct {
 	// fit. They weight fleet aggregation and guard against publishing
 	// an untrained model.
 	Iters, Observed int
-	// LogSpace records whether the factors model log-transformed
-	// values; a warm start only makes sense into a model trained on
-	// the same transform.
-	LogSpace bool
 }
 
 // ErrColdModel is returned when factor export is attempted on a model
-// that completed zero SGD iterations: its factor state is the random
-// (or zero) initialisation, and publishing it to the share plane would
+// that completed zero SGD iterations: its factor state is the SVD (or
+// zero) initialisation, and publishing it to the share plane would
 // poison fleet aggregates with noise.
 var ErrColdModel = errors.New("sgd: model completed zero iterations; factors are untrained")
 
@@ -57,13 +54,12 @@ func (f *Factors) Clone() *Factors {
 }
 
 // Compatible reports whether the factors can warm-start a model of the
-// given geometry and value transform. A set holding a NaN or ±Inf is
-// never compatible: one non-finite column factor would reach every
-// prediction within a sweep.
-func (f *Factors) Compatible(rows, cols, rank int, logSpace bool) bool {
+// given geometry. A set holding a NaN or ±Inf is never compatible: one
+// non-finite column factor would reach every prediction within a
+// sweep.
+func (f *Factors) Compatible(rows, cols, rank int) bool {
 	return f != nil &&
 		f.Rows == rows && f.Cols == cols && f.Rank == rank &&
-		f.LogSpace == logSpace &&
 		len(f.Q) == rows*rank && len(f.P) == cols*rank &&
 		len(f.RowBias) == rows && len(f.ColBias) == cols &&
 		finite(f.Mu) && finite(f.Q...) && finite(f.P...) &&
@@ -100,11 +96,7 @@ func (f *Factors) Fingerprint() uint64 {
 	mix(uint64(f.Rank))
 	mix(uint64(f.Iters))
 	mix(uint64(f.Observed))
-	if f.LogSpace {
-		mix(1)
-	} else {
-		mix(0)
-	}
+	mix(1) // the log-space flag sets once carried, kept so fingerprints hold
 	mix(math.Float64bits(f.Mu))
 	for _, v := range f.Q {
 		mix(math.Float64bits(v))

@@ -40,7 +40,7 @@ func reconstructFactors(m *Matrix, params Params) (*Prediction, *Factors, error)
 
 func TestColdFactorExportRefused(t *testing.T) {
 	m := NewMatrix(4, 6)
-	pred, fac, err := reconstructFactors(m, Params{Seed: 1})
+	pred, fac, err := reconstructFactors(m, Params{})
 	if err == nil {
 		t.Fatal("factor export on an empty matrix should error")
 	}
@@ -58,7 +58,7 @@ func TestColdFactorExportRefused(t *testing.T) {
 func TestFactorExportMatchesReconstruction(t *testing.T) {
 	vals := lowRankMatrix(11, 8, 12, 3)
 	m := observeDense(vals, 6, 4)
-	p := Params{Factors: 3, MaxIter: 120, Seed: 7}
+	p := Params{Factors: 3, MaxIter: 120}
 	want := Reconstruct(m, p)
 	pred, fac, err := reconstructFactors(m, p)
 	if err != nil {
@@ -77,18 +77,18 @@ func TestFactorExportMatchesReconstruction(t *testing.T) {
 	if fac.Iters != 120 || fac.Observed != pred.Observed {
 		t.Fatalf("factor provenance wrong: %+v", fac)
 	}
-	if !fac.Compatible(m.Rows, m.Cols, 3, false) {
+	if !fac.Compatible(m.Rows, m.Cols, 3) {
 		t.Fatal("exported factors should be compatible with their own geometry")
 	}
-	if fac.Compatible(m.Rows, m.Cols, 4, false) || fac.Compatible(m.Rows+1, m.Cols, 3, false) || fac.Compatible(m.Rows, m.Cols, 3, true) {
-		t.Fatal("Compatible must reject mismatched geometry or transform")
+	if fac.Compatible(m.Rows, m.Cols, 4) || fac.Compatible(m.Rows+1, m.Cols, 3) || fac.Compatible(m.Rows, m.Cols+1, 3) {
+		t.Fatal("Compatible must reject mismatched geometry")
 	}
 }
 
 func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	vals := lowRankMatrix(3, 10, 14, 3)
 	donor := observeDense(vals, -1, 0)
-	p := Params{Factors: 3, MaxIter: 100, Seed: 5}
+	p := Params{Factors: 3, MaxIter: 100}
 	_, fac, err := reconstructFactors(donor, p)
 	if err != nil {
 		t.Fatalf("donor export: %v", err)
@@ -113,7 +113,7 @@ func TestWarmStartDeterministicAcrossWorkers(t *testing.T) {
 func TestWarmStartBeatsColdOnSparseRow(t *testing.T) {
 	vals := lowRankMatrix(17, 9, 12, 3)
 	donor := observeDense(vals, -1, 0)
-	p := Params{Factors: 3, MaxIter: 150, Seed: 9}
+	p := Params{Factors: 3, MaxIter: 150}
 	_, fac, err := reconstructFactors(donor, p)
 	if err != nil {
 		t.Fatalf("donor export: %v", err)
@@ -146,7 +146,7 @@ func TestWarmStartBeatsColdOnSparseRow(t *testing.T) {
 func TestWarmStartIgnoresIncompatibleFactors(t *testing.T) {
 	vals := lowRankMatrix(21, 6, 8, 2)
 	m := observeDense(vals, 4, 2)
-	p := Params{Factors: 2, MaxIter: 50, Seed: 3}
+	p := Params{Factors: 2, MaxIter: 50}
 	cold := Reconstruct(m, p)
 	_, good, err := reconstructFactors(m, p)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestWarmStartIgnoresIncompatibleFactors(t *testing.T) {
 func TestFactorsCloneAndFingerprint(t *testing.T) {
 	vals := lowRankMatrix(29, 7, 9, 2)
 	m := observeDense(vals, -1, 0)
-	_, fac, err := reconstructFactors(m, Params{Factors: 2, MaxIter: 40, Seed: 2})
+	_, fac, err := reconstructFactors(m, Params{Factors: 2, MaxIter: 40})
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
@@ -216,7 +216,7 @@ func overflowingFactors(m *Matrix, p Params) *Factors {
 		return out
 	}
 	return &Factors{
-		Rows: m.Rows, Cols: m.Cols, Rank: p.Factors, LogSpace: p.LogSpace,
+		Rows: m.Rows, Cols: m.Cols, Rank: p.Factors,
 		Q: fill(m.Rows * p.Factors), P: fill(m.Cols * p.Factors),
 		RowBias: make([]float64, m.Rows), ColBias: make([]float64, m.Cols),
 		Iters: 1, Observed: 1,
@@ -228,7 +228,7 @@ func overflowingFactors(m *Matrix, p Params) *Factors {
 // reconstruction and its factors instead of non-finite predictions.
 func TestWarmStartOverflowRedoneCold(t *testing.T) {
 	ms := quadSurfaces(7)
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50}
 	var ps [4]Params
 	var want [4]*Prediction
 	var wantFac [4]*Factors
@@ -236,7 +236,7 @@ func TestWarmStartOverflowRedoneCold(t *testing.T) {
 		ps[l] = p
 		ps[l].Warm = overflowingFactors(m, p)
 		ps[l].WarmIters = 5
-		if !ps[l].Warm.Compatible(m.Rows, m.Cols, p.Factors, p.LogSpace) {
+		if !ps[l].Warm.Compatible(m.Rows, m.Cols, p.Factors) {
 			t.Fatalf("lane %d: the overflowing set must pass Compatible to exercise the redo", l)
 		}
 		var err error
@@ -274,14 +274,14 @@ func FuzzWarmStart(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(words(1e200), true)
-	f.Add(words(1e200), false)
-	f.Add(words(0.1, -0.2, 0.3), true)
+	f.Add(words(1e200))
+	f.Add(words(1e200, -1e200))
+	f.Add(words(0.1, -0.2, 0.3))
 
 	thr, pwr := matchedPair(3, 6, 12, 3, 4, 1)
 	lat, svc := matchedPair(4, 5, 12, 3, 3, 0)
 	ms := [4]*Matrix{thr, pwr, lat, svc}
-	f.Fuzz(func(t *testing.T, data []byte, logSpace bool) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		word := 0
 		next := func() float64 {
 			if len(data) < 8 {
@@ -309,9 +309,9 @@ func FuzzWarmStart(f *testing.F) {
 		}
 		var ps [4]Params
 		for l, m := range ms {
-			p := Params{Factors: pairFactors, MaxIter: 20, SVDInit: true, LogSpace: logSpace, WarmIters: 5}
+			p := Params{Factors: pairFactors, MaxIter: 20, WarmIters: 5}
 			p.Warm = &Factors{
-				Rows: m.Rows, Cols: m.Cols, Rank: p.Factors, LogSpace: logSpace,
+				Rows: m.Rows, Cols: m.Cols, Rank: p.Factors,
 				Mu: next(), Q: vec(m.Rows * p.Factors), P: vec(m.Cols * p.Factors),
 				RowBias: vec(m.Rows), ColBias: vec(m.Cols),
 			}

@@ -126,7 +126,7 @@ func predBitsEqual(t *testing.T, name string, got, want *Prediction) {
 
 // TestReconstructPairBitIdentical drives the paired trainer across the
 // shapes the runtime actually pairs — same-shape, different row
-// counts, sparse tails, bias-frozen rows, log-space — and every way
+// counts, sparse tails, bias-frozen rows — and every way
 // the common prefix can end, and demands exact float64 equality with
 // two independent serial reconstructions.
 func TestReconstructPairBitIdentical(t *testing.T) {
@@ -136,7 +136,7 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		pa, pb Params
 		prefix int // expected lanePrefix where the kernel runs; 0 = not asserted
 	}
-	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
+	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50}
 	frozen := rt
 	frozen.FactorMinObs = 4
 	// Matched-pattern pairs: 12 training rows, 12 running rows of up to
@@ -200,25 +200,23 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		cases = append(cases, pairCase{name: "warm-started lanes", a: a, b: b, pa: wa, pb: wb, prefix: obsBefore(a, 22)})
 	}
 
-	// Independently seeded lanes; the prefix is whatever it is.
+	// Independently drawn lanes; the prefix is whatever it is.
 	plain := func(name string, a, b *Matrix, pa, pb Params) pairCase {
 		return pairCase{name: name, a: a, b: b, pa: pa, pb: pb}
 	}
 	iters := func(p Params, n int) Params { p.MaxIter = n; return p }
-	svd := Params{Factors: 6, MaxIter: 30, SVDInit: true}
-	rank8 := Params{Factors: 8, MaxIter: 30, SVDInit: true}
-	random := Params{Factors: 6, MaxIter: 30}
+	svd := Params{Factors: 6, MaxIter: 30}
+	rank8 := Params{Factors: 8, MaxIter: 30}
 	cases = append(cases,
 		plain("same-shape dense+sparse", pairMatrix(1, 32, 108, 16, 6), pairMatrix(2, 32, 108, 16, 6), iters(rt, 60), iters(rt, 60)),
 		plain("different row counts (thr vs pwr shape)", pairMatrix(3, 32, 108, 16, 4), pairMatrix(4, 35, 108, 16, 4), rt, rt),
 		plain("bias-frozen sparse rows", pairMatrix(5, 20, 108, 12, 2), pairMatrix(6, 20, 108, 12, 2), iters(frozen, 40), iters(frozen, 40)),
-		plain("linear space, random init, single worker", pairMatrix(7, 16, 54, 8, 5), pairMatrix(8, 16, 54, 8, 5),
-			Params{Factors: 6, MaxIter: 40, Seed: 11}, Params{Factors: 6, MaxIter: 40, Seed: 12}),
+		plain("54 columns in both lanes", pairMatrix(7, 16, 54, 8, 5), pairMatrix(8, 16, 54, 8, 5), iters(svd, 40), iters(svd, 40)),
 		plain("unequal MaxIter falls back", pairMatrix(9, 16, 108, 8, 3), pairMatrix(10, 16, 108, 8, 3), svd, iters(svd, 45)),
 		plain("non-kernel rank falls back", pairMatrix(11, 16, 108, 8, 3), pairMatrix(12, 16, 108, 8, 3), rank8, rank8),
 		plain("different column counts fall back", pairMatrix(13, 16, 108, 8, 3), pairMatrix(14, 16, 54, 8, 3), svd, svd),
 		plain("empty lane", pairMatrix(15, 16, 108, 8, 3), NewMatrix(16, 108), svd, svd),
-		plain("no dense prefix falls back", pairMatrix(17, 16, 108, 0, 5), pairMatrix(18, 16, 108, 8, 5), random, random),
+		plain("no dense prefix falls back", pairMatrix(17, 16, 108, 0, 5), pairMatrix(18, 16, 108, 8, 5), svd, svd),
 	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -243,7 +241,7 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 // TestReconstructPairWarmStart pairs two warm-started lanes and a
 // mixed warm/cold pair (unequal effective sweep counts → fallback).
 func TestReconstructPairWarmStart(t *testing.T) {
-	base := Params{Factors: 6, Reg: 0.03, MaxIter: 60, SVDInit: true, LogSpace: true}
+	base := Params{Factors: 6, Reg: 0.03, MaxIter: 60}
 	a := pairMatrix(21, 24, 108, 12, 4)
 	b := pairMatrix(22, 24, 108, 12, 4)
 	_, facA, err := reconstructFactors(a, base)
@@ -278,7 +276,7 @@ func TestReconstructPairWarmStart(t *testing.T) {
 // byte-identical to the per-surface capture path, and that cold
 // models yield nil factors.
 func TestReconstructPairFactors(t *testing.T) {
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50}
 	a := pairMatrix(31, 32, 108, 16, 5)
 	b := pairMatrix(32, 33, 108, 16, 5)
 	_, wantFA, err := reconstructFactors(a, p)
@@ -311,7 +309,7 @@ func TestReconstructPairFactors(t *testing.T) {
 // BenchmarkReconstructPair measures the paired trainer against two
 // independent reconstructions of the runtime's surface shape.
 func BenchmarkReconstructPair(b *testing.B) {
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300, SVDInit: true, LogSpace: true}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300}
 	ma := pairMatrix(41, 32, 108, 16, 6)
 	mb := pairMatrix(42, 33, 108, 16, 6)
 	b.Run("paired", func(b *testing.B) {
@@ -336,7 +334,7 @@ func BenchmarkReconstructPair(b *testing.B) {
 // while a pair with 65 536 in one lane (whose μ entry would need index
 // 65 536) trains per surface — bit-identical either way.
 func TestLanePrefixBlockIndexBound(t *testing.T) {
-	p := Params{Factors: 6, MaxIter: 2, SVDInit: true}
+	p := Params{Factors: 6, MaxIter: 2}
 	type boundCase struct {
 		name   string
 		a, b   *Matrix
@@ -353,20 +351,21 @@ func TestLanePrefixBlockIndexBound(t *testing.T) {
 		}
 		cases = append(cases, boundCase{fmt.Sprintf("%d rows", rows), a, b, p, 3, rows > math.MaxUint16})
 	}
-	// 256 × 256 cells: every one observed in lane B, all but the last
-	// in lane A. Random init keeps the seed cheap.
+	// The first 64 of 512 columns in each of 1 024 rows: every cell
+	// observed in lane B, all but the last in lane A. No row is dense
+	// enough for the SVD seed, which keeps the seed cheap.
 	for _, entries := range []int{1<<16 - 1, 1 << 16} {
-		a, b := NewMatrix(256, 256), NewMatrix(256, 256)
+		a, b := NewMatrix(1024, 512), NewMatrix(1024, 512)
 		for c := 0; c < 1<<16; c++ {
 			if c < entries {
-				a.Observe(c/256, c%256, 1+float64(c%7))
+				a.Observe(c/64, c%64, 1+float64(c%7))
 			}
-			b.Observe(c/256, c%256, 2+float64(c%5))
+			b.Observe(c/64, c%64, 2+float64(c%5))
 		}
 		if entries < 1<<16 {
-			b.clear(255, 255) // both lanes 65 535 entries
+			b.clear(1023, 63) // both lanes 65 535 entries
 		}
-		cases = append(cases, boundCase{fmt.Sprintf("%d entries", entries), a, b, Params{Factors: 6, MaxIter: 2, Seed: 3},
+		cases = append(cases, boundCase{fmt.Sprintf("%d entries", entries), a, b, p,
 			1<<16 - 1, entries > math.MaxUint16})
 	}
 	for _, tc := range cases {

@@ -68,7 +68,7 @@ func hashFactors(h hash.Hash64, f *Factors) {
 // (so scalar tails follow the kernels) and a rank the kernels do not
 // take, hashing every prediction and every captured factor set.
 func reconstructionScript(t *testing.T, h hash.Hash64) {
-	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 30, SVDInit: true, LogSpace: true}
+	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 30}
 	frozen := rt
 	frozen.FactorMinObs = 4
 	all := func(p Params) [4]Params { return [4]Params{p, p, p, p} }
@@ -147,7 +147,7 @@ func reconstructionScript(t *testing.T, h hash.Hash64) {
 	wa.Warm, wa.WarmIters = fA, 10
 	wb.Warm, wb.WarmIters = fB, 10
 	pair(a, b, wa, wb)
-	rank8 := Params{Factors: 8, Reg: 0.05, MaxIter: 20, SVDInit: true, LogSpace: true}
+	rank8 := Params{Factors: 8, Reg: 0.05, MaxIter: 20}
 	pair(pairMatrix(6, 16, 108, 8, 3), pairMatrix(7, 16, 108, 8, 3), rank8, rank8)
 }
 
@@ -163,6 +163,44 @@ func TestReconstructionBitsPinned(t *testing.T) {
 		reconstructionScript(t, h)
 		if got := h.Sum64(); got != reconstructionBits {
 			t.Fatalf("reconstruction digest %#x, want %#x", got, uint64(reconstructionBits))
+		}
+	})
+}
+
+// runtimeRecipeBits is recipeScript's digest under the runtime's
+// recipe spelled out — rank 6, λ 0.03, 300 sweeps, the SVD start, log
+// space — recorded while those were still settings and not the zero
+// Params.
+const runtimeRecipeBits = 0x23f63bbb329de449
+
+// recipeScript runs every entry point at p over the runtime's four
+// surfaces, hashing every prediction and every captured factor set.
+func recipeScript(h hash.Hash64, p Params) {
+	ms := quadSurfaces(3)
+	preds, facs := ReconstructQuad(ms, [4]Params{p, p, p, p}, true)
+	for l, m := range ms {
+		hashPred(h, preds[l])
+		hashFactors(h, facs[l])
+		hashPred(h, Reconstruct(m, p))
+	}
+	a, b, fa, fb := ReconstructPairFactors(ms[0], ms[1], p, p)
+	hashPred(h, a)
+	hashPred(h, b)
+	hashFactors(h, fa)
+	hashFactors(h, fb)
+}
+
+// TestZeroParamsAreTheRuntimeRecipe: a zero Params reconstructs bit
+// for bit like the runtime's recipe, on every lane path.
+func TestZeroParamsAreTheRuntimeRecipe(t *testing.T) {
+	if got := transcendentalCanary(); got != pinCanary {
+		t.Skipf("math.Exp/Log differ from the recording host (canary %#x, recorded %#x)", got, uint64(pinCanary))
+	}
+	lanePaths(t, func(t *testing.T) {
+		h := fnv.New64a()
+		recipeScript(h, Params{})
+		if got := h.Sum64(); got != runtimeRecipeBits {
+			t.Fatalf("zero-Params digest %#x, want the runtime recipe's %#x", got, uint64(runtimeRecipeBits))
 		}
 	})
 }

@@ -53,7 +53,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 		// lat/svc, asserted where the kernels run.
 		n4, nA, nB int
 	}
-	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
+	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50}
 	frozen := rt
 	frozen.FactorMinObs = 4
 	all := func(p Params) [4]Params { return [4]Params{p, p, p, p} }
@@ -97,7 +97,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			setCell(false, 3, 40, c.ms[1])
 			c.n4, c.nA, c.nB = 3*108+40, 3*108+40, c.ms[2].knownCount()
 		}),
-		mk("rank 8 lane trains per surface", 66, [4]Params{rt, {Factors: 8, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}, rt, rt}, func(c *quadCase) {
+		mk("rank 8 lane trains per surface", 66, [4]Params{rt, {Factors: 8, Reg: 0.03, MaxIter: 50}, rt, rt}, func(c *quadCase) {
 			c.nB = c.ms[2].knownCount()
 		}),
 		mk("hundreds of dual thr/pwr cells beside two lat/svc cells", 72, all(rt), func(c *quadCase) {
@@ -230,7 +230,7 @@ func TestDualScheduleOccupancy(t *testing.T) {
 	if ms[2].Known(12, 0) {
 		t.Fatal("quadSurfaces(1)'s service row starts at column 0")
 	}
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50, SVDInit: true, LogSpace: true}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50}
 	st := gatherLanes(ms[:], []Params{p, p, p, p})
 	if laneKernelOK && lanePrefix(st[:]) != n4 {
 		t.Fatalf("four-lane prefix %d, want %d", lanePrefix(st[:]), n4)
@@ -276,7 +276,7 @@ func BenchmarkLaneEpoch(b *testing.B) {
 	if !laneKernelOK {
 		b.Skip("no AVX")
 	}
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300, SVDInit: true, LogSpace: true}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300}
 	ms := quadSurfaces(81)
 	st := gatherLanes(ms[:], []Params{p, p, p, p})
 	thr, pwr := matchedPair(82, 32, 108, 16, 20, 2)
@@ -347,7 +347,7 @@ func TestReconstructAllocCeiling(t *testing.T) {
 	thr, pwr := matchedPair(91, 32, 108, 16, 40, 2)
 	lat, svc := matchedPair(92, 14, 108, 12, 4, 0)
 	ms := [4]*Matrix{thr, pwr, lat, svc}
-	p := Params{Factors: 6, Reg: 0.03, MaxIter: 5, SVDInit: true, LogSpace: true}
+	p := Params{Factors: 6, Reg: 0.03, MaxIter: 5}
 	ps := [4]Params{p, p, p, p}
 	lanePaths(t, func(t *testing.T) {
 		ReconstructQuad(ms, ps, false) // warm the runtime's goroutine free lists

@@ -138,7 +138,7 @@ func scheduleMatrix(r *rng.RNG, cols, dense int, counts []int) *Matrix {
 	return m
 }
 
-var scheduleParams = Params{Factors: 6, Reg: 0.03, MaxIter: 6, SVDInit: true, LogSpace: true, FactorMinObs: 4}
+var scheduleParams = Params{Factors: 6, Reg: 0.03, MaxIter: 6, FactorMinObs: 4}
 
 // frozenFrom returns the end of the kernel-eligible stretch starting
 // at from: the first entry at or after it in a bias-frozen row.

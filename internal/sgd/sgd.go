@@ -11,12 +11,18 @@
 //	R̂[i][j] = μ + b[i] + c[j] + Q[i]·P[j]
 //
 // with rank-F factor matrices Q (rows) and P (columns) trained by SGD
-// over the observed entries, optionally initialised from a truncated
-// SVD of the mean-filled matrix (the paper constructs Q and P from the
-// singular vectors). Alg. 1 as printed allocates full-rank factor
-// matrices; with only two observations in a new application's row that
-// would overfit immediately, so this implementation uses the low-rank
-// form of the cited PQ-reconstruction work.
+// over the observed entries. There is one recipe: a cold fit seeds Q
+// and P from the truncated SVD of the mean-filled matrix (the paper
+// constructs them from the singular vectors), a warm fit from the
+// fleet's factors (Params.Warm), and every fit trains on
+// log(max(v, 1e-9)) and renders exp — tail latency spans four orders
+// of magnitude across configurations and loads, and the relative
+// error the paper reports is additive in log space. Alg. 1 as printed
+// allocates full-rank factor matrices; with only two observations in
+// a new application's row that would overfit immediately, so this
+// implementation uses the low-rank form of the cited
+// PQ-reconstruction work, at rank 6, λ 0.03 and 300 sweeps unless a
+// Params field says otherwise.
 //
 // There is one update order and two loops that run it. trainSerial is
 // Alg. 1 as printed: one sweep over the observed entries in row-major
@@ -36,7 +42,6 @@ import (
 	"math"
 
 	"cuttlesys/internal/mat"
-	"cuttlesys/internal/rng"
 )
 
 // Matrix is a sparse observation matrix: applications × resource
@@ -101,24 +106,25 @@ func (m *Matrix) ObserveRow(i int, vals []float64) {
 // learningRate is Alg. 1's η.
 const learningRate = 0.02
 
-// Params controls a reconstruction.
+// Params controls a reconstruction. The zero value is the runtime's
+// recipe: rank 6, λ 0.03, 300 sweeps, no frozen rows, a cold start.
 type Params struct {
-	// Factors is the latent rank F. Default 8; negative is invalid.
+	// Factors is the latent rank F. Default 6, the lane kernels' rank;
+	// negative is invalid.
 	Factors int
-	// Reg is Alg. 1's regularisation factor λ. Default 0.05.
+	// Reg is Alg. 1's regularisation factor λ. Default 0.03.
 	Reg float64
 	// MaxIter is the number of SGD sweeps over the observed entries
-	// (Alg. 1's maxIter). Default 250.
+	// (Alg. 1's maxIter). Default 300.
 	MaxIter int
 	// Deprecated: Deterministic is ignored — every reconstruction follows
 	// the serial sweep order. It exists only because bench/ still names it.
 	Deterministic bool
-	// LogSpace trains on log(v): tail latency spans four orders of
-	// magnitude across configurations and loads, and the relative-error
-	// objective the paper reports is additive in log space.
+	// Deprecated: LogSpace is ignored — every fit trains in log space.
+	// It exists only because bench/ still names it.
 	LogSpace bool
-	// SVDInit seeds Q and P from the truncated SVD of the mean-filled
-	// matrix, as §V describes, instead of random initialisation.
+	// Deprecated: SVDInit is ignored — every cold fit starts from the
+	// SVD. It exists only because bench/ still names it.
 	SVDInit bool
 	// FactorMinObs freezes the latent factors of rows with fewer
 	// observed entries than this: such rows train biases only, so their
@@ -128,20 +134,19 @@ type Params struct {
 	// optimistic extrapolation a QoS scan cannot afford. 0 disables;
 	// negative is invalid.
 	FactorMinObs int
-	// Seed drives the random initialisation; SVDInit and Warm starts
-	// draw nothing, so it does not affect them.
+	// Deprecated: Seed is ignored — no start draws anything. It exists
+	// only because bench/ still names it.
 	Seed uint64
 	// Warm seeds the model from previously trained factors (a fleet
-	// aggregate from the model-sharing plane) instead of random or SVD
-	// initialisation: μ, biases and both factor matrices start at the
-	// warm state, so the model's first prediction is the fleet's and
-	// local SGD sweeps only fine-tune it. Factors whose geometry or
-	// value transform does not match the matrix are ignored and the
-	// cold init runs as usual, and a warm fit that comes out non-finite
-	// is redone cold. Rows frozen by FactorMinObs keep their
-	// warm factor vectors rather than being zeroed — carrying the
-	// fleet's knowledge for locally under-observed rows is the point
-	// of warm-starting.
+	// aggregate from the model-sharing plane) instead of the SVD: μ,
+	// biases and both factor matrices start at the warm state, so the
+	// model's first prediction is the fleet's and local SGD sweeps only
+	// fine-tune it. Factors whose geometry does not match the matrix,
+	// or that hold a non-finite value, are ignored and the cold start
+	// runs as usual, and a warm fit that comes out non-finite is redone
+	// cold. Rows frozen by FactorMinObs keep their warm factor vectors
+	// rather than being zeroed — carrying the fleet's knowledge for
+	// locally under-observed rows is the point of warm-starting.
 	Warm *Factors
 	// WarmIters, when positive and Warm is applied, overrides MaxIter:
 	// the per-machine fine-tune sweep count, the cheap end of the
@@ -150,8 +155,7 @@ type Params struct {
 }
 
 // Validate reports the first parameter no reconstruction can use: a
-// negative rank (it would silently become the default, and move a
-// runtime off the rank-6 lane kernels), a regularisation factor that
+// negative rank (no factor matrix has one), a regularisation factor that
 // is negative or not finite (every unobserved prediction would come
 // out NaN), a negative sweep count, or a negative FactorMinObs (it
 // would silently mean "disabled"). Zero values are valid — they
@@ -179,14 +183,14 @@ func (p Params) withDefaults() Params {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if p.Factors <= 0 {
-		p.Factors = 8
+	if p.Factors == 0 {
+		p.Factors = pairFactors
 	}
 	if p.Reg == 0 {
-		p.Reg = 0.05
+		p.Reg = 0.03
 	}
 	if p.MaxIter == 0 {
-		p.MaxIter = 250
+		p.MaxIter = 300
 	}
 	return p
 }
@@ -211,7 +215,7 @@ func (p *Prediction) Row(i int) []float64 {
 	return out
 }
 
-const logFloor = 1e-9 // guards log-space transform against zeros
+const logFloor = 1e-9 // guards the log transform against zeros
 
 // Reconstruct runs Alg. 1 and returns the completed matrix.
 func Reconstruct(m *Matrix, params Params) *Prediction {
@@ -236,10 +240,10 @@ type trainState struct {
 	p Params // effective params: MaxIter already warm-overridden
 	// cells names each observed cell by its row-major index i·Cols+j,
 	// in row-major order — the serial sweep order — and entry t's value
-	// in the trained space, log-transformed under LogSpace once, when
-	// prepareTraining gathers it, is vals[vs·t]: 12 bytes an entry. vs
-	// is 2 where a pair's two lanes interleave their values
-	// (gatherLanes), 1 otherwise. vals ends in one entry more, μ, the
+	// in the trained space, log-transformed once, when prepareTraining
+	// gathers it, is vals[vs·t]: 12 bytes an entry. vs is 2 where a
+	// pair's two lanes interleave their values (gatherLanes), 1
+	// otherwise. vals ends in one entry more, μ, the
 	// value a slot kernel's padding cells read (see pad).
 	cells []uint32
 	vals  []float64
@@ -277,10 +281,7 @@ func prepareTraining(m *Matrix, p Params, vals []float64, vs int) *trainState {
 			if !m.known[c] {
 				continue
 			}
-			v := m.vals[c]
-			if p.LogSpace {
-				v = math.Log(math.Max(v, logFloor))
-			}
+			v := math.Log(math.Max(m.vals[c], logFloor))
 			vals[vs*len(cells)] = v
 			cells = append(cells, uint32(c))
 			sum += v
@@ -303,7 +304,7 @@ func prepareTraining(m *Matrix, p Params, vals []float64, vs int) *trainState {
 		return st
 	}
 
-	if p.Warm != nil && p.Warm.Compatible(m.Rows, m.Cols, p.Factors, p.LogSpace) {
+	if p.Warm != nil && p.Warm.Compatible(m.Rows, m.Cols, p.Factors) {
 		cold := p
 		cold.Warm = nil
 		st.cold = &cold
@@ -338,16 +339,15 @@ func (st *trainState) alone() {
 	st.place(make([]float64, st.m.Rows*blk), make([]float64, st.m.Cols*blk), 1)
 }
 
-// init seeds the placed model state: from the warm start, from the
-// SVD of the mean-filled matrix, or at random; then zeroes the factors
-// of a cold fit's bias-frozen rows. Biases start at zero unless warm.
+// init seeds the placed model state: from the warm start, or else
+// from the SVD of the mean-filled matrix with the factors of
+// bias-frozen rows zeroed. Biases start at zero unless warm.
 func (st *trainState) init() {
 	if len(st.cells) == 0 {
 		return
 	}
 	m, f, w, blk := st.m, st.f, st.w, st.blk
-	switch {
-	case st.cold != nil:
+	if st.cold != nil {
 		warm := st.p.Warm
 		for i := 0; i < m.Rows; i++ {
 			ri := st.rowP[i*blk:]
@@ -364,22 +364,8 @@ func (st *trainState) init() {
 			cj[w*f] = warm.ColBias[j]
 		}
 		return // frozen rows keep their warm factors
-	case st.p.SVDInit:
-		st.svdInit()
-	default:
-		r := rng.New(st.p.Seed)
-		scale := 0.1 / math.Sqrt(float64(f))
-		for i := 0; i < m.Rows; i++ {
-			for k := 0; k < f; k++ {
-				st.rowP[i*blk+w*k] = scale * r.Norm()
-			}
-		}
-		for j := 0; j < m.Cols; j++ {
-			for k := 0; k < f; k++ {
-				st.colP[j*blk+w*k] = scale * r.Norm()
-			}
-		}
 	}
+	st.svdInit()
 	for i, frozen := range st.biasOnly {
 		if frozen {
 			for k := 0; k < f; k++ {
@@ -399,10 +385,12 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 	if len(st.cells) == 0 {
 		return st.pred, nil
 	}
-	m, p, f, w, blk := st.m, st.p, st.f, st.w, st.blk
+	m, f, w, blk := st.m, st.f, st.w, st.blk
 	pred := st.pred
-	// Dense prediction; observed entries keep their measured values,
-	// which the row-major entry list holds in render order.
+	// Dense prediction, rendered out of log space; observed entries
+	// render exp of their logged measured values (within two ulps of
+	// the measurement), which the row-major entry list holds in render
+	// order.
 	t := 0
 	for i := 0; i < m.Rows; i++ {
 		ri := st.rowP[i*blk:]
@@ -420,10 +408,7 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 				}
 				v = st.mu + ri[w*f] + cj[w*f] + dot
 			}
-			if p.LogSpace {
-				v = math.Exp(v)
-			}
-			pred.vals[c] = v
+			pred.vals[c] = math.Exp(v)
 		}
 	}
 	if st.cold != nil && !(finite(pred.vals...) && finite(st.mu) && st.finiteState()) {
@@ -441,7 +426,6 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 		ColBias:  make([]float64, m.Cols),
 		Iters:    pred.Iters,
 		Observed: pred.Observed,
-		LogSpace: p.LogSpace,
 	}
 	for i := range fac.RowBias {
 		ri := st.rowP[i*blk:]
@@ -578,8 +562,7 @@ func (st *trainState) svdInit() {
 		for t := r.from; t < r.to; t++ {
 			rowSum += st.vals[st.vs*t]
 		}
-		//lint:allow floatsafe a run holds at least the entry that starts it
-		rowMean := rowSum / float64(r.to-r.from)
+		rowMean := rowSum / float64(max(r.to-r.from, 1)) // a run holds at least its first entry
 		row := filled.Data[di*cols : (di+1)*cols]
 		for j := range row {
 			row[j] = rowMean - mu

@@ -95,7 +95,7 @@ func TestReconstructRecoversLowRank(t *testing.T) {
 		m.Observe(i, 0, truth[i][0])
 		m.Observe(i, 39, truth[i][39])
 	}
-	pred := Reconstruct(m, Params{Seed: 7, MaxIter: 600})
+	pred := Reconstruct(m, Params{MaxIter: 600})
 	var errs []float64
 	for _, i := range []int{16, 17} {
 		for j := 1; j < 39; j++ {
@@ -114,7 +114,7 @@ func TestReconstructKeepsObservedEntries(t *testing.T) {
 		m.ObserveRow(i, truth[i])
 	}
 	m.Observe(9, 3, truth[9][3])
-	pred := Reconstruct(m, Params{Seed: 1})
+	pred := Reconstruct(m, Params{})
 	if got := pred.At(9, 3); got != truth[9][3] {
 		t.Fatalf("observed entry changed: %v != %v", got, truth[9][3])
 	}
@@ -128,7 +128,7 @@ func TestSVDInitConverges(t *testing.T) {
 	}
 	m.Observe(16, 0, truth[16][0])
 	m.Observe(16, 29, truth[16][29])
-	pred := Reconstruct(m, Params{Seed: 2, SVDInit: true, MaxIter: 300})
+	pred := Reconstruct(m, Params{MaxIter: 300})
 	var errs []float64
 	for j := 1; j < 29; j++ {
 		errs = append(errs, math.Abs(stats.RelErrPct(pred.At(16, j), truth[16][j])))
@@ -152,7 +152,7 @@ func TestLogSpacePositivity(t *testing.T) {
 	}
 	m.Observe(9, 0, 1.5)
 	m.Observe(9, 19, 400)
-	pred := Reconstruct(m, Params{Seed: 3, LogSpace: true})
+	pred := Reconstruct(m, Params{})
 	for j := 0; j < 20; j++ {
 		if pred.At(9, j) <= 0 {
 			t.Fatalf("log-space prediction non-positive at col %d", j)
@@ -191,7 +191,7 @@ func panicMessage(f func()) (msg string) {
 // zero and an explicit valid set must run. For the lane entry points
 // the bad set rides in one lane beside valid ones.
 func TestInvalidParamsPanic(t *testing.T) {
-	ok := Params{Factors: 6, Reg: 0.03, MaxIter: 5, SVDInit: true, LogSpace: true}
+	ok := Params{Factors: 6, Reg: 0.03, MaxIter: 5}
 	with := func(edit func(p *Params)) Params {
 		p := ok
 		edit(&p)
@@ -248,7 +248,7 @@ func TestPredictionRow(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.ObserveRow(0, []float64{1, 2, 3})
 	m.ObserveRow(1, []float64{4, 5, 6})
-	pred := Reconstruct(m, Params{Seed: 1})
+	pred := Reconstruct(m, Params{})
 	row := pred.Row(1)
 	if len(row) != 3 || row[0] != 4 || row[2] != 6 {
 		t.Fatalf("Row = %v", row)
@@ -284,7 +284,7 @@ func TestSurfaceReconstructionAccuracy(t *testing.T) {
 		powerM.Observe(i, loIdx, p[loIdx])
 		powerM.Observe(i, hiIdx, p[hiIdx])
 	}
-	params := Params{Seed: 5, MaxIter: 1500, LogSpace: true, SVDInit: true, Factors: 6, Reg: 0.03}
+	params := Params{MaxIter: 1500, Factors: 6, Reg: 0.03}
 	predB := Reconstruct(bipsM, params)
 	predP := Reconstruct(powerM, params)
 	var errB, errP []float64
@@ -310,8 +310,8 @@ func TestSurfaceReconstructionAccuracy(t *testing.T) {
 }
 
 // svdInitOracle is the SVD seed as it was before it read the entry
-// list: a mean-filled mat.Dense built by re-reading the matrix (and
-// re-taking each known cell's log), then mat.SVDTop over the whole
+// list: a mean-filled mat.Dense built by re-reading the matrix and
+// re-taking each known cell's log, then mat.SVDTop over the whole
 // copy (mat's tests pin SVDTop to the full decomposition bit for bit).
 // It is kept as the oracle svdInit must match bit for bit.
 func svdInitOracle(m *Matrix, p Params, mu float64, q, pc []float64) {
@@ -336,22 +336,14 @@ func svdInitOracle(m *Matrix, p Params, mu float64, q, pc []float64) {
 		rowSum, rowN := 0.0, 0
 		for j := 0; j < m.Cols; j++ {
 			if m.Known(i, j) {
-				v := m.At(i, j)
-				if p.LogSpace {
-					v = math.Log(math.Max(v, logFloor))
-				}
-				rowSum += v
+				rowSum += math.Log(math.Max(m.At(i, j), logFloor))
 				rowN++
 			}
 		}
 		rowMean := rowSum / float64(rowN)
 		for j := 0; j < m.Cols; j++ {
 			if m.Known(i, j) {
-				v := m.At(i, j)
-				if p.LogSpace {
-					v = math.Log(math.Max(v, logFloor))
-				}
-				filled.Set(di, j, v-mu)
+				filled.Set(di, j, math.Log(math.Max(m.At(i, j), logFloor))-mu)
 			} else {
 				filled.Set(di, j, rowMean-mu)
 			}
@@ -395,11 +387,9 @@ func seedMatrix(seed uint64, rows, cols, dense, minObs int) *Matrix {
 // runtime decomposes, the transpose branch (more dense rows than
 // columns), rank-deficient input whose trailing singular values fall
 // at or below the zero-column threshold, partially observed dense rows
-// (the mean fill), and linear space.
+// (the mean fill).
 func TestSVDSeedMatchesOracle(t *testing.T) {
-	p := Params{Factors: 6, SVDInit: true, LogSpace: true}
-	linear := p
-	linear.LogSpace = false
+	p := Params{Factors: 6}
 	cases := []struct {
 		name string
 		m    *Matrix
@@ -415,8 +405,7 @@ func TestSVDSeedMatchesOracle(t *testing.T) {
 		{name: "30 rows x 27, transposed", m: pairMatrix(4, 30, 27, 30, 0), p: p},
 		{name: "dense rows of 27-107 cells", m: seedMatrix(5, 20, 108, 16, 27), p: p},
 		{name: "transposed, partially observed", m: seedMatrix(6, 32, 27, 30, 7), p: p},
-		{name: "linear space", m: seedMatrix(7, 20, 108, 16, 27), p: linear},
-		{name: "rank 8 in 6 rows", m: pairMatrix(8, 8, 108, 6, 2), p: Params{Factors: 8, SVDInit: true, LogSpace: true}, zeroCols: 2},
+		{name: "rank 8 in 6 rows", m: pairMatrix(8, 8, 108, 6, 2), p: Params{Factors: 8}, zeroCols: 2},
 		{name: "duplicated rows", m: func() *Matrix {
 			// Twelve dense rows, copies of two: rank two after
 			// centring, so ranks 2–5 have zero singular values.
