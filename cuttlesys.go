@@ -162,15 +162,7 @@ const (
 // load/budget factors multiply, telemetry corruption chains in
 // argument order; nil members are skipped and a single live member is
 // returned unchanged. See fault.Compose.
-func ComposeFaults(parts ...FaultInjector) FaultInjector {
-	ps := make([]fault.Injector, len(parts))
-	for i, p := range parts {
-		if p != nil {
-			ps[i] = p
-		}
-	}
-	return fault.Compose(ps...)
-}
+func ComposeFaults(parts ...FaultInjector) FaultInjector { return fault.Compose(parts...) }
 
 // NewFaultSchedule builds a deterministic fault schedule; the same
 // seed and events always reproduce the same perturbations.

@@ -5,17 +5,21 @@ import (
 	"cuttlesys/internal/sim"
 )
 
-// Injector is the full fault surface the harness drives: hardware
-// faults via sim.Injector, environmental perturbations, telemetry
-// corruption, and active-kind reporting. It is declared here with the
-// same method set as harness.FaultInjector (the two are mutually
-// assignable) so schedules can be composed without the fault package
-// importing the harness. Schedule implements it.
+// Injector is the full fault surface the harness drives (it is
+// harness.FaultInjector): hardware faults via sim.Injector,
+// environmental perturbations (flash-crowd load, budget drops),
+// corruption of the scheduler's telemetry view, and active-kind
+// reporting. Schedule implements it.
 type Injector interface {
 	sim.Injector
+	// LoadFactor multiplies every LC service's offered load at time t.
 	LoadFactor(t float64) float64
+	// BudgetFactor multiplies the power budget at time t.
 	BudgetFactor(t float64) float64
+	// ObservePhase returns the scheduler's (possibly corrupted) view
+	// of a phase result; the original must not be mutated.
 	ObservePhase(t float64, res sim.PhaseResult, profiling bool) sim.PhaseResult
+	// ActiveKinds names the fault kinds active at time t, nil if none.
 	ActiveKinds(t float64) []string
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"cuttlesys/internal/fault"
 	"cuttlesys/internal/obs"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/stats"
@@ -89,22 +90,10 @@ type DegradedReporter interface {
 	Degraded() bool
 }
 
-// FaultInjector is the fault surface RunFaulted drives: hardware
-// faults via sim.Injector, environmental perturbations (flash-crowd
-// load, budget drops), and corruption of the scheduler's telemetry
-// view. fault.Schedule implements it.
-type FaultInjector interface {
-	sim.Injector
-	// LoadFactor multiplies every LC service's offered load at time t.
-	LoadFactor(t float64) float64
-	// BudgetFactor multiplies the power budget at time t.
-	BudgetFactor(t float64) float64
-	// ObservePhase returns the scheduler's (possibly corrupted) view
-	// of a phase result; the original must not be mutated.
-	ObservePhase(t float64, res sim.PhaseResult, profiling bool) sim.PhaseResult
-	// ActiveKinds names the fault kinds active at time t, nil if none.
-	ActiveKinds(t float64) []string
-}
+// FaultInjector is the fault surface RunFaulted drives, fault.Injector:
+// hardware faults, environmental perturbations and corruption of the
+// scheduler's telemetry view.
+type FaultInjector = fault.Injector
 
 // LoadPattern yields the LC service's offered load fraction (of max
 // QPS) at a simulation time.

@@ -330,9 +330,6 @@ func (c *Compiled) Injector(id int, machineSeed uint64) (harness.FaultInjector, 
 		}
 		parts = append(parts, sch)
 	}
-	if len(parts) == 0 {
-		return nil, nil
-	}
 	return fault.Compose(parts...), nil
 }
 
