@@ -213,17 +213,18 @@ func parseNoArgs(fs *flag.FlagSet, args []string) error {
 }
 
 // checkGeometry rejects out-of-range geometry among the flags given on
-// the command line, naming the flag: counts must be at least one,
-// fractions must lie in (0, 1] (fig1 holds each -loads element to the
-// same rule as it parses it) and -sim seconds must be finite and
-// positive. Unset flags keep their row's reference defaults, or, on
-// the spec commands, defer to the spec.
+// the command line, naming the flag: counts (paper's -reps and trace's
+// -top among them) must be at least one, fractions must lie in (0, 1]
+// (fig1 holds each -loads element to the same rule as it parses it)
+// and -sim seconds must be finite and positive. Unset flags keep
+// their row's reference defaults, or, on the spec commands, defer to
+// the spec.
 func checkGeometry(fs *flag.FlagSet) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
 		v := f.Value.(flag.Getter).Get()
 		switch f.Name {
-		case "machines", "slices", "mixes":
+		case "machines", "slices", "mixes", "reps", "top":
 			if n := v.(int); n < 1 && err == nil {
 				err = fmt.Errorf("-%s %d must be at least 1", f.Name, n)
 			}

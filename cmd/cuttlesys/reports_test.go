@@ -339,6 +339,7 @@ func TestRejectsBadGeometry(t *testing.T) {
 		"machines": {"0", "-2"},
 		"slices":   {"0", "-1"},
 		"mixes":    {"0"},
+		"reps":     {"0", "-3"},
 		"load":     {"0", "-1", "1.5", "NaN"},
 		"cap":      {"0", "-0.1", "1.01"},
 		"loads":    {"NaN", "-1", "0", "0.2,1.5"},

@@ -115,3 +115,25 @@ func TestRunRejectsUnexportableTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsTopBelowOne: -top counts spans, and a count below one
+// is refused naming the flag instead of quietly becoming the default.
+func TestRunRejectsTopBelowOne(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "trace.jsonl")
+	f, err := os.Create(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSONL(f, sampleEvents()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, top := range []string{"0", "-1"} {
+		err := run([]string{"trace", "-top", top, in}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-top "+top) {
+			t.Errorf("trace -top %s: error %v, want one naming -top", top, err)
+		}
+	}
+}
