@@ -72,6 +72,16 @@ func TestEnergyProportionality(t *testing.T) {
 	}
 }
 
+// TestEnergyProportionalityRefusesSeedZero: the LC-only machine pins
+// its mix to the run seed, and a mix seed of 0 would unpin it; the
+// study must refuse it, saying why, rather than run another machine.
+func TestEnergyProportionalityRefusesSeedZero(t *testing.T) {
+	_, err := EnergyProportionality("xapian", 0, []float64{0.5})
+	if err == nil || !strings.Contains(err.Error(), "mix seed 0") {
+		t.Fatalf("seed 0: error %v, want one naming mix seed 0", err)
+	}
+}
+
 func TestDVFSBaselineInHarness(t *testing.T) {
 	// The maxBIPS DVFS extension must slot into the same comparison
 	// machinery as the paper's policies.

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"errors"
 	"sort"
 
 	"cuttlesys/internal/core"
@@ -100,6 +101,11 @@ const uncapped = "budget constant rate=10 absolute"
 // run compiles the cell's spec and runs its machine. It returns the
 // scheduler too, for callers that read its state after the run.
 func (c cell) run() (*harness.Result, harness.Scheduler, error) {
+	if c.mix == 0 {
+		// The machine would take its seed from the run seed's fleet
+		// draw instead, and run another machine.
+		return nil, nil, errors.New("experiments: mix seed 0 cannot pin a machine (a spec's mix seed 0 means unpinned); use a seed of at least 1")
+	}
 	src, err := specs.Source("sim")
 	if err != nil {
 		return nil, nil, err
