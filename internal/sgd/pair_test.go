@@ -200,23 +200,23 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		cases = append(cases, pairCase{name: "warm-started lanes", a: a, b: b, pa: wa, pb: wb, prefix: obsBefore(a, 22)})
 	}
 
-	// Independently drawn lanes; the prefix is whatever it is.
+	// Lanes drawn independently; the prefix is whatever it is.
 	plain := func(name string, a, b *Matrix, pa, pb Params) pairCase {
 		return pairCase{name: name, a: a, b: b, pa: pa, pb: pb}
 	}
 	iters := func(p Params, n int) Params { p.MaxIter = n; return p }
-	svd := Params{Factors: 6, MaxIter: 30}
+	short := Params{Factors: 6, MaxIter: 30}
 	rank8 := Params{Factors: 8, MaxIter: 30}
 	cases = append(cases,
 		plain("same-shape dense+sparse", pairMatrix(1, 32, 108, 16, 6), pairMatrix(2, 32, 108, 16, 6), iters(rt, 60), iters(rt, 60)),
 		plain("different row counts (thr vs pwr shape)", pairMatrix(3, 32, 108, 16, 4), pairMatrix(4, 35, 108, 16, 4), rt, rt),
 		plain("bias-frozen sparse rows", pairMatrix(5, 20, 108, 12, 2), pairMatrix(6, 20, 108, 12, 2), iters(frozen, 40), iters(frozen, 40)),
-		plain("54 columns in both lanes", pairMatrix(7, 16, 54, 8, 5), pairMatrix(8, 16, 54, 8, 5), iters(svd, 40), iters(svd, 40)),
-		plain("unequal MaxIter falls back", pairMatrix(9, 16, 108, 8, 3), pairMatrix(10, 16, 108, 8, 3), svd, iters(svd, 45)),
+		plain("54 columns in both lanes", pairMatrix(7, 16, 54, 8, 5), pairMatrix(8, 16, 54, 8, 5), iters(short, 40), iters(short, 40)),
+		plain("unequal MaxIter falls back", pairMatrix(9, 16, 108, 8, 3), pairMatrix(10, 16, 108, 8, 3), short, iters(short, 45)),
 		plain("non-kernel rank falls back", pairMatrix(11, 16, 108, 8, 3), pairMatrix(12, 16, 108, 8, 3), rank8, rank8),
-		plain("different column counts fall back", pairMatrix(13, 16, 108, 8, 3), pairMatrix(14, 16, 54, 8, 3), svd, svd),
-		plain("empty lane", pairMatrix(15, 16, 108, 8, 3), NewMatrix(16, 108), svd, svd),
-		plain("no dense prefix falls back", pairMatrix(17, 16, 108, 0, 5), pairMatrix(18, 16, 108, 8, 5), svd, svd),
+		plain("different column counts fall back", pairMatrix(13, 16, 108, 8, 3), pairMatrix(14, 16, 54, 8, 3), short, short),
+		plain("empty lane", pairMatrix(15, 16, 108, 8, 3), NewMatrix(16, 108), short, short),
+		plain("no dense prefix falls back", pairMatrix(17, 16, 108, 0, 5), pairMatrix(18, 16, 108, 8, 5), short, short),
 	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
