@@ -35,9 +35,9 @@ type Factors struct {
 }
 
 // ErrColdModel is returned when factor export is attempted on a model
-// that completed zero SGD iterations: its factor state is the SVD (or
-// zero) initialisation, and publishing it to the share plane would
-// poison fleet aggregates with noise.
+// that completed zero SGD iterations: its factor state is the bare SVD
+// (or zero) start, and publishing it to the share plane would poison
+// fleet aggregates with an untrained model.
 var ErrColdModel = errors.New("sgd: model completed zero iterations; factors are untrained")
 
 // Clone returns a deep copy.
@@ -96,7 +96,7 @@ func (f *Factors) Fingerprint() uint64 {
 	mix(uint64(f.Rank))
 	mix(uint64(f.Iters))
 	mix(uint64(f.Observed))
-	mix(1) // the log-space flag sets once carried, kept so fingerprints hold
+	mix(1) // every set is log-space; mixed as the flag was, so fingerprints keep their values
 	mix(math.Float64bits(f.Mu))
 	for _, v := range f.Q {
 		mix(math.Float64bits(v))
