@@ -224,7 +224,7 @@ func BenchmarkFig10bDDSvsGA(b *testing.B) {
 func BenchmarkTrainingSetSweep(b *testing.B) {
 	var err16 float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.TrainingSetSweep(uint64(i+1), nil) {
+		for _, r := range experiments.TrainingSetSweep(nil) {
 			if r.NTrain == 16 {
 				err16 = r.MeanAbs
 			}

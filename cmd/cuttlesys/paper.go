@@ -27,8 +27,8 @@ var paperRows = []paperRow{
 		params{Loads: "0.2,0.8", Sim: 0.5, Seed: 1}, fig1},
 	{"tableii", "Table II — characterisation and optimisation overheads:", []string{"seed", "reps"},
 		params{Seed: 1, Reps: 5}, tableII},
-	{"trainsweep", "§VIII-A2 — training-set-size sensitivity:", []string{"seed"},
-		params{Seed: 1}, trainSweep},
+	{"trainsweep", "§VIII-A2 — training-set-size sensitivity:", nil,
+		params{}, trainSweep},
 	{"fig5a", "Fig. 5a — reconstruction accuracy, applications in isolation:", []string{"seed"},
 		params{Seed: 1}, func(w io.Writer, p params) error {
 			experiments.WriteAccuracy(w, experiments.Fig5aIsolation(p.Seed))
@@ -196,7 +196,7 @@ func tableII(w io.Writer, p params) error {
 
 func trainSweep(w io.Writer, p params) error {
 	fmt.Fprintf(w, "%-8s %s\n", "apps", "mean abs error (%)")
-	for _, r := range experiments.TrainingSetSweep(p.Seed, nil) {
+	for _, r := range experiments.TrainingSetSweep(nil) {
 		fmt.Fprintf(w, "%-8d %.1f\n", r.NTrain, r.MeanAbs)
 	}
 	return nil

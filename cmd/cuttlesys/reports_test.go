@@ -102,6 +102,16 @@ func TestRowsBindTheirFlags(t *testing.T) {
 	}
 }
 
+// TestTrainSweepRefusesSeed: the training-set sweep draws no
+// randomness, so its row reads no -seed and refuses one as a usage
+// error, as every row refuses a flag it does not read.
+func TestTrainSweepRefusesSeed(t *testing.T) {
+	err := run([]string{"paper", "trainsweep", "-seed", "7"}, io.Discard)
+	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-seed") {
+		t.Fatalf("paper trainsweep -seed 7: got %v, want a usage error naming -seed", err)
+	}
+}
+
 // TestDeclarationOrder: every report enumerates its scenarios,
 // policies, drills and cells in declaration order — the sweeps iterate
 // slices, never maps, so the layout of the JSON is part of the

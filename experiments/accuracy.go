@@ -127,8 +127,13 @@ func Fig5aIsolation(seed uint64) []AccuracyResult {
 	// scan against the under-predictions visible here).
 	var latErrs []float64
 	variants := lcVariantRows(16)
-	for si, app := range workload.TailBench() {
-		truth, _ := sim.LCSurfaces(pm, wm, app, 16, 0.8, seed+uint64(si), 0.5, 1)
+	services := workload.TailBench()
+	seeds := make([]uint64, len(services))
+	for si := range seeds {
+		seeds[si] = seed + uint64(si)
+	}
+	truths, _ := sim.LCSurfaces(pm, wm, services, 16, 0.8, seeds, 0.5, 1)
+	for _, truth := range truths {
 		latM := sgd.NewMatrix(len(variants)+1, config.NumResources)
 		for i, row := range variants {
 			latM.ObserveRow(i, row)
@@ -159,11 +164,11 @@ func Fig5aIsolation(seed uint64) []AccuracyResult {
 func lcVariantRows(k int) [][]float64 {
 	pm, wm := perf.New(true), power.New(true)
 	variants := workload.SyntheticLC(101, 12)
-	rows := make([][]float64, len(variants))
-	for i, v := range variants {
-		lat, _ := sim.LCSurfaces(pm, wm, v, k, 0.8, uint64(i)+1, 0.3, 1.35)
-		rows[i] = lat
+	seeds := make([]uint64, len(variants))
+	for i := range seeds {
+		seeds[i] = uint64(i) + 1
 	}
+	rows, _ := sim.LCSurfaces(pm, wm, variants, k, 0.8, seeds, 0.3, 1.35)
 	return rows
 }
 
@@ -206,8 +211,10 @@ type TrainSweepRow struct {
 // TrainingSetSweep reproduces §VIII-A2: isolation-mode throughput
 // reconstruction error as the number of offline-characterised
 // applications varies. The paper reports ~20 % at 8, ~10 % at 16 and
-// ~8 % at 24 training applications.
-func TrainingSetSweep(seed uint64, sizes []int) []TrainSweepRow {
+// ~8 % at 24 training applications. It draws no randomness — the
+// train/test split and the noise-free samples are fixed — so it takes
+// no seed.
+func TrainingSetSweep(sizes []int) []TrainSweepRow {
 	if len(sizes) == 0 {
 		sizes = []int{8, 16, 24}
 	}

@@ -94,7 +94,7 @@ func TestExperimentDigests(t *testing.T) {
 			return []any{rows, BestTradeoff(rows, 0.8)}, nil
 		}},
 		{"trainsweep", 0x124b929af7b5ddab, func() ([]any, error) {
-			return []any{TrainingSetSweep(1, nil)}, nil
+			return []any{TrainingSetSweep(nil)}, nil
 		}},
 		{"fig5a", 0x35ebf3e84eb072cb, func() ([]any, error) {
 			return []any{Fig5aIsolation(1)}, nil

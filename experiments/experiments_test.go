@@ -133,7 +133,7 @@ func TestFig5aAccuracyBands(t *testing.T) {
 }
 
 func TestTrainingSetSweepMonotone(t *testing.T) {
-	rows := TrainingSetSweep(1, []int{8, 16, 24})
+	rows := TrainingSetSweep([]int{8, 16, 24})
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}

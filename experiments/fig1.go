@@ -36,18 +36,26 @@ func Fig1(loads []float64, seed uint64, simSec float64) []Fig1Row {
 		simSec = 0.5
 	}
 	pm, wm := perf.New(true), power.New(true)
+	services := workload.TailBench()
+	seeds := make([]uint64, len(services))
+	for si := range seeds {
+		seeds[si] = seed
+	}
+	lat, pwr := make([][][]float64, len(loads)), make([][][]float64, len(loads))
+	for li, load := range loads {
+		lat[li], pwr[li] = sim.LCSurfaces(pm, wm, services, 16, load, seeds, simSec, 1)
+	}
 	var rows []Fig1Row
-	for _, app := range workload.TailBench() {
-		for _, load := range loads {
-			lat, pwr := sim.LCSurfaces(pm, wm, app, 16, load, seed, simSec, 1)
+	for si, app := range services {
+		for li, load := range loads {
 			for _, c := range config.AllCores() {
 				idx := config.Resource{Core: c, Cache: config.FourWays}.Index()
 				rows = append(rows, Fig1Row{
 					Service:  app.Name,
 					Config:   c,
 					LoadFrac: load,
-					P99Ms:    lat[idx],
-					PowerW:   16 * pwr[idx],
+					P99Ms:    lat[li][si][idx],
+					PowerW:   16 * pwr[li][si][idx],
 				})
 			}
 		}

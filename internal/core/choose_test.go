@@ -168,9 +168,13 @@ func trueSurfaces(t testing.TB, c chooseCase) (*sim.Machine, func() decision) {
 		thr, pwr = append(thr, b), append(pwr, p)
 	}
 	init := m.NCores() / 2 / len(svcs)
-	for k, app := range svcs {
-		l, p := sim.LCSurfaces(pm, wm, app, init, 0.5, seed+uint64(k), 0.05, 1.35)
-		lat, lcPwr, svc = append(lat, l), append(lcPwr, p), append(svc, sim.LCServiceTimes(pm, app, 1.35))
+	seeds := make([]uint64, len(svcs))
+	for k := range seeds {
+		seeds[k] = seed + uint64(k)
+	}
+	lat, lcPwr = sim.LCSurfaces(pm, wm, svcs, init, 0.5, seeds, 0.05, 1.35)
+	for _, app := range svcs {
+		svc = append(svc, sim.LCServiceTimes(pm, app, 1.35))
 	}
 	// verbatim reconstructs nTrain training rows of ones, which choose
 	// never reads, above the given rows.

@@ -346,10 +346,15 @@ func lcTrainingRows(trainSeed uint64, nTrainLC, cores int) []lcTrainRow {
 		rows, _ = lcTrainCache.LoadOrStore(key, sync.OnceValue(func() []lcTrainRow {
 			lcTrainComputes.Add(1)
 			pm, wm := perf.New(true), power.New(true)
+			variants := workload.SyntheticLC(trainSeed+100, nTrainLC)
+			seeds := make([]uint64, nTrainLC)
+			for i := range seeds {
+				seeds[i] = trainSeed + uint64(i)
+			}
+			lats, _ := sim.LCSurfaces(pm, wm, variants, cores, 0.8, seeds, 0.3, 1.35)
 			rows := make([]lcTrainRow, nTrainLC)
-			for i, variant := range workload.SyntheticLC(trainSeed+100, nTrainLC) {
-				lat, _ := sim.LCSurfaces(pm, wm, variant, cores, 0.8, trainSeed+uint64(i), 0.3, 1.35)
-				rows[i] = lcTrainRow{lat: lat, svc: sim.LCServiceTimes(pm, variant, 1.35)}
+			for i, variant := range variants {
+				rows[i] = lcTrainRow{lat: lats[i], svc: sim.LCServiceTimes(pm, variant, 1.35)}
 			}
 			return rows
 		}))

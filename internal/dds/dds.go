@@ -23,22 +23,21 @@
 // evaluation because the accumulation order is preserved, but an order
 // of magnitude cheaper in late iterations.
 //
-// The engine is lock-free on the hot path: eval counters, candidate
-// scratch and Record buffers are all per-worker, and each iteration's
-// worker batches are one par.For call, so the search keeps par's three
-// rules with workers in place of indices — its result, Result.Points
-// included, is the same at any GOMAXPROCS, and at GOMAXPROCS=1 the
-// whole search runs inline with zero goroutines. SearchReference
-// (reference.go) preserves the pre-fast-path engine over a plain
-// closure Objective; it is the oracle of the equivalence tests and the
+// Workers are logical: Alg. 2's radius groups and candidate batches,
+// each with its own RNG stream, local best, evaluator and candidate
+// scratch. Each iteration runs the batches on the caller in worker
+// order — about 60 µs of work per iteration is less than a fan-out
+// costs — so the search starts no goroutine, and its result,
+// Result.Points included, is the same at any GOMAXPROCS.
+// SearchReference (reference.go) preserves the pre-fast-path engine
+// over a plain closure Objective, one goroutine per worker each
+// iteration; it is the oracle of the equivalence tests and the
 // benchmarks' baseline, and no production path runs it.
 package dds
 
 import (
 	"math"
-	"runtime"
 
-	"cuttlesys/internal/par"
 	"cuttlesys/internal/rng"
 )
 
@@ -70,8 +69,8 @@ type Params struct {
 	// InitialPoints is the size of the random starting set. Default 50
 	// (Fig. 6).
 	InitialPoints int
-	// Workers is the parallel width; 1 runs the original serial DDS.
-	// Default 1.
+	// Workers is the number of Alg. 2 workers (radius groups and
+	// candidate batches); 1 runs the original serial DDS. Default 1.
 	Workers int
 	// Seed drives all randomness.
 	Seed uint64
@@ -192,10 +191,6 @@ func runSearch(p Params, obj *SeparableObjective) Result {
 	locals := make([]localBest, workers)
 	workerEvals := make([]*sepWorker, workers)
 	cands := make([][]int, workers)
-	var recBufs [][]Point
-	if p.Record {
-		recBufs = make([][]Point, workers)
-	}
 	for w := range locals {
 		locals[w] = localBest{x: make([]int, p.Dims)}
 		workerEvals[w] = newSepWorker(obj, p.Dims)
@@ -203,10 +198,9 @@ func runSearch(p Params, obj *SeparableObjective) Result {
 	}
 
 	// runWorkerIter runs worker w's candidate batch for one iteration.
-	// It keeps par's first two rules: it reads only the shared best
-	// (fixed for the whole iteration) and worker w's RNG stream, and it
-	// writes only worker w's slots of locals, workerEvals, cands and
-	// recBufs.
+	// It reads only the shared best (fixed for the whole iteration) and
+	// worker w's RNG stream, and it writes only worker w's slots of
+	// locals, workerEvals and cands, and appends to rec.
 	runWorkerIter := func(w, iter int) {
 		r := workerRNGs[w]
 		// Worker groups use different perturbation scales.
@@ -256,7 +250,7 @@ func runSearch(p Params, obj *SeparableObjective) Result {
 			if p.Record {
 				cp := make([]int, len(cand))
 				copy(cp, cand)
-				recBufs[w] = append(recBufs[w], Point{X: cp, Val: v})
+				rec = append(rec, Point{X: cp, Val: v})
 			}
 			if v > lb.val {
 				lb.val = v
@@ -266,29 +260,16 @@ func runSearch(p Params, obj *SeparableObjective) Result {
 		}
 	}
 
-	// The width cap bounds how many goroutines par.For starts, never
-	// what they compute. At width one (GOMAXPROCS=1, or Workers=1) the
-	// whole search runs inline on the caller, the configuration the
-	// per-slice decision loop hits on a loaded machine.
-	width := workers
-	//lint:allow determinism caps execution width only; search results merge in index order and are bit-identical at any worker count
-	if mp := runtime.GOMAXPROCS(0); width > mp {
-		width = mp
-	}
-
+	// The worker batches run on the caller, one after another: an
+	// iteration holds too little work (tens of microseconds) to pay for
+	// a fan-out. Each batch still reads only the best fixed at the
+	// iteration's start, so the result is Alg. 2's, and Points is
+	// ordered by (iteration, worker, point).
 	for iter := 1; iter <= p.MaxIter; iter++ {
-		par.For(workers, width, func(_, w int) { runWorkerIter(w, iter) })
-		// barrier reached (Alg. 2 line 18)
-
-		// par's third rule: the reductions below run on the caller, in
-		// worker order. Merging the Record buffers this way orders
-		// Points by (iteration, worker, point).
-		if p.Record {
-			for w := range recBufs {
-				rec = append(rec, recBufs[w]...)
-				recBufs[w] = recBufs[w][:0]
-			}
+		for w := 0; w < workers; w++ {
+			runWorkerIter(w, iter)
 		}
+		// barrier reached (Alg. 2 line 18)
 
 		// Worker 0's role: aggregate per-worker bests (Alg. 2 lines 19-20).
 		for w := 0; w < workers; w++ {

@@ -11,7 +11,7 @@ import (
 // SearchReference is the pre-fast-path search engine, preserved as the
 // reference implementation: a mutex-serialised eval closure (the
 // bookkeeping lock every worker contends on), one goroutine per worker
-// each iteration (par.For without the width cap), and full
+// each iteration (par.For at full width), and full
 // from-scratch objective evaluation for every candidate.
 // Cross-implementation equivalence tests pin SearchSeparable to it —
 // Best, BestVal and Evals must be bit-identical — and

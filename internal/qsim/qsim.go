@@ -105,13 +105,13 @@ func (s *Service) Step(dur, qps, meanSvc, sigma float64) []float64 {
 // qps of zero or less is an idle window.
 //
 // Queries are simulated in chunks of up to 64. Each chunk first draws
-// its inter-arrival times and normal deviates in the stream order of
-// one query at a time (deviate, then the next gap), turns the deviates
-// into log-normal multipliers with one expBatch call — bit-identical to
-// math.Exp(mu + sigma·Norm()) drawn one at a time — and then runs the
-// FCFS queue over the chunk. The queue consumes no randomness, so the
-// stream position and every sojourn equal the one-query-at-a-time
-// loop's.
+// its arrival times and normal deviates in one rng.Arrivals pass, in
+// the stream order of one query at a time (deviate, then the next
+// gap), turns the deviates into log-normal multipliers with one
+// expBatch call — bit-identical to math.Exp(mu + sigma·Norm()) drawn
+// one at a time — and then runs the FCFS queue over the chunk. The
+// queue consumes no randomness, so the stream position and every
+// sojourn equal the one-query-at-a-time loop's.
 func (s *Service) AppendStep(dst []float64, dur, qps, meanSvc, sigma float64) []float64 {
 	if !positiveFinite(dur) {
 		panic("qsim: Step with non-positive or non-finite duration")
@@ -133,11 +133,10 @@ func (s *Service) AppendStep(dst []float64, dur, qps, meanSvc, sigma float64) []
 		var ts, ms [chunk]float64
 		t := s.now + s.r.Exp(qps)
 		for t < end {
-			n := 0
-			for ; n < chunk && t < end; n++ {
-				ts[n] = t
-				ms[n] = mu + sigma*s.r.Norm()
-				t += s.r.Exp(qps)
+			var n int
+			n, t = s.r.Arrivals(ts[:], ms[:], t, end, qps)
+			for i, z := range ms[:n] {
+				ms[i] = mu + sigma*z
 			}
 			expBatch(ms[:n], ms[:n])
 			s.freeAt.serve(ts[:n], ms[:n], meanSvc)

@@ -8,15 +8,19 @@
 //
 // The generator is PCG-XSH-RR with a 64-bit state and 64-bit stream
 // (O'Neill, 2014). It is splittable: Split derives an independent child
-// stream, which the parallel DDS uses to give each worker goroutine its
-// own source without locking.
+// stream, which DDS uses to give each of Alg. 2's workers its own
+// source, so a worker's draws do not depend on when the others run.
 //
 // Exp and Norm use the ziggurat method on this stream (ziggurat.go):
 // every simulated query draws one of each, so they are the queueing
-// substrate's inner loop.
+// substrate's inner loop. Arrivals draws a whole chunk of queries'
+// pairs in one pass, bit for bit as the per-query calls would.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 const (
 	pcgMult    = 6364136223846793005
@@ -54,11 +58,17 @@ func (r *RNG) Split() *RNG {
 }
 
 func (r *RNG) next() uint32 {
-	old := r.state
-	r.state = old*pcgMult + r.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return xorshifted>>rot | xorshifted<<((-rot)&31)
+	x, next := step(r.state, r.inc)
+	r.state = next
+	return x
+}
+
+// step is one PCG-XSH-RR step from state on stream inc: the output and
+// the next state. It takes and returns the state by value, so a loop
+// that keeps the state in a local keeps it in a register.
+func step(state, inc uint64) (x uint32, next uint64) {
+	xorshifted := uint32(((state >> 18) ^ state) >> 27)
+	return bits.RotateLeft32(xorshifted, -int(state>>59)), state*pcgMult + inc
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.

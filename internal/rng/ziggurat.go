@@ -63,13 +63,21 @@ func (r *RNG) Exp(rate float64) float64 {
 		if j < ke[i] {
 			return x / rate
 		}
-		if i == 0 {
-			return (re + r.expInversion()) / rate
-		}
-		if fe[i]+float32(r.Float64())*(fe[i-1]-fe[i]) < float32(math.Exp(-x)) {
+		if x, ok := r.expMiss(i, x); ok {
 			return x / rate
 		}
 	}
+}
+
+// expMiss finishes an exponential draw whose point x fell outside strip
+// i's rectangle: the base strip samples its tail by inversion, any
+// other strip tests the wedge. It returns the unit-rate variate and
+// true, or false when the wedge test rejects and the draw starts over.
+func (r *RNG) expMiss(i uint8, x float64) (float64, bool) {
+	if i == 0 {
+		return re + r.expInversion(), true
+	}
+	return x, fe[i]+float32(r.Float64())*(fe[i-1]-fe[i]) < float32(math.Exp(-x))
 }
 
 // Norm returns a standard normal variate.
@@ -82,17 +90,23 @@ func (r *RNG) Norm() float64 {
 		if absInt32(j) < kn[i] {
 			return x
 		}
-		if i == 0 {
-			x = r.normTail()
-			if j > 0 {
-				return rn + x
-			}
-			return -rn - x
-		}
-		if fn[i]+float32(r.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+		if x, ok := r.normMiss(j, i, x); ok {
 			return x
 		}
 	}
+}
+
+// normMiss finishes a normal draw whose point x (signed by j) fell
+// outside strip i's rectangle, as expMiss does for Exp.
+func (r *RNG) normMiss(j int32, i uint64, x float64) (float64, bool) {
+	if i == 0 {
+		x = r.normTail()
+		if j > 0 {
+			return rn + x, true
+		}
+		return -rn - x, true
+	}
+	return x, fn[i]+float32(r.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x))
 }
 
 // normTail returns the excess over rn of a standard normal conditioned
@@ -124,6 +138,65 @@ func absInt32(i int32) uint32 {
 		return uint32(-i)
 	}
 	return uint32(i)
+}
+
+// Arrivals draws one chunk of a Poisson arrival window: while n <
+// len(ts) and t < end it sets ts[n] = t and zs[n] = Norm(), then
+// advances t by Exp(rate), and it returns the count stored and the
+// first arrival time not stored. The draws, the results and the stream
+// state left behind are those of that loop of Norm and Exp calls, bit
+// for bit; Arrivals only keeps the state in a local across the chunk
+// and runs both samplers' rectangle tests inline, and a draw outside
+// its rectangle finishes in normMiss or expMiss, as in Norm and Exp.
+// zs must be at least as long as ts. It panics if rate <= 0.
+func (r *RNG) Arrivals(ts, zs []float64, t, end, rate float64) (n int, next float64) {
+	if rate <= 0 {
+		panic("rng: Arrivals with non-positive rate")
+	}
+	zs = zs[:len(ts)]
+	state, inc := r.state, r.inc
+	for ; n < len(ts) && t < end; n++ {
+		ts[n] = t
+
+		hi, s1 := step(state, inc)
+		lo, s2 := step(s1, inc)
+		state = s2
+		u := uint64(hi)<<32 | uint64(lo)
+		j := int32(u)
+		i := u >> 32 & 0x7F
+		z := float64(j) * float64(wn[i])
+		if absInt32(j) >= kn[i] {
+			r.state = state
+			if x, ok := r.normMiss(j, i, z); ok {
+				z = x
+			} else {
+				z = r.Norm()
+			}
+			state = r.state
+		}
+		zs[n] = z
+
+		hi, s1 = step(state, inc)
+		lo, s2 = step(s1, inc)
+		state = s2
+		u = uint64(hi)<<32 | uint64(lo)
+		ej := uint32(u)
+		ei := uint8(u >> 32)
+		x := float64(ej) * float64(we[ei])
+		gap := x / rate
+		if ej >= ke[ei] {
+			r.state = state
+			if x, ok := r.expMiss(ei, x); ok {
+				gap = x / rate
+			} else {
+				gap = r.Exp(rate)
+			}
+			state = r.state
+		}
+		t += gap
+	}
+	r.state = state
+	return n, t
 }
 
 // Exponential ziggurat tables (exp.go).

@@ -229,7 +229,8 @@ var sink float64
 // BenchmarkSamplers prices each variate the queueing substrate draws —
 // an inter-arrival time (Exp), a standard normal, and a query's demand
 // multiplier (LogNormal at σ = 0.4) — on the ziggurat and on the
-// samplers it replaced.
+// samplers it replaced, and one query's pair of draws (ns/query) in a
+// 64-query Arrivals pass and in the Norm and Exp loop it replaced.
 func BenchmarkSamplers(b *testing.B) {
 	const sigma = 0.4
 	mu := -sigma * sigma / 2
@@ -268,5 +269,23 @@ func BenchmarkSamplers(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sink += math.Exp(mu + sigma*p.norm())
 		}
+	})
+	var ts, zs [64]float64
+	perQuery := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ts)), "ns/query")
+	}
+	b.Run("Arrivals/chunk", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			r.Arrivals(ts[:], zs[:], 0, math.Inf(1), 1000)
+		}
+		perQuery(b)
+	})
+	b.Run("Arrivals/loop", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			arrivalsLoop(r, ts[:], zs[:], 0, math.Inf(1), 1000)
+		}
+		perQuery(b)
 	})
 }

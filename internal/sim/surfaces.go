@@ -41,52 +41,65 @@ func BatchSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile) (bips
 const lcSurfaceWorkers = 8
 
 // LCSurfaces returns the ground-truth p99 tail latency (milliseconds)
-// and per-core power (W) of a latency-critical service across all 108
-// resource configurations, served by k load-balanced cores at loadFrac
-// of the service's max QPS. Tail latency comes from the discrete-event
-// queueing simulator run for simSec seconds per configuration;
-// saturated configurations report their (finite, large) simulated
-// backlog-driven p99. memInflation sets the memory-latency inflation
-// the characterisation runs under: 1 for an idle machine, ~1.35 for a
-// server colocated with batch jobs — the paper's known applications
-// are characterised on the same multi-tenant setup they later inform.
+// and per-core power (W) of latency-critical services across all 108
+// resource configurations, one row per service in apps, each served by
+// k load-balanced cores at loadFrac of its max QPS. Tail latency comes
+// from the discrete-event queueing simulator run for simSec seconds
+// per configuration; saturated configurations report their (finite,
+// large) simulated backlog-driven p99. memInflation sets the
+// memory-latency inflation the characterisation runs under: 1 for an
+// idle machine, ~1.35 for a server colocated with batch jobs — the
+// paper's known applications are characterised on the same
+// multi-tenant setup they later inform.
 //
-// The 108 queue simulations are independent — configuration i draws
-// from its own stream (seed+i) and fills only latMs[i] and pwr[i] — so
-// they run concurrently through par.For and the surfaces are
-// bit-identical at any GOMAXPROCS. The table is read before the
-// fan-out: SurfaceTable is not safe for concurrent use.
-func LCSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile, k int, loadFrac float64, seed uint64, simSec, memInflation float64) (latMs, pwr []float64) {
-	if !app.IsLC() {
-		panic("sim: LCSurfaces on a batch application")
+// The len(apps)·108 queue simulations are independent — configuration
+// i of service v draws from its own stream (seeds[v]+i) and fills only
+// latMs[v][i] and pwr[v][i] — so they run concurrently through one
+// par.For and the surfaces are bit-identical at any GOMAXPROCS, and to
+// one call per service. The table is read before the fan-out:
+// SurfaceTable is not safe for concurrent use.
+func LCSurfaces(pm *perf.Model, wm *power.Model, apps []*workload.Profile, k int, loadFrac float64, seeds []uint64, simSec, memInflation float64) (latMs, pwr [][]float64) {
+	// Checked here so a panic unwinds the caller, not a worker.
+	if len(seeds) != len(apps) {
+		panic("sim: LCSurfaces needs one seed per service")
 	}
-	if k <= 0 { // checked here so the panic unwinds the caller, not a worker
+	for _, app := range apps {
+		if !app.IsLC() {
+			panic("sim: LCSurfaces on a batch application")
+		}
+		pm.QueryInstr(app) // panics on MaxQPS ≤ 0, preserving the pre-table contract
+	}
+	if k <= 0 {
 		panic("sim: LCSurfaces with non-positive core count")
 	}
-	latMs = make([]float64, config.NumResources)
-	pwr = make([]float64, config.NumResources)
-	qps := loadFrac * app.MaxQPS
-	pm.QueryInstr(app) // panics on MaxQPS ≤ 0, preserving the pre-table contract
-	tbl := perf.NewSurfaceTable(pm, []*workload.Profile{app})
+	tbl := perf.NewSurfaceTable(pm, apps)
 	tbl.Build(memInflation)
-	var ipc, meanSvc [config.NumResources]float64
-	for i := range ipc {
-		ipc[i] = tbl.IPC(0, i)
-		meanSvc[i] = tbl.ServiceTimeSec(0, i)
+	n := len(apps) * config.NumResources
+	ipc, meanSvc := make([]float64, n), make([]float64, n)
+	latMs, pwr = make([][]float64, len(apps)), make([][]float64, len(apps))
+	for v := range apps {
+		for i := 0; i < config.NumResources; i++ {
+			ipc[v*config.NumResources+i] = tbl.IPC(v, i)
+			meanSvc[v*config.NumResources+i] = tbl.ServiceTimeSec(v, i)
+		}
+		latMs[v], pwr[v] = make([]float64, config.NumResources), make([]float64, config.NumResources)
 	}
 	steps := int(math.Ceil(simSec / 0.1))
 
-	bufs := make([][]float64, lcSurfaceWorkers) // sojourns, reused across a worker's configurations
-	par.For(config.NumResources, lcSurfaceWorkers, func(w, i int) {
-		svc := qsim.NewService(seed+uint64(i), k)
+	bufs := make([][]float64, lcSurfaceWorkers) // sojourns, reused across a worker's runs
+	par.For(n, lcSurfaceWorkers, func(w, vi int) {
+		v, i := vi/config.NumResources, vi%config.NumResources
+		app := apps[v]
+		qps := loadFrac * app.MaxQPS
+		svc := qsim.NewService(seeds[v]+uint64(i), k)
 		sojourns := bufs[w][:0]
 		for s := 0; s < steps; s++ {
-			sojourns = svc.AppendStep(sojourns, 0.1, qps, meanSvc[i], app.QuerySigma)
+			sojourns = svc.AppendStep(sojourns, 0.1, qps, meanSvc[vi], app.QuerySigma)
 		}
 		bufs[w] = sojourns
-		latMs[i] = stats.PercentileInPlace(sojourns, 0.99) * 1e3
-		util := math.Min(1, qps*meanSvc[i]/float64(k))
-		pwr[i] = wm.Core(app, config.ResourceByIndex(i).Core, ipc[i]*util)
+		latMs[v][i] = stats.PercentileInPlace(sojourns, 0.99) * 1e3
+		util := math.Min(1, qps*meanSvc[vi]/float64(k))
+		pwr[v][i] = wm.Core(app, config.ResourceByIndex(i).Core, ipc[vi]*util)
 	})
 	return latMs, pwr
 }

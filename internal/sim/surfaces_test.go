@@ -38,27 +38,33 @@ func lcSurfacesSerial(pm *perf.Model, wm *power.Model, app *workload.Profile, k 
 	return latMs, pwr
 }
 
-// TestLCSurfacesMatchesSerial holds the concurrent characterisation to
-// the serial loop bit for bit, whatever the host offers: the queue
-// runs share nothing, so width may change wall time and nothing else.
+// TestLCSurfacesMatchesSerial holds the characterisation of several
+// services in one fan-out to the serial per-service loop bit for bit,
+// whatever the host offers: the queue runs share nothing, so width may
+// change wall time and nothing else. The seeds repeat one value, as
+// Fig. 1's do, and skip others, as the training rows' seeds never do.
 func TestLCSurfacesMatchesSerial(t *testing.T) {
 	pm, wm := perf.New(true), power.New(true)
-	variants := workload.SyntheticLC(101, 2)
+	variants := workload.SyntheticLC(101, 3)
+	seeds := []uint64{7, 40, 7}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for vi, app := range variants {
-			for _, infl := range []float64{1, 1.35} {
+		for _, infl := range []float64{1, 1.35} {
+			gotLat, gotPwr := LCSurfaces(pm, wm, variants, 8, 0.8, seeds, 0.3, infl)
+			if len(gotLat) != len(variants) || len(gotPwr) != len(variants) {
+				t.Fatalf("procs=%d/inflation=%v: %d latency and %d power rows for %d services",
+					procs, infl, len(gotLat), len(gotPwr), len(variants))
+			}
+			for vi, app := range variants {
 				name := fmt.Sprintf("procs=%d/variant=%d/inflation=%v", procs, vi, infl)
-				seed := uint64(7 + vi)
-				wantLat, wantPwr := lcSurfacesSerial(pm, wm, app, 8, 0.8, seed, 0.3, infl)
-				gotLat, gotPwr := LCSurfaces(pm, wm, app, 8, 0.8, seed, 0.3, infl)
+				wantLat, wantPwr := lcSurfacesSerial(pm, wm, app, 8, 0.8, seeds[vi], 0.3, infl)
 				for i := range wantLat {
-					if math.Float64bits(gotLat[i]) != math.Float64bits(wantLat[i]) {
-						t.Errorf("%s: latMs[%d] = %v, serial %v", name, i, gotLat[i], wantLat[i])
+					if math.Float64bits(gotLat[vi][i]) != math.Float64bits(wantLat[i]) {
+						t.Errorf("%s: latMs[%d] = %v, serial %v", name, i, gotLat[vi][i], wantLat[i])
 					}
-					if math.Float64bits(gotPwr[i]) != math.Float64bits(wantPwr[i]) {
-						t.Errorf("%s: pwr[%d] = %v, serial %v", name, i, gotPwr[i], wantPwr[i])
+					if math.Float64bits(gotPwr[vi][i]) != math.Float64bits(wantPwr[i]) {
+						t.Errorf("%s: pwr[%d] = %v, serial %v", name, i, gotPwr[vi][i], wantPwr[i])
 					}
 				}
 			}
@@ -71,10 +77,22 @@ func TestLCSurfacesMatchesSerial(t *testing.T) {
 // worker, where it would kill the process.
 func TestLCSurfacesPanicsOnCaller(t *testing.T) {
 	pm, wm := perf.New(true), power.New(true)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LCSurfaces with k = 0 did not panic")
-		}
-	}()
-	LCSurfaces(pm, wm, mustApp(t, "silo"), 0, 0.8, 1, 0.3, 1)
+	silo := []*workload.Profile{mustApp(t, "silo")}
+	for _, c := range []struct {
+		name  string
+		k     int
+		seeds []uint64
+	}{
+		{"k = 0", 0, []uint64{1}},
+		{"a seed missing", 8, nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LCSurfaces with %s did not panic", c.name)
+				}
+			}()
+			LCSurfaces(pm, wm, silo, c.k, 0.8, c.seeds, 0.3, 1)
+		}()
+	}
 }
