@@ -11,21 +11,26 @@
 //
 // The package re-exports the library's public surface: the machine
 // simulator that stands in for the paper's zsim+McPAT testbed, the
-// CuttleSys runtime, every baseline from the paper's evaluation, the
-// workload catalog, and the experiment harness. The reproduction of
+// CuttleSys runtime, the workload catalog, the experiment harness, and
+// the scenario specs that name every baseline from the paper's
+// evaluation (a spec's policy scheduler= key). The reproduction of
 // each table and figure lives in the experiments package; the
 // cuttlesys command (cmd/cuttlesys) runs one per `cuttlesys paper
 // <row>`.
 //
-// Quick start:
+// Quick start — one policy on one machine is a one-machine scenario
+// spec, the paper's §VIII evaluation unit:
 //
-//	lc, _ := cuttlesys.AppByName("xapian")
-//	_, pool := cuttlesys.SplitTrainTest(1, 16)
-//	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
-//		Seed: 1, LC: lc, Batch: cuttlesys.Mix(1, pool, 16), Reconfigurable: true,
-//	})
-//	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 1})
-//	res, err := cuttlesys.Run(m, rt, 10, cuttlesys.ConstantLoad(0.8), cuttlesys.ConstantBudget(0.7))
+//	spec, err := cuttlesys.ParseScenario([]byte(
+//		"scenario quickstart\nservice xapian\nmachines 1\nslices 10\nload 0.8\ncap 0.7\nmix seed=1\n"))
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	comp, err := cuttlesys.CompileScenario(spec, cuttlesys.ScenarioOptions{Seed: 1})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
+//	res, _, err := comp.RunMachine(nil)
 //	if err != nil {
 //		log.Fatal(err)
 //	}
@@ -33,10 +38,8 @@
 package cuttlesys
 
 import (
-	"cuttlesys/internal/baseline"
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/ctrlplane"
-	"cuttlesys/internal/fault"
 	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/modelplane"
@@ -91,17 +94,6 @@ type Runtime = core.Runtime
 // paper's settings.
 type RuntimeParams = core.Params
 
-// GatingPolicy selects the core-gating baseline's shutdown order.
-type GatingPolicy = baseline.GatingPolicy
-
-// Core-gating policies (§VII-B).
-const (
-	DescendingPower      = baseline.DescendingPower
-	AscendingPower       = baseline.AscendingPower
-	AscendingBIPSPerWatt = baseline.AscendingBIPSPerWatt
-	AscendingBIPS        = baseline.AscendingBIPS
-)
-
 // SliceDur is the decision quantum: 100 ms.
 const SliceDur = harness.SliceDur
 
@@ -111,84 +103,17 @@ func NewMachine(spec MachineSpec) *Machine { return sim.New(spec) }
 // NewRuntime constructs the CuttleSys runtime for a machine.
 func NewRuntime(m *Machine, p RuntimeParams) *Runtime { return core.New(m, p) }
 
-// NewNoGating constructs the no-gating reference policy.
-func NewNoGating(m *Machine) Scheduler { return baseline.NewNoGating(m) }
-
-// NewCoreGating constructs the core-level gating baseline.
-func NewCoreGating(m *Machine, policy GatingPolicy, wayPartition bool, seed uint64) Scheduler {
-	return baseline.NewCoreGating(m, policy, wayPartition, seed)
-}
-
-// NewAsymmetric constructs the asymmetric-multicore baseline; oracle
-// selects the per-slice optimal big/little split.
-func NewAsymmetric(m *Machine, oracle bool) Scheduler { return baseline.NewAsymmetric(m, oracle) }
-
-// NewFlicker constructs the Flicker baseline; modeB pins the LC
-// service to the widest configuration (§VIII-E).
-func NewFlicker(m *Machine, modeB bool, seed uint64) Scheduler {
-	return baseline.NewFlicker(m, modeB, seed)
-}
-
-// Run executes an experiment: slices timeslices of scheduler s on
-// machine m under the given load and power-budget patterns. It returns
-// an error for invalid setups (non-positive slice count, missing load
-// patterns, bad profile phases) instead of panicking.
-func Run(m *Machine, s Scheduler, slices int, load LoadPattern, budget BudgetPattern) (*Result, error) {
-	return harness.Run(m, s, slices, load, budget)
-}
-
-// FaultInjector perturbs a run with hardware, telemetry, and
-// environmental faults; construct one with NewFaultSchedule.
-type FaultInjector = harness.FaultInjector
-
-// FaultEvent is one timed fault in a schedule.
-type FaultEvent = fault.Event
-
-// FaultKind names a failure mode.
-type FaultKind = fault.Kind
-
-// Failure modes for FaultEvent.Kind.
-const (
-	CoreFailStop     = fault.CoreFailStop
-	CoreFailSlow     = fault.CoreFailSlow
-	ProfileCorrupt   = fault.ProfileCorrupt
-	TelemetryGarbage = fault.TelemetryGarbage
-	FlashCrowd       = fault.FlashCrowd
-	BudgetDrop       = fault.BudgetDrop
-)
-
-// ComposeFaults layers several fault injectors into one — a machine's
-// standing chaos schedule plus a drill's incident. Disruptions add,
-// load/budget factors multiply, telemetry corruption chains in
-// argument order; nil members are skipped and a single live member is
-// returned unchanged. See fault.Compose.
-func ComposeFaults(parts ...FaultInjector) FaultInjector { return fault.Compose(parts...) }
-
-// NewFaultSchedule builds a deterministic fault schedule; the same
-// seed and events always reproduce the same perturbations.
-func NewFaultSchedule(seed uint64, events ...FaultEvent) (*fault.Schedule, error) {
-	return fault.NewSchedule(seed, events...)
-}
-
-// RunFaulted is Run under a fault injector: a nil injector (or an
-// empty schedule) reproduces Run exactly.
-func RunFaulted(m *Machine, s Scheduler, slices int, load LoadPattern, budget BudgetPattern, inj FaultInjector) (*Result, error) {
-	return harness.RunFaulted(m, s, slices, load, budget, inj)
-}
-
-// RunMulti executes a multi-service experiment (MachineSpec.ExtraLCs,
-// the paper's §VII-A generalisation) with one load pattern per
-// service, primary first. A scheduler whose allocations do not cover
-// every service gets an error, not a panic.
-func RunMulti(m *Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern) (*Result, error) {
-	return harness.RunMulti(m, s, slices, loads, budget)
+// Run executes slices timeslices of scheduler s on machine m under one
+// load pattern per latency-critical service (primary first) and a
+// power-budget pattern. It is for what a scenario spec cannot express —
+// a custom Profile, or one load pattern per service; every other run is
+// a spec (CompiledScenario.RunMachine). Invalid setups return an error.
+func Run(m *Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern) (*Result, error) {
+	return harness.Run(m, s, slices, loads, budget, nil, nil)
 }
 
 // ConstantLoad offers a fixed fraction of the service's max QPS.
 func ConstantLoad(frac float64) LoadPattern { return harness.ConstantLoad(frac) }
-
-// DiurnalLoad swings smoothly between lo and hi with the given period.
-func DiurnalLoad(lo, hi, period float64) LoadPattern { return harness.DiurnalLoad(lo, hi, period) }
 
 // StepLoad jumps from lo to hi during [from, to).
 func StepLoad(lo, hi, from, to float64) LoadPattern { return harness.StepLoad(lo, hi, from, to) }
@@ -196,16 +121,6 @@ func StepLoad(lo, hi, from, to float64) LoadPattern { return harness.StepLoad(lo
 // ConstantBudget caps power at a fixed fraction of the machine's
 // reference maximum.
 func ConstantBudget(frac float64) BudgetPattern { return harness.ConstantBudget(frac) }
-
-// StepBudget uses lo during [from, to) and hi elsewhere.
-func StepBudget(hi, lo, from, to float64) BudgetPattern { return harness.StepBudget(hi, lo, from, to) }
-
-// TailBench returns the five latency-critical service profiles
-// (Xapian, Masstree, ImgDNN, Moses, Silo).
-func TailBench() []*Profile { return workload.TailBench() }
-
-// SPEC returns the 28 SPEC CPU2006-like batch profiles.
-func SPEC() []*Profile { return workload.SPEC() }
 
 // AppByName looks up a catalog application.
 func AppByName(name string) (*Profile, error) { return workload.ByName(name) }
@@ -264,30 +179,16 @@ func NewFleet(cfg FleetConfig, nodes ...FleetNode) (*Fleet, error) {
 // FleetSeeds derives n machine seeds from one fleet seed.
 func FleetSeeds(seed uint64, n int) []uint64 { return fleet.Seeds(seed, n) }
 
-// ControlPlane wraps a Fleet with dynamic membership, a debounced
-// health state machine (quarantine, drain, probation) and a closed-loop
-// autoscaler (DESIGN.md §12).
-type ControlPlane = ctrlplane.Manager
-
-// ControlPlaneConfig tunes a ControlPlane: the embedded fleet config
-// plus health-check debounce and autoscaler policy.
-type ControlPlaneConfig = ctrlplane.Config
-
 // ControlPlaneResult aggregates a managed run: the inner fleet result
 // plus per-slice states, the membership log and every transition.
 type ControlPlaneResult = ctrlplane.Result
-
-// NewControlPlane assembles a managed fleet; see ctrlplane.New.
-func NewControlPlane(cfg ControlPlaneConfig, nodes ...FleetNode) (*ControlPlane, error) {
-	return ctrlplane.New(cfg, nodes...)
-}
 
 // ModelPlane is the fleet-wide model-sharing plane: machines running
 // the same service mix publish their trained SGD factors to a
 // versioned, deterministically-folded aggregation store, and new or
 // recovered machines warm-start from the fleet aggregate instead of
 // cold initialisation (DESIGN.md §14). Hook one into
-// FleetConfig.Share and ControlPlaneConfig.WarmStart.
+// FleetConfig.Share; a spec's share clause builds its own.
 type ModelPlane = modelplane.Plane
 
 // ModelPlaneParams tunes the plane's accuracy-vs-staleness knobs:
@@ -300,8 +201,8 @@ func NewModelPlane(p ModelPlaneParams, c Collector) *ModelPlane { return modelpl
 
 // Collector receives trace events, metric updates and profiling
 // samples from an instrumented run (DESIGN.md §10). Attach one via
-// FleetConfig.Collector, ScenarioOptions.Collector or RunTraced; a nil
-// Collector disables instrumentation at zero cost.
+// FleetConfig.Collector or ScenarioOptions.Collector; a nil Collector
+// disables instrumentation at zero cost.
 type Collector = obs.Collector
 
 // TraceRecorder is the enabled Collector: it buffers trace events,
@@ -322,14 +223,6 @@ type TraceSummary = obs.Summary
 // SummarizeTrace builds a TraceSummary; top caps the span list
 // (non-positive selects the default).
 func SummarizeTrace(events []TraceEvent, top int) *TraceSummary { return obs.Summarize(events, top) }
-
-// RunTraced is RunMulti under a fault injector with a Collector
-// attached: the run's profile→decide→hold structure, metrics and fault
-// transitions land in c. A nil injector skips fault perturbation; a nil
-// collector reproduces RunMulti exactly.
-func RunTraced(m *Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c Collector) (*Result, error) {
-	return harness.RunTraced(m, s, slices, loads, budget, inj, c)
-}
 
 // Scenario is a parsed declarative scenario spec: one spec file plus
 // one seed fully determines a fleet run (internal/scenario,

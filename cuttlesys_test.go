@@ -4,68 +4,55 @@ import (
 	"testing"
 
 	"cuttlesys"
+	"cuttlesys/internal/scenario"
 )
 
-// The facade must expose enough to run every policy end to end — this
-// is the library's contract with downstream users.
+// The facade must run every registered policy end to end through a
+// one-machine spec — this is the library's contract with downstream
+// users.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	lc, err := cuttlesys.AppByName("silo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, pool := cuttlesys.SplitTrainTest(1, 16)
-	mkMachine := func(reconf bool) *cuttlesys.Machine {
-		return cuttlesys.NewMachine(cuttlesys.MachineSpec{
-			Seed: 9, LC: lc, Batch: cuttlesys.Mix(9, pool, 16), Reconfigurable: reconf,
-		})
-	}
-
-	type policyCase struct {
-		name   string
-		reconf bool
-		mk     func(m *cuttlesys.Machine) cuttlesys.Scheduler
-	}
-	cases := []policyCase{
-		{"cuttlesys", true, func(m *cuttlesys.Machine) cuttlesys.Scheduler {
-			return cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 9})
-		}},
-		{"no-gating", false, func(m *cuttlesys.Machine) cuttlesys.Scheduler {
-			return cuttlesys.NewNoGating(m)
-		}},
-		{"core-gating", false, func(m *cuttlesys.Machine) cuttlesys.Scheduler {
-			return cuttlesys.NewCoreGating(m, cuttlesys.DescendingPower, true, 9)
-		}},
-		{"asymm", false, func(m *cuttlesys.Machine) cuttlesys.Scheduler {
-			return cuttlesys.NewAsymmetric(m, true)
-		}},
-		{"flicker", true, func(m *cuttlesys.Machine) cuttlesys.Scheduler {
-			return cuttlesys.NewFlicker(m, true, 9)
-		}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			m := mkMachine(c.reconf)
-			res, err := cuttlesys.Run(m, c.mk(m), 3,
-				cuttlesys.ConstantLoad(0.7), cuttlesys.ConstantBudget(0.8))
+	for _, def := range scenario.Schedulers {
+		t.Run(def.Name, func(t *testing.T) {
+			spec, err := cuttlesys.ParseScenario([]byte(`scenario end-to-end
+service silo
+machines 1
+slices 3
+load 0.7
+cap 0.8
+mix seed=9
+policy scheduler=` + def.Name + "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			comp, err := cuttlesys.CompileScenario(spec, cuttlesys.ScenarioOptions{Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, sched, err := comp.RunMachine(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.Slices) != 3 {
-				t.Fatalf("%s: %d slices", c.name, len(res.Slices))
+				t.Fatalf("%s: %d slices", def.Name, len(res.Slices))
 			}
 			if res.TotalInstrB() <= 0 {
-				t.Fatalf("%s: no work", c.name)
+				t.Fatalf("%s: no work", def.Name)
+			}
+			if res.Scheduler != sched.Name() {
+				t.Fatalf("%s: result names %q, scheduler %q", def.Name, res.Scheduler, sched.Name())
 			}
 		})
 	}
 }
 
 func TestCatalogExposed(t *testing.T) {
-	if got := len(cuttlesys.TailBench()); got != 5 {
-		t.Fatalf("TailBench: %d services", got)
+	for _, name := range []string{"xapian", "masstree", "imgdnn", "moses", "silo"} {
+		if app := mustApp(t, name); app.Class != cuttlesys.LatencyCritical {
+			t.Fatalf("%s is not latency-critical", name)
+		}
 	}
-	if got := len(cuttlesys.SPEC()); got != 28 {
-		t.Fatalf("SPEC: %d apps", got)
+	if train, test := cuttlesys.SplitTrainTest(1, 16); len(train)+len(test) != 28 {
+		t.Fatalf("SPEC split: %d + %d apps", len(train), len(test))
 	}
 	if _, err := cuttlesys.AppByName("not-a-benchmark"); err == nil {
 		t.Fatal("AppByName should reject unknown names")
@@ -94,11 +81,11 @@ func TestPatternsExposed(t *testing.T) {
 	if cuttlesys.ConstantLoad(0.5)(3) != 0.5 {
 		t.Fatal("ConstantLoad broken")
 	}
-	if cuttlesys.StepBudget(0.9, 0.6, 1, 2)(1.5) != 0.6 {
-		t.Fatal("StepBudget broken")
+	if cuttlesys.StepLoad(0.2, 0.9, 1, 2)(1.5) != 0.9 {
+		t.Fatal("StepLoad broken")
 	}
-	if v := cuttlesys.DiurnalLoad(0.2, 1.0, 2.0)(1.0); v < 0.99 {
-		t.Fatalf("DiurnalLoad peak = %v", v)
+	if cuttlesys.ConstantBudget(0.6)(3) != 0.6 {
+		t.Fatal("ConstantBudget broken")
 	}
 	if cuttlesys.SliceDur != 0.1 {
 		t.Fatal("SliceDur should be the paper's 100 ms quantum")
@@ -114,7 +101,7 @@ func TestMultiServiceFacade(t *testing.T) {
 		Batch: cuttlesys.Mix(33, pool, 16), Reconfigurable: true,
 	})
 	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 33})
-	res, err := cuttlesys.RunMulti(m, rt, 4,
+	res, err := cuttlesys.Run(m, rt, 4,
 		[]cuttlesys.LoadPattern{cuttlesys.ConstantLoad(0.4), cuttlesys.ConstantLoad(0.3)},
 		cuttlesys.ConstantBudget(0.8))
 	if err != nil {

@@ -7,36 +7,41 @@ import (
 	"cuttlesys"
 )
 
-// ExampleRun is the quickstart: colocate the Xapian websearch service
-// with a 16-job SPEC mix on a 32-core reconfigurable machine, let
-// CuttleSys manage it for two seconds under a 70 % power cap, and print
-// what happened.
-func ExampleRun() {
-	// Pick the latency-critical service and build a batch mix from the
-	// applications the runtime has NOT seen during offline training.
-	lc, err := cuttlesys.AppByName("xapian")
+// mustCompile parses an inline scenario spec and resolves it against its
+// run options, the first two steps of every spec-driven run.
+func mustCompile(src string, opt cuttlesys.ScenarioOptions) *cuttlesys.CompiledScenario {
+	spec, err := cuttlesys.ParseScenario([]byte(src))
 	if err != nil {
 		panic(err)
 	}
-	_, pool := cuttlesys.SplitTrainTest(1, 16)
-	batch := cuttlesys.Mix(42, pool, 16)
+	comp, err := cuttlesys.CompileScenario(spec, opt)
+	if err != nil {
+		panic(err)
+	}
+	return comp
+}
 
+// ExampleCompiledScenario_RunMachine is the quickstart: colocate the
+// Xapian websearch service with a 16-job SPEC mix on a 32-core
+// reconfigurable machine, let CuttleSys manage it for two seconds under
+// a 70 % power cap, and print what happened. One policy on one machine
+// is a one-machine scenario spec.
+func ExampleCompiledScenario_RunMachine() {
 	// A 32-core machine with reconfigurable cores: 16 cores serve
-	// Xapian, 16 run the batch jobs, all sharing a 32-way LLC, DRAM
-	// bandwidth and the power budget.
-	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
-		Seed:           42,
-		LC:             lc,
-		Batch:          batch,
-		Reconfigurable: true,
-	})
-
-	// The CuttleSys runtime with the paper's default parameters.
-	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 42})
-
-	// Two seconds at 80 % load under a 70 % power cap.
-	res, err := cuttlesys.Run(m, rt, 20,
-		cuttlesys.ConstantLoad(0.8), cuttlesys.ConstantBudget(0.7))
+	// Xapian, 16 run a batch mix drawn with seed 42 from the
+	// applications the runtime has NOT seen during offline training,
+	// all sharing a 32-way LLC, DRAM bandwidth and the power budget.
+	// CuttleSys, the default policy, manages it with the paper's
+	// parameters for two seconds at 80 % load under a 70 % power cap.
+	comp := mustCompile(`scenario quickstart
+service xapian
+machines 1
+slices 20
+load 0.8
+cap 0.7
+mix seed=42
+`, cuttlesys.ScenarioOptions{Seed: 42})
+	res, _, err := comp.RunMachine(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -75,30 +80,28 @@ func ExampleRun() {
 	// total batch work: 99.9 billion instructions, QoS violations: 0
 }
 
-// ExampleRun_diurnal is the paper's Fig. 8a scenario: a websearch
-// service under a diurnal load pattern colocated with batch analytics.
-// Watch CuttleSys downsize the service's cores at night (low load),
-// handing the freed power to the batch jobs, and restore the wide
-// configuration as the morning load climbs, all without violating QoS.
-func ExampleRun_diurnal() {
-	lc, err := cuttlesys.AppByName("xapian")
-	if err != nil {
-		panic(err)
-	}
-	_, pool := cuttlesys.SplitTrainTest(1, 16)
-	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
-		Seed:           7,
-		LC:             lc,
-		Batch:          cuttlesys.Mix(7, pool, 16),
-		Reconfigurable: true,
-	})
-	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 7})
+// ExampleCompiledScenario_RunMachine_diurnal is the paper's Fig. 8a
+// scenario: a websearch service under a diurnal load pattern colocated
+// with batch analytics. Watch CuttleSys downsize the service's cores at
+// night (low load), handing the freed power to the batch jobs, and
+// restore the wide configuration as the morning load climbs, all
+// without violating QoS.
+func ExampleCompiledScenario_RunMachine_diurnal() {
+	// One "day" compressed into the run's 3.2 simulated seconds: load
+	// swings 20 % -> 100 % -> 20 % while the chip holds a 70 % power cap.
+	comp := mustCompile(`scenario diurnal-day
+service xapian
+machines 1
+slices 32
+load 1
+cap 0.7
+mix seed=7
 
-	// One "day" compressed into 3.2 simulated seconds: load swings
-	// 20 % -> 100 % -> 20 % while the chip holds a 70 % power cap.
-	const slices = 32
-	day := cuttlesys.DiurnalLoad(0.2, 1.0, float64(slices)*cuttlesys.SliceDur)
-	res, err := cuttlesys.Run(m, rt, slices, day, cuttlesys.ConstantBudget(0.7))
+client primary {
+  arrival diurnal lo=0.2 hi=1 period=1
+}
+`, cuttlesys.ScenarioOptions{Seed: 7})
+	res, _, err := comp.RunMachine(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -202,7 +205,7 @@ func ExampleRun_customApp() {
 	})
 	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 5})
 	res, err := cuttlesys.Run(m, rt, 20,
-		cuttlesys.ConstantLoad(0.7), cuttlesys.ConstantBudget(0.75))
+		[]cuttlesys.LoadPattern{cuttlesys.ConstantLoad(0.7)}, cuttlesys.ConstantBudget(0.75))
 	if err != nil {
 		panic(err)
 	}
@@ -241,31 +244,25 @@ func ExampleRun_customApp() {
 	// QoS violations: 0; worst p99/QoS: 0.83
 }
 
-// ExampleRun_powerCap is the paper's Fig. 8b scenario: a
-// datacenter-level power manager drops this server's budget from 90 %
-// to 60 % mid-run (e.g. to ride through a cooling event) and later
-// restores it. CuttleSys
-// must keep the Silo OLTP service inside its QoS while squeezing the
-// batch jobs into the smaller budget, and give the throughput back
-// when the budget returns.
-func ExampleRun_powerCap() {
-	lc, err := cuttlesys.AppByName("silo")
-	if err != nil {
-		panic(err)
-	}
-	_, pool := cuttlesys.SplitTrainTest(1, 16)
-	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
-		Seed:           11,
-		LC:             lc,
-		Batch:          cuttlesys.Mix(11, pool, 16),
-		Reconfigurable: true,
-	})
-	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 11})
-
-	const slices = 30
-	horizon := float64(slices) * cuttlesys.SliceDur
-	budget := cuttlesys.StepBudget(0.9, 0.6, 0.3*horizon, 0.7*horizon)
-	res, err := cuttlesys.Run(m, rt, slices, cuttlesys.ConstantLoad(0.8), budget)
+// ExampleCompiledScenario_RunMachine_powerCap is the paper's Fig. 8b
+// scenario: a datacenter-level power manager drops this server's budget
+// from 90 % to 60 % mid-run (e.g. to ride through a cooling event) and
+// later restores it. CuttleSys must keep the Silo OLTP service inside
+// its QoS while squeezing the batch jobs into the smaller budget, and
+// give the throughput back when the budget returns.
+func ExampleCompiledScenario_RunMachine_powerCap() {
+	// The budget steps to 60 % of the machine's reference maximum for
+	// [30 %, 70 %) of the run and sits at 90 % elsewhere.
+	comp := mustCompile(`scenario power-cap
+service silo
+machines 1
+slices 30
+load 0.8
+cap 1
+mix seed=11
+budget step lo=0.9 hi=0.6 from=0.3 to=0.7
+`, cuttlesys.ScenarioOptions{Seed: 11})
+	res, _, err := comp.RunMachine(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -318,14 +315,16 @@ func ExampleRun_powerCap() {
 	// budget violations (>5%): 1; QoS violations: 0
 }
 
-// ExampleRunMulti is the paper's §VII-A generalisation: "CuttleSys is
+// ExampleRun_multiService is the paper's §VII-A generalisation: "CuttleSys is
 // generalizable to any number of LC and batch services, as long as the
 // system is not oversubscribed." Here a websearch tier (Xapian) and an
 // OLTP tier (Silo) share one 32-core machine with 16 batch jobs: each
 // service gets its own row in the latency/service-time matrices, its
 // own QoS scan, and its own core-relocation state, while a single DDS
-// search places the batch jobs around both.
-func ExampleRunMulti() {
+// search places the batch jobs around both. A spec has one load
+// pattern per machine, so a run with a load pattern per service is
+// assembled by hand.
+func ExampleRun_multiService() {
 	xapian, err := cuttlesys.AppByName("xapian")
 	if err != nil {
 		panic(err)
@@ -356,7 +355,7 @@ func ExampleRunMulti() {
 		cuttlesys.ConstantLoad(0.45),
 		cuttlesys.StepLoad(0.2, 0.42, 0.4*horizon, 0.8*horizon),
 	}
-	res, err := cuttlesys.RunMulti(m, rt, slices, loads, cuttlesys.ConstantBudget(0.8))
+	res, err := cuttlesys.Run(m, rt, slices, loads, cuttlesys.ConstantBudget(0.8))
 	if err != nil {
 		panic(err)
 	}
@@ -407,37 +406,31 @@ func ExampleRunMulti() {
 	// slices with any QoS violation: 0 of 24
 }
 
-// ExampleComposeFaults layers two fault injectors into one: the
-// machine's standing chaos schedule — a window of garbage telemetry —
-// and a drill's incident — four of the service's cores failing stop.
+// ExampleCompiledScenario_RunMachine_faults layers two fault clauses
+// on one machine: its standing chaos schedule — a window of garbage
+// telemetry — and a drill's incident — four of the service's cores
+// failing stop, drawn from a stream salted apart from the first.
 // CuttleSys runs under both; the record shows which faults were active
 // each slice, the cores the service lost, and the runtime granting it
 // more cores while they are gone.
-func ExampleComposeFaults() {
-	lc, err := cuttlesys.AppByName("xapian")
-	if err != nil {
-		panic(err)
-	}
-	_, pool := cuttlesys.SplitTrainTest(1, 16)
-	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
-		Seed: 3, LC: lc, Batch: cuttlesys.Mix(3, pool, 16), Reconfigurable: true,
-	})
-	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 3})
+func ExampleCompiledScenario_RunMachine_faults() {
+	comp := mustCompile(`scenario chaos-drill
+service xapian
+machines 1
+slices 10
+load 0.7
+cap 0.8
+mix seed=3
 
-	chaos, err := cuttlesys.NewFaultSchedule(3, cuttlesys.FaultEvent{
-		Kind: cuttlesys.TelemetryGarbage, Start: 0.2, End: 0.5,
-	})
-	if err != nil {
-		panic(err)
-	}
-	drill, err := cuttlesys.NewFaultSchedule(4, cuttlesys.FaultEvent{
-		Kind: cuttlesys.CoreFailStop, Start: 0.4, End: 0.8, Cores: 4,
-	})
-	if err != nil {
-		panic(err)
-	}
-	res, err := cuttlesys.RunFaulted(m, rt, 10, cuttlesys.ConstantLoad(0.7),
-		cuttlesys.ConstantBudget(0.8), cuttlesys.ComposeFaults(chaos, drill))
+fault machine=0 {
+  event telemetry-garbage start=0.2 end=0.5
+}
+
+fault machine=0 salt=0x7 {
+  event core-failstop start=0.4 end=0.8 cores=4
+}
+`, cuttlesys.ScenarioOptions{Seed: 3})
+	res, _, err := comp.RunMachine(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -465,23 +458,21 @@ func ExampleComposeFaults() {
 	// QoS violations: 0 of 10 slices
 }
 
-// ExampleRunTraced attaches a trace recorder to a run: every slice's
-// profile, decide and hold phases land in it as spans, and
-// SummarizeTrace condenses them into the simulated time each phase
-// took and the scheduler compute the decisions were charged.
-func ExampleRunTraced() {
-	lc, err := cuttlesys.AppByName("silo")
-	if err != nil {
-		panic(err)
-	}
-	_, pool := cuttlesys.SplitTrainTest(1, 16)
-	m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
-		Seed: 5, LC: lc, Batch: cuttlesys.Mix(5, pool, 16), Reconfigurable: true,
-	})
-	rt := cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: 5})
+// ExampleCompiledScenario_RunMachine_traced attaches a trace recorder
+// to a run: every slice's profile, decide and hold phases land in it as
+// spans, and SummarizeTrace condenses them into the simulated time each
+// phase took and the scheduler compute the decisions were charged.
+func ExampleCompiledScenario_RunMachine_traced() {
 	rec := cuttlesys.NewTraceRecorder()
-	loads := []cuttlesys.LoadPattern{cuttlesys.ConstantLoad(0.8)}
-	if _, err := cuttlesys.RunTraced(m, rt, 6, loads, cuttlesys.ConstantBudget(0.7), nil, rec); err != nil {
+	comp := mustCompile(`scenario traced
+service silo
+machines 1
+slices 6
+load 0.8
+cap 0.7
+mix seed=5
+`, cuttlesys.ScenarioOptions{Seed: 5, Collector: rec})
+	if _, _, err := comp.RunMachine(nil); err != nil {
 		panic(err)
 	}
 
@@ -503,52 +494,37 @@ func ExampleRunTraced() {
 	// modeled decision overhead: 36.6 ms
 }
 
-// ExampleNewControlPlane puts a two-machine fleet under the control
-// plane. Machine 1 loses most of its service cores for good; the
-// health state machine walks it from healthy through suspect and
+// ExampleCompiledScenario_Run puts a two-machine fleet under the
+// control plane. Machine 1 loses most of its service cores for good;
+// the health state machine walks it from healthy through suspect and
 // quarantine to a drain, evicts it, and provisions a successor, which
 // serves a reduced share on probation first. Meanwhile the autoscaler
-// adds a machine, because the broken one's lost capacity runs the
-// rest of the fleet hot.
-func ExampleNewControlPlane() {
-	lc, err := cuttlesys.AppByName("xapian")
-	if err != nil {
-		panic(err)
-	}
-	_, pool := cuttlesys.SplitTrainTest(1, 16)
-	node := func(seed uint64) cuttlesys.FleetNode {
-		m := cuttlesys.NewMachine(cuttlesys.MachineSpec{
-			Seed: seed, LC: lc, Batch: cuttlesys.Mix(seed, pool, 8), Reconfigurable: true,
-		})
-		return cuttlesys.FleetNode{Machine: m, Scheduler: cuttlesys.NewRuntime(m, cuttlesys.RuntimeParams{Seed: seed})}
-	}
-	seeds := cuttlesys.FleetSeeds(21, 2)
-	nodes := []cuttlesys.FleetNode{node(seeds[0]), node(seeds[1])}
-	broken, err := cuttlesys.NewFaultSchedule(seeds[1], cuttlesys.FaultEvent{
-		Kind: cuttlesys.CoreFailStop, Start: 0.1, End: 10, Cores: 12,
-	})
-	if err != nil {
-		panic(err)
-	}
-	nodes[1].Injector = broken
+// adds a machine, because the broken one's lost capacity runs the rest
+// of the fleet hot.
+func ExampleCompiledScenario_Run() {
+	comp := mustCompile(`scenario replace-broken
+service xapian
+machines 2
+slices 10
+load 0.6
+cap 0.8
+mix jobs=8
+policy router=qos-aware arbiter=proportional
 
-	cfg := cuttlesys.ControlPlaneConfig{Fleet: cuttlesys.FleetConfig{
-		Router:  &cuttlesys.QoSAwareRouter{},
-		Arbiter: cuttlesys.ProportionalArbiter{},
-	}}
-	cfg.Health.SuspectAfter, cfg.Health.QuarantineAfter = 1, 1
-	cfg.Health.DrainAfter, cfg.Health.DrainSlices = 2, 1
-	cfg.Scale.ReplaceEvicted = true
-	cfg.Scale.Provision = func(id int, seed uint64) (cuttlesys.FleetNode, error) { return node(seed), nil }
-	cp, err := cuttlesys.NewControlPlane(cfg, nodes...)
+fault machine=1 {
+  event core-failstop start=0.1 end=10 cores=12
+}
+
+control {
+  replace-evicted
+  health suspectafter=1 quarantineafter=1 drainafter=2 drainslices=1
+}
+`, cuttlesys.ScenarioOptions{Seed: 21})
+	run, err := comp.Run()
 	if err != nil {
 		panic(err)
 	}
-	defer cp.Close()
-	res, err := cp.Run(10, cuttlesys.ConstantLoad(0.6), cuttlesys.ConstantBudget(0.8))
-	if err != nil {
-		panic(err)
-	}
+	res := run.Control
 
 	for _, tr := range res.Transitions {
 		fmt.Printf("slice %d: machine %d %s -> %s (%s)\n", tr.Slice, tr.Machine, tr.From, tr.To, tr.Reason)

@@ -132,7 +132,7 @@ func Fig5aIsolation(seed uint64) []AccuracyResult {
 	for si := range seeds {
 		seeds[si] = seed + uint64(si)
 	}
-	truths, _ := sim.LCSurfaces(pm, wm, services, 16, 0.8, seeds, 0.5, 1)
+	truths, _, _ := sim.LCSurfaces(pm, wm, services, 16, 0.8, seeds, 0.5, 1)
 	for _, truth := range truths {
 		latM := sgd.NewMatrix(len(variants)+1, config.NumResources)
 		for i, row := range variants {
@@ -168,7 +168,7 @@ func lcVariantRows(k int) [][]float64 {
 	for i := range seeds {
 		seeds[i] = uint64(i) + 1
 	}
-	rows, _ := sim.LCSurfaces(pm, wm, variants, k, 0.8, seeds, 0.3, 1.35)
+	rows, _, _ := sim.LCSurfaces(pm, wm, variants, k, 0.8, seeds, 0.3, 1.35)
 	return rows
 }
 

@@ -43,7 +43,7 @@ func Fig1(loads []float64, seed uint64, simSec float64) []Fig1Row {
 	}
 	lat, pwr := make([][][]float64, len(loads)), make([][][]float64, len(loads))
 	for li, load := range loads {
-		lat[li], pwr[li] = sim.LCSurfaces(pm, wm, services, 16, load, seeds, simSec, 1)
+		lat[li], pwr[li], _ = sim.LCSurfaces(pm, wm, services, 16, load, seeds, simSec, 1)
 	}
 	var rows []Fig1Row
 	for si, app := range services {

@@ -7,8 +7,8 @@ import (
 )
 
 // Errdrop flags silently discarded error returns from module-local
-// functions — the call sites PR 1 turned into a risk surface when
-// harness.Run / RunMulti / RunFaulted started returning errors. A
+// functions — the call sites that became a risk surface when the
+// harness's run functions started returning errors. A
 // dropped error there means an experiment silently reports a partial
 // or nil result. Stdlib calls are out of scope (fmt.Println's error is
 // noise); our own API's errors are not — with one targeted exception:

@@ -14,7 +14,7 @@ import (
 
 func mustRun(t *testing.T, m *sim.Machine, s harness.Scheduler, slices int, load harness.LoadPattern, budget harness.BudgetPattern) *harness.Result {
 	t.Helper()
-	res, err := harness.Run(m, s, slices, load, budget)
+	res, err := harness.Run(m, s, slices, []harness.LoadPattern{load}, budget, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

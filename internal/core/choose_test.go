@@ -172,10 +172,7 @@ func trueSurfaces(t testing.TB, c chooseCase) (*sim.Machine, func() decision) {
 	for k := range seeds {
 		seeds[k] = seed + uint64(k)
 	}
-	lat, lcPwr = sim.LCSurfaces(pm, wm, svcs, init, 0.5, seeds, 0.05, 1.35)
-	for _, app := range svcs {
-		svc = append(svc, sim.LCServiceTimes(pm, app, 1.35))
-	}
+	lat, lcPwr, svc = sim.LCSurfaces(pm, wm, svcs, init, 0.5, seeds, 0.05, 1.35)
 	// verbatim reconstructs nTrain training rows of ones, which choose
 	// never reads, above the given rows.
 	ones := make([]float64, config.NumResources)

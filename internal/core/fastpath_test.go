@@ -160,7 +160,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 				oracle = &oracleRuntime{Runtime: sched.(*Runtime), t: t}
 				sched = oracle
 			}
-			res, err := harness.RunTraced(m, sched, c.slices,
+			res, err := harness.Run(m, sched, c.slices,
 				[]harness.LoadPattern{harness.ConstantLoad(0.7)}, harness.ConstantBudget(0.8), nil, col)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.svc, c.seed, err)
@@ -211,7 +211,7 @@ func newSearchBench(tb testing.TB, seed uint64, nBatch int) *searchBench {
 	tb.Helper()
 	m := fastPathMachine(tb, "xapian", seed, nBatch)
 	rt := New(m, Params{Seed: seed})
-	if _, err := harness.Run(m, rt, 2, harness.ConstantLoad(0.7), harness.ConstantBudget(0.8)); err != nil {
+	if _, err := harness.Run(m, rt, 2, []harness.LoadPattern{harness.ConstantLoad(0.7)}, harness.ConstantBudget(0.8), nil, nil); err != nil {
 		tb.Fatal(err)
 	}
 	in := rt.estimate(nil, nil, 0.8*m.MaxPowerW())

@@ -99,7 +99,11 @@ func separableObjective(obj *dds.SeparableObjective, in *decision, svcs []svcCho
 //hot:path objective fold — pure arithmetic, no logs, no allocation
 func finishObjective(acc []float64, nBatch, budgetW float64) float64 {
 	ways := acc[accWays] + float64((int(acc[accHalves])+1)/2)
-	//lint:allow floatsafe nBatch is the batch job count, ≥ 1 whenever a search runs
+	// nBatch is the batch job count, ≥ 1 whenever a search runs, so this
+	// guard keeps its bits (a branch, as in perf.foldIPC).
+	if nBatch < 1 {
+		nBatch = 1
+	}
 	obj := math.Exp(acc[accLogThr] / nBatch)
 	if over := acc[accPower] - budgetW; over > 0 {
 		obj -= penaltyPower * over

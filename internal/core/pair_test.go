@@ -118,7 +118,7 @@ func TestPairedRunMatchesSerial(t *testing.T) {
 				m := tc.machine(t)
 				rec := &allocRecorder{Runtime: New(m, tc.params), t: t, oracle: oracle}
 				inj := fault.MustSchedule(5, fault.Event{Kind: fault.TelemetryGarbage, Start: 0.3, End: 0.7, Prob: 0.3})
-				if _, err := harness.RunTraced(m, rec, slices,
+				if _, err := harness.Run(m, rec, slices,
 					[]harness.LoadPattern{harness.ConstantLoad(tc.load)}, harness.ConstantBudget(0.8), inj, nil); err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +149,7 @@ func TestDefaultRuntimeInvariantAcrossGOMAXPROCS(t *testing.T) {
 	run := func(procs int) []harness.SliceRecord {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		m := fastPathMachine(t, "xapian", 9, 16)
-		res, err := harness.Run(m, New(m, Params{Seed: 9}), 10, harness.ConstantLoad(0.7), harness.ConstantBudget(0.8))
+		res, err := harness.Run(m, New(m, Params{Seed: 9}), 10, []harness.LoadPattern{harness.ConstantLoad(0.7)}, harness.ConstantBudget(0.8), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

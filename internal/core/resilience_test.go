@@ -227,8 +227,8 @@ func TestHardenedRecoversFasterUnderFailStop(t *testing.T) {
 		rt := New(m, Params{Seed: 9, DisableResilience: disable})
 		inj := fault.MustSchedule(9,
 			fault.Event{Kind: fault.CoreFailStop, Start: 0.5, End: 1.5, Cores: 10})
-		res, err := harness.RunFaulted(m, rt, 30,
-			harness.ConstantLoad(0.85), harness.ConstantBudget(0.8), inj)
+		res, err := harness.Run(m, rt, 30,
+			[]harness.LoadPattern{harness.ConstantLoad(0.85)}, harness.ConstantBudget(0.8), inj, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

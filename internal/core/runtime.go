@@ -351,10 +351,10 @@ func lcTrainingRows(trainSeed uint64, nTrainLC, cores int) []lcTrainRow {
 			for i := range seeds {
 				seeds[i] = trainSeed + uint64(i)
 			}
-			lats, _ := sim.LCSurfaces(pm, wm, variants, cores, 0.8, seeds, 0.3, 1.35)
+			lats, _, svcs := sim.LCSurfaces(pm, wm, variants, cores, 0.8, seeds, 0.3, 1.35)
 			rows := make([]lcTrainRow, nTrainLC)
-			for i, variant := range variants {
-				rows[i] = lcTrainRow{lat: lats[i], svc: sim.LCServiceTimes(pm, variant, 1.35)}
+			for i := range rows {
+				rows[i] = lcTrainRow{lat: lats[i], svc: svcs[i]}
 			}
 			return rows
 		}))

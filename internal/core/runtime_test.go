@@ -16,7 +16,7 @@ import (
 
 func mustRun(t *testing.T, m *sim.Machine, rt harness.Scheduler, slices int, load harness.LoadPattern, budget harness.BudgetPattern) *harness.Result {
 	t.Helper()
-	res, err := harness.Run(m, rt, slices, load, budget)
+	res, err := harness.Run(m, rt, slices, []harness.LoadPattern{load}, budget, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func mustRun(t *testing.T, m *sim.Machine, rt harness.Scheduler, slices int, loa
 
 func mustRunMulti(t *testing.T, m *sim.Machine, rt harness.Scheduler, slices int, loads []harness.LoadPattern, budget harness.BudgetPattern) *harness.Result {
 	t.Helper()
-	res, err := harness.RunMulti(m, rt, slices, loads, budget)
+	res, err := harness.Run(m, rt, slices, loads, budget, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@
 // schedule's seed, so a fixed seed reproduces an identical run —
 // byte-identical resilience reports (`cuttlesys report resilience`).
 // An empty schedule is a guaranteed no-op: it draws no random numbers
-// and returns its inputs unchanged, so harness.RunFaulted with an empty
-// schedule matches harness.Run bit for bit.
+// and returns its inputs unchanged, so harness.Run under an empty
+// schedule matches the run without an injector bit for bit.
 package fault
 
 import (

@@ -14,7 +14,7 @@ import (
 	"cuttlesys/internal/workload"
 )
 
-// runNoPanic is harness.RunMulti with a panic turned into a test
+// runNoPanic is a two-service harness.Run with a panic turned into a test
 // failure: the driver's contract is a result or an error.
 func runNoPanic(t *testing.T, m *sim.Machine, s harness.Scheduler, slices int) (res *harness.Result, err error) {
 	t.Helper()
@@ -24,7 +24,7 @@ func runNoPanic(t *testing.T, m *sim.Machine, s harness.Scheduler, slices int) (
 		}
 	}()
 	loads := []harness.LoadPattern{harness.ConstantLoad(0.6), harness.ConstantLoad(0.4)}
-	return harness.RunMulti(m, s, slices, loads, harness.ConstantBudget(0.8))
+	return harness.Run(m, s, slices, loads, harness.ConstantBudget(0.8), nil, nil)
 }
 
 // contractMachines are the three shapes a scheduler can be handed: no
@@ -213,7 +213,7 @@ func TestDriverRejectsNonFiniteEnvironment(t *testing.T) {
 	// NaN is an error, not a slice recorded as meeting its QoS target.
 	nan := func(float64) float64 { return math.NaN() }
 	if res, err := harness.Run(machines["one-service"](), &badScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)},
-		2, nan, harness.ConstantBudget(0.8)); err == nil {
+		2, []harness.LoadPattern{nan}, harness.ConstantBudget(0.8), nil, nil); err == nil {
 		t.Fatalf("Run with a NaN load pattern returned %v, want an error", res)
 	}
 }

@@ -22,20 +22,20 @@ func TestRunFaultedEmptyScheduleMatchesRun(t *testing.T) {
 			overhead: 0.005,
 		}
 	}
-	plain, err := Run(testMachine(t), mkSched(), 6, ConstantLoad(0.7), ConstantBudget(0.8))
+	plain, err := Run(testMachine(t), mkSched(), 6, []LoadPattern{ConstantLoad(0.7)}, ConstantBudget(0.8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := RunFaulted(testMachine(t), mkSched(), 6,
-		ConstantLoad(0.7), ConstantBudget(0.8), fault.MustSchedule(99))
+	faulted, err := Run(testMachine(t), mkSched(), 6,
+		[]LoadPattern{ConstantLoad(0.7)}, ConstantBudget(0.8), fault.MustSchedule(99), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, faulted) {
 		t.Fatalf("empty schedule diverged from plain run:\nplain:   %+v\nfaulted: %+v", plain, faulted)
 	}
-	nilInj, err := RunFaulted(testMachine(t), mkSched(), 6,
-		ConstantLoad(0.7), ConstantBudget(0.8), nil)
+	nilInj, err := Run(testMachine(t), mkSched(), 6,
+		[]LoadPattern{ConstantLoad(0.7)}, ConstantBudget(0.8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunFaultedRecordsFaultTelemetry(t *testing.T) {
 	s := &staticScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)}
 	inj := fault.MustSchedule(4,
 		fault.Event{Kind: fault.CoreFailStop, Start: 0.2, End: 0.4, Cores: 4, BatchCores: 2})
-	res, err := RunFaulted(m, s, 6, ConstantLoad(0.7), ConstantBudget(0.8), inj)
+	res, err := Run(m, s, 6, []LoadPattern{ConstantLoad(0.7)}, ConstantBudget(0.8), inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestFlashCrowdAndBudgetDropPerturbEnvironment(t *testing.T) {
 	inj := fault.MustSchedule(4,
 		fault.Event{Kind: fault.FlashCrowd, Start: 0.1, End: 0.3, Factor: 1.5},
 		fault.Event{Kind: fault.BudgetDrop, Start: 0.3, End: 0.5, Factor: 0.5})
-	res, err := RunFaulted(m, s, 6, ConstantLoad(0.5), ConstantBudget(0.8), inj)
+	res, err := Run(m, s, 6, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestProfileRetryBounded(t *testing.T) {
 
 	// One rejection: a single retry, and the retry consumes slice time.
 	s := mk(1)
-	res, err := Run(testMachine(t), s, 1, ConstantLoad(0.5), ConstantBudget(0.8))
+	res, err := Run(testMachine(t), s, 1, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestProfileRetryBounded(t *testing.T) {
 
 	// Persistent rejection: bounded at MaxProfileRetries, run continues.
 	s = mk(1000)
-	res, err = Run(testMachine(t), s, 1, ConstantLoad(0.5), ConstantBudget(0.8))
+	res, err = Run(testMachine(t), s, 1, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFaultRecoveryAtFinalQuantum(t *testing.T) {
 	mkSched := func() *staticScheduler {
 		return &staticScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)}
 	}
-	probe, err := Run(testMachine(t), mkSched(), slices, ConstantLoad(0.5), ConstantBudget(0.8))
+	probe, err := Run(testMachine(t), mkSched(), slices, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func TestFaultRecoveryAtFinalQuantum(t *testing.T) {
 	inj := fault.MustSchedule(4,
 		fault.Event{Kind: fault.CoreFailStop, Start: 0, End: lastT, Cores: 4},
 		fault.Event{Kind: fault.CoreFailSlow, Start: lastT, End: lastT + 1, Factor: 0.5})
-	res, err := RunFaulted(testMachine(t), mkSched(), slices,
-		ConstantLoad(0.5), ConstantBudget(0.8), inj)
+	res, err := Run(testMachine(t), mkSched(), slices,
+		[]LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +241,8 @@ func TestComposedInjectorOnDrainedMachine(t *testing.T) {
 	mkSched := func() *staticScheduler {
 		return &staticScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)}
 	}
-	res, err := RunFaulted(testMachine(t), mkSched(), 6,
-		ConstantLoad(0), ConstantBudget(0.8), inj)
+	res, err := Run(testMachine(t), mkSched(), 6,
+		[]LoadPattern{ConstantLoad(0)}, ConstantBudget(0.8), inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,15 +267,15 @@ func TestComposedInjectorOnDrainedMachine(t *testing.T) {
 	}
 
 	// Drain-aware wrapping cost: Compose(base, nil) is base itself.
-	plain, err := RunFaulted(testMachine(t), mkSched(), 6,
-		ConstantLoad(0.5), ConstantBudget(0.8), fault.MustSchedule(4,
-			fault.Event{Kind: fault.CoreFailStop, Start: 0.2, End: 0.4, Cores: 4}))
+	plain, err := Run(testMachine(t), mkSched(), 6,
+		[]LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), fault.MustSchedule(4,
+			fault.Event{Kind: fault.CoreFailStop, Start: 0.2, End: 0.4, Cores: 4}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := RunFaulted(testMachine(t), mkSched(), 6,
-		ConstantLoad(0.5), ConstantBudget(0.8), fault.Compose(fault.MustSchedule(4,
-			fault.Event{Kind: fault.CoreFailStop, Start: 0.2, End: 0.4, Cores: 4}), nil))
+	wrapped, err := Run(testMachine(t), mkSched(), 6,
+		[]LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), fault.Compose(fault.MustSchedule(4,
+			fault.Event{Kind: fault.CoreFailStop, Start: 0.2, End: 0.4, Cores: 4}), nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

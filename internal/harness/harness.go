@@ -90,7 +90,7 @@ type DegradedReporter interface {
 	Degraded() bool
 }
 
-// FaultInjector is the fault surface RunFaulted drives, fault.Injector:
+// FaultInjector is the fault surface Run drives, fault.Injector:
 // hardware faults, environmental perturbations and corruption of the
 // scheduler's telemetry view.
 type FaultInjector = fault.Injector
@@ -345,32 +345,6 @@ func (r *Result) DegradedOccupancy() float64 {
 	return float64(n) / float64(len(r.Slices))
 }
 
-// Run executes slices timeslices of the scheduler against the machine.
-// The load and budget patterns are sampled at each slice start; budget
-// is expressed as a fraction of the machine's reference MaxPowerW. It
-// returns an error (not a partial result) for invalid experiment
-// setups: a non-positive slice count, fewer load patterns than
-// services, or a scheduler emitting a bad profile phase, allocation or
-// overhead.
-func Run(m *sim.Machine, s Scheduler, slices int, load LoadPattern, budget BudgetPattern) (*Result, error) {
-	return runImpl(m, s, slices, []LoadPattern{load}, budget, nil, nil)
-}
-
-// RunMulti executes a multi-service experiment: one load pattern per
-// latency-critical service, primary first.
-func RunMulti(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern) (*Result, error) {
-	return runImpl(m, s, slices, loads, budget, nil, nil)
-}
-
-// RunFaulted is Run under a fault injector: hardware faults reach the
-// machine, flash crowds and budget drops perturb the environment, and
-// telemetry corruption is applied to the scheduler's view of each
-// phase while the records keep the physical truth. A nil injector (or
-// one with an empty schedule) reproduces Run exactly, bit for bit.
-func RunFaulted(m *sim.Machine, s Scheduler, slices int, load LoadPattern, budget BudgetPattern, inj FaultInjector) (*Result, error) {
-	return runImpl(m, s, slices, []LoadPattern{load}, budget, inj, nil)
-}
-
 // Single returns s unchanged.
 //
 // Deprecated: it lifted the single-service contract into the
@@ -378,7 +352,19 @@ func RunFaulted(m *sim.Machine, s Scheduler, slices int, load LoadPattern, budge
 // BENCHMARK.json) still calls it.
 func Single(s Scheduler) Scheduler { return s }
 
-func runImpl(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c obs.Collector) (*Result, error) {
+// Run executes slices timeslices of the scheduler against the machine,
+// the one run loop. loads holds one pattern per latency-critical
+// service, primary first; loads and budget (a fraction of the machine's
+// reference MaxPowerW) are sampled at each slice start. A non-nil inj
+// perturbs the run: hardware faults reach the machine, flash crowds and
+// budget drops the environment, and telemetry corruption only the
+// scheduler's view of each phase, the records keeping the physical
+// truth. A non-nil c traces the run (Driver.SetCollector). A nil or
+// empty injector and a nil collector reproduce the plain run bit for
+// bit. Invalid setups — a non-positive slice count, fewer load patterns
+// than services, a scheduler emitting a bad profile phase, allocation
+// or overhead — return an error, not a partial result.
+func Run(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c obs.Collector) (*Result, error) {
 	if slices <= 0 {
 		return nil, fmt.Errorf("harness: non-positive slice count %d", slices)
 	}

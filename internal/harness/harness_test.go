@@ -49,7 +49,7 @@ func testMachine(t *testing.T) *sim.Machine {
 func TestRunBasicAccounting(t *testing.T) {
 	m := testMachine(t)
 	s := &staticScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)}
-	res, err := Run(m, s, 5, ConstantLoad(0.5), ConstantBudget(0.8))
+	res, err := Run(m, s, 5, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestProfilingPhasesExecuted(t *testing.T) {
 		alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
 		profiles: []Phase{{Dur: 0.001, Alloc: prof}, {Dur: 0.001, Alloc: prof}},
 	}
-	if _, err := Run(m, s, 2, ConstantLoad(0.5), ConstantBudget(0.8)); err != nil {
+	if _, err := Run(m, s, 2, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.profResults[0]) != 2 {
@@ -98,7 +98,7 @@ func TestOverheadHoldsPreviousAllocation(t *testing.T) {
 		alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
 		overhead: 0.01,
 	}
-	res, err := Run(m, s, 3, ConstantLoad(0.5), ConstantBudget(0.8))
+	res, err := Run(m, s, 3, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +166,14 @@ func TestResultAggregates(t *testing.T) {
 func TestRunErrorsOnBadSetup(t *testing.T) {
 	m := testMachine(t)
 	sched := &staticScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)}
-	if _, err := Run(m, sched, 0, ConstantLoad(0.5), ConstantBudget(0.8)); err == nil {
+	if _, err := Run(m, sched, 0, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil); err == nil {
 		t.Fatal("Run(0 slices) did not error")
 	}
-	if _, err := Run(m, sched, -3, ConstantLoad(0.5), ConstantBudget(0.8)); err == nil {
+	if _, err := Run(m, sched, -3, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil); err == nil {
 		t.Fatal("Run(-3 slices) did not error")
 	}
 	// Fewer load patterns than services.
-	if _, err := RunMulti(m, sched, 2, nil, ConstantBudget(0.8)); err == nil {
+	if _, err := Run(m, sched, 2, nil, ConstantBudget(0.8), nil, nil); err == nil {
 		t.Fatal("RunMulti without load patterns did not error")
 	}
 	// A scheduler emitting a broken profile phase.
@@ -181,11 +181,11 @@ func TestRunErrorsOnBadSetup(t *testing.T) {
 		alloc:    sim.Uniform(16, true, 16, config.Widest, config.OneWay),
 		profiles: []Phase{{Dur: 0, Alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)}},
 	}
-	if _, err := Run(m, bad, 2, ConstantLoad(0.5), ConstantBudget(0.8)); err == nil {
+	if _, err := Run(m, bad, 2, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil); err == nil {
 		t.Fatal("zero-duration profile phase did not error")
 	}
 	// The machine must still be usable after the failed setups.
-	if _, err := Run(m, sched, 1, ConstantLoad(0.5), ConstantBudget(0.8)); err != nil {
+	if _, err := Run(m, sched, 1, []LoadPattern{ConstantLoad(0.5)}, ConstantBudget(0.8), nil, nil); err != nil {
 		t.Fatalf("machine unusable after setup errors: %v", err)
 	}
 }
@@ -199,16 +199,16 @@ func TestRunMultiErrorPaths(t *testing.T) {
 	sched := &staticScheduler{alloc: sim.Uniform(16, true, 16, config.Widest, config.OneWay)}
 	loads := []LoadPattern{ConstantLoad(0.5)}
 
-	if _, err := RunMulti(m, sched, 2, loads, nil); err == nil || !strings.Contains(err.Error(), "nil budget pattern") {
+	if _, err := Run(m, sched, 2, loads, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "nil budget pattern") {
 		t.Fatalf("nil budget pattern not rejected: %v", err)
 	}
-	if _, err := RunMulti(m, sched, 2, []LoadPattern{nil}, ConstantBudget(0.8)); err == nil || !strings.Contains(err.Error(), "load pattern 0 is nil") {
+	if _, err := Run(m, sched, 2, []LoadPattern{nil}, ConstantBudget(0.8), nil, nil); err == nil || !strings.Contains(err.Error(), "load pattern 0 is nil") {
 		t.Fatalf("nil load pattern not rejected: %v", err)
 	}
-	if _, err := RunMulti(nil, sched, 2, loads, ConstantBudget(0.8)); err == nil || !strings.Contains(err.Error(), "nil machine") {
+	if _, err := Run(nil, sched, 2, loads, ConstantBudget(0.8), nil, nil); err == nil || !strings.Contains(err.Error(), "nil machine") {
 		t.Fatalf("nil machine not rejected: %v", err)
 	}
-	if _, err := RunMulti(m, nil, 2, loads, ConstantBudget(0.8)); err == nil || !strings.Contains(err.Error(), "nil scheduler") {
+	if _, err := Run(m, nil, 2, loads, ConstantBudget(0.8), nil, nil); err == nil || !strings.Contains(err.Error(), "nil scheduler") {
 		t.Fatalf("nil scheduler not rejected: %v", err)
 	}
 

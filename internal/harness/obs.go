@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"cuttlesys/internal/obs"
-
-	"cuttlesys/internal/sim"
-)
+import "cuttlesys/internal/obs"
 
 // Observable is the optional extension a scheduler or fault injector
 // implements to receive an observability collector. The driver wires
@@ -29,14 +25,6 @@ func (d *Driver) SetCollector(c obs.Collector) {
 	if o, ok := d.inj.(Observable); ok {
 		o.SetCollector(d.obs)
 	}
-}
-
-// RunTraced is RunMulti under a fault injector, with an observability
-// collector attached to the driver — and, through it, to the scheduler
-// and injector when they implement Observable. A nil injector or nil
-// collector degrade to the untraced, fault-free behaviour exactly.
-func RunTraced(m *sim.Machine, s Scheduler, slices int, loads []LoadPattern, budget BudgetPattern, inj FaultInjector, c obs.Collector) (*Result, error) {
-	return runImpl(m, s, slices, loads, budget, inj, c)
 }
 
 // chargeOverhead routes the scheduler's modeled compute cost through

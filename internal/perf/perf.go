@@ -135,7 +135,12 @@ func foldIPC(cpiCB, effMLP, memW, missRatio, memInflation, freqGHz float64) floa
 	cycleScale := freqGHz / config.BaseFreqGHz
 	avgLat := (float64(config.L2Latency)*(1-missRatio) +
 		float64(config.DRAMLatency)*missRatio*memInflation) * cycleScale
-	//lint:allow floatsafe coreTerms clamps effMLP to ≥1e-9
+	// coreTerms already floors effMLP at 1e-9, so this guard keeps its
+	// bits. It is a branch, not max(effMLP, 1e-9): Go's NaN- and
+	// sign-exact float max sits on the table build's dependency chain.
+	if effMLP < 1e-9 {
+		effMLP = 1e-9
+	}
 	cpi := cpiCB + memW*avgLat/effMLP
 	if cpi <= 0 { // degenerate profile: report zero throughput, not Inf
 		return 0

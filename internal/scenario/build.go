@@ -97,11 +97,12 @@ func (c *Compiled) node(mix, seed uint64, tweak func(*core.Params)) fleet.NodeSp
 }
 
 // RunMachine runs a one-machine spec: the machine nodes builds, its
-// fault clauses attached, stepped by harness.RunFaulted over the
-// compiled patterns on the machine's own clock. It returns the
-// scheduler too, for callers that read its state. tweak is node's. It
-// refuses a spec with more than one machine, a control clause or a
-// share clause: Run drives those as a fleet.
+// fault clauses attached, stepped by harness.Run over the compiled
+// patterns on the machine's own clock and traced into
+// Options.Collector when one was set. It returns the scheduler too,
+// for callers that read its state. tweak is node's. It refuses a spec
+// with more than one machine, a control clause or a share clause: Run
+// drives those as a fleet.
 func (c *Compiled) RunMachine(tweak func(*core.Params)) (*harness.Result, harness.Scheduler, error) {
 	if c.Machines != 1 || c.Managed || c.Spec.Share != nil {
 		return nil, nil, fmt.Errorf("scenario %s: RunMachine runs one machine with no control or share clause", c.Spec.Name)
@@ -110,7 +111,8 @@ func (c *Compiled) RunMachine(tweak func(*core.Params)) (*harness.Result, harnes
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := harness.RunFaulted(nds[0].Machine, nds[0].Scheduler, c.Slices, c.LoadPat, c.BudgetPat, nds[0].Injector)
+	res, err := harness.Run(nds[0].Machine, nds[0].Scheduler, c.Slices,
+		[]harness.LoadPattern{c.LoadPat}, c.BudgetPat, nds[0].Injector, c.collector)
 	return res, nds[0].Scheduler, err
 }
 

@@ -28,8 +28,8 @@ const runtimeTrain, runtimeTrainSeed = 16, 1
 // the spec (the CLI-over-spec-over-default precedence of DESIGN.md
 // §13). Seed is the run seed; FS resolves trace files for replay
 // clauses (specs.FS for the embedded library, os.DirFS for specs on
-// disk); Collector, when set, receives the built fleet's trace events
-// and metrics (fleet.Config.Collector).
+// disk); Collector, when set, receives the run's trace events and
+// metrics: the built fleet's (fleet.Config.Collector) or RunMachine's.
 type Options struct {
 	Machines  int
 	Slices    int

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/obs"
 	"cuttlesys/specs"
 )
 
@@ -107,6 +109,49 @@ func TestRunMachineRefusesFleets(t *testing.T) {
 				t.Errorf("refused run returned %v, %v", res, sched)
 			}
 		})
+	}
+}
+
+// TestRunMachineTraced: Options.Collector reaches RunMachine's run.
+// The traced run records one slice span per slice and returns the
+// untraced run's records bit for bit; tracing observes, it never
+// steers.
+func TestRunMachineTraced(t *testing.T) {
+	const n = 6
+	run := func(c obs.Collector) *harness.Result {
+		src, err := specs.Source("resilience-core-failstop")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := Compile(sp, Options{Slices: n, Seed: 1, Collector: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := comp.RunMachine(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(nil)
+	rec := obs.NewRecorder()
+	got := run(rec)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("traced run diverged from the untraced one:\ntraced:   %+v\nuntraced: %+v", got, want)
+	}
+	var spans []int
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.SpanEvent && ev.Name == obs.SpanSlice {
+			spans = append(spans, ev.Slice)
+		}
+	}
+	slices.Sort(spans)
+	if !slices.Equal(spans, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("slice spans for slices %v, want one for each of 0..%d", spans, n-1)
 	}
 }
 

@@ -320,7 +320,7 @@ func TestBatchSurfaces(t *testing.T) {
 func TestLCSurfaces(t *testing.T) {
 	pm, wm := perf.New(true), power.New(true)
 	app := mustApp(t, "silo")
-	lats, pwrs := LCSurfaces(pm, wm, []*workload.Profile{app}, 16, 0.8, []uint64{1}, 0.5, 1)
+	lats, pwrs, _ := LCSurfaces(pm, wm, []*workload.Profile{app}, 16, 0.8, []uint64{1}, 0.5, 1)
 	if len(lats) != 1 || len(pwrs) != 1 {
 		t.Fatal("surface count wrong")
 	}

@@ -40,17 +40,22 @@ func BatchSurfaces(pm *perf.Model, wm *power.Model, app *workload.Profile) (bips
 // same loop.
 const lcSurfaceWorkers = 8
 
-// LCSurfaces returns the ground-truth p99 tail latency (milliseconds)
-// and per-core power (W) of latency-critical services across all 108
-// resource configurations, one row per service in apps, each served by
-// k load-balanced cores at loadFrac of its max QPS. Tail latency comes
-// from the discrete-event queueing simulator run for simSec seconds
-// per configuration; saturated configurations report their (finite,
-// large) simulated backlog-driven p99. memInflation sets the
+// LCSurfaces returns the ground-truth p99 tail latency (milliseconds),
+// per-core power (W) and mean per-query service time (milliseconds) of
+// latency-critical services across all 108 resource configurations,
+// one row per service in apps, each served by k load-balanced cores at
+// loadFrac of its max QPS. Tail latency comes from the discrete-event
+// queueing simulator run for simSec seconds per configuration;
+// saturated configurations report their (finite, large) simulated
+// backlog-driven p99. memInflation sets the
 // memory-latency inflation the characterisation runs under: 1 for an
 // idle machine, ~1.35 for a server colocated with batch jobs — the
 // paper's known applications are characterised on the same
-// multi-tenant setup they later inform.
+// multi-tenant setup they later inform. Unlike the p99 surface, mean
+// service time has no queueing knee — it is IPC-shaped and therefore
+// easy for the collaborative filter to predict — so the runtime uses
+// its reconstruction to estimate per-configuration utilisation and
+// veto saturating configurations.
 //
 // The len(apps)·108 queue simulations are independent — configuration
 // i of service v draws from its own stream (seeds[v]+i) and fills only
@@ -58,7 +63,7 @@ const lcSurfaceWorkers = 8
 // par.For and the surfaces are bit-identical at any GOMAXPROCS, and to
 // one call per service. The table is read before the fan-out:
 // SurfaceTable is not safe for concurrent use.
-func LCSurfaces(pm *perf.Model, wm *power.Model, apps []*workload.Profile, k int, loadFrac float64, seeds []uint64, simSec, memInflation float64) (latMs, pwr [][]float64) {
+func LCSurfaces(pm *perf.Model, wm *power.Model, apps []*workload.Profile, k int, loadFrac float64, seeds []uint64, simSec, memInflation float64) (latMs, pwr, svcMs [][]float64) {
 	// Checked here so a panic unwinds the caller, not a worker.
 	if len(seeds) != len(apps) {
 		panic("sim: LCSurfaces needs one seed per service")
@@ -76,11 +81,14 @@ func LCSurfaces(pm *perf.Model, wm *power.Model, apps []*workload.Profile, k int
 	tbl.Build(memInflation)
 	n := len(apps) * config.NumResources
 	ipc, meanSvc := make([]float64, n), make([]float64, n)
-	latMs, pwr = make([][]float64, len(apps)), make([][]float64, len(apps))
+	latMs, pwr, svcMs = make([][]float64, len(apps)), make([][]float64, len(apps)), make([][]float64, len(apps))
 	for v := range apps {
+		svcMs[v] = make([]float64, config.NumResources)
 		for i := 0; i < config.NumResources; i++ {
-			ipc[v*config.NumResources+i] = tbl.IPC(v, i)
-			meanSvc[v*config.NumResources+i] = tbl.ServiceTimeSec(v, i)
+			vi := v*config.NumResources + i
+			ipc[vi] = tbl.IPC(v, i)
+			meanSvc[vi] = tbl.ServiceTimeSec(v, i)
+			svcMs[v][i] = meanSvc[vi] * 1e3
 		}
 		latMs[v], pwr[v] = make([]float64, config.NumResources), make([]float64, config.NumResources)
 	}
@@ -101,28 +109,7 @@ func LCSurfaces(pm *perf.Model, wm *power.Model, apps []*workload.Profile, k int
 		util := math.Min(1, qps*meanSvc[vi]/float64(k))
 		pwr[v][i] = wm.Core(app, config.ResourceByIndex(i).Core, ipc[vi]*util)
 	})
-	return latMs, pwr
-}
-
-// LCServiceTimes returns a latency-critical service's mean per-query
-// service time (milliseconds) across all 108 resource configurations
-// under the given memory-latency inflation. Unlike the p99 surface,
-// mean service time has no queueing knee — it is IPC-shaped and
-// therefore easy for the collaborative filter to predict — so the
-// runtime uses its reconstruction to estimate per-configuration
-// utilisation and veto saturating configurations.
-func LCServiceTimes(pm *perf.Model, app *workload.Profile, memInflation float64) []float64 {
-	if !app.IsLC() {
-		panic("sim: LCServiceTimes on a batch application")
-	}
-	out := make([]float64, config.NumResources)
-	pm.QueryInstr(app) // panics on MaxQPS ≤ 0, preserving the pre-table contract
-	tbl := perf.NewSurfaceTable(pm, []*workload.Profile{app})
-	tbl.Build(memInflation)
-	for i := range out {
-		out[i] = tbl.ServiceTimeSec(0, i) * 1e3
-	}
-	return out
+	return latMs, pwr, svcMs
 }
 
 // Measure applies multiplicative measurement noise to a true value:
