@@ -37,23 +37,30 @@ func BenchmarkFig1Characterization(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIISGDReconstruction times the two parallel paired SGD
-// reconstructions of one decision quantum (paper: 4.8 ms on a 32-core
-// server; see EXPERIMENTS.md for host scaling).
+// BenchmarkTableIISGDReconstruction reports the runtime's mean
+// per-decision reconstruction, the four surfaces trained one to a SIMD
+// lane (paper: 4.8 ms on a 32-core server; see EXPERIMENTS.md for host
+// scaling).
 func BenchmarkTableIISGDReconstruction(b *testing.B) {
 	var last experiments.TableIIResult
 	for i := 0; i < b.N; i++ {
-		last = experiments.TableIIOverheads(uint64(i + 1))
+		var err error
+		if last, err = experiments.TableIIOverheads(uint64(i + 1)); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(last.SGDSec*1e3, "sgd-ms")
 }
 
-// BenchmarkTableIIDDSSearch times one parallel DDS search at the
-// Fig. 6 parameters (paper: 1.3 ms).
+// BenchmarkTableIIDDSSearch reports the runtime's mean per-decision
+// DDS search at the Fig. 6 parameters (paper: 1.3 ms).
 func BenchmarkTableIIDDSSearch(b *testing.B) {
 	var last experiments.TableIIResult
 	for i := 0; i < b.N; i++ {
-		last = experiments.TableIIOverheads(uint64(i + 101))
+		var err error
+		if last, err = experiments.TableIIOverheads(uint64(i + 101)); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(last.DDSSec*1e3, "dds-ms")
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 
 	"cuttlesys"
 	"cuttlesys/specs"
@@ -13,25 +14,10 @@ func fleetScenarios() []string {
 	return []string{"steady", "diurnal", "degraded-node", "budget-squeeze"}
 }
 
-// fleetPolicy pairs a router with a budget arbiter.
-type fleetPolicy struct {
-	name    string
-	router  func() cuttlesys.Router
-	arbiter func() cuttlesys.Arbiter
-}
-
-func fleetPolicies() []fleetPolicy {
-	return []fleetPolicy{
-		{"uniform/proportional",
-			func() cuttlesys.Router { return cuttlesys.UniformRouter{} },
-			func() cuttlesys.Arbiter { return cuttlesys.ProportionalArbiter{} }},
-		{"least-loaded/proportional",
-			func() cuttlesys.Router { return cuttlesys.LeastLoadedRouter{} },
-			func() cuttlesys.Arbiter { return cuttlesys.ProportionalArbiter{} }},
-		{"qos-aware/headroom",
-			func() cuttlesys.Router { return &cuttlesys.QoSAwareRouter{} },
-			func() cuttlesys.Arbiter { return cuttlesys.HeadroomArbiter{} }},
-	}
+// fleetPolicies names the router/arbiter pairs the fleet sweep
+// compares, in report order; each is set on the spec's policy clause.
+func fleetPolicies() []string {
+	return []string{"uniform/proportional", "least-loaded/proportional", "qos-aware/headroom"}
 }
 
 // FleetPolicy is one (scenario, policy) cell. Field order is the JSON
@@ -79,18 +65,14 @@ func fleetReport(p params) (any, error) {
 		Load: p.Load, Cap: p.Cap, Seed: p.Seed,
 	}
 	for _, name := range fleetScenarios() {
-		comp, err := compileLibrary(name, p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
 		sr := FleetScenario{Scenario: name}
 		for _, pol := range fleetPolicies() {
-			res, err := runFleet(comp, p.Slices, pol)
+			res, err := fleetCell(name, pol, p)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, pol.name, err)
+				return nil, fmt.Errorf("%s/%s: %w", name, pol, err)
 			}
 			sr.Policies = append(sr.Policies, FleetPolicy{
-				Policy:                   pol.name,
+				Policy:                   pol,
 				FleetQuality:             fleetQuality(res),
 				ModeledControllerSpeedup: round4(res.ModeledControllerSpeedup()),
 			})
@@ -104,11 +86,7 @@ func fleetReport(p params) (any, error) {
 	for _, n := range []int{1, 4, 16} {
 		q := p
 		q.Machines, q.Slices = n, 4
-		comp, err := compileLibrary("steady", q)
-		if err != nil {
-			return nil, fmt.Errorf("scaling %d: %w", n, err)
-		}
-		res, err := runFleet(comp, q.Slices, fleetPolicies()[0])
+		res, err := fleetCell("steady", fleetPolicies()[0], q)
 		if err != nil {
 			return nil, fmt.Errorf("scaling %d: %w", n, err)
 		}
@@ -120,21 +98,21 @@ func fleetReport(p params) (any, error) {
 	return rep, nil
 }
 
-func runFleet(comp *cuttlesys.CompiledScenario, slices int, pol fleetPolicy) (*cuttlesys.FleetResult, error) {
-	f, err := comp.BuildFleet(pol.router(), pol.arbiter())
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return f.Run(slices, comp.LoadPat, comp.BudgetPat)
-}
-
-// compileLibrary compiles one embedded library spec against p's
-// geometry.
-func compileLibrary(name string, p params) (*cuttlesys.CompiledScenario, error) {
+// fleetCell runs library spec name against p's geometry under policy,
+// a "router/arbiter" pair set on the spec's policy clause.
+func fleetCell(name, policy string, p params) (*cuttlesys.FleetResult, error) {
 	sp, err := librarySpec(name)
 	if err != nil {
 		return nil, err
 	}
-	return compile(sp, specs.FS, p)
+	sp.Policy.Router, sp.Policy.Arbiter, _ = strings.Cut(policy, "/")
+	comp, err := compile(sp, specs.FS, p)
+	if err != nil {
+		return nil, err
+	}
+	res, err := comp.Run()
+	if err != nil {
+		return nil, err
+	}
+	return res.Fleet, nil
 }

@@ -102,16 +102,11 @@ func runDrill(name string, p params) (DrillReport, error) {
 	if err != nil {
 		return DrillReport{}, err
 	}
-	cp, err := comp.BuildControlPlane(nil, nil)
+	res, err := comp.Run()
 	if err != nil {
 		return DrillReport{}, err
 	}
-	defer cp.Close()
-	res, err := cp.Run(p.Slices, comp.LoadPat, comp.BudgetPat)
-	if err != nil {
-		return DrillReport{}, err
-	}
-	return summarizeDrill(name, res), nil
+	return summarizeDrill(name, res.Control), nil
 }
 
 func summarizeDrill(name string, res *cuttlesys.ControlPlaneResult) DrillReport {

@@ -181,12 +181,18 @@ func fig1(w io.Writer, p params) error {
 	return nil
 }
 
-// tableII reports the best of -reps timings of one decision quantum's
-// scheduling work.
+// tableII reports the best of -reps timings of the runtime's
+// per-decision scheduling work.
 func tableII(w io.Writer, p params) error {
-	best := experiments.TableIIOverheads(p.Seed)
+	best, err := experiments.TableIIOverheads(p.Seed)
+	if err != nil {
+		return err
+	}
 	for i := 1; i < p.Reps; i++ {
-		r := experiments.TableIIOverheads(p.Seed + uint64(i))
+		r, err := experiments.TableIIOverheads(p.Seed + uint64(i))
+		if err != nil {
+			return err
+		}
 		best.SGDSec = min(best.SGDSec, r.SGDSec)
 		best.DDSSec = min(best.DDSSec, r.DDSSec)
 	}

@@ -146,8 +146,8 @@ func TestDeclarationOrder(t *testing.T) {
 			t.Errorf("fleet result %d is %q, want %q", i, fl.Results[i].Scenario, name)
 		}
 		for j, pol := range fleetPolicies() {
-			if got := fl.Results[i].Policies[j].Policy; got != pol.name {
-				t.Errorf("fleet %s policy %d is %q, want %q", name, j, got, pol.name)
+			if got := fl.Results[i].Policies[j].Policy; got != pol {
+				t.Errorf("fleet %s policy %d is %q, want %q", name, j, got, pol)
 			}
 		}
 	}

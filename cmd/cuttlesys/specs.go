@@ -37,6 +37,16 @@ func options(p params, fsys fs.FS) cuttlesys.ScenarioOptions {
 	}
 }
 
+// compileLibrary compiles one embedded library spec against p's
+// geometry.
+func compileLibrary(name string, p params) (*cuttlesys.CompiledScenario, error) {
+	sp, err := librarySpec(name)
+	if err != nil {
+		return nil, err
+	}
+	return compile(sp, specs.FS, p)
+}
+
 // librarySpec parses one embedded library spec.
 func librarySpec(name string) (*cuttlesys.Scenario, error) {
 	src, err := specs.Source(name)

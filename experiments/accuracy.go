@@ -113,7 +113,7 @@ func (s *sampled) errs(pred *sgd.Prediction, truth [][]float64) []float64 {
 // within 10 % and the 5th/95th percentiles within 20 %.
 func Fig5aIsolation(seed uint64) []AccuracyResult {
 	pm, wm := perf.New(true), power.New(true)
-	train, test := workload.SplitTrainTest(1, 16)
+	train, test := workload.SplitTrainTest(core.SplitSeed, core.NTrainBatch)
 	batch := sample(func(app *workload.Profile) ([]float64, []float64) {
 		return sim.BatchSurfaces(pm, wm, app)
 	}, train, test, sampleLo, sampleHi, nil)
@@ -122,11 +122,12 @@ func Fig5aIsolation(seed uint64) []AccuracyResult {
 	pwrErrs := batch.errs(sgd.Reconstruct(batch.pwr, params), batch.truthP)
 
 	// Tail latency over the five services, one at a time (§VIII-B), at
-	// 80 % load, with the runtime's reconstruction settings (the
+	// 80 % load, reconstructed from the latency rows the runtime trains
+	// on at 16 cores, with the runtime's reconstruction settings (the
 	// utilisation veto, not prediction conservatism, guards the QoS
 	// scan against the under-predictions visible here).
 	var latErrs []float64
-	variants := lcVariantRows(16)
+	variants := core.TrainingLatencyRows(16)
 	services := workload.TailBench()
 	seeds := make([]uint64, len(services))
 	for si := range seeds {
@@ -154,22 +155,6 @@ func Fig5aIsolation(seed uint64) []AccuracyResult {
 		accResult("tail-latency", "sgd", latErrs),
 		accResult("power", "sgd", pwrErrs),
 	}
-}
-
-// lcVariantRows returns the offline latency surfaces of the twelve
-// synthetic training services at k cores, recomputed on every call.
-// They are exactly the latency rows core.lcTrainingRows(1, 12, k)
-// trains the runtime on: the variants of workload.SyntheticLC(101, 12),
-// variant i simulated with seed 1+i.
-func lcVariantRows(k int) [][]float64 {
-	pm, wm := perf.New(true), power.New(true)
-	variants := workload.SyntheticLC(101, 12)
-	seeds := make([]uint64, len(variants))
-	for i := range seeds {
-		seeds[i] = uint64(i) + 1
-	}
-	rows, _, _ := sim.LCSurfaces(pm, wm, variants, k, 0.8, seeds, 0.3, 1.35)
-	return rows
 }
 
 // Fig5bColocation reproduces the runtime accuracy study (§VIII-B,
@@ -246,7 +231,7 @@ func Fig9RBFvsSGD(seed uint64) []AccuracyResult {
 	pm, wm := perf.New(true), power.New(true)
 	noise := rng.New(seed ^ 0xfef1f0)
 	const sampleNoise = 0.05
-	train, test := workload.SplitTrainTest(1, 16)
+	train, test := workload.SplitTrainTest(core.SplitSeed, core.NTrainBatch)
 	// Three samples = the first three rows of the 3MM3 plan, which all
 	// sit at the lowest front-end level: the surrogate must extrapolate
 	// the entire front-end dimension, exactly the regime where the

@@ -12,6 +12,7 @@ import (
 
 	"cuttlesys/internal/core"
 	"cuttlesys/internal/harness"
+	"cuttlesys/internal/obs"
 	"cuttlesys/internal/scenario"
 	"cuttlesys/internal/workload"
 	"cuttlesys/specs"
@@ -83,7 +84,7 @@ func (s Setup) withDefaults() Setup {
 // when alone, the spec's mix jobs=0), run seed seed, for slices
 // timeslices at load and cap (zero keeps the spec's). tweak, when set,
 // adjusts the CuttleSys parameters: the searcher, accuracy tracking,
-// the ablation switches.
+// the ablation switches. collector, when set, traces the run.
 type cell struct {
 	policy, service string
 	mix, seed       uint64
@@ -92,6 +93,7 @@ type cell struct {
 	clauses         string
 	alone           bool
 	tweak           func(*core.Params)
+	collector       obs.Collector
 }
 
 // uncapped is the budget clause of a reference run whose budget binds
@@ -120,6 +122,7 @@ func (c cell) run() (*harness.Result, harness.Scheduler, error) {
 	}
 	comp, err := scenario.Compile(sp, scenario.Options{
 		Service: c.service, Slices: c.slices, Load: c.load, Cap: c.cap, Seed: c.seed,
+		Collector: c.collector,
 	})
 	if err != nil {
 		return nil, nil, err

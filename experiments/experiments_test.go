@@ -378,7 +378,10 @@ func TestFig10bDDSvsGA(t *testing.T) {
 }
 
 func TestTableIIOverheads(t *testing.T) {
-	r := TableIIOverheads(1)
+	r, err := TableIIOverheads(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.ProfilingSec != 0.002 {
 		t.Errorf("profiling %.4f s, want 2 ms by design", r.ProfilingSec)
 	}
@@ -420,7 +423,11 @@ func TestWriters(t *testing.T) {
 	var b strings.Builder
 	WriteFig1(&b, Fig1([]float64{0.2, 0.8}, 1, 0.2), 0.8)
 	WriteAccuracy(&b, Fig5aIsolation(2))
-	WriteTableII(&b, TableIIOverheads(2))
+	r, err := TableIIOverheads(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	WriteTableII(&b, r)
 	pts, budget := Fig10aExploration(2, 0.7)
 	WriteFig10a(&b, pts, budget)
 	if b.Len() == 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"cuttlesys/internal/config"
+	"cuttlesys/internal/core"
 	"cuttlesys/internal/dds"
 	"cuttlesys/internal/ga"
 	"cuttlesys/internal/perf"
@@ -36,7 +37,7 @@ func Fig10aExploration(seed uint64, capFrac float64) (points []ExplorePoint, bud
 		capFrac = 0.7
 	}
 	pm, wm := perf.New(true), power.New(true)
-	_, pool := workload.SplitTrainTest(1, 16)
+	_, pool := workload.SplitTrainTest(core.SplitSeed, core.NTrainBatch)
 	batch := workload.Mix(seed+7, pool, 16)
 
 	// Two accumulators per job and configuration: log-throughput and

@@ -4,15 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"cuttlesys/internal/config"
-	"cuttlesys/internal/dds"
 	"cuttlesys/internal/obs"
-	"cuttlesys/internal/perf"
-	"cuttlesys/internal/power"
-	"cuttlesys/internal/rng"
-	"cuttlesys/internal/sgd"
-	"cuttlesys/internal/sim"
-	"cuttlesys/internal/workload"
 )
 
 // TableIIResult holds the measured scheduling overheads (Table II).
@@ -22,59 +14,31 @@ import (
 // a couple of milliseconds, well within a 100 ms quantum — must hold.
 type TableIIResult struct {
 	ProfilingSec float64 // fixed by design: 2 × 1 ms windows
-	SGDSec       float64 // wall time of one four-surface reconstruction
-	DDSSec       float64 // wall time of one parallel DDS search (SearchSeparable)
+	SGDSec       float64 // mean wall time of a decision's reconstruction (core.reconstruct)
+	DDSSec       float64 // mean wall time of a decision's batch search (core.search)
 }
 
-// TableIIOverheads measures the reconstruction and search wall time on
-// a workload of the paper's scale: 16 training + 16 running batch rows
-// plus the LC rows, 108 columns, and a 16-dimensional DDS search with
-// the Fig. 6 parameters. Both calls are timed by the obs host-clock
-// sampler into a Profile, the one product that carries host time.
-func TableIIOverheads(seed uint64) TableIIResult {
+// tableIISlices is the length of the run Table II times: one decision
+// per slice.
+const tableIISlices = 4
+
+// TableIIOverheads times the decisions the runtime ships: a short run
+// of the sim library spec, xapian beside a 16-job batch mix seeded
+// seed+7 as in Fig. 7 and Fig. 8, traced into an obs.Recorder. SGDSec
+// and DDSSec are the per-decision means of the runtime's own
+// core.reconstruct and core.search wall phases, read from the
+// Recorder's Profile, the one product that carries host time.
+func TableIIOverheads(seed uint64) (TableIIResult, error) {
 	rec := obs.NewRecorder()
-	pm, wm := perf.New(true), power.New(true)
-	train, test := workload.SplitTrainTest(1, 16)
-	r := rng.New(seed)
-
-	// The running jobs' throughput and power rows, and one row standing
-	// in for each latency-critical lane.
-	surf := func(app *workload.Profile) ([]float64, []float64) { return sim.BatchSurfaces(pm, wm, app) }
-	running := workload.Mix(seed, test, 16)
-	batch := sample(surf, train, running, sampleLo, sampleHi, nil)
-	lc := sample(surf, train, running[:1], sampleLo, sampleHi, nil)
-
-	// The reconstruction call core.reconstructAll makes, at the
-	// runtime's recipe.
-	ms := [4]*sgd.Matrix{batch.thr, batch.pwr, lc.thr, lc.pwr}
-	wall := obs.BeginWall(rec)
-	sgd.ReconstructQuad(ms, [4]sgd.Params{}, false)
-	wall.End(rec, "sgd")
-
-	// One parallel DDS search with the Fig. 6 parameters, on the engine
-	// core.DecideMulti runs: SearchSeparable over a table objective, here
-	// one accumulator summing each running row's predicted throughput.
-	pred := sgd.Reconstruct(batch.thr, sgd.Params{})
-	rows := make([][]float64, 16)
-	for i := range rows {
-		rows[i] = pred.Row(len(train) + i)
+	c := cell{policy: PolicyCuttleSys, service: "xapian", mix: seed + 7, seed: seed, slices: tableIISlices, collector: rec}
+	if _, _, err := c.run(); err != nil {
+		return TableIIResult{}, err
 	}
-	obj := &dds.SeparableObjective{
-		K: 1, Base: []float64{0}, Terms: rows,
-		Finish: func(acc []float64) float64 { return acc[0] },
+	mean := map[string]float64{}
+	for _, pc := range rec.Profile().Snapshot() {
+		mean[pc.Phase] = float64(pc.WallNs) / float64(pc.Count) / 1e9
 	}
-	wall = obs.BeginWall(rec)
-	dds.SearchSeparable(obj, dds.Params{
-		Dims: 16, NumConfigs: config.NumResources,
-		Seed: r.Uint64(), Workers: 8,
-	})
-	wall.End(rec, "dds")
-
-	sec := map[string]float64{}
-	for _, c := range rec.Profile().Snapshot() {
-		sec[c.Phase] = float64(c.WallNs) / 1e9
-	}
-	return TableIIResult{ProfilingSec: 0.002, SGDSec: sec["sgd"], DDSSec: sec["dds"]}
+	return TableIIResult{ProfilingSec: 0.002, SGDSec: mean["core.reconstruct"], DDSSec: mean["core.search"]}, nil
 }
 
 // WriteTableII renders the overhead table next to the paper's values.

@@ -158,7 +158,7 @@ func trueSurfaces(t testing.TB, c chooseCase) (*sim.Machine, func() decision) {
 	for k, name := range c.services {
 		svcs[k] = mustApp(t, name)
 	}
-	_, test := workload.SplitTrainTest(1, nTrainBatch)
+	_, test := workload.SplitTrainTest(1, NTrainBatch)
 	m := sim.New(sim.Spec{Seed: seed, LC: svcs[0], ExtraLCs: svcs[1:],
 		Batch: workload.Mix(seed, test, c.nBatch), Reconfigurable: true})
 	pm, wm := perf.New(true), power.New(true)
@@ -191,7 +191,7 @@ func trueSurfaces(t testing.TB, c chooseCase) (*sim.Machine, func() decision) {
 	}
 	return m, func() decision {
 		in := decision{
-			thr: verbatim(nTrainBatch, thr...), pwr: verbatim(nTrainBatch, append(pwr, lcPwr...)...),
+			thr: verbatim(NTrainBatch, thr...), pwr: verbatim(NTrainBatch, append(pwr, lcPwr...)...),
 			lat: verbatim(nTrainLC, lat...), svc: verbatim(nTrainLC, svc...),
 			svcM:    sgd.NewMatrix(nTrainLC+len(svcs), config.NumResources),
 			budgetW: 0.8 * m.MaxPowerW(), seed: seed * 7919, nCores: m.NCores(), nBatch: c.nBatch,

@@ -37,8 +37,10 @@ func closureObjective(in *decision, svcs []svcChoice) dds.Objective {
 	thrRows := make([][]float64, nBatch)
 	pwrRows := make([][]float64, nBatch)
 	for i := 0; i < nBatch; i++ {
-		thrRows[i] = in.thr.Row(batchRow(i))
-		pwrRows[i] = in.pwr.Row(batchRow(i))
+		for j := 0; j < config.NumResources; j++ {
+			thrRows[i] = append(thrRows[i], in.thr.At(batchRow(i), j))
+			pwrRows[i] = append(pwrRows[i], in.pwr.At(batchRow(i), j))
+		}
 	}
 	return func(x []int) float64 {
 		logSum := 0.0

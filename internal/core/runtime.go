@@ -55,14 +55,19 @@ const (
 	SearchGA
 )
 
+// The runtime's offline training split: NTrainBatch SPEC applications,
+// drawn with workload.SplitTrainTest(SplitSeed, NTrainBatch), seed the
+// throughput/power matrices (§VIII-A2). Runs build their batch mixes
+// from the complement, and the offline studies (Fig. 5a, Fig. 9,
+// Table II) train on the same split.
+const (
+	NTrainBatch = 16
+	SplitSeed   = 1
+)
+
 // The runtime's design points. The paper fixes these rather than
 // tuning them, and no caller varies them.
 const (
-	// nTrainBatch is the number of offline-characterised SPEC
-	// applications seeding the throughput/power matrices (§VIII-A2).
-	// They are drawn with workload.SplitTrainTest(TrainSeed,
-	// nTrainBatch); runs must build their mixes from the complement.
-	nTrainBatch = 16
 	// nTrainLC is the number of offline-characterised latency-critical
 	// variants seeding the tail-latency matrix.
 	nTrainLC = 12
@@ -106,7 +111,11 @@ const (
 type Params struct {
 	// Seed drives profiling noise and the per-slice search seeds.
 	Seed uint64
-	// TrainSeed selects the training split. Default 1.
+	// TrainSeed selects the training split; zero is SplitSeed.
+	//
+	// Deprecated: every run trains on SplitSeed's split; the field is
+	// declared only because bench/ (frozen by BENCHMARK.json) sets it
+	// to time a cold characterisation, and goes with that call.
 	TrainSeed uint64
 	// SGD overrides the reconstruction hyper-parameters; its zero
 	// value is sgd's one recipe (rank 6, λ 0.03, 300 sweeps).
@@ -155,7 +164,7 @@ type Params struct {
 
 func (p Params) withDefaults() Params {
 	if p.TrainSeed == 0 {
-		p.TrainSeed = 1
+		p.TrainSeed = SplitSeed
 	}
 	if p.DDS.Workers == 0 {
 		p.DDS.Workers = 8
@@ -196,7 +205,7 @@ type Runtime struct {
 	batch  []*workload.Profile
 	nCores int
 
-	// Reconstruction matrices (§V). Throughput rows: nTrainBatch known
+	// Reconstruction matrices (§V). Throughput rows: NTrainBatch known
 	// apps then the running batch jobs. Power rows: the same plus one
 	// final row for the LC service. Latency and service-time rows:
 	// nTrainLC known LC variants then the running LC service. The
@@ -293,9 +302,9 @@ func New(m *sim.Machine, params Params) *Runtime {
 	// training rows are fully observed. The models are the stand-in
 	// for the paper's offline zsim characterisation runs.
 	pm, wm := perf.New(true), power.New(true)
-	train, _ := workload.SplitTrainTest(p.TrainSeed, nTrainBatch)
-	rt.thrM = sgd.NewMatrix(nTrainBatch+nBatch, config.NumResources)
-	pwrRows := nTrainBatch + nBatch + len(rt.svcs)
+	train, _ := workload.SplitTrainTest(p.TrainSeed, NTrainBatch)
+	rt.thrM = sgd.NewMatrix(NTrainBatch+nBatch, config.NumResources)
+	pwrRows := NTrainBatch + nBatch + len(rt.svcs)
 	rt.pwrM = sgd.NewMatrix(pwrRows, config.NumResources)
 	for i, app := range train {
 		bips, pwr := sim.BatchSurfaces(pm, wm, app)
@@ -362,6 +371,20 @@ func lcTrainingRows(trainSeed uint64, nTrainLC, cores int) []lcTrainRow {
 	return rows.(func() []lcTrainRow)()
 }
 
+// TrainingLatencyRows returns the tail-latency rows of the offline
+// latency-critical variants at the given core count: the rows every
+// runtime on the default split whose services start at that many cores
+// trains its latency matrix on, from the same cache. The rows are
+// shared; callers must not modify them.
+func TrainingLatencyRows(cores int) [][]float64 {
+	rows := lcTrainingRows(SplitSeed, nTrainLC, cores)
+	lat := make([][]float64, len(rows))
+	for i, row := range rows {
+		lat[i] = row.lat
+	}
+	return lat
+}
+
 // Name implements harness.Scheduler.
 func (rt *Runtime) Name() string { return "cuttlesys" }
 
@@ -374,11 +397,11 @@ func (rt *Runtime) Name() string { return "cuttlesys" }
 func (rt *Runtime) DecisionOverheadSec() float64 { return overheadSec }
 
 // batchRow maps batch job i to its matrix row.
-func batchRow(i int) int { return nTrainBatch + i }
+func batchRow(i int) int { return NTrainBatch + i }
 
 // lcPowerRow is service k's row in the power matrix of a machine with
 // nBatch batch jobs.
-func lcPowerRow(nBatch, k int) int { return nTrainBatch + nBatch + k }
+func lcPowerRow(nBatch, k int) int { return NTrainBatch + nBatch + k }
 
 // latRow is service k's row in the latency and service-time matrices.
 func latRow(k int) int { return nTrainLC + k }

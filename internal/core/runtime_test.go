@@ -336,6 +336,25 @@ func TestTrainingRowsSingleFlight(t *testing.T) {
 	if again := lcTrainingRows(trainSeed, 2, 8); &again[0] != &got[0][0] || lcTrainComputes.Load()-before != 1 {
 		t.Fatal("a later hit recomputed or returned different rows")
 	}
+
+	// The exported rows are the ones a runtime's latency matrix is
+	// seeded with, read from the cache New filled.
+	rt := New(testMachine(t, "xapian", 1), Params{Seed: 1})
+	before = lcTrainComputes.Load()
+	lat := TrainingLatencyRows(rt.svcs[0].initCores)
+	if n := lcTrainComputes.Load() - before; n != 0 {
+		t.Fatalf("TrainingLatencyRows ran %d characterisations after New, want 0", n)
+	}
+	if len(lat) != nTrainLC {
+		t.Fatalf("%d latency rows, want %d", len(lat), nTrainLC)
+	}
+	for i, row := range lat {
+		for j, v := range row {
+			if !rt.latM.Known(i, j) || math.Float64bits(rt.latM.At(i, j)) != math.Float64bits(v) {
+				t.Fatalf("row %d col %d: exported %v, runtime trains on %v", i, j, v, rt.latM.At(i, j))
+			}
+		}
+	}
 }
 
 // TestNewRejectsInvalidSGDParams checks that reconstruction parameters

@@ -42,7 +42,7 @@ func (rt *Runtime) ShareKey() uint64 {
 	}
 	mix("cuttlesys-mix-v1")
 	mix(fmt.Sprintf("train=%d/%d lc=%d jobs=%d rank=%d",
-		nTrainBatch, rt.p.TrainSeed, nTrainLC, len(rt.batch), rank))
+		NTrainBatch, rt.p.TrainSeed, nTrainLC, len(rt.batch), rank))
 	for _, sv := range rt.svcs {
 		mix(sv.app.Name)
 	}

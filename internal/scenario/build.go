@@ -15,8 +15,7 @@ import (
 )
 
 // Policy resolves the spec's router and arbiter through the fleet
-// registry. Callers sweeping policies pass their own pair to the
-// builders instead.
+// registry.
 func (c *Compiled) Policy() (fleet.Router, fleet.Arbiter, error) {
 	r, err := fleet.RouterByName(c.Spec.Policy.Router)
 	if err != nil {
@@ -160,9 +159,13 @@ func (c *Compiled) nodes(tweak func(*core.Params)) ([]fleet.NodeSpec, error) {
 	return specs, nil
 }
 
-// BuildFleet assembles the unmanaged fleet the spec describes. A nil
-// router or arbiter falls back to the spec's policy clause; passing
-// both lets sweep drivers reuse one compiled spec across policies.
+// BuildFleet assembles the unmanaged fleet the spec describes under
+// the spec's policy clause; Run builds and drives it. A policy sweep
+// sets the clause's router and arbiter on the parsed spec.
+//
+// Deprecated: the router and arbiter arguments override the policy
+// clause; they are declared only because bench/ (frozen by
+// BENCHMARK.json) passes nil, and go with those calls.
 func (c *Compiled) BuildFleet(router fleet.Router, arbiter fleet.Arbiter) (*fleet.Fleet, error) {
 	if err := c.fillPolicy(&router, &arbiter); err != nil {
 		return nil, err
@@ -181,7 +184,12 @@ func (c *Compiled) BuildFleet(router fleet.Router, arbiter fleet.Arbiter) (*flee
 // BuildControlPlane assembles the managed fleet: the same nodes under
 // the control clause's health and autoscaling config, with the
 // provision factory minting replacement machines from the salted
-// provisioning stream.
+// provisioning stream. Run builds and drives it; callers that read the
+// manager's runtimes or plane build it here.
+//
+// Deprecated: the router and arbiter arguments override the policy
+// clause; they are declared only because bench/ (frozen by
+// BENCHMARK.json) passes nil, and go with those calls.
 func (c *Compiled) BuildControlPlane(router fleet.Router, arbiter fleet.Arbiter) (*ctrlplane.Manager, error) {
 	if err := c.fillPolicy(&router, &arbiter); err != nil {
 		return nil, err

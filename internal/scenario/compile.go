@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"math"
 
+	"cuttlesys/internal/core"
 	"cuttlesys/internal/ctrlplane"
 	"cuttlesys/internal/fault"
 	"cuttlesys/internal/harness"
@@ -19,9 +20,6 @@ import (
 // from the run seed, so machines provisioned mid-run never share a
 // stream with the initial fleet (whose seeds come from fleet.Seeds).
 const ProvisionSalt = 0x0b5e55ed
-
-// runtimeTrain and runtimeTrainSeed are core.New's training split.
-const runtimeTrain, runtimeTrainSeed = 16, 1
 
 // Options completes a spec into a concrete run. Zero-valued fields
 // defer to the spec's own declarations; a field set here overrides
@@ -108,9 +106,9 @@ func Compile(s *Spec, opt Options) (*Compiled, error) {
 		return nil, fmt.Errorf("scenario %s: load fraction %v out of (0, 1]", s.Name, c.Load)
 	case c.Cap <= 0 || c.Cap > 1:
 		return nil, fmt.Errorf("scenario %s: cap fraction %v out of (0, 1]", s.Name, c.Cap)
-	case s.Mix.Train != runtimeTrain || s.Mix.TrainSeed != runtimeTrainSeed:
+	case s.Mix.Train != core.NTrainBatch || s.Mix.TrainSeed != core.SplitSeed:
 		return nil, fmt.Errorf("scenario %s: mix train=%d trainseed=%d: the runtime trains offline on train=%d trainseed=%d, so any other split puts its training applications in the mix pool",
-			s.Name, s.Mix.Train, s.Mix.TrainSeed, runtimeTrain, runtimeTrainSeed)
+			s.Name, s.Mix.Train, s.Mix.TrainSeed, core.NTrainBatch, core.SplitSeed)
 	case s.Mix.Seed != 0 && c.Machines != 1:
 		return nil, fmt.Errorf("scenario %s: mix seed= pins one machine, the run has %d", s.Name, c.Machines)
 	}
@@ -118,7 +116,7 @@ func Compile(s *Spec, opt Options) (*Compiled, error) {
 	if c.lc, err = workload.ByName(c.Service); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	_, c.pool = workload.SplitTrainTest(runtimeTrainSeed, runtimeTrain)
+	_, c.pool = workload.SplitTrainTest(core.SplitSeed, core.NTrainBatch)
 	if c.sched, err = SchedulerByName(cmp.Or(s.Policy.Scheduler, Schedulers[0].Name)); err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/obs"
 	"cuttlesys/specs"
@@ -22,8 +21,9 @@ var batteries = []string{
 }
 
 // battery compiles battery b's spec under scheduler at slices
-// timeslices and the run seed 1.
-func battery(t *testing.T, b, scheduler string, slices int) *Compiled {
+// timeslices and the run seed 1. set, when given, edits the parsed
+// spec first.
+func battery(t *testing.T, b, scheduler string, slices int, set ...func(*Spec)) *Compiled {
 	t.Helper()
 	src, err := specs.Source("resilience-" + b)
 	if err != nil {
@@ -34,6 +34,9 @@ func battery(t *testing.T, b, scheduler string, slices int) *Compiled {
 		t.Fatal(err)
 	}
 	sp.Policy.Scheduler = scheduler
+	for _, f := range set {
+		f(sp)
+	}
 	c, err := Compile(sp, Options{Slices: slices, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +47,8 @@ func battery(t *testing.T, b, scheduler string, slices int) *Compiled {
 // TestOneMachineFleetIsTheHarnessRun holds a one-machine spec's fleet
 // run to its RunMachine run, the single-machine harness run of the
 // same machine, bit for bit: every registry scheduler under each resilience battery, behind
-// three router/arbiter pairs. Every SliceRecord field is compared by
+// three router/arbiter pairs set on the spec's policy clause, as the
+// fleet report sets them. Every SliceRecord field is compared by
 // its bits except LoadFrac, a recorded label: the harness records
 // load·factor, the fleet share ÷ capacity, and no scheduler reads it.
 func TestOneMachineFleetIsTheHarnessRun(t *testing.T) {
@@ -65,23 +69,13 @@ func TestOneMachineFleetIsTheHarnessRun(t *testing.T) {
 			}
 			for _, pair := range pairs {
 				t.Run(fmt.Sprintf("%s/%s/%s+%s", def.Name, b, pair[0], pair[1]), func(t *testing.T) {
-					router, err := fleet.RouterByName(pair[0])
+					res, err := battery(t, b, def.Name, 20, func(sp *Spec) {
+						sp.Policy.Router, sp.Policy.Arbiter = pair[0], pair[1]
+					}).Run()
 					if err != nil {
 						t.Fatal(err)
 					}
-					arbiter, err := fleet.ArbiterByName(pair[1])
-					if err != nil {
-						t.Fatal(err)
-					}
-					f, err := c.BuildFleet(router, arbiter)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := f.Run(c.Slices, c.LoadPat, c.BudgetPat)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameRecords(t, res.Nodes[0].Slices, want.Slices)
+					sameRecords(t, res.Fleet.Nodes[0].Slices, want.Slices)
 				})
 			}
 		}

@@ -208,13 +208,6 @@ type Prediction struct {
 // At returns the predicted value at (i, j).
 func (p *Prediction) At(i, j int) float64 { return p.vals[i*p.Cols+j] }
 
-// Row returns a copy of row i.
-func (p *Prediction) Row(i int) []float64 {
-	out := make([]float64, p.Cols)
-	copy(out, p.vals[i*p.Cols:(i+1)*p.Cols])
-	return out
-}
-
 const logFloor = 1e-9 // guards the log transform against zeros
 
 // Reconstruct runs Alg. 1 and returns the completed matrix.

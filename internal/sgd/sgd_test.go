@@ -249,9 +249,9 @@ func TestPredictionRow(t *testing.T) {
 	m.ObserveRow(0, []float64{1, 2, 3})
 	m.ObserveRow(1, []float64{4, 5, 6})
 	pred := Reconstruct(m, Params{})
-	row := pred.Row(1)
-	if len(row) != 3 || row[0] != 4 || row[2] != 6 {
-		t.Fatalf("Row = %v", row)
+	row := []float64{pred.At(1, 0), pred.At(1, 1), pred.At(1, 2)}
+	if pred.Cols != 3 || row[0] != 4 || row[2] != 6 {
+		t.Fatalf("row 1 = %v over %d columns", row, pred.Cols)
 	}
 }
 

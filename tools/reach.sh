@@ -2,8 +2,9 @@
 # reach.sh lists the production functions that no production entry
 # point enters and checks the list against tools/reach.allow.
 #
-# It builds cmd/cuttlesys and bench with -cover -coverpkg=./..., runs
-# every entry point at smoke scale, then reads `go tool covdata func`.
+# It builds cmd/cuttlesys, bench and the root package's test binary
+# with -cover -coverpkg=./..., runs every entry point at smoke scale,
+# then reads `go tool covdata func`.
 # The entry points are the six reports, the sixteen paper rows, sim
 # under every policy its help lists, list, validate, and describe and
 # run on every library spec (a spec that pins its mix seed on its one
@@ -28,8 +29,11 @@ GOCOVERDIR=$work/cov
 export GOCOVERDIR
 mod=$(go list -m)
 
+# All three binaries are built before any entry point runs, so every
+# pass measures one tree even if a file changes during the run.
 go build -cover -coverpkg=./... -o "$work/cuttlesys" ./cmd/cuttlesys
 go build -cover -coverpkg=./... -o "$work/bench" ./bench
+go test -c -cover -coverpkg=./... -o "$work/root.test" .
 
 cs() { "$work/cuttlesys" "$@" >/dev/null; }
 
@@ -63,7 +67,7 @@ cs lint -json ./...
 "$work/bench" -smoke -seed 1 -o "$work/smoke.json" -spans "$work/spans.json" >/dev/null
 "$work/bench" -compare "$work/smoke.json" "$work/smoke.json" >/dev/null
 "$work/bench" -seconds 1 -workload single-machine >/dev/null
-go test -cover -coverpkg=./... -run '^Example' . -args -test.gocoverdir="$GOCOVERDIR" >/dev/null
+"$work/root.test" -test.run '^Example' -test.gocoverdir="$GOCOVERDIR" >/dev/null
 
 go tool covdata func -i "$GOCOVERDIR" > "$work/func.txt"
 go tool covdata textfmt -i "$GOCOVERDIR" -o "$work/profile.txt"
