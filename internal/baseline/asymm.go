@@ -36,7 +36,12 @@ type Asymmetric struct {
 	// inflation 1.2, so only the service's power (which scales with the
 	// offered load) is left to each DecideMulti.
 	jobs            []jobEval // job-ordered big/little template
+	byDensity       []jobEval // jobs by descending density, the upgrade order
 	lcLittle, lcBig lcTerms
+
+	// alloc is the decided allocation, the scheduler's own storage:
+	// valid until its next DecideMulti.
+	alloc sim.Allocation
 }
 
 // jobEval is one batch job's big-versus-little trade-off.
@@ -62,6 +67,7 @@ func NewAsymmetric(m *sim.Machine, oracle bool) *Asymmetric {
 		nCores: m.NCores(),
 		wm:     power.New(false),
 		jobs:   make([]jobEval, len(m.Batch())),
+		alloc:  sim.Allocation{Batch: make([]sim.BatchAssign, len(m.Batch()))},
 	}
 	pm := perf.New(false)
 	freq := pm.FreqGHz()
@@ -83,6 +89,8 @@ func NewAsymmetric(m *sim.Machine, oracle bool) *Asymmetric {
 		e.density = e.gain / math.Max(e.powerB-e.powerL, 1e-9)
 		a.jobs[i] = e
 	}
+	a.byDensity = append([]jobEval(nil), a.jobs...)
+	sort.Slice(a.byDensity, func(x, y int) bool { return a.byDensity[x].density > a.byDensity[y].density })
 	if a.lc != nil {
 		a.lcCores = m.NCores() / 2
 		q := pm.QueryInstr(a.lc)
@@ -125,8 +133,8 @@ func (a *Asymmetric) lcNeedsBig(qps float64) bool {
 
 // DecideMulti implements harness.Scheduler.
 func (a *Asymmetric) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
-	n := len(a.batch)
-	alloc := sim.Allocation{Batch: make([]sim.BatchAssign, n)}
+	alloc := &a.alloc
+	*alloc = sim.Allocation{Batch: alloc.Batch}
 
 	bigBudget := a.nCores // oracle: any split
 	lcOnBig := false
@@ -169,10 +177,8 @@ func (a *Asymmetric) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 		alloc.Batch[i] = sim.BatchAssign{Core: little, Cache: config.OneWay}
 		budgetLeft -= e.powerL
 	}
-	evals := append([]jobEval(nil), a.jobs...)
-	sort.Slice(evals, func(x, y int) bool { return evals[x].density > evals[y].density })
 	bigs := 0
-	for _, e := range evals {
+	for _, e := range a.byDensity {
 		if bigs >= bigBudget {
 			break
 		}
@@ -207,7 +213,7 @@ func (a *Asymmetric) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 	// stays hardware-shared (way partitioning is the gating+wp
 	// variant's distinguishing feature, §VII-B).
 	alloc.NoPartition = true
-	return alloc, 0
+	return *alloc, 0
 }
 
 // EndSliceMulti implements harness.Scheduler.

@@ -43,10 +43,8 @@ func ucpPartition(alloc *sim.Allocation, lc *workload.Profile, jobCurves []ucp.C
 		alloc.LCCache = config.FourWays
 		budget -= int(config.FourWays)
 	}
-	var (
-		curves []ucp.Curve
-		slots  []int
-	)
+	curves := make([]ucp.Curve, 0, len(alloc.Batch))
+	slots := make([]int, 0, len(alloc.Batch))
 	for i, b := range alloc.Batch {
 		if b.Gated {
 			continue
@@ -90,17 +88,18 @@ func missCurves(batch []*workload.Profile) []ucp.Curve {
 // NoGating is the reference policy: every core at the widest
 // configuration, LLC shared freely, power budget ignored.
 type NoGating struct {
-	lc      *workload.Profile
-	nBatch  int
-	lcCores int
+	alloc sim.Allocation // the one decision, built once
 }
 
 // NewNoGating builds the reference policy for machine m.
 func NewNoGating(m *sim.Machine) *NoGating {
-	ng := &NoGating{lc: m.LC(), nBatch: len(m.Batch())}
-	if ng.lc != nil {
-		ng.lcCores = m.NCores() / 2
+	hasLC := m.LC() != nil
+	lcCores := 0
+	if hasLC {
+		lcCores = m.NCores() / 2
 	}
+	ng := &NoGating{alloc: sim.Uniform(len(m.Batch()), hasLC, lcCores, config.Widest, config.OneWay)}
+	ng.alloc.NoPartition = true
 	return ng
 }
 
@@ -113,9 +112,7 @@ func (*NoGating) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Ph
 
 // DecideMulti implements harness.Scheduler.
 func (ng *NoGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
-	a := sim.Uniform(ng.nBatch, ng.lc != nil, ng.lcCores, config.Widest, config.OneWay)
-	a.NoPartition = true
-	return a, 0
+	return ng.alloc, 0
 }
 
 // EndSliceMulti implements harness.Scheduler.

@@ -32,20 +32,37 @@ type DVFS struct {
 	lcCores      int
 	profileNoise float64
 	r            *rng.RNG
+
+	// The scheduler's own storage, valid until its next call: the one
+	// profile phase (the same every slice), the decided allocation, and
+	// each job's estimated BIPS and power at every level, job-major
+	// (bips[i*len(DVFSLevels)+l]), with its chosen level.
+	profile []harness.Phase
+	alloc   sim.Allocation
+	bips    []float64
+	pw      []float64
+	level   []int
 }
 
 // NewDVFS builds the baseline for machine m (fixed cores).
 func NewDVFS(m *sim.Machine, seed uint64) *DVFS {
+	n := len(m.Batch())
 	d := &DVFS{
 		lc:           m.LC(),
 		batch:        m.Batch(),
 		nCores:       m.NCores(),
 		profileNoise: 0.05,
 		r:            rng.New(seed ^ 0xd7f5),
+		bips:         make([]float64, n*len(DVFSLevels)),
+		pw:           make([]float64, n*len(DVFSLevels)),
+		level:        make([]int, n),
 	}
 	if d.lc != nil {
 		d.lcCores = m.NCores() / 2
 	}
+	a := sim.Uniform(n, d.lc != nil, d.lcCores, config.Widest, config.OneWay)
+	a.NoPartition = true
+	d.profile = []harness.Phase{{Dur: 0.001, Alloc: a}}
 	return d
 }
 
@@ -54,9 +71,7 @@ func (*DVFS) Name() string { return "dvfs-maxbips" }
 
 // ProfilePhasesMulti takes one 1 ms sample at the nominal frequency.
 func (d *DVFS) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Phase {
-	a := sim.Uniform(len(d.batch), d.lc != nil, d.lcCores, config.Widest, config.OneWay)
-	a.NoPartition = true
-	return []harness.Phase{{Dur: 0.001, Alloc: a}}
+	return d.profile
 }
 
 // DecideMulti implements maxBIPS: scale each profiled sample across
@@ -65,33 +80,30 @@ func (d *DVFS) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Phas
 // budget holds.
 func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	n := len(d.batch)
-	alloc := sim.Uniform(n, d.lc != nil, d.lcCores, config.Widest, config.OneWay)
+	alloc := &d.alloc
+	alloc.SetUniform(n, d.lc != nil, d.lcCores, config.Widest, config.OneWay)
 	alloc.NoPartition = true
 	if len(profile) == 0 {
-		return alloc, 0
+		return *alloc, 0
 	}
 	pr := profile[len(profile)-1]
 
 	// Per-job estimates at every level, scaled from the nominal sample:
 	// BIPS ∝ f (to first order), power per the f·V² law.
-	type jobLevels struct {
-		bips, pw []float64
-	}
-	jobs := make([]jobLevels, n)
-	level := make([]int, n)
+	L := len(DVFSLevels)
+	bips, pw, level := d.bips, d.pw, d.level
+	clear(level)
 	for i := 0; i < n; i++ {
 		b0 := sim.Measure(d.r, pr.BatchBIPS[i], d.profileNoise)
 		p0 := sim.Measure(d.r, pr.BatchPowerW[i], d.profileNoise)
-		jl := jobLevels{bips: make([]float64, len(DVFSLevels)), pw: make([]float64, len(DVFSLevels))}
 		for l, f := range DVFSLevels {
 			frac := f / config.BaseFreqGHz
 			v := power.DVFSVdd(f) / power.DVFSVdd(config.BaseFreqGHz)
-			jl.bips[l] = b0 * frac
+			bips[i*L+l] = b0 * frac
 			// Split the sample into a leakage-like and dynamic-like
 			// share (the model's widest-config proportions).
-			jl.pw[l] = p0 * (0.45*v + 0.55*frac*v*v)
+			pw[i*L+l] = p0 * (0.45*v + 0.55*frac*v*v)
 		}
-		jobs[i] = jl
 	}
 	lcPower := 0.0
 	if d.lc != nil {
@@ -100,12 +112,12 @@ func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW flo
 
 	est := func() float64 {
 		total := fixedChipPower(d.nCores) + float64(d.lcCores)*lcPower
-		for i := range jobs {
+		for i := 0; i < n; i++ {
 			if alloc.Batch[i].Gated {
 				total += power.GatedCoreW
 				continue
 			}
-			total += jobs[i].pw[level[i]]
+			total += pw[i*L+level[i]]
 		}
 		return total
 	}
@@ -114,12 +126,13 @@ func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW flo
 	// BIPS per watt saved.
 	for est() > budgetW {
 		best, bestCost := -1, math.Inf(1)
-		for i := range jobs {
-			if alloc.Batch[i].Gated || level[i] == len(DVFSLevels)-1 {
+		for i := 0; i < n; i++ {
+			if alloc.Batch[i].Gated || level[i] == L-1 {
 				continue
 			}
-			dB := jobs[i].bips[level[i]] - jobs[i].bips[level[i]+1]
-			dP := jobs[i].pw[level[i]] - jobs[i].pw[level[i]+1]
+			at := i*L + level[i]
+			dB := bips[at] - bips[at+1]
+			dP := pw[at] - pw[at+1]
 			if dP <= 0 {
 				continue
 			}
@@ -136,11 +149,11 @@ func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW flo
 	// descending power, as the gating baseline does.
 	for est() > budgetW {
 		worst, wi := 0.0, -1
-		for i := range jobs {
+		for i := 0; i < n; i++ {
 			if alloc.Batch[i].Gated {
 				continue
 			}
-			if p := jobs[i].pw[level[i]]; p > worst {
+			if p := pw[i*L+level[i]]; p > worst {
 				worst, wi = p, i
 			}
 		}
@@ -155,7 +168,7 @@ func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW flo
 			alloc.Batch[i].FreqGHz = DVFSLevels[level[i]]
 		}
 	}
-	return alloc, 0
+	return *alloc, 0
 }
 
 // EndSliceMulti implements harness.Scheduler.

@@ -59,11 +59,20 @@ type CoreGating struct {
 	lcCores      int
 	profileNoise float64
 	r            *rng.RNG
+
+	// The scheduler's own storage, valid until its next call: the one
+	// profile phase (the same every slice), the decided allocation, and
+	// each job's sampled power and BIPS with its gating decision.
+	profile  []harness.Phase
+	alloc    sim.Allocation
+	pw, bips []float64
+	gated    []bool
 }
 
 // NewCoreGating builds the baseline for machine m. The machine should
 // be constructed with fixed cores (Spec.Reconfigurable = false).
 func NewCoreGating(m *sim.Machine, policy GatingPolicy, wayPartition bool, seed uint64) *CoreGating {
+	n := len(m.Batch())
 	g := &CoreGating{
 		Policy:       policy,
 		WayPartition: wayPartition,
@@ -73,10 +82,15 @@ func NewCoreGating(m *sim.Machine, policy GatingPolicy, wayPartition bool, seed 
 		nCores:       m.NCores(),
 		profileNoise: 0.05,
 		r:            rng.New(seed ^ 0x5bf03635),
+		pw:           make([]float64, n),
+		bips:         make([]float64, n),
+		gated:        make([]bool, n),
 	}
 	if g.lc != nil {
 		g.lcCores = m.NCores() / 2
 	}
+	g.profile = []harness.Phase{{Dur: 0.001}}
+	g.baseAlloc(&g.profile[0].Alloc, nil)
 	return g
 }
 
@@ -92,13 +106,13 @@ func (g *CoreGating) Name() string {
 // note: "even core-level gating incurs an overhead of 1 ms for one
 // profiling period"). Fixed cores have only the widest configuration.
 func (g *CoreGating) ProfilePhasesMulti(qps []float64, budgetW float64) []harness.Phase {
-	a := g.baseAlloc(nil)
-	return []harness.Phase{{Dur: 0.001, Alloc: a}}
+	return g.profile
 }
 
-// baseAlloc is the all-on allocation; gated marks jobs to power off.
-func (g *CoreGating) baseAlloc(gated []bool) sim.Allocation {
-	a := sim.Uniform(len(g.batch), g.lc != nil, g.lcCores, config.Widest, config.OneWay)
+// baseAlloc writes the all-on allocation into a; gated marks jobs to
+// power off.
+func (g *CoreGating) baseAlloc(a *sim.Allocation, gated []bool) {
+	a.SetUniform(len(g.batch), g.lc != nil, g.lcCores, config.Widest, config.OneWay)
 	for i := range a.Batch {
 		if gated != nil && gated[i] {
 			a.Batch[i].Gated = true
@@ -107,9 +121,8 @@ func (g *CoreGating) baseAlloc(gated []bool) sim.Allocation {
 	if !g.WayPartition {
 		a.NoPartition = true
 	} else {
-		ucpPartition(&a, g.lc, g.curves)
+		ucpPartition(a, g.lc, g.curves)
 	}
-	return a
 }
 
 // DecideMulti implements harness.Scheduler: estimate per-core power
@@ -117,8 +130,10 @@ func (g *CoreGating) baseAlloc(gated []bool) sim.Allocation {
 // chip fits the budget.
 func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	n := len(g.batch)
-	pw := make([]float64, n)
-	bips := make([]float64, n)
+	pw, bips, gated := g.pw, g.bips, g.gated
+	clear(pw)
+	clear(bips)
+	clear(gated)
 	lcPower := 0.0
 	if len(profile) > 0 {
 		pr := profile[len(profile)-1]
@@ -131,7 +146,6 @@ func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 		}
 	}
 
-	gated := make([]bool, n)
 	est := func() float64 {
 		total := fixedChipPower(g.nCores) + float64(g.lcCores)*lcPower
 		for i := 0; i < n; i++ {
@@ -170,7 +184,8 @@ func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 		}
 		gated[pick] = true
 	}
-	return g.baseAlloc(gated), 0
+	g.baseAlloc(&g.alloc, gated)
+	return g.alloc, 0
 }
 
 // pick returns the next core to gate under the configured policy.

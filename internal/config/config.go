@@ -107,7 +107,25 @@ var (
 )
 
 // String renders the paper's "{FE,BE,LS}" notation, e.g. "{6,2,4}".
+// The 27 valid configurations are served from coreNames; every slice
+// record names its service's core, so formatting is left to invalid
+// ones.
 func (c Core) String() string {
+	if c.Valid() {
+		return coreNames[c.Index()]
+	}
+	return formatCore(c)
+}
+
+// coreNames holds String of every valid configuration, by Index.
+var coreNames = func() (names [NumCoreConfigs]string) {
+	for i := range names {
+		names[i] = formatCore(CoreByIndex(i))
+	}
+	return names
+}()
+
+func formatCore(c Core) string {
 	return fmt.Sprintf("{%d,%d,%d}", int(c.FE), int(c.BE), int(c.LS))
 }
 

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -57,6 +58,17 @@ func TestCoreString(t *testing.T) {
 	c := Core{FE: W6, BE: W2, LS: W4}
 	if got := c.String(); got != "{6,2,4}" {
 		t.Errorf("String = %q, want {6,2,4}", got)
+	}
+	// The table serves exactly the formatted names, and an invalid core
+	// is still formatted rather than indexed.
+	for _, c := range append(AllCores(), Core{}, Core{FE: W6, BE: 3, LS: W2}) {
+		want := fmt.Sprintf("{%d,%d,%d}", int(c.FE), int(c.BE), int(c.LS))
+		if got := c.String(); got != want {
+			t.Errorf("%#v.String() = %q, want %q", c, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = Widest.String() }); n != 0 {
+		t.Errorf("valid Core.String allocates %v times", n)
 	}
 }
 

@@ -6,8 +6,9 @@ package fleet
 // reference power, the cluster cap is one pool and machines compete
 // for it based on reported headroom. Split must return one positive
 // watt share per telemetry entry summing (up to float rounding) to
-// budgetW; like routers, arbiters run serially in machine index order
-// and must not mutate the telemetry slice.
+// budgetW; like routers, arbiters run serially in machine index order,
+// must not mutate the telemetry slice, and return a slice they do not
+// keep (the fleet keeps it as the record's NodeBudgetW).
 type Arbiter interface {
 	Name() string
 	Split(budgetW float64, tele []Telemetry) []float64

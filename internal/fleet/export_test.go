@@ -10,3 +10,6 @@ func (q *QoSAware) Weight(id int) float64 {
 	}
 	return 1
 }
+
+// HistoryBlock is the record count of one history block.
+const HistoryBlock = historyBlock

@@ -133,7 +133,7 @@ type node struct {
 	maxQPS    float64
 	maxPowerW float64
 	qosMs     float64
-	recs      []harness.SliceRecord
+	recs      history[harness.SliceRecord]
 	// left marks an evicted machine: it no longer receives traffic,
 	// budget or stepping, but its history stays addressable by id.
 	left bool
@@ -151,9 +151,29 @@ type Fleet struct {
 	workers int
 	now     float64
 	tele    []Telemetry
-	slices  []SliceRecord
+	slices  history[SliceRecord]
 	obs     obs.Collector
 	share   SharePlane
+
+	// Per-step scratch, valid until the next Step: the active machines'
+	// telemetry, load fractions and share-plane members, and stepAll's
+	// inputs and per-machine result cells. stepFn is stepOne bound once,
+	// so fanning out allocates no closure.
+	actTele  []Telemetry
+	loadFrac []float64
+	members  []ShareMember
+	in       stepInputs
+	stepFn   func(w, k int)
+}
+
+// stepInputs is one stepAll fan-out: machine ids[k] steps with load
+// qps[k], fraction loadFrac[k] and budget budgets[k] into recs[k] and
+// errs[k].
+type stepInputs struct {
+	ids                    []int
+	qps, loadFrac, budgets []float64
+	recs                   []harness.SliceRecord
+	errs                   []error
 }
 
 // New assembles a fleet. Every machine must host exactly one
@@ -176,6 +196,7 @@ func New(cfg Config, specs ...NodeSpec) (*Fleet, error) {
 	if f.arbiter == nil {
 		f.arbiter = Proportional{}
 	}
+	f.stepFn = f.stepOne
 	for _, spec := range specs {
 		if _, err := f.Attach(spec); err != nil {
 			return nil, err
@@ -270,7 +291,15 @@ func Seeds(seed uint64, n int) []uint64 {
 
 // Size returns the number of active machines. Slots reports the total
 // slot count including evicted machines.
-func (f *Fleet) Size() int { return len(f.Active()) }
+func (f *Fleet) Size() int {
+	n := 0
+	for _, nd := range f.nodes {
+		if !nd.left {
+			n++
+		}
+	}
+	return n
+}
 
 // Slots returns the number of machine slots ever admitted, including
 // evicted ones — the exclusive upper bound on machine ids.
@@ -400,10 +429,11 @@ func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
 	// Routing and arbitration see only the active machines, in id
 	// order; Telemetry.Machine carries the stable id so stateful
 	// policies survive membership churn.
-	actTele := make([]Telemetry, n)
-	for k, id := range act {
-		actTele[k] = f.tele[id]
+	actTele := f.actTele[:0]
+	for _, id := range act {
+		actTele = append(actTele, f.tele[id])
 	}
+	f.actTele = actTele
 	qpsShares := f.router.Route(offered, actTele)
 	if len(qpsShares) != n {
 		return SliceRecord{}, fmt.Errorf("fleet: router %s returned %d shares for %d machines",
@@ -415,7 +445,7 @@ func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
 			f.arbiter.Name(), len(budgets), n)
 	}
 	if traced {
-		sl := len(f.slices)
+		sl := f.slices.len()
 		f.obs.Emit(obs.Instant(obs.EventRoute, t).WithMachine(obs.ClusterMachine).
 			WithSlice(sl).With("router", f.router.Name()))
 		f.obs.Emit(obs.Instant(obs.EventArbitrate, t).WithMachine(obs.ClusterMachine).
@@ -426,8 +456,10 @@ func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
 	// the single-machine harness would: flash crowds scale the routed
 	// share and budget drops the allotment, both read at the machine's
 	// own clock, which its hardware faults and slice records use too.
-	qps := make([]float64, n)
-	loadFrac := make([]float64, n)
+	// The shares become the record's NodeQPS and NodeBudgetW, scaled in
+	// place.
+	qps := qpsShares
+	loadFrac := f.loadFrac[:0]
 	for k, id := range act {
 		nd := f.nodes[id]
 		if qpsShares[k] < 0 || math.IsNaN(qpsShares[k]) {
@@ -438,16 +470,18 @@ func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
 			return SliceRecord{}, fmt.Errorf("fleet: arbiter %s: invalid share %v W for machine %d",
 				f.arbiter.Name(), budgets[k], id)
 		}
-		qps[k] = qpsShares[k]
 		if nd.inj != nil {
 			now := nd.d.Machine().Now()
 			qps[k] *= nd.inj.LoadFactor(now)
 			budgets[k] *= nd.inj.BudgetFactor(now)
 		}
+		frac := 0.0
 		if nd.maxQPS > 0 {
-			loadFrac[k] = qps[k] / nd.maxQPS
+			frac = qps[k] / nd.maxQPS
 		}
+		loadFrac = append(loadFrac, frac)
 	}
+	f.loadFrac = loadFrac
 
 	stepWall := obs.BeginWall(f.obs)
 	recs, err := f.stepAll(act, qps, loadFrac, budgets)
@@ -468,8 +502,8 @@ func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
 	met := 0
 	for k, id := range act {
 		nd := f.nodes[id]
-		r := recs[k]
-		nd.recs = append(nd.recs, r)
+		r := &recs[k]
+		nd.recs.add(*r)
 		f.tele[id] = Telemetry{
 			Machine: id, MaxQPS: nd.maxQPS, RefMaxPowerW: nd.maxPowerW,
 			Valid: true, QPS: qps[k],
@@ -492,18 +526,19 @@ func (f *Fleet) Step(offered, budgetW float64) (SliceRecord, error) {
 	}
 	rec.QoSMetFrac = float64(met) / float64(n)
 	if traced {
-		f.emitFleetTelemetry(&rec, len(f.slices))
+		f.emitFleetTelemetry(&rec, f.slices.len())
 	}
 	if f.share != nil {
 		// Serial section, ascending id order: the share plane's folds
 		// inherit the fleet's determinism discipline.
-		members := make([]ShareMember, n)
-		for k, id := range act {
-			members[k] = ShareMember{ID: id, Scheduler: f.nodes[id].d.Scheduler()}
+		members := f.members[:0]
+		for _, id := range act {
+			members = append(members, ShareMember{ID: id, Scheduler: f.nodes[id].d.Scheduler()})
 		}
-		f.share.AfterSlice(len(f.slices), t, members)
+		f.members = members
+		f.share.AfterSlice(f.slices.len(), t, members)
 	}
-	f.slices = append(f.slices, rec)
+	f.slices.add(rec)
 	f.now += harness.SliceDur
 	sliceWall.End(f.obs, "fleet.slice")
 	return rec, nil
@@ -541,12 +576,12 @@ func (f *Fleet) Result() *Result {
 	res := &Result{
 		Router:  f.router.Name(),
 		Arbiter: f.arbiter.Name(),
-		Slices:  append([]SliceRecord(nil), f.slices...),
+		Slices:  f.slices.flat(),
 	}
 	for _, nd := range f.nodes {
 		res.Nodes = append(res.Nodes, &harness.Result{
 			Scheduler: nd.d.Scheduler().Name(),
-			Slices:    append([]harness.SliceRecord(nil), nd.recs...),
+			Slices:    nd.recs.flat(),
 		})
 	}
 	return res

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/par"
@@ -12,17 +13,27 @@ import (
 // carries the determinism argument: each machine's inputs were computed serially
 // from last slice's telemetry before the fan-out, a machine writes only
 // its own cells of recs and errs, and the error check and every
-// cross-machine reduction run after the join, in index order.
+// cross-machine reduction run after the join, in index order. The
+// records are the fleet's scratch, valid until the next stepAll.
 func (f *Fleet) stepAll(ids []int, qps, loadFrac, budgets []float64) ([]harness.SliceRecord, error) {
-	recs := make([]harness.SliceRecord, len(ids))
-	errs := make([]error, len(ids))
-	par.For(len(ids), f.workers, func(_, k int) {
-		recs[k], errs[k] = f.nodes[ids[k]].d.StepSlice([]float64{qps[k]}, loadFrac[k], budgets[k])
-	})
-	for k, err := range errs {
+	n := len(ids)
+	f.in = stepInputs{
+		ids: ids, qps: qps, loadFrac: loadFrac, budgets: budgets,
+		recs: slices.Grow(f.in.recs[:0], n)[:n], errs: slices.Grow(f.in.errs[:0], n)[:n],
+	}
+	par.For(n, f.workers, f.stepFn)
+	for k, err := range f.in.errs {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: machine %d: %w", ids[k], err)
 		}
 	}
-	return recs, nil
+	return f.in.recs, nil
+}
+
+// stepOne is stepAll's loop body: machine in.ids[k]'s slice, written
+// to its own cells. Its load is a one-element window of qps, capped so
+// a scheduler appending to it cannot reach a sibling's.
+func (f *Fleet) stepOne(_, k int) {
+	in := &f.in
+	in.recs[k], in.errs[k] = f.nodes[in.ids[k]].d.StepSlice(in.qps[k:k+1:k+1], in.loadFrac[k], in.budgets[k])
 }

@@ -4,25 +4,27 @@ import "math"
 
 // A Router splits the fleet's offered QPS across machines each slice.
 // Route must return one non-negative share per telemetry entry,
-// summing (up to float rounding) to offered; it may keep per-fleet
-// state, since the fleet calls it serially, once per slice, with
-// telemetry in machine index order. Implementations must not mutate
-// the telemetry slice.
+// summing (up to float rounding) to offered, in a slice it does not
+// keep: the fleet scales the shares in place and keeps them as the
+// slice record's NodeQPS. It may keep per-fleet state, since the fleet
+// calls it serially, once per slice, with telemetry in machine index
+// order. Implementations must not mutate the telemetry slice, which is
+// valid only during the call.
 type Router interface {
 	Name() string
 	Route(offered float64, tele []Telemetry) []float64
 }
 
-// divide turns routing weights into absolute QPS shares. The sum runs
-// in index order (determinism), non-finite or negative weights are
-// dropped, and a degenerate weight vector falls back to an equal
-// split so traffic is always conserved. One share is the whole amount:
-// offered·w/w need not be offered.
+// divide turns routing weights into absolute QPS shares, in place,
+// and returns w. The sum runs in index order (determinism), non-finite
+// or negative weights are dropped, and a degenerate weight vector falls
+// back to an equal split so traffic is always conserved. One share is
+// the whole amount: offered·w/w need not be offered.
 func divide(offered float64, w []float64) []float64 {
 	if len(w) == 1 {
-		return []float64{offered}
+		w[0] = offered
+		return w
 	}
-	out := make([]float64, len(w))
 	sum := 0.0
 	for _, v := range w {
 		if v > 0 && !math.IsInf(v, 1) {
@@ -30,17 +32,19 @@ func divide(offered float64, w []float64) []float64 {
 		}
 	}
 	if sum <= 0 || math.IsInf(sum, 1) {
-		for i := range out {
-			out[i] = offered / float64(len(w))
+		for i := range w {
+			w[i] = offered / float64(len(w))
 		}
-		return out
+		return w
 	}
 	for i, v := range w {
 		if v > 0 && !math.IsInf(v, 1) {
-			out[i] = offered * v / sum
+			w[i] = offered * v / sum
+		} else {
+			w[i] = 0
 		}
 	}
-	return out
+	return w
 }
 
 // Uniform splits traffic equally across machines, ignoring telemetry —

@@ -3,6 +3,15 @@
 // during scheduling overhead, run steady state, feed measurements back
 // — plus the time-varying load and power-budget patterns of §VIII-D
 // and the per-slice recording the evaluation figures are built from.
+//
+// Memory follows sim's rule: a PhaseResult or a scratch Allocation
+// stays valid until its owner's next step, and a record owns what it
+// keeps. The Driver owns the phase results it hands a scheduler (one
+// per profiling window, since a validator and DecideMulti see them
+// together) and a copy of the previous allocation for the hold; a
+// scheduler owns the phases and the allocation it returns. A
+// SliceRecord shares nothing with either, so a steady StepSlice
+// allocates only the record's BatchInstrB.
 package harness
 
 import (
@@ -32,6 +41,12 @@ type Phase struct {
 // and reports it back via EndSliceMulti. qps carries one offered load
 // per latency-critical service, primary first (the paper's §VII-A
 // generalisation); it is empty on a batch-only machine.
+//
+// The phases and the allocation a scheduler returns may be its own
+// storage, reused from call to call: the driver reads them and never
+// writes them, and copies what it needs past the scheduler's next
+// call. The PhaseResults and qps it is handed are the driver's, valid
+// only during the call.
 type Scheduler interface {
 	// Name identifies the policy in experiment output.
 	Name() string
@@ -435,7 +450,23 @@ type Driver struct {
 	validator ProfileValidator
 	reporter  DegradedReporter
 	services  []*workload.Profile // the machine's, primary first
-	prevAlloc *sim.Allocation
+
+	// prev is the previous slice's decided allocation, which the hold
+	// phase runs while the scheduler decides (hasPrev once a slice has
+	// completed). Its contents are copied into the driver's own
+	// storage: a scheduler may reuse the allocation it returns.
+	prev    sim.Allocation
+	hasPrev bool
+
+	// Per-slice scratch, valid until the next StepSlice. prof holds one
+	// result per profiling window, all alive at once (ValidateProfile
+	// and DecideMulti receive them together), and seen is the
+	// scheduler's view of them; phase holds the hold and then the steady
+	// result; bips accumulates per-job BIPS·seconds.
+	prof  []sim.PhaseResult
+	seen  []sim.PhaseResult
+	phase sim.PhaseResult
+	bips  []float64
 
 	// soj accumulates the slice's sojourn times, one buffer per service:
 	// the machine appends each phase's straight into them
@@ -475,7 +506,7 @@ func NewDriver(m *sim.Machine, s Scheduler, inj FaultInjector) (*Driver, error) 
 	}
 	services := m.Services()
 	d := &Driver{m: m, s: s, inj: inj, services: services,
-		soj: make([][]float64, len(services))}
+		soj: make([][]float64, len(services)), bips: make([]float64, len(m.Batch()))}
 	d.obs = obs.Nop
 	d.scope = obs.NewScope(nil)
 	d.validator, _ = s.(ProfileValidator)
@@ -503,7 +534,9 @@ func (d *Driver) Detach() {
 // callers control the exact value); budgetW is the slice's power
 // budget in watts. The machine's clock supplies the slice start time.
 // A NaN or infinite qps entry, loadFrac or budgetW is an error before
-// any phase runs.
+// any phase runs. The PhaseResults handed to the scheduler are the
+// driver's, valid until the next StepSlice; the returned record owns
+// everything it holds.
 func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecord, error) {
 	m, s, inj := d.m, d.s, d.inj
 	if len(qps) < len(d.services) {
@@ -537,8 +570,8 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 		rec.FaultKinds = inj.ActiveKinds(t)
 	}
 
-	run := func(alloc sim.Allocation, dur float64, qps []float64) sim.PhaseResult {
-		return m.RunMultiAppend(alloc, dur, qps, d.soj)
+	run := func(res *sim.PhaseResult, alloc *sim.Allocation, dur float64) {
+		m.RunMultiInto(res, alloc, dur, qps, d.soj)
 	}
 	// observe yields the scheduler's view of a phase result — the
 	// physical truth unless a telemetry fault is active.
@@ -553,16 +586,16 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 		d.soj[k] = d.soj[k][:0]
 	}
 	var (
-		energyJ   float64
-		elapsed   float64
-		instrB    []float64
-		bipsAccum []float64
+		energyJ float64
+		elapsed float64
 	)
 	nBatch := len(m.Batch())
-	instrB = make([]float64, nBatch)
-	bipsAccum = make([]float64, nBatch)
+	// The record keeps instrB; bipsAccum is the driver's.
+	instrB := make([]float64, nBatch)
+	bipsAccum := d.bips
+	clear(bipsAccum)
 
-	accumulate := func(pr sim.PhaseResult) {
+	accumulate := func(pr *sim.PhaseResult) {
 		energyJ += pr.PowerW * pr.Dur
 		elapsed += pr.Dur
 		for i := range instrB {
@@ -586,19 +619,24 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 		}
 		profDur += ph.Dur
 	}
+	for len(d.prof) < len(profPhases) {
+		d.prof = append(d.prof, sim.PhaseResult{})
+	}
 	var profResults []sim.PhaseResult
 	for attempt := 0; ; attempt++ {
-		profResults = make([]sim.PhaseResult, 0, len(profPhases))
-		for wi, ph := range profPhases {
+		profResults = d.seen[:0]
+		for wi := range profPhases {
+			ph, pr := &profPhases[wi], &d.prof[wi]
 			winT := t + elapsed
-			pr := run(ph.Alloc, ph.Dur, qps)
-			profResults = append(profResults, observe(t, pr, true))
+			run(pr, &ph.Alloc, ph.Dur)
+			profResults = append(profResults, observe(t, *pr, true))
 			accumulate(pr)
 			if traced {
 				d.scope.Emit(obs.Span(obs.SpanProfile, winT, ph.Dur).
 					With("window", obs.Itoa(wi)).With("attempt", obs.Itoa(attempt)))
 			}
 		}
+		d.seen = profResults
 		if len(profPhases) == 0 || d.validator == nil ||
 			attempt >= MaxProfileRetries || d.validator.ValidateProfile(profResults) == nil {
 			rec.ProfileRetries = attempt
@@ -629,12 +667,13 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	}
 	d.chargeOverhead(&rec, t+elapsed, overhead)
 	if overhead > 0 && elapsed+overhead < SliceDur {
-		hold := alloc
-		if d.prevAlloc != nil {
-			hold = *d.prevAlloc
+		hold := &alloc
+		if d.hasPrev {
+			hold = &d.prev
 		}
 		holdT := t + elapsed
-		accumulate(run(hold, overhead, qps))
+		run(&d.phase, hold, overhead)
+		accumulate(&d.phase)
 		if traced {
 			d.scope.Emit(obs.Span(obs.SpanHold, holdT, overhead))
 		}
@@ -643,13 +682,14 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	// 4. Steady state for the remainder of the slice.
 	if remain := SliceDur - elapsed; remain > 1e-9 {
 		steadyT := t + elapsed
-		steady := run(alloc, remain, qps)
+		steady := &d.phase
+		run(steady, &alloc, remain)
 		if traced {
 			d.scope.Emit(obs.Span(obs.SpanSteady, steadyT, remain))
 		}
 		accumulate(steady)
 		rec.FailedCores = steady.FailedLC + steady.FailedBatch
-		s.EndSliceMulti(observe(t, steady, false), qps)
+		s.EndSliceMulti(observe(t, *steady, false), qps)
 	} else {
 		// Degenerate: profiling consumed the slice (Flicker mode a).
 		s.EndSliceMulti(sim.PhaseResult{Dur: 0, BatchBIPS: make([]float64, nBatch), BatchInstrB: make([]float64, nBatch)}, qps)
@@ -657,8 +697,7 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	if d.reporter != nil {
 		rec.Degraded = d.reporter.Degraded()
 	}
-	prev := alloc
-	d.prevAlloc = &prev
+	d.keepPrev(&alloc)
 
 	// Record.
 	for k, app := range d.services {
@@ -676,11 +715,10 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	}
 	rec.BatchInstrB = instrB
 	rec.TotalInstrB = stats.Sum(instrB)
-	perJob := make([]float64, nBatch)
-	for i := range perJob {
-		perJob[i] = bipsAccum[i] / SliceDur
+	for i := range bipsAccum {
+		bipsAccum[i] /= SliceDur // each job's mean BIPS over the slice
 	}
-	rec.GmeanBIPS = stats.GeoMean(perJob)
+	rec.GmeanBIPS = stats.GeoMean(bipsAccum)
 	rec.AvgPowerW = energyJ / elapsed
 	rec.OverBudget = rec.AvgPowerW > budgetW
 	rec.LCCores = alloc.LCCores
@@ -692,6 +730,15 @@ func (d *Driver) StepSlice(qps []float64, loadFrac, budgetW float64) (SliceRecor
 	sliceWall.End(d.obs, "harness.slice")
 	d.sliceIdx++
 	return rec, nil
+}
+
+// keepPrev copies alloc into d.prev, reusing d.prev's storage.
+func (d *Driver) keepPrev(alloc *sim.Allocation) {
+	batch, extra := d.prev.Batch, d.prev.ExtraLC
+	d.prev = *alloc
+	d.prev.Batch = append(batch[:0], alloc.Batch...)
+	d.prev.ExtraLC = append(extra[:0], alloc.ExtraLC...)
+	d.hasPrev = true
 }
 
 // isFinite reports whether v is neither NaN nor infinite.

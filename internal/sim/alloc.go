@@ -7,6 +7,13 @@
 // each batch job executes, the latency-critical service's query
 // sojourns, and the chip power, including the two interference channels
 // the paper manages (LLC capacity and DRAM bandwidth).
+//
+// Memory has one rule: a PhaseResult or a scratch Allocation stays
+// valid until its owner's next step, and a record owns what it keeps.
+// The machine owns each phase's staged state and copies what a result
+// reports out of it; RunMultiInto fills a result the caller owns, and
+// RunMulti a fresh one. A steady machine-slice therefore allocates
+// nothing here.
 package sim
 
 import (
@@ -249,7 +256,20 @@ func (a *Allocation) MultiplexFactor(nCores int) float64 {
 // configuration and cache allocation — the shape the no-gating
 // reference and several baselines use.
 func Uniform(nBatch int, hasLC bool, lcCores int, core config.Core, cache config.CacheAlloc) Allocation {
-	a := Allocation{Batch: make([]BatchAssign, nBatch)}
+	var a Allocation
+	a.SetUniform(nBatch, hasLC, lcCores, core, cache)
+	return a
+}
+
+// SetUniform overwrites a with Uniform's allocation, reusing a.Batch's
+// storage when it has the capacity — how a scheduler that owns its
+// allocation rebuilds it each slice without allocating.
+func (a *Allocation) SetUniform(nBatch int, hasLC bool, lcCores int, core config.Core, cache config.CacheAlloc) {
+	batch := a.Batch
+	if batch == nil || cap(batch) < nBatch {
+		batch = make([]BatchAssign, nBatch)
+	}
+	*a = Allocation{Batch: batch[:nBatch]}
 	if hasLC {
 		a.LCCores = lcCores
 		a.LCCore = core
@@ -258,5 +278,4 @@ func Uniform(nBatch int, hasLC bool, lcCores int, core config.Core, cache config
 	for i := range a.Batch {
 		a.Batch[i] = BatchAssign{Core: core, Cache: cache}
 	}
-	return a
 }

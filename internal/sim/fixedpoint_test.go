@@ -31,7 +31,9 @@ func runMultiReference(m *Machine, alloc Allocation, durSec float64, qps []float
 	for iter := 0; iter < 3; iter++ {
 		inflation = bandwidthInflation(m.dramTraffic(&ph, inflation) / m.peakBW)
 	}
-	return m.execute(&ph, durSec, inflation, make([][]float64, len(m.lcs)))
+	var res PhaseResult
+	m.execute(&res, &ph, durSec, inflation, make([][]float64, len(m.lcs)))
+	return res
 }
 
 // effectiveWaysUncached is effectiveWays without the memo: the batch

@@ -65,10 +65,14 @@ type Machine struct {
 	// ways memoises the unpartitioned LLC equilibrium (effectiveWays).
 	ways waysMemo
 
-	// missBatch and svcPhase back each phase's staged per-application
-	// state (phase.missBatch, phase.svc).
+	// effBatch, missBatch and svcPhase back each phase's staged
+	// per-application state (phase.effBatch, phase.missBatch,
+	// phase.svc); sharers is lruWays' iterate. A phase result copies
+	// what it reports out of them.
+	effBatch  []float64
 	missBatch []float64
 	svcPhase  []servicePhase
+	sharers   []sharer
 }
 
 // lcService is one latency-critical service of a machine.
@@ -128,8 +132,10 @@ func New(spec Spec) *Machine {
 		}
 	}
 	m.tbl = perf.NewSurfaceTable(m.pm, apps)
+	m.effBatch = make([]float64, len(m.batch))
 	m.missBatch = make([]float64, len(m.batch))
 	m.svcPhase = make([]servicePhase, len(m.lcs))
+	m.sharers = make([]sharer, 0, len(m.batch)+len(m.lcs))
 	return m
 }
 
@@ -246,24 +252,31 @@ func (m *Machine) Run(alloc Allocation, durSec, qps float64) PhaseResult {
 
 // RunMulti executes one phase with one offered load per
 // latency-critical service (primary first). On a single-service
-// machine it is equivalent to Run. The sojourns land in fresh slices;
-// RunMultiAppend is the same phase appending to the caller's buffers.
+// machine it is equivalent to Run. The result and its sojourns are
+// fresh slices; RunMultiInto is the same phase in the caller's
+// storage.
 func (m *Machine) RunMulti(alloc Allocation, durSec float64, qps []float64) PhaseResult {
-	return m.RunMultiAppend(alloc, durSec, qps, make([][]float64, len(m.lcs)))
+	var res PhaseResult
+	m.RunMultiInto(&res, &alloc, durSec, qps, make([][]float64, len(m.lcs)))
+	return res
 }
 
-// RunMultiAppend is RunMulti with caller-owned sojourn buffers, one per
+// RunMultiInto is RunMulti in caller-owned storage. It overwrites every
+// field of *res, reusing each of res's slices that has the capacity
+// (and allocating the ones that do not), so a caller that keeps one
+// PhaseResult per phase it needs alive at once allocates nothing for
+// results once they have grown to the machine's shape: such a result
+// is valid until the caller's next RunMultiInto into it. The machine
+// reads alloc and never keeps it. soj holds one sojourn buffer per
 // service (possibly nil), primary first: service k's sojourns are
-// appended to soj[k], which is updated to the grown buffer, and the
-// result's LC[k].Sojourns is a capped window of it (buf[a:b:b]), so
-// appending to a window never writes into the next phase's samples. A
-// caller that reuses its buffers across phases allocates nothing for
-// sojourns once they have grown to a phase's worth.
-func (m *Machine) RunMultiAppend(alloc Allocation, durSec float64, qps []float64, soj [][]float64) PhaseResult {
+// appended to soj[k], which is updated to the grown buffer, and
+// res.LC[k].Sojourns is a capped window of it (buf[a:b:b]), so
+// appending to a window never writes into the next phase's samples.
+func (m *Machine) RunMultiInto(res *PhaseResult, alloc *Allocation, durSec float64, qps []float64, soj [][]float64) {
 	if len(soj) < len(m.lcs) {
 		panic(fmt.Sprintf("sim: %d sojourn buffers for %d services", len(soj), len(m.lcs)))
 	}
-	ph := m.newPhase(&alloc, durSec, qps)
+	ph := m.newPhase(alloc, durSec, qps)
 	m.effectiveWays(&ph)
 	m.stageMisses(&ph)
 
@@ -281,7 +294,7 @@ func (m *Machine) RunMultiAppend(alloc Allocation, durSec float64, qps []float64
 		}
 		inflation = next
 	}
-	return m.execute(&ph, durSec, inflation, soj)
+	m.execute(res, &ph, durSec, inflation, soj)
 }
 
 // phase is one RunMulti call's resolved inputs, shared by the
@@ -425,20 +438,20 @@ func (m *Machine) dramTraffic(ph *phase, inflation float64) float64 {
 	return traffic
 }
 
-// execute runs the phase at the converged inflation: batch progress,
-// the latency-critical queues (appending to soj, as RunMultiAppend
-// documents), and chip power.
-func (m *Machine) execute(ph *phase, durSec, inflation float64, soj [][]float64) PhaseResult {
+// execute runs the phase at the converged inflation into res: batch
+// progress, the latency-critical queues (appending to soj, as
+// RunMultiInto documents), and chip power.
+func (m *Machine) execute(res *PhaseResult, ph *phase, durSec, inflation float64, soj [][]float64) {
 	alloc, d, deadBatch := ph.alloc, ph.d, ph.deadBatch
 
-	res := PhaseResult{
+	*res = PhaseResult{
 		Dur:         durSec,
-		BatchBIPS:   make([]float64, len(m.batch)),
-		BatchInstrB: make([]float64, len(m.batch)),
-		BatchPowerW: make([]float64, len(m.batch)),
-		EffWays:     ph.effBatch,
+		BatchBIPS:   zeroed(res.BatchBIPS, len(m.batch)),
+		BatchInstrB: zeroed(res.BatchInstrB, len(m.batch)),
+		BatchPowerW: zeroed(res.BatchPowerW, len(m.batch)),
+		EffWays:     append(res.EffWays[:0], ph.effBatch...),
 		Inflation:   inflation,
-		LC:          make([]LCResult, len(ph.svc)),
+		LC:          zeroed(res.LC, len(ph.svc)),
 	}
 
 	mux := alloc.MultiplexFactor(m.nCores)
@@ -528,7 +541,17 @@ func (m *Machine) execute(ph *phase, durSec, inflation float64, soj [][]float64)
 	res.FailedLC = ph.deadLC
 	res.FailedBatch = deadBatch
 	m.now += durSec
-	return res
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing
+// array when it has the capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // svcUtilisation estimates a service's busy fraction from offered load
@@ -567,15 +590,16 @@ func (m *Machine) freqFor(override float64) float64 {
 }
 
 // effectiveWays computes the LLC ways each application observes,
-// writing the batch jobs' into a fresh ph.effBatch and each service's
-// into ph.svc[k].eff. Under partitioning each application sees its
+// writing the batch jobs' into ph.effBatch (the machine's m.effBatch)
+// and each service's into ph.svc[k].eff. Under partitioning each application sees its
 // allocation. Without partitioning all active applications contend for
 // the 32 ways with occupancy proportional to per-core capacity demand
 // (working-set size), the first-order behaviour of shared LRU; that
 // equilibrium is memoised per machine (waysMemo).
 func (m *Machine) effectiveWays(ph *phase) {
 	alloc := ph.alloc
-	ph.effBatch = make([]float64, len(m.batch))
+	ph.effBatch = m.effBatch
+	clear(ph.effBatch)
 	if !alloc.NoPartition {
 		for i, b := range alloc.Batch {
 			if !b.Gated {
@@ -604,13 +628,7 @@ func (m *Machine) lruWays(alloc *Allocation, batch []float64, svc []servicePhase
 	// latency-critical service inserts from all of its cores into one
 	// shared working set. Sharers are the active batch jobs, then the
 	// services in order.
-	type sharer struct {
-		weight float64
-		miss   func(float64) float64
-		ways   float64
-		missed float64 // miss(ways) at the current iterate
-	}
-	sharers := make([]sharer, 0, len(alloc.Batch)+len(svc))
+	sharers := m.sharers[:0]
 	for i, b := range alloc.Batch {
 		if b.Gated {
 			continue
@@ -618,16 +636,17 @@ func (m *Machine) lruWays(alloc *Allocation, batch []float64, svc []servicePhase
 		app := m.batch[i]
 		sharers = append(sharers, sharer{
 			weight: app.MemFrac * app.L1MissRate,
-			miss:   app.MissRatio,
+			app:    app,
 		})
 	}
 	for k := range svc {
 		app := m.lcs[k].app
 		sharers = append(sharers, sharer{
 			weight: app.MemFrac * app.L1MissRate * float64(svc[k].Cores),
-			miss:   app.MissRatio,
+			app:    app,
 		})
 	}
+	m.sharers = sharers
 	if len(sharers) == 0 {
 		return
 	}
@@ -643,7 +662,7 @@ func (m *Machine) lruWays(alloc *Allocation, batch []float64, svc []servicePhase
 	for iter := 0; iter < 8; iter++ {
 		total := 0.0
 		for i := range sharers {
-			sharers[i].missed = sharers[i].miss(sharers[i].ways)
+			sharers[i].missed = sharers[i].app.MissRatio(sharers[i].ways)
 			total += sharers[i].weight * sharers[i].missed
 		}
 		if total <= 0 {
@@ -666,6 +685,15 @@ func (m *Machine) lruWays(alloc *Allocation, batch []float64, svc []servicePhase
 	for k := range svc {
 		svc[k].eff = sharers[si+k].ways
 	}
+}
+
+// sharer is one application contending for the unpartitioned LLC in
+// lruWays' fixed point.
+type sharer struct {
+	weight float64
+	app    *workload.Profile
+	ways   float64
+	missed float64 // app.MissRatio(ways) at the current iterate
 }
 
 // waysMemoSize is how many unpartitioned equilibria a machine keeps. A
