@@ -32,44 +32,13 @@ func fixedChipPower(n int) float64 {
 	return power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(n)
 }
 
-// ucpPartition assigns the latency-critical service its QoS-sized
-// allocation (four ways, the same cap CuttleSys uses, §VIII-A2) and
-// partitions the remaining ways among the active batch jobs with the
-// UCP lookahead. Gated jobs keep no ways. jobCurves holds one curve
-// per batch job, from missCurves.
-func ucpPartition(alloc *sim.Allocation, lc *workload.Profile, jobCurves []ucp.Curve) {
-	budget := config.LLCWays
-	if lc != nil && alloc.LCCores > 0 {
-		alloc.LCCache = config.FourWays
-		budget -= int(config.FourWays)
-	}
-	curves := make([]ucp.Curve, 0, len(alloc.Batch))
-	slots := make([]int, 0, len(alloc.Batch))
-	for i, b := range alloc.Batch {
-		if b.Gated {
-			continue
-		}
-		curves = append(curves, jobCurves[i])
-		slots = append(slots, i)
-	}
-	if len(curves) == 0 {
-		return
-	}
-	if len(curves) > budget {
-		budget = len(curves) // degenerate: more jobs than ways
-	}
-	ways := ucp.Partition(curves, budget, 1)
-	for k, i := range slots {
-		alloc.Batch[i].Cache = config.CacheAlloc(ways[k])
-	}
-}
-
 // missCurves returns each batch job's UCP curve with its miss ratio
 // tabulated once at every integer way count up to config.LLCWays.
 // ucp.Partition evaluates a curve only at integer ways no greater than
-// ucpPartition's budget — at most config.LLCWays, or one way per job
-// when there are more jobs than ways — so the table returns exactly
-// the values MissRatio would, without its math.Pow on every decision.
+// the budget of (*CoreGating).ucpPartition — at most config.LLCWays, or
+// one way per job when there are more jobs than ways — so the table
+// returns exactly the values MissRatio would, without its math.Pow on
+// every decision.
 func missCurves(batch []*workload.Profile) []ucp.Curve {
 	curves := make([]ucp.Curve, len(batch))
 	for i, app := range batch {

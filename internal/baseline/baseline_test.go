@@ -204,7 +204,7 @@ func TestUCPPartitionRespectsBudget(t *testing.T) {
 	m := machine(t, 11, false)
 	a := sim.Uniform(len(m.Batch()), true, 16, config.Widest, config.OneWay)
 	a.Batch[3].Gated = true
-	ucpPartition(&a, m.LC(), missCurves(m.Batch()))
+	NewCoreGating(m, DescendingPower, true, 1).ucpPartition(&a)
 	total := a.LCCache.Ways()
 	for i, b := range a.Batch {
 		if b.Gated {
@@ -244,7 +244,7 @@ func TestMissCurvesMatchMissRatio(t *testing.T) {
 			if budget < n {
 				continue
 			}
-			got, want := ucp.Partition(tab[:n], budget, 1), ucp.Partition(direct[:n], budget, 1)
+			got, want := ucp.Partition(nil, tab[:n], budget, 1), ucp.Partition(nil, direct[:n], budget, 1)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%d jobs, %d ways: %v, want %v", n, budget, got, want)
 			}

@@ -67,6 +67,11 @@ type CoreGating struct {
 	alloc    sim.Allocation
 	pw, bips []float64
 	gated    []bool
+	// ucpPartition's storage: the active jobs' curves, their slots in
+	// the allocation, and the partition.
+	wpCurves []ucp.Curve
+	wpSlots  []int
+	wpWays   []int
 }
 
 // NewCoreGating builds the baseline for machine m. The machine should
@@ -121,7 +126,38 @@ func (g *CoreGating) baseAlloc(a *sim.Allocation, gated []bool) {
 	if !g.WayPartition {
 		a.NoPartition = true
 	} else {
-		ucpPartition(a, g.lc, g.curves)
+		g.ucpPartition(a)
+	}
+}
+
+// ucpPartition assigns the latency-critical service its QoS-sized
+// allocation (four ways, the same cap CuttleSys uses, §VIII-A2) and
+// partitions the remaining ways among a's active batch jobs with the
+// UCP lookahead over their curves. Gated jobs keep no ways.
+func (g *CoreGating) ucpPartition(a *sim.Allocation) {
+	budget := config.LLCWays
+	if g.lc != nil && a.LCCores > 0 {
+		a.LCCache = config.FourWays
+		budget -= int(config.FourWays)
+	}
+	curves, slots := g.wpCurves[:0], g.wpSlots[:0]
+	for i, b := range a.Batch {
+		if b.Gated {
+			continue
+		}
+		curves = append(curves, g.curves[i])
+		slots = append(slots, i)
+	}
+	g.wpCurves, g.wpSlots = curves, slots
+	if len(curves) == 0 {
+		return
+	}
+	if len(curves) > budget {
+		budget = len(curves) // degenerate: more jobs than ways
+	}
+	g.wpWays = ucp.Partition(g.wpWays, curves, budget, 1)
+	for k, i := range slots {
+		a.Batch[i].Cache = config.CacheAlloc(g.wpWays[k])
 	}
 }
 

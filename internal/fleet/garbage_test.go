@@ -35,6 +35,9 @@ func TestSteadySliceAllocatesOnlyItsRecords(t *testing.T) {
 		{"core-gating", func(m *sim.Machine) harness.Scheduler {
 			return baseline.NewCoreGating(m, baseline.DescendingPower, false, 5)
 		}},
+		{"core-gating+wp", func(m *sim.Machine) harness.Scheduler {
+			return baseline.NewCoreGating(m, baseline.DescendingPower, true, 5)
+		}},
 		{"asymm-oracle", func(m *sim.Machine) harness.Scheduler { return baseline.NewAsymmetric(m, true) }},
 		{"no-gating", func(m *sim.Machine) harness.Scheduler { return baseline.NewNoGating(m) }},
 		{"dvfs-maxbips", func(m *sim.Machine) harness.Scheduler { return baseline.NewDVFS(m, 5) }},

@@ -8,13 +8,19 @@
 // SVDTop is pinned against lives in the tests.
 //
 // The matrices here are tiny — at most a few hundred rows (applications)
-// by ~108 columns (resource configurations) — so the implementations
-// favour clarity and numerical robustness over blocking or SIMD.
+// by ~108 columns (resource configurations). The solver favours clarity.
+// The Jacobi sweep, which sits on every decision's critical path, runs
+// its column pairs as a wavefront of disjoint pairs: on AVX-512 hosts up
+// to sixteen rotations per step in the lanes of one kernel
+// (jacobi_amd64.s), elsewhere one at a time in Go, both bit for bit the
+// serial row-cyclic sweep the tests keep as their oracle.
 package mat
 
 import (
 	"fmt"
 	"math"
+
+	"cuttlesys/internal/cpuid"
 )
 
 // Dense is a row-major dense matrix.
@@ -119,23 +125,23 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 }
 
 // SVDTop computes the leading k singular triplets of a — bit for bit
-// the first k columns of the thin decomposition's U, S and V — without
-// copying it out: a wide a is decomposed in place, so its data is
-// overwritten, and only a tall one is transposed into a working copy.
-// It calls yield(r, s, u, v) for r = 0 … min(k, a.Rows, a.Cols)−1 in
-// order, with s the r-th singular value and u (length a.Rows) and v
-// (length a.Cols) its left and right singular vectors, views into the
-// working arrays.
-func SVDTop(a *Dense, k int, yield func(r int, s float64, u, v []float64)) {
+// the first k columns of the thin decomposition's U, S and V. A tall
+// (or square) a is decomposed in place, so its data is overwritten;
+// only a wide one is transposed into a working copy. It calls
+// yield(r, s, u, v) for r = 0 … min(k, a.Rows, a.Cols)−1 in order, with
+// s the r-th singular value and u (a.Rows elements) and v (a.Cols) its
+// left and right singular vectors, strided views into the working
+// arrays.
+func SVDTop(a *Dense, k int, yield func(r int, s float64, u, v Vector)) {
 	wide := a.Rows < a.Cols
 	var j jacobi
 	if wide {
-		j = rotate(a.Data, a.Cols, a.Rows)
+		j = rotate(a.transpose().Data, a.Cols, a.Rows)
 	} else {
-		j = rotate(a.transpose().Data, a.Rows, a.Cols)
+		j = rotate(a.Data, a.Rows, a.Cols)
 	}
 	for r, e := range j.order[:min(k, j.n)] {
-		w, v := j.w[e.idx*j.m:(e.idx+1)*j.m], j.v[e.idx*j.n:(e.idx+1)*j.n]
+		w, v := j.column(e.idx)
 		normalise(w, e.val)
 		if wide {
 			yield(r, e.val, v, w)
@@ -145,16 +151,31 @@ func SVDTop(a *Dense, k int, yield func(r int, s float64, u, v []float64)) {
 	}
 }
 
+// Vector is a strided view of one column of an element-major working
+// array: element i at data[i*stride].
+type Vector struct {
+	data   []float64
+	stride int
+	n      int
+}
+
+// Len returns the number of elements.
+func (x Vector) Len() int { return x.n }
+
+// At returns element i.
+func (x Vector) At(i int) float64 { return x.data[i*x.stride] }
+
 // svdEps is the rotation threshold relative to the column norms, and
 // the singular value at or below which normalise leaves w's column
 // zero.
 const svdEps = 1e-12
 
 // jacobi is a one-sided Jacobi decomposition of an m×n matrix (m ≥ n):
-// w holds the matrix column-major with its columns orthogonalised, v
-// the accumulated rotations (n×n, column-major), and order w's columns
-// by non-increasing norm — the singular values. Both arrays are
-// column-major because every inner loop walks a pair of columns.
+// w holds the matrix with its columns orthogonalised, v the accumulated
+// rotations (n×n), and order w's columns by non-increasing norm — the
+// singular values. Both arrays are element-major (row-major): element i
+// of every column is one contiguous run of n, so one wavefront step
+// reaches all its pairs' elements i in two spans of that run.
 type jacobi struct {
 	w, v  []float64
 	m, n  int
@@ -167,8 +188,32 @@ type singular struct {
 	idx int
 }
 
-// rotate orthogonalises the columns of the m×n matrix held column-major
+// column returns views of column c of w and of v.
+func (j jacobi) column(c int) (w, v Vector) {
+	return Vector{j.w[c:], j.n, j.m}, Vector{j.v[c:], j.n, j.n}
+}
+
+// jacobiLanes selects rotateLanes, the AVX-512 executor of a wavefront
+// step. It follows the CPU probe alone; tests flip it to run the Go
+// executor on AVX-512 hosts too.
+var jacobiLanes = cpuid.AVX512
+
+// maxLanes is the most pairs one call of the lane kernel rotates: two
+// halves of eight 512-bit lanes.
+const maxLanes = 16
+
+// rotate orthogonalises the columns of the m×n matrix held element-major
 // in w, which it overwrites, and ranks them.
+//
+// It runs the row-cyclic sweep — pairs (p, q), p < q, p outer — as a
+// wavefront: step s rotates every pair with p + q = s, which touch
+// disjoint columns, and each column meets its pairs in row-cyclic order
+// (their sums rise with the partner's index on both sides). A rotation
+// reads and writes only its two columns, so every pair sees the same
+// columns and yields the same bits as in the serial loop (DESIGN.md
+// §15). A sweep that rotates nothing ends the decomposition: the sum of
+// |γ| over a sweep's rotations, the serial loop's stopping test, is zero
+// exactly then.
 func rotate(w []float64, m, n int) jacobi {
 	v := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -176,61 +221,30 @@ func rotate(w []float64, m, n int) jacobi {
 	}
 
 	const maxSweeps = 60
+	// The Go executor's sums of the next step's first pair, carried
+	// from the pass that rotated the step before's last pair.
+	var first pairSums
+	if n > 1 && !jacobiLanes {
+		first = sumPair(w, n, 0, 1)
+	}
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for p := 0; p < n-1; p++ {
-			wp, vp := w[p*m:(p+1)*m], v[p*n:(p+1)*n]
-			// alpha, beta and gamma are the sums of pair (p, q); next
-			// reports that the previous rotation already summed them.
-			var alpha, beta, gamma float64
-			next := false
-			for q := p + 1; q < n; q++ {
-				wq, vq := w[q*m:(q+1)*m], v[q*n:(q+1)*n]
-				if !next {
-					alpha, beta, gamma = sums(wp, wq)
-				}
-				next = false
-				if math.Abs(gamma) <= svdEps*math.Sqrt(alpha*beta) || gamma == 0 {
-					continue
-				}
-				off += math.Abs(gamma)
-				zeta := (beta - alpha) / (2 * gamma)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
-				s := c * t
-				if q+1 < n {
-					// Rotate, and sum pair (p, q+1) over the rotated wp
-					// in the same pass: the operands and order sums
-					// would use.
-					wr := w[(q+1)*m : (q+2)*m]
-					wq, wr = wq[:len(wp)], wr[:len(wp)]
-					alpha, beta, gamma = 0, 0, 0
-					for i, x := range wp {
-						y := wq[i]
-						x2 := c*x - s*y
-						wp[i] = x2
-						wq[i] = s*x + c*y
-						z := wr[i]
-						alpha += x2 * x2
-						beta += z * z
-						gamma += x2 * z
-					}
-					next = true
-				} else {
-					for i, x := range wp {
-						y := wq[i]
-						wp[i] = c*x - s*y
-						wq[i] = s*x + c*y
-					}
-				}
-				for i, x := range vp {
-					y := vq[i]
-					vp[i] = c*x - s*y
-					vq[i] = s*x + c*y
-				}
+		rotated := false
+		for s := 1; s <= 2*n-3; s++ {
+			if !jacobiLanes {
+				var r bool
+				first, r = rotateStep(w, v, m, n, s, first)
+				rotated = rotated || r
+				continue
+			}
+			// Pairs (p+j, q−j) for j < k: p the lowest left column, q
+			// the highest right one.
+			p, q := max(0, s-(n-1)), min(s, n-1)
+			for k := (q - p + 1) / 2; k > 0; k -= maxLanes {
+				rotated = rotateLanes(&w[0], &v[0], m, n, p, q, min(k, maxLanes)) || rotated
+				p, q = p+maxLanes, q-maxLanes
 			}
 		}
-		if off == 0 {
+		if !rotated {
 			break
 		}
 	}
@@ -239,7 +253,8 @@ func rotate(w []float64, m, n int) jacobi {
 	order := make([]singular, n)
 	for j := 0; j < n; j++ {
 		s := 0.0
-		for _, x := range w[j*m : (j+1)*m] {
+		for i := j; i < m*n; i += n {
+			x := w[i]
 			s += x * x
 		}
 		order[j] = singular{math.Sqrt(s), j}
@@ -253,28 +268,112 @@ func rotate(w []float64, m, n int) jacobi {
 	return jacobi{w: w, v: v, m: m, n: n, order: order}
 }
 
-// sums returns the squared norms of columns x and y and their dot
-// product, each accumulated in index order.
-func sums(x, y []float64) (alpha, beta, gamma float64) {
-	y = y[:len(x)]
-	for i, a := range x {
-		b := y[i]
-		alpha += a * a
-		beta += b * b
-		gamma += a * b
+// pairSums holds a column pair's squared norms α and β and inner
+// product γ, each accumulated in index order.
+type pairSums struct{ alpha, beta, gamma float64 }
+
+// rotateStep is the Go executor of wavefront step s of the m×n w and
+// the n×n v, both element-major: its pairs one at a time, each pair's
+// rotation of w summing the pair after it in the same pass — the
+// step's next pair, which shares no column with it, or after the last
+// the next step's first, (0, 1) after a sweep's last step, whose
+// columns are then final. first holds the sums of the step's first
+// pair; rotateStep returns those of the next step's, and whether any
+// pair rotated. rotateLanes is its AVX-512 form, bit for bit.
+func rotateStep(w, v []float64, m, n, s int, first pairSums) (next pairSums, rotated bool) {
+	w = w[:m*n]
+	p0, q0 := max(0, s-(n-1)), min(s, n-1)
+	k := (q0 - p0 + 1) / 2
+	next = first
+	for j := range k {
+		p, q := p0+j, q0-j
+		np, nq := p+1, q-1
+		if j+1 == k {
+			np, nq = max(0, s+2-n), min(s+1, n-1)
+			if s == 2*n-3 {
+				np, nq = 0, 1
+			}
+		}
+		c, sn, ok := rotation(next)
+		if !ok {
+			next = sumPair(w, n, np, nq)
+			continue
+		}
+		rotated = true
+		next = rotateSumPair(w, n, p, q, c, sn, np, nq)
+		rotatePair(v, n, p, q, c, sn)
 	}
-	return alpha, beta, gamma
+	return next, rotated
+}
+
+// sumPair returns the sums of columns p < q of the element-major a, n
+// columns wide.
+func sumPair(a []float64, n, p, q int) (r pairSums) {
+	y := a[q:]
+	x := a[p:][:len(y)]
+	for i := 0; i < len(x); i += n {
+		xi, yi := x[i], y[i]
+		r.alpha += xi * xi
+		r.beta += yi * yi
+		r.gamma += xi * yi
+	}
+	return r
+}
+
+// rotatePair rotates columns p < q of the element-major a, n columns
+// wide, by (c, s).
+func rotatePair(a []float64, n, p, q int, c, s float64) {
+	y := a[q:]
+	x := a[p:][:len(y)]
+	for i := 0; i < len(x); i += n {
+		xi, yi := x[i], y[i]
+		x[i] = c*xi - s*yi
+		y[i] = s*xi + c*yi
+	}
+}
+
+// rotateSumPair rotates columns p < q of the element-major a, n columns
+// wide, by (c, s), and returns the sums of columns p2 < q2 from the same
+// pass, read after the row's rotation.
+func rotateSumPair(a []float64, n, p, q int, c, s float64, p2, q2 int) (r pairSums) {
+	l := len(a) - max(q, q2)
+	x, y := a[p:][:l], a[q:][:l]
+	x2, y2 := a[p2:][:l], a[q2:][:l]
+	for i := 0; i < len(x); i += n {
+		xi, yi := x[i], y[i]
+		x[i] = c*xi - s*yi
+		y[i] = s*xi + c*yi
+		xi, yi = x2[i], y2[i]
+		r.alpha += xi * xi
+		r.beta += yi * yi
+		r.gamma += xi * yi
+	}
+	return r
+}
+
+// rotation returns the Jacobi rotation (c, s) that zeroes the inner
+// product γ of two columns with squared norms α and β, or ok false when
+// they are already orthogonal to svdEps.
+func rotation(sums pairSums) (c, s float64, ok bool) {
+	alpha, beta, gamma := sums.alpha, sums.beta, sums.gamma
+	if math.Abs(gamma) <= svdEps*math.Sqrt(alpha*beta) || gamma == 0 {
+		return 0, 0, false
+	}
+	zeta := (beta - alpha) / (2 * gamma)
+	t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
+	c = 1 / math.Sqrt(1+t*t)
+	return c, c * t, true
 }
 
 // normalise scales a column of w, whose norm is s, to unit length in
 // place — the left singular vector — or zeroes it unless s > svdEps.
-func normalise(w []float64, s float64) {
-	if !(s > svdEps) {
-		clear(w)
-		return
-	}
+func normalise(w Vector, s float64) {
 	inv := 1 / s
-	for i, x := range w {
-		w[i] = x * inv
+	for i := range w.n {
+		if x := &w.data[i*w.stride]; s > svdEps {
+			*x *= inv
+		} else {
+			*x = 0
+		}
 	}
 }

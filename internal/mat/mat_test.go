@@ -1,13 +1,47 @@
 package mat
 
 import (
+	"encoding/binary"
+	"flag"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 	"testing/quick"
 
 	"cuttlesys/internal/rng"
 )
+
+var noLanes = flag.Bool("nolanes", false, "run every test with the AVX-512 Jacobi lanes off: the Go executor")
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if *noLanes {
+		jacobiLanes = false
+	}
+	os.Exit(m.Run())
+}
+
+// executors runs f as one subtest per wavefront executor the host can
+// take: "lanes" (the AVX-512 kernel, unless -nolanes), then "go".
+func executors(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	type executor struct {
+		name  string
+		lanes bool
+	}
+	ex := []executor{{"go", false}}
+	if jacobiLanes {
+		ex = append([]executor{{"lanes", true}}, ex...)
+	}
+	for _, e := range ex {
+		t.Run(e.name, func(t *testing.T) {
+			defer func(prev bool) { jacobiLanes = prev }(jacobiLanes)
+			jacobiLanes = e.lanes
+			f(t)
+		})
+	}
+}
 
 func TestNewDensePanics(t *testing.T) {
 	defer func() {
@@ -183,12 +217,11 @@ type SVDResult struct {
 // full decomposition SVDTop is pinned against, bit for bit.
 func SVD(a *Dense) SVDResult {
 	if a.Rows < a.Cols {
-		// Decompose the transpose and swap the roles of U and V: a's
-		// row-major data is already the transpose's column-major form.
-		u, s, v := rotate(append([]float64(nil), a.Data...), a.Cols, a.Rows).thin()
+		// Decompose the transpose and swap the roles of U and V.
+		u, s, v := rotate(a.transpose().Data, a.Cols, a.Rows).thin()
 		return SVDResult{U: v, S: s, V: u}
 	}
-	u, s, v := rotate(a.transpose().Data, a.Rows, a.Cols).thin()
+	u, s, v := rotate(a.clone().Data, a.Rows, a.Cols).thin()
 	return SVDResult{U: u, S: s, V: v}
 }
 
@@ -198,13 +231,13 @@ func (j jacobi) thin() (u *Dense, s []float64, v *Dense) {
 	u, v, s = NewDense(j.m, j.n), NewDense(j.n, j.n), make([]float64, j.n)
 	for r, e := range j.order {
 		s[r] = e.val
-		w := j.w[e.idx*j.m : (e.idx+1)*j.m]
+		w, vc := j.column(e.idx)
 		normalise(w, e.val)
-		for i, x := range w {
-			u.Set(i, r, x)
+		for i := range w.Len() {
+			u.Set(i, r, w.At(i))
 		}
-		for i, x := range j.v[e.idx*j.n : (e.idx+1)*j.n] {
-			v.Set(i, r, x)
+		for i := range vc.Len() {
+			v.Set(i, r, vc.At(i))
 		}
 	}
 	return u, s, v
@@ -398,10 +431,13 @@ func svdRowMajor(a *Dense) SVDResult {
 	return SVDResult{U: u, S: sOut, V: vOut}
 }
 
-// TestSVDMatchesRowMajorOracle pins the column-major SVD to the
-// row-major loop it replaced, bit for bit, on the shapes svdInit
-// decomposes (dense rows × 108 configurations, wide), a tall matrix
-// and a square one.
+// TestSVDMatchesRowMajorOracle pins the SVD to the row-major loop it
+// replaced, bit for bit, on both wavefront executors: the shapes svdInit
+// decomposed before it wrote the tall form (dense rows × 108
+// configurations, wide; 32 rows fill both halves of the widest step),
+// a square one, and tall and wide matrices of n columns whose widest
+// step is no pair (n = 1), one lane (2), four (8, 9), a full half (17),
+// a half and a lane (18) or a second kernel call (34).
 func TestSVDMatchesRowMajorOracle(t *testing.T) {
 	bitsEqual := func(t *testing.T, name string, got, want []float64) {
 		t.Helper()
@@ -414,36 +450,44 @@ func TestSVDMatchesRowMajorOracle(t *testing.T) {
 			}
 		}
 	}
+	shapes := [][2]int{{12, 108}, {16, 108}, {32, 108}, {108, 20}, {5, 5}}
+	for _, n := range []int{1, 2, 8, 9, 17, 18, 34} {
+		shapes = append(shapes, [2]int{108, n}, [2]int{n, 40})
+	}
 	r := rng.New(23)
-	for _, dims := range [][2]int{{12, 108}, {16, 108}, {32, 108}, {108, 20}, {5, 5}} {
+	for _, dims := range shapes {
 		a := NewDense(dims[0], dims[1])
 		for i := range a.Data {
 			a.Data[i] = r.Norm()
 		}
 		orig := a.clone()
-		got, want := SVD(a), svdRowMajor(a)
+		want := svdRowMajor(a)
 		t.Run(fmt.Sprintf("%dx%d", dims[0], dims[1]), func(t *testing.T) {
-			bitsEqual(t, "input", a.Data, orig.Data)
-			if got.U.Rows != want.U.Rows || got.U.Cols != want.U.Cols || got.V.Rows != want.V.Rows || got.V.Cols != want.V.Cols {
-				t.Fatalf("shapes U %dx%d V %dx%d, oracle U %dx%d V %dx%d",
-					got.U.Rows, got.U.Cols, got.V.Rows, got.V.Cols, want.U.Rows, want.U.Cols, want.V.Rows, want.V.Cols)
-			}
-			bitsEqual(t, "U", got.U.Data, want.U.Data)
-			bitsEqual(t, "S", got.S, want.S)
-			bitsEqual(t, "V", got.V.Data, want.V.Data)
+			executors(t, func(t *testing.T) {
+				got := SVD(a)
+				bitsEqual(t, "input", a.Data, orig.Data)
+				if got.U.Rows != want.U.Rows || got.U.Cols != want.U.Cols || got.V.Rows != want.V.Rows || got.V.Cols != want.V.Cols {
+					t.Fatalf("shapes U %dx%d V %dx%d, oracle U %dx%d V %dx%d",
+						got.U.Rows, got.U.Cols, got.V.Rows, got.V.Cols, want.U.Rows, want.U.Cols, want.V.Rows, want.V.Cols)
+				}
+				bitsEqual(t, "U", got.U.Data, want.U.Data)
+				bitsEqual(t, "S", got.S, want.S)
+				bitsEqual(t, "V", got.V.Data, want.V.Data)
+			})
 		})
 	}
 }
 
 // TestSVDTopMatchesSVD pins SVDTop's triplets to the leading columns of
-// SVD's U, S and V, bit for bit, on the wide shapes it decomposes in
-// place, the transposed tall and square ones, and a rank-deficient
-// input whose trailing left singular vectors are zero; k above the
-// rank yields only min(rows, cols) triplets.
+// SVD's U, S and V, bit for bit, on the tall shapes it decomposes in
+// place (the seed's 108 configurations × dense rows among them), the
+// transposed wide ones, a square one, and a rank-deficient input whose
+// trailing left singular vectors are zero; k above the rank yields only
+// min(rows, cols) triplets.
 func TestSVDTopMatchesSVD(t *testing.T) {
 	r := rng.New(31)
 	for _, tc := range []struct{ rows, cols, k int }{
-		{12, 108, 6}, {32, 108, 6}, {30, 27, 6}, {108, 20, 3}, {5, 5, 8}, {4, 9, 6},
+		{12, 108, 6}, {32, 108, 6}, {30, 27, 6}, {108, 20, 3}, {5, 5, 8}, {4, 9, 6}, {108, 14, 6},
 	} {
 		a := NewDense(tc.rows, tc.cols)
 		for i := range a.Data {
@@ -455,37 +499,40 @@ func TestSVDTopMatchesSVD(t *testing.T) {
 		}
 		want := SVD(a)
 		t.Run(fmt.Sprintf("%dx%d top %d", tc.rows, tc.cols, tc.k), func(t *testing.T) {
-			n := 0
-			SVDTop(a.clone(), tc.k, func(rank int, s float64, u, v []float64) {
-				if rank != n || len(u) != tc.rows || len(v) != tc.cols {
-					t.Fatalf("triplet %d: rank %d, |u| %d, |v| %d", n, rank, len(u), len(v))
-				}
-				n++
-				if math.Float64bits(s) != math.Float64bits(want.S[rank]) {
-					t.Fatalf("S[%d] = %v, SVD %v", rank, s, want.S[rank])
-				}
-				for i, x := range u {
-					if math.Float64bits(x) != math.Float64bits(want.U.At(i, rank)) {
-						t.Fatalf("U(%d,%d) = %v, SVD %v", i, rank, x, want.U.At(i, rank))
+			executors(t, func(t *testing.T) {
+				n := 0
+				SVDTop(a.clone(), tc.k, func(rank int, s float64, u, v Vector) {
+					if rank != n || u.Len() != tc.rows || v.Len() != tc.cols {
+						t.Fatalf("triplet %d: rank %d, |u| %d, |v| %d", n, rank, u.Len(), v.Len())
 					}
-				}
-				for j, x := range v {
-					if math.Float64bits(x) != math.Float64bits(want.V.At(j, rank)) {
-						t.Fatalf("V(%d,%d) = %v, SVD %v", j, rank, x, want.V.At(j, rank))
+					n++
+					if math.Float64bits(s) != math.Float64bits(want.S[rank]) {
+						t.Fatalf("S[%d] = %v, SVD %v", rank, s, want.S[rank])
 					}
+					for i := range u.Len() {
+						if math.Float64bits(u.At(i)) != math.Float64bits(want.U.At(i, rank)) {
+							t.Fatalf("U(%d,%d) = %v, SVD %v", i, rank, u.At(i), want.U.At(i, rank))
+						}
+					}
+					for j := range v.Len() {
+						if math.Float64bits(v.At(j)) != math.Float64bits(want.V.At(j, rank)) {
+							t.Fatalf("V(%d,%d) = %v, SVD %v", j, rank, v.At(j), want.V.At(j, rank))
+						}
+					}
+				})
+				if wantN := min(tc.k, tc.rows, tc.cols); n != wantN {
+					t.Fatalf("%d triplets, want %d", n, wantN)
 				}
 			})
-			if wantN := min(tc.k, tc.rows, tc.cols); n != wantN {
-				t.Fatalf("%d triplets, want %d", n, wantN)
-			}
 		})
 	}
 }
 
-// rotateUnfused is rotate as it was before each rotation summed the
-// next pair: every pair's alpha, beta and gamma from a pass of their
-// own. It is the oracle rotate must match bit for bit.
-func rotateUnfused(w []float64, m, n int) jacobi {
+// rotateSerial is rotate as it was before the wavefront: the row-cyclic
+// sweep, one pair at a time, over w held column-major, each rotation
+// summing the next pair over the columns it has just rotated. It is the
+// oracle rotate must match bit for bit; its w and v are column-major.
+func rotateSerial(w []float64, m, n int) jacobi {
 	v := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		v[i*n+i] = 1
@@ -494,15 +541,22 @@ func rotateUnfused(w []float64, m, n int) jacobi {
 		off := 0.0
 		for p := 0; p < n-1; p++ {
 			wp, vp := w[p*m:(p+1)*m], v[p*n:(p+1)*n]
+			// alpha, beta and gamma are the sums of pair (p, q); next
+			// reports that the previous rotation already summed them.
+			var alpha, beta, gamma float64
+			next := false
 			for q := p + 1; q < n; q++ {
 				wq, vq := w[q*m:(q+1)*m], v[q*n:(q+1)*n]
-				alpha, beta, gamma := 0.0, 0.0, 0.0
-				for i, x := range wp {
-					y := wq[i]
-					alpha += x * x
-					beta += y * y
-					gamma += x * y
+				if !next {
+					alpha, beta, gamma = 0, 0, 0
+					for i, x := range wp {
+						y := wq[i]
+						alpha += x * x
+						beta += y * y
+						gamma += x * y
+					}
 				}
+				next = false
 				if math.Abs(gamma) <= svdEps*math.Sqrt(alpha*beta) || gamma == 0 {
 					continue
 				}
@@ -511,10 +565,25 @@ func rotateUnfused(w []float64, m, n int) jacobi {
 				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i, x := range wp {
-					y := wq[i]
-					wp[i] = c*x - s*y
-					wq[i] = s*x + c*y
+				if q+1 < n {
+					wr := w[(q+1)*m : (q+2)*m]
+					alpha, beta, gamma = 0, 0, 0
+					for i, x := range wp {
+						y, z := wq[i], wr[i]
+						x2 := c*x - s*y
+						wp[i] = x2
+						wq[i] = s*x + c*y
+						alpha += x2 * x2
+						beta += z * z
+						gamma += x2 * z
+					}
+					next = true
+				} else {
+					for i, x := range wp {
+						y := wq[i]
+						wp[i] = c*x - s*y
+						wq[i] = s*x + c*y
+					}
 				}
 				for i, x := range vp {
 					y := vq[i]
@@ -543,70 +612,182 @@ func rotateUnfused(w []float64, m, n int) jacobi {
 	return jacobi{w: w, v: v, m: m, n: n, order: order}
 }
 
-// TestRotateMatchesUnfused pins rotate's fused rotate-and-sum pass to
-// rotateUnfused on 400 random column-major matrices, tall, square and
-// the seed's shapes, some with duplicated, zero or nearly parallel
-// (near rank one) columns: w, v and the ranking must be bit-identical.
-func TestRotateMatchesUnfused(t *testing.T) {
-	r := rng.New(41)
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + r.Intn(16)
-		m := n + r.Intn(24)
-		if trial%10 == 0 {
-			m, n = 108, 12+r.Intn(21) // the seed's shape, transposed
-		}
-		w := make([]float64, m*n)
-		for i := range w {
-			w[i] = r.Norm()
-		}
-		col := func(j int) []float64 { return w[j*m : (j+1)*m] }
-		switch trial % 4 {
-		case 1: // a duplicated column and a zero one
-			if n > 2 {
-				copy(col(n-1), col(0))
-				clear(col(1))
-			}
-		case 2: // near rank one: every column a scaled copy of the first plus noise
-			for j := 1; j < n; j++ {
-				s := r.Norm()
-				for i, x := range col(0) {
-					col(j)[i] = s*x + 1e-9*r.Norm()
-				}
-			}
-		case 3: // all zero but one column
-			clear(w)
-			for i := range col(n / 2) {
-				col(n / 2)[i] = r.Norm()
-			}
-		}
-		want := rotateUnfused(append([]float64(nil), w...), m, n)
-		got := rotate(w, m, n)
-		same := func(a, b []float64) bool {
-			for i := range a {
-				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-					return false
-				}
-			}
-			return len(a) == len(b)
-		}
-		if !same(got.w, want.w) || !same(got.v, want.v) {
-			t.Fatalf("trial %d (%dx%d, case %d): rotated w or v differs from the unfused loop", trial, m, n, trial%4)
-		}
-		for k := range want.order {
-			if got.order[k].idx != want.order[k].idx || math.Float64bits(got.order[k].val) != math.Float64bits(want.order[k].val) {
-				t.Fatalf("trial %d: rank %d is column %d (%v), unfused %d (%v)", trial, k,
-					got.order[k].idx, got.order[k].val, want.order[k].idx, want.order[k].val)
+// transposed returns the r×c row-major a as c×r row-major: the
+// column-major form of a, or the element-major form of a column-major
+// array.
+func transposed(a []float64, r, c int) []float64 {
+	return (&Dense{Rows: r, Cols: c, Data: a}).transpose().Data
+}
+
+// matchSerial rotates the element-major m×n w with rotate and its
+// column-major copy with rotateSerial, and returns a description of
+// the first difference in w, v or the ranking, or "" if there is none.
+func matchSerial(w []float64, m, n int) string {
+	want := rotateSerial(transposed(w, m, n), m, n)
+	got := rotate(append([]float64(nil), w...), m, n)
+	for _, a := range []struct {
+		name      string
+		got, want []float64
+		rows      int
+	}{{"w", got.w, transposed(want.w, n, m), m}, {"v", got.v, transposed(want.v, n, n), n}} {
+		for i := range a.want {
+			if math.Float64bits(a.got[i]) != math.Float64bits(a.want[i]) {
+				return fmt.Sprintf("%s(%d,%d) = %v, serial %v", a.name, i/n, i%n, a.got[i], a.want[i])
 			}
 		}
 	}
+	for k := range want.order {
+		if got.order[k].idx != want.order[k].idx || math.Float64bits(got.order[k].val) != math.Float64bits(want.order[k].val) {
+			return fmt.Sprintf("rank %d is column %d (%v), serial %d (%v)", k,
+				got.order[k].idx, got.order[k].val, want.order[k].idx, want.order[k].val)
+		}
+	}
+	return ""
 }
 
-// BenchmarkSVD times the decompositions svdInit runs once the running
-// rows turn dense: the full SVD, the row-major oracle, and the top-six
-// in-place SVDTop the seed calls (its input refilled each iteration,
-// since SVDTop overwrites it).
+// TestRotateLanesMatchSerial pins the wavefront to rotateSerial on 400
+// random matrices per executor, tall, square and the seed's shapes, n up
+// to 36 (three kernel calls on the widest steps), some with duplicated,
+// zero or nearly parallel (near rank one) columns: w, v and the ranking
+// must be bit-identical.
+func TestRotateLanesMatchSerial(t *testing.T) {
+	executors(t, func(t *testing.T) {
+		r := rng.New(41)
+		for trial := 0; trial < 400; trial++ {
+			n := 1 + r.Intn(36)
+			m := n + r.Intn(24)
+			if trial%10 == 0 {
+				m, n = 108, 12+r.Intn(21) // the seed's shape
+			}
+			w := make([]float64, m*n)
+			for i := range w {
+				w[i] = r.Norm()
+			}
+			col := func(j int, f func(i int, x *float64)) {
+				for i := 0; i < m; i++ {
+					f(i, &w[i*n+j])
+				}
+			}
+			switch trial % 4 {
+			case 1: // a duplicated column and a zero one
+				if n > 2 {
+					col(n-1, func(i int, x *float64) { *x = w[i*n] })
+					col(1, func(_ int, x *float64) { *x = 0 })
+				}
+			case 2: // near rank one: every column a scaled copy of the first plus noise
+				for j := 1; j < n; j++ {
+					s := r.Norm()
+					col(j, func(i int, x *float64) { *x = s*w[i*n] + 1e-9*r.Norm() })
+				}
+			case 3: // all zero but one column
+				clear(w)
+				col(n/2, func(_ int, x *float64) { *x = r.Norm() })
+			}
+			if diff := matchSerial(w, m, n); diff != "" {
+				t.Fatalf("trial %d (%dx%d, case %d): %s", trial, m, n, trial%4, diff)
+			}
+		}
+	})
+}
+
+// FuzzSVDTop feeds SVDTop and rotate arbitrary tall matrices, n from 1
+// to 40 and m from n to n+71, their cells the input's bytes read as
+// float64s and repeated: finite ones must match rotateSerial bit for
+// bit on both executors, and none may panic, NaN, infinite and
+// overflowing (ζ*ζ > MaxFloat64) cells included.
+func FuzzSVDTop(f *testing.F) {
+	cells := func(xs ...float64) []byte {
+		b := make([]byte, 0, 8*len(xs))
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	r := rng.New(47)
+	norms := make([]float64, 97) // a prime: columns do not repeat
+	for i := range norms {
+		norms[i] = r.Norm()
+	}
+	for _, n := range []uint8{1, 2, 3, 8, 9, 16, 17, 18, 20, 32, 33, 34, 40} {
+		f.Add(uint8(71), n-1, cells(norms...)) // n columns, n+71 rows
+	}
+	f.Add(uint8(0), uint8(6), cells(1, 2, 3, 1, 2, 3))                  // duplicate columns
+	f.Add(uint8(4), uint8(5), cells(0, 0, 1, 0, 0))                     // zero columns
+	f.Add(uint8(10), uint8(8), cells(1e300, 1e-300, -1e300, 3, 1e-300)) // ζ*ζ overflows
+	f.Add(uint8(3), uint8(4), cells(math.NaN(), 1, 2, 3, 4))
+	f.Add(uint8(3), uint8(4), cells(math.Inf(1), 1, math.Inf(-1), 2, 3))
+	f.Add(uint8(1), uint8(2), cells(math.MaxFloat64, math.SmallestNonzeroFloat64, -0.0))
+	f.Add(uint8(7), uint8(39), []byte{})
+	f.Fuzz(func(t *testing.T, extra, cols uint8, data []byte) {
+		n := 1 + int(cols)%40
+		m := n + int(extra)%72
+		w := make([]float64, m*n)
+		finite := true
+		if len(data) >= 8 {
+			for i := range w {
+				o := 8 * (i % (len(data) / 8))
+				w[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[o:]))
+				finite = finite && !math.IsNaN(w[i]) && !math.IsInf(w[i], 0)
+			}
+		}
+		defer func(prev bool) { jacobiLanes = prev }(jacobiLanes)
+		for _, lanes := range []bool{jacobiLanes, false} {
+			jacobiLanes = lanes
+			if finite {
+				if diff := matchSerial(w, m, n); diff != "" {
+					t.Fatalf("%dx%d, lanes %v: %s", m, n, lanes, diff)
+				}
+			}
+			for _, a := range []*Dense{
+				{Rows: m, Cols: n, Data: append([]float64(nil), w...)},
+				{Rows: n, Cols: m, Data: append([]float64(nil), w...)},
+			} {
+				SVDTop(a, 6, func(int, float64, Vector, Vector) {})
+			}
+		}
+	})
+}
+
+// BenchmarkSVD times the decompositions the seed runs. At the shapes
+// svdInit decomposes in place (108 configurations × 14, 20 and 28 dense
+// rows, tall), it times rotate on each executor — "lanes" the AVX-512
+// kernel (where the host has it), "go" the Go loop — and "serial",
+// rotateSerial, the row-cyclic loop over a column-major copy. At the
+// wide shapes it times the full SVD, the in-place top-six SVDTop (its
+// input refilled each iteration, since SVDTop overwrites it) and the
+// row-major oracle.
 func BenchmarkSVD(b *testing.B) {
 	r := rng.New(29)
+	for _, n := range []int{12, 14, 20, 28, 32} {
+		a := make([]float64, 108*n)
+		for i := range a {
+			a[i] = r.Norm()
+		}
+		w := make([]float64, len(a))
+		leg := func(name string, lanes bool) {
+			b.Run(fmt.Sprintf("108x%d/%s", n, name), func(b *testing.B) {
+				defer func(prev bool) { jacobiLanes = prev }(jacobiLanes)
+				jacobiLanes = lanes
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(w, a)
+					rotate(w, 108, n)
+				}
+			})
+		}
+		if jacobiLanes {
+			leg("lanes", true)
+		}
+		leg("go", false)
+		col := transposed(a, 108, n)
+		b.Run(fmt.Sprintf("108x%d/serial", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(w, col)
+				rotateSerial(w, 108, n)
+			}
+		})
+	}
 	for _, rows := range []int{16, 32} {
 		a := NewDense(rows, 108)
 		for i := range a.Data {
@@ -623,7 +804,7 @@ func BenchmarkSVD(b *testing.B) {
 			w := a.clone()
 			for i := 0; i < b.N; i++ {
 				copy(w.Data, a.Data)
-				SVDTop(w, 6, func(int, float64, []float64, []float64) {})
+				SVDTop(w, 6, func(int, float64, Vector, Vector) {})
 			}
 		})
 		b.Run(fmt.Sprintf("%dx108-rowmajor", rows), func(b *testing.B) {

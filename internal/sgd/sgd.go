@@ -529,7 +529,10 @@ func (st *trainState) sweep(from, to int) {
 // row's observations are one contiguous run already in the trained
 // value space, and mat.SVDTop decomposes it in place. It lives in the
 // rows×cols prediction buffer, which nothing reads before finish
-// overwrites every cell of it.
+// overwrites every cell of it, in the tall one of its two forms: with
+// fewer dense rows than columns (the usual case) transposed, dense row
+// di's value at column j at [j·len(dense) + di], so that its element-
+// major layout is the one the Jacobi sweep rotates in place.
 func (st *trainState) svdInit() {
 	cells, cols, mu := st.cells, st.m.Cols, st.mu
 	work := st.pred.vals
@@ -549,29 +552,40 @@ func (st *trainState) svdInit() {
 	if len(dense) == 0 {
 		return // nothing trustworthy to decompose; keep zero init
 	}
-	filled := &mat.Dense{Rows: len(dense), Cols: cols, Data: work[:len(dense)*cols]}
+	nd := len(dense)
+	// Cell (di, j) of the filled matrix at [di*rowStep + j*colStep].
+	tall := nd < cols
+	filled := &mat.Dense{Rows: nd, Cols: cols, Data: work[:nd*cols]}
+	rowStep, colStep := cols, 1
+	if tall {
+		filled.Rows, filled.Cols = cols, nd
+		rowStep, colStep = 1, nd
+	}
 	for di, r := range dense {
 		rowSum := 0.0
 		for t := r.from; t < r.to; t++ {
 			rowSum += st.vals[st.vs*t]
 		}
 		rowMean := rowSum / float64(max(r.to-r.from, 1)) // a run holds at least its first entry
-		row := filled.Data[di*cols : (di+1)*cols]
-		for j := range row {
-			row[j] = rowMean - mu
+		row := filled.Data[di*rowStep:]
+		for j := 0; j < cols; j++ {
+			row[j*colStep] = rowMean - mu
 		}
 		for t := r.from; t < r.to; t++ {
-			row[int(cells[t])-r.row*cols] = st.vals[st.vs*t] - mu
+			row[(int(cells[t])-r.row*cols)*colStep] = st.vals[st.vs*t] - mu
 		}
 	}
 	f, w, blk := st.f, st.w, st.blk
-	mat.SVDTop(filled, f, func(kk int, s float64, u, v []float64) {
+	mat.SVDTop(filled, f, func(kk int, s float64, u, v mat.Vector) {
+		if tall {
+			u, v = v, u
+		}
 		scale := math.Sqrt(s)
 		for di, r := range dense {
-			st.rowP[r.row*blk+w*kk] = u[di] * scale
+			st.rowP[r.row*blk+w*kk] = u.At(di) * scale
 		}
-		for j, x := range v {
-			st.colP[j*blk+w*kk] = x * scale
+		for j := range v.Len() {
+			st.colP[j*blk+w*kk] = v.At(j) * scale
 		}
 	})
 }

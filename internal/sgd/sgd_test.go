@@ -349,12 +349,12 @@ func svdInitOracle(m *Matrix, p Params, mu float64, q, pc []float64) {
 			}
 		}
 	}
-	mat.SVDTop(filled, f, func(kk int, s float64, u, v []float64) {
+	mat.SVDTop(filled, f, func(kk int, s float64, u, v mat.Vector) {
 		for di, i := range dense {
-			q[i*f+kk] = u[di] * math.Sqrt(s)
+			q[i*f+kk] = u.At(di) * math.Sqrt(s)
 		}
-		for j, x := range v {
-			pc[j*f+kk] = x * math.Sqrt(s)
+		for j := range v.Len() {
+			pc[j*f+kk] = v.At(j) * math.Sqrt(s)
 		}
 	})
 }

@@ -11,6 +11,8 @@
 // working sets) are handled correctly.
 package ucp
 
+import "slices"
+
 // Curve is one application's demand on the cache.
 type Curve struct {
 	// MissRatio returns the LLC miss ratio at the given ways.
@@ -23,15 +25,16 @@ type Curve struct {
 
 // Partition assigns totalWays integer ways among the applications,
 // giving each at least minWays, maximising total utility with the UCP
-// lookahead algorithm. It panics when the budget cannot cover the
-// minimum allocations. The returned slice sums to exactly totalWays
-// (leftover ways with zero marginal utility are distributed
-// round-robin, matching hardware that cannot leave ways unpowered to
-// no one).
-func Partition(curves []Curve, totalWays, minWays int) []int {
+// lookahead algorithm, and returns the allocation in dst's storage
+// (grown if its capacity is short of len(curves); dst's contents are
+// ignored). It panics when the budget cannot cover the minimum
+// allocations. The returned slice sums to exactly totalWays (leftover
+// ways with zero marginal utility are distributed round-robin,
+// matching hardware that cannot leave ways unpowered to no one).
+func Partition(dst []int, curves []Curve, totalWays, minWays int) []int {
 	n := len(curves)
 	if n == 0 {
-		return nil
+		return dst[:0]
 	}
 	if minWays < 0 {
 		minWays = 0
@@ -39,7 +42,7 @@ func Partition(curves []Curve, totalWays, minWays int) []int {
 	if n*minWays > totalWays {
 		panic("ucp: budget below minimum allocations")
 	}
-	alloc := make([]int, n)
+	alloc := slices.Grow(dst[:0], n)[:n]
 	for i := range alloc {
 		alloc[i] = minWays
 	}

@@ -21,7 +21,7 @@ func TestSumsToBudget(t *testing.T) {
 	for i, a := range apps {
 		curves[i] = curveFor(a)
 	}
-	alloc := Partition(curves, 32, 1)
+	alloc := Partition(nil, curves, 32, 1)
 	sum := 0
 	for i, w := range alloc {
 		if w < 1 {
@@ -38,7 +38,7 @@ func TestCacheHungryAppsWinWays(t *testing.T) {
 	mcf := mustApp(t, "mcf")       // large working set, memory-bound
 	gamess := mustApp(t, "gamess") // tiny working set
 	curves := []Curve{curveFor(mcf), curveFor(gamess)}
-	alloc := Partition(curves, 16, 1)
+	alloc := Partition(nil, curves, 16, 1)
 	if alloc[0] <= alloc[1] {
 		t.Fatalf("mcf got %d ways, gamess %d — memory-bound app should win", alloc[0], alloc[1])
 	}
@@ -47,7 +47,7 @@ func TestCacheHungryAppsWinWays(t *testing.T) {
 func TestZeroWeightGetsMinimum(t *testing.T) {
 	flat := Curve{MissRatio: func(float64) float64 { return 0.5 }, Weight: 0}
 	hungry := curveFor(func() *workload.Profile { p := mustApp(t, "mcf"); return p }())
-	alloc := Partition([]Curve{flat, hungry}, 10, 1)
+	alloc := Partition(nil, []Curve{flat, hungry}, 10, 1)
 	if alloc[0] != 1 {
 		t.Fatalf("zero-weight app got %d ways, want the minimum 1", alloc[0])
 	}
@@ -58,7 +58,7 @@ func TestZeroWeightGetsMinimum(t *testing.T) {
 
 func TestAllFlatCurvesDistributesEvenly(t *testing.T) {
 	flat := Curve{MissRatio: func(float64) float64 { return 0.5 }, Weight: 1}
-	alloc := Partition([]Curve{flat, flat, flat, flat}, 8, 1)
+	alloc := Partition(nil, []Curve{flat, flat, flat, flat}, 8, 1)
 	sum := 0
 	for _, w := range alloc {
 		sum += w
@@ -85,7 +85,7 @@ func TestLookaheadHandlesCliffCurves(t *testing.T) {
 		MissRatio: func(w float64) float64 { return 0.5 / (1 + w*0.05) },
 		Weight:    1,
 	}
-	alloc := Partition([]Curve{cliff, smooth}, 6, 0)
+	alloc := Partition(nil, []Curve{cliff, smooth}, 6, 0)
 	if alloc[0] < 4 {
 		t.Fatalf("lookahead missed the cliff: %v", alloc)
 	}
@@ -98,11 +98,11 @@ func TestMinimumBudgetPanic(t *testing.T) {
 		}
 	}()
 	flat := Curve{MissRatio: func(float64) float64 { return 0 }, Weight: 0}
-	Partition([]Curve{flat, flat, flat}, 2, 1)
+	Partition(nil, []Curve{flat, flat, flat}, 2, 1)
 }
 
 func TestEmptyInput(t *testing.T) {
-	if got := Partition(nil, 32, 1); got != nil {
+	if got := Partition(nil, nil, 32, 1); got != nil {
 		t.Fatalf("empty input should return nil, got %v", got)
 	}
 }
@@ -116,7 +116,7 @@ func TestPartitionProperty(t *testing.T) {
 		for i, a := range apps {
 			curves[i] = curveFor(a)
 		}
-		alloc := Partition(curves, budget, 1)
+		alloc := Partition(nil, curves, budget, 1)
 		sum := 0
 		for _, w := range alloc {
 			if w < 1 {
@@ -207,7 +207,7 @@ func TestPartitionMatchesClosureReference(t *testing.T) {
 			n, minWays, budget = 20, 1, 60 // larger than the stack-resident table
 		}
 		curves := randomCurves(r, n)
-		got, want := Partition(curves, budget, minWays), partitionReference(curves, budget, minWays)
+		got, want := Partition(nil, curves, budget, minWays), partitionReference(curves, budget, minWays)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d (n=%d budget=%d min=%d): table %v, closures %v",
@@ -230,10 +230,34 @@ func countingCurves(curves []Curve) ([]Curve, []int) {
 	return out, calls
 }
 
+// TestPartitionIntoDst pins the caller-owned result: the allocation
+// lands in dst's storage when it has the room, whatever dst held, and
+// a warm call allocates nothing.
+func TestPartitionIntoDst(t *testing.T) {
+	curves := randomCurves(rng.New(5), 16)
+	want := Partition(nil, curves, 28, 1)
+	dst := make([]int, 3, 16)
+	for i := range dst {
+		dst[i] = -7
+	}
+	got := Partition(dst, curves, 28, 1)
+	if &got[0] != &dst[:1][0] {
+		t.Fatal("Partition did not reuse dst's storage")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("into dst %v, fresh %v", got, want)
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { got = Partition(got, curves, 28, 1) }); a != 0 {
+		t.Fatalf("warm Partition allocates %v times", a)
+	}
+}
+
 func TestPartitionEvaluatesEachCurveOncePerWayCount(t *testing.T) {
 	const totalWays = 28
 	curves, calls := countingCurves(randomCurves(rng.New(3), 16))
-	Partition(curves, totalWays, 1)
+	Partition(nil, curves, totalWays, 1)
 	for i, c := range calls {
 		if c > totalWays+1 {
 			t.Errorf("curve %d evaluated %d times, want at most %d", i, c, totalWays+1)
@@ -250,11 +274,15 @@ func BenchmarkPartition(b *testing.B) {
 		plain[i] = curveFor(a)
 	}
 	curves, calls := countingCurves(plain)
+	var dst []int
 	for _, impl := range []struct {
 		name string
 		f    func([]Curve, int, int) []int
 	}{
-		{"table", Partition},
+		{"table", func(c []Curve, total, min int) []int {
+			dst = Partition(dst, c, total, min)
+			return dst
+		}},
 		{"closures", partitionReference},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
