@@ -231,7 +231,7 @@ func BenchmarkFig10bDDSvsGA(b *testing.B) {
 func BenchmarkTrainingSetSweep(b *testing.B) {
 	var err16 float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.TrainingSetSweep(nil) {
+		for _, r := range experiments.TrainingSetSweep() {
 			if r.NTrain == 16 {
 				err16 = r.MeanAbs
 			}

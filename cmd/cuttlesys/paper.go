@@ -99,7 +99,7 @@ var paperRows = []paperRow{
 		}},
 	{"proportionality", "Energy proportionality — server power vs offered load (xapian, LC only):", []string{"seed"},
 		params{Seed: 1}, func(w io.Writer, p params) error {
-			rows, err := experiments.EnergyProportionality("xapian", p.Seed, nil)
+			rows, err := experiments.EnergyProportionality(p.Seed)
 			if err == nil {
 				experiments.WriteProportionality(w, rows)
 			}
@@ -202,7 +202,7 @@ func tableII(w io.Writer, p params) error {
 
 func trainSweep(w io.Writer, p params) error {
 	fmt.Fprintf(w, "%-8s %s\n", "apps", "mean abs error (%)")
-	for _, r := range experiments.TrainingSetSweep(nil) {
+	for _, r := range experiments.TrainingSetSweep() {
 		fmt.Fprintf(w, "%-8d %.1f\n", r.NTrain, r.MeanAbs)
 	}
 	return nil

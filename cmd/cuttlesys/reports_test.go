@@ -40,7 +40,8 @@ func decodeReport(t *testing.T, file string, v any) {
 // reproduce its checked-in file exactly, at GOMAXPROCS 1 and at 8. Any
 // drift — reordered map iteration, a changed guard, a reseeded stream,
 // a float rounding change, a dependence on the worker count — fails
-// here before it can silently invalidate the published numbers.
+// here before it can silently invalidate the published numbers. The
+// resilience row's runs also feed its full-precision record digest.
 func TestReferenceReportsUnchanged(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 8} {
@@ -52,7 +53,11 @@ func TestReferenceReportsUnchanged(t *testing.T) {
 						t.Skip(why)
 					}
 					t.Parallel()
-					rep, err := r.build(r.defaults)
+					build := r.build
+					if r.name == "resilience" {
+						build = func(p params) (any, error) { return buildResilience(t, p) }
+					}
+					rep, err := build(r.defaults)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"cuttlesys"
 	"cuttlesys/experiments"
 )
 
@@ -57,31 +58,49 @@ type ResilienceReport struct {
 }
 
 func resilienceReport(p params) (any, error) {
+	runs, err := resilienceRuns(p)
+	if err != nil {
+		return nil, err
+	}
+	return resilienceSummary(p, runs), nil
+}
+
+// resilienceRuns runs every battery's spec under every policy, in
+// report order: battery-major, runs[b*len(resiliencePolicies)+k] is
+// battery b under policy k.
+func resilienceRuns(p params) ([]*cuttlesys.Result, error) {
+	var runs []*cuttlesys.Result
+	for _, battery := range resilienceBatteries {
+		for _, policy := range resiliencePolicies {
+			p.Policy = policy
+			res, err := oneMachine("resilience-"+battery, p)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", battery, policy, err)
+			}
+			runs = append(runs, res)
+		}
+	}
+	return runs, nil
+}
+
+// resilienceSummary is the report of resilienceRuns' runs.
+func resilienceSummary(p params, runs []*cuttlesys.Result) *ResilienceReport {
 	rep := &ResilienceReport{
 		Service: p.Service, MixSeed: p.Mix, Slices: p.Slices,
 		Load: p.Load, Cap: p.Cap, Seed: p.Seed,
 	}
-	for _, battery := range resilienceBatteries {
+	for b, battery := range resilienceBatteries {
 		sr := ResilienceScenario{Scenario: battery}
-		for _, policy := range resiliencePolicies {
-			pr, err := resilienceCell(battery, policy, p)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", battery, policy, err)
-			}
-			sr.Policies = append(sr.Policies, pr)
+		for k, policy := range resiliencePolicies {
+			sr.Policies = append(sr.Policies, resilienceCell(policy, runs[b*len(resiliencePolicies)+k]))
 		}
 		rep.Results = append(rep.Results, sr)
 	}
-	return rep, nil
+	return rep
 }
 
-// resilienceCell runs the battery's spec under policy.
-func resilienceCell(battery, policy string, p params) (ResiliencePolicy, error) {
-	p.Policy = policy
-	res, err := oneMachine("resilience-"+battery, p)
-	if err != nil {
-		return ResiliencePolicy{}, err
-	}
+// resilienceCell summarises one run under policy.
+func resilienceCell(policy string, res *cuttlesys.Result) ResiliencePolicy {
 	retries := 0
 	for _, s := range res.Slices {
 		retries += s.ProfileRetries
@@ -96,5 +115,5 @@ func resilienceCell(battery, policy string, p params) (ResiliencePolicy, error) 
 		WorstP99Ratio:             round4(res.WorstP99Ratio()),
 		TotalInstrB:               round4(res.TotalInstrB()),
 		MeanGmeanBIPS:             round4(res.MeanGmeanBIPS()),
-	}, nil
+	}
 }

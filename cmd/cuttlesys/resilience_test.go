@@ -10,39 +10,33 @@ import (
 	"cuttlesys/internal/harness"
 )
 
-// TestResilienceRecordsPinned pins an FNV-1a digest of the slice
-// records of all 28 resilience runs (seven batteries × four policies,
-// report order, reference parameters). BENCH_resilience.json rounds to
-// four decimals; this digest holds every record field to its bits,
-// floats by math.Float64bits, except LoadFrac: a recorded label that
-// no scheduler reads, which the single-machine harness writes as
+// resilienceRecordsDigest is the FNV-1a digest of the slice records of
+// the resilience report's 28 runs (seven batteries × four policies,
+// report order) at its reference parameters. BENCH_resilience.json
+// rounds to four decimals; the digest holds every record field to its
+// bits, floats by math.Float64bits, except LoadFrac: a recorded label
+// that no scheduler reads, which the single-machine harness writes as
 // load·factor and a fleet as share ÷ capacity.
-func TestResilienceRecordsPinned(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		// Under -race the byte gate already reruns these 28 runs.
-		t.Skip("28 machine runs in -short or -race mode")
-	}
-	r, err := pick("report", reports, func(r report) string { return r.name }, []string{"resilience"})
+const resilienceRecordsDigest = 0x11cfb12c07d01430
+
+// buildResilience is the resilience row's build for the byte gate:
+// the same runs feed the report and the record digest, which must read
+// resilienceRecordsDigest.
+func buildResilience(t *testing.T, p params) (any, error) {
+	runs, err := resilienceRuns(p)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	p := r.defaults
 	h := fnv.New64a()
-	for _, battery := range resilienceBatteries {
-		for _, policy := range resiliencePolicies {
-			p.Policy = policy
-			res, err := oneMachine("resilience-"+battery, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rec := range res.Slices {
-				digestRecord(h, rec)
-			}
+	for _, res := range runs {
+		for _, rec := range res.Slices {
+			digestRecord(h, rec)
 		}
 	}
-	if got, want := h.Sum64(), uint64(0x11cfb12c07d01430); got != want {
-		t.Errorf("resilience records digest %#016x, pinned %#016x", got, want)
+	if got := h.Sum64(); got != resilienceRecordsDigest {
+		t.Errorf("resilience records digest %#016x, pinned %#016x", got, uint64(resilienceRecordsDigest))
 	}
+	return resilienceSummary(p, runs), nil
 }
 
 // digestRecord folds every field of rec but LoadFrac into h.

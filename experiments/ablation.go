@@ -78,12 +78,10 @@ type ProportionalityRow struct {
 // cores make servers more energy proportional: a CuttleSys-managed
 // machine's power tracks the service's load down (cores downsize when
 // idle-ish), while a fixed-core machine's power barely moves. The
-// machine here runs the LC service alone (no batch), uncapped, so the
-// measured power is pure load response.
-func EnergyProportionality(service string, seed uint64, loads []float64) ([]ProportionalityRow, error) {
-	if len(loads) == 0 {
-		loads = []float64{0.1, 0.25, 0.5, 0.75, 1.0}
-	}
+// machine here runs xapian alone (no batch), uncapped, at five loads
+// from 10 % to peak, so the measured power is pure load response.
+func EnergyProportionality(seed uint64) ([]ProportionalityRow, error) {
+	loads := []float64{0.1, 0.25, 0.5, 0.75, 1.0}
 	designs := []struct {
 		name, policy string
 		slices       int
@@ -95,7 +93,7 @@ func EnergyProportionality(service string, seed uint64, loads []float64) ([]Prop
 	for _, load := range loads {
 		for _, d := range designs {
 			res, _, err := cell{
-				policy: d.policy, service: service, mix: seed, seed: seed, slices: d.slices,
+				policy: d.policy, service: "xapian", mix: seed, seed: seed, slices: d.slices,
 				load: load, clauses: uncapped, alone: true,
 			}.run()
 			if err != nil {

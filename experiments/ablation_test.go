@@ -39,7 +39,7 @@ func TestAblationGuards(t *testing.T) {
 }
 
 func TestEnergyProportionality(t *testing.T) {
-	rows, err := EnergyProportionality("xapian", 1, []float64{0.1, 1.0})
+	rows, err := EnergyProportionality(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,10 @@ func TestEnergyProportionality(t *testing.T) {
 		if r.Design != "cuttlesys" {
 			continue
 		}
-		if r.LoadFrac == 0.1 {
+		switch r.LoadFrac {
+		case 0.1:
 			loPower = r.PowerW
-		} else {
+		case 1.0:
 			hiPower = r.PowerW
 		}
 	}
@@ -76,7 +77,7 @@ func TestEnergyProportionality(t *testing.T) {
 // its mix to the run seed, and a mix seed of 0 would unpin it; the
 // study must refuse it, saying why, rather than run another machine.
 func TestEnergyProportionalityRefusesSeedZero(t *testing.T) {
-	_, err := EnergyProportionality("xapian", 0, []float64{0.5})
+	_, err := EnergyProportionality(0)
 	if err == nil || !strings.Contains(err.Error(), "mix seed 0") {
 		t.Fatalf("seed 0: error %v, want one naming mix seed 0", err)
 	}

@@ -196,17 +196,14 @@ type TrainSweepRow struct {
 // TrainingSetSweep reproduces §VIII-A2: isolation-mode throughput
 // reconstruction error as the number of offline-characterised
 // applications varies. The paper reports ~20 % at 8, ~10 % at 16 and
-// ~8 % at 24 training applications. It draws no randomness — the
-// train/test split and the noise-free samples are fixed — so it takes
-// no seed.
-func TrainingSetSweep(sizes []int) []TrainSweepRow {
-	if len(sizes) == 0 {
-		sizes = []int{8, 16, 24}
-	}
+// ~8 % at 24 training applications; the sweep runs those three sizes.
+// It draws no randomness — the train/test split and the noise-free
+// samples are fixed — so it takes no seed.
+func TrainingSetSweep() []TrainSweepRow {
 	pm, wm := perf.New(true), power.New(true)
 	surf := func(app *workload.Profile) ([]float64, []float64) { return sim.BatchSurfaces(pm, wm, app) }
 	var out []TrainSweepRow
-	for _, n := range sizes {
+	for _, n := range []int{8, 16, 24} {
 		train, test := workload.SplitTrainTest(1, n)
 		batch := sample(surf, train, test, sampleLo, sampleHi, nil)
 		errs := batch.errs(sgd.Reconstruct(batch.thr, accuracySGDParams), batch.truthT)

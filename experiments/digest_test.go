@@ -94,7 +94,7 @@ func TestExperimentDigests(t *testing.T) {
 			return []any{rows, BestTradeoff(rows, 0.8)}, nil
 		}},
 		{"trainsweep", 0x124b929af7b5ddab, func() ([]any, error) {
-			return []any{TrainingSetSweep(nil)}, nil
+			return []any{TrainingSetSweep()}, nil
 		}},
 		{"fig5a", 0x35ebf3e84eb072cb, func() ([]any, error) {
 			return []any{Fig5aIsolation(1)}, nil
@@ -143,7 +143,7 @@ func TestExperimentDigests(t *testing.T) {
 			return []any{rows}, err
 		}},
 		{"proportionality", 0x7e3ec2c3e39d2172, func() ([]any, error) {
-			rows, err := EnergyProportionality("xapian", 1, nil)
+			rows, err := EnergyProportionality(1)
 			return []any{rows, DynamicRange(rows, "fixed"), DynamicRange(rows, "cuttlesys")}, err
 		}},
 	}

@@ -44,7 +44,7 @@ func Fig10aExploration(seed uint64, capFrac float64) (points []ExplorePoint, bud
 	// power. The score is the geometric-mean throughput less twice the
 	// power overshoot.
 	n := float64(len(batch))
-	fixed := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(config.NumMachineCore)
+	fixed := power.FixedChipW
 	obj := &dds.SeparableObjective{K: 2, Base: []float64{0, fixed}, Terms: make([][]float64, len(batch))}
 	maxPower := 0.0
 	for i, app := range batch {

@@ -27,7 +27,6 @@ type Asymmetric struct {
 
 	lc      *workload.Profile
 	batch   []*workload.Profile
-	nCores  int
 	lcCores int
 	wm      *power.Model
 
@@ -64,7 +63,6 @@ func NewAsymmetric(m *sim.Machine, oracle bool) *Asymmetric {
 		Oracle: oracle,
 		lc:     m.LC(),
 		batch:  m.Batch(),
-		nCores: m.NCores(),
 		wm:     power.New(false),
 		jobs:   make([]jobEval, len(m.Batch())),
 		alloc:  sim.Allocation{Batch: make([]sim.BatchAssign, len(m.Batch()))},
@@ -92,7 +90,7 @@ func NewAsymmetric(m *sim.Machine, oracle bool) *Asymmetric {
 	a.byDensity = append([]jobEval(nil), a.jobs...)
 	sort.Slice(a.byDensity, func(x, y int) bool { return a.byDensity[x].density > a.byDensity[y].density })
 	if a.lc != nil {
-		a.lcCores = m.NCores() / 2
+		a.lcCores = config.NumMachineCore / 2
 		q := pm.QueryInstr(a.lc)
 		lcAt := func(c config.Core) lcTerms {
 			ipc := tbl.IPCAt(len(a.batch), c, tbl.MissRatioAt(len(a.batch), 4), 1.2, freq)
@@ -136,7 +134,7 @@ func (a *Asymmetric) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 	alloc := &a.alloc
 	*alloc = sim.Allocation{Batch: alloc.Batch}
 
-	bigBudget := a.nCores // oracle: any split
+	bigBudget := config.NumMachineCore // oracle: any split
 	lcOnBig := false
 	if a.lc != nil {
 		alloc.LCCores = a.lcCores
@@ -149,7 +147,7 @@ func (a *Asymmetric) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 		}
 	}
 	if !a.Oracle {
-		bigBudget = a.nCores / 2
+		bigBudget = config.NumMachineCore / 2
 		if lcOnBig {
 			bigBudget -= a.lcCores
 			if bigBudget < 0 {
@@ -157,7 +155,7 @@ func (a *Asymmetric) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 			}
 		}
 	} else {
-		bigBudget = a.nCores - alloc.LCCores
+		bigBudget = config.NumMachineCore - alloc.LCCores
 	}
 
 	// Per-job big/little choice: start everyone little, then upgrade by
@@ -172,7 +170,7 @@ func (a *Asymmetric) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 		util := math.Min(1, qps[0]*lt.meanSvc/float64(alloc.LCCores))
 		lcPower = a.wm.Core(a.lc, alloc.LCCore, lt.ipc*util) * float64(alloc.LCCores)
 	}
-	budgetLeft := budgetW - fixedChipPower(a.nCores) - lcPower
+	budgetLeft := budgetW - power.FixedChipW - lcPower
 	for i, e := range a.jobs {
 		alloc.Batch[i] = sim.BatchAssign{Core: little, Cache: config.OneWay}
 		budgetLeft -= e.powerL

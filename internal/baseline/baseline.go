@@ -6,8 +6,8 @@
 //     budget.
 //   - CoreGating — core-level gating on fixed (non-reconfigurable)
 //     cores: whole cores are powered off to meet the budget, with four
-//     selection policies and optional UCP way-partitioning. The paper
-//     found descending-power selection best; that is the default.
+//     descending-power selection, which the paper found best of four
+//     orders, and optional UCP way-partitioning.
 //   - AsymmetricOracle — an oracle-like asymmetric multicore: big
 //     ({6,6,6}) and little ({2,2,2}) fixed core types with the
 //     per-slice big/little split chosen optimally using the true
@@ -21,16 +21,14 @@ package baseline
 import (
 	"cuttlesys/internal/config"
 	"cuttlesys/internal/harness"
-	"cuttlesys/internal/power"
 	"cuttlesys/internal/sim"
 	"cuttlesys/internal/ucp"
 	"cuttlesys/internal/workload"
 )
 
-// fixedChipPower returns the LLC + uncore floor for an n-core machine.
-func fixedChipPower(n int) float64 {
-	return power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(n)
-}
+// profileNoise is the relative sigma of the baselines' 1 ms profiling
+// samples (sim.Measure), the same as the runtime's.
+const profileNoise = 0.05
 
 // missCurves returns each batch job's UCP curve with its miss ratio
 // tabulated once at every integer way count up to config.LLCWays.
@@ -65,7 +63,7 @@ func NewNoGating(m *sim.Machine) *NoGating {
 	hasLC := m.LC() != nil
 	lcCores := 0
 	if hasLC {
-		lcCores = m.NCores() / 2
+		lcCores = config.NumMachineCore / 2
 	}
 	ng := &NoGating{alloc: sim.Uniform(len(m.Batch()), hasLC, lcCores, config.Widest, config.OneWay)}
 	ng.alloc.NoPartition = true

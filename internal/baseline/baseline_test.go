@@ -98,28 +98,6 @@ func TestWayPartitioningHelpsGating(t *testing.T) {
 	}
 }
 
-func TestGatingPolicies(t *testing.T) {
-	// §VII-B explores four core-selection policies and found descending
-	// power best. All four must run, produce work, and desc-power must
-	// stay within 20% of whichever policy wins on this mix.
-	totals := map[GatingPolicy]float64{}
-	best := 0.0
-	for _, pol := range []GatingPolicy{DescendingPower, AscendingPower, AscendingBIPSPerWatt, AscendingBIPS} {
-		m := machine(t, 5, false)
-		g := NewCoreGating(m, pol, false, 5)
-		totals[pol] = mustRun(t, m, g, 6, harness.ConstantLoad(0.8), harness.ConstantBudget(0.6)).TotalInstrB()
-		if totals[pol] <= 0 {
-			t.Fatalf("policy %v executed nothing", pol)
-		}
-		if totals[pol] > best {
-			best = totals[pol]
-		}
-	}
-	if totals[DescendingPower] < 0.15*best {
-		t.Fatalf("descending power (%.1f) pathologically below best policy (%.1f)", totals[DescendingPower], best)
-	}
-}
-
 func TestAsymmetricOracle(t *testing.T) {
 	m := machine(t, 6, false)
 	a := NewAsymmetric(m, true)

@@ -26,12 +26,10 @@ var DVFSLevels = []float64{4.0, 3.6, 3.2, 2.8, 2.4}
 // cores; no way partitioning — DVFS is the incumbent technique the
 // paper positions reconfiguration against.
 type DVFS struct {
-	lc           *workload.Profile
-	batch        []*workload.Profile
-	nCores       int
-	lcCores      int
-	profileNoise float64
-	r            *rng.RNG
+	lc      *workload.Profile
+	batch   []*workload.Profile
+	lcCores int
+	r       *rng.RNG
 
 	// The scheduler's own storage, valid until its next call: the one
 	// profile phase (the same every slice), the decided allocation, and
@@ -48,17 +46,15 @@ type DVFS struct {
 func NewDVFS(m *sim.Machine, seed uint64) *DVFS {
 	n := len(m.Batch())
 	d := &DVFS{
-		lc:           m.LC(),
-		batch:        m.Batch(),
-		nCores:       m.NCores(),
-		profileNoise: 0.05,
-		r:            rng.New(seed ^ 0xd7f5),
-		bips:         make([]float64, n*len(DVFSLevels)),
-		pw:           make([]float64, n*len(DVFSLevels)),
-		level:        make([]int, n),
+		lc:    m.LC(),
+		batch: m.Batch(),
+		r:     rng.New(seed ^ 0xd7f5),
+		bips:  make([]float64, n*len(DVFSLevels)),
+		pw:    make([]float64, n*len(DVFSLevels)),
+		level: make([]int, n),
 	}
 	if d.lc != nil {
-		d.lcCores = m.NCores() / 2
+		d.lcCores = config.NumMachineCore / 2
 	}
 	a := sim.Uniform(n, d.lc != nil, d.lcCores, config.Widest, config.OneWay)
 	a.NoPartition = true
@@ -94,8 +90,8 @@ func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW flo
 	bips, pw, level := d.bips, d.pw, d.level
 	clear(level)
 	for i := 0; i < n; i++ {
-		b0 := sim.Measure(d.r, pr.BatchBIPS[i], d.profileNoise)
-		p0 := sim.Measure(d.r, pr.BatchPowerW[i], d.profileNoise)
+		b0 := sim.Measure(d.r, pr.BatchBIPS[i], profileNoise)
+		p0 := sim.Measure(d.r, pr.BatchPowerW[i], profileNoise)
 		for l, f := range DVFSLevels {
 			frac := f / config.BaseFreqGHz
 			v := power.DVFSVdd(f) / power.DVFSVdd(config.BaseFreqGHz)
@@ -111,7 +107,7 @@ func (d *DVFS) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW flo
 	}
 
 	est := func() float64 {
-		total := fixedChipPower(d.nCores) + float64(d.lcCores)*lcPower
+		total := power.FixedChipW + float64(d.lcCores)*lcPower
 		for i := 0; i < n; i++ {
 			if alloc.Batch[i].Gated {
 				total += power.GatedCoreW

@@ -39,33 +39,31 @@ type Flicker struct {
 	// ModeB selects evaluation mode (b); default is mode (a).
 	ModeB bool
 
-	lc           *workload.Profile
-	batch        []*workload.Profile
-	nCores       int
-	lcCores      int
-	design       []config.Core
-	r            *rng.RNG
-	profileNoise float64
-	seed         uint64
-	slice        int
-	penaltyPower float64
+	lc      *workload.Profile
+	batch   []*workload.Profile
+	lcCores int
+	design  []config.Core
+	r       *rng.RNG
+	seed    uint64
+	slice   int
 }
+
+// penaltyPower weights the GA objective's power overshoot, in
+// throughput per watt over the budget.
+const penaltyPower = 2
 
 // NewFlicker builds the baseline for machine m (reconfigurable cores).
 func NewFlicker(m *sim.Machine, modeB bool, seed uint64) *Flicker {
 	f := &Flicker{
-		ModeB:        modeB,
-		lc:           m.LC(),
-		batch:        m.Batch(),
-		nCores:       m.NCores(),
-		design:       rbf.Design3MM3(),
-		r:            rng.New(seed ^ 0xf11c4e12),
-		profileNoise: 0.05,
-		seed:         seed,
-		penaltyPower: 2,
+		ModeB:  modeB,
+		lc:     m.LC(),
+		batch:  m.Batch(),
+		design: rbf.Design3MM3(),
+		r:      rng.New(seed ^ 0xf11c4e12),
+		seed:   seed,
 	}
 	if f.lc != nil {
-		f.lcCores = m.NCores() / 2
+		f.lcCores = config.NumMachineCore / 2
 	}
 	return f
 }
@@ -122,8 +120,8 @@ func (f *Flicker) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW 
 		bipsSamples := make([]float64, len(f.design))
 		powerSamples := make([]float64, len(f.design))
 		for d := range f.design {
-			bipsSamples[d] = sim.Measure(f.r, profile[d].BatchBIPS[i], f.profileNoise)
-			powerSamples[d] = sim.Measure(f.r, profile[d].BatchPowerW[i], f.profileNoise)
+			bipsSamples[d] = sim.Measure(f.r, profile[d].BatchBIPS[i], profileNoise)
+			powerSamples[d] = sim.Measure(f.r, profile[d].BatchPowerW[i], profileNoise)
 		}
 		bipsPred[i] = f.predict(bipsSamples)
 		powerPred[i] = f.predict(powerSamples)
@@ -158,7 +156,7 @@ func (f *Flicker) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW 
 	}
 
 	// GA over batch core configurations.
-	fixed := fixedChipPower(f.nCores) + float64(f.lcCores)*lcPower
+	fixed := power.FixedChipW + float64(f.lcCores)*lcPower
 	obj := func(x []int) float64 {
 		logSum, pw := 0.0, fixed
 		for i, j := range x {
@@ -167,7 +165,7 @@ func (f *Flicker) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW 
 		}
 		v := math.Exp(logSum / float64(n))
 		if over := pw - budgetW; over > 0 {
-			v -= f.penaltyPower * over
+			v -= penaltyPower * over
 		}
 		return v
 	}

@@ -12,61 +12,39 @@ import (
 	"cuttlesys/internal/workload"
 )
 
-// GatingPolicy selects which batch cores to power off (§VII-B).
+// GatingPolicy names a core-selection order for NewCoreGating, which
+// has one: DescendingPower.
 type GatingPolicy int
 
-// The four core-selection orders the paper explores; descending power
-// performed best and is the paper's (and this package's) default.
-const (
-	DescendingPower GatingPolicy = iota
-	AscendingPower
-	AscendingBIPSPerWatt
-	AscendingBIPS
-)
-
-// String implements fmt.Stringer.
-func (p GatingPolicy) String() string {
-	switch p {
-	case DescendingPower:
-		return "desc-power"
-	case AscendingPower:
-		return "asc-power"
-	case AscendingBIPSPerWatt:
-		return "asc-bips-per-watt"
-	case AscendingBIPS:
-		return "asc-bips"
-	}
-	return "unknown"
-}
+// DescendingPower gates the most power-hungry batch core first, the
+// order the paper found best of the four it explored (§VII-B).
+const DescendingPower GatingPolicy = 0
 
 // CoreGating is the core-level gating baseline (§VII-B): fixed
 // (non-reconfigurable) cores, whole-core power gating to meet the
 // budget. Cores hosting the latency-critical service are never gated.
 // It profiles each job for one 1 ms sample per slice and gates batch
-// cores by the configured policy until the estimated chip power fits
-// the budget; when gating the final core it searches the active cores
-// for the one meeting the budget with the smallest slack.
+// cores in descending order of sampled power until the estimated chip
+// power fits the budget; when gating the final core it searches the
+// active cores for the one meeting the budget with the smallest slack.
 type CoreGating struct {
-	Policy GatingPolicy
 	// WayPartition adds UCP LLC way-partitioning, available on real
 	// cloud servers (§VII-B).
 	WayPartition bool
 
-	lc           *workload.Profile
-	batch        []*workload.Profile
-	curves       []ucp.Curve // UCP curve per batch job, tabulated once
-	nCores       int
-	lcCores      int
-	profileNoise float64
-	r            *rng.RNG
+	lc      *workload.Profile
+	batch   []*workload.Profile
+	curves  []ucp.Curve // UCP curve per batch job, tabulated once
+	lcCores int
+	r       *rng.RNG
 
 	// The scheduler's own storage, valid until its next call: the one
 	// profile phase (the same every slice), the decided allocation, and
-	// each job's sampled power and BIPS with its gating decision.
-	profile  []harness.Phase
-	alloc    sim.Allocation
-	pw, bips []float64
-	gated    []bool
+	// each job's sampled power with its gating decision.
+	profile []harness.Phase
+	alloc   sim.Allocation
+	pw      []float64
+	gated   []bool
 	// ucpPartition's storage: the active jobs' curves, their slots in
 	// the allocation, and the partition.
 	wpCurves []ucp.Curve
@@ -76,23 +54,23 @@ type CoreGating struct {
 
 // NewCoreGating builds the baseline for machine m. The machine should
 // be constructed with fixed cores (Spec.Reconfigurable = false).
+//
+// Deprecated: the policy argument is ignored, descending power being
+// the one order; it is declared only because bench/ (frozen by
+// BENCHMARK.json) passes it, and goes with that call.
 func NewCoreGating(m *sim.Machine, policy GatingPolicy, wayPartition bool, seed uint64) *CoreGating {
 	n := len(m.Batch())
 	g := &CoreGating{
-		Policy:       policy,
 		WayPartition: wayPartition,
 		lc:           m.LC(),
 		batch:        m.Batch(),
 		curves:       missCurves(m.Batch()),
-		nCores:       m.NCores(),
-		profileNoise: 0.05,
 		r:            rng.New(seed ^ 0x5bf03635),
 		pw:           make([]float64, n),
-		bips:         make([]float64, n),
 		gated:        make([]bool, n),
 	}
 	if g.lc != nil {
-		g.lcCores = m.NCores() / 2
+		g.lcCores = config.NumMachineCore / 2
 	}
 	g.profile = []harness.Phase{{Dur: 0.001}}
 	g.baseAlloc(&g.profile[0].Alloc, nil)
@@ -162,20 +140,21 @@ func (g *CoreGating) ucpPartition(a *sim.Allocation) {
 }
 
 // DecideMulti implements harness.Scheduler: estimate per-core power
-// from the profiling sample and gate batch cores by policy until the
-// chip fits the budget.
+// from the profiling sample and gate batch cores in descending power
+// until the chip fits the budget.
 func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budgetW float64) (sim.Allocation, float64) {
 	n := len(g.batch)
-	pw, bips, gated := g.pw, g.bips, g.gated
+	pw, gated := g.pw, g.gated
 	clear(pw)
-	clear(bips)
 	clear(gated)
 	lcPower := 0.0
 	if len(profile) > 0 {
 		pr := profile[len(profile)-1]
 		for i := 0; i < n; i++ {
-			pw[i] = sim.Measure(g.r, pr.BatchPowerW[i], g.profileNoise)
-			bips[i] = sim.Measure(g.r, pr.BatchBIPS[i], g.profileNoise)
+			pw[i] = sim.Measure(g.r, pr.BatchPowerW[i], profileNoise)
+			// The job's BIPS is sampled too, as a profiling period
+			// measures both; descending power reads only the power.
+			sim.Measure(g.r, pr.BatchBIPS[i], profileNoise)
 		}
 		if g.lc != nil {
 			lcPower = pr.LC[0].CorePowerW
@@ -183,7 +162,7 @@ func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 	}
 
 	est := func() float64 {
-		total := fixedChipPower(g.nCores) + float64(g.lcCores)*lcPower
+		total := power.FixedChipW + float64(g.lcCores)*lcPower
 		for i := 0; i < n; i++ {
 			if gated[i] {
 				total += power.GatedCoreW
@@ -214,7 +193,7 @@ func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 			gated[finalPick] = true
 			break
 		}
-		pick := g.pick(gated, pw, bips)
+		pick := hungriest(gated, pw)
 		if pick < 0 {
 			break // every batch core already gated
 		}
@@ -224,27 +203,13 @@ func (g *CoreGating) DecideMulti(profile []sim.PhaseResult, qps []float64, budge
 	return g.alloc, 0
 }
 
-// pick returns the next core to gate under the configured policy.
-func (g *CoreGating) pick(gated []bool, pw, bips []float64) int {
+// hungriest returns the active core with the highest sampled power,
+// the first on a tie, or -1 when every core is gated.
+func hungriest(gated []bool, pw []float64) int {
 	best := -1
-	bestKey := 0.0
 	for i := range gated {
-		if gated[i] {
-			continue
-		}
-		var key float64
-		switch g.Policy {
-		case DescendingPower:
-			key = -pw[i]
-		case AscendingPower:
-			key = pw[i]
-		case AscendingBIPSPerWatt:
-			key = bips[i] / math.Max(pw[i], 1e-9)
-		case AscendingBIPS:
-			key = bips[i]
-		}
-		if best < 0 || key < bestKey {
-			best, bestKey = i, key
+		if !gated[i] && (best < 0 || pw[i] > pw[best]) {
+			best = i
 		}
 	}
 	return best

@@ -167,7 +167,7 @@ func trueSurfaces(t testing.TB, c chooseCase) (*sim.Machine, func() decision) {
 		b, p := sim.BatchSurfaces(pm, wm, app)
 		thr, pwr = append(thr, b), append(pwr, p)
 	}
-	init := m.NCores() / 2 / len(svcs)
+	init := config.NumMachineCore / 2 / len(svcs)
 	seeds := make([]uint64, len(svcs))
 	for k := range seeds {
 		seeds[k] = seed + uint64(k)
@@ -194,7 +194,7 @@ func trueSurfaces(t testing.TB, c chooseCase) (*sim.Machine, func() decision) {
 			thr: verbatim(NTrainBatch, thr...), pwr: verbatim(NTrainBatch, append(pwr, lcPwr...)...),
 			lat: verbatim(nTrainLC, lat...), svc: verbatim(nTrainLC, svc...),
 			svcM:    sgd.NewMatrix(nTrainLC+len(svcs), config.NumResources),
-			budgetW: 0.8 * m.MaxPowerW(), seed: seed * 7919, nCores: m.NCores(), nBatch: c.nBatch,
+			budgetW: 0.8 * m.MaxPowerW(), seed: seed * 7919, nBatch: c.nBatch,
 			p: Params{Searcher: c.searcher}.withDefaults(), fallback: c.fallback, obs: obs.Nop,
 		}
 		last := sim.Allocation{Batch: make([]sim.BatchAssign, c.nBatch)}

@@ -29,7 +29,7 @@ type decision struct {
 	qps                   []float64 // offered load, one per service
 	budgetW               float64
 	seed                  uint64
-	nCores, nBatch        int
+	nBatch                int
 	p                     Params
 	fallback              bool // the safe-fallback allocation; see choose
 	obs                   obs.Collector
@@ -89,7 +89,7 @@ func (rt *Runtime) estimate(profile []sim.PhaseResult, qps []float64, budgetW fl
 		ctl:       make([]control, len(rt.svcs)),
 		lastAlloc: rt.lastAlloc, failedLC: rt.failedLC, failedBatch: rt.failedBatch,
 		qps: make([]float64, len(rt.svcs)), budgetW: budgetW, seed: rt.p.Seed + uint64(rt.slice)*7919,
-		nCores: rt.nCores, nBatch: len(rt.batch), p: rt.p, obs: c,
+		nBatch: len(rt.batch), p: rt.p, obs: c,
 	}
 	copy(in.qps, qps) // a service with no load entry offers none
 	for k, sv := range rt.svcs {
@@ -225,7 +225,7 @@ func choose(in decision, sc *dds.SeparableObjective) choice {
 		alloc.Batch[i] = sim.BatchAssign{Core: res.Core, Cache: res.Cache}
 	}
 	if !in.p.DisableResilience {
-		applyQuarantine(&alloc, in.failedLC, in.failedBatch, in.nCores)
+		applyQuarantine(&alloc, in.failedLC, in.failedBatch)
 	}
 	repairCache(&alloc, len(in.ctl))
 	if in.fallback {
@@ -283,9 +283,9 @@ func searchParams(in *decision) dds.Params {
 // back one core per slice), and one batch job is gated per failed
 // batch core so the multiplexing factor and the power accounting
 // reflect the live core count instead of the nominal one.
-func applyQuarantine(alloc *sim.Allocation, failedLC, failedBatch, nCores int) {
+func applyQuarantine(alloc *sim.Allocation, failedLC, failedBatch int) {
 	if failedLC > 0 && alloc.LCCores > 0 {
-		room := nCores - 1 - alloc.LCCores
+		room := config.NumMachineCore - 1 - alloc.LCCores
 		for _, x := range alloc.ExtraLC {
 			room -= x.Cores
 		}
@@ -422,7 +422,7 @@ func relocate(in *decision, k int, svcs []svcChoice) int {
 		for _, s := range svcs {
 			total += s.cores
 		}
-		if total < in.nCores-1 {
+		if total < config.NumMachineCore-1 {
 			return sv.cores + 1
 		}
 		return sv.cores
@@ -478,8 +478,8 @@ func repairCache(alloc *sim.Allocation, nSvcs int) {
 
 // fixedPower is the chip power no batch assignment changes: the LLC,
 // the uncore, and each service's cores at its predicted per-core power.
-func fixedPower(nCores int, svcs []svcChoice) float64 {
-	p := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(nCores)
+func fixedPower(svcs []svcChoice) float64 {
+	p := power.FixedChipW
 	for _, s := range svcs {
 		p += float64(s.cores) * s.predPwr
 	}
@@ -492,7 +492,7 @@ func fixedPower(nCores int, svcs []svcChoice) float64 {
 // violations shrink within a timeslice as measurements flow back.
 func enforceBudget(alloc *sim.Allocation, in *decision, svcs []svcChoice) {
 	const tol = 1.02
-	fixed := fixedPower(in.nCores, svcs)
+	fixed := fixedPower(svcs)
 	predicted := func() float64 {
 		total := fixed
 		for i, b := range alloc.Batch {

@@ -22,7 +22,7 @@ import (
 // job per evaluation. It is the oracle separableObjective is pinned to.
 func closureObjective(in *decision, svcs []svcChoice) dds.Objective {
 	nBatch, budgetW := in.nBatch, in.budgetW
-	fixedPower := power.LLCWayW*config.LLCWays + power.UncorePerCoreW*float64(in.nCores)
+	fixedPower := power.FixedChipW
 	lcWays := 0.0
 	lcHalf := 0
 	for _, s := range svcs {

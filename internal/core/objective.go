@@ -85,7 +85,7 @@ func separableObjective(obj *dds.SeparableObjective, in *decision, svcs []svcCho
 	}
 
 	obj.K = numAccums
-	obj.Base = append(obj.Base[:0], 0, fixedPower(in.nCores, svcs), lcWays, float64(lcHalf))
+	obj.Base = append(obj.Base[:0], 0, fixedPower(svcs), lcWays, float64(lcHalf))
 	nBatchF, budgetW := float64(nBatch), in.budgetW
 	obj.Finish = func(acc []float64) float64 {
 		return finishObjective(acc, nBatchF, budgetW)

@@ -15,7 +15,7 @@ import (
 
 func checkAllocFinite(t *testing.T, m *sim.Machine, alloc sim.Allocation) {
 	t.Helper()
-	if err := alloc.Validate(len(m.Batch()), m.LC() != nil, m.NCores()); err != nil {
+	if err := alloc.Validate(len(m.Batch()), m.LC() != nil); err != nil {
 		t.Fatalf("invalid allocation: %v", err)
 	}
 }
@@ -206,7 +206,7 @@ func TestDivergenceTripsAndClears(t *testing.T) {
 		BatchBIPS:   make([]float64, 16),
 		BatchPowerW: make([]float64, 16),
 	}
-	mux := rt.lastAlloc.MultiplexFactor(rt.nCores)
+	mux := rt.lastAlloc.MultiplexFactor()
 	for i := range matched.BatchBIPS {
 		matched.BatchBIPS[i] = rt.predThr[i] * mux
 		matched.BatchPowerW[i] = rt.predPwr[i]

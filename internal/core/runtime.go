@@ -201,9 +201,8 @@ type svcState struct {
 // its own row in the latency and service-time matrices, QoS scan and
 // core-relocation state.
 type Runtime struct {
-	p      Params
-	batch  []*workload.Profile
-	nCores int
+	p     Params
+	batch []*workload.Profile
 
 	// Reconstruction matrices (§V). Throughput rows: NTrainBatch known
 	// apps then the running batch jobs. Power rows: the same plus one
@@ -283,7 +282,6 @@ func New(m *sim.Machine, params Params) *Runtime {
 		p:            p,
 		batch:        batch,
 		obs:          obs.Nop,
-		nCores:       m.NCores(),
 		r:            rng.New(p.Seed ^ 0x9e3779b97f4a7c15),
 		widestIdx:    config.Resource{Core: config.Widest, Cache: config.OneWay}.Index(),
 		narrowestIdx: config.Resource{Core: config.Narrowest, Cache: config.OneWay}.Index(),
@@ -292,7 +290,7 @@ func New(m *sim.Machine, params Params) *Runtime {
 	}
 	services := m.Services()
 	for _, app := range services {
-		init := m.NCores() / 2 / len(services)
+		init := config.NumMachineCore / 2 / len(services)
 		rt.svcs = append(rt.svcs, &svcState{app: app, control: control{
 			cores: init, initCores: init, lastRes: strongest, qosMs: app.QoSTargetMs,
 		}})
@@ -445,7 +443,7 @@ func (rt *Runtime) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 	fw := obs.BeginWall(rt.obs)
 	defer fw.End(rt.obs, "core.feedback")
 	alloc := rt.lastAlloc
-	mux := alloc.MultiplexFactor(rt.nCores)
+	mux := alloc.MultiplexFactor()
 	if rt.p.TrackAccuracy && rt.accErrs == nil {
 		rt.accErrs = map[string][]float64{}
 	}

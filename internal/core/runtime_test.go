@@ -58,7 +58,7 @@ func TestProfilePhasesShape(t *testing.T) {
 		if ph.Dur != 0.001 {
 			t.Fatalf("profile window %v s, want 1 ms", ph.Dur)
 		}
-		if err := ph.Alloc.Validate(16, true, 32); err != nil {
+		if err := ph.Alloc.Validate(16, true); err != nil {
 			t.Fatalf("invalid profile allocation: %v", err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestDecideProducesValidAllocation(t *testing.T) {
 		results = append(results, m.RunMulti(ph.Alloc, ph.Dur, qps))
 	}
 	alloc, overhead := rt.DecideMulti(results, qps, budget)
-	if err := alloc.Validate(16, true, 32); err != nil {
+	if err := alloc.Validate(16, true); err != nil {
 		t.Fatalf("DecideMulti produced invalid allocation: %v", err)
 	}
 	if overhead <= 0 || overhead > 0.02 {

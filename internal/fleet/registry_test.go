@@ -10,7 +10,7 @@ import (
 // two compiled scenarios resolving "qos-aware" must never share
 // weight state.
 func TestRouterByName(t *testing.T) {
-	for _, name := range []string{"uniform", "least-loaded", "qos-aware"} {
+	for _, name := range routerNames {
 		r, err := RouterByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -37,7 +37,7 @@ func TestRouterByName(t *testing.T) {
 
 // TestArbiterByName mirrors the router check for the budget arbiters.
 func TestArbiterByName(t *testing.T) {
-	for _, name := range []string{"proportional", "headroom"} {
+	for _, name := range arbiterNames {
 		a, err := ArbiterByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -87,56 +87,35 @@ func (LeastLoaded) Route(offered float64, tele []Telemetry) []float64 {
 
 // QoSAware is a stateful multiplicative-decrease router: a machine
 // that violated QoS, lost cores, or entered degraded mode last slice
-// has its routing weight halved; a healthy slice multiplies it by
-// Recover (default 1.25) up to full. Shares are weight × capacity, so
-// a big healthy machine still absorbs more than a small one. The AIMD
-// shape drains traffic from a faulty node within a few slices and
-// restores it gradually, avoiding the thundering-herd flap of instant
-// reinstatement.
+// has its routing weight halved, down to a floor of 0.05 that keeps a
+// trickle of traffic flowing so recovery is observable; a healthy
+// slice multiplies it by 1.25 up to full. Shares are weight ×
+// capacity, so a big healthy machine still absorbs more than a small
+// one. The AIMD shape drains traffic from a faulty node within a few
+// slices and restores it gradually, avoiding the thundering-herd flap
+// of instant reinstatement: a machine that flapped down to the floor
+// needs 14 clean slices back to full.
 //
 // Weights are keyed by the stable machine id, so membership churn
 // (machines joining or leaving between slices) never resets a
-// surviving machine's weight. Recovery is clamped below by an
-// additive step: pure multiplicative recovery from a weight near zero
-// stalls — with a subnormal floor, w×1.25 can round back to w and the
-// machine starves forever — so a healthy slice always restores at
-// least recoveryStep of weight. With the default floor the additive
-// term only engages below the floor and the dynamics are unchanged.
+// surviving machine's weight.
 type QoSAware struct {
-	// Floor bounds how far a machine's weight can decay, keeping a
-	// trickle of traffic flowing so recovery is observable. Default
-	// 0.05.
-	Floor float64
-	// Recover is the multiplicative weight restoration per healthy
-	// slice; values <= 1 select the default 1.25. The default restores
-	// much more slowly than the ×0.5 decay drains — a machine that
-	// flapped down to the floor needs ~14 clean slices back to full —
-	// so deployments that re-admit quarantined machines (the control
-	// plane's probation path) typically set 2 for a symmetric AIMD.
-	Recover float64
-
 	w map[int]float64
 }
 
-// recoveryStep is the minimum absolute weight restored per healthy
-// slice — small enough never to outrun ×1.25 recovery above weight
-// 1/64 (below the default floor), large enough to escape the
-// subnormal-stall region in a handful of slices.
-const recoveryStep = 1.0 / 256
+// The QoS-aware router's weight floor and per-healthy-slice recovery
+// factor. Weights stay in [qosFloor, 1], where ×qosRecover always
+// restores weight.
+const (
+	qosFloor   = 0.05
+	qosRecover = 1.25
+)
 
 // Name implements Router.
 func (q *QoSAware) Name() string { return "qos-aware" }
 
 // Route implements Router.
 func (q *QoSAware) Route(offered float64, tele []Telemetry) []float64 {
-	floor := q.Floor
-	if floor <= 0 {
-		floor = 0.05
-	}
-	rec := q.Recover
-	if rec <= 1 {
-		rec = 1.25
-	}
 	if q.w == nil {
 		q.w = make(map[int]float64, len(tele))
 	}
@@ -148,9 +127,9 @@ func (q *QoSAware) Route(offered float64, tele []Telemetry) []float64 {
 		}
 		if t.Valid {
 			if t.Violated || t.Degraded || t.FailedCores > 0 {
-				w = math.Max(floor, w*0.5)
+				w = math.Max(qosFloor, w*0.5)
 			} else {
-				w = math.Min(1, math.Max(w*rec, w+recoveryStep))
+				w = math.Min(1, w*qosRecover)
 			}
 			q.w[t.Machine] = w
 		}

@@ -15,57 +15,30 @@ import (
 // Objective scores a candidate; higher is better.
 type Objective func(x []int) float64
 
-// Params configures a run. Defaults give an evaluation budget
-// comparable to the paper's DDS settings so the two searchers can be
-// compared at equal cost.
+// The search's fixed settings: an evaluation budget (50 + 40·48 =
+// 1 970 evaluations) comparable to the paper's DDS settings, so the
+// two searchers compare at equal cost. Each child mutates each gene
+// with probability 2/Dims, two mutations expected.
+const (
+	population    = 50  // individuals per generation
+	generations   = 40  // generations evolved after the initial one
+	tournamentK   = 3   // tournament size
+	crossoverRate = 0.9 // probability a child is a crossover, not a clone
+	elite         = 2   // fittest individuals copied unchanged
+)
+
+// Params configures a run.
 type Params struct {
 	// Dims is the number of decision variables.
 	Dims int
 	// NumConfigs is the per-dimension domain size.
 	NumConfigs int
-	// Population size. Default 50.
-	Population int
-	// Generations to evolve. Default 40.
-	Generations int
-	// TournamentK is the tournament size. Default 3.
-	TournamentK int
-	// CrossoverRate is the probability a child is produced by
-	// crossover rather than cloning. Default 0.9.
-	CrossoverRate float64
-	// MutationRate is the per-gene mutation probability. Default 2/Dims
-	// (expected two mutations per child).
-	MutationRate float64
-	// Elite is the number of best individuals copied unchanged into the
-	// next generation. Default 2.
-	Elite int
 	// Seed drives all randomness.
 	Seed uint64
 	// Record retains every evaluated point — for Fig. 10a.
 	Record bool
 	// Init optionally seeds individuals into the initial population.
 	Init [][]int
-}
-
-func (p Params) withDefaults() Params {
-	if p.Population == 0 {
-		p.Population = 50
-	}
-	if p.Generations == 0 {
-		p.Generations = 40
-	}
-	if p.TournamentK == 0 {
-		p.TournamentK = 3
-	}
-	if p.CrossoverRate == 0 {
-		p.CrossoverRate = 0.9
-	}
-	if p.MutationRate == 0 {
-		p.MutationRate = 2 / math.Max(1, float64(p.Dims))
-	}
-	if p.Elite == 0 {
-		p.Elite = 2
-	}
-	return p
 }
 
 // Point is one evaluated candidate.
@@ -89,8 +62,7 @@ type individual struct {
 
 // Search evolves the population and returns the best individual found.
 // It panics on invalid parameters.
-func Search(obj Objective, params Params) Result {
-	p := params.withDefaults()
+func Search(obj Objective, p Params) Result {
 	if p.Dims <= 0 || p.NumConfigs <= 0 {
 		panic("ga: Dims and NumConfigs must be positive")
 	}
@@ -99,9 +71,7 @@ func Search(obj Objective, params Params) Result {
 			panic("ga: Init individual with wrong dimensionality")
 		}
 	}
-	if p.Elite > p.Population {
-		p.Elite = p.Population
-	}
+	mutationRate := 2 / math.Max(1, float64(p.Dims))
 
 	r := rng.New(p.Seed)
 	var (
@@ -121,7 +91,7 @@ func Search(obj Objective, params Params) Result {
 	}
 
 	// Initial population: seeded individuals then random fill.
-	pop := make([]individual, p.Population)
+	pop := make([]individual, population)
 	for i := range pop {
 		genes := make([]int, p.Dims)
 		if i < len(p.Init) {
@@ -148,7 +118,7 @@ func Search(obj Objective, params Params) Result {
 
 	tournament := func(pop []individual) *individual {
 		winner := &pop[r.Intn(len(pop))]
-		for k := 1; k < p.TournamentK; k++ {
+		for k := 1; k < tournamentK; k++ {
 			c := &pop[r.Intn(len(pop))]
 			if c.fit > winner.fit {
 				winner = c
@@ -157,19 +127,19 @@ func Search(obj Objective, params Params) Result {
 		return winner
 	}
 
-	for gen := 0; gen < p.Generations; gen++ {
-		next := make([]individual, 0, p.Population)
+	for gen := 0; gen < generations; gen++ {
+		next := make([]individual, 0, population)
 		// Elitism: keep the current best individuals.
-		elite := topK(pop, p.Elite)
-		for _, e := range elite {
+		elites := topK(pop, elite)
+		for _, e := range elites {
 			genes := make([]int, p.Dims)
 			copy(genes, e.genes)
 			next = append(next, individual{genes: genes, fit: e.fit})
 		}
-		for len(next) < p.Population {
+		for len(next) < population {
 			a, b := tournament(pop), tournament(pop)
 			child := make([]int, p.Dims)
-			if r.Float64() < p.CrossoverRate {
+			if r.Float64() < crossoverRate {
 				for d := range child {
 					if r.Float64() < 0.5 {
 						child[d] = a.genes[d]
@@ -181,14 +151,14 @@ func Search(obj Objective, params Params) Result {
 				copy(child, a.genes)
 			}
 			for d := range child {
-				if r.Float64() < p.MutationRate {
+				if r.Float64() < mutationRate {
 					child[d] = r.Intn(p.NumConfigs)
 				}
 			}
 			next = append(next, individual{genes: child})
 		}
 		// Elites carry their fitness; only evaluate the offspring.
-		evaluate(next[len(elite):])
+		evaluate(next[len(elites):])
 		pop = next
 		updateBest(pop)
 	}

@@ -20,9 +20,7 @@ func sphere(target []int) Objective {
 
 func TestFindsNearOptimum(t *testing.T) {
 	target := []int{10, 50, 90, 30}
-	res := Search(sphere(target), Params{
-		Dims: 4, NumConfigs: 108, Seed: 1, Generations: 120, Population: 80,
-	})
+	res := Search(sphere(target), Params{Dims: 4, NumConfigs: 108, Seed: 1})
 	for d := range target {
 		if math.Abs(float64(res.Best[d]-target[d])) > 8 {
 			t.Fatalf("dim %d: found %d, want near %d", d, res.Best[d], target[d])
@@ -86,9 +84,11 @@ func TestInitSeeding(t *testing.T) {
 }
 
 func TestEvalsAccounting(t *testing.T) {
-	p := Params{Dims: 2, NumConfigs: 10, Seed: 7, Population: 20, Generations: 5, Elite: 2}
-	res := Search(sphere([]int{3, 4}), p)
-	want := 20 + 5*(20-2) // initial population + offspring per generation
+	res := Search(sphere([]int{3, 4}), Params{Dims: 2, NumConfigs: 10, Seed: 7})
+	want := population + generations*(population-elite) // initial population + offspring per generation
+	if want != 1970 {
+		t.Fatalf("evaluation budget %d, want 50 + 40·48 = 1970", want)
+	}
 	if res.Evals != want {
 		t.Fatalf("Evals = %d, want %d", res.Evals, want)
 	}

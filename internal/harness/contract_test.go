@@ -68,7 +68,7 @@ func TestEverySchedulerKeepsTheContract(t *testing.T) {
 	}{
 		{"no-gating", func(m *sim.Machine) harness.Scheduler { return baseline.NewNoGating(m) }, false},
 		{"core-gating", func(m *sim.Machine) harness.Scheduler {
-			return baseline.NewCoreGating(m, baseline.AscendingBIPSPerWatt, false, 2)
+			return baseline.NewCoreGating(m, baseline.DescendingPower, false, 2)
 		}, false},
 		{"core-gating-wp", func(m *sim.Machine) harness.Scheduler {
 			return baseline.NewCoreGating(m, baseline.DescendingPower, true, 2)

@@ -139,19 +139,19 @@ func StepLoad(lo, hi, from, to float64) LoadPattern {
 	}
 }
 
-// Modulated multiplies a per-quantum factor table onto a base
-// pattern: sample k covers times nearest k·quantum, clamped to the
-// table, so a precomputed stochastic or trace-replay factor sequence
-// becomes a pure function of simulated time. Rounding (not flooring)
-// the quantum index keeps the lookup robust to the accumulated float
-// error of a clock advanced by repeated quantum additions. An empty
-// table leaves the base pattern unchanged.
-func Modulated(base LoadPattern, factors []float64, quantum float64) LoadPattern {
+// Modulated multiplies a per-slice factor table onto a base pattern:
+// sample k covers times nearest k·SliceDur, clamped to the table, so a
+// precomputed stochastic or trace-replay factor sequence becomes a
+// pure function of simulated time. Rounding (not flooring) the slice
+// index keeps the lookup robust to the accumulated float error of a
+// clock advanced by repeated SliceDur additions. An empty table leaves
+// the base pattern unchanged.
+func Modulated(base LoadPattern, factors []float64) LoadPattern {
 	if len(factors) == 0 {
 		return base
 	}
 	return func(t float64) float64 {
-		k := int(math.Round(t / quantum))
+		k := int(math.Round(t / SliceDur))
 		if k < 0 {
 			k = 0
 		} else if k >= len(factors) {
@@ -470,7 +470,7 @@ type Driver struct {
 
 	// soj accumulates the slice's sojourn times, one buffer per service:
 	// the machine appends each phase's straight into them
-	// (sim.Machine.RunMultiAppend), and each phase result's
+	// (sim.Machine.RunMultiInto), and each phase result's
 	// LC[k].Sojourns is a window of soj[k]. They are reused across slices
 	// (a slice's worth is tens of KB per service), so nothing may keep a
 	// window past the percentile read that ends StepSlice, which is free

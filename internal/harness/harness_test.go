@@ -247,14 +247,14 @@ func TestRunMultiErrorPaths(t *testing.T) {
 // out-of-range times clamp to the table edges.
 func TestModulated(t *testing.T) {
 	base := ConstantLoad(0.5)
-	nilMod := Modulated(base, nil, SliceDur)
+	nilMod := Modulated(base, nil)
 	for _, ts := range []float64{0, 0.05, 1, 100} {
 		if nilMod(ts) != base(ts) {
 			t.Errorf("empty factor table changed the pattern at t=%v", ts)
 		}
 	}
 	factors := []float64{1, 2, 4}
-	mod := Modulated(base, factors, SliceDur)
+	mod := Modulated(base, factors)
 	cases := []struct {
 		t    float64
 		want float64

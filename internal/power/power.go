@@ -44,6 +44,12 @@ const (
 	// LLCWayW is the per-way power of the shared LLC (leakage-dominated
 	// at 22 nm).
 	LLCWayW = 0.06
+
+	// FixedChipW is the chip power no core assignment changes: the
+	// whole LLC and the uncore of the config.NumMachineCore-core chip.
+	// The constant rounds once, to the same float64 as the runtime sum
+	// LLCWayW·32 + UncorePerCoreW·32 (TestFixedChipWIsTheRuntimeSum).
+	FixedChipW = LLCWayW*config.LLCWays + UncorePerCoreW*config.NumMachineCore
 )
 
 // Model evaluates core and chip power. Reconfigurable selects whether

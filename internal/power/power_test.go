@@ -1,6 +1,7 @@
 package power
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -167,5 +168,17 @@ func TestCoreAtDVFSSavesPower(t *testing.T) {
 	}
 	if got := m.CoreAtDVFS(app, config.Widest, 3, 4.0); got != m.Core(app, config.Widest, 3) {
 		t.Fatalf("Core must equal CoreAtDVFS at nominal: %v vs %v", m.Core(app, config.Widest, 3), got)
+	}
+}
+
+// TestFixedChipWIsTheRuntimeSum pins FixedChipW, which Go folds
+// exactly and rounds once, to the bits of the same sum taken over
+// float64 variables, which rounds after every operation: the
+// controllers' power accounting was that runtime sum.
+func TestFixedChipWIsTheRuntimeSum(t *testing.T) {
+	llc, uncore := LLCWayW, UncorePerCoreW
+	ways, cores := float64(config.LLCWays), float64(config.NumMachineCore)
+	if got, want := math.Float64bits(FixedChipW), math.Float64bits(llc*ways+uncore*cores); got != want {
+		t.Fatalf("FixedChipW bits %#x, runtime sum %#x", got, want)
 	}
 }

@@ -194,7 +194,7 @@ func (c *Compiled) compileClient(idx int, opt Options) (CompiledClient, error) {
 		Name:      cl.Name,
 		SLO:       cl.SLO,
 		Workloads: cl.Workloads,
-		Pattern:   harness.Modulated(harness.LoadPattern(env), factors, harness.SliceDur),
+		Pattern:   harness.Modulated(harness.LoadPattern(env), factors),
 	}, nil
 }
 

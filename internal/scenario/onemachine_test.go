@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"cuttlesys/internal/fleet"
 	"cuttlesys/internal/harness"
 	"cuttlesys/internal/obs"
 	"cuttlesys/specs"
@@ -46,36 +47,71 @@ func battery(t *testing.T, b, scheduler string, slices int, set ...func(*Spec)) 
 
 // TestOneMachineFleetIsTheHarnessRun holds a one-machine spec's fleet
 // run to its RunMachine run, the single-machine harness run of the
-// same machine, bit for bit: every registry scheduler under each resilience battery, behind
-// three router/arbiter pairs set on the spec's policy clause, as the
-// fleet report sets them. Every SliceRecord field is compared by
-// its bits except LoadFrac, a recorded label: the harness records
-// load·factor, the fleet share ÷ capacity, and no scheduler reads it.
+// same machine, bit for bit: every registry scheduler under each
+// resilience battery. Every SliceRecord field is compared by its bits
+// except LoadFrac, a recorded label: the harness records load·factor,
+// the fleet share ÷ capacity, and no scheduler reads it.
+//
+// The fleet runs once, under the qos-aware router and the headroom
+// arbiter set on the spec's policy clause — the stateful router and
+// the demand-driven arbiter — stepped as Compiled.Run steps it, one
+// slice at a time so the test keeps the telemetry each slice was
+// routed on. The fleet report's other two pairs are held to that run
+// by replay: fed the same telemetry, each must hand the machine
+// exactly the offered QPS and the budget every slice, so its fleet run
+// is this run (fleet.TestOneMemberGetsTheWhole holds the same for any
+// telemetry).
 func TestOneMachineFleetIsTheHarnessRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("280 machine runs in -short mode")
+		t.Skip("140 machine runs in -short mode")
 	}
-	pairs := [][2]string{{"uniform", "proportional"}, {"least-loaded", "headroom"}, {"qos-aware", "headroom"}}
 	schedulers := Schedulers
 	if raceEnabled {
 		schedulers = schedulers[:1]
 	}
 	for _, def := range schedulers {
 		for _, b := range batteries {
-			c := battery(t, b, def.Name, 20)
-			want, _, err := c.RunMachine(nil)
+			want, _, err := battery(t, b, def.Name, 20).RunMachine(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pair := range pairs {
+			c := battery(t, b, def.Name, 20, func(sp *Spec) {
+				sp.Policy.Router, sp.Policy.Arbiter = "qos-aware", "headroom"
+			})
+			f, err := c.BuildFleet(nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tele [][]fleet.Telemetry
+			for range c.Slices {
+				tele = append(tele, slices.Clone(f.Telemetry()))
+				if _, err := f.Run(1, c.LoadPat, c.BudgetPat); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res := f.Result()
+			f.Close()
+			t.Run(fmt.Sprintf("%s/%s/qos-aware+headroom", def.Name, b), func(t *testing.T) {
+				sameRecords(t, res.Nodes[0].Slices, want.Slices)
+			})
+			for _, pair := range [][2]string{{"uniform", "proportional"}, {"least-loaded", "headroom"}} {
 				t.Run(fmt.Sprintf("%s/%s/%s+%s", def.Name, b, pair[0], pair[1]), func(t *testing.T) {
-					res, err := battery(t, b, def.Name, 20, func(sp *Spec) {
-						sp.Policy.Router, sp.Policy.Arbiter = pair[0], pair[1]
-					}).Run()
+					router, err := fleet.RouterByName(pair[0])
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameRecords(t, res.Fleet.Nodes[0].Slices, want.Slices)
+					arbiter, err := fleet.ArbiterByName(pair[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for s, rec := range res.Slices {
+						qps, budget := router.Route(rec.OfferedQPS, tele[s]), arbiter.Split(rec.BudgetW, tele[s])
+						if len(qps) != 1 || len(budget) != 1 ||
+							math.Float64bits(qps[0]) != math.Float64bits(rec.OfferedQPS) ||
+							math.Float64bits(budget[0]) != math.Float64bits(rec.BudgetW) {
+							t.Fatalf("slice %d: %v QPS and %v W of %v and %v", s, qps, budget, rec.OfferedQPS, rec.BudgetW)
+						}
+					}
 				})
 			}
 		}

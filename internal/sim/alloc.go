@@ -117,12 +117,13 @@ func (a *Allocation) SetService(k int, s LCAssign) {
 	a.ExtraLC[k-1] = s
 }
 
-// Validate checks structural invariants against a machine with nCores
-// cores, nBatch batch jobs and an LC service when hasLC is true.
+// Validate checks structural invariants against a machine with
+// config.NumMachineCore cores, nBatch batch jobs and an LC service
+// when hasLC is true.
 // Way-budget compliance is checked only under partitioning; without
 // partitioning the hardware shares freely. Extra-service counts are
 // checked by the machine (Machine.ValidateAllocation).
-func (a *Allocation) Validate(nBatch int, hasLC bool, nCores int) error {
+func (a *Allocation) Validate(nBatch int, hasLC bool) error {
 	if len(a.Batch) != nBatch {
 		return fmt.Errorf("sim: allocation has %d batch assignments, want %d", len(a.Batch), nBatch)
 	}
@@ -152,8 +153,8 @@ func (a *Allocation) Validate(nBatch int, hasLC bool, nCores int) error {
 		}
 		totalLC += e.Cores
 	}
-	if totalLC > nCores {
-		return fmt.Errorf("sim: %d LC cores exceed the %d-core machine", totalLC, nCores)
+	if totalLC > config.NumMachineCore {
+		return fmt.Errorf("sim: %d LC cores exceed the %d-core machine", totalLC, config.NumMachineCore)
 	}
 	for i, b := range a.Batch {
 		if b.Gated {
@@ -213,10 +214,10 @@ func (a *Allocation) TotalWays(hasLC bool) float64 {
 	return ways + float64((halves+1)/2)
 }
 
-// batchCores returns the number of cores available to batch jobs on an
-// nCores machine.
-func (a *Allocation) batchCores(nCores int) int {
-	n := nCores - a.LCCores
+// batchCores returns the number of the machine's cores left to batch
+// jobs.
+func (a *Allocation) batchCores() int {
+	n := config.NumMachineCore - a.LCCores
 	for _, e := range a.ExtraLC {
 		n -= e.Cores
 	}
@@ -237,12 +238,12 @@ func (a *Allocation) activeBatch() int {
 // MultiplexFactor returns the fraction of time each active batch job
 // gets a core: 1 when cores are plentiful, cores/jobs when the LC
 // service has reclaimed cores and batch jobs time-share (§VIII-D3).
-func (a *Allocation) MultiplexFactor(nCores int) float64 {
+func (a *Allocation) MultiplexFactor() float64 {
 	active := a.activeBatch()
 	if active == 0 {
 		return 0
 	}
-	cores := a.batchCores(nCores)
+	cores := a.batchCores()
 	if cores >= active {
 		return 1
 	}

@@ -153,6 +153,9 @@ func TestRunMultiMatchesUnconditionalLoop(t *testing.T) {
 		name   string
 		spec   Spec
 		faults bool
+		// peakBW, when set, lowers the DRAM bandwidth so the fixed
+		// point contends.
+		peakBW float64
 		// nanLoad offers NaN queries per second to the primary service,
 		// so its utilisation, the DRAM traffic and the inflation are NaN.
 		nanLoad bool
@@ -162,9 +165,9 @@ func TestRunMultiMatchesUnconditionalLoop(t *testing.T) {
 		{name: "batch only", spec: Spec{Reconfigurable: true}},
 		{name: "extra services", spec: Spec{LC: xapian, ExtraLCs: []*workload.Profile{silo}, Reconfigurable: true}},
 		{name: "faults", spec: Spec{LC: xapian, ExtraLCs: []*workload.Profile{silo}, Reconfigurable: true}, faults: true},
-		{name: "saturated", spec: Spec{LC: silo, PeakBWGBs: 12, Reconfigurable: true}},
-		{name: "saturated with faults", spec: Spec{LC: xapian, PeakBWGBs: 8}, faults: true},
-		{name: "infinite utilisation", spec: Spec{LC: xapian, PeakBWGBs: 5e-324, Reconfigurable: true}},
+		{name: "saturated", spec: Spec{LC: silo, Reconfigurable: true}, peakBW: 12},
+		{name: "saturated with faults", spec: Spec{LC: xapian}, faults: true, peakBW: 8},
+		{name: "infinite utilisation", spec: Spec{LC: xapian, Reconfigurable: true}, peakBW: 5e-324},
 		{name: "NaN traffic", spec: Spec{LC: xapian, ExtraLCs: []*workload.Profile{silo}}, nanLoad: true},
 	}
 	for ci, tc := range cases {
@@ -174,6 +177,10 @@ func TestRunMultiMatchesUnconditionalLoop(t *testing.T) {
 			spec.Seed = uint64(ci + 1)
 			spec.Batch = workload.Mix(r.Uint64(), test, 16)
 			got, want := New(spec), New(spec)
+			saturated := tc.peakBW != 0
+			if saturated {
+				got.peakBW, want.peakBW = tc.peakBW, tc.peakBW
+			}
 			if tc.faults {
 				got.SetInjector(phaseFaults{})
 				want.SetInjector(phaseFaults{})
@@ -246,7 +253,6 @@ func TestRunMultiMatchesUnconditionalLoop(t *testing.T) {
 					unsettled++
 				}
 			}
-			saturated := spec.PeakBWGBs != 0
 			if saturated && contended == 0 {
 				t.Fatal("no phase contended for bandwidth; the case does not exercise the full loop")
 			}

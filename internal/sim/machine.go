@@ -26,18 +26,17 @@ type Spec struct {
 	// Reconfigurable selects reconfigurable cores (frequency and energy
 	// penalties apply) versus fixed cores for the baselines.
 	Reconfigurable bool
-	// PeakBWGBs defaults to DefaultPeakBWGBs.
-	PeakBWGBs float64
 	// ExtraLCs are additional latency-critical services beyond LC —
 	// the paper's §VII-A generalisation ("CuttleSys is generalizable
 	// to any number of LC and batch services"). Allocations for a
 	// machine with extra services must fill Allocation.ExtraLC, and
-	// callers drive it with RunMulti.
+	// callers drive it with RunMulti or RunMultiInto.
 	ExtraLCs []*workload.Profile
 }
 
-// Machine simulates a CMP of reconfigurable (or fixed) cores sharing a
-// 32-way LLC, DRAM bandwidth and a power budget.
+// Machine simulates a CMP of config.NumMachineCore reconfigurable (or
+// fixed) cores sharing a 32-way LLC, DRAM bandwidth and a power
+// budget.
 type Machine struct {
 	Power *power.Model
 
@@ -50,8 +49,9 @@ type Machine struct {
 	pm  *perf.Model
 	tbl *perf.SurfaceTable
 
-	batch  []*workload.Profile
-	nCores int
+	batch []*workload.Profile
+	// peakBW is DefaultPeakBWGBs; tests in this package lower it after
+	// New to drive the bandwidth fixed point into contention.
 	peakBW float64
 	now    float64
 
@@ -85,19 +85,11 @@ type lcService struct {
 // New constructs a Machine from spec. It panics on invalid profiles so
 // that configuration errors surface at construction, not mid-run.
 func New(spec Spec) *Machine {
-	bw := spec.PeakBWGBs
-	if bw == 0 {
-		bw = DefaultPeakBWGBs
-	}
-	if !(bw > 0) || math.IsInf(bw, 1) {
-		panic(fmt.Sprintf("sim: peak DRAM bandwidth %v GB/s is not finite and positive", bw))
-	}
 	m := &Machine{
 		pm:     perf.New(spec.Reconfigurable),
 		Power:  power.New(spec.Reconfigurable),
 		batch:  spec.Batch,
-		nCores: config.NumMachineCore,
-		peakBW: bw,
+		peakBW: DefaultPeakBWGBs,
 	}
 	for _, app := range spec.Batch {
 		if err := app.Validate(); err != nil {
@@ -157,9 +149,6 @@ func (m *Machine) Services() []*workload.Profile {
 	}
 	return out
 }
-
-// NCores returns the machine's core count.
-func (m *Machine) NCores() int { return m.nCores }
 
 // LC returns the primary latency-critical service's profile, or nil.
 func (m *Machine) LC() *workload.Profile {
@@ -225,7 +214,7 @@ type PhaseResult struct {
 // LCResult is one latency-critical service's share of a phase.
 type LCResult struct {
 	// Sojourns are the service's query latencies (seconds) for queries
-	// arriving in this phase. From RunMultiAppend it is a capped window
+	// arriving in this phase. From RunMultiInto it is a capped window
 	// of the caller's buffer and lives as long as the caller leaves that
 	// buffer alone.
 	Sojourns []float64
@@ -333,7 +322,7 @@ type servicePhase struct {
 // machine: its structural invariants (Allocation.Validate) plus one
 // assignment per extra service. RunMulti panics on the same error.
 func (m *Machine) ValidateAllocation(alloc *Allocation) error {
-	if err := alloc.Validate(len(m.batch), len(m.lcs) > 0, m.nCores); err != nil {
+	if err := alloc.Validate(len(m.batch), len(m.lcs) > 0); err != nil {
 		return err
 	}
 	if extras := max(len(m.lcs)-1, 0); len(alloc.ExtraLC) != extras {
@@ -386,7 +375,7 @@ func (m *Machine) newPhase(alloc *Allocation, durSec float64, qps []float64) pha
 		ph.svc[k] = s
 	}
 	ph.deadBatch = ph.d.FailedBatch
-	if bc := alloc.batchCores(m.nCores); ph.deadBatch > bc {
+	if bc := alloc.batchCores(); ph.deadBatch > bc {
 		ph.deadBatch = bc
 	}
 	if ph.deadBatch < 0 {
@@ -454,10 +443,10 @@ func (m *Machine) execute(res *PhaseResult, ph *phase, durSec, inflation float64
 		LC:          zeroed(res.LC, len(ph.svc)),
 	}
 
-	mux := alloc.MultiplexFactor(m.nCores)
+	mux := alloc.MultiplexFactor()
 	if deadBatch > 0 {
 		// Surviving batch jobs time-multiplex onto the live cores.
-		live := alloc.batchCores(m.nCores) - deadBatch
+		live := alloc.batchCores() - deadBatch
 		if active := alloc.activeBatch(); active > 0 && live < active {
 			mux = 0
 			if live > 0 {
@@ -486,7 +475,7 @@ func (m *Machine) execute(res *PhaseResult, ph *phase, durSec, inflation float64
 	}
 	// Batch cores left idle (more cores than active jobs) sit gated;
 	// fail-stopped cores draw nothing at all.
-	if spare := alloc.batchCores(m.nCores) - deadBatch - activeCoresUsed; spare > 0 {
+	if spare := alloc.batchCores() - deadBatch - activeCoresUsed; spare > 0 {
 		totalPower += float64(spare) * power.GatedCoreW
 	}
 
@@ -536,7 +525,7 @@ func (m *Machine) execute(res *PhaseResult, ph *phase, durSec, inflation float64
 		}
 	}
 
-	totalPower += m.Power.LLC(config.LLCWays) + m.Power.Uncore(m.nCores)
+	totalPower += m.Power.LLC(config.LLCWays) + m.Power.Uncore(config.NumMachineCore)
 	res.PowerW = totalPower
 	res.FailedLC = ph.deadLC
 	res.FailedBatch = deadBatch
@@ -814,13 +803,13 @@ func (m *Machine) MaxPowerW() float64 {
 		p := refPower.Core(lc, config.Widest, ipc)
 		// The LC service holds half the machine at t=0 (§VII-A), so it
 		// contributes that many per-core samples to the average.
-		k := m.nCores / 2
+		k := config.NumMachineCore / 2
 		sum += p * float64(k)
 		n += k
 	}
 	if n == 0 {
-		return m.Power.LLC(config.LLCWays) + m.Power.Uncore(m.nCores)
+		return m.Power.LLC(config.LLCWays) + m.Power.Uncore(config.NumMachineCore)
 	}
-	return sum/float64(n)*float64(m.nCores) +
-		refPower.LLC(config.LLCWays) + refPower.Uncore(m.nCores)
+	return sum/float64(n)*float64(config.NumMachineCore) +
+		refPower.LLC(config.LLCWays) + refPower.Uncore(config.NumMachineCore)
 }

@@ -97,10 +97,10 @@ func servicePathScript(t *testing.T, h bitHash) {
 				Batch:          workload.Mix(uint64(n), test, 16),
 				Reconfigurable: reconf,
 			}
-			if !reconf {
-				spec.PeakBWGBs = 35 // contended: the bandwidth fixed point iterates
-			}
 			m := New(spec)
+			if !reconf {
+				m.peakBW = 35 // contended: the bandwidth fixed point iterates
+			}
 			m.SetInjector(inj)
 			cores := 16 / n
 			for i := 0; i < 16; i++ {

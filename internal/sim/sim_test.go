@@ -30,14 +30,11 @@ func testMachine(t *testing.T, seed uint64) *Machine {
 }
 
 func widestAlloc(m *Machine) Allocation {
-	return Uniform(len(m.Batch()), m.LC() != nil, m.NCores()/2, config.Widest, config.OneWay)
+	return Uniform(len(m.Batch()), m.LC() != nil, config.NumMachineCore/2, config.Widest, config.OneWay)
 }
 
 func TestMachineConstruction(t *testing.T) {
 	m := testMachine(t, 1)
-	if m.NCores() != 32 {
-		t.Fatalf("NCores = %d, want 32", m.NCores())
-	}
 	if len(m.Batch()) != 16 {
 		t.Fatalf("batch jobs = %d, want 16", len(m.Batch()))
 	}
@@ -50,9 +47,6 @@ func TestNewPanicsOnBadSpec(t *testing.T) {
 		{Batch: []*workload.Profile{lc}},                     // LC listed as batch
 		{LC: batch[0]},                                       // batch listed as LC
 		{LC: lc, Batch: []*workload.Profile{{Name: "junk"}}}, // invalid profile
-		{LC: lc, PeakBWGBs: math.NaN()},                      // undefined bandwidth
-		{LC: lc, PeakBWGBs: -10},                             // negative bandwidth
-		{LC: lc, PeakBWGBs: math.Inf(1)},                     // unlimited bandwidth
 	}
 	for i, spec := range cases {
 		func() {
@@ -223,7 +217,7 @@ func TestNoPartitionInterference(t *testing.T) {
 func TestValidateRejectsBadAllocations(t *testing.T) {
 	m := testMachine(t, 10)
 	good := widestAlloc(m)
-	if err := good.Validate(16, true, 32); err != nil {
+	if err := good.Validate(16, true); err != nil {
 		t.Fatalf("good allocation rejected: %v", err)
 	}
 	cases := []func(a *Allocation){
@@ -241,7 +235,7 @@ func TestValidateRejectsBadAllocations(t *testing.T) {
 	for i, mutate := range cases {
 		a := widestAlloc(m)
 		mutate(&a)
-		if err := a.Validate(16, true, 32); err == nil {
+		if err := a.Validate(16, true); err == nil {
 			t.Errorf("case %d: bad allocation accepted", i)
 		}
 	}
@@ -262,11 +256,11 @@ func TestHalfWayPairing(t *testing.T) {
 
 func TestMultiplexFactor(t *testing.T) {
 	a := Uniform(16, true, 16, config.Widest, config.OneWay)
-	if got := a.MultiplexFactor(32); got != 1 {
+	if got := a.MultiplexFactor(); got != 1 {
 		t.Fatalf("16 jobs on 16 cores: mux = %v, want 1", got)
 	}
 	a.LCCores = 17 // core relocated to the LC service
-	if got := a.MultiplexFactor(32); math.Abs(got-15.0/16) > 1e-12 {
+	if got := a.MultiplexFactor(); math.Abs(got-15.0/16) > 1e-12 {
 		t.Fatalf("16 jobs on 15 cores: mux = %v, want 15/16", got)
 	}
 }
@@ -421,7 +415,7 @@ func TestMultiServiceMachine(t *testing.T) {
 		t.Fatal("primary service executed no queries")
 	}
 	// Both services plus 16 batch cores fill the machine exactly.
-	if got := a.batchCores(32); got != 16 {
+	if got := a.batchCores(); got != 16 {
 		t.Fatalf("batch cores = %d, want 16", got)
 	}
 }

@@ -99,8 +99,8 @@ func TestZeroThroughputExtraService(t *testing.T) {
 	// exist for valid profiles, so instead overflow via offered load on
 	// the primary and check the extra service is simply unaffected.
 	m.SetInjector(stuckInjector{from: 0, to: 0.1})
-	alloc := Uniform(len(m.Batch()), true, m.NCores()/4, config.Widest, config.OneWay)
-	alloc.ExtraLC = []LCAssign{{Cores: m.NCores() / 4, Core: config.Widest, Cache: config.FourWays}}
+	alloc := Uniform(len(m.Batch()), true, config.NumMachineCore/4, config.Widest, config.OneWay)
+	alloc.ExtraLC = []LCAssign{{Cores: config.NumMachineCore / 4, Core: config.Widest, Cache: config.FourWays}}
 	res := m.RunMulti(alloc, 0.1, []float64{0.5 * lc.MaxQPS, 0.5 * extra[0].MaxQPS})
 	if !math.IsInf(res.LC[0].MeanSvc, 1) {
 		t.Fatalf("primary MeanSvc = %v, want +Inf", res.LC[0].MeanSvc)
