@@ -41,7 +41,7 @@ func decodeReport(t *testing.T, file string, v any) {
 // drift — reordered map iteration, a changed guard, a reseeded stream,
 // a float rounding change, a dependence on the worker count — fails
 // here before it can silently invalidate the published numbers. The
-// resilience row's runs also feed its full-precision record digest.
+// resilience row hands its runs on to TestResilienceRecordsPinned.
 func TestReferenceReportsUnchanged(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 8} {
@@ -55,7 +55,7 @@ func TestReferenceReportsUnchanged(t *testing.T) {
 					t.Parallel()
 					build := r.build
 					if r.name == "resilience" {
-						build = func(p params) (any, error) { return buildResilience(t, p) }
+						build = func(p params) (any, error) { return buildResilience(procs, p) }
 					}
 					rep, err := build(r.defaults)
 					if err != nil {
