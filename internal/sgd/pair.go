@@ -33,6 +33,13 @@
 //   - AVX-512: the two pairs are independent problems, so they train
 //     concurrently on blocks of their own, each sweeping its whole
 //     common prefix in the 512-bit wide kernel (four cells per slot).
+//     The wide kernel keeps a slot's four columns in registers, a
+//     column window: in the dense wavefront the schedule forms, each
+//     row one column behind the row above, a slot's columns are the
+//     previous slot's moved up one part, so one column retires to
+//     memory and one enters per slot instead of all four making the
+//     round trip. Where the pattern breaks the window is stored back
+//     and gathered afresh; the arithmetic is the same either way.
 //
 // Whatever follows in a lane trains in scalar Go after the kernels, in
 // the same row-major order, against the same interleaved state.
@@ -381,28 +388,11 @@ func (g *laneGroup) newSlotRun(lane0, from, to int) laneRun {
 		k, kernel = wideCells, wideEpoch6
 	}
 	a, b := g.st[lane0], g.st[lane0+1]
-	cols := a.m.Cols
-	cells := a.cells[from:to]
-	nslots := schedule(cells, cols, k, nil)
-	// Cells are counted across slots, slot s holding cells k·s…k·s+k−1.
-	// A slot's indices are its cells' rows, then their columns, then
-	// their entries: cell c's row index sits at idx[at(c)], its column
-	// index k further on and its entry index 2k further on.
-	at := func(c int) int { return c + c/k*2*k }
-	idx := make([]uint16, 3*k*nslots)
-	for c := range k * nslots {
-		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(g.rows), uint16(cols), uint16(a.pad())
-	}
-	c := 0 // the next cell to fill
-	schedule(cells, cols, k, func(s, t, i, j int) {
-		c = max(c, k*s) // a slot's first entry takes its first cell
-		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(i), uint16(j), uint16(from+t)
-		c++
-	})
+	idx := slotIndices(a.cells[from:to], from, a.m.Cols, k, g.rows, a.pad())
 	run := laneRun{kernel: kernel, args: laneArgs{
 		row: &g.rowP[lane0], col: &g.colP[lane0],
 		vals: &a.vals[0], slots: &idx[0],
-		n: int64(nslots),
+		n: int64(len(idx) / (3 * k)),
 	}}
 	for l, s := range []*trainState{a, b} {
 		for h := 0; h < laneCount; h += 2 {
@@ -410,6 +400,29 @@ func (g *laneGroup) newSlotRun(lane0, from, to int) laneRun {
 		}
 	}
 	return run
+}
+
+// slotIndices lays out the schedule of cells, a run of entries from
+// entry from on, k cells to a slot, as a slot kernel reads it. Cells
+// are counted across slots, slot s holding cells k·s…k·s+k−1. A slot's
+// indices are its cells' rows, then their columns, then their entries:
+// cell c's row index sits at idx[at(c)], its column index k further on
+// and its entry index 2k further on. A cell no entry fills names the
+// spare row and column blocks and the μ entry.
+func slotIndices(cells []uint32, from, cols, k, spareRow, pad int) []uint16 {
+	nslots := schedule(cells, cols, k, nil)
+	at := func(c int) int { return c + c/k*2*k }
+	idx := make([]uint16, 3*k*nslots)
+	for c := range k * nslots {
+		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(spareRow), uint16(cols), uint16(pad)
+	}
+	c := 0 // the next cell to fill
+	schedule(cells, cols, k, func(s, t, i, j int) {
+		c = max(c, k*s) // a slot's first entry takes its first cell
+		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(i), uint16(j), uint16(from+t)
+		c++
+	})
+	return idx
 }
 
 // schedule packs a row-major run of cells into slots of at most k for

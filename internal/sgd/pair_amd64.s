@@ -29,9 +29,15 @@
 // the schedule keeps each row's and each column's entries in their
 // serial order, so every block sees exactly the update sequence of its
 // own serial sweep. Both keep a slot's rows in registers while
-// consecutive slots name the same rows. A slot names its cells' values
-// by entry index into the pair's interleaved value array, each cell's
-// two lanes one 16-byte pair.
+// consecutive slots name the same rows. wideEpoch6 keeps its columns
+// in registers too, as a window that shifts up one part per slot while
+// the slots follow the dense wavefront (each row one column behind the
+// row above): a slot then stores one retiring column and loads one new
+// one per element instead of round-tripping all four through memory.
+// Registers only change where a value lives between two entries, not
+// the operations on it. A slot names its cells' values by entry index
+// into the pair's interleaved value array, each cell's two lanes one
+// 16-byte pair.
 //
 // Scalar registers: DI=args R12=vals (quad: lanes 0–1's, walking; dual
 // and wide: the base) R13=rows or slots left; quad: SI=row block
@@ -40,12 +46,14 @@
 // R11=slot indices SI/R8=row blocks of entries A/B BX/CX=their column
 // blocks AX=value offset; wide: R9/R10/R11/AX as dual, SI/R8/R14/R15
 // the four cells' row blocks, BX/CX/DX/DI their column blocks (DI once
-// the arguments are read). Vector names: vQ0–vQ5 the row factors and
+// the arguments are read), AX also the entering column's block on a
+// window shift. Vector names: vQ0–vQ5 the row factors and
 // vQB the row bias; vMU/vETA/vLAM the per-lane constants; vDOT, vERR,
-// vPK and vT0–vT2 per-entry scratch; vC0–vC5 the column factors (vPK
-// but in the wide kernel). VLOAD loads the entry's values into vERR;
-// CMUL, CLOAD, CFETCH and CSTORE reach the column elements. Each kernel
-// binds them to its own addressing.
+// vPK and vT0–vT2 per-entry scratch; vC0–vC5 the column factors and
+// vCB the column bias (all vPK but in the wide kernel, whose column
+// window is Z16–Z22). VLOAD loads the entry's values into vERR; CMUL,
+// CLOAD, CFETCH and CSTORE reach the column elements. Each kernel binds
+// them to its own addressing.
 
 #define vQ0 Y0
 #define vQ1 Y1
@@ -83,22 +91,23 @@
 	VADDPD vT0, vDOT, vDOT
 
 // err = v - (((mu + rb) + cb) + dot), v already in vERR, then
-// rb += eta * (err - lam*rb) and cb += eta * (err - lam*cb)
+// rb += eta * (err - lam*rb) and cb += eta * (err - lam*cb), the
+// column bias held in vCB
 #define ERRBIAS \
-	CLOAD(6, vPK)           \
+	CLOAD(6, vCB)           \
 	VADDPD vQB, vMU, vT0    \
-	VADDPD vPK, vT0, vT0    \
+	VADDPD vCB, vT0, vT0    \
 	VADDPD vDOT, vT0, vT0   \
 	VSUBPD vT0, vERR, vERR  \
 	VMULPD vQB, vLAM, vT0   \
 	VSUBPD vT0, vERR, vT0   \
 	VMULPD vT0, vETA, vT0   \
 	VADDPD vT0, vQB, vQB    \
-	VMULPD vPK, vLAM, vT0   \
+	VMULPD vCB, vLAM, vT0   \
 	VSUBPD vT0, vERR, vT0   \
 	VMULPD vT0, vETA, vT0   \
-	VADDPD vT0, vPK, vPK    \
-	CSTORE(6, vPK)
+	VADDPD vT0, vCB, vCB    \
+	CSTORE(6, vCB)
 
 // factor update k, column element E held in PK:
 //   qk += eta*(err*pk - lam*qk); pk += eta*(err*qk - lam*pk)
@@ -132,7 +141,8 @@
 	FUPD(vQ5, 5, vC5)
 
 // The 256-bit kernels fetch each column factor into vPK when they
-// update it.
+// update it, and the column bias too.
+#define vCB vPK
 #define vC0 vPK
 #define vC1 vPK
 #define vC2 vPK
@@ -340,6 +350,7 @@ slotsdone:
 #undef RLOAD
 #undef RSTORE
 #undef ROWS
+#undef vCB
 #undef vC0
 #undef vC1
 #undef vC2
@@ -382,9 +393,11 @@ slotsdone:
 #define vLAM Z14
 #define vT2 Z15
 
-// The wide kernel gathers each column factor once, in DOT6, into a
-// register of its own above the sixteen VEX can name, and updates and
-// stores it from there.
+// The wide kernel holds a slot's seven column elements in registers of
+// their own above the sixteen VEX can name — the factors in vC0–vC5,
+// the bias in vCB — and keeps them there from slot to slot: the column
+// window (see wideEpoch6).
+#define vCB Z22
 #define vC0 Z16
 #define vC1 Z17
 #define vC2 Z18
@@ -393,11 +406,9 @@ slotsdone:
 #define vC5 Z21
 
 // Wide addressing: the four 16-byte parts of a register are cells 0–3
-// of the slot, element E of their two-lane column blocks at BX, CX, DX
-// and DI, their values at byte 16 times their entry indices off R12.
-// The broadcast fills every part, and the inserts overwrite parts 1–3.
-// Only AVX-512F forms touch Z16–Z21: the broadcast and the part
-// extracts, not VEX or 128-bit EVEX moves.
+// of the slot, their values at byte 16 times their entry indices off
+// R12. The broadcast fills every part, and the inserts overwrite parts
+// 1–3. ENTRY6 reads and updates the window in place.
 #define VPART(OFF, N) \
 	MOVWQZX OFF(R11), AX       \
 	SHLQ $4, AX                \
@@ -409,21 +420,60 @@ slotsdone:
 	VPART(18, 1)               \
 	VPART(20, 2)               \
 	VPART(22, 3)
-#define CPARTS(E, Z) \
+#define CMUL(E, QK, PK) VMULPD PK, QK, vT0
+#define CLOAD(E, PK)
+#define CFETCH(E, PK)
+#define CSTORE(E, PK)
+
+// CGATHER fills window element E from element E of the four column
+// blocks at BX, CX, DX and DI, one per part, and CSPILL stores it back
+// there. CSHIFT moves it up one part: part 3's column, at DI, retires to
+// its block, parts 0–2 become parts 1–3 and part 0 takes element E of
+// the block at AX. The retiring store comes before the load, so a
+// column that left the window is read back as it left. Only AVX-512F
+// forms touch Z16–Z22: broadcasts, part inserts and extracts and
+// VALIGNQ, not VEX or 128-bit EVEX moves.
+#define CGATHER(E, Z) \
 	VBROADCASTF32X4 (E*16)(BX), Z \
 	VINSERTF32X4 $1, (E*16)(CX), Z, Z \
 	VINSERTF32X4 $2, (E*16)(DX), Z, Z \
 	VINSERTF32X4 $3, (E*16)(DI), Z, Z
-#define CMUL(E, QK, PK) \
-	CPARTS(E, PK)              \
-	VMULPD PK, QK, vT0
-#define CLOAD(E, PK) CPARTS(E, PK)
-#define CFETCH(E, PK)
-#define CSTORE(E, PK) \
-	VEXTRACTF32X4 $0, PK, (E*16)(BX) \
-	VEXTRACTF32X4 $1, PK, (E*16)(CX) \
-	VEXTRACTF32X4 $2, PK, (E*16)(DX) \
-	VEXTRACTF32X4 $3, PK, (E*16)(DI)
+#define CSPILL(E, Z) \
+	VEXTRACTF32X4 $0, Z, (E*16)(BX) \
+	VEXTRACTF32X4 $1, Z, (E*16)(CX) \
+	VEXTRACTF32X4 $2, Z, (E*16)(DX) \
+	VEXTRACTF32X4 $3, Z, (E*16)(DI)
+#define CSHIFT(E, Z) \
+	VEXTRACTF32X4 $3, Z, (E*16)(DI) \
+	VBROADCASTF32X4 (E*16)(AX), vT0 \
+	VALIGNQ $6, vT0, Z, Z
+
+#define CGATHER7 \
+	CGATHER(0, vC0)         \
+	CGATHER(1, vC1)         \
+	CGATHER(2, vC2)         \
+	CGATHER(3, vC3)         \
+	CGATHER(4, vC4)         \
+	CGATHER(5, vC5)         \
+	CGATHER(6, vCB)
+
+#define CSPILL7 \
+	CSPILL(0, vC0)          \
+	CSPILL(1, vC1)          \
+	CSPILL(2, vC2)          \
+	CSPILL(3, vC3)          \
+	CSPILL(4, vC4)          \
+	CSPILL(5, vC5)          \
+	CSPILL(6, vCB)
+
+#define CSHIFT7 \
+	CSHIFT(0, vC0)          \
+	CSHIFT(1, vC1)          \
+	CSHIFT(2, vC2)          \
+	CSHIFT(3, vC3)          \
+	CSHIFT(4, vC4)          \
+	CSHIFT(5, vC5)          \
+	CSHIFT(6, vCB)
 
 // RLOAD and RSTORE move row element E of the four cells (SI, R8, R14,
 // R15) between memory and the parts of Z, whose low part is X.
@@ -445,14 +495,33 @@ slotsdone:
 	IMUL3Q $112, R, R       \
 	ADDQ BASE, R
 
+// ROWS4 and COLS4 point the four cells' row and column block registers
+// at the current slot's blocks.
+#define ROWS4 \
+	BLOCK(0, R9, SI)        \
+	BLOCK(2, R9, R8)        \
+	BLOCK(4, R9, R14)       \
+	BLOCK(6, R9, R15)
+#define COLS4 \
+	BLOCK(8, R10, BX)       \
+	BLOCK(10, R10, CX)      \
+	BLOCK(12, R10, DX)      \
+	BLOCK(14, R10, DI)
+
 // func wideEpoch6(a *laneArgs)
 //
 // Four cells of one pair per register, a slot at a time. Per slot the
 // indices are twelve uint16s — the four cells' rows, their columns,
 // then their entries — the first eight scaled to 112-byte blocks. The
-// per-lane constants are the pair's two, broadcast to every part. The
-// four rows stay in registers while consecutive slots name the same
-// rows, and are stored back when they change and at the end.
+// per-lane constants are the pair's two, broadcast to every part. Rows
+// and columns stay in registers independently. The four rows stay while
+// consecutive slots name the same rows, and are stored back when they
+// change and at the end. The columns are a window: where a slot's
+// columns 1–3 are the previous slot's columns 0–2 — the dense
+// wavefront, each row one column behind the row above — the window
+// shifts (CSHIFT), one column retiring and one entering per element;
+// anywhere else it is stored back whole and gathered afresh, and it is
+// stored back at the end.
 TEXT ·wideEpoch6(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), DI
 	MOVQ 0(DI), R9
@@ -465,31 +534,51 @@ TEXT ·wideEpoch6(SB), NOSPLIT, $0-8
 	VBROADCASTF32X4 112(DI), vLAM
 	TESTQ R13, R13
 	JZ widedone
-
-widerows:
-	BLOCK(0, R9, SI)
-	BLOCK(2, R9, R8)
-	BLOCK(4, R9, R14)
-	BLOCK(6, R9, R15)
+	ROWS4
 	RLOAD7
+	COLS4
+	CGATHER7
 
 wideloop:
-	BLOCK(8, R10, BX)
-	BLOCK(10, R10, CX)
-	BLOCK(12, R10, DX)
-	BLOCK(14, R10, DI)
 	ENTRY6
 	ADDQ $24, R11
 	DECQ R13
 	JZ wideend
 	MOVQ 0(R11), AX
 	CMPQ AX, -24(R11)
-	JEQ wideloop
+	JNE widerows
+
+widecols:
+	// Shift test: the slot's columns 1–3 against the previous slot's
+	// columns 0–2, the two packed index words compared 16 bits apart.
+	MOVQ -16(R11), AX
+	SHLQ $16, AX
+	XORQ 8(R11), AX
+	SHRQ $16, AX
+	JNZ widegather
+	BLOCK(8, R10, AX)
+	CSHIFT7
+	MOVQ DX, DI
+	MOVQ CX, DX
+	MOVQ BX, CX
+	MOVQ AX, BX
+	JMP wideloop
+
+widerows:
 	RSTORE7
-	JMP widerows
+	ROWS4
+	RLOAD7
+	JMP widecols
+
+widegather:
+	CSPILL7
+	COLS4
+	CGATHER7
+	JMP wideloop
 
 wideend:
 	RSTORE7
+	CSPILL7
 
 widedone:
 	VZEROUPPER

@@ -135,6 +135,9 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		a, b   *Matrix
 		pa, pb Params
 		prefix int // expected lanePrefix where the kernel runs; 0 = not asserted
+		// The column window edges the wide schedule must meet (see
+		// windowEdges), asserted where the kernels run.
+		window []string
 	}
 	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50}
 	frozen := rt
@@ -147,6 +150,22 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 		return pairCase{name: name, a: a, b: b, pa: pa, pb: pb, prefix: edit(a, b)}
 	}
 	whole := func(a, b *Matrix) int { return a.knownCount() }
+	// staircase clears the last group of four dense rows of 12 so they
+	// end one column apart, rows 8 to 11 at columns 107 down to 104: the
+	// wavefront then reaches the end of the group with the window still
+	// shifting.
+	staircase := func(a, b *Matrix) {
+		for r := 9; r < 12; r++ {
+			for j := 108 - (r - 8); j < 108; j++ {
+				setCell(false, r, j, a, b)
+			}
+		}
+	}
+	windowCase := func(name string, seed uint64, extraB int, pa, pb Params, window []string, edit func(a, b *Matrix) int) pairCase {
+		c := matched(name, seed, extraB, pa, pb, edit)
+		c.window = window
+		return c
+	}
 
 	cases := []pairCase{
 		matched("matched sparse running rows", 51, 0, rt, rt, whole),
@@ -180,6 +199,48 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 			}
 			return obsBefore(a, 20)
 		}),
+		windowCase("window: shift runs broken where the rows change", 58, 0, rt, rt,
+			[]string{winRowBreak, winRowsShift}, whole),
+		windowCase("window: shift run broken at a sparse running row", 59, 2, rt, rt,
+			[]string{winSparse}, whole),
+		windowCase("window: region ends mid-row inside a shift run", 60, 0, rt, rt,
+			[]string{winEndShift, winMidRow}, func(a, b *Matrix) int {
+				// Lane B lacks (11, 105): the prefix ends at row 11's
+				// column 104, the staircase's last step.
+				staircase(a, b)
+				setCell(true, 11, 105, a)
+				setCell(true, 11, 106, a, b)
+				return obsBefore(a, 11) + 105
+			}),
+		windowCase("window: one-slot region", 61, 0, rt, rt,
+			[]string{winOneSlot}, func(a, b *Matrix) int {
+				setCell(false, 0, 1, b)
+				return 1
+			}),
+		windowCase("window: padding cells inside a shifted run", 62, 0, rt, rt,
+			[]string{winPadShift}, whole),
+	}
+	{
+		// The region ends where the pair's matrices do, mid-shift: twelve
+		// dense rows and nothing after them.
+		a, b := matchedPair(63, 12, 108, 12, 0, 0)
+		staircase(a, b)
+		cases = append(cases, pairCase{name: "window: region ends inside a shift run", a: a, b: b, pa: rt, pb: rt,
+			prefix: a.knownCount(), window: []string{winEndShift}})
+	}
+	{
+		// A warm lane beside a cold one with the same sweep count: the
+		// two share the wide kernel, warm factors in one lane of every
+		// window part and the SVD seed in the other.
+		a, b := matchedPair(64, 24, 108, 12, 9, 0)
+		_, facA, err := reconstructFactors(a, rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wa := rt
+		wa.Warm, wa.WarmIters = facA, rt.MaxIter
+		cases = append(cases, pairCase{name: "window: warm lane beside a cold one", a: a, b: b, pa: wa, pb: rt,
+			prefix: a.knownCount(), window: []string{winRowsShift, winRowBreak}})
 	}
 	{
 		// Warm-started lanes fine-tuning for WarmIters sweeps; frozen
@@ -226,6 +287,7 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 				if n := lanePrefix(st); n != tc.prefix {
 					t.Fatalf("lanePrefix = %d, want %d", n, tc.prefix)
 				}
+				requireEdges(t, "pair", st, tc.window)
 			}
 			wantA := Reconstruct(tc.a, tc.pa)
 			wantB := Reconstruct(tc.b, tc.pb)
@@ -385,4 +447,96 @@ func TestLanePrefixBlockIndexBound(t *testing.T) {
 			predBitsEqual(t, tc.name+": lane B", gotB, wantB)
 		})
 	}
+}
+
+// FuzzReconstructLanes reconstructs two or four lanes of a random shape
+// — up to 40 × 40 at any density, with bias-frozen rows, warm lanes and
+// a pair whose patterns diverge — and demands that every lane's
+// prediction equal its own per-surface Reconstruct, bit for bit, on
+// every lane path the host can take. One observation may be hostile
+// (NaN, ±Inf, zero, negative, huge): nothing may panic, and where it
+// is a NaN, whose payload IEEE 754 leaves to the operand order, a NaN
+// prediction need only meet a NaN.
+func FuzzReconstructLanes(f *testing.F) {
+	f.Add(uint64(1), uint8(12), uint8(40), uint8(255), uint8(0), uint8(0), 0.0)
+	f.Add(uint64(2), uint8(24), uint8(36), uint8(160), uint8(4), uint8(0x0b), 1e300)
+	f.Add(uint64(3), uint8(39), uint8(39), uint8(60), uint8(3), uint8(0x1f), math.NaN())
+	f.Add(uint64(4), uint8(5), uint8(7), uint8(200), uint8(0), uint8(0x15), math.Inf(1))
+	f.Add(uint64(5), uint8(16), uint8(20), uint8(230), uint8(2), uint8(0x19), -1.0)
+	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, density, minObs, flags uint8, hostile float64) {
+		nr, nc := 1+int(rows)%40, 1+int(cols)%40
+		lanes := 2 + 2*int(flags&1)
+		r := rng.New(seed)
+		p := Params{Factors: pairFactors, Reg: 0.03, MaxIter: 4, FactorMinObs: int(minObs % 8)}
+		ms := make([]*Matrix, lanes)
+		for l := 0; l < lanes; l += 2 {
+			// The runtime writes both surfaces of a pair at the same
+			// cells.
+			a, b := NewMatrix(nr, nc), NewMatrix(nr, nc)
+			for i := range nr {
+				for j := range nc {
+					if r.Intn(256) < int(density) {
+						a.Observe(i, j, 0.1+3*r.Float64())
+						b.Observe(i, j, 0.1+3*r.Float64())
+					}
+				}
+			}
+			ms[l], ms[l+1] = a, b
+		}
+		if flags&2 != 0 { // lane 1 flips one cell: the pair diverges there
+			i, j := r.Intn(nr), r.Intn(nc)
+			if ms[1].Known(i, j) {
+				ms[1].clear(i, j)
+			} else {
+				ms[1].Observe(i, j, 1)
+			}
+		}
+		if flags&4 != 0 {
+			ms[0].Observe(r.Intn(nr), r.Intn(nc), hostile)
+		}
+		ps := make([]Params, lanes)
+		for l := range ps {
+			ps[l] = p
+		}
+		// Lane 0 warm with the cold lanes' sweep count, so it can share
+		// their stream; the last lane warm with fewer, so it cannot.
+		for _, w := range []struct {
+			on          bool
+			lane, iters int
+		}{{flags&8 != 0, 0, p.MaxIter}, {flags&16 != 0, lanes - 1, 2}} {
+			if !w.on {
+				continue
+			}
+			if _, fac, err := reconstructFactors(ms[w.lane], p); err == nil {
+				ps[w.lane].Warm, ps[w.lane].WarmIters = fac, w.iters
+			}
+		}
+		want := make([]*Prediction, lanes)
+		for l, m := range ms {
+			want[l] = Reconstruct(m, ps[l])
+		}
+		nan := flags&4 != 0 && math.IsNaN(hostile)
+		lanePaths(t, func(t *testing.T) {
+			got := make([]*Prediction, lanes)
+			if lanes == 4 {
+				quad, _ := ReconstructQuad([4]*Matrix(ms), [4]Params(ps), flags&32 != 0)
+				copy(got, quad[:])
+			} else {
+				got[0], got[1] = ReconstructPair(ms[0], ms[1], ps[0], ps[1])
+			}
+			for l := range ms {
+				name := fmt.Sprintf("lane %d", l)
+				if !nan {
+					predBitsEqual(t, name, got[l], want[l])
+					continue
+				}
+				for c, g := range got[l].vals {
+					w := want[l].vals[c]
+					if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+						t.Fatalf("%s: cell %d = %v, want %v", name, c, g, w)
+					}
+				}
+			}
+		})
+	})
 }

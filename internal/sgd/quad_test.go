@@ -52,6 +52,9 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 		// Expected lanePrefix of all four lanes, of thr/pwr and of
 		// lat/svc, asserted where the kernels run.
 		n4, nA, nB int
+		// The column window edges each pair's wide schedule must meet
+		// (see windowEdges), asserted where the kernels run.
+		winA, winB []string
 	}
 	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 50}
 	frozen := rt
@@ -142,6 +145,52 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 		c.nA, c.nB = c.ms[0].knownCount(), c.ms[2].knownCount()
 		cases = append(cases, c)
 	}
+	cases = append(cases,
+		mk("window edges in both pairs", 74, all(rt), func(c *quadCase) {
+			// The runtime's shape as drawn: each pair's wide region
+			// meets the edges of its dense rows, and thr/pwr's also
+			// those of its running rows.
+			setCell(false, 12, 0, c.ms[2], c.ms[3])
+			c.n4, c.nA, c.nB = train, c.ms[0].knownCount(), c.ms[2].knownCount()
+			c.winA = []string{winRowBreak, winRowsShift, winPadShift, winSparse}
+			c.winB = []string{winRowBreak, winRowsShift, winPadShift}
+		}),
+		mk("window: lat/svc region ends mid-row inside a shift run", 75, all(rt), func(c *quadCase) {
+			// lat/svc's rows 8–11 end one column apart, 107 down to
+			// 104, and svc lacks (11, 105): lat/svc's region ends at the
+			// staircase's last step with its window shifting, while the
+			// four-lane prefix ends at (9, 107), which lat/svc lack.
+			for r := 9; r < 12; r++ {
+				for j := 108 - (r - 8); j < 108; j++ {
+					setCell(false, r, j, c.ms[2], c.ms[3])
+				}
+			}
+			setCell(true, 11, 105, c.ms[2])
+			c.n4, c.nA, c.nB = 9*108+107, c.ms[0].knownCount(), obsBefore(c.ms[2], 11)+105
+			c.winB = []string{winEndShift, winMidRow}
+		}),
+		mk("window: one-slot lat/svc region", 76, all(rt), func(c *quadCase) {
+			// svc lacks (0, 1): lat/svc share one entry, one wide slot.
+			setCell(false, 0, 1, c.ms[3])
+			c.n4, c.nA, c.nB = 1, c.ms[0].knownCount(), 1
+			c.winB = []string{winOneSlot}
+		}),
+	)
+	{
+		// A warm latency lane beside a cold service-rate lane with the
+		// same sweep count: all four lanes share the training rows and
+		// lat/svc the wide kernel, warm factors beside the SVD seed.
+		c := quadCase{name: "window: warm lane beside a cold one", ms: quadSurfaces(77), ps: all(rt)}
+		setCell(false, 12, 0, c.ms[2], c.ms[3])
+		_, fac, err := reconstructFactors(c.ms[2], rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ps[2].Warm, c.ps[2].WarmIters = fac, rt.MaxIter
+		c.n4, c.nA, c.nB = train, c.ms[0].knownCount(), c.ms[2].knownCount()
+		c.winB = []string{winRowsShift, winRowBreak}
+		cases = append(cases, c)
+	}
 	{
 		// One warm lane: its pair cannot share a stream either.
 		c := quadCase{name: "single warm lane", ms: quadSurfaces(71), ps: all(rt)}
@@ -171,6 +220,8 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 						t.Fatalf("%s lanePrefix = %d, want %d", c.name, c.got, c.want)
 					}
 				}
+				requireEdges(t, "thr/pwr", st[:2], tc.winA)
+				requireEdges(t, "lat/svc", st[2:], tc.winB)
 			}
 			var want [4]*Prediction
 			var wantFac [4]*Factors
@@ -271,7 +322,8 @@ func TestDualScheduleOccupancy(t *testing.T) {
 // cells — lanes=2 one cell per stream in row-major order (the quad
 // kernel with the pair's lanes doubled, the cost of a kernel whose
 // upper lanes idle), dual two cells per 256-bit stream and wide four
-// per 512-bit stream on the schedule's slots.
+// per 512-bit stream on the schedule's slots. The wide legs also report
+// the share of their slots the column window shifts into (window/slot).
 func BenchmarkLaneEpoch(b *testing.B) {
 	if !laneKernelOK {
 		b.Skip("no AVX")
@@ -319,6 +371,11 @@ func BenchmarkLaneEpoch(b *testing.B) {
 				run.epoch()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*leg.entries), "ns/entry")
+			if leg.k == wideCells {
+				s := leg.lanes[0]
+				idx := slotIndices(s.cells[:leg.entries], 0, s.m.Cols, wideCells, g.rows, s.pad())
+				b.ReportMetric(float64(windowShifts(idx))/float64(len(idx)/slotRecord), "window/slot")
+			}
 		})
 	}
 }
