@@ -1,16 +1,13 @@
 package main
 
 import (
-	"hash"
-	"hash/fnv"
-	"math"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"cuttlesys"
-	"cuttlesys/internal/harness"
+	"cuttlesys/internal/pin"
 )
 
 // byteGateRuns holds the resilience byte gate's runs, by GOMAXPROCS
@@ -73,56 +70,17 @@ func TestResilienceRecordsPinned(t *testing.T) {
 		t.Skip(why)
 	}
 	for _, procs := range []int{1, 8} {
-		h := fnv.New64a()
+		h := pin.New()
 		for _, res := range takeResilienceRuns(t, procs) {
 			for _, rec := range res.Slices {
-				digestRecord(h, rec)
+				v := reflect.ValueOf(rec)
+				for i := 0; i < v.NumField(); i++ {
+					if v.Type().Field(i).Name != "LoadFrac" {
+						h.Value(v.Field(i).Interface())
+					}
+				}
 			}
 		}
-		if got, want := h.Sum64(), uint64(0x11cfb12c07d01430); got != want {
-			t.Errorf("GOMAXPROCS=%d: resilience records digest %#016x, pinned %#016x", procs, got, want)
-		}
-	}
-}
-
-// digestRecord folds every field of rec but LoadFrac into h.
-func digestRecord(h hash.Hash64, rec harness.SliceRecord) {
-	v := reflect.ValueOf(rec)
-	for i := 0; i < v.NumField(); i++ {
-		if v.Type().Field(i).Name != "LoadFrac" {
-			digestValue(h, v.Field(i))
-		}
-	}
-}
-
-func digestValue(h hash.Hash64, v reflect.Value) {
-	var b [8]byte
-	put := func(x uint64) {
-		for i := range b {
-			b[i] = byte(x >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	switch v.Kind() {
-	case reflect.Float64:
-		put(math.Float64bits(v.Float()))
-	case reflect.Int:
-		put(uint64(v.Int()))
-	case reflect.Bool:
-		if v.Bool() {
-			put(1)
-		} else {
-			put(0)
-		}
-	case reflect.String:
-		put(uint64(v.Len()))
-		h.Write([]byte(v.String()))
-	case reflect.Slice:
-		put(uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			digestValue(h, v.Index(i))
-		}
-	default:
-		panic("digest: unhandled kind " + v.Kind().String())
+		pin.Check(t, "resilience-records", h.Sum64())
 	}
 }

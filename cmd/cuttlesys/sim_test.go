@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
-	"hash/fnv"
 	"testing"
 
+	"cuttlesys/internal/pin"
 	"cuttlesys/internal/scenario"
 )
 
@@ -20,21 +20,12 @@ func TestSimStdoutPinned(t *testing.T) {
 		}
 		return out.Bytes()
 	}
-	digest := func(outs ...[]byte) uint64 {
-		h := fnv.New64a()
-		for _, b := range outs {
-			h.Write(b)
-		}
-		return h.Sum64()
-	}
-	if got, want := digest(sim()), uint64(0xdcd3bd9374f57c2b); got != want {
-		t.Errorf("default sim stdout digest %#016x, pinned %#016x", got, want)
-	}
-	var outs [][]byte
+	h := pin.New()
+	h.Write(sim())
+	pin.Check(t, "sim-default", h.Sum64())
+	h = pin.New()
 	for _, def := range scenario.Schedulers {
-		outs = append(outs, sim("-policy", def.Name, "-slices", "4"))
+		h.Write(sim("-policy", def.Name, "-slices", "4"))
 	}
-	if got, want := digest(outs...), uint64(0xc567469dc08ce01e); got != want {
-		t.Errorf("every-policy sim stdout digest %#016x, pinned %#016x", got, want)
-	}
+	pin.Check(t, "sim-every-policy", h.Sum64())
 }

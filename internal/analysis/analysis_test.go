@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cuttlesys/internal/pin"
 )
 
 // analyzerByName looks up one analyzer from the registry.
@@ -40,14 +41,7 @@ func TestGolden(t *testing.T) {
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
 			got := runFixture(t, a.Name)
-			wantBytes, err := os.ReadFile(filepath.Join("testdata", a.Name, "want.txt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := string(wantBytes)
-			if got != want {
-				t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
-			}
+			pin.Golden(t, filepath.Join(a.Name, "want.txt"), []byte(got))
 
 			var violations, allowed int
 			for _, line := range strings.Split(strings.TrimRight(got, "\n"), "\n") {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cuttlesys/internal/pin"
 	"cuttlesys/specs"
 )
 
@@ -253,50 +254,20 @@ func canonicalSources(tb testing.TB) (names []string, srcs [][]byte) {
 }
 
 // TestCanonicalHashPinned pins each spec's Hash, the FNV-1a of its
-// canonical form. Arrival streams are keyed by it, so a moved hash
-// reseeds every client and moves the reports built on the spec.
+// canonical form, as one table: arrival streams are keyed by it, so a
+// moved hash reseeds every client and moves the reports built on the
+// spec, and a spec added or removed moves the table.
 func TestCanonicalHashPinned(t *testing.T) {
-	want := map[string]uint64{
-		"brownout.spec":                     0xb16ad8eb8bb8112e,
-		"budget-squeeze.spec":               0xf262689fede4f5ec,
-		"correlated-brownout.spec":          0x846f177aae4b4317,
-		"degraded-node.spec":                0x2df216f19b7547f3,
-		"diurnal.spec":                      0x1f774d0afeb32e93,
-		"failover.spec":                     0xf4342d62aa077978,
-		"flash-crowd.spec":                  0x870e7ee31c316800,
-		"load-shift-storm.spec":             0xc2741a2d23f75b48,
-		"obs-chaos.spec":                    0x8171cdfbe4cbbc65,
-		"resilience-budget-drop.spec":       0xf096527c19460acb,
-		"resilience-core-failslow.spec":     0xa65c63c2ceb2f954,
-		"resilience-core-failstop.spec":     0x474474de358046d9,
-		"resilience-fault-free.spec":        0x0e440a02e4c4a5cf,
-		"resilience-flash-crowd.spec":       0x7883f00550a6879b,
-		"resilience-garbage-telemetry.spec": 0x97fd6c1ffc6a0658,
-		"resilience-profile-corrupt.spec":   0x131849512dbe878f,
-		"sim.spec":                          0xeb9d8acb857b23cf,
-		"steady.spec":                       0x38f0df41db3e99d2,
-		"surge.spec":                        0x70ddb262d61a9ffe,
-		"trace-replay.spec":                 0x8b97c922a9a69a40,
-		"warm-drill.spec":                   0x155da531de728521,
-		"warm-failover.spec":                0x6d7cb9782628f82c,
-		"fleet-steady.spec":                 0xcf3ce9724ba75103,
-		"ops-churn.spec":                    0x4cd5c7f5618b1dbd,
-		"goldenInput":                       0x024f210eb18208d0,
-	}
+	got := map[string]uint64{}
 	names, srcs := canonicalSources(t)
-	if len(names) != len(want) {
-		t.Errorf("%d pinned sources, want %d: %v", len(names), len(want), names)
-	}
 	for i, name := range names {
 		s, err := Parse(srcs[i])
 		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got, ok := want[name]; !ok || Hash(s) != got {
-			t.Errorf("%s: Hash = %#016x, want %#016x", name, Hash(s), got)
-		}
+		got[name] = Hash(s)
 	}
+	pin.Table(t, "canonical-hash", got)
 }
 
 func TestHashDistinguishesSpecs(t *testing.T) {

@@ -1,65 +1,42 @@
 package sgd
 
 import (
-	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"math"
 	"testing"
-)
 
-// The bits every entry point produces on a fixed script of
-// reconstructions, recorded on the serial path, the AVX path and the
-// AVX-512 path alike. The lane suites compare the kernels against
-// trainSerial; this pins trainSerial too, so a change that moves both
-// the same way (the factor layout, the entry gather, the render) still
-// fails.
-const (
-	reconstructionBits = 0x7454c6d814e1d64b
-	// pinCanary is transcendentalCanary on the recording host: the
-	// script runs in log space, so math.Exp and math.Log must match it
-	// for the bits above to be reachable.
-	pinCanary = 0x2cdc5433edbafe74
+	"cuttlesys/internal/pin"
 )
 
 // transcendentalCanary hashes math.Exp and math.Log over the range the
 // log-space surfaces span; it differs where their implementation (or
-// FMA use) does.
+// FMA use) does; the scripts run in log space.
 func transcendentalCanary() uint64 {
-	h := fnv.New64a()
+	h := pin.New()
 	for x := -12.0; x <= 12; x += 0.37 {
-		hashFloats(h, math.Exp(x), math.Log(math.Exp(x)+1e-3))
+		h.Floats(math.Exp(x), math.Log(math.Exp(x)+1e-3))
 	}
 	return h.Sum64()
 }
 
-func hashFloats(h hash.Hash64, vs ...float64) {
-	var b [8]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-}
-
-func hashPred(h hash.Hash64, p *Prediction) {
+func hashPred(h *pin.Hash, p *Prediction) {
 	if p == nil {
-		hashFloats(h, -1)
+		h.Floats(-1)
 		return
 	}
-	hashFloats(h, float64(p.Rows), float64(p.Cols), float64(p.Iters), float64(p.Observed))
-	hashFloats(h, p.vals...)
+	h.Floats(float64(p.Rows), float64(p.Cols), float64(p.Iters), float64(p.Observed))
+	h.Floats(p.vals...)
 }
 
-func hashFactors(h hash.Hash64, f *Factors) {
+func hashFactors(h *pin.Hash, f *Factors) {
 	if f == nil {
-		hashFloats(h, -2)
+		h.Floats(-2)
 		return
 	}
-	hashFloats(h, float64(f.Rows), float64(f.Cols), float64(f.Rank), float64(f.Iters), float64(f.Observed), f.Mu, 1)
-	hashFloats(h, f.Q...)
-	hashFloats(h, f.P...)
-	hashFloats(h, f.RowBias...)
-	hashFloats(h, f.ColBias...)
+	h.Floats(float64(f.Rows), float64(f.Cols), float64(f.Rank), float64(f.Iters), float64(f.Observed), f.Mu, 1)
+	h.Floats(f.Q...)
+	h.Floats(f.P...)
+	h.Floats(f.RowBias...)
+	h.Floats(f.ColBias...)
 }
 
 // reconstructionScript runs every entry point over the lane suites'
@@ -67,7 +44,7 @@ func hashFactors(h hash.Hash64, f *Factors) {
 // warm start, bias-frozen rows, a pair whose patterns diverge mid-row
 // (so scalar tails follow the kernels) and a rank the kernels do not
 // take, hashing every prediction and every captured factor set.
-func reconstructionScript(t *testing.T, h hash.Hash64) {
+func reconstructionScript(t *testing.T, h *pin.Hash) {
 	rt := Params{Factors: 6, Reg: 0.03, MaxIter: 30}
 	frozen := rt
 	frozen.FactorMinObs = 4
@@ -153,29 +130,21 @@ func reconstructionScript(t *testing.T, h hash.Hash64) {
 
 // TestReconstructionBitsPinned runs reconstructionScript on every lane
 // path the host can take (the Go path alone under -tags noasm) and
-// demands the recorded digest.
+// demands one digest. The lane suites compare the kernels against
+// trainSerial; this pins trainSerial too, so a change that moves both the
+// same way (the factor layout, the entry gather, the render) still fails.
 func TestReconstructionBitsPinned(t *testing.T) {
-	if got := transcendentalCanary(); got != pinCanary {
-		t.Skipf("math.Exp/Log differ from the recording host (canary %#x, recorded %#x)", got, uint64(pinCanary))
-	}
+	pin.Canary(t, "canary", transcendentalCanary(), "math.Exp/Log")
 	lanePaths(t, func(t *testing.T) {
-		h := fnv.New64a()
+		h := pin.New()
 		reconstructionScript(t, h)
-		if got := h.Sum64(); got != reconstructionBits {
-			t.Fatalf("reconstruction digest %#x, want %#x", got, uint64(reconstructionBits))
-		}
+		pin.Check(t, "reconstruction", h.Sum64())
 	})
 }
 
-// runtimeRecipeBits is recipeScript's digest under the runtime's
-// recipe spelled out — rank 6, λ 0.03, 300 sweeps, the SVD start, log
-// space — recorded while those were still settings and not the zero
-// Params.
-const runtimeRecipeBits = 0x23f63bbb329de449
-
 // recipeScript runs every entry point at p over the runtime's four
 // surfaces, hashing every prediction and every captured factor set.
-func recipeScript(h hash.Hash64, p Params) {
+func recipeScript(h *pin.Hash, p Params) {
 	ms := quadSurfaces(3)
 	preds, facs := ReconstructQuad(ms, [4]Params{p, p, p, p}, true)
 	for l, m := range ms {
@@ -191,16 +160,13 @@ func recipeScript(h hash.Hash64, p Params) {
 }
 
 // TestZeroParamsAreTheRuntimeRecipe: a zero Params reconstructs bit
-// for bit like the runtime's recipe, on every lane path.
+// for bit like the runtime's recipe (rank 6, λ 0.03, 300 sweeps, the
+// SVD start, log space), pinned while those were still settings.
 func TestZeroParamsAreTheRuntimeRecipe(t *testing.T) {
-	if got := transcendentalCanary(); got != pinCanary {
-		t.Skipf("math.Exp/Log differ from the recording host (canary %#x, recorded %#x)", got, uint64(pinCanary))
-	}
+	pin.Canary(t, "canary", transcendentalCanary(), "math.Exp/Log")
 	lanePaths(t, func(t *testing.T) {
-		h := fnv.New64a()
+		h := pin.New()
 		recipeScript(h, Params{})
-		if got := h.Sum64(); got != runtimeRecipeBits {
-			t.Fatalf("zero-Params digest %#x, want the runtime recipe's %#x", got, uint64(runtimeRecipeBits))
-		}
+		pin.Check(t, "runtime-recipe", h.Sum64())
 	})
 }
