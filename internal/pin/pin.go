@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -111,7 +112,8 @@ func Check(t testing.TB, name string, got uint64) {
 }
 
 // Table is Check for digests by key, pinned as one entry: a key added
-// or removed moves it as a changed digest does.
+// or removed moves it as a changed digest does, and a move names each
+// such key.
 func Table(t testing.TB, name string, got map[string]uint64) {
 	t.Helper()
 	m := map[string]any{}
@@ -202,7 +204,42 @@ func (l *ledger) check(t testing.TB, name string, got any, canary bool) (any, bo
 	case !ok:
 		t.Errorf("pin %q: no entry in %s; run make regen", name, l.path)
 	case !reflect.DeepEqual(got, want) && !canary:
-		t.Errorf("pin %q moved: %v, pinned %v (make regen records a move made on purpose)", name, got, want)
+		t.Errorf("pin %q moved: %s (make regen records a move made on purpose)", name, moved(got, want))
 	}
 	return want, ok && reflect.DeepEqual(got, want)
+}
+
+// moved says how got differs from the pin want: for a table, each key
+// added, removed or moved, with its got and pinned values; otherwise
+// the two values.
+func moved(got, want any) string {
+	g, ok := got.(map[string]any)
+	w, okw := want.(map[string]any)
+	if !ok || !okw {
+		return fmt.Sprintf("%v, pinned %v", got, want)
+	}
+	var keys []string
+	for k := range g {
+		keys = append(keys, k)
+	}
+	for k := range w {
+		if _, ok := g[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var diffs []string
+	for _, k := range keys {
+		gv, inG := g[k]
+		wv, inW := w[k]
+		switch {
+		case !inW:
+			diffs = append(diffs, fmt.Sprintf("%s added: %v", k, gv))
+		case !inG:
+			diffs = append(diffs, fmt.Sprintf("%s removed: pinned %v", k, wv))
+		case !reflect.DeepEqual(gv, wv):
+			diffs = append(diffs, fmt.Sprintf("%s: %v, pinned %v", k, gv, wv))
+		}
+	}
+	return strings.Join(diffs, "; ")
 }

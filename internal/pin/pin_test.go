@@ -25,6 +25,14 @@ func (r *recorder) Errorf(format string, args ...any) {
 func TestLedger(t *testing.T) {
 	ab := "{\n  \"a\": \"0x1\",\n  \"b\": \"0x2\"\n}\n"
 	tbl, tbl2 := `{"t": {"j": "0x3", "k": "0x2"}}`, "{\n  \"t\": {\n    \"j\": \"0x3\",\n    \"k\": \"0x2\"\n  }\n}\n"
+	// A 25-key table, and the same with key k13 moved.
+	var big, bigMoved []string
+	for i := range 25 {
+		big = append(big, fmt.Sprintf(`"k%02d": "0x%x"`, i, i))
+	}
+	bigMoved = append(bigMoved, big...)
+	bigMoved[13] = `"k13": "0x99"`
+	bigTbl := `{"t": {` + strings.Join(big, ", ") + `}}`
 	for _, c := range []struct {
 		name, pins string
 		upd        bool
@@ -40,9 +48,13 @@ func TestLedger(t *testing.T) {
 		{"-update over what it wrote writes the same bytes", ab, true, []string{"b=0x2", "a=0x1"}, "", ab},
 		{"so does a table", tbl2, true, []string{`t={"k":"0x2","j":"0x3"}`}, "", tbl2},
 		{"a table holds", tbl, false, []string{`t={"k":"0x2","j":"0x3"}`}, "", tbl},
-		{"a table gaining a key moves", tbl, false, []string{`t={"k":"0x2","j":"0x3","x":"0x4"}`}, "moved", tbl},
-		{"a table losing a key moves", tbl, false, []string{`t={"k":"0x2"}`}, "moved", tbl},
+		{"a table gaining a key moves", tbl, false, []string{`t={"k":"0x2","j":"0x3","x":"0x4"}`}, "moved: x added: 0x4 (", tbl},
+		{"a table losing a key moves", tbl, false, []string{`t={"k":"0x2"}`}, "moved: j removed: pinned 0x3 (", tbl},
 		{"a table digest moving moves", tbl, false, []string{`t={"k":"0x2","j":"0x4"}`}, "moved", tbl},
+		{"a table move names the keys that moved", tbl, false, []string{`t={"k":"0x2","j":"0x4","x":"0x5"}`},
+			`moved: j: 0x4, pinned 0x3; x added: 0x5 (`, tbl},
+		{"a moved key of 25 is the only one named", bigTbl, false, []string{"t={" + strings.Join(bigMoved, ",") + "}"},
+			`moved: k13: 0x99, pinned 0xd (`, bigTbl},
 		{"a canary that differs does not fail", ab, false, []string{"?a=0x9"}, "", ab},
 		{"-update never writes a canary", ab, true, []string{"?a=0x9", "b=0x2"}, "", ab},
 		{"nor records a missing one", ab, true, []string{"?c=0x9"}, "by hand", ab},

@@ -8,31 +8,26 @@
 // entry t+1 reads the factors entry t wrote — so a single surface
 // cannot be vectorised without changing its result. *Different*
 // surfaces, however, share no state at all: packing one surface per
-// lane of a VEX register runs all their update chains at once. Packed
-// IEEE-754 arithmetic is element-wise exact, so each lane computes
-// bit-for-bit what its own serial sweep would have, and the result is
-// byte-identical to independent Reconstruct calls.
+// lane of a vector register runs all their update chains at once.
+// Packed IEEE-754 arithmetic is element-wise exact, so each lane
+// computes bit-for-bit what its own serial sweep would have, and the
+// result is byte-identical to independent Reconstruct calls.
 //
-// Lanes can share an instruction stream only while they visit the same
-// cell. That one rule (lanePrefix) decides which kernel sweeps what. A
-// pair (throughput/power, latency/service-rate) fills only half a
-// 256-bit register, so the slot kernels put *different* cells of the
-// pair side by side: an entry (i, j) reads and writes only row i's and
-// column j's state, so any order that keeps each row's entries and
-// each column's entries in their serial order produces the serial
-// sweep's bits, and schedule packs a pair's region k independent cells
-// to a slot in such an order. There are two paths, chosen by the CPU
-// alone:
+// The surfaces come in pairs (throughput/power, latency/service-rate),
+// and the runtime writes both matrices of a pair at the same cells, so
+// a pair's lanes can share an instruction stream over their longest
+// common prefix (lanePrefix) — the training rows and the running rows
+// alike. A pair fills only a quarter of a 512-bit register, so the
+// kernel puts *different* cells of the pair side by side: an entry
+// (i, j) reads and writes only row i's and column j's state, so any
+// order that keeps each row's entries and each column's entries in
+// their serial order produces the serial sweep's bits, and schedule
+// packs a pair's prefix four independent cells to a slot in such an
+// order. There are two paths, chosen by the CPU probe alone:
 //
-//   - AVX: the 256-bit quad kernel sweeps the longest common prefix of
-//     all four row-major entry sequences — the offline training rows
-//     every surface has in full — then each pair continues on its own
-//     longer common prefix, which, because the runtime writes both
-//     matrices of a pair at the same cells, reaches through the running
-//     rows too, in the dual kernel (two cells per slot).
 //   - AVX-512: the two pairs are independent problems, so they train
-//     concurrently on blocks of their own, each sweeping its whole
-//     common prefix in the 512-bit wide kernel (four cells per slot).
+//     concurrently on two-lane blocks of their own, each sweeping its
+//     whole common prefix in the wide kernel (four cells per slot).
 //     The wide kernel keeps a slot's four columns in registers, a
 //     column window: in the dense wavefront the schedule forms, each
 //     row one column behind the row above, a slot's columns are the
@@ -40,9 +35,12 @@
 //     memory and one enters per slot instead of all four making the
 //     round trip. Where the pattern breaks the window is stored back
 //     and gathered afresh; the arithmetic is the same either way.
+//   - Otherwise (no AVX-512, off amd64, or the noasm tag): each
+//     surface trains in Go.
 //
-// Whatever follows in a lane trains in scalar Go after the kernels, in
-// the same row-major order, against the same interleaved state.
+// Whatever follows the prefix in a lane trains in scalar Go after the
+// kernel, in the same row-major order, against the same interleaved
+// state.
 package sgd
 
 import (
@@ -52,39 +50,31 @@ import (
 	"cuttlesys/internal/par"
 )
 
-// laneArgs is the argument block for the assembly kernels. Field
-// offsets are hard-coded in pair_amd64.s — do not reorder.
+// laneArgs is the wide kernel's argument block; pair_amd64.s reads it
+// through the field offsets go_asm.h defines.
 type laneArgs struct {
-	// row and column block bases, and a pair's interleaved values,
-	// entry t's two at byte 16t: quad lanes 0–1's, dual's and wide's.
+	// row and column block bases, and the pair's interleaved values,
+	// entry t's two at byte 16t.
 	row, col, vals *float64
-	offs           *uint32 // quad: per entry, the byte offset of its column block
-	rowPtr         *int32  // quad: CSR row starts into offs; n+1 of them
-	n              int64   // quad: rows; dual and wide: slots
-	// Per-lane constants; dual and wide: the pair's two, then the same
-	// two again for the register's high half (wide broadcasts the first
-	// two to all four parts).
-	mu, eta, lam [laneCount]float64
-	// dual and wide: per slot, the uint16 block indices of its k cells'
-	// rows, then of their columns, then the indices of their entries.
+	// per slot, the uint16 block indices of its four cells' rows, then
+	// of their columns, then the indices of their entries.
 	slots *uint16
-	vals2 *float64 // quad: lanes 2–3's interleaved values
+	n     int64 // slots
+	// The pair's two per-lane constants, which the kernel broadcasts to
+	// all four parts of a register.
+	mu, eta, lam [2]float64
 }
-
-// laneCount is the number of lanes a block interleaves at most: the
-// four float64s of a 256-bit register.
-const laneCount = 4
 
 // wideCells is the wide kernel's cells per slot: four two-lane cells
 // fill a 512-bit register.
 const wideCells = 4
 
-// laneWide selects the AVX-512 path: the pairs train concurrently, each
-// in the wide kernel. It follows the CPU probe alone; tests flip it to
-// run the AVX path on AVX-512 hosts too.
-var laneWide = cpuid.AVX512
+// laneKernelOK selects the wide kernel: it needs AVX-512F, and the CPU
+// probe reports none off amd64 or under the noasm tag, where the lanes
+// train per surface.
+var laneKernelOK = cpuid.AVX512
 
-// pairFactors is the kernels' fixed latent rank: the assembly unrolls
+// pairFactors is the kernel's fixed latent rank: the assembly unrolls
 // exactly six factor updates per entry, matching the runtime's
 // Factors=6 default.
 const pairFactors = 6
@@ -92,12 +82,10 @@ const pairFactors = 6
 // blockLen is the length in float64s of one interleaved row or column
 // block w lanes wide with rank f: f factor elements then the bias
 // element, lane L's float64 of element e at index we+L. Rows and
-// columns keep factors and bias in one block so the kernels reach both
-// through a single pointer. Every lane's model state lives in such
-// blocks from init to render: the quad and dual kernels use four-lane
-// blocks (a dual pair leaves the other two lanes idle in memory), the
-// wide kernel a pair's own two-lane blocks, and a lane that trains
-// alone one-lane blocks.
+// columns keep factors and bias in one block so the kernel reaches
+// both through a single pointer. Every lane's model state lives in
+// such blocks from init to render: a pair that shares the wide kernel
+// in two-lane blocks, a lane that trains alone in one-lane blocks.
 func blockLen(w, f int) int { return w * (f + 1) }
 
 // ReconstructQuad reconstructs the surfaces of one decision — up to
@@ -159,7 +147,7 @@ func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, [
 }
 
 // gatherLanes gathers each present lane's observations. The two lanes
-// of a pair (0–1, 2–3) share one value array, interleaved: a slot
+// of a pair (0–1, 2–3) share one value array, interleaved: the wide
 // kernel loads a cell's two lane values as one 16-byte pair. Each
 // lane's stretch ends in its μ, both at the same index past the longer
 // lane's entries (see pad).
@@ -181,63 +169,51 @@ func gatherLanes(ms []*Matrix, ps []Params) []*trainState {
 	return st
 }
 
-// laneGroup is lanes that train on one set of blocks: two or four
-// lanes sharing an instruction stream over their first n entries, w
-// lanes to a block, or one lane alone (n = 0, w = 1).
+// laneGroup is lanes that train on one set of blocks: a pair sharing
+// an instruction stream over its first n entries in two-lane blocks,
+// or one lane alone (n = 0).
 type laneGroup struct {
 	st         []*trainState
-	n, w       int
+	n          int
 	rows       int // row blocks before the spare one
 	rowP, colP []float64
 }
 
 // laneGroups decides which lanes share blocks and places every lane
-// with entries in its group's. On the AVX-512 path four lanes are
-// always two independent pairs, which train concurrently on blocks of
-// their own. Otherwise lanes with a common prefix share blocks and an
-// instruction stream, and four lanes without one are two pairs too. A
-// pair with a common prefix shares blocks; one without trains per
-// surface.
+// with entries in its group's. Four lanes are two independent pairs,
+// which train concurrently on blocks of their own. A pair with a
+// common prefix shares blocks; one without trains per surface.
 func laneGroups(st []*trainState) []laneGroup {
-	four := len(st) == laneCount
-	n := 0
-	if !four || !laneWide {
-		n = lanePrefix(st)
-	}
-	switch {
-	case n > 0:
-		w := laneCount
-		if laneWide {
-			w = 2
-		}
-		return []laneGroup{newGroup(st, n, w)}
-	case four:
+	if len(st) == 4 {
 		return append(laneGroups(st[:2]), laneGroups(st[2:])...)
+	}
+	if n := lanePrefix(st); n > 0 {
+		return []laneGroup{newGroup(st, n)}
 	}
 	var gs []laneGroup
 	for _, s := range st {
 		if s != nil && len(s.cells) > 0 {
 			s.alone()
-			gs = append(gs, laneGroup{st: []*trainState{s}, w: 1})
+			gs = append(gs, laneGroup{st: []*trainState{s}})
 		}
 	}
 	return gs
 }
 
-// newGroup places lanes st, whose first n entries coincide, in one
-// set of rank-6 blocks w lanes wide, lane l at offset l. Each side has
-// one block more: the zeroed row and column block a padding cell of a
-// slot trains against (see newSlotRun).
-func newGroup(st []*trainState, n, w int) laneGroup {
-	g := laneGroup{st: st, n: n, w: w}
+// newGroup places the pair st, whose first n entries coincide, in one
+// set of rank-6 two-lane blocks, lane l at offset l. Each side has one
+// block more: the zeroed row and column block a padding cell of a slot
+// trains against (see slotArgs).
+func newGroup(st []*trainState, n int) laneGroup {
+	g := laneGroup{st: st, n: n}
 	for _, s := range st {
 		g.rows = max(g.rows, s.m.Rows)
 	}
-	blk := blockLen(w, pairFactors)
+	blk := blockLen(2, pairFactors)
 	g.rowP = make([]float64, (g.rows+1)*blk)
 	g.colP = make([]float64, (st[0].m.Cols+1)*blk)
 	for l, s := range st {
-		s.place(g.rowP[l:], g.colP[l:], w)
+		s.place(g.rowP[l:], g.colP[l:], 2)
 	}
 	return g
 }
@@ -251,18 +227,17 @@ func (g *laneGroup) train() {
 	g.trainShared()
 }
 
-// lanePrefix returns how many leading entries of the prepared
-// reconstructions a SIMD kernel may sweep in lockstep, 0 when they
-// cannot share a stream. The lanes must agree on everything the shared
-// instruction stream fixes: column count (the interleaved column
-// blocks), the kernels' rank and the sweep count; and each pair's
-// values must interleave (gatherLanes).
-// The slot kernels address blocks and entries by uint16 index, the
-// spare row and column blocks and the μ entry included, which bounds
-// both dimensions and the entry count.
-// Within that, the prefix runs while every lane's row-major entry list
-// names the same cell, and stops at the first bias-frozen row: the
-// kernels apply factor updates unconditionally.
+// lanePrefix returns how many leading entries of a prepared pair the
+// wide kernel may sweep in lockstep, 0 when the pair cannot share a
+// stream. The lanes must agree on everything the shared instruction
+// stream fixes: column count (the interleaved column blocks), the
+// kernel's rank and the sweep count; and their values must interleave
+// (gatherLanes). The kernel addresses blocks and entries by uint16
+// index, the spare row and column blocks and the μ entry included,
+// which bounds both dimensions and the entry count. Within that, the
+// prefix runs while both lanes' row-major entry lists name the same
+// cell, and stops at the first bias-frozen row: the kernel applies
+// factor updates unconditionally.
 func lanePrefix(st []*trainState) int {
 	if !laneKernelOK {
 		return 0
@@ -292,144 +267,74 @@ func lanePrefix(st []*trainState) int {
 	return n
 }
 
-// trainShared runs the lockstep sweep over lanes whose first n entries
-// coincide: per epoch, of four lanes the quad kernel covers the n-entry
-// common prefix and each pair then rides the dual kernel to the end of
-// its own common prefix; of two lanes a slot kernel — wide on two-lane
-// blocks, dual on four-lane ones — covers the prefix; then each lane's
-// remaining entries train scalar. All row and column state lives
-// interleaved for the whole run, so a region ending mid-row hands the
-// row on with nothing to copy. Region boundaries are barriers, so each
-// lane's per-epoch update order is trainSerial's up to the reordering
-// of independent cells inside a slot region (see schedule), and every
-// float64 it produces is bit-identical to the serial sweep.
+// trainShared runs the lockstep sweep over a pair whose first n
+// entries coincide: per epoch, the wide kernel covers the prefix, then
+// each lane's remaining entries train scalar. All row and column state
+// lives interleaved for the whole run, so a prefix ending mid-row
+// hands the row on with nothing to copy. The prefix's end is a
+// barrier, so each lane's per-epoch update order is trainSerial's up
+// to the reordering of independent cells inside a slot (see schedule),
+// and every float64 it produces is bit-identical to the serial sweep.
 func (g *laneGroup) trainShared() {
-	st, n := g.st, g.n
-	var runs []laneRun
-	var tail [laneCount]int // per lane: where its scalar tail starts
-	if len(st) == laneCount {
-		runs = append(runs, g.newQuadRun())
-		for l := 0; l < laneCount; l += 2 {
-			tail[l], tail[l+1] = n, n
-			if np := lanePrefix(st[l : l+2]); np > n {
-				runs = append(runs, g.newSlotRun(l, n, np))
-				tail[l], tail[l+1] = np, np
-			}
-		}
-	} else {
-		runs = append(runs, g.newSlotRun(0, 0, n))
-		tail[0], tail[1] = n, n
-	}
-
-	for iter := 0; iter < st[0].p.MaxIter; iter++ {
-		for i := range runs {
-			runs[i].epoch()
-		}
-		for l, s := range st {
-			s.sweep(tail[l], len(s.cells))
+	args := g.slotArgs()
+	for iter := 0; iter < g.st[0].p.MaxIter; iter++ {
+		wideEpoch6(&args)
+		for _, s := range g.st {
+			s.sweep(g.n, len(s.cells))
 		}
 	}
 }
 
-// laneRun is one kernel's share of an epoch: the quad kernel's run of
-// consecutive entries common to all four lanes, or one pair's
-// scheduled region for a slot kernel.
-type laneRun struct {
-	args   laneArgs
-	kernel func(*laneArgs)
-}
-
-func (r *laneRun) epoch() { r.kernel(&r.args) }
-
-// newQuadRun lays out the group's first n entries, common to its four
-// lanes, in CSR form: row starts, and per entry the column block's
-// byte offset. The kernel reads the lanes' values from the two pairs'
-// interleaved arrays, which list the same cells in the same order.
-// The run may end mid-row; rowPtr counts only its own entries.
-func (g *laneGroup) newQuadRun() laneRun {
-	st, n := g.st, g.n
-	cells, cols := st[0].cells[:n], st[0].m.Cols
-	blk := blockLen(laneCount, pairFactors)
-	first := int(cells[0]) / cols
-	nrows := int(cells[n-1])/cols - first + 1
-	rowPtr := make([]int32, nrows+1)
-	offs := make([]uint32, n)
-	for t, c := range cells {
-		rowPtr[int(c)/cols-first+1]++
-		offs[t] = uint32(int(c) % cols * blk * 8)
-	}
-	for r := 0; r < nrows; r++ {
-		rowPtr[r+1] += rowPtr[r]
-	}
-	run := laneRun{kernel: quadEpoch6, args: laneArgs{
-		row: &g.rowP[first*blk], col: &g.colP[0],
-		vals: &st[0].vals[0], vals2: &st[2].vals[0],
-		offs: &offs[0], rowPtr: &rowPtr[0],
-		n: int64(nrows),
-	}}
-	for l, s := range st {
-		run.args.mu[l], run.args.eta[l], run.args.lam[l] = s.mu, learningRate, s.p.Reg
-	}
-	return run
-}
-
-// newSlotRun schedules entries [from, to) of the pair at lanes lane0
-// and lane0+1 for a slot kernel: the wide kernel, four cells to a
-// slot, on two-lane blocks, or the dual kernel, two to a slot, on
-// four-lane ones. Cell c of a slot fills the register's c-th 16-byte
-// part; the kernel reads its two values through its entry index from
-// the pair's interleaved array. A cell no entry fills aims at the
-// spare last row and column blocks and at the μ entry: that cell's
-// error is exactly zero, so the spare blocks stay zero and nothing
-// reads them.
-func (g *laneGroup) newSlotRun(lane0, from, to int) laneRun {
-	k, kernel := 2, dualEpoch6
-	if g.w == 2 {
-		k, kernel = wideCells, wideEpoch6
-	}
-	a, b := g.st[lane0], g.st[lane0+1]
-	idx := slotIndices(a.cells[from:to], from, a.m.Cols, k, g.rows, a.pad())
-	run := laneRun{kernel: kernel, args: laneArgs{
-		row: &g.rowP[lane0], col: &g.colP[lane0],
+// slotArgs schedules the pair's first n entries for the wide kernel,
+// four cells to a slot. Cell c of a slot fills the register's c-th
+// 16-byte part; the kernel reads its two values through its entry
+// index from the pair's interleaved array. A cell no entry fills aims
+// at the spare last row and column blocks and at the μ entry: that
+// cell's error is exactly zero, so the spare blocks stay zero and
+// nothing reads them.
+func (g *laneGroup) slotArgs() laneArgs {
+	a := g.st[0]
+	idx := slotIndices(a.cells[:g.n], a.m.Cols, g.rows, a.pad())
+	args := laneArgs{
+		row: &g.rowP[0], col: &g.colP[0],
 		vals: &a.vals[0], slots: &idx[0],
-		n: int64(len(idx) / (3 * k)),
-	}}
-	for l, s := range []*trainState{a, b} {
-		for h := 0; h < laneCount; h += 2 {
-			run.args.mu[h+l], run.args.eta[h+l], run.args.lam[h+l] = s.mu, learningRate, s.p.Reg
-		}
+		n: int64(len(idx) / (3 * wideCells)),
 	}
-	return run
+	for l, s := range g.st {
+		args.mu[l], args.eta[l], args.lam[l] = s.mu, learningRate, s.p.Reg
+	}
+	return args
 }
 
-// slotIndices lays out the schedule of cells, a run of entries from
-// entry from on, k cells to a slot, as a slot kernel reads it. Cells
-// are counted across slots, slot s holding cells k·s…k·s+k−1. A slot's
-// indices are its cells' rows, then their columns, then their entries:
-// cell c's row index sits at idx[at(c)], its column index k further on
-// and its entry index 2k further on. A cell no entry fills names the
-// spare row and column blocks and the μ entry.
-func slotIndices(cells []uint32, from, cols, k, spareRow, pad int) []uint16 {
-	nslots := schedule(cells, cols, k, nil)
+// slotIndices lays out the schedule of cells, a pair's first entries,
+// as the wide kernel reads it. Cells are counted across slots, slot s
+// holding cells 4s…4s+3. A slot's indices are its cells' rows, then
+// their columns, then their entries: cell c's row index sits at
+// idx[at(c)], its column index four further on and its entry index
+// eight further on. A cell no entry fills names the spare row and
+// column blocks and the μ entry.
+func slotIndices(cells []uint32, cols, spareRow, pad int) []uint16 {
+	const k = wideCells
+	nslots := schedule(cells, cols, nil)
 	at := func(c int) int { return c + c/k*2*k }
 	idx := make([]uint16, 3*k*nslots)
 	for c := range k * nslots {
 		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(spareRow), uint16(cols), uint16(pad)
 	}
 	c := 0 // the next cell to fill
-	schedule(cells, cols, k, func(s, t, i, j int) {
+	schedule(cells, cols, func(s, t, i, j int) {
 		c = max(c, k*s) // a slot's first entry takes its first cell
-		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(i), uint16(j), uint16(from+t)
+		idx[at(c)], idx[at(c)+k], idx[at(c)+2*k] = uint16(i), uint16(j), uint16(t)
 		c++
 	})
 	return idx
 }
 
-// schedule packs a row-major run of cells into slots of at most k for
-// a slot kernel and returns the slot count. With fill non-nil it calls
-// fill(s, t, i, j) for each entry t, cell (i, j), of slot s, slot after
-// slot and each slot's entries in row-major order. Slot s takes the k
-// earliest entries, in row-major order, whose predecessors inside the
+// schedule packs a row-major run of cells into slots of at most
+// wideCells for the wide kernel and returns the slot count. With fill
+// non-nil it calls fill(s, t, i, j) for each entry t, cell (i, j), of
+// slot s, slot after slot and each slot's entries in row-major order.
+// Slot s takes the four earliest entries, in row-major order, whose predecessors inside the
 // run — the previous entry of its row and the previous entry of its
 // column — sit in earlier slots. No two such entries share a row or a
 // column (the later one's predecessor would be the earlier), and every
@@ -437,7 +342,7 @@ func slotIndices(cells []uint32, from, cols, k, spareRow, pad int) []uint16 {
 // sweep's bits depend on. Its scratch is a bit per cell of the run's
 // rows and an int32 per row and column, not a word per entry, so a
 // caller can run it twice — once to size its slots, once to fill them.
-func schedule(cells []uint32, cols, k int, fill func(s, t, i, j int)) int {
+func schedule(cells []uint32, cols int, fill func(s, t, i, j int)) int {
 	first := int(cells[0]) / cols
 	nrows := int(cells[len(cells)-1])/cols - first + 1
 	// col is entry t's column, t being row first+r's.
@@ -478,7 +383,7 @@ func schedule(cells []uint32, cols, k int, fill func(s, t, i, j int)) int {
 		}
 		var pick [wideCells]int
 		n := 0
-		for r := lo; r < nrows && n < k; r++ {
+		for r := lo; r < nrows && n < wideCells; r++ {
 			if t := next[r]; t != end[r] && colNext[col(t, r)] == int32(r) {
 				pick[n] = r
 				n++

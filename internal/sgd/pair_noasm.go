@@ -2,19 +2,8 @@
 
 package sgd
 
-// laneKernelOK is false without the amd64 assembly kernels (off amd64,
-// or built with the noasm tag); the lane entry points fall back to the
-// per-surface trainers.
-const laneKernelOK = false
-
-func quadEpoch6(a *laneArgs) {
-	panic("sgd: lane SGD kernels are not built")
-}
-
-func dualEpoch6(a *laneArgs) {
-	panic("sgd: lane SGD kernels are not built")
-}
-
+// wideEpoch6 is not built off amd64 or with the noasm tag; the CPU
+// probe then reports no AVX-512, so the lanes train per surface.
 func wideEpoch6(a *laneArgs) {
-	panic("sgd: lane SGD kernels are not built")
+	panic("sgd: the lane SGD kernel is not built")
 }

@@ -1,48 +1,23 @@
 package sgd
 
 import (
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"cuttlesys/internal/rng"
 )
 
-var noWide = flag.Bool("nowide", false, "run every test with the AVX-512 wide path off: the AVX path where the host has both")
-
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if *noWide {
-		laneWide = false
-	}
-	os.Exit(m.Run())
-}
-
-// lanePaths runs f as one subtest per lane path the host can take:
-// "wide" (the AVX-512 path, unless -nowide), then "avx" with the wide
-// path forced off, or "go" where no kernel is built.
-func lanePaths(t *testing.T, f func(t *testing.T)) {
+// lanePath runs f as a subtest named for the lane path the build and
+// host take: "wide" where the AVX-512 kernel runs, "go" where the lanes
+// train per surface.
+func lanePath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	type path struct {
-		name string
-		wide bool
+	name := "go"
+	if laneKernelOK {
+		name = "wide"
 	}
-	paths := []path{{"avx", false}}
-	if !laneKernelOK {
-		paths[0].name = "go"
-	}
-	if laneWide {
-		paths = append([]path{{"wide", true}}, paths...)
-	}
-	for _, p := range paths {
-		t.Run(p.name, func(t *testing.T) {
-			defer func(prev bool) { laneWide = prev }(laneWide)
-			laneWide = p.wide
-			f(t)
-		})
-	}
+	t.Run(name, f)
 }
 
 // pairMatrix builds a seeded observation matrix shaped like the
@@ -291,7 +266,7 @@ func TestReconstructPairBitIdentical(t *testing.T) {
 			}
 			wantA := Reconstruct(tc.a, tc.pa)
 			wantB := Reconstruct(tc.b, tc.pb)
-			lanePaths(t, func(t *testing.T) {
+			lanePath(t, func(t *testing.T) {
 				gotA, gotB := ReconstructPair(tc.a, tc.b, tc.pa, tc.pb)
 				predBitsEqual(t, "lane A", gotA, wantA)
 				predBitsEqual(t, "lane B", gotB, wantB)
@@ -321,7 +296,7 @@ func TestReconstructPairWarmStart(t *testing.T) {
 	wantA := Reconstruct(a, warmA)
 	wantB := Reconstruct(b, warmB)
 	wantCold := Reconstruct(b, base)
-	lanePaths(t, func(t *testing.T) {
+	lanePath(t, func(t *testing.T) {
 		gotA, gotB := ReconstructPair(a, b, warmA, warmB)
 		predBitsEqual(t, "warm lane A", gotA, wantA)
 		predBitsEqual(t, "warm lane B", gotB, wantB)
@@ -349,7 +324,7 @@ func TestReconstructPairFactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanePaths(t, func(t *testing.T) {
+	lanePath(t, func(t *testing.T) {
 		gotA, gotB, gotFA, gotFB := ReconstructPairFactors(a, b, p, p)
 		predBitsEqual(t, "lane A", gotA, Reconstruct(a, p))
 		predBitsEqual(t, "lane B", gotB, Reconstruct(b, p))
@@ -389,7 +364,7 @@ func BenchmarkReconstructPair(b *testing.B) {
 	})
 }
 
-// TestLanePrefixBlockIndexBound checks the slot kernels' addressing
+// TestLanePrefixBlockIndexBound checks the wide kernel's addressing
 // limits: lanes of 65 535 rows still share a stream, lanes of 65 536
 // (whose spare row block would need index 65 536) train per surface;
 // and likewise for entries, lanes of 65 535 entries share a stream
@@ -441,7 +416,7 @@ func TestLanePrefixBlockIndexBound(t *testing.T) {
 			}
 		}
 		wantA, wantB := Reconstruct(tc.a, tc.p), Reconstruct(tc.b, tc.p)
-		lanePaths(t, func(t *testing.T) {
+		lanePath(t, func(t *testing.T) {
 			gotA, gotB := ReconstructPair(tc.a, tc.b, tc.p, tc.p)
 			predBitsEqual(t, tc.name+": lane A", gotA, wantA)
 			predBitsEqual(t, tc.name+": lane B", gotB, wantB)
@@ -453,7 +428,7 @@ func TestLanePrefixBlockIndexBound(t *testing.T) {
 // — up to 40 × 40 at any density, with bias-frozen rows, warm lanes and
 // a pair whose patterns diverge — and demands that every lane's
 // prediction equal its own per-surface Reconstruct, bit for bit, on
-// every lane path the host can take. One observation may be hostile
+// the lane path the host takes. One observation may be hostile
 // (NaN, ±Inf, zero, negative, huge): nothing may panic, and where it
 // is a NaN, whose payload IEEE 754 leaves to the operand order, a NaN
 // prediction need only meet a NaN.
@@ -516,7 +491,7 @@ func FuzzReconstructLanes(f *testing.F) {
 			want[l] = Reconstruct(m, ps[l])
 		}
 		nan := flags&4 != 0 && math.IsNaN(hostile)
-		lanePaths(t, func(t *testing.T) {
+		lanePath(t, func(t *testing.T) {
 			got := make([]*Prediction, lanes)
 			if lanes == 4 {
 				quad, _ := ReconstructQuad([4]*Matrix(ms), [4]Params(ps), flags&32 != 0)

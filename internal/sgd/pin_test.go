@@ -101,8 +101,8 @@ func reconstructionScript(t *testing.T, h *pin.Hash) {
 	quad(ms, warm)
 	serial(ms[0], warm[0])
 
-	// The service row keeps two cells right of column 0, so the AVX
-	// path has no four-lane prefix past the training rows' end.
+	// The service row keeps two cells right of column 0, so lat/svc's
+	// common prefix ends two cells past the training rows.
 	ms = quadSurfaces(2)
 	setCell(false, 12, 0, ms[2], ms[3])
 	keepCells(12, 2, ms[2], ms[3])
@@ -128,14 +128,14 @@ func reconstructionScript(t *testing.T, h *pin.Hash) {
 	pair(pairMatrix(6, 16, 108, 8, 3), pairMatrix(7, 16, 108, 8, 3), rank8, rank8)
 }
 
-// TestReconstructionBitsPinned runs reconstructionScript on every lane
-// path the host can take (the Go path alone under -tags noasm) and
-// demands one digest. The lane suites compare the kernels against
+// TestReconstructionBitsPinned runs reconstructionScript on the lane
+// path the host takes (the Go path under -tags noasm, or without
+// AVX-512) and demands the one pinned digest. The lane suites compare the kernels against
 // trainSerial; this pins trainSerial too, so a change that moves both the
 // same way (the factor layout, the entry gather, the render) still fails.
 func TestReconstructionBitsPinned(t *testing.T) {
 	pin.Canary(t, "canary", transcendentalCanary(), "math.Exp/Log")
-	lanePaths(t, func(t *testing.T) {
+	lanePath(t, func(t *testing.T) {
 		h := pin.New()
 		reconstructionScript(t, h)
 		pin.Check(t, "reconstruction", h.Sum64())
@@ -164,7 +164,7 @@ func recipeScript(h *pin.Hash, p Params) {
 // SVD start, log space), pinned while those were still settings.
 func TestZeroParamsAreTheRuntimeRecipe(t *testing.T) {
 	pin.Canary(t, "canary", transcendentalCanary(), "math.Exp/Log")
-	lanePaths(t, func(t *testing.T) {
+	lanePath(t, func(t *testing.T) {
 		h := pin.New()
 		recipeScript(h, Params{})
 		pin.Check(t, "runtime-recipe", h.Sum64())

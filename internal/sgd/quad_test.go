@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"cuttlesys/internal/cpuid"
 )
 
 // quadSurfaces builds four matrices of the runtime's shape: thr and
@@ -39,19 +37,19 @@ func keepCells(i, keep int, ms ...*Matrix) {
 	}
 }
 
-// TestReconstructQuadBitIdentical drives the four-lane trainer through
-// every way the four-lane prefix can end — and every way it can fail
-// to start — and demands exact float64 equality with four independent
-// serial reconstructions, with factor capture on and off, on one core
-// and on four, on every lane path the host can take (lanePaths).
+// TestReconstructQuadBitIdentical drives the four-lane entry point
+// through ways each pair's common prefix can end — and ways it can
+// fail to start — and demands exact float64 equality with four
+// independent serial reconstructions, with factor capture on and off,
+// on one core and on four, on the lane path the host takes.
 func TestReconstructQuadBitIdentical(t *testing.T) {
 	type quadCase struct {
 		name string
 		ms   [4]*Matrix
 		ps   [4]Params
-		// Expected lanePrefix of all four lanes, of thr/pwr and of
-		// lat/svc, asserted where the kernels run.
-		n4, nA, nB int
+		// Expected lanePrefix of thr/pwr and of lat/svc, asserted where
+		// the kernel runs.
+		nA, nB int
 		// The column window edges each pair's wide schedule must meet
 		// (see windowEdges), asserted where the kernels run.
 		winA, winB []string
@@ -72,53 +70,49 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			// The service row starts right of column 0, where thr's
 			// thirteenth training row starts.
 			setCell(false, 12, 0, c.ms[2], c.ms[3])
-			c.n4, c.nA, c.nB = train, c.ms[0].knownCount(), c.ms[2].knownCount()
+			c.nA, c.nB = c.ms[0].knownCount(), c.ms[2].knownCount()
 		}),
 		mk("prefix ends mid-row", 62, all(rt), func(c *quadCase) {
 			// The service row's first cells are columns 0 and 1, then
-			// a gap: two cells of row 12 still ride the wide kernel.
+			// a gap, as in thr's thirteenth row.
 			setCell(true, 12, 0, c.ms[2], c.ms[3])
 			setCell(true, 12, 1, c.ms[2], c.ms[3])
 			setCell(false, 12, 2, c.ms[2], c.ms[3])
-			c.n4, c.nA, c.nB = train+2, c.ms[0].knownCount(), c.ms[2].knownCount()
+			c.nA, c.nB = c.ms[0].knownCount(), c.ms[2].knownCount()
 		}),
 		mk("frozen row inside the prefix", 63, all(frozen), func(c *quadCase) {
 			// Row 5 keeps the same two cells in every lane and is
-			// bias-frozen in all of them: no kernel may enter it.
+			// bias-frozen in all of them: the kernel may not enter it.
 			keepCells(5, 2, c.ms[:]...)
-			c.n4, c.nA, c.nB = 5*108, 5*108, 5*108
+			c.nA, c.nB = 5*108, 5*108
 		}),
 		mk("row frozen in lat/svc only", 64, [4]Params{rt, rt, frozen, frozen}, func(c *quadCase) {
 			// Same cells everywhere, but only the latency pair freezes
-			// the row: thr/pwr ride the narrow kernel past it.
+			// the row: thr/pwr ride the kernel past it.
 			keepCells(5, 2, c.ms[:]...)
-			c.n4, c.nA, c.nB = 5*108, c.ms[0].knownCount(), 5*108
+			c.nA, c.nB = c.ms[0].knownCount(), 5*108
 		}),
 		mk("one pair diverges before the four-lane prefix ends", 65, all(rt), func(c *quadCase) {
-			// pwr lost a training cell: the wide kernel and the thr/pwr
-			// kernel both stop there, lat/svc carry on alone.
+			// pwr lost a training cell: thr/pwr's prefix stops there,
+			// lat/svc's runs on.
 			setCell(false, 3, 40, c.ms[1])
-			c.n4, c.nA, c.nB = 3*108+40, 3*108+40, c.ms[2].knownCount()
+			c.nA, c.nB = 3*108+40, c.ms[2].knownCount()
 		}),
 		mk("rank 8 lane trains per surface", 66, [4]Params{rt, {Factors: 8, Reg: 0.03, MaxIter: 50}, rt, rt}, func(c *quadCase) {
 			c.nB = c.ms[2].knownCount()
 		}),
 		mk("hundreds of dual thr/pwr cells beside two lat/svc cells", 72, all(rt), func(c *quadCase) {
-			// The service row keeps two cells right of column 0: the
-			// four-lane prefix is the training rows, then thr/pwr's
-			// dual region runs four dense rows and the running rows
-			// while lat/svc's holds two cells.
+			// The service row keeps two cells right of column 0:
+			// thr/pwr's prefix runs on through four dense rows and the
+			// running rows while lat/svc's ends two cells past the
+			// training rows.
 			setCell(false, 12, 0, c.ms[2], c.ms[3])
 			keepCells(12, 2, c.ms[2], c.ms[3])
-			c.n4, c.nA, c.nB = train, c.ms[0].knownCount(), train+2
-			if c.nA-c.n4 < 400 {
-				t.Fatalf("thr/pwr dual region %d entries, want hundreds", c.nA-c.n4)
-			}
+			c.nA, c.nB = c.ms[0].knownCount(), train+2
 		}),
 		mk("no four-lane prefix: each pair trains its prefix dual", 73, all(rt), func(c *quadCase) {
 			// lat/svc start at column 1: the four lanes share no entry,
-			// so each pair sweeps its whole common prefix in the dual
-			// kernel, the two-lane path ReconstructPair takes.
+			// and each pair still sweeps its whole common prefix.
 			setCell(false, 0, 0, c.ms[2], c.ms[3])
 			c.nA, c.nB = c.ms[0].knownCount(), c.ms[2].knownCount()
 		}),
@@ -151,35 +145,34 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			// meets the edges of its dense rows, and thr/pwr's also
 			// those of its running rows.
 			setCell(false, 12, 0, c.ms[2], c.ms[3])
-			c.n4, c.nA, c.nB = train, c.ms[0].knownCount(), c.ms[2].knownCount()
+			c.nA, c.nB = c.ms[0].knownCount(), c.ms[2].knownCount()
 			c.winA = []string{winRowBreak, winRowsShift, winPadShift, winSparse}
 			c.winB = []string{winRowBreak, winRowsShift, winPadShift}
 		}),
 		mk("window: lat/svc region ends mid-row inside a shift run", 75, all(rt), func(c *quadCase) {
 			// lat/svc's rows 8–11 end one column apart, 107 down to
 			// 104, and svc lacks (11, 105): lat/svc's region ends at the
-			// staircase's last step with its window shifting, while the
-			// four-lane prefix ends at (9, 107), which lat/svc lack.
+			// staircase's last step with its window shifting.
 			for r := 9; r < 12; r++ {
 				for j := 108 - (r - 8); j < 108; j++ {
 					setCell(false, r, j, c.ms[2], c.ms[3])
 				}
 			}
 			setCell(true, 11, 105, c.ms[2])
-			c.n4, c.nA, c.nB = 9*108+107, c.ms[0].knownCount(), obsBefore(c.ms[2], 11)+105
+			c.nA, c.nB = c.ms[0].knownCount(), obsBefore(c.ms[2], 11)+105
 			c.winB = []string{winEndShift, winMidRow}
 		}),
 		mk("window: one-slot lat/svc region", 76, all(rt), func(c *quadCase) {
 			// svc lacks (0, 1): lat/svc share one entry, one wide slot.
 			setCell(false, 0, 1, c.ms[3])
-			c.n4, c.nA, c.nB = 1, c.ms[0].knownCount(), 1
+			c.nA, c.nB = c.ms[0].knownCount(), 1
 			c.winB = []string{winOneSlot}
 		}),
 	)
 	{
 		// A warm latency lane beside a cold service-rate lane with the
-		// same sweep count: all four lanes share the training rows and
-		// lat/svc the wide kernel, warm factors beside the SVD seed.
+		// same sweep count: lat/svc share the wide kernel, warm factors
+		// beside the SVD seed.
 		c := quadCase{name: "window: warm lane beside a cold one", ms: quadSurfaces(77), ps: all(rt)}
 		setCell(false, 12, 0, c.ms[2], c.ms[3])
 		_, fac, err := reconstructFactors(c.ms[2], rt)
@@ -187,7 +180,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.ps[2].Warm, c.ps[2].WarmIters = fac, rt.MaxIter
-		c.n4, c.nA, c.nB = train, c.ms[0].knownCount(), c.ms[2].knownCount()
+		c.nA, c.nB = c.ms[0].knownCount(), c.ms[2].knownCount()
 		c.winB = []string{winRowsShift, winRowBreak}
 		cases = append(cases, c)
 	}
@@ -212,7 +205,6 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 					name      string
 					got, want int
 				}{
-					{"four-lane", lanePrefix(st[:]), tc.n4},
 					{"thr/pwr", lanePrefix(st[:2]), tc.nA},
 					{"lat/svc", lanePrefix(st[2:]), tc.nB},
 				} {
@@ -235,7 +227,7 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			lanePaths(t, func(t *testing.T) {
+			lanePath(t, func(t *testing.T) {
 				for _, procs := range []int{1, 4} {
 					for _, capture := range []bool{false, true} {
 						prev := runtime.GOMAXPROCS(procs)
@@ -268,114 +260,71 @@ func TestReconstructQuadBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDualScheduleOccupancy pins how full schedule packs the slot
-// regions of quadSurfaces by exact entry and slot counts: two cells to
-// a slot over the dual regions of the AVX path — thr/pwr's four dense
-// rows and sixteen running rows, lat/svc's sparse service row — and
-// four over the wide regions of the AVX-512 path, each pair's whole
-// common prefix. A slot kernel pays for itself only while most slots
-// are full.
+// TestDualScheduleOccupancy pins how full schedule packs the wide
+// regions of quadSurfaces' two pairs — each pair's whole common prefix
+// — by exact entry and slot counts. The wide kernel pays for itself
+// only while most slots are full.
 func TestDualScheduleOccupancy(t *testing.T) {
 	ms := quadSurfaces(1)
-	const n4 = 12 * 108 // the service row does not start at column 0
-	if ms[2].Known(12, 0) {
-		t.Fatal("quadSurfaces(1)'s service row starts at column 0")
-	}
 	p := Params{Factors: 6, Reg: 0.03, MaxIter: 50}
 	st := gatherLanes(ms[:], []Params{p, p, p, p})
-	if laneKernelOK && lanePrefix(st[:]) != n4 {
-		t.Fatalf("four-lane prefix %d, want %d", lanePrefix(st[:]), n4)
-	}
-	var entries, slots [wideCells + 1]int // per cells-per-slot k
+	entries, slots := 0, 0
 	for _, c := range []struct {
 		name                string
 		st                  *trainState
-		from, k             int
 		wantEnts, wantSlots int
 	}{
-		{"thr/pwr dual", st[0], n4, 2, 525, 264},
-		{"lat/svc dual", st[2], n4, 2, 4, 4},
-		{"thr/pwr wide", st[0], 0, wideCells, 1821, 458},
-		{"lat/svc wide", st[2], 0, wideCells, 1300, 328},
+		{"thr/pwr", st[0], 1821, 458},
+		{"lat/svc", st[2], 1300, 328},
 	} {
-		region := c.st.cells[c.from:]
-		n := schedule(region, 108, c.k, nil)
-		if len(region) != c.wantEnts || n != c.wantSlots {
-			t.Errorf("%s: %d entries in %d slots, want %d in %d", c.name, len(region), n, c.wantEnts, c.wantSlots)
+		n := schedule(c.st.cells, 108, nil)
+		if len(c.st.cells) != c.wantEnts || n != c.wantSlots {
+			t.Errorf("%s: %d entries in %d slots, want %d in %d", c.name, len(c.st.cells), n, c.wantEnts, c.wantSlots)
 		}
-		entries[c.k] += len(region)
-		slots[c.k] += n
+		entries += len(c.st.cells)
+		slots += n
 	}
-	for _, k := range []int{2, wideCells} {
-		if fill := float64(entries[k]) / float64(k*slots[k]); fill < 0.9 {
-			t.Fatalf("k=%d: schedule fills %.3f of its slots' cells, want at least 0.9", k, fill)
-		}
+	if fill := float64(entries) / float64(wideCells*slots); fill < 0.9 {
+		t.Fatalf("schedule fills %.3f of its slots' cells, want at least 0.9", fill)
 	}
 }
 
-// BenchmarkLaneEpoch times one kernel epoch per leg and reports its
-// cost per entry: lanes=4 is the quad kernel over the 12 × 108
-// training cells all four surfaces share, wide/train the wide kernel
-// over one pair's share of them (the AVX-512 path sweeps them once per
-// pair); lanes=2, dual and wide sweep one pair's region of the
-// runtime's shape — 16 training rows and 16 running rows of up to 20
-// cells — lanes=2 one cell per stream in row-major order (the quad
-// kernel with the pair's lanes doubled, the cost of a kernel whose
-// upper lanes idle), dual two cells per 256-bit stream and wide four
-// per 512-bit stream on the schedule's slots. The wide legs also report
-// the share of their slots the column window shifts into (window/slot).
+// BenchmarkLaneEpoch times one wide kernel epoch per leg and reports
+// its cost per entry: wide/train over one pair's share of the 12 × 108
+// training cells all four surfaces share, wide over one pair's region
+// of the runtime's shape — 16 training rows and 16 running rows of up
+// to 20 cells — on the schedule's slots. Both also report the share of
+// their slots the column window shifts into (window/slot).
 func BenchmarkLaneEpoch(b *testing.B) {
 	if !laneKernelOK {
-		b.Skip("no AVX")
+		b.Skip("no AVX-512")
 	}
 	p := Params{Factors: 6, Reg: 0.03, MaxIter: 300}
 	ms := quadSurfaces(81)
 	st := gatherLanes(ms[:], []Params{p, p, p, p})
 	thr, pwr := matchedPair(82, 32, 108, 16, 20, 2)
-	ab := gatherLanes([]*Matrix{thr, pwr}, []Params{p, p})
-	pair := []*trainState{ab[0], ab[1], ab[0], ab[1]}
-	np := lanePrefix(pair[:2])
-	legs := []struct {
+	pair := gatherLanes([]*Matrix{thr, pwr}, []Params{p, p})
+	for _, leg := range []struct {
 		name    string
 		lanes   []*trainState
 		entries int // the leading entries the leg sweeps
-		k       int // cells per slot; 0 for the quad kernel
 	}{
-		{"lanes=4", st[:], 12 * 108, 0},
-		{"wide/train", st[:2], 12 * 108, wideCells},
-		{"lanes=2", pair, np, 0},
-		{"dual", pair[:2], np, 2},
-		{"wide", pair[:2], np, wideCells},
-	}
-	for _, leg := range legs {
-		if leg.k == wideCells && !cpuid.AVX512 {
-			continue
-		}
-		w := laneCount
-		if leg.k == wideCells {
-			w = 2
-		}
-		g := newGroup(leg.lanes, leg.entries, w)
-		for l, s := range leg.lanes {
-			s.place(g.rowP[l:], g.colP[l:], w) // lanes=2 seeds each lane at both its places
+		{"wide/train", st[:2], 12 * 108},
+		{"wide", pair, lanePrefix(pair)},
+	} {
+		g := newGroup(leg.lanes, leg.entries)
+		for _, s := range leg.lanes {
 			s.init()
 		}
-		var run laneRun
-		if leg.k == 0 {
-			run = g.newQuadRun()
-		} else {
-			run = g.newSlotRun(0, 0, leg.entries)
-		}
+		args := g.slotArgs()
 		b.Run(leg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run.epoch()
+				wideEpoch6(&args)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*leg.entries), "ns/entry")
-			if leg.k == wideCells {
-				s := leg.lanes[0]
-				idx := slotIndices(s.cells[:leg.entries], 0, s.m.Cols, wideCells, g.rows, s.pad())
-				b.ReportMetric(float64(windowShifts(idx))/float64(len(idx)/slotRecord), "window/slot")
-			}
+			s := leg.lanes[0]
+			idx := slotIndices(s.cells[:leg.entries], s.m.Cols, g.rows, s.pad())
+			b.ReportMetric(float64(windowShifts(idx))/float64(len(idx)/slotRecord), "window/slot")
 		})
 	}
 }
@@ -383,15 +332,13 @@ func BenchmarkLaneEpoch(b *testing.B) {
 // reconstructAllocCeiling bounds the bytes one ReconstructQuad call
 // allocates at the runtime's single-machine shape, late in a run, per
 // lane path, about 10 % over what a call measures: ≈ 264 KB on the
-// AVX-512 path, ≈ 253 KB on the AVX path and ≈ 238 KB on the Go path.
-// That is the four predictions (≈ 81 KB, which also hold the SVD
-// seeds' mean-filled blocks), the entry lists at 12 bytes an entry, a
-// pair's values interleaved (≈ 87 KB), the lane blocks that hold every
-// factor and bias from seed to render (≈ 30 KB; the AVX path's one
-// four-lane set too), the Jacobi rotations (≈ 20 KB) and the kernels'
-// runs: the wide slots at 24 bytes a four-cell slot (≈ 22 KB), or the
-// AVX path's quad CSR (4 bytes an entry) and dual slots.
-var reconstructAllocCeiling = map[string]uint64{"wide": 280 << 10, "avx": 270 << 10, "go": 250 << 10}
+// AVX-512 path and ≈ 238 KB on the Go path. That is the four
+// predictions (≈ 81 KB, which also hold the SVD seeds' mean-filled
+// blocks), the entry lists at 12 bytes an entry, a pair's values
+// interleaved (≈ 87 KB), the lane blocks that hold every factor and
+// bias from seed to render (≈ 30 KB), the Jacobi rotations (≈ 20 KB)
+// and the wide kernel's slots at 24 bytes a four-cell slot (≈ 22 KB).
+var reconstructAllocCeiling = map[string]uint64{"wide": 280 << 10, "go": 250 << 10}
 
 // TestReconstructAllocCeiling measures ReconstructQuad's allocation
 // per call with runtime.ReadMemStats over repeated calls, on the
@@ -406,7 +353,7 @@ func TestReconstructAllocCeiling(t *testing.T) {
 	ms := [4]*Matrix{thr, pwr, lat, svc}
 	p := Params{Factors: 6, Reg: 0.03, MaxIter: 5}
 	ps := [4]Params{p, p, p, p}
-	lanePaths(t, func(t *testing.T) {
+	lanePath(t, func(t *testing.T) {
 		ReconstructQuad(ms, ps, false) // warm the runtime's goroutine free lists
 		const calls = 20
 		var before, after runtime.MemStats
@@ -417,11 +364,8 @@ func TestReconstructAllocCeiling(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perCall := (after.TotalAlloc - before.TotalAlloc) / calls
 		path := "go"
-		switch {
-		case laneKernelOK && laneWide:
+		if laneKernelOK {
 			path = "wide"
-		case laneKernelOK:
-			path = "avx"
 		}
 		t.Logf("%d bytes per ReconstructQuad call on the %s path", perCall, path)
 		if ceiling := reconstructAllocCeiling[path]; perCall > ceiling {

@@ -8,13 +8,12 @@ import (
 	"cuttlesys/internal/rng"
 )
 
-// slotSchedule runs schedule over a run of cells, k to a slot, and
-// returns its slots as indices into the run, in the order the schedule
-// filled them. It panics if schedule names a cell other than the
-// entry's.
-func slotSchedule(cells []uint32, cols, k int) [][]int {
-	slots := make([][]int, schedule(cells, cols, k, nil))
-	n := schedule(cells, cols, k, func(s, t, i, j int) {
+// slotSchedule runs schedule over a run of cells and returns its
+// slots as indices into the run, in the order the schedule filled
+// them. It panics if schedule names a cell other than the entry's.
+func slotSchedule(cells []uint32, cols int) [][]int {
+	slots := make([][]int, schedule(cells, cols, nil))
+	n := schedule(cells, cols, func(s, t, i, j int) {
 		if int(cells[t]) != i*cols+j {
 			panic(fmt.Sprintf("schedule names entry %d cell (%d,%d), want %d", t, i, j, cells[t]))
 		}
@@ -26,18 +25,18 @@ func slotSchedule(cells []uint32, cols, k int) [][]int {
 	return slots
 }
 
-// checkSchedule validates slots of at most k cells against the run
-// they schedule: every entry sits in exactly one slot, no slot is
+// checkSchedule validates slots of at most wideCells cells against the
+// run they schedule: every entry sits in exactly one slot, no slot is
 // empty or names one row or one column twice, and each row's and each
 // column's entries come in run order.
-func checkSchedule(cells []uint32, cols, k int, slots [][]int) error {
+func checkSchedule(cells []uint32, cols int, slots [][]int) error {
 	seen := make([]bool, len(cells))
 	lastRow := map[int]int{}
 	lastCol := map[int]int{}
 	cell := func(t int) (i, j int) { return int(cells[t]) / cols, int(cells[t]) % cols }
 	for s, sl := range slots {
-		if len(sl) == 0 || len(sl) > k {
-			return fmt.Errorf("slot %d holds %d cells, want 1..%d", s, len(sl), k)
+		if len(sl) == 0 || len(sl) > wideCells {
+			return fmt.Errorf("slot %d holds %d cells, want 1..%d", s, len(sl), wideCells)
 		}
 		for x, a := range sl {
 			for _, b := range sl[x+1:] {
@@ -154,10 +153,10 @@ func frozenFrom(st *trainState, from int) int {
 // TestSlotScheduleMatchesSerial is the schedule's oracle: over random
 // matrices and regions — and four named shapes, a region starting
 // mid-row, one spanning an odd number of running rows, a one-entry
-// region and one ending at a bias-frozen row — schedule's slots, two
-// cells to a slot (the dual kernel's) and four (the wide kernel's),
-// must pass checkSchedule, and the scalar slot executor must leave Q,
-// P and both biases bit-identical to trainSerial.
+// region and one ending at a bias-frozen row — schedule's slots of
+// four cells (the subtest names the width) must pass checkSchedule,
+// and the scalar slot executor must leave Q, P and both biases
+// bit-identical to trainSerial.
 func TestSlotScheduleMatchesSerial(t *testing.T) {
 	type scheduleCase struct {
 		name     string
@@ -202,31 +201,29 @@ func TestSlotScheduleMatchesSerial(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, k := range []int{2, wideCells} {
-				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-					want := seeded(tc.m, scheduleParams)
-					got := seeded(tc.m, scheduleParams)
-					from, to := tc.from, tc.to
-					if to < 0 {
-						to = frozenFrom(got, from)
-					}
-					if from >= to {
-						t.Skipf("no kernel-eligible entries at %d", from)
-					}
-					slots := slotSchedule(got.cells[from:to], tc.m.Cols, k)
-					if err := checkSchedule(got.cells[from:to], tc.m.Cols, k, slots); err != nil {
-						t.Fatal(err)
-					}
-					if tc.check != nil {
-						tc.check(t, got, slots)
-					}
-					want.trainSerial()
-					trainSlots(got, from, to, slots)
-					if !sameBits(stateBits(got), stateBits(want)) {
-						t.Fatalf("slot executor diverges from trainSerial over region [%d, %d)", from, to)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("k=%d", wideCells), func(t *testing.T) {
+				want := seeded(tc.m, scheduleParams)
+				got := seeded(tc.m, scheduleParams)
+				from, to := tc.from, tc.to
+				if to < 0 {
+					to = frozenFrom(got, from)
+				}
+				if from >= to {
+					t.Skipf("no kernel-eligible entries at %d", from)
+				}
+				slots := slotSchedule(got.cells[from:to], tc.m.Cols)
+				if err := checkSchedule(got.cells[from:to], tc.m.Cols, slots); err != nil {
+					t.Fatal(err)
+				}
+				if tc.check != nil {
+					tc.check(t, got, slots)
+				}
+				want.trainSerial()
+				trainSlots(got, from, to, slots)
+				if !sameBits(stateBits(got), stateBits(want)) {
+					t.Fatalf("slot executor diverges from trainSerial over region [%d, %d)", from, to)
+				}
+			})
 		})
 	}
 }
@@ -240,7 +237,7 @@ func TestScheduleOracleCatchesSwap(t *testing.T) {
 	got := seeded(m, scheduleParams)
 	from, to := 30, frozenFrom(got, 30)
 	cells := got.cells[from:to]
-	slots := slotSchedule(cells, m.Cols, 2)
+	slots := slotSchedule(cells, m.Cols)
 	// Entry 0 (row 1, column 0) and its column successor, row 2's
 	// column 0, sit in different slots; trade their places.
 	succ := -1
@@ -260,7 +257,7 @@ func TestScheduleOracleCatchesSwap(t *testing.T) {
 			}
 		}
 	}
-	if err := checkSchedule(cells, m.Cols, 2, slots); err == nil {
+	if err := checkSchedule(cells, m.Cols, slots); err == nil {
 		t.Fatal("checkSchedule accepted a schedule with a column's entries swapped")
 	}
 	want.trainSerial()

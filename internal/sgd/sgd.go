@@ -26,12 +26,12 @@
 //
 // There is one update order and two loops that run it. trainSerial is
 // Alg. 1 as printed: one sweep over the observed entries in row-major
-// order per epoch. The lane trainer (pair.go) runs up to four such
+// order per epoch. The lane trainer (pair.go) runs a pair of such
 // sweeps — one per reconstruction surface — in the lanes of one SIMD
 // instruction stream, each lane bit-identical to its own trainSerial,
 // and is what the runtime and every fleet path ship; trainSerial is
 // its reference and the path lanes that cannot share a stream (and
-// hosts without AVX) take. The paper's own lock-free parallel variant
+// hosts without AVX-512) take. The paper's own lock-free parallel variant
 // (§V, HOGWILD! [95, 96]) is deliberately absent: it measured 2–4×
 // slower than the serial sweep it parallelises and made results depend
 // on the host's core count (EXPERIMENTS.md, "Deviations and why").
@@ -109,7 +109,7 @@ const learningRate = 0.02
 // Params controls a reconstruction. The zero value is the runtime's
 // recipe: rank 6, λ 0.03, 300 sweeps, no frozen rows, a cold start.
 type Params struct {
-	// Factors is the latent rank F. Default 6, the lane kernels' rank;
+	// Factors is the latent rank F. Default 6, the lane kernel's rank;
 	// negative is invalid.
 	Factors int
 	// Reg is Alg. 1's regularisation factor λ. Default 0.03.
@@ -237,7 +237,7 @@ type trainState struct {
 	// gathers it, is vals[vs·t]: 12 bytes an entry. vs is 2 where a
 	// pair's two lanes interleave their values (gatherLanes), 1
 	// otherwise. vals ends in one entry more, μ, the
-	// value a slot kernel's padding cells read (see pad).
+	// value the wide kernel's padding cells read (see pad).
 	cells []uint32
 	vals  []float64
 	vs    int
@@ -280,7 +280,7 @@ func prepareTraining(m *Matrix, p Params, vals []float64, vs int) *trainState {
 			sum += v
 		}
 		// Rows with fewer observations than FactorMinObs train biases
-		// only; the lane kernels stop at the first entry of one.
+		// only; the lane kernel stops at the first entry of one.
 		if k := len(cells) - before; k < p.FactorMinObs {
 			biasOnly[i] = true
 			if live < 0 && k > 0 {
@@ -475,8 +475,8 @@ func (st *trainState) trainSerial() {
 
 // sweep trains entries [from, to) once, in order: Alg. 1's update on
 // the lane's blocks. The lane trainer sweeps each lane's entries past
-// its kernels' regions this way, so the kernels' oracle and their
-// tails share one loop.
+// the kernel's prefix this way, so the kernel's oracle and its tails
+// share one loop.
 func (st *trainState) sweep(from, to int) {
 	if from >= to {
 		return

@@ -6,7 +6,7 @@ import "testing"
 // slot's four columns in registers and shifts them up one part where
 // the next slot's columns 1–3 are this slot's columns 0–2; anywhere
 // else it stores them back and gathers afresh. These helpers replay
-// that test on the slot indices newSlotRun lays out, so the tables can
+// that test on the slot indices slotArgs lays out, so the tables can
 // demand the window edges they name and a schedule change cannot
 // switch the window off unnoticed.
 
@@ -36,15 +36,15 @@ func windowShifts(idx []uint16) int {
 }
 
 // wideIndices returns the wide kernel's slot indices over the common
-// prefix of pair st, as the AVX-512 path lays them out, and nil where
-// the pair does not share a stream.
+// prefix of pair st, as slotArgs lays them out, and nil where the pair
+// does not share a stream.
 func wideIndices(st []*trainState) []uint16 {
 	n := lanePrefix(st)
 	if n == 0 {
 		return nil
 	}
 	rows := max(st[0].m.Rows, st[1].m.Rows)
-	return slotIndices(st[0].cells[:n], 0, st[0].m.Cols, wideCells, rows, st[0].pad())
+	return slotIndices(st[0].cells[:n], st[0].m.Cols, rows, st[0].pad())
 }
 
 // The window edges a bit-identity case can name.
@@ -146,7 +146,7 @@ func TestWindowShiftShare(t *testing.T) {
 		}
 	}
 	st := prepareTraining(m, Params{}.withDefaults(), nil, 0)
-	idx := slotIndices(st.cells, 0, m.Cols, wideCells, m.Rows, st.pad())
+	idx := slotIndices(st.cells, m.Cols, m.Rows, st.pad())
 	nslots := len(idx) / slotRecord
 	share := float64(windowShifts(idx)) / float64(nslots)
 	t.Logf("dense 12×108: %d of %d slots shift (%.3f)", windowShifts(idx), nslots, share)
