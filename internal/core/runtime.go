@@ -8,8 +8,10 @@
 //     service-rate surfaces across all 108 resource configurations with
 //     four instances of PQ-reconstruction SGD seeded by
 //     offline-characterised "known" applications (§V) — the paper runs
-//     its three instances on parallel threads; here the four train in
-//     the SIMD lanes of one deterministic sweep (sgd.ReconstructQuad),
+//     its three instances on parallel threads; here the four train as
+//     two independent pairs, each pair in the SIMD lanes of one
+//     deterministic sweep on AVX-512 hosts and each surface in Go
+//     elsewhere (sgd.ReconstructQuad),
 //  3. fixes the latency-critical service's configuration by scanning
 //     the reconstructed latency row for the cheapest QoS-meeting point
 //     (§VI-A), then explores the batch jobs' configuration space with
@@ -637,11 +639,13 @@ func (rt *Runtime) updateDivergence(alloc *sim.Allocation, steady sim.PhaseResul
 }
 
 // reconstructAll reconstructs the decision's surfaces (§V) through
-// sgd.ReconstructQuad: throughput, power, latency and service-rate
-// train one to a SIMD lane in a single sweep for as long as their
-// entry lists name the same cells, then pair by pair, then alone —
-// bit-identical to four independent runs at every step. A batch-only
-// machine has no latency or service-rate matrix and trains two lanes.
+// sgd.ReconstructQuad: throughput with power and latency with service
+// rate train as two independent pairs. On AVX-512 hosts each pair
+// shares the SIMD lanes of one sweep for as long as its two entry lists
+// name the same cells, then each surface finishes alone; elsewhere each
+// surface trains in Go — bit-identical to four independent runs either
+// way. A batch-only machine has no latency or service-rate matrix and
+// trains one pair.
 // With ShareFactors each instance also yields its trained factor
 // state (nil for a cold model), folded into rt.factors here.
 func (rt *Runtime) reconstructAll() (thr, pwr, lat, svc *sgd.Prediction) {

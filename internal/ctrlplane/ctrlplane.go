@@ -333,7 +333,8 @@ func (m *Manager) Fleet() *fleet.Fleet { return m.f }
 // warm-start from (Config.WarmStart), nil when sharing is off.
 func (m *Manager) WarmStart() WarmStarter { return m.warm }
 
-// Close releases the managed fleet's worker pool.
+// Close detaches the managed fleet's fault injectors; the fleet must
+// not be stepped again.
 func (m *Manager) Close() { m.f.Close() }
 
 // stateOf reports machine id's control-plane state.

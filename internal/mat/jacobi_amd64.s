@@ -11,7 +11,7 @@
 // at q, loaded ascending too and reversed by VPERMPD (lane j ← kh−1−j),
 // so every load and store starts inside the row.
 //
-// Bit for bit rotateStep: each lane sums α, β and γ over the rows in
+// Bit for bit sweepRows: each lane sums α, β and γ over the rows in
 // index order, tests and computes the rotation with the Go expression's
 // operations (VSQRTPD and VDIVPD are correctly rounded, as SQRTSD and
 // DIVSD; no FMA), and rotates w's and v's rows with the products and

@@ -9,11 +9,11 @@
 //
 // The matrices here are tiny — at most a few hundred rows (applications)
 // by ~108 columns (resource configurations). The solver favours clarity.
-// The Jacobi sweep, which sits on every decision's critical path, runs
-// its column pairs as a wavefront of disjoint pairs: on AVX-512 hosts up
-// to sixteen rotations per step in the lanes of one kernel
-// (jacobi_amd64.s), elsewhere one at a time in Go, both bit for bit the
-// serial row-cyclic sweep the tests keep as their oracle.
+// The Jacobi sweep, which sits on every decision's critical path, is the
+// row-cyclic one: in Go one pair at a time, and on AVX-512 hosts as a
+// wavefront of disjoint pairs, up to sixteen rotations per step in the
+// lanes of one kernel (jacobi_amd64.s), both bit for bit the row-major
+// serial loop the tests keep as their oracle.
 package mat
 
 import (
@@ -194,8 +194,8 @@ func (j jacobi) column(c int) (w, v Vector) {
 }
 
 // jacobiLanes selects rotateLanes, the AVX-512 executor of a wavefront
-// step. It follows the CPU probe alone; tests flip it to run the Go
-// executor on AVX-512 hosts too.
+// step. It follows the CPU probe alone; tests flip it to run sweepRows
+// on AVX-512 hosts too.
 var jacobiLanes = cpuid.AVX512
 
 // maxLanes is the most pairs one call of the lane kernel rotates: two
@@ -205,15 +205,14 @@ const maxLanes = 16
 // rotate orthogonalises the columns of the m×n matrix held element-major
 // in w, which it overwrites, and ranks them.
 //
-// It runs the row-cyclic sweep — pairs (p, q), p < q, p outer — as a
-// wavefront: step s rotates every pair with p + q = s, which touch
-// disjoint columns, and each column meets its pairs in row-cyclic order
-// (their sums rise with the partner's index on both sides). A rotation
-// reads and writes only its two columns, so every pair sees the same
-// columns and yields the same bits as in the serial loop (DESIGN.md
-// §15). A sweep that rotates nothing ends the decomposition: the sum of
-// |γ| over a sweep's rotations, the serial loop's stopping test, is zero
-// exactly then.
+// It runs the row-cyclic sweep — pairs (p, q), p < q, p outer — until a
+// sweep rotates nothing. In Go (sweepRows) that is one pair at a time;
+// on AVX-512 hosts rotateLanes runs it as a wavefront: step s rotates
+// every pair with p + q = s, which touch disjoint columns, and each
+// column meets its pairs in row-cyclic order (their sums rise with the
+// partner's index on both sides). A rotation reads and writes only its
+// two columns, so every pair sees the same columns and yields the same
+// bits as in sweepRows (DESIGN.md §15).
 func rotate(w []float64, m, n int) jacobi {
 	v := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -221,27 +220,19 @@ func rotate(w []float64, m, n int) jacobi {
 	}
 
 	const maxSweeps = 60
-	// The Go executor's sums of the next step's first pair, carried
-	// from the pass that rotated the step before's last pair.
-	var first pairSums
-	if n > 1 && !jacobiLanes {
-		first = sumPair(w, n, 0, 1)
-	}
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		rotated := false
-		for s := 1; s <= 2*n-3; s++ {
-			if !jacobiLanes {
-				var r bool
-				first, r = rotateStep(w, v, m, n, s, first)
-				rotated = rotated || r
-				continue
-			}
-			// Pairs (p+j, q−j) for j < k: p the lowest left column, q
-			// the highest right one.
-			p, q := max(0, s-(n-1)), min(s, n-1)
-			for k := (q - p + 1) / 2; k > 0; k -= maxLanes {
-				rotated = rotateLanes(&w[0], &v[0], m, n, p, q, min(k, maxLanes)) || rotated
-				p, q = p+maxLanes, q-maxLanes
+		if !jacobiLanes {
+			rotated = sweepRows(w, v, m, n)
+		} else {
+			for s := 1; s <= 2*n-3; s++ {
+				// Pairs (p+j, q−j) for j < k: p the lowest left column,
+				// q the highest right one.
+				p, q := max(0, s-(n-1)), min(s, n-1)
+				for k := (q - p + 1) / 2; k > 0; k -= maxLanes {
+					rotated = rotateLanes(&w[0], &v[0], m, n, p, q, min(k, maxLanes)) || rotated
+					p, q = p+maxLanes, q-maxLanes
+				}
 			}
 		}
 		if !rotated {
@@ -272,38 +263,32 @@ func rotate(w []float64, m, n int) jacobi {
 // product γ, each accumulated in index order.
 type pairSums struct{ alpha, beta, gamma float64 }
 
-// rotateStep is the Go executor of wavefront step s of the m×n w and
-// the n×n v, both element-major: its pairs one at a time, each pair's
-// rotation of w summing the pair after it in the same pass — the
-// step's next pair, which shares no column with it, or after the last
-// the next step's first, (0, 1) after a sweep's last step, whose
-// columns are then final. first holds the sums of the step's first
-// pair; rotateStep returns those of the next step's, and whether any
-// pair rotated. rotateLanes is its AVX-512 form, bit for bit.
-func rotateStep(w, v []float64, m, n, s int, first pairSums) (next pairSums, rotated bool) {
+// sweepRows is the Go executor of one row-cyclic sweep of the m×n w
+// and the n×n v, both element-major: its pairs one at a time, each
+// rotation of w summing the row's next pair (p, q+1) in the same pass.
+// It reports whether any pair rotated.
+func sweepRows(w, v []float64, m, n int) (rotated bool) {
 	w = w[:m*n]
-	p0, q0 := max(0, s-(n-1)), min(s, n-1)
-	k := (q0 - p0 + 1) / 2
-	next = first
-	for j := range k {
-		p, q := p0+j, q0-j
-		np, nq := p+1, q-1
-		if j+1 == k {
-			np, nq = max(0, s+2-n), min(s+1, n-1)
-			if s == 2*n-3 {
-				np, nq = 0, 1
+	for p := 0; p < n-1; p++ {
+		sums := sumPair(w, n, p, p+1)
+		for q := p + 1; q < n; q++ {
+			c, s, ok := rotation(sums)
+			if !ok {
+				if q+1 < n {
+					sums = sumPair(w, n, p, q+1)
+				}
+				continue
 			}
+			rotated = true
+			if q+1 < n {
+				sums = rotateSumPair(w, n, p, q, c, s, p, q+1)
+			} else {
+				rotatePair(w, n, p, q, c, s)
+			}
+			rotatePair(v, n, p, q, c, s)
 		}
-		c, sn, ok := rotation(next)
-		if !ok {
-			next = sumPair(w, n, np, nq)
-			continue
-		}
-		rotated = true
-		next = rotateSumPair(w, n, p, q, c, sn, np, nq)
-		rotatePair(v, n, p, q, c, sn)
 	}
-	return next, rotated
+	return rotated
 }
 
 // sumPair returns the sums of columns p < q of the element-major a, n

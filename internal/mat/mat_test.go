@@ -2,28 +2,16 @@ package mat
 
 import (
 	"encoding/binary"
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"testing"
 	"testing/quick"
 
 	"cuttlesys/internal/rng"
 )
 
-var noLanes = flag.Bool("nolanes", false, "run every test with the AVX-512 Jacobi lanes off: the Go executor")
-
-func TestMain(m *testing.M) {
-	flag.Parse()
-	if *noLanes {
-		jacobiLanes = false
-	}
-	os.Exit(m.Run())
-}
-
-// executors runs f as one subtest per wavefront executor the host can
-// take: "lanes" (the AVX-512 kernel, unless -nolanes), then "go".
+// executors runs f as one subtest per Jacobi executor the host can
+// take: "lanes" (the AVX-512 kernel), then "go" (sweepRows).
 func executors(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	type executor struct {
@@ -345,9 +333,35 @@ func svdRowMajor(a *Dense) SVDResult {
 		r := svdRowMajor(a.transpose())
 		return SVDResult{U: r.V, S: r.S, V: r.U}
 	}
-	// w starts as a copy of a; Jacobi rotations orthogonalise its columns
-	// in place, accumulating the rotations into v.
-	w := a.clone()
+	j := rotateRowMajor(a.clone())
+	w, v := &Dense{Rows: m, Cols: n, Data: j.w}, &Dense{Rows: n, Cols: n, Data: j.v}
+
+	// Normalised columns of w form U.
+	u := NewDense(m, n)
+	vOut := NewDense(n, n)
+	sOut := make([]float64, n)
+	for rank, e := range j.order {
+		sOut[rank] = e.val
+		if e.val > svdEps {
+			inv := 1 / e.val
+			for i := 0; i < m; i++ {
+				u.Set(i, rank, w.At(i, e.idx)*inv)
+			}
+		}
+		for i := 0; i < n; i++ {
+			vOut.Set(i, rank, v.At(i, e.idx))
+		}
+	}
+	return SVDResult{U: u, S: sOut, V: vOut}
+}
+
+// rotateRowMajor is svdRowMajor's sweep: it orthogonalises the columns
+// of the tall w, which it overwrites, one row-cyclic pair at a time
+// through At/Set, accumulating the rotations into v, and ranks the
+// columns by norm. A row-major m×n matrix is rotate's element-major
+// layout, so its w, v and ranking compare with rotate's directly.
+func rotateRowMajor(w *Dense) jacobi {
+	m, n := w.Rows, w.Cols
 	v := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		v.Set(i, i, 1)
@@ -393,46 +407,26 @@ func svdRowMajor(a *Dense) SVDResult {
 		}
 	}
 
-	// Column norms of w are the singular values; normalised columns form U.
-	type sv struct {
-		val float64
-		idx int
-	}
-	svs := make([]sv, n)
+	// Column norms of w are the singular values.
+	order := make([]singular, n)
 	for j := 0; j < n; j++ {
 		s := 0.0
 		for i := 0; i < m; i++ {
 			s += w.At(i, j) * w.At(i, j)
 		}
-		svs[j] = sv{math.Sqrt(s), j}
+		order[j] = singular{math.Sqrt(s), j}
 	}
 	// Sort non-increasing (insertion sort: n is tiny).
 	for i := 1; i < n; i++ {
-		for j := i; j > 0 && svs[j].val > svs[j-1].val; j-- {
-			svs[j], svs[j-1] = svs[j-1], svs[j]
+		for j := i; j > 0 && order[j].val > order[j-1].val; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-
-	u := NewDense(m, n)
-	vOut := NewDense(n, n)
-	sOut := make([]float64, n)
-	for rank, e := range svs {
-		sOut[rank] = e.val
-		if e.val > eps {
-			inv := 1 / e.val
-			for i := 0; i < m; i++ {
-				u.Set(i, rank, w.At(i, e.idx)*inv)
-			}
-		}
-		for i := 0; i < n; i++ {
-			vOut.Set(i, rank, v.At(i, e.idx))
-		}
-	}
-	return SVDResult{U: u, S: sOut, V: vOut}
+	return jacobi{w: w.Data, v: v.Data, m: m, n: n, order: order}
 }
 
 // TestSVDMatchesRowMajorOracle pins the SVD to the row-major loop it
-// replaced, bit for bit, on both wavefront executors: the shapes svdInit
+// replaced, bit for bit, on both Jacobi executors: the shapes svdInit
 // decomposed before it wrote the tall form (dense rows × 108
 // configurations, wide; 32 rows fill both halves of the widest step),
 // a square one, and tall and wide matrices of n columns whose widest
@@ -528,108 +522,17 @@ func TestSVDTopMatchesSVD(t *testing.T) {
 	}
 }
 
-// rotateSerial is rotate as it was before the wavefront: the row-cyclic
-// sweep, one pair at a time, over w held column-major, each rotation
-// summing the next pair over the columns it has just rotated. It is the
-// oracle rotate must match bit for bit; its w and v are column-major.
-func rotateSerial(w []float64, m, n int) jacobi {
-	v := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		v[i*n+i] = 1
-	}
-	for sweep := 0; sweep < 60; sweep++ {
-		off := 0.0
-		for p := 0; p < n-1; p++ {
-			wp, vp := w[p*m:(p+1)*m], v[p*n:(p+1)*n]
-			// alpha, beta and gamma are the sums of pair (p, q); next
-			// reports that the previous rotation already summed them.
-			var alpha, beta, gamma float64
-			next := false
-			for q := p + 1; q < n; q++ {
-				wq, vq := w[q*m:(q+1)*m], v[q*n:(q+1)*n]
-				if !next {
-					alpha, beta, gamma = 0, 0, 0
-					for i, x := range wp {
-						y := wq[i]
-						alpha += x * x
-						beta += y * y
-						gamma += x * y
-					}
-				}
-				next = false
-				if math.Abs(gamma) <= svdEps*math.Sqrt(alpha*beta) || gamma == 0 {
-					continue
-				}
-				off += math.Abs(gamma)
-				zeta := (beta - alpha) / (2 * gamma)
-				t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
-				c := 1 / math.Sqrt(1+t*t)
-				s := c * t
-				if q+1 < n {
-					wr := w[(q+1)*m : (q+2)*m]
-					alpha, beta, gamma = 0, 0, 0
-					for i, x := range wp {
-						y, z := wq[i], wr[i]
-						x2 := c*x - s*y
-						wp[i] = x2
-						wq[i] = s*x + c*y
-						alpha += x2 * x2
-						beta += z * z
-						gamma += x2 * z
-					}
-					next = true
-				} else {
-					for i, x := range wp {
-						y := wq[i]
-						wp[i] = c*x - s*y
-						wq[i] = s*x + c*y
-					}
-				}
-				for i, x := range vp {
-					y := vq[i]
-					vp[i] = c*x - s*y
-					vq[i] = s*x + c*y
-				}
-			}
-		}
-		if off == 0 {
-			break
-		}
-	}
-	order := make([]singular, n)
-	for j := 0; j < n; j++ {
-		s := 0.0
-		for _, x := range w[j*m : (j+1)*m] {
-			s += x * x
-		}
-		order[j] = singular{math.Sqrt(s), j}
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && order[j].val > order[j-1].val; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return jacobi{w: w, v: v, m: m, n: n, order: order}
-}
-
-// transposed returns the r×c row-major a as c×r row-major: the
-// column-major form of a, or the element-major form of a column-major
-// array.
-func transposed(a []float64, r, c int) []float64 {
-	return (&Dense{Rows: r, Cols: c, Data: a}).transpose().Data
-}
-
-// matchSerial rotates the element-major m×n w with rotate and its
-// column-major copy with rotateSerial, and returns a description of
-// the first difference in w, v or the ranking, or "" if there is none.
-func matchSerial(w []float64, m, n int) string {
-	want := rotateSerial(transposed(w, m, n), m, n)
+// matchSerial rotates a copy of the element-major w with rotate, on the
+// executor jacobiLanes picks, and returns a description of the first
+// difference from want, rotateRowMajor's result on w, in w, v or the
+// ranking, or "" if there is none.
+func matchSerial(w []float64, want jacobi) string {
+	m, n := want.m, want.n
 	got := rotate(append([]float64(nil), w...), m, n)
 	for _, a := range []struct {
 		name      string
 		got, want []float64
-		rows      int
-	}{{"w", got.w, transposed(want.w, n, m), m}, {"v", got.v, transposed(want.v, n, n), n}} {
+	}{{"w", got.w, want.w}, {"v", got.v, want.v}} {
 		for i := range a.want {
 			if math.Float64bits(a.got[i]) != math.Float64bits(a.want[i]) {
 				return fmt.Sprintf("%s(%d,%d) = %v, serial %v", a.name, i/n, i%n, a.got[i], a.want[i])
@@ -645,11 +548,11 @@ func matchSerial(w []float64, m, n int) string {
 	return ""
 }
 
-// TestRotateLanesMatchSerial pins the wavefront to rotateSerial on 400
-// random matrices per executor, tall, square and the seed's shapes, n up
-// to 36 (three kernel calls on the widest steps), some with duplicated,
-// zero or nearly parallel (near rank one) columns: w, v and the ranking
-// must be bit-identical.
+// TestRotateLanesMatchSerial pins both executors to the serial loop,
+// rotateRowMajor, on 400 random matrices each — tall, square and the
+// seed's shapes, n up to 36 (three kernel calls on the widest steps),
+// some with duplicated, zero or nearly parallel (near rank one)
+// columns: w, v and the ranking must be bit-identical.
 func TestRotateLanesMatchSerial(t *testing.T) {
 	executors(t, func(t *testing.T) {
 		r := rng.New(41)
@@ -683,7 +586,8 @@ func TestRotateLanesMatchSerial(t *testing.T) {
 				clear(w)
 				col(n/2, func(_ int, x *float64) { *x = r.Norm() })
 			}
-			if diff := matchSerial(w, m, n); diff != "" {
+			want := rotateRowMajor(&Dense{Rows: m, Cols: n, Data: append([]float64(nil), w...)})
+			if diff := matchSerial(w, want); diff != "" {
 				t.Fatalf("trial %d (%dx%d, case %d): %s", trial, m, n, trial%4, diff)
 			}
 		}
@@ -692,9 +596,9 @@ func TestRotateLanesMatchSerial(t *testing.T) {
 
 // FuzzSVDTop feeds SVDTop and rotate arbitrary tall matrices, n from 1
 // to 40 and m from n to n+71, their cells the input's bytes read as
-// float64s and repeated: finite ones must match rotateSerial bit for
-// bit on both executors, and none may panic, NaN, infinite and
-// overflowing (ζ*ζ > MaxFloat64) cells included.
+// float64s and repeated: finite ones must match the serial loop,
+// rotateRowMajor, bit for bit on both executors, and none may panic,
+// NaN, infinite and overflowing (ζ*ζ > MaxFloat64) cells included.
 func FuzzSVDTop(f *testing.F) {
 	cells := func(xs ...float64) []byte {
 		b := make([]byte, 0, 8*len(xs))
@@ -730,11 +634,15 @@ func FuzzSVDTop(f *testing.F) {
 				finite = finite && !math.IsNaN(w[i]) && !math.IsInf(w[i], 0)
 			}
 		}
+		var want jacobi
+		if finite {
+			want = rotateRowMajor(&Dense{Rows: m, Cols: n, Data: append([]float64(nil), w...)})
+		}
 		defer func(prev bool) { jacobiLanes = prev }(jacobiLanes)
 		for _, lanes := range []bool{jacobiLanes, false} {
 			jacobiLanes = lanes
 			if finite {
-				if diff := matchSerial(w, m, n); diff != "" {
+				if diff := matchSerial(w, want); diff != "" {
 					t.Fatalf("%dx%d, lanes %v: %s", m, n, lanes, diff)
 				}
 			}
@@ -750,12 +658,10 @@ func FuzzSVDTop(f *testing.F) {
 
 // BenchmarkSVD times the decompositions the seed runs. At the shapes
 // svdInit decomposes in place (108 configurations × 14, 20 and 28 dense
-// rows, tall), it times rotate on each executor — "lanes" the AVX-512
-// kernel (where the host has it), "go" the Go loop — and "serial",
-// rotateSerial, the row-cyclic loop over a column-major copy. At the
-// wide shapes it times the full SVD, the in-place top-six SVDTop (its
-// input refilled each iteration, since SVDTop overwrites it) and the
-// row-major oracle.
+// rows, tall), it times rotate on each executor: "lanes" the AVX-512
+// kernel (where the host has it), "go" sweepRows. At the wide shapes it
+// times the full SVD, the in-place top-six SVDTop (its input refilled
+// each iteration, since SVDTop overwrites it) and the row-major oracle.
 func BenchmarkSVD(b *testing.B) {
 	r := rng.New(29)
 	for _, n := range []int{12, 14, 20, 28, 32} {
@@ -779,14 +685,6 @@ func BenchmarkSVD(b *testing.B) {
 			leg("lanes", true)
 		}
 		leg("go", false)
-		col := transposed(a, 108, n)
-		b.Run(fmt.Sprintf("108x%d/serial", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				copy(w, col)
-				rotateSerial(w, 108, n)
-			}
-		})
 	}
 	for _, rows := range []int{16, 32} {
 		a := NewDense(rows, 108)

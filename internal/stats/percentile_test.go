@@ -240,7 +240,7 @@ func TestPercentileAllocs(t *testing.T) {
 	for i := range xs {
 		xs[i] = 1e-3 * math.Exp(-0.5+r.Norm())
 	}
-	for _, p := range []float64{0, 0.01, 0.99, 1} { // tails of 64, 65, 65 and 1
+	for _, p := range []float64{0, 0.01, 0.99, 1} { // heaps of 6400, 6337, 65 and 1
 		if got := testing.AllocsPerRun(20, func() { benchSink = PercentileInPlace(xs, p) }); got != 0 {
 			t.Errorf("PercentileInPlace p=%v: %v allocs/op, want 0", p, got)
 		}

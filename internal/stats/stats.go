@@ -44,9 +44,9 @@ func GeoMean(xs []float64) float64 {
 // empty slice and NaN when any sample is NaN: a NaN has no rank, and
 // the tail of garbage telemetry must read as garbage rather than as
 // the tail of whatever else arrived. It panics on a NaN p. The input
-// is not modified: one pass with a bounded heap of r = min(n−⌊rank⌋,
-// ⌈rank⌉+1) samples (sweep) costs O(n + r log r) comparisons on input
-// in no particular order, O(n log r) at worst, and the heap is on the
+// is not modified: one pass with a bounded heap of the r = n−⌊rank⌋
+// largest samples (sweep) costs O(n + r log r) comparisons on input in
+// no particular order, O(n log r) at worst, and the heap is on the
 // stack up to r = 64 (a p99 of 6 300 samples). The result is
 // bit-identical to sorting xs and interpolating, reading −0 as +0.
 func Percentile(xs []float64, p float64) float64 {
@@ -84,39 +84,28 @@ func clampP(p float64) float64 {
 
 // order plans one percentile read of n samples, which needs the lo-th
 // and hi-th smallest (0-based, hi ≤ lo+1). The m = n−lo largest hold
-// both, as do the hi+1 smallest; the plan keeps the smaller set, the
-// smallest (neg) as the largest negated samples — negation is exact.
+// both.
 type order struct {
 	rank      float64
 	lo, hi, m int
-	neg       bool
 }
 
 func plan(n int, p float64) (o order) {
 	o.rank = p * float64(n-1)
 	o.lo, o.hi = int(math.Floor(o.rank)), int(math.Ceil(o.rank))
 	o.m = n - o.lo
-	if o.hi+1 < o.m {
-		o.m, o.neg = o.hi+1, true
-	}
 	return o
 }
 
 // read sweeps h past rest and interpolates the root and the smaller
-// of its children, negating them (and h) back on the low side.
+// of its children.
 func (o order) read(h, rest []float64, writeBack bool) float64 {
-	nan := sweep(h, rest, o.neg, writeBack)
+	nan := sweep(h, rest, writeBack)
 	lo, hi := h[0], h[0]
 	if o.hi != o.lo {
 		hi = h[1]
 		if len(h) > 2 && h[2] < hi {
 			hi = h[2]
-		}
-	}
-	if o.neg {
-		lo, hi = -hi, -lo
-		for i, x := range h {
-			h[i] = -x
 		}
 	}
 	if nan {
@@ -125,18 +114,15 @@ func (o order) read(h, rest []float64, writeBack bool) float64 {
 	return o.interpolate(lo, hi)
 }
 
-// sweep heapifies h, the m samples from the input's tail (negated when
-// neg), and passes each sample of rest by the root with one compare: a
-// larger one takes the root's place, and with writeBack the displaced
-// root takes its slot, keeping the input's multiset. A growing backlog
-// seeds its largest samples and replaces nothing. A NaN fails the
-// compare; the rarely taken branch reports it.
-func sweep(h, rest []float64, neg, writeBack bool) (nan bool) {
-	for i, x := range h {
+// sweep heapifies h, the m samples from the input's tail, and passes
+// each sample of rest by the root with one compare: a larger one takes
+// the root's place, and with writeBack the displaced root takes its
+// slot, keeping the input's multiset. A growing backlog seeds its
+// largest samples and replaces nothing. A NaN fails the compare; the
+// rarely taken branch reports it.
+func sweep(h, rest []float64, writeBack bool) (nan bool) {
+	for _, x := range h {
 		nan = nan || x != x
-		if neg {
-			h[i] = -x
-		}
 	}
 	if nan {
 		return true
@@ -144,36 +130,19 @@ func sweep(h, rest []float64, neg, writeBack bool) (nan bool) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i, h[i])
 	}
-	if !neg {
-		root := h[0]
-		for i, x := range rest {
-			if x <= root {
-				continue
-			}
-			if x != x {
-				return true
-			}
-			if writeBack {
-				rest[i] = root
-			}
-			siftDown(h, 0, x)
-			root = h[0]
-		}
-		return false
-	}
-	bound := -h[0]
+	root := h[0]
 	for i, x := range rest {
-		if x >= bound {
+		if x <= root {
 			continue
 		}
 		if x != x {
 			return true
 		}
 		if writeBack {
-			rest[i] = bound
+			rest[i] = root
 		}
-		siftDown(h, 0, -x)
-		bound = -h[0]
+		siftDown(h, 0, x)
+		root = h[0]
 	}
 	return false
 }
