@@ -44,10 +44,11 @@ func (a *allocRecorder) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 	params.Seed = rt.p.Seed + uint64(rt.slice)
 	thr, pwr, lat, svc := rt.reconstructAll()
 	for _, c := range []struct {
-		name string
-		m    *sgd.Matrix
-		got  *sgd.Prediction
-	}{{"thr", rt.thrM, thr}, {"pwr", rt.pwrM, pwr}, {"lat", rt.latM, lat}, {"svc", rt.svcM, svc}} {
+		name  string
+		m     *sgd.Matrix
+		got   *sgd.Prediction
+		train int // the training block's rows, which no prediction renders
+	}{{"thr", rt.thrM, thr, NTrainBatch}, {"pwr", rt.pwrM, pwr, NTrainBatch}, {"lat", rt.latM, lat, nTrainLC}, {"svc", rt.svcM, svc, nTrainLC}} {
 		if c.m == nil {
 			// A batch-only machine has no latency or service-rate surface.
 			if c.got != nil {
@@ -56,7 +57,7 @@ func (a *allocRecorder) EndSliceMulti(steady sim.PhaseResult, qps []float64) {
 			continue
 		}
 		want := sgd.Reconstruct(c.m, params)
-		for i := 0; i < want.Rows; i++ {
+		for i := c.train; i < want.Rows; i++ {
 			for j := 0; j < want.Cols; j++ {
 				if g, w := c.got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
 					a.t.Fatalf("slice %d: %s(%d,%d) paired %v, serial %v", rt.slice, c.name, i, j, g, w)

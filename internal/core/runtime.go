@@ -267,10 +267,13 @@ var (
 	_ harness.DegradedReporter = (*Runtime)(nil)
 )
 
-// New builds a runtime for the machine's job set. The offline training
-// characterisation (known-application rows) is computed here, so
-// construction performs the one-time work a datacenter would amortise
-// across deployments. Reconstruction parameters no decision could use
+// New builds a runtime for the machine's job set. Each of its four
+// matrices leads with the offline training characterisation (the
+// known-application rows) as a shared, read-only sgd.Block: the first
+// New on a training split and LC core count characterises, and every
+// later runtime on them shares those blocks (trainingBlocks) — the
+// one-time work a datacenter would amortise across deployments.
+// Reconstruction parameters no decision could use
 // (sgd.Params.Validate) panic here, not at the first decision.
 func New(m *sim.Machine, params Params) *Runtime {
 	p := params.withDefaults()
@@ -298,91 +301,99 @@ func New(m *sim.Machine, params Params) *Runtime {
 		}})
 	}
 
-	// Offline characterisation of the known applications (§V): the
-	// training rows are fully observed. The models are the stand-in
-	// for the paper's offline zsim characterisation runs.
-	pm, wm := perf.New(true), power.New(true)
-	train, _ := workload.SplitTrainTest(p.TrainSeed, NTrainBatch)
-	rt.thrM = sgd.NewMatrix(NTrainBatch+nBatch, config.NumResources)
-	pwrRows := NTrainBatch + nBatch + len(rt.svcs)
-	rt.pwrM = sgd.NewMatrix(pwrRows, config.NumResources)
-	for i, app := range train {
-		bips, pwr := sim.BatchSurfaces(pm, wm, app)
-		rt.thrM.ObserveRow(i, bips)
-		rt.pwrM.ObserveRow(i, pwr)
-	}
+	nLC, cores := 0, 0
 	if len(rt.svcs) > 0 {
-		rt.latM = sgd.NewMatrix(nTrainLC+len(rt.svcs), config.NumResources)
-		rt.svcM = sgd.NewMatrix(nTrainLC+len(rt.svcs), config.NumResources)
-		for i, row := range lcTrainingRows(p.TrainSeed, nTrainLC, rt.svcs[0].initCores) {
-			rt.latM.ObserveRow(i, row.lat)
-			rt.svcM.ObserveRow(i, row.svc)
-		}
+		nLC, cores = nTrainLC, rt.svcs[0].initCores
+	}
+	train := trainingBlocks(p.TrainSeed, nLC, cores)
+	rt.thrM = train.thr.Matrix(NTrainBatch + nBatch)
+	rt.pwrM = train.pwr.Matrix(NTrainBatch + nBatch + len(rt.svcs))
+	if len(rt.svcs) > 0 {
+		rt.latM = train.lat.Matrix(nTrainLC + len(rt.svcs))
+		rt.svcM = train.svc.Matrix(nTrainLC + len(rt.svcs))
 	}
 	return rt
 }
 
-type lcTrainKey struct {
+// trainKey names one offline characterisation: the training split,
+// and the number of latency-critical variants and the core count they
+// are characterised at — 0 and 0 for the split's batch blocks alone.
+type trainKey struct {
 	trainSeed uint64
 	nTrainLC  int
 	cores     int
 }
 
-type lcTrainRow struct {
-	lat, svc []float64
+// trainBlocks are the fully observed training rows a runtime's
+// matrices lead with (§V): the NTrainBatch known batch applications'
+// throughput and power, and the latency-critical variants' tail
+// latency and mean service time (nil for the batch blocks alone).
+type trainBlocks struct {
+	thr, pwr, lat, svc *sgd.Block
 }
 
-// lcTrainCache maps an lcTrainKey to the sync.OnceValue that computes
-// its rows, so concurrent misses on one key characterise once and the
-// rest wait for that result.
-var lcTrainCache sync.Map
+// trainCache maps a trainKey to the sync.OnceValue that characterises
+// it, so concurrent misses on one key characterise once and the rest
+// wait for that result. Entries are never dropped: each training split
+// in use keeps one — only the deprecated Params.TrainSeed names a split
+// other than SplitSeed's, and only bench/'s cold-construction kernel
+// sets it, to a fresh seed each call.
+var trainCache sync.Map
 
-// lcTrainComputes counts the characterisations actually run.
-var lcTrainComputes atomic.Int64
+// trainComputes counts the characterisations actually run, batch and
+// latency-critical alike.
+var trainComputes atomic.Int64
 
-// lcTrainingRows characterises the offline latency-critical variants —
-// tail latency and mean service time across all 108 configurations.
-// Variants are characterised under a moderately loaded memory system
-// (inflation 1.35): the running service will share DRAM bandwidth with
-// 16 batch jobs, and training rows measured on an idle machine would
-// underpredict the latency of memory-sensitive configurations. The
-// characterisation is deterministic per (seed, count, cores), so sweeps
-// that build many runtimes share one cached copy.
-func lcTrainingRows(trainSeed uint64, nTrainLC, cores int) []lcTrainRow {
-	key := lcTrainKey{trainSeed, nTrainLC, cores}
-	rows, ok := lcTrainCache.Load(key)
+// trainingBlocks returns the training blocks of a key, characterising
+// them on the key's first call; every runtime on the key shares them,
+// and every key of a split shares its batch blocks. The models are the
+// stand-in for the paper's offline zsim characterisation runs.
+// Latency-critical variants are characterised under a moderately
+// loaded memory system (inflation 1.35): the running service will share
+// DRAM bandwidth with 16 batch jobs, and training rows measured on an
+// idle machine would underpredict the latency of memory-sensitive
+// configurations.
+func trainingBlocks(trainSeed uint64, nTrainLC, cores int) *trainBlocks {
+	key := trainKey{trainSeed, nTrainLC, cores}
+	once, ok := trainCache.Load(key)
 	if !ok {
-		rows, _ = lcTrainCache.LoadOrStore(key, sync.OnceValue(func() []lcTrainRow {
-			lcTrainComputes.Add(1)
+		once, _ = trainCache.LoadOrStore(key, sync.OnceValue(func() *trainBlocks {
+			trainComputes.Add(1)
 			pm, wm := perf.New(true), power.New(true)
+			if nTrainLC == 0 {
+				train, _ := workload.SplitTrainTest(trainSeed, NTrainBatch)
+				thr, pwr := make([][]float64, len(train)), make([][]float64, len(train))
+				for i, app := range train {
+					thr[i], pwr[i] = sim.BatchSurfaces(pm, wm, app)
+				}
+				return &trainBlocks{thr: sgd.NewBlock(config.NumResources, thr...), pwr: sgd.NewBlock(config.NumResources, pwr...)}
+			}
+			b := *trainingBlocks(trainSeed, 0, 0)
 			variants := workload.SyntheticLC(trainSeed+100, nTrainLC)
 			seeds := make([]uint64, nTrainLC)
 			for i := range seeds {
 				seeds[i] = trainSeed + uint64(i)
 			}
 			lats, _, svcs := sim.LCSurfaces(pm, wm, variants, cores, 0.8, seeds, 0.3, 1.35)
-			rows := make([]lcTrainRow, nTrainLC)
-			for i := range rows {
-				rows[i] = lcTrainRow{lat: lats[i], svc: svcs[i]}
-			}
-			return rows
+			b.lat, b.svc = sgd.NewBlock(config.NumResources, lats...), sgd.NewBlock(config.NumResources, svcs...)
+			return &b
 		}))
 	}
-	return rows.(func() []lcTrainRow)()
+	return once.(func() *trainBlocks)()
 }
 
 // TrainingLatencyRows returns the tail-latency rows of the offline
 // latency-critical variants at the given core count: the rows every
 // runtime on the default split whose services start at that many cores
-// trains its latency matrix on, from the same cache. The rows are
-// shared; callers must not modify them.
+// leads its latency matrix with, from the same cache. The rows are the
+// shared block's; callers must not modify them.
 func TrainingLatencyRows(cores int) [][]float64 {
-	rows := lcTrainingRows(SplitSeed, nTrainLC, cores)
-	lat := make([][]float64, len(rows))
-	for i, row := range rows {
-		lat[i] = row.lat
+	lat := trainingBlocks(SplitSeed, nTrainLC, cores).lat
+	rows := make([][]float64, lat.Rows)
+	for i := range rows {
+		rows[i] = lat.Row(i)
 	}
-	return lat
+	return rows
 }
 
 // Name implements harness.Scheduler.

@@ -304,15 +304,18 @@ func mustApp(t testing.TB, name string) *workload.Profile {
 }
 
 // TestTrainingRowsSingleFlight: goroutines that miss the
-// characterisation cache on the same key together compute it once and
-// all receive that one result.
+// characterisation cache on the same key together characterise it
+// once — the split's batch blocks once, its latency-critical blocks
+// once — and all receive those blocks; a second core count on the same
+// split characterises only its own latency-critical blocks.
 func TestTrainingRowsSingleFlight(t *testing.T) {
 	const callers = 8
-	const trainSeed = 0x51f1 // a key no other test uses
-	key := lcTrainKey{trainSeed, 2, 8}
-	lcTrainCache.Delete(key) // cold under -count > 1 too
-	before := lcTrainComputes.Load()
-	got := make([][]lcTrainRow, callers)
+	const trainSeed = 0x51f1 // a split no other test uses
+	for _, k := range []trainKey{{trainSeed, 0, 0}, {trainSeed, 2, 8}, {trainSeed, 2, 4}} {
+		trainCache.Delete(k) // cold under -count > 1 too
+	}
+	before := trainComputes.Load()
+	got := make([]*trainBlocks, callers)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
@@ -320,29 +323,39 @@ func TestTrainingRowsSingleFlight(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			got[g] = lcTrainingRows(trainSeed, 2, 8)
+			got[g] = trainingBlocks(trainSeed, 2, 8)
 		}(g)
 	}
 	close(start)
 	wg.Wait()
-	if n := lcTrainComputes.Load() - before; n != 1 {
-		t.Fatalf("%d concurrent misses ran %d characterisations, want 1", callers, n)
+	if n := trainComputes.Load() - before; n != 2 {
+		t.Fatalf("%d concurrent misses ran %d characterisations, want 2 (batch, latency-critical)", callers, n)
 	}
-	for g, rows := range got {
-		if len(rows) != 2 || &rows[0] != &got[0][0] {
-			t.Fatalf("caller %d got its own rows, want the shared slice", g)
+	for g, b := range got {
+		if b.lat.Rows != 2 || b.svc.Rows != 2 || b.thr.Rows != NTrainBatch || b.pwr.Rows != NTrainBatch {
+			t.Fatalf("caller %d got blocks of %d, %d, %d and %d rows", g, b.thr.Rows, b.pwr.Rows, b.lat.Rows, b.svc.Rows)
+		}
+		if b != got[0] {
+			t.Fatalf("caller %d got its own blocks, want the shared ones", g)
 		}
 	}
-	if again := lcTrainingRows(trainSeed, 2, 8); &again[0] != &got[0][0] || lcTrainComputes.Load()-before != 1 {
-		t.Fatal("a later hit recomputed or returned different rows")
+	if again := trainingBlocks(trainSeed, 2, 8); again != got[0] || trainComputes.Load()-before != 2 {
+		t.Fatal("a later hit recomputed or returned different blocks")
+	}
+	other := trainingBlocks(trainSeed, 2, 4)
+	if n := trainComputes.Load() - before; n != 3 {
+		t.Fatalf("a second core count on the split ran %d characterisations in all, want 3", n)
+	}
+	if other.thr != got[0].thr || other.pwr != got[0].pwr || other.lat == got[0].lat {
+		t.Fatal("a second core count did not share the split's batch blocks alone")
 	}
 
 	// The exported rows are the ones a runtime's latency matrix is
 	// seeded with, read from the cache New filled.
 	rt := New(testMachine(t, "xapian", 1), Params{Seed: 1})
-	before = lcTrainComputes.Load()
+	before = trainComputes.Load()
 	lat := TrainingLatencyRows(rt.svcs[0].initCores)
-	if n := lcTrainComputes.Load() - before; n != 0 {
+	if n := trainComputes.Load() - before; n != 0 {
 		t.Fatalf("TrainingLatencyRows ran %d characterisations after New, want 0", n)
 	}
 	if len(lat) != nTrainLC {

@@ -45,6 +45,7 @@ package sgd
 
 import (
 	"math"
+	"sync"
 
 	"cuttlesys/internal/cpuid"
 	"cuttlesys/internal/par"
@@ -116,10 +117,14 @@ func ReconstructPairFactors(a, b *Matrix, pa, pb Params) (*Prediction, *Predicti
 
 // reconstructLanes runs the lanes' reconstructions around one shared
 // sweep; every lane's parameters must pass Validate, absent lanes'
-// too. The gathers, the seeds (the SVDs) and the dense renders are
-// independent per lane and run concurrently through par.For, each lane
-// writing only its own elements; so do the groups' trainings. Absent
-// lanes are skipped.
+// too. The gathers and the dense renders are independent per lane and
+// run concurrently through par.For, each lane writing only its own
+// elements; so do the groups' seeds and trainings. The seeds take
+// turns (seeding): each decomposes its dense rows in the array the
+// lanes' predictions share, which nothing reads before the renders —
+// the training blocks make a seed's matrix larger than its own
+// prediction, and no lane needs scratch of its own that way — while
+// the groups that have seeded train. Absent lanes are skipped.
 func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, []*Factors) {
 	// A bad parameter set panics here, on the caller's goroutine, not
 	// inside the fan-out.
@@ -130,12 +135,15 @@ func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, [
 	}
 	st := gatherLanes(ms, ps)
 	groups := laneGroups(st)
-	par.For(len(st), 0, func(_, l int) {
-		if st[l] != nil {
-			st[l].init()
+	var seeding sync.Mutex
+	par.For(len(groups), 0, func(_, g int) {
+		seeding.Lock()
+		for _, s := range groups[g].st {
+			s.init()
 		}
+		seeding.Unlock()
+		groups[g].train()
 	})
-	par.For(len(groups), 0, func(_, g int) { groups[g].train() })
 	preds := make([]*Prediction, len(ms))
 	facs := make([]*Factors, len(ms))
 	par.For(len(st), 0, func(_, l int) {
@@ -150,7 +158,8 @@ func reconstructLanes(ms []*Matrix, ps []Params, capture bool) ([]*Prediction, [
 // of a pair (0–1, 2–3) share one value array, interleaved: the wide
 // kernel loads a cell's two lane values as one 16-byte pair. Each
 // lane's stretch ends in its μ, both at the same index past the longer
-// lane's entries (see pad).
+// lane's entries (see pad). The lanes' predictions are consecutive
+// stretches of one array, every lane's seed scratch (see svdInit).
 func gatherLanes(ms []*Matrix, ps []Params) []*trainState {
 	vals := make([][]float64, len(ms))
 	for l := 0; l+1 < len(ms); l += 2 {
@@ -160,10 +169,26 @@ func gatherLanes(ms []*Matrix, ps []Params) []*trainState {
 			vals[l], vals[l+1] = buf[:2*n+1], buf[1:]
 		}
 	}
+	out := make([][]float64, len(ms))
+	n := 0
+	for _, m := range ms {
+		if m != nil {
+			n += (m.Rows - m.block.Rows) * m.Cols
+		}
+	}
+	shared := make([]float64, n)
+	rest := shared
+	for l, m := range ms {
+		if m != nil {
+			k := (m.Rows - m.block.Rows) * m.Cols
+			out[l], rest = rest[:k:k], rest[k:]
+		}
+	}
 	st := make([]*trainState, len(ms))
 	par.For(len(ms), 0, func(_, l int) {
 		if ms[l] != nil {
-			st[l] = prepareTraining(ms[l], ps[l].withDefaults(), vals[l], 2)
+			st[l] = prepareTraining(ms[l], ps[l].withDefaults(), vals[l], 2, out[l])
+			st[l].work = shared
 		}
 	})
 	return st

@@ -82,13 +82,16 @@ func obsBefore(m *Matrix, row int) int {
 	return n
 }
 
+// predBitsEqual compares two predictions of one matrix's observations
+// bit for bit over the rows both render: a matrix on a block renders
+// only its own rows.
 func predBitsEqual(t *testing.T, name string, got, want *Prediction) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols || got.Iters != want.Iters || got.Observed != want.Observed {
 		t.Fatalf("%s: header mismatch: got %d×%d iters=%d obs=%d, want %d×%d iters=%d obs=%d",
 			name, got.Rows, got.Cols, got.Iters, got.Observed, want.Rows, want.Cols, want.Iters, want.Observed)
 	}
-	for i := 0; i < got.Rows; i++ {
+	for i := max(got.block, want.block); i < got.Rows; i++ {
 		for j := 0; j < got.Cols; j++ {
 			g, w := got.At(i, j), want.At(i, j)
 			if math.Float64bits(g) != math.Float64bits(w) {
@@ -425,24 +428,33 @@ func TestLanePrefixBlockIndexBound(t *testing.T) {
 }
 
 // FuzzReconstructLanes reconstructs two or four lanes of a random shape
-// — up to 40 × 40 at any density, with bias-frozen rows, warm lanes and
-// a pair whose patterns diverge — and demands that every lane's
-// prediction equal its own per-surface Reconstruct, bit for bit, on
-// the lane path the host takes. One observation may be hostile
-// (NaN, ±Inf, zero, negative, huge): nothing may panic, and where it
-// is a NaN, whose payload IEEE 754 leaves to the operand order, a NaN
-// prediction need only meet a NaN.
+// — up to 40 × 40 at any density, with bias-frozen rows, warm lanes, a
+// pair whose patterns diverge and, with flag 64, a shared block of the
+// first 0 to all rows, all of them dense — and demands that every
+// lane's prediction equal the per-surface Reconstruct of the same
+// observations in a matrix without a block, bit for bit, on the lane
+// path the host takes. One observation may be hostile (NaN, ±Inf,
+// zero, negative, huge), in a block row too: nothing may panic, and
+// where it is a NaN, whose payload IEEE 754 leaves to the operand
+// order, a NaN prediction need only meet a NaN.
 func FuzzReconstructLanes(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint8(40), uint8(255), uint8(0), uint8(0), 0.0)
 	f.Add(uint64(2), uint8(24), uint8(36), uint8(160), uint8(4), uint8(0x0b), 1e300)
 	f.Add(uint64(3), uint8(39), uint8(39), uint8(60), uint8(3), uint8(0x1f), math.NaN())
 	f.Add(uint64(4), uint8(5), uint8(7), uint8(200), uint8(0), uint8(0x15), math.Inf(1))
 	f.Add(uint64(5), uint8(16), uint8(20), uint8(230), uint8(2), uint8(0x19), -1.0)
+	f.Add(uint64(6), uint8(24), uint8(36), uint8(40), uint8(0), uint8(0x4b), 1.7e308)
+	f.Add(uint64(7), uint8(16), uint8(39), uint8(120), uint8(3), uint8(0x5f), math.NaN())
+	f.Add(uint64(8), uint8(9), uint8(30), uint8(10), uint8(2), uint8(0x69), 0.0)
 	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, density, minObs, flags uint8, hostile float64) {
 		nr, nc := 1+int(rows)%40, 1+int(cols)%40
 		lanes := 2 + 2*int(flags&1)
 		r := rng.New(seed)
 		p := Params{Factors: pairFactors, Reg: 0.03, MaxIter: 4, FactorMinObs: int(minObs % 8)}
+		nb := 0 // block rows
+		if flags&64 != 0 {
+			nb = r.Intn(nr + 1)
+		}
 		ms := make([]*Matrix, lanes)
 		for l := 0; l < lanes; l += 2 {
 			// The runtime writes both surfaces of a pair at the same
@@ -450,7 +462,7 @@ func FuzzReconstructLanes(f *testing.F) {
 			a, b := NewMatrix(nr, nc), NewMatrix(nr, nc)
 			for i := range nr {
 				for j := range nc {
-					if r.Intn(256) < int(density) {
+					if i < nb || r.Intn(256) < int(density) {
 						a.Observe(i, j, 0.1+3*r.Float64())
 						b.Observe(i, j, 0.1+3*r.Float64())
 					}
@@ -458,11 +470,12 @@ func FuzzReconstructLanes(f *testing.F) {
 			}
 			ms[l], ms[l+1] = a, b
 		}
-		if flags&2 != 0 { // lane 1 flips one cell: the pair diverges there
-			i, j := r.Intn(nr), r.Intn(nc)
-			if ms[1].Known(i, j) {
+		if flags&2 != 0 { // lane 1 flips one own cell: the pair diverges there
+			switch i, j := r.Intn(nr), r.Intn(nc); {
+			case i < nb: // a block row stays fully observed
+			case ms[1].Known(i, j):
 				ms[1].clear(i, j)
-			} else {
+			default:
 				ms[1].Observe(i, j, 1)
 			}
 		}
@@ -487,17 +500,19 @@ func FuzzReconstructLanes(f *testing.F) {
 			}
 		}
 		want := make([]*Prediction, lanes)
+		blk := make([]*Matrix, lanes)
 		for l, m := range ms {
 			want[l] = Reconstruct(m, ps[l])
+			blk[l] = onBlock(m, nb)
 		}
 		nan := flags&4 != 0 && math.IsNaN(hostile)
 		lanePath(t, func(t *testing.T) {
 			got := make([]*Prediction, lanes)
 			if lanes == 4 {
-				quad, _ := ReconstructQuad([4]*Matrix(ms), [4]Params(ps), flags&32 != 0)
+				quad, _ := ReconstructQuad([4]*Matrix(blk), [4]Params(ps), flags&32 != 0)
 				copy(got, quad[:])
 			} else {
-				got[0], got[1] = ReconstructPair(ms[0], ms[1], ps[0], ps[1])
+				got[0], got[1] = ReconstructPair(blk[0], blk[1], ps[0], ps[1])
 			}
 			for l := range ms {
 				name := fmt.Sprintf("lane %d", l)
@@ -506,7 +521,7 @@ func FuzzReconstructLanes(f *testing.F) {
 					continue
 				}
 				for c, g := range got[l].vals {
-					w := want[l].vals[c]
+					w := want[l].vals[nb*nc+c]
 					if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
 						t.Fatalf("%s: cell %d = %v, want %v", name, c, g, w)
 					}

@@ -331,26 +331,28 @@ func BenchmarkLaneEpoch(b *testing.B) {
 
 // reconstructAllocCeiling bounds the bytes one ReconstructQuad call
 // allocates at the runtime's single-machine shape, late in a run, per
-// lane path, about 10 % over what a call measures: ≈ 264 KB on the
-// AVX-512 path and ≈ 238 KB on the Go path. That is the four
-// predictions (≈ 81 KB, which also hold the SVD seeds' mean-filled
-// blocks), the entry lists at 12 bytes an entry, a pair's values
-// interleaved (≈ 87 KB), the lane blocks that hold every factor and
-// bias from seed to render (≈ 30 KB), the Jacobi rotations (≈ 20 KB)
-// and the wide kernel's slots at 24 bytes a four-cell slot (≈ 22 KB).
-var reconstructAllocCeiling = map[string]uint64{"wide": 280 << 10, "go": 250 << 10}
+// lane path, about 10 % over what a call measures: ≈ 218 KB on the
+// AVX-512 path and ≈ 192 KB on the Go path. That is the predictions of
+// the matrices' 38 own rows in one array, which is also the SVD seeds'
+// scratch (≈ 33 KB, 40 KB as the whole pages a large object takes),
+// the entry lists at 12 bytes an entry, a pair's values interleaved
+// (≈ 87 KB), the lane blocks that hold every factor and bias from seed
+// to render (≈ 30 KB), the Jacobi rotations (≈ 20 KB) and the wide
+// kernel's slots at 24 bytes a four-cell slot (≈ 22 KB).
+var reconstructAllocCeiling = map[string]uint64{"wide": 240 << 10, "go": 211 << 10}
 
 // TestReconstructAllocCeiling measures ReconstructQuad's allocation
 // per call with runtime.ReadMemStats over repeated calls, on the
-// runtime's single-machine surfaces: throughput with 16 training rows
-// and 16 dense running rows, power with the same 32 and two service
-// rows, latency and service rate with 12 training rows and two sparse
-// service rows. The sweep count does not change what a call
-// allocates, so a short one keeps the test quick.
+// runtime's single-machine surfaces: throughput on a block of 16
+// training rows with 16 dense running rows, power on its block with
+// the same 16 and two service rows, latency and service rate on blocks
+// of 12 training rows with two sparse service rows. The sweep count
+// does not change what a call allocates, so a short one keeps the
+// test quick.
 func TestReconstructAllocCeiling(t *testing.T) {
 	thr, pwr := matchedPair(91, 32, 108, 16, 40, 2)
 	lat, svc := matchedPair(92, 14, 108, 12, 4, 0)
-	ms := [4]*Matrix{thr, pwr, lat, svc}
+	ms := [4]*Matrix{onBlock(thr, 16), onBlock(pwr, 16), onBlock(lat, 12), onBlock(svc, 12)}
 	p := Params{Factors: 6, Reg: 0.03, MaxIter: 5}
 	ps := [4]Params{p, p, p, p}
 	lanePath(t, func(t *testing.T) {

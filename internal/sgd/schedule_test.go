@@ -89,7 +89,7 @@ func trainSlots(st *trainState, from, to int, slots [][]int) {
 // seeded gathers m and seeds its model state in one-lane blocks of its
 // own, untrained.
 func seeded(m *Matrix, p Params) *trainState {
-	st := prepareTraining(m, p.withDefaults(), nil, 0)
+	st := prepareTraining(m, p.withDefaults(), nil, 0, nil)
 	st.alone()
 	st.init()
 	return st

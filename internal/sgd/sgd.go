@@ -24,6 +24,14 @@
 // PQ-reconstruction work, at rank 6, λ 0.03 and 300 sweeps unless a
 // Params field says otherwise.
 //
+// The offline-characterised rows that seed every reconstruction never
+// change during a run, so a Matrix leads with a shared, read-only Block
+// of them (NewBlock, Block.Matrix): every machine's matrices point at
+// one copy, and a Prediction renders only the matrix's own rows. NewMatrix
+// is a matrix on the empty block, so there is one code path. A block
+// changes no bit of any fit: its rows train exactly as the same rows
+// observed one by one would.
+//
 // There is one update order and two loops that run it. trainSerial is
 // Alg. 1 as printed: one sweep over the observed entries in row-major
 // order per epoch. The lane trainer (pair.go) runs a pair of such
@@ -44,46 +52,105 @@ import (
 	"cuttlesys/internal/mat"
 )
 
+// Block is a read-only, fully observed leading block of rows that any
+// number of matrices share: the offline-characterised "known"
+// applications of §V, whose rows no run changes. A block is immutable
+// once built and safe for concurrent use. Besides the values it holds
+// whether every cell renders finite, so no warm fit re-checks them.
+type Block struct {
+	Rows, Cols int // fixed by NewBlock
+	vals       []float64
+	nonFinite  bool // some cell's exp(log(max(v, logFloor))) is not finite
+}
+
+// NewBlock returns the block of the given fully observed rows, each
+// cols values long, copied into one backing array.
+func NewBlock(cols int, rows ...[]float64) *Block {
+	if cols <= 0 || len(rows) > math.MaxUint32/cols {
+		panic(fmt.Sprintf("sgd: invalid block dimensions %dx%d", len(rows), cols))
+	}
+	b := &Block{Rows: len(rows), Cols: cols, vals: make([]float64, 0, len(rows)*cols)}
+	for _, row := range rows {
+		if len(row) != cols {
+			panic("sgd: NewBlock row length mismatch")
+		}
+		b.vals = append(b.vals, row...)
+	}
+	for _, v := range b.vals {
+		b.nonFinite = b.nonFinite || !finite(math.Exp(math.Log(math.Max(v, logFloor))))
+	}
+	return b
+}
+
+// Row returns row i's values. The slice is the block's own: callers
+// must not modify it.
+func (b *Block) Row(i int) []float64 { return b.vals[i*b.Cols : (i+1)*b.Cols : (i+1)*b.Cols] }
+
+// Matrix returns a rows×Cols observation matrix whose leading b.Rows
+// rows are the block and whose remaining rows, its own, start empty.
+// The rows must cover the block, and the cells be at most 2³²: a
+// reconstruction names an observed cell by its uint32 row-major index.
+func (b *Block) Matrix(rows int) *Matrix {
+	cols := b.Cols
+	if rows <= 0 || rows < b.Rows || cols <= 0 || rows > math.MaxUint32/cols {
+		panic(fmt.Sprintf("sgd: invalid matrix dimensions %dx%d on a %d-row block", rows, cols, b.Rows))
+	}
+	own := (rows - b.Rows) * cols
+	return &Matrix{Rows: rows, Cols: cols, block: b, vals: make([]float64, own), known: make([]bool, own)}
+}
+
 // Matrix is a sparse observation matrix: applications × resource
-// configurations.
+// configurations. Its leading rows are a shared Block, possibly empty;
+// the rest are its own, observed one entry at a time. Rows and columns
+// are numbered across the whole matrix, block rows first.
 type Matrix struct {
 	Rows, Cols int
-	vals       []float64
+	block      *Block
+	vals       []float64 // own rows, row-major from row block.Rows
 	known      []bool
 }
 
-// NewMatrix returns an empty rows×cols observation matrix. The
-// dimensions must be positive and the cells at most 2³²: a
-// reconstruction names an observed cell by its uint32 row-major index.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows <= 0 || cols <= 0 || rows > math.MaxUint32/cols {
-		panic(fmt.Sprintf("sgd: invalid matrix dimensions %dx%d", rows, cols))
+// NewMatrix returns an empty rows×cols observation matrix: a matrix on
+// the empty block, every row its own. The dimensions must be positive
+// and the cells at most 2³².
+func NewMatrix(rows, cols int) *Matrix { return (&Block{Cols: cols}).Matrix(rows) }
+
+// own returns own cell (i, j)'s index into vals and known; a block row
+// panics — the block is read-only.
+func (m *Matrix) own(i, j int) int {
+	if i < m.block.Rows {
+		panic(fmt.Sprintf("sgd: Observe(%d, %d) on a row of the matrix's read-only block (rows 0-%d)", i, j, m.block.Rows-1))
 	}
-	return &Matrix{
-		Rows:  rows,
-		Cols:  cols,
-		vals:  make([]float64, rows*cols),
-		known: make([]bool, rows*cols),
-	}
+	return (i-m.block.Rows)*m.Cols + j
 }
 
 // Observe records entry (i, j) = v. Re-observing overwrites — the
 // runtime updates entries with measured values at the end of every
-// timeslice (§IV-B).
+// timeslice (§IV-B). Observing a block row panics.
 func (m *Matrix) Observe(i, j int, v float64) {
-	m.vals[i*m.Cols+j] = v
-	m.known[i*m.Cols+j] = true
+	c := m.own(i, j)
+	m.vals[c] = v
+	m.known[c] = true
 }
 
-// Known reports whether entry (i, j) has been observed.
-func (m *Matrix) Known(i, j int) bool { return m.known[i*m.Cols+j] }
+// Known reports whether entry (i, j) has been observed; every block
+// entry has.
+func (m *Matrix) Known(i, j int) bool {
+	return i < m.block.Rows || m.known[(i-m.block.Rows)*m.Cols+j]
+}
 
 // At returns the observed value at (i, j); meaningful only when Known.
-func (m *Matrix) At(i, j int) float64 { return m.vals[i*m.Cols+j] }
+func (m *Matrix) At(i, j int) float64 {
+	if i < m.block.Rows {
+		return m.block.vals[i*m.Cols+j]
+	}
+	return m.vals[(i-m.block.Rows)*m.Cols+j]
+}
 
-// knownCount returns the number of observed entries.
+// knownCount returns the number of observed entries, the block's
+// included.
 func (m *Matrix) knownCount() int {
-	n := 0
+	n := len(m.block.vals)
 	for _, k := range m.known {
 		if k {
 			n++
@@ -195,18 +262,29 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Prediction is a fully reconstructed matrix. Iters and Observed
-// record the reconstruction's work — SGD epochs run and observed cells
-// anchoring the fit — for observability; they do not affect values.
+// Prediction is a reconstructed matrix: every entry of the matrix's
+// own rows. The rows of its block are fully observed, never change and
+// nothing reads them back from a prediction, so a prediction neither
+// allocates nor renders them; its row indices are the matrix's. Iters
+// and Observed record the reconstruction's work — SGD epochs run and
+// observed cells anchoring the fit, the block's included — for
+// observability; they do not affect values.
 type Prediction struct {
 	Rows, Cols int
 	Iters      int
 	Observed   int
-	vals       []float64
+	block      int       // the matrix's block rows, which are not rendered
+	vals       []float64 // own rows, row-major from row block
 }
 
-// At returns the predicted value at (i, j).
-func (p *Prediction) At(i, j int) float64 { return p.vals[i*p.Cols+j] }
+// At returns the predicted value at (i, j). A row of the matrix's block
+// panics: the block is not rendered.
+func (p *Prediction) At(i, j int) float64 {
+	if i < p.block {
+		panic("sgd: Prediction.At on a row of the matrix's block, which a prediction does not render")
+	}
+	return p.vals[(i-p.block)*p.Cols+j]
+}
 
 const logFloor = 1e-9 // guards the log transform against zeros
 
@@ -252,17 +330,27 @@ type trainState struct {
 	w, blk     int
 	biasOnly   []bool
 	pred       *Prediction
-	cold       *Params // a warm start's own params minus Warm: finish's redo; nil for a cold fit
+	// work is the SVD seed's scratch (see svdInit): the prediction's
+	// own values, or the array the lanes' predictions share.
+	work []float64
+	cold *Params // a warm start's own params minus Warm: finish's redo; nil for a cold fit
 }
 
 // prepareTraining gathers the observations into vals, with stride vs
 // — a buffer of its own when vals is nil — and settles the effective
-// parameters and μ. When there is nothing to train, st.cells is empty:
-// training is a no-op and finish returns st.pred (all zeros, Iters 0).
-func prepareTraining(m *Matrix, p Params, vals []float64, vs int) *trainState {
+// parameters and μ. The block's entries come first, every cell of its
+// rows. The prediction's values go in out, (Rows − block rows) × Cols
+// long — a buffer of its own when out is nil. When there is nothing to
+// train, st.cells is empty: training is a no-op and finish returns
+// st.pred (all zeros, Iters 0).
+func prepareTraining(m *Matrix, p Params, vals []float64, vs int, out []float64) *trainState {
+	b := m.block
 	n := m.knownCount()
 	if vals == nil {
 		vals, vs = make([]float64, n+1), 1
+	}
+	if out == nil {
+		out = make([]float64, (m.Rows-b.Rows)*m.Cols)
 	}
 	cells := make([]uint32, 0, n)
 	biasOnly := make([]bool, m.Rows)
@@ -270,13 +358,13 @@ func prepareTraining(m *Matrix, p Params, vals []float64, vs int) *trainState {
 	sum := 0.0
 	for i := 0; i < m.Rows; i++ {
 		before := len(cells)
-		for c := i * m.Cols; c < (i+1)*m.Cols; c++ {
-			if !m.known[c] {
+		for j := 0; j < m.Cols; j++ {
+			if !m.Known(i, j) {
 				continue
 			}
-			v := math.Log(math.Max(m.vals[c], logFloor))
+			v := math.Log(math.Max(m.At(i, j), logFloor))
 			vals[vs*len(cells)] = v
-			cells = append(cells, uint32(c))
+			cells = append(cells, uint32(i*m.Cols+j))
 			sum += v
 		}
 		// Rows with fewer observations than FactorMinObs train biases
@@ -291,8 +379,8 @@ func prepareTraining(m *Matrix, p Params, vals []float64, vs int) *trainState {
 	if live < 0 {
 		live = len(cells)
 	}
-	pred := &Prediction{Rows: m.Rows, Cols: m.Cols, Observed: len(cells), vals: make([]float64, m.Rows*m.Cols)}
-	st := &trainState{m: m, p: p, cells: cells, vals: vals, vs: vs, live: live, biasOnly: biasOnly, pred: pred}
+	pred := &Prediction{Rows: m.Rows, Cols: m.Cols, Observed: len(cells), block: b.Rows, vals: out}
+	st := &trainState{m: m, p: p, cells: cells, vals: vals, vs: vs, live: live, biasOnly: biasOnly, pred: pred, work: out}
 	if len(cells) == 0 {
 		return st
 	}
@@ -376,17 +464,19 @@ func (st *trainState) init() {
 // not every reconstruction that inherits it.
 func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 	if len(st.cells) == 0 {
+		clear(st.pred.vals) // another lane's seed may have used them
 		return st.pred, nil
 	}
 	m, f, w, blk := st.m, st.f, st.w, st.blk
 	pred := st.pred
-	// Dense prediction, rendered out of log space; observed entries
-	// render exp of their logged measured values (within two ulps of
-	// the measurement), which the row-major entry list holds in render
-	// order.
-	t := 0
-	for i := 0; i < m.Rows; i++ {
+	// Dense prediction of the own rows, rendered out of log space;
+	// observed entries render exp of their logged measured values
+	// (within two ulps of the measurement), which the row-major entry
+	// list holds in render order after the block's entries, one a cell.
+	t := len(m.block.vals)
+	for i := m.block.Rows; i < m.Rows; i++ {
 		ri := st.rowP[i*blk:]
+		out := pred.vals[(i-m.block.Rows)*m.Cols:]
 		for j := 0; j < m.Cols; j++ {
 			c := i*m.Cols + j
 			var v float64
@@ -401,10 +491,12 @@ func (st *trainState) finish(capture bool) (*Prediction, *Factors) {
 				}
 				v = st.mu + ri[w*f] + cj[w*f] + dot
 			}
-			pred.vals[c] = math.Exp(v)
+			out[j] = math.Exp(v)
 		}
 	}
-	if st.cold != nil && !(finite(pred.vals...) && finite(st.mu) && st.finiteState()) {
+	// The block's cells would render exp of their trained values, which
+	// NewBlock checked once.
+	if st.cold != nil && (m.block.nonFinite || !(finite(pred.vals...) && finite(st.mu) && st.finiteState())) {
 		return reconstructFull(m, *st.cold, capture)
 	}
 	if !capture {
@@ -456,7 +548,7 @@ func (st *trainState) finiteState() bool {
 }
 
 func reconstructFull(m *Matrix, p Params, capture bool) (*Prediction, *Factors) {
-	st := prepareTraining(m, p, nil, 0)
+	st := prepareTraining(m, p, nil, 0, nil)
 	if len(st.cells) > 0 {
 		st.alone()
 		st.init()
@@ -527,15 +619,17 @@ func (st *trainState) sweep(from, to int) {
 //
 // The filled matrix is built from the row-major entry list, where each
 // row's observations are one contiguous run already in the trained
-// value space, and mat.SVDTop decomposes it in place. It lives in the
-// rows×cols prediction buffer, which nothing reads before finish
-// overwrites every cell of it, in the tall one of its two forms: with
-// fewer dense rows than columns (the usual case) transposed, dense row
-// di's value at column j at [j·len(dense) + di], so that its element-
-// major layout is the one the Jacobi sweep rotates in place.
+// value space, and mat.SVDTop decomposes it in place. It lives in
+// st.work — the prediction's values, or the array the lanes'
+// predictions share, which nothing reads before finish overwrites
+// every cell the lane renders — or, where that is too short for the
+// dense rows, the block's among them, in a buffer of its own. It takes
+// the tall one of its two forms: with fewer dense rows than columns
+// (the usual case) transposed, dense row di's value at column j at
+// [j·len(dense) + di], so that its element-major layout is the one the
+// Jacobi sweep rotates in place.
 func (st *trainState) svdInit() {
 	cells, cols, mu := st.cells, st.m.Cols, st.mu
-	work := st.pred.vals
 	type run struct{ row, from, to int } // a dense row's entries [from, to)
 	dense := make([]run, 0, st.m.Rows)
 	for from := 0; from < len(cells); {
@@ -553,6 +647,10 @@ func (st *trainState) svdInit() {
 		return // nothing trustworthy to decompose; keep zero init
 	}
 	nd := len(dense)
+	work := st.work
+	if len(work) < nd*cols {
+		work = make([]float64, nd*cols)
+	}
 	// Cell (di, j) of the filled matrix at [di*rowStep + j*colStep].
 	tall := nd < cols
 	filled := &mat.Dense{Rows: nd, Cols: cols, Data: work[:nd*cols]}

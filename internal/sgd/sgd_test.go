@@ -16,8 +16,8 @@ import (
 	"cuttlesys/internal/workload"
 )
 
-// clear removes the observation at (i, j).
-func (m *Matrix) clear(i, j int) { m.known[i*m.Cols+j] = false }
+// clear removes the observation at own cell (i, j).
+func (m *Matrix) clear(i, j int) { m.known[m.own(i, j)] = false }
 
 func TestObserveAndClear(t *testing.T) {
 	m := NewMatrix(3, 4)

@@ -145,7 +145,7 @@ func TestWindowShiftShare(t *testing.T) {
 			m.Observe(i, j, 1+float64((i*m.Cols+j)%7))
 		}
 	}
-	st := prepareTraining(m, Params{}.withDefaults(), nil, 0)
+	st := prepareTraining(m, Params{}.withDefaults(), nil, 0, nil)
 	idx := slotIndices(st.cells, m.Cols, m.Rows, st.pad())
 	nslots := len(idx) / slotRecord
 	share := float64(windowShifts(idx)) / float64(nslots)
